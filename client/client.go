@@ -133,8 +133,8 @@ type Options struct {
 	Conns int
 	// DialTimeout bounds each TCP dial (default 5s).
 	DialTimeout time.Duration
-	// Followers lists read-replica addresses.  When set (and the primary
-	// speaks protocol version 2), eligible reads are routed to followers:
+	// Followers lists read-replica addresses.  When set, eligible reads
+	// are routed to followers:
 	// snapshot reads go to any follower that has applied the snapshot's
 	// epoch (exact, verified server-side), latest reads to any follower
 	// lagging at most MaxStaleness epochs.  Every follower error falls
@@ -175,8 +175,7 @@ type Client struct {
 	keyColumn string
 	schema    []Column
 	colIdx    map[string]int
-	protocol  uint32 // negotiated by the hello exchange
-	role      Role
+	role      Role // announced by the hello exchange
 
 	sem       chan struct{} // counts live connections (pool capacity)
 	free      chan *poolConn
@@ -214,8 +213,12 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		closed:     make(chan struct{}),
 		snapEpochs: make(map[Snap]uint64),
 	}
-	// Dial eagerly once: verifies the server speaks the protocol and
-	// caches the schema every later request needs for value coercion.
+	// Dial eagerly once: verifies the server speaks this client's protocol
+	// and caches the schema every later request needs for value coercion.
+	if err := c.hello(); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
+	}
 	var req wire.Buffer
 	req.U8(wire.OpSchema)
 	r, err := c.do(req.Bytes())
@@ -227,30 +230,21 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		c.Close()
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	if err := c.hello(); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
-	}
 	for _, faddr := range opts.Followers {
 		c.followers = append(c.followers, &follower{parent: c, addr: faddr})
 	}
 	return c, nil
 }
 
-// hello negotiates the protocol generation.  A version-1 server answers
-// the unknown opcode with ErrBadRequest; that is the negotiation — the
-// client records protocol 1 and keeps to the version-1 opcode set
-// (follower routing and epoch-addressed snapshots stay disabled).
+// hello checks that the server speaks exactly this client's protocol and
+// records its role.  A server of any other version — whether it refuses
+// the hello itself or answers with its own number — fails the dial with
+// ErrBadRequest; there is no fallback to an older protocol.
 func (c *Client) hello() error {
 	var req wire.Buffer
 	req.U8(wire.OpHello)
 	req.U32(wire.ProtocolVersion)
 	r, err := c.do(req.Bytes())
-	if errors.Is(err, ErrBadRequest) {
-		c.protocol = 1
-		c.role = RolePrimary
-		return nil
-	}
 	if err != nil {
 		return err
 	}
@@ -262,21 +256,15 @@ func (c *Client) hello() error {
 	if err != nil {
 		return err
 	}
-	if ver < c.protocol || ver == 0 {
-		return fmt.Errorf("%w: server protocol version %d", ErrBadRequest, ver)
+	if ver != wire.ProtocolVersion {
+		return fmt.Errorf("%w: server speaks protocol version %d, this client %d",
+			ErrBadRequest, ver, wire.ProtocolVersion)
 	}
-	// Both sides speak min(client, server); the server promises the same.
-	c.protocol = min(wire.ProtocolVersion, ver)
 	c.role = Role(role)
 	return nil
 }
 
-// Protocol returns the negotiated protocol generation (1 for pre-hello
-// servers).
-func (c *Client) Protocol() int { return int(c.protocol) }
-
-// Role returns the server's announced role (RolePrimary for version-1
-// servers, which cannot be followers).
+// Role returns the server's announced role.
 func (c *Client) Role() Role { return c.role }
 
 func (c *Client) readSchema(r *wire.Reader) error {
@@ -715,40 +703,30 @@ func (c *Client) IsValid(row int) (bool, error) {
 // past its capacity Snapshot fails with ErrTooManySnapshots until a token
 // is Released.
 func (c *Client) Snapshot() (Snap, error) {
-	// On a version-2 server the capture also reports the frozen epoch;
-	// follower routing needs it to pin the same epoch on replicas.
-	if c.protocol >= 2 {
-		var req wire.Buffer
-		req.U8(wire.OpSnapshotEpoch)
-		r, err := c.do(req.Bytes())
-		if err != nil {
-			return 0, err
-		}
-		tok, err := r.U64()
-		if err != nil {
-			return 0, err
-		}
-		e, err := r.U64()
-		if err != nil {
-			return 0, err
-		}
-		c.snapMu.Lock()
-		c.snapEpochs[Snap(tok)] = e
-		c.snapMu.Unlock()
-		return Snap(tok), nil
-	}
 	var req wire.Buffer
-	req.U8(wire.OpSnapshot)
+	req.U8(wire.OpSnapshotEpoch)
 	r, err := c.do(req.Bytes())
 	if err != nil {
 		return 0, err
 	}
 	tok, err := r.U64()
-	return Snap(tok), err
+	if err != nil {
+		return 0, err
+	}
+	// The capture reports the frozen epoch; follower routing needs it to
+	// pin the same epoch on replicas.
+	e, err := r.U64()
+	if err != nil {
+		return 0, err
+	}
+	c.snapMu.Lock()
+	c.snapEpochs[Snap(tok)] = e
+	c.snapMu.Unlock()
+	return Snap(tok), nil
 }
 
 // SnapshotEpoch returns the epoch a snapshot token was frozen at, when
-// known (tokens from Snapshot on a version-2 server).
+// known (tokens captured by this Client's Snapshot).
 func (c *Client) SnapshotEpoch(s Snap) (uint64, bool) {
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
@@ -757,7 +735,7 @@ func (c *Client) SnapshotEpoch(s Snap) (uint64, bool) {
 }
 
 // Release drops a snapshot token from the server's registry.  Do call it:
-// a registered token pins the server's GC watermark (merges keep every
+// a registered token pins its epoch on the server (merges keep every
 // version the snapshot can see), and the registry itself is bounded, so
 // unreleased tokens eventually make Snapshot fail with
 // ErrTooManySnapshots.

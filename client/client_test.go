@@ -262,7 +262,67 @@ func TestDialRefusesNonServer(t *testing.T) {
 	}
 }
 
-// TestCreateIndexRoundTrip exercises the v3 index opcodes end to end:
+// TestDialRefusesOtherProtocol dials stub servers that are not of this
+// client's protocol generation — one answers hello with version 4, one
+// does not know hello at all — and expects Dial to fail with the typed
+// error instead of settling on an older protocol.
+func TestDialRefusesOtherProtocol(t *testing.T) {
+	for name, answer := range map[string]func(out *wire.Buffer){
+		"hello answers version 4": func(out *wire.Buffer) {
+			out.U8(wire.StatusOK)
+			out.U32(4)
+			out.U8(uint8(RolePrimary))
+		},
+		"hello is an unknown opcode": func(out *wire.Buffer) {
+			out.U8(wire.StatusErrBadRequest)
+			out.String("unknown opcode 0x17")
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			hellos := make(chan uint32, 1) // the stub serves one request
+			go func() {
+				nc, err := l.Accept()
+				if err != nil {
+					return
+				}
+				defer nc.Close()
+				payload, err := wire.ReadFrame(nc)
+				if err != nil || len(payload) != 5 || payload[0] != wire.OpHello {
+					return
+				}
+				ver, _ := wire.NewReader(payload[1:]).U32()
+				hellos <- ver
+				var out wire.Buffer
+				answer(&out)
+				wire.WriteFrame(nc, out.Bytes())
+				wire.ReadFrame(nc) // hold the connection until the client hangs up
+			}()
+			c, err := Dial(l.Addr().String())
+			if err == nil {
+				c.Close()
+				t.Fatal("Dial succeeded against a server of another protocol version")
+			}
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("Dial error %v, want ErrBadRequest", err)
+			}
+			select {
+			case ver := <-hellos:
+				if ver != wire.ProtocolVersion {
+					t.Fatalf("client announced version %d, want %d", ver, wire.ProtocolVersion)
+				}
+			default:
+				t.Fatal("Dial failed before sending hello as its first request")
+			}
+		})
+	}
+}
+
+// TestCreateIndexRoundTrip exercises the index opcodes end to end:
 // build an index over the wire, read its statistics back, and check
 // that indexed lookups return the same rows as before.
 func TestCreateIndexRoundTrip(t *testing.T) {
@@ -272,9 +332,6 @@ func TestCreateIndexRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Protocol() < 3 {
-		t.Fatalf("negotiated protocol %d want >= 3", c.Protocol())
-	}
 
 	const n = 500
 	rows := make([][]any, n)

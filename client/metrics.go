@@ -1,7 +1,6 @@
 package client
 
 import (
-	"fmt"
 	"math"
 
 	"hyrise/internal/wire"
@@ -20,13 +19,9 @@ type Metric struct {
 // registry — the same series /metrics exposes, over the data protocol.
 // Followers answer locally, so pointing a client at a replica reads that
 // replica's own apply-lag gauges; a topology check can assert convergence
-// without touching the HTTP endpoint.  It fails with ErrBadRequest on
-// servers older than protocol version 4, and returns an empty snapshot
-// when the server runs with metrics disabled.
+// without touching the HTTP endpoint.  It returns an empty snapshot when
+// the server runs with metrics disabled.
 func (c *Client) Metrics() ([]Metric, error) {
-	if c.protocol < 4 {
-		return nil, fmt.Errorf("%w: server protocol %d has no metrics op", ErrBadRequest, c.protocol)
-	}
 	var req wire.Buffer
 	req.U8(wire.OpMetrics)
 	r, err := c.do(req.Bytes())

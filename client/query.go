@@ -290,8 +290,7 @@ type IndexStat struct {
 }
 
 // CreateIndex builds a group-key index on column server-side.  The call
-// is idempotent; subsequent merges keep the index current.  Requires
-// protocol version 3.
+// is idempotent; subsequent merges keep the index current.
 func (c *Client) CreateIndex(column string) error {
 	var req wire.Buffer
 	req.U8(wire.OpCreateIndex)
@@ -301,7 +300,7 @@ func (c *Client) CreateIndex(column string) error {
 }
 
 // IndexStats fetches per-column statistics for every group-key index on
-// the server.  Requires protocol version 3.
+// the server.
 func (c *Client) IndexStats() ([]IndexStat, error) {
 	var req wire.Buffer
 	req.U8(wire.OpIndexStats)

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"fmt"
 	"time"
 
 	"hyrise/internal/wire"
@@ -28,14 +27,10 @@ type ReshardReport struct {
 // Reshard changes the served table's active shard count to n, online:
 // reads (latest and snapshot) and writes keep working on every connection
 // throughout, and replication followers replay the same migration from
-// the op log.  It fails with ErrBadRequest on servers older than protocol
-// version 5 or on a flat (unsharded) store, and with ErrReadOnly on a
-// follower.  Note Shards() keeps reporting the dial-time count; use
-// ServerStats for the live topology.
+// the op log.  It fails with ErrBadRequest on a flat (unsharded) store and
+// with ErrReadOnly on a follower.  Note Shards() keeps reporting the
+// dial-time count; use ServerStats for the live topology.
 func (c *Client) Reshard(n int) (ReshardReport, error) {
-	if c.protocol < 5 {
-		return ReshardReport{}, fmt.Errorf("%w: server protocol %d has no reshard op", ErrBadRequest, c.protocol)
-	}
 	var req wire.Buffer
 	req.U8(wire.OpReshard)
 	req.U32(uint32(n))

@@ -231,7 +231,7 @@ func (f *follower) releasePin(s Snap) {
 // exactly, and to the primary otherwise.  Any follower failure falls back
 // to the primary, so routing is invisible to callers.
 func (c *Client) doRead(req []byte, s Snap) (*wire.Reader, error) {
-	if len(c.followers) == 0 || c.protocol < 2 {
+	if len(c.followers) == 0 {
 		return c.do(req)
 	}
 	var epoch uint64
@@ -295,7 +295,7 @@ var errStale = errors.New("client: follower too stale")
 // ServerStats is the server-level replication and op-log summary returned
 // by Client.ServerStats.
 type ServerStats struct {
-	// Role and Protocol echo the hello exchange.
+	// Role and Protocol are what the server's hello announces.
 	Role     Role
 	Protocol int
 	// Replicating reports whether an op log is attached (primary side).
@@ -316,18 +316,16 @@ type ServerStats struct {
 	// AppliedLSN is the next op-log position the server will apply (on a
 	// primary: the log's next LSN).
 	AppliedLSN uint64
-	// Uptime is how long the server has been up (protocol version 4+;
-	// zero on older servers).
+	// Uptime is how long the server has been up.
 	Uptime time.Duration
 	// Ops lists cumulative request/error counts per opcode, for every
-	// opcode served at least once (protocol version 4+; empty on older
-	// servers or when the server runs with metrics disabled).
+	// opcode served at least once (empty when the server runs with
+	// metrics disabled).
 	Ops []OpCount
 	// Shards is the live active shard count (1 on a flat store) and
 	// Partitions the physical partition count including sealed pre-reshard
-	// partitions; ShardMapVersion advances with every reshard and
-	// Resharding reports a migration in flight (protocol version 5+; zero
-	// values on older servers).
+	// partitions; ShardMapVersion advances with every reshard (0 on a flat
+	// store) and Resharding reports a migration in flight.
 	Shards          int
 	Partitions      int
 	ShardMapVersion uint64
@@ -343,8 +341,7 @@ type OpCount struct {
 	Errors   uint64
 }
 
-// ServerStats fetches the server's replication/op-log summary.  It fails
-// with ErrBadRequest on version-1 servers.
+// ServerStats fetches the server's replication/op-log summary.
 func (c *Client) ServerStats() (ServerStats, error) {
 	var req wire.Buffer
 	req.U8(wire.OpServerStats)
@@ -383,55 +380,47 @@ func (c *Client) ServerStats() (ServerStats, error) {
 			return st, err
 		}
 	}
-	if c.protocol >= 4 {
-		// Version 4 tail: uptime and per-op counters.  The negotiated
-		// protocol proves the server wrote it, so a decode failure here is
-		// a real error, not an old server.
-		up, err := r.U64()
-		if err != nil {
-			return st, err
-		}
-		st.Uptime = time.Duration(up)
-		n, err := r.U16()
-		if err != nil {
-			return st, err
-		}
-		st.Ops = make([]OpCount, 0, n)
-		for i := 0; i < int(n); i++ {
-			op, err := r.U8()
-			if err != nil {
-				return st, err
-			}
-			oc := OpCount{Op: wire.OpName(op)}
-			if oc.Requests, err = r.U64(); err != nil {
-				return st, err
-			}
-			if oc.Errors, err = r.U64(); err != nil {
-				return st, err
-			}
-			st.Ops = append(st.Ops, oc)
-		}
+	up, err := r.U64()
+	if err != nil {
+		return st, err
 	}
-	if c.protocol >= 5 {
-		// Version 5 tail: live shard topology.
-		ns, err := r.U32()
-		if err != nil {
-			return st, err
-		}
-		st.Shards = int(ns)
-		np, err := r.U32()
-		if err != nil {
-			return st, err
-		}
-		st.Partitions = int(np)
-		if st.ShardMapVersion, err = r.U64(); err != nil {
-			return st, err
-		}
-		resharding, err := r.U8()
-		if err != nil {
-			return st, err
-		}
-		st.Resharding = resharding != 0
+	st.Uptime = time.Duration(up)
+	n, err := r.U16()
+	if err != nil {
+		return st, err
 	}
+	st.Ops = make([]OpCount, 0, n)
+	for i := 0; i < int(n); i++ {
+		op, err := r.U8()
+		if err != nil {
+			return st, err
+		}
+		oc := OpCount{Op: wire.OpName(op)}
+		if oc.Requests, err = r.U64(); err != nil {
+			return st, err
+		}
+		if oc.Errors, err = r.U64(); err != nil {
+			return st, err
+		}
+		st.Ops = append(st.Ops, oc)
+	}
+	ns, err := r.U32()
+	if err != nil {
+		return st, err
+	}
+	st.Shards = int(ns)
+	np, err := r.U32()
+	if err != nil {
+		return st, err
+	}
+	st.Partitions = int(np)
+	if st.ShardMapVersion, err = r.U64(); err != nil {
+		return st, err
+	}
+	resharding, err := r.U8()
+	if err != nil {
+		return st, err
+	}
+	st.Resharding = resharding != 0
 	return st, nil
 }

@@ -1,10 +1,13 @@
-// Command mergebench regenerates the paper's evaluation artifacts
-// (Figures 7-9, Table 2, the §2 merge-duration estimate and the §7.4 model
-// comparison) at a configurable scale.
+// Command mergebench regenerates the paper's artifacts from the
+// internal/bench experiment registry: the §2 enterprise data analyses
+// (Figures 1-4) and the evaluation (Figures 7-9, Table 2, the §2
+// merge-duration estimate and the §7.4 model comparison) at a configurable
+// scale.
 //
 // Usage:
 //
 //	mergebench -list
+//	mergebench -exp fig1,fig2,fig3,fig4   # the §2 data profiles
 //	mergebench -exp fig7 -scale 0.05
 //	mergebench -exp all -scale 0.01 -threads 8
 //

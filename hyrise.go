@@ -71,11 +71,10 @@
 // Interaction with the merge: merges move rows between partitions but
 // never renumber them, change their values or touch their epochs, so
 // in-flight views read identically before, during and after any merge
-// (including aborted ones).  Snapshot persistence (format v4) records the
-// epoch columns, the clock, the stable row-id map and the GC state, so
-// version history, row ages and retired ids survive a Save/Load round
-// trip; v1-v3 snapshot files still load (v1/v2 with their history
-// collapsed to load time).
+// (including aborted ones).  Snapshot persistence records the epoch
+// columns, the clock, the stable row-id map and the GC state, so version
+// history, row ages and retired ids survive a Save/Load round trip.  There
+// is one snapshot format; Load fails anything else as malformed.
 //
 // Views are plain values: cheap to copy, valid for the life of the store.
 // One caution: Scan/ScanAt callbacks run under the table's read lock and
@@ -98,9 +97,8 @@
 // it was taken, so history churned between an old pin and the present is
 // reclaimed rather than accumulating behind the oldest reader.
 // MergeReport.DeadAtFreeze counts the dead versions each merge saw and
-// MergeReport.LegacyReclaimable what the old watermark rule would have
-// freed — their difference against RowsReclaimed is the precision win.
-// Dictionary values referenced only by reclaimed versions are dropped
+// RowsReclaimed how many of them it dropped; the difference is what live
+// pins retained.  Dictionary values referenced only by reclaimed versions are dropped
 // with them.
 //
 // The pin lifecycle: Store.Snapshot captures and pins in one step; call
@@ -116,7 +114,7 @@
 // MergeReport.RowsReclaimed counts what each merge dropped.
 //
 // Over the network the same rules apply to snapshot tokens: a registered
-// token pins the GC watermark server-side until released, and the
+// token pins its epoch server-side until released, and the
 // registry is bounded (ServerOptions.MaxSnapshots, hyrised
 // -max-snapshots) so leaked tokens cannot pin history forever — past the
 // cap, Snapshot fails with client.ErrTooManySnapshots.  hyrised runs GC
@@ -164,8 +162,8 @@
 // canceled migration cuts over anyway — rows not yet moved stay readable
 // in their sealed partitions and migrate on the next reshard.
 //
-// Over the network the same operation is client.Reshard (protocol
-// version 5), and a running hyrised daemon is resharded online with
+// Over the network the same operation is client.Reshard, and a running
+// hyrised daemon is resharded online with
 //
 //	$ hyrised -addr HOST:PORT -reshard N
 //
@@ -194,8 +192,9 @@
 // MergeOptions{Threads: N, Strategy: IntraColumn} a garbage-collecting
 // merge range-partitions each column's rewrite across N workers emitting
 // disjoint word-aligned output slices, so one oversized shard no longer
-// serializes compaction.  CI tracks both sides in BENCH_kernels.json
-// (scalar-vs-kernel scan throughput, merge thread scaling).
+// serializes compaction.  BenchmarkScanKernel and BenchmarkParallelMerge
+// measure both sides (scalar-vs-kernel scan throughput, merge thread
+// scaling).
 //
 // # Secondary indexes
 //
@@ -254,7 +253,9 @@
 //
 // To embed the server instead of running the daemon, hand a Store and a
 // listener to Serve; the returned DBServer drains gracefully via
-// Shutdown.  The wire protocol is documented in internal/server.
+// Shutdown.  The wire protocol is documented in internal/server; it has
+// one generation, and a client and a server built from different ones
+// refuse each other at Dial rather than negotiate.
 //
 // # Replication
 //
@@ -308,10 +309,9 @@
 //	                  (freeze/merge/commit) and wall durations
 //	hyrise_store_*    main/delta rows, delta fill fraction, active
 //	                  shards, physical partitions, shard-map version
-//	hyrise_epoch_*    current epoch, pins, GC watermark
-//	hyrise_gc_*       watermark, watermark age in epochs, rows retired,
-//	                  dead versions seen vs. retained for live pins vs.
-//	                  what the legacy watermark rule would have freed
+//	hyrise_epoch_*    current epoch, pins, oldest pinned epoch
+//	hyrise_gc_*       GC bound and its age in epochs, rows retired,
+//	                  dead versions seen vs. retained for live pins
 //	hyrise_oplog_*    retained LSN bounds, entries, subscribers
 //	hyrise_replica_*  applied/primary epochs, lag, applied LSN
 //	hyrise_index_*    indexed vs. scanned read routing

@@ -5,8 +5,7 @@
 //
 // Absolute numbers differ from the paper (Go on this host vs ICC on a 2011
 // Xeon), so every experiment reports cycles/tuple at a configurable clock
-// alongside wall times, and EXPERIMENTS.md records the measured shapes
-// against the paper's claims.
+// alongside wall times.
 package bench
 
 import (

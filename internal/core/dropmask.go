@@ -9,10 +9,8 @@ const dropMaskChunk = 8192
 // DropMask evaluates a reclaim predicate over a table's begin/end epoch
 // columns and returns the merge-GC drop mask plus the number of positions
 // marked.  The predicate receives each version's validity interval and
-// decides reclaimability — the precise per-pin rule is
-// epoch.PinSet.Reclaimable, the legacy coarse rule is
-// `end != 0 && end <= watermark` — so the GC kernel itself is retention-
-// policy-agnostic.  The mask indexes positions exactly like MergeColumnGC
+// decides reclaimability (the table passes epoch.PinSet.Reclaimable), so the
+// GC kernel itself is retention-policy-agnostic.  The mask indexes positions exactly like MergeColumnGC
 // expects: main tuples first, then delta tuples, matching the order of the
 // begin/end columns.
 //

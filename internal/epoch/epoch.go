@@ -205,17 +205,6 @@ func (ps PinSet) Now() uint64 { return ps.now }
 // Len returns the number of live pins in the set.
 func (ps PinSet) Len() int { return len(ps.epochs) }
 
-// Watermark returns the classic min-pin watermark over the set: the
-// minimum pinned epoch, or the snapshot epoch when nothing is pinned.
-// Retention tests keep it around to measure precise retention against the
-// coarse horizon it replaces.
-func (ps PinSet) Watermark() uint64 {
-	if len(ps.epochs) > 0 && ps.epochs[0] < ps.now {
-		return ps.epochs[0]
-	}
-	return ps.now
-}
-
 // Reclaimable reports whether a version with the given begin/end stamps is
 // invisible to every live pin and to every future capture, and may
 // therefore be reclaimed.  A version is visible at pinned epoch E iff

@@ -192,9 +192,6 @@ func TestPinSetReclaimable(t *testing.T) {
 	if ps.Len() != 2 || ps.Now() != 10 {
 		t.Fatalf("LivePins len=%d now=%d want 2/10", ps.Len(), ps.Now())
 	}
-	if w := ps.Watermark(); w != 3 {
-		t.Fatalf("watermark %d want 3", w)
-	}
 	cases := []struct {
 		begin, end uint64
 		want       bool
@@ -226,8 +223,8 @@ func TestPinSetReclaimable(t *testing.T) {
 	p7.Release()
 	// No pins: precise degenerates to the end <= now rule.
 	ps = c.LivePins()
-	if ps.Len() != 0 || ps.Watermark() != 10 {
-		t.Fatalf("empty set watermark %d want 10", ps.Watermark())
+	if ps.Len() != 0 || ps.Now() != 10 {
+		t.Fatalf("empty set len=%d now=%d want 0/10", ps.Len(), ps.Now())
 	}
 	if !ps.Reclaimable(1, 10) || ps.Reclaimable(1, 11) {
 		t.Fatal("empty-set reclaim rule broken")

@@ -1,0 +1,180 @@
+package persist
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"slices"
+	"testing"
+
+	"hyrise/internal/shard"
+	"hyrise/internal/table"
+)
+
+// fuzzSeeds returns one snapshot per shape the format can take: a flat
+// store spanning main and delta, a sharded store, a store whose merge
+// retired ids, and a resharded store with sealed partitions.  The stores
+// are a few rows each: short seeds keep the fuzzer's input minimization
+// from eating a smoke run's whole time budget.
+func fuzzSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	ctx := context.Background()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	schema := table.Schema{
+		{Name: "id", Type: table.Uint64},
+		{Name: "qty", Type: table.Uint32},
+		{Name: "sku", Type: table.String},
+	}
+	row := func(i int) []any { return []any{uint64(i), uint32(i % 7), "sku-" + string(rune('a'+i%26))} }
+
+	flat, err := table.New("orders", schema)
+	must(err)
+	for i := 0; i < 4; i++ {
+		_, err := flat.Insert(row(i))
+		must(err)
+	}
+	_, err = flat.Merge(ctx, table.MergeOptions{})
+	must(err)
+	for i := 4; i < 6; i++ {
+		_, err := flat.Insert(row(i))
+		must(err)
+	}
+	must(flat.Delete(2))
+
+	gc, err := table.New("orders", schema)
+	must(err)
+	for i := 0; i < 4; i++ {
+		_, err := gc.Insert(row(i))
+		must(err)
+	}
+	gc.Snapshot().Release() // advance the clock: the churn below gets its own epoch
+	for i := 0; i < 2; i++ {
+		_, err := gc.Update(i, map[string]any{"qty": uint32(100 + i)})
+		must(err)
+	}
+	_, err = gc.Merge(ctx, table.MergeOptions{})
+	must(err)
+	if gc.RetiredRows() == 0 {
+		t.Fatal("GC seed retired no ids")
+	}
+	_, err = gc.Update(3, map[string]any{"qty": uint32(999)})
+	must(err)
+
+	sharded, err := shard.New("orders", schema, "id", 3)
+	must(err)
+	resharded, err := shard.New("orders", schema, "id", 2)
+	must(err)
+	for _, st := range []*shard.Table{sharded, resharded} {
+		for i := 0; i < 6; i++ {
+			_, err := st.Insert(row(i))
+			must(err)
+		}
+	}
+	_, err = sharded.MergeAll(ctx, shard.MergeAllOptions{})
+	must(err)
+	_, err = sharded.Insert(row(6))
+	must(err)
+	_, err = resharded.Reshard(ctx, 3)
+	must(err)
+	if base, _ := resharded.ActiveWindow(); base == 0 || !resharded.Shard(0).Sealed() {
+		t.Fatal("reshard seed has no sealed partition")
+	}
+
+	var seeds [][]byte
+	for _, ft := range []*table.Table{flat, gc} {
+		var buf bytes.Buffer
+		must(Save(ft, &buf))
+		seeds = append(seeds, buf.Bytes())
+	}
+	for _, st := range []*shard.Table{sharded, resharded} {
+		var buf bytes.Buffer
+		must(SaveSharded(st, &buf))
+		seeds = append(seeds, buf.Bytes())
+	}
+	return seeds
+}
+
+// equalPartitions is equalTables plus everything else a partition section
+// records: epochs, the main/delta split, the GC counters and the seal.
+func equalPartitions(t *testing.T, a, b *table.Table) {
+	t.Helper()
+	equalTables(t, a, b)
+	if !slices.Equal(a.Schema(), b.Schema()) {
+		t.Fatalf("schema %v vs %v", a.Schema(), b.Schema())
+	}
+	beginA, endA := a.RowEpochs()
+	beginB, endB := b.RowEpochs()
+	if !slices.Equal(beginA, beginB) || !slices.Equal(endA, endB) {
+		t.Fatal("row epochs differ")
+	}
+	if a.MainRows() != b.MainRows() || a.DeltaRows() != b.DeltaRows() {
+		t.Fatalf("split main=%d delta=%d vs main=%d delta=%d", a.MainRows(), a.DeltaRows(), b.MainRows(), b.DeltaRows())
+	}
+	if a.ReclaimedBytes() != b.ReclaimedBytes() || a.GCWatermark() != b.GCWatermark() || a.Sealed() != b.Sealed() {
+		t.Fatalf("GC state %d/%d/%v vs %d/%d/%v", a.ReclaimedBytes(), a.GCWatermark(), a.Sealed(),
+			b.ReclaimedBytes(), b.GCWatermark(), b.Sealed())
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the snapshot loader: it must never
+// panic, every rejection must wrap ErrFormat (the input is in memory, so
+// there is no I/O error to pass through), and whatever it accepts must
+// survive a further Save/Load with identical rows, ids, epochs and
+// topology.
+func FuzzLoad(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ft, st, err := LoadAny(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("rejected without ErrFormat: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if ft != nil {
+			err = Save(ft, &buf)
+		} else {
+			err = SaveSharded(st, &buf)
+		}
+		if err != nil {
+			t.Fatalf("save of a loaded store: %v", err)
+		}
+		ft2, st2, err := LoadAny(&buf)
+		if err != nil {
+			t.Fatalf("reload of a saved store: %v", err)
+		}
+		if ft != nil {
+			if ft2 == nil {
+				t.Fatal("flat store reloaded as sharded")
+			}
+			if ft.Clock().Now() != ft2.Clock().Now() {
+				t.Fatalf("clock %d vs %d", ft.Clock().Now(), ft2.Clock().Now())
+			}
+			equalPartitions(t, ft, ft2)
+			return
+		}
+		if st2 == nil {
+			t.Fatal("sharded store reloaded as flat")
+		}
+		baseA, lenA := st.ActiveWindow()
+		baseB, lenB := st2.ActiveWindow()
+		if st.Name() != st2.Name() || st.KeyColumn() != st2.KeyColumn() || st.NumParts() != st2.NumParts() ||
+			baseA != baseB || lenA != lenB || st.MapVersion() != st2.MapVersion() ||
+			st.Clock().Now() != st2.Clock().Now() {
+			t.Fatalf("topology %q/%q parts=%d active=[%d,+%d) map=%d clock=%d vs %q/%q parts=%d active=[%d,+%d) map=%d clock=%d",
+				st.Name(), st.KeyColumn(), st.NumParts(), baseA, lenA, st.MapVersion(), st.Clock().Now(),
+				st2.Name(), st2.KeyColumn(), st2.NumParts(), baseB, lenB, st2.MapVersion(), st2.Clock().Now())
+		}
+		for i := 0; i < st.NumParts(); i++ {
+			equalPartitions(t, st.Shard(i), st2.Shard(i))
+		}
+	})
+}

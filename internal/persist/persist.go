@@ -1,15 +1,17 @@
 // Package persist serializes tables to a compact binary snapshot format.
 //
 // HYRISE is an in-memory engine; snapshots exist for operational reasons
-// (loading benchmark fixtures, the CLI's save/load).  Snapshots store
-// materialized column values (not the physical encoding): the loader
-// re-inserts and re-merges, which keeps the format independent of
-// dictionary layout while the merge regenerates identical structures.
-// All integers are little-endian; strings are length-prefixed.
+// (loading benchmark fixtures, the CLI's save/load, hyrised's restart file,
+// replica bootstrap).  Snapshots store materialized column values (not the
+// physical encoding): the loader re-inserts and re-merges, which keeps the
+// format independent of dictionary layout while the merge regenerates
+// identical structures.  All integers are little-endian; strings are
+// length-prefixed.
 //
-// Version 5 layout (current):
+// There is exactly one format.  The loader checks the magic and the version
+// and fails anything else with ErrFormat:
 //
-//	magic "HYRS" | version u32 = 5 | topology u8 | name
+//	magic "HYRS" | version u32 = Version | topology u8 | name
 //	ncols u32 | per column: name | type u8
 //	if sharded: key column | partition count u32 |
 //	            active base u32 | active len u32 | shard-map version u64
@@ -21,27 +23,18 @@
 //	    begin epochs (rows of u64) | end epochs (rows of u64) |
 //	    per column: values (rows of u32 / u64 / string)
 //
-// The header records the topology, key column and shard topology, so
-// sharded tables round-trip: each physical partition is encoded in
+// The header records the topology, key column and shard map — the physical
+// partition count, the active window (which tail of the partition list key
+// hashing routes writes to) and the shard-map version — so sharded tables
+// round-trip with consistent routing: each physical partition is encoded in
 // physical order and global row ids (local*stride + partition) are
 // preserved exactly.  The per-partition main-row count lets the loader
-// re-merge to the saved main/delta split.
-//
-// v5 adds the shard-map topology introduced with online resharding: the
-// physical partition count, the active window (which tail of the partition
-// list key hashing routes writes to) and the shard-map version, so a table
-// saved after — or during — a reshard restores with consistent routing.  A
+// re-merge to the saved main/delta split; the id map, epochs and GC
+// counters restore version history and keep retired ids retired.  A
 // mid-reshard save is normalized to its post-cutover topology (see
 // shard.Table.PersistTopology); rows the migration had not yet moved load
 // back into their sealed partitions, readable and consistent, and drain
-// lazily.  v4 snapshots (no shard-map state: every partition active,
-// map version 1) still load, as do version 3 snapshots (dense row ids, no
-// GC state), version 2 snapshots (validity bitmap instead of epochs, no
-// clock) and version 1 snapshots (flat tables only: no topology byte, no
-// main-row count, rows reloaded into the delta).  v3 rows get dense ids,
-// exactly what the saved table had; v2/v1 rows are additionally stamped
-// with load-time epochs, collapsing the pre-save history — equivalent
-// because snapshots never outlive a process.
+// lazily.
 package persist
 
 import (
@@ -61,22 +54,10 @@ import (
 // Magic identifies snapshot files.
 const Magic = "HYRS"
 
-// Version is the current format version.
+// Version is the one format version written and read.
 const Version uint32 = 5
 
-// VersionV4 is the pre-reshard format (no shard-map state), still readable.
-const VersionV4 uint32 = 4
-
-// VersionV3 is the dense-row-id format (no GC state), still readable.
-const VersionV3 uint32 = 3
-
-// VersionV2 is the validity-bitmap format (no epochs), still readable.
-const VersionV2 uint32 = 2
-
-// VersionV1 is the legacy flat-only format, still readable.
-const VersionV1 uint32 = 1
-
-// Topology bytes in the v2 header.
+// Topology bytes in the header.
 const (
 	topoFlat    uint8 = 0
 	topoSharded uint8 = 1
@@ -88,6 +69,16 @@ var ErrFormat = errors.New("persist: malformed snapshot")
 // maxRows bounds the per-partition row count a snapshot may claim, so a
 // corrupt header fails with ErrFormat instead of a huge allocation.
 const maxRows = 1 << 34
+
+// maxPrealloc caps how many entries a loading slice pre-allocates before
+// any data is decoded.  The claimed row count is only trusted as capacity
+// up to this bound; beyond it slices grow with the data actually read, so
+// a corrupt header claiming billions of rows fails on the first missing
+// byte instead of allocating gigabytes up front.
+const maxPrealloc = 1 << 20
+
+// maxString bounds the length a string may claim.
+const maxString = 1 << 30
 
 type writer struct {
 	w   *bufio.Writer
@@ -128,12 +119,23 @@ type reader struct {
 	err error
 }
 
+// fail records a read error.  Running out of input means the snapshot is
+// torn, so EOF additionally wraps ErrFormat; other I/O errors pass through.
+func (r *reader) fail(err error) {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = fmt.Errorf("%w: truncated: %w", ErrFormat, err)
+	}
+	r.err = err
+}
+
 func (r *reader) u8() uint8 {
 	if r.err != nil {
 		return 0
 	}
 	b, err := r.r.ReadByte()
-	r.err = err
+	if err != nil {
+		r.fail(err)
+	}
 	return b
 }
 
@@ -150,21 +152,36 @@ func (r *reader) u64() uint64 {
 }
 
 func (r *reader) bytes(b []byte) {
-	if r.err == nil {
-		_, r.err = io.ReadFull(r.r, b)
+	if r.err != nil {
+		return
+	}
+	if _, err := io.ReadFull(r.r, b); err != nil {
+		r.fail(err)
 	}
 }
 
+// str decodes a length-prefixed string.  Like the row columns, the claimed
+// length is trusted as an allocation only up to maxPrealloc bytes at a time:
+// a longer string grows with the bytes actually read, so a lying length
+// fails on the first missing byte instead of allocating up to maxString.
 func (r *reader) str() string {
-	n := r.u32()
-	if r.err != nil || n > 1<<30 {
-		if r.err == nil {
-			r.err = ErrFormat
-		}
+	n := int(r.u32())
+	if r.err != nil {
 		return ""
 	}
-	b := make([]byte, n)
-	r.bytes(b)
+	if n > maxString {
+		r.err = fmt.Errorf("%w: string length %d", ErrFormat, n)
+		return ""
+	}
+	b := make([]byte, 0, min(n, maxPrealloc))
+	for len(b) < n {
+		step := min(n-len(b), maxPrealloc)
+		b = append(b, make([]byte, step)...)
+		r.bytes(b[len(b)-step:])
+		if r.err != nil {
+			return ""
+		}
+	}
 	return string(b)
 }
 
@@ -187,30 +204,16 @@ func (r *reader) readSchema() (table.Schema, error) {
 	for i := range schema {
 		schema[i].Name = r.str()
 		schema[i].Type = table.Type(r.u8())
-	}
-	return schema, r.err
-}
-
-// maxPrealloc caps how many entries a loading slice pre-allocates before
-// any data is decoded.  The claimed row count is only trusted as capacity
-// up to this bound; beyond it slices grow with the data actually read, so
-// a corrupt header claiming billions of rows fails on the first missing
-// byte instead of allocating gigabytes up front.
-const maxPrealloc = 1 << 20
-
-// readValidity decodes the validity bitmap words for rows, failing fast on
-// short input.
-func (r *reader) readValidity(rows int) ([]uint64, error) {
-	words := (rows + 63) / 64
-	valid := make([]uint64, 0, min(words, maxPrealloc))
-	for i := 0; i < words; i++ {
-		w := r.u64()
 		if r.err != nil {
 			return nil, r.err
 		}
-		valid = append(valid, w)
+		switch schema[i].Type {
+		case table.Uint32, table.Uint64, table.String:
+		default:
+			return nil, fmt.Errorf("%w: column %q has unknown type %d", ErrFormat, schema[i].Name, schema[i].Type)
+		}
 	}
-	return valid, nil
+	return schema, nil
 }
 
 // readColumns decodes every column's values for rows, failing fast on
@@ -325,12 +328,12 @@ func (r *reader) readEpochColumn(rows int) ([]uint64, error) {
 	return out, nil
 }
 
-// readPartitionIntoV4 decodes one v4 partition into the (empty) table t,
-// restoring the saved main/delta split, the stable row-id map and the GC
-// counters.  Rows rebuild by re-insertion (which assigns dense ids) with
-// the loader merge's GC disabled, then the saved ids and epochs are
-// restored on top, so ids retired before the save stay retired.
-func (r *reader) readPartitionIntoV4(t *table.Table, schema table.Schema) error {
+// readPartition decodes one partition into the (empty) table t, restoring
+// the saved main/delta split, the stable row-id map and the GC counters.
+// Rows rebuild by re-insertion (which assigns dense ids), then the saved
+// ids and epochs are restored on top, so ids retired before the save stay
+// retired.
+func (r *reader) readPartition(t *table.Table, schema table.Schema) error {
 	rows64 := r.u64()
 	mainRows64 := r.u64()
 	nextID64 := r.u64()
@@ -370,38 +373,11 @@ func (r *reader) readPartitionIntoV4(t *table.Table, schema table.Schema) error 
 	return t.RestoreRowEpochs(begin, end)
 }
 
-// readPartitionIntoV3 decodes one v3 partition into the (empty) table t,
-// restoring the saved main/delta split: the first mainRows rows are
-// inserted and merged into the main partitions, the rest stay in the
-// delta.  Row ids are assigned in insertion order, so they match the saved
-// table exactly (v3 ids are dense); the rebuilt rows are then re-stamped
-// with the persisted begin/end epochs, restoring the full multi-version
-// visibility history.
-func (r *reader) readPartitionIntoV3(t *table.Table, schema table.Schema) error {
-	rows64 := r.u64()
-	mainRows64 := r.u64()
-	if r.err != nil || rows64 > maxRows || mainRows64 > rows64 {
-		return fmt.Errorf("%w: row counts", ErrFormat)
-	}
-	rows, mainRows := int(rows64), int(mainRows64)
-	begin, err := r.readEpochColumn(rows)
-	if err != nil {
-		return err
-	}
-	end, err := r.readEpochColumn(rows)
-	if err != nil {
-		return err
-	}
-	if err := r.insertColumns(t, schema, rows, mainRows); err != nil {
-		return err
-	}
-	return t.RestoreRowEpochs(begin, end)
-}
-
 // insertColumns decodes the column values of one partition and rebuilds
 // the rows: the first mainRows rows are inserted and merged into the main
-// partitions (GC disabled — the loader must rebuild byte-exactly), the
-// rest stay in the delta.
+// partitions, the rest stay in the delta.  The merge reclaims nothing and
+// so keeps the slots dense: no row is invalidated until the epochs are
+// restored on top.
 func (r *reader) insertColumns(t *table.Table, schema table.Schema, rows, mainRows int) error {
 	cols, err := r.readColumns(schema, rows)
 	if err != nil {
@@ -426,73 +402,14 @@ func (r *reader) insertColumns(t *table.Table, schema table.Schema, rows, mainRo
 		return err
 	}
 	if mainRows > 0 {
-		if _, err := t.Merge(context.Background(), table.MergeOptions{DisableGC: true}); err != nil {
+		if _, err := t.Merge(context.Background(), table.MergeOptions{}); err != nil {
 			return err
 		}
 	}
 	return insert(mainRows, rows)
 }
 
-// readPartitionInto decodes one v2 partition (validity bitmap) into the
-// (empty) table t, restoring the saved main/delta split: the first
-// mainRows rows are inserted and merged into the main partitions, the
-// rest stay in the delta.  Row ids are assigned in insertion order, so
-// they match the saved table exactly.
-func (r *reader) readPartitionInto(t *table.Table, schema table.Schema) error {
-	rows64 := r.u64()
-	mainRows64 := r.u64()
-	if r.err != nil || rows64 > maxRows || mainRows64 > rows64 {
-		return fmt.Errorf("%w: row counts", ErrFormat)
-	}
-	rows, mainRows := int(rows64), int(mainRows64)
-	valid, err := r.readValidity(rows)
-	if err != nil {
-		return err
-	}
-	cols, err := r.readColumns(schema, rows)
-	if err != nil {
-		return err
-	}
-	insert := func(from, to int) error {
-		if from >= to {
-			return nil
-		}
-		batch := make([][]any, 0, to-from)
-		for j := from; j < to; j++ {
-			row := make([]any, len(schema))
-			for ci := range cols {
-				row[ci] = cols[ci][j]
-			}
-			batch = append(batch, row)
-		}
-		ids, err := t.InsertRows(batch)
-		if err != nil {
-			return err
-		}
-		for k, id := range ids {
-			j := from + k
-			if valid[j/64]&(1<<uint(j%64)) == 0 {
-				if err := t.Delete(id); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := insert(0, mainRows); err != nil {
-		return err
-	}
-	if mainRows > 0 {
-		// GC must stay off: the invalidations applied above would otherwise
-		// be reclaimed by this merge, renumbering the saved row ids.
-		if _, err := t.Merge(context.Background(), table.MergeOptions{DisableGC: true}); err != nil {
-			return err
-		}
-	}
-	return insert(mainRows, rows)
-}
-
-// Save writes a v4 snapshot of a flat table.
+// Save writes a snapshot of a flat table.
 func Save(t *table.Table, out io.Writer) error {
 	w := &writer{w: bufio.NewWriter(out)}
 	w.bytes([]byte(Magic))
@@ -507,7 +424,7 @@ func Save(t *table.Table, out io.Writer) error {
 	return w.w.Flush()
 }
 
-// SaveSharded writes a v5 snapshot of a sharded table: the header records
+// SaveSharded writes a snapshot of a sharded table: the header records
 // the key column, the shard-map topology (physical partition count, active
 // window, map version) and the shared epoch clock, then every physical
 // partition is encoded in physical order, so global row ids survive the
@@ -536,8 +453,8 @@ func SaveSharded(st *shard.Table, out io.Writer) error {
 }
 
 // LoadAny reads a snapshot of either topology; exactly one of the returned
-// tables is non-nil on success.  It accepts the current version and the
-// legacy v3, v2 and v1 formats.
+// tables is non-nil on success.  Input that is not a well-formed snapshot
+// of exactly Version fails with an error wrapping ErrFormat.
 func LoadAny(in io.Reader) (*table.Table, *shard.Table, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	magic := make([]byte, 4)
@@ -545,14 +462,7 @@ func LoadAny(in io.Reader) (*table.Table, *shard.Table, error) {
 	if r.err != nil || string(magic) != Magic {
 		return nil, nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	var version uint32
-	switch v := r.u32(); v {
-	case VersionV1:
-		t, err := loadV1(r)
-		return t, nil, err
-	case VersionV2, VersionV3, VersionV4, Version:
-		version = v
-	default:
+	if v := r.u32(); r.err != nil || v != Version {
 		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
 	}
 	topo := r.u8()
@@ -561,50 +471,28 @@ func LoadAny(in io.Reader) (*table.Table, *shard.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// readPartition dispatches on version: v4/v5 restore the id map and GC
-	// state (their per-partition encodings are identical), v3 restores
-	// epochs with dense ids, v2 stamps load-time epochs from the validity
-	// bitmap.
-	hasClock := version >= VersionV3
-	readPartition := func(t *table.Table) error {
-		switch version {
-		case Version, VersionV4:
-			return r.readPartitionIntoV4(t, schema)
-		case VersionV3:
-			return r.readPartitionIntoV3(t, schema)
-		default:
-			return r.readPartitionInto(t, schema)
-		}
-	}
 	switch topo {
 	case topoFlat:
 		t, err := table.New(name, schema)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("%w: %v", ErrFormat, err)
 		}
-		if hasClock {
-			clock := r.u64()
-			if r.err != nil {
-				return nil, nil, r.err
-			}
-			t.Clock().AdvanceTo(clock)
+		clock := r.u64()
+		if r.err != nil {
+			return nil, nil, r.err
 		}
-		if err := readPartition(t); err != nil {
+		t.Clock().AdvanceTo(clock)
+		if err := r.readPartition(t, schema); err != nil {
 			return nil, nil, err
 		}
 		return t, nil, nil
 	case topoSharded:
 		key := r.str()
 		parts := int(r.u32())
-		// Pre-v5 snapshots carry no shard-map state: every partition is
-		// active and the map is at its initial version.
-		activeBase, activeLen := 0, parts
-		mapVersion := uint64(1)
-		if version >= Version {
-			activeBase = int(r.u32())
-			activeLen = int(r.u32())
-			mapVersion = r.u64()
-		}
+		activeBase := int(r.u32())
+		activeLen := int(r.u32())
+		mapVersion := r.u64()
+		clock := r.u64()
 		if r.err != nil {
 			return nil, nil, r.err
 		}
@@ -615,21 +503,15 @@ func LoadAny(in io.Reader) (*table.Table, *shard.Table, error) {
 		}
 		st, err := shard.NewRestored(name, schema, key, parts, activeBase, activeLen, mapVersion)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("%w: %v", ErrFormat, err)
 		}
-		if hasClock {
-			clock := r.u64()
-			if r.err != nil {
-				return nil, nil, r.err
-			}
-			st.Clock().AdvanceTo(clock)
-		}
+		st.Clock().AdvanceTo(clock)
 		// Fill each partition directly, bypassing hash routing: the
 		// partition sections already are the routed per-partition contents,
 		// and direct insertion preserves every partition-local row id
 		// (hence every global id).
 		for i := 0; i < parts; i++ {
-			if err := readPartition(st.Shard(i)); err != nil {
+			if err := r.readPartition(st.Shard(i), schema); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -643,50 +525,6 @@ func LoadAny(in io.Reader) (*table.Table, *shard.Table, error) {
 	default:
 		return nil, nil, fmt.Errorf("%w: unknown topology %d", ErrFormat, topo)
 	}
-}
-
-// loadV1 decodes the legacy flat format (after magic and version): name,
-// schema, rows, validity, per-column values.  All rows land in the delta,
-// as the v1 loader always did; merge when convenient.
-func loadV1(r *reader) (*table.Table, error) {
-	name := r.str()
-	schema, err := r.readSchema()
-	if err != nil {
-		return nil, err
-	}
-	t, err := table.New(name, schema)
-	if err != nil {
-		return nil, err
-	}
-	rows64 := r.u64()
-	if r.err != nil || rows64 > maxRows {
-		return nil, fmt.Errorf("%w: row count", ErrFormat)
-	}
-	rows := int(rows64)
-	valid, err := r.readValidity(rows)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := r.readColumns(schema, rows)
-	if err != nil {
-		return nil, err
-	}
-	row := make([]any, len(schema))
-	for j := 0; j < rows; j++ {
-		for ci := range cols {
-			row[ci] = cols[ci][j]
-		}
-		id, err := t.Insert(row)
-		if err != nil {
-			return nil, err
-		}
-		if valid[j/64]&(1<<uint(j%64)) == 0 {
-			if err := t.Delete(id); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t, nil
 }
 
 // SaveFile writes a flat-table snapshot to path atomically.

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -10,107 +9,8 @@ import (
 	"hyrise/internal/table"
 )
 
-// writeV3 hand-encodes a v3 snapshot (dense row ids, epochs + clock, no GC
-// state) of tables whose ids are still dense, exactly as the v3 writer
-// produced before the id-map format existed.
-func writeV3(t *testing.T, topo uint8, name string, schema table.Schema, key string, parts []*table.Table, clock uint64) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := &writer{w: bufio.NewWriter(&buf)}
-	w.bytes([]byte(Magic))
-	w.u32(VersionV3)
-	w.u8(topo)
-	w.str(name)
-	w.writeSchema(schema)
-	if topo == topoSharded {
-		w.str(key)
-		w.u32(uint32(len(parts)))
-	}
-	w.u64(clock)
-	for _, tb := range parts {
-		begin, end := tb.RowEpochs()
-		rows := len(begin)
-		mainRows := tb.MainRows()
-		if mainRows > rows {
-			mainRows = rows
-		}
-		w.u64(uint64(rows))
-		w.u64(uint64(mainRows))
-		for _, e := range begin {
-			w.u64(e)
-		}
-		for _, e := range end {
-			w.u64(e)
-		}
-		for ci, def := range schema {
-			for r := 0; r < rows; r++ {
-				row, err := tb.Row(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				switch def.Type {
-				case table.Uint32:
-					w.u32(row[ci].(uint32))
-				case table.Uint64:
-					w.u64(row[ci].(uint64))
-				case table.String:
-					w.str(row[ci].(string))
-				}
-			}
-		}
-	}
-	if w.err != nil {
-		t.Fatal(w.err)
-	}
-	if err := w.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestV3BackwardCompat loads a hand-written v3 snapshot through LoadAny
-// and checks the content, the main/delta split, the epoch history and the
-// (dense) row ids all restore — the pre-GC format keeps loading.
-func TestV3BackwardCompat(t *testing.T) {
-	tb := buildTable(t, 150)
-	// History without GC: a v3 file could only ever hold dense ids.
-	tb.SetGC(false)
-	if _, err := tb.Merge(context.Background(), table.MergeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	tb.Insert([]any{uint64(900), uint32(1), "x"})
-	tb.Delete(5)
-	tb.Update(9, map[string]any{"qty": uint32(77)})
-
-	data := writeV3(t, topoFlat, tb.Name(), tb.Schema(), "", []*table.Table{tb}, tb.Clock().Now())
-	got, err := loadFlat(t, bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalTables(t, tb, got)
-	if got.MainRows() != tb.MainRows() || got.DeltaRows() != tb.DeltaRows() {
-		t.Fatalf("split main=%d delta=%d want main=%d delta=%d",
-			got.MainRows(), got.DeltaRows(), tb.MainRows(), tb.DeltaRows())
-	}
-	// Epoch history restored: a view below the last invalidations sees
-	// the superseded versions on both sides.
-	beginA, endA := tb.RowEpochs()
-	beginB, endB := got.RowEpochs()
-	for i := range beginA {
-		if beginA[i] != beginB[i] || endA[i] != endB[i] {
-			t.Fatalf("epoch %d: %d/%d vs %d/%d", i, beginA[i], endA[i], beginB[i], endB[i])
-		}
-	}
-	// Dense ids: the v3 loader must assign exactly 0..rows-1.
-	for i, id := range got.RowIDs() {
-		if id != i {
-			t.Fatalf("v3 id %d loaded as %d", i, id)
-		}
-	}
-}
-
 // TestGCRoundTrip saves a table whose ids have gaps (GC retired some) and
-// checks the v4 format restores the id map, the retired set and the GC
+// checks the format restores the id map, the retired set and the GC
 // counters: retired ids keep failing with ErrRowInvalid after the reload
 // and new inserts continue above the saved NextRowID.
 func TestGCRoundTrip(t *testing.T) {

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"hyrise/internal/shard"
@@ -151,7 +153,7 @@ func TestFileRoundTrip(t *testing.T) {
 	equalTables(t, tb, got)
 }
 
-// TestMainDeltaSplitRestored checks that the v2 loader re-merges to the
+// TestMainDeltaSplitRestored checks that the loader re-merges to the
 // saved main/delta boundary instead of leaving everything in the delta.
 func TestMainDeltaSplitRestored(t *testing.T) {
 	tb := buildTable(t, 300)
@@ -176,81 +178,6 @@ func TestMainDeltaSplitRestored(t *testing.T) {
 		t.Fatalf("split main=%d delta=%d want main=%d delta=%d",
 			got.MainRows(), got.DeltaRows(), tb.MainRows(), tb.DeltaRows())
 	}
-}
-
-// writeV1 encodes tb in the legacy v1 format (flat, no topology byte, no
-// main-row count, values row-major per column) for backward-compat tests.
-func writeV1(t *testing.T, tb *table.Table) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := &writer{w: bufio.NewWriter(&buf)}
-	w.bytes([]byte(Magic))
-	w.u32(VersionV1)
-	w.str(tb.Name())
-	schema := tb.Schema()
-	w.u32(uint32(len(schema)))
-	for _, def := range schema {
-		w.str(def.Name)
-		w.u8(uint8(def.Type))
-	}
-	rows := tb.Rows()
-	w.u64(uint64(rows))
-	for i := 0; i < rows; i += 64 {
-		var word uint64
-		for j := 0; j < 64 && i+j < rows; j++ {
-			if tb.IsValid(i + j) {
-				word |= 1 << uint(j)
-			}
-		}
-		w.u64(word)
-	}
-	for ci, def := range schema {
-		for r := 0; r < rows; r++ {
-			row, err := tb.Row(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch def.Type {
-			case table.Uint32:
-				w.u32(row[ci].(uint32))
-			case table.Uint64:
-				w.u64(row[ci].(uint64))
-			case table.String:
-				w.str(row[ci].(string))
-			}
-		}
-	}
-	if w.err != nil {
-		t.Fatal(w.err)
-	}
-	if err := w.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestV1BackwardCompat loads a legacy v1 snapshot through LoadAny and
-// checks full content equality.
-func TestV1BackwardCompat(t *testing.T) {
-	tb := buildTable(t, 200)
-	tb.Delete(5)
-	tb.Update(9, map[string]any{"qty": uint32(77)})
-	data := writeV1(t, tb)
-
-	got, err := loadFlat(t, bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalTables(t, tb, got)
-
-	ft, st, err := LoadAny(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != nil || ft == nil {
-		t.Fatal("v1 snapshot should load as a flat table")
-	}
-	equalTables(t, tb, ft)
 }
 
 func buildSharded(t *testing.T, shards int) *shard.Table {
@@ -365,166 +292,88 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 }
 
+// oneColumnSnapshot hand-encodes a flat snapshot of table "t" with a single
+// column "c" of the given type byte, up to and including the header of its
+// partition, which claims rows rows (none in main, none retired); tail
+// appends whatever row data the case wants to deliver.
+func oneColumnSnapshot(typ uint8, rows uint64, tail func(w *writer)) []byte {
+	var buf bytes.Buffer
+	w := &writer{w: bufio.NewWriter(&buf)}
+	w.bytes([]byte(Magic))
+	w.u32(Version)
+	w.u8(topoFlat)
+	w.str("t")
+	w.u32(1)
+	w.str("c")
+	w.u8(typ)
+	w.u64(1)    // clock
+	w.u64(rows) // rows
+	w.u64(0)    // main rows
+	w.u64(rows) // next id
+	w.u64(0)    // retired
+	w.u64(0)    // reclaimed bytes
+	w.u64(0)    // gc watermark
+	if tail != nil {
+		tail(w)
+	}
+	w.w.Flush()
+	return buf.Bytes()
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad magic": []byte("NOPE00000000"),
-		"truncated": append([]byte(Magic), 1, 0, 0, 0),
+		"truncated": append([]byte(Magic), byte(Version), 0, 0, 0),
+		// An empty table that loads fine with a known type byte.
+		"bad type byte": oneColumnSnapshot(uint8(table.String)+1, 0, nil),
 	}
 	for name, data := range cases {
-		if _, _, err := LoadAny(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, _, err := LoadAny(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", name, err)
 		}
+	}
+	if _, _, err := LoadAny(bytes.NewReader(oneColumnSnapshot(uint8(table.String), 0, nil))); err != nil {
+		t.Errorf("known type byte: %v", err)
 	}
 }
 
 // TestLoadRejectsLyingRowCount feeds truncated snapshots whose headers
-// claim huge row counts: the loader must fail promptly on the missing
-// data instead of pre-allocating per the claimed count.
+// claim huge row counts or string lengths: the loader must fail promptly
+// on the missing data instead of allocating per the claimed size.
 func TestLoadRejectsLyingRowCount(t *testing.T) {
-	header := func(version uint32, rows uint64, withMain bool) []byte {
-		var buf bytes.Buffer
-		w := &writer{w: bufio.NewWriter(&buf)}
-		w.bytes([]byte(Magic))
-		w.u32(version)
-		if version >= 2 {
-			w.u8(topoFlat)
-		}
-		w.str("t")
-		w.u32(1)
-		w.str("k")
-		w.u8(uint8(table.Uint64))
-		if version >= 3 {
-			w.u64(1) // clock
-		}
-		w.u64(rows)
-		if withMain {
-			w.u64(0)
-		}
-		w.w.Flush()
-		return buf.Bytes()
+	// One row whose string value claims n bytes and delivers 3.
+	strValue := func(n uint32) []byte {
+		return oneColumnSnapshot(uint8(table.String), 1, func(w *writer) {
+			w.u64(0) // row id
+			w.u64(1) // begin
+			w.u64(0) // end
+			w.u32(n)
+			w.bytes([]byte("abc"))
+		})
 	}
 	for name, data := range map[string][]byte{
-		"v3 rows over bound": header(Version, 1<<62, true),
-		"v3 rows, no data":   header(Version, 1<<30, true),
-		"v2 rows over bound": header(VersionV2, 1<<62, true),
-		"v2 rows, no data":   header(VersionV2, 1<<30, true),
-		"v1 rows over bound": header(VersionV1, 1<<62, false),
-		"v1 rows, no data":   header(VersionV1, 1<<30, false),
+		"rows over bound":          oneColumnSnapshot(uint8(table.Uint64), 1<<62, nil),
+		"rows, no data":            oneColumnSnapshot(uint8(table.Uint64), 1<<30, nil),
+		"string length over bound": strValue(maxString + 1),
+		"string length, no data":   strValue(maxString),
 	} {
-		if _, _, err := LoadAny(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := LoadAny(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", name, err)
+		}
+		// The claims are 1 GiB and up; what the loader may allocate is a few
+		// maxPrealloc-sized buffers.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+			t.Errorf("%s: allocated %d MiB decoding %d bytes", name, got>>20, len(data))
 		}
 	}
 }
 
-// writeV2 encodes tb in the v2 format (validity bitmap, no epochs, no
-// clock) for backward-compat tests.
-func writeV2(t *testing.T, topo uint8, name string, schema table.Schema, key string, parts []*table.Table) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := &writer{w: bufio.NewWriter(&buf)}
-	w.bytes([]byte(Magic))
-	w.u32(VersionV2)
-	w.u8(topo)
-	w.str(name)
-	w.writeSchema(schema)
-	if topo == topoSharded {
-		w.str(key)
-		w.u32(uint32(len(parts)))
-	}
-	for _, tb := range parts {
-		rows := tb.Rows()
-		mainRows := tb.MainRows()
-		w.u64(uint64(rows))
-		w.u64(uint64(mainRows))
-		for i := 0; i < rows; i += 64 {
-			var word uint64
-			for j := 0; j < 64 && i+j < rows; j++ {
-				if tb.IsValid(i + j) {
-					word |= 1 << uint(j)
-				}
-			}
-			w.u64(word)
-		}
-		for ci, def := range schema {
-			for r := 0; r < rows; r++ {
-				row, err := tb.Row(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				switch def.Type {
-				case table.Uint32:
-					w.u32(row[ci].(uint32))
-				case table.Uint64:
-					w.u64(row[ci].(uint64))
-				case table.String:
-					w.str(row[ci].(string))
-				}
-			}
-		}
-	}
-	if w.err != nil {
-		t.Fatal(w.err)
-	}
-	if err := w.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestV2BackwardCompat loads v2 snapshots (flat and sharded) through
-// LoadAny and checks full content equality, including the restored
-// main/delta split.
-func TestV2BackwardCompat(t *testing.T) {
-	t.Run("flat", func(t *testing.T) {
-		tb := buildTable(t, 200)
-		if _, err := tb.Merge(context.Background(), table.MergeOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		tb.Insert([]any{uint64(900), uint32(1), "x"})
-		tb.Delete(5)
-		tb.Update(9, map[string]any{"qty": uint32(77)})
-		data := writeV2(t, topoFlat, tb.Name(), tb.Schema(), "", []*table.Table{tb})
-		got, err := loadFlat(t, bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalTables(t, tb, got)
-		if got.MainRows() != tb.MainRows() || got.DeltaRows() != tb.DeltaRows() {
-			t.Fatalf("split main=%d delta=%d want main=%d delta=%d",
-				got.MainRows(), got.DeltaRows(), tb.MainRows(), tb.DeltaRows())
-		}
-	})
-	t.Run("sharded", func(t *testing.T) {
-		st := buildSharded(t, 4)
-		var gids []int
-		for i := 0; i < 200; i++ {
-			gid, err := st.Insert([]any{uint64(i), uint32(i % 7), "s"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gids = append(gids, gid)
-		}
-		st.Delete(gids[3])
-		data := writeV2(t, topoSharded, st.Name(), st.Schema(), st.KeyColumn(), st.Shards())
-		ft, got, err := LoadAny(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ft != nil || got == nil {
-			t.Fatal("v2 sharded snapshot should load as a sharded table")
-		}
-		if got.NumShards() != st.NumShards() || got.KeyColumn() != st.KeyColumn() {
-			t.Fatalf("topology %d/%q", got.NumShards(), got.KeyColumn())
-		}
-		for i := range st.Shards() {
-			equalTables(t, st.Shard(i), got.Shard(i))
-		}
-	})
-}
-
-// TestEpochRoundTrip checks the v3-only guarantees: per-row begin/end
+// TestEpochRoundTrip checks that per-row begin/end
 // epochs and the epoch clock survive the round trip, so a snapshot taken
 // on the loaded store sees exactly what one taken pre-save would have.
 func TestEpochRoundTrip(t *testing.T) {
@@ -562,13 +411,24 @@ func TestEpochRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsWrongVersion: there is one format.  A well-formed snapshot
+// relabelled with any other version — the retired ones included — fails
+// with ErrFormat instead of being parsed under another layout.
 func TestLoadRejectsWrongVersion(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	buf.Write([]byte{99, 0, 0, 0}) // version 99
-	_, _, err := LoadAny(&buf)
-	if !errors.Is(err, ErrFormat) {
-		t.Fatalf("err=%v", err)
+	if err := Save(buildTable(t, 10), &buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for _, v := range []uint32{0, 1, 2, 3, 4, 6, 99} {
+		binary.LittleEndian.PutUint32(data[len(Magic):], v)
+		if _, _, err := LoadAny(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+			t.Errorf("version %d: err = %v, want ErrFormat", v, err)
+		}
+	}
+	binary.LittleEndian.PutUint32(data[len(Magic):], Version)
+	if _, _, err := LoadAny(bytes.NewReader(data)); err != nil {
+		t.Fatalf("version %d: %v", Version, err)
 	}
 }
 

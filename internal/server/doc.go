@@ -51,19 +51,19 @@
 //
 // # Snapshots
 //
-// OpSnapshot captures a Store.Snapshot (one atomic epoch fetch-add,
+// OpSnapshotEpoch captures a Store.Snapshot (one atomic epoch fetch-add,
 // consistent across every shard) and registers it in the server's
 // snapshot registry under a fresh nonzero token, which is returned to
-// the client.  Read requests carry a token field: zero reads latest,
+// the client together with the frozen epoch.  Read requests carry a token field: zero reads latest,
 // a registered token reads frozen at that snapshot's epoch no matter
 // how many inserts, updates, deletes or merges commit in between, and
 // an unknown token fails with wire.StatusErrBadSnapshot.
 //
-// Registered snapshots are not free: each one pins the store's GC
-// watermark at its epoch, so garbage-collecting merges keep every
-// version the snapshot can see for as long as the token is registered.
-// The registry is therefore bounded — Options.MaxSnapshots, default
-// DefaultMaxSnapshots (1024) — and OpSnapshot past the cap fails with
+// Registered snapshots are not free: each one pins its epoch, so
+// garbage-collecting merges keep every version the snapshot can see for
+// as long as the token is registered.  The registry is therefore bounded
+// — Options.MaxSnapshots, default DefaultMaxSnapshots (1024) — and
+// OpSnapshotEpoch past the cap fails with
 // wire.StatusErrTooManySnapshots until a token is released.  The bound
 // exists precisely because a client capturing tokens in a loop, or
 // crashing without releasing, would otherwise grow the registry and pin
@@ -82,20 +82,21 @@
 // columns of the matched rows — row versions are immutable, so the
 // late reads are identical to what the scan saw.
 //
-// # Version negotiation
+// # Protocol version
 //
-// OpHello carries the client's protocol version (u32) and answers with
-// the server's version plus its replication role (wire.RolePrimary or
-// wire.RoleFollower); both sides then speak the minimum of the two.  The
-// exchange is stateless — the server answers every hello identically —
-// so any connection of a pool may negotiate independently.  A version-1
-// server (PR 4-6) does not know the opcode and answers
-// wire.StatusErrBadRequest, which clients treat as "version 1, primary":
-// every protocol-1 request keeps working unchanged against either side.
-// Unknown future opcodes fail the same way, so speaking v2 to a v1
-// server degrades cleanly rather than desynchronizing the stream.
+// There is one protocol generation, wire.ProtocolVersion, and no
+// negotiation.  OpHello carries the client's version (u32); a server
+// built from the same protocol answers with its own version plus its
+// replication role (wire.RolePrimary or wire.RoleFollower), and any other
+// version is refused with wire.StatusErrBadRequest, which fails the
+// client's Dial.  The client likewise refuses a server that answers with
+// a different number.  The check is input validation: without it a
+// mismatched pair would misparse each other's frames at the first layout
+// they disagree on.  The exchange is stateless — the server answers every
+// hello identically — and an unknown opcode fails with
+// wire.StatusErrBadRequest without desynchronizing the stream.
 //
-// # Secondary indexes (protocol v3)
+// # Secondary indexes
 //
 // OpCreateIndex builds a merge-maintained group-key index on one column
 // (body: column name; empty response) and OpIndexStats reports
@@ -139,8 +140,8 @@
 // ApplyInvalidate reproduce row ids, epochs and values exactly.
 //
 // A server created with Options.Replica set is a read-only follower:
-// mutating opcodes fail with wire.StatusErrReadOnly, OpSnapshot pins the
-// applied epoch (the latest its store is exact at), and OpPinEpoch pins
+// mutating opcodes fail with wire.StatusErrReadOnly, OpSnapshotEpoch pins
+// the applied epoch (the latest its store is exact at), and OpPinEpoch pins
 // an explicit epoch — refusing epochs the follower has not applied or
 // whose history its merges already garbage-collected
 // (wire.StatusErrStaleEpoch) — which is how the pooled client routes a
@@ -149,13 +150,13 @@
 // count and applied/primary epochs on either side, giving clients a
 // replication-lag measurement.
 //
-// # Observability (protocol v4)
+// # Observability
 //
 // Every server carries a metric registry (hyrise/internal/metrics)
 // unless built with Options.NoMetrics: per-opcode request/error counters
 // and latency histograms bound at construction (no allocation or map
 // lookup on the request path), plus gauges over the store, epoch clock,
-// GC watermark, op log, replica state, index routing and query planner.
+// GC state, op log, replica state, index routing and query planner.
 // Server.Registry exposes it; Server.ObsHandler serves it over HTTP as
 // /metrics (Prometheus text exposition) together with /healthz
 // (readiness: a primary is ready unless draining, a follower once it has
@@ -165,20 +166,18 @@
 // opcode, duration, rows touched, snapshot epoch, status and remote
 // address.
 //
-// OpMetrics (protocol v4) exposes the same registry over the data
-// protocol.  The request body is empty; the response is u32 n followed
+// OpMetrics exposes the same registry over the data protocol.  The request body is empty; the response is u32 n followed
 // by n samples, each a string (the full series name with labels rendered
 // in, e.g. `hyrise_server_requests_total{op="lookup"}`; histogram
 // families contribute their _count and _sum, with durations in seconds)
 // and the value as float64 bits in a u64.  Followers answer locally —
 // their lag gauges are exactly what a client-side topology check wants —
-// and a NoMetrics server answers an empty list.  OpServerStats gained a
-// v4 tail after the applied LSN: uptime (u64 nanoseconds), then u16
-// count and per entry opcode u8, requests u64, errors u64, listing every
-// opcode served at least once.  Pre-v4 clients stop decoding at the LSN,
-// so the tail is backward compatible.
+// and a NoMetrics server answers an empty list.  OpServerStats carries,
+// after the applied LSN, the uptime (u64 nanoseconds), then a u16 count
+// and per entry opcode u8, requests u64, errors u64, listing every opcode
+// served at least once.
 //
-// # Online resharding (protocol v5)
+// # Online resharding
 //
 // OpReshard changes a sharded store's active shard count online (body:
 // u32 shard count; see hyrise/internal/shard for the migration
@@ -189,10 +188,10 @@
 // is a barrier only on its own connection.  It fails with
 // wire.StatusErrBadRequest on a flat store and wire.StatusErrReadOnly on
 // a follower (followers converge by replaying the reshard ops from the
-// primary's op log instead).  OpServerStats gained a v5 tail after the
-// v4 per-op counts: active shards u32, physical partitions u32,
-// shard-map version u64 and a resharding-in-progress byte, so clients
-// can watch a migration land.
+// primary's op log instead).  OpServerStats ends with the live
+// topology — active shards u32, physical partitions u32, shard-map
+// version u64 and a resharding-in-progress byte — so clients can watch a
+// migration land.
 //
 // # Shutdown
 //

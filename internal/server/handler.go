@@ -76,13 +76,6 @@ func (s *Server) handle(payload []byte, out *wire.Buffer, info *reqInfo) {
 		err = s.opRow(r, out)
 	case wire.OpIsValid:
 		err = s.opIsValid(r, out)
-	case wire.OpSnapshot:
-		if err = r.Rest(); err == nil {
-			var tok uint64
-			if tok, _, err = s.registerSnapshot(); err == nil {
-				out.U64(tok)
-			}
-		}
 	case wire.OpSnapshotEpoch:
 		if err = r.Rest(); err == nil {
 			var tok, e uint64
@@ -839,8 +832,11 @@ func (s *Server) opMerge(r *wire.Reader, out *wire.Buffer) error {
 	return nil
 }
 
-// --- replication / capability ops (protocol v2) ---
+// --- replication / capability ops ---
 
+// opHello refuses a client built from a different protocol: there is one
+// generation, and answering a mismatched peer would only defer the failure
+// to the first frame the two sides lay out differently.
 func (s *Server) opHello(r *wire.Reader, out *wire.Buffer) error {
 	ver, err := r.U32()
 	if err != nil {
@@ -849,8 +845,9 @@ func (s *Server) opHello(r *wire.Reader, out *wire.Buffer) error {
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	if ver == 0 {
-		return fmt.Errorf("%w: protocol version 0", wire.ErrMalformed)
+	if ver != wire.ProtocolVersion {
+		return fmt.Errorf("%w: client speaks protocol version %d, this server %d",
+			wire.ErrMalformed, ver, wire.ProtocolVersion)
 	}
 	out.U32(wire.ProtocolVersion)
 	out.U8(s.role())
@@ -904,10 +901,8 @@ func (s *Server) opServerStats(r *wire.Reader, out *wire.Buffer) error {
 	}
 	out.U64(lag)
 	out.U64(lsn)
-	// Version 4 tail: uptime and cumulative per-op request/error counts
-	// (fed from the metric registry; empty with metrics disabled).
-	// Pre-v4 clients never read past lsn — decoders do not drain the
-	// payload — so appending here is backward compatible.
+	// Uptime and cumulative per-op request/error counts (fed from the
+	// metric registry; empty with metrics disabled).
 	out.U64(uint64(time.Since(s.started).Nanoseconds()))
 	type opCount struct {
 		op         uint8
@@ -928,11 +923,10 @@ func (s *Server) opServerStats(r *wire.Reader, out *wire.Buffer) error {
 		out.U64(c.reqs)
 		out.U64(c.errs)
 	}
-	// Version 5 tail: shard topology.  Active shard count (1 on a flat
-	// store), physical partition count including sealed pre-reshard
-	// partitions, shard-map version (0 on a flat store) and whether a
-	// reshard migration is in flight.  Pre-v5 clients stop at the per-op
-	// counts, so appending stays backward compatible.
+	// Shard topology: active shard count (1 on a flat store), physical
+	// partition count including sealed pre-reshard partitions, shard-map
+	// version (0 on a flat store) and whether a reshard migration is in
+	// flight.
 	var shards uint32 = 1
 	var mapVer uint64
 	var resharding bool
@@ -948,7 +942,7 @@ func (s *Server) opServerStats(r *wire.Reader, out *wire.Buffer) error {
 	return nil
 }
 
-// opReshard (protocol v5) changes the active shard count of a sharded
+// opReshard changes the active shard count of a sharded
 // store online: reads at any epoch and concurrent writes keep working
 // throughout, and the migration flows through the op log so followers
 // replay it bit-identically.  Flat stores refuse the op; followers answer

@@ -38,14 +38,10 @@ type serverMetrics struct {
 	mergeCommitDur *metrics.Histogram
 	mergeWallDur   *metrics.Histogram
 
-	// Precise-retention accounting (PR 8 tentpole): how many dead versions
-	// each GC freeze saw, how many the precise per-pin rule kept for live
-	// pins, and how many the old min-pin watermark rule would have
-	// reclaimed — rowsReclaimed vs gcLegacyReclaimable is the precise-vs-
-	// watermark comparison, and gcRetained counts what live pins cost.
-	gcDeadAtFreeze      *metrics.Counter
-	gcRetained          *metrics.Counter
-	gcLegacyReclaimable *metrics.Counter
+	// Retention accounting: how many dead versions each GC freeze saw, and
+	// how many the per-pin rule kept because a live pin can still see them.
+	gcDeadAtFreeze *metrics.Counter
+	gcRetained     *metrics.Counter
 
 	// Online-reshard instruments, fed by observeReshard after each
 	// completed OpReshard / Table.Reshard.
@@ -112,7 +108,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("hyrise_epoch_pins",
 		"Live pinned views on the store clock.", func() float64 { return float64(clock.Pins()) })
 	reg.GaugeFunc("hyrise_epoch_watermark",
-		"GC watermark: the minimum pinned epoch, or the current epoch with nothing pinned.",
+		"Oldest pinned epoch, or the current epoch with nothing pinned.",
 		func() float64 { return float64(clock.Watermark()) })
 
 	// Merge / GC instruments, fed by per-partition hooks (below).
@@ -126,8 +122,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Dead row versions observed by GC merge freezes (reclaimed or retained).")
 	m.gcRetained = reg.Counter("hyrise_gc_versions_retained_total",
 		"Dead versions kept by precise retention because a live pin can still see them.")
-	m.gcLegacyReclaimable = reg.Counter("hyrise_gc_watermark_reclaimable_total",
-		"Dead versions the coarse min-pin watermark rule would have reclaimed; compare with hyrise_merge_rows_reclaimed_total for the precise-retention gain.")
 	m.mergeFreezeDur = reg.Histogram("hyrise_merge_phase_seconds",
 		"Merge phase durations.", "phase", "freeze")
 	m.mergeRunDur = reg.Histogram("hyrise_merge_phase_seconds",
@@ -140,7 +134,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// scrape: an online reshard appends partitions after construction, and
 	// a stale captured slice would silently stop covering them.
 	reg.GaugeFunc("hyrise_gc_watermark",
-		"Highest watermark a committed GC merge applied (max over partitions).",
+		"Reclamation floor: the highest freeze-time epoch a committed GC merge reclaimed below (max over partitions).",
 		func() float64 {
 			var w uint64
 			for _, p := range s.st.Partitions() {
@@ -151,7 +145,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return float64(w)
 		})
 	reg.GaugeFunc("hyrise_gc_watermark_age_epochs",
-		"Epochs elapsed since the last applied GC watermark (staleness of reclamation).",
+		"Epochs elapsed since the reclamation floor last advanced (staleness of reclamation).",
 		func() float64 {
 			var w uint64
 			for _, p := range s.st.Partitions() {
@@ -256,7 +250,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Seed phases served by a group-key index.",
 		func() float64 { return float64(query.Planner().IndexedSeeds) })
 
-	// Online resharding (protocol v5): migration and cutover instruments,
+	// Online resharding: migration and cutover instruments,
 	// plus live shard-topology gauges on sharded stores.
 	m.reshardTotal = reg.Counter("hyrise_reshard_total", "Completed online reshards.")
 	m.reshardRows = reg.Counter("hyrise_reshard_rows_migrated_total",
@@ -306,7 +300,6 @@ func (m *serverMetrics) observeMerge(rep table.Report) {
 		if kept := rep.DeadAtFreeze - rep.RowsReclaimed; kept > 0 {
 			m.gcRetained.Add(uint64(kept))
 		}
-		m.gcLegacyReclaimable.Add(uint64(rep.LegacyReclaimable))
 	}
 	m.mergeFreezeDur.ObserveDuration(rep.Freeze)
 	m.mergeRunDur.ObserveDuration(rep.MergeRun)

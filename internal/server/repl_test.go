@@ -87,17 +87,21 @@ func waitFollowerEpoch(t testing.TB, rep *replica.Replica, e uint64) {
 	}
 }
 
-func TestHelloNegotiation(t *testing.T) {
+func TestHello(t *testing.T) {
 	flat, err := table.New("sales", salesSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, _, _ := startServer(t, flat)
-	if c.Protocol() != wire.ProtocolVersion {
-		t.Fatalf("protocol %d, want %d", c.Protocol(), wire.ProtocolVersion)
-	}
 	if c.Role() != client.RolePrimary {
 		t.Fatalf("role %v, want primary", c.Role())
+	}
+	st, err := c.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Protocol != wire.ProtocolVersion || st.Role != client.RolePrimary {
+		t.Fatalf("server stats announce protocol %d role %v, want %d/primary", st.Protocol, st.Role, wire.ProtocolVersion)
 	}
 }
 

@@ -48,8 +48,8 @@ type Store interface {
 }
 
 // DefaultMaxSnapshots bounds the snapshot registry when
-// Options.MaxSnapshots is zero.  Every registered snapshot pins the GC
-// watermark at its epoch, so an unbounded registry would let one
+// Options.MaxSnapshots is zero.  Every registered snapshot pins its
+// epoch against GC, so an unbounded registry would let one
 // misbehaving client (capturing in a loop, or crashing without Release)
 // pin dead versions forever.
 const DefaultMaxSnapshots = 1024
@@ -72,7 +72,7 @@ type Options struct {
 	// logged.  Nil discards.
 	Logger *slog.Logger
 	// MaxSnapshots caps the snapshot registry (0 = DefaultMaxSnapshots;
-	// negative = unlimited).  OpSnapshot beyond the cap fails with
+	// negative = unlimited).  OpSnapshotEpoch beyond the cap fails with
 	// wire.StatusErrTooManySnapshots until a token is released.
 	MaxSnapshots int
 	// OpLog, when set, makes this server a replication primary: OpSubscribe
@@ -691,8 +691,8 @@ func (s *Server) serveConn(c *conn) {
 			close(p.done)
 			results <- p
 		default:
-			// Plain serial path, identical to a pre-v5 session: handle
-			// and answer in place.
+			// Plain serial path, no writer goroutine running: handle and
+			// answer in place.
 			s.execute(c, op, payload, &out)
 			err = wire.WriteFrame(bw, out.Bytes())
 			if errors.Is(err, wire.ErrFrameTooLarge) {

@@ -15,6 +15,7 @@ import (
 	"hyrise/internal/server"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
+	"hyrise/internal/wire"
 )
 
 // testLogWriter adapts t.Logf so server/replica slog output lands in the
@@ -439,6 +440,55 @@ func TestServerScanThenLookupNoDeadlock(t *testing.T) {
 // TestServerGracefulShutdown checks the drain path: an in-flight request
 // completes and flushes, Serve returns ErrServerClosed, new connections
 // are refused, and Shutdown returns once sessions are gone.
+// TestServerRefusesOtherProtocol speaks to the server over a raw
+// connection: a hello of another version and the unassigned opcode 0x09
+// (once an epoch-less snapshot capture) are answered with error statuses,
+// never served, and the session stays in sync for the requests after them.
+func TestServerRefusesOtherProtocol(t *testing.T) {
+	flat, err := table.New("sales", salesSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srv, addr := startServer(t, flat)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	roundTrip := func(req ...byte) []byte {
+		t.Helper()
+		if err := wire.WriteFrame(nc, req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.ReadFrame(nc)
+		if err != nil || len(resp) == 0 {
+			t.Fatalf("request % x: response % x, err %v", req, resp, err)
+		}
+		return resp
+	}
+	var hello wire.Buffer
+	hello.U8(wire.OpHello)
+	hello.U32(4)
+	if resp := roundTrip(hello.Bytes()...); resp[0] != wire.StatusErrBadRequest {
+		t.Fatalf("hello version 4: status 0x%02x, want StatusErrBadRequest", resp[0])
+	}
+	if resp := roundTrip(0x09); resp[0] != wire.StatusErrBadRequest {
+		t.Fatalf("opcode 0x09: status 0x%02x, want StatusErrBadRequest", resp[0])
+	}
+	if n := srv.SnapshotCount(); n != 0 {
+		t.Fatalf("opcode 0x09 registered %d snapshots", n)
+	}
+	hello.Reset()
+	hello.U8(wire.OpHello)
+	hello.U32(wire.ProtocolVersion)
+	if resp := roundTrip(hello.Bytes()...); resp[0] != wire.StatusOK {
+		t.Fatalf("hello version %d after the refusals: status 0x%02x", wire.ProtocolVersion, resp[0])
+	}
+	if resp := roundTrip(wire.OpPing); resp[0] != wire.StatusOK {
+		t.Fatalf("ping after the refusals: status 0x%02x", resp[0])
+	}
+}
+
 func TestServerGracefulShutdown(t *testing.T) {
 	flat, err := table.New("sales", salesSchema())
 	if err != nil {

@@ -204,32 +204,26 @@ func TestGCPinnedViewProtects(t *testing.T) {
 	}
 }
 
-// TestGCDisabled verifies both off-switches: SetGC(false) and
-// MergeOptions.DisableGC keep dead versions through merges.
+// TestGCDisabled verifies the off-switch: SetGC(false) keeps dead
+// versions through merges.
 func TestGCDisabled(t *testing.T) {
-	for name, setup := range map[string]func(*Table) MergeOptions{
-		"SetGC":     func(tb *Table) MergeOptions { tb.SetGC(false); return MergeOptions{} },
-		"DisableGC": func(tb *Table) MergeOptions { return MergeOptions{DisableGC: true} },
-	} {
-		t.Run(name, func(t *testing.T) {
-			tb, h := gcTestTable(t)
-			id, _ := tb.Insert([]any{uint64(1), uint64(10)})
-			nid, _ := tb.Update(id, map[string]any{"v": uint64(11)})
-			opts := setup(tb)
-			rep, err := tb.Merge(context.Background(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.RowsReclaimed != 0 || tb.Rows() != 2 || tb.RetiredRows() != 0 {
-				t.Fatalf("GC ran while disabled: reclaimed=%d rows=%d retired=%d",
-					rep.RowsReclaimed, tb.Rows(), tb.RetiredRows())
-			}
-			// Old version still materializable: the insert-only history.
-			if v, err := h.Get(id); err != nil || v != 10 {
-				t.Fatalf("history lost: %d, %v", v, err)
-			}
-			_ = nid
-		})
+	tb, h := gcTestTable(t)
+	id, _ := tb.Insert([]any{uint64(1), uint64(10)})
+	if _, err := tb.Update(id, map[string]any{"v": uint64(11)}); err != nil {
+		t.Fatal(err)
+	}
+	tb.SetGC(false)
+	rep, err := tb.Merge(context.Background(), MergeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RowsReclaimed != 0 || tb.Rows() != 2 || tb.RetiredRows() != 0 {
+		t.Fatalf("GC ran while disabled: reclaimed=%d rows=%d retired=%d",
+			rep.RowsReclaimed, tb.Rows(), tb.RetiredRows())
+	}
+	// Old version still materializable: the insert-only history.
+	if v, err := h.Get(id); err != nil || v != 10 {
+		t.Fatalf("history lost: %d, %v", v, err)
 	}
 }
 

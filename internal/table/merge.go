@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"hyrise/internal/core"
@@ -48,11 +47,6 @@ type MergeOptions struct {
 	Threads int
 	// Strategy distributes the budget; see Strategy.
 	Strategy Strategy
-	// DisableGC keeps this merge from reclaiming versions below the GC
-	// watermark even when the table's GC is enabled (the snapshot loader
-	// uses it to rebuild tables byte-exactly).  See Table.SetGC for the
-	// table-wide switch.
-	DisableGC bool
 }
 
 // Report summarizes one table merge.
@@ -76,12 +70,6 @@ type Report struct {
 	// DeadAtFreeze is the number of stored dead versions when the freeze
 	// decision ran (reclaimed + retained).
 	DeadAtFreeze int
-	// LegacyReclaimable counts the dead versions the coarse min-pin
-	// watermark rule (end <= min pinned epoch) would have reclaimed.  The
-	// precise-retention win of this merge is RowsReclaimed −
-	// LegacyReclaimable; versions retained for live pins are DeadAtFreeze −
-	// RowsReclaimed (precise) vs DeadAtFreeze − LegacyReclaimable (coarse).
-	LegacyReclaimable int
 	// LivePins is the number of pins registered when the freeze decision
 	// ran.
 	LivePins int
@@ -167,31 +155,21 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	// Decide what this merge reclaims while the freeze lock pins the row
 	// set: a version is reclaimable when its [begin, end) validity interval
 	// is invisible to every live pin and to every future capture
-	// (epoch.PinSet.Reclaimable) — precise per-pin retention, not the
-	// coarse min-pin watermark, so one old analytical pin no longer
-	// retains every version invalidated after it.  The mask covers exactly
-	// the frozen main+delta slots; rows landing in the second delta
-	// afterwards are beyond it and always kept.
+	// (epoch.PinSet.Reclaimable), so one old analytical pin retains only
+	// the versions it can see, not every version invalidated after it.  The
+	// mask covers exactly the frozen main+delta slots; rows landing in the
+	// second delta afterwards are beyond it and always kept.
 	t.gcDrop, t.gcDropCount, t.gcMark = nil, 0, 0
-	var deadAtFreeze, legacyReclaimable, livePins int
+	var deadAtFreeze, livePins int
 	// t.dead counts stored versions with end != 0: when it is zero there
 	// is nothing to reclaim and the freeze stays O(columns) — the end-
 	// epoch scan below only runs when garbage can actually exist.
-	if t.gcOn && !opts.DisableGC && t.dead > 0 {
+	if t.gcOn && t.dead > 0 {
 		deadAtFreeze = t.dead
 		ps := t.clock.LivePins()
 		livePins = ps.Len()
-		w := ps.Watermark()
-		var legacy atomic.Int64
 		begin, end := t.epochs.Raw()
-		drop, dropped := core.DropMask(begin[:t.rows], end[:t.rows],
-			func(b, e uint64) bool {
-				if e != 0 && e <= w {
-					legacy.Add(1)
-				}
-				return ps.Reclaimable(b, e)
-			}, threads)
-		legacyReclaimable = int(legacy.Load())
+		drop, dropped := core.DropMask(begin[:t.rows], end[:t.rows], ps.Reclaimable, threads)
 		if dropped > 0 {
 			t.gcDrop, t.gcDropCount = drop, dropped
 			// The reclamation floor is the freeze-time clock reading, not
@@ -216,15 +194,14 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	t.mu.Lock()
 	t.merging = false
 	rep := Report{
-		RowsMerged:        rowsMerged,
-		Algorithm:         opts.Algorithm,
-		Threads:           threads,
-		Strategy:          strategy,
-		Freeze:            frozen.Sub(start),
-		MergeRun:          merged.Sub(frozen),
-		DeadAtFreeze:      deadAtFreeze,
-		LegacyReclaimable: legacyReclaimable,
-		LivePins:          livePins,
+		RowsMerged:   rowsMerged,
+		Algorithm:    opts.Algorithm,
+		Threads:      threads,
+		Strategy:     strategy,
+		Freeze:       frozen.Sub(start),
+		MergeRun:     merged.Sub(frozen),
+		DeadAtFreeze: deadAtFreeze,
+		LivePins:     livePins,
 	}
 	if err != nil {
 		for _, c := range t.cols {

@@ -267,15 +267,15 @@ func TestModelBasedHistory(t *testing.T) {
 	// (the 8th pinned version is the live current row) — so 192 reclaim
 	// precisely.  The min-pin watermark sits at guard's epoch, below every
 	// invalidation, so the old rule would have reclaimed nothing.
+	if coarse := coarseReclaimable(tb, guard.Epoch()); coarse != 0 {
+		t.Fatalf("coarse rule reclaims %d want 0", coarse)
+	}
 	rep, err := tb.Merge(context.Background(), MergeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.DeadAtFreeze != 200 || rep.LivePins != 9 {
 		t.Fatalf("DeadAtFreeze=%d LivePins=%d want 200/9", rep.DeadAtFreeze, rep.LivePins)
-	}
-	if rep.LegacyReclaimable != 0 {
-		t.Fatalf("LegacyReclaimable=%d want 0", rep.LegacyReclaimable)
 	}
 	if rep.RowsReclaimed != 192 {
 		t.Fatalf("RowsReclaimed=%d want 192", rep.RowsReclaimed)

@@ -23,13 +23,16 @@
 //
 // Since version history is insert-only, a sustained update workload would
 // grow the table without bound; the merge therefore doubles as the garbage
-// collector.  At merge freeze the table computes a GC watermark W — the
-// minimum epoch of any pinned view on its clock, or the current epoch when
-// nothing is pinned — and versions invalidated at or below W (end != 0 &&
-// end <= W) are dropped instead of copied into the new main: such versions
-// are invisible to every pinned view and to every capture that has not
-// happened yet.  Values referenced only by reclaimed versions leave the
-// merged dictionaries with them.
+// collector.  At merge freeze the table copies the set of pinned epochs on
+// its clock together with the current epoch (epoch.Clock.LivePins) and
+// tests every dead version's [begin, end) validity interval against it: a
+// version is dropped instead of copied into the new main when it is
+// already invisible to the next capture (end <= now) and no pinned epoch
+// E satisfies begin <= E < end (epoch.PinSet.Reclaimable, the per-reader
+// visibility rule of Larson et al., VLDB 2011).  A long-lived pin thus
+// retains only the versions visible at its own epoch, not everything
+// invalidated since it was taken.  Values referenced only by reclaimed
+// versions leave the merged dictionaries with them.
 //
 // Reclaiming physical rows forces row ids to be indirect: a row id is a
 // stable id resolved through an id -> physical slot map, and merges that
@@ -37,9 +40,12 @@
 // Reclaimed ids are retired — never reused — and every operation on a
 // retired id keeps failing with ErrRowInvalid, exactly as it would on a
 // merely invalidated row.  Views captured with Snapshot pin their epoch
-// and must be Released for the watermark (and hence reclamation) to
-// advance past them; an explicit ViewAt does not pin and may silently lose
-// rows to GC.  SetGC(false) disables reclamation entirely.
+// and must be Released for the versions they see to become reclaimable; an
+// explicit ViewAt does not pin and may silently lose rows to GC.  A
+// reclaiming merge also ratchets the table's GC bound (GCBound) to its
+// freeze-time epoch: pinning an epoch below it afterwards is refused,
+// because history there may already have holes.  SetGC(false) disables
+// reclamation entirely.
 package table
 
 import (

@@ -8,9 +8,9 @@ import (
 // TestOpcodesCoverEveryOp pins the opcode registry to the protocol: every
 // opcode in Opcodes() must have a real OpName (adding an opcode without
 // naming it breaks per-op metrics and ServerStats rendering), the range
-// must be dense up to opLast, names must be unique, and the current tail
-// (OpReshard) must be included.  A new opcode that forgets to bump opLast
-// or extend OpName fails here.
+// must be dense up to opLast except for the one unassigned number, names
+// must be unique, and the current tail (OpReshard) must be included.  A
+// new opcode that forgets to bump opLast or extend OpName fails here.
 func TestOpcodesCoverEveryOp(t *testing.T) {
 	ops := Opcodes()
 	if len(ops) == 0 {
@@ -24,8 +24,11 @@ func TestOpcodesCoverEveryOp(t *testing.T) {
 	}
 	seen := make(map[string]uint8, len(ops))
 	for i, op := range ops {
-		if i > 0 && op != ops[i-1]+1 {
+		if i > 0 && op != ops[i-1]+1 && op != opUnassigned+1 {
 			t.Fatalf("Opcodes() not dense: 0x%02x follows 0x%02x", op, ops[i-1])
+		}
+		if op == opUnassigned {
+			t.Fatalf("Opcodes() lists the unassigned number 0x%02x", op)
 		}
 		name := OpName(op)
 		if name == "" || strings.HasPrefix(name, "op_0x") {
@@ -38,7 +41,9 @@ func TestOpcodesCoverEveryOp(t *testing.T) {
 		seen[name] = op
 	}
 	// The fallback rendering is reserved for genuinely unknown opcodes.
-	if got := OpName(0xfe); !strings.HasPrefix(got, "op_0x") {
-		t.Errorf("OpName(0xfe) = %q, want op_0x fallback", got)
+	for _, op := range []uint8{0xfe, opUnassigned} {
+		if got := OpName(op); !strings.HasPrefix(got, "op_0x") {
+			t.Errorf("OpName(0x%02x) = %q, want op_0x fallback", op, got)
+		}
 	}
 }

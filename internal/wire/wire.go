@@ -32,8 +32,9 @@
 //	                value, and for Between a second (hi) value
 //
 // Snapshot tokens are u64; token 0 ("latest") is always valid and reads
-// current versions.  Nonzero tokens come from OpSnapshot and are resolved
-// by the server's snapshot registry until released.
+// current versions.  Nonzero tokens come from OpSnapshotEpoch (or
+// OpPinEpoch) and are resolved by the server's snapshot registry until
+// released.
 package wire
 
 import (
@@ -47,21 +48,12 @@ import (
 // responses).  Batches larger than this must be split by the client.
 const MaxFrame = 16 << 20
 
-// ProtocolVersion is the protocol generation this build speaks.  Version 1
-// is the original opcode set (OpPing..OpMerge); version 2 adds the
-// hello/capability exchange, replication (OpSubscribe and the follower
-// opcodes) and epoch-addressed snapshots; version 3 adds secondary-index
-// management (OpCreateIndex, OpIndexStats); version 4 adds observability
-// (OpMetrics, and the uptime + per-op counter tail of OpServerStats);
-// version 5 adds online resharding (OpReshard, and the shard-topology tail
-// of OpServerStats) and parallel dispatch of pipelined reads (a
-// server-side change — responses stay in request order, so it needs no
-// client support).
-// OpHello carries the client's version and returns the server's; each side
-// then restricts itself to the opcodes of min(client, server).  A
-// version-1 server answers OpHello — like any unknown opcode — with
-// StatusErrBadRequest, which a version-2+ client treats as "speak
-// version 1".
+// ProtocolVersion identifies the one protocol this build speaks: the
+// opcode set and the request/response layouts below.  There is no
+// negotiation.  OpHello carries the sender's version so that a peer built
+// from a different protocol is refused with a typed error (the server
+// answers StatusErrBadRequest, the client fails Dial) instead of the two
+// sides misparsing each other's frames.
 const ProtocolVersion = 5
 
 // Opcodes.  The zero value is intentionally invalid.
@@ -74,7 +66,7 @@ const (
 	OpDelete          = 0x06 // id u64 -> empty
 	OpRow             = 0x07 // id u64 -> row
 	OpIsValid         = 0x08 // id u64 -> u8
-	OpSnapshot        = 0x09 // -> token u64
+	opUnassigned      = 0x09 // hole in the numbering: not an opcode, answered like any unknown one
 	OpSnapshotRelease = 0x0a // token u64 -> empty
 	OpLookup          = 0x0b // token, col string, value -> ids
 	OpRange           = 0x0c // token, col string, lo value, hi value -> ids
@@ -89,21 +81,17 @@ const (
 	OpStats           = 0x15 // -> stats (incl. GC retired/reclaimed counters)
 	OpMerge           = 0x16 // algorithm u8, threads u32 -> merge report
 
-	// Version 2 opcodes.
-	OpHello         = 0x17 // version u32 -> version u32, role u8
-	OpServerStats   = 0x18 // -> server stats (replication lag, followers, oplog)
+	OpHello         = 0x17 // version u32 -> version u32, role u8 (error unless the versions match)
+	OpServerStats   = 0x18 // -> server stats (replication lag, followers, oplog, per-op counts, shard topology)
 	OpSnapshotEpoch = 0x19 // -> token u64, epoch u64
 	OpPinEpoch      = 0x1a // epoch u64 -> token u64
 	OpSubscribe     = 0x1b // mode u8, fromLSN u64 -> mode u8, startLSN u64, then stream
 
-	// Version 3 opcodes.
 	OpCreateIndex = 0x1c // col string -> empty
 	OpIndexStats  = 0x1d // -> u32 n + per column: col string, postings u64, bytes u64, builds u64, lastBuildNs u64
 
-	// Version 4 opcodes.
 	OpMetrics = 0x1e // -> u32 n + per sample: name string, float64 bits u64
 
-	// Version 5 opcodes.
 	OpReshard = 0x1f // shards u32 -> from u32, to u32, migrated u64, wallNs u64, cutoverNs u64, mapVersion u64, cutoverEpoch u64
 )
 
@@ -133,8 +121,6 @@ func OpName(op uint8) string {
 		return "row"
 	case OpIsValid:
 		return "is_valid"
-	case OpSnapshot:
-		return "snapshot"
 	case OpSnapshotRelease:
 		return "snapshot_release"
 	case OpLookup:
@@ -189,7 +175,9 @@ func OpName(op uint8) string {
 func Opcodes() []uint8 {
 	ops := make([]uint8, 0, opLast)
 	for op := uint8(OpPing); op <= opLast; op++ {
-		ops = append(ops, op)
+		if op != opUnassigned {
+			ops = append(ops, op)
+		}
 	}
 	return ops
 }
@@ -214,7 +202,7 @@ const (
 // Subscribe stream frame kinds.  After the OpSubscribe response, the
 // server sends a one-way sequence of frames whose payload starts with a
 // kind byte.  In snapshot mode the stream opens with FrameSnapChunk frames
-// carrying the v4 snapshot image, terminated by FrameSnapEnd; then (and
+// carrying the snapshot image (internal/persist), terminated by FrameSnapEnd; then (and
 // immediately, in tail mode) FrameOps and FrameHeartbeat frames alternate
 // for the life of the connection.
 const (

@@ -372,7 +372,7 @@ func TestHealthzAndPprof(t *testing.T) {
 	}
 }
 
-// TestClientMetricsAndServerStats round-trips the version-4 surface: the
+// TestClientMetricsAndServerStats round-trips the observability ops: the
 // OpMetrics snapshot via client.Metrics, and ServerStats' uptime and
 // cumulative per-op counters.
 func TestClientMetricsAndServerStats(t *testing.T) {
@@ -382,9 +382,6 @@ func TestClientMetricsAndServerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Protocol() < 4 {
-		t.Fatalf("negotiated protocol %d, want >= 4", c.Protocol())
-	}
 	if _, err := c.Insert([]any{uint64(7), uint64(7)}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,4 @@
-// BenchmarkRetention is the perf-trajectory artifact behind
-// BENCH_retention.json: an update-heavy workload merged with one OLD pin
+// BenchmarkRetention is an update-heavy workload merged with one OLD pin
 // held across every cycle, measuring what precise per-pin retention
 // keeps versus what the classic min-pin watermark rule would have kept.
 // Each iteration updates every row and merges; the pin predates all of
@@ -46,7 +45,11 @@ func BenchmarkRetention(b *testing.B) {
 			// legacyRetained simulates the coarse rule cumulatively: a dead
 			// version the min-pin watermark cannot reclaim in its cycle
 			// would have stayed forever, so versions accumulate across
-			// cycles instead of being re-judged per merge.
+			// cycles instead of being re-judged per merge.  The rule's
+			// answer is known without asking the merge: the pin predates
+			// all churn, so the watermark sits below every invalidation and
+			// reclaims none of a cycle's new dead versions; with nothing
+			// pinned it sits at the current epoch and reclaims all of them.
 			var retained, prevRetained, legacyRetained int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -61,8 +64,9 @@ func BenchmarkRetention(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				newDead := rep.DeadAtFreeze - prevRetained
-				legacyRetained += newDead - rep.LegacyReclaimable
+				if pinned {
+					legacyRetained += rep.DeadAtFreeze - prevRetained
+				}
 				retained = rep.DeadAtFreeze - rep.RowsReclaimed
 				prevRetained = retained
 			}

@@ -69,10 +69,11 @@ type Store interface {
 	// when done with it so merges can reclaim dead versions again.
 	Snapshot() ReadView
 	// SetGC enables or disables garbage collection during merges (on by
-	// default): with GC on, merges drop versions invalidated at or below
-	// the GC watermark — the minimum epoch of any unreleased Snapshot view
-	// — instead of copying them forever, and the reclaimed row ids are
-	// retired (never reused; operations on them return ErrRowInvalid).
+	// default): with GC on, merges drop every invalidated version that no
+	// unreleased Snapshot view can see — begin <= E < end holds for none
+	// of their epochs E — instead of copying it forever, and the reclaimed
+	// row ids are retired (never reused; operations on them return
+	// ErrRowInvalid).
 	SetGC(enabled bool)
 	// GCEnabled reports whether merges garbage-collect.
 	GCEnabled() bool
@@ -332,10 +333,9 @@ func Save(s Store, w io.Writer) error {
 	}
 }
 
-// Load reads a snapshot written by Save (or by the legacy v1 format) and
-// rebuilds the Store it describes, auto-detecting the topology from the
-// snapshot header: a *Table for flat snapshots, a *ShardedTable for
-// sharded ones.
+// Load reads a snapshot written by Save and rebuilds the Store it
+// describes, auto-detecting the topology from the snapshot header: a
+// *Table for flat snapshots, a *ShardedTable for sharded ones.
 func Load(r io.Reader) (Store, error) {
 	ft, st, err := persist.LoadAny(r)
 	if err != nil {
