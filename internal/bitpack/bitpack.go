@@ -197,17 +197,28 @@ func (v *Vector) DecodeRange(from, to int, dst []uint64) []uint64 {
 		}
 		return dst
 	}
-	mask := v.mask()
-	pos := uint64(from) * uint64(v.bits)
-	for i := 0; i < n; i++ {
-		word := pos / WordBits
-		off := uint(pos % WordBits)
-		x := v.words[word] >> off
-		if rem := WordBits - off; rem < v.bits {
-			x |= v.words[word+1] << rem
+	if n == 0 {
+		return dst
+	}
+	// cur holds the undecoded bits of the current word, avail of them: a
+	// code inside the word costs a mask and a shift, and the next word is
+	// loaded only when a code straddles into it.
+	mask, bits := v.mask(), v.bits
+	pos := uint64(from) * uint64(bits)
+	word, off := int(pos/WordBits), uint(pos%WordBits)
+	cur, avail := v.words[word]>>off, WordBits-off
+	for i := range dst {
+		if avail >= bits {
+			dst[i] = cur & mask
+			cur >>= bits
+			avail -= bits
+			continue
 		}
-		dst[i] = x & mask
-		pos += uint64(v.bits)
+		word++
+		next := v.words[word]
+		dst[i] = (cur | next<<avail) & mask
+		cur = next >> (bits - avail)
+		avail += WordBits - bits
 	}
 	return dst
 }
@@ -339,6 +350,67 @@ func (w *Writer) Vector() *Vector { return w.vec }
 
 // SetLen declares the logical length after random-order WriteAt population.
 func (w *Writer) SetLen(n int) { w.vec.n = n }
+
+// Packer is a sequential block encoder into a Writer's vector: codes are
+// shifted into a register accumulator and stored one whole word at a time,
+// so packing costs a shift, an or and an add per code instead of WriteAt's
+// read-modify-write of one or two words.  The merge's Step 2 kernel packs
+// every output chunk through one (paper Eq. 11).
+//
+// A Packer owns the words from the one holding its start position up to
+// the last it stores, so Packers running concurrently must start on word
+// boundaries (see ChunkAlign); only the one that ends at the vector's tail
+// may end inside a word.  The Writer's length is not advanced: call SetLen
+// once every Packer has flushed.
+type Packer struct {
+	words []uint64
+	bits  uint
+	max   uint64
+	word  int    // index of the word acc is stored to when it fills
+	acc   uint64 // bits of the current word packed so far
+	fill  uint   // how many; always < WordBits
+}
+
+// PackerAt returns a Packer whose first code lands at element index i.
+func (w *Writer) PackerAt(i int) Packer {
+	v := w.vec
+	p := Packer{words: v.words, bits: v.bits, max: v.MaxCode()}
+	bitPos := uint64(i) * uint64(v.bits)
+	p.word, p.fill = int(bitPos/WordBits), uint(bitPos%WordBits)
+	if p.fill != 0 {
+		p.acc = v.words[p.word] & (1<<p.fill - 1)
+	}
+	return p
+}
+
+// Put packs codes at the cursor and advances it.  Whether the codes fit the
+// width is checked once per call, on the or of all of them, so it panics on
+// the same inputs as Write, after the block instead of at the code.
+func (p *Packer) Put(codes []uint64) {
+	acc, fill, word := p.acc, p.fill, p.word
+	var all uint64
+	for _, c := range codes {
+		all |= c
+		acc |= c << fill
+		if fill += p.bits; fill >= WordBits {
+			p.words[word] = acc
+			word++
+			fill -= WordBits
+			acc = c >> (p.bits - fill) // the high bits that did not fit
+		}
+	}
+	if all > p.max {
+		panic(fmt.Sprintf("bitpack: a code in the block does not fit in %d bits", p.bits))
+	}
+	p.acc, p.fill, p.word = acc, fill, word
+}
+
+// Flush stores the partly filled last word, if any.
+func (p *Packer) Flush() {
+	if p.fill != 0 {
+		p.words[p.word] = p.acc
+	}
+}
 
 // ChunkAlign returns the largest element count <= n such that a chunk of
 // that many elements ends exactly on a 64-bit word boundary, guaranteeing

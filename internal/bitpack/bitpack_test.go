@@ -140,6 +140,67 @@ func TestWriterWriteAt(t *testing.T) {
 	}
 }
 
+// TestPackerRoundTrip packs every width 0..64 through Packers — in blocks of
+// uneven sizes, from the start, from a word-aligned chunk boundary written
+// out of order, and resumed inside a word — and reads it back with Get, and
+// word for word against Writer.Write.
+func TestPackerRoundTrip(t *testing.T) {
+	for width := uint(0); width <= 64; width++ {
+		rng := rand.New(rand.NewSource(int64(width) + 7))
+		n := 1000 + int(width)
+		ref := make([]uint64, n)
+		want := NewWriter(width, n)
+		for i := range ref {
+			ref[i] = rng.Uint64()
+			if width < 64 {
+				ref[i] &= (uint64(1) << width) - 1
+			}
+			want.Write(ref[i])
+		}
+		put := func(w *Writer, from, to int) {
+			p := w.PackerAt(from)
+			for from < to {
+				blk := min(1+rng.Intn(97), to-from)
+				p.Put(ref[from : from+blk])
+				from += blk
+			}
+			p.Flush()
+		}
+		split := ChunkAlign(width, n/2) // second chunk first, as a parallel worker might
+		resume := n/3 | 1               // odd: inside a word at most widths
+		for name, fill := range map[string]func(w *Writer){
+			"whole":   func(w *Writer) { put(w, 0, n) },
+			"chunks":  func(w *Writer) { put(w, split, n); put(w, 0, split) },
+			"resumed": func(w *Writer) { put(w, 0, resume); put(w, resume, n) },
+		} {
+			w := NewWriter(width, n)
+			fill(w)
+			w.SetLen(n)
+			v := w.Vector()
+			for i := range ref {
+				if got := v.Get(i); got != ref[i] {
+					t.Fatalf("width %d %s: Get(%d)=%d want %d", width, name, i, got, ref[i])
+				}
+			}
+			for i, word := range want.Vector().Words() {
+				if v.Words()[i] != word {
+					t.Fatalf("width %d %s: word %d differs from Writer.Write's", width, name, i)
+				}
+			}
+		}
+	}
+}
+
+func TestPackerRejectsOversizedCode(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put of a 4-bit code into a 3-bit vector did not panic")
+		}
+	}()
+	p := NewWriter(3, 8).PackerAt(0)
+	p.Put([]uint64{1, 7, 8})
+}
+
 func TestChunkAlign(t *testing.T) {
 	for width := uint(1); width <= 64; width++ {
 		for _, n := range []int{0, 1, 63, 64, 65, 1000, 4097} {

@@ -7,57 +7,54 @@ import "sync"
 const dropMaskChunk = 8192
 
 // DropMask evaluates a reclaim predicate over a table's begin/end epoch
-// columns and returns the merge-GC drop mask plus the number of positions
-// marked.  The predicate receives each version's validity interval and
-// decides reclaimability (the table passes epoch.PinSet.Reclaimable), so the
-// GC kernel itself is retention-policy-agnostic.  The mask indexes positions exactly like MergeColumnGC
-// expects: main tuples first, then delta tuples, matching the order of the
-// begin/end columns.
+// columns and returns the merge's Drop.  The predicate receives each
+// version's validity interval and decides reclaimability (the table passes
+// epoch.PinSet.Reclaimable), so the GC kernel itself is retention-policy-
+// agnostic.  Positions are those MergeColumnDrop expects: main tuples
+// first, then delta tuples, matching the order of the begin/end columns.
+// When nothing is reclaimable the zero Drop is returned.
 //
 // The predicate must be pure and safe for concurrent use: with threads > 1
 // and enough rows the pass is range-partitioned, each worker writing a
-// disjoint slice of the mask and accumulating a private count.
-func DropMask(begin, end []uint64, reclaim func(begin, end uint64) bool, threads int) ([]bool, int) {
+// disjoint slice of the mask and collecting its own positions.
+func DropMask(begin, end []uint64, reclaim func(begin, end uint64) bool, threads int) Drop {
 	n := len(begin)
-	if n == 0 {
-		return nil, 0
+	nw := 1
+	if threads > 1 && n >= 2*dropMaskChunk {
+		nw = min(threads, (n+dropMaskChunk-1)/dropMaskChunk)
 	}
-	drop := make([]bool, n)
-	if threads <= 1 || n < 2*dropMaskChunk {
-		dropped := 0
-		for i := 0; i < n; i++ {
+	mask := make([]bool, n)
+	found := make([][]int, nw)
+	scan := func(k int) {
+		var pos []int
+		lo, hi := n*k/nw, n*(k+1)/nw
+		for i := lo; i < hi; i++ {
 			if reclaim(begin[i], end[i]) {
-				drop[i] = true
-				dropped++
+				mask[i] = true
+				pos = append(pos, i)
 			}
 		}
-		return drop, dropped
+		found[k] = pos
 	}
-	nw := threads
-	if max := (n + dropMaskChunk - 1) / dropMaskChunk; nw > max {
-		nw = max
+	if nw == 1 {
+		scan(0)
+	} else {
+		var wg sync.WaitGroup
+		for k := 0; k < nw; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				scan(k)
+			}(k)
+		}
+		wg.Wait()
 	}
-	counts := make([]int, nw)
-	var wg sync.WaitGroup
-	for k := 0; k < nw; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			lo, hi := n*k/nw, n*(k+1)/nw
-			c := 0
-			for i := lo; i < hi; i++ {
-				if reclaim(begin[i], end[i]) {
-					drop[i] = true
-					c++
-				}
-			}
-			counts[k] = c
-		}(k)
+	pos := found[0]
+	for _, f := range found[1:] {
+		pos = append(pos, f...)
 	}
-	wg.Wait()
-	dropped := 0
-	for _, c := range counts {
-		dropped += c
+	if len(pos) == 0 {
+		return Drop{}
 	}
-	return drop, dropped
+	return Drop{Mask: mask, Pos: pos}
 }

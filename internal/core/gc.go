@@ -1,301 +1,121 @@
 package core
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"hyrise/internal/bitpack"
-	"hyrise/internal/colstore"
-	"hyrise/internal/delta"
 	"hyrise/internal/dict"
 	"hyrise/internal/val"
 )
 
-// gcBlock is the survivor-accounting granularity of the parallel GC merge:
-// per-block survivor counts plus their prefix sums let a Step 2 worker
-// locate the input position of its first output tuple in O(total/gcBlock)
-// search plus one intra-block walk.
-const gcBlock = 4096
+// Drop is the reclamation decision of one garbage-collecting merge: which
+// positions of main ++ delta (main tuples first, then delta tuples) the new
+// main omits.  It is made once per table merge (DropMask) and shared,
+// read-only, by every column's MergeColumnDrop.  The zero Drop drops
+// nothing.
+type Drop struct {
+	// Mask has one entry per tuple of main ++ delta, true where dropped.
+	Mask []bool
+	// Pos lists the positions set in Mask in ascending order; its length
+	// is the number of tuples dropped.
+	Pos []int
+}
 
-// MergeColumnGC is MergeColumn with garbage collection: positions of
-// main+delta marked true in drop (indexed like the merged output — main
-// tuples first, then delta tuples) are omitted from the new main partition,
-// and dictionary values referenced only by dropped tuples are omitted from
-// the merged dictionary.  The inputs are left untouched, exactly as in
-// MergeColumn, so the table layer can still run the merge online.
-//
-// With a nil or all-false mask this delegates to MergeColumn (which keeps
-// the parallel fast paths); the GC path itself stays linear —
-// O(N_M + N_D + |U_M| + |U_D|) — by reusing the translation-table shape of
-// the optimized merge on dictionaries first compacted to surviving values.
-//
-// With Options.Threads > 1 and enough tuples, both the used-mask pass and
-// the Step 2 rewrite are range-partitioned across workers: the output is
-// split at word-aligned boundaries, each worker locates its first surviving
-// input via the per-block survivor prefix sums, and writes a disjoint
-// output slice — so one oversized shard no longer serializes compaction.
-func MergeColumnGC[V val.Value](m *colstore.Main[V], d *delta.Partition[V], drop []bool, opts Options) (*colstore.Main[V], Stats) {
-	dropped := 0
-	for _, dr := range drop {
-		if dr {
-			dropped++
+// NewDrop builds the Drop of a mask over n tuples: positions beyond the
+// mask are kept, entries beyond n are ignored.  An all-false mask yields the
+// zero Drop.
+func NewDrop(mask []bool, n int) Drop {
+	mask = mask[:min(len(mask), n)]
+	var pos []int
+	for i, dropped := range mask {
+		if dropped {
+			pos = append(pos, i)
 		}
 	}
-	if dropped == 0 {
-		return MergeColumn(m, d, opts)
+	if len(pos) == 0 {
+		return Drop{}
 	}
-	nt := opts.EffectiveThreads()
-	st := Stats{
-		Algorithm:  opts.Algorithm,
-		Threads:    nt,
-		NM:         m.Len(),
-		ND:         d.Len(),
-		UniqueMain: m.Dict().Len(),
-		BitsBefore: m.Bits(),
-		ValueBytes: valueBytes[V](),
-		Dropped:    dropped,
+	if len(mask) < n {
+		mask = append(make([]bool, 0, n), mask...)[:n]
 	}
+	return Drop{Mask: mask, Pos: pos}
+}
 
-	// The dictionary subroutines (extract, sorted merge) compute identical
-	// results at any thread count, so cap their workers at the processor
-	// count — goroutines beyond it are pure scheduling overhead.  The
-	// range-partitioned mask and Step 2 paths below stay Threads-driven:
-	// their output layout is what the equivalence tests pin down.
-	dictNT := min(nt, runtime.GOMAXPROCS(0))
+// survivor returns the input position of the k-th tuple that is not dropped
+// (0-based), or the tuple count when k is the number of survivors: a
+// dropped position p at index j of Pos has p-j survivors before it, so the
+// k-th survivor follows exactly the dropped positions with p-j <= k.
+func (d Drop) survivor(k int) int {
+	return k + sort.Search(len(d.Pos), func(j int) bool { return d.Pos[j]-j > k })
+}
 
-	// Step 1(a): delta dictionary + delta code rewrite (CSB+ traversal).
-	t0 := time.Now()
-	var dictD *dict.Dict[V]
-	var deltaCodes []uint32
-	if dictNT > 1 {
-		dictD, deltaCodes = d.ExtractDictParallel(dictNT)
-	} else {
-		dictD, deltaCodes = d.ExtractDict()
-	}
-	st.Step1a = time.Since(t0)
-	st.UniqueDelta = dictD.Len()
-
-	nm := m.Len()
-	total := nm + len(deltaCodes)
-	parallel := nt > 1 && total >= parallelStep2Threshold
-
-	// Step 1(b): mark the dictionary codes surviving tuples still
-	// reference, compact both dictionaries to those values, then run the
-	// usual two-pointer merge with translation tables over the compacted
-	// dictionaries.  Values referenced only by reclaimed versions vanish
-	// from the merged dictionary along with their tuples.  The parallel
-	// variant builds per-worker masks (OR-ed serially afterwards — no
-	// shared writes) and per-block survivor counts for Step 2.
-	t0 = time.Now()
-	usedM := make([]bool, m.Dict().Len())
-	usedD := make([]bool, dictD.Len())
-	markSerial := func(blockKept []int) {
-		r := m.Codes().Reader()
-		for i := 0; i < nm; i++ {
-			code := r.Next()
-			if !at(drop, i) {
-				usedM[code] = true
-				if blockKept != nil {
-					blockKept[i/gcBlock]++
-				}
-			}
-		}
-		for j, dc := range deltaCodes {
-			if !at(drop, nm+j) {
-				usedD[dc] = true
-				if blockKept != nil {
-					blockKept[(nm+j)/gcBlock]++
-				}
-			}
-		}
-	}
-	var pref []int // survivor count prefix per gcBlock, parallel path only
-	if parallel {
-		bounds := blockChunks(total, nt, gcBlock)
-		nw := len(bounds) - 1
-		blockKept := make([]int, (total+gcBlock-1)/gcBlock)
-		// Per-worker masks cost O(workers * |dictionary|) in allocation,
-		// zeroing, and the serial OR afterwards.  That only pays off when
-		// the dictionaries are small next to the tuple count; with wide
-		// dictionaries the O(total) mark pass stays serial and Step 2
-		// carries the parallelism.
-		if (len(usedM)+len(usedD))*nw <= total {
-			localM := make([][]bool, nw)
-			localD := make([][]bool, nw)
-			var wg sync.WaitGroup
-			for k := 0; k < nw; k++ {
-				wg.Add(1)
-				go func(k, lo, hi int) {
-					defer wg.Done()
-					um := make([]bool, len(usedM))
-					ud := make([]bool, len(usedD))
-					if lo < nm {
-						r := m.Codes().ReaderAt(lo)
-						end := min(hi, nm)
-						for i := lo; i < end; i++ {
-							code := r.Next()
-							if !at(drop, i) {
-								um[code] = true
-								blockKept[i/gcBlock]++
-							}
-						}
-					}
-					for i := max(lo, nm); i < hi; i++ {
-						if !at(drop, i) {
-							ud[deltaCodes[i-nm]] = true
-							blockKept[i/gcBlock]++
-						}
-					}
-					localM[k], localD[k] = um, ud
-				}(k, bounds[k], bounds[k+1])
-			}
-			wg.Wait()
-			for k := 0; k < nw; k++ {
-				orInto(usedM, localM[k])
-				orInto(usedD, localD[k])
-			}
+// unreferenced reports, per code of the main's and the delta's dictionary,
+// whether no surviving tuple references it.  Every code is presumed
+// referenced (each dictionary entry has at least one tuple); only the codes
+// at dropped positions are in doubt, and each is cleared by the first
+// surviving tuple found to carry it.  The witness scan stops when no code is
+// in doubt any more, so a low-cardinality column costs O(dropped) plus a
+// short prefix; only a column where some value really vanishes — every
+// dropped tuple of a unique key — is scanned to the end.
+func unreferenced(codes *bitpack.Vector, deltaCodes []uint32, uniqueM, uniqueD int, drop Drop) (deadM, deadD []bool) {
+	deadM, deadD = make([]bool, uniqueM), make([]bool, uniqueD)
+	nm := codes.Len()
+	inDoubt := 0
+	for _, p := range drop.Pos {
+		dead, c := deadM, uint64(0)
+		if p < nm {
+			c = codes.Get(p)
 		} else {
-			markSerial(blockKept)
+			dead, c = deadD, uint64(deltaCodes[p-nm])
 		}
-		pref = make([]int, len(blockKept)+1)
-		for b, c := range blockKept {
-			pref[b+1] = pref[b] + c
+		if !dead[c] {
+			dead[c] = true
+			inDoubt++
 		}
-	} else {
-		markSerial(nil)
 	}
-	dictMc, remapM := compactDict(m.Dict(), usedM)
-	dictDc, remapD := compactDict(dictD, usedD)
-	var res dict.MergeResult[V]
-	if dictNT > 1 && dictMc.Len()+dictDc.Len() >= parallelDictThreshold {
-		res = dict.MergeParallel(dictMc, dictDc, dictNT)
-	} else {
-		res = dict.Merge(dictMc, dictDc)
-	}
-	st.Step1b = time.Since(t0)
-	st.UniqueMerged = res.Merged.Len()
-	outTotal := total - dropped
-	if outTotal == 0 {
-		return colstore.Empty[V](), st
-	}
-
-	// Step 2: write surviving tuples' codes through remap + translation
-	// table.  Output positions are the survivors' ranks; the parallel path
-	// splits the output at word-aligned boundaries, ranks each boundary
-	// back to its input position through the survivor prefix sums, and
-	// lets every worker emit a disjoint output slice.
-	bits := bitpack.MinBits(res.Merged.Len())
-	st.BitsAfter = bits
-	t0 = time.Now()
-	w := bitpack.NewWriter(bits, outTotal)
-	if parallel {
-		bounds := alignedChunks(bits, outTotal, nt)
-		var wg sync.WaitGroup
-		for k := 0; k+1 < len(bounds); k++ {
-			wg.Add(1)
-			go func(outLo, outHi int) {
-				defer wg.Done()
-				i := survivorStart(pref, drop, total, outLo)
-				out := outLo
-				if i < nm {
-					r := m.Codes().ReaderAt(i)
-					for ; i < nm && out < outHi; i++ {
-						code := r.Next()
-						if !at(drop, i) {
-							w.WriteAt(out, uint64(res.XM[remapM[code]]))
-							out++
-						}
-					}
-				}
-				for ; out < outHi; i++ {
-					if !at(drop, i) {
-						w.WriteAt(out, uint64(res.XD[remapD[deltaCodes[i-nm]]]))
-						out++
-					}
-				}
-			}(bounds[k], bounds[k+1])
-		}
-		wg.Wait()
-		w.SetLen(outTotal)
-	} else {
-		r := m.Codes().Reader()
-		for i := 0; i < nm; i++ {
-			code := r.Next()
-			if !at(drop, i) {
-				w.Write(uint64(res.XM[remapM[code]]))
-			}
-		}
-		for j, dc := range deltaCodes {
-			if !at(drop, nm+j) {
-				w.Write(uint64(res.XD[remapD[dc]]))
+	var buf [step2Block]uint64
+	for i := 0; i < nm && inDoubt > 0; i += step2Block {
+		blk := codes.DecodeRange(i, min(i+step2Block, nm), buf[:])
+		for j, dropped := range drop.Mask[i : i+len(blk)] {
+			if c := blk[j]; deadM[c] && !dropped {
+				deadM[c] = false
+				inDoubt--
 			}
 		}
 	}
-	st.Step2 = time.Since(t0)
-	return colstore.New(res.Merged, w.Vector()), st
-}
-
-// at reads the drop mask, treating positions beyond its length as kept.
-func at(drop []bool, i int) bool { return i < len(drop) && drop[i] }
-
-// orInto merges a worker's local used mask into the shared one.
-func orInto(dst, src []bool) {
-	for i, u := range src {
-		if u {
-			dst[i] = true
+	for j := 0; j < len(deltaCodes) && inDoubt > 0; j++ {
+		if c := deltaCodes[j]; deadD[c] && !drop.Mask[nm+j] {
+			deadD[c] = false
+			inDoubt--
 		}
 	}
+	return deadM, deadD
 }
 
-// blockChunks partitions [0, total) into at most nt ranges whose
-// boundaries are multiples of block, so per-block counters touched by
-// different workers never overlap.
-func blockChunks(total, nt, block int) []int {
-	bounds := []int{0}
-	for i := 1; i < nt; i++ {
-		b := total * i / nt
-		b -= b % block
-		if b <= bounds[len(bounds)-1] {
-			continue
-		}
-		bounds = append(bounds, b)
-	}
-	return append(bounds, total)
-}
-
-// survivorStart returns the input position of the target-th survivor
-// (0-indexed) given the per-gcBlock survivor prefix sums: binary-search the
-// containing block, then walk at most one block.
-func survivorStart(pref []int, drop []bool, total, target int) int {
-	if target >= pref[len(pref)-1] {
-		return total
-	}
-	b := sort.Search(len(pref)-1, func(b int) bool { return pref[b+1] > target })
-	cnt := pref[b]
-	for i := b * gcBlock; i < total; i++ {
-		if !at(drop, i) {
-			if cnt == target {
-				return i
-			}
-			cnt++
-		}
-	}
-	return total
-}
-
-// compactDict filters a sorted dictionary to the values marked used,
+// compactDict filters a sorted dictionary to the values not marked dead,
 // returning the compacted dictionary and the old-code -> compact-code
-// remapping (entries for unused codes are meaningless, and never read).
-func compactDict[V val.Value](d *dict.Dict[V], used []bool) (*dict.Dict[V], []uint32) {
-	kept := make([]V, 0, len(used))
-	remap := make([]uint32, len(used))
-	for code, u := range used {
-		if u {
+// remapping (entries for dead codes are 0; no surviving tuple reads them).
+func compactDict[V val.Value](d *dict.Dict[V], dead []bool) (*dict.Dict[V], []uint32) {
+	kept := make([]V, 0, len(dead))
+	remap := make([]uint32, len(dead))
+	for code, gone := range dead {
+		if !gone {
 			remap[code] = uint32(len(kept))
 			kept = append(kept, d.At(code))
 		}
 	}
 	return dict.FromSorted(kept), remap
+}
+
+// compose rewrites remap in place to x∘remap, the single table Step 2 reads.
+// Codes of dead values map wherever compact code 0 does — in range of the
+// output width, and only ever looked up for tuples that are then skipped.
+func compose(remap, x []uint32) []uint32 {
+	if len(x) == 0 {
+		return remap // every value on this side is dead
+	}
+	for code, compact := range remap {
+		remap[code] = x[compact]
+	}
+	return remap
 }

@@ -17,6 +17,20 @@
 //     Step 1(b) uses the three-phase co-ranked merge, Step 2 splits the
 //     output into word-aligned chunks processed by independent goroutines.
 //
+// The optimized Step 2 exists once (step2): for a range of input positions
+// it block-decodes the main's codes, maps each through one table, and packs
+// the results through a register accumulator that stores a word at a time.
+// The serial merge calls it over the whole column, the parallel merge once
+// per word-aligned output chunk.
+//
+// A garbage-collecting merge (MergeColumnDrop) is the same algorithm with a
+// Drop: Step 1(b) first finds the dictionary values no surviving tuple
+// references — by collecting the codes at the dropped positions and
+// scanning for one surviving witness of each, not by decoding every tuple
+// — and merges the dictionaries without them; the old-code -> compacted-
+// code remapping is composed into X_M and X_D, so Step 2 still does one
+// lookup per tuple, and step2 skips the dropped positions.
+//
 // MergeColumn returns the new main partition; the input main and delta are
 // not modified, which is what allows the table layer to run the merge
 // online against a snapshot while new writes accumulate in a second delta
@@ -96,7 +110,7 @@ type Stats struct {
 	ValueBytes int  // E_j (16 assumed for variable-length values)
 
 	// Dropped counts tuples reclaimed by a garbage-collecting merge
-	// (MergeColumnGC); 0 for plain merges.
+	// (MergeColumnDrop); 0 for plain merges.
 	Dropped int
 
 	Step1a, Step1b, Step2 time.Duration
@@ -123,6 +137,23 @@ func (s Stats) CyclesPerTuple(d time.Duration, hz float64) float64 {
 // main partition (the inputs are left untouched).  The delta may be empty;
 // the result is then a re-encoded copy of the main partition.
 func MergeColumn[V val.Value](m *colstore.Main[V], d *delta.Partition[V], opts Options) (*colstore.Main[V], Stats) {
+	return MergeColumnDrop(m, d, Drop{}, opts)
+}
+
+// MergeColumnDrop is MergeColumn with garbage collection: the positions of
+// main ++ delta listed in drop are omitted from the new main partition, and
+// dictionary values referenced only by them are omitted from the merged
+// dictionary.  drop must cover exactly m.Len()+d.Len() positions (or be the
+// zero Drop); the table layer builds one per merge with DropMask and shares
+// it between all columns.  The inputs are left untouched, exactly as in
+// MergeColumn, so the table layer can still run the merge online.
+//
+// A merge that drops something always runs the optimized algorithm; it
+// stays linear — O(N_M + N_D + |U_M| + |U_D|) — and with Options.Threads > 1
+// and enough tuples its Step 2 is range-partitioned like MergeColumn's.
+// It presumes what every main built by this package or colstore.FromValues
+// satisfies: each dictionary entry is referenced by at least one tuple.
+func MergeColumnDrop[V val.Value](m *colstore.Main[V], d *delta.Partition[V], drop Drop, opts Options) (*colstore.Main[V], Stats) {
 	nt := opts.EffectiveThreads()
 	st := Stats{
 		Algorithm:  opts.Algorithm,
@@ -132,15 +163,19 @@ func MergeColumn[V val.Value](m *colstore.Main[V], d *delta.Partition[V], opts O
 		UniqueMain: m.Dict().Len(),
 		BitsBefore: m.Bits(),
 		ValueBytes: valueBytes[V](),
+		Dropped:    len(drop.Pos),
 	}
-	switch opts.Algorithm {
-	case Naive:
-		out := mergeNaive(m, d, nt, &st)
-		return out, st
-	default:
-		out := mergeOptimized(m, d, nt, &st)
-		return out, st
+	if opts.Algorithm == Naive && st.Dropped == 0 {
+		return mergeNaive(m, d, nt, &st), st
 	}
+	return mergeOptimized(m, d, drop, nt, &st), st
+}
+
+// MergeColumnGC is MergeColumnDrop for a caller holding only a mask: mask
+// is indexed like the merged output (main tuples first, then delta tuples),
+// positions beyond its length are kept.
+func MergeColumnGC[V val.Value](m *colstore.Main[V], d *delta.Partition[V], mask []bool, opts Options) (*colstore.Main[V], Stats) {
+	return MergeColumnDrop(m, d, NewDrop(mask, m.Len()+d.Len()), opts)
 }
 
 func valueBytes[V val.Value]() int {
@@ -151,68 +186,118 @@ func valueBytes[V val.Value]() int {
 }
 
 // mergeOptimized is the paper's linear-time merge (§5.3, parallelized per
-// §6.2).
-func mergeOptimized[V val.Value](m *colstore.Main[V], d *delta.Partition[V], nt int, st *Stats) *colstore.Main[V] {
+// §6.2), omitting the positions in drop.
+func mergeOptimized[V val.Value](m *colstore.Main[V], d *delta.Partition[V], drop Drop, nt int, st *Stats) *colstore.Main[V] {
+	// The dictionary subroutines (extract, sorted merge) compute identical
+	// results at any thread count, so cap their workers at the processor
+	// count — goroutines beyond it are pure scheduling overhead.  Step 2
+	// stays Threads-driven: its chunking is what the equivalence tests pin.
+	dictNT := min(nt, runtime.GOMAXPROCS(0))
+
 	// Step 1(a): delta dictionary + delta code rewrite via CSB+ traversal.
 	t0 := time.Now()
 	var dictD *dict.Dict[V]
 	var deltaCodes []uint32
-	if nt > 1 {
-		dictD, deltaCodes = d.ExtractDictParallel(nt)
+	if dictNT > 1 {
+		dictD, deltaCodes = d.ExtractDictParallel(dictNT)
 	} else {
 		dictD, deltaCodes = d.ExtractDict()
 	}
 	st.Step1a = time.Since(t0)
 	st.UniqueDelta = dictD.Len()
 
-	// Step 1(b): merge dictionaries, emitting X_M and X_D.
+	// Step 1(b): merge dictionaries, emitting X_M and X_D.  With a drop,
+	// first compact both dictionaries to the values survivors reference,
+	// then compose old code -> compacted code -> merged code into one table
+	// per side, so Step 2 pays one lookup per tuple either way.
 	t0 = time.Now()
+	dictM := m.Dict()
+	var remapM, remapD []uint32
+	if st.Dropped > 0 {
+		deadM, deadD := unreferenced(m.Codes(), deltaCodes, dictM.Len(), dictD.Len(), drop)
+		dictM, remapM = compactDict(dictM, deadM)
+		dictD, remapD = compactDict(dictD, deadD)
+	}
 	var res dict.MergeResult[V]
-	if nt > 1 && m.Dict().Len()+dictD.Len() >= parallelDictThreshold {
-		res = dict.MergeParallel(m.Dict(), dictD, nt)
+	if dictNT > 1 && dictM.Len()+dictD.Len() >= parallelDictThreshold {
+		res = dict.MergeParallel(dictM, dictD, dictNT)
 	} else {
-		res = dict.Merge(m.Dict(), dictD)
+		res = dict.Merge(dictM, dictD)
+	}
+	tabM, tabD := res.XM, res.XD
+	if st.Dropped > 0 {
+		tabM, tabD = compose(remapM, res.XM), compose(remapD, res.XD)
 	}
 	st.Step1b = time.Since(t0)
 	st.UniqueMerged = res.Merged.Len()
+	total := m.Len() + d.Len()
+	outTotal := total - st.Dropped
+	if outTotal == 0 {
+		return colstore.Empty[V]()
+	}
 
 	// Step 2(a): new compressed value-length (Equation 4).
 	bits := bitpack.MinBits(res.Merged.Len())
 	st.BitsAfter = bits
 
 	// Step 2(b): rewrite codes via translation-table lookups (Equation 11).
+	// The output is split at word-aligned boundaries; a chunk's input range
+	// runs from its first survivor to the next chunk's.
 	t0 = time.Now()
-	total := m.Len() + d.Len()
-	w := bitpack.NewWriter(bits, total)
+	w := bitpack.NewWriter(bits, outTotal)
+	bounds := []int{0, outTotal}
 	if nt > 1 && total >= parallelStep2Threshold {
-		parallelFor(total, nt, alignedChunks(bits, total, nt), func(lo, hi int) {
-			nm := m.Len()
-			if lo < nm {
-				r := m.Codes().ReaderAt(lo)
-				end := hi
-				if end > nm {
-					end = nm
-				}
-				for i := lo; i < end; i++ {
-					w.WriteAt(i, uint64(res.XM[r.Next()]))
-				}
-			}
-			for i := max(lo, nm); i < hi; i++ {
-				w.WriteAt(i, uint64(res.XD[deltaCodes[i-nm]]))
-			}
-		})
-		w.SetLen(total)
-	} else {
-		r := m.Codes().Reader()
-		for i := 0; i < m.Len(); i++ {
-			w.Write(uint64(res.XM[r.Next()]))
-		}
-		for _, dc := range deltaCodes {
-			w.Write(uint64(res.XD[dc]))
-		}
+		bounds = alignedChunks(bits, outTotal, nt)
 	}
+	parallelFor(bounds, func(lo, hi int) {
+		step2(m.Codes(), deltaCodes, tabM, tabD, drop.Mask, drop.survivor(lo), drop.survivor(hi), w.PackerAt(lo))
+	})
+	w.SetLen(outTotal)
 	st.Step2 = time.Since(t0)
 	return colstore.New(res.Merged, w.Vector())
+}
+
+// step2Block is how many codes step2 decodes, translates and packs at a
+// time: 8 KiB of scratch, resident in L1 between the three passes.
+const step2Block = 1024
+
+// step2 is the one Step 2 loop: it rewrites input positions [lo, hi) of
+// main ++ delta — codes below codes.Len() come from the packed main and map
+// through tabM, the rest from deltaCodes through tabD — skipping positions
+// set in mask (nil = keep all), and packs the results at p's cursor.
+func step2(codes *bitpack.Vector, deltaCodes, tabM, tabD []uint32, mask []bool, lo, hi int, p bitpack.Packer) {
+	nm := codes.Len()
+	var buf [step2Block]uint64
+	for i := lo; i < hi; {
+		var blk []uint64
+		tab := tabM
+		if i < nm {
+			blk = codes.DecodeRange(i, min(i+step2Block, hi, nm), buf[:])
+		} else {
+			tab = tabD
+			blk = buf[:min(step2Block, hi-i)]
+			for j, c := range deltaCodes[i-nm : i-nm+len(blk)] {
+				blk[j] = uint64(c)
+			}
+		}
+		n := len(blk)
+		if mask == nil {
+			for j, c := range blk {
+				blk[j] = uint64(tab[c])
+			}
+		} else {
+			n = 0
+			for j, dropped := range mask[i : i+len(blk)] {
+				blk[n] = uint64(tab[blk[j]])
+				if !dropped {
+					n++
+				}
+			}
+		}
+		p.Put(blk[:n])
+		i += len(blk)
+	}
+	p.Flush()
 }
 
 // mergeNaive is the baseline (§5.1–5.2): no auxiliary structures; Step 2
@@ -246,7 +331,7 @@ func mergeNaive[V val.Value](m *colstore.Main[V], d *delta.Partition[V], nt int,
 		return uint64(c)
 	}
 	if nt > 1 && total >= parallelStep2Threshold {
-		parallelFor(total, nt, alignedChunks(bits, total, nt), func(lo, hi int) {
+		parallelFor(alignedChunks(bits, total, nt), func(lo, hi int) {
 			nm := m.Len()
 			if lo < nm {
 				r := m.Codes().ReaderAt(lo)
@@ -306,8 +391,13 @@ func alignedChunks(bits uint, total, nt int) []int {
 	return bounds
 }
 
-// parallelFor runs body over the half-open ranges defined by bounds.
-func parallelFor(total, nt int, bounds []int, body func(lo, hi int)) {
+// parallelFor runs body over the half-open ranges defined by bounds, on
+// the caller's goroutine when there is only one.
+func parallelFor(bounds []int, body func(lo, hi int)) {
+	if len(bounds) == 2 {
+		body(bounds[0], bounds[1])
+		return
+	}
 	done := make(chan struct{}, len(bounds)-1)
 	for i := 0; i+1 < len(bounds); i++ {
 		go func(lo, hi int) {

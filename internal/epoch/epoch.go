@@ -291,15 +291,18 @@ func (r *Rows) CountVisibleAt(e uint64) int {
 // rows.  It returns the number of rows removed.  The owning table uses it
 // at merge commit to reclaim versions below the GC watermark.
 func (r *Rows) Compact(drop []bool) int {
+	drop = drop[:min(len(drop), len(r.begin))]
 	w := 0
-	for i := range r.begin {
-		if i < len(drop) && drop[i] {
-			continue
+	for i, dropped := range drop {
+		if !dropped {
+			r.begin[w] = r.begin[i]
+			r.end[w] = r.end[i]
+			w++
 		}
-		r.begin[w] = r.begin[i]
-		r.end[w] = r.end[i]
-		w++
 	}
+	n := copy(r.begin[w:], r.begin[len(drop):])
+	copy(r.end[w:], r.end[len(drop):])
+	w += n
 	removed := len(r.begin) - w
 	r.begin = r.begin[:w]
 	r.end = r.end[:w]

@@ -33,9 +33,9 @@ type column interface {
 	indexStats() IndexStats
 
 	// Merge pipeline; see Table.Merge for the locking protocol.  drop is
-	// the table's frozen GC mask over main+delta slots (nil = keep all).
+	// the table's frozen GC decision over main+delta slots.
 	beginMerge()
-	runMerge(opts core.Options, drop []bool)
+	runMerge(opts core.Options, drop core.Drop)
 	commitMerge()
 	abortMerge()
 	mergeStats() core.Stats
@@ -227,18 +227,14 @@ func (c *typedColumn[V]) beginMerge() {
 }
 
 // runMerge merges main + frozen delta into a pending main partition,
-// dropping the slots marked in the table's frozen GC mask.  It only reads
-// immutable state (main, frozen delta, the mask), so it runs without the
+// dropping the slots in the table's frozen GC decision.  It only reads
+// immutable state (main, frozen delta, the drop), so it runs without the
 // table lock while inserts land in the second delta.
-func (c *typedColumn[V]) runMerge(opts core.Options, drop []bool) {
+func (c *typedColumn[V]) runMerge(opts core.Options, drop core.Drop) {
 	// Writes only merge-private fields (pending, pendingStats); externally
 	// visible state is untouched until commitMerge runs under the table's
 	// write lock, so concurrent readers never observe a torn merge.
-	if drop != nil {
-		c.pending, c.pendingStats = core.MergeColumnGC(c.main, c.dlt, drop, opts)
-	} else {
-		c.pending, c.pendingStats = core.MergeColumn(c.main, c.dlt, opts)
-	}
+	c.pending, c.pendingStats = core.MergeColumnDrop(c.main, c.dlt, drop, opts)
 	// Merge-maintained index rebuild: the merge just rewrote the whole code
 	// vector against the re-sorted dictionary, so the group-key index is a
 	// single counting-sort pass over the fresh vector.  Building it here —

@@ -159,7 +159,7 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	// the versions it can see, not every version invalidated after it.  The
 	// mask covers exactly the frozen main+delta slots; rows landing in the
 	// second delta afterwards are beyond it and always kept.
-	t.gcDrop, t.gcDropCount, t.gcMark = nil, 0, 0
+	t.gcDrop, t.gcMark = core.Drop{}, 0
 	var deadAtFreeze, livePins int
 	// t.dead counts stored versions with end != 0: when it is zero there
 	// is nothing to reclaim and the freeze stays O(columns) — the end-
@@ -169,9 +169,8 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 		ps := t.clock.LivePins()
 		livePins = ps.Len()
 		begin, end := t.epochs.Raw()
-		drop, dropped := core.DropMask(begin[:t.rows], end[:t.rows], ps.Reclaimable, threads)
-		if dropped > 0 {
-			t.gcDrop, t.gcDropCount = drop, dropped
+		t.gcDrop = core.DropMask(begin[:t.rows], end[:t.rows], ps.Reclaimable, threads)
+		if len(t.gcDrop.Pos) > 0 {
 			// The reclamation floor is the freeze-time clock reading, not
 			// the min pin: precise retention may punch holes anywhere below
 			// it that no live pin covered, so no later pin below the floor
@@ -207,7 +206,7 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 		for _, c := range t.cols {
 			c.abortMerge()
 		}
-		t.gcDrop, t.gcDropCount, t.gcMark = nil, 0, 0
+		t.gcDrop, t.gcMark = core.Drop{}, 0
 		rep.Aborted = true
 		rep.Commit = time.Since(merged)
 		rep.Wall = time.Since(start)
@@ -218,14 +217,14 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	for _, c := range t.cols {
 		c.commitMerge()
 	}
-	if t.gcDropCount > 0 {
+	if len(t.gcDrop.Pos) > 0 {
 		rep.RowsReclaimed = t.compactRowsLocked()
 		rep.GCWatermark = t.gcMark
 		if t.gcMark > t.gcWatermark {
 			t.gcWatermark = t.gcMark
 		}
 	}
-	t.gcDrop, t.gcDropCount, t.gcMark = nil, 0, 0
+	t.gcDrop, t.gcMark = core.Drop{}, 0
 	t.mergeGen++
 	for _, c := range t.cols {
 		rep.Columns = append(rep.Columns, c.mergeStats())
@@ -251,8 +250,8 @@ func (t *Table) notifyMerge(rep Report) {
 }
 
 // runColumnMerges distributes column merges according to the strategy.
-// drop is the frozen GC mask shared by every column (nil = keep all).
-func (t *Table) runColumnMerges(ctx context.Context, strategy Strategy, threads int, alg core.Algorithm, drop []bool) error {
+// drop is the frozen GC decision shared by every column.
+func (t *Table) runColumnMerges(ctx context.Context, strategy Strategy, threads int, alg core.Algorithm, drop core.Drop) error {
 	switch strategy {
 	case IntraColumn:
 		opts := core.Options{Algorithm: alg, Threads: threads}
@@ -300,30 +299,30 @@ func (t *Table) runColumnMerges(ctx context.Context, strategy Strategy, threads 
 	}
 }
 
-// compactRowsLocked applies the frozen GC mask to the row metadata at merge
-// commit (t.mu write-held): reclaimed slots leave ids/epochs, their stable
-// ids are retired from the slot map, and every survivor — including rows
-// that accumulated in the second delta during the merge — is re-slotted to
-// its rank.  The columns were already rebuilt without the dropped rows by
-// MergeColumnGC, so physical slots line up again when this returns.
+// compactRowsLocked applies the frozen GC decision to the row metadata at
+// merge commit (t.mu write-held): reclaimed slots leave ids and epochs,
+// which retires their stable ids, and the survivors — including rows that
+// accumulated in the second delta during the merge, which lie beyond the
+// mask — close up behind them in order.  Removal preserves order, so ids
+// stays strictly ascending and no survivor needs re-indexing: the pass moves
+// the runs between reclaimed slots, starting at the first one.  The columns
+// were already rebuilt without the dropped rows by MergeColumnDrop, so
+// physical slots line up again when this returns.
 func (t *Table) compactRowsLocked() int {
-	drop := t.gcDrop
-	w := 0
-	for i, id := range t.ids {
-		if i < len(drop) && drop[i] {
-			delete(t.slots, id)
-			continue
+	pos := t.gcDrop.Pos
+	w := pos[0]
+	for k, p := range pos {
+		next := len(t.ids)
+		if k+1 < len(pos) {
+			next = pos[k+1]
 		}
-		t.ids[w] = id
-		t.slots[id] = w
-		w++
+		w += copy(t.ids[w:], t.ids[p+1:next])
 	}
-	removed := len(t.ids) - w
 	t.ids = t.ids[:w]
-	t.epochs.Compact(drop)
+	t.epochs.Compact(t.gcDrop.Mask)
 	t.rows = w
-	t.retired += removed
-	t.reclaimed += removed * t.rowBytes
-	t.dead -= removed
-	return removed
+	t.retired += len(pos)
+	t.reclaimed += len(pos) * t.rowBytes
+	t.dead -= len(pos)
+	return len(pos)
 }

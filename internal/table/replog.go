@@ -158,9 +158,9 @@ func (t *Table) ApplyInvalidate(id uint64, at uint64) error {
 	if id >= uint64(t.nextID) {
 		return fmt.Errorf("%w: invalidate of unknown id %d, next is %d", ErrReplayGap, id, t.nextID)
 	}
-	slot, ok := t.slots[int(id)]
-	if !ok || !t.epochs.Alive(slot) {
-		return nil
+	slot, err := t.slotFor(int(id))
+	if err != nil || !t.epochs.Alive(slot) {
+		return nil // retired by this follower's own GC, or already dead
 	}
 	t.epochs.Invalidate(slot, at)
 	t.dead++

@@ -35,11 +35,16 @@
 // versions leave the merged dictionaries with them.
 //
 // Reclaiming physical rows forces row ids to be indirect: a row id is a
-// stable id resolved through an id -> physical slot map, and merges that
-// reclaim rows compact the slots underneath without renumbering any id.
-// Reclaimed ids are retired — never reused — and every operation on a
-// retired id keeps failing with ErrRowInvalid, exactly as it would on a
-// merely invalidated row.  Views captured with Snapshot pin their epoch
+// stable id, and the table keeps the id of every physical slot in one
+// slice, ids, that is strictly ascending — Insert appends the next id, a
+// reclaiming merge removes entries in place without reordering, and
+// RestoreRowIDs rejects anything else.  An id is resolved to its slot by
+// searching ids, within the few slots the id can occupy (slotFor: one probe
+// on a table that never reclaimed a row); a merge that reclaims rows
+// compacts ids without renumbering or re-indexing any survivor, so its
+// write-locked commit costs one linear pass from the first reclaimed slot.  Reclaimed ids are retired — never reused — and
+// every operation on a retired id keeps failing with ErrRowInvalid, exactly
+// as it would on a merely invalidated row.  Views captured with Snapshot pin their epoch
 // and must be Released for the versions they see to become reclaimable; an
 // explicit ViewAt does not pin and may silently lose rows to GC.  A
 // reclaiming merge also ratchets the table's GC bound (GCBound) to its
@@ -148,27 +153,30 @@ type Table struct {
 	rows   int
 
 	// Stable row-id indirection: row ids handed out by Insert are stable
-	// ids, resolved to physical slots through slots; ids[slot] is the
-	// inverse.  A garbage-collecting merge compacts the physical slots and
-	// retires the reclaimed ids (removed from slots, never reused).
-	ids       []int       // physical slot -> stable id
-	slots     map[int]int // stable id -> physical slot
-	nextID    int         // next stable id; ids below it without a slot are retired
-	retired   int         // stable ids retired by GC (cumulative)
-	reclaimed int         // estimated bytes reclaimed by GC (cumulative)
-	rowBytes  int         // estimated bytes per row (values + epochs + id)
-	dead      int         // stored versions with end != 0 (GC candidates)
+	// ids; ids[slot] is the id stored at a physical slot.  Invariant: ids is
+	// strictly ascending and every entry is below nextID.  slotFor's search,
+	// the snapshot format (RowIDs/PersistState -> RestoreRowIDs) and every
+	// reader that reports rows in id order rely on it;
+	// insertLocked (append nextID) and compactRowsLocked (order-preserving
+	// removal) maintain it.  A garbage-collecting merge compacts the
+	// physical slots and retires the reclaimed ids (gone from ids, never
+	// reused).
+	ids       []int // physical slot -> stable id, strictly ascending
+	nextID    int   // next stable id; ids below it absent from ids are retired
+	retired   int   // stable ids retired by GC (cumulative)
+	reclaimed int   // estimated bytes reclaimed by GC (cumulative)
+	rowBytes  int   // estimated bytes per row (values + epochs + id)
+	dead      int   // stored versions with end != 0 (GC candidates)
 
 	gcOn        bool   // garbage-collect during merges (default true)
 	gcWatermark uint64 // highest watermark a committed GC merge applied
 	sealed      bool   // retired by resharding: no new row versions
 
-	// gcDrop marks the physical slots the in-flight merge reclaims
-	// (computed at freeze under mu, applied at commit); nil when the merge
+	// gcDrop holds the physical slots the in-flight merge reclaims
+	// (computed at freeze under mu, applied at commit); zero when the merge
 	// found nothing reclaimable or GC is off.
-	gcDrop      []bool
-	gcDropCount int
-	gcMark      uint64
+	gcDrop core.Drop
+	gcMark uint64
 
 	mergeMu   sync.Mutex // serializes whole merges; held across a merge
 	merging   bool       // true between beginMerge and commit/abort (under mu)
@@ -204,7 +212,7 @@ func NewWithClock(name string, schema Schema, clock *epoch.Clock) (*Table, error
 	}
 	t := &Table{
 		name: name, schema: schema, clock: clock, lockID: lockSeq.Add(1),
-		slots: make(map[int]int), gcOn: true,
+		gcOn:     true,
 		rowBytes: 8 + 16, // stable id + begin/end epochs
 	}
 	for _, def := range schema {
@@ -289,16 +297,47 @@ func (t *Table) NextRowID() int {
 
 // slotFor resolves a stable row id to its physical slot (t.mu held).  Ids
 // never handed out fail with ErrRowRange; retired ids with ErrRowInvalid.
+//
+// ids is strictly ascending, so slot <= ids[slot], and only the
+// nextID-len(ids) retired ids can be missing below any entry, so
+// ids[slot] <= slot+retired: the id can only sit in [id-retired, id].  A
+// table that never reclaimed a row checks the one slot ids[id].  Otherwise
+// the window is searched, the first slotInterpolations probes placed by
+// linear interpolation between its ends — reclaimed ids are spread over the
+// id space by whatever rows the workload updates, which lands within a few
+// slots in two or three probes where bisecting takes log2(retired), each a
+// cache miss — and the rest by bisection, which bounds the worst case at
+// slotInterpolations + log2(retired+1) probes for any distribution.
 func (t *Table) slotFor(id int) (int, error) {
 	if id < 0 || id >= t.nextID {
 		return 0, fmt.Errorf("%w: %d", ErrRowRange, id)
 	}
-	slot, ok := t.slots[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d (reclaimed)", ErrRowInvalid, id)
+	lo := max(id-(t.nextID-len(t.ids)), 0)
+	hi := min(id, len(t.ids)-1)
+	for probe := 0; lo <= hi; probe++ {
+		a, b := t.ids[lo], t.ids[hi]
+		if id < a || id > b {
+			break
+		}
+		mid := int(uint(lo+hi) >> 1)
+		if probe < slotInterpolations && a < b {
+			mid = lo + int(float64(id-a)/float64(b-a)*float64(hi-lo))
+		}
+		switch at := t.ids[mid]; {
+		case at == id:
+			return mid, nil
+		case at < id:
+			lo = mid + 1
+		default:
+			hi = mid - 1
+		}
 	}
-	return slot, nil
+	return 0, fmt.Errorf("%w: %d (reclaimed)", ErrRowInvalid, id)
 }
+
+// slotInterpolations is how many probes slotFor places by interpolation
+// before it falls back to bisection.
+const slotInterpolations = 4
 
 // Clock returns the table's epoch clock.
 func (t *Table) Clock() *epoch.Clock { return t.clock }
@@ -358,13 +397,11 @@ func (t *Table) insertLocked(values []any, at uint64) int {
 	for i, v := range values {
 		t.cols[i].appendValue(v)
 	}
-	slot := t.rows
 	t.rows++
 	t.epochs.Append(at)
 	id := t.nextID
 	t.nextID++
 	t.ids = append(t.ids, id)
-	t.slots[id] = slot
 	return id
 }
 

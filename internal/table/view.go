@@ -241,10 +241,6 @@ func (t *Table) RestoreRowIDs(ids []int, nextID, retired, reclaimedBytes int, wa
 		prev = id
 	}
 	t.ids = append(t.ids[:0], ids...)
-	t.slots = make(map[int]int, len(ids))
-	for slot, id := range ids {
-		t.slots[id] = slot
-	}
 	t.nextID = nextID
 	t.retired = retired
 	t.reclaimed = reclaimedBytes
