@@ -180,13 +180,13 @@ func BenchmarkSec2MergeDuration(b *testing.B) {
 				b.Fatal(err)
 			}
 			if r == rows-1 {
-				if _, err := tb.Merge(context.Background(), hyrise.MergeOptions{}); err != nil {
+				if _, err := tb.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 		b.StartTimer()
-		rep, err := tb.Merge(context.Background(), hyrise.MergeOptions{})
+		rep, err := tb.RequestMerge(context.Background(), hyrise.MergeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func BenchmarkFigure1WorkloadMixes(b *testing.B) {
 			for i := 0; i < 50_000; i++ {
 				tb.Insert([]any{uint64(i % 1000), uint32(i % 100)})
 			}
-			tb.Merge(context.Background(), hyrise.MergeOptions{})
+			tb.RequestMerge(context.Background(), hyrise.MergeOptions{})
 			drv, err := hyrise.NewDriver(tb, "k", mix, hyrise.NewUniformGenerator(1000, 5), 5)
 			if err != nil {
 				b.Fatal(err)
@@ -235,10 +235,11 @@ func BenchmarkCustomerSystemProfile(b *testing.B) {
 }
 
 // shardCounts is the scaling axis of the sharded benchmarks: shards=1 is
-// the flat-equivalent baseline the multi-shard rows are compared against.
+// the inline single-partition path (what hyrise.NewTable builds) the
+// multi-shard rows are compared against.
 var shardCounts = []int{1, 2, 4, 8}
 
-func newShardedBench(b *testing.B, shards int) *hyrise.ShardedTable {
+func newShardedBench(b *testing.B, shards int) *hyrise.Table {
 	b.Helper()
 	st, err := hyrise.NewShardedTable("b", hyrise.Schema{
 		{Name: "k", Type: hyrise.Uint64},
@@ -352,7 +353,7 @@ func BenchmarkShardedLookup(b *testing.B) {
 }
 
 // BenchmarkShardedWorkloadMix runs the paper's OLTP mix through the
-// generalized driver against flat-equivalent and multi-shard tables.
+// driver as shards scale.
 func BenchmarkShardedWorkloadMix(b *testing.B) {
 	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -379,21 +380,9 @@ var snapshotScanShards = []int{1, 4, 8}
 
 // snapshotBenchStore builds a merged store with rows spread across shards
 // plus a fresh delta tail, so scans cross main and delta partitions.
-func snapshotBenchStore(b *testing.B, shards, rows int) hyrise.Store {
+func snapshotBenchStore(b *testing.B, shards, rows int) *hyrise.Table {
 	b.Helper()
-	var s hyrise.Store
-	if shards == 1 {
-		tb, err := hyrise.NewTable("b", hyrise.Schema{
-			{Name: "k", Type: hyrise.Uint64},
-			{Name: "v", Type: hyrise.Uint64},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s = tb
-	} else {
-		s = newShardedBench(b, shards)
-	}
+	s := newShardedBench(b, shards)
 	for i := 0; i < rows; i++ {
 		if _, err := s.Insert([]any{uint64(i), uint64(i)}); err != nil {
 			b.Fatal(err)

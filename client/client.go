@@ -303,10 +303,10 @@ func (c *Client) readSchema(r *wire.Reader) error {
 // Name returns the served table's name.
 func (c *Client) Name() string { return c.name }
 
-// Shards returns the served table's shard count (1 for a flat table).
+// Shards returns the served table's active shard count at dial time.
 func (c *Client) Shards() int { return c.shards }
 
-// KeyColumn returns the hash-partitioning column ("" for a flat table).
+// KeyColumn returns the hash-partitioning column.
 func (c *Client) KeyColumn() string { return c.keyColumn }
 
 // Schema returns the served table's columns.

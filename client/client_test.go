@@ -8,17 +8,18 @@ import (
 	"time"
 
 	"hyrise/internal/server"
+	"hyrise/internal/shard"
 	"hyrise/internal/table"
 	"hyrise/internal/wire"
 )
 
 func testServer(t *testing.T) string {
 	t.Helper()
-	flat, err := table.New("kv", table.Schema{
+	flat, err := shard.New("kv", table.Schema{
 		{Name: "k", Type: table.Uint64},
 		{Name: "qty", Type: table.Uint32},
 		{Name: "name", Type: table.String},
-	})
+	}, "k", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +27,7 @@ func testServer(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(flat, server.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := server.New(flat, server.Options{})
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	return l.Addr().String()
@@ -179,11 +177,11 @@ func TestClientPoolConcurrency(t *testing.T) {
 // testServerSrv is testServer, also exposing the server for observation.
 func testServerSrv(t *testing.T) (string, *server.Server) {
 	t.Helper()
-	flat, err := table.New("kv", table.Schema{
+	flat, err := shard.New("kv", table.Schema{
 		{Name: "k", Type: table.Uint64},
 		{Name: "qty", Type: table.Uint32},
 		{Name: "name", Type: table.String},
-	})
+	}, "k", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +189,7 @@ func testServerSrv(t *testing.T) (string, *server.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(flat, server.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := server.New(flat, server.Options{})
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	return l.Addr().String(), srv

@@ -222,7 +222,7 @@ type MergeReport struct {
 }
 
 // Merge triggers the online merge process server-side (fanning out
-// across shards on a sharded store) and reports the result.  Reads and
+// across shards) and reports the result.  Reads and
 // writes proceed while it runs.
 func (c *Client) Merge(opts MergeOptions) (MergeReport, error) {
 	var req wire.Buffer
@@ -279,8 +279,7 @@ func boolByte(b bool) uint8 {
 }
 
 // IndexStat summarizes one group-key index as reported by the server.
-// On a sharded store, Postings / SizeBytes / Builds are summed across
-// shards and LastBuild is the slowest shard's most recent rebuild.
+// Postings / SizeBytes / Builds are summed across shards and LastBuild is the slowest shard's most recent rebuild.
 type IndexStat struct {
 	Column    string
 	Postings  int

@@ -322,10 +322,10 @@ type ServerStats struct {
 	// opcode served at least once (empty when the server runs with
 	// metrics disabled).
 	Ops []OpCount
-	// Shards is the live active shard count (1 on a flat store) and
-	// Partitions the physical partition count including sealed pre-reshard
-	// partitions; ShardMapVersion advances with every reshard (0 on a flat
-	// store) and Resharding reports a migration in flight.
+	// Shards is the live active shard count and Partitions the physical
+	// partition count including sealed pre-reshard partitions;
+	// ShardMapVersion starts at 1 and advances twice per reshard;
+	// Resharding reports a migration in flight.
 	Shards          int
 	Partitions      int
 	ShardMapVersion uint64

@@ -1,7 +1,7 @@
 // Command hyrisecli is a small interactive shell over the hyrise library:
 // create tables, insert and query rows, trigger merges, inspect storage
-// statistics and save/load snapshots.  Every command works identically on
-// flat and sharded tables through the unified Store surface.
+// statistics and save/load snapshots.  With -shards N, created tables are
+// hash-partitioned across N shards; every command works the same.
 //
 //	$ hyrisecli
 //	> create sales id:uint64 qty:uint32 product:string
@@ -28,7 +28,7 @@ import (
 type shell struct {
 	tables map[string]hyrise.Store
 	snaps  map[string]hyrise.ReadView // last captured snapshot per table
-	shards int                        // shard count for newly created tables (1 = flat)
+	shards int                        // shard count for newly created tables
 	out    *bufio.Writer
 }
 
@@ -40,9 +40,7 @@ func main() {
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Println("hyrise delta-merge column store — type 'help'")
-	if sh.shards > 1 {
-		fmt.Printf("creating tables with %d shards\n", sh.shards)
-	}
+	fmt.Printf("creating tables with %d shard(s)\n", sh.shards)
 	for {
 		fmt.Print("> ")
 		os.Stdout.Sync()
@@ -118,17 +116,17 @@ func (s *shell) help() {
                                   run against it, frozen across merges
                                   and updates (even cross-shard)
   stats  <table>                  storage statistics
-  save   <table> <path>           write binary snapshot (any topology)
-  load   <name> <path>            read binary snapshot (topology
-                                  auto-detected from the header)
+  save   <table> <path>           write binary snapshot
+  load   <name> <path>            read binary snapshot (the shard layout
+                                  comes from the snapshot)
   loadcsv <name> <path.csv>       import CSV (header row, types inferred)
   workload <table> <col> <mix> <n>  run n ops of mix oltp|olap|tpcc
   quit
 
-started with -shards N > 1, 'create' hash-partitions tables across N
-shards keyed by the first column; every command above works the same on
-flat and sharded tables.  'snapshot' captures one epoch across ALL
-shards atomically, so snap reads are cross-shard consistent.
+started with -shards N, 'create' hash-partitions tables across N shards
+keyed by the first column; every command above works the same for any N.
+'snapshot' captures one epoch across ALL shards atomically, so snap reads
+are cross-shard consistent.
 `)
 }
 
@@ -163,22 +161,13 @@ func (s *shell) create(args []string) error {
 		}
 		schema = append(schema, hyrise.ColumnDef{Name: name, Type: ct})
 	}
-	if s.shards > 1 {
-		st, err := hyrise.NewShardedTable(args[0], schema, schema[0].Name, s.shards)
-		if err != nil {
-			return err
-		}
-		s.setTable(args[0], st)
-		fmt.Fprintf(s.out, "created %s with %d columns across %d shards (keyed by %s)\n",
-			args[0], len(schema), s.shards, schema[0].Name)
-		return nil
-	}
-	t, err := hyrise.NewTable(args[0], schema)
+	t, err := hyrise.NewShardedTable(args[0], schema, schema[0].Name, s.shards)
 	if err != nil {
 		return err
 	}
 	s.setTable(args[0], t)
-	fmt.Fprintf(s.out, "created %s with %d columns\n", args[0], len(schema))
+	fmt.Fprintf(s.out, "created %s with %d columns (shards: %d, key: %s)\n",
+		args[0], len(schema), s.shards, schema[0].Name)
 	return nil
 }
 
@@ -473,13 +462,8 @@ func (s *shell) merge(args []string) error {
 	if err != nil {
 		return err
 	}
-	if shards := t.StoreStats().Shards; shards > 1 {
-		fmt.Fprintf(s.out, "merged %d delta rows across %d shards in %s (%d threads total)\n",
-			rep.RowsMerged, shards, rep.Wall, rep.Threads)
-	} else {
-		fmt.Fprintf(s.out, "merged %d delta rows into %d main rows in %s (%v, %d threads)\n",
-			rep.RowsMerged, rep.MainRowsAfter, rep.Wall, rep.Algorithm, rep.Threads)
-	}
+	fmt.Fprintf(s.out, "merged %d delta rows into %d main rows in %s (%v, %d threads, shards: %d)\n",
+		rep.RowsMerged, rep.MainRowsAfter, rep.Wall, rep.Algorithm, rep.Threads, t.StoreStats().Shards)
 	return nil
 }
 
@@ -492,21 +476,16 @@ func (s *shell) stats(args []string) error {
 		return err
 	}
 	st := t.StoreStats()
-	if st.Shards > 1 {
-		fmt.Fprintf(s.out, "table %s: %d rows (%d valid) across %d shards, main %d, delta %d, %d bytes\n",
-			st.Name, st.Rows, st.ValidRows, st.Shards, st.MainRows, st.DeltaRows, st.SizeBytes)
-		for i, ts := range st.Partitions {
-			fmt.Fprintf(s.out, "  shard %-3d %d rows (%d valid), main %d, delta %d, %d bytes\n",
-				i, ts.Rows, ts.ValidRows, ts.MainRows, ts.DeltaRows, ts.SizeBytes)
+	fmt.Fprintf(s.out, "table %s: %d rows (%d valid), main %d, delta %d, %d bytes, shards: %d\n",
+		st.Name, st.Rows, st.ValidRows, st.MainRows, st.DeltaRows, st.SizeBytes, st.Shards)
+	for i, ts := range st.Partitions {
+		fmt.Fprintf(s.out, "  shard %-3d %d rows (%d valid), main %d, delta %d, %d bytes\n",
+			i, ts.Rows, ts.ValidRows, ts.MainRows, ts.DeltaRows, ts.SizeBytes)
+		for _, c := range ts.Columns {
+			fmt.Fprintf(s.out, "    %-16s %-7v main=%d delta=%d uniq=%d/%d bits=%d size=%d\n",
+				c.Def.Name, c.Def.Type, c.MainRows, c.DeltaRows,
+				c.UniqueMain, c.UniqueDelta, c.Bits, c.SizeBytes)
 		}
-		return nil
-	}
-	fmt.Fprintf(s.out, "table %s: %d rows (%d valid), main %d, delta %d, %d bytes\n",
-		st.Name, st.Rows, st.ValidRows, st.MainRows, st.DeltaRows, st.SizeBytes)
-	for _, c := range st.Partitions[0].Columns {
-		fmt.Fprintf(s.out, "  %-16s %-7v main=%d delta=%d uniq=%d/%d bits=%d size=%d\n",
-			c.Def.Name, c.Def.Type, c.MainRows, c.DeltaRows,
-			c.UniqueMain, c.UniqueDelta, c.Bits, c.SizeBytes)
 	}
 	return nil
 }
@@ -535,12 +514,9 @@ func (s *shell) load(args []string) error {
 		return err
 	}
 	s.setTable(args[0], t)
-	if st := t.StoreStats(); st.Shards > 1 {
-		fmt.Fprintf(s.out, "loaded %s: %d rows across %d shards (keyed by %s)\n",
-			args[0], t.Rows(), st.Shards, st.KeyColumn)
-	} else {
-		fmt.Fprintf(s.out, "loaded %s: %d rows\n", args[0], t.Rows())
-	}
+	st := t.StoreStats()
+	fmt.Fprintf(s.out, "loaded %s: %d rows (shards: %d, key: %s)\n",
+		args[0], t.Rows(), st.Shards, st.KeyColumn)
 	return nil
 }
 

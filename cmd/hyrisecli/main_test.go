@@ -74,10 +74,10 @@ func TestShellShardedLifecycle(t *testing.T) {
 		"workload sales id oltp 100",
 	)
 	for _, want := range []string{
-		"created sales with 3 columns across 4 shards (keyed by id)",
-		"merged 3 delta rows across 4 shards",
-		"across 4 shards",
-		"shard 0",
+		"created sales with 3 columns (shards: 4, key: id)",
+		"merged 3 delta rows into 3 main rows",
+		"bytes, shards: 4",
+		"shard 3",
 		"15", // sum(qty) = 3+5+7
 		"100 ops in",
 	} {
@@ -90,8 +90,8 @@ func TestShellShardedLifecycle(t *testing.T) {
 	}
 }
 
-// TestShellShardedSaveLoad saves a sharded table and reloads it in a shell
-// started without -shards: the topology is auto-detected from the snapshot
+// TestShellShardedSaveLoad saves a 4-shard table and reloads it in a shell
+// started without -shards: the shard layout comes from the snapshot
 // header, not from the shell's creation default.
 func TestShellShardedSaveLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sharded.hyr")
@@ -118,11 +118,11 @@ func TestShellShardedSaveLoad(t *testing.T) {
 		"merge sales2",
 	)
 	for _, want := range []string{
-		"loaded sales2: 4 rows across 4 shards (keyed by id)",
-		"3 row(s)",        // widget lookup finds rows from main and delta
-		"\n17\n",          // sum(qty) = 3+5+7+2
-		"shard 0",         // stats shows the per-shard breakdown
-		"across 4 shards", // merge fans out over the reloaded topology
+		"loaded sales2: 4 rows (shards: 4, key: id)",
+		"3 row(s)",            // widget lookup finds rows from main and delta
+		"\n17\n",              // sum(qty) = 3+5+7+2
+		"shard 3",             // stats shows the per-shard breakdown
+		"threads, shards: 4)", // merge fans out over the reloaded shards
 	} {
 		if !strings.Contains(out2, want) {
 			t.Errorf("output missing %q:\n%s", want, out2)

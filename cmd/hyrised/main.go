@@ -1,5 +1,5 @@
 // Command hyrised is the standalone hyrise database server: it owns one
-// table (flat or sharded), serves the full Store surface to network
+// table, serves the full Store surface to network
 // clients over the length-prefixed binary protocol (see internal/server),
 // and keeps delta fractions bounded with a background merge scheduler
 // while traffic flows.
@@ -24,7 +24,8 @@
 // On SIGINT/SIGTERM the daemon drains in-flight requests, stops the
 // scheduler, folds the remaining deltas into the mains (-compact=false
 // skips this), and saves the snapshot; at the next start the snapshot is
-// loaded (its recorded topology wins over -shards) and served again.
+// loaded (its recorded shard layout wins over -shards and -key) and served
+// again.
 //
 // # Flags
 //
@@ -33,7 +34,7 @@
 //	-schema          fresh-store schema, comma-separated col:type pairs
 //	                 (types: uint32, uint64, string)
 //	-key             hash-partitioning column (default: first column)
-//	-shards          shard count for a fresh store; 1 = flat table
+//	-shards          shard count for a fresh store (default 1)
 //	-snapshot        snapshot path: loaded at start when present, saved
 //	                 on shutdown (empty = in-memory only)
 //	-merge-fraction  delta/main fraction that triggers a merge; <= 0
@@ -53,8 +54,7 @@
 //
 // # Online resharding
 //
-// A running sharded daemon can change its active shard count without
-// stopping: start hyrised with -reshard N and it acts as an admin client
+// A running daemon can change its active shard count without stopping: start hyrised with -reshard N and it acts as an admin client
 // instead of a server — it dials -addr, asks the daemon there to reshard
 // to N active shards (reads and writes keep flowing throughout; followers
 // replay the same migration from the op log), prints the migration
@@ -164,7 +164,7 @@ func main() {
 	flag.StringVar(&cfg.schema, "schema", "id:uint64,qty:uint32,product:string",
 		"fresh-store schema as comma-separated col:type pairs")
 	flag.StringVar(&cfg.key, "key", "", "hash-partitioning column (default: first column)")
-	flag.IntVar(&cfg.shards, "shards", 1, "shard count for a fresh store (1 = flat)")
+	flag.IntVar(&cfg.shards, "shards", 1, "shard count for a fresh store")
 	flag.StringVar(&cfg.snapshot, "snapshot", "", "snapshot path (load on start, save on stop)")
 	flag.Float64Var(&cfg.mergeFraction, "merge-fraction", 0.05,
 		"delta fraction triggering a merge (<= 0 disables the scheduler)")
@@ -228,7 +228,7 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 		}
 	}
 
-	var st hyrise.Store
+	var st *hyrise.Table
 	var rep *hyrise.Replica
 	var err error
 	if cfg.follow != "" {
@@ -307,11 +307,7 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 		// field would read as "follower" to the server.
 		sopts.Replica = rep
 	}
-	srv, err := server.New(st, sopts)
-	if err != nil {
-		l.Close()
-		return err
-	}
+	srv := server.New(st, sopts)
 
 	// The observability endpoint is a separate private HTTP listener:
 	// metrics, health and pprof never share a port with the data protocol.
@@ -421,9 +417,9 @@ func reshardRemote(cfg config, logger *slog.Logger) error {
 	return nil
 }
 
-// openStore loads the snapshot when it exists (the file's topology wins)
-// and otherwise creates a fresh store from -schema/-key/-shards.
-func openStore(cfg config, logger *slog.Logger) (hyrise.Store, error) {
+// openStore loads the snapshot when it exists (the file's shard layout
+// wins) and otherwise creates a fresh store from -schema/-key/-shards.
+func openStore(cfg config, logger *slog.Logger) (*hyrise.Table, error) {
 	if cfg.snapshot != "" {
 		if _, err := os.Stat(cfg.snapshot); err == nil {
 			st, err := hyrise.LoadFile(cfg.snapshot)
@@ -443,14 +439,11 @@ func openStore(cfg config, logger *slog.Logger) (hyrise.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.shards > 1 {
-		key := cfg.key
-		if key == "" {
-			key = schema[0].Name
-		}
-		return hyrise.NewShardedTable(cfg.table, schema, key, cfg.shards)
+	key := cfg.key
+	if key == "" {
+		key = schema[0].Name
 	}
-	return hyrise.NewTable(cfg.table, schema)
+	return hyrise.NewShardedTable(cfg.table, schema, key, cfg.shards)
 }
 
 // parseSchema turns "id:uint64,qty:uint32,product:string" into a Schema.

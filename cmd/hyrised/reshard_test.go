@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,5 +59,150 @@ func TestReshardAdminMode(t *testing.T) {
 	}
 	if err := stopDaemon(); err != nil {
 		t.Fatalf("daemon shutdown: %v", err)
+	}
+}
+
+// TestReshardOneShardDaemon: `-shards 1 -key v` serves a one-shard store
+// keyed on v (not silently on the first column), and that store reshards
+// 1→3 online through the admin mode while pinned readers keep reading —
+// every pinned read exact, none failed — and a follower daemon replays the
+// same reshard from the op log.
+func TestReshardOneShardDaemon(t *testing.T) {
+	pcfg := config{
+		addr:          "127.0.0.1:0",
+		table:         "sales",
+		schema:        "k:uint64,v:uint64",
+		key:           "v",
+		shards:        1,
+		replicate:     true,
+		mergeFraction: -1,
+		drain:         15 * time.Second,
+	}
+	paddr, stopPrimary := startDaemon(t, pcfg)
+	faddr, stopFollower := startDaemon(t, config{
+		addr: "127.0.0.1:0", follow: paddr, mergeFraction: -1, drain: 15 * time.Second,
+	})
+
+	c, err := client.Dial(paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Shards() != 1 || c.KeyColumn() != "v" {
+		t.Fatalf("-shards 1 -key v serves shards=%d key=%q", c.Shards(), c.KeyColumn())
+	}
+	const rows = 600
+	batch := make([][]any, rows)
+	var wantSum uint64
+	for i := range batch {
+		batch[i] = []any{uint64(i), uint64(i * 3)}
+		wantSum += uint64(i * 3)
+	}
+	if _, err := c.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Release(snap)
+
+	// Pinned readers run across the whole reshard.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads, failed atomic.Int64
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rc, err := client.Dial(paddr)
+			if err != nil {
+				t.Errorf("reader %d: dial: %v", r, err)
+				return
+			}
+			defer rc.Close()
+			for k := uint64(r); ; k = (k + 7) % rows {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ids, err := rc.LookupAt(snap, "k", k)
+				n, nerr := rc.CountEqualAt(snap, "v", k*3)
+				sum, serr := rc.SumAt(snap, "v")
+				reads.Add(3)
+				if err != nil || len(ids) != 1 {
+					failed.Add(1)
+				}
+				if nerr != nil || n != 1 {
+					failed.Add(1)
+				}
+				if serr != nil || sum != wantSum {
+					failed.Add(1)
+				}
+			}
+		}(r)
+	}
+
+	admin := config{addr: paddr, reshard: 3, drain: time.Second}
+	if err := run(context.Background(), admin, testLogger(t)); err != nil {
+		t.Fatalf("hyrised -reshard 3 against a -shards 1 daemon: %v", err)
+	}
+	close(stop)
+	wg.Wait()
+	if reads.Load() == 0 || failed.Load() != 0 {
+		t.Fatalf("%d of %d pinned reads failed across the reshard", failed.Load(), reads.Load())
+	}
+
+	stats, err := c.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Shards != 3 || stats.Partitions != 4 || stats.Resharding {
+		t.Fatalf("post-reshard topology = %+v", stats)
+	}
+	for _, k := range []uint64{0, 299, 599} {
+		if ids, err := c.Lookup("k", k); err != nil || len(ids) != 1 {
+			t.Fatalf("Lookup(%d) = %v, %v", k, ids, err)
+		}
+	}
+
+	// The follower replays the reshard and answers like the primary.
+	after, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Release(after)
+	e, _ := c.SnapshotEpoch(after)
+	fc, err := client.Dial(faddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	waitFollowerApplied(t, fc, e)
+	fstats, err := fc.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fstats.Shards != 3 || fstats.Partitions != 4 || fstats.ShardMapVersion != stats.ShardMapVersion {
+		t.Fatalf("follower topology = %+v, primary %+v", fstats, stats)
+	}
+	fsnap, err := fc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Release(fsnap)
+	if sum, err := fc.SumAt(fsnap, "v"); err != nil || sum != wantSum {
+		t.Fatalf("follower sum = %d, %v; want %d", sum, err, wantSum)
+	}
+	if n, err := fc.ValidRowsAt(fsnap); err != nil || n != rows {
+		t.Fatalf("follower valid rows = %d, %v; want %d", n, err, rows)
+	}
+
+	if err := stopFollower(); err != nil {
+		t.Fatalf("follower stop: %v", err)
+	}
+	if err := stopPrimary(); err != nil {
+		t.Fatalf("primary stop: %v", err)
 	}
 }

@@ -56,7 +56,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		st := t.Stats()
+		st := t.StoreStats().Partitions[0]
 		raw := rowsPerColumn * 8 * len(schema)
 		fmt.Printf("%s: %d columns x %d rows\n", profile.name, len(schema), rowsPerColumn)
 		fmt.Printf("  raw 8-byte storage: %6.1f MB\n", float64(raw)/1e6)
@@ -75,7 +75,7 @@ func main() {
 		t.Insert([]any{uint64(i % 6)}) // 6 distinct -> 3 bits
 	}
 	t.RequestMerge(context.Background(), hyrise.MergeOptions{})
-	before := t.Stats().Columns[0].Bits
+	before := t.StoreStats().Partitions[0].Columns[0].Bits
 	for i := 0; i < 100; i++ {
 		t.Insert([]any{uint64(100 + i%3)}) // 3 new values -> 9 distinct
 	}

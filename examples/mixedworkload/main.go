@@ -5,10 +5,8 @@
 // queries run concurrently; the output shows queries proceeding during
 // online merges and the delta fraction staying bounded.
 //
-// The whole pipeline is written against hyrise.Store: run it with
-// -shards 1 for a flat table or -shards 8 to hash-partition the same
-// workload across shards — the code path does not change, only the
-// topology and the contention profile.
+// Run it with -shards 8 to hash-partition the same workload across shards:
+// the code path does not change, only the contention profile.
 package main
 
 import (
@@ -24,20 +22,14 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 1, "hash-partition the table across N shards (1 = flat)")
+	shards := flag.Int("shards", 1, "hash-partition the table across N shards")
 	flag.Parse()
 
 	schema := hyrise.Schema{
 		{Name: "customer", Type: hyrise.Uint64},
 		{Name: "amount", Type: hyrise.Uint32},
 	}
-	var s hyrise.Store
-	var err error
-	if *shards > 1 {
-		s, err = hyrise.NewShardedTable("orders", schema, "customer", *shards)
-	} else {
-		s, err = hyrise.NewTable("orders", schema)
-	}
+	s, err := hyrise.NewShardedTable("orders", schema, "customer", *shards)
 	if err != nil {
 		log.Fatal(err)
 	}

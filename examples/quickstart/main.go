@@ -1,8 +1,5 @@
-// Quickstart: one code path, two topologies.  The demo function below is
-// written purely against hyrise.Store — create, write, query, merge,
-// inspect — and main runs it twice: once over a flat table and once over
-// the same table hash-partitioned across 8 shards.  Nothing in the demo
-// knows which topology it is driving.
+// Quickstart: create a table, write, query, merge, inspect — then grow it
+// from one shard to four while it stays readable.
 package main
 
 import (
@@ -14,38 +11,18 @@ import (
 )
 
 func main() {
-	schema := hyrise.Schema{
+	s, err := hyrise.NewTable("sales", hyrise.Schema{
 		{Name: "order_id", Type: hyrise.Uint64},
 		{Name: "qty", Type: hyrise.Uint32},
 		{Name: "product", Type: hyrise.String},
-	}
-
-	flat, err := hyrise.NewTable("sales", schema)
+	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	sharded, err := hyrise.NewShardedTable("sales", schema, "order_id", 8)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	for _, s := range []hyrise.Store{flat, sharded} {
-		demo(s)
-	}
-}
-
-// demo drives the full surface through the Store interface only.
-func demo(s hyrise.Store) {
-	st := s.StoreStats()
-	if st.Shards > 1 {
-		fmt.Printf("=== sharded table: %d shards keyed by %q ===\n", st.Shards, st.KeyColumn)
-	} else {
-		fmt.Println("=== flat table ===")
 	}
 
 	// Writes append to the delta partitions (paper §3).  InsertRows
-	// batches validation and locking; on a sharded table it also groups
-	// rows per destination shard.
+	// batches validation and locking, and groups rows per destination
+	// shard when there are several.
 	products := []string{"widget", "gadget", "sprocket"}
 	batch := make([][]any, 0, 10000)
 	for i := 0; i < 10000; i++ {
@@ -69,8 +46,8 @@ func demo(s hyrise.Store) {
 		log.Fatal(err)
 	}
 
-	// Typed handles span main and delta transparently; on a sharded table
-	// they fan out across shards in parallel.
+	// Typed handles span main and delta transparently, and fan out across
+	// shards in parallel when there are several.
 	orders, err := hyrise.ColumnOf[uint64](s, "order_id")
 	if err != nil {
 		log.Fatal(err)
@@ -95,8 +72,8 @@ func demo(s hyrise.Store) {
 	fmt.Printf("query product=gadget AND order_id in [0,299] -> %d rows\n", res.Count())
 
 	// The merge process folds the deltas into the compressed mains online
-	// and commits atomically (paper §5-6); a sharded table merges all
-	// shards in parallel.
+	// and commits atomically (paper §5-6); several shards merge in
+	// parallel.
 	rep, err := s.RequestMerge(context.Background(), hyrise.MergeOptions{})
 	if err != nil {
 		log.Fatal(err)
@@ -108,7 +85,18 @@ func demo(s hyrise.Store) {
 	fmt.Printf("post-merge lookup order 42 -> rows %v\n", orders.Lookup(42))
 	fmt.Printf("post-merge sum(qty) = %d\n", qty.Sum())
 
-	st = s.StoreStats()
-	fmt.Printf("storage: %d bytes total for %d rows (%d valid) in %d partition(s)\n\n",
+	st := s.StoreStats()
+	fmt.Printf("storage: %d bytes total for %d rows (%d valid) in %d partition(s)\n",
 		st.SizeBytes, st.Rows, st.ValidRows, len(st.Partitions))
+
+	// Any table can be resharded online: rows migrate into four fresh
+	// partitions keyed by order_id while reads and writes keep flowing.
+	// Migrated rows get new ids, so resolve them by key.
+	rr, err := s.Reshard(context.Background(), 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	orders, _ = hyrise.ColumnOf[uint64](s, "order_id") // handles cover the partitions they were resolved over
+	fmt.Printf("reshard %d -> %d shards: %d rows migrated in %s; order 42 -> rows %v\n",
+		rr.From, rr.To, rr.RowsMigrated, rr.Wall, orders.Lookup(42))
 }

@@ -67,12 +67,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded and compressed in %s; main storage %d MB\n\n",
-		time.Since(start).Round(time.Millisecond), t.Stats().SizeBytes>>20)
+		time.Since(start).Round(time.Millisecond), t.StoreStats().SizeBytes>>20)
 
 	// One month of new orders lands in the delta partitions.
 	fmt.Printf("inserting one month of %d new orders...\n", monthRows)
 	insertRows(monthRows)
-	fmt.Printf("delta now %.2f%% of main\n\n", 100*t.DeltaFraction())
+	fmt.Printf("delta now %.2f%% of main\n\n", 100*float64(t.DeltaRows())/float64(t.MainRows()))
 
 	// Naive merge (the paper's ~1,000 updates/second baseline).
 	repNaive, err := t.RequestMerge(context.Background(), hyrise.MergeOptions{Algorithm: hyrise.Naive})

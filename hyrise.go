@@ -7,13 +7,12 @@
 //
 // # Quick start
 //
-// Storage comes in two topologies — a flat table, and a table
-// hash-partitioned by a key column across N independent shards — and both
-// implement the one Store interface, so application code is written once:
+// There is one storage organisation — per column a compressed main plus a
+// write-optimised delta, merged online — and a table is one or more
+// partitions of it, hash-partitioned by a key column:
 //
-//	var s hyrise.Store
-//	s, _ = hyrise.NewTable("sales", schema)                      // flat
-//	s, _ = hyrise.NewShardedTable("sales", schema, "order_id", 8) // or sharded
+//	s, _ := hyrise.NewTable("sales", schema)                       // one partition
+//	s, _ = hyrise.NewShardedTable("sales", schema, "order_id", 8) // or eight
 //
 //	s.Insert([]any{uint64(1), uint32(3), "widget"})
 //	h, _ := hyrise.ColumnOf[uint64](s, "order_id")
@@ -30,8 +29,8 @@
 //	old := h.LookupAt(view, 1) // reads under the view never change
 //	view.Release()             // unpin so merges can garbage-collect again
 //
-//	hyrise.Save(s, w)         // snapshot either topology
-//	s2, _ := hyrise.Load(r)   // topology auto-detected from the header
+//	hyrise.Save(s, w)         // snapshot
+//	s2, _ := hyrise.Load(r)   // same rows, ids, history and shard layout
 //
 // Tables are insert-only (paper §3): updates append new row versions and
 // invalidate the old ones, deletes only invalidate, and the version
@@ -62,9 +61,9 @@
 // ScanAt, SumAt/MinAt/MaxAt, CountEqualAt, QueryAt, ValidRowsAt,
 // VisibleAt) return exactly the rows visible at the captured epoch, no
 // matter how many inserts, updates, deletes, cross-shard moves or merges
-// commit afterwards.  On a sharded table the epoch is shared by every
-// shard, so one capture freezes a cross-shard-consistent state — the
-// fan-out reads agree with each other even mid-reorganization.  Reads
+// commit afterwards.  The epoch is shared by every shard, so one capture
+// freezes a cross-shard-consistent state — the fan-out reads agree with
+// each other even mid-reorganization.  Reads
 // without a view ("latest") see current versions only and are equivalent
 // to a view at epoch infinity.
 //
@@ -121,23 +120,25 @@
 // by default (-gc=false disables it) and releases all registered tokens
 // on shutdown before its final compacting merge.
 //
-// # Topology semantics
+// # Shards
 //
-// A flat table hands out dense, insertion-ordered row ids and gives one
-// atomic online merge over the whole table.
+// NewTable creates a table of one shard: every operation runs inline on
+// its single partition, row ids are that partition's dense,
+// insertion-ordered ids, and RequestMerge is one atomic online merge whose
+// report carries the per-column detail.
 //
-// A sharded table multiplies both halves of the paper's central trade:
-// inserts route by key hash and contend only on their shard, and
-// RequestMerge fans the multi-core merge out across shards in parallel,
-// each with a slice of the thread budget.  Every shard's merge is
-// individually online and atomic; cross-shard consistency comes from
-// snapshots (see above).  Global row ids are stable and encode the owning
-// shard; they are not dense and not in global insertion order.  Updates
-// that change the key column may relocate a row to another shard.
+// More shards multiply both halves of the paper's central trade: inserts
+// route by key hash and contend only on their shard, and RequestMerge fans
+// the multi-core merge out across shards in parallel, each with a slice of
+// the thread budget.  Every shard's merge is individually online and
+// atomic; cross-shard consistency comes from snapshots (see above).  Row
+// ids are stable and carry the owning partition in their high bits, above
+// the partition's own insertion-ordered id.  Updates that change the key
+// column may relocate a row to another shard.
 //
 // # Online resharding
 //
-// ShardedTable.Reshard(ctx, n) changes the active shard count while
+// Table.Reshard(ctx, n) changes the active shard count of any table while
 // readers and writers keep running.  Fresh partitions are created and
 // wired (op log, GC mode, secondary indexes), a reshard-begin op is
 // logged, and writes atomically switch to routing into the new window
@@ -222,13 +223,13 @@
 // from the persist format and the replication stream, so a reloaded or
 // re-bootstrapped store starts unindexed (hyrised -index re-creates
 // them at startup).  IndexStats reports per-column posting counts,
-// sizes and rebuild times; on a sharded store CreateIndex fans out and
-// stats aggregate across shards.
+// sizes and rebuild times; CreateIndex fans out over the shards and the
+// stats aggregate across them.
 //
 // # Network serving
 //
-// Either topology can serve real concurrent client traffic as a
-// standalone database server.  The cmd/hyrised daemon owns a store
+// A table can serve real concurrent client traffic as a standalone
+// database server.  The cmd/hyrised daemon owns a store
 // (fresh from -schema, or loaded from its -snapshot file), serves the
 // full Store surface over a length-prefixed binary protocol on TCP,
 // keeps delta fractions bounded with a background merge scheduler while
@@ -383,47 +384,54 @@ type ColumnDef = table.ColumnDef
 // Schema is an ordered list of column definitions.
 type Schema = table.Schema
 
-// Table is a flat column-store table with main/delta partitions per
-// column.  It implements Store.
-type Table = table.Table
+// Table is the store: rows hash-partitioned by a key column across one or
+// more shards, each a Partition with its own merge lifecycle.  It is the
+// one implementation of Store.
+type Table = shard.Table
 
-// NewTable creates an empty flat table.
-func NewTable(name string, schema Schema) (*Table, error) {
-	return table.New(name, schema)
-}
-
-// ShardedTable hash-partitions rows by a key column across N shards, each
-// an independent Table with its own merge lifecycle.  It implements Store.
+// ShardedTable is Table; the name remains for code that spells out its
+// shard count.
 type ShardedTable = shard.Table
 
-// NewShardedTable creates an empty sharded table hash-partitioned by the
-// named key column.
-func NewShardedTable(name string, schema Schema, key string, shards int) (*ShardedTable, error) {
+// Partition is one physical partition of a Table: per column a compressed
+// main plus write-optimised deltas, merged online — the structure the
+// paper describes and its experiments measure.
+type Partition = table.Table
+
+// NewTable creates an empty table of one shard, keyed on the first column
+// (the key only matters once the table is resharded).
+func NewTable(name string, schema Schema) (*Table, error) {
+	if len(schema) == 0 {
+		return nil, schema.Validate()
+	}
+	return shard.New(name, schema, schema[0].Name, 1)
+}
+
+// NewShardedTable creates an empty table hash-partitioned by the named key
+// column across the given number of shards.
+func NewShardedTable(name string, schema Schema, key string, shards int) (*Table, error) {
 	return shard.New(name, schema, key, shards)
 }
 
-// TableStats summarizes a flat table's storage (see Table.Stats); each
-// partition entry of StoreStats is one of these.
+// TableStats summarizes one partition's storage (see Partition.Stats);
+// each partition entry of StoreStats is one of these.
 type TableStats = table.Stats
 
 // ColumnStats summarizes one column's storage.
 type ColumnStats = table.ColumnStats
 
-// ShardedStats aggregates per-shard storage statistics (ShardedTable.Stats).
-type ShardedStats = shard.Stats
-
 // ReshardReport summarizes one completed online reshard
-// (ShardedTable.Reshard): shard counts before and after, rows migrated,
+// (Table.Reshard): shard counts before and after, rows migrated,
 // phase timings, and the published shard-map version and cutover epoch.
 type ReshardReport = shard.ReshardReport
 
 // Merge configuration and results.
 type (
-	// MergeOptions configures RequestMerge (and Table.Merge).
+	// MergeOptions configures RequestMerge (and Partition.Merge).
 	MergeOptions = table.MergeOptions
-	// MergeReport summarizes a completed merge.  For a sharded merge,
-	// Columns is nil and the counts aggregate all shards; per-shard
-	// reports come from ShardedTable.MergeAll.
+	// MergeReport summarizes a completed merge.  For a merge over several
+	// partitions, Columns is nil and the counts aggregate all of them;
+	// per-partition reports come from Table.MergeAll.
 	MergeReport = table.Report
 	// MergeStats holds one column's per-step merge timings.
 	MergeStats = core.Stats
@@ -431,8 +439,8 @@ type (
 	Algorithm = core.Algorithm
 	// MergeStrategy distributes threads across or within columns.
 	MergeStrategy = table.Strategy
-	// MergeAllOptions configures ShardedTable.MergeAll (per-shard merge
-	// options plus a concurrency cap).
+	// MergeAllOptions configures Table.MergeAll (per-shard merge options
+	// plus a concurrency cap).
 	MergeAllOptions = shard.MergeAllOptions
 	// MergeAllReport summarizes a cross-shard parallel merge per shard.
 	MergeAllReport = shard.MergeAllReport
@@ -548,8 +556,8 @@ const (
 // CSVOptions configures CSV import.
 type CSVOptions = csvload.Options
 
-// LoadCSV imports CSV data (header row required) into a new flat table;
-// column types are inferred unless fixed via CSVOptions.Types.  Rows land
+// LoadCSV imports CSV data (header row required) into a new one-shard
+// table; column types are inferred unless fixed via CSVOptions.Types.  Rows land
 // in the delta partitions; merge when convenient.
 func LoadCSV(r io.Reader, opts CSVOptions) (*Table, int, error) {
 	return csvload.Load(r, opts)

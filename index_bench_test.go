@@ -38,13 +38,7 @@ func buildIndexBench(tb testing.TB, shards, n int) (hyrise.Store, map[float64]ui
 		{Name: "k", Type: hyrise.Uint64},
 		{Name: "s", Type: hyrise.Uint64},
 	}
-	var st hyrise.Store
-	var err error
-	if shards > 1 {
-		st, err = hyrise.NewShardedTable("idxbench", schema, "id", shards)
-	} else {
-		st, err = hyrise.NewTable("idxbench", schema)
-	}
+	st, err := hyrise.NewShardedTable("idxbench", schema, "id", shards)
 	if err != nil {
 		tb.Fatal(err)
 	}

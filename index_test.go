@@ -30,7 +30,7 @@ func newMirrorStores(t *testing.T) map[string]hyrise.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]hyrise.Store{"flat": flat, "sharded": sharded}
+	return map[string]hyrise.Store{"shards=1": flat, "shards=8": sharded}
 }
 
 // TestStoreIndexEquivalence is the public-surface acceptance test for

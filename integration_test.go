@@ -45,7 +45,7 @@ func TestIntegrationCSVToQueries(t *testing.T) {
 		t.Fatal("query matched nothing")
 	}
 
-	if _, err := tb.Merge(context.Background(), hyrise.MergeOptions{}); err != nil {
+	if _, err := tb.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := hyrise.Query(tb, filters, []string{"order_id"})
@@ -90,7 +90,7 @@ func TestIntegrationSchedulerUnderLoad(t *testing.T) {
 	for i := 0; i < 100_000; i++ {
 		tb.Insert([]any{uint64(i % 1000)})
 	}
-	if _, err := tb.Merge(context.Background(), hyrise.MergeOptions{}); err != nil {
+	if _, err := tb.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,7 +132,7 @@ func TestIntegrationSchedulerUnderLoad(t *testing.T) {
 		t.Fatal("scheduler never merged under sustained load")
 	}
 	// One final manual merge leaves a clean state.
-	if _, err := tb.Merge(context.Background(), hyrise.MergeOptions{}); err != nil {
+	if _, err := tb.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if tb.DeltaRows() != 0 || tb.MainRows() != want {
@@ -156,10 +156,10 @@ func TestIntegrationNaiveOptimizedEquivalence(t *testing.T) {
 		return tb
 	}
 	t1, t2 := build(), build()
-	if _, err := t1.Merge(context.Background(), hyrise.MergeOptions{Algorithm: hyrise.Naive}); err != nil {
+	if _, err := t1.RequestMerge(context.Background(), hyrise.MergeOptions{Algorithm: hyrise.Naive}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := t2.Merge(context.Background(), hyrise.MergeOptions{Algorithm: hyrise.Optimized}); err != nil {
+	if _, err := t2.RequestMerge(context.Background(), hyrise.MergeOptions{Algorithm: hyrise.Optimized}); err != nil {
 		t.Fatal(err)
 	}
 	if t1.Rows() != t2.Rows() {

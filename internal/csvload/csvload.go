@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hyrise/internal/shard"
 	"hyrise/internal/table"
 )
 
@@ -31,8 +32,9 @@ type Options struct {
 	Limit int
 }
 
-// Load reads CSV from r into a fresh table.
-func Load(r io.Reader, opts Options) (*table.Table, int, error) {
+// Load reads CSV from r into a fresh one-shard store keyed on the first
+// column.
+func Load(r io.Reader, opts Options) (*shard.Table, int, error) {
 	if opts.TableName == "" {
 		opts.TableName = "csv"
 	}
@@ -66,7 +68,7 @@ func Load(r io.Reader, opts Options) (*table.Table, int, error) {
 		}
 		schema[i] = table.ColumnDef{Name: name, Type: typ}
 	}
-	t, err := table.New(opts.TableName, schema)
+	t, err := shard.New(opts.TableName, schema, schema[0].Name, 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -109,7 +111,7 @@ func Load(r io.Reader, opts Options) (*table.Table, int, error) {
 }
 
 // LoadFile imports a CSV file.
-func LoadFile(path string, opts Options) (*table.Table, int, error) {
+func LoadFile(path string, opts Options) (*shard.Table, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyrise/internal/shard"
 	"hyrise/internal/table"
 )
 
@@ -36,10 +37,10 @@ func TestLoadInfersTypes(t *testing.T) {
 		t.Fatalf("row %v", row)
 	}
 	// Table merges and queries like any other.
-	if _, err := tb.Merge(context.Background(), table.MergeOptions{}); err != nil {
+	if _, err := tb.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	h, err := table.ColumnOf[string](tb, "product")
+	h, err := shard.ColumnOf[string](tb, "product")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ import (
 const Latest uint64 = math.MaxUint64
 
 // Clock is a shared monotonic epoch counter.  One clock serves a whole
-// store: a flat table owns one, a sharded table shares one across all its
-// shards so a single capture freezes every shard at the same epoch.
+// store: its shards share it, so a single capture freezes every shard at
+// the same epoch.
 //
 // The clock doubles as the garbage-collection pin registry: CapturePinned
 // registers the captured epoch as live, and Watermark reports the highest

@@ -88,7 +88,7 @@ type Op struct {
 	LSN   uint64 // position in the log, consecutive from 0
 	Epoch uint64 // the stamp the primary wrote into its epoch columns
 	Kind  Kind
-	Shard uint32  // partition the op applies to (0 on a flat table)
+	Shard uint32  // physical partition the op applies to
 	Dst   uint32  // KindMove: destination partition
 	ID    uint64  // insert: first new id; update/delete/move: old version's id
 	ID2   uint64  // update/move: the new version's id

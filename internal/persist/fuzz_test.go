@@ -11,8 +11,8 @@ import (
 	"hyrise/internal/table"
 )
 
-// fuzzSeeds returns one snapshot per shape the format can take: a flat
-// store spanning main and delta, a sharded store, a store whose merge
+// fuzzSeeds returns one snapshot per shape the format can take: a
+// one-shard store spanning main and delta, a 3-shard store, a store whose merge
 // retired ids, and a resharded store with sealed partitions.  The stores
 // are a few rows each: short seeds keep the fuzzer's input minimization
 // from eating a smoke run's whole time budget.
@@ -32,13 +32,13 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	}
 	row := func(i int) []any { return []any{uint64(i), uint32(i % 7), "sku-" + string(rune('a'+i%26))} }
 
-	flat, err := table.New("orders", schema)
+	flat, err := shard.New("orders", schema, "id", 1)
 	must(err)
 	for i := 0; i < 4; i++ {
 		_, err := flat.Insert(row(i))
 		must(err)
 	}
-	_, err = flat.Merge(ctx, table.MergeOptions{})
+	_, err = flat.RequestMerge(ctx, table.MergeOptions{})
 	must(err)
 	for i := 4; i < 6; i++ {
 		_, err := flat.Insert(row(i))
@@ -46,7 +46,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	}
 	must(flat.Delete(2))
 
-	gc, err := table.New("orders", schema)
+	gc, err := shard.New("orders", schema, "id", 1)
 	must(err)
 	for i := 0; i < 4; i++ {
 		_, err := gc.Insert(row(i))
@@ -57,9 +57,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		_, err := gc.Update(i, map[string]any{"qty": uint32(100 + i)})
 		must(err)
 	}
-	_, err = gc.Merge(ctx, table.MergeOptions{})
+	_, err = gc.RequestMerge(ctx, table.MergeOptions{})
 	must(err)
-	if gc.RetiredRows() == 0 {
+	if gc.StoreStats().RetiredRows == 0 {
 		t.Fatal("GC seed retired no ids")
 	}
 	_, err = gc.Update(3, map[string]any{"qty": uint32(999)})
@@ -86,14 +86,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	}
 
 	var seeds [][]byte
-	for _, ft := range []*table.Table{flat, gc} {
+	for _, st := range []*shard.Table{flat, gc, sharded, resharded} {
 		var buf bytes.Buffer
-		must(Save(ft, &buf))
-		seeds = append(seeds, buf.Bytes())
-	}
-	for _, st := range []*shard.Table{sharded, resharded} {
-		var buf bytes.Buffer
-		must(SaveSharded(st, &buf))
+		must(Save(st, &buf))
 		seeds = append(seeds, buf.Bytes())
 	}
 	return seeds
@@ -131,7 +126,7 @@ func FuzzLoad(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ft, st, err := LoadAny(bytes.NewReader(data))
+		st, err := Load(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrFormat) {
 				t.Fatalf("rejected without ErrFormat: %v", err)
@@ -139,30 +134,12 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if ft != nil {
-			err = Save(ft, &buf)
-		} else {
-			err = SaveSharded(st, &buf)
-		}
-		if err != nil {
+		if err := Save(st, &buf); err != nil {
 			t.Fatalf("save of a loaded store: %v", err)
 		}
-		ft2, st2, err := LoadAny(&buf)
+		st2, err := Load(&buf)
 		if err != nil {
 			t.Fatalf("reload of a saved store: %v", err)
-		}
-		if ft != nil {
-			if ft2 == nil {
-				t.Fatal("flat store reloaded as sharded")
-			}
-			if ft.Clock().Now() != ft2.Clock().Now() {
-				t.Fatalf("clock %d vs %d", ft.Clock().Now(), ft2.Clock().Now())
-			}
-			equalPartitions(t, ft, ft2)
-			return
-		}
-		if st2 == nil {
-			t.Fatal("sharded store reloaded as flat")
 		}
 		baseA, lenA := st.ActiveWindow()
 		baseB, lenB := st2.ActiveWindow()

@@ -11,24 +11,24 @@
 // There is exactly one format.  The loader checks the magic and the version
 // and fails anything else with ErrFormat:
 //
-//	magic "HYRS" | version u32 = Version | topology u8 | name
+//	magic "HYRS" | version u32 = Version | name
 //	ncols u32 | per column: name | type u8
-//	if sharded: key column | partition count u32 |
-//	            active base u32 | active len u32 | shard-map version u64
+//	key column | partition count u32 |
+//	active base u32 | active len u32 | shard-map version u64
 //	clock u64 (the store's epoch clock)
-//	per partition (1 for flat, partition count for sharded):
+//	per partition:
 //	    rows u64 | main rows u64 |
 //	    next id u64 | retired u64 | reclaimed bytes u64 | gc watermark u64 |
 //	    stable row ids (rows of u64) |
 //	    begin epochs (rows of u64) | end epochs (rows of u64) |
 //	    per column: values (rows of u32 / u64 / string)
 //
-// The header records the topology, key column and shard map — the physical
+// The header records the key column and the shard map — the physical
 // partition count, the active window (which tail of the partition list key
-// hashing routes writes to) and the shard-map version — so sharded tables
+// hashing routes writes to) and the shard-map version — so stores
 // round-trip with consistent routing: each physical partition is encoded in
-// physical order and global row ids (local*stride + partition) are
-// preserved exactly.  The per-partition main-row count lets the loader
+// physical order and global row ids (partition index over the local id)
+// are preserved exactly.  The per-partition main-row count lets the loader
 // re-merge to the saved main/delta split; the id map, epochs and GC
 // counters restore version history and keep retired ids retired.  A
 // mid-reshard save is normalized to its post-cutover topology (see
@@ -55,13 +55,7 @@ import (
 const Magic = "HYRS"
 
 // Version is the one format version written and read.
-const Version uint32 = 5
-
-// Topology bytes in the header.
-const (
-	topoFlat    uint8 = 0
-	topoSharded uint8 = 1
-)
+const Version uint32 = 6
 
 // ErrFormat reports a malformed snapshot.
 var ErrFormat = errors.New("persist: malformed snapshot")
@@ -409,33 +403,17 @@ func (r *reader) insertColumns(t *table.Table, schema table.Schema, rows, mainRo
 	return insert(mainRows, rows)
 }
 
-// Save writes a snapshot of a flat table.
-func Save(t *table.Table, out io.Writer) error {
-	w := &writer{w: bufio.NewWriter(out)}
-	w.bytes([]byte(Magic))
-	w.u32(Version)
-	w.u8(topoFlat)
-	w.str(t.Name())
-	w.writeSchema(t.Schema())
-	w.u64(t.Clock().Now())
-	if err := writePartition(w, t); err != nil {
-		return err
-	}
-	return w.w.Flush()
-}
-
-// SaveSharded writes a snapshot of a sharded table: the header records
-// the key column, the shard-map topology (physical partition count, active
-// window, map version) and the shared epoch clock, then every physical
-// partition is encoded in physical order, so global row ids survive the
-// round trip.  A mid-reshard topology is saved in its normalized
-// post-cutover form (shard.Table.PersistTopology).
-func SaveSharded(st *shard.Table, out io.Writer) error {
+// Save writes a snapshot of a store: the header records the key column,
+// the shard-map topology (physical partition count, active window, map
+// version) and the shared epoch clock, then every physical partition is
+// encoded in physical order, so global row ids survive the round trip.  A
+// mid-reshard topology is saved in its normalized post-cutover form
+// (shard.Table.PersistTopology).
+func Save(st *shard.Table, out io.Writer) error {
 	parts, activeBase, activeLen, mapVersion := st.PersistTopology()
 	w := &writer{w: bufio.NewWriter(out)}
 	w.bytes([]byte(Magic))
 	w.u32(Version)
-	w.u8(topoSharded)
 	w.str(st.Name())
 	w.writeSchema(st.Schema())
 	w.str(st.KeyColumn())
@@ -452,98 +430,68 @@ func SaveSharded(st *shard.Table, out io.Writer) error {
 	return w.w.Flush()
 }
 
-// LoadAny reads a snapshot of either topology; exactly one of the returned
-// tables is non-nil on success.  Input that is not a well-formed snapshot
-// of exactly Version fails with an error wrapping ErrFormat.
-func LoadAny(in io.Reader) (*table.Table, *shard.Table, error) {
+// Load reads a snapshot.  Input that is not a well-formed snapshot of
+// exactly Version fails with an error wrapping ErrFormat.
+func Load(in io.Reader) (*shard.Table, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	magic := make([]byte, 4)
 	r.bytes(magic)
 	if r.err != nil || string(magic) != Magic {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrFormat)
+		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
 	if v := r.u32(); r.err != nil || v != Version {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
 	}
-	topo := r.u8()
 	name := r.str()
 	schema, err := r.readSchema()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	switch topo {
-	case topoFlat:
-		t, err := table.New(name, schema)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-		clock := r.u64()
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		t.Clock().AdvanceTo(clock)
-		if err := r.readPartition(t, schema); err != nil {
-			return nil, nil, err
-		}
-		return t, nil, nil
-	case topoSharded:
-		key := r.str()
-		parts := int(r.u32())
-		activeBase := int(r.u32())
-		activeLen := int(r.u32())
-		mapVersion := r.u64()
-		clock := r.u64()
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		if parts <= 0 || parts > shard.MaxShards ||
-			activeLen <= 0 || activeBase < 0 || activeBase+activeLen != parts || mapVersion == 0 {
-			return nil, nil, fmt.Errorf("%w: shard topology %d parts, active [%d,%d), map v%d",
-				ErrFormat, parts, activeBase, activeBase+activeLen, mapVersion)
-		}
-		st, err := shard.NewRestored(name, schema, key, parts, activeBase, activeLen, mapVersion)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-		st.Clock().AdvanceTo(clock)
-		// Fill each partition directly, bypassing hash routing: the
-		// partition sections already are the routed per-partition contents,
-		// and direct insertion preserves every partition-local row id
-		// (hence every global id).
-		for i := 0; i < parts; i++ {
-			if err := r.readPartition(st.Shard(i), schema); err != nil {
-				return nil, nil, err
-			}
-		}
-		// Partitions outside the active window were sealed by resharding on
-		// the saved store; seal them only now that they are populated (a
-		// sealed partition rejects the loader's inserts).
-		for i := 0; i < activeBase; i++ {
-			st.Shard(i).Seal()
-		}
-		return nil, st, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: unknown topology %d", ErrFormat, topo)
+	key := r.str()
+	parts := int(r.u32())
+	activeBase := int(r.u32())
+	activeLen := int(r.u32())
+	mapVersion := r.u64()
+	clock := r.u64()
+	if r.err != nil {
+		return nil, r.err
 	}
+	if parts <= 0 || parts > shard.MaxShards ||
+		activeLen <= 0 || activeBase < 0 || activeBase+activeLen != parts || mapVersion == 0 {
+		return nil, fmt.Errorf("%w: shard topology %d parts, active [%d,%d), map v%d",
+			ErrFormat, parts, activeBase, activeBase+activeLen, mapVersion)
+	}
+	st, err := shard.NewRestored(name, schema, key, parts, activeBase, activeLen, mapVersion)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	st.Clock().AdvanceTo(clock)
+	// Fill each partition directly, bypassing hash routing: the partition
+	// sections already are the routed per-partition contents, and direct
+	// insertion preserves every partition-local row id (hence every global
+	// id).
+	for i := 0; i < parts; i++ {
+		if err := r.readPartition(st.Shard(i), schema); err != nil {
+			return nil, err
+		}
+	}
+	// Partitions outside the active window were sealed by resharding on the
+	// saved store; seal them only now that they are populated (a sealed
+	// partition rejects the loader's inserts).
+	for i := 0; i < activeBase; i++ {
+		st.Shard(i).Seal()
+	}
+	return st, nil
 }
 
-// SaveFile writes a flat-table snapshot to path atomically.
-func SaveFile(t *table.Table, path string) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return Save(t, w) })
-}
-
-// SaveShardedFile writes a sharded-table snapshot to path atomically.
-func SaveShardedFile(st *shard.Table, path string) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return SaveSharded(st, w) })
-}
-
-// saveFileAtomic writes through a temp file in the target directory and
-// renames it into place, so an interrupted save never truncates or
-// corrupts an existing snapshot — cmd/hyrised saves on shutdown and
-// serves whatever the file holds at the next start.  The replaced
-// file's permissions are preserved (0644 for a fresh file, matching
-// what a plain create would produce) rather than CreateTemp's 0600.
-func saveFileAtomic(path string, write func(io.Writer) error) error {
+// SaveFile writes a snapshot to path atomically: through a temp file in
+// the target directory, renamed into place, so an interrupted save never
+// truncates or corrupts an existing snapshot — cmd/hyrised saves on
+// shutdown and serves whatever the file holds at the next start.  The
+// replaced file's permissions are preserved (0644 for a fresh file,
+// matching what a plain create would produce) rather than CreateTemp's
+// 0600.
+func SaveFile(st *shard.Table, path string) error {
 	mode := os.FileMode(0o644)
 	if fi, err := os.Stat(path); err == nil {
 		mode = fi.Mode().Perm()
@@ -553,7 +501,7 @@ func saveFileAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	tmp := f.Name()
-	if err := write(f); err != nil {
+	if err := Save(st, f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -579,12 +527,12 @@ func saveFileAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// LoadAnyFile reads a snapshot of either topology from path.
-func LoadAnyFile(path string) (*table.Table, *shard.Table, error) {
+// LoadFile reads a snapshot from path.
+func LoadFile(path string) (*shard.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
-	return LoadAny(f)
+	return Load(f)
 }

@@ -26,11 +26,11 @@ func TestGCRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	retired = append(retired, 30)
-	if _, err := tb.Merge(context.Background(), table.MergeOptions{}); err != nil {
+	if _, err := tb.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if tb.RetiredRows() != len(retired) {
-		t.Fatalf("retired %d want %d", tb.RetiredRows(), len(retired))
+	if n := tb.Shard(0).RetiredRows(); n != len(retired) {
+		t.Fatalf("retired %d want %d", n, len(retired))
 	}
 	// More churn after the merge so the snapshot holds both a reclaimed
 	// main and a dirty delta.
@@ -42,14 +42,14 @@ func TestGCRoundTrip(t *testing.T) {
 	if err := Save(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadFlat(t, &buf)
+	got, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalTables(t, tb, got)
-	if got.ReclaimedBytes() != tb.ReclaimedBytes() || got.GCWatermark() != tb.GCWatermark() {
+	equalStores(t, tb, got)
+	if a, b := got.Shard(0), tb.Shard(0); a.ReclaimedBytes() != b.ReclaimedBytes() || a.GCWatermark() != b.GCWatermark() {
 		t.Fatalf("GC counters: %d/%d vs %d/%d",
-			got.ReclaimedBytes(), got.GCWatermark(), tb.ReclaimedBytes(), tb.GCWatermark())
+			a.ReclaimedBytes(), a.GCWatermark(), b.ReclaimedBytes(), b.GCWatermark())
 	}
 	for _, id := range retired {
 		if _, err := got.Row(id); !errors.Is(err, table.ErrRowInvalid) {
@@ -62,7 +62,7 @@ func TestGCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nid != tb.NextRowID() {
-		t.Fatalf("fresh id %d want %d", nid, tb.NextRowID())
+	if want := tb.Shard(0).NextRowID(); nid != want {
+		t.Fatalf("fresh id %d want %d", nid, want)
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -17,16 +15,10 @@ import (
 	"hyrise/internal/table"
 )
 
-func buildTable(t *testing.T, rows int) *table.Table {
+// buildTable returns a one-shard store of rows rows, all in the delta.
+func buildTable(t *testing.T, rows int) *shard.Table {
 	t.Helper()
-	tb, err := table.New("orders", table.Schema{
-		{Name: "id", Type: table.Uint64},
-		{Name: "qty", Type: table.Uint32},
-		{Name: "sku", Type: table.String},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := buildSharded(t, 1)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < rows; i++ {
 		_, err := tb.Insert([]any{uint64(i), uint32(rng.Intn(50)), "sku-" + string(rune('a'+i%26))})
@@ -35,6 +27,17 @@ func buildTable(t *testing.T, rows int) *table.Table {
 		}
 	}
 	return tb
+}
+
+// equalStores requires the same partitions with the same contents.
+func equalStores(t *testing.T, a, b *shard.Table) {
+	t.Helper()
+	if a.NumParts() != b.NumParts() {
+		t.Fatalf("partitions %d vs %d", a.NumParts(), b.NumParts())
+	}
+	for i := 0; i < a.NumParts(); i++ {
+		equalTables(t, a.Shard(i), b.Shard(i))
+	}
 }
 
 func equalTables(t *testing.T, a, b *table.Table) {
@@ -77,29 +80,6 @@ func equalTables(t *testing.T, a, b *table.Table) {
 	}
 }
 
-// loadFlat reads a snapshot through LoadAny and requires a flat table.
-func loadFlat(t *testing.T, r io.Reader) (*table.Table, error) {
-	t.Helper()
-	ft, st, err := LoadAny(r)
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		t.Fatal("expected a flat snapshot")
-	}
-	return ft, nil
-}
-
-func loadFlatFile(t *testing.T, path string) (*table.Table, error) {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return loadFlat(t, f)
-}
-
 func TestRoundTrip(t *testing.T) {
 	tb := buildTable(t, 500)
 	tb.Delete(3)
@@ -108,16 +88,16 @@ func TestRoundTrip(t *testing.T) {
 	if err := Save(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadFlat(t, &buf)
+	got, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalTables(t, tb, got)
+	equalStores(t, tb, got)
 }
 
 func TestRoundTripAfterMerge(t *testing.T) {
 	tb := buildTable(t, 300)
-	if _, err := tb.Merge(context.Background(), table.MergeOptions{}); err != nil {
+	if _, err := tb.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// More rows into the fresh delta: snapshot spans main and delta.
@@ -128,16 +108,16 @@ func TestRoundTripAfterMerge(t *testing.T) {
 	if err := Save(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadFlat(t, &buf)
+	got, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalTables(t, tb, got)
+	equalStores(t, tb, got)
 	// The loaded table merges cleanly.
-	if _, err := got.Merge(context.Background(), table.MergeOptions{}); err != nil {
+	if _, err := got.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	equalTables(t, tb, got)
+	equalStores(t, tb, got)
 }
 
 func TestFileRoundTrip(t *testing.T) {
@@ -146,18 +126,18 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := SaveFile(tb, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadFlatFile(t, path)
+	got, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalTables(t, tb, got)
+	equalStores(t, tb, got)
 }
 
 // TestMainDeltaSplitRestored checks that the loader re-merges to the
 // saved main/delta boundary instead of leaving everything in the delta.
 func TestMainDeltaSplitRestored(t *testing.T) {
 	tb := buildTable(t, 300)
-	if _, err := tb.Merge(context.Background(), table.MergeOptions{}); err != nil {
+	if _, err := tb.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -169,11 +149,11 @@ func TestMainDeltaSplitRestored(t *testing.T) {
 	if err := Save(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadFlat(t, &buf)
+	got, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalTables(t, tb, got)
+	equalStores(t, tb, got)
 	if got.MainRows() != tb.MainRows() || got.DeltaRows() != tb.DeltaRows() {
 		t.Fatalf("split main=%d delta=%d want main=%d delta=%d",
 			got.MainRows(), got.DeltaRows(), tb.MainRows(), tb.DeltaRows())
@@ -226,15 +206,12 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := SaveSharded(st, &buf); err != nil {
+	if err := Save(st, &buf); err != nil {
 		t.Fatal(err)
 	}
-	ft, got, err := LoadAny(&buf)
+	got, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ft != nil || got == nil {
-		t.Fatal("sharded snapshot should load as a sharded table")
 	}
 	if got.Name() != st.Name() || got.NumShards() != st.NumShards() || got.KeyColumn() != st.KeyColumn() {
 		t.Fatalf("topology: %q/%d/%q want %q/%d/%q",
@@ -292,7 +269,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 }
 
-// oneColumnSnapshot hand-encodes a flat snapshot of table "t" with a single
+// oneColumnSnapshot hand-encodes a one-shard snapshot of table "t" with a single
 // column "c" of the given type byte, up to and including the header of its
 // partition, which claims rows rows (none in main, none retired); tail
 // appends whatever row data the case wants to deliver.
@@ -301,11 +278,15 @@ func oneColumnSnapshot(typ uint8, rows uint64, tail func(w *writer)) []byte {
 	w := &writer{w: bufio.NewWriter(&buf)}
 	w.bytes([]byte(Magic))
 	w.u32(Version)
-	w.u8(topoFlat)
 	w.str("t")
 	w.u32(1)
 	w.str("c")
 	w.u8(typ)
+	w.str("c")  // key column
+	w.u32(1)    // partitions
+	w.u32(0)    // active base
+	w.u32(1)    // active len
+	w.u64(1)    // shard-map version
 	w.u64(1)    // clock
 	w.u64(rows) // rows
 	w.u64(0)    // main rows
@@ -329,11 +310,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		"bad type byte": oneColumnSnapshot(uint8(table.String)+1, 0, nil),
 	}
 	for name, data := range cases {
-		if _, _, err := LoadAny(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+		if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want ErrFormat", name, err)
 		}
 	}
-	if _, _, err := LoadAny(bytes.NewReader(oneColumnSnapshot(uint8(table.String), 0, nil))); err != nil {
+	if _, err := Load(bytes.NewReader(oneColumnSnapshot(uint8(table.String), 0, nil))); err != nil {
 		t.Errorf("known type byte: %v", err)
 	}
 }
@@ -360,7 +341,7 @@ func TestLoadRejectsLyingRowCount(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := LoadAny(bytes.NewReader(data))
+		_, err := Load(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want ErrFormat", name, err)
@@ -384,16 +365,16 @@ func TestEpochRoundTrip(t *testing.T) {
 	tb.Snapshot()
 	tb.Insert([]any{uint64(1000), uint32(1), "late"})
 
-	wantBegin, wantEnd := tb.RowEpochs()
+	wantBegin, wantEnd := tb.Shard(0).RowEpochs()
 	var buf bytes.Buffer
 	if err := Save(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadFlat(t, &buf)
+	got, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBegin, gotEnd := got.RowEpochs()
+	gotBegin, gotEnd := got.Shard(0).RowEpochs()
 	for i := range wantBegin {
 		if wantBegin[i] != gotBegin[i] || wantEnd[i] != gotEnd[i] {
 			t.Fatalf("row %d epochs %d/%d want %d/%d",
@@ -420,25 +401,25 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, v := range []uint32{0, 1, 2, 3, 4, 6, 99} {
+	for _, v := range []uint32{0, 1, 2, 3, 4, 5, 7, 99} {
 		binary.LittleEndian.PutUint32(data[len(Magic):], v)
-		if _, _, err := LoadAny(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+		if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
 			t.Errorf("version %d: err = %v, want ErrFormat", v, err)
 		}
 	}
 	binary.LittleEndian.PutUint32(data[len(Magic):], Version)
-	if _, _, err := LoadAny(bytes.NewReader(data)); err != nil {
+	if _, err := Load(bytes.NewReader(data)); err != nil {
 		t.Fatalf("version %d: %v", Version, err)
 	}
 }
 
 func TestEmptyTable(t *testing.T) {
-	tb, _ := table.New("empty", table.Schema{{Name: "v", Type: table.Uint64}})
+	tb, _ := shard.New("empty", table.Schema{{Name: "v", Type: table.Uint64}}, "v", 1)
 	var buf bytes.Buffer
 	if err := Save(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadFlat(t, &buf)
+	got, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,11 +39,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hyrise/internal/epoch"
 	"hyrise/internal/oplog"
 	"hyrise/internal/persist"
 	"hyrise/internal/shard"
-	"hyrise/internal/table"
 	"hyrise/internal/wire"
 )
 
@@ -97,19 +95,16 @@ type Stats struct {
 
 // Replica is a live follower: a local store plus the applier goroutine
 // feeding it.  It satisfies the server's ReplicaInfo interface, so a
-// Server fronting Flat()/Sharded() with Options.Replica set serves
-// consistent follower reads.
+// Server fronting Store() with Options.Replica set serves consistent
+// follower reads.
 type Replica struct {
 	addr string
 	opts Options
 	log  *slog.Logger // never nil; discards when Options.Logger is nil
 
-	// Exactly one of flat/sharded is non-nil, mirroring the primary's
-	// topology (the snapshot image carries it).
-	flat    *table.Table
-	sharded *shard.Table
-	parts   []*table.Table
-	clock   *epoch.Clock
+	// store mirrors the primary's shard layout: the snapshot image carries
+	// it, replayed reshard ops keep it current.
+	store *shard.Table
 
 	applied atomic.Uint64 // epoch; advances only on caught-up heartbeats
 	primary atomic.Uint64
@@ -157,11 +152,8 @@ func Open(addr string, opts Options) (*Replica, error) {
 	}
 }
 
-// Flat returns the local store when the primary is a flat table.
-func (r *Replica) Flat() *table.Table { return r.flat }
-
-// Sharded returns the local store when the primary is sharded.
-func (r *Replica) Sharded() *shard.Table { return r.sharded }
+// Store returns the local store the primary's ops are applied into.
+func (r *Replica) Store() *shard.Table { return r.store }
 
 // AppliedEpoch returns the highest epoch at which local reads exactly
 // match the primary's; 0 until the first heartbeat.
@@ -359,7 +351,7 @@ func (r *Replica) subscribe(mode uint8, from uint64) (net.Conn, *bufio.Reader, e
 	}
 	if mode == wire.SubSnapshot {
 		sr := &snapReader{br: br}
-		flat, sharded, err := persist.LoadAny(sr)
+		st, err := persist.Load(sr)
 		if err != nil {
 			// The image may have been cut short by a primary-side failure
 			// (FrameError mid-stream): retryable, not fatal.
@@ -371,14 +363,7 @@ func (r *Replica) subscribe(mode uint8, from uint64) (net.Conn, *bufio.Reader, e
 		if n, rerr := sr.Read(tmp[:]); n != 0 || rerr != io.EOF {
 			return nil, nil, fatalError{fmt.Errorf("replica: trailing bytes after snapshot image (n=%d, err=%v)", n, rerr)}
 		}
-		r.flat, r.sharded = flat, sharded
-		if flat != nil {
-			r.parts = flat.Partitions()
-			r.clock = flat.Clock()
-		} else {
-			r.parts = sharded.Partitions()
-			r.clock = sharded.Clock()
-		}
+		r.store = st
 		r.lsn.Store(start)
 	}
 	ok = true
@@ -441,7 +426,7 @@ func (r *Replica) stream(br *bufio.Reader) error {
 			// all of them (which stream order guarantees — the check is a
 			// cross-check, not a race guard).
 			if next == r.lsn.Load() {
-				r.clock.AdvanceTo(safe)
+				r.store.Clock().AdvanceTo(safe)
 				if safe > r.applied.Load() {
 					r.applied.Store(safe)
 				}
@@ -468,24 +453,15 @@ func (r *Replica) apply(op oplog.Op) error {
 		// partitions, so creating them here keeps every later op's target
 		// in range.  Idempotent by shard-map version: a begin already
 		// covered by the bootstrap snapshot's topology is skipped.
-		if r.sharded == nil {
-			return fmt.Errorf("reshard op on a flat store")
-		}
-		if err := r.sharded.ApplyReshardBegin(int(op.Shard), int(op.ID), op.ID2); err != nil {
-			return err
-		}
-		r.parts = r.sharded.Partitions()
-		return nil
+		return r.store.ApplyReshardBegin(int(op.Shard), int(op.ID), op.ID2)
 	case oplog.KindReshardCutover:
-		if r.sharded == nil {
-			return fmt.Errorf("reshard op on a flat store")
-		}
-		return r.sharded.ApplyReshardCutover(int(op.Shard), int(op.ID), op.ID2)
+		return r.store.ApplyReshardCutover(int(op.Shard), int(op.ID), op.ID2)
 	}
-	if int(op.Shard) >= len(r.parts) {
-		return fmt.Errorf("shard %d out of range (%d partitions)", op.Shard, len(r.parts))
+	nparts := r.store.NumParts()
+	if int(op.Shard) >= nparts {
+		return fmt.Errorf("shard %d out of range (%d partitions)", op.Shard, nparts)
 	}
-	p := r.parts[op.Shard]
+	p := r.store.Shard(int(op.Shard))
 	switch op.Kind {
 	case oplog.KindInsert:
 		return p.ApplyInsert(op.ID, op.Rows, op.Epoch)
@@ -494,8 +470,8 @@ func (r *Replica) apply(op oplog.Op) error {
 	case oplog.KindDelete:
 		return p.ApplyInvalidate(op.ID, op.Epoch)
 	case oplog.KindMove:
-		if int(op.Dst) >= len(r.parts) {
-			return fmt.Errorf("dst shard %d out of range (%d partitions)", op.Dst, len(r.parts))
+		if int(op.Dst) >= nparts {
+			return fmt.Errorf("dst shard %d out of range (%d partitions)", op.Dst, nparts)
 		}
 		// The two halves are applied separately, but both carry the op's
 		// single stamp, which is above every servable read epoch until the
@@ -504,7 +480,7 @@ func (r *Replica) apply(op oplog.Op) error {
 		if err := p.ApplyInvalidate(op.ID, op.Epoch); err != nil {
 			return err
 		}
-		return r.parts[op.Dst].ApplyInsert(op.ID2, [][]any{op.Rows[0]}, op.Epoch)
+		return r.store.Shard(int(op.Dst)).ApplyInsert(op.ID2, [][]any{op.Rows[0]}, op.Epoch)
 	default:
 		return fmt.Errorf("unknown op kind 0x%02x", uint8(op.Kind))
 	}

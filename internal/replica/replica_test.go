@@ -39,35 +39,23 @@ func replSchema() table.Schema {
 
 // primary bundles a store, its op log and a server over it.
 type primary struct {
-	st   server.Store
+	st   *shard.Table
 	log  *oplog.Log
 	srv  *server.Server
 	addr string
 }
 
-func startPrimary(t testing.TB, st server.Store) *primary {
+func startPrimary(t testing.TB, st *shard.Table) *primary {
 	t.Helper()
-	var err error
-	log := oplog.New(st.Partitions()[0].Clock(), 0)
-	switch x := st.(type) {
-	case *table.Table:
-		err = x.AttachOplog(log, 0)
-	case *shard.Table:
-		err = x.AttachOplog(log)
-	default:
-		t.Fatalf("unsupported store %T", st)
-	}
-	if err != nil {
+	log := oplog.New(st.Clock(), 0)
+	if err := st.AttachOplog(log); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(st, server.Options{OpLog: log})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := server.New(st, server.Options{OpLog: log})
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	return &primary{st: st, log: log, srv: srv, addr: l.Addr().String()}
@@ -81,18 +69,6 @@ func openReplica(t testing.TB, addr string) *replica.Replica {
 	}
 	t.Cleanup(func() { rep.Close() })
 	return rep
-}
-
-func replicaStore(t testing.TB, rep *replica.Replica) server.Store {
-	t.Helper()
-	if f := rep.Flat(); f != nil {
-		return f
-	}
-	if s := rep.Sharded(); s != nil {
-		return s
-	}
-	t.Fatal("replica has no store")
-	return nil
 }
 
 // waitApplied blocks until the replica's applied epoch reaches e.
@@ -110,7 +86,7 @@ func waitApplied(t testing.TB, rep *replica.Replica, e uint64) {
 
 // requireIdentical asserts the replica's partitions are bit-identical to
 // the primary's: same stable ids, same begin/end epochs, same values.
-func requireIdentical(t testing.TB, want, got server.Store) {
+func requireIdentical(t testing.TB, want, got *shard.Table) {
 	t.Helper()
 	wp, gp := want.Partitions(), got.Partitions()
 	if len(wp) != len(gp) {
@@ -145,9 +121,9 @@ func requireIdentical(t testing.TB, want, got server.Store) {
 	}
 }
 
-func newPrimaryStores(t *testing.T) map[string]server.Store {
+func newPrimaryStores(t *testing.T) map[string]*shard.Table {
 	t.Helper()
-	flat, err := table.New("repl", replSchema())
+	flat, err := shard.New("repl", replSchema(), "k", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +131,7 @@ func newPrimaryStores(t *testing.T) map[string]server.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]server.Store{"flat": flat, "sharded": sharded}
+	return map[string]*shard.Table{"shards=1": flat, "shards=4": sharded}
 }
 
 func TestReplicaBootstrapAndFollow(t *testing.T) {
@@ -199,11 +175,11 @@ func TestReplicaBootstrapAndFollow(t *testing.T) {
 			}
 			e := clock.Capture()
 			waitApplied(t, rep, e)
-			requireIdentical(t, p.st, replicaStore(t, rep))
+			requireIdentical(t, p.st, rep.Store())
 
 			// The replica's store rejects nothing locally (it is a plain
 			// store), but reads at the applied epoch match the primary.
-			if w, g := p.st.ValidRowsAt(table.ViewAt(e)), replicaStore(t, rep).ValidRowsAt(table.ViewAt(e)); w != g {
+			if w, g := p.st.ValidRowsAt(table.ViewAt(e)), rep.Store().ValidRowsAt(table.ViewAt(e)); w != g {
 				t.Fatalf("valid rows at %d: primary %d, replica %d", e, w, g)
 			}
 		})
@@ -211,7 +187,7 @@ func TestReplicaBootstrapAndFollow(t *testing.T) {
 }
 
 func TestReplicaResubscribe(t *testing.T) {
-	flat, err := table.New("repl", replSchema())
+	flat, err := shard.New("repl", replSchema(), "k", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,16 +228,13 @@ func TestReplicaResubscribe(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	srv2, err := server.New(flat, server.Options{OpLog: p.log})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := server.New(flat, server.Options{OpLog: p.log})
 	go srv2.Serve(l)
 	defer srv2.Close()
 
 	e := clock.Capture()
 	waitApplied(t, rep, e)
-	requireIdentical(t, flat, replicaStore(t, rep))
+	requireIdentical(t, flat, rep.Store())
 	if rep.Stats().Resubscribes == 0 {
 		t.Fatal("expected at least one resubscribe")
 	}
@@ -328,7 +301,7 @@ func TestReplicaChurnConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumR, err := shard.NumericColumnOf[uint64](replicaStore(t, rep).(*shard.Table), "k")
+	sumR, err := shard.NumericColumnOf[uint64](rep.Store(), "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +314,7 @@ func TestReplicaChurnConsistency(t *testing.T) {
 		}
 		// The row population never shrinks, and epochs isolate: at any
 		// applied epoch both sides must agree exactly.
-		pv, rv := st.ValidRowsAt(table.ViewAt(e)), rep.Sharded().ValidRowsAt(table.ViewAt(e))
+		pv, rv := st.ValidRowsAt(table.ViewAt(e)), rep.Store().ValidRowsAt(table.ViewAt(e))
 		if pv != rv {
 			t.Fatalf("valid rows at %d: primary %d, replica %d", e, pv, rv)
 		}
@@ -363,5 +336,5 @@ func TestReplicaChurnConsistency(t *testing.T) {
 	// Quiesce and verify full bit-identity.
 	e := clock.Capture()
 	waitApplied(t, rep, e)
-	requireIdentical(t, st, replicaStore(t, rep))
+	requireIdentical(t, st, rep.Store())
 }

@@ -106,9 +106,9 @@ func TestReplicaReshardReplay(t *testing.T) {
 
 	e := st.Clock().Capture()
 	waitApplied(t, rep, e)
-	requireIdentical(t, st, replicaStore(t, rep))
+	requireIdentical(t, st, rep.Store())
 
-	fs := rep.Sharded()
+	fs := rep.Store()
 	if fs.NumShards() != 8 || fs.NumParts() != 12 {
 		t.Fatalf("follower topology: shards=%d parts=%d", fs.NumShards(), fs.NumParts())
 	}
@@ -124,8 +124,8 @@ func TestReplicaReshardReplay(t *testing.T) {
 	// still converges bit-identically.
 	rep2 := openReplica(t, p.addr)
 	waitApplied(t, rep2, e)
-	requireIdentical(t, st, replicaStore(t, rep2))
-	if fs2 := rep2.Sharded(); fs2.NumShards() != 8 || fs2.MapVersion() != st.MapVersion() {
+	requireIdentical(t, st, rep2.Store())
+	if fs2 := rep2.Store(); fs2.NumShards() != 8 || fs2.MapVersion() != st.MapVersion() {
 		t.Fatalf("bootstrap topology: shards=%d version=%d", fs2.NumShards(), fs2.MapVersion())
 	}
 }

@@ -31,7 +31,7 @@ func NewMulti(targets []MergeTable, cfg Config) *Multi {
 	}
 	m := &Multi{}
 	for _, t := range targets {
-		m.scheds = append(m.scheds, NewFor(t, cfg))
+		m.scheds = append(m.scheds, New(t, cfg))
 	}
 	return m
 }

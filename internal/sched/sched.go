@@ -19,8 +19,8 @@ import (
 // MergeTable is the surface the scheduler supervises: anything exposing
 // the delta/main tuple counts the trigger condition reads, the row counts
 // MergeNow uses to spot garbage-collectable history, and an online merge.
-// *table.Table satisfies it, as does each shard of a sharded table (see
-// internal/shard and Multi).
+// Every partition of a store (*table.Table) satisfies it; Multi supervises
+// all of a store's partitions.
 type MergeTable interface {
 	DeltaRows() int
 	MainRows() int
@@ -91,11 +91,8 @@ type Scheduler struct {
 	lastErr error
 }
 
-// New returns a stopped scheduler for one flat table.
-func New(t *table.Table, cfg Config) *Scheduler { return NewFor(t, cfg) }
-
-// NewFor returns a stopped scheduler for any merge target.
-func NewFor(t MergeTable, cfg Config) *Scheduler {
+// New returns a stopped scheduler for one merge target.
+func New(t MergeTable, cfg Config) *Scheduler {
 	cfg.setDefaults()
 	return &Scheduler{t: t, cfg: cfg}
 }

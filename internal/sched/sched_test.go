@@ -183,7 +183,7 @@ func TestDefaults(t *testing.T) {
 
 func TestMergeNow(t *testing.T) {
 	tb := newTable(t)
-	s := NewFor(tb, Config{Threads: 2})
+	s := New(tb, Config{Threads: 2})
 	// Nothing to merge: a no-op, no error.
 	if err := s.MergeNow(context.Background()); err != nil {
 		t.Fatal(err)

@@ -101,7 +101,7 @@
 // OpCreateIndex builds a merge-maintained group-key index on one column
 // (body: column name; empty response) and OpIndexStats reports
 // per-column index statistics (posting count, size, rebuild count,
-// last rebuild duration — summed across shards on a sharded store).
+// last rebuild duration — summed across shards).
 // Both are idempotent reads of store structure rather than data
 // mutations, so unlike the four write opcodes they are deliberately
 // allowed on read-only followers: a follower may index its local copy
@@ -179,16 +179,15 @@
 //
 // # Online resharding
 //
-// OpReshard changes a sharded store's active shard count online (body:
+// OpReshard changes the store's active shard count online (body:
 // u32 shard count; see hyrise/internal/shard for the migration
 // protocol).  The op blocks until the migration completes and answers
 // with the report: from u32, to u32, rows migrated u64, wall and cutover
 // nanoseconds u64, shard-map version u64 and cutover epoch u64.  Reads
 // and writes on every other connection keep flowing throughout — the op
 // is a barrier only on its own connection.  It fails with
-// wire.StatusErrBadRequest on a flat store and wire.StatusErrReadOnly on
-// a follower (followers converge by replaying the reshard ops from the
-// primary's op log instead).  OpServerStats ends with the live
+// wire.StatusErrReadOnly on a follower (followers converge by replaying
+// the reshard ops from the primary's op log instead).  OpServerStats ends with the live
 // topology — active shards u32, physical partitions u32, shard-map
 // version u64 and a resharding-in-progress byte — so clients can watch a
 // migration land.

@@ -6,17 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"hyrise/internal/shard"
 	"hyrise/internal/table"
 	"hyrise/internal/wire"
 )
 
-func fuzzStore(t testing.TB) *table.Table {
+func fuzzStore(t testing.TB) *shard.Table {
 	t.Helper()
-	flat, err := table.New("sales", table.Schema{
+	flat, err := shard.New("sales", table.Schema{
 		{Name: "order_id", Type: table.Uint64},
 		{Name: "qty", Type: table.Uint32},
 		{Name: "product", Type: table.String},
-	})
+	}, "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +39,7 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(flat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := New(flat, Options{})
 	go srv.Serve(l)
 	defer srv.Close()
 	addr := l.Addr().String()
@@ -132,10 +130,7 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 // never panic.  Every opcode is seeded with a minimal valid body.
 func FuzzHandle(f *testing.F) {
 	flat := fuzzStore(f)
-	srv, err := New(flat, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
+	srv := New(flat, Options{})
 
 	var seed wire.Buffer
 	seed.U8(wire.OpInsert)

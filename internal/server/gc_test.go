@@ -8,20 +8,18 @@ import (
 
 	"hyrise/client"
 	"hyrise/internal/server"
+	"hyrise/internal/shard"
 	"hyrise/internal/table"
 )
 
 // startServerOpts is startServer with explicit server options.
-func startServerOpts(t *testing.T, st server.Store, opts server.Options) (*client.Client, *server.Server) {
+func startServerOpts(t *testing.T, st *shard.Table, opts server.Options) (*client.Client, *server.Server) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := server.New(st, opts)
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	c, err := client.Dial(l.Addr().String())
@@ -37,7 +35,7 @@ func startServerOpts(t *testing.T, st server.Store, opts server.Options) (*clien
 // client capturing in a loop can no longer grow server state (or pin GC)
 // without bound.
 func TestSnapshotRegistryBounded(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +74,7 @@ func TestSnapshotRegistryBounded(t *testing.T) {
 // merge keeps every version the snapshot can see — and releasing the token
 // (or dropping the whole registry) lets the next merge reclaim them.
 func TestSnapshotTokenPinsGC(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +96,7 @@ func TestSnapshotTokenPinsGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := flat.Merge(context.Background(), table.MergeOptions{}); err != nil {
+	if _, err := flat.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// The token's pin held: all n superseded versions survive, and the
@@ -115,11 +113,11 @@ func TestSnapshotTokenPinsGC(t *testing.T) {
 	if got := srv.ReleaseAllSnapshots(); got != 1 {
 		t.Fatalf("released %d, want 1", got)
 	}
-	if _, err := flat.Merge(context.Background(), table.MergeOptions{}); err != nil {
+	if _, err := flat.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if flat.Rows() != n || flat.RetiredRows() != n {
-		t.Fatalf("rows=%d retired=%d want %d/%d", flat.Rows(), flat.RetiredRows(), n, n)
+	if flat.Rows() != n || flat.StoreStats().RetiredRows != n {
+		t.Fatalf("rows=%d retired=%d want %d/%d", flat.Rows(), flat.StoreStats().RetiredRows, n, n)
 	}
 	// The stale token is gone from the registry.
 	if _, err := c.ValidRowsAt(snap); !errors.Is(err, client.ErrBadSnapshot) {

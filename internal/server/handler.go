@@ -178,22 +178,6 @@ func (s *Server) colType(name string) (table.Type, error) {
 	return 0, fmt.Errorf("%w: %q", table.ErrNoColumn, name)
 }
 
-// handleReads is the typed read surface shared by table.Handle and
-// shard.Handle; handleOf binds one for either topology.
-type handleReads[V val.Value] interface {
-	LookupAt(view table.View, v V) []int
-	RangeAt(view table.View, lo, hi V) []int
-	ScanAt(view table.View, fn func(row int, v V) bool)
-	CountEqualAt(view table.View, v V) int
-}
-
-func handleOf[V val.Value](s *Server, col string) (handleReads[V], error) {
-	if s.flat != nil {
-		return table.ColumnOf[V](s.flat, col)
-	}
-	return shard.ColumnOf[V](s.sharded, col)
-}
-
 // want asserts the decoded wire value against the column's Go type.
 func want[V val.Value](v any, col string) (V, error) {
 	tv, ok := v.(V)
@@ -400,7 +384,7 @@ func lookupTyped[V val.Value](s *Server, view table.View, col string, v any) ([]
 	if err != nil {
 		return nil, err
 	}
-	h, err := handleOf[V](s, col)
+	h, err := shard.ColumnOf[V](s.st, col)
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +430,7 @@ func rangeTyped[V val.Value](s *Server, view table.View, col string, lo, hi any)
 	if err != nil {
 		return nil, err
 	}
-	h, err := handleOf[V](s, col)
+	h, err := shard.ColumnOf[V](s.st, col)
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +476,7 @@ func countTyped[V val.Value](s *Server, view table.View, col string, v any) (int
 	if err != nil {
 		return 0, err
 	}
-	h, err := handleOf[V](s, col)
+	h, err := shard.ColumnOf[V](s.st, col)
 	if err != nil {
 		return 0, err
 	}
@@ -536,7 +520,7 @@ func (s *Server) opCountEqual(r *wire.Reader, out *wire.Buffer, info *reqInfo) e
 // scan caveat).  Row materialization for withRows happens in opScan,
 // strictly after this returns.
 func scanTyped[V val.Value](s *Server, view table.View, col string, limit int, out *wire.Buffer) ([]int, error) {
-	h, err := handleOf[V](s, col)
+	h, err := shard.ColumnOf[V](s.st, col)
 	if err != nil {
 		return nil, err
 	}
@@ -614,23 +598,8 @@ func (s *Server) opScan(r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
 	return nil
 }
 
-// numericReads is the aggregation surface shared by table.NumericHandle
-// and shard.NumericHandle.
-type numericReads[V interface{ ~uint32 | ~uint64 }] interface {
-	SumAt(view table.View) uint64
-	MinAt(view table.View) (V, bool)
-	MaxAt(view table.View) (V, bool)
-}
-
-func numericOf[V interface{ ~uint32 | ~uint64 }](s *Server, col string) (numericReads[V], error) {
-	if s.flat != nil {
-		return table.NumericColumnOf[V](s.flat, col)
-	}
-	return shard.NumericColumnOf[V](s.sharded, col)
-}
-
 func aggregateTyped[V interface{ ~uint32 | ~uint64 }](s *Server, op uint8, view table.View, col string, out *wire.Buffer) error {
-	h, err := numericOf[V](s, col)
+	h, err := shard.NumericColumnOf[V](s.st, col)
 	if err != nil {
 		return err
 	}
@@ -697,12 +666,7 @@ func (s *Server) opQuery(r *wire.Reader, out *wire.Buffer, info *reqInfo) error 
 			filters[i].Op = query.Between
 		}
 	}
-	var res *query.Result
-	if s.flat != nil {
-		res, err = query.RunAt(s.flat, view, filters, project)
-	} else {
-		res, err = shard.QueryAt(s.sharded, view, filters, project)
-	}
+	res, err := shard.QueryAt(s.st, view, filters, project)
 	if err != nil {
 		return err
 	}
@@ -885,7 +849,7 @@ func (s *Server) opServerStats(r *wire.Reader, out *wire.Buffer) error {
 	out.U64(next)
 	out.U64(next - first)
 	out.U32(uint32(s.Subscribers()))
-	primary := s.clock().Now()
+	primary := s.st.Clock().Now()
 	applied := primary
 	lsn := next
 	if rep := s.opts.Replica; rep != nil {
@@ -923,32 +887,22 @@ func (s *Server) opServerStats(r *wire.Reader, out *wire.Buffer) error {
 		out.U64(c.reqs)
 		out.U64(c.errs)
 	}
-	// Shard topology: active shard count (1 on a flat store), physical
-	// partition count including sealed pre-reshard partitions, shard-map
-	// version (0 on a flat store) and whether a reshard migration is in
-	// flight.
-	var shards uint32 = 1
-	var mapVer uint64
-	var resharding bool
-	if sh := s.sharded; sh != nil {
-		shards = uint32(sh.NumShards())
-		mapVer = sh.MapVersion()
-		resharding = sh.Resharding()
-	}
-	out.U32(shards)
-	out.U32(uint32(len(s.st.Partitions())))
-	out.U64(mapVer)
-	out.U8(boolByte(resharding))
+	// Shard topology: active shard count, physical partition count
+	// including sealed pre-reshard partitions, shard-map version and
+	// whether a reshard migration is in flight.
+	out.U32(uint32(s.st.NumShards()))
+	out.U32(uint32(s.st.NumParts()))
+	out.U64(s.st.MapVersion())
+	out.U8(boolByte(s.st.Resharding()))
 	return nil
 }
 
-// opReshard changes the active shard count of a sharded
-// store online: reads at any epoch and concurrent writes keep working
-// throughout, and the migration flows through the op log so followers
-// replay it bit-identically.  Flat stores refuse the op; followers answer
-// read-only (the reshard reaches them through replication).  The response
-// reports the migration so clients can surface it without a second
-// round-trip.
+// opReshard changes the store's active shard count online: reads at any
+// epoch and concurrent writes keep working throughout, and the migration
+// flows through the op log so followers replay it bit-identically.
+// Followers answer read-only (the reshard reaches them through
+// replication).  The response reports the migration so clients can surface
+// it without a second round-trip.
 func (s *Server) opReshard(r *wire.Reader, out *wire.Buffer) error {
 	n, err := r.U32()
 	if err != nil {
@@ -957,13 +911,10 @@ func (s *Server) opReshard(r *wire.Reader, out *wire.Buffer) error {
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	if s.sharded == nil {
-		return fmt.Errorf("%w: store is not sharded", wire.ErrMalformed)
-	}
 	// Under lifeCtx like merges: a force-close aborts the migration pass
 	// instead of the session outliving the server (the cutover still
 	// publishes — the store stays consistent, just lazily drained).
-	rep, err := s.sharded.Reshard(s.lifeCtx, int(n))
+	rep, err := s.st.Reshard(s.lifeCtx, int(n))
 	if err != nil {
 		return err
 	}

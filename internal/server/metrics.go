@@ -102,7 +102,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Registered (unreleased) snapshot tokens.", func() float64 { return float64(s.SnapshotCount()) })
 
 	// Epoch clock and pins (the GC retention inputs).
-	clock := s.clock()
+	clock := s.st.Clock()
 	reg.GaugeFunc("hyrise_epoch_current",
 		"Current epoch of the store clock.", func() float64 { return float64(clock.Now()) })
 	reg.GaugeFunc("hyrise_epoch_pins",
@@ -250,8 +250,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Seed phases served by a group-key index.",
 		func() float64 { return float64(query.Planner().IndexedSeeds) })
 
-	// Online resharding: migration and cutover instruments,
-	// plus live shard-topology gauges on sharded stores.
+	// Online resharding: migration and cutover instruments, plus live
+	// shard-topology gauges.
 	m.reshardTotal = reg.Counter("hyrise_reshard_total", "Completed online reshards.")
 	m.reshardRows = reg.Counter("hyrise_reshard_rows_migrated_total",
 		"Row versions relocated into new shard windows by reshard migration passes.")
@@ -259,31 +259,28 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"End-to-end online reshard duration (prepare, migrate, cutover).")
 	m.reshardCutover = reg.Histogram("hyrise_reshard_cutover_seconds",
 		"Duration of the atomic cutover step publishing the new routing.")
-	if sh := s.sharded; sh != nil {
-		reg.GaugeFunc("hyrise_store_shards", "Active shard count (current routing window).",
-			func() float64 { return float64(sh.NumShards()) })
-		reg.GaugeFunc("hyrise_store_partitions",
-			"Physical partition count, including sealed pre-reshard partitions.",
-			func() float64 { return float64(sh.NumParts()) })
-		reg.GaugeFunc("hyrise_shard_map_version", "Version of the published shard map.",
-			func() float64 { return float64(sh.MapVersion()) })
-		reg.GaugeFunc("hyrise_store_resharding", "1 while a reshard migration is in flight.",
-			func() float64 {
-				if sh.Resharding() {
-					return 1
-				}
-				return 0
-			})
-	}
+	sh := s.st
+	reg.GaugeFunc("hyrise_store_shards", "Active shard count (current routing window).",
+		func() float64 { return float64(sh.NumShards()) })
+	reg.GaugeFunc("hyrise_store_partitions",
+		"Physical partition count, including sealed pre-reshard partitions.",
+		func() float64 { return float64(sh.NumParts()) })
+	reg.GaugeFunc("hyrise_shard_map_version", "Version of the published shard map.",
+		func() float64 { return float64(sh.MapVersion()) })
+	reg.GaugeFunc("hyrise_store_resharding", "1 while a reshard migration is in flight.",
+		func() float64 {
+			if sh.Resharding() {
+				return 1
+			}
+			return 0
+		})
 
-	for _, p := range s.st.Partitions() {
+	for _, p := range sh.Partitions() {
 		p.OnMerge(m.observeMerge)
 	}
-	if sh := s.sharded; sh != nil {
-		// Partitions created by a later reshard must feed the same merge
-		// instruments as the originals.
-		sh.OnPartition(func(p *table.Table, phys int) { p.OnMerge(m.observeMerge) })
-	}
+	// Partitions created by a later reshard must feed the same merge
+	// instruments as the originals.
+	sh.OnPartition(func(p *table.Table, phys int) { p.OnMerge(m.observeMerge) })
 	return m
 }
 

@@ -81,7 +81,7 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	now := s.clock().Now()
+	now := s.st.Clock().Now()
 	if now < minEpoch {
 		http.Error(w, fmt.Sprintf("epoch %d < min_epoch %d", now, minEpoch), http.StatusServiceUnavailable)
 		return

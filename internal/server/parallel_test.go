@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"hyrise/client"
-	"hyrise/internal/table"
+	"hyrise/internal/shard"
 	"hyrise/internal/wire"
 )
 
@@ -19,7 +19,7 @@ import (
 // arrives in request order with the value serial execution would have
 // produced, and a read pipelined after a write observes that write.
 func TestPipelinedParallelOrder(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

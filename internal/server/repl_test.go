@@ -11,7 +11,6 @@ import (
 	"hyrise/internal/replica"
 	"hyrise/internal/server"
 	"hyrise/internal/shard"
-	"hyrise/internal/table"
 	"hyrise/internal/wire"
 )
 
@@ -19,27 +18,17 @@ import (
 // plus n followers, each a full replica.Replica fronted by its own
 // server.  It returns the primary's address and the follower addresses
 // and servers.
-func startReplicated(t testing.TB, st server.Store, n int) (string, []string, []*server.Server, []*replica.Replica) {
+func startReplicated(t testing.TB, st *shard.Table, n int) (string, []string, []*server.Server, []*replica.Replica) {
 	t.Helper()
-	log := oplog.New(st.Partitions()[0].Clock(), 0)
-	var err error
-	switch x := st.(type) {
-	case *table.Table:
-		err = x.AttachOplog(log, 0)
-	case *shard.Table:
-		err = x.AttachOplog(log)
-	}
-	if err != nil {
+	log := oplog.New(st.Clock(), 0)
+	if err := st.AttachOplog(log); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(st, server.Options{Logger: testLogger(t), OpLog: log})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := server.New(st, server.Options{Logger: testLogger(t), OpLog: log})
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	primaryAddr := l.Addr().String()
@@ -53,20 +42,11 @@ func startReplicated(t testing.TB, st server.Store, n int) (string, []string, []
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { rep.Close() })
-		var fst server.Store
-		if f := rep.Flat(); f != nil {
-			fst = f
-		} else {
-			fst = rep.Sharded()
-		}
 		fl, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		fsrv, err := server.New(fst, server.Options{Logger: testLogger(t), Replica: rep})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fsrv := server.New(rep.Store(), server.Options{Logger: testLogger(t), Replica: rep})
 		go fsrv.Serve(fl)
 		t.Cleanup(func() { fsrv.Close() })
 		addrs[i] = fl.Addr().String()
@@ -88,7 +68,7 @@ func waitFollowerEpoch(t testing.TB, rep *replica.Replica, e uint64) {
 }
 
 func TestHello(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +86,7 @@ func TestHello(t *testing.T) {
 }
 
 func TestServerStatsPrimaryAndFollower(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +140,7 @@ func TestServerStatsPrimaryAndFollower(t *testing.T) {
 }
 
 func TestFollowerRejectsWrites(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +275,7 @@ func TestFollowerRouting(t *testing.T) {
 
 // TestPinEpochGuards exercises OpPinEpoch's refusal paths end to end.
 func TestPinEpochGuards(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,7 +8,6 @@ import (
 
 	"hyrise/client"
 	"hyrise/internal/shard"
-	"hyrise/internal/table"
 )
 
 // TestReshardOverProtocol drives an online reshard end to end through
@@ -134,15 +132,5 @@ func TestReshardOverProtocol(t *testing.T) {
 		if v, ok := client.MetricValue(samples, name); !ok || v != want {
 			t.Errorf("%s = %v (ok=%v), want %v", name, v, ok, want)
 		}
-	}
-
-	// A flat store has nothing to reshard.
-	flat, err := table.New("flat", salesSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, _, _ := startServer(t, flat)
-	if _, err := fc.Reshard(4); !errors.Is(err, client.ErrBadRequest) {
-		t.Fatalf("flat reshard: %v", err)
 	}
 }

@@ -12,40 +12,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hyrise/internal/epoch"
 	"hyrise/internal/oplog"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
 	"hyrise/internal/wire"
 )
-
-// Store is the storage surface the server exposes over the network.  It
-// is structurally identical to the root package's Store interface, so
-// both *table.Table and *shard.Table (and any hyrise.Store value backed
-// by one of them) satisfy it.
-type Store interface {
-	Name() string
-	Schema() table.Schema
-	Insert(values []any) (int, error)
-	InsertRows(rows [][]any) ([]int, error)
-	Update(row int, changes map[string]any) (int, error)
-	Delete(row int) error
-	Row(row int) ([]any, error)
-	IsValid(row int) bool
-	Rows() int
-	ValidRows() int
-	MainRows() int
-	DeltaRows() int
-	Merging() bool
-	RequestMerge(ctx context.Context, opts table.MergeOptions) (table.Report, error)
-	Snapshot() table.View
-	ValidRowsAt(v table.View) int
-	VisibleAt(v table.View, row int) bool
-	CreateIndex(column string) error
-	IndexStats() []table.IndexStats
-	StoreStats() table.StoreStats
-	Partitions() []*table.Table
-}
 
 // DefaultMaxSnapshots bounds the snapshot registry when
 // Options.MaxSnapshots is zero.  Every registered snapshot pins its
@@ -106,13 +77,8 @@ func (o Options) logger() *slog.Logger {
 // Server serves the wire protocol over a Store.  Create with New, start
 // with Serve, stop with Shutdown (graceful) or Close (immediate).
 type Server struct {
-	st   Store
+	st   *shard.Table
 	opts Options
-
-	// Exactly one of flat/sharded is non-nil; typed column dispatch
-	// switches on it (generic handles cannot hang off an interface).
-	flat    *table.Table
-	sharded *shard.Table
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -152,9 +118,8 @@ type Server struct {
 	readPool chan struct{}
 }
 
-// New returns a stopped server over st.  The Store must be backed by
-// *table.Table or *shard.Table (both root topologies are).
-func New(st Store, opts Options) (*Server, error) {
+// New returns a stopped server over st.
+func New(st *shard.Table, opts Options) *Server {
 	s := &Server{
 		st:      st,
 		opts:    opts,
@@ -167,18 +132,10 @@ func New(st Store, opts Options) (*Server, error) {
 	}
 	s.lifeCtx, s.cancelLife = context.WithCancel(context.Background())
 	s.readPool = make(chan struct{}, max(2, runtime.GOMAXPROCS(0)))
-	switch x := st.(type) {
-	case *table.Table:
-		s.flat = x
-	case *shard.Table:
-		s.sharded = x
-	default:
-		return nil, fmt.Errorf("server: unsupported Store implementation %T", st)
-	}
 	if !opts.NoMetrics {
 		s.mx = newServerMetrics(s)
 	}
-	return s, nil
+	return s
 }
 
 // ErrServerClosed is returned by Serve after Shutdown or Close.
@@ -321,14 +278,6 @@ func (s *Server) removeSubscriber(c *conn) {
 	s.subMu.Unlock()
 }
 
-// clock returns the store's epoch clock (shared across shards).
-func (s *Server) clock() *epoch.Clock {
-	if s.flat != nil {
-		return s.flat.Clock()
-	}
-	return s.sharded.Clock()
-}
-
 // role reports what OpHello and OpServerStats announce.
 func (s *Server) role() uint8 {
 	if s.opts.Replica != nil {
@@ -407,7 +356,7 @@ func (s *Server) registerPinned(e uint64) (uint64, error) {
 		if a := rep.AppliedEpoch(); e > a {
 			return 0, fmt.Errorf("%w: epoch %d not applied yet (applied %d)", errStaleEpoch, e, a)
 		}
-	} else if now := s.clock().Now(); e > now {
+	} else if now := s.st.Clock().Now(); e > now {
 		return 0, fmt.Errorf("%w: epoch %d is in the future (now %d)", errBadSnapshot, e, now)
 	}
 	v, err := s.pinAt(e)
@@ -423,7 +372,7 @@ func (s *Server) registerPinned(e uint64) (uint64, error) {
 // computes its watermark (and keeps e's history) or froze earlier — in
 // which case its intent is visible through GCBound and caught here.
 func (s *Server) pinAt(e uint64) (table.View, error) {
-	v := table.PinnedViewAt(s.clock(), e)
+	v := table.PinnedViewAt(s.st.Clock(), e)
 	for _, p := range s.st.Partitions() {
 		if b := p.GCBound(); b > e {
 			v.Release()

@@ -41,16 +41,13 @@ func salesSchema() table.Schema {
 
 // startServer serves st on a loopback listener and returns a connected
 // client; everything is torn down with the test.
-func startServer(t testing.TB, st server.Store) (*client.Client, *server.Server, string) {
+func startServer(t testing.TB, st *shard.Table) (*client.Client, *server.Server, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(st, server.Options{Logger: testLogger(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := server.New(st, server.Options{Logger: testLogger(t)})
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	c, err := client.Dial(l.Addr().String())
@@ -61,9 +58,9 @@ func startServer(t testing.TB, st server.Store) (*client.Client, *server.Server,
 	return c, srv, l.Addr().String()
 }
 
-func newStores(t *testing.T) map[string]server.Store {
+func newStores(t *testing.T) map[string]*shard.Table {
 	t.Helper()
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +68,11 @@ func newStores(t *testing.T) map[string]server.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]server.Store{"flat": flat, "sharded": sharded}
+	return map[string]*shard.Table{"shards=1": flat, "shards=4": sharded}
 }
 
 // TestServerOps drives the full op surface through the client against
-// both topologies.
+// one shard and four.
 func TestServerOps(t *testing.T) {
 	for name, st := range newStores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -95,10 +92,8 @@ func TestServerOps(t *testing.T) {
 			if !reflect.DeepEqual(c.Schema(), wantSchema) {
 				t.Fatalf("schema %+v", c.Schema())
 			}
-			if name == "sharded" {
-				if c.Shards() != 4 || c.KeyColumn() != "order_id" {
-					t.Fatalf("shards=%d key=%q", c.Shards(), c.KeyColumn())
-				}
+			if c.Shards() != st.NumShards() || c.KeyColumn() != "order_id" {
+				t.Fatalf("shards=%d key=%q", c.Shards(), c.KeyColumn())
 			}
 
 			// Insert + batch (with int literal coercion).
@@ -224,10 +219,7 @@ func TestServerOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantShards := 1
-			if name == "sharded" {
-				wantShards = 4
-			}
+			wantShards := st.NumShards()
 			if stats.Shards != wantShards || stats.ValidRows != 99 || len(stats.Partitions) != wantShards {
 				t.Fatalf("stats %+v", stats)
 			}
@@ -332,7 +324,7 @@ func TestServerSnapshots(t *testing.T) {
 
 // TestServerTypedErrors pins the status-code mapping end to end.
 func TestServerTypedErrors(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +365,7 @@ func TestServerTypedErrors(t *testing.T) {
 // read lock and deadlock behind any write-lock waiter — with writers
 // hammering, that deadlock shows within a few iterations.
 func TestServerScanThenLookupNoDeadlock(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +437,7 @@ func TestServerScanThenLookupNoDeadlock(t *testing.T) {
 // (once an epoch-less snapshot capture) are answered with error statuses,
 // never served, and the session stays in sync for the requests after them.
 func TestServerRefusesOtherProtocol(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +482,7 @@ func TestServerRefusesOtherProtocol(t *testing.T) {
 }
 
 func TestServerGracefulShutdown(t *testing.T) {
-	flat, err := table.New("sales", salesSchema())
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,10 +490,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(flat, server.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := server.New(flat, server.Options{})
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()
 

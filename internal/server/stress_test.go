@@ -46,7 +46,7 @@ func TestServerStress(t *testing.T) {
 	// The background scheduler keeps delta fractions bounded while the
 	// traffic flows — the daemon's serving configuration in miniature.
 	targets := make([]sched.MergeTable, 0, shards)
-	for _, s := range st.Shards() {
+	for _, s := range st.Partitions() {
 		targets = append(targets, s)
 	}
 	ms := sched.NewMulti(targets, sched.Config{Fraction: 0.01, Interval: time.Millisecond})

@@ -126,11 +126,7 @@ func (s *Server) serveSubscribe(c *conn, payload []byte, bw *bufio.Writer) {
 
 	if mode == wire.SubSnapshot {
 		cw := &chunkWriter{send: send}
-		if s.flat != nil {
-			err = persist.Save(s.flat, cw)
-		} else {
-			err = persist.SaveSharded(s.sharded, cw)
-		}
+		err = persist.Save(s.st, cw)
 		if err == nil {
 			err = cw.close()
 		}

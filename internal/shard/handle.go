@@ -1,24 +1,26 @@
 package shard
 
 import (
-	"sort"
+	"fmt"
 	"sync"
 
 	"hyrise/internal/table"
 	"hyrise/internal/val"
 )
 
-// Handle is a typed single-column view over every shard, mirroring
-// table.Handle: key lookups, range selects and scans, returning global row
-// ids.  Methods without an At suffix read current rows; the At variants
-// read through a View captured by Table.Snapshot, whose single epoch is
-// valid across every shard — the fanned-out reads are consistent with each
-// other even while writers, cross-shard moves and merges proceed.
+// Handle is a typed single-column view over every partition of a store:
+// key lookups, range selects and scans, returning global row ids.  Every
+// method delegates to the same-named table.Handle method of each partition
+// and combines the results, so a store of one partition reads exactly what
+// — and as fast as — its partition does.  Methods without an At suffix read
+// current rows; the At variants read through a View captured by
+// Table.Snapshot, whose single epoch is valid across every partition — the
+// fanned-out reads are consistent with each other even while writers,
+// cross-partition moves and merges proceed.
 //
-// Lookup and Range fan out to all shards in parallel and fan the per-shard
-// results back in as a sorted global row id list.  Scan visits shards
-// sequentially (shard 0 first), so row order is per-shard insertion order,
-// not global insertion order.
+// Lookup and Range probe all partitions in parallel and return ascending
+// global row ids.  Scan visits partitions sequentially (partition 0 first),
+// in per-partition insertion order.
 //
 // A handle covers the physical partitions that existed when it was
 // resolved.  A Reshard appends partitions, so resolve a fresh handle after
@@ -26,15 +28,15 @@ import (
 // before the handle was resolved remain complete on the old handle (row
 // versions visible at that epoch never move to newer partitions).
 type Handle[V val.Value] struct {
-	st *Table
 	hs []*table.Handle[V]
 }
 
 // ColumnOf resolves a typed handle for the named column across all
 // physical partitions.
 func ColumnOf[V val.Value](st *Table, name string) (*Handle[V], error) {
-	h := &Handle[V]{st: st}
-	for _, s := range st.Shards() {
+	parts := st.load().parts
+	h := &Handle[V]{hs: make([]*table.Handle[V], 0, len(parts))}
+	for _, s := range parts {
 		sh, err := table.ColumnOf[V](s, name)
 		if err != nil {
 			return nil, err
@@ -44,106 +46,120 @@ func ColumnOf[V val.Value](st *Table, name string) (*Handle[V], error) {
 	return h, nil
 }
 
-// Get returns the value at a global row id (valid or not).
-func (h *Handle[V]) Get(gid int) (V, error) {
-	s, local, err := h.st.Locate(gid)
-	if err != nil {
-		var zero V
-		return zero, err
-	}
-	return h.hs[s].Get(local)
-}
-
-// fanOut runs fn on every shard concurrently and merges the returned
-// shard-local row ids into one ascending global row id list.
-func (h *Handle[V]) fanOut(fn func(sh *table.Handle[V]) []int) []int {
-	perShard := make([][]int, len(h.hs))
+// each runs fn on every partition's handle concurrently and returns the
+// results in physical order.  Callers with a single partition call it
+// inline instead.
+func each[H, R any](hs []H, fn func(H) R) []R {
+	out := make([]R, len(hs))
 	var wg sync.WaitGroup
-	for i, sh := range h.hs {
+	for i, h := range hs {
 		wg.Add(1)
-		go func(i int, sh *table.Handle[V]) {
+		go func() {
 			defer wg.Done()
-			perShard[i] = fn(sh)
-		}(i, sh)
+			out[i] = fn(h)
+		}()
 	}
 	wg.Wait()
-	var out []int
-	for i, locals := range perShard {
-		for _, l := range locals {
-			out = append(out, h.st.gid(i, l))
-		}
-	}
-	sort.Ints(out)
 	return out
 }
 
+// globalIDs concatenates per-partition local id lists into one global id
+// list.  Each list ascends in local id and the partition index sits in the
+// high bits of a global id, so the concatenation ascends without sorting;
+// partition 0's ids are already global.
+func globalIDs(perPart [][]int) []int {
+	out := perPart[0]
+	for phys := 1; phys < len(perPart); phys++ {
+		for _, local := range perPart[phys] {
+			out = append(out, toGlobal(phys, local))
+		}
+	}
+	return out
+}
+
+// Get returns the value at a global row id (valid or not).
+func (h *Handle[V]) Get(id int) (V, error) {
+	phys, local := split(id)
+	if id < 0 || phys >= len(h.hs) {
+		var zero V
+		return zero, fmt.Errorf("%w: %d", table.ErrRowRange, id)
+	}
+	return h.hs[phys].Get(local)
+}
+
 // Lookup returns the global row ids of current rows whose value equals v.
-// Every shard is probed in parallel (dictionary binary search + CSB+ tree
-// per shard).
 func (h *Handle[V]) Lookup(v V) []int { return h.LookupAt(table.Latest(), v) }
 
 // LookupAt is Lookup against the rows visible at the view's epoch.
 func (h *Handle[V]) LookupAt(view table.View, v V) []int {
-	return h.fanOut(func(sh *table.Handle[V]) []int { return sh.LookupAt(view, v) })
+	if len(h.hs) == 1 {
+		return h.hs[0].LookupAt(view, v)
+	}
+	return globalIDs(each(h.hs, func(p *table.Handle[V]) []int { return p.LookupAt(view, v) }))
 }
 
-// Range returns the global row ids of current rows with value in [lo, hi],
-// fanned out across shards in parallel.
+// Range returns the global row ids of current rows with value in [lo, hi].
 func (h *Handle[V]) Range(lo, hi V) []int { return h.RangeAt(table.Latest(), lo, hi) }
 
 // RangeAt is Range against the rows visible at the view's epoch.
 func (h *Handle[V]) RangeAt(view table.View, lo, hi V) []int {
-	return h.fanOut(func(sh *table.Handle[V]) []int { return sh.RangeAt(view, lo, hi) })
+	if len(h.hs) == 1 {
+		return h.hs[0].RangeAt(view, lo, hi)
+	}
+	return globalIDs(each(h.hs, func(p *table.Handle[V]) []int { return p.RangeAt(view, lo, hi) }))
 }
 
-// Scan streams every current row's value through fn, shard by shard.
-// Iteration stops early if fn returns false.
-func (h *Handle[V]) Scan(fn func(gid int, v V) bool) { h.ScanAt(table.Latest(), fn) }
+// Scan streams every current row's value through fn, partition by
+// partition.  Iteration stops early if fn returns false.  fn runs under the
+// partition's read lock and must not call back into the store.
+func (h *Handle[V]) Scan(fn func(id int, v V) bool) { h.ScanAt(table.Latest(), fn) }
 
 // ScanAt is Scan against the rows visible at the view's epoch.
-func (h *Handle[V]) ScanAt(view table.View, fn func(gid int, v V) bool) {
-	for i, sh := range h.hs {
-		stop := false
-		sh.ScanAt(view, func(local int, v V) bool {
-			if !fn(h.st.gid(i, local), v) {
-				stop = true
-				return false
-			}
-			return true
+func (h *Handle[V]) ScanAt(view table.View, fn func(id int, v V) bool) {
+	if len(h.hs) == 1 {
+		h.hs[0].ScanAt(view, fn)
+		return
+	}
+	for phys, p := range h.hs {
+		stopped := false
+		p.ScanAt(view, func(local int, v V) bool {
+			stopped = !fn(toGlobal(phys, local), v)
+			return !stopped
 		})
-		if stop {
+		if stopped {
 			return
 		}
 	}
 }
 
 // CountEqual returns the number of current rows with value v.
-func (h *Handle[V]) CountEqual(v V) int { return len(h.Lookup(v)) }
+func (h *Handle[V]) CountEqual(v V) int { return h.CountEqualAt(table.Latest(), v) }
 
-// CountEqualAt is CountEqual at the view's epoch.
-func (h *Handle[V]) CountEqualAt(view table.View, v V) int { return len(h.LookupAt(view, v)) }
+// CountEqualAt is CountEqual at the view's epoch: the sum of the
+// partitions' fused count kernels, with no id list materialized.
+func (h *Handle[V]) CountEqualAt(view table.View, v V) int {
+	if len(h.hs) == 1 {
+		return h.hs[0].CountEqualAt(view, v)
+	}
+	n := 0
+	for _, c := range each(h.hs, func(p *table.Handle[V]) int { return p.CountEqualAt(view, v) }) {
+		n += c
+	}
+	return n
+}
 
 // Distinct returns the number of distinct values among all stored row
-// versions across shards.  Like table.Handle.Distinct this includes
-// invalidated (but not yet reclaimed) versions, so it reads every stored
-// row rather than summing per-shard dictionary sizes (a value may appear
-// in several shards).  Stable ids are not dense once garbage collection
-// has retired some, so the iteration walks each shard's live id list.
+// versions (a value may appear in several partitions, so the partitions'
+// value sets are unioned rather than their sizes summed).
 func (h *Handle[V]) Distinct() int {
 	seen := make(map[V]struct{})
-	for i, sh := range h.hs {
-		for _, local := range h.st.Shard(i).RowIDs() {
-			v, err := sh.Get(local)
-			if err != nil {
-				continue
-			}
-			seen[v] = struct{}{}
-		}
+	for _, p := range h.hs {
+		p.AddDistinct(seen)
 	}
 	return len(seen)
 }
 
-// NumericHandle adds cross-shard aggregations for integer columns.
+// NumericHandle adds cross-partition aggregations for integer columns.
 type NumericHandle[V interface{ ~uint32 | ~uint64 }] struct {
 	*Handle[V]
 	ns []*table.NumericHandle[V]
@@ -151,85 +167,69 @@ type NumericHandle[V interface{ ~uint32 | ~uint64 }] struct {
 
 // NumericColumnOf resolves a handle with aggregation support.
 func NumericColumnOf[V interface{ ~uint32 | ~uint64 }](st *Table, name string) (*NumericHandle[V], error) {
-	h, err := ColumnOf[V](st, name)
-	if err != nil {
-		return nil, err
-	}
-	nh := &NumericHandle[V]{Handle: h}
-	for _, s := range st.Shards() {
+	nh := &NumericHandle[V]{Handle: &Handle[V]{}}
+	for _, s := range st.load().parts {
 		n, err := table.NumericColumnOf[V](s, name)
 		if err != nil {
 			return nil, err
 		}
 		nh.ns = append(nh.ns, n)
+		nh.hs = append(nh.hs, n.Handle)
 	}
 	return nh, nil
 }
 
-// Sum aggregates the column over current rows, computing per-shard partial
-// sums in parallel and combining them.
+// Sum aggregates the column over current rows.
 func (h *NumericHandle[V]) Sum() uint64 { return h.SumAt(table.Latest()) }
 
 // SumAt aggregates over the rows visible at the view's epoch; the shared
-// epoch makes the combined sum a consistent cross-shard aggregate.
+// epoch makes the combined sum a consistent cross-partition aggregate.
 func (h *NumericHandle[V]) SumAt(view table.View) uint64 {
-	partial := make([]uint64, len(h.ns))
-	var wg sync.WaitGroup
-	for i, n := range h.ns {
-		wg.Add(1)
-		go func(i int, n *table.NumericHandle[V]) {
-			defer wg.Done()
-			partial[i] = n.SumAt(view)
-		}(i, n)
+	if len(h.ns) == 1 {
+		return h.ns[0].SumAt(view)
 	}
-	wg.Wait()
 	var sum uint64
-	for _, p := range partial {
+	for _, p := range each(h.ns, func(n *table.NumericHandle[V]) uint64 { return n.SumAt(view) }) {
 		sum += p
 	}
 	return sum
 }
 
-// Min returns the smallest value over current rows across shards; ok is
-// false when no shard has a current row.
+// Min returns the smallest value over current rows; ok is false when the
+// store has no current row.
 func (h *NumericHandle[V]) Min() (V, bool) { return h.MinAt(table.Latest()) }
 
 // MinAt is Min at the view's epoch.
 func (h *NumericHandle[V]) MinAt(view table.View) (V, bool) {
-	return h.combine(func(n *table.NumericHandle[V]) (V, bool) { return n.MinAt(view) },
-		func(a, b V) bool { return b < a })
+	return h.best((*table.NumericHandle[V]).MinAt, view, func(cur, cand V) bool { return cand < cur })
 }
 
-// Max returns the largest value over current rows across shards.
+// Max returns the largest value over current rows.
 func (h *NumericHandle[V]) Max() (V, bool) { return h.MaxAt(table.Latest()) }
 
 // MaxAt is Max at the view's epoch.
 func (h *NumericHandle[V]) MaxAt(view table.View) (V, bool) {
-	return h.combine(func(n *table.NumericHandle[V]) (V, bool) { return n.MaxAt(view) },
-		func(a, b V) bool { return b > a })
+	return h.best((*table.NumericHandle[V]).MaxAt, view, func(cur, cand V) bool { return cand > cur })
 }
 
-func (h *NumericHandle[V]) combine(get func(*table.NumericHandle[V]) (V, bool), better func(cur, cand V) bool) (V, bool) {
-	vals := make([]V, len(h.ns))
-	oks := make([]bool, len(h.ns))
-	var wg sync.WaitGroup
-	for i, n := range h.ns {
-		wg.Add(1)
-		go func(i int, n *table.NumericHandle[V]) {
-			defer wg.Done()
-			vals[i], oks[i] = get(n)
-		}(i, n)
+// best combines one per-partition extreme (MinAt or MaxAt) across
+// partitions.
+func (h *NumericHandle[V]) best(at func(*table.NumericHandle[V], table.View) (V, bool), view table.View, better func(cur, cand V) bool) (V, bool) {
+	if len(h.ns) == 1 {
+		return at(h.ns[0], view)
 	}
-	wg.Wait()
-	var best V
-	found := false
-	for i := range vals {
-		if !oks[i] {
-			continue
-		}
-		if !found || better(best, vals[i]) {
-			best, found = vals[i], true
+	type extreme struct {
+		v  V
+		ok bool
+	}
+	var out extreme
+	for _, e := range each(h.ns, func(n *table.NumericHandle[V]) extreme {
+		v, ok := at(n, view)
+		return extreme{v, ok}
+	}) {
+		if e.ok && (!out.ok || better(out.v, e.v)) {
+			out = e
 		}
 	}
-	return best, found
+	return out.v, out.ok
 }

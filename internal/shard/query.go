@@ -2,75 +2,59 @@ package shard
 
 import (
 	"errors"
-	"sort"
-	"sync"
 
 	"hyrise/internal/query"
 	"hyrise/internal/table"
 )
 
-// Query evaluates a conjunctive multi-column query against every shard in
-// parallel and fans the per-shard results back in: row ids are remapped to
-// global row ids and the combined result is sorted by global row id, with
-// projected values kept aligned.  It reads current rows; each shard
-// evaluates under its own per-shard read snapshot.  Use QueryAt with a
-// view from Table.Snapshot for a cross-shard-consistent result.
+// Query evaluates a conjunctive multi-column query over current rows; see
+// QueryAt.
 func Query(st *Table, filters []query.Filter, project []string) (*query.Result, error) {
 	return QueryAt(st, table.Latest(), filters, project)
 }
 
-// QueryAt is Query against the rows visible at the view's epoch: because
-// the epoch is shared by all shards, the fanned-out evaluation reflects
-// one frozen state of the whole table.  A latest view is replaced by one
-// short-lived pinned cross-shard snapshot so a GC merge on any shard
-// cannot reclaim candidate rows between the per-shard evaluation steps.
+// QueryAt evaluates a conjunctive multi-column query against the rows
+// visible at the view's epoch.  A store of one partition runs query.RunAt
+// on it inline; otherwise every partition evaluates in parallel and the
+// per-partition results concatenate under global row ids (ascending, with
+// projected values kept aligned).  Because the epoch is shared by all
+// partitions, the fanned-out evaluation reflects one frozen state of the
+// whole store; a latest view is replaced by one short-lived pinned snapshot
+// so a GC merge on any partition cannot reclaim candidate rows between the
+// evaluation steps.
 func QueryAt(st *Table, view table.View, filters []query.Filter, project []string) (*query.Result, error) {
-	if view.IsLatest() {
-		view = st.Snapshot()
-		defer view.Release()
-	}
 	// Snapshot the topology once: partition indices below are physical
 	// indices into this list, valid for gid encoding even if a reshard
 	// publishes a newer map mid-query (row versions visible at the view's
 	// epoch never move to partitions created after it).
-	parts := st.Shards()
-	results := make([]*query.Result, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = query.RunAt(parts[i], view, filters, project)
-		}(i)
+	parts := st.load().parts
+	if len(parts) == 1 {
+		return query.RunAt(parts[0], view, filters, project)
 	}
-	wg.Wait()
+	if view.IsLatest() {
+		view = st.Snapshot()
+		defer view.Release()
+	}
+	type partResult struct {
+		res *query.Result
+		err error
+	}
+	results := each(parts, func(p *table.Table) partResult {
+		res, err := query.RunAt(p, view, filters, project)
+		return partResult{res, err}
+	})
+	out := &query.Result{Columns: project}
+	var errs []error
+	for phys, r := range results {
+		if r.err != nil {
+			errs = append(errs, r.err)
+			continue
+		}
+		out.Rows = append(out.Rows, globalize(phys, r.res.Rows)...)
+		out.Values = append(out.Values, r.res.Values...)
+	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
-	}
-
-	type hit struct {
-		gid  int
-		vals []any
-	}
-	var hits []hit
-	for i, r := range results {
-		for j, local := range r.Rows {
-			h := hit{gid: st.gid(i, local)}
-			if r.Values != nil {
-				h.vals = r.Values[j]
-			}
-			hits = append(hits, h)
-		}
-	}
-	sort.Slice(hits, func(a, b int) bool { return hits[a].gid < hits[b].gid })
-
-	out := &query.Result{Columns: project}
-	for _, h := range hits {
-		out.Rows = append(out.Rows, h.gid)
-		if project != nil {
-			out.Values = append(out.Values, h.vals)
-		}
 	}
 	return out, nil
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // This file implements online resharding: changing the active shard count
-// of a live sharded table while readers — including pinned snapshots and
+// of a live store while readers — including pinned snapshots and
 // replication followers — keep running against a consistent view
 // throughout.
 //

@@ -77,7 +77,7 @@ func TestReshardBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if phys := gid % gidStride; phys < 2 {
+	if phys := gid >> localBits; phys < 2 {
 		t.Fatalf("post-reshard insert landed in sealed partition %d", phys)
 	}
 }
@@ -210,7 +210,7 @@ func TestReshardCancelledStillCutsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if phys := ngid % gidStride; phys < 2 {
+	if phys := ngid >> localBits; phys < 2 {
 		t.Fatalf("update stayed in sealed partition %d", phys)
 	}
 

@@ -1,7 +1,10 @@
-// Package shard horizontally partitions the delta-merge column store: a
-// Table hash-partitions rows by one key column across N independent
-// table.Table shards, each with its own main partitions, delta partitions
-// and merge lifecycle.
+// Package shard is the store: a Table hash-partitions rows by one key
+// column across N independent table.Table partitions ("shards"), each with
+// its own main partitions, delta partitions and merge lifecycle.  N = 1 is
+// the paper's single table — one partition, no routing, no fan-out: every
+// operation then runs inline on that partition and row ids are exactly the
+// partition's dense insertion-ordered ids — and any store can grow to more
+// shards online with Reshard.
 //
 // Sharding multiplies both halves of the paper's central trade (Krueger et
 // al., VLDB 2011): inserts route by key hash and contend only on their own
@@ -30,8 +33,8 @@
 //     partition; the move invalidates the old version and inserts the new
 //     one under both partition locks with ONE epoch stamp, so it is atomic
 //     to snapshots.
-//   - Each partition's merge is individually atomic and online, exactly as
-//     in the flat table.
+//   - Each partition's merge is individually atomic and online
+//     (table.Merge).
 //   - All partitions share one epoch clock, so Snapshot() captures a
 //     single epoch that is consistent across every partition: reads
 //     through the view (LookupAt/RangeAt/ScanAt/QueryAt/ValidRowsAt)
@@ -42,9 +45,10 @@
 //     shard B after a concurrent multi-shard writer; use a snapshot when
 //     that matters.
 //   - Global row ids are stable for the lifetime of the row version and
-//     encode the owning physical partition with a fixed stride
-//     (independent of the shard count), so they survive resharding; they
-//     are not dense and their order is not global insertion order.
+//     carry the owning physical partition in their high bits (independent
+//     of the shard count), so they survive resharding.  Partition 0's ids
+//     are its local ids: a store that never resharded hands out dense,
+//     insertion-ordered ids.
 package shard
 
 import (
@@ -61,24 +65,23 @@ import (
 	"hyrise/internal/table"
 )
 
-// MaxShards bounds the physical partition count a table may reach across
-// its lifetime of reshards; the snapshot loader (internal/persist) trusts
-// the same bound, so any table New accepts round-trips through Save/Load.
-// It is also the global-row-id stride, which is why it is fixed rather
-// than per-table.
-const MaxShards = 1 << 16
+// localBits is the width of the partition-local row id inside a global
+// row id: gid = phys<<localBits | local.  Fixed, so the encoding — and
+// therefore every handed-out row id — survives reshards.
+const localBits = 48
 
-// gidStride is the global-row-id encoding stride:
-// gid = local*gidStride + physicalPartition.  Fixed at MaxShards so the
-// encoding — and therefore every handed-out row id — survives reshards.
-const gidStride = MaxShards
+// MaxShards bounds the physical partition count a table may reach across
+// its lifetime of reshards (the partition index must fit above localBits
+// in a non-negative int); the snapshot loader (internal/persist) trusts
+// the same bound, so any table New accepts round-trips through Save/Load.
+const MaxShards = 1 << 15
 
 // Errors returned by sharded-table operations.
 var (
 	// ErrNoShards is returned by New (and Reshard) for a shard count
 	// outside [1, MaxShards], or when the cumulative physical partition
 	// count would exceed MaxShards.
-	ErrNoShards = errors.New("shard: shard count must be in [1, 65536]")
+	ErrNoShards = errors.New("shard: shard count must be in [1, 32768]")
 	// ErrKeyColumn is returned by New when the key column does not exist.
 	ErrKeyColumn = errors.New("shard: no such key column")
 )
@@ -132,12 +135,12 @@ type Table struct {
 	gcOn      bool // inherited by reshard-created partitions
 }
 
-// New creates an empty sharded table partitioned by the named key column.
+// New creates an empty store hash-partitioned by the named key column.
 func New(name string, schema table.Schema, key string, shards int) (*Table, error) {
 	return NewRestored(name, schema, key, shards, 0, shards, 1)
 }
 
-// NewRestored creates a sharded table with an explicit physical topology:
+// NewRestored creates a store with an explicit physical topology:
 // parts physical partitions of which the tail window
 // [activeBase, activeBase+activeLen) is active, at shard-map version
 // version.  The snapshot loader uses it to restore a post-reshard (or
@@ -293,25 +296,28 @@ func (st *Table) KeyColumn() string { return st.schema[st.keyIdx].Name }
 // caller's error.
 func (st *Table) Shard(i int) *table.Table { return st.load().parts[i] }
 
-// Shards returns ALL physical partitions in physical order — the active
-// window plus any partitions retired by earlier reshards (reads fan out
-// over all of them).
-func (st *Table) Shards() []*table.Table {
-	m := st.load()
-	out := make([]*table.Table, len(m.parts))
-	copy(out, m.parts)
-	return out
+// Global row ids pack a partition-local row id under its PHYSICAL partition
+// index: gid = phys<<localBits | local.  The encoding is stable across
+// merges (merges never renumber rows) and across reshards (it does not
+// depend on the shard count, and physical partition indices are never
+// reused), lets any layer route a gid back to its partition without a
+// lookup table, and is the identity on partition 0.
+
+// toGlobal encodes a partition-local row id as a global row id.
+func toGlobal(phys, local int) int { return phys<<localBits | local }
+
+// split decodes a non-negative global row id.
+func split(gid int) (phys, local int) { return gid >> localBits, gid & (1<<localBits - 1) }
+
+// globalize rewrites partition-local ids as global ids in place.
+func globalize(phys int, ids []int) []int {
+	if phys != 0 {
+		for i, local := range ids {
+			ids[i] = toGlobal(phys, local)
+		}
+	}
+	return ids
 }
-
-// Global row ids pack a partition-local row id with its PHYSICAL partition
-// index at a fixed stride: gid = local*gidStride + part.  The encoding is
-// stable across merges (merges never renumber rows) and across reshards
-// (the stride does not depend on the shard count, and physical partition
-// indices are never reused), and lets any layer route a gid back to its
-// partition without a lookup table.
-
-// gid encodes a partition-local row id as a global row id.
-func (st *Table) gid(phys, local int) int { return local*gidStride + phys }
 
 // locate decodes a global row id against a shard map.  It does not check
 // that the local row exists.
@@ -319,24 +325,24 @@ func locate(m *shardMap, gid int) (phys, local int, err error) {
 	if gid < 0 {
 		return 0, 0, fmt.Errorf("%w: %d", table.ErrRowRange, gid)
 	}
-	phys, local = gid%gidStride, gid/gidStride
+	phys, local = split(gid)
 	if phys >= len(m.parts) {
 		return 0, 0, fmt.Errorf("%w: %d (no partition %d)", table.ErrRowRange, gid, phys)
 	}
 	return phys, local, nil
 }
 
-// Locate decodes a global row id into its physical partition index and
-// partition-local row id.  It does not check that the local row exists.
-func (st *Table) Locate(gid int) (shard, local int, err error) {
-	return locate(st.load(), gid)
-}
-
-// routeFor hashes a key value to the physical index of its owning
-// partition in the map's write window.  The value is first normalized
-// through table.Convert so that e.g. int literals, uint32 and uint64
-// spellings of the same key agree.
+// routeFor returns the physical index of the partition owning a key value
+// in the map's write window.  A window of one partition owns every key, so
+// nothing is converted or hashed (the partition validates the value);
+// otherwise the value is normalized through table.Convert — so that e.g.
+// int literals, uint32 and uint64 spellings of the same key agree — and
+// hashed.
 func (st *Table) routeFor(m *shardMap, key any) (int, error) {
+	base, n := m.writeWindow()
+	if n == 1 {
+		return base, nil
+	}
 	cv, err := table.Convert(st.schema[st.keyIdx].Type, key)
 	if err != nil {
 		return 0, err
@@ -350,7 +356,6 @@ func (st *Table) routeFor(m *shardMap, key any) (int, error) {
 	case string:
 		h = fnv1a(x)
 	}
-	base, n := m.writeWindow()
 	return base + int(h%uint64(n)), nil
 }
 
@@ -402,7 +407,7 @@ func (st *Table) Insert(values []any) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		return st.gid(s, local), nil
+		return toGlobal(s, local), nil
 	}
 }
 
@@ -433,7 +438,7 @@ func (st *Table) Update(gid int, changes map[string]any) (int, error) {
 				if err != nil {
 					return 0, err
 				}
-				return st.gid(s, nl), nil
+				return toGlobal(s, nl), nil
 			}
 			s2, err := st.routeFor(m, newKey)
 			if err != nil {
@@ -447,7 +452,7 @@ func (st *Table) Update(gid int, changes map[string]any) (int, error) {
 				if err != nil {
 					return 0, err
 				}
-				return st.gid(s, nl), nil
+				return toGlobal(s, nl), nil
 			}
 		}
 		// Relocation: key moved, or the row sits in a sealed partition and
@@ -487,7 +492,7 @@ func (st *Table) Update(gid int, changes map[string]any) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			return st.gid(s, nl), nil
+			return toGlobal(s, nl), nil
 		}
 		// MoveRow atomically claims the current version and re-inserts it
 		// into the target partition under both locks: if a concurrent
@@ -501,7 +506,7 @@ func (st *Table) Update(gid int, changes map[string]any) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		return st.gid(s2, nl), nil
+		return toGlobal(s2, nl), nil
 	}
 }
 
@@ -551,8 +556,12 @@ func (st *Table) Rows() int {
 // neither.  The capture is pinned for the duration of the count — a
 // concurrent GC merge could otherwise reclaim a version visible at the
 // captured epoch and the count would miss it — and released before
-// returning, so it never holds retention beyond the call.
+// returning, so it never holds retention beyond the call.  A single
+// partition counts under its own lock, which is already consistent.
 func (st *Table) ValidRows() int {
+	if parts := st.load().parts; len(parts) == 1 {
+		return parts[0].ValidRows()
+	}
 	v := table.PinnedView(st.clock)
 	defer v.Release()
 	return st.ValidRowsAt(v)
@@ -690,51 +699,4 @@ func (st *Table) MergeAll(ctx context.Context, opts MergeAllOptions) (MergeAllRe
 	}
 	rep.Wall = time.Since(start)
 	return rep, errors.Join(errs...)
-}
-
-// Stats aggregates storage statistics across partitions.
-type Stats struct {
-	Name string
-	// Shards is the ACTIVE shard count; Parts the physical partition count
-	// (active plus reshard-retired).
-	Shards int
-	Parts  int
-	// MapVersion is the current shard-map version; Resharding is true
-	// while a reshard migrates rows.
-	MapVersion int
-	Resharding bool
-	Rows       int
-	ValidRows  int
-	MainRows   int
-	DeltaRows  int
-	SizeBytes  int
-	// RetiredRows / ReclaimedBytes sum the shards' cumulative GC counters.
-	RetiredRows    int
-	ReclaimedBytes int
-	// PerShard holds each physical partition's full statistics in
-	// physical order.
-	PerShard []table.Stats
-}
-
-// Stats returns per-partition and aggregated storage statistics.  Each
-// partition's snapshot is individually consistent; the aggregate is not a
-// cross-shard snapshot.
-func (st *Table) Stats() Stats {
-	m := st.load()
-	out := Stats{
-		Name: st.name, Shards: m.n, Parts: len(m.parts),
-		MapVersion: int(m.version), Resharding: m.migrating,
-	}
-	for _, s := range m.parts {
-		ts := s.Stats()
-		out.PerShard = append(out.PerShard, ts)
-		out.Rows += ts.Rows
-		out.ValidRows += ts.ValidRows
-		out.MainRows += ts.MainRows
-		out.DeltaRows += ts.DeltaRows
-		out.SizeBytes += ts.SizeBytes
-		out.RetiredRows += ts.RetiredRows
-		out.ReclaimedBytes += ts.ReclaimedBytes
-	}
-	return out
 }

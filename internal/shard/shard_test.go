@@ -46,14 +46,14 @@ func TestGIDRoundTrip(t *testing.T) {
 	st := newKV(t, 4)
 	for shard := 0; shard < 4; shard++ {
 		for local := 0; local < 100; local++ {
-			gid := st.gid(shard, local)
-			s, l, err := st.Locate(gid)
+			gid := toGlobal(shard, local)
+			s, l, err := locate(st.load(), gid)
 			if err != nil || s != shard || l != local {
 				t.Fatalf("Locate(gid(%d,%d)) = (%d,%d,%v)", shard, local, s, l, err)
 			}
 		}
 	}
-	if _, _, err := st.Locate(-1); err == nil {
+	if _, _, err := locate(st.load(), -1); err == nil {
 		t.Fatal("negative gid accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestInsertRoutesAllShards(t *testing.T) {
 	}
 	// splitmix64 should spread sequential keys across every shard, with no
 	// shard grossly overloaded.
-	for i, s := range st.Shards() {
+	for i, s := range st.Partitions() {
 		if n := s.Rows(); n < 100 || n > 500 {
 			t.Errorf("shard %d has %d of 2000 rows (bad distribution)", i, n)
 		}
@@ -156,8 +156,8 @@ func TestUpdateDeleteSameShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s0, _, _ := st.Locate(gid); true {
-		s1, _, _ := st.Locate(ngid)
+	if s0, _, _ := locate(st.load(), gid); true {
+		s1, _, _ := locate(st.load(), ngid)
 		if s0 != s1 {
 			t.Fatalf("non-key update moved shard %d -> %d", s0, s1)
 		}
@@ -204,8 +204,8 @@ func TestUpdateCrossShardMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldShard, _, _ := st.Locate(gid)
-	newShard, _, _ := st.Locate(ngid)
+	oldShard, _, _ := locate(st.load(), gid)
+	newShard, _, _ := locate(st.load(), ngid)
 	if oldShard == newShard {
 		t.Fatalf("expected a cross-shard move, both in shard %d", oldShard)
 	}
@@ -399,9 +399,9 @@ func TestStatsAggregation(t *testing.T) {
 	}
 	st.MergeAll(context.Background(), MergeAllOptions{})
 	st.Insert([]any{uint64(1000), uint64(1)})
-	s := st.Stats()
-	if s.Shards != 4 || len(s.PerShard) != 4 {
-		t.Fatalf("shard counts: %d/%d", s.Shards, len(s.PerShard))
+	s := st.StoreStats()
+	if s.Shards != 4 || len(s.Partitions) != 4 {
+		t.Fatalf("shard counts: %d/%d", s.Shards, len(s.Partitions))
 	}
 	if s.Rows != 301 || s.ValidRows != 301 || s.MainRows != 300 || s.DeltaRows != 1 {
 		t.Fatalf("stats: %+v", s)

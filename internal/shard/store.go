@@ -4,30 +4,33 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"hyrise/internal/table"
 )
 
-// This file implements the topology-independent store surface on the
-// sharded table — the method set it shares with table.Table so both
-// satisfy one Store interface at the package root.
-
-// InsertRows appends a batch of rows, routing each to the shard owning its
-// key value, and returns their global row ids in input order.  Rows bound
-// for the same shard are inserted under one lock acquisition.  Every row is
-// validated (arity, value types, key hashability) before any row lands, so
-// a bad value rejects the whole batch with no shard touched.  A batch that
-// races a reshard's seal degrades to per-row inserts for the affected
-// shard, each re-routed through the fresh shard map.
+// InsertRows appends a batch of rows, routing each to the partition owning
+// its key value, and returns their global row ids in input order.  Rows
+// bound for the same partition are inserted under one lock acquisition.
+// Every row is validated (arity, value types, key hashability) before any
+// row lands, so a bad value rejects the whole batch with no partition
+// touched.  A batch that races a reshard's seal is re-routed through the
+// fresh shard map.
 func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	// Validate the whole batch and compute routing up front: shards
-	// re-validate on insert, but by then earlier shards would already have
-	// accepted their slice of the batch.
 	m := st.load()
+	if base, n := m.writeWindow(); n == 1 {
+		// One target: the partition validates the whole batch itself.
+		locals, err := m.parts[base].InsertRows(rows)
+		if errors.Is(err, table.ErrSealed) {
+			return st.InsertRows(rows) // a reshard republished routing
+		}
+		return globalize(base, locals), err
+	}
+	// Validate the whole batch and compute routing up front: partitions
+	// re-validate on insert, but by then earlier partitions would already
+	// have accepted their slice of the batch.
 	check := m.parts[0]
 	perShard := make(map[int][]int) // input indices per physical partition
 	for i, values := range rows {
@@ -48,7 +51,7 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 		}
 		locals, err := m.parts[s].InsertRows(batch)
 		if errors.Is(err, table.ErrSealed) {
-			// A reshard retired this shard between routing and insert;
+			// A reshard retired this partition between routing and insert;
 			// fall back to per-row inserts, which re-route per row.
 			for _, i := range idxs {
 				gid, err := st.Insert(rows[i])
@@ -66,29 +69,34 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 			return nil, err
 		}
 		for j, local := range locals {
-			ids[idxs[j]] = st.gid(s, local)
+			ids[idxs[j]] = toGlobal(s, local)
 		}
 	}
 	return ids, nil
 }
 
-// RequestMerge is the unified merge entry point: it fans the merge out
-// across every partition (MergeAll) with opts.Threads as the total budget
-// and condenses the per-partition reports into one table.Report.
-// Report.Columns is nil for a sharded table — per-shard, per-column detail
-// is available from MergeAll or each shard's LastMergeReport.
-// Report.Threads echoes the summed per-shard budget actually used.
+// RequestMerge runs the online merge on every partition.  A store of one
+// partition returns that partition's report verbatim — per-column detail,
+// phase timings and GC fields included.  Otherwise the merge fans out
+// (MergeAll) with opts.Threads as the total budget and the per-partition
+// reports condense into one: the counts aggregate, Columns is nil —
+// per-partition, per-column detail is available from MergeAll — and
+// Threads echoes the summed per-partition budget actually used.
 //
-// Sharded merges are atomic per shard only, so Report.Aborted keeps its
-// "nothing changed" meaning: it is true only when NO shard committed.  On
-// partial failure the error is non-nil while Aborted is false — committed
-// shards stay committed and their rows are counted in RowsMerged.
+// Merges are atomic per partition only, so Report.Aborted keeps its
+// "nothing changed" meaning: it is true only when NO partition committed.
+// On partial failure the error is non-nil while Aborted is false —
+// committed partitions stay committed and their rows are counted in
+// RowsMerged.
 func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (table.Report, error) {
+	if parts := st.load().parts; len(parts) == 1 {
+		return parts[0].Merge(ctx, opts)
+	}
 	rep, err := st.MergeAll(ctx, MergeAllOptions{Merge: opts})
 	committed := false
 	for _, sr := range rep.Shards {
-		// Per-shard Columns is populated only when that shard's merge
-		// committed.
+		// Per-partition Columns is populated only when that partition's
+		// merge committed.
 		if len(sr.Columns) > 0 {
 			committed = true
 			break
@@ -107,9 +115,12 @@ func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (tab
 	return out, err
 }
 
-// Partitions returns the underlying physical tables in physical order
-// (active window plus reshard-retired partitions).
-func (st *Table) Partitions() []*table.Table { return st.Shards() }
+// Partitions returns ALL physical partitions in physical order — the
+// active window plus any partitions retired by earlier reshards (reads fan
+// out over all of them).
+func (st *Table) Partitions() []*table.Table {
+	return append([]*table.Table(nil), st.load().parts...)
+}
 
 // CreateIndex builds a group-key index over the named column on every
 // physical partition, in parallel (each partition's build excludes that
@@ -133,17 +144,7 @@ func (st *Table) CreateIndex(column string) error {
 	parts := st.load().parts
 	st.mu.Unlock()
 
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, s := range parts {
-		wg.Add(1)
-		go func(i int, s *table.Table) {
-			defer wg.Done()
-			errs[i] = s.CreateIndex(column)
-		}(i, s)
-	}
-	wg.Wait()
-	err := errors.Join(errs...)
+	err := errors.Join(each(parts, func(p *table.Table) error { return p.CreateIndex(column) })...)
 	if err != nil {
 		// Don't re-apply a bad column to future reshard partitions.
 		st.mu.Lock()
@@ -189,23 +190,47 @@ func (st *Table) IndexStats() []table.IndexStats {
 	return out
 }
 
-// StoreStats returns the unified statistics snapshot: aggregate counts
-// plus every physical partition's table.Stats as a partition entry.
-// Shards reports the ACTIVE shard count; len(Partitions) is the physical
-// partition count.
-func (st *Table) StoreStats() table.StoreStats {
-	s := st.Stats()
-	return table.StoreStats{
-		Name:           s.Name,
-		Shards:         s.Shards,
-		KeyColumn:      st.KeyColumn(),
-		Rows:           s.Rows,
-		ValidRows:      s.ValidRows,
-		MainRows:       s.MainRows,
-		DeltaRows:      s.DeltaRows,
-		SizeBytes:      s.SizeBytes,
-		RetiredRows:    s.RetiredRows,
-		ReclaimedBytes: s.ReclaimedBytes,
-		Partitions:     s.PerShard,
+// StoreStats is a store's statistics snapshot: aggregate counts plus
+// per-partition detail.
+type StoreStats struct {
+	Name string
+	// Shards is the ACTIVE shard count — the partitions key hashing spreads
+	// writes over; len(Partitions) is the physical partition count, which
+	// additionally includes partitions retired by resharding.
+	Shards int
+	// KeyColumn is the hash-partitioning column.
+	KeyColumn string
+	Rows      int
+	ValidRows int
+	MainRows  int
+	DeltaRows int
+	SizeBytes int
+	// RetiredRows counts row ids retired by garbage-collecting merges
+	// across all partitions (cumulative); ReclaimedBytes estimates the
+	// memory those reclaimed versions occupied.
+	RetiredRows    int
+	ReclaimedBytes int
+	// Partitions holds each physical partition's full statistics in
+	// physical order.
+	Partitions []table.Stats
+}
+
+// StoreStats returns per-partition and aggregated storage statistics.  Each
+// partition's snapshot is individually consistent; the aggregate is not a
+// cross-partition snapshot.
+func (st *Table) StoreStats() StoreStats {
+	m := st.load()
+	out := StoreStats{Name: st.name, Shards: m.n, KeyColumn: st.KeyColumn()}
+	for _, s := range m.parts {
+		ts := s.Stats()
+		out.Partitions = append(out.Partitions, ts)
+		out.Rows += ts.Rows
+		out.ValidRows += ts.ValidRows
+		out.MainRows += ts.MainRows
+		out.DeltaRows += ts.DeltaRows
+		out.SizeBytes += ts.SizeBytes
+		out.RetiredRows += ts.RetiredRows
+		out.ReclaimedBytes += ts.ReclaimedBytes
 	}
+	return out
 }

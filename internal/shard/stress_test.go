@@ -28,7 +28,7 @@ func TestConcurrentStress(t *testing.T) {
 	)
 	st := newKV(t, shards)
 	targets := make([]sched.MergeTable, shards)
-	for i, s := range st.Shards() {
+	for i, s := range st.Partitions() {
 		targets[i] = s
 	}
 	var schedMerges atomic.Int64

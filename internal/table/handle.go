@@ -364,10 +364,17 @@ func (h *Handle[V]) Gather(rows []int, dst []V) ([]V, error) {
 // the post-merge dictionary size).  It spans the full version history, so
 // it is view-independent.
 func (h *Handle[V]) Distinct() int {
+	seen := make(map[V]struct{})
+	h.AddDistinct(seen)
+	return len(seen)
+}
+
+// AddDistinct adds every distinct stored value to seen; a store of several
+// partitions unions them through one set (a value may live in several).
+func (h *Handle[V]) AddDistinct(seen map[V]struct{}) {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
 	c := h.col()
-	seen := make(map[V]struct{}, c.main.Dict().Len()+c.dlt.Unique())
 	for _, v := range c.main.Dict().Values() {
 		seen[v] = struct{}{}
 	}
@@ -379,7 +386,6 @@ func (h *Handle[V]) Distinct() int {
 			seen[v] = struct{}{}
 		}
 	}
-	return len(seen)
 }
 
 // NumericHandle adds aggregations that require integer values.

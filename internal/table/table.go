@@ -204,8 +204,8 @@ func New(name string, schema Schema) (*Table, error) {
 }
 
 // NewWithClock creates an empty table stamping row epochs from the given
-// clock.  A sharded store passes one clock to all its shards so a single
-// capture freezes every shard at the same epoch.
+// clock.  A store passes one clock to all its shards so a single capture
+// freezes every shard at the same epoch.
 func NewWithClock(name string, schema Schema, clock *epoch.Clock) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err

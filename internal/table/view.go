@@ -50,9 +50,9 @@ func (v View) IsLatest() bool { return v.epoch == 0 }
 // idempotent and a no-op on unpinned views.
 func (v View) Release() { v.pin.Release() }
 
-// PinnedView captures and pins a read view directly on a clock.  The
-// sharded table uses it so its cross-shard snapshot pins the shared clock
-// exactly like a flat table's Snapshot does.
+// PinnedView captures and pins a read view directly on a clock.  The store
+// uses it so its cross-shard snapshot pins the shared clock exactly like a
+// partition's Snapshot does.
 func PinnedView(c *epoch.Clock) View {
 	e, pin := c.CapturePinned()
 	return View{epoch: e, pin: pin}
@@ -102,7 +102,7 @@ func (t *Table) VisibleAt(v View, row int) bool {
 // one epoch clock: it invalidates src's row and inserts values into dst
 // under BOTH table locks with a single epoch stamp, so any snapshot sees
 // exactly one of the two versions — never both, never neither.  The
-// sharded table uses it for key-changing updates that cross shards.
+// store uses it for key-changing updates that cross shards.
 //
 // Locks are acquired in creation order (lockID), keeping concurrent moves
 // in opposite directions deadlock-free.  values must already be validated

@@ -15,9 +15,10 @@ import (
 // this typed error instead of failing deep inside handle resolution.
 var ErrDriverColumnType = errors.New("workload: driver column must be uint64")
 
-// CheckDriverColumn validates that the named column exists and is uint64
-// — the single source of the driver-column rule, shared by NewDriverFor
-// and the package root's unified NewDriver.
+// CheckDriverColumn validates that the named column exists and is uint64.
+// The package root's NewDriver calls it before resolving the handle it
+// passes to NewDriver here, so a mistyped column fails with the typed
+// error rather than a handle-resolution one.
 func CheckDriverColumn(t Target, column string) error {
 	for _, def := range t.Schema() {
 		if def.Name == column {
@@ -30,9 +31,8 @@ func CheckDriverColumn(t Target, column string) error {
 	return fmt.Errorf("workload: %w: %q", table.ErrNoColumn, column)
 }
 
-// Target is the write/metadata surface a driver exercises.  Both
-// table.Table and the sharded table (internal/shard) satisfy it, so mixed
-// workloads run unchanged against flat and hash-partitioned storage.
+// Target is the write/metadata surface a driver exercises: a store
+// (internal/shard) or a bare partition (table.Table).
 type Target interface {
 	Schema() table.Schema
 	Insert([]any) (int, error)
@@ -41,8 +41,8 @@ type Target interface {
 	IsValid(int) bool
 }
 
-// Uint64Column is the read surface over the driver's key column:
-// table.Handle[uint64] and the sharded handle both satisfy it.
+// Uint64Column is the read surface over the driver's key column: a store
+// handle or a partition handle.
 type Uint64Column interface {
 	Lookup(uint64) []int
 	Range(lo, hi uint64) []int
@@ -67,18 +67,9 @@ type Driver struct {
 	liveRows []int // rows known valid, for update/delete targets
 }
 
-// NewDriver builds a driver for the named uint64 column of a flat table.
-func NewDriver(t *table.Table, column string, mix Mix, gen Generator, seed int64) (*Driver, error) {
-	h, err := table.ColumnOf[uint64](t, column)
-	if err != nil {
-		return nil, err
-	}
-	return NewDriverFor(t, column, h, mix, gen, seed)
-}
-
-// NewDriverFor builds a driver over any Target; h must be a handle on the
-// named uint64 column of t.
-func NewDriverFor(t Target, column string, h Uint64Column, mix Mix, gen Generator, seed int64) (*Driver, error) {
+// NewDriver builds a driver over a Target; h must be a handle on the named
+// uint64 column of t.
+func NewDriver(t Target, column string, h Uint64Column, mix Mix, gen Generator, seed int64) (*Driver, error) {
 	if err := CheckDriverColumn(t, column); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 	"hyrise/internal/server"
 )
 
-// DBServer serves either Store topology over the length-prefixed binary
+// DBServer serves a Store over the length-prefixed binary
 // protocol (see internal/server for the protocol description and
 // cmd/hyrised for the standalone daemon).  Obtain one with Serve; stop it
 // with Shutdown (graceful, drains in-flight requests) or Close.
@@ -28,10 +28,11 @@ type ServerOptions = server.Options
 // server's Registry and ObsHandler expose its metrics; see the package
 // documentation's Observability section.
 func Serve(l net.Listener, s Store, opts ServerOptions) (*DBServer, error) {
-	srv, err := server.New(s, opts)
+	t, err := tableOf(s)
 	if err != nil {
 		return nil, err
 	}
+	srv := server.New(t, opts)
 	go func() {
 		if err := srv.Serve(l); err != nil && !errors.Is(err, server.ErrServerClosed) && opts.Logger != nil {
 			opts.Logger.Error("hyrise: server stopped", "addr", l.Addr().String(), "err", err)

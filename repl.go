@@ -1,8 +1,6 @@
 package hyrise
 
 import (
-	"fmt"
-
 	"hyrise/internal/oplog"
 	"hyrise/internal/replica"
 )
@@ -32,17 +30,12 @@ type ReplicaOptions = replica.Options
 // (or start hyrised with -replicate) and followers subscribe over the
 // ordinary listener.
 func EnableReplication(st Store, cap int) (*OpLog, error) {
-	l := oplog.New(st.Partitions()[0].Clock(), cap)
-	var err error
-	switch x := st.(type) {
-	case *Table:
-		err = x.AttachOplog(l, 0)
-	case *ShardedTable:
-		err = x.AttachOplog(l)
-	default:
-		err = fmt.Errorf("hyrise: unsupported store %T", st)
-	}
+	t, err := tableOf(st)
 	if err != nil {
+		return nil, err
+	}
+	l := oplog.New(t.Clock(), cap)
+	if err := t.AttachOplog(l); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -62,10 +55,6 @@ func Follow(addr string, opts ReplicaOptions) (*Replica, error) {
 }
 
 // FollowStore returns the follower-local store a Replica applies the
-// primary's ops into.  Its topology mirrors the primary's.
-func FollowStore(r *Replica) Store {
-	if f := r.Flat(); f != nil {
-		return f
-	}
-	return r.Sharded()
-}
+// primary's ops into.  Its shard layout mirrors the primary's, reshards
+// included.
+func FollowStore(r *Replica) *Table { return r.Store() }

@@ -19,18 +19,19 @@ func kvSchema() hyrise.Schema {
 	}
 }
 
-// newStores returns one Store per topology, built from the same schema.
-func newStores(t *testing.T) map[string]hyrise.Store {
+// newStores returns a one-shard and an eight-shard store over the same
+// schema.
+func newStores(t *testing.T) map[string]*hyrise.Table {
 	t.Helper()
-	flat, err := hyrise.NewTable("kv", kvSchema())
+	one, err := hyrise.NewTable("kv", kvSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := hyrise.NewShardedTable("kv", kvSchema(), "k", 8)
+	eight, err := hyrise.NewShardedTable("kv", kvSchema(), "k", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]hyrise.Store{"flat": flat, "sharded": sharded}
+	return map[string]*hyrise.Table{"shards=1": one, "shards=8": eight}
 }
 
 // replayStore replays a deterministic operation sequence against s purely
@@ -38,7 +39,7 @@ func newStores(t *testing.T) map[string]hyrise.Store {
 // and the unified ColumnOf/NumericColumnOf/Query reads) and returns a
 // transcript of every observation.  Two stores replayed with the same seed
 // must produce identical transcripts — row ids are deliberately excluded,
-// since the id spaces differ by topology.
+// since they encode the owning partition.
 func replayStore(t *testing.T, s hyrise.Store, seed int64) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -217,22 +218,22 @@ func replayStore(t *testing.T, s hyrise.Store, seed int64) []string {
 	return obs
 }
 
-// TestStoreModelEquivalence replays the same deterministic workload once
-// per topology, driving each store exclusively through the unified Store
-// surface, and requires byte-identical observation transcripts: both
-// topologies must expose exactly the same visible data at every step.
+// TestStoreModelEquivalence replays the same deterministic workload against
+// one shard and against eight, driving each store exclusively through the
+// Store surface, and requires byte-identical observation transcripts: the
+// shard count must not change the visible data at any step.
 func TestStoreModelEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			stores := newStores(t)
-			want := replayStore(t, stores["flat"], seed)
-			got := replayStore(t, stores["sharded"], seed)
+			want := replayStore(t, stores["shards=1"], seed)
+			got := replayStore(t, stores["shards=8"], seed)
 			if len(want) != len(got) {
-				t.Fatalf("transcript lengths: flat=%d sharded=%d", len(want), len(got))
+				t.Fatalf("transcript lengths: shards=1: %d, shards=8: %d", len(want), len(got))
 			}
 			for i := range want {
 				if want[i] != got[i] {
-					t.Fatalf("transcript diverged at entry %d:\nflat:    %s\nsharded: %s",
+					t.Fatalf("transcript diverged at entry %d:\nshards=1: %s\nshards=8: %s",
 						i, want[i], got[i])
 				}
 			}
@@ -240,9 +241,7 @@ func TestStoreModelEquivalence(t *testing.T) {
 	}
 }
 
-// TestStoreConformance pins the interface contract: both topologies
-// satisfy Store (also asserted at compile time in the package itself) and
-// agree on basic behavior through the interface.
+// TestStoreConformance pins the interface contract at both shard counts.
 func TestStoreConformance(t *testing.T) {
 	for name, s := range newStores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -285,19 +284,15 @@ func TestStoreConformance(t *testing.T) {
 			if st.Rows != 3 || len(st.Partitions) != len(s.Partitions()) {
 				t.Fatalf("stats: %+v", st)
 			}
-			if _, ok := s.(*hyrise.ShardedTable); ok {
-				if st.Shards != 8 || st.KeyColumn != "k" {
-					t.Fatalf("sharded stats: %+v", st)
-				}
-			} else if st.Shards != 1 || st.KeyColumn != "" {
-				t.Fatalf("flat stats: %+v", st)
+			if st.Shards != s.NumShards() || st.KeyColumn != "k" {
+				t.Fatalf("stats: %+v", st)
 			}
 		})
 	}
 }
 
 // TestNewDriverColumnType checks the typed error on non-uint64 driver
-// columns, for both topologies.
+// columns.
 func TestNewDriverColumnType(t *testing.T) {
 	schema := hyrise.Schema{
 		{Name: "k", Type: hyrise.Uint64},
@@ -312,7 +307,7 @@ func TestNewDriverColumnType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]hyrise.Store{"flat": flat, "sharded": sharded} {
+	for name, s := range map[string]hyrise.Store{"shards=1": flat, "shards=4": sharded} {
 		for _, col := range []string{"qty", "sku"} {
 			if _, err := hyrise.NewDriver(s, col, hyrise.OLTPMix, hyrise.NewUniformGenerator(10, 1), 1); !errors.Is(err, hyrise.ErrDriverColumnType) {
 				t.Errorf("%s/%s: err=%v want ErrDriverColumnType", name, col, err)
@@ -328,9 +323,9 @@ func TestNewDriverColumnType(t *testing.T) {
 }
 
 // TestStorePersistenceRoundTrip drives Save/Load through the Store surface
-// for both topologies: the loaded store has the same topology, identical
-// query results, and — for the sharded table — the same global row ids,
-// invalidations and per-shard main/delta split.
+// at both shard counts: the loaded store has the same shard layout,
+// identical query results, the same row ids, invalidations and per-shard
+// main/delta split.
 func TestStorePersistenceRoundTrip(t *testing.T) {
 	for name, s := range newStores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -367,16 +362,8 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, isSharded := s.(*hyrise.ShardedTable); isSharded {
-				lt, ok := loaded.(*hyrise.ShardedTable)
-				if !ok {
-					t.Fatalf("loaded %T, want *ShardedTable", loaded)
-				}
-				if lt.NumShards() != 8 || lt.KeyColumn() != "k" {
-					t.Fatalf("topology: %d/%q", lt.NumShards(), lt.KeyColumn())
-				}
-			} else if _, ok := loaded.(*hyrise.Table); !ok {
-				t.Fatalf("loaded %T, want *Table", loaded)
+			if loaded.NumShards() != s.NumShards() || loaded.KeyColumn() != "k" {
+				t.Fatalf("shard layout: %d/%q", loaded.NumShards(), loaded.KeyColumn())
 			}
 
 			if loaded.Rows() != s.Rows() || loaded.ValidRows() != s.ValidRows() ||
@@ -386,7 +373,7 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 					loaded.MainRows(), s.MainRows(), loaded.DeltaRows(), s.DeltaRows())
 			}
 			// Every original row id resolves to the same values and validity
-			// — for the sharded store this proves global ids survived.  Ids
+			// — global ids survived.  Ids
 			// reclaimed by the pre-save GC merge must stay reclaimed after
 			// the reload (both sides fail identically).
 			for _, id := range ids {
