@@ -277,27 +277,25 @@ func BenchmarkShardedInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedMergeAll measures cross-shard merge wall time with one
+// BenchmarkShardedRequestMerge measures cross-shard merge wall time with one
 // thread per shard, so the speedup comes purely from shard parallelism:
 // shards=1 is a serial merge of the whole table, shards=8 is eight
 // concurrent single-threaded merges of one-eighth-size partitions.  (With
 // a full thread budget a 1-shard merge already parallelizes within
 // columns — see BenchmarkTable2Scalability — so fixing the per-shard
 // budget isolates the new axis.)
-func BenchmarkShardedMergeAll(b *testing.B) {
+func BenchmarkShardedRequestMerge(b *testing.B) {
 	const nm, nd = 400_000, 20_000
 	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			opts := hyrise.MergeAllOptions{
-				Merge: hyrise.MergeOptions{Threads: shards},
-			}
+			opts := hyrise.MergeOptions{Threads: shards}
 			st := newShardedBench(b, shards)
 			for i := 0; i < nm; i++ {
 				if _, err := st.Insert([]any{uint64(i), uint64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if _, err := st.MergeAll(context.Background(), opts); err != nil {
+			if _, err := st.RequestMerge(context.Background(), opts); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -310,7 +308,7 @@ func BenchmarkShardedMergeAll(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				rep, err := st.MergeAll(context.Background(), opts)
+				rep, err := st.RequestMerge(context.Background(), opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -335,7 +333,7 @@ func BenchmarkShardedLookup(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if _, err := st.MergeAll(context.Background(), hyrise.MergeAllOptions{}); err != nil {
+			if _, err := st.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			h, err := hyrise.ColumnOf[uint64](st, "k")
@@ -361,7 +359,7 @@ func BenchmarkShardedWorkloadMix(b *testing.B) {
 			for i := 0; i < 50_000; i++ {
 				st.Insert([]any{uint64(i % 1000), uint64(i)})
 			}
-			st.MergeAll(context.Background(), hyrise.MergeAllOptions{})
+			st.RequestMerge(context.Background(), hyrise.MergeOptions{})
 			drv, err := hyrise.NewDriver(st, "k", hyrise.OLTPMix,
 				hyrise.NewUniformGenerator(1000, 5), 5)
 			if err != nil {

@@ -40,8 +40,9 @@
 //	-merge-fraction  delta/main fraction that triggers a merge; <= 0
 //	                 disables the background scheduler (default 0.05)
 //	-merge-interval  scheduler poll period (default 100ms)
-//	-merge-threads   per-merge thread budget (0 = split evenly)
-//	-merge-bg        merge with a single background thread
+//	-merge-threads   per-merge thread budget (0 = split the machine
+//	                 evenly across partitions; 1 = the paper's constant
+//	                 single-thread background merge)
 //	-gc              garbage-collect dead row versions during merges
 //	                 (default true; -gc=false keeps full history forever)
 //	-index           comma-separated columns to build group-key indexes
@@ -139,7 +140,6 @@ type config struct {
 	mergeFraction float64
 	mergeInterval time.Duration
 	mergeThreads  int
-	mergeBg       bool
 	index         string
 	noGC          bool // -gc=false; zero value = GC on
 	maxSnapshots  int  // 0 = server.DefaultMaxSnapshots
@@ -169,8 +169,8 @@ func main() {
 	flag.Float64Var(&cfg.mergeFraction, "merge-fraction", 0.05,
 		"delta fraction triggering a merge (<= 0 disables the scheduler)")
 	flag.DurationVar(&cfg.mergeInterval, "merge-interval", 100*time.Millisecond, "scheduler poll period")
-	flag.IntVar(&cfg.mergeThreads, "merge-threads", 0, "per-merge thread budget (0 = split evenly)")
-	flag.BoolVar(&cfg.mergeBg, "merge-bg", false, "merge with a single background thread")
+	flag.IntVar(&cfg.mergeThreads, "merge-threads", 0,
+		"per-merge thread budget (0 = split evenly across partitions, 1 = single background thread)")
 	flag.StringVar(&cfg.index, "index", "",
 		"comma-separated columns to build group-key indexes on at startup")
 	gc := flag.Bool("gc", true, "garbage-collect dead row versions during merges")
@@ -274,18 +274,17 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 		logger.Info("replication enabled", "oplog_cap", olog.Cap())
 	}
 
-	var sched *hyrise.Scheduler
+	// One merge driver for the store's whole life: it follows the live
+	// shard map (so partitions an online reshard creates are merged too),
+	// polls only when -merge-fraction enables it, and compacts on shutdown
+	// either way.
+	sched := hyrise.NewScheduler(st, hyrise.SchedulerConfig{
+		Fraction: cfg.mergeFraction,
+		Interval: cfg.mergeInterval,
+		Threads:  cfg.mergeThreads,
+		OnError:  func(err error) { logger.Warn("merge failed", "err", err) },
+	})
 	if cfg.mergeFraction > 0 {
-		sc := hyrise.SchedulerConfig{
-			Fraction: cfg.mergeFraction,
-			Interval: cfg.mergeInterval,
-			Threads:  cfg.mergeThreads,
-			OnError:  func(err error) { logger.Warn("merge failed", "err", err) },
-		}
-		if cfg.mergeBg {
-			sc.Strategy = hyrise.Background
-		}
-		sched = hyrise.NewScheduler(st, sc)
 		if err := sched.Start(); err != nil {
 			return err
 		}
@@ -358,9 +357,7 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 	if obsSrv != nil {
 		obsSrv.Close()
 	}
-	if sched != nil {
-		sched.Stop()
-	}
+	sched.Stop()
 
 	// Shutdown released every snapshot still registered (clients are gone,
 	// so stale tokens must not pin dead versions into the shutdown save);
@@ -369,22 +366,12 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 		logger.Info("released stale snapshot pins", "count", stalePins)
 	}
 
-	// Compact when deltas remain or (with GC on) dead versions linger in
-	// the mains: the saved snapshot should reload fully merged and
-	// reclaimed.
-	needsCompact := st.DeltaRows() > 0 ||
-		(!cfg.noGC && st.Rows() > st.ValidRows())
-	if cfg.compact && needsCompact && rep == nil {
-		// Fold the remaining deltas so the snapshot reloads fully merged
-		// and garbage-collected; the stopped scheduler still carries the
-		// configured merge budget.
-		var err error
-		if sched != nil {
-			err = sched.MergeNow(context.Background())
-		} else {
-			_, err = st.RequestMerge(context.Background(), hyrise.MergeOptions{Threads: cfg.mergeThreads})
-		}
-		if err != nil {
+	// Fold every partition's remaining delta — and, with GC on, the dead
+	// versions lingering in its main — so the saved snapshot reloads fully
+	// merged and reclaimed; the stopped scheduler carries the configured
+	// merge budget and skips partitions with nothing to do.
+	if cfg.compact && rep == nil {
+		if err := sched.MergeNow(context.Background()); err != nil {
 			logger.Warn("final merge failed", "err", err)
 		}
 	}

@@ -60,7 +60,7 @@ func e2eChecksum(id, k uint64) uint64 { return id*1_000_000_000 + k }
 
 // TestHyrisedEndToEnd is the PR acceptance test: hyrised runs in-process
 // on a 4-shard store, 4 concurrent clients do writes and pinned-snapshot
-// reads while merges (scheduler + explicit MergeAll requests) run
+// reads while merges (scheduler + explicit Merge requests) run
 // underneath, and every snapshot read is frozen and internally
 // consistent.  The daemon then shuts down gracefully, compacts, saves
 // its snapshot, and a restarted daemon serves the same data back.

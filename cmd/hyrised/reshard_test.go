@@ -2,11 +2,13 @@ package main
 
 import (
 	"context"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hyrise"
 	"hyrise/client"
 )
 
@@ -144,6 +146,14 @@ func TestReshardOneShardDaemon(t *testing.T) {
 		}(r)
 	}
 
+	// The reshard of 600 rows is over in a blink: make sure the readers
+	// are reading before it starts, so they really straddle it.
+	for deadline := time.Now().Add(10 * time.Second); reads.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("pinned readers never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	admin := config{addr: paddr, reshard: 3, drain: time.Second}
 	if err := run(context.Background(), admin, testLogger(t)); err != nil {
 		t.Fatalf("hyrised -reshard 3 against a -shards 1 daemon: %v", err)
@@ -204,5 +214,119 @@ func TestReshardOneShardDaemon(t *testing.T) {
 	}
 	if err := stopPrimary(); err != nil {
 		t.Fatalf("primary stop: %v", err)
+	}
+}
+
+// TestSchedulerFollowsReshardDaemon: a `-shards 1` daemon with the default
+// scheduler is resharded to 3 by the admin mode and keeps ingesting.  The
+// scheduler merges the partitions the reshard created (hyrise_merge_total
+// grows, no partition's delta outgrows the trigger), and the shutdown
+// compaction reaches every partition: the saved snapshot reloads with no
+// delta rows and no dead versions anywhere, the retired partition
+// included.
+func TestSchedulerFollowsReshardDaemon(t *testing.T) {
+	snapPath := filepath.Join(t.TempDir(), "resharded.hyr")
+	cfg := config{
+		addr:          "127.0.0.1:0",
+		table:         "sales",
+		schema:        "k:uint64,v:uint64",
+		shards:        1,
+		snapshot:      snapPath,
+		mergeFraction: 0.05,
+		mergeInterval: 100 * time.Millisecond,
+		compact:       true,
+		drain:         15 * time.Second,
+	}
+	addr, stopDaemon := startDaemon(t, cfg)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const half = 20_000
+	insert := func(from, to int) {
+		t.Helper()
+		batch := make([][]any, 0, to-from)
+		for i := from; i < to; i++ {
+			batch = append(batch, []any{uint64(i), uint64(i)})
+		}
+		if _, err := c.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merges := func() float64 {
+		t.Helper()
+		samples, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := client.MetricValue(samples, "hyrise_merge_total")
+		return v
+	}
+	// bounded waits until no partition's delta exceeds the trigger.
+	bounded := func(what string) client.Stats {
+		t.Helper()
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			stats, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			over := -1
+			for i, p := range stats.Partitions {
+				if float64(p.DeltaRows) > cfg.mergeFraction*float64(p.MainRows) {
+					over = i
+				}
+			}
+			if over < 0 {
+				return stats
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: partition %d of %d never merged: %+v",
+					what, over, len(stats.Partitions), stats.Partitions)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	insert(0, half)
+	bounded("before the reshard")
+	before := merges()
+
+	admin := config{addr: addr, reshard: 3, drain: time.Second}
+	if err := run(context.Background(), admin, testLogger(t)); err != nil {
+		t.Fatalf("hyrised -reshard 3 against a -shards 1 daemon: %v", err)
+	}
+	insert(half, 2*half)
+	stats := bounded("after the reshard")
+	if len(stats.Partitions) != 4 || stats.ValidRows != 2*half {
+		t.Fatalf("post-reshard stats: %d partitions, %d valid rows", len(stats.Partitions), stats.ValidRows)
+	}
+	if after := merges(); after < before+3 {
+		t.Fatalf("hyrise_merge_total %v -> %v: the three new partitions were not all merged", before, after)
+	}
+
+	// A trickle below the trigger, then SIGTERM: -compact must fold it.
+	insert(2*half, 2*half+30)
+	c.Close()
+	if err := stopDaemon(); err != nil {
+		t.Fatalf("daemon stop: %v", err)
+	}
+	st, err := hyrise.LoadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(st.Partitions()); got != 4 {
+		t.Fatalf("reloaded %d partitions want 4", got)
+	}
+	for i, p := range st.Partitions() {
+		if p.DeltaRows() != 0 || p.Rows() != p.ValidRows() {
+			t.Fatalf("reloaded partition %d not compacted: delta=%d rows=%d valid=%d",
+				i, p.DeltaRows(), p.Rows(), p.ValidRows())
+		}
+	}
+	if st.ValidRows() != 2*half+30 {
+		t.Fatalf("reloaded ValidRows = %d want %d", st.ValidRows(), 2*half+30)
 	}
 }

@@ -51,7 +51,6 @@ func main() {
 		Fraction:     0.02,
 		MinDeltaRows: 500,
 		Interval:     20 * time.Millisecond,
-		Strategy:     hyrise.AllResources,
 		OnMerge: func(r hyrise.MergeReport) {
 			merges.Add(1)
 			fmt.Printf("  [scheduler] merged %6d rows in %8s (partition main now %d rows)\n",

@@ -23,7 +23,8 @@
 //	s.RequestMerge(context.Background(), hyrise.MergeOptions{})
 //
 //	ms := hyrise.NewScheduler(s, hyrise.SchedulerConfig{Fraction: 0.05})
-//	ms.Start() // merges each partition when its delta outgrows the trigger
+//	ms.Start() // merges each partition when its delta outgrows the trigger,
+//	           // including partitions a later s.Reshard creates
 //
 //	view := s.Snapshot()      // freeze a consistent read view (one atomic op)
 //	old := h.LookupAt(view, 1) // reads under the view never change
@@ -140,14 +141,15 @@
 //
 // Table.Reshard(ctx, n) changes the active shard count of any table while
 // readers and writers keep running.  Fresh partitions are created and
-// wired (op log, GC mode, secondary indexes), a reshard-begin op is
-// logged, and writes atomically switch to routing into the new window
-// while the old partitions are sealed against inserts.  A migration pass
-// then drains every live row from the sealed partitions into its new
-// home with MoveRow — invalidate at the old slot, re-insert at the new,
-// same global row id — so concurrent reads resolve each row exactly once
-// throughout.  Finally an epoch-stamped cutover op publishes the new map
-// version; ReshardReport carries the counts and timings.
+// wired (op log, GC mode, secondary indexes, merge observer), a
+// reshard-begin op is logged, and writes atomically switch to routing into
+// the new window while the old partitions are sealed against inserts.  A
+// running Scheduler picks the new partitions up at its next poll.  A
+// migration pass then drains every live row from the sealed partitions
+// into its new home with MoveRow — invalidate at the old slot, re-insert
+// at the new, same global row id — so concurrent reads resolve each row
+// exactly once throughout.  Finally an epoch-stamped cutover op publishes
+// the new map version; ReshardReport carries the counts and timings.
 //
 // To a writer, a migrated row looks exactly like one relocated by a
 // concurrent key-changing update: its old global row id fails with
@@ -304,8 +306,7 @@
 //
 //	hyrise_server_*   per-opcode request/error counters and latency
 //	                  histograms, live connections, registered
-//	                  snapshots, pipelined and parallel-executed
-//	                  requests, slow ops
+//	                  snapshots, pipelined requests, slow ops
 //	hyrise_merge_*    merge counts, rows merged/reclaimed, per-phase
 //	                  (freeze/merge/commit) and wall durations
 //	hyrise_store_*    main/delta rows, delta fill fraction, active
@@ -431,7 +432,7 @@ type (
 	MergeOptions = table.MergeOptions
 	// MergeReport summarizes a completed merge.  For a merge over several
 	// partitions, Columns is nil and the counts aggregate all of them;
-	// per-partition reports come from Table.MergeAll.
+	// per-partition reports are Partitions()[i].LastMergeReport().
 	MergeReport = table.Report
 	// MergeStats holds one column's per-step merge timings.
 	MergeStats = core.Stats
@@ -439,11 +440,6 @@ type (
 	Algorithm = core.Algorithm
 	// MergeStrategy distributes threads across or within columns.
 	MergeStrategy = table.Strategy
-	// MergeAllOptions configures Table.MergeAll (per-shard merge options
-	// plus a concurrency cap).
-	MergeAllOptions = shard.MergeAllOptions
-	// MergeAllReport summarizes a cross-shard parallel merge per shard.
-	MergeAllReport = shard.MergeAllReport
 )
 
 // Merge algorithm variants.
@@ -475,25 +471,14 @@ var (
 	ErrArity           = table.ErrArity
 )
 
-// Scheduler supervises every partition of a Store independently, merging a
-// partition when its delta grows past the configured fraction of its main.
-// Create with NewScheduler, then Start.
-type Scheduler = sched.Multi
-
-// PartitionScheduler supervises a single partition; Scheduler.Scheduler(i)
-// exposes the per-partition supervisors.
-type PartitionScheduler = sched.Scheduler
+// Scheduler is the background merge driver of one Store: it follows the
+// store's live partition list and merges a partition when its delta grows
+// past the configured fraction of its main.  Create with NewScheduler, then
+// Start; MergeNow drains every partition on demand.
+type Scheduler = sched.Scheduler
 
 // SchedulerConfig tunes merge triggering; it applies to every partition.
 type SchedulerConfig = sched.Config
-
-// Scheduler strategies (§3).
-const (
-	// AllResources merges with every available thread.
-	AllResources = sched.AllResources
-	// Background merges with a single thread.
-	Background = sched.Background
-)
 
 // Workload generation (paper §2).
 type (

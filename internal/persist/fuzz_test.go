@@ -75,7 +75,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 			must(err)
 		}
 	}
-	_, err = sharded.MergeAll(ctx, shard.MergeAllOptions{})
+	_, err = sharded.RequestMerge(ctx, table.MergeOptions{})
 	must(err)
 	_, err = sharded.Insert(row(6))
 	must(err)

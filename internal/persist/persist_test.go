@@ -192,7 +192,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if _, err := st.Update(gids[7], map[string]any{"qty": uint32(99)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.MergeAll(context.Background(), shard.MergeAllOptions{}); err != nil {
+	if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh delta rows so the snapshot spans main and delta in every shard.

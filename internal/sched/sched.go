@@ -1,9 +1,10 @@
-// Package sched implements merge scheduling (paper §3, §9): a background
-// supervisor that triggers the merge process when the delta partition
-// exceeds a configured fraction of the main partition, with the two
-// resource strategies the paper names — merging with all available
-// resources, or constantly merging in the background with minimal resource
-// use — plus pause/resume control.
+// Package sched implements merge scheduling (paper §3, §9): one background
+// supervisor per store that triggers a partition's merge when its delta
+// exceeds a configured fraction of its main, plus pause/resume control.
+// The paper's two resource strategies are the thread budget: by default
+// the machine is split across the store's partitions (strategy (a), what
+// the evaluation assumes), and Threads: 1 is the constant single-thread
+// background merge (strategy (b)).
 package sched
 
 import (
@@ -16,32 +17,6 @@ import (
 	"hyrise/internal/table"
 )
 
-// MergeTable is the surface the scheduler supervises: anything exposing
-// the delta/main tuple counts the trigger condition reads, the row counts
-// MergeNow uses to spot garbage-collectable history, and an online merge.
-// Every partition of a store (*table.Table) satisfies it; Multi supervises
-// all of a store's partitions.
-type MergeTable interface {
-	DeltaRows() int
-	MainRows() int
-	Rows() int
-	ValidRows() int
-	GCEnabled() bool
-	Merge(context.Context, table.MergeOptions) (table.Report, error)
-}
-
-// Strategy is the resource policy of §3.
-type Strategy int
-
-const (
-	// AllResources merges with every available thread as soon as the
-	// trigger fires (paper strategy (a); what the evaluation assumes).
-	AllResources Strategy = iota
-	// Background merges with a single thread to minimize interference
-	// (paper strategy (b)).
-	Background
-)
-
 // Config tunes the scheduler.
 type Config struct {
 	// Fraction triggers a merge when N_D > Fraction * N_M (§4).  The
@@ -52,17 +27,17 @@ type Config struct {
 	MinDeltaRows int
 	// Interval is the polling period.  Default 100ms.
 	Interval time.Duration
-	// Strategy selects the resource policy.
-	Strategy Strategy
-	// Threads, when > 0, is an explicit per-merge thread budget that
-	// overrides Strategy's implied budget.  NewMulti uses this to hand
-	// every shard an even slice of the machine.
+	// Threads, when > 0, is the thread budget of every merge.  Otherwise
+	// the machine's threads are divided evenly across the partitions that
+	// take writes (minimum one each), so concurrent partition merges do
+	// not oversubscribe the cores.
 	Threads int
 	// Algorithm forwards to the merge.
 	Algorithm core.Algorithm
-	// OnMerge, if non-nil, observes every completed merge.
+	// OnMerge, if non-nil, observes every completed scheduled merge; it
+	// must be safe for concurrent use (partitions merge concurrently).
 	OnMerge func(table.Report)
-	// OnError, if non-nil, observes merge failures.
+	// OnError, if non-nil, observes merge failures, likewise concurrently.
 	OnError func(error)
 }
 
@@ -78,23 +53,30 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Scheduler supervises one table.  Create with New, then Start.
+// Scheduler supervises every partition its source currently lists.  The
+// source is re-read on every tick, so partitions an online reshard creates
+// are supervised from the next tick on.  Each partition is watched on its
+// own trigger — a write-hot partition merges often while cold ones stay
+// untouched — different partitions merge concurrently, and a partition has
+// at most one scheduled merge in flight.  Create with New, then Start.
 type Scheduler struct {
-	t   MergeTable
+	src func() []*table.Table
 	cfg Config
 
 	mu      sync.Mutex
 	paused  bool
 	cancel  context.CancelFunc
 	done    chan struct{}
+	busy    map[*table.Table]struct{} // partitions with a scheduled merge in flight
 	merges  int
 	lastErr error
 }
 
-// New returns a stopped scheduler for one merge target.
-func New(t MergeTable, cfg Config) *Scheduler {
+// New returns a stopped scheduler over the partitions src lists; a store
+// passes its Partitions method.
+func New(src func() []*table.Table, cfg Config) *Scheduler {
 	cfg.setDefaults()
-	return &Scheduler{t: t, cfg: cfg}
+	return &Scheduler{src: src, cfg: cfg, busy: make(map[*table.Table]struct{})}
 }
 
 // ErrAlreadyRunning is returned by Start when the scheduler is active.
@@ -114,9 +96,10 @@ func (s *Scheduler) Start() error {
 	return nil
 }
 
-// Stop terminates the loop and waits for it.  A merge in flight is
-// cancelled and rolls back cleanly — its delta rows stay in place and are
-// picked up by the next merge (manual or scheduled).
+// Stop terminates the loop and waits for it and for every merge it
+// started.  Merges in flight are cancelled and roll back cleanly — their
+// delta rows stay in place and are picked up by the next merge (manual or
+// scheduled).
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
 	cancel, done := s.cancel, s.done
@@ -129,9 +112,9 @@ func (s *Scheduler) Stop() {
 	<-done
 }
 
-// Pause suspends triggering; a merge in flight completes.  The paper §3
+// Pause suspends triggering; merges in flight complete.  The paper §3
 // notes a scheduler may "pause and resume the merge process" to yield
-// resources; we pause at column granularity via Stop/Start of triggering.
+// resources; we pause at merge granularity.
 func (s *Scheduler) Pause() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,62 +135,101 @@ func (s *Scheduler) Paused() bool {
 	return s.paused
 }
 
-// Merges returns the number of merges the scheduler has completed.
+// Merges returns the number of scheduled merges completed, over all
+// partitions.
 func (s *Scheduler) Merges() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.merges
 }
 
-// LastErr returns the most recent merge error, if any.
+// LastErr returns the most recent scheduled-merge error, if any.
 func (s *Scheduler) LastErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastErr
 }
 
-// MergeNow synchronously merges the target if it holds any delta rows or
-// any invalidated versions a garbage-collecting merge could reclaim,
-// regardless of the trigger condition, using the scheduler's configured
-// thread budget.  It does not require (or disturb) a running supervision
-// loop: whole-table merges serialize, so a concurrent scheduled merge
-// simply runs first.  Callers use it to drain deltas deliberately — e.g.
-// cmd/hyrised compacts on shutdown so the saved snapshot reloads with
-// everything merged and reclaimed.
-func (s *Scheduler) MergeNow(ctx context.Context) error {
-	// With an empty delta a merge only rewrites the main, which is worth
-	// doing solely when GC is on and dead versions actually linger there;
-	// with GC off (or nothing dead) it would be a full-table no-op.
-	if s.t.DeltaRows() == 0 &&
-		(!s.t.GCEnabled() || s.t.Rows() == s.t.ValidRows()) {
-		return nil
-	}
+// options is the merge configuration for one pass over targets.  The
+// default budget splits the machine across the partitions that still take
+// writes: a reshard-retired (sealed) partition's delta never grows again,
+// so counting it would shrink every hot partition's share for good.
+func (s *Scheduler) options(targets []*table.Table) table.MergeOptions {
 	threads := s.cfg.Threads
-	if threads <= 0 && s.cfg.Strategy == Background {
-		threads = 1
+	if threads <= 0 {
+		active := 0
+		for _, t := range targets {
+			if !t.Sealed() {
+				active++
+			}
+		}
+		threads = table.ThreadsPerMerge(0, active)
 	}
-	_, err := s.t.Merge(ctx, table.MergeOptions{
-		Algorithm: s.cfg.Algorithm,
-		Threads:   threads,
-	})
-	return err
+	return table.MergeOptions{Algorithm: s.cfg.Algorithm, Threads: threads}
 }
 
-// ShouldMerge evaluates the trigger condition against current table state.
+// MergeNow synchronously merges every live partition that holds delta rows
+// or invalidated versions a garbage-collecting merge could reclaim,
+// regardless of the trigger condition, concurrently and with the
+// scheduler's thread budget, joining the per-partition errors.  It needs
+// no running supervision loop; a partition whose merge is already in
+// flight reports table.ErrMergeInProgress.  Callers use it to drain a
+// store deliberately — cmd/hyrised compacts with it on shutdown so the
+// saved snapshot reloads with everything merged and reclaimed.
+func (s *Scheduler) MergeNow(ctx context.Context) error {
+	targets := s.src()
+	var dirty []*table.Table
+	for _, t := range targets {
+		// With an empty delta a merge only rewrites the main, which is
+		// worth doing solely when GC is on and dead versions actually
+		// linger there; otherwise it would be a full-table no-op.
+		if t.DeltaRows() > 0 || (t.GCEnabled() && t.Rows() != t.ValidRows()) {
+			dirty = append(dirty, t)
+		}
+	}
+	_, errs := table.MergeEach(ctx, dirty, s.options(targets))
+	return errors.Join(errs...)
+}
+
+// ShouldMerge reports whether any live partition currently meets the
+// trigger condition.
 func (s *Scheduler) ShouldMerge() bool {
-	nd := s.t.DeltaRows()
+	for _, t := range s.src() {
+		if s.triggered(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// triggered evaluates N_D > Fraction * N_M on one partition.
+func (s *Scheduler) triggered(t *table.Table) bool {
+	nd := t.DeltaRows()
 	if nd <= s.cfg.MinDeltaRows {
 		return false
 	}
-	nm := s.t.MainRows()
+	nm := t.MainRows()
 	if nm == 0 {
 		return true
 	}
 	return float64(nd) > s.cfg.Fraction*float64(nm)
 }
 
+// claim marks t as merging under this scheduler; false if it already is.
+func (s *Scheduler) claim(t *table.Table) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.busy[t]; ok {
+		return false
+	}
+	s.busy[t] = struct{}{}
+	return true
+}
+
 func (s *Scheduler) loop(ctx context.Context, done chan struct{}) {
 	defer close(done)
+	var inflight sync.WaitGroup
+	defer inflight.Wait()
 	ticker := time.NewTicker(s.cfg.Interval)
 	defer ticker.Stop()
 	for {
@@ -216,38 +238,46 @@ func (s *Scheduler) loop(ctx context.Context, done chan struct{}) {
 			return
 		case <-ticker.C:
 		}
-		if s.Paused() || !s.ShouldMerge() {
+		if s.Paused() {
 			continue
 		}
-		threads := s.cfg.Threads
-		if threads <= 0 {
-			threads = 0 // all resources
-			if s.cfg.Strategy == Background {
-				threads = 1
+		targets := s.src()
+		opts := s.options(targets)
+		for _, t := range targets {
+			if !s.triggered(t) || !s.claim(t) {
+				continue
 			}
+			inflight.Add(1)
+			go func() {
+				defer inflight.Done()
+				s.merge(ctx, t, opts)
+			}()
 		}
-		rep, err := s.t.Merge(ctx, table.MergeOptions{
-			Algorithm: s.cfg.Algorithm,
-			Threads:   threads,
-		})
-		if errors.Is(err, context.Canceled) {
-			// Stop cancelled a merge in flight: it rolled back cleanly and
-			// the table is intact, so this is shutdown, not a failure.
-			continue
-		}
-		s.mu.Lock()
-		if err != nil {
-			s.lastErr = err
-			s.mu.Unlock()
-			if s.cfg.OnError != nil {
-				s.cfg.OnError(err)
-			}
-			continue
-		}
-		s.merges++
+	}
+}
+
+// merge runs one scheduled merge of a claimed partition and accounts it.
+func (s *Scheduler) merge(ctx context.Context, t *table.Table, opts table.MergeOptions) {
+	rep, err := t.Merge(ctx, opts)
+	s.mu.Lock()
+	delete(s.busy, t)
+	if errors.Is(err, context.Canceled) {
+		// Stop cancelled the merge: it rolled back cleanly and the
+		// partition is intact, so this is shutdown, not a failure.
 		s.mu.Unlock()
-		if s.cfg.OnMerge != nil {
-			s.cfg.OnMerge(rep)
+		return
+	}
+	if err != nil {
+		s.lastErr = err
+	} else {
+		s.merges++
+	}
+	s.mu.Unlock()
+	if err != nil {
+		if s.cfg.OnError != nil {
+			s.cfg.OnError(err)
 		}
+	} else if s.cfg.OnMerge != nil {
+		s.cfg.OnMerge(rep)
 	}
 }

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,23 @@ func newTable(t *testing.T) *table.Table {
 	return tb
 }
 
+// only is the source of a fixed partition list.
+func only(parts ...*table.Table) func() []*table.Table {
+	return func() []*table.Table { return parts }
+}
+
+// eventually polls cond until it holds or five seconds pass.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func fill(t *testing.T, tb *table.Table, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -29,7 +48,7 @@ func fill(t *testing.T, tb *table.Table, n int) {
 
 func TestShouldMerge(t *testing.T) {
 	tb := newTable(t)
-	s := New(tb, Config{Fraction: 0.10, MinDeltaRows: 10})
+	s := New(only(tb), Config{Fraction: 0.10, MinDeltaRows: 10})
 	if s.ShouldMerge() {
 		t.Fatal("empty table should not merge")
 	}
@@ -59,7 +78,7 @@ func TestSchedulerTriggersMerge(t *testing.T) {
 	tb := newTable(t)
 	fill(t, tb, 1000)
 	var merges atomic.Int32
-	s := New(tb, Config{
+	s := New(only(tb), Config{
 		Fraction:     0.01,
 		MinDeltaRows: 1,
 		Interval:     time.Millisecond,
@@ -90,7 +109,7 @@ func TestSchedulerTriggersMerge(t *testing.T) {
 
 func TestStartTwice(t *testing.T) {
 	tb := newTable(t)
-	s := New(tb, Config{Interval: time.Hour})
+	s := New(only(tb), Config{Interval: time.Hour})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +121,7 @@ func TestStartTwice(t *testing.T) {
 
 func TestStopIdempotent(t *testing.T) {
 	tb := newTable(t)
-	s := New(tb, Config{Interval: time.Millisecond})
+	s := New(only(tb), Config{Interval: time.Millisecond})
 	s.Stop() // never started: no-op
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -120,7 +139,7 @@ func TestPauseResume(t *testing.T) {
 	tb := newTable(t)
 	fill(t, tb, 100)
 	var merges atomic.Int32
-	s := New(tb, Config{
+	s := New(only(tb), Config{
 		Fraction: 0.001, MinDeltaRows: 1, Interval: time.Millisecond,
 		OnMerge: func(table.Report) { merges.Add(1) },
 	})
@@ -147,13 +166,15 @@ func TestPauseResume(t *testing.T) {
 	}
 }
 
+// TestBackgroundStrategy: the paper's strategy (b), a constant
+// single-thread background merge, is Threads: 1.
 func TestBackgroundStrategy(t *testing.T) {
 	tb := newTable(t)
 	fill(t, tb, 5000)
 	var got atomic.Int32
-	s := New(tb, Config{
+	s := New(only(tb), Config{
 		Fraction: 0.001, MinDeltaRows: 1, Interval: time.Millisecond,
-		Strategy: Background,
+		Threads: 1,
 		OnMerge: func(r table.Report) {
 			got.Store(int32(r.Threads))
 		},
@@ -183,7 +204,7 @@ func TestDefaults(t *testing.T) {
 
 func TestMergeNow(t *testing.T) {
 	tb := newTable(t)
-	s := New(tb, Config{Threads: 2})
+	s := New(only(tb), Config{Threads: 2})
 	// Nothing to merge: a no-op, no error.
 	if err := s.MergeNow(context.Background()); err != nil {
 		t.Fatal(err)
@@ -198,18 +219,186 @@ func TestMergeNow(t *testing.T) {
 	}
 }
 
-func TestMultiMergeNow(t *testing.T) {
+// TestMergeNowAllPartitions: MergeNow drains every partition the source
+// lists, concurrently.
+func TestMergeNowAllPartitions(t *testing.T) {
 	t1, t2 := newTable(t), newTable(t)
 	fill(t, t1, 30)
 	fill(t, t2, 20)
-	m := NewMulti([]MergeTable{t1, t2}, Config{})
-	if err := m.MergeNow(context.Background()); err != nil {
+	s := New(only(t1, t2), Config{})
+	if err := s.MergeNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if t1.DeltaRows() != 0 || t2.DeltaRows() != 0 {
-		t.Fatalf("deltas %d/%d after Multi.MergeNow", t1.DeltaRows(), t2.DeltaRows())
+		t.Fatalf("deltas %d/%d after MergeNow", t1.DeltaRows(), t2.DeltaRows())
 	}
 	if t1.MainRows() != 30 || t2.MainRows() != 20 {
 		t.Fatalf("mains %d/%d", t1.MainRows(), t2.MainRows())
+	}
+}
+
+// TestIndependentTriggers verifies that only the partition whose delta
+// fraction exceeds the threshold is merged: a hot partition merges while
+// cold partitions stay untouched.
+func TestIndependentTriggers(t *testing.T) {
+	hot, mid, cold := newTable(t), newTable(t), newTable(t)
+	var merged atomic.Int32
+	s := New(only(hot, mid, cold), Config{
+		Fraction: 0.5,
+		Interval: time.Millisecond,
+		OnMerge:  func(table.Report) { merged.Add(1) },
+	})
+	// Hot partition: 100 delta rows on an empty main always exceeds the
+	// trigger.  The others get nothing.
+	fill(t, hot, 100)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "hot partition never merged", func() bool { return hot.MergeGeneration() > 0 })
+	s.Stop()
+	if cold.MergeGeneration() != 0 || mid.MergeGeneration() != 0 {
+		t.Fatal("cold partition merged without delta rows")
+	}
+	if hot.DeltaRows() != 0 || hot.MainRows() != 100 {
+		t.Fatalf("hot partition state: delta=%d main=%d", hot.DeltaRows(), hot.MainRows())
+	}
+	if s.Merges() == 0 {
+		t.Fatal("Merges() = 0")
+	}
+	if int(merged.Load()) != s.Merges() {
+		t.Fatalf("OnMerge saw %d merges, counter says %d", merged.Load(), s.Merges())
+	}
+	if err := s.LastErr(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestThreadBudget checks the even division of the machine across the
+// partitions that still take writes, and that an explicit budget wins.
+func TestThreadBudget(t *testing.T) {
+	want := max(1, runtime.GOMAXPROCS(0)/2)
+	two := []*table.Table{newTable(t), newTable(t)}
+	if got := New(nil, Config{}).options(two).Threads; got != want {
+		t.Fatalf("derived per-partition budget %d, want %d", got, want)
+	}
+	// A reshard-retired partition does not dilute the live ones' share.
+	retired := newTable(t)
+	retired.Seal()
+	if got := New(nil, Config{}).options(append(two, retired)).Threads; got != want {
+		t.Fatalf("budget with a sealed partition listed %d, want %d", got, want)
+	}
+	many := make([]*table.Table, 4*runtime.GOMAXPROCS(0))
+	for i := range many {
+		many[i] = newTable(t)
+	}
+	if got := New(nil, Config{}).options(many).Threads; got != 1 {
+		t.Fatalf("budget across many partitions %d, want 1", got)
+	}
+	if got := New(nil, Config{Threads: 3}).options(two).Threads; got != 3 {
+		t.Fatalf("explicit budget not honored: %d", got)
+	}
+
+	// The budget reaches the merges, and follows the partition count.
+	t1, t2 := newTable(t), newTable(t)
+	fill(t, t1, 100)
+	fill(t, t2, 100)
+	var threads sync.Map
+	s := New(only(t1, t2), Config{
+		Fraction: 0.5, Interval: time.Millisecond,
+		OnMerge: func(r table.Report) { threads.Store(r.Threads, true) },
+	})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "partitions never merged", func() bool { return s.Merges() >= 2 })
+	s.Stop()
+	threads.Range(func(k, _ any) bool {
+		if k.(int) != want {
+			t.Errorf("scheduled merge ran with %d threads, want %d", k, want)
+		}
+		return true
+	})
+}
+
+// TestSourceGrows is the reshard case: the source lists more partitions
+// mid-run.  The appended partitions are merged within a few ticks and
+// MergeNow reaches them.
+func TestSourceGrows(t *testing.T) {
+	first := newTable(t)
+	var mu sync.Mutex
+	parts := []*table.Table{first}
+	src := func() []*table.Table {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]*table.Table(nil), parts...)
+	}
+	s := New(src, Config{Fraction: 0.5, Interval: time.Millisecond})
+	fill(t, first, 50)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "first partition never merged", func() bool { return first.DeltaRows() == 0 })
+
+	added := []*table.Table{newTable(t), newTable(t)}
+	mu.Lock()
+	parts = append(parts, added...)
+	mu.Unlock()
+	for _, p := range added {
+		fill(t, p, 50)
+	}
+	eventually(t, "partitions added to the source were never merged", func() bool {
+		return added[0].DeltaRows() == 0 && added[1].DeltaRows() == 0
+	})
+	s.Stop()
+	if err := s.LastErr(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Below the trigger the loop leaves the new rows alone; MergeNow
+	// drains them wherever they are.
+	fill(t, added[1], 10)
+	if s.ShouldMerge() {
+		t.Fatal("10 delta rows on a 50-row main should not trigger at 0.5")
+	}
+	if err := s.MergeNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if added[1].DeltaRows() != 0 || added[1].MainRows() != 60 {
+		t.Fatalf("MergeNow missed an added partition: delta=%d main=%d",
+			added[1].DeltaRows(), added[1].MainRows())
+	}
+}
+
+// TestStopCancelsInflight: Stop cancels and waits for merges in flight;
+// a cancelled merge rolls back and is not an error.
+func TestStopCancelsInflight(t *testing.T) {
+	tbs := []*table.Table{newTable(t), newTable(t), newTable(t)}
+	for _, tb := range tbs {
+		fill(t, tb, 20000)
+	}
+	s := New(only(tbs...), Config{Interval: time.Millisecond})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "no merge started", func() bool {
+		for _, tb := range tbs {
+			if tb.Merging() || tb.MergeGeneration() > 0 {
+				return true
+			}
+		}
+		return false
+	})
+	s.Stop()
+	for i, tb := range tbs {
+		if tb.Merging() {
+			t.Fatalf("partition %d still merging after Stop", i)
+		}
+		if tb.Rows() != 20000 || tb.MainRows()+tb.DeltaRows() != 20000 {
+			t.Fatalf("partition %d lost rows: rows=%d main=%d delta=%d",
+				i, tb.Rows(), tb.MainRows(), tb.DeltaRows())
+		}
+	}
+	if err := s.LastErr(); err != nil {
+		t.Fatalf("cancelled merge recorded as failure: %v", err)
 	}
 }

@@ -21,25 +21,19 @@
 //
 // # Session model
 //
-// Each connection is an independent session with one reader goroutine.
-// Responses are always delivered in request order, so clients may
-// pipeline: send N requests back to back, then read N responses
-// (hyrise/client batches inserts this way).  Execution order is looser
-// than response order on a pipelined connection: read-only requests
-// (lookups, ranges, scans, aggregates, stats — anything that mutates
-// nothing) may execute concurrently on a server-wide bounded worker
-// pool, with their finished responses re-sequenced into request order by
-// a per-connection writer.  Everything else — mutations, snapshot
-// capture and release, merge, index creation, reshard, hello — is a
-// barrier: the session waits for every read dispatched ahead of it to
-// finish, executes the op alone, and only then resumes dispatching, so a
-// read pipelined after a write on the same connection always observes
-// that write, exactly as under serial execution.  Reads between two
-// barriers commute (they mutate nothing and each resolves its own
-// epoch), so the reordering is invisible: every response is
-// byte-identical to serial execution.  A connection that never pipelines
-// pays none of this — it is served on the classic one-goroutine serial
-// path.
+// Each connection is an independent session served by one goroutine: read
+// a request, execute it, write and flush its response.  Responses are
+// therefore delivered in request order and a session's requests take
+// effect in the order sent, so clients may pipeline — send N requests back
+// to back, then read N responses (hyrise/client batches inserts this way)
+// — and a read pipelined after a write on the same connection always
+// observes that write.  Requests of one session never run concurrently
+// with each other; concurrency comes from sessions running side by side,
+// which is how hyrise/client's connection pool uses the server.
+// hyrise_server_pipelined_requests_total counts requests that arrived
+// with the next one already buffered behind them: it is the measurement
+// that would justify executing a session's pipelined reads in parallel,
+// and the committed benchmark baseline records zero on every workload.
 //
 // There is no per-session state beyond the connection itself — snapshot
 // tokens (below) are server-wide, so a token captured on one connection

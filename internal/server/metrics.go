@@ -26,7 +26,6 @@ type serverMetrics struct {
 	byOp [256]opMetric
 
 	pipelined *metrics.Counter
-	parallel  *metrics.Counter
 	slowOps   *metrics.Counter
 
 	mergeTotal     *metrics.Counter
@@ -72,8 +71,8 @@ func (s *Server) mxReg() *metrics.Registry {
 }
 
 // newServerMetrics builds the registry for one server: per-op series for
-// every protocol opcode, merge/GC instruments fed by per-partition merge
-// hooks, and scrape-time gauges over the store, the epoch clock, the op
+// every protocol opcode, merge/GC instruments fed by the store's merge
+// observer, and scrape-time gauges over the store, the epoch clock, the op
 // log, the replica applier, index routing and the query planner.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := metrics.NewRegistry()
@@ -92,8 +91,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.pipelined = reg.Counter("hyrise_server_pipelined_requests_total",
 		"Requests that arrived while a previous request on the same connection was still queued.")
-	m.parallel = reg.Counter("hyrise_server_parallel_requests_total",
-		"Pipelined read requests dispatched for concurrent execution on their connection.")
 	m.slowOps = reg.Counter("hyrise_server_slow_ops_total",
 		"Requests that exceeded the slow-op threshold.")
 	reg.GaugeFunc("hyrise_server_connections",
@@ -111,7 +108,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Oldest pinned epoch, or the current epoch with nothing pinned.",
 		func() float64 { return float64(clock.Watermark()) })
 
-	// Merge / GC instruments, fed by per-partition hooks (below).
+	// Merge / GC instruments, fed by the store's merge observer (below).
 	m.mergeTotal = reg.Counter("hyrise_merge_total", "Committed merges across all partitions.")
 	m.mergeAborted = reg.Counter("hyrise_merge_aborted_total", "Merges cancelled and rolled back.")
 	m.rowsMerged = reg.Counter("hyrise_merge_rows_merged_total",
@@ -275,17 +272,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return 0
 		})
 
-	for _, p := range sh.Partitions() {
-		p.OnMerge(m.observeMerge)
-	}
-	// Partitions created by a later reshard must feed the same merge
-	// instruments as the originals.
-	sh.OnPartition(func(p *table.Table, phys int) { p.OnMerge(m.observeMerge) })
+	sh.OnMerge(m.observeMerge)
 	return m
 }
 
-// observeMerge is the per-partition merge hook: it runs after the merge
-// released the table locks, once per Merge call, in commit order.
+// observeMerge is the store's merge observer (shard.Table.OnMerge): it
+// runs after a partition's merge released the table locks, once per Merge
+// call, in commit order per partition.
 func (m *serverMetrics) observeMerge(rep table.Report) {
 	if rep.Aborted {
 		m.mergeAborted.Inc()

@@ -13,11 +13,11 @@ import (
 )
 
 // TestPipelinedParallelOrder pipelines a long mixed request train on one
-// raw connection — lookups and row reads that the server may execute
-// concurrently, with updates interleaved as ordering barriers — and
-// asserts the contract of the parallel execution path: every response
-// arrives in request order with the value serial execution would have
-// produced, and a read pipelined after a write observes that write.
+// raw connection — blocks of lookups with updates interleaved — and
+// asserts the session contract under pipelining: every response arrives
+// in request order with the value serial execution would have produced,
+// a read pipelined after a write observes that write, and the server
+// counts the pipelining it saw.
 func TestPipelinedParallelOrder(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
@@ -43,9 +43,8 @@ func TestPipelinedParallelOrder(t *testing.T) {
 	br := bufio.NewReader(nc)
 	bw := bufio.NewWriter(nc)
 
-	// The request train: rounds of parallel-eligible reads, with a qty
-	// update as every round's barrier.  check[i] decodes and verifies
-	// response i.
+	// The request train: rounds of reads, each closed by a qty update.
+	// check[i] decodes and verifies response i.
 	var check []func(r *wire.Reader) error
 	send := func(fn func(b *wire.Buffer), chk func(r *wire.Reader) error) {
 		var b wire.Buffer
@@ -69,7 +68,7 @@ func TestPipelinedParallelOrder(t *testing.T) {
 	}
 	const rounds = 40
 	for round := 0; round < rounds; round++ {
-		// A block of reads the pool may run concurrently, in any order.
+		// A block of reads.
 		for i := 0; i < 8; i++ {
 			key := uint64((round*8 + i) % rows)
 			send(func(b *wire.Buffer) {
@@ -79,7 +78,7 @@ func TestPipelinedParallelOrder(t *testing.T) {
 				b.Value(key)
 			}, expectIDs(ids[key]))
 		}
-		// Barrier: bump one row's qty.  The whole train is built before
+		// Bump one row's qty.  The whole train is built before
 		// any response is read, so the update's new row id must be
 		// predicted: this connection is the only writer, and a flat table
 		// hands out version ids sequentially, so round r's update creates
@@ -156,12 +155,13 @@ func TestPipelinedParallelOrder(t *testing.T) {
 		}
 	}
 
-	// The pool actually ran: the parallel-dispatch counter moved.
+	// The train was seen as pipelined: the one measurement that would
+	// justify an in-connection dispatcher moved.
 	samples, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := client.MetricValue(samples, "hyrise_server_parallel_requests_total"); !ok || v == 0 {
-		t.Fatalf("hyrise_server_parallel_requests_total = %v (ok=%v), want > 0", v, ok)
+	if v, ok := client.MetricValue(samples, "hyrise_server_pipelined_requests_total"); !ok || v == 0 {
+		t.Fatalf("hyrise_server_pipelined_requests_total = %v (ok=%v), want > 0", v, ok)
 	}
 }

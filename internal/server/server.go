@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,13 +108,6 @@ type Server struct {
 	// under it so a stuck request cannot outlive the force-close.
 	lifeCtx    context.Context
 	cancelLife context.CancelFunc
-
-	// readPool bounds how many pipelined read requests execute
-	// concurrently across ALL connections: each slot is one worker
-	// goroutine.  When the pool is saturated a request simply runs in its
-	// connection's reader goroutine — backpressure instead of unbounded
-	// goroutine growth.
-	readPool chan struct{}
 }
 
 // New returns a stopped server over st.
@@ -131,7 +123,6 @@ func New(st *shard.Table, opts Options) *Server {
 		log:     opts.logger(),
 	}
 	s.lifeCtx, s.cancelLife = context.WithCancel(context.Background())
-	s.readPool = make(chan struct{}, max(2, runtime.GOMAXPROCS(0)))
 	if !opts.NoMetrics {
 		s.mx = newServerMetrics(s)
 	}
@@ -456,15 +447,14 @@ func (s *Server) releaseSnapshot(tok uint64) error {
 // conn is one session.
 type conn struct {
 	nc net.Conn
-	// pending counts requests accepted but not yet fully answered
-	// (response written and flushed).  With parallel in-connection
-	// execution several can be in flight at once; the session is idle —
-	// and safe for a graceful drain to close — only at zero.
-	pending atomic.Int64
+	// busy is set from the first byte of a request until its response is
+	// written and flushed; the session is idle — and safe for a graceful
+	// drain to close — only while it is clear.
+	busy atomic.Bool
 }
 
 // idle reports whether no request is in flight on this session.
-func (c *conn) idle() bool { return c.pending.Load() == 0 }
+func (c *conn) idle() bool { return !c.busy.Load() }
 
 func (s *Server) removeConn(c *conn) {
 	s.mu.Lock()
@@ -472,50 +462,10 @@ func (s *Server) removeConn(c *conn) {
 	s.mu.Unlock()
 }
 
-// parallelOps marks the opcodes the server may execute concurrently with
-// each other on ONE pipelined connection: read-only requests whose result
-// depends on the store and the request alone, never on session ordering
-// side effects.  Everything else — mutations, snapshot lifecycle
-// (registry writes), hello, merge, index creation, reshard — stays
-// strictly serial and acts as a barrier: all parallel reads dispatched
-// before it complete before it executes, so a read pipelined ahead of a
-// write can never observe that write.
-var parallelOps = func() [256]bool {
-	var t [256]bool
-	for _, op := range []uint8{
-		wire.OpPing, wire.OpSchema, wire.OpRow, wire.OpIsValid,
-		wire.OpLookup, wire.OpRange, wire.OpScan,
-		wire.OpSum, wire.OpMin, wire.OpMax, wire.OpCountEqual,
-		wire.OpQuery, wire.OpValidRows, wire.OpVisible,
-		wire.OpStats, wire.OpIndexStats, wire.OpMetrics, wire.OpServerStats,
-	} {
-		t[op] = true
-	}
-	return t
-}()
-
-// connQueueDepth bounds how many responses may be queued (computed or
-// still computing) per connection before the reader stops accepting new
-// requests; it caps per-session memory, not throughput.
-const connQueueDepth = 64
-
-// pendingResp is one slot in a connection's ordered response queue: the
-// writer goroutine waits for done, then sends out.  Slots are enqueued in
-// request order, so responses go out in request order no matter which
-// worker finishes first.
-type pendingResp struct {
-	out  wire.Buffer
-	done chan struct{}
-}
-
-// serveConn runs one session.  Requests are read in order; read-only
-// requests that arrive pipelined (more bytes already buffered behind
-// them) are dispatched to the shared worker pool and execute
-// concurrently, everything else runs serially in this goroutine.
-// Responses always go out in request order: a lazily-started writer
-// goroutine drains an ordered queue of response slots, so a non-pipelined
-// session never pays for any of this — it keeps the plain
-// read-handle-answer loop.
+// serveConn runs one session: read a request, execute it, write and flush
+// its response, in this goroutine.  Responses therefore go out in request
+// order and a request pipelined behind a write observes that write;
+// concurrency comes from sessions running side by side.
 func (s *Server) serveConn(c *conn) {
 	defer s.wg.Done()
 	defer s.removeConn(c)
@@ -523,55 +473,28 @@ func (s *Server) serveConn(c *conn) {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	var out wire.Buffer
-
-	// Parallel machinery, created on the first pipelined read.
-	var (
-		results    chan *pendingResp
-		writerDone chan struct{}
-		inflight   sync.WaitGroup
-	)
-	stopWriter := func() {
-		if results != nil {
-			close(results)
-			<-writerDone
-			results = nil
-		}
-	}
-	defer func() {
-		// Let in-flight workers finish and the writer flush whatever it
-		// can before the deferred nc.Close above runs (LIFO order).
-		inflight.Wait()
-		stopWriter()
-	}()
-
 	for {
 		// Block for the first byte of the next request while still
-		// counted idle, then bump pending before decoding the frame:
-		// a drain that lands mid-request closes only sessions that have
-		// not started sending, so no mutation is executed with its
+		// counted idle, then mark the session busy before decoding the
+		// frame: a drain that lands mid-request closes only sessions that
+		// have not started sending, so no mutation is executed with its
 		// response dropped (barring the unavoidable instant between the
-		// byte arriving and the counter bumping).
+		// byte arriving and the flag being set).
 		if _, err := br.Peek(1); err != nil {
 			return
 		}
-		c.pending.Add(1)
+		c.busy.Store(true)
 		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			// EOF and closed-socket errors are normal session ends.  An
 			// oversized frame gets a best-effort error answer, but the
 			// payload was never consumed, so the session must end.
 			if errors.Is(err, wire.ErrFrameTooLarge) {
-				p := &pendingResp{done: make(chan struct{})}
-				p.out.U8(wire.StatusErrBadRequest)
-				p.out.String(err.Error())
-				close(p.done)
-				if results != nil {
-					results <- p
-				} else {
-					if wire.WriteFrame(bw, p.out.Bytes()) == nil {
-						bw.Flush()
-					}
-					c.pending.Add(-1)
+				out.Reset()
+				out.U8(wire.StatusErrBadRequest)
+				out.String(err.Error())
+				if wire.WriteFrame(bw, out.Bytes()) == nil {
+					bw.Flush()
 				}
 				s.log.Warn("server: oversized frame",
 					"remote", c.nc.RemoteAddr().String(), "err", err)
@@ -584,82 +507,33 @@ func (s *Server) serveConn(c *conn) {
 			op = payload[0]
 		}
 		// OpSubscribe turns the session into a one-way replication stream;
-		// it never returns to request/response handling.  Quiesce the
-		// parallel machinery first — the streamer takes over bw.
+		// it never returns to request/response handling.
 		if op == wire.OpSubscribe {
-			inflight.Wait()
-			stopWriter()
 			s.serveSubscribe(c, payload[1:], bw)
 			return
 		}
-		pipelined := br.Buffered() > 0
-		if s.mx != nil && pipelined {
+		if s.mx != nil && br.Buffered() > 0 {
 			// The next request is already queued behind this one: the
 			// client is pipelining.
 			s.mx.pipelined.Inc()
 		}
-		switch {
-		case parallelOps[op] && (results != nil || pipelined):
-			if results == nil {
-				results = make(chan *pendingResp, connQueueDepth)
-				writerDone = make(chan struct{})
-				go s.connWriter(c, bw, results, writerDone)
-			}
-			p := &pendingResp{done: make(chan struct{})}
-			results <- p
-			if s.mx != nil {
-				s.mx.parallel.Inc()
-			}
-			inflight.Add(1)
-			select {
-			case s.readPool <- struct{}{}:
-				go func() {
-					defer inflight.Done()
-					defer func() { <-s.readPool }()
-					s.execute(c, op, payload, &p.out)
-					close(p.done)
-				}()
-			default:
-				// Pool saturated: run in the reader goroutine.  Ordering
-				// is unaffected (the slot is already queued) and the
-				// connection self-throttles instead of the server growing
-				// goroutines without bound.
-				s.execute(c, op, payload, &p.out)
-				close(p.done)
-				inflight.Done()
-			}
-		case results != nil:
-			// A serial op on a connection whose writer is running.  The
-			// barrier: every parallel read dispatched earlier completes
-			// first, then the op executes here, and its response takes
-			// the next ordered slot (the reader is the only enqueuer, so
-			// enqueueing after execution preserves order).
-			inflight.Wait()
-			p := &pendingResp{done: make(chan struct{})}
-			s.execute(c, op, payload, &p.out)
-			close(p.done)
-			results <- p
-		default:
-			// Plain serial path, no writer goroutine running: handle and
-			// answer in place.
-			s.execute(c, op, payload, &out)
+		s.execute(c, op, payload, &out)
+		err = wire.WriteFrame(bw, out.Bytes())
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			// The result outgrew the frame limit (e.g. an unbounded scan
+			// of a huge table): answer with an error instead so the
+			// session survives and stays in sync.
+			out.Reset()
+			out.U8(wire.StatusErr)
+			out.String(fmt.Sprintf("response exceeds %d-byte frame limit; narrow the request", wire.MaxFrame))
 			err = wire.WriteFrame(bw, out.Bytes())
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				// The result outgrew the frame limit (e.g. an unbounded
-				// scan of a huge table): answer with an error instead so
-				// the session survives and stays in sync.
-				out.Reset()
-				out.U8(wire.StatusErr)
-				out.String(fmt.Sprintf("response exceeds %d-byte frame limit; narrow the request", wire.MaxFrame))
-				err = wire.WriteFrame(bw, out.Bytes())
-			}
-			if err == nil {
-				err = bw.Flush()
-			}
-			c.pending.Add(-1)
-			if err != nil {
-				return
-			}
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		c.busy.Store(false)
+		if err != nil {
+			return
 		}
 		s.mu.Lock()
 		draining := s.draining
@@ -672,9 +546,7 @@ func (s *Server) serveConn(c *conn) {
 
 // execute runs one decoded request to completion, filling out with the
 // full response payload and doing the per-request accounting: metrics,
-// error counting, slow-op tracing.  It is what pool workers run — all
-// state it touches is the server, the connection's identity (for the slow
-// log) and the per-request buffers.
+// error counting, slow-op tracing.
 func (s *Server) execute(c *conn, op uint8, payload []byte, out *wire.Buffer) {
 	om := s.mx.at(op)
 	// Both time.Now calls are skipped when neither metrics nor slow-op
@@ -708,65 +580,5 @@ func (s *Server) execute(c *conn, op uint8, payload []byte, out *wire.Buffer) {
 				"rows", info.rows, "epoch", info.epoch,
 				"status", status, "remote", c.nc.RemoteAddr().String())
 		}
-	}
-}
-
-// connWriter drains one connection's ordered response queue: each slot is
-// awaited in request order — regardless of which worker finished first —
-// and written out, flushing only when no further completed response is
-// queued so back-to-back pipelined results coalesce into one flush.  On a
-// write error it closes the socket (unblocking the reader) and keeps
-// draining slots so workers never block on an abandoned queue.
-func (s *Server) connWriter(c *conn, bw *bufio.Writer, results <-chan *pendingResp, done chan<- struct{}) {
-	defer close(done)
-	var broken bool
-	var next *pendingResp
-	for {
-		p := next
-		next = nil
-		if p == nil {
-			var ok bool
-			if p, ok = <-results; !ok {
-				if !broken {
-					bw.Flush()
-				}
-				return
-			}
-		}
-		<-p.done
-		if !broken {
-			err := wire.WriteFrame(bw, p.out.Bytes())
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				p.out.Reset()
-				p.out.U8(wire.StatusErr)
-				p.out.String(fmt.Sprintf("response exceeds %d-byte frame limit; narrow the request", wire.MaxFrame))
-				err = wire.WriteFrame(bw, p.out.Bytes())
-			}
-			if err == nil {
-				// Flush unless the next response is already complete and
-				// queued behind this one.
-				flush := true
-				select {
-				case nx, ok := <-results:
-					if ok {
-						next = nx
-						select {
-						case <-nx.done:
-							flush = false
-						default:
-						}
-					}
-				default:
-				}
-				if flush {
-					err = bw.Flush()
-				}
-			}
-			if err != nil {
-				broken = true
-				c.nc.Close()
-			}
-		}
-		c.pending.Add(-1)
 	}
 }

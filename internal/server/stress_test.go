@@ -45,11 +45,7 @@ func TestServerStress(t *testing.T) {
 
 	// The background scheduler keeps delta fractions bounded while the
 	// traffic flows — the daemon's serving configuration in miniature.
-	targets := make([]sched.MergeTable, 0, shards)
-	for _, s := range st.Partitions() {
-		targets = append(targets, s)
-	}
-	ms := sched.NewMulti(targets, sched.Config{Fraction: 0.01, Interval: time.Millisecond})
+	ms := sched.New(st.Partitions, sched.Config{Fraction: 0.01, Interval: time.Millisecond})
 	if err := ms.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (s *Server) serveSubscribe(c *conn, payload []byte, bw *bufio.Writer) {
 	// A subscriber is a permanently-open stream: it must not hold a
 	// graceful drain open the way an in-flight request does.  The drain
 	// closes its socket; the follower re-subscribes elsewhere.
-	c.pending.Add(-1)
+	c.busy.Store(false)
 
 	var out wire.Buffer
 	r := wire.NewReader(payload)

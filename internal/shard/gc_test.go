@@ -9,20 +9,19 @@ import (
 )
 
 // TestShardedGC runs the update-heavy GC loop against a sharded table: a
-// cross-shard pinned view protects its row set through MergeAll cycles,
+// cross-shard pinned view protects its row set through RequestMerge cycles,
 // unpinned history is reclaimed on every shard, and retired global ids
 // keep failing with ErrRowInvalid.  The parallel variant runs every shard
 // merge through the intra-column range-partitioned GC path.
 func TestShardedGC(t *testing.T) {
-	t.Run("serial", func(t *testing.T) { shardedGCLoop(t, MergeAllOptions{}) })
+	t.Run("serial", func(t *testing.T) { shardedGCLoop(t, table.MergeOptions{}) })
 	t.Run("parallel-intra-column", func(t *testing.T) {
-		shardedGCLoop(t, MergeAllOptions{
-			Merge: table.MergeOptions{Threads: 4, Strategy: table.IntraColumn},
-		})
+		// 16 threads over 4 partitions: 4 intra-column threads each.
+		shardedGCLoop(t, table.MergeOptions{Threads: 16, Strategy: table.IntraColumn})
 	})
 }
 
-func shardedGCLoop(t *testing.T, mopts MergeAllOptions) {
+func shardedGCLoop(t *testing.T, mopts table.MergeOptions) {
 	st, err := New("gc", table.Schema{
 		{Name: "k", Type: table.Uint64},
 		{Name: "v", Type: table.Uint64},
@@ -57,7 +56,7 @@ func shardedGCLoop(t *testing.T, mopts MergeAllOptions) {
 			}
 			gids[i] = ngid
 		}
-		if _, err := st.MergeAll(context.Background(), mopts); err != nil {
+		if _, err := st.RequestMerge(context.Background(), mopts); err != nil {
 			t.Fatal(err)
 		}
 		if !pinned {
@@ -84,7 +83,7 @@ func shardedGCLoop(t *testing.T, mopts MergeAllOptions) {
 
 	// Release the mid-run pin: the next merge reclaims the history it held.
 	view.Release()
-	rep, err := st.MergeAll(context.Background(), mopts)
+	rep, err := st.RequestMerge(context.Background(), mopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestShardedSetGC(t *testing.T) {
 	if _, err := st.Update(gid, map[string]any{"k": uint64(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.MergeAll(context.Background(), MergeAllOptions{}); err != nil {
+	if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Rows() != 2 {

@@ -163,12 +163,9 @@ func TestModelBasedShardedEquivalence(t *testing.T) {
 				}
 				// Merge both sides with varied configurations, then verify.
 				if step%3 == 2 {
-					if _, err := st.MergeAll(context.Background(), MergeAllOptions{
-						Merge: table.MergeOptions{
-							Threads:  1 + rng.Intn(4),
-							Strategy: table.Strategy(rng.Intn(3)),
-						},
-						MaxConcurrent: 1 + rng.Intn(cfg.shards),
+					if _, err := st.RequestMerge(context.Background(), table.MergeOptions{
+						Threads:  1 + rng.Intn(4*cfg.shards),
+						Strategy: table.Strategy(rng.Intn(3)),
 					}); err != nil {
 						t.Fatal(err)
 					}

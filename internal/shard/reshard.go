@@ -99,38 +99,15 @@ func (st *Table) Reshard(ctx context.Context, n int) (ReshardReport, error) {
 			ErrNoShards, n, len(m.parts))
 	}
 
-	st.mu.Lock()
-	olog := st.olog
-	gcOn := st.gcOn
-	indexCols := append([]string(nil), st.indexCols...)
-	onPart := st.onPart
-	st.mu.Unlock()
-
 	start := time.Now()
 	rep := ReshardReport{From: m.n, To: n}
 
 	// Phase 1a: create and fully wire the new partitions before anything
 	// is published or logged, so failure here leaves the table untouched.
 	newBase := len(m.parts)
-	fresh := make([]*table.Table, n)
-	for i := range fresh {
-		phys := newBase + i
-		s, err := table.NewWithClock(fmt.Sprintf("%s/%d", st.name, phys), st.schema, st.clock)
-		if err != nil {
-			return ReshardReport{}, err
-		}
-		if olog != nil {
-			if err := s.AttachOplog(olog, phys); err != nil {
-				return ReshardReport{}, err
-			}
-		}
-		s.SetGC(gcOn)
-		for _, col := range indexCols {
-			if err := s.CreateIndex(col); err != nil {
-				return ReshardReport{}, err
-			}
-		}
-		fresh[i] = s
+	fresh, olog, err := st.newPartitions(newBase, n)
+	if err != nil {
+		return ReshardReport{}, err
 	}
 
 	// Phase 1b: announce, publish the migrating map, seal.
@@ -147,11 +124,6 @@ func (st *Table) Reshard(ctx context.Context, n int) (ReshardReport, error) {
 		migrating: true, nextBase: newBase, nextLen: n,
 	}
 	st.smap.Store(mig)
-	if onPart != nil {
-		for i, s := range fresh {
-			onPart(s, newBase+i)
-		}
-	}
 	sealStart := time.Now()
 	for _, s := range m.parts {
 		s.Seal()
@@ -217,6 +189,44 @@ drain:
 	return rep, migErr
 }
 
+// newPartitions creates n partitions with physical indices base, base+1,
+// ... wired like the existing ones — attached to the op log (returned, nil
+// when unattached), with the store's GC setting, indexes and merge
+// observer — and publishes nothing.  The caller holds reshardMu.
+func (st *Table) newPartitions(base, n int) ([]*table.Table, *oplog.Log, error) {
+	st.mu.Lock()
+	olog := st.olog
+	gcOn := st.gcOn
+	indexCols := append([]string(nil), st.indexCols...)
+	onMerge := st.onMerge
+	st.mu.Unlock()
+
+	fresh := make([]*table.Table, n)
+	for i := range fresh {
+		phys := base + i
+		s, err := table.NewWithClock(fmt.Sprintf("%s/%d", st.name, phys), st.schema, st.clock)
+		if err != nil {
+			return nil, nil, err
+		}
+		if olog != nil {
+			if err := s.AttachOplog(olog, phys); err != nil {
+				return nil, nil, err
+			}
+		}
+		s.SetGC(gcOn)
+		for _, col := range indexCols {
+			if err := s.CreateIndex(col); err != nil {
+				return nil, nil, err
+			}
+		}
+		if onMerge != nil {
+			s.OnMerge(onMerge)
+		}
+		fresh[i] = s
+	}
+	return fresh, olog, nil
+}
+
 // ApplyReshardBegin replays a KindReshardBegin op on a replication
 // follower: n partitions are created from physical index base on, routing
 // switches to them, and the old partitions are sealed — mirroring the
@@ -235,32 +245,9 @@ func (st *Table) ApplyReshardBegin(base, n int, version uint64) error {
 		return fmt.Errorf("%w: reshard-begin base %d count %d, have %d partitions",
 			table.ErrReplayGap, base, n, len(m.parts))
 	}
-	st.mu.Lock()
-	olog := st.olog
-	gcOn := st.gcOn
-	indexCols := append([]string(nil), st.indexCols...)
-	onPart := st.onPart
-	st.mu.Unlock()
-
-	fresh := make([]*table.Table, n)
-	for i := range fresh {
-		phys := base + i
-		s, err := table.NewWithClock(fmt.Sprintf("%s/%d", st.name, phys), st.schema, st.clock)
-		if err != nil {
-			return err
-		}
-		if olog != nil {
-			if err := s.AttachOplog(olog, phys); err != nil {
-				return err
-			}
-		}
-		s.SetGC(gcOn)
-		for _, col := range indexCols {
-			if err := s.CreateIndex(col); err != nil {
-				return err
-			}
-		}
-		fresh[i] = s
+	fresh, _, err := st.newPartitions(base, n)
+	if err != nil {
+		return err
 	}
 	st.smap.Store(&shardMap{
 		version: version,
@@ -268,11 +255,6 @@ func (st *Table) ApplyReshardBegin(base, n int, version uint64) error {
 		base:    m.base, n: m.n,
 		migrating: true, nextBase: base, nextLen: n,
 	})
-	if onPart != nil {
-		for i, s := range fresh {
-			onPart(s, base+i)
-		}
-	}
 	for _, s := range m.parts {
 		s.Seal()
 	}

@@ -147,7 +147,7 @@ func TestReshardSnapshotStability(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.MergeAll(context.Background(), MergeAllOptions{}); err != nil {
+	if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -396,7 +396,7 @@ func TestReshardUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := st.MergeAll(context.Background(), MergeAllOptions{}); err != nil {
+			if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 				t.Errorf("merge: %v", err)
 				return
 			}

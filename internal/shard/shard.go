@@ -52,13 +52,10 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hyrise/internal/epoch"
 	"hyrise/internal/oplog"
@@ -129,10 +126,10 @@ type Table struct {
 
 	// mu guards the slow-changing wiring below; never held on data paths.
 	mu        sync.Mutex
-	olog      *oplog.Log // attached replication log, nil when unattached
-	indexCols []string   // group-key indexes re-created on new partitions
-	onPart    func(p *table.Table, phys int)
-	gcOn      bool // inherited by reshard-created partitions
+	olog      *oplog.Log         // attached replication log, nil when unattached
+	indexCols []string           // group-key indexes re-created on new partitions
+	onMerge   func(table.Report) // merge observer, see OnMerge
+	gcOn      bool               // inherited by reshard-created partitions
 }
 
 // New creates an empty store hash-partitioned by the named key column.
@@ -178,15 +175,21 @@ func NewRestored(name string, schema table.Schema, key string, parts, activeBase
 	return st, nil
 }
 
-// OnPartition registers fn to be called once for every partition a future
-// Reshard (or replayed reshard-begin) creates, with the partition and its
-// physical index, after the partition is published in the shard map.  The
-// server uses it to wire per-partition observers (merge hooks, metrics) to
-// reshard-created partitions.  One hook; registering replaces the old one.
-func (st *Table) OnPartition(fn func(p *table.Table, phys int)) {
+// OnMerge installs fn as the merge observer of every partition, current
+// and reshard-created alike (see table.Table.OnMerge): every partition
+// merge — committed or aborted — delivers its report to fn, concurrently
+// across partitions.  One observer per store; passing nil uninstalls.
+func (st *Table) OnMerge(fn func(table.Report)) {
+	// Serialized with reshards, so a partition being created right now is
+	// either wired by its reshard or already listed below.
+	st.reshardMu.Lock()
+	defer st.reshardMu.Unlock()
 	st.mu.Lock()
-	st.onPart = fn
+	st.onMerge = fn
 	st.mu.Unlock()
+	for _, p := range st.load().parts {
+		p.OnMerge(fn)
+	}
 }
 
 // load returns the current shard map.  Maps are immutable; a loaded map
@@ -291,9 +294,8 @@ func (st *Table) ActiveWindow() (base, n int) {
 // KeyColumn returns the name of the hash-partitioning column.
 func (st *Table) KeyColumn() string { return st.schema[st.keyIdx].Name }
 
-// Shard returns the physical partition with index i (for inspection,
-// per-shard scheduling and tests).  Indices at or beyond NumParts are the
-// caller's error.
+// Shard returns the physical partition with index i (for inspection and
+// tests).  Indices at or beyond NumParts are the caller's error.
 func (st *Table) Shard(i int) *table.Table { return st.load().parts[i] }
 
 // Global row ids pack a partition-local row id under its PHYSICAL partition
@@ -595,17 +597,6 @@ func (st *Table) DeltaRows() int {
 	return n
 }
 
-// DeltaFractions returns every physical partition's N_D/N_M merge-trigger
-// metric; the per-shard scheduler watches these independently.
-func (st *Table) DeltaFractions() []float64 {
-	parts := st.load().parts
-	out := make([]float64, len(parts))
-	for i, s := range parts {
-		out[i] = s.DeltaFraction()
-	}
-	return out
-}
-
 // Merging reports whether any partition currently runs a merge.
 func (st *Table) Merging() bool {
 	for _, s := range st.load().parts {
@@ -614,89 +605,4 @@ func (st *Table) Merging() bool {
 		}
 	}
 	return false
-}
-
-// MergeAllOptions configures a cross-shard parallel merge.
-type MergeAllOptions struct {
-	// Merge configures each shard's merge.  Merge.Threads is the TOTAL
-	// thread budget N_T (0 = GOMAXPROCS); it is divided evenly across the
-	// shards merging concurrently, each shard receiving at least one.
-	Merge table.MergeOptions
-	// MaxConcurrent caps how many shards merge at once (0 = all shards).
-	MaxConcurrent int
-}
-
-// MergeAllReport aggregates one MergeAll run.
-type MergeAllReport struct {
-	// Shards holds per-partition merge reports in physical order.
-	Shards []table.Report
-	// RowsMerged is the summed delta tuple count folded into mains by the
-	// shards that committed; rows of aborted shards stay in their deltas
-	// and are not counted.
-	RowsMerged int
-	// RowsReclaimed is the summed count of dead versions garbage-collected
-	// by the shards that committed.
-	RowsReclaimed int
-	// Wall is the end-to-end duration of the cross-shard merge.
-	Wall time.Duration
-	// ThreadsPerShard is the per-shard budget each merge ran with.
-	ThreadsPerShard int
-}
-
-// MergeAll runs the merge process on every physical partition —
-// reshard-retired partitions included, since merging is how their dead
-// history is garbage-collected — parallelized across partitions with a
-// per-partition slice of the total thread budget.  Each partition's merge
-// is individually online and atomic (see table.Merge); there is no
-// cross-shard atomicity — queries may observe some shards merged and
-// others not, which changes no visible row content.
-//
-// On failure (including ctx cancellation) the joined per-shard errors are
-// returned after all in-flight shard merges settle — match with errors.Is,
-// not == — and shards that committed stay committed.
-func (st *Table) MergeAll(ctx context.Context, opts MergeAllOptions) (MergeAllReport, error) {
-	parts := st.load().parts
-	conc := opts.MaxConcurrent
-	if conc <= 0 || conc > len(parts) {
-		conc = len(parts)
-	}
-	total := opts.Merge.Threads
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	perShard := total / conc
-	if perShard < 1 {
-		perShard = 1
-	}
-
-	start := time.Now()
-	rep := MergeAllReport{
-		Shards:          make([]table.Report, len(parts)),
-		ThreadsPerShard: perShard,
-	}
-	errs := make([]error, len(parts))
-	sem := make(chan struct{}, conc)
-	var wg sync.WaitGroup
-	for i, s := range parts {
-		wg.Add(1)
-		go func(i int, s *table.Table) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			o := opts.Merge
-			o.Threads = perShard
-			rep.Shards[i], errs[i] = s.Merge(ctx, o)
-		}(i, s)
-	}
-	wg.Wait()
-	for i, r := range rep.Shards {
-		// An aborted shard's report still carries the frozen delta count;
-		// only committed shards actually folded rows into their mains.
-		if errs[i] == nil {
-			rep.RowsMerged += r.RowsMerged
-			rep.RowsReclaimed += r.RowsReclaimed
-		}
-	}
-	rep.Wall = time.Since(start)
-	return rep, errors.Join(errs...)
 }

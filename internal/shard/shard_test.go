@@ -238,7 +238,10 @@ func TestUpdateCrossShardMove(t *testing.T) {
 	}
 }
 
-func TestMergeAll(t *testing.T) {
+// TestRequestMergeFanOut: on several partitions RequestMerge merges them
+// all concurrently, splits the thread budget evenly and condenses the
+// reports; per-partition detail stays on the partitions.
+func TestRequestMergeFanOut(t *testing.T) {
 	st := newKV(t, 4)
 	for i := 0; i < 1000; i++ {
 		if _, err := st.Insert([]any{uint64(i), uint64(i)}); err != nil {
@@ -248,20 +251,32 @@ func TestMergeAll(t *testing.T) {
 	if st.DeltaRows() != 1000 || st.MainRows() != 0 {
 		t.Fatalf("pre-merge delta=%d main=%d", st.DeltaRows(), st.MainRows())
 	}
-	rep, err := st.MergeAll(context.Background(), MergeAllOptions{
-		Merge: table.MergeOptions{Threads: 4},
-	})
+	rep, err := st.RequestMerge(context.Background(), table.MergeOptions{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RowsMerged != 1000 {
-		t.Fatalf("RowsMerged = %d", rep.RowsMerged)
+	if rep.RowsMerged != 1000 || rep.MainRowsAfter != 1000 || rep.Aborted {
+		t.Fatalf("report %+v", rep)
 	}
-	if len(rep.Shards) != 4 {
-		t.Fatalf("shard reports: %d", len(rep.Shards))
+	if rep.Columns != nil {
+		t.Fatalf("condensed report carries %d column stats", len(rep.Columns))
 	}
-	if rep.ThreadsPerShard != 1 {
-		t.Fatalf("ThreadsPerShard = %d want 1 (4 threads / 4 shards)", rep.ThreadsPerShard)
+	if rep.Threads != 4 {
+		t.Fatalf("Threads = %d want 4 (the summed budget)", rep.Threads)
+	}
+	sum := 0
+	for i, p := range st.Partitions() {
+		pr := p.LastMergeReport()
+		if pr.Threads != 1 {
+			t.Fatalf("partition %d merged with %d threads want 1 (4 threads / 4 shards)", i, pr.Threads)
+		}
+		if len(pr.Columns) != 2 {
+			t.Fatalf("partition %d report has %d column stats", i, len(pr.Columns))
+		}
+		sum += pr.RowsMerged
+	}
+	if sum != 1000 {
+		t.Fatalf("per-partition reports sum to %d rows", sum)
 	}
 	if st.DeltaRows() != 0 || st.MainRows() != 1000 {
 		t.Fatalf("post-merge delta=%d main=%d", st.DeltaRows(), st.MainRows())
@@ -273,35 +288,103 @@ func TestMergeAll(t *testing.T) {
 			t.Fatalf("post-merge Lookup(%d) missed", k)
 		}
 	}
-	// MaxConcurrent=1 serializes shards and hands each the full budget.
-	for i := 1000; i < 1100; i++ {
-		st.Insert([]any{uint64(i), uint64(i)})
-	}
-	rep, err = st.MergeAll(context.Background(), MergeAllOptions{
-		Merge:         table.MergeOptions{Threads: 4},
-		MaxConcurrent: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ThreadsPerShard != 4 {
-		t.Fatalf("ThreadsPerShard = %d want 4 (serialized)", rep.ThreadsPerShard)
-	}
 }
 
-func TestMergeAllCancelled(t *testing.T) {
+func TestRequestMergeCancelled(t *testing.T) {
 	st := newKV(t, 4)
 	for i := 0; i < 100; i++ {
 		st.Insert([]any{uint64(i), uint64(i)})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := st.MergeAll(ctx, MergeAllOptions{}); err == nil {
-		t.Fatal("cancelled MergeAll returned nil error")
+	rep, err := st.RequestMerge(ctx, table.MergeOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RequestMerge: err = %v", err)
+	}
+	if !rep.Aborted || rep.RowsMerged != 0 {
+		t.Fatalf("no partition committed, report %+v", rep)
 	}
 	// Aborted merges must not lose rows.
-	if st.ValidRows() != 100 {
-		t.Fatalf("ValidRows after abort = %d", st.ValidRows())
+	if st.ValidRows() != 100 || st.DeltaRows() != 100 {
+		t.Fatalf("after abort: valid=%d delta=%d", st.ValidRows(), st.DeltaRows())
+	}
+}
+
+// TestRequestMergePartialFailure: partitions merge atomically one by one,
+// so when one fails the others stay committed with their rows counted,
+// the failing partition's rows stay in its delta uncounted, the error
+// joins the per-partition errors and Aborted stays false.
+func TestRequestMergePartialFailure(t *testing.T) {
+	st := newKV(t, 3)
+	// Hold partition 0's merge open: its observer runs while the merge
+	// mutex is still held, so a second merge of it is refused.
+	p0 := st.Shard(0)
+	held, release := make(chan struct{}), make(chan struct{})
+	p0.OnMerge(func(table.Report) { close(held); <-release })
+	done := make(chan error, 1)
+	go func() {
+		_, err := p0.Merge(context.Background(), table.MergeOptions{})
+		done <- err
+	}()
+	<-held
+	for i := 0; i < 300; i++ {
+		st.Insert([]any{uint64(i), uint64(i)})
+	}
+	busy := p0.DeltaRows()
+	if busy == 0 || busy == 300 {
+		t.Fatalf("keys did not spread: %d of 300 rows in partition 0", busy)
+	}
+	rep, err := st.RequestMerge(context.Background(), table.MergeOptions{})
+	close(release)
+	if e := <-done; e != nil {
+		t.Fatal(e)
+	}
+	if !errors.Is(err, table.ErrMergeInProgress) {
+		t.Fatalf("err = %v, want the busy partition's ErrMergeInProgress", err)
+	}
+	if rep.Aborted {
+		t.Fatal("Aborted although two partitions committed")
+	}
+	if rep.RowsMerged != 300-busy || rep.MainRowsAfter != 300-busy {
+		t.Fatalf("RowsMerged = %d MainRowsAfter = %d, want %d (the committed partitions only)",
+			rep.RowsMerged, rep.MainRowsAfter, 300-busy)
+	}
+	if st.DeltaRows() != busy || p0.DeltaRows() != busy {
+		t.Fatalf("the refused partition's %d rows must stay in its delta (store delta %d)", busy, st.DeltaRows())
+	}
+}
+
+// TestRequestMergeBusyAndEmpty pins Aborted on the mixed case: one
+// partition refuses (busy) and the others have nothing to merge.  An empty
+// merge still runs and commits, so "no partition committed" is false and
+// Aborted with it — only the error says one partition was skipped.
+func TestRequestMergeBusyAndEmpty(t *testing.T) {
+	st := newKV(t, 3)
+	p0 := st.Shard(0)
+	held, release := make(chan struct{}), make(chan struct{})
+	p0.OnMerge(func(table.Report) { close(held); <-release })
+	done := make(chan error, 1)
+	go func() {
+		_, err := p0.Merge(context.Background(), table.MergeOptions{})
+		done <- err
+	}()
+	<-held
+	rep, err := st.RequestMerge(context.Background(), table.MergeOptions{})
+	close(release)
+	if e := <-done; e != nil {
+		t.Fatal(e)
+	}
+	if !errors.Is(err, table.ErrMergeInProgress) {
+		t.Fatalf("err = %v, want the busy partition's ErrMergeInProgress", err)
+	}
+	if rep.Aborted || rep.RowsMerged != 0 {
+		t.Fatalf("Aborted = %v RowsMerged = %d, want false and 0: two partitions committed empty merges",
+			rep.Aborted, rep.RowsMerged)
+	}
+	for i := 1; i < 3; i++ {
+		if last := st.Shard(i).LastMergeReport(); len(last.Columns) == 0 {
+			t.Fatalf("partition %d recorded no committed merge", i)
+		}
 	}
 }
 
@@ -397,7 +480,7 @@ func TestStatsAggregation(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		st.Insert([]any{uint64(i), uint64(i)})
 	}
-	st.MergeAll(context.Background(), MergeAllOptions{})
+	st.RequestMerge(context.Background(), table.MergeOptions{})
 	st.Insert([]any{uint64(1000), uint64(1)})
 	s := st.StoreStats()
 	if s.Shards != 4 || len(s.Partitions) != 4 {
@@ -409,18 +492,14 @@ func TestStatsAggregation(t *testing.T) {
 	if s.SizeBytes <= 0 {
 		t.Fatal("SizeBytes not aggregated")
 	}
-	fracs := st.DeltaFractions()
-	if len(fracs) != 4 {
-		t.Fatalf("DeltaFractions: %v", fracs)
-	}
 	nonZero := 0
-	for _, f := range fracs {
-		if f > 0 {
+	for _, p := range st.Partitions() {
+		if p.DeltaFraction() > 0 {
 			nonZero++
 		}
 	}
 	if nonZero != 1 {
-		t.Fatalf("exactly one shard should have delta rows: %v", fracs)
+		t.Fatalf("exactly one shard should have delta rows, %d have", nonZero)
 	}
 }
 
@@ -452,7 +531,7 @@ func TestShardCreateIndexAndStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.MergeAll(context.Background(), MergeAllOptions{}); err != nil {
+	if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.CreateIndex("nope"); err == nil {

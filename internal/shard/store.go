@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"hyrise/internal/table"
 )
@@ -75,44 +76,51 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 	return ids, nil
 }
 
-// RequestMerge runs the online merge on every partition.  A store of one
-// partition returns that partition's report verbatim — per-column detail,
-// phase timings and GC fields included.  Otherwise the merge fans out
-// (MergeAll) with opts.Threads as the total budget and the per-partition
-// reports condense into one: the counts aggregate, Columns is nil —
-// per-partition, per-column detail is available from MergeAll — and
-// Threads echoes the summed per-partition budget actually used.
+// RequestMerge runs the online merge on every physical partition —
+// reshard-retired partitions included, since merging is how their dead
+// history is garbage-collected.  A store of one partition returns that
+// partition's report verbatim — per-column detail, phase timings and GC
+// fields included.  Otherwise the partitions merge concurrently, each with
+// an even share of opts.Threads (table.ThreadsPerMerge), and the reports
+// condense into one: the counts aggregate over the partitions that
+// committed, Columns is nil — per-partition, per-column detail is each
+// partition's LastMergeReport — and Threads echoes the summed budget
+// actually used.
 //
-// Merges are atomic per partition only, so Report.Aborted keeps its
-// "nothing changed" meaning: it is true only when NO partition committed.
-// On partial failure the error is non-nil while Aborted is false —
-// committed partitions stay committed and their rows are counted in
-// RowsMerged.
+// Merges are online and atomic per partition only (queries may observe
+// some partitions merged and others not, which changes no visible row
+// content), so Report.Aborted keeps its "nothing changed" meaning: it is
+// true only when NO partition committed (a merge of an empty delta runs and
+// commits like any other).  On failure (including ctx
+// cancellation) the joined per-partition errors are returned after all
+// merges settle — match with errors.Is, not == — while committed
+// partitions stay committed with their rows counted; an aborted
+// partition's rows stay in its delta and are not counted.
 func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (table.Report, error) {
-	if parts := st.load().parts; len(parts) == 1 {
+	parts := st.load().parts
+	if len(parts) == 1 {
 		return parts[0].Merge(ctx, opts)
 	}
-	rep, err := st.MergeAll(ctx, MergeAllOptions{Merge: opts})
-	committed := false
-	for _, sr := range rep.Shards {
-		// Per-partition Columns is populated only when that partition's
-		// merge committed.
-		if len(sr.Columns) > 0 {
-			committed = true
-			break
-		}
-	}
+	start := time.Now()
+	opts.Threads = table.ThreadsPerMerge(opts.Threads, len(parts))
+	reps, errs := table.MergeEach(ctx, parts, opts)
 	out := table.Report{
-		RowsMerged:    rep.RowsMerged,
-		RowsReclaimed: rep.RowsReclaimed,
-		MainRowsAfter: st.MainRows(),
-		Wall:          rep.Wall,
-		Algorithm:     opts.Algorithm,
-		Threads:       rep.ThreadsPerShard * len(rep.Shards),
-		Strategy:      opts.Strategy,
-		Aborted:       err != nil && !committed,
+		Algorithm: opts.Algorithm,
+		Threads:   opts.Threads * len(parts),
+		Strategy:  opts.Strategy,
+		Aborted:   true,
 	}
-	return out, err
+	for i, rep := range reps {
+		if errs[i] != nil {
+			continue
+		}
+		out.Aborted = false
+		out.RowsMerged += rep.RowsMerged
+		out.RowsReclaimed += rep.RowsReclaimed
+	}
+	out.MainRowsAfter = st.MainRows()
+	out.Wall = time.Since(start)
+	return out, errors.Join(errs...)
 }
 
 // Partitions returns ALL physical partitions in physical order — the

@@ -27,19 +27,16 @@ func TestConcurrentStress(t *testing.T) {
 		opsPerWrtr = 800
 	)
 	st := newKV(t, shards)
-	targets := make([]sched.MergeTable, shards)
-	for i, s := range st.Partitions() {
-		targets[i] = s
-	}
 	var schedMerges atomic.Int64
-	ms := sched.NewMulti(targets, sched.Config{
+	ms := sched.New(st.Partitions, sched.Config{
 		Fraction:     0.01,
 		MinDeltaRows: 16,
 		Interval:     2 * time.Millisecond,
 		OnMerge:      func(table.Report) { schedMerges.Add(1) },
 		OnError: func(err error) {
-			// ErrMergeInProgress cannot happen (one scheduler per shard);
-			// anything here is a real failure.
+			// ErrMergeInProgress cannot happen (the scheduler is the only
+			// merger and runs one merge per partition at a time); anything
+			// here is a real failure.
 			t.Errorf("scheduler merge error: %v", err)
 		},
 	})
@@ -157,7 +154,7 @@ func TestConcurrentStress(t *testing.T) {
 	}
 
 	// Final full merge, then verify accounting.
-	if _, err := st.MergeAll(context.Background(), MergeAllOptions{}); err != nil {
+	if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	inserted := writers * opsPerWrtr
@@ -166,7 +163,7 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatalf("ValidRows = %d want %d (no lost rows)", got, wantValid)
 	}
 	if st.DeltaRows() != 0 {
-		t.Fatalf("DeltaRows = %d after MergeAll", st.DeltaRows())
+		t.Fatalf("DeltaRows = %d after RequestMerge", st.DeltaRows())
 	}
 	h, _ := ColumnOf[uint64](st, "k")
 	pubMu.Lock()

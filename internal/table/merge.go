@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"hyrise/internal/core"
@@ -47,6 +48,40 @@ type MergeOptions struct {
 	Threads int
 	// Strategy distributes the budget; see Strategy.
 	Strategy Strategy
+}
+
+// ThreadsPerMerge is the budget of each merge when n partitions of one
+// store merge concurrently: an even share of total (0 = GOMAXPROCS), at
+// least one thread, so that n concurrent merges do not oversubscribe the
+// cores.  The scheduler and the store's RequestMerge both split here, and
+// they differ only in what they pass: RequestMerge's MergeOptions.Threads
+// is the TOTAL it splits over every partition it merges, while a
+// scheduler's Config.Threads is already PER MERGE and bypasses the split —
+// only its default (0) divides the machine, over the partitions that still
+// take writes.
+func ThreadsPerMerge(total, n int) int {
+	if total <= 0 {
+		total = runtime.GOMAXPROCS(0)
+	}
+	return max(1, total/max(1, n))
+}
+
+// MergeEach merges the given partitions of one store concurrently, each
+// with opts as given, and returns their reports and errors in input order.
+// It is the one store-level fan-out: the store's RequestMerge and the
+// scheduler's MergeNow both run through it.
+func MergeEach(ctx context.Context, parts []*Table, opts MergeOptions) ([]Report, []error) {
+	reps, errs := make([]Report, len(parts)), make([]error, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = p.Merge(ctx, opts)
+		}()
+	}
+	wg.Wait()
+	return reps, errs
 }
 
 // Report summarizes one table merge.

@@ -11,7 +11,7 @@
 // BenchmarkParallelMerge measures the range-partitioned garbage-collecting
 // merge (core.MergeColumnGC) on one oversized column — the single-shard
 // compaction bottleneck — with 1/4/8 worker threads and a ~30% drop mask,
-// plus a store-level MergeAll over 1/4/8 shards with intra-column threads.
+// plus a store-level RequestMerge over 1/4/8 shards with intra-column threads.
 // Every sub-benchmark reports a "cpus" metric (GOMAXPROCS): thread counts
 // above it cannot improve wall-clock time, so on a single-core runner the
 // bar for threads=4/8 is parity with threads=1 (no parallel overhead);

@@ -40,7 +40,7 @@ func benchServerOpts(b *testing.B, preload int, opts hyrise.ServerOptions) (stri
 	if _, err := st.InsertRows(rows); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := st.MergeAll(b.Context(), hyrise.MergeAllOptions{}); err != nil {
+	if _, err := st.RequestMerge(b.Context(), hyrise.MergeOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -27,7 +27,7 @@ func checksum(id, k uint64) uint64 { return id*1_000_000_000 + k }
 
 // TestSnapshotConsistentAcrossMergeAndMoves is the acceptance check: a
 // Snapshot() taken on a 4-shard store returns identical results for the
-// same query before, during and after a concurrent MergeAll and a
+// same query before, during and after a concurrent RequestMerge and a
 // concurrent batch of key-moving updates (run under -race in CI).
 func TestSnapshotConsistentAcrossMergeAndMoves(t *testing.T) {
 	st, err := hyrise.NewShardedTable("snap", snapSchema(), "k", 4)
@@ -116,7 +116,7 @@ func TestSnapshotConsistentAcrossMergeAndMoves(t *testing.T) {
 }
 
 // TestSnapshotStress runs continuous Snapshot() scans concurrently with
-// MergeAll, key-changing (cross-shard-moving) updates and deletes,
+// RequestMerge, key-changing (cross-shard-moving) updates and deletes,
 // asserting every snapshot's row set is internally consistent: each stable
 // id visible exactly once with a matching checksum, each deletable id at
 // most once, and aggregates repeatable under the same view.  Run under
@@ -210,10 +210,8 @@ func snapshotStress(t *testing.T, shards, rounds int, merge hyrise.MergeOptions)
 				return
 			default:
 			}
-			if _, err := st.MergeAll(context.Background(), hyrise.MergeAllOptions{
-				Merge: merge,
-			}); err != nil {
-				t.Errorf("MergeAll: %v", err)
+			if _, err := st.RequestMerge(context.Background(), merge); err != nil {
+				t.Errorf("RequestMerge: %v", err)
 				return
 			}
 		}
@@ -308,7 +306,7 @@ func snapshotStress(t *testing.T, shards, rounds int, merge hyrise.MergeOptions)
 
 	// Final state: every stable id still has exactly one current row, the
 	// dying ids are gone, and a last consistent count matches.
-	if _, err := st.MergeAll(context.Background(), hyrise.MergeAllOptions{}); err != nil {
+	if _, err := st.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for id := 0; id < stableIDs; id++ {

@@ -55,10 +55,12 @@ type Store interface {
 	DeltaRows() int
 	// Merging reports whether any merge is currently running.
 	Merging() bool
-	// RequestMerge runs the online merge process on every partition.  With
-	// one partition the report is that partition's, per-column detail and
-	// phase timings included; with several the merges run in parallel
-	// (MergeAll) and condense into one report.
+	// RequestMerge runs the online merge process on every partition, and is
+	// the one on-demand merge entry of a store.  With one partition the
+	// report is that partition's, per-column detail and phase timings
+	// included; with several the merges run concurrently, each with an even
+	// share of opts.Threads, and condense into one report (per-partition
+	// detail: Partitions()[i].LastMergeReport()).
 	RequestMerge(ctx context.Context, opts MergeOptions) (MergeReport, error)
 	// Snapshot captures a consistent read view of the whole store with one
 	// atomic epoch capture — no coordination with writers.  The epoch is
@@ -185,18 +187,18 @@ func QueryAt(s Store, view ReadView, filters []Filter, project []string) (*Query
 	return shard.QueryAt(t, view, filters, project)
 }
 
-// NewScheduler supervises every partition of s independently: each
-// partition merges when its own delta fraction exceeds cfg.Fraction (N_D >
-// Fraction * N_M, §4) — one supervision loop per partition, so a write-hot
-// shard merges often while cold shards stay untouched.  Unless cfg.Threads
-// is set, the machine's threads are divided evenly across partitions.
+// NewScheduler supervises s with one background merge driver.  It follows
+// the live partition list — partitions an online Reshard creates are
+// supervised from the next poll on — and merges each partition when that
+// partition's own delta fraction exceeds cfg.Fraction (N_D > Fraction *
+// N_M, §4): a write-hot shard merges often while cold shards stay
+// untouched, different partitions merge concurrently, one merge per
+// partition at a time.  Unless cfg.Threads is set, the machine's threads
+// are divided evenly across the partitions that take writes (the active
+// shards); Threads: 1 is the paper's constant single-thread background
+// merge (§3, strategy (b)).
 func NewScheduler(s Store, cfg SchedulerConfig) *Scheduler {
-	parts := s.Partitions()
-	targets := make([]sched.MergeTable, len(parts))
-	for i, p := range parts {
-		targets[i] = p
-	}
-	return sched.NewMulti(targets, cfg)
+	return sched.New(s.Partitions, cfg)
 }
 
 // NewDriver builds a workload driver executing a query mix against the
