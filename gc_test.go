@@ -20,8 +20,9 @@ func TestStoreGCAcceptance(t *testing.T) {
 		{Name: "v", Type: hyrise.Uint64},
 	}
 	// The parallel-merge variants route every merge cycle through the
-	// intra-column range-partitioned GC kernels across 1/4/8 shards.
-	parallel := hyrise.MergeOptions{Threads: 4, Strategy: hyrise.IntraColumn}
+	// intra-column range-partitioned GC kernels across 1/8 shards: four
+	// threads per partition over two columns merge within each column.
+	parallel := func(shards int) hyrise.MergeOptions { return hyrise.MergeOptions{Threads: 4 * shards} }
 	cases := []struct {
 		name  string
 		mk    func() (hyrise.Store, error)
@@ -31,13 +32,13 @@ func TestStoreGCAcceptance(t *testing.T) {
 		{"sharded", func() (hyrise.Store, error) {
 			return hyrise.NewShardedTable("gc", schema, "k", 4)
 		}, hyrise.MergeOptions{}},
-		{"flat-parallel-merge", func() (hyrise.Store, error) { return hyrise.NewTable("gc", schema) }, parallel},
+		{"flat-parallel-merge", func() (hyrise.Store, error) { return hyrise.NewTable("gc", schema) }, parallel(1)},
 		{"sharded-1-parallel-merge", func() (hyrise.Store, error) {
 			return hyrise.NewShardedTable("gc", schema, "k", 1)
-		}, parallel},
+		}, parallel(1)},
 		{"sharded-8-parallel-merge", func() (hyrise.Store, error) {
 			return hyrise.NewShardedTable("gc", schema, "k", 8)
-		}, parallel},
+		}, parallel(8)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -76,6 +77,13 @@ func TestStoreGCAcceptance(t *testing.T) {
 				rep, err := s.RequestMerge(context.Background(), c.merge)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if c.merge.Threads > 0 {
+					for i, p := range s.Partitions() {
+						if got := p.LastMergeReport().Columns[0].Threads; got != 4 {
+							t.Fatalf("cycle %d: partition %d merged with %d threads per column, want 4 (intra-column)", cycle, i, got)
+						}
+					}
 				}
 				stats := s.StoreStats()
 				if !pinned {

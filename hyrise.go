@@ -73,8 +73,10 @@
 // in-flight views read identically before, during and after any merge
 // (including aborted ones).  Snapshot persistence records the epoch
 // columns, the clock, the stable row-id map and the GC state, so version
-// history, row ages and retired ids survive a Save/Load round trip.  There
-// is one snapshot format; Load fails anything else as malformed.
+// history, row ages and retired ids survive a Save/Load round trip.  Save
+// needs no quiescent store and never fails on a concurrent merge or GC;
+// what it does not promise is one instant for all partitions (see Save).
+// There is one snapshot format; Load fails anything else as malformed.
 //
 // Views are plain values: cheap to copy, valid for the life of the store.
 // One caution: Scan/ScanAt callbacks run under the table's read lock and
@@ -191,8 +193,8 @@
 // construction; the merge scheduler bounds their fraction), so a scan is
 // a kernel pass over main plus a short scalar tail over the deltas.
 //
-// The same batch orientation drives the write side: with
-// MergeOptions{Threads: N, Strategy: IntraColumn} a garbage-collecting
+// The same batch orientation drives the write side: with more merge
+// threads than columns (MergeOptions{Threads: N}) a garbage-collecting
 // merge range-partitions each column's rewrite across N workers emitting
 // disjoint word-aligned output slices, so one oversized shard no longer
 // serializes compaction.  BenchmarkScanKernel and BenchmarkParallelMerge
@@ -438,8 +440,6 @@ type (
 	MergeStats = core.Stats
 	// Algorithm selects the merge variant.
 	Algorithm = core.Algorithm
-	// MergeStrategy distributes threads across or within columns.
-	MergeStrategy = table.Strategy
 )
 
 // Merge algorithm variants.
@@ -450,16 +450,6 @@ const (
 	// Naive is the baseline merge whose Step 2 binary-searches the merged
 	// dictionary per tuple (§5.2).
 	Naive = core.Naive
-)
-
-// Merge strategies (§6.2.1).
-const (
-	// AutoStrategy picks based on column count vs thread count.
-	AutoStrategy = table.Auto
-	// ColumnTasks parallelizes across columns via a task queue.
-	ColumnTasks = table.ColumnTasks
-	// IntraColumn parallelizes within each column.
-	IntraColumn = table.IntraColumn
 )
 
 // Errors re-exported from the table layer.

@@ -178,15 +178,6 @@ func (m *Main[V]) CountEqual(v V) int {
 	return kernel.CountEqual(m.codes, code, nil, nil, 0)
 }
 
-// Materialize appends the uncompressed values of positions [from, to) to
-// dst.
-func (m *Main[V]) Materialize(from, to int, dst []V) []V {
-	for i := from; i < to; i++ {
-		dst = append(dst, m.At(i))
-	}
-	return dst
-}
-
 // SizeBytes returns payload memory: packed codes plus dictionary values.
 func (m *Main[V]) SizeBytes() int {
 	return m.codes.SizeBytes() + m.dict.SizeBytes()

@@ -95,15 +95,6 @@ func TestScanRange(t *testing.T) {
 	}
 }
 
-func TestMaterialize(t *testing.T) {
-	vals := []uint64{7, 8, 9, 10}
-	m := FromValues(vals)
-	got := m.Materialize(1, 3, nil)
-	if len(got) != 2 || got[0] != 8 || got[1] != 9 {
-		t.Fatalf("Materialize=%v", got)
-	}
-}
-
 func TestEmpty(t *testing.T) {
 	m := Empty[uint64]()
 	if m.Len() != 0 || m.Dict().Len() != 0 {

@@ -316,16 +316,14 @@ func (r *Rows) Snapshot() (begin, end []uint64) {
 	return begin, end
 }
 
-// Restore overwrites both columns; len(begin) must equal len(end) and the
-// current Len.  The loader uses it to re-stamp freshly rebuilt rows with
-// their persisted epochs.
-func (r *Rows) Restore(begin, end []uint64) bool {
-	if len(begin) != len(r.begin) || len(end) != len(r.end) {
-		return false
+// RowsOf wraps persisted begin and end columns, which must be equally long;
+// the slices are retained, not copied.  Adopting a partition image installs
+// its epochs with this.
+func RowsOf(begin, end []uint64) Rows {
+	if len(begin) != len(end) {
+		panic("epoch: begin and end columns differ in length")
 	}
-	copy(r.begin, begin)
-	copy(r.end, end)
-	return true
+	return Rows{begin: begin, end: end}
 }
 
 // SizeBytes returns the memory consumed by the epoch columns.

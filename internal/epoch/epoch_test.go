@@ -106,17 +106,13 @@ func TestRowsSnapshotRestore(t *testing.T) {
 	r.Invalidate(0, 3)
 	b, e := r.Snapshot()
 
-	var q Rows
-	q.Append(9)
-	q.Append(9)
-	if !q.Restore(b, e) {
-		t.Fatal("restore rejected matching lengths")
-	}
-	if q.Begin(0) != 1 || q.End(0) != 3 || q.Begin(1) != 2 || !q.Alive(1) {
+	q := RowsOf(b, e)
+	if q.Len() != 2 || q.Begin(0) != 1 || q.End(0) != 3 || q.Begin(1) != 2 || !q.Alive(1) {
 		t.Fatalf("restored state wrong: %v %v", b, e)
 	}
-	if q.Restore(b[:1], e[:1]) {
-		t.Fatal("restore accepted short columns")
+	q.Append(4) // the restored columns keep growing like any other
+	if r.Len() != 2 || q.Len() != 3 || !q.Alive(2) {
+		t.Fatalf("append after restore: %d/%d rows", r.Len(), q.Len())
 	}
 }
 

@@ -11,12 +11,14 @@ import (
 	"hyrise/internal/table"
 )
 
-// fuzzSeeds returns one snapshot per shape the format can take: a
-// one-shard store spanning main and delta, a 3-shard store, a store whose merge
-// retired ids, and a resharded store with sealed partitions.  The stores
-// are a few rows each: short seeds keep the fuzzer's input minimization
-// from eating a smoke run's whole time budget.
-func fuzzSeeds(t testing.TB) [][]byte {
+// seedStores returns one store per shape the format can take: a one-shard
+// store spanning main and delta, a store whose merge retired ids, a 3-shard
+// store, and a resharded store with sealed partitions.  The stores are a
+// few rows each: short seeds keep the fuzzer's input minimization from
+// eating a smoke run's whole time budget.  They are built deterministically
+// — testdata/v6.hyr is their snapshots as the commit before table.Image
+// wrote them (TestGoldenV6).
+func seedStores(t testing.TB) []*shard.Table {
 	t.Helper()
 	ctx := context.Background()
 	must := func(err error) {
@@ -85,10 +87,18 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		t.Fatal("reshard seed has no sealed partition")
 	}
 
+	return []*shard.Table{flat, gc, sharded, resharded}
+}
+
+// fuzzSeeds returns the snapshots of seedStores.
+func fuzzSeeds(t testing.TB) [][]byte {
+	t.Helper()
 	var seeds [][]byte
-	for _, st := range []*shard.Table{flat, gc, sharded, resharded} {
+	for _, st := range seedStores(t) {
 		var buf bytes.Buffer
-		must(Save(st, &buf))
+		if err := Save(st, &buf); err != nil {
+			t.Fatal(err)
+		}
 		seeds = append(seeds, buf.Bytes())
 	}
 	return seeds

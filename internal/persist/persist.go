@@ -1,12 +1,15 @@
-// Package persist serializes tables to a compact binary snapshot format.
+// Package persist is the codec between a store and the snapshot bytes: the
+// CLI's save/load, hyrised's restart file and a follower's bootstrap image.
 //
-// HYRISE is an in-memory engine; snapshots exist for operational reasons
-// (loading benchmark fixtures, the CLI's save/load, hyrised's restart file,
-// replica bootstrap).  Snapshots store materialized column values (not the
-// physical encoding): the loader re-inserts and re-merges, which keeps the
-// format independent of dictionary layout while the merge regenerates
-// identical structures.  All integers are little-endian; strings are
-// length-prefixed.
+// A partition crosses the table boundary as one table.Image.  Save captures
+// every partition's image — one read lock each, references to the immutable
+// storage plus copies of ids and epochs — and then encodes with no table
+// lock held; Load decodes typed slices and has each partition Adopt them.
+// No row is read through the table's API, inserted or merged on either
+// path, so a save needs no quiescent store and cannot fail on a concurrent
+// merge or GC, and a loaded partition has run no merge.  The bytes hold
+// materialized column values, not dictionaries and packed words.  All
+// integers are little-endian; strings are length-prefixed.
 //
 // There is exactly one format.  The loader checks the magic and the version
 // and fails anything else with ErrFormat:
@@ -28,18 +31,25 @@
 // hashing routes writes to) and the shard-map version — so stores
 // round-trip with consistent routing: each physical partition is encoded in
 // physical order and global row ids (partition index over the local id)
-// are preserved exactly.  The per-partition main-row count lets the loader
-// re-merge to the saved main/delta split; the id map, epochs and GC
-// counters restore version history and keep retired ids retired.  A
-// mid-reshard save is normalized to its post-cutover topology (see
+// are preserved exactly.  The per-partition main-row count restores the
+// saved main/delta split; the id map, epochs and GC counters restore
+// version history and keep retired ids retired.  A mid-reshard save is
+// normalized to its post-cutover topology (see
 // shard.Table.PersistTopology); rows the migration had not yet moved load
 // back into their sealed partitions, readable and consistent, and drain
 // lazily.
+//
+// A save of a live store holds each partition as of one instant, and no
+// epoch the store stamped exceeds the saved clock (it is read after the
+// last capture).  The instants differ between partitions: a cross-shard
+// move (key-changing update, reshard migration) committing between two
+// captures is saved in neither or in both of its partitions.  A follower's
+// bootstrap is repaired by the idempotent op-log tail; an embedded Save
+// that must be exact across shards has to keep such writers out.
 package persist
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,6 +59,7 @@ import (
 
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
+	"hyrise/internal/val"
 )
 
 // Magic identifies snapshot files.
@@ -191,7 +202,10 @@ func (w *writer) writeSchema(schema table.Schema) {
 // readSchema parses the column definitions.
 func (r *reader) readSchema() (table.Schema, error) {
 	ncols := int(r.u32())
-	if r.err != nil || ncols <= 0 || ncols > 1<<20 {
+	if r.err != nil {
+		return nil, r.err
+	}
+	if ncols <= 0 || ncols > 1<<20 {
 		return nil, fmt.Errorf("%w: column count", ErrFormat)
 	}
 	schema := make(table.Schema, ncols)
@@ -210,197 +224,97 @@ func (r *reader) readSchema() (table.Schema, error) {
 	return schema, nil
 }
 
-// readColumns decodes every column's values for rows, failing fast on
-// short input.
-func (r *reader) readColumns(schema table.Schema, rows int) ([][]any, error) {
-	cols := make([][]any, len(schema))
-	for ci, def := range schema {
-		col := make([]any, 0, min(rows, maxPrealloc))
-		for j := 0; j < rows; j++ {
-			var v any
-			switch def.Type {
-			case table.Uint32:
-				v = r.u32()
-			case table.Uint64:
-				v = r.u64()
-			case table.String:
-				v = r.str()
-			}
-			if r.err != nil {
-				return nil, r.err
-			}
-			col = append(col, v)
-		}
-		cols[ci] = col
-	}
-	return cols, nil
-}
-
-// writePartition encodes one physical table: row counts, the main/delta
+// writePartition encodes one partition image: row counts, the main/delta
 // boundary, the GC state, the stable row ids, the per-row begin/end epochs
-// and every column's materialized values.  The table should be quiescent:
-// a concurrent garbage-collecting merge can retire rows mid-write, which
-// fails the save cleanly with ErrRowInvalid rather than corrupting it.
-func writePartition(w *writer, t *table.Table) error {
-	// Capture ids, epochs and GC counters under one lock so they are
-	// mutually consistent; values are then read per stable id.
-	ps := t.PersistState()
-	rows := len(ps.IDs)
-	mainRows := t.MainRows()
-	if mainRows > rows {
-		mainRows = rows
-	}
-	w.u64(uint64(rows))
-	w.u64(uint64(mainRows))
-	w.u64(uint64(ps.NextID))
-	w.u64(uint64(ps.Retired))
-	w.u64(uint64(ps.Reclaimed))
-	w.u64(ps.Watermark)
-	for _, id := range ps.IDs {
-		w.u64(uint64(id))
-	}
-	for _, e := range ps.Begin {
-		w.u64(e)
-	}
-	for _, e := range ps.End {
-		w.u64(e)
-	}
-	for _, def := range t.Schema() {
-		switch def.Type {
-		case table.Uint32:
-			h, err := table.ColumnOf[uint32](t, def.Name)
-			if err != nil {
-				return err
-			}
-			for _, id := range ps.IDs {
-				v, err := h.Get(id)
-				if err != nil {
-					return err
-				}
-				w.u32(v)
-			}
-		case table.Uint64:
-			h, err := table.ColumnOf[uint64](t, def.Name)
-			if err != nil {
-				return err
-			}
-			for _, id := range ps.IDs {
-				v, err := h.Get(id)
-				if err != nil {
-					return err
-				}
-				w.u64(v)
-			}
-		case table.String:
-			h, err := table.ColumnOf[string](t, def.Name)
-			if err != nil {
-				return err
-			}
-			for _, id := range ps.IDs {
-				v, err := h.Get(id)
-				if err != nil {
-					return err
-				}
-				w.str(v)
-			}
+// and every column's values, streamed a block at a time.
+func (w *writer) writePartition(img table.Image) {
+	w.u64(uint64(len(img.IDs)))
+	w.u64(uint64(img.MainRows))
+	w.u64(uint64(img.NextID))
+	w.u64(uint64(img.Retired))
+	w.u64(uint64(img.Reclaimed))
+	w.u64(img.Watermark)
+	writeAll(img.IDs, func(id int) { w.u64(uint64(id)) })
+	writeAll(img.Begin, w.u64)
+	writeAll(img.End, w.u64)
+	for _, col := range img.Columns {
+		if w.err != nil {
+			return // a dead sink: do not decode the rest for nothing
+		}
+		switch col := col.(type) {
+		case table.Values[uint32]:
+			writeValues(col, w.u32)
+		case table.Values[uint64]:
+			writeValues(col, w.u64)
+		case table.Values[string]:
+			writeValues(col, w.str)
 		}
 	}
-	return w.err
 }
 
-// readEpochColumn decodes one per-row epoch column, failing fast on short
-// input.
-func (r *reader) readEpochColumn(rows int) ([]uint64, error) {
-	out := make([]uint64, 0, min(rows, maxPrealloc))
-	for i := 0; i < rows; i++ {
-		e := r.u64()
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, e)
+func writeValues[V val.Value](col table.Values[V], put func(V)) {
+	col.Each(func(run []V) { writeAll(run, put) })
+}
+
+func writeAll[V any](vs []V, put func(V)) {
+	for _, v := range vs {
+		put(v)
 	}
-	return out, nil
 }
 
-// readPartition decodes one partition into the (empty) table t, restoring
-// the saved main/delta split, the stable row-id map and the GC counters.
-// Rows rebuild by re-insertion (which assigns dense ids), then the saved
-// ids and epochs are restored on top, so ids retired before the save stay
-// retired.
+// readValues decodes rows values with get, failing fast on short input: it
+// stops at the reader's first error and returns nothing once one is set.
+func readValues[V any](r *reader, rows int, get func() V) []V {
+	if r.err != nil {
+		return nil
+	}
+	out := make([]V, 0, min(rows, maxPrealloc))
+	for i := 0; i < rows && r.err == nil; i++ {
+		out = append(out, get())
+	}
+	return out
+}
+
+// readPartition decodes one partition section into an image and has the
+// (empty) partition t adopt it; whatever Adopt rejects is a malformed
+// snapshot.
 func (r *reader) readPartition(t *table.Table, schema table.Schema) error {
 	rows64 := r.u64()
-	mainRows64 := r.u64()
-	nextID64 := r.u64()
-	retired64 := r.u64()
-	reclaimed64 := r.u64()
-	watermark := r.u64()
-	if r.err != nil || rows64 > maxRows || mainRows64 > rows64 ||
-		nextID64 > maxRows || rows64 > nextID64 || retired64 > nextID64 {
+	img := table.Image{
+		MainRows:  int(r.u64()),
+		NextID:    int(r.u64()),
+		Retired:   int(r.u64()),
+		Reclaimed: int(r.u64()),
+		Watermark: r.u64(),
+		Columns:   make([]any, len(schema)),
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if rows64 > maxRows || uint64(img.NextID) > maxRows {
 		return fmt.Errorf("%w: row counts", ErrFormat)
 	}
-	rows, mainRows := int(rows64), int(mainRows64)
-	ids64, err := r.readEpochColumn(rows) // same wire shape: rows of u64
-	if err != nil {
-		return err
-	}
-	ids := make([]int, rows)
-	for i, id := range ids64 {
-		if id >= nextID64 {
-			return fmt.Errorf("%w: row id %d out of range", ErrFormat, id)
+	rows := int(rows64)
+	img.IDs = readValues(r, rows, func() int { return int(r.u64()) })
+	img.Begin = readValues(r, rows, r.u64)
+	img.End = readValues(r, rows, r.u64)
+	for i, def := range schema {
+		switch def.Type {
+		case table.Uint32:
+			img.Columns[i] = table.Values[uint32]{Plain: [2][]uint32{readValues(r, rows, r.u32)}}
+		case table.Uint64:
+			img.Columns[i] = table.Values[uint64]{Plain: [2][]uint64{readValues(r, rows, r.u64)}}
+		case table.String:
+			img.Columns[i] = table.Values[string]{Plain: [2][]string{readValues(r, rows, r.str)}}
 		}
-		ids[i] = int(id)
 	}
-	begin, err := r.readEpochColumn(rows)
-	if err != nil {
-		return err
+	if r.err != nil {
+		return r.err
 	}
-	end, err := r.readEpochColumn(rows)
-	if err != nil {
-		return err
-	}
-	if err := r.insertColumns(t, schema, rows, mainRows); err != nil {
-		return err
-	}
-	if err := t.RestoreRowIDs(ids, int(nextID64), int(retired64), int(reclaimed64), watermark); err != nil {
+	if err := t.Adopt(img); err != nil {
 		return fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	return t.RestoreRowEpochs(begin, end)
-}
-
-// insertColumns decodes the column values of one partition and rebuilds
-// the rows: the first mainRows rows are inserted and merged into the main
-// partitions, the rest stay in the delta.  The merge reclaims nothing and
-// so keeps the slots dense: no row is invalidated until the epochs are
-// restored on top.
-func (r *reader) insertColumns(t *table.Table, schema table.Schema, rows, mainRows int) error {
-	cols, err := r.readColumns(schema, rows)
-	if err != nil {
-		return err
-	}
-	insert := func(from, to int) error {
-		if from >= to {
-			return nil
-		}
-		batch := make([][]any, 0, to-from)
-		for j := from; j < to; j++ {
-			row := make([]any, len(schema))
-			for ci := range cols {
-				row[ci] = cols[ci][j]
-			}
-			batch = append(batch, row)
-		}
-		_, err := t.InsertRows(batch)
-		return err
-	}
-	if err := insert(0, mainRows); err != nil {
-		return err
-	}
-	if mainRows > 0 {
-		if _, err := t.Merge(context.Background(), table.MergeOptions{}); err != nil {
-			return err
-		}
-	}
-	return insert(mainRows, rows)
+	return nil
 }
 
 // Save writes a snapshot of a store: the header records the key column,
@@ -408,9 +322,16 @@ func (r *reader) insertColumns(t *table.Table, schema table.Schema, rows, mainRo
 // version) and the shared epoch clock, then every physical partition is
 // encoded in physical order, so global row ids survive the round trip.  A
 // mid-reshard topology is saved in its normalized post-cutover form
-// (shard.Table.PersistTopology).
+// (shard.Table.PersistTopology).  The store may be live: writers, merges
+// and GC proceed and cannot fail the save (see the package doc for what
+// that leaves open across partitions).
 func Save(st *shard.Table, out io.Writer) error {
 	parts, activeBase, activeLen, mapVersion := st.PersistTopology()
+	imgs := make([]table.Image, len(parts))
+	for i, p := range parts {
+		imgs[i] = p.Image()
+	}
+	clock := st.Clock().Now() // after the last capture: covers every captured epoch
 	w := &writer{w: bufio.NewWriter(out)}
 	w.bytes([]byte(Magic))
 	w.u32(Version)
@@ -421,25 +342,27 @@ func Save(st *shard.Table, out io.Writer) error {
 	w.u32(uint32(activeBase))
 	w.u32(uint32(activeLen))
 	w.u64(mapVersion)
-	w.u64(st.Clock().Now())
-	for _, s := range parts {
-		if err := writePartition(w, s); err != nil {
-			return err
-		}
+	w.u64(clock)
+	for _, img := range imgs {
+		w.writePartition(img)
+	}
+	if w.err != nil {
+		return w.err
 	}
 	return w.w.Flush()
 }
 
 // Load reads a snapshot.  Input that is not a well-formed snapshot of
-// exactly Version fails with an error wrapping ErrFormat.
+// exactly Version — short input included — fails with an error wrapping
+// ErrFormat; any other error of the reader itself is returned as is.
 func Load(in io.Reader) (*shard.Table, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	magic := make([]byte, 4)
 	r.bytes(magic)
-	if r.err != nil || string(magic) != Magic {
+	if r.err == nil && string(magic) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	if v := r.u32(); r.err != nil || v != Version {
+	if v := r.u32(); r.err == nil && v != Version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
 	}
 	name := r.str()
@@ -467,17 +390,15 @@ func Load(in io.Reader) (*shard.Table, error) {
 	}
 	st.Clock().AdvanceTo(clock)
 	// Fill each partition directly, bypassing hash routing: the partition
-	// sections already are the routed per-partition contents, and direct
-	// insertion preserves every partition-local row id (hence every global
-	// id).
+	// sections already are the routed per-partition contents, and adoption
+	// preserves every partition-local row id (hence every global id).
 	for i := 0; i < parts; i++ {
 		if err := r.readPartition(st.Shard(i), schema); err != nil {
 			return nil, err
 		}
 	}
 	// Partitions outside the active window were sealed by resharding on the
-	// saved store; seal them only now that they are populated (a sealed
-	// partition rejects the loader's inserts).
+	// saved store.
 	for i := 0; i < activeBase; i++ {
 		st.Shard(i).Seal()
 	}

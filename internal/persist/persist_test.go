@@ -269,11 +269,11 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 }
 
-// oneColumnSnapshot hand-encodes a one-shard snapshot of table "t" with a single
-// column "c" of the given type byte, up to and including the header of its
-// partition, which claims rows rows (none in main, none retired); tail
+// partitionSnapshot hand-encodes a one-shard snapshot of table "t" with a
+// single column "c" of the given type byte, whose partition header is hdr
+// (rows, main rows, next id, retired, reclaimed bytes, gc watermark); tail
 // appends whatever row data the case wants to deliver.
-func oneColumnSnapshot(typ uint8, rows uint64, tail func(w *writer)) []byte {
+func partitionSnapshot(typ uint8, hdr [6]uint64, tail func(w *writer)) []byte {
 	var buf bytes.Buffer
 	w := &writer{w: bufio.NewWriter(&buf)}
 	w.bytes([]byte(Magic))
@@ -282,23 +282,26 @@ func oneColumnSnapshot(typ uint8, rows uint64, tail func(w *writer)) []byte {
 	w.u32(1)
 	w.str("c")
 	w.u8(typ)
-	w.str("c")  // key column
-	w.u32(1)    // partitions
-	w.u32(0)    // active base
-	w.u32(1)    // active len
-	w.u64(1)    // shard-map version
-	w.u64(1)    // clock
-	w.u64(rows) // rows
-	w.u64(0)    // main rows
-	w.u64(rows) // next id
-	w.u64(0)    // retired
-	w.u64(0)    // reclaimed bytes
-	w.u64(0)    // gc watermark
+	w.str("c") // key column
+	w.u32(1)   // partitions
+	w.u32(0)   // active base
+	w.u32(1)   // active len
+	w.u64(1)   // shard-map version
+	w.u64(1)   // clock
+	for _, v := range hdr {
+		w.u64(v)
+	}
 	if tail != nil {
 		tail(w)
 	}
 	w.w.Flush()
 	return buf.Bytes()
+}
+
+// oneColumnSnapshot is partitionSnapshot for a partition that claims rows
+// rows, none in main, none retired.
+func oneColumnSnapshot(typ uint8, rows uint64, tail func(w *writer)) []byte {
+	return partitionSnapshot(typ, [6]uint64{rows, 0, rows}, tail)
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {

@@ -38,8 +38,10 @@ func (o Op) String() string {
 	}
 }
 
-// Filter is one predicate.  Value (and Hi for Between) must match the
-// column's Go type: uint32, uint64 or string.
+// Filter is one predicate.  Value (and Hi for Between) may be spelled any
+// way Insert accepts for the column (table.Convert): for an integer column
+// uint32, uint64, uint, or a non-negative int or int64, within the column's
+// range; for a string column a string.
 type Filter struct {
 	Column string
 	Op     Op
@@ -316,24 +318,21 @@ func refineTyped[V val.Value](t *table.Table, rows []int, f Filter) ([]int, erro
 	return kept, nil
 }
 
+// coerce normalizes a filter value for a column of value type V with the
+// table's own rule (table.Convert), so a filter accepts exactly the
+// spellings Insert accepts for the column, range checks included.
 func coerce[V val.Value](raw any, col string) (V, error) {
 	var zero V
-	if raw == nil {
-		return zero, fmt.Errorf("query: nil value for column %q", col)
+	typ := table.String
+	switch any(zero).(type) {
+	case uint32:
+		typ = table.Uint32
+	case uint64:
+		typ = table.Uint64
 	}
-	if v, ok := raw.(V); ok {
-		return v, nil
+	v, err := table.Convert(typ, raw)
+	if err != nil {
+		return zero, fmt.Errorf("query: column %q: %w", col, err)
 	}
-	// Permit int literals for integer columns, the common call-site form.
-	if n, ok := raw.(int); ok && n >= 0 {
-		switch any(zero).(type) {
-		case uint32:
-			if n <= 1<<32-1 {
-				return any(uint32(n)).(V), nil
-			}
-		case uint64:
-			return any(uint64(n)).(V), nil
-		}
-	}
-	return zero, fmt.Errorf("query: value %T for column %q (want %T)", raw, col, zero)
+	return v.(V), nil
 }

@@ -31,6 +31,7 @@ package replica
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -122,6 +123,10 @@ type Replica struct {
 	err  error    // permanent failure, if any
 	dead bool
 }
+
+// ErrPrimaryAborted reports that the primary gave up on the bootstrap image
+// it was streaming; Open's error wraps it with the primary's own message.
+var ErrPrimaryAborted = errors.New("replica: primary aborted snapshot")
 
 // Open connects to a primary, bootstraps a local store from its snapshot
 // stream and starts the applier.  It blocks until the first heartbeat, so
@@ -353,8 +358,8 @@ func (r *Replica) subscribe(mode uint8, from uint64) (net.Conn, *bufio.Reader, e
 		sr := &snapReader{br: br}
 		st, err := persist.Load(sr)
 		if err != nil {
-			// The image may have been cut short by a primary-side failure
-			// (FrameError mid-stream): retryable, not fatal.
+			// Malformed bytes wrap persist.ErrFormat; a stream failure
+			// (dropped connection, ErrPrimaryAborted) passes through Load.
 			return nil, nil, fmt.Errorf("replica: snapshot bootstrap: %w", err)
 		}
 		// The loader stops exactly at the image end; consume the
@@ -513,7 +518,7 @@ func (sr *snapReader) Read(p []byte) (int, error) {
 			sr.done = true
 		case wire.FrameError:
 			msg, _ := wire.NewReader(frame[1:]).String()
-			return 0, fmt.Errorf("replica: primary aborted snapshot: %s", msg)
+			return 0, fmt.Errorf("%w: %s", ErrPrimaryAborted, msg)
 		default:
 			return 0, fmt.Errorf("replica: unexpected frame kind 0x%02x in snapshot", frame[0])
 		}

@@ -1,19 +1,24 @@
 package replica_test
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hyrise/internal/oplog"
+	"hyrise/internal/persist"
 	"hyrise/internal/replica"
 	"hyrise/internal/server"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
+	"hyrise/internal/wire"
 )
 
 // testLogWriter adapts t.Logf so replica slog output lands in the test
@@ -337,4 +342,68 @@ func TestReplicaChurnConsistency(t *testing.T) {
 	e := clock.Capture()
 	waitApplied(t, rep, e)
 	requireIdentical(t, st, rep.Store())
+}
+
+// TestOpenReportsPrimaryAbort: a primary that grants the subscription and
+// then aborts the bootstrap image — before any chunk, or after part of one
+// — fails Open with ErrPrimaryAborted carrying the primary's own reason,
+// not with a complaint about the bytes that never came.
+func TestOpenReportsPrimaryAbort(t *testing.T) {
+	for name, chunk := range map[string][]byte{
+		"before any chunk": nil,
+		"mid image":        []byte("HYRS\x06\x00"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			served := make(chan error, 1)
+			go func() {
+				nc, err := l.Accept()
+				if err != nil {
+					served <- err
+					return
+				}
+				defer nc.Close()
+				br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
+				req, err := wire.ReadFrame(br)
+				if err != nil || len(req) == 0 || req[0] != wire.OpSubscribe {
+					served <- fmt.Errorf("subscribe request %x: %v", req, err)
+					return
+				}
+				var ok, fail wire.Buffer
+				ok.U8(wire.StatusOK)
+				ok.U8(wire.SubSnapshot)
+				ok.U64(0)
+				fail.U8(wire.FrameError)
+				fail.String("snapshot stream: disk on fire")
+				frames := [][]byte{ok.Bytes()}
+				if chunk != nil {
+					frames = append(frames, append([]byte{wire.FrameSnapChunk}, chunk...))
+				}
+				for _, f := range append(frames, fail.Bytes()) {
+					if err := wire.WriteFrame(bw, f); err != nil {
+						served <- err
+						return
+					}
+				}
+				served <- bw.Flush()
+			}()
+
+			rep, err := replica.Open(l.Addr().String(), replica.Options{Logger: testLogger(t)})
+			if err == nil {
+				rep.Close()
+				t.Fatal("Open succeeded against a primary that aborted the image")
+			}
+			if !errors.Is(err, replica.ErrPrimaryAborted) || !strings.Contains(err.Error(), "disk on fire") ||
+				errors.Is(err, persist.ErrFormat) {
+				t.Fatalf("Open: %v, want ErrPrimaryAborted with the primary's reason", err)
+			}
+			if err := <-served; err != nil {
+				t.Fatalf("fake primary: %v", err)
+			}
+		})
+	}
 }

@@ -113,8 +113,13 @@
 //
 //   - wire.SubSnapshot bootstraps a follower: the server cuts the log
 //     position, responds StatusOK + mode + the cut LSN, streams a
-//     consistent persist-format snapshot image as FrameSnapChunk frames
-//     terminated by FrameSnapEnd, and then streams ops from the cut.
+//     persist-format snapshot image as FrameSnapChunk frames terminated
+//     by FrameSnapEnd, and then streams ops from the cut.  Writers,
+//     merges and GC keep running and cannot fail the image; each of its
+//     partitions is exact at its own instant after the cut, and replaying
+//     the ops from the cut (idempotent) makes the store exact.  A
+//     FrameError in place of a chunk fails the follower's bootstrap with
+//     the server's reason (replica.ErrPrimaryAborted).
 //   - wire.SubTail resumes from the given LSN.  If the log no longer
 //     covers it (trimmed past the follower's position) the server
 //     refuses with wire.StatusErrStaleEpoch before any stream bytes, and

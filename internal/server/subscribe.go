@@ -110,7 +110,7 @@ func (s *Server) serveSubscribe(c *conn, payload []byte, bw *bufio.Writer) {
 	if mode == wire.SubSnapshot {
 		// Read the cut point BEFORE the snapshot is taken: every op with
 		// an LSN below it is fully contained in the snapshot (appends run
-		// under the table write lock, which the snapshot's state capture
+		// under the table write lock, which each partition's image capture
 		// waits out), and ops straddling the cut are absorbed by the
 		// idempotent apply path on the follower.
 		pos = log.NextLSN()
@@ -131,11 +131,10 @@ func (s *Server) serveSubscribe(c *conn, payload []byte, bw *bufio.Writer) {
 			err = cw.close()
 		}
 		if err != nil {
-			// A half-sent snapshot cannot be retried in-stream (the
-			// follower already consumed its prefix); kill the stream and
-			// let the follower reconnect.  Concurrent GC can fail a save
-			// this way (ErrRowInvalid), so this is retried-into-success
-			// territory, not fatal.
+			// Only the connection can fail a save, not the store.  A
+			// half-sent image cannot be retried in-stream (the follower
+			// already consumed its prefix): say why, if the stream still
+			// carries it, and end it.
 			streamFail(fmt.Errorf("snapshot stream: %w", err))
 			return
 		}

@@ -16,8 +16,9 @@ import (
 func TestShardedGC(t *testing.T) {
 	t.Run("serial", func(t *testing.T) { shardedGCLoop(t, table.MergeOptions{}) })
 	t.Run("parallel-intra-column", func(t *testing.T) {
-		// 16 threads over 4 partitions: 4 intra-column threads each.
-		shardedGCLoop(t, table.MergeOptions{Threads: 16, Strategy: table.IntraColumn})
+		// 16 threads over 4 partitions: 4 each, more than the 2 columns,
+		// so every partition merges intra-column.
+		shardedGCLoop(t, table.MergeOptions{Threads: 16})
 	})
 }
 
@@ -58,6 +59,14 @@ func shardedGCLoop(t *testing.T, mopts table.MergeOptions) {
 		}
 		if _, err := st.RequestMerge(context.Background(), mopts); err != nil {
 			t.Fatal(err)
+		}
+		if mopts.Threads > 0 {
+			for i, p := range st.Partitions() {
+				if got := p.LastMergeReport().Columns[0].Threads; got != mopts.Threads/4 {
+					t.Fatalf("cycle %d: partition %d merged with %d threads per column, want %d (intra-column)",
+						cycle, i, got, mopts.Threads/4)
+				}
+			}
 		}
 		if !pinned {
 			// With nothing pinned, every superseded version is reclaimed:

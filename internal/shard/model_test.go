@@ -164,8 +164,7 @@ func TestModelBasedShardedEquivalence(t *testing.T) {
 				// Merge both sides with varied configurations, then verify.
 				if step%3 == 2 {
 					if _, err := st.RequestMerge(context.Background(), table.MergeOptions{
-						Threads:  1 + rng.Intn(4*cfg.shards),
-						Strategy: table.Strategy(rng.Intn(3)),
+						Threads: 1 + rng.Intn(4*cfg.shards),
 					}); err != nil {
 						t.Fatal(err)
 					}

@@ -107,7 +107,6 @@ func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (tab
 	out := table.Report{
 		Algorithm: opts.Algorithm,
 		Threads:   opts.Threads * len(parts),
-		Strategy:  opts.Strategy,
 		Aborted:   true,
 	}
 	for i, rep := range reps {

@@ -32,6 +32,12 @@ type column interface {
 	attachIndex(p *index.Postings)
 	indexStats() IndexStats
 
+	// Partition image (Table.Image, Table.Adopt): image references the
+	// storage as a Values; checkImage validates what adopt then installs.
+	image() any
+	checkImage(values any, rows int) error
+	adopt(values any, mainRows int)
+
 	// Merge pipeline; see Table.Merge for the locking protocol.  drop is
 	// the table's frozen GC decision over main+delta slots.
 	beginMerge()
@@ -216,6 +222,35 @@ func (c *typedColumn[V]) stats() ColumnStats {
 		Bits:        c.main.Bits(),
 		SizeBytes:   size,
 		LastMerge:   c.lastStats,
+	}
+}
+
+func (c *typedColumn[V]) image() any {
+	v := Values[V]{Main: c.main}
+	v.Plain[0] = c.dlt.Values()
+	if c.dlt2 != nil {
+		v.Plain[1] = c.dlt2.Values()
+	}
+	return v
+}
+
+func (c *typedColumn[V]) checkImage(values any, rows int) error {
+	v, ok := values.(Values[V])
+	if !ok {
+		return fmt.Errorf("table: image holds %T for %v column %q", values, c.d.Type, c.d.Name)
+	}
+	if v.Len() != rows {
+		return fmt.Errorf("table: image holds %d values for column %q, want %d rows", v.Len(), c.d.Name, rows)
+	}
+	return nil
+}
+
+func (c *typedColumn[V]) adopt(values any, mainRows int) {
+	vals := values.(Values[V]).flat()
+	c.main = colstore.FromValues(vals[:mainRows])
+	c.dlt = delta.New[V]()
+	for _, x := range vals[mainRows:] {
+		c.dlt.Insert(x)
 	}
 }
 

@@ -1,0 +1,157 @@
+package table
+
+import (
+	"fmt"
+
+	"hyrise/internal/colstore"
+	"hyrise/internal/epoch"
+	"hyrise/internal/val"
+)
+
+// Image is a consistent image of one partition: everything that crosses
+// the table boundary for the partition to be rebuilt elsewhere.  Table.Image
+// captures one, Table.Adopt installs one; internal/persist is the codec
+// between an Image and the snapshot bytes.
+//
+// The main is read-only between merges and a delta append-only (paper §3),
+// so column values are captured as references — nothing is copied and the
+// image stays valid whatever the partition does next.  Ids and epochs are
+// mutated in place (invalidation, GC compaction), so those are copies:
+// 24 bytes per row.
+type Image struct {
+	IDs        []int    // stable id of every stored version in slot order, strictly ascending
+	Begin, End []uint64 // per-slot visibility epochs
+	NextID     int      // next stable id; ids below it absent from IDs are retired
+	Retired    int      // ids retired by GC (cumulative)
+	Reclaimed  int      // estimated bytes reclaimed by GC (cumulative)
+	Watermark  uint64   // highest watermark a committed GC merge applied
+	MainRows   int      // the first MainRows slots are main-partition rows
+	// Columns holds a Values[uint32], Values[uint64] or Values[string] per
+	// schema column, each covering every slot.
+	Columns []any
+}
+
+// Values is one column of an Image, in slot order: a captured image
+// references the partition's main and the prefixes of its frozen and second
+// delta; a decoded one leaves Main nil and holds the column in Plain[0].
+type Values[V val.Value] struct {
+	Main  *colstore.Main[V]
+	Plain [2][]V
+}
+
+// Len returns the number of values.
+func (v Values[V]) Len() int {
+	n := len(v.Plain[0]) + len(v.Plain[1])
+	if v.Main != nil {
+		n += v.Main.Len()
+	}
+	return n
+}
+
+// valuesBlock is how many main values Each decodes per callback.
+const valuesBlock = 4096
+
+// Each calls fn with consecutive runs of the values in slot order — the
+// main decoded through its dictionary a block at a time, then the plain
+// slices.  fn must neither retain nor modify a run.
+func (v Values[V]) Each(fn func([]V)) {
+	if v.Main != nil {
+		dict, codes := v.Main.Dict().Values(), v.Main.Codes()
+		var buf []uint64
+		run := make([]V, 0, min(valuesBlock, codes.Len()))
+		for from := 0; from < codes.Len(); from += valuesBlock {
+			buf = codes.DecodeRange(from, min(from+valuesBlock, codes.Len()), buf)
+			run = run[:0]
+			for _, c := range buf {
+				run = append(run, dict[c])
+			}
+			fn(run)
+		}
+	}
+	for _, p := range v.Plain {
+		if len(p) > 0 {
+			fn(p)
+		}
+	}
+}
+
+// flat returns the values as one slice, without copying when they already
+// are one.
+func (v Values[V]) flat() []V {
+	if v.Main == nil && len(v.Plain[1]) == 0 {
+		return v.Plain[0]
+	}
+	out := make([]V, 0, v.Len())
+	v.Each(func(run []V) { out = append(out, run...) })
+	return out
+}
+
+// Image captures the partition under one read lock.  It never waits for a
+// merge: mid-merge it references the main and frozen delta the merge is
+// reading plus the second delta's prefix.
+func (t *Table) Image() Image {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	begin, end := t.epochs.Snapshot()
+	img := Image{
+		IDs:       append([]int(nil), t.ids...),
+		Begin:     begin,
+		End:       end,
+		NextID:    t.nextID,
+		Retired:   t.retired,
+		Reclaimed: t.reclaimed,
+		Watermark: t.gcWatermark,
+		MainRows:  t.cols[0].mainLen(),
+		Columns:   make([]any, len(t.cols)),
+	}
+	for i, c := range t.cols {
+		img.Columns[i] = c.image()
+	}
+	return img
+}
+
+// Adopt installs an image into a partition no row was ever written to,
+// under one write lock and without a merge: each column's first MainRows
+// values are dictionary-compressed into its main, the rest inserted into a
+// fresh delta, and ids, epochs and GC counters installed on top, so retired
+// ids stay retired.  An image that is not well formed — ids not strictly
+// ascending below NextID, unequal lengths, MainRows beyond the rows, Retired
+// beyond NextID, a column of another type than the schema's — fails Adopt
+// and leaves the partition empty.  Adopt owns img's id and epoch slices.
+func (t *Table) Adopt(img Image) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.nextID != 0 || t.merging {
+		return fmt.Errorf("table: Adopt into a partition that is not empty")
+	}
+	rows := len(img.IDs)
+	if len(img.Begin) != rows || len(img.End) != rows || len(img.Columns) != len(t.cols) ||
+		img.MainRows < 0 || img.MainRows > rows || img.Retired < 0 || img.Retired > img.NextID {
+		return fmt.Errorf("table: image of %d ids has %d/%d epochs, %d columns, %d main rows, %d retired of %d",
+			rows, len(img.Begin), len(img.End), len(img.Columns), img.MainRows, img.Retired, img.NextID)
+	}
+	prev := -1
+	for _, id := range img.IDs {
+		if id <= prev || id >= img.NextID {
+			return fmt.Errorf("table: image id %d after %d (next id %d)", id, prev, img.NextID)
+		}
+		prev = id
+	}
+	for i, c := range t.cols {
+		if err := c.checkImage(img.Columns[i], rows); err != nil {
+			return err
+		}
+	}
+	for i, c := range t.cols {
+		c.adopt(img.Columns[i], img.MainRows)
+	}
+	t.rows = rows
+	t.ids = img.IDs
+	t.epochs = epoch.RowsOf(img.Begin, img.End)
+	t.dead = rows - t.epochs.CountAlive()
+	t.nextID = img.NextID
+	t.retired = img.Retired
+	t.reclaimed = img.Reclaimed
+	t.gcWatermark = img.Watermark
+	return nil
+}

@@ -2,7 +2,6 @@ package table
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -10,44 +9,17 @@ import (
 	"hyrise/internal/core"
 )
 
-// Strategy selects how the merge parallelizes across a table (§6.2.1).
-type Strategy int
-
-const (
-	// Auto picks ColumnTasks when the table has at least as many columns
-	// as threads, IntraColumn otherwise.
-	Auto Strategy = iota
-	// ColumnTasks is scheme (i): a task queue over columns, each column
-	// merged serially by one worker.  With tens to hundreds of columns and
-	// few threads this load-balances well (the paper's reported scheme).
-	ColumnTasks
-	// IntraColumn is scheme (ii): columns merge one after another, each
-	// parallelized internally.
-	IntraColumn
-)
-
-// String returns the strategy name.
-func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case ColumnTasks:
-		return "column-tasks"
-	case IntraColumn:
-		return "intra-column"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // MergeOptions configures Table.Merge.
 type MergeOptions struct {
 	// Algorithm selects naive or optimized column merges.
 	Algorithm core.Algorithm
-	// Threads is the total worker budget N_T (0 = GOMAXPROCS).
+	// Threads is the total worker budget N_T (0 = GOMAXPROCS), distributed
+	// per §6.2.1: with at least as many columns as threads, scheme (i), a
+	// task queue over the columns, each merged serially by one worker (the
+	// paper's reported scheme); with fewer columns, scheme (ii), the columns
+	// one after another, each parallelized internally — the per-column
+	// Stats.Threads of the Report exceed 1 exactly then.
 	Threads int
-	// Strategy distributes the budget; see Strategy.
-	Strategy Strategy
 }
 
 // ThreadsPerMerge is the budget of each merge when n partitions of one
@@ -121,7 +93,6 @@ type Report struct {
 	// Algorithm and Threads echo the options used.
 	Algorithm core.Algorithm
 	Threads   int
-	Strategy  Strategy
 	// Aborted is true when the merge was cancelled and rolled back.
 	Aborted bool
 }
@@ -147,8 +118,8 @@ func (t *Table) LastMergeReport() Report {
 //  1. Briefly write-lock: freeze each column's delta and open second
 //     deltas; concurrent inserts now accumulate there.
 //  2. Unlocked: merge every column's main + frozen delta into pending
-//     mains, parallelized per the strategy.  Queries keep running against
-//     main + frozen delta + second delta.
+//     mains, parallelized across or within columns (MergeOptions.Threads).
+//     Queries keep running against main + frozen delta + second delta.
 //  3. Briefly write-lock: atomically install all pending mains and promote
 //     the second deltas.
 //
@@ -164,14 +135,6 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
-	}
-	strategy := opts.Strategy
-	if strategy == Auto {
-		if len(t.cols) >= threads {
-			strategy = ColumnTasks
-		} else {
-			strategy = IntraColumn
-		}
 	}
 
 	start := time.Now()
@@ -221,7 +184,7 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	frozen := time.Now()
 
 	// Phase 2: merge columns against the frozen snapshot, no table lock.
-	err := t.runColumnMerges(ctx, strategy, threads, opts.Algorithm, drop)
+	err := t.runColumnMerges(ctx, threads, opts.Algorithm, drop)
 	merged := time.Now()
 
 	// Phase 3: commit or abort (brief write lock).
@@ -231,7 +194,6 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 		RowsMerged:   rowsMerged,
 		Algorithm:    opts.Algorithm,
 		Threads:      threads,
-		Strategy:     strategy,
 		Freeze:       frozen.Sub(start),
 		MergeRun:     merged.Sub(frozen),
 		DeadAtFreeze: deadAtFreeze,
@@ -284,11 +246,12 @@ func (t *Table) notifyMerge(rep Report) {
 	}
 }
 
-// runColumnMerges distributes column merges according to the strategy.
+// runColumnMerges distributes the column merges over threads workers:
+// within each column when there are fewer columns than threads, otherwise
+// across columns through a task queue (§6.2.1; see MergeOptions.Threads).
 // drop is the frozen GC decision shared by every column.
-func (t *Table) runColumnMerges(ctx context.Context, strategy Strategy, threads int, alg core.Algorithm, drop core.Drop) error {
-	switch strategy {
-	case IntraColumn:
+func (t *Table) runColumnMerges(ctx context.Context, threads int, alg core.Algorithm, drop core.Drop) error {
+	if len(t.cols) < threads {
 		opts := core.Options{Algorithm: alg, Threads: threads}
 		for _, c := range t.cols {
 			if err := ctx.Err(); err != nil {
@@ -297,41 +260,33 @@ func (t *Table) runColumnMerges(ctx context.Context, strategy Strategy, threads 
 			c.runMerge(opts, drop)
 		}
 		return nil
-	default: // ColumnTasks
-		opts := core.Options{Algorithm: alg, Threads: 1}
-		workers := threads
-		if workers > len(t.cols) {
-			workers = len(t.cols)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		tasks := make(chan column)
-		done := make(chan struct{}, workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for c := range tasks {
-					c.runMerge(opts, drop)
-				}
-				done <- struct{}{}
-			}()
-		}
-		var err error
-	feed:
-		for _, c := range t.cols {
-			select {
-			case <-ctx.Done():
-				err = ctx.Err()
-				break feed
-			case tasks <- c:
-			}
-		}
-		close(tasks)
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		return err
 	}
+	opts := core.Options{Algorithm: alg, Threads: 1}
+	tasks := make(chan column)
+	done := make(chan struct{}, threads)
+	for w := 0; w < threads; w++ {
+		go func() {
+			for c := range tasks {
+				c.runMerge(opts, drop)
+			}
+			done <- struct{}{}
+		}()
+	}
+	var err error
+feed:
+	for _, c := range t.cols {
+		select {
+		case <-ctx.Done():
+			err = ctx.Err()
+			break feed
+		case tasks <- c:
+		}
+	}
+	close(tasks)
+	for w := 0; w < threads; w++ {
+		<-done
+	}
+	return err
 }
 
 // compactRowsLocked applies the frozen GC decision to the row metadata at

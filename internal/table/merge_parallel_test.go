@@ -76,7 +76,7 @@ func TestParallelMergeIdentity(t *testing.T) {
 	defer b.pin.Release()
 
 	serial := MergeOptions{Threads: 1}
-	wide := MergeOptions{Threads: 8, Strategy: IntraColumn}
+	wide := MergeOptions{Threads: 8} // more threads than columns: intra-column
 	for round := 0; round < 2; round++ {
 		repA, err := a.tb.Merge(context.Background(), serial)
 		if err != nil {
@@ -85,6 +85,10 @@ func TestParallelMergeIdentity(t *testing.T) {
 		repB, err := b.tb.Merge(context.Background(), wide)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if intraColumn(repA) || !intraColumn(repB) {
+			t.Fatalf("round %d: serial merge ran %d threads per column, wide one %d",
+				round, repA.Columns[0].Threads, repB.Columns[0].Threads)
 		}
 		if repA.RowsReclaimed != repB.RowsReclaimed {
 			t.Fatalf("round %d: reclaimed %d (serial) vs %d (parallel)", round, repA.RowsReclaimed, repB.RowsReclaimed)

@@ -209,8 +209,7 @@ func TestModelBasedRandomOps(t *testing.T) {
 					}
 					if _, err := tb.Merge(context.Background(), MergeOptions{
 						Algorithm: alg,
-						Threads:   1 + rng.Intn(4),
-						Strategy:  Strategy(rng.Intn(3)),
+						Threads:   1 + rng.Intn(4), // two columns: 1-2 merge by column tasks, 3-4 intra-column
 					}); err != nil {
 						t.Fatal(err)
 					}

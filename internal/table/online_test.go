@@ -195,7 +195,7 @@ func TestAbortMidMerge(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel() // race the merge
-	rep, err := tb.Merge(ctx, MergeOptions{Threads: 2, Strategy: ColumnTasks})
+	rep, err := tb.Merge(ctx, MergeOptions{Threads: 2})
 	if err != nil {
 		if !rep.Aborted {
 			t.Fatal("error without abort flag")

@@ -108,28 +108,15 @@ func (m *slotModel) merge() {
 	m.stored, m.dead = kept, map[int]bool{}
 }
 
-// restore rebuilds the table the way the snapshot loader does: rows by
-// re-insertion, which assigns dense ids, then epochs and the saved ids.
+// restore rebuilds the table the way the snapshot loader does: a fresh
+// partition adopts the old one's image.
 func (m *slotModel) restore() {
 	m.t.Helper()
-	st := m.tbl.PersistState()
 	fresh, err := NewWithClock("m", slotSchema(), m.clock)
 	if err != nil {
 		m.t.Fatal(err)
 	}
-	for _, id := range st.IDs {
-		row, err := m.tbl.Row(id)
-		if err != nil {
-			m.t.Fatalf("row %d: %v", id, err)
-		}
-		if _, err := fresh.Insert(row); err != nil {
-			m.t.Fatal(err)
-		}
-	}
-	if err := fresh.RestoreRowEpochs(st.Begin, st.End); err != nil {
-		m.t.Fatal(err)
-	}
-	if err := fresh.RestoreRowIDs(st.IDs, st.NextID, st.Retired, st.Reclaimed, st.Watermark); err != nil {
+	if err := fresh.Adopt(m.tbl.Image()); err != nil {
 		m.t.Fatal(err)
 	}
 	m.tbl = fresh

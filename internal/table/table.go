@@ -37,8 +37,8 @@
 // Reclaiming physical rows forces row ids to be indirect: a row id is a
 // stable id, and the table keeps the id of every physical slot in one
 // slice, ids, that is strictly ascending — Insert appends the next id, a
-// reclaiming merge removes entries in place without reordering, and
-// RestoreRowIDs rejects anything else.  An id is resolved to its slot by
+// reclaiming merge removes entries in place without reordering, and Adopt
+// rejects an image holding anything else.  An id is resolved to its slot by
 // searching ids, within the few slots the id can occupy (slotFor: one probe
 // on a table that never reclaimed a row); a merge that reclaims rows
 // compacts ids without renumbering or re-indexing any survivor, so its
@@ -155,10 +155,10 @@ type Table struct {
 	// Stable row-id indirection: row ids handed out by Insert are stable
 	// ids; ids[slot] is the id stored at a physical slot.  Invariant: ids is
 	// strictly ascending and every entry is below nextID.  slotFor's search,
-	// the snapshot format (RowIDs/PersistState -> RestoreRowIDs) and every
-	// reader that reports rows in id order rely on it;
-	// insertLocked (append nextID) and compactRowsLocked (order-preserving
-	// removal) maintain it.  A garbage-collecting merge compacts the
+	// the partition image (Image -> Adopt, which rejects anything else) and
+	// every reader that reports rows in id order rely on it; insertLocked
+	// (append nextID) and compactRowsLocked (order-preserving removal)
+	// maintain it.  A garbage-collecting merge compacts the
 	// physical slots and retires the reclaimed ids (gone from ids, never
 	// reused).
 	ids       []int // physical slot -> stable id, strictly ascending

@@ -181,16 +181,26 @@ func snapshot(t *testing.T, tb *Table) map[int][]any {
 	return out
 }
 
+// intraColumn reports which §6.2.1 scheme a committed merge ran: the
+// per-column reports carry more than one thread exactly when the columns
+// merged one after another, each parallelized internally.
+func intraColumn(rep Report) bool { return rep.Columns[0].Threads > 1 }
+
 func TestMergeBasic(t *testing.T) {
-	for _, strategy := range []Strategy{ColumnTasks, IntraColumn} {
+	// Three columns: two threads merge them by column tasks, four within
+	// each column.
+	for _, threads := range []int{2, 4} {
 		for _, alg := range []core.Algorithm{core.Optimized, core.Naive} {
 			tb := newTestTable(t)
 			fillRandom(t, tb, 500, 1)
 			before := snapshot(t, tb)
-			rep, err := tb.Merge(context.Background(), MergeOptions{
-				Algorithm: alg, Threads: 4, Strategy: strategy})
+			rep, err := tb.Merge(context.Background(), MergeOptions{Algorithm: alg, Threads: threads})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if intraColumn(rep) != (threads > tb.NumColumns()) {
+				t.Fatalf("%d threads over %d columns ran %d threads per column",
+					threads, tb.NumColumns(), rep.Columns[0].Threads)
 			}
 			if rep.RowsMerged != 500 || rep.MainRowsAfter != 500 {
 				t.Fatalf("report %+v", rep)

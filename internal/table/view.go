@@ -157,93 +157,17 @@ func MoveRow(src *Table, row int, dst *Table, values []any) (int, error) {
 	return dst.insertLocked(values, at), nil
 }
 
-// RowEpochs returns copies of the per-row begin/end epoch columns (the
-// snapshot writer persists them).
+// RowEpochs returns copies of the per-row begin/end epoch columns.
 func (t *Table) RowEpochs() (begin, end []uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.epochs.Snapshot()
 }
 
-// RestoreRowEpochs overwrites the per-row epochs with persisted values;
-// both slices must cover exactly the current row count.  The snapshot
-// loader rebuilds rows by re-insertion (stamping load-time epochs) and
-// then restores the saved history with this.
-func (t *Table) RestoreRowEpochs(begin, end []uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.epochs.Restore(begin, end) {
-		return fmt.Errorf("table: epoch restore length %d/%d, want %d rows",
-			len(begin), len(end), t.rows)
-	}
-	// The restored ends replace whatever invalidations the rebuild
-	// applied; recount the dead-version tally GC's fast path relies on.
-	t.dead = t.rows - t.epochs.CountAlive()
-	return nil
-}
-
 // RowIDs returns a copy of the stable id of every physical row in slot
-// order (the snapshot writer persists it alongside the epochs).
+// order.
 func (t *Table) RowIDs() []int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return append([]int(nil), t.ids...)
-}
-
-// PersistState is the row-set metadata the snapshot writer records; see
-// Table.PersistState.
-type PersistState struct {
-	IDs        []int    // stable id of every physical row, in slot order
-	Begin, End []uint64 // per-slot visibility epochs
-	NextID     int
-	Retired    int
-	Reclaimed  int // estimated bytes reclaimed by GC
-	Watermark  uint64
-}
-
-// PersistState captures everything the snapshot writer needs about the row
-// set under one lock acquisition, so ids and epochs are mutually
-// consistent.  Values should then be read per stable id (Handle.Get); a
-// garbage-collecting merge committing between the capture and those reads
-// surfaces as ErrRowInvalid, failing the save cleanly rather than writing
-// a torn snapshot.
-func (t *Table) PersistState() PersistState {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	begin, end := t.epochs.Snapshot()
-	return PersistState{
-		IDs:       append([]int(nil), t.ids...),
-		Begin:     begin,
-		End:       end,
-		NextID:    t.nextID,
-		Retired:   t.retired,
-		Reclaimed: t.reclaimed,
-		Watermark: t.gcWatermark,
-	}
-}
-
-// RestoreRowIDs overwrites the stable-id assignment and GC counters with
-// persisted values: ids must hold one strictly increasing, non-negative id
-// per current physical row, all below nextID.  The snapshot loader rebuilds
-// rows by re-insertion (which assigns dense ids) and then restores the
-// saved id map with this, so ids retired before the save stay retired.
-func (t *Table) RestoreRowIDs(ids []int, nextID, retired, reclaimedBytes int, watermark uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(ids) != t.rows {
-		return fmt.Errorf("table: id restore length %d, want %d rows", len(ids), t.rows)
-	}
-	prev := -1
-	for _, id := range ids {
-		if id <= prev || id >= nextID {
-			return fmt.Errorf("table: id restore: bad id %d (prev %d, nextID %d)", id, prev, nextID)
-		}
-		prev = id
-	}
-	t.ids = append(t.ids[:0], ids...)
-	t.nextID = nextID
-	t.retired = retired
-	t.reclaimed = reclaimedBytes
-	t.gcWatermark = watermark
-	return nil
 }

@@ -147,7 +147,8 @@ func BenchmarkParallelMerge(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			opts := hyrise.MergeOptions{Threads: 4, Strategy: hyrise.IntraColumn}
+			// Four threads per partition over two columns: intra-column.
+			opts := hyrise.MergeOptions{Threads: 4 * shards}
 			if _, err := s.RequestMerge(context.Background(), opts); err != nil {
 				b.Fatal(err)
 			}

@@ -131,8 +131,8 @@ func TestSnapshotStress(t *testing.T) {
 		merge  hyrise.MergeOptions
 	}{
 		{"4-shards", 4, 150, hyrise.MergeOptions{Threads: 2}},
-		{"1-shard-parallel-merge", 1, 40, hyrise.MergeOptions{Threads: 4, Strategy: hyrise.IntraColumn}},
-		{"8-shards-parallel-merge", 8, 40, hyrise.MergeOptions{Threads: 4, Strategy: hyrise.IntraColumn}},
+		{"1-shard-parallel-merge", 1, 40, hyrise.MergeOptions{Threads: 4}},
+		{"8-shards-parallel-merge", 8, 40, hyrise.MergeOptions{Threads: 32}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -213,6 +213,16 @@ func snapshotStress(t *testing.T, shards, rounds int, merge hyrise.MergeOptions)
 			if _, err := st.RequestMerge(context.Background(), merge); err != nil {
 				t.Errorf("RequestMerge: %v", err)
 				return
+			}
+			// More threads per partition than its three columns must merge
+			// within each column (the parallel-merge variants), fewer by
+			// column tasks.
+			per := max(1, merge.Threads/shards)
+			for i, p := range st.Partitions() {
+				if got := p.LastMergeReport().Columns[0].Threads; (got > 1) != (per > 3) {
+					t.Errorf("partition %d: %d threads per column with a budget of %d", i, got, per)
+					return
+				}
 			}
 		}
 	}()

@@ -219,6 +219,14 @@ func NewDriver(s Store, column string, mix Mix, gen Generator, seed int64) (*Dri
 // column and the shard map, so a store round-trips through Load with its
 // partition layout, row ids, version history and per-partition main/delta
 // split intact.
+//
+// The store may be in use: Save captures each partition under one read
+// lock and encodes with no lock held, so writers, merges and garbage
+// collection proceed and never fail a save; only w can.  Each partition is
+// saved as of one instant, below the saved clock, but the instants differ:
+// a key-changing update or reshard migration committing between two
+// captures may be saved in neither or both of its partitions.  Keep such
+// writers out of a multi-shard Save that must be exact across shards.
 func Save(s Store, w io.Writer) error {
 	t, err := tableOf(s)
 	if err != nil {
@@ -228,7 +236,10 @@ func Save(s Store, w io.Writer) error {
 }
 
 // Load reads a snapshot written by Save and rebuilds the store it
-// describes.
+// describes, without re-inserting rows or merging: a loaded partition
+// reports MergeGeneration 0 and a zero LastMergeReport.  Input that is not
+// a snapshot of the one supported version fails as malformed; an I/O error
+// of r itself is returned as is.
 func Load(r io.Reader) (*Table, error) { return persist.Load(r) }
 
 // SaveFile writes a snapshot to path, atomically (temp file + rename).
