@@ -92,9 +92,19 @@ func (v *Vector) MaxCode() uint64 {
 // SizeBytes returns the memory consumed by the packed payload.
 func (v *Vector) SizeBytes() int { return len(v.words) * 8 }
 
-// Words exposes the backing words; callers must not assume bits beyond
-// Len()*Bits() are zero, although Append maintains that invariant.
+// Words exposes the backing words.  A vector built by FromSlice, Append or
+// a Writer filled to the length it was made for holds exactly
+// ceil(Len()*Bits()/64) words, and the bits past Len()*Bits() are zero;
+// colstore.Main.Validate checks both on a main partition.
 func (v *Vector) Words() []uint64 { return v.words }
+
+// FromWords wraps words as a vector of n codes of the given width — the
+// inverse of Words — retaining the slice and checking nothing: a vector
+// whose width exceeds 64 or whose words are not ceil(n*width/64) in number
+// panics on access.  colstore.FromParts checks them first.
+func FromWords(width uint, n int, words []uint64) *Vector {
+	return &Vector{words: words, n: n, bits: width}
+}
 
 // Get returns element i.  It panics if i is out of range.
 func (v *Vector) Get(i int) uint64 {

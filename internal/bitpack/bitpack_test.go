@@ -240,6 +240,39 @@ func TestDecodeAndClone(t *testing.T) {
 	}
 }
 
+// TestWordsExactAndPadded pins what Words promises of vectors built by
+// Append and by a Writer — exactly ceil(n*width/64) words, zero bits past
+// the last code — and that FromWords inverts Words.
+func TestWordsExactAndPadded(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for width := uint(0); width <= WordBits; width++ {
+		for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+			appended, w := New(width, 0), NewWriter(width, n)
+			for i := 0; i < n; i++ {
+				c := rng.Uint64() & appended.MaxCode()
+				appended.Append(c)
+				w.Write(c)
+			}
+			for _, v := range []*Vector{appended, w.Vector()} {
+				words := v.Words()
+				bits := uint64(n) * uint64(width)
+				if uint64(len(words)) != (bits+WordBits-1)/WordBits {
+					t.Fatalf("width %d n %d: %d words", width, n, len(words))
+				}
+				if tail := bits % WordBits; tail != 0 && words[len(words)-1]>>tail != 0 {
+					t.Fatalf("width %d n %d: padding bits set", width, n)
+				}
+				back := FromWords(width, n, words)
+				for i := 0; i < n; i++ {
+					if back.Get(i) != v.Get(i) {
+						t.Fatalf("width %d n %d: FromWords code %d = %d want %d", width, n, i, back.Get(i), v.Get(i))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRoundTripQuick(t *testing.T) {
 	f := func(codes []uint16, widthSeed uint8) bool {
 		width := uint(widthSeed%49) + 16 // 16..64: all uint16 values fit

@@ -18,8 +18,8 @@ import (
 	"hyrise/internal/val"
 )
 
-// Main is an immutable main partition.  Build one with FromValues, or via
-// the merge process in internal/core.
+// Main is an immutable main partition.  Build one with FromValues, via the
+// merge process in internal/core, or from a snapshot's parts with FromParts.
 //
 // A Main may optionally carry a group-key index (internal/index) attached
 // with SetIndex; the payload (dict, codes) is immutable either way, and
@@ -193,17 +193,63 @@ func (m *Main[V]) UncompressedSizeBytes() int {
 	return per * m.codes.Len()
 }
 
-// Validate checks internal invariants (test support).
-func (m *Main[V]) Validate() error {
-	maxCode := uint64(0)
-	r := m.codes.Reader()
-	for i := 0; i < m.codes.Len(); i++ {
-		if c := r.Next(); c > maxCode {
-			maxCode = c
+// FromParts assembles a main partition from the parts it exposes — the
+// sorted dictionary values, the code width, the tuple count and the packed
+// words (Dict().Values(), Bits(), Len(), Codes().Words()) — as a snapshot
+// ships them.  The parts are checked as Validate checks a main before
+// anything is built from them, so input that is not a main fails with an
+// error, never a panic.  The slices are retained, not copied.
+func FromParts[V val.Value](values []V, width uint, rows int, words []uint64) (*Main[V], error) {
+	codes := bitpack.FromWords(width, rows, words)
+	if err := validate(values, codes); err != nil {
+		return nil, err
+	}
+	return &Main[V]{dict: dict.FromSorted(values), codes: codes}, nil
+}
+
+// Validate checks the invariants every main partition satisfies and the
+// merge presumes (core.MergeColumnDrop): the dictionary is strictly
+// increasing, the codes are E_C = MinBits(|dict|) wide, packed in exactly
+// ceil(N_M*E_C/64) words whose bits past the last code are zero, every code
+// addresses the dictionary and every dictionary entry is used by a tuple.
+func (m *Main[V]) Validate() error { return validate(m.dict.Values(), m.codes) }
+
+// validate is Validate over the parts, ordered so that no check touches a
+// word an earlier check has not shown to exist; the codes are decoded 1024
+// at a time.
+func validate[V val.Value](values []V, codes *bitpack.Vector) error {
+	n, width := codes.Len(), codes.Bits()
+	if want := bitpack.MinBits(len(values)); width != want {
+		return fmt.Errorf("colstore: %d-bit codes for %d dictionary entries, want %d bits", width, len(values), want)
+	}
+	words := codes.Words()
+	bits := uint64(n) * uint64(width)
+	if n < 0 || uint64(len(words)) != (bits+bitpack.WordBits-1)/bitpack.WordBits {
+		return fmt.Errorf("colstore: %d words for %d %d-bit codes", len(words), n, width)
+	}
+	if tail := bits % bitpack.WordBits; tail != 0 && words[len(words)-1]>>tail != 0 {
+		return fmt.Errorf("colstore: padding bits past code %d are set", n)
+	}
+	for i := 1; i < len(values); i++ {
+		if values[i-1] >= values[i] {
+			return fmt.Errorf("colstore: dictionary not strictly increasing at %d", i)
 		}
 	}
-	if m.codes.Len() > 0 && int(maxCode) >= m.dict.Len() {
-		return fmt.Errorf("colstore: code %d out of dictionary range %d", maxCode, m.dict.Len())
+	used, unused := make([]bool, len(values)), len(values)
+	var buf [1024]uint64
+	for from := 0; from < n; from += len(buf) {
+		for _, c := range codes.DecodeRange(from, min(from+len(buf), n), buf[:]) {
+			if c >= uint64(len(values)) {
+				return fmt.Errorf("colstore: code %d out of dictionary range %d", c, len(values))
+			}
+			if !used[c] {
+				used[c] = true
+				unused--
+			}
+		}
+	}
+	if unused != 0 {
+		return fmt.Errorf("colstore: %d of %d dictionary entries used by no tuple", unused, len(values))
 	}
 	return nil
 }

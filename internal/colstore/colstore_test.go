@@ -7,6 +7,7 @@ import (
 
 	"hyrise/internal/bitpack"
 	"hyrise/internal/dict"
+	"hyrise/internal/val"
 )
 
 func TestFromValuesRoundTrip(t *testing.T) {
@@ -150,6 +151,84 @@ func TestQuickRoundTrip(t *testing.T) {
 		return m.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fromParts rebuilds m from the parts it exposes.
+func fromParts[V val.Value](m *Main[V]) (*Main[V], error) {
+	return FromParts(m.Dict().Values(), m.Bits(), m.Len(), m.Codes().Words())
+}
+
+// TestFromPartsRoundTrip: a main's own parts, at the dictionary extremes
+// included, assemble into an equal main.
+func TestFromPartsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	random := make([]uint64, 5000)
+	for i := range random {
+		random[i] = rng.Uint64() % 700
+	}
+	for name, m := range map[string]*Main[uint64]{
+		"empty":         Empty[uint64](),
+		"single value":  FromValues([]uint64{4, 4, 4}),
+		"random":        FromValues(random),
+		"one full word": FromValues([]uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}),
+	} {
+		got, err := fromParts(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < m.Len(); i++ {
+			if got.At(i) != m.At(i) {
+				t.Fatalf("%s: At(%d)=%d want %d", name, i, got.At(i), m.At(i))
+			}
+		}
+	}
+	unique := FromValues([]string{"e", "a", "d", "b", "c"})
+	if got, err := fromParts(unique); err != nil || got.Len() != 5 || got.Dict().Len() != 5 || got.At(0) != "e" {
+		t.Fatalf("all-unique strings: %v", err)
+	}
+}
+
+// TestValidateRejects breaks one invariant of a three-tuple main (values
+// 7, 9, 7: codes 0, 1, 0 at one bit) at a time.
+func TestValidateRejects(t *testing.T) {
+	for name, c := range map[string]struct {
+		dict  []uint64
+		width uint
+		rows  int
+		words []uint64
+	}{
+		"dictionary unsorted":           {[]uint64{9, 7}, 1, 3, []uint64{0b010}},
+		"dictionary repeats a value":    {[]uint64{7, 7}, 1, 3, []uint64{0b010}},
+		"width over MinBits":            {[]uint64{7, 9}, 2, 3, []uint64{0b00_01_00}},
+		"width beyond 64":               {[]uint64{7, 9}, 200, 3, []uint64{0b010}},
+		"too few words":                 {[]uint64{7, 9}, 1, 3, nil},
+		"too many words":                {[]uint64{7, 9}, 1, 3, []uint64{0b010, 0}},
+		"code beyond dictionary":        {[]uint64{7, 9, 11}, 2, 3, []uint64{0b11_01_00}},
+		"unused dictionary entry":       {[]uint64{7, 9, 11}, 2, 3, []uint64{0b00_01_00}},
+		"padding bits set":              {[]uint64{7, 9}, 1, 3, []uint64{0b1000_010}},
+		"empty dictionary under a main": {nil, 0, 3, nil},
+		"dictionary on an empty main":   {[]uint64{7}, 0, 0, nil},
+		"negative length":               {nil, 0, -1, nil},
+	} {
+		if m, err := FromParts(c.dict, c.width, c.rows, c.words); err == nil {
+			t.Errorf("%s: assembled a main of %d tuples", name, m.Len())
+		}
+	}
+	if _, err := FromParts([]uint64{7, 9}, 1, 3, []uint64{0b010}); err != nil {
+		t.Fatalf("well-formed parts: %v", err)
+	}
+}
+
+// TestQuickFromPartsNeverPanics: arbitrary parts either assemble into a
+// main that validates or fail with an error.
+func TestQuickFromPartsNeverPanics(t *testing.T) {
+	f := func(dict []uint16, width uint8, rows uint8, words []uint64) bool {
+		m, err := FromParts(dict, uint(width%70), int(rows), words)
+		return err != nil || m.Validate() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -42,6 +42,9 @@ func gcCase(t *testing.T, mainVals, deltaVals []uint64, drop []bool) {
 	t.Helper()
 	m, d := buildColumn(mainVals, deltaVals)
 	want, wantSt := MergeColumnGC(m, d, drop, Options{Threads: 1})
+	if err := want.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	dropped := 0
 	for _, dr := range drop {
 		if dr {
@@ -141,6 +144,9 @@ func TestParallelGCMergeEdgeMasks(t *testing.T) {
 			out, st := MergeColumnGC(m, d, drop, Options{Threads: nt})
 			if out.Len() != 0 || st.Dropped != nm+nd {
 				t.Fatalf("nt=%d: len=%d dropped=%d", nt, out.Len(), st.Dropped)
+			}
+			if err := out.Validate(); err != nil {
+				t.Fatalf("nt=%d: %v", nt, err)
 			}
 		}
 	})

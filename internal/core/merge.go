@@ -151,8 +151,9 @@ func MergeColumn[V val.Value](m *colstore.Main[V], d *delta.Partition[V], opts O
 // A merge that drops something always runs the optimized algorithm; it
 // stays linear — O(N_M + N_D + |U_M| + |U_D|) — and with Options.Threads > 1
 // and enough tuples its Step 2 is range-partitioned like MergeColumn's.
-// It presumes what every main built by this package or colstore.FromValues
-// satisfies: each dictionary entry is referenced by at least one tuple.
+// It presumes what colstore.Main.Validate checks — and the tests assert of
+// every main this package builds — of its input: each dictionary entry is
+// referenced by at least one tuple.
 func MergeColumnDrop[V val.Value](m *colstore.Main[V], d *delta.Partition[V], drop Drop, opts Options) (*colstore.Main[V], Stats) {
 	nt := opts.EffectiveThreads()
 	st := Stats{

@@ -71,6 +71,9 @@ func TestPaperFigure5(t *testing.T) {
 	}
 	for _, alg := range []Algorithm{Optimized, Naive} {
 		out, st := MergeColumn(mFull, d, Options{Algorithm: alg, Threads: 1})
+		if err := out.Validate(); err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
 		if st.UniqueMerged != 9 {
 			t.Fatalf("%v: merged dict %d want 9", alg, st.UniqueMerged)
 		}
@@ -137,7 +140,8 @@ func TestMergeParallelLarge(t *testing.T) {
 		dv[i] = rng.Uint64() % 50000
 	}
 	m, d := buildColumn(mv, dv)
-	ref, _ := MergeColumn(m, d, Options{Threads: 1})
+	ref, st := MergeColumn(m, d, Options{Threads: 1})
+	checkMerged(t, ref, mv, dv, st)
 	for _, alg := range []Algorithm{Optimized, Naive} {
 		out, st := MergeColumn(m, d, Options{Algorithm: alg, Threads: 8})
 		checkMerged(t, out, mv, dv, st)
@@ -182,6 +186,9 @@ func TestMergeBothEmpty(t *testing.T) {
 	if out.Len() != 0 || st.UniqueMerged != 0 {
 		t.Fatal("empty merge produced tuples")
 	}
+	if err := out.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBitWidthGrowth(t *testing.T) {
@@ -224,6 +231,9 @@ func TestRepeatedMergeCycles(t *testing.T) {
 		m, st = MergeColumn(m, d, Options{Threads: 2})
 		if st.NM+st.ND != len(all) {
 			t.Fatalf("gen %d: size %d want %d", gen, st.NM+st.ND, len(all))
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("gen %d: %v", gen, err)
 		}
 	}
 	for i, v := range all {
@@ -304,7 +314,8 @@ func TestQuickMergeEquivalence(t *testing.T) {
 		nt := int(threads%4) + 1
 		opt, _ := MergeColumn(m, d, Options{Algorithm: Optimized, Threads: nt})
 		nav, _ := MergeColumn(m, d, Options{Algorithm: Naive, Threads: nt})
-		if opt.Len() != nav.Len() || opt.Dict().Len() != nav.Dict().Len() {
+		if opt.Len() != nav.Len() || opt.Dict().Len() != nav.Dict().Len() ||
+			opt.Validate() != nil || nav.Validate() != nil {
 			return false
 		}
 		for i := 0; i < opt.Len(); i++ {
@@ -334,6 +345,9 @@ func TestStringMerge(t *testing.T) {
 		d.Insert(v)
 	}
 	out, st := MergeColumn(m, d, Options{})
+	if err := out.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	if st.ValueBytes != 16 {
 		t.Fatalf("ValueBytes=%d want 16 for strings", st.ValueBytes)
 	}

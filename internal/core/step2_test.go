@@ -132,7 +132,9 @@ func (c step2Case) build(rng *rand.Rand) (*colstore.Main[uint64], *delta.Partiti
 	return m, d, mask
 }
 
-// check pins MergeColumnGC to the scalar reference at Threads 1, 2 and 7.
+// check pins MergeColumnGC to the scalar reference at Threads 1, 2 and 7,
+// and every output to the invariants the next merge and a snapshot load
+// presume (colstore.Main.Validate).
 func (c step2Case) check(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	m, d, mask := c.build(rng)
@@ -140,6 +142,9 @@ func (c step2Case) check(t *testing.T, rng *rand.Rand) {
 	for _, nt := range []int{1, 2, 7} {
 		got, st := MergeColumnGC(m, d, mask, Options{Threads: nt})
 		identicalMain(t, got, want)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%v nt=%d: %v", c, nt, err)
+		}
 		if st.Dropped != c.nm+c.nd-want.Len() {
 			t.Fatalf("%v nt=%d: Dropped=%d, reference kept %d of %d", c, nt, st.Dropped, want.Len(), c.nm+c.nd)
 		}

@@ -13,11 +13,12 @@ import (
 
 // seedStores returns one store per shape the format can take: a one-shard
 // store spanning main and delta, a store whose merge retired ids, a 3-shard
-// store, and a resharded store with sealed partitions.  The stores are a
-// few rows each: short seeds keep the fuzzer's input minimization from
-// eating a smoke run's whole time budget.  They are built deterministically
-// — testdata/v6.hyr is their snapshots as the commit before table.Image
-// wrote them (TestGoldenV6).
+// store, a resharded store with sealed partitions, and the two dictionary
+// extremes — columns with a single distinct value (0-bit codes, no words)
+// and a string column whose every value is distinct.  The stores are a few
+// rows each: short seeds keep the fuzzer's input minimization from eating a
+// smoke run's whole time budget.  They are built deterministically —
+// testdata/v7.hyr is their snapshots (TestGoldenV7).
 func seedStores(t testing.TB) []*shard.Table {
 	t.Helper()
 	ctx := context.Background()
@@ -87,7 +88,32 @@ func seedStores(t testing.TB) []*shard.Table {
 		t.Fatal("reshard seed has no sealed partition")
 	}
 
-	return []*shard.Table{flat, gc, sharded, resharded}
+	single, err := shard.New("orders", schema, "id", 1)
+	must(err)
+	unique, err := shard.New("orders", schema, "id", 1)
+	must(err)
+	for i := 0; i < 5; i++ {
+		_, err := single.Insert([]any{uint64(i), uint32(5), "same"})
+		must(err)
+		_, err = unique.Insert(row(i))
+		must(err)
+	}
+	for _, st := range []*shard.Table{single, unique} {
+		_, err = st.RequestMerge(ctx, table.MergeOptions{})
+		must(err)
+	}
+	_, err = single.Insert([]any{uint64(5), uint32(5), "same"})
+	must(err)
+	for _, cs := range single.Shard(0).Stats().Columns[1:] {
+		if cs.UniqueMain != 1 || cs.Bits != 0 {
+			t.Fatalf("single-value seed: column %q has %d values in %d bits", cs.Def.Name, cs.UniqueMain, cs.Bits)
+		}
+	}
+	if cs := unique.Shard(0).Stats().Columns[2]; cs.UniqueMain != cs.MainRows {
+		t.Fatalf("all-unique seed: %d values in %d rows", cs.UniqueMain, cs.MainRows)
+	}
+
+	return []*shard.Table{flat, gc, sharded, resharded, single, unique}
 }
 
 // fuzzSeeds returns the snapshots of seedStores.
@@ -127,8 +153,9 @@ func equalPartitions(t *testing.T, a, b *table.Table) {
 }
 
 // FuzzLoad feeds arbitrary bytes to the snapshot loader: it must never
-// panic, every rejection must wrap ErrFormat (the input is in memory, so
-// there is no I/O error to pass through), and whatever it accepts must
+// panic — a mutated dictionary, code width, word count or packed word
+// included — every rejection must wrap ErrFormat (the input is in memory,
+// so there is no I/O error to pass through), and whatever it accepts must
 // survive a further Save/Load with identical rows, ids, epochs and
 // topology.
 func FuzzLoad(f *testing.F) {

@@ -16,14 +16,13 @@ import (
 	"hyrise/internal/table"
 )
 
-// TestGoldenV6 is the proof the format did not move.  testdata/v6.hyr holds
-// the four seedStores snapshots, each behind its u32 length, as the commit
-// before table.Image wrote them (per-id Handle.Get walk on save,
-// re-insert-and-re-merge on load).  This commit must load them to the same
+// TestGoldenV7 pins the format.  testdata/v7.hyr holds the seedStores
+// snapshots, each behind its u32 length, as the first commit writing
+// version 7 wrote them.  Every later commit must load them to the same
 // partitions, write the same bytes from the same stores, and re-save what
-// it loaded byte for byte.
-func TestGoldenV6(t *testing.T) {
-	golden, err := os.ReadFile("testdata/v6.hyr")
+// it loaded byte for byte.  A change to the bytes is a new Version.
+func TestGoldenV7(t *testing.T) {
+	golden, err := os.ReadFile("testdata/v7.hyr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,34 +209,58 @@ func saveUnderGC(t *testing.T, shards int) {
 	}
 }
 
-// TestLoadRejectsBrokenImages: whatever table.Adopt refuses is a malformed
-// snapshot, not a loader failure of another kind.
+// TestLoadRejectsBrokenImages: whatever colstore.FromParts or table.Adopt
+// refuses is a malformed snapshot, not a loader failure of another kind.
 func TestLoadRejectsBrokenImages(t *testing.T) {
-	u64s := func(vs ...uint64) func(w *writer) {
-		return func(w *writer) {
-			for _, v := range vs {
-				w.u64(v)
-			}
-		}
+	u64 := uint8(table.Uint64)
+	// Two rows are ids and begin and end epochs (6 words), then a column
+	// whose main is empty and whose delta holds 7 and 8.
+	twoRows := func(meta ...uint64) func(w *writer) { return sections(u64s(meta...), column(nil, 0, nil, 7, 8)) }
+	// Three main rows 0, 1, 2, all alive, whose column holds 7, 9, 7: a
+	// two-entry dictionary, 1-bit codes 0, 1, 0 in one word.
+	threeRows := func(dict []uint64, width uint8, words ...uint64) []byte {
+		return partitionSnapshot(u64, [6]uint64{3, 3, 3}, sections(u64s(0, 1, 2, 1, 1, 1, 0, 0, 0), column(dict, width, words)))
 	}
-	// Two rows are ids, begin epochs, end epochs, values: 8 words.
 	for name, data := range map[string][]byte{
-		"ids descending":      partitionSnapshot(uint8(table.Uint64), [6]uint64{2, 0, 2}, u64s(1, 0, 1, 1, 0, 0, 7, 8)),
-		"ids repeating":       partitionSnapshot(uint8(table.Uint64), [6]uint64{2, 0, 2}, u64s(1, 1, 1, 1, 0, 0, 7, 8)),
-		"id at next id":       partitionSnapshot(uint8(table.Uint64), [6]uint64{2, 0, 2}, u64s(0, 2, 1, 1, 0, 0, 7, 8)),
-		"id beyond an int":    partitionSnapshot(uint8(table.Uint64), [6]uint64{2, 0, 2}, u64s(0, 1<<63, 1, 1, 0, 0, 7, 8)),
-		"more rows than ids":  partitionSnapshot(uint8(table.Uint64), [6]uint64{2, 0, 1}, u64s(0, 1, 1, 1, 0, 0, 7, 8)),
-		"main rows over rows": partitionSnapshot(uint8(table.Uint64), [6]uint64{2, 3, 2}, u64s(0, 1, 1, 1, 0, 0, 7, 8)),
-		"main rows negative":  partitionSnapshot(uint8(table.Uint64), [6]uint64{2, 1 << 63, 2}, u64s(0, 1, 1, 1, 0, 0, 7, 8)),
-		"retired over next":   partitionSnapshot(uint8(table.Uint64), [6]uint64{2, 0, 2, 3}, u64s(0, 1, 1, 1, 0, 0, 7, 8)),
-		"next id over bound":  partitionSnapshot(uint8(table.Uint64), [6]uint64{0, 0, maxRows + 1}, u64s()),
+		"ids descending":      partitionSnapshot(u64, [6]uint64{2, 0, 2}, twoRows(1, 0, 1, 1, 0, 0)),
+		"ids repeating":       partitionSnapshot(u64, [6]uint64{2, 0, 2}, twoRows(1, 1, 1, 1, 0, 0)),
+		"id at next id":       partitionSnapshot(u64, [6]uint64{2, 0, 2}, twoRows(0, 2, 1, 1, 0, 0)),
+		"id beyond an int":    partitionSnapshot(u64, [6]uint64{2, 0, 2}, twoRows(0, 1<<63, 1, 1, 0, 0)),
+		"more rows than ids":  partitionSnapshot(u64, [6]uint64{2, 0, 1}, twoRows(0, 1, 1, 1, 0, 0)),
+		"main rows over rows": partitionSnapshot(u64, [6]uint64{2, 3, 2}, twoRows(0, 1, 1, 1, 0, 0)),
+		"main rows negative":  partitionSnapshot(u64, [6]uint64{2, 1 << 63, 2}, twoRows(0, 1, 1, 1, 0, 0)),
+		"retired over next":   partitionSnapshot(u64, [6]uint64{2, 0, 2, 3}, twoRows(0, 1, 1, 1, 0, 0)),
+		"next id over bound":  partitionSnapshot(u64, [6]uint64{0, 0, maxRows + 1}, nil),
+
+		"dictionary unsorted":           threeRows([]uint64{9, 7}, 1, 0b010),
+		"dictionary repeats a value":    threeRows([]uint64{7, 7}, 1, 0b010),
+		"width over MinBits":            threeRows([]uint64{7, 9}, 2, 0b00_01_00),
+		"width beyond 64":               threeRows([]uint64{7, 9}, 65, 0b010),
+		"too few words":                 threeRows([]uint64{7, 9}, 1),
+		"too many words":                threeRows([]uint64{7, 9}, 1, 0b010, 0),
+		"code beyond dictionary":        threeRows([]uint64{7, 9, 11}, 2, 0b11_01_00),
+		"unused dictionary entry":       threeRows([]uint64{7, 9, 11}, 2, 0b00_01_00),
+		"padding bits set":              threeRows([]uint64{7, 9}, 1, 0b1000_010),
+		"empty dictionary under a main": threeRows(nil, 0),
+		"dictionary on an empty main": partitionSnapshot(u64, [6]uint64{1, 0, 1},
+			sections(u64s(0, 1, 0), column([]uint64{7}, 0, nil, 7))),
 	} {
 		if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want ErrFormat", name, err)
 		}
 	}
-	good := partitionSnapshot(uint8(table.Uint64), [6]uint64{2, 1, 4, 2, 48, 9}, u64s(1, 3, 1, 1, 0, 2, 7, 8))
-	st, err := Load(bytes.NewReader(good))
+
+	st, err := Load(bytes.NewReader(threeRows([]uint64{7, 9}, 1, 0b010)))
+	if err != nil {
+		t.Fatalf("well-formed main: %v", err)
+	}
+	for id, want := range []uint64{7, 9, 7} {
+		if row, err := st.Shard(0).Row(id); err != nil || row[0] != want {
+			t.Fatalf("row %d of the well-formed main: %v (%v), want %d", id, row, err, want)
+		}
+	}
+	good := partitionSnapshot(u64, [6]uint64{2, 1, 4, 2, 48, 9}, sections(u64s(1, 3, 1, 1, 0, 2), column([]uint64{7}, 0, nil, 8)))
+	st, err = Load(bytes.NewReader(good))
 	if err != nil {
 		t.Fatalf("well-formed image: %v", err)
 	}

@@ -4,12 +4,16 @@
 // A partition crosses the table boundary as one table.Image.  Save captures
 // every partition's image — one read lock each, references to the immutable
 // storage plus copies of ids and epochs — and then encodes with no table
-// lock held; Load decodes typed slices and has each partition Adopt them.
-// No row is read through the table's API, inserted or merged on either
-// path, so a save needs no quiescent store and cannot fail on a concurrent
-// merge or GC, and a loaded partition has run no merge.  The bytes hold
-// materialized column values, not dictionaries and packed words.  All
-// integers are little-endian; strings are length-prefixed.
+// lock held; Load decodes the image and has each partition Adopt it.  No
+// row is read through the table's API, inserted or merged on either path,
+// so a save needs no quiescent store and cannot fail on a concurrent merge
+// or GC, and a loaded partition has run no merge.  The bytes hold each main
+// partition as memory holds it, a sorted dictionary and bit-packed codes
+// (paper §3): Save decodes no code, and Load checks the parts once
+// (colstore.FromParts: what colstore.Main.Validate accepts) and installs
+// them without building a dictionary or looking a value up.  Only the
+// delta is plain values.  All integers are little-endian; strings are
+// length-prefixed.
 //
 // There is exactly one format.  The loader checks the magic and the version
 // and fails anything else with ErrFormat:
@@ -24,7 +28,10 @@
 //	    next id u64 | retired u64 | reclaimed bytes u64 | gc watermark u64 |
 //	    stable row ids (rows of u64) |
 //	    begin epochs (rows of u64) | end epochs (rows of u64) |
-//	    per column: values (rows of u32 / u64 / string)
+//	    per column:
+//	        dictionary count u64 | sorted dictionary (count of u32 / u64 / string) |
+//	        code width u8 | word count u64 | packed codes (count of u64) |
+//	        delta values (rows - main rows of u32 / u64 / string)
 //
 // The header records the key column and the shard map — the physical
 // partition count, the active window (which tail of the partition list key
@@ -57,6 +64,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"hyrise/internal/colstore"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
 	"hyrise/internal/val"
@@ -66,19 +74,20 @@ import (
 const Magic = "HYRS"
 
 // Version is the one format version written and read.
-const Version uint32 = 6
+const Version uint32 = 7
 
 // ErrFormat reports a malformed snapshot.
 var ErrFormat = errors.New("persist: malformed snapshot")
 
-// maxRows bounds the per-partition row count a snapshot may claim, so a
-// corrupt header fails with ErrFormat instead of a huge allocation.
+// maxRows bounds every count a snapshot may claim — rows, the next id,
+// dictionary entries, packed words — so a corrupt count fails with
+// ErrFormat instead of overflowing an int.
 const maxRows = 1 << 34
 
 // maxPrealloc caps how many entries a loading slice pre-allocates before
-// any data is decoded.  The claimed row count is only trusted as capacity
-// up to this bound; beyond it slices grow with the data actually read, so
-// a corrupt header claiming billions of rows fails on the first missing
+// any data is decoded.  A claimed count is only trusted as capacity up to
+// this bound; beyond it slices grow with the data actually read, so a
+// corrupt count claiming billions of entries fails on the first missing
 // byte instead of allocating gigabytes up front.
 const maxPrealloc = 1 << 20
 
@@ -226,7 +235,7 @@ func (r *reader) readSchema() (table.Schema, error) {
 
 // writePartition encodes one partition image: row counts, the main/delta
 // boundary, the GC state, the stable row ids, the per-row begin/end epochs
-// and every column's values, streamed a block at a time.
+// and every column as memory holds it.
 func (w *writer) writePartition(img table.Image) {
 	w.u64(uint64(len(img.IDs)))
 	w.u64(uint64(img.MainRows))
@@ -238,22 +247,28 @@ func (w *writer) writePartition(img table.Image) {
 	writeAll(img.Begin, w.u64)
 	writeAll(img.End, w.u64)
 	for _, col := range img.Columns {
-		if w.err != nil {
-			return // a dead sink: do not decode the rest for nothing
-		}
 		switch col := col.(type) {
 		case table.Values[uint32]:
-			writeValues(col, w.u32)
+			writeColumn(w, col, w.u32)
 		case table.Values[uint64]:
-			writeValues(col, w.u64)
+			writeColumn(w, col, w.u64)
 		case table.Values[string]:
-			writeValues(col, w.str)
+			writeColumn(w, col, w.str)
 		}
 	}
 }
 
-func writeValues[V val.Value](col table.Values[V], put func(V)) {
-	col.Each(func(run []V) { writeAll(run, put) })
+// writeColumn encodes one column: the main's dictionary, code width and
+// packed words, then the frozen- and second-delta values.
+func writeColumn[V val.Value](w *writer, col table.Values[V], put func(V)) {
+	dict, words := col.Main.Dict().Values(), col.Main.Codes().Words()
+	w.u64(uint64(len(dict)))
+	writeAll(dict, put)
+	w.u8(uint8(col.Main.Bits()))
+	w.u64(uint64(len(words)))
+	writeAll(words, w.u64)
+	writeAll(col.Plain[0], put)
+	writeAll(col.Plain[1], put)
 }
 
 func writeAll[V any](vs []V, put func(V)) {
@@ -262,27 +277,53 @@ func writeAll[V any](vs []V, put func(V)) {
 	}
 }
 
-// readValues decodes rows values with get, failing fast on short input: it
+// count decodes an element count, failing with ErrFormat beyond maxRows.
+func (r *reader) count() int {
+	n := r.u64()
+	if r.err == nil && n > maxRows {
+		r.err = fmt.Errorf("%w: count %d", ErrFormat, n)
+	}
+	return int(n)
+}
+
+// readValues decodes n values with get, failing fast on short input: it
 // stops at the reader's first error and returns nothing once one is set.
-func readValues[V any](r *reader, rows int, get func() V) []V {
+func readValues[V any](r *reader, n int, get func() V) []V {
 	if r.err != nil {
 		return nil
 	}
-	out := make([]V, 0, min(rows, maxPrealloc))
-	for i := 0; i < rows && r.err == nil; i++ {
+	out := make([]V, 0, min(n, maxPrealloc))
+	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, get())
 	}
 	return out
+}
+
+// readColumn decodes one column section: a main of mainRows tuples, built
+// only through colstore.FromParts, then the delta's values up to rows.
+func readColumn[V val.Value](r *reader, mainRows, rows int, get func() V) table.Values[V] {
+	dict := readValues(r, r.count(), get)
+	width := uint(r.u8())
+	words := readValues(r, r.count(), r.u64)
+	deltaValues := readValues(r, rows-mainRows, get)
+	if r.err != nil {
+		return table.Values[V]{}
+	}
+	main, err := colstore.FromParts(dict, width, mainRows, words)
+	if err != nil {
+		r.err = fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	return table.Values[V]{Main: main, Plain: [2][]V{deltaValues}}
 }
 
 // readPartition decodes one partition section into an image and has the
 // (empty) partition t adopt it; whatever Adopt rejects is a malformed
 // snapshot.
 func (r *reader) readPartition(t *table.Table, schema table.Schema) error {
-	rows64 := r.u64()
+	rows := r.count()
 	img := table.Image{
-		MainRows:  int(r.u64()),
-		NextID:    int(r.u64()),
+		MainRows:  r.count(),
+		NextID:    r.count(),
 		Retired:   int(r.u64()),
 		Reclaimed: int(r.u64()),
 		Watermark: r.u64(),
@@ -291,21 +332,20 @@ func (r *reader) readPartition(t *table.Table, schema table.Schema) error {
 	if r.err != nil {
 		return r.err
 	}
-	if rows64 > maxRows || uint64(img.NextID) > maxRows {
-		return fmt.Errorf("%w: row counts", ErrFormat)
+	if img.MainRows > rows {
+		return fmt.Errorf("%w: %d main rows of %d", ErrFormat, img.MainRows, rows)
 	}
-	rows := int(rows64)
 	img.IDs = readValues(r, rows, func() int { return int(r.u64()) })
 	img.Begin = readValues(r, rows, r.u64)
 	img.End = readValues(r, rows, r.u64)
 	for i, def := range schema {
 		switch def.Type {
 		case table.Uint32:
-			img.Columns[i] = table.Values[uint32]{Plain: [2][]uint32{readValues(r, rows, r.u32)}}
+			img.Columns[i] = readColumn(r, img.MainRows, rows, r.u32)
 		case table.Uint64:
-			img.Columns[i] = table.Values[uint64]{Plain: [2][]uint64{readValues(r, rows, r.u64)}}
+			img.Columns[i] = readColumn(r, img.MainRows, rows, r.u64)
 		case table.String:
-			img.Columns[i] = table.Values[string]{Plain: [2][]string{readValues(r, rows, r.str)}}
+			img.Columns[i] = readColumn(r, img.MainRows, rows, r.str)
 		}
 	}
 	if r.err != nil {

@@ -7,8 +7,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hyrise/internal/shard"
@@ -133,8 +135,8 @@ func TestFileRoundTrip(t *testing.T) {
 	equalStores(t, tb, got)
 }
 
-// TestMainDeltaSplitRestored checks that the loader re-merges to the
-// saved main/delta boundary instead of leaving everything in the delta.
+// TestMainDeltaSplitRestored checks that the loader restores the saved
+// main/delta boundary instead of leaving everything in the delta.
 func TestMainDeltaSplitRestored(t *testing.T) {
 	tb := buildTable(t, 300)
 	if _, err := tb.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
@@ -304,43 +306,95 @@ func oneColumnSnapshot(typ uint8, rows uint64, tail func(w *writer)) []byte {
 	return partitionSnapshot(typ, [6]uint64{rows, 0, rows}, tail)
 }
 
+// sections concatenates encoders.
+func sections(parts ...func(w *writer)) func(w *writer) {
+	return func(w *writer) {
+		for _, part := range parts {
+			part(w)
+		}
+	}
+}
+
+// u64s encodes words.
+func u64s(vs ...uint64) func(w *writer) {
+	return func(w *writer) { writeAll(vs, w.u64) }
+}
+
+// column encodes a uint64 column section: the main's dictionary, code width
+// and packed words, then the delta values.
+func column(dict []uint64, width uint8, words []uint64, delta ...uint64) func(w *writer) {
+	return func(w *writer) {
+		w.u64(uint64(len(dict)))
+		writeAll(dict, w.u64)
+		w.u8(width)
+		w.u64(uint64(len(words)))
+		writeAll(words, w.u64)
+		writeAll(delta, w.u64)
+	}
+}
+
+// emptyMain encodes the main section of an empty main partition of any type.
+var emptyMain = column(nil, 0, nil)
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad magic": []byte("NOPE00000000"),
 		"truncated": append([]byte(Magic), byte(Version), 0, 0, 0),
 		// An empty table that loads fine with a known type byte.
-		"bad type byte": oneColumnSnapshot(uint8(table.String)+1, 0, nil),
+		"bad type byte": oneColumnSnapshot(uint8(table.String)+1, 0, emptyMain),
 	}
 	for name, data := range cases {
 		if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want ErrFormat", name, err)
 		}
 	}
-	if _, err := Load(bytes.NewReader(oneColumnSnapshot(uint8(table.String), 0, nil))); err != nil {
+	if _, err := Load(bytes.NewReader(oneColumnSnapshot(uint8(table.String), 0, emptyMain))); err != nil {
 		t.Errorf("known type byte: %v", err)
 	}
 }
 
 // TestLoadRejectsLyingRowCount feeds truncated snapshots whose headers
-// claim huge row counts or string lengths: the loader must fail promptly
-// on the missing data instead of allocating per the claimed size.
+// claim huge row counts, string lengths, dictionaries or packed codes: the
+// loader must fail promptly on the missing data instead of allocating per
+// the claimed size.
 func TestLoadRejectsLyingRowCount(t *testing.T) {
-	// One row whose string value claims n bytes and delivers 3.
+	oneRow := u64s(0, 1, 0) // row id, begin, end
+	// One delta row whose string value claims n bytes and delivers 3.
 	strValue := func(n uint32) []byte {
-		return oneColumnSnapshot(uint8(table.String), 1, func(w *writer) {
-			w.u64(0) // row id
-			w.u64(1) // begin
-			w.u64(0) // end
+		return oneColumnSnapshot(uint8(table.String), 1, sections(oneRow, emptyMain, func(w *writer) {
 			w.u32(n)
 			w.bytes([]byte("abc"))
-		})
+		}))
+	}
+	// One main row of a string column whose dictionary claims n entries and
+	// delivers one.
+	strDict := func(n uint64) []byte {
+		return partitionSnapshot(uint8(table.String), [6]uint64{1, 1, 1}, sections(oneRow, func(w *writer) {
+			w.u64(n)
+			w.str("abc")
+		}))
+	}
+	// One main row of a uint64 column whose code vector claims n words and
+	// delivers one.
+	words := func(n uint64) []byte {
+		return partitionSnapshot(uint8(table.Uint64), [6]uint64{1, 1, 1}, sections(oneRow, func(w *writer) {
+			w.u64(1)
+			w.u64(7)
+			w.u8(0)
+			w.u64(n)
+			w.u64(0)
+		}))
 	}
 	for name, data := range map[string][]byte{
-		"rows over bound":          oneColumnSnapshot(uint8(table.Uint64), 1<<62, nil),
-		"rows, no data":            oneColumnSnapshot(uint8(table.Uint64), 1<<30, nil),
-		"string length over bound": strValue(maxString + 1),
-		"string length, no data":   strValue(maxString),
+		"rows over bound":             oneColumnSnapshot(uint8(table.Uint64), 1<<62, nil),
+		"rows, no data":               oneColumnSnapshot(uint8(table.Uint64), 1<<30, nil),
+		"string length over bound":    strValue(maxString + 1),
+		"string length, no data":      strValue(maxString),
+		"dictionary count over bound": strDict(maxRows + 1),
+		"dictionary count, no data":   strDict(1 << 30),
+		"word count over bound":       words(maxRows + 1),
+		"word count, no data":         words(1 << 30),
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -397,14 +451,29 @@ func TestEpochRoundTrip(t *testing.T) {
 
 // TestLoadRejectsWrongVersion: there is one format.  A well-formed snapshot
 // relabelled with any other version — the retired ones included — fails
-// with ErrFormat instead of being parsed under another layout.
+// with ErrFormat instead of being parsed under another layout, and so does
+// every snapshot in testdata/v6.hyr, which the last version-6 writer wrote
+// (materialized values, no dictionaries); keep that file byte for byte.
 func TestLoadRejectsWrongVersion(t *testing.T) {
+	v6, err := os.ReadFile("testdata/v6.hyr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(v6) > 0 {
+		n := int(binary.LittleEndian.Uint32(v6))
+		_, err := Load(bytes.NewReader(v6[4 : 4+n]))
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "unsupported version 6") {
+			t.Errorf("version-6 fixture: err = %v, want ErrFormat: unsupported version 6", err)
+		}
+		v6 = v6[4+n:]
+	}
+
 	var buf bytes.Buffer
 	if err := Save(buildTable(t, 10), &buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, v := range []uint32{0, 1, 2, 3, 4, 5, 7, 99} {
+	for _, v := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 99} {
 		binary.LittleEndian.PutUint32(data[len(Magic):], v)
 		if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
 			t.Errorf("version %d: err = %v, want ErrFormat", v, err)

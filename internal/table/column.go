@@ -35,8 +35,8 @@ type column interface {
 	// Partition image (Table.Image, Table.Adopt): image references the
 	// storage as a Values; checkImage validates what adopt then installs.
 	image() any
-	checkImage(values any, rows int) error
-	adopt(values any, mainRows int)
+	checkImage(values any, mainRows, rows int) error
+	adopt(values any)
 
 	// Merge pipeline; see Table.Merge for the locking protocol.  drop is
 	// the table's frozen GC decision over main+delta slots.
@@ -234,23 +234,29 @@ func (c *typedColumn[V]) image() any {
 	return v
 }
 
-func (c *typedColumn[V]) checkImage(values any, rows int) error {
+func (c *typedColumn[V]) checkImage(values any, mainRows, rows int) error {
 	v, ok := values.(Values[V])
 	if !ok {
 		return fmt.Errorf("table: image holds %T for %v column %q", values, c.d.Type, c.d.Name)
 	}
-	if v.Len() != rows {
-		return fmt.Errorf("table: image holds %d values for column %q, want %d rows", v.Len(), c.d.Name, rows)
+	if v.Main == nil {
+		return fmt.Errorf("table: image column %q has no main", c.d.Name)
+	}
+	if v.Main.Len() != mainRows || v.Len() != rows {
+		return fmt.Errorf("table: image column %q holds %d main rows of %d, want %d of %d",
+			c.d.Name, v.Main.Len(), v.Len(), mainRows, rows)
 	}
 	return nil
 }
 
-func (c *typedColumn[V]) adopt(values any, mainRows int) {
-	vals := values.(Values[V]).flat()
-	c.main = colstore.FromValues(vals[:mainRows])
+func (c *typedColumn[V]) adopt(values any) {
+	v := values.(Values[V])
+	c.main = v.Main
 	c.dlt = delta.New[V]()
-	for _, x := range vals[mainRows:] {
-		c.dlt.Insert(x)
+	for _, p := range v.Plain {
+		for _, x := range p {
+			c.dlt.Insert(x)
+		}
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // between an Image and the snapshot bytes.
 //
 // The main is read-only between merges and a delta append-only (paper §3),
-// so column values are captured as references — nothing is copied and the
-// image stays valid whatever the partition does next.  Ids and epochs are
-// mutated in place (invalidation, GC compaction), so those are copies:
-// 24 bytes per row.
+// so column storage is captured as references — nothing is copied or
+// decoded, and the image stays valid whatever the partition does next.  Ids
+// and epochs are mutated in place (invalidation, GC compaction), so those
+// are copies: 24 bytes per row.
 type Image struct {
 	IDs        []int    // stable id of every stored version in slot order, strictly ascending
 	Begin, End []uint64 // per-slot visibility epochs
@@ -31,60 +31,18 @@ type Image struct {
 	Columns []any
 }
 
-// Values is one column of an Image, in slot order: a captured image
-// references the partition's main and the prefixes of its frozen and second
-// delta; a decoded one leaves Main nil and holds the column in Plain[0].
+// Values is one column of an Image, in slot order: the main partition as
+// memory holds it — sorted dictionary and bit-packed codes — then the delta
+// as plain values.  A captured image references the partition's main and
+// the prefixes of its frozen (Plain[0]) and second (Plain[1]) delta; a
+// decoded one holds the main the snapshot shipped and the delta in Plain[0].
 type Values[V val.Value] struct {
 	Main  *colstore.Main[V]
 	Plain [2][]V
 }
 
 // Len returns the number of values.
-func (v Values[V]) Len() int {
-	n := len(v.Plain[0]) + len(v.Plain[1])
-	if v.Main != nil {
-		n += v.Main.Len()
-	}
-	return n
-}
-
-// valuesBlock is how many main values Each decodes per callback.
-const valuesBlock = 4096
-
-// Each calls fn with consecutive runs of the values in slot order — the
-// main decoded through its dictionary a block at a time, then the plain
-// slices.  fn must neither retain nor modify a run.
-func (v Values[V]) Each(fn func([]V)) {
-	if v.Main != nil {
-		dict, codes := v.Main.Dict().Values(), v.Main.Codes()
-		var buf []uint64
-		run := make([]V, 0, min(valuesBlock, codes.Len()))
-		for from := 0; from < codes.Len(); from += valuesBlock {
-			buf = codes.DecodeRange(from, min(from+valuesBlock, codes.Len()), buf)
-			run = run[:0]
-			for _, c := range buf {
-				run = append(run, dict[c])
-			}
-			fn(run)
-		}
-	}
-	for _, p := range v.Plain {
-		if len(p) > 0 {
-			fn(p)
-		}
-	}
-}
-
-// flat returns the values as one slice, without copying when they already
-// are one.
-func (v Values[V]) flat() []V {
-	if v.Main == nil && len(v.Plain[1]) == 0 {
-		return v.Plain[0]
-	}
-	out := make([]V, 0, v.Len())
-	v.Each(func(run []V) { out = append(out, run...) })
-	return out
-}
+func (v Values[V]) Len() int { return v.Main.Len() + len(v.Plain[0]) + len(v.Plain[1]) }
 
 // Image captures the partition under one read lock.  It never waits for a
 // merge: mid-merge it references the main and frozen delta the merge is
@@ -111,13 +69,17 @@ func (t *Table) Image() Image {
 }
 
 // Adopt installs an image into a partition no row was ever written to,
-// under one write lock and without a merge: each column's first MainRows
-// values are dictionary-compressed into its main, the rest inserted into a
-// fresh delta, and ids, epochs and GC counters installed on top, so retired
-// ids stay retired.  An image that is not well formed — ids not strictly
-// ascending below NextID, unequal lengths, MainRows beyond the rows, Retired
-// beyond NextID, a column of another type than the schema's — fails Adopt
-// and leaves the partition empty.  Adopt owns img's id and epoch slices.
+// under one write lock and without a merge: each column's Main becomes its
+// main as is — no dictionary is built, no value looked up — its plain
+// values are inserted into a fresh delta, and ids, epochs and GC counters
+// are installed on top, so retired ids stay retired.  An image that is not
+// well formed — ids not strictly ascending below NextID, unequal lengths,
+// MainRows beyond the rows, Retired beyond NextID, a column of another type
+// than the schema's or whose main does not hold MainRows tuples — fails
+// Adopt and leaves the partition empty.  The mains themselves are not
+// re-checked: a captured one is a live partition's, a decoded one passed
+// colstore.FromParts.  Adopt owns img's slices and shares its mains, which
+// are immutable; a group-key index a captured main carries comes with it.
 func (t *Table) Adopt(img Image) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -138,12 +100,12 @@ func (t *Table) Adopt(img Image) error {
 		prev = id
 	}
 	for i, c := range t.cols {
-		if err := c.checkImage(img.Columns[i], rows); err != nil {
+		if err := c.checkImage(img.Columns[i], img.MainRows, rows); err != nil {
 			return err
 		}
 	}
 	for i, c := range t.cols {
-		c.adopt(img.Columns[i], img.MainRows)
+		c.adopt(img.Columns[i])
 	}
 	t.rows = rows
 	t.ids = img.IDs

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"slices"
 	"testing"
+
+	"hyrise/internal/colstore"
 )
 
 // sameTable requires b to hold everything an Image of a carries: rows,
@@ -38,15 +40,20 @@ func sameTable(t *testing.T, a, b *Table) {
 	}
 }
 
-// adopted returns a fresh partition on tb's clock that adopted tb's image.
+// adopted returns a fresh partition on tb's clock that adopted tb's image
+// and installed its first column's main as is, not a rebuilt copy.
 func adopted(t *testing.T, tb *Table) *Table {
 	t.Helper()
 	fresh, err := NewWithClock(tb.Name(), tb.Schema(), tb.Clock())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Adopt(tb.Image()); err != nil {
+	img := tb.Image()
+	if err := fresh.Adopt(img); err != nil {
 		t.Fatal(err)
+	}
+	if fresh.cols[0].(*typedColumn[uint64]).main != img.Columns[0].(Values[uint64]).Main {
+		t.Fatal("Adopt rebuilt the main instead of installing it")
 	}
 	return fresh
 }
@@ -190,7 +197,15 @@ func TestAdoptRejects(t *testing.T) {
 			img.Columns[2] = v
 		},
 		"column of another type": func(img *Image) {
-			img.Columns[1] = Values[uint64]{Plain: [2][]uint64{make([]uint64, 25)}}
+			img.Columns[1] = Values[uint64]{Main: colstore.Empty[uint64](), Plain: [2][]uint64{make([]uint64, 25)}}
+		},
+		"column without a main": func(img *Image) {
+			img.Columns[2] = Values[string]{Plain: [2][]string{make([]string, 25)}}
+		},
+		"main of another length": func(img *Image) {
+			v := img.Columns[2].(Values[string])
+			v.Main, v.Plain[0] = colstore.Empty[string](), make([]string, 25)
+			img.Columns[2] = v
 		},
 		"column not a Values": func(img *Image) { img.Columns[1] = make([]uint32, 25) },
 	}

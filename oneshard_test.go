@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -225,6 +226,11 @@ func TestNewTableReshardsUnderPinnedReaders(t *testing.T) {
 				reads.Add(2)
 			}
 		}(r)
+	}
+	// A 3000-row reshard can finish before a busy scheduler starts any
+	// reader: let one read land first so the reshard runs beside them.
+	for reads.Load() == 0 {
+		runtime.Gosched()
 	}
 	rep, err := st.Reshard(context.Background(), 3)
 	close(stop)
