@@ -48,10 +48,12 @@ func runSec4ReadCost(w io.Writer, s Scale) error {
 	// Measured per-tuple scan cost of each partition.
 	scanMain := func() uint64 {
 		var sum uint64
-		dict := m.Dict()
-		r := m.Codes().Reader()
-		for i := 0; i < m.Len(); i++ {
-			sum += dict.At(int(r.Next()))
+		var buf [1024]uint64
+		dict, codes := m.Dict(), m.Codes()
+		for from := 0; from < m.Len(); from += len(buf) {
+			for _, c := range codes.DecodeRange(from, min(from+len(buf), m.Len()), buf[:]) {
+				sum += dict.At(int(c))
+			}
 		}
 		return sum
 	}

@@ -1,10 +1,10 @@
 // Package bitpack implements fixed-width bit-packed integer vectors.
 //
 // The main partition of every column stores dictionary codes packed at
-// E_C = ceil(log2(|dict|)) bits per code (paper §3, §5.2).  Vector supports
-// random access (Get/Set), amortized O(1) Append, and sequential Reader /
-// Writer cursors used by the merge inner loops, where decoding positionally
-// is measurably cheaper than recomputing word/bit offsets per element.
+// E_C = ceil(log2(|dict|)) bits per code (paper §3, §5.2).  A vector has one
+// construction path and one decoder: Make allocates it zeroed at its final
+// length, Packers (PackerAt) fill it a block at a time before it is
+// published, DecodeRange block-decodes it and Get reads one code.
 //
 // Widths from 0 to 64 bits are supported.  Width 0 is the degenerate case of
 // a single-value dictionary: all codes are zero and no storage is consumed.
@@ -30,35 +30,30 @@ func MinBits(n int) uint {
 
 // Vector is a densely bit-packed vector of unsigned integer codes, each
 // stored in exactly Bits() bits.  The zero value is an empty vector of
-// width 0; use New to choose a width.
+// width 0; use Make to choose a width and length.
 type Vector struct {
 	words []uint64
 	n     int
 	bits  uint
 }
 
-// New returns an empty Vector that stores each code in width bits and has
-// capacity for at least capacity elements.  It panics if width > 64.
-func New(width uint, capacity int) *Vector {
-	if width > WordBits {
-		panic(fmt.Sprintf("bitpack: width %d out of range [0,64]", width))
+// Make returns a vector of n zero codes of the given width, holding exactly
+// ceil(n*width/64) words, for Packers to fill.  It panics if width > 64 or
+// n < 0.
+func Make(width uint, n int) *Vector {
+	if width > WordBits || n < 0 {
+		panic(fmt.Sprintf("bitpack: cannot make %d codes of width %d (range [0,64])", n, width))
 	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Vector{
-		words: make([]uint64, 0, wordsFor(width, capacity)),
-		bits:  width,
-	}
+	return &Vector{words: make([]uint64, wordsFor(width, n)), n: n, bits: width}
 }
 
 // FromSlice packs codes at the given width.  It panics if any code does not
 // fit in width bits.
 func FromSlice(width uint, codes []uint64) *Vector {
-	v := New(width, len(codes))
-	for _, c := range codes {
-		v.Append(c)
-	}
+	v := Make(width, len(codes))
+	p := v.PackerAt(0)
+	p.Put(codes)
+	p.Flush()
 	return v
 }
 
@@ -92,10 +87,11 @@ func (v *Vector) MaxCode() uint64 {
 // SizeBytes returns the memory consumed by the packed payload.
 func (v *Vector) SizeBytes() int { return len(v.words) * 8 }
 
-// Words exposes the backing words.  A vector built by FromSlice, Append or
-// a Writer filled to the length it was made for holds exactly
-// ceil(Len()*Bits()/64) words, and the bits past Len()*Bits() are zero;
-// colstore.Main.Validate checks both on a main partition.
+// Words exposes the backing words: exactly ceil(Len()*Bits()/64) of them,
+// with the bits past Len()*Bits() zero.  Every vector this package builds is
+// made at its length and filled only by Packers, so this holds for all of
+// them; only FromWords can wrap words that break it, which is why
+// colstore.FromParts checks both first.
 func (v *Vector) Words() []uint64 { return v.words }
 
 // FromWords wraps words as a vector of n codes of the given width — the
@@ -126,63 +122,11 @@ func (v *Vector) Get(i int) uint64 {
 	return (lo | hi) & v.mask()
 }
 
-// Set overwrites element i.  It panics if i is out of range or code does not
-// fit in the vector width.
-func (v *Vector) Set(i int, code uint64) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("bitpack: index %d out of range [0,%d)", i, v.n))
-	}
-	v.checkFits(code)
-	if v.bits == 0 {
-		return
-	}
-	bitPos := uint64(i) * uint64(v.bits)
-	word := bitPos / WordBits
-	off := uint(bitPos % WordBits)
-	mask := v.mask()
-	v.words[word] = v.words[word]&^(mask<<off) | code<<off
-	rem := WordBits - off
-	if rem < v.bits {
-		hiMask := mask >> rem
-		v.words[word+1] = v.words[word+1]&^hiMask | code>>rem
-	}
-}
-
-// Append adds code at the end.  It panics if code does not fit.
-func (v *Vector) Append(code uint64) {
-	v.checkFits(code)
-	if v.bits != 0 {
-		need := wordsFor(v.bits, v.n+1)
-		for len(v.words) < need {
-			v.words = append(v.words, 0)
-		}
-	}
-	v.n++
-	if v.bits != 0 {
-		v.Set(v.n-1, code)
-	}
-}
-
-func (v *Vector) checkFits(code uint64) {
-	if v.bits < WordBits && code > v.MaxCode() {
-		panic(fmt.Sprintf("bitpack: code %d does not fit in %d bits", code, v.bits))
-	}
-}
-
 func (v *Vector) mask() uint64 {
 	if v.bits == WordBits {
 		return ^uint64(0)
 	}
 	return (1 << v.bits) - 1
-}
-
-// Decode appends all elements to dst and returns the extended slice.
-func (v *Vector) Decode(dst []uint64) []uint64 {
-	r := v.Reader()
-	for i := 0; i < v.n; i++ {
-		dst = append(dst, r.Next())
-	}
-	return dst
 }
 
 // DecodeRange decodes elements [from, to) into dst, reusing dst's backing
@@ -233,145 +177,16 @@ func (v *Vector) DecodeRange(from, to int, dst []uint64) []uint64 {
 	return dst
 }
 
-// Clone returns a deep copy.
-func (v *Vector) Clone() *Vector {
-	w := &Vector{words: make([]uint64, len(v.words)), n: v.n, bits: v.bits}
-	copy(w.words, v.words)
-	return w
-}
-
-// Reader is a sequential decoding cursor over a Vector.  It is substantially
-// faster than repeated Get calls in merge loops because the word index and
-// intra-word offset advance incrementally.
-type Reader struct {
-	words []uint64
-	bits  uint
-	mask  uint64
-	pos   uint64 // absolute bit position
-	n     int
-	idx   int
-}
-
-// Reader returns a cursor positioned at element 0.
-func (v *Vector) Reader() *Reader {
-	return &Reader{words: v.words, bits: v.bits, mask: v.mask(), n: v.n}
-}
-
-// ReaderAt returns a cursor positioned at element i, 0 <= i <= Len().
-// Parallel merge workers use it to stream disjoint chunks concurrently.
-func (v *Vector) ReaderAt(i int) *Reader {
-	if i < 0 || i > v.n {
-		panic(fmt.Sprintf("bitpack: ReaderAt(%d) out of range [0,%d]", i, v.n))
-	}
-	return &Reader{
-		words: v.words, bits: v.bits, mask: v.mask(), n: v.n,
-		idx: i, pos: uint64(i) * uint64(v.bits),
-	}
-}
-
-// Remaining reports how many elements are left.
-func (r *Reader) Remaining() int { return r.n - r.idx }
-
-// Next decodes and returns the next element.  It panics past the end.
-func (r *Reader) Next() uint64 {
-	if r.idx >= r.n {
-		panic("bitpack: Reader.Next past end")
-	}
-	r.idx++
-	if r.bits == 0 {
-		return 0
-	}
-	word := r.pos / WordBits
-	off := uint(r.pos % WordBits)
-	r.pos += uint64(r.bits)
-	lo := r.words[word] >> off
-	rem := WordBits - off
-	if rem >= r.bits {
-		return lo & r.mask
-	}
-	return (lo | r.words[word+1]<<rem) & r.mask
-}
-
-// Writer is a sequential append-only encoder.  The merge Step 2(b) writes
-// the whole output column through a Writer (paper Eq. 11): allocate once
-// with the exact output cardinality and stream codes in.
-type Writer struct {
-	vec *Vector
-	pos uint64
-}
-
-// NewWriter returns a Writer over a fresh Vector of the given width,
-// preallocated for n elements.
-func NewWriter(width uint, n int) *Writer {
-	v := New(width, n)
-	v.words = v.words[:wordsFor(width, n)]
-	return &Writer{vec: v}
-}
-
-// Write appends code.  It panics if code does not fit in the width.
-func (w *Writer) Write(code uint64) {
-	v := w.vec
-	v.checkFits(code)
-	if v.bits == 0 {
-		v.n++
-		return
-	}
-	word := w.pos / WordBits
-	off := uint(w.pos % WordBits)
-	if int(word) >= len(v.words) {
-		v.words = append(v.words, 0)
-	}
-	v.words[word] |= code << off
-	rem := WordBits - off
-	if rem < v.bits {
-		if int(word)+1 >= len(v.words) {
-			v.words = append(v.words, 0)
-		}
-		v.words[word+1] |= code >> rem
-	}
-	w.pos += uint64(v.bits)
-	v.n++
-}
-
-// WriteAt encodes code at element index i without moving the cursor.  The
-// parallel Step 2 uses WriteAt from disjoint element ranges; ranges must not
-// share a 64-bit word unless the caller serializes access (see ChunkAlign).
-func (w *Writer) WriteAt(i int, code uint64) {
-	v := w.vec
-	v.checkFits(code)
-	if v.bits == 0 {
-		return
-	}
-	bitPos := uint64(i) * uint64(v.bits)
-	word := bitPos / WordBits
-	off := uint(bitPos % WordBits)
-	v.words[word] |= code << off
-	rem := WordBits - off
-	if rem < v.bits {
-		v.words[word+1] |= code >> rem
-	}
-}
-
-// Vector finalizes and returns the underlying vector.  For Writers created
-// with NewWriter(width, n) where fewer than n elements were written via
-// Write, the length reflects the number of Write calls; after WriteAt-style
-// population, call SetLen first.
-func (w *Writer) Vector() *Vector { return w.vec }
-
-// SetLen declares the logical length after random-order WriteAt population.
-func (w *Writer) SetLen(n int) { w.vec.n = n }
-
-// Packer is a sequential block encoder into a Writer's vector: codes are
-// shifted into a register accumulator and stored one whole word at a time,
-// so packing costs a shift, an or and an add per code instead of WriteAt's
-// read-modify-write of one or two words.  The merge's Step 2 kernel packs
-// every output chunk through one (paper Eq. 11).
+// Packer is the one encoder: a sequential block cursor into a vector made
+// by Make.  Codes are shifted into a register accumulator and stored one
+// whole word at a time, so packing costs a shift, an or and an add per code.
+// The merge's Step 2 packs every output chunk through one (paper Eq. 11).
 //
 // A Packer owns the words from the one holding its start position up to
 // the last it stores, so Packers running concurrently must start on word
-// boundaries (see ChunkAlign); only the one that ends at the vector's tail
-// may end inside a word.  The Writer's length is not advanced: call SetLen
-// once every Packer has flushed.
+// boundaries; only the one that ends at the vector's tail may end inside a
+// word.  The vector's length was fixed by Make: once every Packer has
+// flushed, the vector is complete.
 type Packer struct {
 	words []uint64
 	bits  uint
@@ -381,9 +196,12 @@ type Packer struct {
 	fill  uint   // how many; always < WordBits
 }
 
-// PackerAt returns a Packer whose first code lands at element index i.
-func (w *Writer) PackerAt(i int) Packer {
-	v := w.vec
+// PackerAt returns a Packer whose first code lands at element index i,
+// 0 <= i <= Len().  It panics if i is out of range.
+func (v *Vector) PackerAt(i int) Packer {
+	if i < 0 || i > v.n {
+		panic(fmt.Sprintf("bitpack: PackerAt(%d) out of range [0,%d]", i, v.n))
+	}
 	p := Packer{words: v.words, bits: v.bits, max: v.MaxCode()}
 	bitPos := uint64(i) * uint64(v.bits)
 	p.word, p.fill = int(bitPos/WordBits), uint(bitPos%WordBits)
@@ -394,8 +212,8 @@ func (w *Writer) PackerAt(i int) Packer {
 }
 
 // Put packs codes at the cursor and advances it.  Whether the codes fit the
-// width is checked once per call, on the or of all of them, so it panics on
-// the same inputs as Write, after the block instead of at the code.
+// width is checked once per call, on the or of all of them: it panics if any
+// code does not fit, after packing the block.
 func (p *Packer) Put(codes []uint64) {
 	acc, fill, word := p.acc, p.fill, p.word
 	var all uint64
@@ -420,25 +238,4 @@ func (p *Packer) Flush() {
 	if p.fill != 0 {
 		p.words[p.word] = p.acc
 	}
-}
-
-// ChunkAlign returns the largest element count <= n such that a chunk of
-// that many elements ends exactly on a 64-bit word boundary, guaranteeing
-// two adjacent chunks never share a word.  For width 0 it returns n.
-func ChunkAlign(width uint, n int) int {
-	if width == 0 || n == 0 {
-		return n
-	}
-	g := WordBits / gcd(int(width), WordBits) // elements per aligned group
-	if n < g {
-		return n
-	}
-	return n - n%g
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

@@ -2,6 +2,8 @@ package bitpack
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -21,120 +23,50 @@ func TestMinBits(t *testing.T) {
 	}
 }
 
-func TestAppendGetAllWidths(t *testing.T) {
+// packRef is the oracle the Packer and the decoders are checked against: it
+// sets every code's bits one at a time into exactly ceil(len*width/64)
+// zeroed words.
+func packRef(width uint, codes []uint64) []uint64 {
+	words := make([]uint64, (uint64(len(codes))*uint64(width)+WordBits-1)/WordBits)
+	for i, c := range codes {
+		for b := uint(0); b < width; b++ {
+			if c>>b&1 != 0 {
+				pos := uint64(i)*uint64(width) + uint64(b)
+				words[pos/WordBits] |= 1 << (pos % WordBits)
+			}
+		}
+	}
+	return words
+}
+
+// randomCodes returns n codes that fit in width bits.
+func randomCodes(rng *rand.Rand, width uint, n int) []uint64 {
+	codes := make([]uint64, n)
+	for i := range codes {
+		if width > 0 {
+			codes[i] = rng.Uint64() >> (WordBits - width)
+		}
+	}
+	return codes
+}
+
+// TestGetAllWidths reads the oracle's words and FromSlice's Packer-built
+// vector back with Get at every width 0..64.
+func TestGetAllWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for width := uint(0); width <= 64; width++ {
-		v := New(width, 0)
-		var ref []uint64
-		for i := 0; i < 200; i++ {
-			var c uint64
-			if width == 64 {
-				c = rng.Uint64()
-			} else if width > 0 {
-				c = rng.Uint64() & ((1 << width) - 1)
+	for width := uint(0); width <= WordBits; width++ {
+		ref := randomCodes(rng, width, 200)
+		for name, v := range map[string]*Vector{
+			"oracle": FromWords(width, len(ref), packRef(width, ref)),
+			"packed": FromSlice(width, ref),
+		} {
+			if v.Len() != len(ref) || v.Bits() != width {
+				t.Fatalf("width %d %s: %d x %d bits", width, name, v.Len(), v.Bits())
 			}
-			v.Append(c)
-			ref = append(ref, c)
-		}
-		if v.Len() != len(ref) {
-			t.Fatalf("width %d: Len=%d want %d", width, v.Len(), len(ref))
-		}
-		for i, want := range ref {
-			if got := v.Get(i); got != want {
-				t.Fatalf("width %d: Get(%d)=%d want %d", width, i, got, want)
-			}
-		}
-	}
-}
-
-func TestSetOverwrite(t *testing.T) {
-	for _, width := range []uint{1, 3, 7, 13, 31, 33, 64} {
-		v := New(width, 0)
-		n := 150
-		for i := 0; i < n; i++ {
-			v.Append(0)
-		}
-		rng := rand.New(rand.NewSource(int64(width)))
-		ref := make([]uint64, n)
-		for pass := 0; pass < 3; pass++ {
-			for i := 0; i < n; i++ {
-				c := rng.Uint64() & v.MaxCode()
-				v.Set(i, c)
-				ref[i] = c
-			}
-		}
-		for i := range ref {
-			if got := v.Get(i); got != ref[i] {
-				t.Fatalf("width %d: Get(%d)=%d want %d", width, i, got, ref[i])
-			}
-		}
-	}
-}
-
-func TestReaderMatchesGet(t *testing.T) {
-	for _, width := range []uint{0, 1, 5, 8, 11, 17, 32, 63, 64} {
-		rng := rand.New(rand.NewSource(int64(width) + 7))
-		v := New(width, 0)
-		for i := 0; i < 300; i++ {
-			v.Append(rng.Uint64() & v.MaxCode())
-		}
-		r := v.Reader()
-		for i := 0; i < v.Len(); i++ {
-			if got, want := r.Next(), v.Get(i); got != want {
-				t.Fatalf("width %d: Reader at %d = %d, Get = %d", width, i, got, want)
-			}
-		}
-		if r.Remaining() != 0 {
-			t.Fatalf("width %d: Remaining=%d after full scan", width, r.Remaining())
-		}
-	}
-}
-
-func TestWriterSequential(t *testing.T) {
-	for _, width := range []uint{0, 1, 6, 12, 21, 40, 64} {
-		rng := rand.New(rand.NewSource(int64(width) + 99))
-		n := 257
-		w := NewWriter(width, n)
-		ref := make([]uint64, n)
-		for i := range ref {
-			ref[i] = rng.Uint64()
-			if width < 64 {
-				ref[i] &= (uint64(1) << width) - 1
-			}
-			w.Write(ref[i])
-		}
-		v := w.Vector()
-		if v.Len() != n {
-			t.Fatalf("width %d: Len=%d want %d", width, v.Len(), n)
-		}
-		for i := range ref {
-			if got := v.Get(i); got != ref[i] {
-				t.Fatalf("width %d: Get(%d)=%d want %d", width, i, got, ref[i])
-			}
-		}
-	}
-}
-
-func TestWriterWriteAt(t *testing.T) {
-	for _, width := range []uint{1, 9, 13, 32, 64} {
-		n := 300
-		w := NewWriter(width, n)
-		ref := make([]uint64, n)
-		rng := rand.New(rand.NewSource(int64(width)))
-		// Populate in random order from aligned chunks, as parallel Step 2 does.
-		perm := rng.Perm(n)
-		for _, i := range perm {
-			ref[i] = rng.Uint64()
-			if width < 64 {
-				ref[i] &= (uint64(1) << width) - 1
-			}
-			w.WriteAt(i, ref[i])
-		}
-		w.SetLen(n)
-		v := w.Vector()
-		for i := range ref {
-			if got := v.Get(i); got != ref[i] {
-				t.Fatalf("width %d: Get(%d)=%d want %d", width, i, got, ref[i])
+			for i, want := range ref {
+				if got := v.Get(i); got != want {
+					t.Fatalf("width %d %s: Get(%d)=%d want %d", width, name, i, got, want)
+				}
 			}
 		}
 	}
@@ -142,23 +74,16 @@ func TestWriterWriteAt(t *testing.T) {
 
 // TestPackerRoundTrip packs every width 0..64 through Packers — in blocks of
 // uneven sizes, from the start, from a word-aligned chunk boundary written
-// out of order, and resumed inside a word — and reads it back with Get, and
-// word for word against Writer.Write.
+// out of order, and resumed inside a word — and compares the words with the
+// oracle's and every code with Get.
 func TestPackerRoundTrip(t *testing.T) {
-	for width := uint(0); width <= 64; width++ {
+	for width := uint(0); width <= WordBits; width++ {
 		rng := rand.New(rand.NewSource(int64(width) + 7))
 		n := 1000 + int(width)
-		ref := make([]uint64, n)
-		want := NewWriter(width, n)
-		for i := range ref {
-			ref[i] = rng.Uint64()
-			if width < 64 {
-				ref[i] &= (uint64(1) << width) - 1
-			}
-			want.Write(ref[i])
-		}
-		put := func(w *Writer, from, to int) {
-			p := w.PackerAt(from)
+		ref := randomCodes(rng, width, n)
+		want := packRef(width, ref)
+		put := func(v *Vector, from, to int) {
+			p := v.PackerAt(from)
 			for from < to {
 				blk := min(1+rng.Intn(97), to-from)
 				p.Put(ref[from : from+blk])
@@ -166,25 +91,24 @@ func TestPackerRoundTrip(t *testing.T) {
 			}
 			p.Flush()
 		}
-		split := ChunkAlign(width, n/2) // second chunk first, as a parallel worker might
-		resume := n/3 | 1               // odd: inside a word at most widths
-		for name, fill := range map[string]func(w *Writer){
-			"whole":   func(w *Writer) { put(w, 0, n) },
-			"chunks":  func(w *Writer) { put(w, split, n); put(w, 0, split) },
-			"resumed": func(w *Writer) { put(w, 0, resume); put(w, resume, n) },
+		split := n / 2 // second chunk first, as a parallel worker might
+		for uint64(split)*uint64(width)%WordBits != 0 {
+			split--
+		}
+		resume := n/3 | 1 // odd: inside a word at most widths
+		for name, fill := range map[string]func(v *Vector){
+			"whole":   func(v *Vector) { put(v, 0, n) },
+			"chunks":  func(v *Vector) { put(v, split, n); put(v, 0, split) },
+			"resumed": func(v *Vector) { put(v, 0, resume); put(v, resume, n) },
 		} {
-			w := NewWriter(width, n)
-			fill(w)
-			w.SetLen(n)
-			v := w.Vector()
+			v := Make(width, n)
+			fill(v)
+			if !slices.Equal(v.Words(), want) {
+				t.Fatalf("width %d %s: words differ from the oracle's", width, name)
+			}
 			for i := range ref {
 				if got := v.Get(i); got != ref[i] {
 					t.Fatalf("width %d %s: Get(%d)=%d want %d", width, name, i, got, ref[i])
-				}
-			}
-			for i, word := range want.Vector().Words() {
-				if v.Words()[i] != word {
-					t.Fatalf("width %d %s: word %d differs from Writer.Write's", width, name, i)
 				}
 			}
 		}
@@ -197,63 +121,26 @@ func TestPackerRejectsOversizedCode(t *testing.T) {
 			t.Fatal("Put of a 4-bit code into a 3-bit vector did not panic")
 		}
 	}()
-	p := NewWriter(3, 8).PackerAt(0)
+	p := Make(3, 8).PackerAt(0)
 	p.Put([]uint64{1, 7, 8})
 }
 
-func TestChunkAlign(t *testing.T) {
-	for width := uint(1); width <= 64; width++ {
-		for _, n := range []int{0, 1, 63, 64, 65, 1000, 4097} {
-			a := ChunkAlign(width, n)
-			if a > n || a < 0 {
-				t.Fatalf("width %d n %d: align %d out of range", width, n, a)
-			}
-			if a < n {
-				// A chunk of a elements must end on a word boundary.
-				if (uint64(a) * uint64(width) % WordBits) != 0 {
-					t.Fatalf("width %d: ChunkAlign(%d)=%d not word-aligned", width, n, a)
-				}
-			}
-		}
-	}
-	if got := ChunkAlign(0, 57); got != 57 {
-		t.Fatalf("ChunkAlign(0,57)=%d want 57", got)
-	}
-}
-
-func TestDecodeAndClone(t *testing.T) {
-	v := FromSlice(5, []uint64{1, 2, 3, 30, 31, 0, 7})
-	got := v.Decode(nil)
-	want := []uint64{1, 2, 3, 30, 31, 0, 7}
-	if len(got) != len(want) {
-		t.Fatalf("Decode len %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Decode[%d]=%d want %d", i, got[i], want[i])
-		}
-	}
-	c := v.Clone()
-	c.Set(0, 9)
-	if v.Get(0) != 1 {
-		t.Fatal("Clone is not deep")
-	}
-}
-
-// TestWordsExactAndPadded pins what Words promises of vectors built by
-// Append and by a Writer — exactly ceil(n*width/64) words, zero bits past
-// the last code — and that FromWords inverts Words.
+// TestWordsExactAndPadded pins what Words promises of every vector, made by
+// Make and filled by a Packer or built by FromSlice: exactly
+// ceil(n*width/64) words, zero bits past the last code — and that FromWords
+// inverts Words.
 func TestWordsExactAndPadded(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for width := uint(0); width <= WordBits; width++ {
 		for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-			appended, w := New(width, 0), NewWriter(width, n)
-			for i := 0; i < n; i++ {
-				c := rng.Uint64() & appended.MaxCode()
-				appended.Append(c)
-				w.Write(c)
+			ref := randomCodes(rng, width, n)
+			made := Make(width, n)
+			p := made.PackerAt(0)
+			for from := 0; from < n; from += 10 {
+				p.Put(ref[from:min(from+10, n)])
 			}
-			for _, v := range []*Vector{appended, w.Vector()} {
+			p.Flush()
+			for _, v := range []*Vector{made, FromSlice(width, ref)} {
 				words := v.Words()
 				bits := uint64(n) * uint64(width)
 				if uint64(len(words)) != (bits+WordBits-1)/WordBits {
@@ -264,8 +151,8 @@ func TestWordsExactAndPadded(t *testing.T) {
 				}
 				back := FromWords(width, n, words)
 				for i := 0; i < n; i++ {
-					if back.Get(i) != v.Get(i) {
-						t.Fatalf("width %d n %d: FromWords code %d = %d want %d", width, n, i, back.Get(i), v.Get(i))
+					if back.Get(i) != ref[i] {
+						t.Fatalf("width %d n %d: FromWords code %d = %d want %d", width, n, i, back.Get(i), ref[i])
 					}
 				}
 			}
@@ -276,10 +163,11 @@ func TestWordsExactAndPadded(t *testing.T) {
 func TestRoundTripQuick(t *testing.T) {
 	f := func(codes []uint16, widthSeed uint8) bool {
 		width := uint(widthSeed%49) + 16 // 16..64: all uint16 values fit
-		v := New(width, len(codes))
-		for _, c := range codes {
-			v.Append(uint64(c))
+		wide := make([]uint64, len(codes))
+		for i, c := range codes {
+			wide[i] = uint64(c)
 		}
+		v := FromSlice(width, wide)
 		for i, c := range codes {
 			if v.Get(i) != uint64(c) {
 				return false
@@ -305,38 +193,34 @@ func TestPanics(t *testing.T) {
 	v := FromSlice(3, []uint64{1, 2})
 	expectPanic("Get OOB", func() { v.Get(2) })
 	expectPanic("Get neg", func() { v.Get(-1) })
-	expectPanic("Set OOB", func() { v.Set(5, 0) })
-	expectPanic("Append overflow", func() { v.Append(8) })
-	expectPanic("Set overflow", func() { v.Set(0, 8) })
-	expectPanic("New width>64", func() { New(65, 0) })
-	r := v.Reader()
-	r.Next()
-	r.Next()
-	expectPanic("Reader past end", func() { r.Next() })
+	expectPanic("FromSlice overflow", func() { FromSlice(3, []uint64{1, 8}) })
+	expectPanic("FromSlice width 0 overflow", func() { FromSlice(0, []uint64{0, 1}) })
+	expectPanic("Make width>64", func() { Make(65, 0) })
+	expectPanic("Make negative length", func() { Make(3, -1) })
+	expectPanic("PackerAt past end", func() { v.PackerAt(3) })
+	expectPanic("PackerAt neg", func() { v.PackerAt(-1) })
 }
 
-func BenchmarkReaderNext(b *testing.B) {
-	v := New(17, 1<<16)
-	for i := 0; i < 1<<16; i++ {
-		v.Append(uint64(i) & v.MaxCode())
-	}
+func BenchmarkDecodeRange(b *testing.B) {
+	const n = 1 << 16
+	v := FromSlice(17, randomCodes(rand.New(rand.NewSource(3)), 17, n))
+	var buf [1024]uint64
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		r := v.Reader()
-		for r.Remaining() > 0 {
-			sink += r.Next()
+		for from := 0; from < n; from += len(buf) {
+			for _, c := range v.DecodeRange(from, from+len(buf), buf[:]) {
+				sink += c
+			}
 		}
 	}
 	_ = sink
 }
 
 func BenchmarkGetRandom(b *testing.B) {
-	v := New(17, 1<<16)
-	for i := 0; i < 1<<16; i++ {
-		v.Append(uint64(i) & v.MaxCode())
-	}
-	idx := rand.New(rand.NewSource(3)).Perm(1 << 16)
+	rng := rand.New(rand.NewSource(3))
+	v := FromSlice(17, randomCodes(rng, 17, 1<<16))
+	idx := rng.Perm(1 << 16)
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
@@ -345,33 +229,21 @@ func BenchmarkGetRandom(b *testing.B) {
 	_ = sink
 }
 
+// TestDecodeRangeMisaligned decodes spans of the oracle's words that start
+// and end mid-word, and word-aligned ones for contrast, at widths where
+// codes straddle words and where they do not.
 func TestDecodeRangeMisaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, width := range []uint{0, 1, 3, 5, 7, 8, 12, 13, 16, 31, 32, 33, 63, 64} {
 		n := 300
-		v := New(width, n)
-		want := make([]uint64, n)
-		for i := range want {
-			if width == 64 {
-				want[i] = rng.Uint64()
-			} else if width > 0 {
-				want[i] = rng.Uint64() % (1 << width)
-			}
-			v.Append(want[i])
-		}
-		// Offsets chosen to start and end mid-word for every width, plus
-		// chunk-aligned ones for contrast.
+		want := randomCodes(rng, width, n)
+		v := FromWords(width, n, packRef(width, want))
 		spans := [][2]int{{0, n}, {1, n - 1}, {7, 200}, {63, 65}, {64, 128},
 			{65, 66}, {n - 1, n}, {13, 13}, {0, 0}, {n, n}}
 		for _, s := range spans {
 			got := v.DecodeRange(s[0], s[1], nil)
-			if len(got) != s[1]-s[0] {
-				t.Fatalf("w=%d [%d,%d): len %d", width, s[0], s[1], len(got))
-			}
-			for i, w := range got {
-				if w != want[s[0]+i] {
-					t.Fatalf("w=%d [%d,%d)[%d] = %d want %d", width, s[0], s[1], i, w, want[s[0]+i])
-				}
+			if !slices.Equal(got, want[s[0]:s[1]]) {
+				t.Fatalf("w=%d [%d,%d): got %v", width, s[0], s[1], got)
 			}
 		}
 	}
@@ -405,5 +277,215 @@ func TestDecodeRangePanics(t *testing.T) {
 			}()
 			v.DecodeRange(s[0], s[1], nil)
 		}()
+	}
+}
+
+// TestMakeZeroed: a vector fresh from Make is already at its length, holds
+// exactly ceil(n*width/64) zero words, and reads back as zeros through Get
+// and through DecodeRange into a dirty buffer.
+func TestMakeZeroed(t *testing.T) {
+	for width := uint(0); width <= WordBits; width++ {
+		for _, n := range []int{0, 1, 65, 1000} {
+			v := Make(width, n)
+			if v.Len() != n || v.Bits() != width {
+				t.Fatalf("width %d n %d: made %d x %d bits", width, n, v.Len(), v.Bits())
+			}
+			if got, want := len(v.Words()), len(packRef(width, make([]uint64, n))); got != want {
+				t.Fatalf("width %d n %d: %d words want %d", width, n, got, want)
+			}
+			for i, w := range v.Words() {
+				if w != 0 {
+					t.Fatalf("width %d n %d: word %d = %#x", width, n, i, w)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if c := v.Get(i); c != 0 {
+					t.Fatalf("width %d n %d: Get(%d)=%d", width, n, i, c)
+				}
+			}
+			dirty := make([]uint64, n)
+			for i := range dirty {
+				dirty[i] = ^uint64(0)
+			}
+			for i, c := range v.DecodeRange(0, n, dirty) {
+				if c != 0 {
+					t.Fatalf("width %d n %d: DecodeRange code %d = %d", width, n, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestEmptyVectors: the zero Vector and a vector of no codes at any width
+// hold no words, decode to nothing and accept a Packer at index 0.
+func TestEmptyVectors(t *testing.T) {
+	vs := []*Vector{{}}
+	for width := uint(0); width <= WordBits; width++ {
+		vs = append(vs, FromSlice(width, nil), Make(width, 0))
+	}
+	for _, v := range vs {
+		if v.Len() != 0 || len(v.Words()) != 0 || v.SizeBytes() != 0 {
+			t.Fatalf("width %d: empty vector has %d codes, %d words", v.Bits(), v.Len(), len(v.Words()))
+		}
+		if got := v.DecodeRange(0, 0, nil); len(got) != 0 {
+			t.Fatalf("width %d: DecodeRange(0,0)=%v", v.Bits(), got)
+		}
+		p := v.PackerAt(0)
+		p.Put(nil)
+		p.Flush()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("width %d: Get(0) on an empty vector did not panic", v.Bits())
+				}
+			}()
+			v.Get(0)
+		}()
+	}
+}
+
+// TestSizeBytes: the payload is 8 bytes per backing word — none at width 0,
+// however many codes.
+func TestSizeBytes(t *testing.T) {
+	for width := uint(0); width <= WordBits; width++ {
+		for _, n := range []int{0, 1, 63, 64, 65, 1 << 16} {
+			v := Make(width, n)
+			want := int((uint64(n)*uint64(width) + WordBits - 1) / WordBits * 8)
+			if v.SizeBytes() != want || v.SizeBytes() != 8*len(v.Words()) {
+				t.Fatalf("width %d n %d: SizeBytes=%d want %d", width, n, v.SizeBytes(), want)
+			}
+		}
+	}
+}
+
+// TestFromSliceMatchesOracle compares FromSlice's words with the oracle's at
+// every width 0..64.
+func TestFromSliceMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for width := uint(0); width <= WordBits; width++ {
+		for _, n := range []int{1, 64, 777} {
+			ref := randomCodes(rng, width, n)
+			if got := FromSlice(width, ref).Words(); !slices.Equal(got, packRef(width, ref)) {
+				t.Fatalf("width %d n %d: words differ from the oracle's", width, n)
+			}
+		}
+	}
+}
+
+// TestDecodeRangeMatchesGet checks the block decoder against the random-access
+// one over random spans at every width 0..64.
+func TestDecodeRangeMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for width := uint(0); width <= WordBits; width++ {
+		n := 500
+		v := FromWords(width, n, packRef(width, randomCodes(rng, width, n)))
+		buf := make([]uint64, 0, 64)
+		for k := 0; k < 50; k++ {
+			from := rng.Intn(n + 1)
+			to := from + rng.Intn(n-from+1)
+			if k == 0 {
+				from, to = 0, n
+			}
+			buf = v.DecodeRange(from, to, buf)
+			for i, c := range buf {
+				if want := v.Get(from + i); c != want {
+					t.Fatalf("width %d [%d,%d): code %d = %d, Get says %d", width, from, to, from+i, c, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPackerConcurrentChunks fills one vector from concurrent Packers, one per
+// word-aligned chunk as the merge's Step 2 does, and compares the words with
+// the oracle's.  Under -race it also shows no two chunks share a word.
+func TestPackerConcurrentChunks(t *testing.T) {
+	for width := uint(0); width <= WordBits; width++ {
+		rng := rand.New(rand.NewSource(int64(width) + 23))
+		n := 4096 + int(width)
+		ref := randomCodes(rng, width, n)
+		group := 1 // the fewest codes that fill whole words
+		for uint(group)*width%WordBits != 0 {
+			group++
+		}
+		bounds := []int{0}
+		for _, b := range []int{n / 4, n / 2, 3 * n / 4} {
+			bounds = append(bounds, b-b%group)
+		}
+		bounds = append(bounds, n)
+		v := Make(width, n)
+		var wg sync.WaitGroup
+		for i := 0; i+1 < len(bounds); i++ {
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				p := v.PackerAt(lo)
+				for ; lo < hi; lo += 64 {
+					p.Put(ref[lo:min(lo+64, hi)])
+				}
+				p.Flush()
+			}(bounds[i], bounds[i+1])
+		}
+		wg.Wait()
+		if !slices.Equal(v.Words(), packRef(width, ref)) {
+			t.Fatalf("width %d chunks %v: words differ from the oracle's", width, bounds)
+		}
+	}
+}
+
+// TestPackerFitCheckAllWidths: at every width the largest code fits and
+// reads back, and one more does not.
+func TestPackerFitCheckAllWidths(t *testing.T) {
+	for width := uint(0); width <= WordBits; width++ {
+		top := ^uint64(0)
+		if width < WordBits {
+			top = 1<<width - 1
+		}
+		v := Make(width, 2)
+		if v.MaxCode() != top {
+			t.Fatalf("width %d: MaxCode=%#x want %#x", width, v.MaxCode(), top)
+		}
+		p := v.PackerAt(0)
+		p.Put([]uint64{top})
+		p.Flush()
+		if got := v.Get(0); got != top {
+			t.Fatalf("width %d: Get(0)=%#x want %#x", width, got, top)
+		}
+		if width == WordBits {
+			continue
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("width %d: Put of %#x did not panic", width, top+1)
+				}
+			}()
+			p := Make(width, 2).PackerAt(1)
+			p.Put([]uint64{top + 1})
+		}()
+	}
+}
+
+// TestPackerResumesAtEveryOffset stops one Packer at every index and resumes
+// with a second from there, so the resume lands at every bit offset within a
+// word, and compares the words with the oracle's.
+func TestPackerResumesAtEveryOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, width := range []uint{1, 3, 7, 13, 31, 33, 63, 64} {
+		n := 130
+		ref := randomCodes(rng, width, n)
+		want := packRef(width, ref)
+		for i := 0; i <= n; i++ {
+			v := Make(width, n)
+			p := v.PackerAt(0)
+			p.Put(ref[:i])
+			p.Flush()
+			q := v.PackerAt(i)
+			q.Put(ref[i:])
+			q.Flush()
+			if !slices.Equal(v.Words(), want) {
+				t.Fatalf("width %d resumed at %d: words differ from the oracle's", width, i)
+			}
+		}
 	}
 }

@@ -43,22 +43,21 @@ func New[V val.Value](d *dict.Dict[V], codes *bitpack.Vector) *Main[V] {
 
 // Empty returns a main partition with no tuples and an empty dictionary.
 func Empty[V val.Value]() *Main[V] {
-	return &Main[V]{dict: dict.FromSorted[V](nil), codes: bitpack.New(0, 0)}
+	return &Main[V]{dict: dict.FromSorted[V](nil), codes: bitpack.Make(0, 0)}
 }
 
 // FromValues dictionary-compresses values into a main partition.
 func FromValues[V val.Value](values []V) *Main[V] {
 	d := dict.FromUnsorted(values)
-	bits := bitpack.MinBits(d.Len())
-	w := bitpack.NewWriter(bits, len(values))
-	for _, v := range values {
+	codes := make([]uint64, len(values))
+	for i, v := range values {
 		code, ok := d.Lookup(v)
 		if !ok {
 			panic("colstore: dictionary misses its own value")
 		}
-		w.Write(uint64(code))
+		codes[i] = uint64(code)
 	}
-	return &Main[V]{dict: d, codes: w.Vector()}
+	return &Main[V]{dict: d, codes: bitpack.FromSlice(bitpack.MinBits(d.Len()), codes)}
 }
 
 // Len returns the tuple count (N_M).
@@ -151,46 +150,9 @@ func (m *Main[V]) SelRangeIndexed(lo, hi V, dst []int32) []int32 {
 	return m.idx.Range(cLo, cHi, dst)
 }
 
-// ScanEqual appends to dst the positions whose value equals v.
-func (m *Main[V]) ScanEqual(v V, dst []int) []int {
-	return widen(m.SelEqual(v, nil), dst)
-}
-
-// ScanRange appends to dst the positions whose value lies in [lo, hi]
-// (inclusive).
-func (m *Main[V]) ScanRange(lo, hi V, dst []int) []int {
-	return widen(m.SelRange(lo, hi, nil), dst)
-}
-
-func widen(sel []int32, dst []int) []int {
-	for _, p := range sel {
-		dst = append(dst, int(p))
-	}
-	return dst
-}
-
-// CountEqual returns the number of tuples with value v.
-func (m *Main[V]) CountEqual(v V) int {
-	code, ok := m.LookupCode(v)
-	if !ok {
-		return 0
-	}
-	return kernel.CountEqual(m.codes, code, nil, nil, 0)
-}
-
 // SizeBytes returns payload memory: packed codes plus dictionary values.
 func (m *Main[V]) SizeBytes() int {
 	return m.codes.SizeBytes() + m.dict.SizeBytes()
-}
-
-// UncompressedSizeBytes returns what the column would occupy without
-// dictionary compression.
-func (m *Main[V]) UncompressedSizeBytes() int {
-	per := val.FixedSize[V]()
-	if per <= 0 {
-		per = 16
-	}
-	return per * m.codes.Len()
 }
 
 // FromParts assembles a main partition from the parts it exposes — the

@@ -2,11 +2,13 @@ package colstore
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hyrise/internal/bitpack"
 	"hyrise/internal/dict"
+	"hyrise/internal/kernel"
 	"hyrise/internal/val"
 )
 
@@ -48,50 +50,35 @@ func TestPaperExampleColumn(t *testing.T) {
 	}
 }
 
-func TestScanEqual(t *testing.T) {
+func TestSelEqual(t *testing.T) {
 	vals := []uint64{5, 1, 5, 9, 5, 1}
 	m := FromValues(vals)
-	got := m.ScanEqual(5, nil)
-	want := []int{0, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("ScanEqual=%v want %v", got, want)
+	if got, want := m.SelEqual(5, nil), []int32{0, 2, 4}; !slices.Equal(got, want) {
+		t.Fatalf("SelEqual=%v want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ScanEqual=%v want %v", got, want)
-		}
+	if got := m.SelEqual(7, nil); len(got) != 0 {
+		t.Fatalf("SelEqual(7)=%v want empty", got)
 	}
-	if got := m.ScanEqual(7, nil); len(got) != 0 {
-		t.Fatalf("ScanEqual(7)=%v want empty", got)
-	}
-	if n := m.CountEqual(1); n != 2 {
+	code, _ := m.LookupCode(1)
+	if n := kernel.CountEqual(m.Codes(), code, nil, nil, 0); n != 2 {
 		t.Fatalf("CountEqual(1)=%d want 2", n)
 	}
 }
 
-func TestScanRange(t *testing.T) {
+func TestSelRange(t *testing.T) {
 	vals := []uint64{10, 20, 30, 40, 50, 25}
 	m := FromValues(vals)
-	got := m.ScanRange(20, 40, nil)
-	want := []int{1, 2, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("ScanRange=%v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ScanRange=%v want %v", got, want)
-		}
+	if got, want := m.SelRange(20, 40, nil), []int32{1, 2, 3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("SelRange=%v want %v", got, want)
 	}
 	// Bounds not present in the data still select correctly.
-	got = m.ScanRange(11, 39, nil)
-	want = []int{1, 2, 5}
-	if len(got) != len(want) {
-		t.Fatalf("ScanRange(11,39)=%v want %v", got, want)
+	if got, want := m.SelRange(11, 39, nil), []int32{1, 2, 5}; !slices.Equal(got, want) {
+		t.Fatalf("SelRange(11,39)=%v want %v", got, want)
 	}
-	if got := m.ScanRange(60, 70, nil); len(got) != 0 {
+	if got := m.SelRange(60, 70, nil); len(got) != 0 {
 		t.Fatalf("empty range returned %v", got)
 	}
-	if got := m.ScanRange(40, 20, nil); len(got) != 0 {
+	if got := m.SelRange(40, 20, nil); len(got) != 0 {
 		t.Fatalf("inverted range returned %v", got)
 	}
 }
@@ -101,7 +88,7 @@ func TestEmpty(t *testing.T) {
 	if m.Len() != 0 || m.Dict().Len() != 0 {
 		t.Fatal("Empty not empty")
 	}
-	if got := m.ScanEqual(1, nil); len(got) != 0 {
+	if got := m.SelEqual(1, nil); len(got) != 0 {
 		t.Fatal("scan on empty found rows")
 	}
 	if err := m.Validate(); err != nil {
@@ -120,7 +107,7 @@ func TestCompression(t *testing.T) {
 	if m.Bits() != 7 {
 		t.Fatalf("Bits=%d want 7", m.Bits())
 	}
-	ratio := float64(m.UncompressedSizeBytes()) / float64(m.SizeBytes())
+	ratio := float64(8*len(vals)) / float64(m.SizeBytes())
 	if ratio < 5 {
 		t.Fatalf("compression ratio %.1f too low", ratio)
 	}
@@ -133,7 +120,7 @@ func TestNewPanicsOnNarrowCodes(t *testing.T) {
 		}
 	}()
 	d := dict.FromSorted([]uint64{1, 2, 3, 4, 5})
-	New(d, bitpack.New(2, 0)) // 2 bits cannot address 5 entries
+	New(d, bitpack.Make(2, 0)) // 2 bits cannot address 5 entries
 }
 
 func TestQuickRoundTrip(t *testing.T) {
@@ -233,7 +220,7 @@ func TestQuickFromPartsNeverPanics(t *testing.T) {
 	}
 }
 
-func BenchmarkScanEqual(b *testing.B) {
+func BenchmarkSelEqual(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]uint64, 1<<20)
 	for i := range vals {
@@ -241,9 +228,9 @@ func BenchmarkScanEqual(b *testing.B) {
 	}
 	m := FromValues(vals)
 	b.ResetTimer()
-	var dst []int
+	var dst []int32
 	for i := 0; i < b.N; i++ {
-		dst = m.ScanEqual(500, dst[:0])
+		dst = m.SelEqual(500, dst[:0])
 	}
 }
 

@@ -36,12 +36,12 @@ func sameMain(t *testing.T, got, want *colstore.Main[uint64]) {
 	}
 }
 
-// gcCase runs MergeColumnGC single-threaded and with several thread counts
+// gcCase runs MergeColumnDrop single-threaded and with several thread counts
 // over the same inputs and asserts identical outputs.
 func gcCase(t *testing.T, mainVals, deltaVals []uint64, drop []bool) {
 	t.Helper()
 	m, d := buildColumn(mainVals, deltaVals)
-	want, wantSt := MergeColumnGC(m, d, drop, Options{Threads: 1})
+	want, wantSt := MergeColumnDrop(m, d, NewDrop(drop, m.Len()+d.Len()), Options{Threads: 1})
 	if err := want.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func gcCase(t *testing.T, mainVals, deltaVals []uint64, drop []bool) {
 		t.Fatalf("serial GC merge kept %d of %d-%d", want.Len(), len(mainVals)+len(deltaVals), dropped)
 	}
 	for _, nt := range []int{2, 3, 4, 8} {
-		got, st := MergeColumnGC(m, d, drop, Options{Threads: nt})
+		got, st := MergeColumnDrop(m, d, NewDrop(drop, m.Len()+d.Len()), Options{Threads: nt})
 		sameMain(t, got, want)
 		if st.Dropped != wantSt.Dropped {
 			t.Fatalf("nt=%d: Dropped=%d want %d", nt, st.Dropped, wantSt.Dropped)
@@ -141,7 +141,7 @@ func TestParallelGCMergeEdgeMasks(t *testing.T) {
 		}
 		m, d := buildColumn(mainVals, deltaVals)
 		for _, nt := range []int{1, 4} {
-			out, st := MergeColumnGC(m, d, drop, Options{Threads: nt})
+			out, st := MergeColumnDrop(m, d, NewDrop(drop, m.Len()+d.Len()), Options{Threads: nt})
 			if out.Len() != 0 || st.Dropped != nm+nd {
 				t.Fatalf("nt=%d: len=%d dropped=%d", nt, out.Len(), st.Dropped)
 			}
@@ -175,7 +175,7 @@ func TestParallelGCMergeDictShrinks(t *testing.T) {
 	}
 	gcCase(t, mainVals, []uint64{1500, 501}, drop)
 	m, d := buildColumn(mainVals, []uint64{1500, 501})
-	out, _ := MergeColumnGC(m, d, drop, Options{Threads: 4})
+	out, _ := MergeColumnDrop(m, d, NewDrop(drop, m.Len()+d.Len()), Options{Threads: 4})
 	for _, v := range out.Dict().Values() {
 		if v < 500 {
 			t.Fatalf("dropped-only value %d survived in dictionary", v)

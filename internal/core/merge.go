@@ -13,15 +13,16 @@
 //     CSB+ leaf traversal; Step 1(b) additionally emits the translation
 //     tables X_M and X_D; Step 2 becomes a table lookup per tuple
 //     (Equation 11) — O(N_M + N_D + |U_M| + |U_D|) (Equation 6).
-//   - Either variant runs single-threaded or parallelized (§6.2):
-//     Step 1(b) uses the three-phase co-ranked merge, Step 2 splits the
-//     output into word-aligned chunks processed by independent goroutines.
+//   - Either variant runs single-threaded or parallelized (§6.2): the
+//     optimized Step 1(b) uses the three-phase co-ranked merge, and Step 2
+//     splits the output into word-aligned chunks processed by independent
+//     goroutines.
 //
-// The optimized Step 2 exists once (step2): for a range of input positions
-// it block-decodes the main's codes, maps each through one table, and packs
-// the results through a register accumulator that stores a word at a time.
-// The serial merge calls it over the whole column, the parallel merge once
-// per word-aligned output chunk.
+// Each variant's Step 2 exists once, as a chunk body: it block-decodes the
+// main's codes, translates each — the optimized step2 through one table,
+// the naive one through the old dictionary and a binary search of the new —
+// and packs the results through a bitpack.Packer, which stores a word at a
+// time.  A serial merge runs it over the whole column as one chunk.
 //
 // A garbage-collecting merge (MergeColumnDrop) is the same algorithm with a
 // Drop: Step 1(b) first finds the dictionary values no surviving tuple
@@ -77,8 +78,8 @@ func (a Algorithm) String() string {
 type Options struct {
 	// Algorithm selects Naive or Optimized; the zero value is Optimized.
 	Algorithm Algorithm
-	// Threads is the number of worker goroutines N_T; values <= 1 select
-	// the serial implementation, 0 means runtime.GOMAXPROCS(0).
+	// Threads is the number of worker goroutines N_T; values <= 1 run the
+	// merge on the caller's goroutine, 0 means runtime.GOMAXPROCS(0).
 	Threads int
 }
 
@@ -172,13 +173,6 @@ func MergeColumnDrop[V val.Value](m *colstore.Main[V], d *delta.Partition[V], dr
 	return mergeOptimized(m, d, drop, nt, &st), st
 }
 
-// MergeColumnGC is MergeColumnDrop for a caller holding only a mask: mask
-// is indexed like the merged output (main tuples first, then delta tuples),
-// positions beyond its length are kept.
-func MergeColumnGC[V val.Value](m *colstore.Main[V], d *delta.Partition[V], mask []bool, opts Options) (*colstore.Main[V], Stats) {
-	return MergeColumnDrop(m, d, NewDrop(mask, m.Len()+d.Len()), opts)
-}
-
 func valueBytes[V val.Value]() int {
 	if n := val.FixedSize[V](); n > 0 {
 		return n
@@ -245,17 +239,16 @@ func mergeOptimized[V val.Value](m *colstore.Main[V], d *delta.Partition[V], dro
 	// The output is split at word-aligned boundaries; a chunk's input range
 	// runs from its first survivor to the next chunk's.
 	t0 = time.Now()
-	w := bitpack.NewWriter(bits, outTotal)
+	out := bitpack.Make(bits, outTotal)
 	bounds := []int{0, outTotal}
 	if nt > 1 && total >= parallelStep2Threshold {
 		bounds = alignedChunks(bits, outTotal, nt)
 	}
 	parallelFor(bounds, func(lo, hi int) {
-		step2(m.Codes(), deltaCodes, tabM, tabD, drop.Mask, drop.survivor(lo), drop.survivor(hi), w.PackerAt(lo))
+		step2(m.Codes(), deltaCodes, tabM, tabD, drop.Mask, drop.survivor(lo), drop.survivor(hi), out.PackerAt(lo))
 	})
-	w.SetLen(outTotal)
 	st.Step2 = time.Since(t0)
-	return colstore.New(res.Merged, w.Vector())
+	return colstore.New(res.Merged, out)
 }
 
 // step2Block is how many codes step2 decodes, translates and packs at a
@@ -319,11 +312,16 @@ func mergeNaive[V val.Value](m *colstore.Main[V], d *delta.Partition[V], nt int,
 	bits := bitpack.MinBits(merged.Len())
 	st.BitsAfter = bits
 
-	// Step 2(b): per-tuple binary search (Equation 5).
+	// Step 2(b): per-tuple materialization and binary search (Equation 5),
+	// over the same word-aligned output chunks as the optimized Step 2.
 	t0 = time.Now()
-	total := m.Len() + d.Len()
-	w := bitpack.NewWriter(bits, total)
-	oldDict := m.Dict()
+	nm, total := m.Len(), m.Len()+d.Len()
+	out := bitpack.Make(bits, total)
+	bounds := []int{0, total}
+	if nt > 1 && total >= parallelStep2Threshold {
+		bounds = alignedChunks(bits, total, nt)
+	}
+	oldDict, deltaVals := m.Dict(), d.Values()
 	lookup := func(v V) uint64 {
 		c, ok := merged.Lookup(v)
 		if !ok {
@@ -331,35 +329,29 @@ func mergeNaive[V val.Value](m *colstore.Main[V], d *delta.Partition[V], nt int,
 		}
 		return uint64(c)
 	}
-	if nt > 1 && total >= parallelStep2Threshold {
-		parallelFor(alignedChunks(bits, total, nt), func(lo, hi int) {
-			nm := m.Len()
-			if lo < nm {
-				r := m.Codes().ReaderAt(lo)
-				end := hi
-				if end > nm {
-					end = nm
+	parallelFor(bounds, func(lo, hi int) {
+		p := out.PackerAt(lo)
+		var buf [step2Block]uint64
+		for i := lo; i < hi; {
+			var blk []uint64
+			if i < nm {
+				blk = m.Codes().DecodeRange(i, min(i+step2Block, hi, nm), buf[:])
+				for j, c := range blk {
+					blk[j] = lookup(oldDict.At(int(c)))
 				}
-				for i := lo; i < end; i++ {
-					w.WriteAt(i, lookup(oldDict.At(int(r.Next()))))
+			} else {
+				blk = buf[:min(step2Block, hi-i)]
+				for j, v := range deltaVals[i-nm : i-nm+len(blk)] {
+					blk[j] = lookup(v)
 				}
 			}
-			for i := max(lo, nm); i < hi; i++ {
-				w.WriteAt(i, lookup(d.Get(i-nm)))
-			}
-		})
-		w.SetLen(total)
-	} else {
-		r := m.Codes().Reader()
-		for i := 0; i < m.Len(); i++ {
-			w.Write(lookup(oldDict.At(int(r.Next()))))
+			p.Put(blk)
+			i += len(blk)
 		}
-		for i := 0; i < d.Len(); i++ {
-			w.Write(lookup(d.Get(i)))
-		}
-	}
+		p.Flush()
+	})
 	st.Step2 = time.Since(t0)
-	return colstore.New(merged, w.Vector())
+	return colstore.New(merged, out)
 }
 
 const (
@@ -373,7 +365,7 @@ const (
 
 // alignedChunks partitions [0, total) into at most nt ranges whose
 // boundaries land on 64-bit word boundaries of the packed output, so
-// concurrent WriteAt calls never touch the same word.
+// concurrent Packers never touch the same word.
 func alignedChunks(bits uint, total, nt int) []int {
 	group := 1
 	if bits != 0 {

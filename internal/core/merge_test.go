@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -126,9 +127,11 @@ func TestMergeAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// TestMergeParallelLarge runs both variants above both parallel thresholds,
+// so the chunked Step 2 and the three-phase Step 1(b) actually run: at every
+// thread count each must build the serial optimized merge's dictionary and
+// packed words, word for word.
 func TestMergeParallelLarge(t *testing.T) {
-	// Above both parallel thresholds so the chunked Step 2 and three-phase
-	// Step 1(b) actually run.
 	rng := rand.New(rand.NewSource(5))
 	nm, nd := 200000, 40000
 	mv := make([]uint64, nm)
@@ -143,15 +146,11 @@ func TestMergeParallelLarge(t *testing.T) {
 	ref, st := MergeColumn(m, d, Options{Threads: 1})
 	checkMerged(t, ref, mv, dv, st)
 	for _, alg := range []Algorithm{Optimized, Naive} {
-		out, st := MergeColumn(m, d, Options{Algorithm: alg, Threads: 8})
-		checkMerged(t, out, mv, dv, st)
-		if out.Bits() != ref.Bits() {
-			t.Fatalf("bits %d want %d", out.Bits(), ref.Bits())
-		}
-		for _, i := range []int{0, 1, nm - 1, nm, nm + nd - 1} {
-			if out.At(i) != ref.At(i) {
-				t.Fatalf("%v: mismatch at %d", alg, i)
-			}
+		for _, nt := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%v/threads=%d", alg, nt), func(t *testing.T) {
+				out, _ := MergeColumn(m, d, Options{Algorithm: alg, Threads: nt})
+				identicalMain(t, out, ref)
+			})
 		}
 	}
 }

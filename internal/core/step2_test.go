@@ -14,19 +14,20 @@ import (
 
 // mergeColumnGCRef is the scalar garbage-collecting merge the block kernel
 // replaced, kept as the reference the kernel is pinned to: a census pass
-// that decodes every tuple to mark the codes survivors use, two dependent
-// lookups per tuple (remap, then translation table) and one checked
-// Writer.Write per survivor.  Positions beyond the mask are kept.
+// over the main's codes read one Get at a time that marks the codes
+// survivors use, two dependent lookups per tuple (remap, then translation
+// table) and the survivors' codes packed bit by bit by packBits.  Positions
+// beyond the mask are kept.
 func mergeColumnGCRef(m *colstore.Main[uint64], d *delta.Partition[uint64], drop []bool) *colstore.Main[uint64] {
 	at := func(i int) bool { return i < len(drop) && drop[i] }
 	dictD, deltaCodes := d.ExtractDict()
-	nm := m.Len()
+	mainCodes := codesOf(m.Codes())
+	nm := len(mainCodes)
 	usedM := make([]bool, m.Dict().Len())
 	usedD := make([]bool, dictD.Len())
 	kept := 0
-	r := m.Codes().Reader()
-	for i := 0; i < nm; i++ {
-		if code := r.Next(); !at(i) {
+	for i, code := range mainCodes {
+		if !at(i) {
 			usedM[code] = true
 			kept++
 		}
@@ -54,19 +55,40 @@ func mergeColumnGCRef(m *colstore.Main[uint64], d *delta.Partition[uint64], drop
 	if kept == 0 {
 		return colstore.Empty[uint64]()
 	}
-	w := bitpack.NewWriter(bitpack.MinBits(res.Merged.Len()), kept)
-	r = m.Codes().Reader()
-	for i := 0; i < nm; i++ {
-		if code := r.Next(); !at(i) {
-			w.Write(uint64(res.XM[remapM[code]]))
+	out := make([]uint64, 0, kept)
+	for i, code := range mainCodes {
+		if !at(i) {
+			out = append(out, uint64(res.XM[remapM[code]]))
 		}
 	}
 	for j, dc := range deltaCodes {
 		if !at(nm + j) {
-			w.Write(uint64(res.XD[remapD[dc]]))
+			out = append(out, uint64(res.XD[remapD[dc]]))
 		}
 	}
-	return colstore.New(res.Merged, w.Vector())
+	return colstore.New(res.Merged, packBits(bitpack.MinBits(res.Merged.Len()), out))
+}
+
+// codesOf reads every code of v with Get.
+func codesOf(v *bitpack.Vector) []uint64 {
+	codes := make([]uint64, v.Len())
+	for i := range codes {
+		codes[i] = v.Get(i)
+	}
+	return codes
+}
+
+// packBits is the oracle for bitpack.Packer: it sets each code's bits one
+// at a time into exactly ceil(len*width/64) zeroed words.
+func packBits(width uint, codes []uint64) *bitpack.Vector {
+	words := make([]uint64, (uint64(len(codes))*uint64(width)+63)/64)
+	for i, c := range codes {
+		for b := uint(0); b < width; b++ {
+			pos := uint64(i)*uint64(width) + uint64(b)
+			words[pos/64] |= (c >> b & 1) << (pos % 64)
+		}
+	}
+	return bitpack.FromWords(width, len(codes), words)
 }
 
 // identicalMain asserts byte identity: same dictionary values, same width,
@@ -111,7 +133,7 @@ func (c step2Case) build(rng *rand.Rand) (*colstore.Main[uint64], *delta.Partiti
 	}
 	m, d := buildColumn(mv, dv)
 	if c.widen > 0 {
-		m = colstore.New(m.Dict(), bitpack.FromSlice(m.Bits()+c.widen, m.Codes().Decode(nil)))
+		m = colstore.New(m.Dict(), packBits(m.Bits()+c.widen, codesOf(m.Codes())))
 	}
 	var mask []bool
 	switch c.maskKind {
@@ -132,7 +154,7 @@ func (c step2Case) build(rng *rand.Rand) (*colstore.Main[uint64], *delta.Partiti
 	return m, d, mask
 }
 
-// check pins MergeColumnGC to the scalar reference at Threads 1, 2 and 7,
+// check pins MergeColumnDrop to the scalar reference at Threads 1, 2 and 7,
 // and every output to the invariants the next merge and a snapshot load
 // presume (colstore.Main.Validate).
 func (c step2Case) check(t *testing.T, rng *rand.Rand) {
@@ -140,7 +162,7 @@ func (c step2Case) check(t *testing.T, rng *rand.Rand) {
 	m, d, mask := c.build(rng)
 	want := mergeColumnGCRef(m, d, mask)
 	for _, nt := range []int{1, 2, 7} {
-		got, st := MergeColumnGC(m, d, mask, Options{Threads: nt})
+		got, st := MergeColumnDrop(m, d, NewDrop(mask, c.nm+c.nd), Options{Threads: nt})
 		identicalMain(t, got, want)
 		if err := got.Validate(); err != nil {
 			t.Fatalf("%v nt=%d: %v", c, nt, err)
@@ -183,22 +205,21 @@ func TestMergeGCDifferential(t *testing.T) {
 // nt workers whatever the size, and serially.
 func step2Chunked(codes *bitpack.Vector, deltaCodes, tabM, tabD []uint32, drop Drop, bits uint, nt int) *bitpack.Vector {
 	outTotal := codes.Len() + len(deltaCodes) - len(drop.Pos)
-	w := bitpack.NewWriter(bits, outTotal)
+	out := bitpack.Make(bits, outTotal)
 	bounds := alignedChunks(bits, outTotal, nt)
 	// Last chunk first: chunks must not depend on their neighbours.
 	for k := len(bounds) - 2; k >= 0; k-- {
 		lo, hi := bounds[k], bounds[k+1]
-		step2(codes, deltaCodes, tabM, tabD, drop.Mask, drop.survivor(lo), drop.survivor(hi), w.PackerAt(lo))
+		step2(codes, deltaCodes, tabM, tabD, drop.Mask, drop.survivor(lo), drop.survivor(hi), out.PackerAt(lo))
 	}
-	w.SetLen(outTotal)
-	return w.Vector()
+	return out
 }
 
 // TestStep2KernelDifferential drives the kernel alone over every pair of
 // input and output width in 0..32 — so codes straddle word boundaries on
 // both sides at every phase — with random, empty, full and absent masks,
 // split at every alignedChunks boundary for 1, 2 and 7 workers, against a
-// Reader.Next / table / Writer.Write loop.
+// Get / table loop whose codes packBits packs.
 func TestStep2KernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const nm, nd = 2*step2Block + 77, step2Block + 5
@@ -208,10 +229,11 @@ func TestStep2KernelDifferential(t *testing.T) {
 			if inBits > 0 {
 				cardIn = max(cardIn, 2)
 			}
-			codes := bitpack.New(inBits, nm)
-			for i := 0; i < nm; i++ {
-				codes.Append(uint64(rng.Intn(cardIn)))
+			in := make([]uint64, nm)
+			for i := range in {
+				in[i] = uint64(rng.Intn(cardIn))
 			}
+			codes := packBits(inBits, in)
 			deltaCodes := make([]uint32, nd)
 			for i := range deltaCodes {
 				deltaCodes[i] = uint32(rng.Intn(50))
@@ -232,23 +254,21 @@ func TestStep2KernelDifferential(t *testing.T) {
 					}
 					drop = NewDrop(mask, nm+nd)
 				}
-				want := bitpack.NewWriter(outBits, nm+nd-len(drop.Pos))
-				r := codes.Reader()
+				var out []uint64
 				for i := 0; i < nm+nd; i++ {
-					c := tabD
-					code := uint64(0)
-					if i < nm {
-						c, code = tabM, r.Next()
-					} else {
-						code = uint64(deltaCodes[i-nm])
+					if drop.Mask != nil && drop.Mask[i] {
+						continue
 					}
-					if drop.Mask == nil || !drop.Mask[i] {
-						want.Write(uint64(c[code]))
+					if i < nm {
+						out = append(out, uint64(tabM[codes.Get(i)]))
+					} else {
+						out = append(out, uint64(tabD[deltaCodes[i-nm]]))
 					}
 				}
+				want := packBits(outBits, out)
 				for _, nt := range []int{1, 2, 7} {
 					got := step2Chunked(codes, deltaCodes, tabM, tabD, drop, outBits, nt)
-					if got.Len() != want.Vector().Len() || !slices.Equal(got.Words(), want.Vector().Words()) {
+					if got.Len() != want.Len() || !slices.Equal(got.Words(), want.Words()) {
 						t.Fatalf("in=%d out=%d mask kind %d nt=%d: packed words differ", inBits, outBits, kind, nt)
 					}
 				}

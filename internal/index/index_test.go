@@ -108,11 +108,7 @@ func TestBucketOutOfRange(t *testing.T) {
 
 func TestZeroWidthVector(t *testing.T) {
 	// A single-value dictionary packs at zero bits; every row is code 0.
-	v := bitpack.New(0, 0)
-	for i := 0; i < 10; i++ {
-		v.Append(0)
-	}
-	p := Build(v, 1)
+	p := Build(bitpack.Make(0, 10), 1)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

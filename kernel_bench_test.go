@@ -1,15 +1,15 @@
 // BenchmarkScanKernel and BenchmarkParallelMerge are the perf-trajectory
 // artifacts behind BENCH_kernels.json.
 //
-// BenchmarkScanKernel compares the pre-kernel scalar scan (a sequential
-// bitpack.Reader decode with a per-row compare — exactly what
-// colstore.Main.ScanEqual did before internal/kernel) against the
-// word-at-a-time SWAR kernels on 8/16/32-bit packed columns, for both a
-// sparse equality needle and a ~10% range predicate.  The acceptance bar
-// is >= 2x single-thread throughput on the 8- and 16-bit columns.
+// BenchmarkScanKernel compares the scalar scan (a per-row bitpack.Vector.Get
+// with a per-row compare — the row-at-a-time path internal/kernel exists to
+// avoid) against the word-at-a-time SWAR kernels on 8/16/32-bit packed
+// columns, for both a sparse equality needle and a ~10% range predicate.
+// The acceptance bar is >= 2x single-thread throughput on the 8- and 16-bit
+// columns.
 //
 // BenchmarkParallelMerge measures the range-partitioned garbage-collecting
-// merge (core.MergeColumnGC) on one oversized column — the single-shard
+// merge (core.MergeColumnDrop) on one oversized column — the single-shard
 // compaction bottleneck — with 1/4/8 worker threads and a ~30% drop mask,
 // plus a store-level RequestMerge over 1/4/8 shards with intra-column threads.
 // Every sub-benchmark reports a "cpus" metric (GOMAXPROCS): thread counts
@@ -53,9 +53,8 @@ func BenchmarkScanKernel(b *testing.B) {
 			b.SetBytes(n)
 			for i := 0; i < b.N; i++ {
 				cnt := 0
-				r := v.Reader()
 				for j := 0; j < n; j++ {
-					if r.Next() == needle {
+					if v.Get(j) == needle {
 						cnt++
 					}
 				}
@@ -74,9 +73,8 @@ func BenchmarkScanKernel(b *testing.B) {
 			b.SetBytes(n)
 			for i := 0; i < b.N; i++ {
 				cnt := 0
-				r := v.Reader()
 				for j := 0; j < n; j++ {
-					if c := r.Next(); c >= lo && c < hi {
+					if c := v.Get(j); c >= lo && c < hi {
 						cnt++
 					}
 				}
@@ -111,16 +109,17 @@ func BenchmarkParallelMerge(b *testing.B) {
 		for i := 0; i < n/8; i++ {
 			d.Insert(rng.Uint64() % card)
 		}
-		drop := make([]bool, n+n/8)
-		for i := range drop {
-			drop[i] = rng.Float64() < 0.3
+		mask := make([]bool, n+n/8)
+		for i := range mask {
+			mask[i] = rng.Float64() < 0.3
 		}
+		drop := core.NewDrop(mask, n+n/8)
 		for _, nt := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("core/dict=%d/threads=%d", card, nt), func(b *testing.B) {
 				b.SetBytes(n + n/8)
 				var st core.Stats
 				for i := 0; i < b.N; i++ {
-					_, st = core.MergeColumnGC(m, d, drop, core.Options{Threads: nt})
+					_, st = core.MergeColumnDrop(m, d, drop, core.Options{Threads: nt})
 				}
 				b.ReportMetric(float64(st.BitsAfter), "bits")
 				b.ReportMetric(float64(st.Dropped), "dropped")
