@@ -1,6 +1,6 @@
 // Package client is the Go client for the hyrise network server
 // (internal/server, cmd/hyrised): a connection-pooled, pipelining client
-// exposing the full Store surface — inserts, insert-only updates and
+// exposing every table operation — inserts, insert-only updates and
 // deletes, typed reads, aggregates, conjunctive queries, snapshot capture
 // with pinned-snapshot reads, statistics and merge control — over the
 // length-prefixed binary protocol of hyrise/internal/wire.

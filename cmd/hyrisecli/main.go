@@ -26,7 +26,7 @@ import (
 )
 
 type shell struct {
-	tables map[string]hyrise.Store
+	tables map[string]*hyrise.Table
 	snaps  map[string]hyrise.ReadView // last captured snapshot per table
 	shards int                        // shard count for newly created tables
 	out    *bufio.Writer
@@ -35,7 +35,7 @@ type shell struct {
 func main() {
 	shards := flag.Int("shards", 1, "hash-partition created tables across N shards (keyed by the first column)")
 	flag.Parse()
-	sh := &shell{tables: map[string]hyrise.Store{}, snaps: map[string]hyrise.ReadView{},
+	sh := &shell{tables: map[string]*hyrise.Table{}, snaps: map[string]hyrise.ReadView{},
 		shards: *shards, out: bufio.NewWriter(os.Stdout)}
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
@@ -130,7 +130,7 @@ are cross-shard consistent.
 `)
 }
 
-func (s *shell) table(name string) (hyrise.Store, error) {
+func (s *shell) table(name string) (*hyrise.Table, error) {
 	t, ok := s.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("no table %q", name)
@@ -171,7 +171,7 @@ func (s *shell) create(args []string) error {
 	return nil
 }
 
-func (s *shell) parseValue(t hyrise.Store, col int, raw string) (any, error) {
+func (s *shell) parseValue(t *hyrise.Table, col int, raw string) (any, error) {
 	switch t.Schema()[col].Type {
 	case hyrise.Uint32:
 		v, err := strconv.ParseUint(raw, 10, 32)
@@ -281,7 +281,7 @@ func (s *shell) view(name string, args []string, n int) (hyrise.ReadView, []stri
 // on the table previously bound to the name: a ReadView's epoch is only
 // meaningful against the clock of the store that captured it.  The old
 // view's GC pin is released with it.
-func (s *shell) setTable(name string, t hyrise.Store) {
+func (s *shell) setTable(name string, t *hyrise.Table) {
 	s.tables[name] = t
 	if v, ok := s.snaps[name]; ok {
 		v.Release()
@@ -329,7 +329,7 @@ func (s *shell) lookup(args []string) error {
 }
 
 // lookupTyped probes the column through the unified handle.
-func lookupTyped[V hyrise.Value](t hyrise.Store, view hyrise.ReadView, col string, v V) ([]int, error) {
+func lookupTyped[V hyrise.Value](t *hyrise.Table, view hyrise.ReadView, col string, v V) ([]int, error) {
 	h, err := hyrise.ColumnOf[V](t, col)
 	if err != nil {
 		return nil, err
@@ -337,7 +337,7 @@ func lookupTyped[V hyrise.Value](t hyrise.Store, view hyrise.ReadView, col strin
 	return h.LookupAt(view, v), nil
 }
 
-func lookupAny(t hyrise.Store, view hyrise.ReadView, col, raw string) ([]int, error) {
+func lookupAny(t *hyrise.Table, view hyrise.ReadView, col, raw string) ([]int, error) {
 	for _, def := range t.Schema() {
 		if def.Name != col {
 			continue
@@ -374,22 +374,49 @@ func (s *shell) rng(args []string) error {
 	if err != nil {
 		return err
 	}
-	lo, err := strconv.ParseUint(args[2], 10, 64)
+	rows, err := rangeAny(t, view, args[1], args[2], args[3])
 	if err != nil {
 		return err
 	}
-	hi, err := strconv.ParseUint(args[3], 10, 64)
-	if err != nil {
-		return err
-	}
-	h, err := hyrise.ColumnOf[uint64](t, args[1])
-	if err != nil {
-		return err
-	}
-	return s.printRows(t, h.RangeAt(view, lo, hi))
+	return s.printRows(t, rows)
 }
 
-func (s *shell) printRows(t hyrise.Store, rows []int) error {
+// rangeTyped parses the bounds at the column's width and range-selects
+// through the unified handle.
+func rangeTyped[V interface{ ~uint32 | ~uint64 }](t *hyrise.Table, view hyrise.ReadView, col, rawLo, rawHi string, bits int) ([]int, error) {
+	lo, err := strconv.ParseUint(rawLo, 10, bits)
+	if err != nil {
+		return nil, err
+	}
+	hi, err := strconv.ParseUint(rawHi, 10, bits)
+	if err != nil {
+		return nil, err
+	}
+	h, err := hyrise.ColumnOf[V](t, col)
+	if err != nil {
+		return nil, err
+	}
+	return h.RangeAt(view, V(lo), V(hi)), nil
+}
+
+func rangeAny(t *hyrise.Table, view hyrise.ReadView, col, lo, hi string) ([]int, error) {
+	for _, def := range t.Schema() {
+		if def.Name != col {
+			continue
+		}
+		switch def.Type {
+		case hyrise.Uint32:
+			return rangeTyped[uint32](t, view, col, lo, hi, 32)
+		case hyrise.Uint64:
+			return rangeTyped[uint64](t, view, col, lo, hi, 64)
+		default:
+			return nil, fmt.Errorf("range needs a numeric column")
+		}
+	}
+	return nil, fmt.Errorf("no column %q", col)
+}
+
+func (s *shell) printRows(t *hyrise.Table, rows []int) error {
 	for _, r := range rows {
 		vals, err := t.Row(r)
 		if err != nil {
@@ -438,7 +465,7 @@ func (s *shell) sum(args []string) error {
 	return fmt.Errorf("no column %q", args[1])
 }
 
-func sumTyped[V interface{ ~uint32 | ~uint64 }](t hyrise.Store, view hyrise.ReadView, col string) (uint64, error) {
+func sumTyped[V interface{ ~uint32 | ~uint64 }](t *hyrise.Table, view hyrise.ReadView, col string) (uint64, error) {
 	h, err := hyrise.NumericColumnOf[V](t, col)
 	if err != nil {
 		return 0, err

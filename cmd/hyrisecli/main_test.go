@@ -13,12 +13,12 @@ import (
 
 func newShell() (*shell, *bytes.Buffer) {
 	var buf bytes.Buffer
-	return &shell{tables: map[string]hyrise.Store{}, shards: 1, out: bufio.NewWriter(&buf)}, &buf
+	return &shell{tables: map[string]*hyrise.Table{}, shards: 1, out: bufio.NewWriter(&buf)}, &buf
 }
 
 func newShardedShell(shards int) (*shell, *bytes.Buffer) {
 	var buf bytes.Buffer
-	return &shell{tables: map[string]hyrise.Store{}, shards: shards, out: bufio.NewWriter(&buf)}, &buf
+	return &shell{tables: map[string]*hyrise.Table{}, shards: shards, out: bufio.NewWriter(&buf)}, &buf
 }
 
 func run(t *testing.T, sh *shell, buf *bytes.Buffer, lines ...string) string {
@@ -152,14 +152,20 @@ func TestShellUpdateDelete(t *testing.T) {
 func TestShellRange(t *testing.T) {
 	sh, buf := newShell()
 	out := run(t, sh, buf,
-		"create t a:uint64",
-		"insert t 10",
-		"insert t 20",
-		"insert t 30",
+		"create t a:uint64 q:uint32 s:string",
+		"insert t 10 5 x",
+		"insert t 20 6 y",
+		"insert t 30 50 z",
 		"range t a 15 30",
+		"range t q 1 10",
 	)
-	if !strings.Contains(out, "2 row(s)") {
-		t.Errorf("range output:\n%s", out)
+	if strings.Count(out, "2 row(s)") != 2 {
+		t.Errorf("range output (uint64 and uint32 columns, 2 rows each):\n%s", out)
+	}
+	for _, line := range []string{"range t s a z", "range t q 1 4294967296", "range t nope 1 2"} {
+		if err := sh.exec(line); err == nil {
+			t.Errorf("%q: expected error", line)
+		}
 	}
 }
 

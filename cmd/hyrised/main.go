@@ -1,5 +1,5 @@
 // Command hyrised is the standalone hyrise database server: it owns one
-// table, serves the full Store surface to network
+// table, serves every table operation to network
 // clients over the length-prefixed binary protocol (see internal/server),
 // and keeps delta fractions bounded with a background merge scheduler
 // while traffic flows.

@@ -8,8 +8,8 @@ import (
 	"hyrise"
 )
 
-// TestStoreGCAcceptance is the PR acceptance loop run through the unified
-// Store surface on both topologies: under a sustained 100% update workload
+// TestStoreGCAcceptance is the acceptance loop run through the public
+// Table API on both topologies: under a sustained 100% update workload
 // with no pinned views, StoreStats.Rows - ValidRows and SizeBytes stay
 // bounded across >= 10 merge cycles, while a pinned view captured mid-run
 // still reads its exact original row set afterwards — and reclaimed ids
@@ -25,18 +25,18 @@ func TestStoreGCAcceptance(t *testing.T) {
 	parallel := func(shards int) hyrise.MergeOptions { return hyrise.MergeOptions{Threads: 4 * shards} }
 	cases := []struct {
 		name  string
-		mk    func() (hyrise.Store, error)
+		mk    func() (*hyrise.Table, error)
 		merge hyrise.MergeOptions
 	}{
-		{"flat", func() (hyrise.Store, error) { return hyrise.NewTable("gc", schema) }, hyrise.MergeOptions{}},
-		{"sharded", func() (hyrise.Store, error) {
+		{"flat", func() (*hyrise.Table, error) { return hyrise.NewTable("gc", schema) }, hyrise.MergeOptions{}},
+		{"sharded", func() (*hyrise.Table, error) {
 			return hyrise.NewShardedTable("gc", schema, "k", 4)
 		}, hyrise.MergeOptions{}},
-		{"flat-parallel-merge", func() (hyrise.Store, error) { return hyrise.NewTable("gc", schema) }, parallel(1)},
-		{"sharded-1-parallel-merge", func() (hyrise.Store, error) {
+		{"flat-parallel-merge", func() (*hyrise.Table, error) { return hyrise.NewTable("gc", schema) }, parallel(1)},
+		{"sharded-1-parallel-merge", func() (*hyrise.Table, error) {
 			return hyrise.NewShardedTable("gc", schema, "k", 1)
 		}, parallel(1)},
-		{"sharded-8-parallel-merge", func() (hyrise.Store, error) {
+		{"sharded-8-parallel-merge", func() (*hyrise.Table, error) {
 			return hyrise.NewShardedTable("gc", schema, "k", 8)
 		}, parallel(8)},
 	}

@@ -46,7 +46,7 @@
 // inserted (begin) and the epoch it was invalidated (end; 0 while it is
 // the current version), stamped from the store's epoch clock.  A row is
 // visible at epoch E iff begin <= E and (end == 0 or end > E).  The clock
-// advances only when Store.Snapshot captures it — one atomic fetch-add, no
+// advances only when Table.Snapshot captures it — one atomic fetch-add, no
 // locks, no coordination with writers — so all mutations between two
 // captures share an epoch and the write path pays a single atomic load.
 //
@@ -87,7 +87,7 @@
 //
 // Pure insert-only storage grows without bound under a steady update
 // workload, so the merge doubles as the garbage collector (on by default;
-// Store.SetGC(false) restores keep-everything behavior).  When a merge
+// Table.SetGC(false) restores keep-everything behavior).  When a merge
 // freezes its delta it snapshots the exact set of live pinned epochs and
 // keeps a dead version only if some pin can still see it — begin <= pin
 // and (end == 0 || end > pin) for at least one pinned epoch; every other
@@ -103,7 +103,7 @@
 // pins retained.  Dictionary values referenced only by reclaimed versions are dropped
 // with them.
 //
-// The pin lifecycle: Store.Snapshot captures and pins in one step; call
+// The pin lifecycle: Table.Snapshot captures and pins in one step; call
 // ReadView.Release when done reading, or the versions visible at the
 // view's epoch stay retained forever.  Copies of a view share one pin.
 // The zero ReadView and reads without a view never pin.
@@ -234,8 +234,8 @@
 //
 // A table can serve real concurrent client traffic as a standalone
 // database server.  The cmd/hyrised daemon owns a store
-// (fresh from -schema, or loaded from its -snapshot file), serves the
-// full Store surface over a length-prefixed binary protocol on TCP,
+// (fresh from -schema, or loaded from its -snapshot file), serves every
+// Table operation over a length-prefixed binary protocol on TCP,
 // keeps delta fractions bounded with a background merge scheduler while
 // traffic flows, and on SIGTERM drains in-flight requests, compacts and
 // saves the snapshot it will reload at the next start:
@@ -256,7 +256,7 @@
 //	sum, _ := c.SumAt(snap, "qty")      // agrees with rows, despite writers
 //	c.Release(snap)
 //
-// To embed the server instead of running the daemon, hand a Store and a
+// To embed the server instead of running the daemon, hand a Table and a
 // listener to Serve; the returned DBServer drains gracefully via
 // Shutdown.  The wire protocol is documented in internal/server; it has
 // one generation, and a client and a server built from different ones
@@ -344,18 +344,16 @@
 // The subpackages under internal implement the paper's substrate systems
 // (bit-packed vectors, sorted dictionaries, CSB+ trees, the merge itself,
 // the analytical cost model, workload generators and the experiment
-// harness); this package re-exports the surface a downstream application
-// needs.
+// harness that cmd/mergebench runs); this package re-exports the surface a
+// downstream application needs.
 package hyrise
 
 import (
 	"cmp"
 	"io"
 
-	"hyrise/internal/bench"
 	"hyrise/internal/core"
 	"hyrise/internal/csvload"
-	"hyrise/internal/membench"
 	"hyrise/internal/model"
 	"hyrise/internal/query"
 	"hyrise/internal/sched"
@@ -388,13 +386,17 @@ type ColumnDef = table.ColumnDef
 type Schema = table.Schema
 
 // Table is the store: rows hash-partitioned by a key column across one or
-// more shards, each a Partition with its own merge lifecycle.  It is the
-// one implementation of Store.
+// more shards, each a Partition with its own merge lifecycle.  NewTable,
+// NewShardedTable, Load, LoadCSV and FollowStore all return one, and every
+// entry point of this package — ColumnOf, NumericColumnOf, Query,
+// NewScheduler, NewDriver, Save, Serve, EnableReplication — takes one.
+//
+// Row ids are table-scoped and stable: they carry the owning physical
+// partition above the partition's own insertion-ordered id.  Partition 0's
+// ids are its local ids, so a table that never resharded hands out dense
+// ids 0, 1, 2, ....  Ids obtained from one table's reads are valid for
+// that table's Update/Delete/Row/IsValid.
 type Table = shard.Table
-
-// ShardedTable is Table; the name remains for code that spells out its
-// shard count.
-type ShardedTable = shard.Table
 
 // Partition is one physical partition of a Table: per column a compressed
 // main plus write-optimised deltas, merged online — the structure the
@@ -461,7 +463,7 @@ var (
 	ErrArity           = table.ErrArity
 )
 
-// Scheduler is the background merge driver of one Store: it follows the
+// Scheduler is the background merge driver of one Table: it follows the
 // store's live partition list and merges a partition when its delta grows
 // past the configured fraction of its main.  Create with NewScheduler, then
 // Start; MergeNow drains every partition on demand.
@@ -474,14 +476,10 @@ type SchedulerConfig = sched.Config
 type (
 	// Mix is a query-kind distribution (Figure 1).
 	Mix = workload.Mix
-	// QueryKind enumerates lookup/scan/range/insert/modification/delete.
-	QueryKind = workload.QueryKind
 	// Generator produces column values with a controlled distribution.
 	Generator = workload.Generator
-	// Driver executes a Mix against a Store.
+	// Driver executes a Mix against a Table.
 	Driver = workload.Driver
-	// DriverCounts tallies a driver run.
-	DriverCounts = workload.Counts
 )
 
 // Built-in mixes (Figure 1).
@@ -560,33 +558,3 @@ func PaperArch() ModelArch { return model.PaperArch() }
 func Predict(w ModelWorkload, a ModelArch, parallel bool) ModelPrediction {
 	return model.Predict(w, a, parallel)
 }
-
-// CalibrateArch measures this host's streaming and random bandwidth and
-// returns a ModelArch for Predict.  hz is the clock used for cycle
-// conversion (e.g. 3.3e9); threads <= 0 uses GOMAXPROCS.
-func CalibrateArch(hz float64, threads int) ModelArch {
-	r := membench.Calibrate(membench.Options{Threads: threads})
-	return model.Arch{
-		LineBytes:   64,
-		LLCBytes:    bench.DetectLLCBytes(),
-		StreamBPC:   membench.BytesPerCycle(r.StreamBytesPerSec, hz),
-		RandomBPC:   membench.BytesPerCycle(r.RandomBytesPerSec, hz),
-		OpsPerCycle: 1,
-		Threads:     r.Threads,
-		HZ:          hz,
-	}
-}
-
-// Experiments exposes the paper-reproduction harness.
-type (
-	// Experiment regenerates one paper figure or table.
-	Experiment = bench.Experiment
-	// ExperimentScale sets experiment sizes relative to the paper.
-	ExperimentScale = bench.Scale
-)
-
-// Experiments lists all registered paper reproductions.
-func Experiments() []Experiment { return bench.Registry() }
-
-// ExperimentByID resolves one experiment (e.g. "fig7").
-func ExperimentByID(id string) (Experiment, bool) { return bench.ByID(id) }

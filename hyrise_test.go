@@ -103,14 +103,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if pred.TotalCycles() <= 0 {
 		t.Fatal("model prediction")
 	}
-
-	// Experiment registry.
-	if len(hyrise.Experiments()) < 10 {
-		t.Fatalf("experiments: %d", len(hyrise.Experiments()))
-	}
-	if _, ok := hyrise.ExperimentByID("fig7"); !ok {
-		t.Fatal("fig7 missing")
-	}
 }
 
 func TestGeneratorsPublic(t *testing.T) {

@@ -31,7 +31,7 @@ var indexBenchSels = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 // times) amid a wide filler spread, mirrors "k" into the unindexed
 // shadow column "s", merges everything into main, and indexes "k".
 // Returns the store and the probe value for each selectivity.
-func buildIndexBench(tb testing.TB, shards, n int) (hyrise.Store, map[float64]uint64) {
+func buildIndexBench(tb testing.TB, shards, n int) (*hyrise.Table, map[float64]uint64) {
 	tb.Helper()
 	schema := hyrise.Schema{
 		{Name: "id", Type: hyrise.Uint64},

@@ -20,7 +20,7 @@ func mirrorSchema() hyrise.Schema {
 	}
 }
 
-func newMirrorStores(t *testing.T) map[string]hyrise.Store {
+func newMirrorStores(t *testing.T) map[string]*hyrise.Table {
 	t.Helper()
 	flat, err := hyrise.NewTable("mirror", mirrorSchema())
 	if err != nil {
@@ -30,7 +30,7 @@ func newMirrorStores(t *testing.T) map[string]hyrise.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]hyrise.Store{"shards=1": flat, "shards=8": sharded}
+	return map[string]*hyrise.Table{"shards=1": flat, "shards=8": sharded}
 }
 
 // TestStoreIndexEquivalence is the public-surface acceptance test for

@@ -1,4 +1,4 @@
-// Package server exposes the full Store surface — inserts, insert-only
+// Package server exposes every table operation — inserts, insert-only
 // updates and deletes, typed reads, aggregates, conjunctive queries,
 // snapshot capture and pinned-snapshot reads, statistics and merge
 // control — over a length-prefixed binary protocol on TCP, turning the
@@ -40,12 +40,12 @@
 // is valid on every other connection of the same server, which lets a
 // pooled client spread pinned reads across its connections.  Concurrency
 // across sessions is the store's own concurrency: handlers call straight
-// into Store methods, whose shard locks and epoch clock do the
+// into shard.Table methods, whose shard locks and epoch clock do the
 // coordination.
 //
 // # Snapshots
 //
-// OpSnapshotEpoch captures a Store.Snapshot (one atomic epoch fetch-add,
+// OpSnapshotEpoch captures a Table.Snapshot (one atomic epoch fetch-add,
 // consistent across every shard) and registers it in the server's
 // snapshot registry under a fresh nonzero token, which is returned to
 // the client together with the frozen epoch.  Read requests carry a token field: zero reads latest,

@@ -73,8 +73,8 @@ func (o Options) logger() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
 }
 
-// Server serves the wire protocol over a Store.  Create with New, start
-// with Serve, stop with Shutdown (graceful) or Close (immediate).
+// Server serves the wire protocol over one shard.Table.  Create with New,
+// start with Serve, stop with Shutdown (graceful) or Close (immediate).
 type Server struct {
 	st   *shard.Table
 	opts Options

@@ -220,16 +220,22 @@ func (st *Table) AttachOplog(l *oplog.Log) error {
 }
 
 // Snapshot captures one epoch across ALL shards atomically (a single
-// fetch-add on the shared clock) and returns it as a read view pinned
-// against garbage collection: reads through the view see one frozen,
-// cross-shard-consistent state, and no shard's merge reclaims a version
-// the view can see.  Release the view when done reading so reclamation
-// can advance past it.
+// fetch-add on the shared clock, no coordination with writers) and returns
+// it as a read view pinned against garbage collection: reads through the
+// view (the *At methods, QueryAt) see one frozen, cross-shard-consistent
+// state — exactly the rows current at the captured epoch, no matter how
+// many updates, deletes, key moves or merges commit afterwards — and no
+// shard's merge reclaims a version the view can see.  Release the view
+// when done reading so reclamation can advance past it.
 func (st *Table) Snapshot() table.View { return table.PinnedView(st.clock) }
 
 // SetGC enables or disables garbage collection during merges on every
 // partition (on by default); reshard-created partitions inherit the
-// setting.
+// setting.  With GC on, a merge drops every invalidated version that no
+// unreleased Snapshot view can see — begin <= E < end holds for none of
+// their epochs E — instead of copying it forever, and retires the
+// reclaimed row ids: they are never reused, and operations on them return
+// table.ErrRowInvalid.
 func (st *Table) SetGC(enabled bool) {
 	st.mu.Lock()
 	st.gcOn = enabled
@@ -512,7 +518,8 @@ func (st *Table) Update(gid int, changes map[string]any) (int, error) {
 	}
 }
 
-// Delete invalidates the row with the given global row id.  Invalidation
+// Delete invalidates the row with the given global row id; its version
+// history stays stored until garbage collection reclaims it.  Invalidation
 // is allowed in sealed partitions (it creates no new version).
 func (st *Table) Delete(gid int) error {
 	m := st.load()
@@ -570,7 +577,8 @@ func (st *Table) ValidRows() int {
 }
 
 // ValidRowsAt returns the number of rows visible at the view's epoch
-// across all partitions.
+// across all partitions — consistent across them, unlike a sum of
+// per-partition counts.
 func (st *Table) ValidRowsAt(v table.View) int {
 	n := 0
 	for _, s := range st.load().parts {

@@ -78,14 +78,15 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 
 // RequestMerge runs the online merge on every physical partition —
 // reshard-retired partitions included, since merging is how their dead
-// history is garbage-collected.  A store of one partition returns that
-// partition's report verbatim — per-column detail, phase timings and GC
-// fields included.  Otherwise the partitions merge concurrently, each with
-// an even share of opts.Threads (table.ThreadsPerMerge), and the reports
-// condense into one: the counts aggregate over the partitions that
-// committed, Columns is nil — per-partition, per-column detail is each
-// partition's LastMergeReport — and Threads echoes the summed budget
-// actually used.
+// history is garbage-collected — and is the store's one on-demand merge
+// entry.  A store of one partition returns that partition's report
+// verbatim — per-column detail, phase timings and GC fields included.
+// Otherwise the partitions merge concurrently, each with an even share of
+// opts.Threads — the TOTAL budget, unlike a scheduler's per-merge Threads
+// (table.ThreadsPerMerge) — and the reports condense into one: the counts
+// aggregate over the partitions that committed, Columns is nil —
+// per-partition, per-column detail is each partition's LastMergeReport —
+// and Threads echoes the summed budget actually used.
 //
 // Merges are online and atomic per partition only (queries may observe
 // some partitions merged and others not, which changes no visible row
@@ -131,10 +132,12 @@ func (st *Table) Partitions() []*table.Table {
 
 // CreateIndex builds a group-key index over the named column on every
 // physical partition, in parallel (each partition's build excludes that
-// partition's merges but never blocks reads).  The column is recorded so
-// partitions created by a later Reshard are indexed the same way.  The
-// first error wins; already-indexed shards are skipped, so a partially
-// failed call can simply be retried.
+// partition's merges but never blocks reads), and every later merge keeps
+// it rebuilt.  The column is recorded so partitions created by a later
+// Reshard are indexed the same way.  The first error wins; already-indexed
+// shards are skipped, so a partially failed call can simply be retried and
+// a repeated one is a no-op.  Indexes are in-memory only: re-create them
+// after Load.
 func (st *Table) CreateIndex(column string) error {
 	// Record first, under the wiring lock, so a concurrent reshard either
 	// sees the recorded column or gets indexed by the loop below.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"hyrise/internal/shard"
 	"hyrise/internal/table"
 )
 
@@ -15,11 +16,10 @@ import (
 // this typed error instead of failing deep inside handle resolution.
 var ErrDriverColumnType = errors.New("workload: driver column must be uint64")
 
-// CheckDriverColumn validates that the named column exists and is uint64.
-// The package root's NewDriver calls it before resolving the handle it
-// passes to NewDriver here, so a mistyped column fails with the typed
-// error rather than a handle-resolution one.
-func CheckDriverColumn(t Target, column string) error {
+// checkDriverColumn validates that the named column exists and is uint64,
+// so a mistyped column fails with the typed error rather than a
+// handle-resolution one.
+func checkDriverColumn(t *shard.Table, column string) error {
 	for _, def := range t.Schema() {
 		if def.Name == column {
 			if def.Type != table.Uint64 {
@@ -31,30 +31,12 @@ func CheckDriverColumn(t Target, column string) error {
 	return fmt.Errorf("workload: %w: %q", table.ErrNoColumn, column)
 }
 
-// Target is the write/metadata surface a driver exercises: a store
-// (internal/shard) or a bare partition (table.Table).
-type Target interface {
-	Schema() table.Schema
-	Insert([]any) (int, error)
-	Update(int, map[string]any) (int, error)
-	Delete(int) error
-	IsValid(int) bool
-}
-
-// Uint64Column is the read surface over the driver's key column: a store
-// handle or a partition handle.
-type Uint64Column interface {
-	Lookup(uint64) []int
-	Range(lo, hi uint64) []int
-	Scan(func(row int, v uint64) bool)
-}
-
 // Driver executes a query mix against a single-key-column table, the shape
 // the paper's update-rate experiments assume: lookups, scans and range
 // selects read the key column; inserts, modifications and deletes exercise
 // the write path.
 type Driver struct {
-	Table  Target
+	Table  *shard.Table
 	Column string
 	Mix    Mix
 	Gen    Generator
@@ -63,17 +45,21 @@ type Driver struct {
 	ScanLimit int
 
 	rng      *rand.Rand
-	handle   Uint64Column
+	handle   *shard.Handle[uint64]
 	liveRows []int // rows known valid, for update/delete targets
 }
 
-// NewDriver builds a driver over a Target; h must be a handle on the named
-// uint64 column of t.
-func NewDriver(t Target, column string, h Uint64Column, mix Mix, gen Generator, seed int64) (*Driver, error) {
-	if err := CheckDriverColumn(t, column); err != nil {
+// NewDriver builds a driver over the named uint64 column of t.  A column
+// of any other type returns ErrDriverColumnType.
+func NewDriver(t *shard.Table, column string, mix Mix, gen Generator, seed int64) (*Driver, error) {
+	if err := checkDriverColumn(t, column); err != nil {
 		return nil, err
 	}
 	if err := mix.Validate(); err != nil {
+		return nil, err
+	}
+	h, err := shard.ColumnOf[uint64](t, column)
+	if err != nil {
 		return nil, err
 	}
 	return &Driver{

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hyrise/internal/shard"
 	"hyrise/internal/table"
 )
 
@@ -240,24 +241,15 @@ func TestFigure4Profiles(t *testing.T) {
 	}
 }
 
-// newKeyDriver resolves the handle NewDriver needs on tb's column k.
-func newKeyDriver(tb *table.Table, column string, mix Mix, gen Generator, seed int64) (*Driver, error) {
-	h, err := table.ColumnOf[uint64](tb, "k")
-	if err != nil {
-		return nil, err
-	}
-	return NewDriver(tb, column, h, mix, gen, seed)
-}
-
 func TestDriverRunsMix(t *testing.T) {
-	tb, err := table.New("t", table.Schema{
+	tb, err := shard.New("t", table.Schema{
 		{Name: "k", Type: table.Uint64},
 		{Name: "v", Type: table.Uint32},
-	})
+	}, "k", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newKeyDriver(tb, "k", OLTPMix, NewUniform(500, 3), 3)
+	d, err := NewDriver(tb, "k", OLTPMix, NewUniform(500, 3), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,22 +273,22 @@ func TestDriverRunsMix(t *testing.T) {
 }
 
 func TestDriverRejectsBadInputs(t *testing.T) {
-	tb, _ := table.New("t", table.Schema{{Name: "k", Type: table.Uint64}})
-	if _, err := newKeyDriver(tb, "missing", OLTPMix, NewUniform(10, 1), 1); err == nil {
+	tb, _ := shard.New("t", table.Schema{{Name: "k", Type: table.Uint64}}, "k", 1)
+	if _, err := NewDriver(tb, "missing", OLTPMix, NewUniform(10, 1), 1); err == nil {
 		t.Fatal("missing column accepted")
 	}
 	bad := Mix{Name: "bad"}
-	if _, err := newKeyDriver(tb, "k", bad, NewUniform(10, 1), 1); err == nil {
+	if _, err := NewDriver(tb, "k", bad, NewUniform(10, 1), 1); err == nil {
 		t.Fatal("bad mix accepted")
 	}
 }
 
 func TestDriverDeleteAndModify(t *testing.T) {
-	tb, _ := table.New("t", table.Schema{{Name: "k", Type: table.Uint64}})
+	tb, _ := shard.New("t", table.Schema{{Name: "k", Type: table.Uint64}}, "k", 1)
 	writeHeavy := Mix{Name: "w", Weights: [numQueryKinds]float64{
 		Insert: 0.4, Modification: 0.4, Delete: 0.2,
 	}}
-	d, err := newKeyDriver(tb, "k", writeHeavy, NewUniform(100, 4), 4)
+	d, err := NewDriver(tb, "k", writeHeavy, NewUniform(100, 4), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,7 @@ type ReplicaOptions = replica.Options
 // Serving the log is the server's job: pass it in ServerOptions.OpLog
 // (or start hyrised with -replicate) and followers subscribe over the
 // ordinary listener.
-func EnableReplication(st Store, cap int) (*OpLog, error) {
-	t, err := tableOf(st)
-	if err != nil {
-		return nil, err
-	}
+func EnableReplication(t *Table, cap int) (*OpLog, error) {
 	l := oplog.New(t.Clock(), cap)
 	if err := t.AttachOplog(l); err != nil {
 		return nil, err
@@ -47,7 +43,7 @@ func EnableReplication(st Store, cap int) (*OpLog, error) {
 // store exact at some primary epoch.  The replica keeps applying ops —
 // and reconnecting through failures — until Close.
 //
-// FollowStore extracts the local Store; reads on it are exact at
+// FollowStore extracts the local Table; reads on it are exact at
 // Replica.AppliedEpoch.  Serve it with ServerOptions.Replica set (or
 // start hyrised with -follow) to expose it to network clients.
 func Follow(addr string, opts ReplicaOptions) (*Replica, error) {

@@ -331,7 +331,7 @@ func snapshotStress(t *testing.T, shards, rounds int, merge hyrise.MergeOptions)
 }
 
 // TestStoreSnapshotInterface pins Snapshot/ValidRowsAt/VisibleAt through
-// the Store interface for both topologies, including the zero-ReadView
+// the public Table API for both topologies, including the zero-ReadView
 // latest semantics.
 func TestStoreSnapshotInterface(t *testing.T) {
 	for name, s := range newStores(t) {

@@ -35,12 +35,12 @@ func newStores(t *testing.T) map[string]*hyrise.Table {
 }
 
 // replayStore replays a deterministic operation sequence against s purely
-// through the Store surface (Insert/InsertRows/Update/Delete/RequestMerge
+// through the public Table API (Insert/InsertRows/Update/Delete/RequestMerge
 // and the unified ColumnOf/NumericColumnOf/Query reads) and returns a
 // transcript of every observation.  Two stores replayed with the same seed
 // must produce identical transcripts — row ids are deliberately excluded,
 // since they encode the owning partition.
-func replayStore(t *testing.T, s hyrise.Store, seed int64) []string {
+func replayStore(t *testing.T, s *hyrise.Table, seed int64) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	kh, err := hyrise.ColumnOf[uint64](s, "k")
@@ -220,7 +220,7 @@ func replayStore(t *testing.T, s hyrise.Store, seed int64) []string {
 
 // TestStoreModelEquivalence replays the same deterministic workload against
 // one shard and against eight, driving each store exclusively through the
-// Store surface, and requires byte-identical observation transcripts: the
+// public Table API, and requires byte-identical observation transcripts: the
 // shard count must not change the visible data at any step.
 func TestStoreModelEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
@@ -307,7 +307,7 @@ func TestNewDriverColumnType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]hyrise.Store{"shards=1": flat, "shards=4": sharded} {
+	for name, s := range map[string]*hyrise.Table{"shards=1": flat, "shards=4": sharded} {
 		for _, col := range []string{"qty", "sku"} {
 			if _, err := hyrise.NewDriver(s, col, hyrise.OLTPMix, hyrise.NewUniformGenerator(10, 1), 1); !errors.Is(err, hyrise.ErrDriverColumnType) {
 				t.Errorf("%s/%s: err=%v want ErrDriverColumnType", name, col, err)
@@ -322,7 +322,7 @@ func TestNewDriverColumnType(t *testing.T) {
 	}
 }
 
-// TestStorePersistenceRoundTrip drives Save/Load through the Store surface
+// TestStorePersistenceRoundTrip drives Save/Load through the public API
 // at both shard counts: the loaded store has the same shard layout,
 // identical query results, the same row ids, invalidations and per-shard
 // main/delta split.
