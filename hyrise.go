@@ -178,17 +178,17 @@
 // Scans, lookups, counts and aggregates (Lookup/LookupAt, Range/RangeAt,
 // Scan/ScanAt, CountEqual/CountEqualAt, SumAt/MinAt/MaxAt, and the Query
 // probe path) run on internal/kernel batch kernels that evaluate
-// predicates directly on the bit-packed words of the main partition:
-// packed widths that divide the 64-bit word are matched with word-at-a-time
-// SWAR compares (8 lanes per word at 8 bits), other widths are decoded
-// block-at-a-time (512 values) into a reused scratch buffer and compared
-// there — never through a per-row Get.
+// predicates directly on the bit-packed words of the main partition: at
+// every packed width the match kernels compare a 64-bit window of whole
+// codes per step with SWAR arithmetic (21 lanes at 3 bits, 8 at 8 bits) —
+// never through a per-row Get.
 //
 // Operators compose through selection vectors: a predicate kernel emits
-// the ascending positions of matching rows, the epoch-visibility kernel
-// filters such a vector in place by fusing the begin/end epoch compares
-// (branchless, one pass), and the aggregate kernels consume the surviving
-// positions — density-adaptive between block decode and point reads.  The
+// the ascending positions of matching rows, and the epoch-visibility
+// kernel filters such a vector in place by fusing the begin/end epoch
+// compares (branchless, one pass).  Sum, Min and Max decode the codes
+// block-at-a-time (512 values) into a reused scratch buffer and test
+// visibility in the same loop, building no selection vector.  The
 // delta partitions stay row-wise (they are uncompressed and small by
 // construction; the merge scheduler bounds their fraction), so a scan is
 // a kernel pass over main plus a short scalar tail over the deltas.

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"hyrise/internal/bitpack"
@@ -77,6 +78,16 @@ func FuzzScanKernels(f *testing.F) {
 		}
 		if got, want := SelectVisible(begin, end, e, 0, n, nil), refSelectVisible(begin, end, e, 0, n); !eqSel(got, want) {
 			t.Fatalf("SelectVisible(w=%d): got %v want %v", width, got, want)
+		}
+
+		// The aggregates read a dictionary drawn from the payload too.
+		dv, dict := indexable(rand.New(rand.NewSource(int64(needle))), v)
+		if got, want := SumVisible(dv, dict, begin, end, e), refSumVisible(dv, dict, begin, end, e); got != want {
+			t.Fatalf("SumVisible(w=%d): got %d want %d", width, got, want)
+		}
+		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
+		if gmn, gmx, gok := MinMaxVisible(v, begin, end, e); gmn != wmn || gmx != wmx || gok != wok {
+			t.Fatalf("MinMaxVisible(w=%d): got (%d,%d,%v) want (%d,%d,%v)", width, gmn, gmx, gok, wmn, wmx, wok)
 		}
 	})
 }

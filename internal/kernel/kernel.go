@@ -1,4 +1,4 @@
-// Package kernel implements the block-at-a-time scan, filter and aggregate
+// Package kernel implements the batch scan, filter and aggregate kernels
 // kernels behind every read path (paper §5, §6: the scan side of the
 // multi-core story).  The scalar loops they replace called
 // bitpack.Vector.Get one row at a time; the kernels instead evaluate
@@ -12,22 +12,28 @@
 // ran over, NOT row ids — the table layer maps positions to stable ids).
 // Kernels that produce selections append to a caller-owned dst and return
 // the extended slice, so steady-state scans are allocation-free; kernels
-// that consume selections (FilterVisible, Histogram, MinMaxSel) never
+// that consume selections (FilterVisible, CountSelVisible, Gather) never
 // reorder them.
 //
 // # Execution strategy
 //
-// For code widths that divide the 64-bit machine word (1, 2, 4, 8, 16, 32,
-// 64 — the common widths for dictionary-compressed columns) the match
-// kernels run word-at-a-time: 64/width codes are compared per iteration
-// with branch-free SWAR arithmetic, and words with no matching lane are
-// skipped with a single test.  Equality uses an exact lane-wise
-// zero-detect after XOR with the broadcast code; range matching uses
-// guard-bit compares over even/odd lane passes, both exact for fully
-// packed lanes (no headroom bit is stored).  All other widths fall back to
-// the block path: BlockSize codes are decoded into a pooled scratch buffer
-// with bitpack.Vector.DecodeRange and compared in a tight loop — still
-// block-at-a-time, never per-row Get.
+// The match kernels (MatchEqual, MatchRange, CountEqual) run word-at-a-time
+// at every code width b from 1 to 64: a 64-bit window holds the k = 64/b
+// whole codes that start at its bit offset — a word read as is when b
+// divides 64, otherwise joined from the two words it spans — and all k
+// codes are compared per iteration with branch-free SWAR arithmetic;
+// windows with no matching lane are skipped with a single test.  Equality
+// uses an exact lane-wise zero-detect after XOR with the broadcast code;
+// range matching uses guard-bit compares over even/odd lane passes, both
+// exact for fully packed lanes (no headroom bit is stored).  Width 0 (a
+// single-value dictionary) matches every position, and 64-bit ranges,
+// which leave no room for a guard bit, compare whole words.
+//
+// The aggregates (SumVisible, MinMaxVisible) and Gather read codes
+// block-at-a-time instead: BlockSize codes are decoded into a pooled
+// scratch buffer with bitpack.Vector.DecodeRange and consumed in a tight
+// loop — never per-row Get.  The aggregates test visibility in that same
+// loop, so a full-column aggregate builds no selection vector.
 //
 // Visibility filtering is fused over the raw begin/end epoch slices
 // (epoch.Rows.Raw): a row is visible at epoch e iff begin <= e and
@@ -46,10 +52,9 @@ import (
 	"hyrise/internal/bitpack"
 )
 
-// BlockSize is the number of codes decoded per block on the general
-// (non-word-divisor) kernel paths.  4KiB of decoded codes per block: small
-// enough to stay cache-resident, large enough to amortize the per-block
-// bookkeeping.
+// BlockSize is the number of codes the aggregate kernels and Gather decode
+// per block.  4KiB of decoded codes per block: small enough to stay
+// cache-resident, large enough to amortize the per-block bookkeeping.
 const BlockSize = 512
 
 var blockPool = sync.Pool{New: func() any {
@@ -74,15 +79,21 @@ func MatchEqual(v *bitpack.Vector, code uint64, dst []int32) []int32 {
 	b := v.Bits()
 	if b == 0 {
 		// Degenerate single-value dictionary: every position matches.
-		for i := 0; i < n; i++ {
-			dst = append(dst, int32(i))
+		return matchAll(n, dst)
+	}
+	w, count, tail := windowsOf(v)
+	words := v.Words()
+	for i := 0; i < count; i++ {
+		var m uint64
+		if i, m = w.nextEqual(words, i, count, code, b); m == 0 {
+			break
 		}
-		return dst
+		if i == count-1 {
+			m &= tail
+		}
+		dst = w.emit(dst, i, m)
 	}
-	if bitpack.WordBits%b == 0 {
-		return matchEqualSWAR(v, code, dst)
-	}
-	return matchBlock(v, code, code+1, dst)
+	return dst
 }
 
 // MatchRange appends to dst the positions of v whose code lies in the
@@ -95,184 +106,157 @@ func MatchRange(v *bitpack.Vector, lo, hi uint64, dst []int32) []int32 {
 	b := v.Bits()
 	if b == 0 {
 		// All codes are zero; lo == 0 here since lo <= MaxCode() == 0.
-		for i := 0; i < n; i++ {
-			dst = append(dst, int32(i))
-		}
-		return dst
+		return matchAll(n, dst)
 	}
 	if lo+1 == hi {
 		return MatchEqual(v, lo, dst)
 	}
-	if bitpack.WordBits%b == 0 {
-		return matchRangeSWAR(v, lo, hi, dst)
-	}
-	return matchBlock(v, lo, hi, dst)
-}
-
-// lsbMask returns the word with bit 0 of every width-b lane set (b must
-// divide 64).
-func lsbMask(b uint) uint64 {
-	m := uint64(0)
-	for p := uint(0); p < bitpack.WordBits; p += b {
-		m |= 1 << p
-	}
-	return m
-}
-
-// matchEqualSWAR is the word-at-a-time equality kernel for widths dividing
-// 64.  Per word it XORs with the broadcast code and detects zero lanes with
-// the exact, lane-independent test ~(((x &^ H) + ^H) | x) & H, where H
-// holds each lane's msb: the inner sum carries into a lane's msb iff its
-// low bits are non-zero, and per-lane sums never cross lane boundaries.
-func matchEqualSWAR(v *bitpack.Vector, code uint64, dst []int32) []int32 {
-	n := v.Len()
-	b := v.Bits()
-	words := v.Words()
 	if b == bitpack.WordBits {
-		for i, w := range words {
-			if i >= n {
-				break
-			}
-			if w == code {
-				dst = append(dst, int32(i))
-			}
-		}
-		return dst
-	}
-	lanes := int(bitpack.WordBits / b)
-	if b == 1 {
-		for wi, w := range words {
-			m := w
-			if code == 0 {
-				m = ^w
-			}
-			m = maskTail(m, wi, lanes, n, b)
-			base := int32(wi * lanes)
-			for ; m != 0; m &= m - 1 {
-				dst = append(dst, base+int32(bits.TrailingZeros64(m)))
-			}
-		}
-		return dst
-	}
-	L := lsbMask(b)
-	H := L << (b - 1) // msb of every lane
-	bcast := code * L
-	for wi, w := range words {
-		x := w ^ bcast
-		eq := ^(((x &^ H) + ^H) | x) & H
-		eq = maskTail(eq, wi, lanes, n, b)
-		if eq == 0 {
-			continue
-		}
-		base := int32(wi * lanes)
-		for ; eq != 0; eq &= eq - 1 {
-			lane := bits.TrailingZeros64(eq) / int(b)
-			dst = append(dst, base+int32(lane))
-		}
-	}
-	return dst
-}
-
-// matchRangeSWAR is the word-at-a-time range kernel for widths 2..32
-// dividing 64 (width 1 reduces to equality upstream, width 64 to scalar
-// compares).  Lanes are compared against [lo, hi) with guard-bit
-// arithmetic: with odd lanes masked out, each even lane has a guard bit
-// directly above it, and (x | G) - bound leaves the guard set iff
-// x >= bound.  Odd lanes run through the same constants on the word
-// shifted right by one lane.
-func matchRangeSWAR(v *bitpack.Vector, lo, hi uint64, dst []int32) []int32 {
-	n := v.Len()
-	b := v.Bits()
-	words := v.Words()
-	if b == bitpack.WordBits {
-		for i, w := range words {
-			if i >= n {
-				break
-			}
-			if w >= lo && w < hi {
-				dst = append(dst, int32(i))
-			}
-		}
-		return dst
-	}
-	lanes := int(bitpack.WordBits / b)
-	maxCode := v.MaxCode()
-	evenLsb := lsbMask(2 * b) // lane 0, 2, 4, ... lsbs
-	evenMask := evenLsb * ((uint64(1) << b) - 1)
-	G := evenLsb << b // guard bit above each even lane
-	loBC := lo * evenLsb
-	var hiBC uint64
-	boundedHi := hi <= maxCode
-	if boundedHi {
-		hiBC = hi * evenLsb
-	}
-	checkLo := lo != 0
-	inRange := func(x uint64) uint64 { // x: word with lanes at even positions
-		xm := (x & evenMask) | G
-		ge := G
-		if checkLo {
-			ge = (xm - loBC) & G
-		}
-		lt := G
-		if boundedHi {
-			lt = G &^ (xm - hiBC)
-		}
-		return ge & lt
-	}
-	for wi, w := range words {
-		inEven := inRange(w)
-		inOdd := inRange(w >> b)
-		// Map guard bits back to lane-msb positions: even lane 2k's guard
-		// sits one bit above its msb, odd lane 2k+1's guard (in the shifted
-		// frame) sits b-1 bits below its msb.
-		m := (inEven >> 1) | (inOdd << (b - 1))
-		m = maskTail(m, wi, lanes, n, b)
-		if m == 0 {
-			continue
-		}
-		base := int32(wi * lanes)
-		for ; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(m) / int(b)
-			dst = append(dst, base+int32(lane))
-		}
-	}
-	return dst
-}
-
-// maskTail clears match bits belonging to lanes at or beyond element n in
-// the last (partial) word: bits past Len()*Bits() are not guaranteed
-// meaningful, and a zero tail would otherwise false-match code 0.
-func maskTail(m uint64, wi, lanes, n int, b uint) uint64 {
-	valid := n - wi*lanes
-	if valid >= lanes {
-		return m
-	}
-	if valid <= 0 {
-		return 0
-	}
-	return m & ((uint64(1) << (uint(valid) * b)) - 1)
-}
-
-// matchBlock is the general-width match path: decode BlockSize codes at a
-// time into a pooled scratch buffer and compare [lo, hi) in a tight loop.
-func matchBlock(v *bitpack.Vector, lo, hi uint64, dst []int32) []int32 {
-	n := v.Len()
-	bufp := blockPool.Get().(*[]uint64)
-	buf := *bufp
-	for base := 0; base < n; base += BlockSize {
-		to := base + BlockSize
-		if to > n {
-			to = n
-		}
-		buf = v.DecodeRange(base, to, buf)
-		for i, c := range buf {
+		// A 64-bit lane leaves no room for a guard bit: compare words.
+		for i, c := range v.Words() {
 			if c >= lo && c < hi {
-				dst = append(dst, int32(base+i))
+				dst = append(dst, int32(i))
 			}
 		}
+		return dst
 	}
-	*bufp = buf[:cap(buf)]
-	blockPool.Put(bufp)
+	w, count, tail := windowsOf(v)
+	words := v.Words()
+	var even uint64 // lsb of lanes 0, 2, 4, ... of the window
+	for j := 0; j < w.k; j += 2 {
+		even |= 1 << (uint(j) * b)
+	}
+	hi = min(hi, v.MaxCode()+1)
+	for i := 0; i < count; i++ {
+		var m uint64
+		if i, m = w.nextRange(words, i, count, lo, hi, even, b); m == 0 {
+			break
+		}
+		if i == count-1 {
+			m &= tail
+		}
+		dst = w.emit(dst, i, m)
+	}
+	return dst
+}
+
+func matchAll(n int, dst []int32) []int32 {
+	for i := 0; i < n; i++ {
+		dst = append(dst, int32(i))
+	}
+	return dst
+}
+
+// windows is the word-at-a-time layout of a packed vector of width b,
+// 1 <= b <= 64.  Window i is a 64-bit word holding the k = 64/b whole codes
+// i*k .. i*k+k-1, code i*k+j in lane j (bits j*b .. j*b+b-1); the bits
+// above k*b hold parts of the following codes.  A match mask has bit j*b
+// set for each matching lane j and no bit outside the k lanes.
+//
+// The kernels find the next window with a match in a separate function
+// (nextEqual, nextRange) and emit its lanes in the caller: a skipped
+// window then costs a load and a few ALU operations with every constant in
+// a register.
+type windows struct {
+	k     int
+	step  uint   // k*b: the bit distance between consecutive windows
+	lsb   uint64 // bit 0 of each of the k lanes
+	recip uint64 // floor(65536/b) + 1, see lane
+}
+
+// windowsOf returns v's layout, the number of windows covering its codes,
+// and the match mask of the last window's lanes that hold codes.
+func windowsOf(v *bitpack.Vector) (w windows, count int, tail uint64) {
+	b := v.Bits()
+	w.k = int(bitpack.WordBits / b)
+	w.step, w.recip = uint(w.k)*b, 65536/uint64(b)+1
+	for j := 0; j < w.k; j++ {
+		w.lsb |= 1 << (uint(j) * b)
+	}
+	count, tail = (v.Len()+w.k-1)/w.k, w.lsb
+	if r := v.Len() % w.k; r != 0 {
+		tail &= 1<<(uint(r)*b) - 1
+	}
+	return w, count, tail
+}
+
+// at loads window i of words.  When b divides 64 a window is a word and is
+// read as is (the branch is loop-invariant); otherwise the window starts at
+// bit i*k*b and is joined from that word and its successor.  The successor
+// is read only where it exists: the bits it would supply past the last
+// word lie beyond the last code.  A shift by 64 yields 0, so a window
+// starting on a word boundary takes nothing from its successor.
+func (w windows) at(words []uint64, i int) uint64 {
+	if w.step == bitpack.WordBits {
+		return words[i]
+	}
+	bit := uint(i) * w.step
+	wi, off := bit/bitpack.WordBits, bit%bitpack.WordBits
+	x := words[wi] >> off
+	if wi+1 < uint(len(words)) {
+		x |= words[wi+1] << (bitpack.WordBits - off)
+	}
+	return x
+}
+
+// nextEqual returns the first window at or after i that has a lane equal
+// to code, with its match mask; the mask is 0 when no window up to count
+// has one.  XOR with the code broadcast into every lane leaves the equal
+// lanes zero, and ~(((x &^ H) + ^H) | x) & H, with H the msb of every
+// lane, is an exact, lane-independent zero test: the inner sum carries
+// into a lane's msb iff its low bits are non-zero, and per-lane sums never
+// cross lane boundaries (the bits above the k lanes only carry out of the
+// word).
+func (w windows) nextEqual(words []uint64, i, count int, code uint64, b uint) (int, uint64) {
+	bcast, H := code*w.lsb, w.lsb<<(b-1)
+	notH := ^H
+	for ; i < count; i++ {
+		x := w.at(words, i) ^ bcast
+		if m := ^(((x & notH) + notH) | x) & H; m != 0 {
+			return i, m >> (b - 1)
+		}
+	}
+	return i, 0
+}
+
+// nextRange is nextEqual for the lanes in [lo, hi), where b < 64,
+// hi <= 2^b and even holds the lsb of lanes 0, 2, 4, ...  It uses
+// guard-bit compares: with odd lanes masked out, each even lane has a guard
+// bit directly above it, and (x | G) - bound leaves the guard set iff
+// x >= bound (bound <= 2^b, so no borrow leaves the lane and its guard).
+// Odd lanes run through the same constants on the window shifted right by
+// one lane.  The guard of even lane j is the lsb of lane j+1, so the even
+// pass's result shifted down one lane and the odd pass's result as is are
+// both match masks.  When k is odd the odd pass also compares the partial
+// lane above the k codes; w.lsb drops it.
+func (w windows) nextRange(words []uint64, i, count int, lo, hi, even uint64, b uint) (int, uint64) {
+	evenMask, G := even*(uint64(1)<<b-1), even<<b
+	loBC, hiBC := lo*even, hi*even
+	for ; i < count; i++ {
+		x := w.at(words, i)
+		xe, xo := x&evenMask|G, x>>b&evenMask|G
+		m := ((xe-loBC)&^(xe-hiBC)&G)>>b | (xo-loBC)&^(xo-hiBC)&G
+		if m &= w.lsb; m != 0 {
+			return i, m
+		}
+	}
+	return i, 0
+}
+
+// lane returns the lane of the lowest bit of match mask m.  The bit sits at
+// tz = lane*b, and tz*(floor(65536/b)+1) >> 16 is exactly tz/b for every
+// tz < 64: the multiply overshoots tz/b by less than 64/65536, short of the
+// 1/b it would take to reach the next integer.
+func (w windows) lane(m uint64) int {
+	return int(uint64(bits.TrailingZeros64(m)) * w.recip >> 16)
+}
+
+// emit appends the positions of window i's matching lanes to dst.
+func (w windows) emit(dst []int32, i int, m uint64) []int32 {
+	base := int32(i * w.k)
+	for ; m != 0; m &= m - 1 {
+		dst = append(dst, base+int32(w.lane(m)))
+	}
 	return dst
 }
 
@@ -306,7 +290,7 @@ func CountSelVisible(sel []int32, begin, end []uint64, e uint64) int {
 
 // SelectVisible appends to dst the positions in [from, to) visible at
 // epoch e and returns the extended selection vector — the seed kernel for
-// full scans and aggregates.
+// full scans.
 func SelectVisible(begin, end []uint64, e uint64, from, to int, dst []int32) []int32 {
 	for i := from; i < to; i++ {
 		if begin[i] <= e && end[i]-1 >= e {
@@ -330,93 +314,102 @@ func CountVisible(begin, end []uint64, e uint64, from, to int) int {
 
 // CountEqual returns the number of positions of v whose code equals code,
 // fused with visibility filtering at epoch e over the raw begin/end
-// columns.  A nil begin counts matches unconditionally; on the SWAR widths
-// that degenerates to one population count per word.
+// columns.  A nil begin counts matches unconditionally, one population
+// count per window.
 func CountEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64) int {
 	n := v.Len()
 	if n == 0 || code > v.MaxCode() {
 		return 0
 	}
 	b := v.Bits()
+	if b == 0 {
+		if begin == nil {
+			return n
+		}
+		return CountVisible(begin, end, e, 0, n)
+	}
+	w, count, tail := windowsOf(v)
+	words := v.Words()
 	cnt := 0
-	if b != 0 && bitpack.WordBits%b == 0 && b > 1 && b < bitpack.WordBits {
-		lanes := int(bitpack.WordBits / b)
-		L := lsbMask(b)
-		H := L << (b - 1)
-		bcast := code * L
-		for wi, w := range v.Words() {
-			x := w ^ bcast
-			eq := ^(((x &^ H) + ^H) | x) & H
-			eq = maskTail(eq, wi, lanes, n, b)
-			if eq == 0 {
-				continue
-			}
-			if begin == nil {
-				cnt += bits.OnesCount64(eq)
-				continue
-			}
-			base := wi * lanes
-			for ; eq != 0; eq &= eq - 1 {
-				if p := base + bits.TrailingZeros64(eq)/int(b); visible(begin, end, p, e) {
-					cnt++
-				}
-			}
+	for i := 0; i < count; i++ {
+		var m uint64
+		if i, m = w.nextEqual(words, i, count, code, b); m == 0 {
+			break
 		}
-		return cnt
-	}
-	// Width 0, 1, 64 and non-divisor widths: block decode and count.
-	bufp := blockPool.Get().(*[]uint64)
-	buf := *bufp
-	for base := 0; base < n; base += BlockSize {
-		to := base + BlockSize
-		if to > n {
-			to = n
+		if i == count-1 {
+			m &= tail
 		}
-		buf = v.DecodeRange(base, to, buf)
-		for i, c := range buf {
-			if c == code && (begin == nil || visible(begin, end, base+i, e)) {
-				cnt++
-			}
+		if begin == nil {
+			cnt += bits.OnesCount64(m)
+			continue
+		}
+		// Branch-free: whether a matching row is visible is data.
+		base := i * w.k
+		for ; m != 0; m &= m - 1 {
+			p := base + w.lane(m)
+			cnt += b2i(begin[p] <= e) & b2i(end[p]-1 >= e)
 		}
 	}
-	*bufp = buf[:cap(buf)]
-	blockPool.Put(bufp)
 	return cnt
 }
 
-// Histogram adds, for every selected position, one to counts[code].  The
-// caller sizes counts to the dictionary cardinality; selection-vector-
-// driven aggregates (sum, group-by seeds) reduce the histogram against the
-// sorted dictionary afterwards.  Dense selections decode the covered span
-// block-at-a-time; sparse selections gather per position.
-func Histogram(v *bitpack.Vector, sel []int32, counts []int) {
-	gather(v, sel, func(code uint64) {
-		counts[code]++
-	})
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-// MinMaxSel returns the smallest and largest code among the selected
-// positions; ok is false for an empty selection.  Because dictionaries are
-// order-preserving, the min/max code IS the min/max value after one
-// dictionary access.
-func MinMaxSel(v *bitpack.Vector, sel []int32) (minC, maxC uint64, ok bool) {
-	if len(sel) == 0 {
-		return 0, 0, false
-	}
-	first := true
-	gather(v, sel, func(code uint64) {
-		if first {
-			minC, maxC, first = code, code, false
-			return
+// SumVisible returns the sum of dict[code] over the positions of codes
+// visible at epoch e — a main partition's column sum, codes indexing its
+// sorted dictionary.  Each block of codes is decoded, tested for
+// visibility and looked up in the same loop, so no selection vector is
+// built.  The sum wraps modulo 2^64.
+func SumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, begin, end []uint64, e uint64) uint64 {
+	var sum uint64
+	decodeBlocks(codes, begin, end, func(cs, begin, end []uint64) {
+		var s uint64
+		for i, c := range cs {
+			if begin[i] <= e && end[i]-1 >= e {
+				s += uint64(dict[c])
+			}
 		}
-		if code < minC {
-			minC = code
-		}
-		if code > maxC {
-			maxC = code
+		sum += s
+	})
+	return sum
+}
+
+// MinMaxVisible returns the smallest and largest code among the positions
+// of codes visible at epoch e; ok is false when none is.  Because
+// dictionaries are order-preserving, the min/max code IS the min/max value
+// after one dictionary access.
+func MinMaxVisible(codes *bitpack.Vector, begin, end []uint64, e uint64) (minC, maxC uint64, ok bool) {
+	minC = ^uint64(0)
+	decodeBlocks(codes, begin, end, func(cs, begin, end []uint64) {
+		for i, c := range cs {
+			if begin[i] <= e && end[i]-1 >= e {
+				minC, maxC, ok = min(minC, c), max(maxC, c), true
+			}
 		}
 	})
+	if !ok {
+		return 0, 0, false
+	}
 	return minC, maxC, true
+}
+
+// decodeBlocks decodes v BlockSize codes at a time into a pooled scratch
+// buffer and hands fn each block with the begin/end epochs of its
+// positions.
+func decodeBlocks(v *bitpack.Vector, begin, end []uint64, fn func(codes, begin, end []uint64)) {
+	bufp := blockPool.Get().(*[]uint64)
+	buf := *bufp
+	for base, n := 0, v.Len(); base < n; base += BlockSize {
+		buf = v.DecodeRange(base, min(base+BlockSize, n), buf)
+		fn(buf, begin[base:base+len(buf)], end[base:base+len(buf)])
+	}
+	*bufp = buf[:cap(buf)]
+	blockPool.Put(bufp)
 }
 
 // Gather streams (position, code) pairs for the selected positions
@@ -457,38 +450,4 @@ func Gather(v *bitpack.Vector, sel []int32, fn func(pos int32, code uint64) bool
 			i++
 		}
 	}
-}
-
-// gather streams the codes of the selected positions through fn in
-// selection order.  When the selection is dense over its span (>= 1 in 4)
-// it decodes whole blocks; otherwise it pays one positional decode per
-// selected position.
-func gather(v *bitpack.Vector, sel []int32, fn func(code uint64)) {
-	if len(sel) == 0 {
-		return
-	}
-	span := int(sel[len(sel)-1]) - int(sel[0]) + 1
-	if len(sel)*4 < span {
-		for _, p := range sel {
-			fn(v.Get(int(p)))
-		}
-		return
-	}
-	bufp := blockPool.Get().(*[]uint64)
-	buf := *bufp
-	i := 0
-	for i < len(sel) {
-		base := int(sel[i])
-		to := base + BlockSize
-		if n := v.Len(); to > n {
-			to = n
-		}
-		buf = v.DecodeRange(base, to, buf)
-		for i < len(sel) && int(sel[i]) < to {
-			fn(buf[int(sel[i])-base])
-			i++
-		}
-	}
-	*bufp = buf[:cap(buf)]
-	blockPool.Put(bufp)
 }

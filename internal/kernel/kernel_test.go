@@ -70,13 +70,16 @@ func refCountEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64
 	return n
 }
 
-func refHistogram(v *bitpack.Vector, sel []int32, counts []int) {
-	for _, p := range sel {
-		counts[v.Get(int(p))]++
+func refSumVisible[V uint32 | uint64](v *bitpack.Vector, dict []V, begin, end []uint64, e uint64) uint64 {
+	var sum uint64
+	for _, p := range refSelectVisible(begin, end, e, 0, v.Len()) {
+		sum += uint64(dict[v.Get(int(p))])
 	}
+	return sum
 }
 
-func refMinMaxSel(v *bitpack.Vector, sel []int32) (uint64, uint64, bool) {
+func refMinMaxVisible(v *bitpack.Vector, begin, end []uint64, e uint64) (uint64, uint64, bool) {
+	sel := refSelectVisible(begin, end, e, 0, v.Len())
 	if len(sel) == 0 {
 		return 0, 0, false
 	}
@@ -320,47 +323,106 @@ func TestDifferentialVisibilityKernels(t *testing.T) {
 
 func TestDifferentialAggregateKernels(t *testing.T) {
 	sweep(t, func(t *testing.T, rng *rand.Rand, v *bitpack.Vector, needle uint64) {
-		n := v.Len()
-		begin, end, e := randomEpochs(rng, n)
-		sel := SelectVisible(begin, end, e, 0, n, nil)
+		checkAggregates(t, rng, v)
+	})
+}
 
-		size := int(maxFor(v.Bits())) + 1
-		if v.Bits() > 14 {
-			size = 1 << 14 // cap the histogram, clamp codes below
-			capped := sel[:0]
-			for _, p := range sel {
-				if v.Get(int(p)) < uint64(size) {
-					capped = append(capped, p)
+// checkAggregates pins SumVisible (both value types) and MinMaxVisible to
+// the references at a random epoch and at the Latest sentinel.
+func checkAggregates(t *testing.T, rng *rand.Rand, v *bitpack.Vector) {
+	t.Helper()
+	n := v.Len()
+	begin, end, e := randomEpochs(rng, n)
+	dv, dict := indexable(rng, v)
+	dict32 := make([]uint32, len(dict))
+	for i, x := range dict {
+		dict32[i] = uint32(x)
+	}
+	for _, e := range []uint64{e, ^uint64(0)} {
+		want := refSumVisible(dv, dict, begin, end, e)
+		if got := SumVisible(dv, dict, begin, end, e); got != want {
+			t.Fatalf("SumVisible(w=%d, n=%d, e=%d): got %d want %d", v.Bits(), n, e, got, want)
+		}
+		want32 := refSumVisible(dv, dict32, begin, end, e)
+		if got := SumVisible(dv, dict32, begin, end, e); got != want32 {
+			t.Fatalf("SumVisible[uint32](w=%d, n=%d, e=%d): got %d want %d", v.Bits(), n, e, got, want32)
+		}
+		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
+		if gmn, gmx, gok := MinMaxVisible(v, begin, end, e); gmn != wmn || gmx != wmx || gok != wok {
+			t.Fatalf("MinMaxVisible(w=%d, n=%d, e=%d): got (%d,%d,%v) want (%d,%d,%v)",
+				v.Bits(), n, e, gmn, gmx, gok, wmn, wmx, wok)
+		}
+	}
+}
+
+// indexable returns a vector at v's width whose codes index the returned
+// random dictionary: v itself up to 12 bits, wider codes folded below 4096
+// (a dictionary cannot span a 64-bit code space; DecodeRange's own sweep
+// covers the high lanes).
+func indexable(rng *rand.Rand, v *bitpack.Vector) (*bitpack.Vector, []uint64) {
+	size := uint64(1) << min(v.Bits(), 12)
+	dict := make([]uint64, size)
+	for i := range dict {
+		dict[i] = rng.Uint64()
+	}
+	if size > maxFor(v.Bits()) {
+		return v, dict
+	}
+	codes := make([]uint64, v.Len())
+	for i := range codes {
+		codes[i] = v.Get(i) % size
+	}
+	return bitpack.FromSlice(v.Bits(), codes), dict
+}
+
+// TestDifferentialWindowEdges runs every match, count and aggregate kernel
+// at every width 1..64 and every length 0..129: that covers a vector of
+// k-1, k and k+1 codes for every window size k = 64/width, and a last
+// window whose successor word does not exist.
+func TestDifferentialWindowEdges(t *testing.T) {
+	for width := uint(1); width <= 64; width++ {
+		for n := 0; n <= 129; n++ {
+			rng := rand.New(rand.NewSource(int64(width)*1_000_003 + int64(n)))
+			codes := make([]uint64, n)
+			needle := boundedCode(rng, width)
+			for i := range codes {
+				// Half the codes hit the needle or a neighbour of it, so
+				// lanes match in every position of a window.
+				switch rng.Intn(4) {
+				case 0:
+					codes[i] = needle
+				case 1:
+					codes[i] = (needle + 1) & maxFor(width)
+				default:
+					codes[i] = boundedCode(rng, width)
 				}
 			}
-			sel = capped
+			v := bitpack.FromSlice(width, codes)
+			if got, want := MatchEqual(v, needle, nil), refMatchEqual(v, needle); !eqSel(got, want) {
+				t.Fatalf("MatchEqual(w=%d, n=%d): got %v want %v", width, n, got, want)
+			}
+			max := maxFor(width)
+			for _, r := range [][2]uint64{
+				{needle, needle + 2},
+				{0, max/2 + 1},
+				{max / 3, max},
+				{needle / 2, needle},
+				{1, ^uint64(0)},
+			} {
+				if got, want := MatchRange(v, r[0], r[1], nil), refMatchRange(v, r[0], r[1]); !eqSel(got, want) {
+					t.Fatalf("MatchRange(w=%d, n=%d, [%d,%d)): got %v want %v", width, n, r[0], r[1], got, want)
+				}
+			}
+			begin, end, e := randomEpochs(rng, n)
+			if got, want := CountEqual(v, needle, nil, nil, 0), refCountEqual(v, needle, nil, nil, 0); got != want {
+				t.Fatalf("CountEqual(w=%d, n=%d, nil epochs): got %d want %d", width, n, got, want)
+			}
+			if got, want := CountEqual(v, needle, begin, end, e), refCountEqual(v, needle, begin, end, e); got != want {
+				t.Fatalf("CountEqual(w=%d, n=%d, e=%d): got %d want %d", width, n, e, got, want)
+			}
+			checkAggregates(t, rng, v)
 		}
-		want := make([]int, size)
-		got := make([]int, size)
-		refHistogram(v, sel, want)
-		Histogram(v, sel, got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Histogram diverged")
-		}
-
-		wmn, wmx, wok := refMinMaxSel(v, sel)
-		gmn, gmx, gok := MinMaxSel(v, sel)
-		if gmn != wmn || gmx != wmx || gok != wok {
-			t.Fatalf("MinMaxSel: got (%d,%d,%v) want (%d,%d,%v)", gmn, gmx, gok, wmn, wmx, wok)
-		}
-
-		// A deliberately sparse selection exercises the gather path's
-		// per-position branch.
-		var sparse []int32
-		for i := 0; i < n; i += 17 * (BlockSize / 64) {
-			sparse = append(sparse, int32(i))
-		}
-		smn, smx, sok := MinMaxSel(v, sparse)
-		rmn, rmx, rok := refMinMaxSel(v, sparse)
-		if smn != rmn || smx != rmx || sok != rok {
-			t.Fatalf("MinMaxSel sparse: got (%d,%d,%v) want (%d,%d,%v)", smn, smx, sok, rmn, rmx, rok)
-		}
-	})
+	}
 }
 
 func TestDifferentialGather(t *testing.T) {

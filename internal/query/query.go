@@ -148,10 +148,11 @@ func chooseSeed(t *table.Table, filters []Filter) int {
 	if len(filters) == 1 {
 		return 0
 	}
-	// Producing a seed without an index scans main codes word-at-a-time
-	// (cheap per row) and probes the delta trees; charge the scan at a
-	// fraction of a row each, so a small expected result on an unindexed
-	// column still beats a large one on an indexed column.
+	// Producing a seed without an index scans main codes word-at-a-time,
+	// 64/E_C codes per step at every code width E_C (cheap per row), and
+	// probes the delta trees; charge the scan at a fraction of a row each,
+	// so a small expected result on an unindexed column still beats a
+	// large one on an indexed column.
 	scanCost := float64(t.MainRows())/8 + float64(t.DeltaRows())
 	best, bestCost := 0, math.Inf(1)
 	for i, f := range filters {

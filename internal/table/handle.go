@@ -407,11 +407,10 @@ func NumericColumnOf[V interface{ ~uint32 | ~uint64 }](t *Table, name string) (*
 func (h *NumericHandle[V]) Sum() uint64 { return h.SumAt(Latest()) }
 
 // SumAt aggregates the column over the rows visible at the view's epoch.
-// The main partition reduces through the code histogram: count each code's
-// visible occurrences, then take the dot product with the sorted
-// dictionary — the column is summed without materializing a single row.
-// Very large dictionaries (wider than the visible row count) gather codes
-// directly instead.
+// The main partition is summed in one fused pass over its codes
+// (kernel.SumVisible): each block is decoded, tested for visibility and
+// looked up in the sorted dictionary in the same loop — no selection
+// vector, no row materialized.
 func (h *NumericHandle[V]) SumAt(view View) uint64 {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
@@ -419,25 +418,7 @@ func (h *NumericHandle[V]) SumAt(view View) uint64 {
 	c := h.col()
 	begin, end := h.t.epochs.Raw()
 	nm := c.main.Len()
-	d := c.main.Dict()
-	var sum uint64
-	sel := kernel.SelectVisible(begin, end, e, 0, nm, nil)
-	if len(sel) > 0 {
-		if d.Len() <= len(sel) {
-			counts := make([]int, d.Len())
-			kernel.Histogram(c.main.Codes(), sel, counts)
-			for code, cnt := range counts {
-				if cnt != 0 {
-					sum += uint64(d.At(code)) * uint64(cnt)
-				}
-			}
-		} else {
-			kernel.Gather(c.main.Codes(), sel, func(_ int32, code uint64) bool {
-				sum += uint64(d.At(int(code)))
-				return true
-			})
-		}
-	}
+	sum := kernel.SumVisible(c.main.Codes(), c.main.Dict().Values(), begin, end, e)
 	sum += sumDelta(c.dlt.Values(), begin, end, e, nm)
 	if c.dlt2 != nil {
 		sum += sumDelta(c.dlt2.Values(), begin, end, e, nm+c.dlt.Len())
@@ -445,10 +426,13 @@ func (h *NumericHandle[V]) SumAt(view View) uint64 {
 	return sum
 }
 
+// sumDelta sums the delta values, stored from row base on, visible at e.
 func sumDelta[V interface{ ~uint32 | ~uint64 }](vals []V, begin, end []uint64, e uint64, base int) uint64 {
 	var sum uint64
-	for _, p := range kernel.SelectVisible(begin, end, e, base, base+len(vals), nil) {
-		sum += uint64(vals[int(p)-base])
+	for i, v := range vals {
+		if begin[base+i] <= e && end[base+i]-1 >= e {
+			sum += uint64(v)
+		}
 	}
 	return sum
 }
@@ -473,8 +457,9 @@ func (h *NumericHandle[V]) MaxAt(view View) (V, bool) {
 }
 
 // minMaxAt computes both extremes in one pass.  The main partition's
-// min/max code IS its min/max value (order-preserving dictionary), so the
-// kernel reduces over codes and pays exactly two dictionary accesses.
+// min/max code IS its min/max value (order-preserving dictionary), so one
+// fused decode-and-visibility pass reduces over codes
+// (kernel.MinMaxVisible) and pays exactly two dictionary accesses.
 func (h *NumericHandle[V]) minMaxAt(view View) (mn, mx V, ok bool) {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
@@ -482,8 +467,7 @@ func (h *NumericHandle[V]) minMaxAt(view View) (mn, mx V, ok bool) {
 	c := h.col()
 	begin, end := h.t.epochs.Raw()
 	nm := c.main.Len()
-	sel := kernel.SelectVisible(begin, end, e, 0, nm, nil)
-	if cMin, cMax, found := kernel.MinMaxSel(c.main.Codes(), sel); found {
+	if cMin, cMax, found := kernel.MinMaxVisible(c.main.Codes(), begin, end, e); found {
 		d := c.main.Dict()
 		mn, mx, ok = d.At(int(cMin)), d.At(int(cMax)), true
 	}
@@ -494,19 +478,18 @@ func (h *NumericHandle[V]) minMaxAt(view View) (mn, mx V, ok bool) {
 	return mn, mx, ok
 }
 
+// minMaxDelta folds the delta values, stored from row base on, visible at
+// e into the running extremes (mn, mx, ok).
 func minMaxDelta[V interface{ ~uint32 | ~uint64 }](vals []V, begin, end []uint64, e uint64, base int, mn, mx V, ok bool) (V, V, bool) {
-	for _, p := range kernel.SelectVisible(begin, end, e, base, base+len(vals), nil) {
-		v := vals[int(p)-base]
+	for i, v := range vals {
+		if begin[base+i] > e || end[base+i]-1 < e {
+			continue
+		}
 		if !ok {
 			mn, mx, ok = v, v, true
 			continue
 		}
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
+		mn, mx = min(mn, v), max(mx, v)
 	}
 	return mn, mx, ok
 }

@@ -1,12 +1,15 @@
-// BenchmarkScanKernel and BenchmarkParallelMerge are the perf-trajectory
-// artifacts behind BENCH_kernels.json.
+// BenchmarkScanKernel and BenchmarkParallelMerge are the kernel-level
+// perf artifacts beside the end-to-end harness in benchmark/.
 //
-// BenchmarkScanKernel compares the scalar scan (a per-row bitpack.Vector.Get
-// with a per-row compare — the row-at-a-time path internal/kernel exists to
-// avoid) against the word-at-a-time SWAR kernels on 8/16/32-bit packed
-// columns, for both a sparse equality needle and a ~10% range predicate.
-// The acceptance bar is >= 2x single-thread throughput on the 8- and 16-bit
-// columns.
+// BenchmarkScanKernel runs every main-partition scan kernel on a 1M-code
+// column at the packed widths olap_scan's columns have (status 3, qty 7,
+// product 10, customer 16, amount 17 bits) plus 8, 19 and 32, which
+// together cover windows of whole words and windows that straddle two: a
+// sparse equality needle (op=equal) and a ~10% range (op=range), each
+// against the scalar per-row bitpack.Vector.Get loop the kernels exist to
+// avoid; a count of the needle fused with visibility (op=count); and the
+// fused sum and min/max over the visible rows (op=sum, op=minmax), with
+// one row in 16 invalidated.  Each sub-benchmark reports ns/row.
 //
 // BenchmarkParallelMerge measures the range-partitioned garbage-collecting
 // merge (core.MergeColumnDrop) on one oversized column — the single-shard
@@ -38,56 +41,76 @@ var benchSink int
 
 func BenchmarkScanKernel(b *testing.B) {
 	const n = 1 << 20
-	for _, bits := range []uint{8, 16, 32} {
-		rng := rand.New(rand.NewSource(int64(bits)))
-		codes := make([]uint64, n)
-		max := uint64(1)<<bits - 1
-		for i := range codes {
-			codes[i] = rng.Uint64() & max
+	const e = 5 // every row visible but each 16th, invalidated at epoch 2
+	begin, end := make([]uint64, n), make([]uint64, n)
+	for i := range begin {
+		begin[i] = 1
+		if i%16 == 0 {
+			end[i] = 2
 		}
-		needle := codes[n/2] // sparse: ~n/2^bits expected matches
-		lo, hi := max/2, max/2+max/10+1
+	}
+	for _, bits := range []uint{3, 7, 8, 10, 16, 17, 19, 32} {
+		rng := rand.New(rand.NewSource(int64(bits)))
+		// Codes index a sorted dictionary of card entries; at 32 bits a
+		// 2^32-entry dictionary will not fit, so codes stay below 2^20.
+		card := uint64(1) << min(bits, 20)
+		codes := make([]uint64, n)
+		for i := range codes {
+			codes[i] = rng.Uint64() % card
+		}
+		dict := make([]uint64, card)
+		for i := range dict {
+			dict[i] = uint64(i)*7 + 3
+		}
+		needle := codes[n/2] // ~n/card expected matches
+		lo, hi := card/2, card/2+card/10+1
 		v := bitpack.FromSlice(bits, codes)
 
-		b.Run(fmt.Sprintf("bits=%d/op=equal/impl=scalar", bits), func(b *testing.B) {
-			b.SetBytes(n)
-			for i := 0; i < b.N; i++ {
-				cnt := 0
-				for j := 0; j < n; j++ {
-					if v.Get(j) == needle {
-						cnt++
-					}
+		run := func(op, impl string, fn func()) {
+			b.Run(fmt.Sprintf("bits=%d/op=%s/impl=%s", bits, op, impl), func(b *testing.B) {
+				b.SetBytes(n)
+				for i := 0; i < b.N; i++ {
+					fn()
 				}
-				benchSink = cnt
-			}
-		})
-		b.Run(fmt.Sprintf("bits=%d/op=equal/impl=kernel", bits), func(b *testing.B) {
-			b.SetBytes(n)
-			sel := make([]int32, 0, n)
-			for i := 0; i < b.N; i++ {
-				sel = kernel.MatchEqual(v, needle, sel[:0])
-				benchSink = len(sel)
-			}
-		})
-		b.Run(fmt.Sprintf("bits=%d/op=range/impl=scalar", bits), func(b *testing.B) {
-			b.SetBytes(n)
-			for i := 0; i < b.N; i++ {
-				cnt := 0
-				for j := 0; j < n; j++ {
-					if c := v.Get(j); c >= lo && c < hi {
-						cnt++
-					}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			})
+		}
+		sel := make([]int32, 0, n)
+		run("equal", "scalar", func() {
+			cnt := 0
+			for j := 0; j < n; j++ {
+				if v.Get(j) == needle {
+					cnt++
 				}
-				benchSink = cnt
 			}
+			benchSink = cnt
 		})
-		b.Run(fmt.Sprintf("bits=%d/op=range/impl=kernel", bits), func(b *testing.B) {
-			b.SetBytes(n)
-			sel := make([]int32, 0, n)
-			for i := 0; i < b.N; i++ {
-				sel = kernel.MatchRange(v, lo, hi, sel[:0])
-				benchSink = len(sel)
+		run("equal", "kernel", func() {
+			sel = kernel.MatchEqual(v, needle, sel[:0])
+			benchSink = len(sel)
+		})
+		run("range", "scalar", func() {
+			cnt := 0
+			for j := 0; j < n; j++ {
+				if c := v.Get(j); c >= lo && c < hi {
+					cnt++
+				}
 			}
+			benchSink = cnt
+		})
+		run("range", "kernel", func() {
+			sel = kernel.MatchRange(v, lo, hi, sel[:0])
+			benchSink = len(sel)
+		})
+		run("count", "kernel", func() {
+			benchSink = kernel.CountEqual(v, needle, begin, end, e)
+		})
+		run("sum", "kernel", func() {
+			benchSink = int(kernel.SumVisible(v, dict, begin, end, e))
+		})
+		run("minmax", "kernel", func() {
+			mn, mx, _ := kernel.MinMaxVisible(v, begin, end, e)
+			benchSink = int(mn + mx)
 		})
 	}
 }
