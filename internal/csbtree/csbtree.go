@@ -399,12 +399,6 @@ func (t *Tree[V]) Find(v V) ([]int32, bool) {
 	return tids, true
 }
 
-// Contains reports whether v has been inserted.
-func (t *Tree[V]) Contains(v V) bool {
-	_, ok := t.Find(v)
-	return ok
-}
-
 // Ascend performs the in-order leaf traversal of Step 1(a): fn is called
 // once per distinct value in ascending order with the value's tuple IDs in
 // insertion order.  The tids slice is reused between calls; fn must not

@@ -79,9 +79,6 @@ func (p *Partition[V]) FindRange(lo, hi V, dst []int32) []int32 {
 	return dst
 }
 
-// Tree exposes the CSB+ index (read-only use).
-func (p *Partition[V]) Tree() *csbtree.Tree[V] { return p.tree }
-
 // SizeBytes estimates memory: uncompressed values plus the tree.
 func (p *Partition[V]) SizeBytes() int {
 	return val.SliceBytes(p.values) + p.tree.SizeBytes()

@@ -259,7 +259,9 @@ func (w *writer) writePartition(img table.Image) {
 }
 
 // writeColumn encodes one column: the main's dictionary, code width and
-// packed words, then the frozen- and second-delta values.
+// packed words, then the values of every delta segment in slot order (the
+// frozen, then the second delta of a mid-merge capture) as one run, so the
+// bytes do not depend on how many deltas the column held.
 func writeColumn[V val.Value](w *writer, col table.Values[V], put func(V)) {
 	dict, words := col.Main.Dict().Values(), col.Main.Codes().Words()
 	w.u64(uint64(len(dict)))
@@ -267,8 +269,9 @@ func writeColumn[V val.Value](w *writer, col table.Values[V], put func(V)) {
 	w.u8(uint8(col.Main.Bits()))
 	w.u64(uint64(len(words)))
 	writeAll(words, w.u64)
-	writeAll(col.Plain[0], put)
-	writeAll(col.Plain[1], put)
+	for _, p := range col.Plain {
+		writeAll(p, put)
+	}
 }
 
 func writeAll[V any](vs []V, put func(V)) {
@@ -313,7 +316,7 @@ func readColumn[V val.Value](r *reader, mainRows, rows int, get func() V) table.
 	if err != nil {
 		r.err = fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	return table.Values[V]{Main: main, Plain: [2][]V{deltaValues}}
+	return table.Values[V]{Main: main, Plain: [][]V{deltaValues}}
 }
 
 // readPartition decodes one partition section into an image and has the

@@ -51,8 +51,10 @@ type column interface {
 type typedColumn[V val.Value] struct {
 	d    ColumnDef
 	main *colstore.Main[V]
-	dlt  *delta.Partition[V] // active delta; frozen during a merge
-	dlt2 *delta.Partition[V] // second delta, non-nil only during a merge
+	// deltas are the column's delta partitions in slot order after the
+	// main: one outside a merge; during one, the frozen delta the merge
+	// reads, then the second delta.  The last one takes every insert.
+	deltas []*delta.Partition[V]
 
 	pending      *colstore.Main[V] // merge result awaiting commit
 	pendingStats core.Stats        // written by runMerge, published at commit
@@ -74,17 +76,19 @@ type typedColumn[V val.Value] struct {
 func newColumn(def ColumnDef) column {
 	switch def.Type {
 	case Uint32:
-		return &typedColumn[uint32]{d: def, main: colstore.Empty[uint32](),
-			dlt: delta.New[uint32](), convert: convertUint32}
+		return newTyped(def, convertUint32)
 	case Uint64:
-		return &typedColumn[uint64]{d: def, main: colstore.Empty[uint64](),
-			dlt: delta.New[uint64](), convert: convertUint64}
+		return newTyped(def, convertUint64)
 	case String:
-		return &typedColumn[string]{d: def, main: colstore.Empty[string](),
-			dlt: delta.New[string](), convert: convertString}
+		return newTyped(def, convertString)
 	default:
 		panic(fmt.Sprintf("table: unknown column type %v", def.Type))
 	}
+}
+
+func newTyped[V val.Value](def ColumnDef, convert func(any) (V, error)) *typedColumn[V] {
+	return &typedColumn[V]{d: def, main: colstore.Empty[V](),
+		deltas: []*delta.Partition[V]{delta.New[V]()}, convert: convert}
 }
 
 func convertUint64(v any) (uint64, error) {
@@ -157,61 +161,51 @@ func (c *typedColumn[V]) checkValue(v any) error {
 func (c *typedColumn[V]) appendValue(v any) {
 	x, err := c.convert(v)
 	if err != nil {
-		// Table.Insert validates first; reaching here is a programming error.
+		// Writers validate first (CheckRow); reaching here is a programming error.
 		panic(err)
 	}
-	c.activeDelta().Insert(x)
+	c.deltas[len(c.deltas)-1].Insert(x)
 }
 
-// activeDelta returns the partition new writes go to: the second delta
-// while a merge is running, the primary delta otherwise.
-func (c *typedColumn[V]) activeDelta() *delta.Partition[V] {
-	if c.dlt2 != nil {
-		return c.dlt2
-	}
-	return c.dlt
-}
-
-// get materializes the value at a global row offset: main rows first, then
-// the (frozen) delta, then the second delta.
+// get materializes the value at a global row offset (see getTyped).
 func (c *typedColumn[V]) get(row int) any {
 	v, _ := c.getTyped(row)
 	return v
 }
 
+// getTyped reads the value at a global row offset: main rows first, then
+// each delta in slot order, stepping past every delta the offset lies
+// beyond.  ok is false for an offset past the last delta.
 func (c *typedColumn[V]) getTyped(row int) (V, bool) {
-	var zero V
-	nm := c.main.Len()
-	if row < nm {
+	if row < c.main.Len() {
 		return c.main.At(row), true
 	}
-	row -= nm
-	if row < c.dlt.Len() {
-		return c.dlt.Get(row), true
+	row -= c.main.Len()
+	for _, d := range c.deltas {
+		if row < d.Len() {
+			return d.Get(row), true
+		}
+		row -= d.Len()
 	}
-	row -= c.dlt.Len()
-	if c.dlt2 != nil && row < c.dlt2.Len() {
-		return c.dlt2.Get(row), true
-	}
+	var zero V
 	return zero, false
 }
 
 func (c *typedColumn[V]) mainLen() int { return c.main.Len() }
 
 func (c *typedColumn[V]) deltaLen() int {
-	n := c.dlt.Len()
-	if c.dlt2 != nil {
-		n += c.dlt2.Len()
+	n := 0
+	for _, d := range c.deltas {
+		n += d.Len()
 	}
 	return n
 }
 
 func (c *typedColumn[V]) stats() ColumnStats {
-	uniqueDelta := c.dlt.Unique()
-	size := c.main.SizeBytes() + c.dlt.SizeBytes()
-	if c.dlt2 != nil {
-		uniqueDelta += c.dlt2.Unique()
-		size += c.dlt2.SizeBytes()
+	uniqueDelta, size := 0, c.main.SizeBytes()
+	for _, d := range c.deltas {
+		uniqueDelta += d.Unique()
+		size += d.SizeBytes()
 	}
 	return ColumnStats{
 		Def:         c.d,
@@ -225,11 +219,12 @@ func (c *typedColumn[V]) stats() ColumnStats {
 	}
 }
 
+// image references the main and the current prefix of every delta, one
+// Plain segment per delta in slot order.
 func (c *typedColumn[V]) image() any {
-	v := Values[V]{Main: c.main}
-	v.Plain[0] = c.dlt.Values()
-	if c.dlt2 != nil {
-		v.Plain[1] = c.dlt2.Values()
+	v := Values[V]{Main: c.main, Plain: make([][]V, len(c.deltas))}
+	for i, d := range c.deltas {
+		v.Plain[i] = d.Values()
 	}
 	return v
 }
@@ -251,31 +246,32 @@ func (c *typedColumn[V]) checkImage(values any, mainRows, rows int) error {
 
 func (c *typedColumn[V]) adopt(values any) {
 	v := values.(Values[V])
-	c.main = v.Main
-	c.dlt = delta.New[V]()
+	d := delta.New[V]()
 	for _, p := range v.Plain {
 		for _, x := range p {
-			c.dlt.Insert(x)
+			d.Insert(x)
 		}
 	}
+	c.main, c.deltas = v.Main, []*delta.Partition[V]{d}
 }
 
-// beginMerge freezes the primary delta and opens the second delta
-// (called under Table.mu write lock).
+// beginMerge freezes the column's one delta and appends the second delta
+// that takes inserts until commit or abort (called under Table.mu write
+// lock).
 func (c *typedColumn[V]) beginMerge() {
-	c.dlt2 = delta.New[V]()
+	c.deltas = append(c.deltas, delta.New[V]())
 	c.pending = nil
 }
 
-// runMerge merges main + frozen delta into a pending main partition,
-// dropping the slots in the table's frozen GC decision.  It only reads
-// immutable state (main, frozen delta, the drop), so it runs without the
-// table lock while inserts land in the second delta.
+// runMerge merges main + frozen delta (deltas[0]) into a pending main
+// partition, dropping the slots in the table's frozen GC decision.  It only
+// reads immutable state (main, frozen delta, the drop), so it runs without
+// the table lock while inserts land in the second delta.
 func (c *typedColumn[V]) runMerge(opts core.Options, drop core.Drop) {
 	// Writes only merge-private fields (pending, pendingStats); externally
 	// visible state is untouched until commitMerge runs under the table's
 	// write lock, so concurrent readers never observe a torn merge.
-	c.pending, c.pendingStats = core.MergeColumnDrop(c.main, c.dlt, drop, opts)
+	c.pending, c.pendingStats = core.MergeColumnDrop(c.main, c.deltas[0], drop, opts)
 	// Merge-maintained index rebuild: the merge just rewrote the whole code
 	// vector against the re-sorted dictionary, so the group-key index is a
 	// single counting-sort pass over the fresh vector.  Building it here —
@@ -288,14 +284,15 @@ func (c *typedColumn[V]) runMerge(opts core.Options, drop core.Drop) {
 	}
 }
 
-// commitMerge installs the merged main and promotes the second delta
-// (called under Table.mu write lock).
+// commitMerge installs the merged main and leaves the second delta as the
+// column's one delta, in a fresh slice so the old backing array does not
+// keep the retired frozen delta reachable (called under Table.mu write
+// lock).
 func (c *typedColumn[V]) commitMerge() {
 	c.main = c.pending
 	c.lastStats = c.pendingStats
 	c.pending = nil
-	c.dlt = c.dlt2
-	c.dlt2 = nil
+	c.deltas = []*delta.Partition[V]{c.deltas[1]}
 	if c.idxOn {
 		c.idxBuilds++
 		c.idxLastBuild = c.pendingBuild
@@ -333,16 +330,16 @@ func (c *typedColumn[V]) indexStats() IndexStats {
 func (c *typedColumn[V]) mergeStats() core.Stats { return c.lastStats }
 
 // abortMerge discards the pending main and folds the second delta back
-// into the primary delta.  Because the second delta's rows directly follow
+// into the frozen one.  Because the second delta's rows directly follow
 // the frozen delta's rows in the global offset space, re-appending them
-// preserves every row id (called under Table.mu write lock).
+// preserves every row id.  Slot 1 is cleared before the reslice so the
+// backing array does not keep the folded delta and its CSB+ tree reachable
+// (called under Table.mu write lock).
 func (c *typedColumn[V]) abortMerge() {
 	c.pending = nil
-	if c.dlt2 == nil {
-		return
+	for _, x := range c.deltas[1].Values() {
+		c.deltas[0].Insert(x)
 	}
-	for i := 0; i < c.dlt2.Len(); i++ {
-		c.dlt.Insert(c.dlt2.Get(i))
-	}
-	c.dlt2 = nil
+	c.deltas[1] = nil
+	c.deltas = c.deltas[:1]
 }

@@ -9,11 +9,12 @@ import (
 
 // Handle is a typed view of one column, providing the read operations of
 // the paper's workload taxonomy (§2): key lookups, table scans and range
-// selects.  All operations span the main partition, the frozen delta and
-// the second delta.  The methods without an At suffix filter to current
-// (latest-version) rows; each has an At variant taking a View that filters
-// to the rows visible at the view's epoch instead, so a multi-operation
-// read plan can run against one frozen state while writers proceed.
+// selects.  All operations span the main partition and then every delta in
+// slot order (the frozen and the second delta while a merge runs).  The
+// methods without an At suffix filter to current (latest-version) rows;
+// each has an At variant taking a View that filters to the rows visible at
+// the view's epoch instead, so a multi-operation read plan can run against
+// one frozen state while writers proceed.
 //
 // Lookups use the main dictionary's binary search plus the delta's CSB+
 // tree; scans stream the compressed codes and materialize delta values —
@@ -92,22 +93,14 @@ func (h *Handle[V]) LookupAt(view View, v V) []int {
 		rows = append(rows, h.t.ids[p])
 	}
 	base := c.main.Len()
-	if tids, ok := c.dlt.Find(v); ok {
+	for _, d := range c.deltas {
+		tids, _ := d.Find(v)
 		for _, tid := range tids {
 			if r := base + int(tid); h.t.epochs.VisibleAt(r, e) {
 				rows = append(rows, h.t.ids[r])
 			}
 		}
-	}
-	if c.dlt2 != nil {
-		base2 := base + c.dlt.Len()
-		if tids, ok := c.dlt2.Find(v); ok {
-			for _, tid := range tids {
-				if r := base2 + int(tid); h.t.epochs.VisibleAt(r, e) {
-					rows = append(rows, h.t.ids[r])
-				}
-			}
-		}
+		base += d.Len()
 	}
 	return rows
 }
@@ -138,37 +131,24 @@ func (h *Handle[V]) RangeAt(view View, lo, hi V) []int {
 		rows = append(rows, h.t.ids[p])
 	}
 	base := c.main.Len()
-	if indexed {
-		// Delta side of an indexed column: bounded CSB+ traversal instead
-		// of a value scan.  FindRange returns ascending positions, so the
-		// output order matches the scan path exactly.
-		for _, tid := range c.dlt.FindRange(lo, hi, nil) {
-			if r := base + int(tid); h.t.epochs.VisibleAt(r, e) {
-				rows = append(rows, h.t.ids[r])
-			}
-		}
-	} else {
-		for i, v := range c.dlt.Values() {
-			if v >= lo && v <= hi && h.t.epochs.VisibleAt(base+i, e) {
-				rows = append(rows, h.t.ids[base+i])
-			}
-		}
-	}
-	if c.dlt2 != nil {
-		base2 := base + c.dlt.Len()
+	for _, d := range c.deltas {
 		if indexed {
-			for _, tid := range c.dlt2.FindRange(lo, hi, nil) {
-				if r := base2 + int(tid); h.t.epochs.VisibleAt(r, e) {
+			// Delta side of an indexed column: bounded CSB+ traversal
+			// instead of a value scan.  FindRange returns ascending
+			// positions, so the output order matches the scan path exactly.
+			for _, tid := range d.FindRange(lo, hi, nil) {
+				if r := base + int(tid); h.t.epochs.VisibleAt(r, e) {
 					rows = append(rows, h.t.ids[r])
 				}
 			}
 		} else {
-			for i, v := range c.dlt2.Values() {
-				if v >= lo && v <= hi && h.t.epochs.VisibleAt(base2+i, e) {
-					rows = append(rows, h.t.ids[base2+i])
+			for i, v := range d.Values() {
+				if v >= lo && v <= hi && h.t.epochs.VisibleAt(base+i, e) {
+					rows = append(rows, h.t.ids[base+i])
 				}
 			}
 		}
+		base += d.Len()
 	}
 	return rows
 }
@@ -209,22 +189,14 @@ func (h *Handle[V]) ScanAt(view View, fn func(row int, v V) bool) {
 	if stopped {
 		return
 	}
-	for i, v := range c.dlt.Values() {
-		if row := nm + i; h.t.epochs.VisibleAt(row, e) {
-			if !fn(h.t.ids[row], v) {
+	base := nm
+	for _, d := range c.deltas {
+		for i, v := range d.Values() {
+			if row := base + i; h.t.epochs.VisibleAt(row, e) && !fn(h.t.ids[row], v) {
 				return
 			}
 		}
-	}
-	if c.dlt2 != nil {
-		base2 := nm + c.dlt.Len()
-		for i, v := range c.dlt2.Values() {
-			if row := base2 + i; h.t.epochs.VisibleAt(row, e) {
-				if !fn(h.t.ids[row], v) {
-					return
-				}
-			}
-		}
+		base += d.Len()
 	}
 }
 
@@ -254,22 +226,14 @@ func (h *Handle[V]) CountEqualAt(view View, v V) int {
 		}
 	}
 	base := c.main.Len()
-	if tids, ok := c.dlt.Find(v); ok {
+	for _, d := range c.deltas {
+		tids, _ := d.Find(v)
 		for _, tid := range tids {
 			if h.t.epochs.VisibleAt(base+int(tid), e) {
 				n++
 			}
 		}
-	}
-	if c.dlt2 != nil {
-		base2 := base + c.dlt.Len()
-		if tids, ok := c.dlt2.Find(v); ok {
-			for _, tid := range tids {
-				if h.t.epochs.VisibleAt(base2+int(tid), e) {
-					n++
-				}
-			}
-		}
+		base += d.Len()
 	}
 	return n
 }
@@ -299,13 +263,9 @@ func (h *Handle[V]) EstimateEqual(v V) (rows int, indexed bool) {
 	} else if d := c.main.Dict().Len(); d > 0 {
 		rows = c.main.Len() / d
 	}
-	if tids, ok := c.dlt.Find(v); ok {
+	for _, d := range c.deltas {
+		tids, _ := d.Find(v)
 		rows += len(tids)
-	}
-	if c.dlt2 != nil {
-		if tids, ok := c.dlt2.Find(v); ok {
-			rows += len(tids)
-		}
 	}
 	return rows, indexed
 }
@@ -378,11 +338,8 @@ func (h *Handle[V]) AddDistinct(seen map[V]struct{}) {
 	for _, v := range c.main.Dict().Values() {
 		seen[v] = struct{}{}
 	}
-	for _, v := range c.dlt.Values() {
-		seen[v] = struct{}{}
-	}
-	if c.dlt2 != nil {
-		for _, v := range c.dlt2.Values() {
+	for _, d := range c.deltas {
+		for _, v := range d.Values() {
 			seen[v] = struct{}{}
 		}
 	}
@@ -417,11 +374,11 @@ func (h *NumericHandle[V]) SumAt(view View) uint64 {
 	e := view.resolve()
 	c := h.col()
 	begin, end := h.t.epochs.Raw()
-	nm := c.main.Len()
 	sum := kernel.SumVisible(c.main.Codes(), c.main.Dict().Values(), begin, end, e)
-	sum += sumDelta(c.dlt.Values(), begin, end, e, nm)
-	if c.dlt2 != nil {
-		sum += sumDelta(c.dlt2.Values(), begin, end, e, nm+c.dlt.Len())
+	base := c.main.Len()
+	for _, d := range c.deltas {
+		sum += sumDelta(d.Values(), begin, end, e, base)
+		base += d.Len()
 	}
 	return sum
 }
@@ -466,14 +423,14 @@ func (h *NumericHandle[V]) minMaxAt(view View) (mn, mx V, ok bool) {
 	e := view.resolve()
 	c := h.col()
 	begin, end := h.t.epochs.Raw()
-	nm := c.main.Len()
 	if cMin, cMax, found := kernel.MinMaxVisible(c.main.Codes(), begin, end, e); found {
 		d := c.main.Dict()
 		mn, mx, ok = d.At(int(cMin)), d.At(int(cMax)), true
 	}
-	mn, mx, ok = minMaxDelta(c.dlt.Values(), begin, end, e, nm, mn, mx, ok)
-	if c.dlt2 != nil {
-		mn, mx, ok = minMaxDelta(c.dlt2.Values(), begin, end, e, nm+c.dlt.Len(), mn, mx, ok)
+	base := c.main.Len()
+	for _, d := range c.deltas {
+		mn, mx, ok = minMaxDelta(d.Values(), begin, end, e, base, mn, mx, ok)
+		base += d.Len()
 	}
 	return mn, mx, ok
 }

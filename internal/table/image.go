@@ -32,17 +32,25 @@ type Image struct {
 }
 
 // Values is one column of an Image, in slot order: the main partition as
-// memory holds it — sorted dictionary and bit-packed codes — then the delta
-// as plain values.  A captured image references the partition's main and
-// the prefixes of its frozen (Plain[0]) and second (Plain[1]) delta; a
-// decoded one holds the main the snapshot shipped and the delta in Plain[0].
+// memory holds it — sorted dictionary and bit-packed codes — then the
+// deltas as plain values, one Plain segment per delta.  A captured image
+// references the partition's main and the prefix of each of its deltas —
+// mid-merge the frozen, then the second delta — which is the same
+// (main, deltas) shape every read walks; a decoded one holds the main the
+// snapshot shipped and the delta as one segment.
 type Values[V val.Value] struct {
 	Main  *colstore.Main[V]
-	Plain [2][]V
+	Plain [][]V
 }
 
 // Len returns the number of values.
-func (v Values[V]) Len() int { return v.Main.Len() + len(v.Plain[0]) + len(v.Plain[1]) }
+func (v Values[V]) Len() int {
+	n := v.Main.Len()
+	for _, p := range v.Plain {
+		n += len(p)
+	}
+	return n
+}
 
 // Image captures the partition under one read lock.  It never waits for a
 // merge: mid-merge it references the main and frozen delta the merge is

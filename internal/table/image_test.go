@@ -197,10 +197,10 @@ func TestAdoptRejects(t *testing.T) {
 			img.Columns[2] = v
 		},
 		"column of another type": func(img *Image) {
-			img.Columns[1] = Values[uint64]{Main: colstore.Empty[uint64](), Plain: [2][]uint64{make([]uint64, 25)}}
+			img.Columns[1] = Values[uint64]{Main: colstore.Empty[uint64](), Plain: [][]uint64{make([]uint64, 25)}}
 		},
 		"column without a main": func(img *Image) {
-			img.Columns[2] = Values[string]{Plain: [2][]string{make([]string, 25)}}
+			img.Columns[2] = Values[string]{Plain: [][]string{make([]string, 25)}}
 		},
 		"main of another length": func(img *Image) {
 			v := img.Columns[2].(Values[string])

@@ -148,7 +148,7 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	t.merging = true
 	rowsMerged := 0
 	if len(t.cols) > 0 {
-		rowsMerged = t.cols[0].deltaLen() // second deltas are nil here
+		rowsMerged = t.cols[0].deltaLen() // one delta per column here
 	}
 	// Decide what this merge reclaims while the freeze lock pins the row
 	// set: a version is reclaimable when its [begin, end) validity interval

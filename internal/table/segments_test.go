@@ -1,0 +1,216 @@
+package table
+
+import (
+	"context"
+	"slices"
+	"testing"
+)
+
+// TestReadsSpanEverySegment runs every Handle and NumericHandle read while
+// the rows sit in three places — main, frozen delta and second delta — with
+// deletes and updates landing in the second delta, on an indexed (qty) and
+// an unindexed (id) column, at latest and at two pinned views.  Each read is
+// compared against a scalar reference built from Row and VisibleAt, then
+// again after the merge aborts and after a real merge commits.
+func TestReadsSpanEverySegment(t *testing.T) {
+	tb := newTestTable(t)
+	if err := tb.CreateIndex("qty"); err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(t, tb, 300, 21)
+	if _, err := tb.Merge(context.Background(), MergeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(t, tb, 40, 22) // ids 300..339: the delta the merge freezes
+	if err := tb.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	beforeFreeze := tb.Snapshot()
+	defer beforeFreeze.Release()
+
+	// Freeze exactly as Merge's phase 1 does, then stay there.
+	tb.mergeMu.Lock()
+	tb.mu.Lock()
+	tb.merging = true
+	for _, c := range tb.cols {
+		c.beginMerge()
+	}
+	tb.mu.Unlock()
+	fillRandom(t, tb, 30, 23) // ids 340..369: the second delta
+	midMerge := tb.Snapshot()
+	defer midMerge.Release()
+	// Delete and update one row of each segment; the new versions land in
+	// the second delta with values no older row holds.
+	for _, id := range []int{11, 305, 345} {
+		if err := tb.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int{12, 310, 350} {
+		if _, err := tb.Update(id, map[string]any{"id": uint64(5000 + id), "qty": uint32(200 + id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, _ := ColumnOf[uint32](tb, "qty"); !h.Indexed() {
+		t.Fatal("qty lost its index")
+	}
+
+	views := map[string]View{"latest": Latest(), "before freeze": beforeFreeze, "mid merge": midMerge}
+	check := func(stage string) {
+		t.Helper()
+		for name, view := range views {
+			checkReads[uint64](t, tb, "id", view, stage+", "+name)
+			checkReads[uint32](t, tb, "qty", view, stage+", "+name)
+		}
+	}
+	check("mid merge")
+
+	// Roll the merge back as Merge's abort path does.
+	tb.mu.Lock()
+	for _, c := range tb.cols {
+		c.abortMerge()
+	}
+	tb.merging = false
+	tb.mu.Unlock()
+	tb.mergeMu.Unlock()
+	check("after abort")
+
+	if _, err := tb.Merge(context.Background(), MergeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("after commit")
+}
+
+// checkReads compares every read of one numeric column at one view against
+// the scalar reference: the stored versions in slot order (tb.RowIDs, Row)
+// and the subset VisibleAt admits.
+func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col string, view View, at string) {
+	t.Helper()
+	h, err := NumericColumnOf[V](tb, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, _ := tb.columnIndex(col)
+	type entry struct {
+		id int
+		v  V
+	}
+	var stored, visible []entry
+	seen := map[V]bool{}
+	for _, id := range tb.RowIDs() {
+		row, err := tb.Row(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := entry{id, row[ci].(V)}
+		stored = append(stored, e)
+		seen[e.v] = true
+		if tb.VisibleAt(view, id) {
+			visible = append(visible, e)
+		}
+	}
+	where := func(keep func(V) bool) []int {
+		var ids []int
+		for _, e := range visible {
+			if keep(e.v) {
+				ids = append(ids, e.id)
+			}
+		}
+		return ids
+	}
+
+	// Point reads: every stored value plus one no row holds.
+	probes := []V{^V(0)}
+	for v := range seen {
+		probes = append(probes, v)
+	}
+	slices.Sort(probes)
+	st := tb.Stats().Columns[ci]
+	indexed := h.Indexed()
+	for _, p := range probes {
+		want := where(func(v V) bool { return v == p })
+		if got := h.LookupAt(view, p); !slices.Equal(got, want) {
+			t.Fatalf("%s: %s LookupAt(%v) = %v, want %v", at, col, p, got, want)
+		}
+		if got := h.CountEqualAt(view, p); got != len(want) {
+			t.Fatalf("%s: %s CountEqualAt(%v) = %d, want %d", at, col, p, got, len(want))
+		}
+		// Exact over the deltas; the main part is exact when indexed and
+		// the uniform guess otherwise.
+		est := 0
+		for slot, e := range stored {
+			if e.v == p && (indexed || slot >= st.MainRows) {
+				est++
+			}
+		}
+		if !indexed && st.UniqueMain > 0 {
+			est += st.MainRows / st.UniqueMain
+		}
+		if got, idx := h.EstimateEqual(p); got != est || idx != indexed {
+			t.Fatalf("%s: %s EstimateEqual(%v) = %d, %v, want %d, %v", at, col, p, got, idx, est, indexed)
+		}
+	}
+	for i := 0; i < len(probes); i += max(1, len(probes)/6) {
+		lo, hi := probes[i], probes[min(i+len(probes)/4, len(probes)-1)]
+		want := where(func(v V) bool { return v >= lo && v <= hi })
+		if got := h.RangeAt(view, lo, hi); !slices.Equal(got, want) {
+			t.Fatalf("%s: %s RangeAt(%v, %v) = %v, want %v", at, col, lo, hi, got, want)
+		}
+	}
+
+	// Scans: the whole column, then one stopped three quarters in.
+	var scanned []entry
+	h.ScanAt(view, func(row int, v V) bool {
+		scanned = append(scanned, entry{row, v})
+		return true
+	})
+	if !slices.Equal(scanned, visible) {
+		t.Fatalf("%s: %s ScanAt = %v, want %v", at, col, scanned, visible)
+	}
+	stop := len(visible) * 3 / 4
+	scanned = scanned[:0]
+	h.ScanAt(view, func(row int, v V) bool {
+		scanned = append(scanned, entry{row, v})
+		return len(scanned) < stop
+	})
+	if !slices.Equal(scanned, visible[:stop]) {
+		t.Fatalf("%s: %s ScanAt stopped at %d rows, want %d", at, col, len(scanned), stop)
+	}
+
+	// Aggregates over the visible rows.
+	var sum uint64
+	for _, e := range visible {
+		sum += uint64(e.v)
+	}
+	if got := h.SumAt(view); got != sum {
+		t.Fatalf("%s: %s SumAt = %d, want %d", at, col, got, sum)
+	}
+	vals := make([]V, len(visible))
+	for i, e := range visible {
+		vals[i] = e.v
+	}
+	mn, okMin := h.MinAt(view)
+	mx, okMax := h.MaxAt(view)
+	if !okMin || !okMax || mn != slices.Min(vals) || mx != slices.Max(vals) {
+		t.Fatalf("%s: %s MinAt/MaxAt = %v (%v), %v (%v), want %v, %v",
+			at, col, mn, okMin, mx, okMax, slices.Min(vals), slices.Max(vals))
+	}
+
+	// View-independent reads over every stored version.
+	ids := make([]int, len(stored))
+	for i, e := range stored {
+		ids[i] = e.id
+	}
+	got, err := h.Gather(ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range stored {
+		if got[i] != e.v {
+			t.Fatalf("%s: %s Gather row %d = %v, want %v", at, col, e.id, got[i], e.v)
+		}
+	}
+	if got := h.Distinct(); got != len(seen) {
+		t.Fatalf("%s: %s Distinct = %d, want %d", at, col, got, len(seen))
+	}
+}

@@ -362,31 +362,13 @@ func (t *Table) columnIndex(name string) (int, error) {
 }
 
 // Insert appends one row; values must match the schema's arity and types.
-// It returns the new row id.
+// It returns the new row id.  It is a one-row InsertRows.
 func (t *Table) Insert(values []any) (int, error) {
-	if len(values) != len(t.cols) {
-		return 0, fmt.Errorf("%w: got %d want %d", ErrArity, len(values), len(t.cols))
+	ids, err := t.InsertRows([][]any{values})
+	if err != nil {
+		return 0, err
 	}
-	// Validate before mutating anything so a bad value cannot leave the
-	// columns ragged.
-	for i, v := range values {
-		if err := t.cols[i].checkValue(v); err != nil {
-			return 0, err
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sealed {
-		return 0, ErrSealed
-	}
-	at := t.clock.Now()
-	if t.olog != nil {
-		at = t.olog.Append([]oplog.Rec{{
-			Kind: oplog.KindInsert, Shard: t.oshard, ID: uint64(t.nextID),
-			Rows: [][]any{t.logRow(values)},
-		}})
-	}
-	return t.insertLocked(values, at), nil
+	return ids[0], nil
 }
 
 // insertLocked appends a row stamped as inserted at epoch at and returns

@@ -189,7 +189,7 @@ func TestMoveRowAtomicVisibility(t *testing.T) {
 }
 
 // TestViewSurvivesMergeAbort checks that an aborted merge (second delta
-// folded back into the primary delta, row ids preserved) leaves in-flight
+// folded back into the frozen delta, row ids preserved) leaves in-flight
 // views intact — including views that already see rows in the second
 // delta.
 func TestViewSurvivesMergeAbort(t *testing.T) {
