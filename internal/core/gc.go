@@ -4,8 +4,6 @@ import (
 	"sort"
 
 	"hyrise/internal/bitpack"
-	"hyrise/internal/dict"
-	"hyrise/internal/val"
 )
 
 // Drop is the reclamation decision of one garbage-collecting merge: which
@@ -90,32 +88,4 @@ func unreferenced(codes *bitpack.Vector, deltaCodes []uint32, uniqueM, uniqueD i
 		}
 	}
 	return deadM, deadD
-}
-
-// compactDict filters a sorted dictionary to the values not marked dead,
-// returning the compacted dictionary and the old-code -> compact-code
-// remapping (entries for dead codes are 0; no surviving tuple reads them).
-func compactDict[V val.Value](d *dict.Dict[V], dead []bool) (*dict.Dict[V], []uint32) {
-	kept := make([]V, 0, len(dead))
-	remap := make([]uint32, len(dead))
-	for code, gone := range dead {
-		if !gone {
-			remap[code] = uint32(len(kept))
-			kept = append(kept, d.At(code))
-		}
-	}
-	return dict.FromSorted(kept), remap
-}
-
-// compose rewrites remap in place to x∘remap, the single table Step 2 reads.
-// Codes of dead values map wherever compact code 0 does — in range of the
-// output width, and only ever looked up for tuples that are then skipped.
-func compose(remap, x []uint32) []uint32 {
-	if len(x) == 0 {
-		return remap // every value on this side is dead
-	}
-	for code, compact := range remap {
-		remap[code] = x[compact]
-	}
-	return remap
 }

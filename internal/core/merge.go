@@ -25,12 +25,12 @@
 // time.  A serial merge runs it over the whole column as one chunk.
 //
 // A garbage-collecting merge (MergeColumnDrop) is the same algorithm with a
-// Drop: Step 1(b) first finds the dictionary values no surviving tuple
+// Drop: before Step 1(b) it finds the dictionary entries no surviving tuple
 // references — by collecting the codes at the dropped positions and
 // scanning for one surviving witness of each, not by decoding every tuple
-// — and merges the dictionaries without them; the old-code -> compacted-
-// code remapping is composed into X_M and X_D, so Step 2 still does one
-// lookup per tuple, and step2 skips the dropped positions.
+// — and the one dictionary merge leaves their values out while it writes
+// X_M and X_D, so Step 2 still does one lookup per tuple, and step2 skips
+// the dropped positions.
 //
 // MergeColumn returns the new main partition; the input main and delta are
 // not modified, which is what allows the table layer to run the merge
@@ -98,6 +98,8 @@ func (o Options) EffectiveThreads() int {
 // Durations follow the paper's step naming (§5): Step 1(a) delta dictionary
 // extraction, Step 1(b) dictionary merge, Step 2 compressed-value update.
 type Stats struct {
+	// Algorithm is the variant that ran: a merge that drops tuples runs
+	// Optimized whatever Options.Algorithm asked for.
 	Algorithm Algorithm
 	Threads   int
 
@@ -158,7 +160,7 @@ func MergeColumn[V val.Value](m *colstore.Main[V], d *delta.Partition[V], opts O
 func MergeColumnDrop[V val.Value](m *colstore.Main[V], d *delta.Partition[V], drop Drop, opts Options) (*colstore.Main[V], Stats) {
 	nt := opts.EffectiveThreads()
 	st := Stats{
-		Algorithm:  opts.Algorithm,
+		Algorithm:  Optimized,
 		Threads:    nt,
 		NM:         m.Len(),
 		ND:         d.Len(),
@@ -168,6 +170,7 @@ func MergeColumnDrop[V val.Value](m *colstore.Main[V], d *delta.Partition[V], dr
 		Dropped:    len(drop.Pos),
 	}
 	if opts.Algorithm == Naive && st.Dropped == 0 {
+		st.Algorithm = Naive
 		return mergeNaive(m, d, nt, &st), st
 	}
 	return mergeOptimized(m, d, drop, nt, &st), st
@@ -201,28 +204,18 @@ func mergeOptimized[V val.Value](m *colstore.Main[V], d *delta.Partition[V], dro
 	st.Step1a = time.Since(t0)
 	st.UniqueDelta = dictD.Len()
 
-	// Step 1(b): merge dictionaries, emitting X_M and X_D.  With a drop,
-	// first compact both dictionaries to the values survivors reference,
-	// then compose old code -> compacted code -> merged code into one table
-	// per side, so Step 2 pays one lookup per tuple either way.
+	// Step 1(b): one merge of the dictionaries that writes U'_M, X_M and
+	// X_D.  With a drop it leaves out the values no surviving tuple
+	// references, so Step 2 pays one lookup per tuple either way.
 	t0 = time.Now()
-	dictM := m.Dict()
-	var remapM, remapD []uint32
+	var deadM, deadD []bool
 	if st.Dropped > 0 {
-		deadM, deadD := unreferenced(m.Codes(), deltaCodes, dictM.Len(), dictD.Len(), drop)
-		dictM, remapM = compactDict(dictM, deadM)
-		dictD, remapD = compactDict(dictD, deadD)
+		deadM, deadD = unreferenced(m.Codes(), deltaCodes, m.Dict().Len(), dictD.Len(), drop)
 	}
-	var res dict.MergeResult[V]
-	if dictNT > 1 && dictM.Len()+dictD.Len() >= parallelDictThreshold {
-		res = dict.MergeParallel(dictM, dictD, dictNT)
-	} else {
-		res = dict.Merge(dictM, dictD)
+	if m.Dict().Len()+dictD.Len() < parallelDictThreshold {
+		dictNT = 1
 	}
-	tabM, tabD := res.XM, res.XD
-	if st.Dropped > 0 {
-		tabM, tabD = compose(remapM, res.XM), compose(remapD, res.XD)
-	}
+	res := dict.Merge(m.Dict(), dictD, deadM, deadD, dictNT)
 	st.Step1b = time.Since(t0)
 	st.UniqueMerged = res.Merged.Len()
 	total := m.Len() + d.Len()
@@ -245,7 +238,7 @@ func mergeOptimized[V val.Value](m *colstore.Main[V], d *delta.Partition[V], dro
 		bounds = alignedChunks(bits, outTotal, nt)
 	}
 	parallelFor(bounds, func(lo, hi int) {
-		step2(m.Codes(), deltaCodes, tabM, tabD, drop.Mask, drop.survivor(lo), drop.survivor(hi), out.PackerAt(lo))
+		step2(m.Codes(), deltaCodes, res.XM, res.XD, drop.Mask, drop.survivor(lo), drop.survivor(hi), out.PackerAt(lo))
 	})
 	st.Step2 = time.Since(t0)
 	return colstore.New(res.Merged, out)
@@ -356,7 +349,8 @@ func mergeNaive[V val.Value](m *colstore.Main[V], d *delta.Partition[V], nt int,
 
 const (
 	// parallelDictThreshold is the combined dictionary size below which the
-	// three-phase parallel merge is not worth its coordination overhead.
+	// dictionary merge's count pass and goroutines are not worth their
+	// coordination overhead.
 	parallelDictThreshold = 1 << 13
 	// parallelStep2Threshold is the tuple count below which Step 2 runs
 	// serially.

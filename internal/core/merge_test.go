@@ -271,6 +271,27 @@ func TestStatsTimingsPopulated(t *testing.T) {
 	}
 }
 
+// TestStatsAlgorithmRan checks that Stats names the variant that ran: a
+// naive merge that drops something runs, and reports, the optimized one.
+func TestStatsAlgorithmRan(t *testing.T) {
+	m, d := buildColumn([]uint64{3, 1, 4, 1, 5}, []uint64{9, 2})
+	for _, c := range []struct {
+		drop Drop
+		want Algorithm
+	}{
+		{Drop{}, Naive},
+		{NewDrop([]bool{false, true}, m.Len()+d.Len()), Optimized},
+	} {
+		out, st := MergeColumnDrop(m, d, c.drop, Options{Algorithm: Naive, Threads: 1})
+		if st.Algorithm != c.want {
+			t.Fatalf("drop of %d: Stats.Algorithm=%v, want %v", len(c.drop.Pos), st.Algorithm, c.want)
+		}
+		if out.Len() != m.Len()+d.Len()-len(c.drop.Pos) {
+			t.Fatalf("drop of %d: merged %d tuples", len(c.drop.Pos), out.Len())
+		}
+	}
+}
+
 func TestAlignedChunks(t *testing.T) {
 	for _, bits := range []uint{0, 1, 3, 8, 13, 17, 64} {
 		for _, total := range []int{0, 1, 100, 12345} {

@@ -51,7 +51,7 @@ func mergeColumnGCRef(m *colstore.Main[uint64], d *delta.Partition[uint64], drop
 	}
 	dictMc, remapM := compact(m.Dict(), usedM)
 	dictDc, remapD := compact(dictD, usedD)
-	res := dict.Merge(dictMc, dictDc)
+	res := dict.Merge(dictMc, dictDc, nil, nil, 1)
 	if kept == 0 {
 		return colstore.Empty[uint64]()
 	}

@@ -4,12 +4,13 @@
 // range predicates on codes and point lookups are binary searches.
 //
 // The package also implements the dictionary-merge half of the merge process
-// (Step 1(b), §5.1/§5.3/§6.2.1): merging the main dictionary U_M with the
+// (Step 1(b), §5.3/§6.2.1): Merge merges the main dictionary U_M with the
 // delta dictionary U_D into U'_M with duplicate elimination while emitting
-// the auxiliary translation tables X_M and X_D that make Step 2 linear.
-// Both a sequential two-pointer variant and the paper's three-phase parallel
-// variant (co-ranked NT-quantile splits, boundary-duplicate repair, prefix
-// sum, offset writes) are provided.
+// the auxiliary translation tables X_M and X_D that make Step 2 linear.  It
+// is one merge at every thread count — co-ranked ranges sized by a count
+// pass and a prefix sum when there are several — and it leaves out the
+// entries a garbage-collecting merge marks dead.  MergeNoAux is the naive
+// baseline's merge, which emits no tables (§5.2).
 package dict
 
 import (
@@ -85,52 +86,12 @@ func (d *Dict[V]) UpperBound(v V) int {
 func (d *Dict[V]) SizeBytes() int { return val.SliceBytes(d.values) }
 
 // MergeResult is the output of Step 1(b): the merged dictionary and the two
-// auxiliary translation tables.  XM[c] is the new code of old main code c;
-// XD[c] is the new code of delta-dictionary code c.  For the naive
-// algorithm the tables are nil.
+// auxiliary translation tables.  XM[c] is the new code of old main code c,
+// XD[c] that of delta-dictionary code c.  A dead entry whose value Merge
+// drops maps to the code of the nearest kept value below it (0 if none).
 type MergeResult[V val.Value] struct {
 	Merged *Dict[V]
 	XM, XD []uint32
-}
-
-// Merge performs the sequential Step 1(b): a two-pointer merge of the two
-// sorted dictionaries with duplicate elimination, populating X_M and X_D
-// incrementally (paper §5.3, "Modified Step 1(b)").  Run time is
-// O(|U_M| + |U_D|).
-func Merge[V val.Value](m, d *Dict[V]) MergeResult[V] {
-	a, b := m.values, d.values
-	merged := make([]V, 0, len(a)+len(b))
-	xm := make([]uint32, len(a))
-	xd := make([]uint32, len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			xm[i] = uint32(len(merged))
-			merged = append(merged, a[i])
-			i++
-		case a[i] > b[j]:
-			xd[j] = uint32(len(merged))
-			merged = append(merged, b[j])
-			j++
-		default: // equal: emit once, map both
-			k := uint32(len(merged))
-			xm[i] = k
-			xd[j] = k
-			merged = append(merged, a[i])
-			i++
-			j++
-		}
-	}
-	for ; i < len(a); i++ {
-		xm[i] = uint32(len(merged))
-		merged = append(merged, a[i])
-	}
-	for ; j < len(b); j++ {
-		xd[j] = uint32(len(merged))
-		merged = append(merged, b[j])
-	}
-	return MergeResult[V]{Merged: &Dict[V]{values: merged}, XM: xm, XD: xd}
 }
 
 // MergeNoAux is the naive Step 1(b): it produces only the merged dictionary.

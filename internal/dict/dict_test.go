@@ -1,10 +1,13 @@
 package dict
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"hyrise/internal/val"
 )
 
 func mkDict(vals ...uint64) *Dict[uint64] { return FromSorted(vals) }
@@ -63,75 +66,67 @@ func TestStringDict(t *testing.T) {
 	}
 }
 
-// checkMergeResult validates a MergeResult against the definition:
-// merged = sorted(unique(m ∪ d)); XM/XD map every old code to the index of
-// the same value in merged.
-func checkMergeResult(t *testing.T, m, d *Dict[uint64], r MergeResult[uint64]) {
-	t.Helper()
-	seen := map[uint64]bool{}
-	var all []uint64
-	for _, v := range m.Values() {
-		if !seen[v] {
-			seen[v] = true
-			all = append(all, v)
+// mergeErr checks a MergeResult against the definition: Merged is the
+// sorted unique union of the values of the live entries (a nil mask marks
+// none dead), every live entry's X maps back to its value, and every X
+// entry is below max(|Merged|, 1).
+func mergeErr[V val.Value](m, d *Dict[V], deadM, deadD []bool, r MergeResult[V]) error {
+	var want []V
+	for _, in := range []struct {
+		dict *Dict[V]
+		dead []bool
+	}{{m, deadM}, {d, deadD}} {
+		for i, v := range in.dict.Values() {
+			if !isDead(in.dead, i) {
+				want = append(want, v)
+			}
 		}
 	}
-	for _, v := range d.Values() {
-		if !seen[v] {
-			seen[v] = true
-			all = append(all, v)
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if !slices.Equal(r.Merged.Values(), want) {
+		return fmt.Errorf("merged %v, want %v", r.Merged.Values(), want)
+	}
+	for _, side := range []struct {
+		name string
+		dict *Dict[V]
+		dead []bool
+		x    []uint32
+	}{{"XM", m, deadM, r.XM}, {"XD", d, deadD, r.XD}} {
+		if len(side.x) != side.dict.Len() {
+			return fmt.Errorf("%s has %d entries, want %d", side.name, len(side.x), side.dict.Len())
+		}
+		for i, c := range side.x {
+			if int(c) >= max(len(want), 1) {
+				return fmt.Errorf("%s[%d]=%d, out of range of %d values", side.name, i, c, len(want))
+			}
+			if v := side.dict.At(i); !isDead(side.dead, i) && r.Merged.At(int(c)) != v {
+				return fmt.Errorf("%s[%d]=%d maps %v to %v", side.name, i, c, v, r.Merged.At(int(c)))
+			}
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if r.Merged.Len() != len(all) {
-		t.Fatalf("merged len %d want %d", r.Merged.Len(), len(all))
-	}
-	for i, v := range all {
-		if r.Merged.At(i) != v {
-			t.Fatalf("merged[%d]=%d want %d", i, r.Merged.At(i), v)
-		}
-	}
-	if len(r.XM) != m.Len() || len(r.XD) != d.Len() {
-		t.Fatalf("aux lens %d,%d want %d,%d", len(r.XM), len(r.XD), m.Len(), d.Len())
-	}
-	for i, v := range m.Values() {
-		if got := r.Merged.At(int(r.XM[i])); got != v {
-			t.Fatalf("XM[%d]=%d maps %d to %d", i, r.XM[i], v, got)
-		}
-	}
-	for i, v := range d.Values() {
-		if got := r.Merged.At(int(r.XD[i])); got != v {
-			t.Fatalf("XD[%d]=%d maps %d to %d", i, r.XD[i], v, got)
-		}
-	}
+	return nil
 }
+
+// isDead reports whether a mask marks entry i; a nil mask marks none.
+func isDead(dead []bool, i int) bool { return dead != nil && dead[i] }
 
 func TestMergePaperExample(t *testing.T) {
 	// Figure 5/6: main dict {apple charlie delta frank hotel inbox},
 	// delta dict {bravo charlie golf young}.
 	m := FromSorted([]string{"apple", "charlie", "delta", "frank", "hotel", "inbox"})
 	d := FromSorted([]string{"bravo", "charlie", "golf", "young"})
-	r := Merge(m, d)
 	wantMerged := []string{"apple", "bravo", "charlie", "delta", "frank", "golf", "hotel", "inbox", "young"}
-	if r.Merged.Len() != 9 {
-		t.Fatalf("merged len %d want 9", r.Merged.Len())
-	}
-	for i, v := range wantMerged {
-		if r.Merged.At(i) != v {
-			t.Fatalf("merged[%d]=%q want %q", i, r.Merged.At(i), v)
-		}
-	}
 	// Figure 6 main auxiliary: [0 2 3 4 6 7]; delta auxiliary: [1 2 5 8].
 	wantXM := []uint32{0, 2, 3, 4, 6, 7}
 	wantXD := []uint32{1, 2, 5, 8}
-	for i, w := range wantXM {
-		if r.XM[i] != w {
-			t.Fatalf("XM[%d]=%d want %d", i, r.XM[i], w)
+	for _, nt := range []int{1, 2, 3, 10} {
+		r := Merge(m, d, nil, nil, nt)
+		if !slices.Equal(r.Merged.Values(), wantMerged) {
+			t.Fatalf("nt=%d: merged %q want %q", nt, r.Merged.Values(), wantMerged)
 		}
-	}
-	for i, w := range wantXD {
-		if r.XD[i] != w {
-			t.Fatalf("XD[%d]=%d want %d", i, r.XD[i], w)
+		if !slices.Equal(r.XM, wantXM) || !slices.Equal(r.XD, wantXD) {
+			t.Fatalf("nt=%d: X_M %v X_D %v, want %v %v", nt, r.XM, r.XD, wantXM, wantXD)
 		}
 	}
 }
@@ -148,11 +143,12 @@ func TestMergeDisjointAndOverlap(t *testing.T) {
 	}
 	for _, c := range cases {
 		m, d := FromSorted(c.m), FromSorted(c.d)
-		checkMergeResult(t, m, d, Merge(m, d))
-		noaux := MergeNoAux(m, d)
-		r := Merge(m, d)
-		if noaux.Len() != r.Merged.Len() {
-			t.Fatalf("MergeNoAux len %d want %d", noaux.Len(), r.Merged.Len())
+		r := Merge(m, d, nil, nil, 1)
+		if err := mergeErr(m, d, nil, nil, r); err != nil {
+			t.Fatalf("%v + %v: %v", c.m, c.d, err)
+		}
+		if noaux := MergeNoAux(m, d); !slices.Equal(noaux.Values(), r.Merged.Values()) {
+			t.Fatalf("MergeNoAux %v want %v", noaux.Values(), r.Merged.Values())
 		}
 	}
 }
@@ -168,46 +164,83 @@ func randomDictPair(rng *rand.Rand, maxLen int, domain uint64) (*Dict[uint64], *
 	return gen(rng.Intn(maxLen)), gen(rng.Intn(maxLen))
 }
 
-func TestMergeParallelMatchesSequential(t *testing.T) {
+// randomDead marks each of n entries dead with probability frac, or
+// returns nil — nothing dead — for a negative frac.
+func randomDead(rng *rand.Rand, n int, frac float64) []bool {
+	if frac < 0 {
+		return nil
+	}
+	dead := make([]bool, n)
+	for i := range dead {
+		dead[i] = rng.Float64() < frac
+	}
+	return dead
+}
+
+// TestMergeEveryNTMatchesSerial checks that Merge's result does not depend
+// on nt: every range cut, count pass and offset write reproduces the serial
+// merge exactly, with and without dead entries.
+func TestMergeEveryNTMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 60; iter++ {
-		// Small domain forces heavy cross-dictionary duplication, which
-		// stresses the boundary-duplicate repair.
+		// Small domain forces heavy cross-dictionary duplication, so range
+		// cuts keep landing between two copies of one value.
 		domain := uint64(1 + rng.Intn(200))
 		m, d := randomDictPair(rng, 5000, domain)
-		want := Merge(m, d)
-		for _, nt := range []int{1, 2, 3, 4, 7, 8, 16, 33} {
-			got := MergeParallel(m, d, nt)
-			if got.Merged.Len() != want.Merged.Len() {
-				t.Fatalf("nt=%d domain=%d: merged len %d want %d", nt, domain, got.Merged.Len(), want.Merged.Len())
-			}
-			for i := range want.Merged.Values() {
-				if got.Merged.At(i) != want.Merged.At(i) {
-					t.Fatalf("nt=%d: merged[%d]=%d want %d", nt, i, got.Merged.At(i), want.Merged.At(i))
-				}
-			}
-			for i := range want.XM {
-				if got.XM[i] != want.XM[i] {
-					t.Fatalf("nt=%d: XM[%d]=%d want %d", nt, i, got.XM[i], want.XM[i])
-				}
-			}
-			for i := range want.XD {
-				if got.XD[i] != want.XD[i] {
-					t.Fatalf("nt=%d: XD[%d]=%d want %d", nt, i, got.XD[i], want.XD[i])
-				}
+		frac := []float64{-1, 0.3}[iter%2]
+		deadM, deadD := randomDead(rng, m.Len(), frac), randomDead(rng, d.Len(), frac)
+		want := Merge(m, d, deadM, deadD, 1)
+		for _, nt := range []int{2, 3, 4, 7, 8, 16, 33} {
+			got := Merge(m, d, deadM, deadD, nt)
+			if !slices.Equal(got.Merged.Values(), want.Merged.Values()) ||
+				!slices.Equal(got.XM, want.XM) || !slices.Equal(got.XD, want.XD) {
+				t.Fatalf("iter %d nt=%d domain=%d: result differs from nt=1", iter, nt, domain)
 			}
 		}
 	}
 }
 
-func TestMergeParallelLarge(t *testing.T) {
+// TestMergeDead checks merges with dead entries against the definition over
+// random dictionary pairs that share many values: nothing, a random share
+// and everything dead on each side, at every thread count.
+func TestMergeDead(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fracs := []float64{-1, 0, 0.4, 1}
+	splitShared := 0 // shared values dead on one side and live on the other
+	for iter := 0; iter < 40; iter++ {
+		m, d := randomDictPair(rng, 400, uint64(2+rng.Intn(299)))
+		for _, fm := range fracs {
+			for _, fd := range fracs {
+				deadM, deadD := randomDead(rng, m.Len(), fm), randomDead(rng, d.Len(), fd)
+				for i, v := range m.Values() {
+					if j, ok := d.Lookup(v); ok && isDead(deadM, i) != isDead(deadD, j) {
+						splitShared++
+					}
+				}
+				for _, nt := range []int{1, 2, 3, 4, 7, 8, 16, 33} {
+					if err := mergeErr(m, d, deadM, deadD, Merge(m, d, deadM, deadD, nt)); err != nil {
+						t.Fatalf("iter %d dead %v/%v nt=%d: %v", iter, fm, fd, nt, err)
+					}
+				}
+			}
+		}
+	}
+	if splitShared == 0 {
+		t.Fatal("no shared value was dead on one side and live on the other")
+	}
+}
+
+func TestMergeLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, d := randomDictPair(rng, 200000, 150000)
-	want := Merge(m, d)
-	got := MergeParallel(m, d, 8)
-	checkMergeResult(t, m, d, got)
-	if got.Merged.Len() != want.Merged.Len() {
-		t.Fatalf("len %d want %d", got.Merged.Len(), want.Merged.Len())
+	deadM, deadD := randomDead(rng, m.Len(), 0.025), randomDead(rng, d.Len(), 0.025)
+	for _, nt := range []int{1, 8} {
+		if err := mergeErr(m, d, nil, nil, Merge(m, d, nil, nil, nt)); err != nil {
+			t.Fatalf("nt=%d: %v", nt, err)
+		}
+		if err := mergeErr(m, d, deadM, deadD, Merge(m, d, deadM, deadD, nt)); err != nil {
+			t.Fatalf("nt=%d, dead: %v", nt, err)
+		}
 	}
 }
 
@@ -256,7 +289,7 @@ func TestCoRank(t *testing.T) {
 }
 
 func TestMergeQuick(t *testing.T) {
-	f := func(ma, da []uint16, nt uint8) bool {
+	f := func(ma, da []uint16, seed int64, nt uint8) bool {
 		mv := make([]uint64, len(ma))
 		for i, v := range ma {
 			mv[i] = uint64(v % 512)
@@ -266,22 +299,14 @@ func TestMergeQuick(t *testing.T) {
 			dv[i] = uint64(v % 512)
 		}
 		m, d := FromUnsorted(mv), FromUnsorted(dv)
-		want := Merge(m, d)
-		got := MergeParallel(m, d, int(nt%9)+1)
-		if got.Merged.Len() != want.Merged.Len() {
-			return false
-		}
-		for i := range want.XM {
-			if got.XM[i] != want.XM[i] {
-				return false
-			}
-		}
-		for i := range want.XD {
-			if got.XD[i] != want.XD[i] {
-				return false
-			}
-		}
-		return true
+		rng := rand.New(rand.NewSource(seed))
+		frac := []float64{-1, 0, 0.5, 1}[rng.Intn(4)]
+		deadM, deadD := randomDead(rng, m.Len(), frac), randomDead(rng, d.Len(), frac)
+		want := Merge(m, d, deadM, deadD, 1)
+		got := Merge(m, d, deadM, deadD, int(nt%9)+1)
+		return mergeErr(m, d, deadM, deadD, got) == nil &&
+			slices.Equal(got.Merged.Values(), want.Merged.Values()) &&
+			slices.Equal(got.XM, want.XM) && slices.Equal(got.XD, want.XD)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -293,7 +318,7 @@ func BenchmarkMergeSequential(b *testing.B) {
 	m, d := randomDictPair(rng, 1<<20, 1<<19)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Merge(m, d)
+		Merge(m, d, nil, nil, 1)
 	}
 }
 
@@ -302,6 +327,28 @@ func BenchmarkMergeParallel8(b *testing.B) {
 	m, d := randomDictPair(rng, 1<<20, 1<<19)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MergeParallel(m, d, 8)
+		Merge(m, d, nil, nil, 8)
+	}
+}
+
+// BenchmarkMergeDead merges two dictionaries of 1M entries each, half of
+// whose values both hold, with 2.5 % of the entries on each side dead.
+func BenchmarkMergeDead(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	run := func() *Dict[uint64] {
+		vals := make([]uint64, 1<<20)
+		for i := range vals {
+			vals[i] = uint64(2*i + rng.Intn(2))
+		}
+		return FromSorted(vals)
+	}
+	m, d := run(), run()
+	deadM, deadD := randomDead(rng, m.Len(), 0.025), randomDead(rng, d.Len(), 0.025)
+	for _, nt := range []int{1, 8} {
+		b.Run(fmt.Sprintf("nt=%d", nt), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Merge(m, d, deadM, deadD, nt)
+			}
+		})
 	}
 }
