@@ -1,207 +1,191 @@
-// Command hyrisecli is a small interactive shell over the hyrise library:
-// create tables, insert and query rows, trigger merges, inspect storage
-// statistics and save/load snapshots.  With -shards N, created tables are
-// hash-partitioned across N shards; every command works the same.
+// Command hyrisecli is an interactive shell over a running hyrised: every
+// command is one hyrise/client call against the served table, so what an
+// operator types takes the same wire path as any other client.
 //
-//	$ hyrisecli
-//	> create sales id:uint64 qty:uint32 product:string
-//	> insert sales 1 3 widget
-//	> lookup sales id 1
-//	> merge sales
-//	> stats sales
-//	> save sales /tmp/sales.hyr
+//	$ hyrised -schema 'id:uint64,qty:uint32,product:string' &
+//	$ hyrisecli -addr 127.0.0.1:4860
+//	> insert 1 3 widget
+//	> import sales.csv
+//	> lookup id 1
+//	> snapshot
+//	> merge
+//	> sum qty snap
+//	> stats
 //	> quit
+//
+// The shell creates, saves and loads nothing and runs no workload itself:
+// hyrised -schema, -key and -shards create the served table, hyrised
+// -snapshot loads it at start and saves it at stop, and hyrise.NewDriver
+// runs the paper's workload mixes against an in-process table.
 package main
 
 import (
 	"bufio"
-	"context"
+	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
-	"hyrise"
+	"hyrise/client"
 )
 
 type shell struct {
-	tables map[string]*hyrise.Table
-	snaps  map[string]hyrise.ReadView // last captured snapshot per table
-	shards int                        // shard count for newly created tables
-	out    *bufio.Writer
+	c    *client.Client
+	cols []client.Column
+	snap client.Snap // last captured snapshot; client.Latest before the first
+	out  io.Writer
 }
 
 func main() {
-	shards := flag.Int("shards", 1, "hash-partition created tables across N shards (keyed by the first column)")
+	addr := flag.String("addr", "127.0.0.1:4860", "hyrised address")
 	flag.Parse()
-	sh := &shell{tables: map[string]*hyrise.Table{}, snaps: map[string]hyrise.ReadView{},
-		shards: *shards, out: bufio.NewWriter(os.Stdout)}
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
-	fmt.Println("hyrise delta-merge column store — type 'help'")
-	fmt.Printf("creating tables with %d shard(s)\n", sh.shards)
+	c, err := client.Dial(*addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hyrisecli:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("hyrise table %s at %s — type 'help'\n", c.Name(), *addr)
+	sh := &shell{c: c, cols: c.Schema(), out: os.Stdout}
+	err = sh.run(os.Stdin)
+	sh.release()
+	c.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hyrisecli:", err)
+		os.Exit(1)
+	}
+}
+
+// maxLine bounds one input line; a longer line ends the session with an
+// error.
+const maxLine = 1 << 20
+
+// run executes one command per line of in until EOF or quit, printing a
+// failed command's error and carrying on.  It returns the input's read
+// error, if any.
+func (s *shell) run(in io.Reader) error {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	for {
-		fmt.Print("> ")
-		os.Stdout.Sync()
-		if !in.Scan() {
-			break
+		fmt.Fprint(s.out, "> ")
+		if !sc.Scan() {
+			return sc.Err()
 		}
-		line := strings.TrimSpace(in.Text())
+		line := strings.TrimSpace(sc.Text())
+		if line == "quit" || line == "exit" {
+			return nil
+		}
 		if line == "" {
 			continue
 		}
-		if line == "quit" || line == "exit" {
-			break
+		if err := s.exec(line); err != nil {
+			fmt.Fprintf(s.out, "error: %v\n", err)
 		}
-		if err := sh.exec(line); err != nil {
-			fmt.Printf("error: %v\n", err)
-		}
-		sh.out.Flush()
 	}
+}
+
+var commands = map[string]func(*shell, []string) error{
+	"help": (*shell).help, "insert": (*shell).insert, "import": (*shell).importCSV,
+	"update": (*shell).update, "delete": (*shell).del, "lookup": (*shell).lookup,
+	"range": (*shell).rng, "sum": (*shell).sum, "merge": (*shell).merge,
+	"snapshot": (*shell).snapshot, "stats": (*shell).stats,
 }
 
 func (s *shell) exec(line string) error {
 	args := strings.Fields(line)
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "help":
-		s.help()
-		return nil
-	case "create":
-		return s.create(rest)
-	case "insert":
-		return s.insert(rest)
-	case "update":
-		return s.update(rest)
-	case "delete":
-		return s.del(rest)
-	case "lookup":
-		return s.lookup(rest)
-	case "range":
-		return s.rng(rest)
-	case "sum":
-		return s.sum(rest)
-	case "merge":
-		return s.merge(rest)
-	case "snapshot":
-		return s.snapshot(rest)
-	case "stats":
-		return s.stats(rest)
-	case "save":
-		return s.save(rest)
-	case "load":
-		return s.load(rest)
-	case "loadcsv":
-		return s.loadcsv(rest)
-	case "workload":
-		return s.workload(rest)
-	default:
-		return fmt.Errorf("unknown command %q (try 'help')", cmd)
-	}
-}
-
-func (s *shell) help() {
-	fmt.Fprint(s.out, `commands:
-  create <table> <col:type>...    types: uint32 uint64 string
-  insert <table> <values>...      one value per column
-  update <table> <row> <col>=<v>  insert-only update (new version)
-  delete <table> <row>            invalidate a row
-  lookup <table> <col> <value> [snap]  key lookup
-  range  <table> <col> <lo> <hi> [snap] range select (numeric columns)
-  sum    <table> <col> [snap]     aggregate a numeric column
-  merge  <table> [naive]          run the merge process
-  snapshot <table>                capture a consistent read view; later
-                                  reads with a trailing 'snap' argument
-                                  run against it, frozen across merges
-                                  and updates (even cross-shard)
-  stats  <table>                  storage statistics
-  save   <table> <path>           write binary snapshot
-  load   <name> <path>            read binary snapshot (the shard layout
-                                  comes from the snapshot)
-  loadcsv <name> <path.csv>       import CSV (header row, types inferred)
-  workload <table> <col> <mix> <n>  run n ops of mix oltp|olap|tpcc
-  quit
-
-started with -shards N, 'create' hash-partitions tables across N shards
-keyed by the first column; every command above works the same for any N.
-'snapshot' captures one epoch across ALL shards atomically, so snap reads
-are cross-shard consistent.
-`)
-}
-
-func (s *shell) table(name string) (*hyrise.Table, error) {
-	t, ok := s.tables[name]
+	cmd, ok := commands[args[0]]
 	if !ok {
-		return nil, fmt.Errorf("no table %q", name)
+		return fmt.Errorf("unknown command %q (try 'help')", args[0])
 	}
-	return t, nil
+	return cmd(s, args[1:])
 }
 
-func (s *shell) create(args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("usage: create <table> <col:type>...")
+func (s *shell) help([]string) error {
+	fmt.Fprintf(s.out, "table %s (key %s, %d shard(s)):\n", s.c.Name(), s.c.KeyColumn(), s.c.Shards())
+	for _, c := range s.cols {
+		fmt.Fprintf(s.out, "  %-16s %v\n", c.Name, c.Type)
 	}
-	var schema hyrise.Schema
-	for _, spec := range args[1:] {
-		name, typ, ok := strings.Cut(spec, ":")
-		if !ok {
-			return fmt.Errorf("bad column spec %q", spec)
-		}
-		var ct hyrise.Type
-		switch typ {
-		case "uint32":
-			ct = hyrise.Uint32
-		case "uint64":
-			ct = hyrise.Uint64
-		case "string":
-			ct = hyrise.String
-		default:
-			return fmt.Errorf("unknown type %q", typ)
-		}
-		schema = append(schema, hyrise.ColumnDef{Name: name, Type: ct})
-	}
-	t, err := hyrise.NewShardedTable(args[0], schema, schema[0].Name, s.shards)
-	if err != nil {
-		return err
-	}
-	s.setTable(args[0], t)
-	fmt.Fprintf(s.out, "created %s with %d columns (shards: %d, key: %s)\n",
-		args[0], len(schema), s.shards, schema[0].Name)
+	fmt.Fprint(s.out, `commands:
+  insert <value>...             one value per column, in schema order
+  import <file.csv>             insert every row; the header names each
+                                column once, in any order
+  update <row> <col>=<value>    insert-only update (new version)
+  delete <row>                  invalidate a row
+  lookup <col> <value> [snap]   rows whose column equals the value
+  range  <col> <lo> <hi> [snap] rows whose column lies in [lo, hi]
+  sum    <col> [snap]           aggregate a numeric column
+  merge  [naive]                run the merge process on every shard
+  snapshot                      capture one epoch across all shards; reads
+                                with a trailing 'snap' run against it,
+                                frozen across updates and merges
+  stats                         storage statistics per shard
+  quit
+`)
 	return nil
 }
 
-func (s *shell) parseValue(t *hyrise.Table, col int, raw string) (any, error) {
-	switch t.Schema()[col].Type {
-	case hyrise.Uint32:
-		v, err := strconv.ParseUint(raw, 10, 32)
-		return uint32(v), err
-	case hyrise.Uint64:
-		v, err := strconv.ParseUint(raw, 10, 64)
-		return v, err
-	default:
-		return raw, nil
+// col returns the index of the named served column, or -1.
+func (s *shell) col(name string) int {
+	return slices.IndexFunc(s.cols, func(c client.Column) bool { return c.Name == name })
+}
+
+// value parses raw as a value of the named served column.
+func (s *shell) value(col, raw string) (any, error) {
+	i := s.col(col)
+	if i < 0 {
+		return nil, fmt.Errorf("no column %q", col)
 	}
+	return parse(s.cols[i], raw)
+}
+
+// parse converts raw text to the column's value.  A uint32 value comes
+// back as a uint64 in range, which the client narrows.
+func parse(c client.Column, raw string) (any, error) {
+	bits := 64
+	switch c.Type {
+	case client.String:
+		return raw, nil
+	case client.Uint32:
+		bits = 32
+	}
+	v, err := strconv.ParseUint(raw, 10, bits)
+	if err != nil {
+		return nil, fmt.Errorf("column %s: %q is not a %v", c.Name, raw, c.Type)
+	}
+	return v, nil
+}
+
+// at splits a read's arguments: n of them, then an optional "snap" that
+// reads at the last captured snapshot instead of the latest rows.
+func (s *shell) at(args []string, n int, usage string) ([]string, client.Snap, error) {
+	switch {
+	case len(args) == n:
+		return args, client.Latest, nil
+	case len(args) != n+1 || args[n] != "snap":
+		return nil, 0, fmt.Errorf("usage: %s", usage)
+	case s.snap == client.Latest:
+		return nil, 0, errors.New("no snapshot yet (run: snapshot)")
+	}
+	return args[:n], s.snap, nil
 }
 
 func (s *shell) insert(args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("usage: insert <table> <values>...")
+	if len(args) != len(s.cols) {
+		return fmt.Errorf("usage: insert <value>... (%d values)", len(s.cols))
 	}
-	t, err := s.table(args[0])
-	if err != nil {
-		return err
-	}
-	if len(args)-1 != len(t.Schema()) {
-		return fmt.Errorf("need %d values", len(t.Schema()))
-	}
-	row := make([]any, len(t.Schema()))
-	for i, raw := range args[1:] {
-		if row[i], err = s.parseValue(t, i, raw); err != nil {
+	row := make([]any, len(args))
+	for i, raw := range args {
+		v, err := parse(s.cols[i], raw)
+		if err != nil {
 			return err
 		}
+		row[i] = v
 	}
-	id, err := t.Insert(row)
+	id, err := s.c.Insert(row)
 	if err != nil {
 		return err
 	}
@@ -210,389 +194,220 @@ func (s *shell) insert(args []string) error {
 }
 
 func (s *shell) update(args []string) error {
-	if len(args) != 3 {
-		return fmt.Errorf("usage: update <table> <row> <col>=<value>")
+	const usage = "usage: update <row> <col>=<value>"
+	if len(args) != 2 {
+		return errors.New(usage)
 	}
-	t, err := s.table(args[0])
-	if err != nil {
-		return err
-	}
-	row, err := strconv.Atoi(args[1])
-	if err != nil {
-		return err
-	}
-	col, raw, ok := strings.Cut(args[2], "=")
+	col, raw, ok := strings.Cut(args[1], "=")
 	if !ok {
-		return fmt.Errorf("usage: update <table> <row> <col>=<value>")
+		return errors.New(usage)
 	}
-	ci := -1
-	for i, def := range t.Schema() {
-		if def.Name == col {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return fmt.Errorf("no column %q", col)
-	}
-	v, err := s.parseValue(t, ci, raw)
+	row, err := strconv.Atoi(args[0])
 	if err != nil {
 		return err
 	}
-	nr, err := t.Update(row, map[string]any{col: v})
+	v, err := s.value(col, raw)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "row %d -> %d\n", row, nr)
+	id, err := s.c.Update(row, map[string]any{col: v})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(s.out, "row %d -> %d\n", row, id)
 	return nil
 }
 
 func (s *shell) del(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: delete <table> <row>")
-	}
-	t, err := s.table(args[0])
-	if err != nil {
-		return err
-	}
-	row, err := strconv.Atoi(args[1])
-	if err != nil {
-		return err
-	}
-	return t.Delete(row)
-}
-
-// view resolves an optional trailing "snap" argument to the table's last
-// captured snapshot; without it reads run latest (zero ReadView).
-func (s *shell) view(name string, args []string, n int) (hyrise.ReadView, []string, error) {
-	if len(args) == n+1 {
-		if args[n] != "snap" {
-			return hyrise.ReadView{}, nil, fmt.Errorf("unknown argument %q (did you mean 'snap'?)", args[n])
-		}
-		v, ok := s.snaps[name]
-		if !ok {
-			return hyrise.ReadView{}, nil, fmt.Errorf("no snapshot for %q (run: snapshot %s)", name, name)
-		}
-		return v, args[:n], nil
-	}
-	return hyrise.ReadView{}, args, nil
-}
-
-// setTable installs (or replaces) a table and drops any snapshot captured
-// on the table previously bound to the name: a ReadView's epoch is only
-// meaningful against the clock of the store that captured it.  The old
-// view's GC pin is released with it.
-func (s *shell) setTable(name string, t *hyrise.Table) {
-	s.tables[name] = t
-	if v, ok := s.snaps[name]; ok {
-		v.Release()
-		delete(s.snaps, name)
-	}
-}
-
-func (s *shell) snapshot(args []string) error {
 	if len(args) != 1 {
-		return fmt.Errorf("usage: snapshot <table>")
+		return errors.New("usage: delete <row>")
 	}
-	t, err := s.table(args[0])
+	row, err := strconv.Atoi(args[0])
 	if err != nil {
 		return err
 	}
-	// Re-snapshotting replaces the previous view; release its GC pin so
-	// only the latest capture holds history.
-	if old, ok := s.snaps[args[0]]; ok {
-		old.Release()
+	if err := s.c.Delete(row); err != nil {
+		return err
 	}
-	v := t.Snapshot()
-	s.snaps[args[0]] = v
-	fmt.Fprintf(s.out, "snapshot of %s at epoch %d (%d rows visible)\n",
-		args[0], v.Epoch(), t.ValidRowsAt(v))
+	fmt.Fprintf(s.out, "row %d deleted\n", row)
 	return nil
 }
 
 func (s *shell) lookup(args []string) error {
-	if len(args) != 3 && len(args) != 4 {
-		return fmt.Errorf("usage: lookup <table> <col> <value> [snap]")
-	}
-	t, err := s.table(args[0])
+	args, snap, err := s.at(args, 2, "lookup <col> <value> [snap]")
 	if err != nil {
 		return err
 	}
-	view, args, err := s.view(args[0], args, 3)
+	v, err := s.value(args[0], args[1])
 	if err != nil {
 		return err
 	}
-	rows, err := lookupAny(t, view, args[1], args[2])
+	ids, err := s.c.LookupAt(snap, args[0], v)
 	if err != nil {
 		return err
 	}
-	return s.printRows(t, rows)
-}
-
-// lookupTyped probes the column through the unified handle.
-func lookupTyped[V hyrise.Value](t *hyrise.Table, view hyrise.ReadView, col string, v V) ([]int, error) {
-	h, err := hyrise.ColumnOf[V](t, col)
-	if err != nil {
-		return nil, err
-	}
-	return h.LookupAt(view, v), nil
-}
-
-func lookupAny(t *hyrise.Table, view hyrise.ReadView, col, raw string) ([]int, error) {
-	for _, def := range t.Schema() {
-		if def.Name != col {
-			continue
-		}
-		switch def.Type {
-		case hyrise.Uint32:
-			v, err := strconv.ParseUint(raw, 10, 32)
-			if err != nil {
-				return nil, err
-			}
-			return lookupTyped(t, view, col, uint32(v))
-		case hyrise.Uint64:
-			v, err := strconv.ParseUint(raw, 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			return lookupTyped(t, view, col, v)
-		default:
-			return lookupTyped(t, view, col, raw)
-		}
-	}
-	return nil, fmt.Errorf("no column %q", col)
+	return s.printRows(ids)
 }
 
 func (s *shell) rng(args []string) error {
-	if len(args) != 4 && len(args) != 5 {
-		return fmt.Errorf("usage: range <table> <col> <lo> <hi> [snap]")
-	}
-	t, err := s.table(args[0])
+	args, snap, err := s.at(args, 3, "range <col> <lo> <hi> [snap]")
 	if err != nil {
 		return err
 	}
-	view, args, err := s.view(args[0], args, 4)
+	lo, err := s.value(args[0], args[1])
 	if err != nil {
 		return err
 	}
-	rows, err := rangeAny(t, view, args[1], args[2], args[3])
+	hi, err := s.value(args[0], args[2])
 	if err != nil {
 		return err
 	}
-	return s.printRows(t, rows)
+	ids, err := s.c.RangeAt(snap, args[0], lo, hi)
+	if err != nil {
+		return err
+	}
+	return s.printRows(ids)
 }
 
-// rangeTyped parses the bounds at the column's width and range-selects
-// through the unified handle.
-func rangeTyped[V interface{ ~uint32 | ~uint64 }](t *hyrise.Table, view hyrise.ReadView, col, rawLo, rawHi string, bits int) ([]int, error) {
-	lo, err := strconv.ParseUint(rawLo, 10, bits)
-	if err != nil {
-		return nil, err
-	}
-	hi, err := strconv.ParseUint(rawHi, 10, bits)
-	if err != nil {
-		return nil, err
-	}
-	h, err := hyrise.ColumnOf[V](t, col)
-	if err != nil {
-		return nil, err
-	}
-	return h.RangeAt(view, V(lo), V(hi)), nil
-}
-
-func rangeAny(t *hyrise.Table, view hyrise.ReadView, col, lo, hi string) ([]int, error) {
-	for _, def := range t.Schema() {
-		if def.Name != col {
-			continue
-		}
-		switch def.Type {
-		case hyrise.Uint32:
-			return rangeTyped[uint32](t, view, col, lo, hi, 32)
-		case hyrise.Uint64:
-			return rangeTyped[uint64](t, view, col, lo, hi, 64)
-		default:
-			return nil, fmt.Errorf("range needs a numeric column")
-		}
-	}
-	return nil, fmt.Errorf("no column %q", col)
-}
-
-func (s *shell) printRows(t *hyrise.Table, rows []int) error {
-	for _, r := range rows {
-		vals, err := t.Row(r)
+// printRows prints each row's values.  A row version never changes once
+// written, so reading it after a snapshot read shows what the snapshot saw.
+func (s *shell) printRows(ids []int) error {
+	for _, id := range ids {
+		vals, err := s.c.Row(id)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "%6d  %v\n", r, vals)
+		fmt.Fprintf(s.out, "%6d  %v\n", id, vals)
 	}
-	fmt.Fprintf(s.out, "%d row(s)\n", len(rows))
+	fmt.Fprintf(s.out, "%d row(s)\n", len(ids))
 	return nil
 }
 
 func (s *shell) sum(args []string) error {
-	if len(args) != 2 && len(args) != 3 {
-		return fmt.Errorf("usage: sum <table> <col> [snap]")
-	}
-	t, err := s.table(args[0])
+	args, snap, err := s.at(args, 1, "sum <col> [snap]")
 	if err != nil {
 		return err
 	}
-	view, args, err := s.view(args[0], args, 2)
+	sum, err := s.c.SumAt(snap, args[0])
 	if err != nil {
 		return err
 	}
-	for _, def := range t.Schema() {
-		if def.Name != args[1] {
-			continue
-		}
-		var (
-			sum uint64
-			err error
-		)
-		switch def.Type {
-		case hyrise.Uint32:
-			sum, err = sumTyped[uint32](t, view, args[1])
-		case hyrise.Uint64:
-			sum, err = sumTyped[uint64](t, view, args[1])
-		default:
-			return fmt.Errorf("sum needs a numeric column")
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(s.out, "%d\n", sum)
-		return nil
-	}
-	return fmt.Errorf("no column %q", args[1])
-}
-
-func sumTyped[V interface{ ~uint32 | ~uint64 }](t *hyrise.Table, view hyrise.ReadView, col string) (uint64, error) {
-	h, err := hyrise.NumericColumnOf[V](t, col)
-	if err != nil {
-		return 0, err
-	}
-	return h.SumAt(view), nil
+	fmt.Fprintf(s.out, "%d\n", sum)
+	return nil
 }
 
 func (s *shell) merge(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("usage: merge <table> [naive]")
+	if len(args) > 1 || len(args) == 1 && args[0] != "naive" {
+		return errors.New("usage: merge [naive]")
 	}
-	t, err := s.table(args[0])
+	rep, err := s.c.Merge(client.MergeOptions{Naive: len(args) == 1})
 	if err != nil {
 		return err
 	}
-	opts := hyrise.MergeOptions{}
-	if len(args) > 1 && args[1] == "naive" {
-		opts.Algorithm = hyrise.Naive
-	}
-	rep, err := t.RequestMerge(context.Background(), opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(s.out, "merged %d delta rows into %d main rows in %s (%v, %d threads, shards: %d)\n",
-		rep.RowsMerged, rep.MainRowsAfter, rep.Wall, rep.Algorithm, rep.Threads, t.StoreStats().Shards)
+	fmt.Fprintf(s.out, "merged %d delta rows into %d main rows in %s (%d threads, %d reclaimed)\n",
+		rep.RowsMerged, rep.MainRowsAfter, rep.Wall, rep.Threads, rep.RowsReclaimed)
 	return nil
+}
+
+// snapshot replaces the last captured snapshot with a new one.
+func (s *shell) snapshot(args []string) error {
+	if len(args) != 0 {
+		return errors.New("usage: snapshot")
+	}
+	s.release()
+	snap, err := s.c.Snapshot()
+	if err != nil {
+		return err
+	}
+	s.snap = snap
+	epoch, _ := s.c.SnapshotEpoch(snap)
+	n, err := s.c.ValidRowsAt(snap)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(s.out, "snapshot at epoch %d (%d rows visible)\n", epoch, n)
+	return nil
+}
+
+// release drops the last snapshot's server-side pin.  A failed release
+// (the server restarted, say) leaves no pin behind either.
+func (s *shell) release() {
+	if s.snap != client.Latest {
+		s.c.Release(s.snap)
+		s.snap = client.Latest
+	}
 }
 
 func (s *shell) stats(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: stats <table>")
+	if len(args) != 0 {
+		return errors.New("usage: stats")
 	}
-	t, err := s.table(args[0])
+	st, err := s.c.Stats()
 	if err != nil {
 		return err
 	}
-	st := t.StoreStats()
-	fmt.Fprintf(s.out, "table %s: %d rows (%d valid), main %d, delta %d, %d bytes, shards: %d\n",
-		st.Name, st.Rows, st.ValidRows, st.MainRows, st.DeltaRows, st.SizeBytes, st.Shards)
-	for i, ts := range st.Partitions {
+	fmt.Fprintf(s.out, "table %s: %d rows (%d valid), main %d, delta %d, %d bytes, shards: %d, key: %s\n",
+		st.Name, st.Rows, st.ValidRows, st.MainRows, st.DeltaRows, st.SizeBytes, st.Shards, st.KeyColumn)
+	for i, p := range st.Partitions {
 		fmt.Fprintf(s.out, "  shard %-3d %d rows (%d valid), main %d, delta %d, %d bytes\n",
-			i, ts.Rows, ts.ValidRows, ts.MainRows, ts.DeltaRows, ts.SizeBytes)
-		for _, c := range ts.Columns {
-			fmt.Fprintf(s.out, "    %-16s %-7v main=%d delta=%d uniq=%d/%d bits=%d size=%d\n",
-				c.Def.Name, c.Def.Type, c.MainRows, c.DeltaRows,
-				c.UniqueMain, c.UniqueDelta, c.Bits, c.SizeBytes)
+			i, p.Rows, p.ValidRows, p.MainRows, p.DeltaRows, p.SizeBytes)
+	}
+	return nil
+}
+
+// importCSV inserts every row of a CSV file whose header names each served
+// column once, in any order.  Every row is parsed before one InsertBatch
+// sends any, so a malformed file inserts nothing.
+func (s *shell) importCSV(args []string) error {
+	if len(args) != 1 {
+		return errors.New("usage: import <file.csv>")
+	}
+	f, err := os.Open(args[0])
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	r := csv.NewReader(f)
+	header, err := r.Read()
+	if err != nil {
+		return fmt.Errorf("header: %w", err)
+	}
+	pos := make([]int, len(header)) // served column of each field
+	seen := make([]bool, len(s.cols))
+	for i, name := range header {
+		j := s.col(name)
+		switch {
+		case j < 0:
+			return fmt.Errorf("header: no column %q", name)
+		case seen[j]:
+			return fmt.Errorf("header: column %q repeated", name)
 		}
+		pos[i], seen[j] = j, true
 	}
-	return nil
-}
-
-func (s *shell) save(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: save <table> <path>")
+	if j := slices.Index(seen, false); j >= 0 {
+		return fmt.Errorf("header: column %q missing", s.cols[j].Name)
 	}
-	t, err := s.table(args[0])
+	var rows [][]any
+	for n := 1; ; n++ {
+		rec, err := r.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("row %d: %w", n, err)
+		}
+		row := make([]any, len(s.cols))
+		for i, raw := range rec {
+			if row[pos[i]], err = parse(s.cols[pos[i]], raw); err != nil {
+				return fmt.Errorf("row %d: %w", n, err)
+			}
+		}
+		rows = append(rows, row)
+	}
+	ids, err := s.c.InsertBatch(rows)
 	if err != nil {
 		return err
 	}
-	if err := hyrise.SaveFile(t, args[1]); err != nil {
-		return err
-	}
-	fmt.Fprintf(s.out, "saved %s\n", args[1])
-	return nil
-}
-
-func (s *shell) load(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: load <name> <path>")
-	}
-	t, err := hyrise.LoadFile(args[1])
-	if err != nil {
-		return err
-	}
-	s.setTable(args[0], t)
-	st := t.StoreStats()
-	fmt.Fprintf(s.out, "loaded %s: %d rows (shards: %d, key: %s)\n",
-		args[0], t.Rows(), st.Shards, st.KeyColumn)
-	return nil
-}
-
-func (s *shell) loadcsv(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: loadcsv <name> <path.csv>")
-	}
-	t, n, err := hyrise.LoadCSVFile(args[1], hyrise.CSVOptions{TableName: args[0]})
-	if err != nil {
-		return err
-	}
-	s.setTable(args[0], t)
-	fmt.Fprintf(s.out, "imported %d rows into %s (%d columns)\n", n, args[0], len(t.Schema()))
-	return nil
-}
-
-func (s *shell) workload(args []string) error {
-	if len(args) != 4 {
-		return fmt.Errorf("usage: workload <table> <col> oltp|olap|tpcc <n>")
-	}
-	t, err := s.table(args[0])
-	if err != nil {
-		return err
-	}
-	var mix hyrise.Mix
-	switch args[2] {
-	case "oltp":
-		mix = hyrise.OLTPMix
-	case "olap":
-		mix = hyrise.OLAPMix
-	case "tpcc":
-		mix = hyrise.TPCCMix
-	default:
-		return fmt.Errorf("unknown mix %q", args[2])
-	}
-	n, err := strconv.Atoi(args[3])
-	if err != nil {
-		return err
-	}
-	drv, err := hyrise.NewDriver(t, args[1], mix, hyrise.NewUniformGenerator(10000, 1), 1)
-	if err != nil {
-		return err
-	}
-	c, err := drv.Run(n)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(s.out, "%d ops in %s (%.0f ops/s): %d reads, %d writes\n",
-		c.Total(), c.Duration, float64(c.Total())/c.Duration.Seconds(),
-		c.Reads(), c.Writes())
+	fmt.Fprintf(s.out, "imported %d rows\n", len(ids))
 	return nil
 }

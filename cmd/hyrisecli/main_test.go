@@ -3,240 +3,245 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"hyrise"
+	"hyrise/client"
 )
 
-func newShell() (*shell, *bytes.Buffer) {
-	var buf bytes.Buffer
-	return &shell{tables: map[string]*hyrise.Table{}, shards: 1, out: bufio.NewWriter(&buf)}, &buf
-}
-
-func newShardedShell(shards int) (*shell, *bytes.Buffer) {
-	var buf bytes.Buffer
-	return &shell{tables: map[string]*hyrise.Table{}, shards: shards, out: bufio.NewWriter(&buf)}, &buf
-}
-
-func run(t *testing.T, sh *shell, buf *bytes.Buffer, lines ...string) string {
+// serve serves an empty 4-shard sales(id uint64, qty uint32, product
+// string) table keyed on id on a loopback port, and returns the server and
+// a shell dialed to it with the buffer it prints to.
+func serve(t *testing.T) (*shell, *bytes.Buffer, *hyrise.DBServer) {
 	t.Helper()
+	tb, err := hyrise.NewShardedTable("sales", hyrise.Schema{
+		{Name: "id", Type: hyrise.Uint64},
+		{Name: "qty", Type: hyrise.Uint32},
+		{Name: "product", Type: hyrise.String},
+	}, "id", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := hyrise.Serve(l, tb, hyrise.ServerOptions{})
+	t.Cleanup(func() { srv.Close() })
+	c, err := client.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	var out bytes.Buffer
+	return &shell{c: c, cols: c.Schema(), out: &out}, &out, srv
+}
+
+// do executes the lines, failing the test on the first error, and returns
+// what they printed.
+func do(t *testing.T, sh *shell, out *bytes.Buffer, lines ...string) string {
+	t.Helper()
+	out.Reset()
 	for _, line := range lines {
 		if err := sh.exec(line); err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
 	}
-	sh.out.Flush()
-	return buf.String()
+	return out.String()
+}
+
+func wantAll(t *testing.T, out string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// insert inserts the rows and returns their ids as the shell printed them.
+func insert(t *testing.T, sh *shell, out *bytes.Buffer, rows ...string) []string {
+	t.Helper()
+	var ids []string
+	for _, row := range rows {
+		m := regexp.MustCompile(`^row (\d+)\n$`).FindStringSubmatch(do(t, sh, out, "insert "+row))
+		if m == nil {
+			t.Fatalf("insert %s printed %q", row, out)
+		}
+		ids = append(ids, m[1])
+	}
+	return ids
 }
 
 func TestShellLifecycle(t *testing.T) {
-	sh, buf := newShell()
-	out := run(t, sh, buf,
-		"create sales id:uint64 qty:uint32 product:string",
-		"insert sales 1 3 widget",
-		"insert sales 2 5 gadget",
-		"lookup sales id 1",
-		"merge sales",
-		"lookup sales product gadget",
-		"stats sales",
-		"sum sales qty",
-	)
-	for _, want := range []string{
-		"created sales with 3 columns",
-		"row 0",
-		"1 row(s)",
-		"merged 2 delta rows",
-		"table sales: 2 rows",
-		"8", // sum(qty) = 3+5
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
+	sh, out, _ := serve(t)
+	insert(t, sh, out, "1 3 widget", "2 5 gadget", "3 7 widget")
+	wantAll(t, do(t, sh, out, "help"), "table sales (key id, 4 shard(s))", "qty              uint32", "import <file.csv>")
+	wantAll(t, do(t, sh, out, "lookup id 1"), "[1 3 widget]", "1 row(s)")
+	wantAll(t, do(t, sh, out, "lookup product widget"), "2 row(s)")
+	wantAll(t, do(t, sh, out, "merge"), "merged 3 delta rows into 3 main rows")
+	wantAll(t, do(t, sh, out, "lookup product widget"), "[3 7 widget]", "2 row(s)")
+	wantAll(t, do(t, sh, out, "range id 1 2"), "2 row(s)")
+	wantAll(t, do(t, sh, out, "sum qty"), "15\n")
+	wantAll(t, do(t, sh, out, "merge naive"), "merged 0 delta rows")
+	wantAll(t, do(t, sh, out, "stats"),
+		"table sales: 3 rows (3 valid), main 3, delta 0,", "shards: 4, key: id",
+		"shard 0 ", "shard 1 ", "shard 2 ", "shard 3 ")
 }
 
-func TestShellShardedLifecycle(t *testing.T) {
-	sh, buf := newShardedShell(4)
-	out := run(t, sh, buf,
-		"create sales id:uint64 qty:uint32 product:string",
-		"insert sales 1 3 widget",
-		"insert sales 2 5 gadget",
-		"insert sales 3 7 widget",
-		"lookup sales product widget",
-		"merge sales",
-		"lookup sales product widget",
-		"range sales id 1 2",
-		"stats sales",
-		"sum sales qty",
-		"workload sales id oltp 100",
-	)
-	for _, want := range []string{
-		"created sales with 3 columns (shards: 4, key: id)",
-		"merged 3 delta rows into 3 main rows",
-		"bytes, shards: 4",
-		"shard 3",
-		"15", // sum(qty) = 3+5+7
-		"100 ops in",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
+// TestShellSnapshotReads checks the trailing snap: reads at the last
+// captured snapshot keep their answers across an update, a delete and a
+// merge, while latest reads move, and a new snapshot releases the old one.
+func TestShellSnapshotReads(t *testing.T) {
+	sh, out, srv := serve(t)
+	ids := insert(t, sh, out, "1 3 widget", "2 5 gadget", "3 7 widget", "4 2 gadget")
+	wantAll(t, do(t, sh, out, "snapshot"), "(4 rows visible)")
+	wantAll(t, do(t, sh, out, "snapshot"), "(4 rows visible)")
+	if n := srv.SnapshotCount(); n != 1 {
+		t.Fatalf("server holds %d snapshots after two captures, want 1", n)
 	}
-	if strings.Count(out, "2 row(s)") != 3 {
-		t.Errorf("expected widget lookups (before and after merge) and the range to each find 2 rows:\n%s", out)
-	}
-}
+	do(t, sh, out, "update "+ids[1]+" qty=9", "delete "+ids[3], "merge")
 
-// TestShellShardedSaveLoad saves a 4-shard table and reloads it in a shell
-// started without -shards: the shard layout comes from the snapshot
-// header, not from the shell's creation default.
-func TestShellShardedSaveLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sharded.hyr")
-	sh, buf := newShardedShell(4)
-	out := run(t, sh, buf,
-		"create sales id:uint64 qty:uint32 product:string",
-		"insert sales 1 3 widget",
-		"insert sales 2 5 gadget",
-		"insert sales 3 7 widget",
-		"merge sales",
-		"insert sales 4 2 widget",
-		"save sales "+path,
-	)
-	if !strings.Contains(out, "saved "+path) {
-		t.Fatalf("save output:\n%s", out)
+	if got := do(t, sh, out, "sum qty snap"); got != "17\n" {
+		t.Errorf("sum qty snap = %q, want 17 (3+5+7+2)", got)
 	}
+	if got := do(t, sh, out, "sum qty"); got != "19\n" {
+		t.Errorf("sum qty = %q, want 19 (3+9+7)", got)
+	}
+	wantAll(t, do(t, sh, out, "lookup product gadget snap"), "[2 5 gadget]", "[4 2 gadget]", "2 row(s)")
+	wantAll(t, do(t, sh, out, "lookup product gadget"), "[2 9 gadget]", "1 row(s)")
 
-	flat, buf2 := newShell()
-	out2 := run(t, flat, buf2,
-		"load sales2 "+path,
-		"lookup sales2 product widget",
-		"sum sales2 qty",
-		"stats sales2",
-		"merge sales2",
-	)
-	for _, want := range []string{
-		"loaded sales2: 4 rows (shards: 4, key: id)",
-		"3 row(s)",            // widget lookup finds rows from main and delta
-		"\n17\n",              // sum(qty) = 3+5+7+2
-		"shard 3",             // stats shows the per-shard breakdown
-		"threads, shards: 4)", // merge fans out over the reloaded shards
-	} {
-		if !strings.Contains(out2, want) {
-			t.Errorf("output missing %q:\n%s", want, out2)
-		}
+	sh.release()
+	if n := srv.SnapshotCount(); n != 0 {
+		t.Fatalf("server holds %d snapshots after release, want 0", n)
 	}
 }
 
 func TestShellUpdateDelete(t *testing.T) {
-	sh, buf := newShell()
-	out := run(t, sh, buf,
-		"create t a:uint64",
-		"insert t 7",
-		"update t 0 a=9",
-		"lookup t a 9",
-		"delete t 1",
-		"lookup t a 9",
-	)
-	if !strings.Contains(out, "row 0 -> 1") {
-		t.Errorf("update output:\n%s", out)
+	sh, out, _ := serve(t)
+	ids := insert(t, sh, out, "7 1 x")
+	// A key-changing update moves the row to another shard.
+	m := regexp.MustCompile(`^row \d+ -> (\d+)\n$`).FindStringSubmatch(do(t, sh, out, "update "+ids[0]+" id=9"))
+	if m == nil {
+		t.Fatalf("update printed %q", out)
 	}
-	// After delete, the lookup returns 0 rows.
-	if !strings.Contains(out, "0 row(s)") {
-		t.Errorf("delete not observed:\n%s", out)
+	wantAll(t, do(t, sh, out, "lookup id 7"), "0 row(s)")
+	wantAll(t, do(t, sh, out, "lookup id 9"), "[9 1 x]", "1 row(s)")
+	wantAll(t, do(t, sh, out, "delete "+m[1]), "row "+m[1]+" deleted")
+	wantAll(t, do(t, sh, out, "lookup id 9"), "0 row(s)")
+	if err := sh.exec("delete " + m[1]); !errors.Is(err, client.ErrRowInvalid) {
+		t.Errorf("second delete: %v, want ErrRowInvalid", err)
 	}
 }
 
 func TestShellRange(t *testing.T) {
-	sh, buf := newShell()
-	out := run(t, sh, buf,
-		"create t a:uint64 q:uint32 s:string",
-		"insert t 10 5 x",
-		"insert t 20 6 y",
-		"insert t 30 50 z",
-		"range t a 15 30",
-		"range t q 1 10",
-	)
-	if strings.Count(out, "2 row(s)") != 2 {
-		t.Errorf("range output (uint64 and uint32 columns, 2 rows each):\n%s", out)
-	}
-	for _, line := range []string{"range t s a z", "range t q 1 4294967296", "range t nope 1 2"} {
-		if err := sh.exec(line); err == nil {
-			t.Errorf("%q: expected error", line)
-		}
+	sh, out, _ := serve(t)
+	insert(t, sh, out, "10 5 x", "20 6 y", "30 50 z")
+	for _, line := range []string{"range id 15 30", "range qty 1 10", "range product a y"} {
+		wantAll(t, do(t, sh, out, line), "2 row(s)")
 	}
 }
 
 func TestShellErrors(t *testing.T) {
-	sh, _ := newShell()
-	for _, line := range []string{
-		"bogus",
-		"create",
-		"create t a:floatz",
-		"insert missing 1",
-		"lookup t a 1", // table does not exist
-		"merge nope",
-		"sum t a",
-		"workload t a badmix 1",
+	sh, out, _ := serve(t)
+	insert(t, sh, out, "1 2 x")
+	for line, want := range map[string]string{
+		"bogus":                   `unknown command "bogus"`,
+		"sum product":             "string column",
+		"insert 1 4294967296 x":   `column qty: "4294967296" is not a uint32`,
+		"range qty 1 4294967296":  "is not a uint32",
+		"update 0 qty=-1":         "is not a uint32",
+		"lookup id one":           "is not a uint64",
+		"lookup nope 1":           `no column "nope"`,
+		"sum nope":                "no such column",
+		"update 0 nope=1":         `no column "nope"`,
+		"insert 1 2":              "usage: insert",
+		"update 0":                "usage: update",
+		"update 0 qty":            "usage: update",
+		"delete":                  "usage: delete",
+		"lookup id":               "usage: lookup",
+		"lookup id 1 now":         "usage: lookup",
+		"range id 1":              "usage: range",
+		"sum":                     "usage: sum",
+		"merge fast":              "usage: merge",
+		"snapshot now":            "usage: snapshot",
+		"stats sales":             "usage: stats",
+		"import":                  "usage: import",
+		"sum qty snap":            "no snapshot yet",
+		"lookup product x snap":   "no snapshot yet",
+		"import /nonexistent.csv": "no such file",
 	} {
-		if err := sh.exec(line); err == nil {
-			t.Errorf("%q: expected error", line)
+		if err := sh.exec(line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want one containing %q", line, err, want)
 		}
 	}
-}
 
-func TestShellSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.hyr")
-	sh, buf := newShell()
-	out := run(t, sh, buf,
-		"create t a:uint64 b:string",
-		"insert t 1 x",
-		"insert t 2 y",
-		"save t "+path,
-		"load t2 "+path,
-		"lookup t2 b y",
-	)
-	if !strings.Contains(out, "loaded t2: 2 rows") {
-		t.Errorf("load output:\n%s", out)
-	}
-	if !strings.Contains(out, "1 row(s)") {
-		t.Errorf("query on loaded table:\n%s", out)
-	}
-}
-
-func TestShellLoadCSV(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "orders.csv")
-	csv := "id,product\n1,widget\n2,gadget\n3,widget\n"
-	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+	// The read loop prints a failed command's error and carries on.
+	out.Reset()
+	if err := sh.run(strings.NewReader("bogus\n\nsum qty\nquit\nsum qty\n")); err != nil {
 		t.Fatal(err)
 	}
-	sh, buf := newShell()
-	out := run(t, sh, buf,
-		"loadcsv orders "+path,
-		"lookup orders product widget",
-		"merge orders",
-		"lookup orders product widget",
-	)
-	if !strings.Contains(out, "imported 3 rows into orders") {
-		t.Errorf("import output:\n%s", out)
-	}
-	if strings.Count(out, "2 row(s)") != 2 {
-		t.Errorf("lookup before/after merge:\n%s", out)
+	if want := "> error: unknown command \"bogus\" (try 'help')\n> > 2\n> "; out.String() != want {
+		t.Errorf("run printed %q, want %q", out.String(), want)
 	}
 }
 
-func TestShellWorkload(t *testing.T) {
-	sh, buf := newShell()
-	out := run(t, sh, buf,
-		"create t k:uint64",
-		"insert t 1",
-		"workload t k oltp 200",
-	)
-	if !strings.Contains(out, "200 ops in") {
-		t.Errorf("workload output:\n%s", out)
+// TestShellLongLine feeds a line longer than the shell reads: the session
+// must end with the read error, not as if the input had ended.
+func TestShellLongLine(t *testing.T) {
+	sh, out, _ := serve(t)
+	in := "insert 1 2 x\ninsert 2 3 " + strings.Repeat("y", 2<<20) + "\ninsert 3 4 z\n"
+	if err := sh.run(strings.NewReader(in)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("run: %v, want %v", err, bufio.ErrTooLong)
+	}
+	wantAll(t, do(t, sh, out, "stats"), "table sales: 1 rows")
+}
+
+func writeCSV(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "sales.csv")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestShellImport imports a file whose header orders the columns
+// differently from the served schema.
+func TestShellImport(t *testing.T) {
+	sh, out, _ := serve(t)
+	path := writeCSV(t, "product,id,qty\nwidget,1,3\ngadget,2,5\nwidget,3,7\n")
+	wantAll(t, do(t, sh, out, "import "+path), "imported 3 rows")
+	for range 2 {
+		wantAll(t, do(t, sh, out, "lookup product widget"), "[1 3 widget]", "[3 7 widget]", "2 row(s)")
+		wantAll(t, do(t, sh, out, "lookup id 2"), "[2 5 gadget]", "1 row(s)")
+		do(t, sh, out, "merge")
+	}
+	wantAll(t, do(t, sh, out, "sum qty"), "15\n")
+}
+
+// TestShellImportRejects checks that a malformed file fails with an error
+// naming the header or its data row, and that none of its rows lands.
+func TestShellImportRejects(t *testing.T) {
+	sh, out, _ := serve(t)
+	for _, tc := range []struct{ body, want string }{
+		{"id,qty,product,color\n1,2,x,red\n", `header: no column "color"`},
+		{"id,qty\n1,2\n", `header: column "product" missing`},
+		{"id,qty,qty,product\n1,2,2,x\n", `header: column "qty" repeated`},
+		{"id,qty,product\n1,2,x\n3,4\n", "row 2: record on line 3: wrong number of fields"},
+		{"id,qty,product\n1,2,x\n2,3,y\nthree,4,z\n", `row 3: column id: "three" is not a uint64`},
+		{"id,qty,product\n1,2,x\n2,4294967296,y\n", `row 2: column qty: "4294967296" is not a uint32`},
+	} {
+		err := sh.exec("import " + writeCSV(t, tc.body))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("import of %q: error %v, want one containing %q", tc.body, err, tc.want)
+		}
+		wantAll(t, do(t, sh, out, "stats"), "table sales: 0 rows")
 	}
 }

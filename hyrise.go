@@ -350,10 +350,8 @@ package hyrise
 
 import (
 	"cmp"
-	"io"
 
 	"hyrise/internal/core"
-	"hyrise/internal/csvload"
 	"hyrise/internal/model"
 	"hyrise/internal/query"
 	"hyrise/internal/sched"
@@ -387,7 +385,7 @@ type Schema = table.Schema
 
 // Table is the store: rows hash-partitioned by a key column across one or
 // more shards, each a Partition with its own merge lifecycle.  NewTable,
-// NewShardedTable, Load, LoadCSV and FollowStore all return one, and every
+// NewShardedTable, Load and FollowStore all return one, and every
 // entry point of this package — ColumnOf, NumericColumnOf, Query,
 // NewScheduler, NewDriver, Save, Serve, EnableReplication — takes one.
 //
@@ -525,21 +523,6 @@ const (
 	// FilterBetween matches rows in [Filter.Value, Filter.Hi].
 	FilterBetween = query.Between
 )
-
-// CSVOptions configures CSV import.
-type CSVOptions = csvload.Options
-
-// LoadCSV imports CSV data (header row required) into a new one-shard
-// table; column types are inferred unless fixed via CSVOptions.Types.  Rows land
-// in the delta partitions; merge when convenient.
-func LoadCSV(r io.Reader, opts CSVOptions) (*Table, int, error) {
-	return csvload.Load(r, opts)
-}
-
-// LoadCSVFile imports a CSV file.
-func LoadCSVFile(path string, opts CSVOptions) (*Table, int, error) {
-	return csvload.LoadFile(path, opts)
-}
 
 // Analytical model (paper §6.1, §7.4).
 type (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,24 +11,29 @@ import (
 	"hyrise"
 )
 
-// TestIntegrationCSVToQueries drives the full ingest path: CSV import →
+// TestIntegrationCSVToQueries drives the full ingest path: batch insert →
 // multi-column queries → merge → identical answers → snapshot round trip.
 func TestIntegrationCSVToQueries(t *testing.T) {
-	var csv strings.Builder
-	csv.WriteString("order_id,customer,qty,product\n")
-	for i := 0; i < 2000; i++ {
-		fmt.Fprintf(&csv, "%d,%d,%d,%s\n", i, i%40, i%15,
-			[]string{"widget", "gadget", "sprocket"}[i%3])
-	}
-	tb, n, err := hyrise.LoadCSV(strings.NewReader(csv.String()), hyrise.CSVOptions{
-		TableName: "orders",
-		Types:     map[string]hyrise.Type{"qty": hyrise.Uint32},
+	tb, err := hyrise.NewTable("orders", hyrise.Schema{
+		{Name: "order_id", Type: hyrise.Uint64},
+		{Name: "customer", Type: hyrise.Uint64},
+		{Name: "qty", Type: hyrise.Uint32},
+		{Name: "product", Type: hyrise.String},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2000 {
-		t.Fatalf("imported %d", n)
+	rows := make([][]any, 2000)
+	for i := range rows {
+		rows[i] = []any{uint64(i), uint64(i % 40), uint32(i % 15),
+			[]string{"widget", "gadget", "sprocket"}[i%3]}
+	}
+	ids, err := tb.InsertRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 2000 {
+		t.Fatalf("inserted %d", len(ids))
 	}
 
 	filters := []hyrise.Filter{

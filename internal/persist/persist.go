@@ -1,5 +1,5 @@
-// Package persist is the codec between a store and the snapshot bytes: the
-// CLI's save/load, hyrised's restart file and a follower's bootstrap image.
+// Package persist is the codec between a store and the snapshot bytes:
+// hyrise.Save/Load, hyrised's restart file and a follower's bootstrap image.
 //
 // A partition crosses the table boundary as one table.Image.  Save captures
 // every partition's image — one read lock each, references to the immutable

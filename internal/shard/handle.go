@@ -47,9 +47,11 @@ func ColumnOf[V val.Value](st *Table, name string) (*Handle[V], error) {
 }
 
 // each runs fn on every partition's handle concurrently and returns the
-// results in physical order.  Callers with a single partition call it
-// inline instead.
+// results in physical order.  A lone handle runs on the caller's goroutine.
 func each[H, R any](hs []H, fn func(H) R) []R {
+	if len(hs) == 1 {
+		return []R{fn(hs[0])}
+	}
 	out := make([]R, len(hs))
 	var wg sync.WaitGroup
 	for i, h := range hs {
@@ -92,9 +94,6 @@ func (h *Handle[V]) Lookup(v V) []int { return h.LookupAt(table.Latest(), v) }
 
 // LookupAt is Lookup against the rows visible at the view's epoch.
 func (h *Handle[V]) LookupAt(view table.View, v V) []int {
-	if len(h.hs) == 1 {
-		return h.hs[0].LookupAt(view, v)
-	}
 	return globalIDs(each(h.hs, func(p *table.Handle[V]) []int { return p.LookupAt(view, v) }))
 }
 
@@ -103,9 +102,6 @@ func (h *Handle[V]) Range(lo, hi V) []int { return h.RangeAt(table.Latest(), lo,
 
 // RangeAt is Range against the rows visible at the view's epoch.
 func (h *Handle[V]) RangeAt(view table.View, lo, hi V) []int {
-	if len(h.hs) == 1 {
-		return h.hs[0].RangeAt(view, lo, hi)
-	}
 	return globalIDs(each(h.hs, func(p *table.Handle[V]) []int { return p.RangeAt(view, lo, hi) }))
 }
 
@@ -116,10 +112,6 @@ func (h *Handle[V]) Scan(fn func(id int, v V) bool) { h.ScanAt(table.Latest(), f
 
 // ScanAt is Scan against the rows visible at the view's epoch.
 func (h *Handle[V]) ScanAt(view table.View, fn func(id int, v V) bool) {
-	if len(h.hs) == 1 {
-		h.hs[0].ScanAt(view, fn)
-		return
-	}
 	for phys, p := range h.hs {
 		stopped := false
 		p.ScanAt(view, func(local int, v V) bool {
@@ -138,9 +130,6 @@ func (h *Handle[V]) CountEqual(v V) int { return h.CountEqualAt(table.Latest(), 
 // CountEqualAt is CountEqual at the view's epoch: the sum of the
 // partitions' fused count kernels, with no id list materialized.
 func (h *Handle[V]) CountEqualAt(view table.View, v V) int {
-	if len(h.hs) == 1 {
-		return h.hs[0].CountEqualAt(view, v)
-	}
 	n := 0
 	for _, c := range each(h.hs, func(p *table.Handle[V]) int { return p.CountEqualAt(view, v) }) {
 		n += c
@@ -185,9 +174,6 @@ func (h *NumericHandle[V]) Sum() uint64 { return h.SumAt(table.Latest()) }
 // SumAt aggregates over the rows visible at the view's epoch; the shared
 // epoch makes the combined sum a consistent cross-partition aggregate.
 func (h *NumericHandle[V]) SumAt(view table.View) uint64 {
-	if len(h.ns) == 1 {
-		return h.ns[0].SumAt(view)
-	}
 	var sum uint64
 	for _, p := range each(h.ns, func(n *table.NumericHandle[V]) uint64 { return n.SumAt(view) }) {
 		sum += p
@@ -215,9 +201,6 @@ func (h *NumericHandle[V]) MaxAt(view table.View) (V, bool) {
 // best combines one per-partition extreme (MinAt or MaxAt) across
 // partitions.
 func (h *NumericHandle[V]) best(at func(*table.NumericHandle[V], table.View) (V, bool), view table.View, better func(cur, cand V) bool) (V, bool) {
-	if len(h.ns) == 1 {
-		return at(h.ns[0], view)
-	}
 	type extreme struct {
 		v  V
 		ok bool
