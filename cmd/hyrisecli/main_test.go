@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -226,22 +227,60 @@ func TestShellImport(t *testing.T) {
 	wantAll(t, do(t, sh, out, "sum qty"), "15\n")
 }
 
+// TestShellImportQuoted imports quoted fields: a comma and a doubled quote
+// inside a field are part of the value.
+func TestShellImportQuoted(t *testing.T) {
+	sh, out, _ := serve(t)
+	path := writeCSV(t, "id,qty,product\n1,3,\"widget, large\"\n2,5,\"say \"\"hi\"\"\"\n")
+	wantAll(t, do(t, sh, out, "import "+path), "imported 2 rows")
+	wantAll(t, do(t, sh, out, "lookup id 1"), "[1 3 widget, large]", "1 row(s)")
+	wantAll(t, do(t, sh, out, "lookup id 2"), `[2 5 say "hi"]`, "1 row(s)")
+}
+
+// TestShellImportHeaderOnly imports a file with a valid header and no rows.
+func TestShellImportHeaderOnly(t *testing.T) {
+	sh, out, _ := serve(t)
+	wantAll(t, do(t, sh, out, "import "+writeCSV(t, "qty,product,id\n")), "imported 0 rows")
+	wantAll(t, do(t, sh, out, "stats"), "table sales: 0 rows")
+}
+
+// TestShellImportLarge imports more rows than one InsertBatch frame holds,
+// so the batch crosses the wire as several frames.
+func TestShellImportLarge(t *testing.T) {
+	sh, out, _ := serve(t)
+	const n = 1500
+	var b strings.Builder
+	b.WriteString("id,qty,product\n")
+	for i := range n {
+		fmt.Fprintf(&b, "%d,%d,p%d\n", i, i%10, i%7)
+	}
+	wantAll(t, do(t, sh, out, "import "+writeCSV(t, b.String())), fmt.Sprintf("imported %d rows", n))
+	wantAll(t, do(t, sh, out, "stats"), fmt.Sprintf("table sales: %d rows (%d valid)", n, n))
+	// qty cycles 0..9 over 1500 rows: 150 full cycles of sum 45.
+	wantAll(t, do(t, sh, out, "sum qty"), "6750\n")
+	wantAll(t, do(t, sh, out, "lookup id 1499"), "[1499 9 p1]", "1 row(s)")
+}
+
 // TestShellImportRejects checks that a malformed file fails with an error
 // naming the header or its data row, and that none of its rows lands.
 func TestShellImportRejects(t *testing.T) {
 	sh, out, _ := serve(t)
-	for _, tc := range []struct{ body, want string }{
-		{"id,qty,product,color\n1,2,x,red\n", `header: no column "color"`},
-		{"id,qty\n1,2\n", `header: column "product" missing`},
-		{"id,qty,qty,product\n1,2,2,x\n", `header: column "qty" repeated`},
-		{"id,qty,product\n1,2,x\n3,4\n", "row 2: record on line 3: wrong number of fields"},
-		{"id,qty,product\n1,2,x\n2,3,y\nthree,4,z\n", `row 3: column id: "three" is not a uint64`},
-		{"id,qty,product\n1,2,x\n2,4294967296,y\n", `row 2: column qty: "4294967296" is not a uint32`},
+	for _, tc := range []struct{ name, body, want string }{
+		{"unknown-column", "id,qty,product,color\n1,2,x,red\n", `header: no column "color"`},
+		{"missing-column", "id,qty\n1,2\n", `header: column "product" missing`},
+		{"repeated-column", "id,qty,qty,product\n1,2,2,x\n", `header: column "qty" repeated`},
+		{"short-row", "id,qty,product\n1,2,x\n3,4\n", "row 2: record on line 3: wrong number of fields"},
+		{"bad-uint64", "id,qty,product\n1,2,x\n2,3,y\nthree,4,z\n", `row 3: column id: "three" is not a uint64`},
+		{"uint32-overflow", "id,qty,product\n1,2,x\n2,4294967296,y\n", `row 2: column qty: "4294967296" is not a uint32`},
+		{"empty-file", "", "header: EOF"},
+		{"bare-quote", "id,qty,product\n1,2,x\n2,3,y\"z\n", `row 2: parse error on line 3, column 6: bare " in non-quoted-field`},
 	} {
-		err := sh.exec("import " + writeCSV(t, tc.body))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("import of %q: error %v, want one containing %q", tc.body, err, tc.want)
-		}
-		wantAll(t, do(t, sh, out, "stats"), "table sales: 0 rows")
+		t.Run(tc.name, func(t *testing.T) {
+			err := sh.exec("import " + writeCSV(t, tc.body))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("import of %q: error %v, want one containing %q", tc.body, err, tc.want)
+			}
+			wantAll(t, do(t, sh, out, "stats"), "table sales: 0 rows")
+		})
 	}
 }
