@@ -3,6 +3,7 @@ package hyrise_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"hyrise"
@@ -130,6 +131,69 @@ func TestStoreGCAcceptance(t *testing.T) {
 			}
 			if stats.RetiredRows == 0 || stats.ReclaimedBytes == 0 {
 				t.Fatalf("GC counters missing from StoreStats: %+v", stats)
+			}
+		})
+	}
+}
+
+// TestRetentionUnderOldPin holds one pin taken before any churn across
+// update-every-row cycles with a store-level merge per cycle.  The store
+// report must carry the partitions' dead-version counts, and precise
+// per-pin retention must keep only the versions visible at the pin: the
+// classic min-pin watermark would keep every cycle's dead versions, so
+// after n cycles the precise rule reclaims (n-1)/n of what the watermark
+// rule keeps — 90 % at the ten cycles run here.
+func TestRetentionUnderOldPin(t *testing.T) {
+	const rows, cycles = 1000, 10
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := hyrise.NewShardedTable("ret", hyrise.Schema{
+				{Name: "k", Type: hyrise.Uint64},
+				{Name: "v", Type: hyrise.Uint64},
+			}, "k", shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]int, rows)
+			for i := range ids {
+				if ids[i], err = s.Insert([]any{uint64(i), uint64(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pin := s.Snapshot()
+			defer pin.Release()
+
+			// The pin predates all churn, so the watermark sits below every
+			// invalidation and would reclaim none of a cycle's dead versions:
+			// they accumulate across cycles instead of being re-judged.
+			var retained, watermarkKept int
+			for c := 0; c < cycles; c++ {
+				for j := range ids {
+					if ids[j], err = s.Update(ids[j], map[string]any{"v": uint64(c*rows + j)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rep, err := s.RequestMerge(context.Background(), hyrise.MergeOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var dead int
+				for _, p := range s.Partitions() {
+					dead += p.LastMergeReport().DeadAtFreeze
+				}
+				if rep.DeadAtFreeze != dead || rep.LivePins != 1 {
+					t.Fatalf("cycle %d: store report DeadAtFreeze=%d LivePins=%d, want %d and 1",
+						c, rep.DeadAtFreeze, rep.LivePins, dead)
+				}
+				watermarkKept += rep.DeadAtFreeze - retained
+				retained = rep.DeadAtFreeze - rep.RowsReclaimed
+			}
+			if retained != rows {
+				t.Fatalf("retained %d dead versions, want the %d visible at the pin", retained, rows)
+			}
+			if pct := 100 * float64(watermarkKept-retained) / float64(watermarkKept); pct < 90 {
+				t.Fatalf("precise retention reclaimed %.1f%% of the watermark rule's %d, want >= 90%%",
+					pct, watermarkKept)
 			}
 		})
 	}

@@ -197,9 +197,9 @@
 // threads than columns (MergeOptions{Threads: N}) a garbage-collecting
 // merge range-partitions each column's rewrite across N workers emitting
 // disjoint word-aligned output slices, so one oversized shard no longer
-// serializes compaction.  BenchmarkScanKernel and BenchmarkParallelMerge
-// measure both sides (scalar-vs-kernel scan throughput, merge thread
-// scaling).
+// serializes compaction.  internal/kernel's BenchmarkScanKernel measures
+// the scan side against the scalar loop, and cmd/mergebench -exp table2
+// the merge's thread scaling.
 //
 // # Secondary indexes
 //
@@ -337,9 +337,8 @@
 // Overhead: instruments on the request path are lock-free atomics bound
 // per opcode at server construction — no allocation, no map lookups, no
 // label rendering per request — and scrapes snapshot without stopping
-// writers.  The instrumented read path stays within a few percent of a
-// server built with ServerOptions.NoMetrics, which disables collection
-// entirely (nil-safe instruments compile to no-ops).
+// writers.  Every server collects metrics; the end-to-end point_rw
+// workload in benchmark/ measures the request path with them on.
 //
 // The subpackages under internal implement the paper's substrate systems
 // (bit-packed vectors, sorted dictionaries, CSB+ trees, the merge itself,

@@ -62,18 +62,22 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("Max=%d,%v", mx, ok)
 	}
 
-	// Workload driver on the public surface.
-	drv, err := hyrise.NewDriver(tb, "order_id", hyrise.OLTPMix,
-		hyrise.NewUniformGenerator(1000, 7), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := drv.Run(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts.Total() != 500 {
-		t.Fatalf("driver total %d", counts.Total())
+	// Workload driver on the public surface, one subtest per Figure 1 mix.
+	for _, mix := range []hyrise.Mix{hyrise.OLTPMix, hyrise.OLAPMix, hyrise.TPCCMix} {
+		t.Run(mix.Name, func(t *testing.T) {
+			drv, err := hyrise.NewDriver(tb, "order_id", mix,
+				hyrise.NewUniformGenerator(1000, 7), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts, err := drv.Run(500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counts.Total() != 500 {
+				t.Fatalf("driver total %d", counts.Total())
+			}
+		})
 	}
 
 	// Persistence round trip.

@@ -499,3 +499,93 @@ func head(s []int32) []int32 {
 	}
 	return s
 }
+
+// benchSink keeps the benchmarked results from being optimised away.
+var benchSink int
+
+// BenchmarkScanKernel is the kernel-level perf artefact beside the
+// end-to-end harness in benchmark/.  It runs every main-partition scan
+// kernel on a 1M-code column at the packed widths olap_scan's columns have
+// (status 3, qty 7, product 10, customer 16, amount 17 bits) plus 8, 19 and
+// 32, which together cover windows of whole words and windows that
+// straddle two: a sparse equality needle (op=equal) and a ~10% range
+// (op=range), each against the scalar per-row bitpack.Vector.Get loop the
+// kernels exist to avoid; a count of the needle fused with visibility
+// (op=count); and the fused sum and min/max over the visible rows (op=sum,
+// op=minmax), with one row in 16 invalidated.  Each sub-benchmark reports
+// ns/row.
+func BenchmarkScanKernel(b *testing.B) {
+	const n = 1 << 20
+	const e = 5 // every row visible but each 16th, invalidated at epoch 2
+	begin, end := make([]uint64, n), make([]uint64, n)
+	for i := range begin {
+		begin[i] = 1
+		if i%16 == 0 {
+			end[i] = 2
+		}
+	}
+	for _, bits := range []uint{3, 7, 8, 10, 16, 17, 19, 32} {
+		rng := rand.New(rand.NewSource(int64(bits)))
+		// Codes index a sorted dictionary of card entries; at 32 bits a
+		// 2^32-entry dictionary will not fit, so codes stay below 2^20.
+		card := uint64(1) << min(bits, 20)
+		codes := make([]uint64, n)
+		for i := range codes {
+			codes[i] = rng.Uint64() % card
+		}
+		dict := make([]uint64, card)
+		for i := range dict {
+			dict[i] = uint64(i)*7 + 3
+		}
+		needle := codes[n/2] // ~n/card expected matches
+		lo, hi := card/2, card/2+card/10+1
+		v := bitpack.FromSlice(bits, codes)
+
+		run := func(op, impl string, fn func()) {
+			b.Run(fmt.Sprintf("bits=%d/op=%s/impl=%s", bits, op, impl), func(b *testing.B) {
+				b.SetBytes(n)
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			})
+		}
+		sel := make([]int32, 0, n)
+		run("equal", "scalar", func() {
+			cnt := 0
+			for j := 0; j < n; j++ {
+				if v.Get(j) == needle {
+					cnt++
+				}
+			}
+			benchSink = cnt
+		})
+		run("equal", "kernel", func() {
+			sel = MatchEqual(v, needle, sel[:0])
+			benchSink = len(sel)
+		})
+		run("range", "scalar", func() {
+			cnt := 0
+			for j := 0; j < n; j++ {
+				if c := v.Get(j); c >= lo && c < hi {
+					cnt++
+				}
+			}
+			benchSink = cnt
+		})
+		run("range", "kernel", func() {
+			sel = MatchRange(v, lo, hi, sel[:0])
+			benchSink = len(sel)
+		})
+		run("count", "kernel", func() {
+			benchSink = CountEqual(v, needle, begin, end, e)
+		})
+		run("sum", "kernel", func() {
+			benchSink = int(SumVisible(v, dict, begin, end, e))
+		})
+		run("minmax", "kernel", func() {
+			mn, mx, _ := MinMaxVisible(v, begin, end, e)
+			benchSink = int(mn + mx)
+		})
+	}
+}

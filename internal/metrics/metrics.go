@@ -9,9 +9,8 @@
 // allocations, no time formatting.  Collectors are resolved from the
 // Registry once, at wiring time — never per operation — so the instrumented
 // fast path carries no map lookups.  All collector methods are nil-safe
-// no-ops, which is how an instrumented call site becomes a true no-op
-// baseline: hand it nil collectors and the only residue is a predictable
-// nil check.
+// no-ops, so a call site holding an unbound (nil) collector costs one
+// predictable nil check.
 //
 // # Histograms
 //
@@ -211,9 +210,6 @@ func renderLabels(kv []string) string {
 // name+labels.  A name registered under two different kinds panics: that
 // is a wiring bug, not a runtime condition.
 func (r *Registry) register(name, help string, kind metricKind, labels []string) *sample {
-	if r == nil {
-		return nil
-	}
 	ls := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -239,13 +235,9 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 	return s
 }
 
-// Counter registers (or returns) the counter name{labels}.  A nil registry
-// returns nil, which every Counter method accepts.
+// Counter registers (or returns) the counter name{labels}.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	s := r.register(name, help, kindCounter, labels)
-	if s == nil {
-		return nil
-	}
 	if s.counter == nil && s.fn == nil {
 		s.counter = &Counter{}
 	}
@@ -256,17 +248,12 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 // time (for cumulative counts already maintained elsewhere).  fn must be
 // monotonic for the rendered type to be honest.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	if s := r.register(name, help, kindCounter, labels); s != nil {
-		s.fn = fn
-	}
+	r.register(name, help, kindCounter, labels).fn = fn
 }
 
 // Gauge registers (or returns) the gauge name{labels}.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	s := r.register(name, help, kindGauge, labels)
-	if s == nil {
-		return nil
-	}
 	if s.gauge == nil && s.fn == nil {
 		s.gauge = &Gauge{}
 	}
@@ -275,17 +262,12 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	if s := r.register(name, help, kindGauge, labels); s != nil {
-		s.fn = fn
-	}
+	r.register(name, help, kindGauge, labels).fn = fn
 }
 
 // Histogram registers (or returns) the histogram name{labels}.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	s := r.register(name, help, kindHistogram, labels)
-	if s == nil {
-		return nil
-	}
 	if s.hist == nil {
 		s.hist = &Histogram{}
 	}
@@ -306,9 +288,6 @@ type Sample struct {
 // name_count{labels} and name_sum{labels} (seconds); bucket cells are
 // exposition-only.  The wire op OpMetrics ships exactly this.
 func (r *Registry) Snapshot() []Sample {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.order))
 	for _, name := range r.order {
@@ -347,9 +326,6 @@ func sampleName(name, labels string) string {
 // samples sorted by label set, histograms as cumulative le-bounded buckets
 // (bounds in seconds) plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.order))
 	for _, name := range r.order {

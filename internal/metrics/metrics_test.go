@@ -45,18 +45,6 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil collectors must read zero")
 	}
-	var r *Registry
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "") != nil {
-		t.Fatalf("nil registry must hand out nil collectors")
-	}
-	r.CounterFunc("x", "", func() float64 { return 1 })
-	r.GaugeFunc("x", "", func() float64 { return 1 })
-	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
-		t.Fatalf("nil registry render: %v", err)
-	}
-	if r.Snapshot() != nil {
-		t.Fatalf("nil registry snapshot must be nil")
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {

@@ -151,11 +151,11 @@
 //
 // # Observability
 //
-// Every server carries a metric registry (hyrise/internal/metrics)
-// unless built with Options.NoMetrics: per-opcode request/error counters
-// and latency histograms bound at construction (no allocation or map
-// lookup on the request path), plus gauges over the store, epoch clock,
-// GC state, op log, replica state, index routing and query planner.
+// Every server carries a metric registry (hyrise/internal/metrics):
+// per-opcode request/error counters and latency histograms bound at
+// construction (no allocation or map lookup on the request path), plus
+// gauges over the store, epoch clock, GC state, op log, replica state,
+// index routing and query planner.
 // Server.Registry exposes it; Server.ObsHandler serves it over HTTP as
 // /metrics (Prometheus text exposition) together with /healthz
 // (readiness: a primary is ready unless draining, a follower once it has
@@ -170,11 +170,10 @@
 // in, e.g. `hyrise_server_requests_total{op="lookup"}`; histogram
 // families contribute their _count and _sum, with durations in seconds)
 // and the value as float64 bits in a u64.  Followers answer locally —
-// their lag gauges are exactly what a client-side topology check wants —
-// and a NoMetrics server answers an empty list.  OpServerStats carries,
-// after the applied LSN, the uptime (u64 nanoseconds), then a u16 count
-// and per entry opcode u8, requests u64, errors u64, listing every opcode
-// served at least once.
+// their lag gauges are exactly what a client-side topology check wants.
+// OpServerStats carries, after the applied LSN, the uptime (u64
+// nanoseconds), then a u16 count and per entry opcode u8, requests u64,
+// errors u64, listing every opcode served at least once.
 //
 // # Online resharding
 //

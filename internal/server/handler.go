@@ -866,19 +866,17 @@ func (s *Server) opServerStats(r *wire.Reader, out *wire.Buffer) error {
 	out.U64(lag)
 	out.U64(lsn)
 	// Uptime and cumulative per-op request/error counts (fed from the
-	// metric registry; empty with metrics disabled).
+	// metric registry).
 	out.U64(uint64(time.Since(s.started).Nanoseconds()))
 	type opCount struct {
 		op         uint8
 		reqs, errs uint64
 	}
 	var counts []opCount
-	if s.mx != nil {
-		for _, op := range wire.Opcodes() {
-			om := s.mx.byOp[op]
-			if r, e := om.reqs.Value(), om.errs.Value(); r > 0 || e > 0 {
-				counts = append(counts, opCount{op, r, e})
-			}
+	for _, op := range wire.Opcodes() {
+		om := s.mx.byOp[op]
+		if r, e := om.reqs.Value(), om.errs.Value(); r > 0 || e > 0 {
+			counts = append(counts, opCount{op, r, e})
 		}
 	}
 	out.U16(uint16(len(counts)))
@@ -933,13 +931,12 @@ func (s *Server) opReshard(r *wire.Reader, out *wire.Buffer) error {
 // u32 n, then per sample a full name (labels rendered in, e.g.
 // `hyrise_server_requests_total{op="lookup"}`) and the value as float64
 // bits.  Followers answer locally — their lag gauges are exactly what a
-// client-side topology check wants.  With metrics disabled the list is
-// empty.
+// client-side topology check wants.
 func (s *Server) opMetrics(r *wire.Reader, out *wire.Buffer) error {
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	samples := s.mxReg().Snapshot()
+	samples := s.mx.reg.Snapshot()
 	out.U32(uint32(len(samples)))
 	for _, smp := range samples {
 		out.String(smp.Name)

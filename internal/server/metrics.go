@@ -17,10 +17,10 @@ type opMetric struct {
 	lat  *metrics.Histogram
 }
 
-// serverMetrics binds every collector the server maintains.  A nil
-// *serverMetrics (Options.NoMetrics) is fully inert: byOp yields nil
-// instruments whose methods are no-ops, which is the baseline the
-// BENCH_obs overhead comparison runs against.
+// serverMetrics binds every collector the server maintains.  byOp holds a
+// zero opMetric for opcodes wire.Opcodes does not assign; its nil
+// instruments are no-ops, so a request with an unknown opcode is answered
+// without being counted.
 type serverMetrics struct {
 	reg  *metrics.Registry
 	byOp [256]opMetric
@@ -50,25 +50,10 @@ type serverMetrics struct {
 	reshardCutover *metrics.Histogram
 }
 
-// at returns the instrument set for an opcode; nil-safe.
-func (m *serverMetrics) at(op uint8) opMetric {
-	if m == nil {
-		return opMetric{}
-	}
-	return m.byOp[op]
-}
-
-// Registry returns the server's metric registry (nil with
-// Options.NoMetrics set).  Callers may add their own collectors; the
-// store's gauges and the per-op series are already registered.
-func (s *Server) Registry() *metrics.Registry { return s.mxReg() }
-
-func (s *Server) mxReg() *metrics.Registry {
-	if s.mx == nil {
-		return nil
-	}
-	return s.mx.reg
-}
+// Registry returns the server's metric registry.  Callers may add their
+// own collectors; the store's gauges and the per-op series are already
+// registered.
+func (s *Server) Registry() *metrics.Registry { return s.mx.reg }
 
 // newServerMetrics builds the registry for one server: per-op series for
 // every protocol opcode, merge/GC instruments fed by the store's merge
@@ -297,21 +282,11 @@ func (m *serverMetrics) observeMerge(rep table.Report) {
 	m.mergeWallDur.ObserveDuration(rep.Wall)
 }
 
-// observeReshard feeds the reshard instruments; nil-safe like every other
-// serverMetrics entry point.
+// observeReshard feeds the reshard instruments after each completed
+// OpReshard.
 func (m *serverMetrics) observeReshard(rep shard.ReshardReport) {
-	if m == nil {
-		return
-	}
 	m.reshardTotal.Inc()
 	m.reshardRows.Add(uint64(rep.RowsMigrated))
 	m.reshardWall.ObserveDuration(rep.Wall)
 	m.reshardCutover.ObserveDuration(rep.CutoverWall)
-}
-
-// timing reports whether latency needs to be measured at all: with
-// metrics off and no slow-op threshold, serveConn skips both time.Now
-// calls on the request path.
-func (s *Server) timing() bool {
-	return s.mx != nil || s.opts.SlowOpThreshold > 0
 }

@@ -30,13 +30,7 @@ import (
 // (role, epochs, lag); not-ready answers 503 with the reason.
 func (s *Server) ObsHandler() http.Handler {
 	mux := http.NewServeMux()
-	if reg := s.mxReg(); reg != nil {
-		mux.Handle("/metrics", reg.Handler())
-	} else {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			http.Error(w, "metrics disabled (Options.NoMetrics)", http.StatusNotFound)
-		})
-	}
+	mux.Handle("/metrics", s.mx.reg.Handler())
 	mux.HandleFunc("/healthz", s.serveHealthz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

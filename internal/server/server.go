@@ -59,11 +59,6 @@ type Options struct {
 	// every request whose handling exceeds it (opcode, duration, rows
 	// touched, snapshot epoch).  Zero disables slow-op tracing.
 	SlowOpThreshold time.Duration
-	// NoMetrics disables the metric registry entirely: no per-op
-	// accounting, no scrape-time gauges, Registry() returns nil.  The
-	// request path then carries only nil checks — this is the baseline
-	// the BENCH_obs overhead comparison measures against.
-	NoMetrics bool
 }
 
 func (o Options) logger() *slog.Logger {
@@ -99,9 +94,9 @@ type Server struct {
 	subs  map[*conn]struct{} // live replication subscribers
 
 	requests atomic.Uint64
-	started  time.Time      // ServerStats uptime base
-	log      *slog.Logger   // never nil; discards when Options.Logger is nil
-	mx       *serverMetrics // nil with Options.NoMetrics
+	started  time.Time    // ServerStats uptime base
+	log      *slog.Logger // never nil; discards when Options.Logger is nil
+	mx       *serverMetrics
 
 	// lifeCtx is cancelled when sessions are force-closed (Close, or
 	// Shutdown's deadline); long-running handler work (merges) runs
@@ -123,9 +118,7 @@ func New(st *shard.Table, opts Options) *Server {
 		log:     opts.logger(),
 	}
 	s.lifeCtx, s.cancelLife = context.WithCancel(context.Background())
-	if !opts.NoMetrics {
-		s.mx = newServerMetrics(s)
-	}
+	s.mx = newServerMetrics(s)
 	return s
 }
 
@@ -512,7 +505,7 @@ func (s *Server) serveConn(c *conn) {
 			s.serveSubscribe(c, payload[1:], bw)
 			return
 		}
-		if s.mx != nil && br.Buffered() > 0 {
+		if br.Buffered() > 0 {
 			// The next request is already queued behind this one: the
 			// client is pipelining.
 			s.mx.pipelined.Inc()
@@ -548,15 +541,8 @@ func (s *Server) serveConn(c *conn) {
 // full response payload and doing the per-request accounting: metrics,
 // error counting, slow-op tracing.
 func (s *Server) execute(c *conn, op uint8, payload []byte, out *wire.Buffer) {
-	om := s.mx.at(op)
-	// Both time.Now calls are skipped when neither metrics nor slow-op
-	// tracing want the duration — the noop baseline costs nil checks
-	// only.
-	timed := s.timing()
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
+	om := s.mx.byOp[op]
+	start := time.Now()
 	var info reqInfo
 	out.Reset()
 	s.handle(payload, out, &info)
@@ -568,17 +554,13 @@ func (s *Server) execute(c *conn, op uint8, payload []byte, out *wire.Buffer) {
 	if status != wire.StatusOK {
 		om.errs.Inc()
 	}
-	if timed {
-		dur := time.Since(start)
-		om.lat.ObserveDuration(dur)
-		if th := s.opts.SlowOpThreshold; th > 0 && dur >= th {
-			if s.mx != nil {
-				s.mx.slowOps.Inc()
-			}
-			s.log.Warn("slow op",
-				"op", wire.OpName(op), "duration", dur,
-				"rows", info.rows, "epoch", info.epoch,
-				"status", status, "remote", c.nc.RemoteAddr().String())
-		}
+	dur := time.Since(start)
+	om.lat.ObserveDuration(dur)
+	if th := s.opts.SlowOpThreshold; th > 0 && dur >= th {
+		s.mx.slowOps.Inc()
+		s.log.Warn("slow op",
+			"op", wire.OpName(op), "duration", dur,
+			"rows", info.rows, "epoch", info.epoch,
+			"status", status, "remote", c.nc.RemoteAddr().String())
 	}
 }

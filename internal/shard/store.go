@@ -84,7 +84,9 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 // Otherwise the partitions merge concurrently, each with an even share of
 // opts.Threads — the TOTAL budget, unlike a scheduler's per-merge Threads
 // (table.ThreadsPerMerge) — and the reports condense into one: the counts
-// aggregate over the partitions that committed, Columns is nil —
+// (DeadAtFreeze included) sum over the partitions that committed,
+// LivePins and GCWatermark are their maxima — one clock serves every
+// partition, so pins are store-wide — Columns is nil —
 // per-partition, per-column detail is each partition's LastMergeReport —
 // and Threads echoes the summed budget actually used.
 //
@@ -117,6 +119,9 @@ func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (tab
 		out.Aborted = false
 		out.RowsMerged += rep.RowsMerged
 		out.RowsReclaimed += rep.RowsReclaimed
+		out.DeadAtFreeze += rep.DeadAtFreeze
+		out.LivePins = max(out.LivePins, rep.LivePins)
+		out.GCWatermark = max(out.GCWatermark, rep.GCWatermark)
 	}
 	out.MainRowsAfter = st.MainRows()
 	out.Wall = time.Since(start)

@@ -443,66 +443,3 @@ func TestClientMetricsAndServerStats(t *testing.T) {
 		t.Fatalf("lookup errors after bad request = %d, want 1", nerr)
 	}
 }
-
-// TestNoMetricsServer pins the disabled mode: requests still work, the
-// endpoint answers 404 on /metrics, and ServerStats carries no counters.
-func TestNoMetricsServer(t *testing.T) {
-	st, err := hyrise.NewTable("plain", hyrise.Schema{{Name: "k", Type: hyrise.Uint64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := hyrise.Serve(l, st, hyrise.ServerOptions{NoMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	hs := httptest.NewServer(srv.ObsHandler())
-	defer hs.Close()
-
-	c, err := client.Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Insert([]any{uint64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/metrics with NoMetrics: %d, want 404", resp.StatusCode)
-	}
-	// healthz still works (readiness is not a metrics feature).
-	resp, err = http.Get(hs.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz with NoMetrics: %d", resp.StatusCode)
-	}
-	samples, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 0 {
-		t.Fatalf("OpMetrics with NoMetrics returned %d samples", len(samples))
-	}
-	stats, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Ops) != 0 {
-		t.Fatalf("ServerStats.Ops with NoMetrics: %+v", stats.Ops)
-	}
-	if stats.Uptime <= 0 {
-		t.Fatal("uptime should be tracked even with metrics disabled")
-	}
-}
