@@ -146,10 +146,11 @@ type Options struct {
 	// exact regardless).  0 routes latest reads only to fully-caught-up
 	// followers.
 	MaxStaleness uint64
-	// StatsTTL bounds how long a follower's lag measurement is reused
-	// before being refreshed (default 100ms).
-	StatsTTL time.Duration
 }
+
+// statsTTL bounds how long a follower's lag measurement is reused before
+// it is measured again.
+const statsTTL = 100 * time.Millisecond
 
 func (o *Options) setDefaults() {
 	if o.Conns <= 0 {
@@ -157,9 +158,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.StatsTTL <= 0 {
-		o.StatsTTL = 100 * time.Millisecond
 	}
 }
 

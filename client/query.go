@@ -203,9 +203,9 @@ func (c *Client) Stats() (Stats, error) {
 
 // MergeOptions configures a remote merge.
 type MergeOptions struct {
-	// Naive selects the baseline merge algorithm (default: optimized).
-	Naive bool
-	// Threads caps the merge's worker budget (0 = all resources).
+	// Threads caps the merge's worker budget (0 = all resources).  The
+	// server clamps it to its own GOMAXPROCS, and MergeReport.Threads
+	// reports the budget it used.
 	Threads int
 }
 
@@ -213,7 +213,7 @@ type MergeOptions struct {
 type MergeReport struct {
 	RowsMerged int
 	// RowsReclaimed counts dead versions the merge garbage-collected (0
-	// with GC off or nothing reclaimable).
+	// with nothing reclaimable).
 	RowsReclaimed int
 	MainRowsAfter int
 	Wall          time.Duration
@@ -227,11 +227,6 @@ type MergeReport struct {
 func (c *Client) Merge(opts MergeOptions) (MergeReport, error) {
 	var req wire.Buffer
 	req.U8(wire.OpMerge)
-	alg := uint8(wire.MergeOptimized)
-	if opts.Naive {
-		alg = wire.MergeNaive
-	}
-	req.U8(alg)
 	req.U32(uint32(opts.Threads))
 	r, err := c.do(req.Bytes())
 	if err != nil {

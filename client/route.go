@@ -145,10 +145,10 @@ func (f *follower) refreshStats() {
 }
 
 // lag returns the follower's epoch lag behind its primary, measuring it
-// over the wire when the cached value is older than StatsTTL.
+// over the wire when the cached value is older than statsTTL.
 func (f *follower) lag() (uint64, error) {
 	f.mu.Lock()
-	if !f.statsAt.IsZero() && time.Since(f.statsAt) < f.parent.opts.StatsTTL {
+	if !f.statsAt.IsZero() && time.Since(f.statsAt) < statsTTL {
 		l := f.stats.Lag
 		f.mu.Unlock()
 		return l, nil

@@ -118,7 +118,7 @@ func (s *shell) help([]string) error {
   lookup <col> <value> [snap]   rows whose column equals the value
   range  <col> <lo> <hi> [snap] rows whose column lies in [lo, hi]
   sum    <col> [snap]           aggregate a numeric column
-  merge  [naive]                run the merge process on every shard
+  merge                         run the merge process on every shard
   snapshot                      capture one epoch across all shards; reads
                                 with a trailing 'snap' run against it,
                                 frozen across updates and merges
@@ -297,10 +297,10 @@ func (s *shell) sum(args []string) error {
 }
 
 func (s *shell) merge(args []string) error {
-	if len(args) > 1 || len(args) == 1 && args[0] != "naive" {
-		return errors.New("usage: merge [naive]")
+	if len(args) != 0 {
+		return errors.New("usage: merge")
 	}
-	rep, err := s.c.Merge(client.MergeOptions{Naive: len(args) == 1})
+	rep, err := s.c.Merge(client.MergeOptions{})
 	if err != nil {
 		return err
 	}

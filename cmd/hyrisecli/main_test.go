@@ -90,7 +90,7 @@ func TestShellLifecycle(t *testing.T) {
 	wantAll(t, do(t, sh, out, "lookup product widget"), "[3 7 widget]", "2 row(s)")
 	wantAll(t, do(t, sh, out, "range id 1 2"), "2 row(s)")
 	wantAll(t, do(t, sh, out, "sum qty"), "15\n")
-	wantAll(t, do(t, sh, out, "merge naive"), "merged 0 delta rows")
+	wantAll(t, do(t, sh, out, "merge"), "merged 0 delta rows")
 	wantAll(t, do(t, sh, out, "stats"),
 		"table sales: 3 rows (3 valid), main 3, delta 0,", "shards: 4, key: id",
 		"shard 0 ", "shard 1 ", "shard 2 ", "shard 3 ")
@@ -171,6 +171,7 @@ func TestShellErrors(t *testing.T) {
 		"range id 1":              "usage: range",
 		"sum":                     "usage: sum",
 		"merge fast":              "usage: merge",
+		"merge naive":             "usage: merge",
 		"snapshot now":            "usage: snapshot",
 		"stats sales":             "usage: stats",
 		"import":                  "usage: import",

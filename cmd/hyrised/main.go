@@ -43,8 +43,6 @@
 //	-merge-threads   per-merge thread budget (0 = split the machine
 //	                 evenly across partitions; 1 = the paper's constant
 //	                 single-thread background merge)
-//	-gc              garbage-collect dead row versions during merges
-//	                 (default true; -gc=false keeps full history forever)
 //	-index           comma-separated columns to build group-key indexes
 //	                 on at startup (indexes are in-memory, so a store
 //	                 loaded from a snapshot re-indexes here)
@@ -141,8 +139,7 @@ type config struct {
 	mergeInterval time.Duration
 	mergeThreads  int
 	index         string
-	noGC          bool // -gc=false; zero value = GC on
-	maxSnapshots  int  // 0 = server.DefaultMaxSnapshots
+	maxSnapshots  int // 0 = server.DefaultMaxSnapshots
 	compact       bool
 	drain         time.Duration
 	reshard       int
@@ -173,7 +170,6 @@ func main() {
 		"per-merge thread budget (0 = split evenly across partitions, 1 = single background thread)")
 	flag.StringVar(&cfg.index, "index", "",
 		"comma-separated columns to build group-key indexes on at startup")
-	gc := flag.Bool("gc", true, "garbage-collect dead row versions during merges")
 	flag.IntVar(&cfg.maxSnapshots, "max-snapshots", server.DefaultMaxSnapshots,
 		"snapshot registry capacity (< 0 = unlimited)")
 	flag.BoolVar(&cfg.compact, "compact", true, "merge all deltas before the shutdown save")
@@ -189,7 +185,6 @@ func main() {
 		"log ops slower than this duration (0 = disabled)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Parse()
-	cfg.noGC = !*gc
 
 	var handler slog.Handler
 	switch *logFormat {
@@ -246,11 +241,6 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 	} else if st, err = openStore(cfg, logger); err != nil {
 		return err
 	}
-	if cfg.noGC {
-		st.SetGC(false)
-		logger.Info("garbage collection disabled (-gc=false): history kept forever")
-	}
-
 	// Group-key indexes are in-memory only, so a store loaded from a
 	// snapshot (or bootstrapped from a primary) starts unindexed and is
 	// re-indexed here; merges keep the indexes current from then on.
@@ -366,8 +356,8 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 		logger.Info("released stale snapshot pins", "count", stalePins)
 	}
 
-	// Fold every partition's remaining delta — and, with GC on, the dead
-	// versions lingering in its main — so the saved snapshot reloads fully
+	// Fold every partition's remaining delta — and the dead versions
+	// lingering in its main — so the saved snapshot reloads fully
 	// merged and reclaimed; the stopped scheduler carries the configured
 	// merge budget and skips partitions with nothing to do.
 	if cfg.compact && rep == nil {

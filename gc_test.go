@@ -47,9 +47,6 @@ func TestStoreGCAcceptance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !s.GCEnabled() {
-				t.Fatal("GC should be on by default")
-			}
 			const n = 150
 			ids := make([]int, n)
 			var pinnedSum uint64

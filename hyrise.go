@@ -86,8 +86,7 @@
 // # Garbage collection
 //
 // Pure insert-only storage grows without bound under a steady update
-// workload, so the merge doubles as the garbage collector (on by default;
-// Table.SetGC(false) restores keep-everything behavior).  When a merge
+// workload, so every merge doubles as the garbage collector.  When a merge
 // freezes its delta it snapshots the exact set of live pinned epochs and
 // keeps a dead version only if some pin can still see it — begin <= pin
 // and (end == 0 || end > pin) for at least one pinned epoch; every other
@@ -119,9 +118,8 @@
 // token pins its epoch server-side until released, and the
 // registry is bounded (ServerOptions.MaxSnapshots, hyrised
 // -max-snapshots) so leaked tokens cannot pin history forever — past the
-// cap, Snapshot fails with client.ErrTooManySnapshots.  hyrised runs GC
-// by default (-gc=false disables it) and releases all registered tokens
-// on shutdown before its final compacting merge.
+// cap, Snapshot fails with client.ErrTooManySnapshots.  hyrised releases
+// all registered tokens on shutdown before its final compacting merge.
 //
 // # Shards
 //
@@ -143,7 +141,7 @@
 //
 // Table.Reshard(ctx, n) changes the active shard count of any table while
 // readers and writers keep running.  Fresh partitions are created and
-// wired (op log, GC mode, secondary indexes, merge observer), a
+// wired (op log, secondary indexes, merge observer), a
 // reshard-begin op is logged, and writes atomically switch to routing into
 // the new window while the old partitions are sealed against inserts.  A
 // running Scheduler picks the new partitions up at its next poll.  A
@@ -437,18 +435,6 @@ type (
 	MergeReport = table.Report
 	// MergeStats holds one column's per-step merge timings.
 	MergeStats = core.Stats
-	// Algorithm selects the merge variant.
-	Algorithm = core.Algorithm
-)
-
-// Merge algorithm variants.
-const (
-	// Optimized is the paper's linear-time merge with auxiliary
-	// translation tables (§5.3) — the default.
-	Optimized = core.Optimized
-	// Naive is the baseline merge whose Step 2 binary-searches the merged
-	// dictionary per tuple (§5.2).
-	Naive = core.Naive
 )
 
 // Errors re-exported from the table layer.

@@ -32,7 +32,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := tb.RequestMerge(context.Background(), hyrise.MergeOptions{Algorithm: hyrise.Optimized})
+	rep, err := tb.RequestMerge(context.Background(), hyrise.MergeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestStoreIndexEquivalence(t *testing.T) {
 			}
 			check("after first index")
 
-			// Churn: overwrite, delete, insert, merge (GC on by default),
+			// Churn: overwrite, delete, insert, merge (which collects),
 			// re-check at every stage so the index is exercised with a
 			// delta tail, right after a rebuild, and against history.
 			for round := 0; round < 3; round++ {

@@ -2,7 +2,6 @@ package hyrise_test
 
 import (
 	"context"
-	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -141,41 +140,5 @@ func TestIntegrationSchedulerUnderLoad(t *testing.T) {
 	}
 	if tb.DeltaRows() != 0 || tb.MainRows() != want {
 		t.Fatalf("final state main=%d delta=%d", tb.MainRows(), tb.DeltaRows())
-	}
-}
-
-// TestIntegrationNaiveOptimizedEquivalence merges two identical tables
-// with the two algorithms and diffs the full contents.
-func TestIntegrationNaiveOptimizedEquivalence(t *testing.T) {
-	build := func() *hyrise.Table {
-		tb, _ := hyrise.NewTable("t", hyrise.Schema{
-			{Name: "a", Type: hyrise.Uint64},
-			{Name: "b", Type: hyrise.String},
-		})
-		gen := hyrise.NewUniformGenerator(200, 1)
-		for i := 0; i < 5000; i++ {
-			v := gen.Next()
-			tb.Insert([]any{v, fmt.Sprintf("s%03d", v%97)})
-		}
-		return tb
-	}
-	t1, t2 := build(), build()
-	if _, err := t1.RequestMerge(context.Background(), hyrise.MergeOptions{Algorithm: hyrise.Naive}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t2.RequestMerge(context.Background(), hyrise.MergeOptions{Algorithm: hyrise.Optimized}); err != nil {
-		t.Fatal(err)
-	}
-	if t1.Rows() != t2.Rows() {
-		t.Fatal("row counts differ")
-	}
-	for r := 0; r < t1.Rows(); r++ {
-		r1, _ := t1.Row(r)
-		r2, _ := t2.Row(r)
-		for c := range r1 {
-			if r1[c] != r2[c] {
-				t.Fatalf("row %d col %d: %v vs %v", r, c, r1[c], r2[c])
-			}
-		}
 	}
 }

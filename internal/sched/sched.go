@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"hyrise/internal/core"
 	"hyrise/internal/table"
 )
 
@@ -32,8 +31,6 @@ type Config struct {
 	// take writes (minimum one each), so concurrent partition merges do
 	// not oversubscribe the cores.
 	Threads int
-	// Algorithm forwards to the merge.
-	Algorithm core.Algorithm
 	// OnMerge, if non-nil, observes every completed scheduled merge; it
 	// must be safe for concurrent use (partitions merge concurrently).
 	OnMerge func(table.Report)
@@ -165,7 +162,7 @@ func (s *Scheduler) options(targets []*table.Table) table.MergeOptions {
 		}
 		threads = table.ThreadsPerMerge(0, active)
 	}
-	return table.MergeOptions{Algorithm: s.cfg.Algorithm, Threads: threads}
+	return table.MergeOptions{Threads: threads}
 }
 
 // MergeNow synchronously merges every live partition that holds delta rows
@@ -181,9 +178,9 @@ func (s *Scheduler) MergeNow(ctx context.Context) error {
 	var dirty []*table.Table
 	for _, t := range targets {
 		// With an empty delta a merge only rewrites the main, which is
-		// worth doing solely when GC is on and dead versions actually
-		// linger there; otherwise it would be a full-table no-op.
-		if t.DeltaRows() > 0 || (t.GCEnabled() && t.Rows() != t.ValidRows()) {
+		// worth doing solely when dead versions linger there to reclaim;
+		// otherwise it would be a full-table no-op.
+		if t.DeltaRows() > 0 || t.Rows() != t.ValidRows() {
 			dirty = append(dirty, t)
 		}
 	}

@@ -219,6 +219,32 @@ func TestMergeNow(t *testing.T) {
 	}
 }
 
+// TestMergeNowReclaimsMain: a partition whose delta is empty but whose
+// main holds dead versions is dirty, and MergeNow reclaims them.
+func TestMergeNowReclaimsMain(t *testing.T) {
+	tb := newTable(t)
+	fill(t, tb, 50)
+	s := New(only(tb), Config{})
+	if err := s.MergeNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 10; id++ {
+		if err := tb.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tb.DeltaRows() != 0 {
+		t.Fatalf("delete grew the delta to %d rows", tb.DeltaRows())
+	}
+	if err := s.MergeNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Rows() != 40 || tb.ValidRows() != 40 || tb.RetiredRows() != 10 {
+		t.Fatalf("rows=%d valid=%d retired=%d after MergeNow, want 40/40/10",
+			tb.Rows(), tb.ValidRows(), tb.RetiredRows())
+	}
+}
+
 // TestMergeNowAllPartitions: MergeNow drains every partition the source
 // lists, concurrently.
 func TestMergeNowAllPartitions(t *testing.T) {

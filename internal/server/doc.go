@@ -90,6 +90,14 @@
 // hello identically — and an unknown opcode fails with
 // wire.StatusErrBadRequest without desynchronizing the stream.
 //
+// # Merge
+//
+// OpMerge runs the store's one merge — the optimized, garbage-collecting
+// merge of every partition — on demand.  Its body is only the thread
+// budget (u32, 0 = all of the server's threads); the server clamps it to
+// its own GOMAXPROCS, because a merge splits each column into budget-many
+// pieces and a budget taken from the wire is otherwise unbounded.
+//
 // # Secondary indexes
 //
 // OpCreateIndex builds a merge-maintained group-key index on one column

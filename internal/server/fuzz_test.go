@@ -66,6 +66,9 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 		"bad value tag": append(append([]byte{0x00, 0x00, 0x00, 0x16, wire.OpLookup},
 			0, 0, 0, 0, 0, 0, 0, 0, // token
 			0, 0, 0, 8), append([]byte("order_id"), 0x7f)...),
+		// A protocol-5 merge body: the dropped algorithm byte, then the
+		// thread budget.  Read as the current body it leaves a trailing byte.
+		"v5 merge body": {0x00, 0x00, 0x00, 0x06, wire.OpMerge, 0x01, 0x00, 0x00, 0x00, 0x02},
 		// Raw noise that is not even a frame.
 		"pure noise": {0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef},
 	}

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
-	"hyrise/internal/core"
 	"hyrise/internal/query"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
@@ -764,11 +764,9 @@ func (s *Server) opIndexStats(r *wire.Reader, out *wire.Buffer) error {
 	return nil
 }
 
+// opMerge runs the store's merge with the requested thread budget clamped
+// to GOMAXPROCS (see "Merge" in the package doc).
 func (s *Server) opMerge(r *wire.Reader, out *wire.Buffer) error {
-	alg, err := r.U8()
-	if err != nil {
-		return err
-	}
 	threads, err := r.U32()
 	if err != nil {
 		return err
@@ -776,10 +774,7 @@ func (s *Server) opMerge(r *wire.Reader, out *wire.Buffer) error {
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	opts := table.MergeOptions{Threads: int(threads)}
-	if alg == wire.MergeNaive {
-		opts.Algorithm = core.Naive
-	}
+	opts := table.MergeOptions{Threads: min(int(threads), runtime.GOMAXPROCS(0))}
 	// Under the server's lifetime context: a force-close (Close, or a
 	// Shutdown past its deadline) cancels the merge, which rolls back
 	// cleanly, instead of the session outliving the force-close.

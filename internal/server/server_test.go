@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -213,6 +214,15 @@ func TestServerOps(t *testing.T) {
 			if got, _ := c.Lookup("order_id", 42); len(got) != 1 {
 				t.Fatal("post-merge lookup missed")
 			}
+			// The wire's thread budget is clamped to the server's cores;
+			// each partition still merges with at least one thread.
+			rep, err = c.Merge(client.MergeOptions{Threads: 1 << 31})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if limit := max(runtime.GOMAXPROCS(0), st.NumShards()); rep.Threads > limit {
+				t.Fatalf("merge ran %d threads, want at most %d", rep.Threads, limit)
+			}
 
 			// Stats.
 			stats, err := c.Stats()
@@ -225,6 +235,42 @@ func TestServerOps(t *testing.T) {
 			}
 			if stats.Requests == 0 || stats.ActiveConns == 0 {
 				t.Fatalf("server counters empty: %+v", stats)
+			}
+		})
+	}
+}
+
+// TestServerMergeThreadBudget pins what OpMerge does with the wire's
+// thread budget on one partition: a budget within the server's cores runs
+// exactly as asked, 0 means all of them, and anything larger is clamped.
+func TestServerMergeThreadBudget(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name          string
+		threads, want int
+	}{
+		{"one", 1, 1},
+		{"all cores", procs, procs},
+		{"zero means all", 0, procs},
+		{"above cores", procs + 1, procs},
+		{"u32 max", 1<<32 - 1, procs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := shard.New("sales", salesSchema(), "order_id", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, _, _ := startServer(t, st)
+			if _, err := c.Insert([]any{1, 3, "widget"}); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.Merge(client.MergeOptions{Threads: tc.threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.RowsMerged != 1 || rep.Threads != tc.want {
+				t.Fatalf("merged %d rows with %d threads, want 1 row with %d",
+					rep.RowsMerged, rep.Threads, tc.want)
 			}
 		})
 	}

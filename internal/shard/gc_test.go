@@ -126,31 +126,44 @@ func shardedGCLoop(t *testing.T, mopts table.MergeOptions) {
 	}
 }
 
-// TestShardedSetGC: the fan-out switch disables reclamation on every shard.
-func TestShardedSetGC(t *testing.T) {
-	st, err := New("nogc", table.Schema{{Name: "k", Type: table.Uint64}}, "k", 2)
+// TestReshardedPartitionsCollect: the partitions an online reshard creates
+// garbage-collect like the ones the store started with — the migrated-away
+// versions in the sealed partition and the updated ones in the new window
+// are all reclaimed by the next merge.
+func TestReshardedPartitionsCollect(t *testing.T) {
+	st := newKV(t, 1)
+	const rows = 100
+	for i := 0; i < rows; i++ {
+		if _, err := st.Insert([]any{uint64(i), uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Reshard(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	k, err := ColumnOf[uint64](st, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetGC(false)
-	if st.GCEnabled() {
-		t.Fatal("GCEnabled after SetGC(false)")
+	for i := 0; i < rows; i++ {
+		if _, err := st.Update(k.Lookup(uint64(i))[0], map[string]any{"v": uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	gid, _ := st.Insert([]any{uint64(1)})
-	if _, err := st.Update(gid, map[string]any{"k": uint64(2)}); err != nil {
+	rep, err := st.RequestMerge(context.Background(), table.MergeOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
-		t.Fatal(err)
+	if rep.RowsReclaimed != 2*rows {
+		t.Fatalf("reclaimed %d versions, want %d", rep.RowsReclaimed, 2*rows)
 	}
-	if st.Rows() != 2 {
-		t.Fatalf("rows=%d want 2 (history kept)", st.Rows())
-	}
-	if _, err := st.Row(gid); err != nil {
-		t.Fatalf("history lost with GC off: %v", err)
-	}
-	st.SetGC(true)
-	if !st.GCEnabled() {
-		t.Fatal("GCEnabled false after SetGC(true)")
+	base, n := st.ActiveWindow()
+	for i, p := range st.Partitions() {
+		if p.Rows() != p.ValidRows() {
+			t.Fatalf("partition %d keeps %d dead versions", i, p.Rows()-p.ValidRows())
+		}
+		if i >= base && i < base+n && p.RetiredRows() == 0 {
+			t.Fatalf("reshard-created partition %d reclaimed nothing", i)
+		}
 	}
 }

@@ -191,12 +191,11 @@ drain:
 
 // newPartitions creates n partitions with physical indices base, base+1,
 // ... wired like the existing ones — attached to the op log (returned, nil
-// when unattached), with the store's GC setting, indexes and merge
-// observer — and publishes nothing.  The caller holds reshardMu.
+// when unattached), with the store's indexes and merge observer — and
+// publishes nothing.  The caller holds reshardMu.
 func (st *Table) newPartitions(base, n int) ([]*table.Table, *oplog.Log, error) {
 	st.mu.Lock()
 	olog := st.olog
-	gcOn := st.gcOn
 	indexCols := append([]string(nil), st.indexCols...)
 	onMerge := st.onMerge
 	st.mu.Unlock()
@@ -213,7 +212,6 @@ func (st *Table) newPartitions(base, n int) ([]*table.Table, *oplog.Log, error) 
 				return nil, nil, err
 			}
 		}
-		s.SetGC(gcOn)
 		for _, col := range indexCols {
 			if err := s.CreateIndex(col); err != nil {
 				return nil, nil, err

@@ -273,7 +273,7 @@ func TestApplyReshardReplay(t *testing.T) {
 }
 
 // TestReshardUnderChurn is the -race differential: reshard 1 -> 4 -> 8
-// while writers update values and relocate keys, merges run with GC on,
+// while writers update values and relocate keys, merges collect garbage,
 // snapshot readers verify every key on every captured epoch, and one old
 // pin taken before any reshard must read bit-identically at the end.
 func TestReshardUnderChurn(t *testing.T) {
@@ -386,7 +386,7 @@ func TestReshardUnderChurn(t *testing.T) {
 		}(r)
 	}
 
-	// Merges with GC on, underneath everything.
+	// Garbage-collecting merges, underneath everything.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -129,7 +129,6 @@ type Table struct {
 	olog      *oplog.Log         // attached replication log, nil when unattached
 	indexCols []string           // group-key indexes re-created on new partitions
 	onMerge   func(table.Report) // merge observer, see OnMerge
-	gcOn      bool               // inherited by reshard-created partitions
 }
 
 // New creates an empty store hash-partitioned by the named key column.
@@ -162,7 +161,7 @@ func NewRestored(name string, schema table.Schema, key string, parts, activeBase
 	if keyIdx < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrKeyColumn, key)
 	}
-	st := &Table{name: name, schema: schema, keyIdx: keyIdx, clock: epoch.NewClock(), gcOn: true}
+	st := &Table{name: name, schema: schema, keyIdx: keyIdx, clock: epoch.NewClock()}
 	m := &shardMap{version: version, base: activeBase, n: activeLen}
 	for i := 0; i < parts; i++ {
 		s, err := table.NewWithClock(fmt.Sprintf("%s/%d", name, i), schema, st.clock)
@@ -228,33 +227,6 @@ func (st *Table) AttachOplog(l *oplog.Log) error {
 // shard's merge reclaims a version the view can see.  Release the view
 // when done reading so reclamation can advance past it.
 func (st *Table) Snapshot() table.View { return table.PinnedView(st.clock) }
-
-// SetGC enables or disables garbage collection during merges on every
-// partition (on by default); reshard-created partitions inherit the
-// setting.  With GC on, a merge drops every invalidated version that no
-// unreleased Snapshot view can see — begin <= E < end holds for none of
-// their epochs E — instead of copying it forever, and retires the
-// reclaimed row ids: they are never reused, and operations on them return
-// table.ErrRowInvalid.
-func (st *Table) SetGC(enabled bool) {
-	st.mu.Lock()
-	st.gcOn = enabled
-	st.mu.Unlock()
-	for _, s := range st.load().parts {
-		s.SetGC(enabled)
-	}
-}
-
-// GCEnabled reports whether merges garbage-collect (true when every
-// partition has GC enabled).
-func (st *Table) GCEnabled() bool {
-	for _, s := range st.load().parts {
-		if !s.GCEnabled() {
-			return false
-		}
-	}
-	return true
-}
 
 // VisibleAt reports whether the row exists and is visible at the view's
 // epoch.

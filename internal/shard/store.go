@@ -108,9 +108,8 @@ func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (tab
 	opts.Threads = table.ThreadsPerMerge(opts.Threads, len(parts))
 	reps, errs := table.MergeEach(ctx, parts, opts)
 	out := table.Report{
-		Algorithm: opts.Algorithm,
-		Threads:   opts.Threads * len(parts),
-		Aborted:   true,
+		Threads: opts.Threads * len(parts),
+		Aborted: true,
 	}
 	for i, rep := range reps {
 		if errs[i] != nil {

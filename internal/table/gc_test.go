@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"hyrise/internal/core"
 )
 
 func gcTestTable(t *testing.T) (*Table, *NumericHandle[uint64]) {
@@ -206,29 +204,6 @@ func TestGCPinnedViewProtects(t *testing.T) {
 	}
 }
 
-// TestGCDisabled verifies the off-switch: SetGC(false) keeps dead
-// versions through merges.
-func TestGCDisabled(t *testing.T) {
-	tb, h := gcTestTable(t)
-	id, _ := tb.Insert([]any{uint64(1), uint64(10)})
-	if _, err := tb.Update(id, map[string]any{"v": uint64(11)}); err != nil {
-		t.Fatal(err)
-	}
-	tb.SetGC(false)
-	rep, err := tb.Merge(context.Background(), MergeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RowsReclaimed != 0 || tb.Rows() != 2 || tb.RetiredRows() != 0 {
-		t.Fatalf("GC ran while disabled: reclaimed=%d rows=%d retired=%d",
-			rep.RowsReclaimed, tb.Rows(), tb.RetiredRows())
-	}
-	// Old version still materializable: the insert-only history.
-	if v, err := h.Get(id); err != nil || v != 10 {
-		t.Fatalf("history lost: %d, %v", v, err)
-	}
-}
-
 // TestGCDictionaryCompaction: values referenced only by reclaimed versions
 // leave the merged dictionary.
 func TestGCDictionaryCompaction(t *testing.T) {
@@ -251,35 +226,6 @@ func TestGCDictionaryCompaction(t *testing.T) {
 	st := tb.Stats()
 	if st.Columns[1].UniqueMain != 1 {
 		t.Fatalf("main dictionary holds %d values, want 1", st.Columns[1].UniqueMain)
-	}
-}
-
-// TestGCNaiveMergeReportsOptimized: a merge that reclaims rows runs the
-// optimized column merge whatever MergeOptions.Algorithm asks for, and each
-// column's report says so, while Report.Algorithm echoes the options.
-func TestGCNaiveMergeReportsOptimized(t *testing.T) {
-	tb, _ := gcTestTable(t)
-	for i := 0; i < 50; i++ {
-		if _, err := tb.Insert([]any{uint64(i), uint64(i % 7)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []int{3, 17, 40} {
-		if err := tb.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := tb.Merge(context.Background(), MergeOptions{Algorithm: core.Naive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RowsReclaimed != 3 || rep.Algorithm != core.Naive {
-		t.Fatalf("reclaimed %d rows, Report.Algorithm=%v; want 3, naive", rep.RowsReclaimed, rep.Algorithm)
-	}
-	for i, st := range rep.Columns {
-		if st.Algorithm != core.Optimized {
-			t.Fatalf("column %d reports %v, want optimized", i, st.Algorithm)
-		}
 	}
 }
 

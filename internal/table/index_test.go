@@ -121,7 +121,6 @@ func checkIndexedAgainstShadow(t *testing.T, tbl *Table, view View, probes []uin
 func TestIndexedReadsDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tbl := newIndexTestTable(t)
-	tbl.SetGC(true)
 	ids := make([]int, 0, 4096)
 	for i := 0; i < 1000; i++ {
 		ids = append(ids, insertIdxRow(t, tbl, uint64(rng.Intn(50))))
@@ -229,7 +228,6 @@ func TestIndexSurvivesMergeAbort(t *testing.T) {
 // merges and GC proceed.
 func TestIndexDifferentialUnderChurn(t *testing.T) {
 	tbl := newIndexTestTable(t)
-	tbl.SetGC(true)
 	for i := 0; i < 2000; i++ {
 		insertIdxRow(t, tbl, uint64(i%101))
 	}

@@ -11,8 +11,6 @@ import (
 
 // MergeOptions configures Table.Merge.
 type MergeOptions struct {
-	// Algorithm selects naive or optimized column merges.
-	Algorithm core.Algorithm
 	// Threads is the total worker budget N_T (0 = GOMAXPROCS), distributed
 	// per §6.2.1: with at least as many columns as threads, scheme (i), a
 	// task queue over the columns, each merged serially by one worker (the
@@ -63,7 +61,7 @@ type Report struct {
 	// RowsMerged is the delta tuple count folded into the main partitions.
 	RowsMerged int
 	// RowsReclaimed is the number of dead versions the merge dropped
-	// instead of copying (0 with GC off or nothing reclaimable).  The
+	// instead of copying (0 with nothing reclaimable).  The
 	// decision is per-pin precise: a version is dropped when its
 	// [begin, end) validity interval contains no live pinned epoch and end
 	// is at or below the freeze-time clock reading.
@@ -90,9 +88,8 @@ type Report struct {
 	Freeze   time.Duration
 	MergeRun time.Duration
 	Commit   time.Duration
-	// Algorithm and Threads echo the options used.
-	Algorithm core.Algorithm
-	Threads   int
+	// Threads echoes the budget used.
+	Threads int
 	// Aborted is true when the merge was cancelled and rolled back.
 	Aborted bool
 }
@@ -162,7 +159,7 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	// t.dead counts stored versions with end != 0: when it is zero there
 	// is nothing to reclaim and the freeze stays O(columns) — the end-
 	// epoch scan below only runs when garbage can actually exist.
-	if t.gcOn && t.dead > 0 {
+	if t.dead > 0 {
 		deadAtFreeze = t.dead
 		ps := t.clock.LivePins()
 		livePins = ps.Len()
@@ -184,7 +181,7 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	frozen := time.Now()
 
 	// Phase 2: merge columns against the frozen snapshot, no table lock.
-	err := t.runColumnMerges(ctx, threads, opts.Algorithm, drop)
+	err := t.runColumnMerges(ctx, threads, drop)
 	merged := time.Now()
 
 	// Phase 3: commit or abort (brief write lock).
@@ -192,7 +189,6 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	t.merging = false
 	rep := Report{
 		RowsMerged:   rowsMerged,
-		Algorithm:    opts.Algorithm,
 		Threads:      threads,
 		Freeze:       frozen.Sub(start),
 		MergeRun:     merged.Sub(frozen),
@@ -250,9 +246,9 @@ func (t *Table) notifyMerge(rep Report) {
 // within each column when there are fewer columns than threads, otherwise
 // across columns through a task queue (§6.2.1; see MergeOptions.Threads).
 // drop is the frozen GC decision shared by every column.
-func (t *Table) runColumnMerges(ctx context.Context, threads int, alg core.Algorithm, drop core.Drop) error {
+func (t *Table) runColumnMerges(ctx context.Context, threads int, drop core.Drop) error {
 	if len(t.cols) < threads {
-		opts := core.Options{Algorithm: alg, Threads: threads}
+		opts := core.Options{Threads: threads}
 		for _, c := range t.cols {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -261,7 +257,7 @@ func (t *Table) runColumnMerges(ctx context.Context, threads int, alg core.Algor
 		}
 		return nil
 	}
-	opts := core.Options{Algorithm: alg, Threads: 1}
+	opts := core.Options{Threads: 1}
 	tasks := make(chan column)
 	done := make(chan struct{}, threads)
 	for w := 0; w < threads; w++ {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"hyrise/internal/core"
 )
 
 // refTable is a trivially correct model of the insert-only table: a flat
@@ -107,9 +105,8 @@ func (r *refTable) validCount() int {
 }
 
 // TestModelBasedRandomOps drives the table and the reference model through
-// thousands of random operations, with merges (both algorithms, varying
-// thread counts) interleaved, verifying full query equivalence after every
-// batch.
+// thousands of random operations, with merges (varying thread counts)
+// interleaved, verifying full query equivalence after every batch.
 func TestModelBasedRandomOps(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
@@ -203,13 +200,8 @@ func TestModelBasedRandomOps(t *testing.T) {
 				}
 				// Periodic merges with varied configurations.
 				if step%5 == 4 {
-					alg := core.Optimized
-					if rng.Intn(2) == 0 {
-						alg = core.Naive
-					}
 					if _, err := tb.Merge(context.Background(), MergeOptions{
-						Algorithm: alg,
-						Threads:   1 + rng.Intn(4), // two columns: 1-2 merge by column tasks, 3-4 intra-column
+						Threads: 1 + rng.Intn(4), // two columns: 1-2 merge by column tasks, 3-4 intra-column
 					}); err != nil {
 						t.Fatal(err)
 					}

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"hyrise/internal/core"
 )
 
 // TestOnlineMergeWithConcurrentInserts exercises the paper's §3 guarantee:
@@ -214,5 +212,4 @@ func TestAbortMidMerge(t *testing.T) {
 	if tb.MainRows() != 50000 || tb.DeltaRows() != 0 {
 		t.Fatalf("final main=%d delta=%d", tb.MainRows(), tb.DeltaRows())
 	}
-	_ = core.Optimized
 }

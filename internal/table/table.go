@@ -11,7 +11,9 @@
 // The merge process runs online: the table is locked only to freeze the
 // delta and create a second delta (start) and to atomically install the
 // merged mains and promote the second delta (end).  Queries and inserts
-// proceed against main + frozen delta + second delta in between.
+// proceed against main + frozen delta + second delta in between.  Every
+// column merge is the paper's optimized merge (§5.3, internal/core); the
+// naive baseline (§5.2) runs only in the experiments of internal/bench.
 //
 // Row visibility is multi-versioned: every row carries the epoch it was
 // inserted and the epoch it was invalidated (internal/epoch), stamped from
@@ -49,8 +51,7 @@
 // explicit ViewAt does not pin and may silently lose rows to GC.  A
 // reclaiming merge also ratchets the table's GC bound (GCBound) to its
 // freeze-time epoch: pinning an epoch below it afterwards is refused,
-// because history there may already have holes.  SetGC(false) disables
-// reclamation entirely.
+// because history there may already have holes.
 package table
 
 import (
@@ -168,13 +169,12 @@ type Table struct {
 	rowBytes  int   // estimated bytes per row (values + epochs + id)
 	dead      int   // stored versions with end != 0 (GC candidates)
 
-	gcOn        bool   // garbage-collect during merges (default true)
 	gcWatermark uint64 // highest watermark a committed GC merge applied
 	sealed      bool   // retired by resharding: no new row versions
 
 	// gcDrop holds the physical slots the in-flight merge reclaims
 	// (computed at freeze under mu, applied at commit); zero when the merge
-	// found nothing reclaimable or GC is off.
+	// found nothing reclaimable.
 	gcDrop core.Drop
 	gcMark uint64
 
@@ -212,7 +212,6 @@ func NewWithClock(name string, schema Schema, clock *epoch.Clock) (*Table, error
 	}
 	t := &Table{
 		name: name, schema: schema, clock: clock, lockID: lockSeq.Add(1),
-		gcOn:     true,
 		rowBytes: 8 + 16, // stable id + begin/end epochs
 	}
 	for _, def := range schema {
@@ -227,22 +226,6 @@ func NewWithClock(name string, schema Schema, clock *epoch.Clock) (*Table, error
 		}
 	}
 	return t, nil
-}
-
-// SetGC enables or disables garbage collection during merges.  GC is on by
-// default; with it off, merges copy every stored version into the new main
-// forever, the pre-GC behavior (and the paper's insert-only assumption).
-func (t *Table) SetGC(enabled bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.gcOn = enabled
-}
-
-// GCEnabled reports whether merges garbage-collect.
-func (t *Table) GCEnabled() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.gcOn
 }
 
 // RetiredRows returns the number of row ids retired by garbage collection.

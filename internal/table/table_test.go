@@ -190,42 +190,40 @@ func TestMergeBasic(t *testing.T) {
 	// Three columns: two threads merge them by column tasks, four within
 	// each column.
 	for _, threads := range []int{2, 4} {
-		for _, alg := range []core.Algorithm{core.Optimized, core.Naive} {
-			tb := newTestTable(t)
-			fillRandom(t, tb, 500, 1)
-			before := snapshot(t, tb)
-			rep, err := tb.Merge(context.Background(), MergeOptions{Algorithm: alg, Threads: threads})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if intraColumn(rep) != (threads > tb.NumColumns()) {
-				t.Fatalf("%d threads over %d columns ran %d threads per column",
-					threads, tb.NumColumns(), rep.Columns[0].Threads)
-			}
-			if rep.RowsMerged != 500 || rep.MainRowsAfter != 500 {
-				t.Fatalf("report %+v", rep)
-			}
-			if len(rep.Columns) != 3 {
-				t.Fatalf("columns %d", len(rep.Columns))
-			}
-			if tb.MainRows() != 500 || tb.DeltaRows() != 0 {
-				t.Fatalf("main=%d delta=%d", tb.MainRows(), tb.DeltaRows())
-			}
-			after := snapshot(t, tb)
-			if len(after) != len(before) {
-				t.Fatalf("row count changed across merge")
-			}
-			for r, want := range before {
-				got := after[r]
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("row %d col %d: %v != %v", r, i, got[i], want[i])
-					}
+		tb := newTestTable(t)
+		fillRandom(t, tb, 500, 1)
+		before := snapshot(t, tb)
+		rep, err := tb.Merge(context.Background(), MergeOptions{Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if intraColumn(rep) != (threads > tb.NumColumns()) {
+			t.Fatalf("%d threads over %d columns ran %d threads per column",
+				threads, tb.NumColumns(), rep.Columns[0].Threads)
+		}
+		if rep.RowsMerged != 500 || rep.MainRowsAfter != 500 {
+			t.Fatalf("report %+v", rep)
+		}
+		if len(rep.Columns) != 3 {
+			t.Fatalf("columns %d", len(rep.Columns))
+		}
+		if tb.MainRows() != 500 || tb.DeltaRows() != 0 {
+			t.Fatalf("main=%d delta=%d", tb.MainRows(), tb.DeltaRows())
+		}
+		after := snapshot(t, tb)
+		if len(after) != len(before) {
+			t.Fatalf("row count changed across merge")
+		}
+		for r, want := range before {
+			got := after[r]
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("row %d col %d: %v != %v", r, i, got[i], want[i])
 				}
 			}
-			if tb.MergeGeneration() != 1 {
-				t.Fatalf("gen=%d", tb.MergeGeneration())
-			}
+		}
+		if tb.MergeGeneration() != 1 {
+			t.Fatalf("gen=%d", tb.MergeGeneration())
 		}
 	}
 }

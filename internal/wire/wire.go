@@ -54,7 +54,7 @@ const MaxFrame = 16 << 20
 // from a different protocol is refused with a typed error (the server
 // answers StatusErrBadRequest, the client fails Dial) instead of the two
 // sides misparsing each other's frames.
-const ProtocolVersion = 5
+const ProtocolVersion = 6
 
 // Opcodes.  The zero value is intentionally invalid.
 const (
@@ -79,7 +79,7 @@ const (
 	OpValidRows       = 0x13 // token -> u64
 	OpVisible         = 0x14 // token, id u64 -> u8
 	OpStats           = 0x15 // -> stats (incl. GC retired/reclaimed counters)
-	OpMerge           = 0x16 // algorithm u8, threads u32 -> merge report
+	OpMerge           = 0x16 // threads u32 (0 = all; clamped to the server's GOMAXPROCS) -> merge report
 
 	OpHello         = 0x17 // version u32 -> version u32, role u8 (error unless the versions match)
 	OpServerStats   = 0x18 // -> server stats (replication lag, followers, oplog, per-op counts, shard topology)
@@ -246,12 +246,6 @@ const (
 const (
 	OpFilterEq      = 0x00
 	OpFilterBetween = 0x01
-)
-
-// Merge algorithm selectors (OpMerge body).
-const (
-	MergeOptimized = 0x00
-	MergeNaive     = 0x01
 )
 
 // ErrFrameTooLarge is returned for frames exceeding MaxFrame.
