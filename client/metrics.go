@@ -19,8 +19,7 @@ type Metric struct {
 // registry — the same series /metrics exposes, over the data protocol.
 // Followers answer locally, so pointing a client at a replica reads that
 // replica's own apply-lag gauges; a topology check can assert convergence
-// without touching the HTTP endpoint.  It returns an empty snapshot when
-// the server runs with metrics disabled.
+// without touching the HTTP endpoint.
 func (c *Client) Metrics() ([]Metric, error) {
 	var req wire.Buffer
 	req.U8(wire.OpMetrics)

@@ -319,8 +319,7 @@ type ServerStats struct {
 	// Uptime is how long the server has been up.
 	Uptime time.Duration
 	// Ops lists cumulative request/error counts per opcode, for every
-	// opcode served at least once (empty when the server runs with
-	// metrics disabled).
+	// opcode served at least once.
 	Ops []OpCount
 	// Shards is the live active shard count and Partitions the physical
 	// partition count including sealed pre-reshard partitions;

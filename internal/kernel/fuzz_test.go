@@ -8,16 +8,17 @@ import (
 	"hyrise/internal/bitpack"
 )
 
-// FuzzScanKernels feeds random widths, code payloads and predicates
-// through every scan kernel and cross-checks against the scalar
+// FuzzScanKernels feeds random widths, code payloads, predicates and part
+// counts through every scan kernel and cross-checks against the scalar
 // reference implementations from the differential suite.
 func FuzzScanKernels(f *testing.F) {
-	f.Add(uint8(8), uint64(3), uint64(1), uint64(5), []byte{1, 2, 3, 4, 5, 6, 7, 8, 3, 3})
-	f.Add(uint8(1), uint64(1), uint64(0), uint64(2), []byte{0xff, 0x00, 0xaa})
-	f.Add(uint8(13), uint64(100), uint64(50), uint64(200), make([]byte, 130))
-	f.Add(uint8(64), uint64(0), uint64(0), ^uint64(0), []byte{9, 9, 9, 9, 9, 9, 9, 9})
-	f.Fuzz(func(t *testing.T, widthRaw uint8, needle, lo, hi uint64, payload []byte) {
+	f.Add(uint8(8), uint64(3), uint64(1), uint64(5), []byte{1, 2, 3, 4, 5, 6, 7, 8, 3, 3}, uint8(0))
+	f.Add(uint8(1), uint64(1), uint64(0), uint64(2), []byte{0xff, 0x00, 0xaa}, uint8(1))
+	f.Add(uint8(13), uint64(100), uint64(50), uint64(200), make([]byte, 130), uint8(2))
+	f.Add(uint8(64), uint64(0), uint64(0), ^uint64(0), []byte{9, 9, 9, 9, 9, 9, 9, 9}, uint8(4))
+	f.Fuzz(func(t *testing.T, widthRaw uint8, needle, lo, hi uint64, payload []byte, partsRaw uint8) {
 		width := uint(widthRaw%64) + 1 // 1..64
+		np := int(partsRaw%8) + 1      // 1..8
 		max := maxFor(width)
 		needle &= max
 		lo &= max
@@ -48,11 +49,11 @@ func FuzzScanKernels(f *testing.F) {
 		}
 		v := bitpack.FromSlice(width, codes)
 
-		if got, want := MatchEqual(v, needle, nil), refMatchEqual(v, needle); !eqSel(got, want) {
-			t.Fatalf("MatchEqual(w=%d, code=%d): got %v want %v", width, needle, got, want)
+		if got, want := matchEqual(v, needle, nil, np), refMatchEqual(v, needle); !eqSel(got, want) {
+			t.Fatalf("matchEqual(w=%d, code=%d, parts=%d): got %v want %v", width, needle, np, got, want)
 		}
-		if got, want := MatchRange(v, lo, hi, nil), refMatchRange(v, lo, hi); !eqSel(got, want) {
-			t.Fatalf("MatchRange(w=%d, [%d,%d)): got %v want %v", width, lo, hi, got, want)
+		if got, want := matchRange(v, lo, hi, nil, np), refMatchRange(v, lo, hi); !eqSel(got, want) {
+			t.Fatalf("matchRange(w=%d, [%d,%d), parts=%d): got %v want %v", width, lo, hi, np, got, want)
 		}
 
 		// Derive epoch columns from the payload too, so visibility
@@ -69,10 +70,10 @@ func FuzzScanKernels(f *testing.F) {
 			}
 		}
 		e := (needle % 16) + 1
-		if got, want := CountEqual(v, needle, begin, end, e), refCountEqual(v, needle, begin, end, e); got != want {
-			t.Fatalf("CountEqual(w=%d): got %d want %d", width, got, want)
+		if got, want := countEqual(v, needle, begin, end, e, np), refCountEqual(v, needle, begin, end, e); got != want {
+			t.Fatalf("countEqual(w=%d, parts=%d): got %d want %d", width, np, got, want)
 		}
-		sel := MatchEqual(v, needle, nil)
+		sel := matchEqual(v, needle, nil, np)
 		if got, want := FilterVisible(sel, begin, end, e), refFilterVisible(refMatchEqual(v, needle), begin, end, e); !eqSel(got, want) {
 			t.Fatalf("FilterVisible(w=%d): got %v want %v", width, got, want)
 		}
@@ -82,12 +83,12 @@ func FuzzScanKernels(f *testing.F) {
 
 		// The aggregates read a dictionary drawn from the payload too.
 		dv, dict := indexable(rand.New(rand.NewSource(int64(needle))), v)
-		if got, want := SumVisible(dv, dict, begin, end, e), refSumVisible(dv, dict, begin, end, e); got != want {
-			t.Fatalf("SumVisible(w=%d): got %d want %d", width, got, want)
+		if got, want := sumVisible(dv, dict, begin, end, e, np), refSumVisible(dv, dict, begin, end, e); got != want {
+			t.Fatalf("sumVisible(w=%d, parts=%d): got %d want %d", width, np, got, want)
 		}
 		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
-		if gmn, gmx, gok := MinMaxVisible(v, begin, end, e); gmn != wmn || gmx != wmx || gok != wok {
-			t.Fatalf("MinMaxVisible(w=%d): got (%d,%d,%v) want (%d,%d,%v)", width, gmn, gmx, gok, wmn, wmx, wok)
+		if gmn, gmx, gok := minMaxVisible(v, begin, end, e, np); gmn != wmn || gmx != wmx || gok != wok {
+			t.Fatalf("minMaxVisible(w=%d, parts=%d): got (%d,%d,%v) want (%d,%d,%v)", width, np, gmn, gmx, gok, wmn, wmx, wok)
 		}
 	})
 }

@@ -1,5 +1,5 @@
 // Package kernel implements the batch scan, filter and aggregate kernels
-// kernels behind every read path (paper §5, §6: the scan side of the
+// behind every read path (paper §5, §6: the scan side of the
 // multi-core story).  The scalar loops they replace called
 // bitpack.Vector.Get one row at a time; the kernels instead evaluate
 // predicates directly on the bit-packed words of a dictionary-code vector
@@ -11,9 +11,10 @@
 // (positions are relative to the code vector / epoch columns the kernel
 // ran over, NOT row ids — the table layer maps positions to stable ids).
 // Kernels that produce selections append to a caller-owned dst and return
-// the extended slice, so steady-state scans are allocation-free; kernels
-// that consume selections (FilterVisible, CountSelVisible, Gather) never
-// reorder them.
+// the extended slice, so a steady-state serial scan allocates no selection
+// storage (a split scan, see below, gives each part after the first a
+// vector of its own); kernels that consume selections (FilterVisible,
+// CountSelVisible, Gather) never reorder them.
 //
 // # Execution strategy
 //
@@ -40,13 +41,32 @@
 // end-1 >= e in unsigned arithmetic (end == 0 wraps to MaxUint64), which
 // makes the check branch-free inside the kernels.
 //
+// # Parallel split
+//
+// The five full-vector kernels (MatchEqual, MatchRange, CountEqual,
+// SumVisible, MinMaxVisible) cut their input into min(GOMAXPROCS,
+// n/minPart) contiguous parts of about equal size, minPart = 1<<17 codes,
+// and scan each on a goroutine of its own; part 0 runs on the calling
+// goroutine.  A vector of fewer than 2*minPart codes, or GOMAXPROCS(1),
+// leaves one part: the kernel then runs its loop once on the caller and
+// starts no goroutine.  The match and count kernels cut on window
+// boundaries, so no window is shared by two parts and only the vector's
+// last window is masked to its tail; the aggregates cut on BlockSize
+// boundaries.  Selection vectors are concatenated in part order and so
+// stay ascending; counts and sums are added and min/max folded across
+// parts.  A kernel returns only after every part has finished.
+//
 // Kernels are pure functions over immutable inputs: the caller holds
 // whatever lock protects the code vector and epoch slices (the table's
-// read lock), and the kernels themselves never allocate shared state.
+// read lock), and that lock covers every part because each kernel waits
+// for its parts before it returns.  The parts share only the inputs they
+// read; each writes its own selection vector or partial result, and the
+// kernels keep no state between calls.
 package kernel
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"hyrise/internal/bitpack"
@@ -62,6 +82,62 @@ var blockPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// minPart is the fewest codes a kernel hands to one goroutine: at 0.3 to 2
+// ns per code, 128Ki codes take 40 to 250 µs to scan, far above the few
+// microseconds a goroutine costs to start and join.
+const minPart = 1 << 17
+
+// parts returns the number of parts a full-vector kernel splits n codes
+// into: min(GOMAXPROCS, n/minPart), and at least one.
+func parts(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/minPart))
+}
+
+// split cuts [0, n) into np contiguous parts whose bounds are multiples of
+// unit (except n itself), runs part on each and folds the results in part
+// order.  Part 0 runs on the calling goroutine and every other part on a
+// goroutine of its own; split returns once all have finished.  With one
+// part it calls part(0, 0, n) and starts no goroutine.  Parts may be empty
+// when n/unit < np.
+func split[R any](n, unit, np int, part func(p, from, to int) R, fold func(acc, r R) R) R {
+	if np == 1 {
+		return part(0, 0, n)
+	}
+	units := (n + unit - 1) / unit
+	rs := make([]R, np)
+	var wg sync.WaitGroup
+	wg.Add(np - 1)
+	for p := 1; p < np; p++ {
+		go func() {
+			defer wg.Done()
+			rs[p] = part(p, min(n, units*p/np*unit), min(n, units*(p+1)/np*unit))
+		}()
+	}
+	rs[0] = part(0, 0, min(n, units/np*unit))
+	wg.Wait()
+	acc := rs[0]
+	for _, r := range rs[1:] {
+		acc = fold(acc, r)
+	}
+	return acc
+}
+
+// splitSel is split for the match kernels over count windows: each part
+// scans its windows [from, to), part 0 appending to dst and every other
+// part to a vector of its own, and the vectors are concatenated in part
+// order onto dst.
+func splitSel(count, np int, dst []int32, scan func(from, to int, dst []int32) []int32) []int32 {
+	return split(count, 1, np, func(p, from, to int) []int32 {
+		if p == 0 {
+			return scan(from, to, dst)
+		}
+		return scan(from, to, nil)
+	}, func(acc, sel []int32) []int32 { return append(acc, sel...) })
+}
+
+// add is the fold of the counting and summing kernels.
+func add[N int | uint64](a, b N) N { return a + b }
+
 // visible reports row i's visibility at epoch e over raw begin/end columns.
 // end == 0 (current version) wraps to MaxUint64, so the check is two
 // unsigned compares with no branch on end.
@@ -72,6 +148,11 @@ func visible(begin, end []uint64, i int, e uint64) bool {
 // MatchEqual appends to dst the positions of v whose code equals code and
 // returns the extended selection vector.
 func MatchEqual(v *bitpack.Vector, code uint64, dst []int32) []int32 {
+	return matchEqual(v, code, dst, parts(v.Len()))
+}
+
+// matchEqual is MatchEqual split into np parts.
+func matchEqual(v *bitpack.Vector, code uint64, dst []int32, np int) []int32 {
 	n := v.Len()
 	if n == 0 || code > v.MaxCode() {
 		return dst
@@ -83,22 +164,29 @@ func MatchEqual(v *bitpack.Vector, code uint64, dst []int32) []int32 {
 	}
 	w, count, tail := windowsOf(v)
 	words := v.Words()
-	for i := 0; i < count; i++ {
-		var m uint64
-		if i, m = w.nextEqual(words, i, count, code, b); m == 0 {
-			break
+	return splitSel(count, np, dst, func(from, to int, dst []int32) []int32 {
+		for i := from; i < to; i++ {
+			var m uint64
+			if i, m = w.nextEqual(words, i, to, code, b); m == 0 {
+				break
+			}
+			if i == count-1 {
+				m &= tail
+			}
+			dst = w.emit(dst, i, m)
 		}
-		if i == count-1 {
-			m &= tail
-		}
-		dst = w.emit(dst, i, m)
-	}
-	return dst
+		return dst
+	})
 }
 
 // MatchRange appends to dst the positions of v whose code lies in the
 // half-open interval [lo, hi) and returns the extended selection vector.
 func MatchRange(v *bitpack.Vector, lo, hi uint64, dst []int32) []int32 {
+	return matchRange(v, lo, hi, dst, parts(v.Len()))
+}
+
+// matchRange is MatchRange split into np parts.
+func matchRange(v *bitpack.Vector, lo, hi uint64, dst []int32, np int) []int32 {
 	n := v.Len()
 	if n == 0 || lo >= hi || lo > v.MaxCode() {
 		return dst
@@ -109,35 +197,39 @@ func MatchRange(v *bitpack.Vector, lo, hi uint64, dst []int32) []int32 {
 		return matchAll(n, dst)
 	}
 	if lo+1 == hi {
-		return MatchEqual(v, lo, dst)
+		return matchEqual(v, lo, dst, np)
 	}
+	words := v.Words()
 	if b == bitpack.WordBits {
 		// A 64-bit lane leaves no room for a guard bit: compare words.
-		for i, c := range v.Words() {
-			if c >= lo && c < hi {
-				dst = append(dst, int32(i))
+		return splitSel(n, np, dst, func(from, to int, dst []int32) []int32 {
+			for i, c := range words[from:to] {
+				if c >= lo && c < hi {
+					dst = append(dst, int32(from+i))
+				}
 			}
-		}
-		return dst
+			return dst
+		})
 	}
 	w, count, tail := windowsOf(v)
-	words := v.Words()
 	var even uint64 // lsb of lanes 0, 2, 4, ... of the window
 	for j := 0; j < w.k; j += 2 {
 		even |= 1 << (uint(j) * b)
 	}
-	hi = min(hi, v.MaxCode()+1)
-	for i := 0; i < count; i++ {
-		var m uint64
-		if i, m = w.nextRange(words, i, count, lo, hi, even, b); m == 0 {
-			break
+	top := min(hi, v.MaxCode()+1) // nextRange needs hi <= 2^b
+	return splitSel(count, np, dst, func(from, to int, dst []int32) []int32 {
+		for i := from; i < to; i++ {
+			var m uint64
+			if i, m = w.nextRange(words, i, to, lo, top, even, b); m == 0 {
+				break
+			}
+			if i == count-1 {
+				m &= tail
+			}
+			dst = w.emit(dst, i, m)
 		}
-		if i == count-1 {
-			m &= tail
-		}
-		dst = w.emit(dst, i, m)
-	}
-	return dst
+		return dst
+	})
 }
 
 func matchAll(n int, dst []int32) []int32 {
@@ -199,18 +291,18 @@ func (w windows) at(words []uint64, i int) uint64 {
 	return x
 }
 
-// nextEqual returns the first window at or after i that has a lane equal
-// to code, with its match mask; the mask is 0 when no window up to count
+// nextEqual returns the first window in [i, to) that has a lane equal to
+// code, with its match mask; the mask is 0 when no window in that range
 // has one.  XOR with the code broadcast into every lane leaves the equal
 // lanes zero, and ~(((x &^ H) + ^H) | x) & H, with H the msb of every
 // lane, is an exact, lane-independent zero test: the inner sum carries
 // into a lane's msb iff its low bits are non-zero, and per-lane sums never
 // cross lane boundaries (the bits above the k lanes only carry out of the
 // word).
-func (w windows) nextEqual(words []uint64, i, count int, code uint64, b uint) (int, uint64) {
+func (w windows) nextEqual(words []uint64, i, to int, code uint64, b uint) (int, uint64) {
 	bcast, H := code*w.lsb, w.lsb<<(b-1)
 	notH := ^H
-	for ; i < count; i++ {
+	for ; i < to; i++ {
 		x := w.at(words, i) ^ bcast
 		if m := ^(((x & notH) + notH) | x) & H; m != 0 {
 			return i, m >> (b - 1)
@@ -229,10 +321,10 @@ func (w windows) nextEqual(words []uint64, i, count int, code uint64, b uint) (i
 // pass's result shifted down one lane and the odd pass's result as is are
 // both match masks.  When k is odd the odd pass also compares the partial
 // lane above the k codes; w.lsb drops it.
-func (w windows) nextRange(words []uint64, i, count int, lo, hi, even uint64, b uint) (int, uint64) {
+func (w windows) nextRange(words []uint64, i, to int, lo, hi, even uint64, b uint) (int, uint64) {
 	evenMask, G := even*(uint64(1)<<b-1), even<<b
 	loBC, hiBC := lo*even, hi*even
-	for ; i < count; i++ {
+	for ; i < to; i++ {
 		x := w.at(words, i)
 		xe, xo := x&evenMask|G, x>>b&evenMask|G
 		m := ((xe-loBC)&^(xe-hiBC)&G)>>b | (xo-loBC)&^(xo-hiBC)&G
@@ -317,6 +409,11 @@ func CountVisible(begin, end []uint64, e uint64, from, to int) int {
 // columns.  A nil begin counts matches unconditionally, one population
 // count per window.
 func CountEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64) int {
+	return countEqual(v, code, begin, end, e, parts(v.Len()))
+}
+
+// countEqual is CountEqual split into np parts.
+func countEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64, np int) int {
 	n := v.Len()
 	if n == 0 || code > v.MaxCode() {
 		return 0
@@ -330,27 +427,29 @@ func CountEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64) i
 	}
 	w, count, tail := windowsOf(v)
 	words := v.Words()
-	cnt := 0
-	for i := 0; i < count; i++ {
-		var m uint64
-		if i, m = w.nextEqual(words, i, count, code, b); m == 0 {
-			break
+	return split(count, 1, np, func(_, from, to int) int {
+		cnt := 0
+		for i := from; i < to; i++ {
+			var m uint64
+			if i, m = w.nextEqual(words, i, to, code, b); m == 0 {
+				break
+			}
+			if i == count-1 {
+				m &= tail
+			}
+			if begin == nil {
+				cnt += bits.OnesCount64(m)
+				continue
+			}
+			// Branch-free: whether a matching row is visible is data.
+			base := i * w.k
+			for ; m != 0; m &= m - 1 {
+				p := base + w.lane(m)
+				cnt += b2i(begin[p] <= e) & b2i(end[p]-1 >= e)
+			}
 		}
-		if i == count-1 {
-			m &= tail
-		}
-		if begin == nil {
-			cnt += bits.OnesCount64(m)
-			continue
-		}
-		// Branch-free: whether a matching row is visible is data.
-		base := i * w.k
-		for ; m != 0; m &= m - 1 {
-			p := base + w.lane(m)
-			cnt += b2i(begin[p] <= e) & b2i(end[p]-1 >= e)
-		}
-	}
-	return cnt
+		return cnt
+	}, add[int])
 }
 
 func b2i(b bool) int {
@@ -366,17 +465,31 @@ func b2i(b bool) int {
 // visibility and looked up in the same loop, so no selection vector is
 // built.  The sum wraps modulo 2^64.
 func SumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, begin, end []uint64, e uint64) uint64 {
-	var sum uint64
-	decodeBlocks(codes, begin, end, func(cs, begin, end []uint64) {
-		var s uint64
-		for i, c := range cs {
-			if begin[i] <= e && end[i]-1 >= e {
-				s += uint64(dict[c])
+	return sumVisible(codes, dict, begin, end, e, parts(codes.Len()))
+}
+
+// sumVisible is SumVisible split into np parts.
+func sumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, begin, end []uint64, e uint64, np int) uint64 {
+	return split(codes.Len(), BlockSize, np, func(_, from, to int) uint64 {
+		var sum uint64
+		decodeBlocks(codes, from, to, begin, end, func(cs, begin, end []uint64) {
+			var s uint64
+			for i, c := range cs {
+				if begin[i] <= e && end[i]-1 >= e {
+					s += uint64(dict[c])
+				}
 			}
-		}
-		sum += s
-	})
-	return sum
+			sum += s
+		})
+		return sum
+	}, add[uint64])
+}
+
+// extremes is one part's MinMaxVisible result; mn is MaxUint64 and mx 0
+// when no position was visible, so folding takes min and max as is.
+type extremes struct {
+	mn, mx uint64
+	ok     bool
 }
 
 // MinMaxVisible returns the smallest and largest code among the positions
@@ -384,28 +497,38 @@ func SumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, begin, end
 // dictionaries are order-preserving, the min/max code IS the min/max value
 // after one dictionary access.
 func MinMaxVisible(codes *bitpack.Vector, begin, end []uint64, e uint64) (minC, maxC uint64, ok bool) {
-	minC = ^uint64(0)
-	decodeBlocks(codes, begin, end, func(cs, begin, end []uint64) {
-		for i, c := range cs {
-			if begin[i] <= e && end[i]-1 >= e {
-				minC, maxC, ok = min(minC, c), max(maxC, c), true
-			}
-		}
-	})
-	if !ok {
-		return 0, 0, false
-	}
-	return minC, maxC, true
+	return minMaxVisible(codes, begin, end, e, parts(codes.Len()))
 }
 
-// decodeBlocks decodes v BlockSize codes at a time into a pooled scratch
-// buffer and hands fn each block with the begin/end epochs of its
-// positions.
-func decodeBlocks(v *bitpack.Vector, begin, end []uint64, fn func(codes, begin, end []uint64)) {
+// minMaxVisible is MinMaxVisible split into np parts.
+func minMaxVisible(codes *bitpack.Vector, begin, end []uint64, e uint64, np int) (minC, maxC uint64, ok bool) {
+	x := split(codes.Len(), BlockSize, np, func(_, from, to int) extremes {
+		x := extremes{mn: ^uint64(0)}
+		decodeBlocks(codes, from, to, begin, end, func(cs, begin, end []uint64) {
+			for i, c := range cs {
+				if begin[i] <= e && end[i]-1 >= e {
+					x = extremes{min(x.mn, c), max(x.mx, c), true}
+				}
+			}
+		})
+		return x
+	}, func(a, b extremes) extremes {
+		return extremes{min(a.mn, b.mn), max(a.mx, b.mx), a.ok || b.ok}
+	})
+	if !x.ok {
+		return 0, 0, false
+	}
+	return x.mn, x.mx, true
+}
+
+// decodeBlocks decodes the codes [from, to) of v, from a multiple of
+// BlockSize, BlockSize codes at a time into a pooled scratch buffer and
+// hands fn each block with the begin/end epochs of its positions.
+func decodeBlocks(v *bitpack.Vector, from, to int, begin, end []uint64, fn func(codes, begin, end []uint64)) {
 	bufp := blockPool.Get().(*[]uint64)
 	buf := *bufp
-	for base, n := 0, v.Len(); base < n; base += BlockSize {
-		buf = v.DecodeRange(base, min(base+BlockSize, n), buf)
+	for base := from; base < to; base += BlockSize {
+		buf = v.DecodeRange(base, min(base+BlockSize, to), buf)
 		fn(buf, begin[base:base+len(buf)], end[base:base+len(buf)])
 	}
 	*bufp = buf[:cap(buf)]

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"hyrise/internal/bitpack"
@@ -13,6 +15,13 @@ import (
 // reference implementation across a sweep of code widths (1–64 bits),
 // lengths crossing word and block boundaries, and match selectivities.
 // Selection vectors must be byte-identical, aggregates exactly equal.
+// The split kernels run through their unexported entry points at every
+// part count 1..maxParts, so part edges fall inside and at the end of the
+// vector and parts come out empty; TestDifferentialPartCount pins the
+// exported kernels, which pick the part count themselves.
+
+// maxParts is the largest part count the differential suite forces.
+const maxParts = 5
 
 // ---- scalar references -------------------------------------------------
 
@@ -181,12 +190,7 @@ func boundedCode(rng *rand.Rand, width uint) uint64 {
 	return rng.Uint64() & maxFor(width)
 }
 
-func eqSel(a, b []int32) bool {
-	if len(a) == 0 && len(b) == 0 {
-		return true
-	}
-	return reflect.DeepEqual(a, b)
-}
+func eqSel(a, b []int32) bool { return slices.Equal(a, b) }
 
 // sweep runs fn for every width x length x selectivity combination.
 func sweep(t *testing.T, fn func(t *testing.T, rng *rand.Rand, v *bitpack.Vector, needle uint64)) {
@@ -214,16 +218,17 @@ func sweep(t *testing.T, fn func(t *testing.T, rng *rand.Rand, v *bitpack.Vector
 func TestDifferentialMatchEqual(t *testing.T) {
 	sweep(t, func(t *testing.T, rng *rand.Rand, v *bitpack.Vector, needle uint64) {
 		want := refMatchEqual(v, needle)
-		got := MatchEqual(v, needle, nil)
-		if !eqSel(got, want) {
-			t.Fatalf("MatchEqual(code=%d): got %d sel %v want %d sel %v",
-				needle, len(got), head(got), len(want), head(want))
-		}
-		// Appending to a non-empty dst must preserve the prefix.
-		pre := []int32{-7}
-		got2 := MatchEqual(v, needle, pre)
-		if len(got2) != len(want)+1 || got2[0] != -7 || !eqSel(got2[1:], want) {
-			t.Fatalf("MatchEqual dst prefix violated")
+		for np := 1; np <= maxParts; np++ {
+			if got := matchEqual(v, needle, nil, np); !eqSel(got, want) {
+				t.Fatalf("matchEqual(code=%d, parts=%d): got %d sel %v want %d sel %v",
+					needle, np, len(got), head(got), len(want), head(want))
+			}
+			// Appending to a non-empty dst must preserve the prefix.
+			pre := []int32{-7}
+			got2 := matchEqual(v, needle, pre, np)
+			if len(got2) != len(want)+1 || got2[0] != -7 || !eqSel(got2[1:], want) {
+				t.Fatalf("matchEqual(parts=%d) dst prefix violated", np)
+			}
 		}
 	})
 }
@@ -242,10 +247,11 @@ func TestDifferentialMatchRange(t *testing.T) {
 		}
 		for _, r := range ranges {
 			want := refMatchRange(v, r[0], r[1])
-			got := MatchRange(v, r[0], r[1], nil)
-			if !eqSel(got, want) {
-				t.Fatalf("MatchRange[%d,%d): got %d sel %v want %d sel %v",
-					r[0], r[1], len(got), head(got), len(want), head(want))
+			for np := 1; np <= maxParts; np++ {
+				if got := matchRange(v, r[0], r[1], []int32{-7}, np); len(got) == 0 || got[0] != -7 || !eqSel(got[1:], want) {
+					t.Fatalf("matchRange[%d,%d) parts=%d: got %d sel %v want %d sel %v",
+						r[0], r[1], np, len(got), head(got), len(want)+1, head(want))
+				}
 			}
 		}
 	})
@@ -307,18 +313,25 @@ func TestDifferentialVisibilityKernels(t *testing.T) {
 			t.Fatalf("CountSelVisible mutated its selection")
 		}
 
-		if got, want := CountEqual(v, needle, begin, end, e), refCountEqual(v, needle, begin, end, e); got != want {
-			t.Fatalf("CountEqual fused: got %d want %d", got, want)
-		}
-		if got, want := CountEqual(v, needle, nil, nil, 0), refCountEqual(v, needle, nil, nil, 0); got != want {
-			t.Fatalf("CountEqual unfiltered: got %d want %d", got, want)
-		}
+		checkCountEqual(t, v, needle, begin, end, e)
 		// The Latest sentinel epoch must see exactly the current versions.
-		const latest = ^uint64(0)
-		if got, want := CountEqual(v, needle, begin, end, latest), refCountEqual(v, needle, begin, end, latest); got != want {
-			t.Fatalf("CountEqual latest: got %d want %d", got, want)
-		}
+		checkCountEqual(t, v, needle, begin, end, ^uint64(0))
 	})
+}
+
+// checkCountEqual pins countEqual at every part count, fused with
+// visibility at epoch e and unfiltered, to the reference.
+func checkCountEqual(t *testing.T, v *bitpack.Vector, needle uint64, begin, end []uint64, e uint64) {
+	t.Helper()
+	want, wantAll := refCountEqual(v, needle, begin, end, e), refCountEqual(v, needle, nil, nil, 0)
+	for np := 1; np <= maxParts; np++ {
+		if got := countEqual(v, needle, begin, end, e, np); got != want {
+			t.Fatalf("countEqual(w=%d, n=%d, e=%d, parts=%d): got %d want %d", v.Bits(), v.Len(), e, np, got, want)
+		}
+		if got := countEqual(v, needle, nil, nil, 0, np); got != wantAll {
+			t.Fatalf("countEqual(w=%d, n=%d, nil epochs, parts=%d): got %d want %d", v.Bits(), v.Len(), np, got, wantAll)
+		}
+	}
 }
 
 func TestDifferentialAggregateKernels(t *testing.T) {
@@ -327,8 +340,9 @@ func TestDifferentialAggregateKernels(t *testing.T) {
 	})
 }
 
-// checkAggregates pins SumVisible (both value types) and MinMaxVisible to
-// the references at a random epoch and at the Latest sentinel.
+// checkAggregates pins sumVisible (both value types) and minMaxVisible to
+// the references at a random epoch and at the Latest sentinel, at every
+// part count.
 func checkAggregates(t *testing.T, rng *rand.Rand, v *bitpack.Vector) {
 	t.Helper()
 	n := v.Len()
@@ -340,17 +354,19 @@ func checkAggregates(t *testing.T, rng *rand.Rand, v *bitpack.Vector) {
 	}
 	for _, e := range []uint64{e, ^uint64(0)} {
 		want := refSumVisible(dv, dict, begin, end, e)
-		if got := SumVisible(dv, dict, begin, end, e); got != want {
-			t.Fatalf("SumVisible(w=%d, n=%d, e=%d): got %d want %d", v.Bits(), n, e, got, want)
-		}
 		want32 := refSumVisible(dv, dict32, begin, end, e)
-		if got := SumVisible(dv, dict32, begin, end, e); got != want32 {
-			t.Fatalf("SumVisible[uint32](w=%d, n=%d, e=%d): got %d want %d", v.Bits(), n, e, got, want32)
-		}
 		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
-		if gmn, gmx, gok := MinMaxVisible(v, begin, end, e); gmn != wmn || gmx != wmx || gok != wok {
-			t.Fatalf("MinMaxVisible(w=%d, n=%d, e=%d): got (%d,%d,%v) want (%d,%d,%v)",
-				v.Bits(), n, e, gmn, gmx, gok, wmn, wmx, wok)
+		for np := 1; np <= maxParts; np++ {
+			if got := sumVisible(dv, dict, begin, end, e, np); got != want {
+				t.Fatalf("sumVisible(w=%d, n=%d, e=%d, parts=%d): got %d want %d", v.Bits(), n, e, np, got, want)
+			}
+			if got := sumVisible(dv, dict32, begin, end, e, np); got != want32 {
+				t.Fatalf("sumVisible[uint32](w=%d, n=%d, e=%d, parts=%d): got %d want %d", v.Bits(), n, e, np, got, want32)
+			}
+			if gmn, gmx, gok := minMaxVisible(v, begin, end, e, np); gmn != wmn || gmx != wmx || gok != wok {
+				t.Fatalf("minMaxVisible(w=%d, n=%d, e=%d, parts=%d): got (%d,%d,%v) want (%d,%d,%v)",
+					v.Bits(), n, e, np, gmn, gmx, gok, wmn, wmx, wok)
+			}
 		}
 	}
 }
@@ -376,9 +392,11 @@ func indexable(rng *rand.Rand, v *bitpack.Vector) (*bitpack.Vector, []uint64) {
 }
 
 // TestDifferentialWindowEdges runs every match, count and aggregate kernel
-// at every width 1..64 and every length 0..129: that covers a vector of
-// k-1, k and k+1 codes for every window size k = 64/width, and a last
-// window whose successor word does not exist.
+// at every width 1..64, every length 0..129 and every part count
+// 1..maxParts: that covers a vector of k-1, k and k+1 codes for every
+// window size k = 64/width, a last window whose successor word does not
+// exist, and part edges at every window offset, on the tail window and
+// between empty parts.
 func TestDifferentialWindowEdges(t *testing.T) {
 	for width := uint(1); width <= 64; width++ {
 		for n := 0; n <= 129; n++ {
@@ -398,28 +416,26 @@ func TestDifferentialWindowEdges(t *testing.T) {
 				}
 			}
 			v := bitpack.FromSlice(width, codes)
-			if got, want := MatchEqual(v, needle, nil), refMatchEqual(v, needle); !eqSel(got, want) {
-				t.Fatalf("MatchEqual(w=%d, n=%d): got %v want %v", width, n, got, want)
-			}
 			max := maxFor(width)
-			for _, r := range [][2]uint64{
+			ranges := [][2]uint64{
 				{needle, needle + 2},
 				{0, max/2 + 1},
 				{max / 3, max},
 				{needle / 2, needle},
 				{1, ^uint64(0)},
-			} {
-				if got, want := MatchRange(v, r[0], r[1], nil), refMatchRange(v, r[0], r[1]); !eqSel(got, want) {
-					t.Fatalf("MatchRange(w=%d, n=%d, [%d,%d)): got %v want %v", width, n, r[0], r[1], got, want)
+			}
+			for np := 1; np <= maxParts; np++ {
+				if got, want := matchEqual(v, needle, nil, np), refMatchEqual(v, needle); !eqSel(got, want) {
+					t.Fatalf("matchEqual(w=%d, n=%d, parts=%d): got %v want %v", width, n, np, got, want)
+				}
+				for _, r := range ranges {
+					if got, want := matchRange(v, r[0], r[1], nil, np), refMatchRange(v, r[0], r[1]); !eqSel(got, want) {
+						t.Fatalf("matchRange(w=%d, n=%d, [%d,%d), parts=%d): got %v want %v", width, n, r[0], r[1], np, got, want)
+					}
 				}
 			}
 			begin, end, e := randomEpochs(rng, n)
-			if got, want := CountEqual(v, needle, nil, nil, 0), refCountEqual(v, needle, nil, nil, 0); got != want {
-				t.Fatalf("CountEqual(w=%d, n=%d, nil epochs): got %d want %d", width, n, got, want)
-			}
-			if got, want := CountEqual(v, needle, begin, end, e), refCountEqual(v, needle, begin, end, e); got != want {
-				t.Fatalf("CountEqual(w=%d, n=%d, e=%d): got %d want %d", width, n, e, got, want)
-			}
+			checkCountEqual(t, v, needle, begin, end, e)
 			checkAggregates(t, rng, v)
 		}
 	}
@@ -493,6 +509,72 @@ func TestDifferentialDecodeRange(t *testing.T) {
 	})
 }
 
+// TestDifferentialPartCount pins the split rule: one part, so the loop
+// runs once on the caller and no goroutine starts, under GOMAXPROCS(1) or
+// below 2*minPart codes; min(GOMAXPROCS, n/minPart) parts otherwise.  The
+// exported kernels must match the references on a vector of 3*minPart+5
+// codes both split into three parts and, under GOMAXPROCS(1), serial.
+func TestDifferentialPartCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct{ n, want int }{
+		{0, 1}, {1, 1}, {minPart, 1}, {2*minPart - 1, 1},
+		{2 * minPart, 2}, {3*minPart + 5, 3}, {100 * minPart, 4},
+	} {
+		if got := parts(c.n); got != c.want {
+			t.Errorf("GOMAXPROCS(4): parts(%d) = %d want %d", c.n, got, c.want)
+		}
+	}
+	calls := 0
+	if got := split(10, 1, 1, func(p, from, to int) int {
+		calls++
+		return p*100 + from*10 + to
+	}, add[int]); got != 10 || calls != 1 {
+		t.Errorf("split with one part: %d from %d calls, want part(0, 0, 10) once", got, calls)
+	}
+
+	const n = 3*minPart + 5
+	rng := rand.New(rand.NewSource(1))
+	codes := make([]uint64, n)
+	for i := range codes {
+		codes[i] = uint64(rng.Intn(1000))
+	}
+	v := bitpack.FromSlice(10, codes)
+	begin, end, e := randomEpochs(rng, n)
+	dict := make([]uint64, 1024)
+	for i := range dict {
+		dict[i] = rng.Uint64()
+	}
+	check := func() {
+		t.Helper()
+		needle := codes[n/2]
+		if got, want := MatchEqual(v, needle, nil), refMatchEqual(v, needle); !eqSel(got, want) {
+			t.Fatalf("MatchEqual(parts=%d): got %d positions want %d", parts(n), len(got), len(want))
+		}
+		if got, want := MatchRange(v, 100, 200, nil), refMatchRange(v, 100, 200); !eqSel(got, want) {
+			t.Fatalf("MatchRange(parts=%d): got %d positions want %d", parts(n), len(got), len(want))
+		}
+		if got, want := CountEqual(v, needle, begin, end, e), refCountEqual(v, needle, begin, end, e); got != want {
+			t.Fatalf("CountEqual(parts=%d): got %d want %d", parts(n), got, want)
+		}
+		if got, want := SumVisible(v, dict, begin, end, e), refSumVisible(v, dict, begin, end, e); got != want {
+			t.Fatalf("SumVisible(parts=%d): got %d want %d", parts(n), got, want)
+		}
+		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
+		if gmn, gmx, gok := MinMaxVisible(v, begin, end, e); gmn != wmn || gmx != wmx || gok != wok {
+			t.Fatalf("MinMaxVisible(parts=%d): got (%d,%d,%v) want (%d,%d,%v)", parts(n), gmn, gmx, gok, wmn, wmx, wok)
+		}
+	}
+	check()
+
+	runtime.GOMAXPROCS(1)
+	for _, n := range []int{0, 2 * minPart, 100 * minPart} {
+		if got := parts(n); got != 1 {
+			t.Errorf("GOMAXPROCS(1): parts(%d) = %d want 1", n, got)
+		}
+	}
+	check()
+}
+
 func head(s []int32) []int32 {
 	if len(s) > 8 {
 		return s[:8]
@@ -513,7 +595,8 @@ var benchSink int
 // kernels exist to avoid; a count of the needle fused with visibility
 // (op=count); and the fused sum and min/max over the visible rows (op=sum,
 // op=minmax), with one row in 16 invalidated.  Each sub-benchmark reports
-// ns/row.
+// ns/row, and MB/s of the packed code vector.  Run it with -cpu 1,2: one
+// CPU takes the serial loop, two split the 1M codes into two parts.
 func BenchmarkScanKernel(b *testing.B) {
 	const n = 1 << 20
 	const e = 5 // every row visible but each 16th, invalidated at epoch 2
@@ -543,7 +626,7 @@ func BenchmarkScanKernel(b *testing.B) {
 
 		run := func(op, impl string, fn func()) {
 			b.Run(fmt.Sprintf("bits=%d/op=%s/impl=%s", bits, op, impl), func(b *testing.B) {
-				b.SetBytes(n)
+				b.SetBytes(int64(v.SizeBytes()))
 				for i := 0; i < b.N; i++ {
 					fn()
 				}

@@ -68,8 +68,8 @@ func (h *Handle[V]) Lookup(v V) []int { return h.LookupAt(Latest(), v) }
 
 // LookupAt is Lookup against the rows visible at the view's epoch.  The
 // main partition is searched through its dictionary (one binary search,
-// then a vectorized code scan); the deltas through their CSB+ trees (no
-// scan at all).
+// then a word-at-a-time code scan, split across cores on a large main);
+// the deltas through their CSB+ trees (no scan at all).
 func (h *Handle[V]) LookupAt(view View, v V) []int {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
@@ -109,7 +109,9 @@ func (h *Handle[V]) LookupAt(view View, v V) []int {
 // the range select of Figure 1.
 func (h *Handle[V]) Range(lo, hi V) []int { return h.RangeAt(Latest(), lo, hi) }
 
-// RangeAt is Range against the rows visible at the view's epoch.
+// RangeAt is Range against the rows visible at the view's epoch.  An
+// unindexed main is matched by the code-range scan kernel, split across
+// cores on a large main.
 func (h *Handle[V]) RangeAt(view View, lo, hi V) []int {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
@@ -204,8 +206,8 @@ func (h *Handle[V]) ScanAt(view View, fn func(row int, v V) bool) {
 func (h *Handle[V]) CountEqual(v V) int { return h.CountEqualAt(Latest(), v) }
 
 // CountEqualAt is CountEqual at the view's epoch.  The main partition is
-// counted with the fused match+visibility kernel — no selection vector or
-// row-id mapping is materialized.
+// counted with the fused match+visibility kernel, split across cores on a
+// large main — no selection vector or row-id mapping is materialized.
 func (h *Handle[V]) CountEqualAt(view View, v V) int {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
@@ -364,10 +366,10 @@ func NumericColumnOf[V interface{ ~uint32 | ~uint64 }](t *Table, name string) (*
 func (h *NumericHandle[V]) Sum() uint64 { return h.SumAt(Latest()) }
 
 // SumAt aggregates the column over the rows visible at the view's epoch.
-// The main partition is summed in one fused pass over its codes
-// (kernel.SumVisible): each block is decoded, tested for visibility and
-// looked up in the sorted dictionary in the same loop — no selection
-// vector, no row materialized.
+// The main partition is summed by one fused kernel over its codes
+// (kernel.SumVisible), split across cores on a large main: each block is
+// decoded, tested for visibility and looked up in the sorted dictionary in
+// the same loop — no selection vector, no row materialized.
 func (h *NumericHandle[V]) SumAt(view View) uint64 {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
@@ -415,8 +417,9 @@ func (h *NumericHandle[V]) MaxAt(view View) (V, bool) {
 
 // minMaxAt computes both extremes in one pass.  The main partition's
 // min/max code IS its min/max value (order-preserving dictionary), so one
-// fused decode-and-visibility pass reduces over codes
-// (kernel.MinMaxVisible) and pays exactly two dictionary accesses.
+// fused decode-and-visibility kernel reduces over codes
+// (kernel.MinMaxVisible, split across cores on a large main) and pays
+// exactly two dictionary accesses.
 func (h *NumericHandle[V]) minMaxAt(view View) (mn, mx V, ok bool) {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
