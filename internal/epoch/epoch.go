@@ -274,17 +274,6 @@ func (r *Rows) CountAlive() int {
 	return n
 }
 
-// CountVisibleAt returns the number of rows visible at epoch e.
-func (r *Rows) CountVisibleAt(e uint64) int {
-	n := 0
-	for i := range r.begin {
-		if r.VisibleAt(i, e) {
-			n++
-		}
-	}
-	return n
-}
-
 // Compact removes the rows marked true in drop, which covers the first
 // len(drop) rows; rows beyond len(drop) are kept unconditionally.  Survivor
 // order is preserved, so a survivor's new index is its rank among kept

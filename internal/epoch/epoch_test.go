@@ -94,9 +94,6 @@ func TestRowsVisibility(t *testing.T) {
 	if r.CountAlive() != 1 {
 		t.Fatalf("CountAlive = %d want 1", r.CountAlive())
 	}
-	if r.CountVisibleAt(3) != 2 { // rows 0 and 1
-		t.Fatalf("CountVisibleAt(3) = %d want 2", r.CountVisibleAt(3))
-	}
 }
 
 func TestRowsSnapshotRestore(t *testing.T) {

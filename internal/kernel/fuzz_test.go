@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzScanKernels feeds random widths, code payloads, predicates and part
-// counts through every scan kernel and cross-checks against the scalar
-// reference implementations from the differential suite.
+// counts through every scan kernel, every kernel that takes epochs both
+// with payload-derived and with nil epochs, and cross-checks against the
+// scalar reference implementations from the differential suite.
 func FuzzScanKernels(f *testing.F) {
 	f.Add(uint8(8), uint64(3), uint64(1), uint64(5), []byte{1, 2, 3, 4, 5, 6, 7, 8, 3, 3}, uint8(0))
 	f.Add(uint8(1), uint64(1), uint64(0), uint64(2), []byte{0xff, 0x00, 0xaa}, uint8(1))
@@ -89,6 +90,31 @@ func FuzzScanKernels(f *testing.F) {
 		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
 		if gmn, gmx, gok := minMaxVisible(v, begin, end, e, np); gmn != wmn || gmx != wmx || gok != wok {
 			t.Fatalf("minMaxVisible(w=%d, parts=%d): got (%d,%d,%v) want (%d,%d,%v)", width, np, gmn, gmx, gok, wmn, wmx, wok)
+		}
+
+		// Nil epochs: every position visible, as over all-visible columns.
+		zb, ze := allVisible(n)
+		if got, want := countEqual(v, needle, nil, nil, e, np), refCountEqual(v, needle, zb, ze, e); got != want {
+			t.Fatalf("countEqual(w=%d, nil epochs, parts=%d): got %d want %d", width, np, got, want)
+		}
+		if got, want := FilterVisible(matchEqual(v, needle, nil, np), nil, nil, e), refMatchEqual(v, needle); !eqSel(got, want) {
+			t.Fatalf("FilterVisible(w=%d, nil epochs): got %v want %v", width, got, want)
+		}
+		if got, want := CountSelVisible(refMatchEqual(v, needle), nil, nil, e), len(refMatchEqual(v, needle)); got != want {
+			t.Fatalf("CountSelVisible(w=%d, nil epochs) = %d want %d", width, got, want)
+		}
+		if got, want := SelectVisible(nil, nil, e, 0, n, nil), refSelectVisible(zb, ze, e, 0, n); !eqSel(got, want) {
+			t.Fatalf("SelectVisible(w=%d, nil epochs): got %v want %v", width, got, want)
+		}
+		if got, want := CountVisible(nil, nil, e, 0, n), n; got != want {
+			t.Fatalf("CountVisible(w=%d, nil epochs) = %d want %d", width, got, want)
+		}
+		if got, want := sumVisible(dv, dict, nil, nil, e, np), refSumVisible(dv, dict, zb, ze, e); got != want {
+			t.Fatalf("sumVisible(w=%d, nil epochs, parts=%d): got %d want %d", width, np, got, want)
+		}
+		amn, amx, aok := refMinMaxVisible(v, zb, ze, e)
+		if gmn, gmx, gok := minMaxVisible(v, nil, nil, e, np); gmn != amn || gmx != amx || gok != aok {
+			t.Fatalf("minMaxVisible(w=%d, nil epochs, parts=%d): got (%d,%d,%v) want (%d,%d,%v)", width, np, gmn, gmx, gok, amn, amx, aok)
 		}
 	})
 }

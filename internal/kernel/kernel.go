@@ -39,7 +39,10 @@
 // Visibility filtering is fused over the raw begin/end epoch slices
 // (epoch.Rows.Raw): a row is visible at epoch e iff begin <= e and
 // end-1 >= e in unsigned arithmetic (end == 0 wraps to MaxUint64), which
-// makes the check branch-free inside the kernels.
+// makes the check branch-free inside the kernels.  Every kernel that takes
+// epochs treats a nil begin as "every position visible" and then reads
+// neither slice: the table passes nil for a main partition in which no row
+// is dead and every row began at or before the read epoch.
 //
 // # Parallel split
 //
@@ -356,6 +359,9 @@ func (w windows) emit(dst []int32, i int, m uint64) []int32 {
 // reading the raw begin/end epoch columns, and returns the shortened
 // selection vector.  Positions index begin/end directly.
 func FilterVisible(sel []int32, begin, end []uint64, e uint64) []int32 {
+	if begin == nil {
+		return sel
+	}
 	w := 0
 	for _, p := range sel {
 		if visible(begin, end, int(p), e) {
@@ -371,6 +377,9 @@ func FilterVisible(sel []int32, begin, end []uint64, e uint64) []int32 {
 // read-only selections such as index posting lists (Bucket slices must not
 // be compacted in place).
 func CountSelVisible(sel []int32, begin, end []uint64, e uint64) int {
+	if begin == nil {
+		return len(sel)
+	}
 	n := 0
 	for _, p := range sel {
 		if visible(begin, end, int(p), e) {
@@ -384,6 +393,12 @@ func CountSelVisible(sel []int32, begin, end []uint64, e uint64) int {
 // epoch e and returns the extended selection vector — the seed kernel for
 // full scans.
 func SelectVisible(begin, end []uint64, e uint64, from, to int, dst []int32) []int32 {
+	if begin == nil {
+		for i := from; i < to; i++ {
+			dst = append(dst, int32(i))
+		}
+		return dst
+	}
 	for i := from; i < to; i++ {
 		if begin[i] <= e && end[i]-1 >= e {
 			dst = append(dst, int32(i))
@@ -395,6 +410,9 @@ func SelectVisible(begin, end []uint64, e uint64, from, to int, dst []int32) []i
 // CountVisible returns the number of positions in [from, to) visible at
 // epoch e.
 func CountVisible(begin, end []uint64, e uint64, from, to int) int {
+	if begin == nil {
+		return to - from
+	}
 	n := 0
 	for i := from; i < to; i++ {
 		if begin[i] <= e && end[i]-1 >= e {
@@ -406,8 +424,8 @@ func CountVisible(begin, end []uint64, e uint64, from, to int) int {
 
 // CountEqual returns the number of positions of v whose code equals code,
 // fused with visibility filtering at epoch e over the raw begin/end
-// columns.  A nil begin counts matches unconditionally, one population
-// count per window.
+// columns.  With nil epochs it counts matches with one population count
+// per window.
 func CountEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64) int {
 	return countEqual(v, code, begin, end, e, parts(v.Len()))
 }
@@ -420,9 +438,6 @@ func countEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64, n
 	}
 	b := v.Bits()
 	if b == 0 {
-		if begin == nil {
-			return n
-		}
 		return CountVisible(begin, end, e, 0, n)
 	}
 	w, count, tail := windowsOf(v)
@@ -474,9 +489,15 @@ func sumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, begin, end
 		var sum uint64
 		decodeBlocks(codes, from, to, begin, end, func(cs, begin, end []uint64) {
 			var s uint64
-			for i, c := range cs {
-				if begin[i] <= e && end[i]-1 >= e {
+			if begin == nil {
+				for _, c := range cs {
 					s += uint64(dict[c])
+				}
+			} else {
+				for i, c := range cs {
+					if begin[i] <= e && end[i]-1 >= e {
+						s += uint64(dict[c])
+					}
 				}
 			}
 			sum += s
@@ -505,6 +526,14 @@ func minMaxVisible(codes *bitpack.Vector, begin, end []uint64, e uint64, np int)
 	x := split(codes.Len(), BlockSize, np, func(_, from, to int) extremes {
 		x := extremes{mn: ^uint64(0)}
 		decodeBlocks(codes, from, to, begin, end, func(cs, begin, end []uint64) {
+			if begin == nil {
+				mn, mx := x.mn, x.mx
+				for _, c := range cs {
+					mn, mx = min(mn, c), max(mx, c)
+				}
+				x = extremes{mn, mx, x.ok || len(cs) > 0}
+				return
+			}
 			for i, c := range cs {
 				if begin[i] <= e && end[i]-1 >= e {
 					x = extremes{min(x.mn, c), max(x.mx, c), true}
@@ -523,12 +552,17 @@ func minMaxVisible(codes *bitpack.Vector, begin, end []uint64, e uint64, np int)
 
 // decodeBlocks decodes the codes [from, to) of v, from a multiple of
 // BlockSize, BlockSize codes at a time into a pooled scratch buffer and
-// hands fn each block with the begin/end epochs of its positions.
+// hands fn each block with the begin/end epochs of its positions, or nil
+// epochs when begin is nil.
 func decodeBlocks(v *bitpack.Vector, from, to int, begin, end []uint64, fn func(codes, begin, end []uint64)) {
 	bufp := blockPool.Get().(*[]uint64)
 	buf := *bufp
 	for base := from; base < to; base += BlockSize {
 		buf = v.DecodeRange(base, min(base+BlockSize, to), buf)
+		if begin == nil {
+			fn(buf, nil, nil)
+			continue
+		}
 		fn(buf, begin[base:base+len(buf)], end[base:base+len(buf)])
 	}
 	*bufp = buf[:cap(buf)]

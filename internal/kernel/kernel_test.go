@@ -15,6 +15,8 @@ import (
 // reference implementation across a sweep of code widths (1–64 bits),
 // lengths crossing word and block boundaries, and match selectivities.
 // Selection vectors must be byte-identical, aggregates exactly equal.
+// Every kernel that takes epochs also runs with nil epochs, which must
+// equal the reference over epochs under which every position is visible.
 // The split kernels run through their unexported entry points at every
 // part count 1..maxParts, so part edges fall inside and at the end of the
 // vector and parts come out empty; TestDifferentialPartCount pins the
@@ -103,6 +105,12 @@ func refMinMaxVisible(v *bitpack.Vector, begin, end []uint64, e uint64) (uint64,
 		}
 	}
 	return mn, mx, true
+}
+
+// allVisible returns epoch columns of n versions current since epoch 0:
+// the reference input every nil-epoch kernel call must agree with.
+func allVisible(n int) (begin, end []uint64) {
+	return make([]uint64, n), make([]uint64, n)
 }
 
 func refDecodeRange(v *bitpack.Vector, from, to int) []uint64 {
@@ -316,19 +324,51 @@ func TestDifferentialVisibilityKernels(t *testing.T) {
 		checkCountEqual(t, v, needle, begin, end, e)
 		// The Latest sentinel epoch must see exactly the current versions.
 		checkCountEqual(t, v, needle, begin, end, ^uint64(0))
+		checkNilVisibility(t, v, needle, e)
 	})
 }
 
+// checkNilVisibility pins the selection and counting visibility kernels
+// with nil epochs to the references over all-visible epochs.
+func checkNilVisibility(t *testing.T, v *bitpack.Vector, needle, e uint64) {
+	t.Helper()
+	n := v.Len()
+	zb, ze := allVisible(n)
+	if got, want := SelectVisible(nil, nil, e, 0, n, []int32{-7}), refSelectVisible(zb, ze, e, 0, n); len(got) == 0 || got[0] != -7 || !eqSel(got[1:], want) {
+		t.Fatalf("SelectVisible(nil epochs, n=%d): got %v want %v", n, head(got), head(want))
+	}
+	if n > 2 {
+		if got, want := SelectVisible(nil, nil, e, 1, n-1, nil), refSelectVisible(zb, ze, e, 1, n-1); !eqSel(got, want) {
+			t.Fatalf("SelectVisible(nil epochs, [1, %d)): got %v want %v", n-1, head(got), head(want))
+		}
+		if got := CountVisible(nil, nil, e, 1, n-1); got != n-2 {
+			t.Fatalf("CountVisible(nil epochs, [1, %d)) = %d want %d", n-1, got, n-2)
+		}
+	}
+	if got, want := CountVisible(nil, nil, e, 0, n), len(refSelectVisible(zb, ze, e, 0, n)); got != want {
+		t.Fatalf("CountVisible(nil epochs, n=%d) = %d want %d", n, got, want)
+	}
+	matches := refMatchEqual(v, needle)
+	want := refFilterVisible(matches, zb, ze, e)
+	if got := FilterVisible(append([]int32(nil), matches...), nil, nil, e); !eqSel(got, want) {
+		t.Fatalf("FilterVisible(nil epochs): got %v want %v", head(got), head(want))
+	}
+	if got := CountSelVisible(matches, nil, nil, e); got != len(want) {
+		t.Fatalf("CountSelVisible(nil epochs) = %d want %d", got, len(want))
+	}
+}
+
 // checkCountEqual pins countEqual at every part count, fused with
-// visibility at epoch e and unfiltered, to the reference.
+// visibility at epoch e and with nil epochs, to the reference.
 func checkCountEqual(t *testing.T, v *bitpack.Vector, needle uint64, begin, end []uint64, e uint64) {
 	t.Helper()
-	want, wantAll := refCountEqual(v, needle, begin, end, e), refCountEqual(v, needle, nil, nil, 0)
+	zb, ze := allVisible(v.Len())
+	want, wantAll := refCountEqual(v, needle, begin, end, e), refCountEqual(v, needle, zb, ze, e)
 	for np := 1; np <= maxParts; np++ {
 		if got := countEqual(v, needle, begin, end, e, np); got != want {
 			t.Fatalf("countEqual(w=%d, n=%d, e=%d, parts=%d): got %d want %d", v.Bits(), v.Len(), e, np, got, want)
 		}
-		if got := countEqual(v, needle, nil, nil, 0, np); got != wantAll {
+		if got := countEqual(v, needle, nil, nil, e, np); got != wantAll {
 			t.Fatalf("countEqual(w=%d, n=%d, nil epochs, parts=%d): got %d want %d", v.Bits(), v.Len(), np, got, wantAll)
 		}
 	}
@@ -341,12 +381,13 @@ func TestDifferentialAggregateKernels(t *testing.T) {
 }
 
 // checkAggregates pins sumVisible (both value types) and minMaxVisible to
-// the references at a random epoch and at the Latest sentinel, at every
-// part count.
+// the references at a random epoch, at the Latest sentinel and with nil
+// epochs, at every part count.
 func checkAggregates(t *testing.T, rng *rand.Rand, v *bitpack.Vector) {
 	t.Helper()
 	n := v.Len()
 	begin, end, e := randomEpochs(rng, n)
+	zb, ze := allVisible(n)
 	dv, dict := indexable(rng, v)
 	dict32 := make([]uint32, len(dict))
 	for i, x := range dict {
@@ -356,7 +397,16 @@ func checkAggregates(t *testing.T, rng *rand.Rand, v *bitpack.Vector) {
 		want := refSumVisible(dv, dict, begin, end, e)
 		want32 := refSumVisible(dv, dict32, begin, end, e)
 		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
+		wantAll := refSumVisible(dv, dict, zb, ze, e)
+		amn, amx, aok := refMinMaxVisible(v, zb, ze, e)
 		for np := 1; np <= maxParts; np++ {
+			if got := sumVisible(dv, dict, nil, nil, e, np); got != wantAll {
+				t.Fatalf("sumVisible(w=%d, n=%d, nil epochs, parts=%d): got %d want %d", v.Bits(), n, np, got, wantAll)
+			}
+			if gmn, gmx, gok := minMaxVisible(v, nil, nil, e, np); gmn != amn || gmx != amx || gok != aok {
+				t.Fatalf("minMaxVisible(w=%d, n=%d, nil epochs, parts=%d): got (%d,%d,%v) want (%d,%d,%v)",
+					v.Bits(), n, np, gmn, gmx, gok, amn, amx, aok)
+			}
 			if got := sumVisible(dv, dict, begin, end, e, np); got != want {
 				t.Fatalf("sumVisible(w=%d, n=%d, e=%d, parts=%d): got %d want %d", v.Bits(), n, e, np, got, want)
 			}
@@ -436,6 +486,7 @@ func TestDifferentialWindowEdges(t *testing.T) {
 			}
 			begin, end, e := randomEpochs(rng, n)
 			checkCountEqual(t, v, needle, begin, end, e)
+			checkNilVisibility(t, v, needle, e)
 			checkAggregates(t, rng, v)
 		}
 	}
@@ -553,15 +604,22 @@ func TestDifferentialPartCount(t *testing.T) {
 		if got, want := MatchRange(v, 100, 200, nil), refMatchRange(v, 100, 200); !eqSel(got, want) {
 			t.Fatalf("MatchRange(parts=%d): got %d positions want %d", parts(n), len(got), len(want))
 		}
-		if got, want := CountEqual(v, needle, begin, end, e), refCountEqual(v, needle, begin, end, e); got != want {
-			t.Fatalf("CountEqual(parts=%d): got %d want %d", parts(n), got, want)
-		}
-		if got, want := SumVisible(v, dict, begin, end, e), refSumVisible(v, dict, begin, end, e); got != want {
-			t.Fatalf("SumVisible(parts=%d): got %d want %d", parts(n), got, want)
-		}
-		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
-		if gmn, gmx, gok := MinMaxVisible(v, begin, end, e); gmn != wmn || gmx != wmx || gok != wok {
-			t.Fatalf("MinMaxVisible(parts=%d): got (%d,%d,%v) want (%d,%d,%v)", parts(n), gmn, gmx, gok, wmn, wmx, wok)
+		for _, ep := range [][2][]uint64{{begin, end}, {nil, nil}} {
+			b, en := ep[0], ep[1]
+			rb, re := b, en
+			if b == nil {
+				rb, re = allVisible(n)
+			}
+			if got, want := CountEqual(v, needle, b, en, e), refCountEqual(v, needle, rb, re, e); got != want {
+				t.Fatalf("CountEqual(parts=%d, nil epochs %v): got %d want %d", parts(n), b == nil, got, want)
+			}
+			if got, want := SumVisible(v, dict, b, en, e), refSumVisible(v, dict, rb, re, e); got != want {
+				t.Fatalf("SumVisible(parts=%d, nil epochs %v): got %d want %d", parts(n), b == nil, got, want)
+			}
+			wmn, wmx, wok := refMinMaxVisible(v, rb, re, e)
+			if gmn, gmx, gok := MinMaxVisible(v, b, en, e); gmn != wmn || gmx != wmx || gok != wok {
+				t.Fatalf("MinMaxVisible(parts=%d, nil epochs %v): got (%d,%d,%v) want (%d,%d,%v)", parts(n), b == nil, gmn, gmx, gok, wmn, wmx, wok)
+			}
 		}
 	}
 	check()
@@ -594,8 +652,9 @@ var benchSink int
 // (op=range), each against the scalar per-row bitpack.Vector.Get loop the
 // kernels exist to avoid; a count of the needle fused with visibility
 // (op=count); and the fused sum and min/max over the visible rows (op=sum,
-// op=minmax), with one row in 16 invalidated.  Each sub-benchmark reports
-// ns/row, and MB/s of the packed code vector.  Run it with -cpu 1,2: one
+// op=minmax), with one row in 16 invalidated (impl=kernel) and with nil
+// epochs, as a main every reader sees whole is read (impl=whole).  Each
+// sub-benchmark reports ns/row, and MB/s of the packed code vector.  Run it with -cpu 1,2: one
 // CPU takes the serial loop, two split the 1M codes into two parts.
 func BenchmarkScanKernel(b *testing.B) {
 	const n = 1 << 20
@@ -668,6 +727,16 @@ func BenchmarkScanKernel(b *testing.B) {
 		})
 		run("minmax", "kernel", func() {
 			mn, mx, _ := MinMaxVisible(v, begin, end, e)
+			benchSink = int(mn + mx)
+		})
+		run("count", "whole", func() {
+			benchSink = CountEqual(v, needle, nil, nil, e)
+		})
+		run("sum", "whole", func() {
+			benchSink = int(SumVisible(v, dict, nil, nil, e))
+		})
+		run("minmax", "whole", func() {
+			mn, mx, _ := MinMaxVisible(v, nil, nil, e)
 			benchSink = int(mn + mx)
 		})
 	}

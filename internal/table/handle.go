@@ -69,13 +69,14 @@ func (h *Handle[V]) Lookup(v V) []int { return h.LookupAt(Latest(), v) }
 // LookupAt is Lookup against the rows visible at the view's epoch.  The
 // main partition is searched through its dictionary (one binary search,
 // then a word-at-a-time code scan, split across cores on a large main);
-// the deltas through their CSB+ trees (no scan at all).
+// the deltas through their CSB+ trees (no scan at all).  The main's
+// matches skip the visibility filter when every main row is visible.
 func (h *Handle[V]) LookupAt(view View, v V) []int {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
 	e := view.resolve()
 	c := h.col()
-	begin, end := h.t.epochs.Raw()
+	begin, end := h.t.mainEpochs(e)
 	var rows []int
 	// The group-key index, when present, replaces the code-vector scan with
 	// a posting-list copy; both paths yield the same ascending positions,
@@ -111,13 +112,14 @@ func (h *Handle[V]) Range(lo, hi V) []int { return h.RangeAt(Latest(), lo, hi) }
 
 // RangeAt is Range against the rows visible at the view's epoch.  An
 // unindexed main is matched by the code-range scan kernel, split across
-// cores on a large main.
+// cores on a large main; its matches skip the visibility filter when every
+// main row is visible.
 func (h *Handle[V]) RangeAt(view View, lo, hi V) []int {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
 	e := view.resolve()
 	c := h.col()
-	begin, end := h.t.epochs.Raw()
+	begin, end := h.t.mainEpochs(e)
 	var rows []int
 	indexed := c.main.Index() != nil
 	var sel []int32
@@ -169,15 +171,16 @@ func (h *Handle[V]) Scan(fn func(row int, v V) bool) { h.ScanAt(Latest(), fn) }
 
 // ScanAt is Scan against the rows visible at the view's epoch.  The main
 // partition runs block-at-a-time: a visibility selection vector over the
-// raw epoch columns, then a gather of the selected codes (internal/kernel)
-// instead of a per-row decode-and-check loop.
+// raw epoch columns — every position when every main row is visible — then
+// a gather of the selected codes (internal/kernel) instead of a per-row
+// decode-and-check loop.
 func (h *Handle[V]) ScanAt(view View, fn func(row int, v V) bool) {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
 	e := view.resolve()
 	c := h.col()
 	nm := c.main.Len()
-	begin, end := h.t.epochs.Raw()
+	begin, end := h.t.mainEpochs(e)
 	dict := c.main.Dict()
 	sel := kernel.SelectVisible(begin, end, e, 0, nm, nil)
 	stopped := false
@@ -207,13 +210,15 @@ func (h *Handle[V]) CountEqual(v V) int { return h.CountEqualAt(Latest(), v) }
 
 // CountEqualAt is CountEqual at the view's epoch.  The main partition is
 // counted with the fused match+visibility kernel, split across cores on a
-// large main — no selection vector or row-id mapping is materialized.
+// large main — no selection vector or row-id mapping is materialized — or,
+// when every main row is visible, by matches alone: one population count
+// per window, or the posting list's length.
 func (h *Handle[V]) CountEqualAt(view View, v V) int {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
 	e := view.resolve()
 	c := h.col()
-	begin, end := h.t.epochs.Raw()
+	begin, end := h.t.mainEpochs(e)
 	n := 0
 	if code, ok := c.main.LookupCode(v); ok {
 		if p := c.main.Index(); p != nil {
@@ -369,14 +374,16 @@ func (h *NumericHandle[V]) Sum() uint64 { return h.SumAt(Latest()) }
 // The main partition is summed by one fused kernel over its codes
 // (kernel.SumVisible), split across cores on a large main: each block is
 // decoded, tested for visibility and looked up in the sorted dictionary in
-// the same loop — no selection vector, no row materialized.
+// the same loop — no selection vector, no row materialized.  When every
+// main row is visible the kernel skips the test and reads no epochs.
 func (h *NumericHandle[V]) SumAt(view View) uint64 {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
 	e := view.resolve()
 	c := h.col()
+	mb, me := h.t.mainEpochs(e)
+	sum := kernel.SumVisible(c.main.Codes(), c.main.Dict().Values(), mb, me, e)
 	begin, end := h.t.epochs.Raw()
-	sum := kernel.SumVisible(c.main.Codes(), c.main.Dict().Values(), begin, end, e)
 	base := c.main.Len()
 	for _, d := range c.deltas {
 		sum += sumDelta(d.Values(), begin, end, e, base)
@@ -419,17 +426,19 @@ func (h *NumericHandle[V]) MaxAt(view View) (V, bool) {
 // min/max code IS its min/max value (order-preserving dictionary), so one
 // fused decode-and-visibility kernel reduces over codes
 // (kernel.MinMaxVisible, split across cores on a large main) and pays
-// exactly two dictionary accesses.
+// exactly two dictionary accesses; when every main row is visible it
+// reads no epochs.
 func (h *NumericHandle[V]) minMaxAt(view View) (mn, mx V, ok bool) {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
 	e := view.resolve()
 	c := h.col()
-	begin, end := h.t.epochs.Raw()
-	if cMin, cMax, found := kernel.MinMaxVisible(c.main.Codes(), begin, end, e); found {
+	mb, me := h.t.mainEpochs(e)
+	if cMin, cMax, found := kernel.MinMaxVisible(c.main.Codes(), mb, me, e); found {
 		d := c.main.Dict()
 		mn, mx, ok = d.At(int(cMin)), d.At(int(cMax)), true
 	}
+	begin, end := h.t.epochs.Raw()
 	base := c.main.Len()
 	for _, d := range c.deltas {
 		mn, mx, ok = minMaxDelta(d.Values(), begin, end, e, base, mn, mx, ok)

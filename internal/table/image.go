@@ -119,6 +119,12 @@ func (t *Table) Adopt(img Image) error {
 	t.ids = img.IDs
 	t.epochs = epoch.RowsOf(img.Begin, img.End)
 	t.dead = rows - t.epochs.CountAlive()
+	for i, b := range img.Begin {
+		if i < img.MainRows {
+			t.mainBegin = max(t.mainBegin, b)
+		}
+		t.maxBegin = max(t.maxBegin, b)
+	}
 	t.nextID = img.NextID
 	t.retired = img.Retired
 	t.reclaimed = img.Reclaimed

@@ -174,6 +174,8 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 		}
 	}
 	drop := t.gcDrop
+	// Every row the merge folds into the new main was appended by now.
+	frozenBegin := t.maxBegin
 	for _, c := range t.cols {
 		c.beginMerge()
 	}
@@ -218,6 +220,7 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 		}
 	}
 	t.gcDrop, t.gcMark = core.Drop{}, 0
+	t.mainBegin = frozenBegin
 	t.mergeGen++
 	for _, c := range t.cols {
 		rep.Columns = append(rep.Columns, c.mergeStats())

@@ -142,8 +142,7 @@ func (t *Table) ApplyUpdate(oldID, newID uint64, values []any, at uint64) error 
 	if !t.epochs.Alive(slot) {
 		return fmt.Errorf("%w: update of already-dead id %d", ErrReplayGap, oldID)
 	}
-	t.epochs.Invalidate(slot, at)
-	t.dead++
+	t.invalidateLocked(slot, at)
 	t.insertLocked(values, at)
 	return nil
 }
@@ -162,7 +161,6 @@ func (t *Table) ApplyInvalidate(id uint64, at uint64) error {
 	if err != nil || !t.epochs.Alive(slot) {
 		return nil // retired by this follower's own GC, or already dead
 	}
-	t.epochs.Invalidate(slot, at)
-	t.dead++
+	t.invalidateLocked(slot, at)
 	return nil
 }

@@ -83,7 +83,8 @@ func TestReadsSpanEverySegment(t *testing.T) {
 
 // checkReads compares every read of one numeric column at one view against
 // the scalar reference: the stored versions in slot order (tb.RowIDs, Row)
-// and the subset VisibleAt admits.
+// and the subset whose begin/end epochs (tb.RowEpochs) admit the view's
+// epoch.
 func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col string, view View, at string) {
 	t.Helper()
 	h, err := NumericColumnOf[V](tb, col)
@@ -97,17 +98,22 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 	}
 	var stored, visible []entry
 	seen := map[V]bool{}
-	for _, id := range tb.RowIDs() {
+	begin, end := tb.RowEpochs()
+	e := view.Epoch()
+	for slot, id := range tb.RowIDs() {
 		row, err := tb.Row(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := entry{id, row[ci].(V)}
-		stored = append(stored, e)
-		seen[e.v] = true
-		if tb.VisibleAt(view, id) {
-			visible = append(visible, e)
+		x := entry{id, row[ci].(V)}
+		stored = append(stored, x)
+		seen[x.v] = true
+		if begin[slot] <= e && (end[slot] == 0 || end[slot] > e) {
+			visible = append(visible, x)
 		}
+	}
+	if got := tb.ValidRowsAt(view); got != len(visible) {
+		t.Fatalf("%s: ValidRowsAt = %d, want %d", at, got, len(visible))
 	}
 	where := func(keep func(V) bool) []int {
 		var ids []int

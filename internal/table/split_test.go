@@ -8,15 +8,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"hyrise/internal/epoch"
 )
 
-// TestSplitScansRace reads a pinned view through every kernel-backed read —
-// LookupAt, RangeAt, CountEqualAt, SumAt, MinAt, MaxAt — while writers
-// update and delete and garbage-collecting merges commit, and checks every
-// answer against the rows the view saw when it was pinned.  The main holds
-// more than three times the scan kernels' minimum part (1<<17 codes) and
-// GOMAXPROCS is at least 4, so every one of those reads scans the main in
-// three parts: the -race half of the kernels' parallel split.
+// TestSplitScansRace reads through every kernel-backed read — LookupAt,
+// RangeAt, CountEqualAt, SumAt, MinAt, MaxAt — while writers change the
+// table and garbage-collecting merges commit, and checks every answer.  In
+// the first phase the writer only inserts, so no main row is ever dead and
+// latest reads run the kernels with nil epochs; in the second, writers
+// update and delete, and a pinned view's answers are checked against the
+// rows it saw when it was pinned.  The main holds more than three times
+// the scan kernels' minimum part (1<<17 codes) and GOMAXPROCS is at least
+// 4, so every one of those reads scans the main in three parts: the -race
+// half of the kernels' parallel split.
 func TestSplitScansRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	tb, h := gcTestTable(t)
@@ -36,6 +41,7 @@ func TestSplitScansRace(t *testing.T) {
 	if _, err := tb.Merge(context.Background(), MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	extra := insertOnlyPhase(t, tb, h, n, distinct)
 	// Deleted before the pin: invisible to it, so the first merge below
 	// reclaims them from under the readers.
 	deleted := make(map[int]bool)
@@ -49,9 +55,13 @@ func TestSplitScansRace(t *testing.T) {
 	defer view.Release()
 
 	// The oracle: value v's ids, the sum, min and max at the pinned epoch.
+	// The first phase's rows all hold the value distinct.
 	byValue := make([][]int, distinct)
-	var sum uint64
+	sum := uint64(extra) * distinct
 	mn, mx := uint64(distinct), uint64(0)
+	if extra > 0 {
+		mx = distinct
+	}
 	for i, id := range ids {
 		if deleted[i] {
 			continue
@@ -171,4 +181,97 @@ func TestSplitScansRace(t *testing.T) {
 	if reclaimed.Load() == 0 {
 		t.Errorf("%d merges reclaimed nothing", merges.Load())
 	}
+}
+
+// insertOnlyPhase reads latest values below distinct through every
+// kernel-backed read while one writer inserts rows holding the value
+// distinct and garbage-collecting merges commit, so the main never holds a
+// dead row and every read sees it whole.  The table holds n rows with
+// values i % distinct.  It returns how many rows the writer inserted.
+func insertOnlyPhase(t *testing.T, tb *Table, h *NumericHandle[uint64], n, distinct int) int {
+	t.Helper()
+	counts := make([]int, distinct)
+	var sum uint64
+	for i := range n {
+		counts[i%distinct]++
+		sum += uint64(i % distinct)
+	}
+	stop := make(chan struct{})
+	var inserted, merges atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for k := n; ; k += 100 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rows := make([][]any, 100)
+			for j := range rows {
+				rows[j] = []any{uint64(k + j), uint64(distinct)}
+			}
+			if _, err := tb.InsertRows(rows); err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+			inserted.Add(100)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := tb.Merge(context.Background(), MergeOptions{Threads: 2}); err != nil {
+				t.Errorf("merge: %v", err)
+				return
+			}
+			merges.Add(1)
+		}
+	}()
+	check := 0
+	for ; check < 16 || merges.Load() < 3; check++ {
+		if !whole(tb, epoch.Latest) {
+			t.Errorf("check %d: insert-only main not whole at latest", check)
+			break
+		}
+		v := uint64(check*37) % uint64(distinct-1)
+		if got := h.CountEqual(v); got != counts[v] {
+			t.Errorf("check %d: CountEqual(%d) = %d want %d", check, v, got, counts[v])
+			break
+		}
+		if got := h.Lookup(v); len(got) != counts[v] {
+			t.Errorf("check %d: Lookup(%d): %d ids want %d", check, v, len(got), counts[v])
+			break
+		}
+		if got := h.Range(v, v+1); len(got) != counts[v]+counts[v+1] {
+			t.Errorf("check %d: Range(%d, %d): %d ids want %d", check, v, v+1, len(got), counts[v]+counts[v+1])
+			break
+		}
+		// Every inserted row adds distinct to the sum and leaves min at 0.
+		if got := h.Sum(); got < sum || (got-sum)%uint64(distinct) != 0 {
+			t.Errorf("check %d: Sum = %d, want %d plus a multiple of %d", check, got, sum, distinct)
+			break
+		}
+		if got, ok := h.Min(); !ok || got != 0 {
+			t.Errorf("check %d: Min = %d, %v want 0", check, got, ok)
+			break
+		}
+		if got, ok := h.Max(); !ok || (got != uint64(distinct-1) && got != uint64(distinct)) {
+			t.Errorf("check %d: Max = %d, %v", check, got, ok)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	t.Logf("insert-only phase: %d checks across %d merges, %d rows inserted", check, merges.Load(), inserted.Load())
+	return int(inserted.Load())
 }

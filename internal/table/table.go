@@ -62,6 +62,7 @@ import (
 
 	"hyrise/internal/core"
 	"hyrise/internal/epoch"
+	"hyrise/internal/kernel"
 	"hyrise/internal/oplog"
 )
 
@@ -168,6 +169,16 @@ type Table struct {
 	reclaimed int   // estimated bytes reclaimed by GC (cumulative)
 	rowBytes  int   // estimated bytes per row (values + epochs + id)
 	dead      int   // stored versions with end != 0 (GC candidates)
+
+	// Whole-visible main: when no stored version is dead and a read epoch
+	// is at or above mainBegin, every main row is visible at it (wholeAt)
+	// and the main-partition kernels skip the per-row begin/end test.
+	// mainBegin bounds every main row's begin from above.  It is taken from
+	// the stamps, not the clock, because a follower replays its primary's
+	// stamps ahead of its own clock: maxBegin is the highest stamp any
+	// append wrote, and a committed merge installs its value at freeze.
+	mainBegin uint64
+	maxBegin  uint64
 
 	gcWatermark uint64 // highest watermark a committed GC merge applied
 	sealed      bool   // retired by resharding: no new row versions
@@ -364,6 +375,7 @@ func (t *Table) insertLocked(values []any, at uint64) int {
 	}
 	t.rows++
 	t.epochs.Append(at)
+	t.maxBegin = max(t.maxBegin, at)
 	id := t.nextID
 	t.nextID++
 	t.ids = append(t.ids, id)
@@ -413,9 +425,31 @@ func (t *Table) Update(row int, changes map[string]any) (int, error) {
 			Rows: [][]any{t.logRow(values)},
 		}})
 	}
+	t.invalidateLocked(slot, at)
+	return t.insertLocked(values, at), nil
+}
+
+// invalidateLocked stamps the version at slot dead at epoch at and counts
+// it in dead (t.mu write-held).
+func (t *Table) invalidateLocked(slot int, at uint64) {
 	t.epochs.Invalidate(slot, at)
 	t.dead++
-	return t.insertLocked(values, at), nil
+}
+
+// wholeAt reports whether every main row is visible at epoch e: no version
+// is dead and no main row began after e (t.mu held).
+func (t *Table) wholeAt(e uint64) bool {
+	return t.dead == 0 && e >= t.mainBegin
+}
+
+// mainEpochs returns the epoch columns the main-partition kernels test
+// visibility at e against: nil when every main row is visible at e, the
+// raw columns otherwise (t.mu held).
+func (t *Table) mainEpochs(e uint64) (begin, end []uint64) {
+	if t.wholeAt(e) {
+		return nil, nil
+	}
+	return t.epochs.Raw()
 }
 
 // Delete invalidates a row; the version remains stored until a
@@ -434,8 +468,7 @@ func (t *Table) Delete(row int) error {
 	if t.olog != nil {
 		at = t.olog.Append([]oplog.Rec{{Kind: oplog.KindDelete, Shard: t.oshard, ID: uint64(row)}})
 	}
-	t.epochs.Invalidate(slot, at)
-	t.dead++
+	t.invalidateLocked(slot, at)
 	return nil
 }
 
@@ -478,11 +511,15 @@ func (t *Table) ValidRows() int {
 	return t.epochs.CountAlive()
 }
 
-// ValidRowsAt returns the number of rows visible at the view's epoch.
+// ValidRowsAt returns the number of rows visible at the view's epoch.  The
+// main's rows are counted without a per-row test when all are visible.
 func (t *Table) ValidRowsAt(v View) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.epochs.CountVisibleAt(v.resolve())
+	e, nm := v.resolve(), t.cols[0].mainLen()
+	mb, me := t.mainEpochs(e)
+	begin, end := t.epochs.Raw()
+	return kernel.CountVisible(mb, me, e, 0, nm) + kernel.CountVisible(begin, end, e, nm, t.rows)
 }
 
 // MainRows returns the tuple count of the main partitions.

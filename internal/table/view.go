@@ -152,8 +152,7 @@ func MoveRow(src *Table, row int, dst *Table, values []any) (int, error) {
 			Rows: [][]any{dst.logRow(values)},
 		}})
 	}
-	src.epochs.Invalidate(slot, at)
-	src.dead++
+	src.invalidateLocked(slot, at)
 	return dst.insertLocked(values, at), nil
 }
 
