@@ -3,8 +3,11 @@ package shard
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"hyrise/internal/query"
 	"hyrise/internal/table"
 )
 
@@ -165,5 +168,120 @@ func TestReshardedPartitionsCollect(t *testing.T) {
 		if i >= base && i < base+n && p.RetiredRows() == 0 {
 			t.Fatalf("reshard-created partition %d reclaimed nothing", i)
 		}
+	}
+}
+
+// TestLatestQueryUnderGC runs latest queries with a projection — query.Run
+// on the one partition and Query on the one-partition store, neither of
+// which pins a snapshot — while two writers update and delete and
+// garbage-collecting merges commit back to back.  Every call must succeed
+// (no candidate reclaimed mid-query, no ErrRowInvalid) and return one
+// state: keys in range, each at most once, each with a value written for
+// it (v % n == k).
+func TestLatestQueryUnderGC(t *testing.T) {
+	st := newKV(t, 1)
+	part := st.Partitions()[0]
+	const n = 2000
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = []any{uint64(i), uint64(i)}
+	}
+	gids, err := st.InsertRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := uint64(1); ; round++ {
+				for k := w; k < n; k += 2 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// One key in seven is deleted and inserted afresh; the
+					// rest get a new version of v.
+					if (k+int(round))%7 == 0 {
+						if err := st.Delete(gids[k]); err != nil {
+							t.Errorf("writer %d: delete: %v", w, err)
+							return
+						}
+						gid, err := st.Insert([]any{uint64(k), uint64(k)})
+						if err != nil {
+							t.Errorf("writer %d: insert: %v", w, err)
+							return
+						}
+						gids[k] = gid
+						continue
+					}
+					gid, err := st.Update(gids[k], map[string]any{"v": uint64(k) + round*n})
+					if err != nil {
+						t.Errorf("writer %d: update: %v", w, err)
+						return
+					}
+					gids[k] = gid
+				}
+			}
+		}()
+	}
+	var merges, reclaimed atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rep, err := st.RequestMerge(context.Background(), table.MergeOptions{})
+			if err != nil {
+				t.Errorf("merge: %v", err)
+				return
+			}
+			merges.Add(1)
+			reclaimed.Add(int64(rep.RowsReclaimed))
+		}
+	}()
+
+	check := 0
+	for ; (check < 300 || merges.Load() < 10) && !t.Failed(); check++ {
+		lo := uint64(check*97) % (n - 500)
+		filters := []query.Filter{
+			{Column: "k", Op: query.Between, Value: lo, Hi: lo + 499},
+			{Column: "v", Op: query.Between, Value: uint64(0), Hi: uint64(1) << 62},
+		}
+		run := query.Run
+		if check%2 == 1 {
+			run = func(_ *table.Table, f []query.Filter, p []string) (*query.Result, error) { return Query(st, f, p) }
+		}
+		res, err := run(part, filters, []string{"v", "k"})
+		if err != nil {
+			t.Errorf("check %d: query: %v", check, err)
+			break
+		}
+		seen := map[uint64]bool{}
+		for i, vals := range res.Values {
+			v, k := vals[0].(uint64), vals[1].(uint64)
+			if k < lo || k > lo+499 || v%n != k || seen[k] {
+				t.Errorf("check %d: row %d = (k %d, v %d): out of range, inconsistent or repeated", check, res.Rows[i], k, v)
+				break
+			}
+			seen[k] = true
+		}
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d queries across %d merges reclaiming %d versions", check, merges.Load(), reclaimed.Load())
+	if reclaimed.Load() == 0 {
+		t.Errorf("%d merges reclaimed nothing", merges.Load())
 	}
 }

@@ -15,13 +15,15 @@ func Query(st *Table, filters []query.Filter, project []string) (*query.Result, 
 
 // QueryAt evaluates a conjunctive multi-column query against the rows
 // visible at the view's epoch.  A store of one partition runs query.RunAt
-// on it inline; otherwise every partition evaluates in parallel and the
+// on it inline, under one hold of the partition's read lock and with no
+// pin; otherwise every partition evaluates in parallel and the
 // per-partition results concatenate under global row ids (ascending, with
 // projected values kept aligned).  Because the epoch is shared by all
 // partitions, the fanned-out evaluation reflects one frozen state of the
-// whole store; a latest view is replaced by one short-lived pinned snapshot
-// so a GC merge on any partition cannot reclaim candidate rows between the
-// evaluation steps.
+// whole store.  The partitions are read under separate lock holds, so a
+// latest view is replaced by one short-lived pinned snapshot: every
+// partition reads the same epoch, and a row moving between partitions is
+// seen exactly once.
 func QueryAt(st *Table, view table.View, filters []query.Filter, project []string) (*query.Result, error) {
 	// Snapshot the topology once: partition indices below are physical
 	// indices into this list, valid for gid encoding even if a reshard

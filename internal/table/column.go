@@ -23,6 +23,10 @@ type column interface {
 	deltaLen() int
 	stats() ColumnStats
 
+	// bind converts a Select predicate's values and resolves the main codes
+	// that match it (t.mu held).
+	bind(p Pred) (cond, error)
+
 	// Group-key index maintenance; see Table.CreateIndex for the locking
 	// protocol.  buildMainIndex reads only the immutable main, so it may
 	// run without Table.mu as long as the merge lock pins the main pointer;

@@ -14,7 +14,9 @@ import (
 // methods without an At suffix filter to current (latest-version) rows;
 // each has an At variant taking a View that filters to the rows visible at
 // the view's epoch instead, so a multi-operation read plan can run against
-// one frozen state while writers proceed.
+// one frozen state while writers proceed.  A conjunctive query over several
+// columns is not such a plan: Table.Select runs it on slot positions under
+// one lock hold.
 //
 // Lookups use the main dictionary's binary search plus the delta's CSB+
 // tree; scans stream the compressed codes and materialize delta values —
@@ -68,42 +70,14 @@ func (h *Handle[V]) Lookup(v V) []int { return h.LookupAt(Latest(), v) }
 
 // LookupAt is Lookup against the rows visible at the view's epoch.  The
 // main partition is searched through its dictionary (one binary search,
-// then a word-at-a-time code scan, split across cores on a large main);
-// the deltas through their CSB+ trees (no scan at all).  The main's
-// matches skip the visibility filter when every main row is visible.
+// then a word-at-a-time code scan, split across cores on a large main, or
+// a posting-list copy when the column is indexed); the deltas through
+// their CSB+ trees (no scan at all).  The main's matches skip the
+// visibility filter when every main row is visible.
 func (h *Handle[V]) LookupAt(view View, v V) []int {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
-	e := view.resolve()
-	c := h.col()
-	begin, end := h.t.mainEpochs(e)
-	var rows []int
-	// The group-key index, when present, replaces the code-vector scan with
-	// a posting-list copy; both paths yield the same ascending positions,
-	// which are visibility-filtered and only then mapped through ids.
-	var sel []int32
-	if c.main.Index() != nil {
-		h.t.routeIndexed.Add(1)
-		sel = c.main.SelEqualIndexed(v, nil)
-	} else {
-		h.t.routeScanned.Add(1)
-		sel = c.main.SelEqual(v, nil)
-	}
-	sel = kernel.FilterVisible(sel, begin, end, e)
-	for _, p := range sel {
-		rows = append(rows, h.t.ids[p])
-	}
-	base := c.main.Len()
-	for _, d := range c.deltas {
-		tids, _ := d.Find(v)
-		for _, tid := range tids {
-			if r := base + int(tid); h.t.epochs.VisibleAt(r, e) {
-				rows = append(rows, h.t.ids[r])
-			}
-		}
-		base += d.Len()
-	}
-	return rows
+	return h.t.idsOf(h.col().match(h.t, view.resolve(), false, v, v))
 }
 
 // Range returns the row ids of current rows whose value lies in [lo, hi] —
@@ -112,49 +86,14 @@ func (h *Handle[V]) Range(lo, hi V) []int { return h.RangeAt(Latest(), lo, hi) }
 
 // RangeAt is Range against the rows visible at the view's epoch.  An
 // unindexed main is matched by the code-range scan kernel, split across
-// cores on a large main; its matches skip the visibility filter when every
-// main row is visible.
+// cores on a large main, an indexed one by its posting lists; the matches
+// skip the visibility filter when every main row is visible.  The deltas
+// are probed through their CSB+ trees when the column is indexed and
+// scanned otherwise.
 func (h *Handle[V]) RangeAt(view View, lo, hi V) []int {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
-	e := view.resolve()
-	c := h.col()
-	begin, end := h.t.mainEpochs(e)
-	var rows []int
-	indexed := c.main.Index() != nil
-	var sel []int32
-	if indexed {
-		h.t.routeIndexed.Add(1)
-		sel = c.main.SelRangeIndexed(lo, hi, nil)
-	} else {
-		h.t.routeScanned.Add(1)
-		sel = c.main.SelRange(lo, hi, nil)
-	}
-	sel = kernel.FilterVisible(sel, begin, end, e)
-	for _, p := range sel {
-		rows = append(rows, h.t.ids[p])
-	}
-	base := c.main.Len()
-	for _, d := range c.deltas {
-		if indexed {
-			// Delta side of an indexed column: bounded CSB+ traversal
-			// instead of a value scan.  FindRange returns ascending
-			// positions, so the output order matches the scan path exactly.
-			for _, tid := range d.FindRange(lo, hi, nil) {
-				if r := base + int(tid); h.t.epochs.VisibleAt(r, e) {
-					rows = append(rows, h.t.ids[r])
-				}
-			}
-		} else {
-			for i, v := range d.Values() {
-				if v >= lo && v <= hi && h.t.epochs.VisibleAt(base+i, e) {
-					rows = append(rows, h.t.ids[base+i])
-				}
-			}
-		}
-		base += d.Len()
-	}
-	return rows
+	return h.t.idsOf(h.col().match(h.t, view.resolve(), true, lo, hi))
 }
 
 // Scan streams every current row's value through fn — the table scan of
@@ -251,79 +190,6 @@ func (h *Handle[V]) Indexed() bool {
 	h.t.mu.RLock()
 	defer h.t.mu.RUnlock()
 	return h.col().main.Index() != nil
-}
-
-// EstimateEqual estimates how many row versions match v, and whether the
-// probe would be served by indexes (group-key main + CSB+ delta) rather
-// than a scan.  Indexed estimates are exact pre-visibility counts; the
-// unindexed main estimate assumes a uniform value distribution.  The query
-// planner uses this to pick the cheapest driving predicate.
-func (h *Handle[V]) EstimateEqual(v V) (rows int, indexed bool) {
-	h.t.mu.RLock()
-	defer h.t.mu.RUnlock()
-	c := h.col()
-	if p := c.main.Index(); p != nil {
-		indexed = true
-		if code, ok := c.main.LookupCode(v); ok {
-			rows = len(p.Bucket(code))
-		}
-	} else if d := c.main.Dict().Len(); d > 0 {
-		rows = c.main.Len() / d
-	}
-	for _, d := range c.deltas {
-		tids, _ := d.Find(v)
-		rows += len(tids)
-	}
-	return rows, indexed
-}
-
-// EstimateRange is EstimateEqual for the inclusive value range [lo, hi].
-// The main-side code interval gives the exact pre-visibility count when
-// indexed (O(1) via the posting starts) and an interval-proportional
-// estimate otherwise; the delta contribution is scaled by the same value
-// fraction.
-func (h *Handle[V]) EstimateRange(lo, hi V) (rows int, indexed bool) {
-	h.t.mu.RLock()
-	defer h.t.mu.RUnlock()
-	c := h.col()
-	d := c.main.Dict()
-	cLo, cHi := uint64(d.LowerBound(lo)), uint64(d.UpperBound(hi))
-	if p := c.main.Index(); p != nil {
-		indexed = true
-		rows = p.CountRange(cLo, cHi)
-	} else if d.Len() > 0 {
-		rows = c.main.Len() * int(cHi-cLo) / d.Len()
-	}
-	if nd := c.deltaLen(); nd > 0 {
-		if d.Len() > 0 {
-			rows += nd * int(cHi-cLo) / d.Len()
-		} else {
-			rows += nd
-		}
-	}
-	return rows, indexed
-}
-
-// Gather appends the values of the given row ids to dst in order, under a
-// single lock acquisition.  Multi-column query refinement uses it to read
-// one column for a whole candidate set instead of paying one lock round
-// trip per row (see internal/query).
-func (h *Handle[V]) Gather(rows []int, dst []V) ([]V, error) {
-	h.t.mu.RLock()
-	defer h.t.mu.RUnlock()
-	c := h.col()
-	for _, row := range rows {
-		slot, err := h.t.slotFor(row)
-		if err != nil {
-			return dst, err
-		}
-		v, ok := c.getTyped(slot)
-		if !ok {
-			return dst, fmt.Errorf("%w: %d", ErrRowRange, row)
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
 }
 
 // Distinct returns the number of distinct values among all stored row

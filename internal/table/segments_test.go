@@ -11,7 +11,9 @@ import (
 // deletes and updates landing in the second delta, on an indexed (qty) and
 // an unindexed (id) column, at latest and at two pinned views.  Each read is
 // compared against a scalar reference built from Row and VisibleAt, then
-// again after the merge aborts and after a real merge commits.
+// again after the merge aborts, after a real merge commits, and after a
+// pin-free merge reclaims deleted rows.  Select runs beside them with every
+// conjunction over both columns (checkSelect).
 func TestReadsSpanEverySegment(t *testing.T) {
 	tb := newTestTable(t)
 	if err := tb.CreateIndex("qty"); err != nil {
@@ -61,6 +63,7 @@ func TestReadsSpanEverySegment(t *testing.T) {
 		for name, view := range views {
 			checkReads[uint64](t, tb, "id", view, stage+", "+name)
 			checkReads[uint32](t, tb, "qty", view, stage+", "+name)
+			checkSelect(t, tb, view, stage+", "+name)
 		}
 	}
 	check("mid merge")
@@ -79,6 +82,25 @@ func TestReadsSpanEverySegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after commit")
+
+	// Reclaim: with the pins released, a merge drops every dead version,
+	// so ids has holes in the main and reads resolve slots across them.
+	beforeFreeze.Release()
+	midMerge.Release()
+	views = map[string]View{"latest": Latest()}
+	for _, id := range []int{20, 320, 360} {
+		if err := tb.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := tb.Merge(context.Background(), MergeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RowsReclaimed == 0 || len(tb.RowIDs()) == tb.NextRowID() {
+		t.Fatalf("merge reclaimed %d rows, %d of %d ids left", rep.RowsReclaimed, len(tb.RowIDs()), tb.NextRowID())
+	}
+	check("after reclaim")
 }
 
 // checkReads compares every read of one numeric column at one view against
@@ -152,8 +174,15 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 		if !indexed && st.UniqueMain > 0 {
 			est += st.MainRows / st.UniqueMain
 		}
-		if got, idx := h.EstimateEqual(p); got != est || idx != indexed {
-			t.Fatalf("%s: %s EstimateEqual(%v) = %d, %v, want %d, %v", at, col, p, got, idx, est, indexed)
+		tb.mu.RLock()
+		q, err := h.col().bind(Pred{Col: ci, Lo: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, idx := q.estimate()
+		tb.mu.RUnlock()
+		if got != est || idx != indexed {
+			t.Fatalf("%s: %s estimate(= %v) = %d, %v, want %d, %v", at, col, p, got, idx, est, indexed)
 		}
 	}
 	for i := 0; i < len(probes); i += max(1, len(probes)/6) {
@@ -203,17 +232,9 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 	}
 
 	// View-independent reads over every stored version.
-	ids := make([]int, len(stored))
-	for i, e := range stored {
-		ids[i] = e.id
-	}
-	got, err := h.Gather(ids, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range stored {
-		if got[i] != e.v {
-			t.Fatalf("%s: %s Gather row %d = %v, want %v", at, col, e.id, got[i], e.v)
+	for _, e := range stored {
+		if got, err := h.Get(e.id); err != nil || got != e.v {
+			t.Fatalf("%s: %s Get(%d) = %v, %v, want %v", at, col, e.id, got, err, e.v)
 		}
 	}
 	if got := h.Distinct(); got != len(seen) {
