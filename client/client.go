@@ -825,17 +825,14 @@ func (c *Client) ScanAt(s Snap, col string, limit int) ([]int, []any, error) {
 
 // ScanRows is Scan plus full-row materialization: it additionally
 // returns every matched row's values across all columns.  The server
-// collects row ids under the scan and reads the other columns after it —
-// never from inside the scan callback — so a scan-plus-read request
-// cannot deadlock behind concurrent writers.
+// reads the scanned column and every other column in one read, so the
+// rows are the versions the scan matched.
 func (c *Client) ScanRows(col string, limit int) ([]int, [][]any, error) {
 	ids, _, rows, err := c.scan(Latest, col, limit, true)
 	return ids, rows, err
 }
 
-// ScanRowsAt is ScanRows frozen at the snapshot.  Note the row
-// materialization reads latest versions of matched rows: row versions
-// are immutable, so values equal what the scan saw.
+// ScanRowsAt is ScanRows frozen at the snapshot.
 func (c *Client) ScanRowsAt(s Snap, col string, limit int) ([]int, [][]any, error) {
 	ids, _, rows, err := c.scan(s, col, limit, true)
 	return ids, rows, err

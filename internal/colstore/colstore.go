@@ -2,10 +2,10 @@
 // column (paper §3): a sorted dictionary plus a bit-packed code vector at
 // E_C = ceil(log2 |U_M|) bits per tuple.
 //
-// Point queries binary-search the dictionary once (random access) and then
-// scan the code vector (sequential access) for the resulting code; range
-// queries scan for a code interval, exploiting the order-preserving
-// encoding.
+// A read binary-searches the dictionary once (random access) to bind its
+// value, or value range, to one code interval — the encoding preserves
+// order — and then scans the code vector (sequential access) for it with
+// the kernels of internal/kernel, or reads the attached group-key index.
 package colstore
 
 import (
@@ -14,7 +14,6 @@ import (
 	"hyrise/internal/bitpack"
 	"hyrise/internal/dict"
 	"hyrise/internal/index"
-	"hyrise/internal/kernel"
 	"hyrise/internal/val"
 )
 
@@ -77,34 +76,6 @@ func (m *Main[V]) Bits() uint { return m.codes.Bits() }
 // against compressed storage).
 func (m *Main[V]) At(i int) V { return m.dict.At(int(m.codes.Get(i))) }
 
-// LookupCode returns the code for value v, if present.
-func (m *Main[V]) LookupCode(v V) (uint64, bool) {
-	c, ok := m.dict.Lookup(v)
-	return uint64(c), ok
-}
-
-// SelEqual appends to dst the positions (as a selection vector) whose
-// value equals v, evaluated word-at-a-time by the batch kernels.
-func (m *Main[V]) SelEqual(v V, dst []int32) []int32 {
-	code, ok := m.LookupCode(v)
-	if !ok {
-		return dst
-	}
-	return kernel.MatchEqual(m.codes, code, dst)
-}
-
-// SelRange appends to dst the positions whose value lies in [lo, hi]
-// (inclusive).  The value range maps to one code interval on the
-// order-preserving dictionary, so the kernel compares codes only.
-func (m *Main[V]) SelRange(lo, hi V, dst []int32) []int32 {
-	cLo := uint64(m.dict.LowerBound(lo))
-	cHi := uint64(m.dict.UpperBound(hi)) // exclusive
-	if cLo >= cHi {
-		return dst
-	}
-	return kernel.MatchRange(m.codes, cLo, cHi, dst)
-}
-
 // SetIndex attaches a group-key index built over this main's code vector.
 // The index must have been built from exactly this vector (Rows and
 // Cardinality must agree); it panics otherwise.  Pass nil to detach.
@@ -123,31 +94,6 @@ func (m *Main[V]) Index() *index.Postings { return m.idx }
 // BuildIndex builds and attaches a group-key index over the code vector.
 func (m *Main[V]) BuildIndex() {
 	m.SetIndex(index.Build(m.codes, m.dict.Len()))
-}
-
-// SelEqualIndexed is SelEqual served from the group-key index: one
-// dictionary binary search plus a posting-list copy, no code-vector scan.
-// The appended span is an ascending selection vector owned by the caller —
-// safe to hand to the in-place visibility kernels.  It panics if no index
-// is attached (callers check Index() under the same lock).
-func (m *Main[V]) SelEqualIndexed(v V, dst []int32) []int32 {
-	code, ok := m.LookupCode(v)
-	if !ok {
-		return dst
-	}
-	return m.idx.Equal(code, dst)
-}
-
-// SelRangeIndexed is SelRange served from the group-key index: the value
-// range maps to a code interval whose posting lists are concatenated and
-// sorted back to ascending positions.
-func (m *Main[V]) SelRangeIndexed(lo, hi V, dst []int32) []int32 {
-	cLo := uint64(m.dict.LowerBound(lo))
-	cHi := uint64(m.dict.UpperBound(hi)) // exclusive
-	if cLo >= cHi {
-		return dst
-	}
-	return m.idx.Range(cLo, cHi, dst)
 }
 
 // SizeBytes returns payload memory: packed codes plus dictionary values.

@@ -45,22 +45,42 @@ func TestPaperExampleColumn(t *testing.T) {
 	if m.Bits() != 3 {
 		t.Fatalf("Bits=%d want 3 (ceil(log2 6))", m.Bits())
 	}
-	if code, ok := m.LookupCode("hotel"); !ok || code != 4 {
-		t.Fatalf("LookupCode(hotel)=%d,%v want 4 (paper: encoded value 100)", code, ok)
+	if code, ok := m.Dict().Lookup("hotel"); !ok || code != 4 {
+		t.Fatalf("Lookup(hotel)=%d,%v want 4 (paper: encoded value 100)", code, ok)
+	}
+}
+
+// sel selects the positions whose value lies in [lo, hi] the way a read
+// plan binds and seeds them: the value range becomes one code interval on
+// the order-preserving dictionary, matched by the scan kernels (an
+// equality by MatchEqual) or, when indexed, by the group-key index.
+func sel[V val.Value](m *Main[V], lo, hi V, indexed bool) []int32 {
+	cLo, cHi := uint64(m.Dict().LowerBound(lo)), uint64(m.Dict().UpperBound(hi))
+	switch {
+	case cLo >= cHi:
+		return nil
+	case indexed && lo == hi:
+		return m.Index().Equal(cLo, nil)
+	case indexed:
+		return m.Index().Range(cLo, cHi, nil)
+	case lo == hi:
+		return kernel.MatchEqual(m.Codes(), cLo, nil)
+	default:
+		return kernel.MatchRange(m.Codes(), cLo, cHi, nil)
 	}
 }
 
 func TestSelEqual(t *testing.T) {
 	vals := []uint64{5, 1, 5, 9, 5, 1}
 	m := FromValues(vals)
-	if got, want := m.SelEqual(5, nil), []int32{0, 2, 4}; !slices.Equal(got, want) {
+	if got, want := sel(m, 5, 5, false), []int32{0, 2, 4}; !slices.Equal(got, want) {
 		t.Fatalf("SelEqual=%v want %v", got, want)
 	}
-	if got := m.SelEqual(7, nil); len(got) != 0 {
+	if got := sel(m, 7, 7, false); len(got) != 0 {
 		t.Fatalf("SelEqual(7)=%v want empty", got)
 	}
-	code, _ := m.LookupCode(1)
-	if n := kernel.CountEqual(m.Codes(), code, nil, nil, 0); n != 2 {
+	code, _ := m.Dict().Lookup(1)
+	if n := kernel.CountEqual(m.Codes(), uint64(code), nil, nil, 0); n != 2 {
 		t.Fatalf("CountEqual(1)=%d want 2", n)
 	}
 }
@@ -68,17 +88,17 @@ func TestSelEqual(t *testing.T) {
 func TestSelRange(t *testing.T) {
 	vals := []uint64{10, 20, 30, 40, 50, 25}
 	m := FromValues(vals)
-	if got, want := m.SelRange(20, 40, nil), []int32{1, 2, 3, 5}; !slices.Equal(got, want) {
+	if got, want := sel(m, 20, 40, false), []int32{1, 2, 3, 5}; !slices.Equal(got, want) {
 		t.Fatalf("SelRange=%v want %v", got, want)
 	}
 	// Bounds not present in the data still select correctly.
-	if got, want := m.SelRange(11, 39, nil), []int32{1, 2, 5}; !slices.Equal(got, want) {
+	if got, want := sel(m, 11, 39, false), []int32{1, 2, 5}; !slices.Equal(got, want) {
 		t.Fatalf("SelRange(11,39)=%v want %v", got, want)
 	}
-	if got := m.SelRange(60, 70, nil); len(got) != 0 {
+	if got := sel(m, 60, 70, false); len(got) != 0 {
 		t.Fatalf("empty range returned %v", got)
 	}
-	if got := m.SelRange(40, 20, nil); len(got) != 0 {
+	if got := sel(m, 40, 20, false); len(got) != 0 {
 		t.Fatalf("inverted range returned %v", got)
 	}
 }
@@ -88,7 +108,7 @@ func TestEmpty(t *testing.T) {
 	if m.Len() != 0 || m.Dict().Len() != 0 {
 		t.Fatal("Empty not empty")
 	}
-	if got := m.SelEqual(1, nil); len(got) != 0 {
+	if got := sel(m, 1, 1, false); len(got) != 0 {
 		t.Fatal("scan on empty found rows")
 	}
 	if err := m.Validate(); err != nil {
@@ -227,10 +247,11 @@ func BenchmarkSelEqual(b *testing.B) {
 		vals[i] = rng.Uint64() % 1000
 	}
 	m := FromValues(vals)
+	code, _ := m.Dict().Lookup(500)
 	b.ResetTimer()
 	var dst []int32
 	for i := 0; i < b.N; i++ {
-		dst = m.SelEqual(500, dst[:0])
+		dst = kernel.MatchEqual(m.Codes(), uint64(code), dst[:0])
 	}
 }
 
@@ -263,8 +284,8 @@ func TestIndexedSelectionDifferential(t *testing.T) {
 		}
 		probes := []uint64{0, 1, 3, vals[0], vals[len(vals)-1], uint64(card) * 3}
 		for _, v := range probes {
-			scan := m.SelEqual(v, nil)
-			idx := m.SelEqualIndexed(v, nil)
+			scan := sel(m, v, v, false)
+			idx := sel(m, v, v, true)
 			if len(scan) != len(idx) {
 				t.Fatalf("card=%d SelEqualIndexed(%d): %d vs scan %d", card, v, len(idx), len(scan))
 			}
@@ -277,8 +298,8 @@ func TestIndexedSelectionDifferential(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			lo := uint64(rng.Intn(card * 3))
 			hi := lo + uint64(rng.Intn(card))
-			scan := m.SelRange(lo, hi, nil)
-			idx := m.SelRangeIndexed(lo, hi, nil)
+			scan := sel(m, lo, hi, false)
+			idx := sel(m, lo, hi, true)
 			if len(scan) != len(idx) {
 				t.Fatalf("card=%d SelRangeIndexed(%d,%d): %d vs scan %d", card, lo, hi, len(idx), len(scan))
 			}
@@ -306,10 +327,10 @@ func TestSetIndexShapeMismatchPanics(t *testing.T) {
 func TestEmptyMainIndex(t *testing.T) {
 	m := Empty[uint64]()
 	m.BuildIndex()
-	if got := m.SelEqualIndexed(7, nil); len(got) != 0 {
+	if got := sel(m, 7, 7, true); len(got) != 0 {
 		t.Fatalf("got %v", got)
 	}
-	if got := m.SelRangeIndexed(1, 9, nil); len(got) != 0 {
+	if got := sel(m, 1, 9, true); len(got) != 0 {
 		t.Fatalf("got %v", got)
 	}
 }

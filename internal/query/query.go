@@ -1,6 +1,6 @@
 // Package query is the public face of conjunctive multi-column queries:
 // the Filter, Op and Result types and the planner statistics.  Run and
-// RunAt map a query onto column positions and run it as one table.Select,
+// RunAt map a query onto column positions and run it as one table.Read,
 // which evaluates it column at a time on slot positions, the strategy
 // natural to decomposed storage (paper §3, [10]): one driving predicate
 // produces candidate positions from its column alone (dictionary lookup +
@@ -72,7 +72,7 @@ func Run(t *table.Table, filters []Filter, project []string) (*Result, error) {
 
 // RunAt is Run against the rows visible at the view's epoch.  It maps the
 // filters and projection onto column positions and runs them as one
-// table.Select: seed, refinement and projection work on slot positions
+// table.Read: seed, refinement and projection work on slot positions
 // under one hold of the table's read lock, so the result reflects one
 // state even while writers and merges proceed, and a latest view needs no
 // pinned snapshot — no GC merge can commit between the steps.  It records
@@ -108,7 +108,7 @@ func RunAt(t *table.Table, view table.View, filters []Filter, project []string) 
 			cols[i] = ci
 		}
 	}
-	sel, err := t.Select(view, preds, cols)
+	sel, err := t.Read(view, table.Plan{Preds: preds, Project: cols})
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
@@ -117,10 +117,9 @@ func RunAt(t *table.Table, view table.View, filters []Filter, project []string) 
 }
 
 func colIndex(t *table.Table, name string) (int, error) {
-	for i, def := range t.Schema() {
-		if def.Name == name {
-			return i, nil
-		}
+	i, err := t.Schema().Index(name)
+	if err != nil {
+		return 0, fmt.Errorf("query: %w", err)
 	}
-	return 0, fmt.Errorf("query: %w: %q", table.ErrNoColumn, name)
+	return i, nil
 }

@@ -66,15 +66,15 @@
 // the shutdown drain so the final compacting merge is not pinned by
 // stale tokens).
 //
-// # Scans at the server boundary
+// # Reads at the server boundary
 //
-// Scan callbacks run under the table's read lock and must not re-enter
-// the table (the PR 3 caveat): a concurrent writer queued between the
-// two read-lock acquisitions would deadlock the server.  OpScan with
-// row materialization therefore collects row ids and column values
-// under the scan, lets the scan finish, and only then reads the other
-// columns of the matched rows — row versions are immutable, so the
-// late reads are identical to what the scan saw.
+// OpLookup, OpRange, OpCountEqual, OpScan, OpSum, OpMin, OpMax and
+// OpValidRows each decode into one table.Plan run by shard.Read, the
+// store's one read fan-out: every partition reads under one hold of its
+// read lock at one epoch — with token 0 over several partitions, one
+// snapshot pinned for the request.  OpScan with rows is the same plan
+// projecting every column beside the scanned one, so the full rows are
+// the versions the scan matched and nothing is read after the lock hold.
 //
 // # Protocol version
 //

@@ -10,13 +10,8 @@ import (
 	"hyrise/internal/query"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
-	"hyrise/internal/val"
 	"hyrise/internal/wire"
 )
-
-// errColumnType maps to wire.StatusErrColumnType: a request value (or the
-// op itself) does not fit the column's declared type.
-var errColumnType = errors.New("server: value does not fit column type")
 
 // reqInfo collects per-request observability facts as a handler runs:
 // the slow-op log line reports them next to the opcode and duration.
@@ -96,16 +91,12 @@ func (s *Server) handle(payload []byte, out *wire.Buffer, info *reqInfo) {
 		err = fmt.Errorf("%w: OpSubscribe must be the only request on its connection", wire.ErrMalformed)
 	case wire.OpSnapshotRelease:
 		err = s.opSnapshotRelease(r, out)
-	case wire.OpLookup:
-		err = s.opLookup(r, out, info)
-	case wire.OpRange:
-		err = s.opRange(r, out, info)
+	case wire.OpLookup, wire.OpRange, wire.OpCountEqual:
+		err = s.opFilter(op, r, out, info)
 	case wire.OpScan:
 		err = s.opScan(r, out, info)
 	case wire.OpSum, wire.OpMin, wire.OpMax:
-		err = s.opAggregate(op, r, out)
-	case wire.OpCountEqual:
-		err = s.opCountEqual(r, out, info)
+		err = s.opAggregate(op, r, out, info)
 	case wire.OpQuery:
 		err = s.opQuery(r, out, info)
 	case wire.OpValidRows:
@@ -159,32 +150,13 @@ func statusOf(err error) uint8 {
 		return wire.StatusErrReadOnly
 	case errors.Is(err, errTooManySnapshots):
 		return wire.StatusErrTooManySnapshots
-	case errors.Is(err, errColumnType):
+	case errors.Is(err, table.ErrColumnType):
 		return wire.StatusErrColumnType
 	case errors.Is(err, wire.ErrMalformed):
 		return wire.StatusErrBadRequest
 	default:
 		return wire.StatusErr
 	}
-}
-
-// colType resolves a column's declared type.
-func (s *Server) colType(name string) (table.Type, error) {
-	for _, def := range s.st.Schema() {
-		if def.Name == name {
-			return def.Type, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: %q", table.ErrNoColumn, name)
-}
-
-// want asserts the decoded wire value against the column's Go type.
-func want[V val.Value](v any, col string) (V, error) {
-	tv, ok := v.(V)
-	if !ok {
-		return tv, fmt.Errorf("%w: %T for column %q (want %T)", errColumnType, v, col, tv)
-	}
-	return tv, nil
 }
 
 // --- mutation ops ---
@@ -356,197 +328,76 @@ func (s *Server) viewArgRest(r *wire.Reader) (table.View, error) {
 	return s.viewFor(tok)
 }
 
-// --- typed read ops ---
+// --- single-column read ops ---
 
-// readArgs decodes the common (token, column) prefix of read requests.
-func (s *Server) readArgs(r *wire.Reader) (table.View, string, table.Type, error) {
+// readArgs decodes the (token, column) prefix of a single-column read
+// request into its view and the column's position.
+func (s *Server) readArgs(r *wire.Reader, info *reqInfo) (table.View, int, error) {
 	tok, err := r.U64()
 	if err != nil {
-		return table.View{}, "", 0, err
+		return table.View{}, 0, err
 	}
 	col, err := r.String()
 	if err != nil {
-		return table.View{}, "", 0, err
+		return table.View{}, 0, err
 	}
 	view, err := s.viewFor(tok)
 	if err != nil {
-		return table.View{}, "", 0, err
+		return table.View{}, 0, err
 	}
-	typ, err := s.colType(col)
+	ci, err := s.st.Schema().Index(col)
 	if err != nil {
-		return table.View{}, "", 0, err
-	}
-	return view, col, typ, nil
-}
-
-func lookupTyped[V val.Value](s *Server, view table.View, col string, v any) ([]int, error) {
-	tv, err := want[V](v, col)
-	if err != nil {
-		return nil, err
-	}
-	h, err := shard.ColumnOf[V](s.st, col)
-	if err != nil {
-		return nil, err
-	}
-	return h.LookupAt(view, tv), nil
-}
-
-func (s *Server) opLookup(r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
-	view, col, typ, err := s.readArgs(r)
-	if err != nil {
-		return err
+		return table.View{}, 0, err
 	}
 	info.noteView(view)
-	v, err := r.Value()
-	if err != nil {
-		return err
-	}
-	if err := r.Rest(); err != nil {
-		return err
-	}
-	var ids []int
-	switch typ {
-	case table.Uint32:
-		ids, err = lookupTyped[uint32](s, view, col, v)
-	case table.Uint64:
-		ids, err = lookupTyped[uint64](s, view, col, v)
-	default:
-		ids, err = lookupTyped[string](s, view, col, v)
-	}
-	if err != nil {
-		return err
-	}
-	info.noteRows(len(ids))
-	out.RowIDs(ids)
-	return nil
+	return view, ci, nil
 }
 
-func rangeTyped[V val.Value](s *Server, view table.View, col string, lo, hi any) ([]int, error) {
-	tlo, err := want[V](lo, col)
-	if err != nil {
-		return nil, err
-	}
-	thi, err := want[V](hi, col)
-	if err != nil {
-		return nil, err
-	}
-	h, err := shard.ColumnOf[V](s.st, col)
-	if err != nil {
-		return nil, err
-	}
-	return h.RangeAt(view, tlo, thi), nil
-}
-
-func (s *Server) opRange(r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
-	view, col, typ, err := s.readArgs(r)
+// opFilter answers OpLookup and OpCountEqual (one value) and OpRange (lo,
+// hi) as a one-predicate plan: the matching row ids, or their count.
+func (s *Server) opFilter(op uint8, r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
+	view, col, err := s.readArgs(r, info)
 	if err != nil {
 		return err
 	}
-	info.noteView(view)
-	lo, err := r.Value()
-	if err != nil {
+	pred := table.Pred{Col: col, Range: op == wire.OpRange}
+	if pred.Lo, err = r.Value(); err != nil {
 		return err
 	}
-	hi, err := r.Value()
-	if err != nil {
-		return err
-	}
-	if err := r.Rest(); err != nil {
-		return err
-	}
-	var ids []int
-	switch typ {
-	case table.Uint32:
-		ids, err = rangeTyped[uint32](s, view, col, lo, hi)
-	case table.Uint64:
-		ids, err = rangeTyped[uint64](s, view, col, lo, hi)
-	default:
-		ids, err = rangeTyped[string](s, view, col, lo, hi)
-	}
-	if err != nil {
-		return err
-	}
-	info.noteRows(len(ids))
-	out.RowIDs(ids)
-	return nil
-}
-
-func countTyped[V val.Value](s *Server, view table.View, col string, v any) (int, error) {
-	tv, err := want[V](v, col)
-	if err != nil {
-		return 0, err
-	}
-	h, err := shard.ColumnOf[V](s.st, col)
-	if err != nil {
-		return 0, err
-	}
-	return h.CountEqualAt(view, tv), nil
-}
-
-func (s *Server) opCountEqual(r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
-	view, col, typ, err := s.readArgs(r)
-	if err != nil {
-		return err
-	}
-	info.noteView(view)
-	v, err := r.Value()
-	if err != nil {
-		return err
-	}
-	if err := r.Rest(); err != nil {
-		return err
-	}
-	var n int
-	switch typ {
-	case table.Uint32:
-		n, err = countTyped[uint32](s, view, col, v)
-	case table.Uint64:
-		n, err = countTyped[uint64](s, view, col, v)
-	default:
-		n, err = countTyped[string](s, view, col, v)
-	}
-	if err != nil {
-		return err
-	}
-	info.noteRows(n)
-	out.U64(uint64(n))
-	return nil
-}
-
-// scanTyped streams the column through the scan callback, collecting row
-// ids and the scanned values only.  It MUST NOT touch the table from
-// inside the callback: the callback runs under the table's read lock and
-// a re-entrant read would deadlock behind any queued writer (the PR 3
-// scan caveat).  Row materialization for withRows happens in opScan,
-// strictly after this returns.
-func scanTyped[V val.Value](s *Server, view table.View, col string, limit int, out *wire.Buffer) ([]int, error) {
-	h, err := shard.ColumnOf[V](s.st, col)
-	if err != nil {
-		return nil, err
-	}
-	var ids []int
-	var values []V
-	h.ScanAt(view, func(row int, v V) bool {
-		ids = append(ids, row)
-		values = append(values, v)
-		return limit <= 0 || len(ids) < limit
-	})
-	out.U32(uint32(len(ids)))
-	for i, id := range ids {
-		out.U64(uint64(id))
-		if err := out.Value(any(values[i])); err != nil {
-			return nil, err
+	if pred.Range {
+		if pred.Hi, err = r.Value(); err != nil {
+			return err
 		}
 	}
-	return ids, nil
-}
-
-func (s *Server) opScan(r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
-	view, col, typ, err := s.readArgs(r)
+	if err := r.Rest(); err != nil {
+		return err
+	}
+	p := table.Plan{Preds: []table.Pred{pred}}
+	if op == wire.OpCountEqual {
+		p.Reduce = table.Count
+	}
+	sel, err := shard.Read(s.st, view, p)
 	if err != nil {
 		return err
 	}
-	info.noteView(view)
+	if op == wire.OpCountEqual {
+		info.noteRows(sel.Count)
+		out.U64(uint64(sel.Count))
+		return nil
+	}
+	info.noteRows(len(sel.Rows))
+	out.RowIDs(sel.Rows)
+	return nil
+}
+
+// opScan answers the column's visible rows, up to the limit, as one plan
+// projecting the column and, for withRows, every column: the full rows are
+// the versions the scan saw, read in its lock hold at its one epoch.
+func (s *Server) opScan(r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
+	view, col, err := s.readArgs(r, info)
+	if err != nil {
+		return err
+	}
 	limit, err := r.U32()
 	if err != nil {
 		return err
@@ -558,82 +409,64 @@ func (s *Server) opScan(r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	if withRows != 0 && view.IsLatest() {
-		// Row materialization happens strictly after the scan; pin a
-		// snapshot for the whole request so a GC merge committing in
-		// between cannot reclaim a matched row before Row reads it.
-		view = s.st.Snapshot()
-		defer view.Release()
+	p := table.Plan{Project: []int{col}, Limit: int(limit)}
+	if withRows != 0 {
+		for i := range s.st.Schema() {
+			p.Project = append(p.Project, i)
+		}
 	}
-	var ids []int
-	switch typ {
-	case table.Uint32:
-		ids, err = scanTyped[uint32](s, view, col, int(limit), out)
-	case table.Uint64:
-		ids, err = scanTyped[uint64](s, view, col, int(limit), out)
-	default:
-		ids, err = scanTyped[string](s, view, col, int(limit), out)
-	}
+	sel, err := shard.Read(s.st, view, p)
 	if err != nil {
 		return err
 	}
-	info.noteRows(len(ids))
-	if withRows == 0 {
-		return nil
-	}
-	// Materialize full rows only now that the scan (and its read lock)
-	// is over.  Row versions are immutable, so these reads see exactly
-	// the values the scan saw even if writers committed in between, and
-	// the view's pin (registered token, or the request-scoped pin taken
-	// above) keeps GC from reclaiming any matched row before Row runs.
-	for _, id := range ids {
-		values, err := s.st.Row(id)
-		if err != nil {
+	info.noteRows(len(sel.Rows))
+	out.U32(uint32(len(sel.Rows)))
+	for i, id := range sel.Rows {
+		out.U64(uint64(id))
+		if err := out.Value(sel.Values[i][0]); err != nil {
 			return err
 		}
-		if err := out.Row(values); err != nil {
-			return err
+	}
+	if withRows != 0 {
+		for _, vals := range sel.Values {
+			if err := out.Row(vals[1:]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-func aggregateTyped[V interface{ ~uint32 | ~uint64 }](s *Server, op uint8, view table.View, col string, out *wire.Buffer) error {
-	h, err := shard.NumericColumnOf[V](s.st, col)
-	if err != nil {
-		return err
-	}
-	switch op {
-	case wire.OpSum:
-		out.U64(h.SumAt(view))
-	case wire.OpMin:
-		v, ok := h.MinAt(view)
-		out.U8(boolByte(ok))
-		return out.Value(any(v))
-	case wire.OpMax:
-		v, ok := h.MaxAt(view)
-		out.U8(boolByte(ok))
-		return out.Value(any(v))
-	}
-	return nil
-}
-
-func (s *Server) opAggregate(op uint8, r *wire.Reader, out *wire.Buffer) error {
-	view, col, typ, err := s.readArgs(r)
+// opAggregate answers OpSum, OpMin and OpMax as a Sum or MinMax plan; an
+// extreme goes on the wire in the column's own type.  A column that does
+// not aggregate fails with table.ErrColumnType.
+func (s *Server) opAggregate(op uint8, r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
+	view, col, err := s.readArgs(r, info)
 	if err != nil {
 		return err
 	}
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	switch typ {
-	case table.Uint32:
-		return aggregateTyped[uint32](s, op, view, col, out)
-	case table.Uint64:
-		return aggregateTyped[uint64](s, op, view, col, out)
-	default:
-		return fmt.Errorf("%w: aggregate over string column %q", errColumnType, col)
+	p := table.Plan{Reduce: table.MinMax, Col: col}
+	if op == wire.OpSum {
+		p.Reduce = table.Sum
 	}
+	sel, err := shard.Read(s.st, view, p)
+	if err != nil {
+		return err
+	}
+	if op == wire.OpSum {
+		out.U64(sel.Sum)
+		return nil
+	}
+	x := sel.Min
+	if op == wire.OpMax {
+		x = sel.Max
+	}
+	v, _ := table.Convert(s.st.Schema()[col].Type, x) // the column's own value
+	out.U8(boolByte(sel.Found))
+	return out.Value(v)
 }
 
 // --- query op ---

@@ -404,12 +404,12 @@ func TestServerTypedErrors(t *testing.T) {
 	}
 }
 
-// TestServerScanThenLookupNoDeadlock is the regression test for the PR 3
-// scan caveat at the server boundary: a scan that materializes full rows
-// must collect row ids under the scan and read the other columns after
-// it.  Reading from inside the scan callback would re-acquire the table
-// read lock and deadlock behind any write-lock waiter — with writers
-// hammering, that deadlock shows within a few iterations.
+// TestServerScanThenLookupNoDeadlock is the regression test for the scan
+// caveat at the server boundary: a scan that materializes full rows must
+// never re-acquire the table read lock while holding it — it projects
+// every column in the scan's own lock hold.  A re-entrant read would
+// deadlock behind any write-lock waiter — with writers hammering, that
+// deadlock shows within a few iterations.
 func TestServerScanThenLookupNoDeadlock(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {

@@ -2,25 +2,23 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"hyrise/internal/table"
 	"hyrise/internal/val"
 )
 
-// Handle is a typed single-column view over every partition of a store:
-// key lookups, range selects and scans, returning global row ids.  Every
-// method delegates to the same-named table.Handle method of each partition
-// and combines the results, so a store of one partition reads exactly what
-// — and as fast as — its partition does.  Methods without an At suffix read
-// current rows; the At variants read through a View captured by
-// Table.Snapshot, whose single epoch is valid across every partition — the
-// fanned-out reads are consistent with each other even while writers,
-// cross-partition moves and merges proceed.
-//
-// Lookup and Range probe all partitions in parallel and return ascending
-// global row ids.  Scan visits partitions sequentially (partition 0 first),
-// in per-partition insertion order.
+// Handle is a typed single-column view over every partition of a store,
+// returning global row ids; the type parameter enforces the column's
+// declared type.  Lookup, Range, CountEqual, Sum, Min and Max are
+// one-predicate or no-predicate Plans run by the store's one read fan-out
+// (see Read), with the answers combined by the plan's reduction; Scan
+// visits partitions sequentially (partition 0 first), in per-partition
+// insertion order.  Every read is at one epoch on every partition — over
+// several, a latest read pins one snapshot for the call, so a row moving
+// between partitions is seen exactly once.  A store of one partition
+// reads exactly what, and as fast as, its partition does.  The At
+// variants read through a View captured by Table.Snapshot, whose single
+// epoch is valid across every partition.
 //
 // A handle covers the physical partitions that existed when it was
 // resolved.  A Reshard appends partitions, so resolve a fresh handle after
@@ -28,14 +26,16 @@ import (
 // before the handle was resolved remain complete on the old handle (row
 // versions visible at that epoch never move to newer partitions).
 type Handle[V val.Value] struct {
-	hs []*table.Handle[V]
+	parts []*table.Table
+	col   int
+	hs    []*table.Handle[V]
 }
 
 // ColumnOf resolves a typed handle for the named column across all
 // physical partitions.
 func ColumnOf[V val.Value](st *Table, name string) (*Handle[V], error) {
 	parts := st.load().parts
-	h := &Handle[V]{hs: make([]*table.Handle[V], 0, len(parts))}
+	h := &Handle[V]{parts: parts, hs: make([]*table.Handle[V], 0, len(parts))}
 	for _, s := range parts {
 		sh, err := table.ColumnOf[V](s, name)
 		if err != nil {
@@ -43,40 +43,18 @@ func ColumnOf[V val.Value](st *Table, name string) (*Handle[V], error) {
 		}
 		h.hs = append(h.hs, sh)
 	}
+	h.col, _ = st.schema.Index(name) // resolved by table.ColumnOf above
 	return h, nil
 }
 
-// each runs fn on every partition's handle concurrently and returns the
-// results in physical order.  A lone handle runs on the caller's goroutine.
-func each[H, R any](hs []H, fn func(H) R) []R {
-	if len(hs) == 1 {
-		return []R{fn(hs[0])}
+// read runs a plan that cannot fail to bind: the handle's column exists
+// and holds V.
+func (h *Handle[V]) read(view table.View, p table.Plan) *table.Selection {
+	s, err := readPlan(h.parts, view, p)
+	if err != nil {
+		panic(err)
 	}
-	out := make([]R, len(hs))
-	var wg sync.WaitGroup
-	for i, h := range hs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i] = fn(h)
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// globalIDs concatenates per-partition local id lists into one global id
-// list.  Each list ascends in local id and the partition index sits in the
-// high bits of a global id, so the concatenation ascends without sorting;
-// partition 0's ids are already global.
-func globalIDs(perPart [][]int) []int {
-	out := perPart[0]
-	for phys := 1; phys < len(perPart); phys++ {
-		for _, local := range perPart[phys] {
-			out = append(out, toGlobal(phys, local))
-		}
-	}
-	return out
+	return s
 }
 
 // Get returns the value at a global row id (valid or not).
@@ -94,7 +72,7 @@ func (h *Handle[V]) Lookup(v V) []int { return h.LookupAt(table.Latest(), v) }
 
 // LookupAt is Lookup against the rows visible at the view's epoch.
 func (h *Handle[V]) LookupAt(view table.View, v V) []int {
-	return globalIDs(each(h.hs, func(p *table.Handle[V]) []int { return p.LookupAt(view, v) }))
+	return h.read(view, table.Plan{Preds: []table.Pred{{Col: h.col, Lo: v}}}).Rows
 }
 
 // Range returns the global row ids of current rows with value in [lo, hi].
@@ -102,7 +80,7 @@ func (h *Handle[V]) Range(lo, hi V) []int { return h.RangeAt(table.Latest(), lo,
 
 // RangeAt is Range against the rows visible at the view's epoch.
 func (h *Handle[V]) RangeAt(view table.View, lo, hi V) []int {
-	return globalIDs(each(h.hs, func(p *table.Handle[V]) []int { return p.RangeAt(view, lo, hi) }))
+	return h.read(view, table.Plan{Preds: []table.Pred{{Col: h.col, Range: true, Lo: lo, Hi: hi}}}).Rows
 }
 
 // Scan streams every current row's value through fn, partition by
@@ -110,8 +88,13 @@ func (h *Handle[V]) RangeAt(view table.View, lo, hi V) []int {
 // partition's read lock and must not call back into the store.
 func (h *Handle[V]) Scan(fn func(id int, v V) bool) { h.ScanAt(table.Latest(), fn) }
 
-// ScanAt is Scan against the rows visible at the view's epoch.
+// ScanAt is Scan against the rows visible at the view's epoch; over
+// several partitions a latest view is pinned for the scan, as by fanOut.
 func (h *Handle[V]) ScanAt(view table.View, fn func(id int, v V) bool) {
+	if len(h.parts) > 1 && view.IsLatest() {
+		view = h.parts[0].Snapshot()
+		defer view.Release()
+	}
 	for phys, p := range h.hs {
 		stopped := false
 		p.ScanAt(view, func(local int, v V) bool {
@@ -130,11 +113,7 @@ func (h *Handle[V]) CountEqual(v V) int { return h.CountEqualAt(table.Latest(), 
 // CountEqualAt is CountEqual at the view's epoch: the sum of the
 // partitions' fused count kernels, with no id list materialized.
 func (h *Handle[V]) CountEqualAt(view table.View, v V) int {
-	n := 0
-	for _, c := range each(h.hs, func(p *table.Handle[V]) int { return p.CountEqualAt(view, v) }) {
-		n += c
-	}
-	return n
+	return h.read(view, table.Plan{Preds: []table.Pred{{Col: h.col, Lo: v}}, Reduce: table.Count}).Count
 }
 
 // Distinct returns the number of distinct values among all stored row
@@ -151,21 +130,15 @@ func (h *Handle[V]) Distinct() int {
 // NumericHandle adds cross-partition aggregations for integer columns.
 type NumericHandle[V interface{ ~uint32 | ~uint64 }] struct {
 	*Handle[V]
-	ns []*table.NumericHandle[V]
 }
 
 // NumericColumnOf resolves a handle with aggregation support.
 func NumericColumnOf[V interface{ ~uint32 | ~uint64 }](st *Table, name string) (*NumericHandle[V], error) {
-	nh := &NumericHandle[V]{Handle: &Handle[V]{}}
-	for _, s := range st.load().parts {
-		n, err := table.NumericColumnOf[V](s, name)
-		if err != nil {
-			return nil, err
-		}
-		nh.ns = append(nh.ns, n)
-		nh.hs = append(nh.hs, n.Handle)
+	h, err := ColumnOf[V](st, name)
+	if err != nil {
+		return nil, err
 	}
-	return nh, nil
+	return &NumericHandle[V]{h}, nil
 }
 
 // Sum aggregates the column over current rows.
@@ -174,11 +147,7 @@ func (h *NumericHandle[V]) Sum() uint64 { return h.SumAt(table.Latest()) }
 // SumAt aggregates over the rows visible at the view's epoch; the shared
 // epoch makes the combined sum a consistent cross-partition aggregate.
 func (h *NumericHandle[V]) SumAt(view table.View) uint64 {
-	var sum uint64
-	for _, p := range each(h.ns, func(n *table.NumericHandle[V]) uint64 { return n.SumAt(view) }) {
-		sum += p
-	}
-	return sum
+	return h.read(view, table.Plan{Reduce: table.Sum, Col: h.col}).Sum
 }
 
 // Min returns the smallest value over current rows; ok is false when the
@@ -187,7 +156,8 @@ func (h *NumericHandle[V]) Min() (V, bool) { return h.MinAt(table.Latest()) }
 
 // MinAt is Min at the view's epoch.
 func (h *NumericHandle[V]) MinAt(view table.View) (V, bool) {
-	return h.best((*table.NumericHandle[V]).MinAt, view, func(cur, cand V) bool { return cand < cur })
+	s := h.read(view, table.Plan{Reduce: table.MinMax, Col: h.col})
+	return V(s.Min), s.Found
 }
 
 // Max returns the largest value over current rows.
@@ -195,24 +165,6 @@ func (h *NumericHandle[V]) Max() (V, bool) { return h.MaxAt(table.Latest()) }
 
 // MaxAt is Max at the view's epoch.
 func (h *NumericHandle[V]) MaxAt(view table.View) (V, bool) {
-	return h.best((*table.NumericHandle[V]).MaxAt, view, func(cur, cand V) bool { return cand > cur })
-}
-
-// best combines one per-partition extreme (MinAt or MaxAt) across
-// partitions.
-func (h *NumericHandle[V]) best(at func(*table.NumericHandle[V], table.View) (V, bool), view table.View, better func(cur, cand V) bool) (V, bool) {
-	type extreme struct {
-		v  V
-		ok bool
-	}
-	var out extreme
-	for _, e := range each(h.ns, func(n *table.NumericHandle[V]) extreme {
-		v, ok := at(n, view)
-		return extreme{v, ok}
-	}) {
-		if e.ok && (!out.ok || better(out.v, e.v)) {
-			out = e
-		}
-	}
-	return out.v, out.ok
+	s := h.read(view, table.Plan{Reduce: table.MinMax, Col: h.col})
+	return V(s.Max), s.Found
 }

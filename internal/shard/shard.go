@@ -40,10 +40,10 @@
 //     through the view (LookupAt/RangeAt/ScanAt/QueryAt/ValidRowsAt)
 //     reflect one frozen state of the whole table, even while inserts,
 //     updates, deletes, cross-shard moves, per-shard merges and online
-//     reshards proceed underneath.  Latest reads (no view) still acquire
-//     shard read locks one at a time and can observe shard A before and
-//     shard B after a concurrent multi-shard writer; use a snapshot when
-//     that matters.
+//     reshards proceed underneath.  A latest read over several
+//     partitions (Read, QueryAt, ValidRows, every Handle read) takes
+//     such a snapshot for the call, so it too sees a row moving between
+//     partitions exactly once.
 //   - Global row ids are stable for the lifetime of the row version and
 //     carry the owning physical partition in their high bits (independent
 //     of the shard count), so they survive resharding.  Partition 0's ids
@@ -531,32 +531,17 @@ func (st *Table) Rows() int {
 	return n
 }
 
-// ValidRows returns the number of current rows across partitions, counted
-// under one epoch capture: a row mid-move between partitions is counted
-// exactly once, where per-partition counting could see it in both or
-// neither.  The capture is pinned for the duration of the count — a
-// concurrent GC merge could otherwise reclaim a version visible at the
-// captured epoch and the count would miss it — and released before
-// returning, so it never holds retention beyond the call.  A single
-// partition counts under its own lock, which is already consistent.
-func (st *Table) ValidRows() int {
-	if parts := st.load().parts; len(parts) == 1 {
-		return parts[0].ValidRows()
-	}
-	v := table.PinnedView(st.clock)
-	defer v.Release()
-	return st.ValidRowsAt(v)
-}
+// ValidRows returns the number of current rows across partitions; see
+// ValidRowsAt.
+func (st *Table) ValidRows() int { return st.ValidRowsAt(table.Latest()) }
 
-// ValidRowsAt returns the number of rows visible at the view's epoch
-// across all partitions — consistent across them, unlike a sum of
-// per-partition counts.
+// ValidRowsAt returns the number of rows visible at the view's epoch across
+// all partitions: a Count plan without predicates, which cannot fail, read
+// at one epoch (Read), so a row mid-move between partitions is counted
+// exactly once, not in both partitions or neither.
 func (st *Table) ValidRowsAt(v table.View) int {
-	n := 0
-	for _, s := range st.load().parts {
-		n += s.ValidRowsAt(v)
-	}
-	return n
+	s, _ := Read(st, v, table.Plan{Reduce: table.Count})
+	return s.Count
 }
 
 // MainRows returns the summed main-partition tuple count.

@@ -23,9 +23,11 @@ type column interface {
 	deltaLen() int
 	stats() ColumnStats
 
-	// bind converts a Select predicate's values and resolves the main codes
-	// that match it (t.mu held).
+	// bind converts a Plan predicate's values and resolves the main codes
+	// and delta positions that match it (t.mu held).
 	bind(p Pred) (cond, error)
+	// aggregate computes a Sum or MinMax over the column (t.mu held).
+	aggregate(t *Table, e uint64, slots []int, all, minMax bool, s *Selection) error
 
 	// Group-key index maintenance; see Table.CreateIndex for the locking
 	// protocol.  buildMainIndex reads only the immutable main, so it may
@@ -105,26 +107,26 @@ func convertUint64(v any) (uint64, error) {
 		return uint64(x), nil
 	case int:
 		if x < 0 {
-			return 0, fmt.Errorf("table: negative value %d for uint64 column", x)
+			return 0, fmt.Errorf("%w: negative value %d for uint64 column", ErrColumnType, x)
 		}
 		return uint64(x), nil
 	case int64:
 		if x < 0 {
-			return 0, fmt.Errorf("table: negative value %d for uint64 column", x)
+			return 0, fmt.Errorf("%w: negative value %d for uint64 column", ErrColumnType, x)
 		}
 		return uint64(x), nil
 	default:
-		return 0, fmt.Errorf("table: cannot store %T in uint64 column", v)
+		return 0, fmt.Errorf("%w: %T for uint64 column", ErrColumnType, v)
 	}
 }
 
 func convertUint32(v any) (uint32, error) {
 	u, err := convertUint64(v)
 	if err != nil {
-		return 0, fmt.Errorf("table: cannot store %T in uint32 column", v)
+		return 0, fmt.Errorf("%w: %T for uint32 column", ErrColumnType, v)
 	}
 	if u > 1<<32-1 {
-		return 0, fmt.Errorf("table: value %d overflows uint32 column", u)
+		return 0, fmt.Errorf("%w: %d overflows uint32 column", ErrColumnType, u)
 	}
 	return uint32(u), nil
 }
@@ -133,7 +135,7 @@ func convertString(v any) (string, error) {
 	if s, ok := v.(string); ok {
 		return s, nil
 	}
-	return "", fmt.Errorf("table: cannot store %T in string column", v)
+	return "", fmt.Errorf("%w: %T for string column", ErrColumnType, v)
 }
 
 // Convert normalizes a caller-supplied value to the canonical Go type of a

@@ -24,7 +24,7 @@ type IndexStats struct {
 // Indexes are in-memory only: a table restored from a snapshot starts
 // unindexed and callers re-create indexes after Load.
 func (t *Table) CreateIndex(column string) error {
-	ci, err := t.columnIndex(column)
+	ci, err := t.schema.Index(column)
 	if err != nil {
 		return err
 	}
@@ -62,7 +62,7 @@ func (t *Table) IndexStats() []IndexStats {
 
 // Indexed reports whether the named column has a group-key index.
 func (t *Table) Indexed(column string) bool {
-	ci, err := t.columnIndex(column)
+	ci, err := t.schema.Index(column)
 	if err != nil {
 		return false
 	}

@@ -12,8 +12,8 @@ import (
 // an unindexed (id) column, at latest and at two pinned views.  Each read is
 // compared against a scalar reference built from Row and VisibleAt, then
 // again after the merge aborts, after a real merge commits, and after a
-// pin-free merge reclaims deleted rows.  Select runs beside them with every
-// conjunction over both columns (checkSelect).
+// pin-free merge reclaims deleted rows.  Read runs beside them with every
+// conjunction over both columns and every reduction (checkSelect).
 func TestReadsSpanEverySegment(t *testing.T) {
 	tb := newTestTable(t)
 	if err := tb.CreateIndex("qty"); err != nil {
@@ -113,7 +113,7 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, _ := tb.columnIndex(col)
+	ci, _ := tb.schema.Index(col)
 	type entry struct {
 		id int
 		v  V

@@ -1,7 +1,6 @@
 package table
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -9,22 +8,53 @@ import (
 	"hyrise/internal/val"
 )
 
-// Pred is one predicate of a conjunctive Select: the value of column Col
-// equals Lo or, when Range is set, lies in [Lo, Hi].  Lo and Hi take every
-// spelling Insert accepts for the column (Convert), range checks included.
+// Pred is one predicate of a Plan: the value of column Col equals Lo or,
+// when Range is set, lies in [Lo, Hi].  Lo and Hi take every spelling
+// Insert accepts for the column (Convert), range checks included.
 type Pred struct {
 	Col    int
 	Range  bool
 	Lo, Hi any
 }
 
-// Selection is the result of Select.
+// Reduce is what Read computes from the rows a plan matches.
+type Reduce uint8
+
+const (
+	// Rows returns the matching row ids with the projected values.
+	Rows Reduce = iota
+	// Count returns how many rows match.
+	Count
+	// Sum returns the sum of an integer column over the matching rows.
+	Sum
+	// MinMax returns an integer column's extremes over the matching rows.
+	MinMax
+)
+
+// Plan is one read of a partition: the conjunction of Preds, where no
+// predicate matches every visible row, reduced by Reduce.
+type Plan struct {
+	Preds  []Pred
+	Reduce Reduce
+	// Col is the column Sum and MinMax aggregate.
+	Col int
+	// Project lists the columns whose values Rows returns, in order (nil
+	// projects nothing); Limit caps the rows it returns (0 returns all).
+	Project []int
+	Limit   int
+}
+
+// Selection is the answer to a Plan: the field its reduction names.
 type Selection struct {
-	// Rows are the matching row ids in ascending order.
-	Rows []int
-	// Values[i] holds the projected values of Rows[i]; nil without a
-	// projection.
+	// Rows are the matching row ids in ascending order; Values[i] holds the
+	// projected values of Rows[i], nil without a projection.
+	Rows   []int
 	Values [][]any
+	Count  int
+	Sum    uint64
+	// Min and Max are the column's extremes; Found reports a match.
+	Min, Max uint64
+	Found    bool
 	// Estimate is the driving predicate's estimated candidate rows and
 	// Indexed whether a group-key index served it; Seeded is the number of
 	// visible candidates it produced.
@@ -33,75 +63,94 @@ type Selection struct {
 	Seeded   int
 }
 
-// Select evaluates the conjunction of preds against the rows visible at
-// the view's epoch and projects the columns at the indices in project
-// (nil skips the projection), column at a time (paper §3, [10]).  The
-// implicit row offset is valid for every attribute, so the whole query
-// runs on slot positions: one driving predicate produces the visible
-// candidate positions from its own column (match), every other predicate
-// keeps the positions whose code lies in its code interval on the
-// order-preserving dictionary (a value comparison in the deltas), and only
-// the surviving positions are decoded and mapped to row ids.
+// Read evaluates the plan against the rows visible at the view's epoch.
+// The implicit row offset is valid for every attribute (paper §3, [10]),
+// so the whole read runs on slot positions: each predicate is bound once
+// to its column, one driving predicate picked by estimated cost
+// (chooseSeed) produces the visible candidate positions from its own
+// column, every other predicate keeps those whose code lies in its code
+// interval on the order-preserving dictionary (a value comparison in the
+// deltas), and only then is the reduction applied, projected values
+// decoded column at a time.  A count of one equality or of every visible
+// row and a Sum or MinMax of every visible row run fused kernels that
+// materialize no position.
 //
 // Every step runs under one hold of the table's read lock, so a latest
 // view reads one state without a pin: no write, merge commit or
 // reclamation can land between the steps.
-func (t *Table) Select(view View, preds []Pred, project []int) (*Selection, error) {
-	if len(preds) == 0 {
-		return nil, errors.New("table: Select needs a predicate")
+func (t *Table) Read(view View, p Plan) (*Selection, error) {
+	cols := p.Project
+	if p.Reduce == Sum || p.Reduce == MinMax {
+		cols = []int{p.Col}
 	}
-	for _, ci := range project {
-		if ci < 0 || ci >= len(t.cols) {
-			return nil, fmt.Errorf("%w: index %d", ErrNoColumn, ci)
+	for _, ci := range cols {
+		if _, err := t.column(ci); err != nil {
+			return nil, err
 		}
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	conds, err := t.bind(preds)
-	if err != nil {
-		return nil, err
-	}
-	drive, est, indexed := t.chooseSeed(conds)
-	slots := conds[drive].seed(t, view.resolve())
-	s := &Selection{Estimate: est, Indexed: indexed, Seeded: len(slots)}
-	for i, c := range conds {
-		if i != drive {
-			slots = c.refine(slots)
-		}
-	}
-	if project != nil && len(slots) > 0 {
-		k := len(project)
-		flat := make([]any, len(slots)*k)
-		s.Values = make([][]any, len(slots))
-		for i := range s.Values {
-			s.Values[i] = flat[i*k : (i+1)*k : (i+1)*k]
-		}
-		for j, ci := range project {
-			col := t.cols[ci]
-			for i, slot := range slots {
-				s.Values[i][j] = col.get(slot)
-			}
-		}
-	}
-	s.Rows = t.idsOf(slots)
-	return s, nil
-}
-
-// bind binds every predicate to its column (t.mu held), so a bad one fails
-// the query before any scan.
-func (t *Table) bind(preds []Pred) ([]cond, error) {
-	conds := make([]cond, len(preds))
-	for i, p := range preds {
-		if p.Col < 0 || p.Col >= len(t.cols) {
-			return nil, fmt.Errorf("%w: index %d", ErrNoColumn, p.Col)
-		}
-		c, err := t.cols[p.Col].bind(p)
+	// Bound before any scan, and here rather than in a helper: a fan-out
+	// runs Read on a fresh goroutine, whose small first stack a deeper call
+	// chain makes the runtime grow, at a cost above an indexed lookup's.
+	var buf [4]cond // a plan's few predicates bind without an allocation
+	conds := buf[:0]
+	for _, pr := range p.Preds {
+		col, err := t.column(pr.Col)
 		if err != nil {
 			return nil, err
 		}
-		conds[i] = c
+		c, err := col.bind(pr)
+		if err != nil {
+			return nil, err
+		}
+		conds = append(conds, c)
 	}
-	return conds, nil
+	e := view.resolve()
+	s := &Selection{}
+	var slots []int
+	all := len(conds) == 0
+	switch {
+	case all && p.Reduce == Count:
+		s.Count = t.countVisible(e)
+		return s, nil
+	case all && p.Reduce == Rows:
+		slots = t.visibleSlots(e)
+	case all: // aggregated by the fused kernels, no slot materialized
+	case len(conds) == 1 && p.Reduce == Count && !p.Preds[0].Range:
+		s.Count = conds[0].count(t, e)
+		return s, nil
+	default:
+		drive, est, indexed := t.chooseSeed(conds)
+		slots = conds[drive].seed(t, e)
+		s.Estimate, s.Indexed, s.Seeded = est, indexed, len(slots)
+		for i, c := range conds {
+			if i != drive {
+				slots = c.refine(slots)
+			}
+		}
+	}
+	switch p.Reduce {
+	case Count:
+		s.Count = len(slots)
+	case Sum, MinMax:
+		return s, t.cols[p.Col].aggregate(t, e, slots, all, p.Reduce == MinMax, s)
+	default:
+		if p.Limit > 0 && len(slots) > p.Limit {
+			slots = slots[:p.Limit]
+		}
+		s.Values = t.project(slots, p.Project)
+		s.Rows = t.idsOf(slots)
+	}
+	return s, nil
+}
+
+// column returns the column at index ci.
+func (t *Table) column(ci int) (column, error) {
+	if ci < 0 || ci >= len(t.cols) {
+		return nil, fmt.Errorf("%w: index %d", ErrNoColumn, ci)
+	}
+	return t.cols[ci], nil
 }
 
 // chooseSeed picks the driving predicate by estimated cost and returns it
@@ -132,6 +181,49 @@ func (t *Table) chooseSeed(conds []cond) (drive, est int, indexed bool) {
 	return drive, est, indexed
 }
 
+// countVisible returns the number of rows visible at epoch e (t.mu held).
+// The main's rows are counted without a per-row test when all are visible.
+func (t *Table) countVisible(e uint64) int {
+	nm := t.cols[0].mainLen()
+	mb, me := t.mainEpochs(e)
+	begin, end := t.epochs.Raw()
+	return kernel.CountVisible(mb, me, e, 0, nm) + kernel.CountVisible(begin, end, e, nm, t.rows)
+}
+
+// visibleSlots returns the slots visible at epoch e, ascending (t.mu held).
+func (t *Table) visibleSlots(e uint64) []int {
+	nm := t.cols[0].mainLen()
+	mb, me := t.mainEpochs(e)
+	begin, end := t.epochs.Raw()
+	sel := kernel.SelectVisible(begin, end, e, nm, t.rows, kernel.SelectVisible(mb, me, e, 0, nm, nil))
+	slots := make([]int, len(sel))
+	for i, p := range sel {
+		slots[i] = int(p)
+	}
+	return slots
+}
+
+// project decodes the projected columns of every slot, column at a time,
+// into one backing array; nil without a projection or a slot (t.mu held).
+func (t *Table) project(slots []int, project []int) [][]any {
+	if project == nil || len(slots) == 0 {
+		return nil
+	}
+	k := len(project)
+	flat := make([]any, len(slots)*k)
+	values := make([][]any, len(slots))
+	for i := range values {
+		values[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
+	for j, ci := range project {
+		col := t.cols[ci]
+		for i, slot := range slots {
+			values[i][j] = col.get(slot)
+		}
+	}
+	return values
+}
+
 // idsOf maps slots to their stable row ids in place (t.mu held).
 func (t *Table) idsOf(slots []int) []int {
 	for i, s := range slots {
@@ -148,6 +240,8 @@ type cond interface {
 	seed(t *Table, e uint64) []int
 	// refine keeps the slots that match, in place.
 	refine(slots []int) []int
+	// count returns how many slots visible at e match an equality.
+	count(t *Table, e uint64) int
 }
 
 type typedCond[V val.Value] struct {
@@ -158,6 +252,10 @@ type typedCond[V val.Value] struct {
 	// dictionary is sorted, so an equality's interval is [code, code+1),
 	// or empty when the main holds no such value.
 	cLo, cHi uint64
+	// tids holds an equality's delta positions, found once for the estimate
+	// and the seed; tidBuf backs one delta, or two during a merge.
+	tids   [][]int32
+	tidBuf [2][]int32
 }
 
 func (c *typedColumn[V]) bind(p Pred) (cond, error) {
@@ -172,8 +270,22 @@ func (c *typedColumn[V]) bind(p Pred) (cond, error) {
 		}
 	}
 	d := c.main.Dict()
-	return &typedCond[V]{c: c, rng: p.Range, lo: lo, hi: hi,
-		cLo: uint64(d.LowerBound(lo)), cHi: uint64(d.UpperBound(hi))}, nil
+	cLo := d.LowerBound(lo)
+	q := &typedCond[V]{c: c, rng: p.Range, lo: lo, hi: hi, cLo: uint64(cLo), cHi: uint64(cLo)}
+	switch {
+	case p.Range:
+		q.cHi = uint64(d.UpperBound(hi))
+	case cLo < d.Len() && d.At(cLo) == lo:
+		q.cHi++
+	}
+	if !p.Range {
+		q.tids = q.tidBuf[:0]
+		for _, d := range c.deltas {
+			tids, _ := d.Find(lo)
+			q.tids = append(q.tids, tids)
+		}
+	}
+	return q, nil
 }
 
 // estimate returns how many row versions are expected to match, before
@@ -201,8 +313,7 @@ func (q *typedCond[V]) estimate() (rows int, indexed bool) {
 	}
 	switch nd := q.c.deltaLen(); {
 	case !q.rng:
-		for _, d := range q.c.deltas {
-			tids, _ := d.Find(q.lo)
+		for _, tids := range q.tids {
 			rows += len(tids)
 		}
 	case card > 0:
@@ -213,8 +324,70 @@ func (q *typedCond[V]) estimate() (rows int, indexed bool) {
 	return rows, p != nil
 }
 
+// seed is the one positional match: the slots visible at epoch e whose
+// value matches, in ascending order (t.mu held).  The main is matched on
+// the bound code interval, through its group-key index when it has one and
+// by the scan kernels otherwise (split across cores on a large main), then
+// filtered for visibility unless every main row is visible at e.  The
+// deltas contribute an equality's positions found at bind, a range's
+// through their CSB+ trees on an indexed column and by a value scan
+// otherwise.
 func (q *typedCond[V]) seed(t *Table, e uint64) []int {
-	return q.c.match(t, e, q.rng, q.lo, q.hi)
+	c := q.c
+	p := c.main.Index()
+	var sel []int32
+	switch {
+	case q.cLo >= q.cHi:
+	case p != nil && q.rng:
+		sel = p.Range(q.cLo, q.cHi, nil)
+	case p != nil:
+		sel = p.Equal(q.cLo, nil)
+	case q.rng:
+		sel = kernel.MatchRange(c.main.Codes(), q.cLo, q.cHi, nil)
+	default:
+		sel = kernel.MatchEqual(c.main.Codes(), q.cLo, nil)
+	}
+	if p != nil {
+		t.routeIndexed.Add(1)
+	} else {
+		t.routeScanned.Add(1)
+	}
+	begin, end := t.mainEpochs(e)
+	var slots []int
+	for _, pos := range kernel.FilterVisible(sel, begin, end, e) {
+		slots = append(slots, int(pos))
+	}
+	return q.deltaSlots(t, e, slots)
+}
+
+// deltaSlots appends to slots the delta slots visible at epoch e that
+// match, ascending (t.mu held).
+func (q *typedCond[V]) deltaSlots(t *Table, e uint64, slots []int) []int {
+	base := q.c.main.Len()
+	for i, d := range q.c.deltas {
+		var tids []int32
+		switch {
+		case !q.rng:
+			tids = q.tids[i]
+		case q.c.main.Index() != nil:
+			// FindRange returns ascending positions, so the order matches
+			// the value scan below exactly.
+			tids = d.FindRange(q.lo, q.hi, nil)
+		default:
+			for i, v := range d.Values() {
+				if v >= q.lo && v <= q.hi && t.epochs.VisibleAt(base+i, e) {
+					slots = append(slots, base+i)
+				}
+			}
+		}
+		for _, tid := range tids {
+			if s := base + int(tid); t.epochs.VisibleAt(s, e) {
+				slots = append(slots, s)
+			}
+		}
+		base += d.Len()
+	}
+	return slots
 }
 
 // refine tests a main slot's code against the code interval, with no
@@ -238,60 +411,85 @@ func (q *typedCond[V]) refine(slots []int) []int {
 	return kept
 }
 
-// match returns the slots visible at epoch e whose value equals lo or, when
-// rng is set, lies in [lo, hi], in ascending order (t.mu held).  It is the
-// one positional match of LookupAt, RangeAt and Select's seed.  The main
-// is matched through its group-key index when it has one and by the scan
-// kernels otherwise (split across cores on a large main), then filtered
-// for visibility unless every main row is visible at e.  The deltas are
-// matched through their CSB+ trees, except for a range on an unindexed
-// column, which scans the delta values.
-func (c *typedColumn[V]) match(t *Table, e uint64, rng bool, lo, hi V) []int {
-	indexed := c.main.Index() != nil
-	var sel []int32
-	switch {
-	case indexed && rng:
-		sel = c.main.SelRangeIndexed(lo, hi, nil)
-	case indexed:
-		sel = c.main.SelEqualIndexed(lo, nil)
-	case rng:
-		sel = c.main.SelRange(lo, hi, nil)
-	default:
-		sel = c.main.SelEqual(lo, nil)
-	}
-	if indexed {
-		t.routeIndexed.Add(1)
-	} else {
-		t.routeScanned.Add(1)
-	}
+// count counts an equality's matches visible at epoch e (t.mu held): the
+// main's by the fused match+visibility kernel, split across cores on a
+// large main, or over its posting list — by matches alone when every main
+// row is visible — and the deltas' among the positions found at bind.
+func (q *typedCond[V]) count(t *Table, e uint64) int {
+	c := q.c
 	begin, end := t.mainEpochs(e)
-	var slots []int
-	for _, p := range kernel.FilterVisible(sel, begin, end, e) {
-		slots = append(slots, int(p))
+	n := 0
+	if q.cLo < q.cHi {
+		if p := c.main.Index(); p != nil {
+			// Bucket aliases the index, so the read-only counting kernel is
+			// used rather than the in-place filter.
+			t.routeIndexed.Add(1)
+			n = kernel.CountSelVisible(p.Bucket(q.cLo), begin, end, e)
+		} else {
+			t.routeScanned.Add(1)
+			n = kernel.CountEqual(c.main.Codes(), q.cLo, begin, end, e)
+		}
 	}
+	return n + len(q.deltaSlots(t, e, nil))
+}
+
+// aggregate folds the column's values into s.Sum or, when minMax is set,
+// s.Min, s.Max and s.Found (t.mu held): over the given slots, or over
+// every row visible at epoch e when all is set.  Only integer columns
+// aggregate; any other fails with ErrColumnType.
+func (c *typedColumn[V]) aggregate(t *Table, e uint64, slots []int, all, minMax bool, s *Selection) error {
+	switch ic := any(c).(type) {
+	case *typedColumn[uint32]:
+		aggregateInts(ic, t, e, slots, all, minMax, s)
+	case *typedColumn[uint64]:
+		aggregateInts(ic, t, e, slots, all, minMax, s)
+	default:
+		return fmt.Errorf("%w: %v column %q does not aggregate", ErrColumnType, c.d.Type, c.d.Name)
+	}
+	return nil
+}
+
+// aggregateInts is aggregate on an integer column.  Over every visible row
+// the main is reduced by one fused decode-visibility-reduce kernel, split
+// across cores on a large main and testing nothing when every main row is
+// visible; MinMaxVisible reduces over codes, as the main's min/max code IS
+// its min/max value, and pays two dictionary accesses.  The delta values
+// are read directly.
+func aggregateInts[V ~uint32 | ~uint64](c *typedColumn[V], t *Table, e uint64, slots []int, all, minMax bool, s *Selection) {
+	fold := func(v V) {
+		x := uint64(v)
+		switch {
+		case !minMax:
+			s.Sum += x
+		case !s.Found:
+			s.Min, s.Max, s.Found = x, x, true
+		default:
+			s.Min, s.Max = min(s.Min, x), max(s.Max, x)
+		}
+	}
+	if !all {
+		for _, slot := range slots {
+			v, _ := c.getTyped(slot)
+			fold(v)
+		}
+		return
+	}
+	mb, me := t.mainEpochs(e)
+	if !minMax {
+		s.Sum = kernel.SumVisible(c.main.Codes(), c.main.Dict().Values(), mb, me, e)
+	} else if cMin, cMax, ok := kernel.MinMaxVisible(c.main.Codes(), mb, me, e); ok {
+		d := c.main.Dict()
+		fold(d.At(int(cMin)))
+		fold(d.At(int(cMax)))
+	}
+	begin, end := t.epochs.Raw()
 	base := c.main.Len()
 	for _, d := range c.deltas {
-		var tids []int32
-		switch {
-		case !rng:
-			tids, _ = d.Find(lo)
-		case indexed:
-			// FindRange returns ascending positions, so the order matches
-			// the value scan below exactly.
-			tids = d.FindRange(lo, hi, nil)
-		default:
-			for i, v := range d.Values() {
-				if v >= lo && v <= hi && t.epochs.VisibleAt(base+i, e) {
-					slots = append(slots, base+i)
-				}
-			}
-		}
-		for _, tid := range tids {
-			if s := base + int(tid); t.epochs.VisibleAt(s, e) {
-				slots = append(slots, s)
+		for i, v := range d.Values() {
+			if begin[base+i] <= e && end[base+i]-1 >= e {
+				fold(v)
 			}
 		}
 		base += d.Len()
 	}
-	return slots
 }

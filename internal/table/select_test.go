@@ -2,18 +2,19 @@ package table
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"testing"
 )
 
-// eq and between build Select predicates on the named column.
+// eq and between build Plan predicates on the named column.
 func eq(tb *Table, col string, v any) Pred {
-	ci, _ := tb.columnIndex(col)
+	ci, _ := tb.schema.Index(col)
 	return Pred{Col: ci, Lo: v}
 }
 
 func between(tb *Table, col string, lo, hi any) Pred {
-	ci, _ := tb.columnIndex(col)
+	ci, _ := tb.schema.Index(col)
 	return Pred{Col: ci, Range: true, Lo: lo, Hi: hi}
 }
 
@@ -42,14 +43,18 @@ func buildSeedTable(t *testing.T) *Table {
 	return tb
 }
 
-// seedOf returns the predicate Select would drive with.
+// seedOf returns the predicate Read would drive with.
 func seedOf(t *testing.T, tb *Table, preds []Pred) int {
 	t.Helper()
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
-	conds, err := tb.bind(preds)
-	if err != nil {
-		t.Fatal(err)
+	var conds []cond
+	for _, p := range preds {
+		c, err := tb.cols[p.Col].bind(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conds = append(conds, c)
 	}
 	drive, _, _ := tb.chooseSeed(conds)
 	return drive
@@ -116,7 +121,7 @@ func TestChooseSeedRange(t *testing.T) {
 }
 
 // TestChooseSeedBadFilter: a predicate that cannot be bound — an unknown
-// column, a value or bound the column cannot hold — fails Select in any
+// column, a value or bound the column cannot hold — fails Read in any
 // position, before any seed runs.
 func TestChooseSeedBadFilter(t *testing.T) {
 	tb := buildSeedTable(t)
@@ -131,19 +136,32 @@ func TestChooseSeedBadFilter(t *testing.T) {
 	} {
 		for _, preds := range [][]Pred{{bad}, {bad, good}, {good, bad}} {
 			idx0, scan0 := tb.RoutingCounts()
-			if _, err := tb.Select(Latest(), preds, nil); err == nil {
-				t.Fatalf("Select(%+v) accepted", preds)
+			if _, err := tb.Read(Latest(), Plan{Preds: preds}); err == nil {
+				t.Fatalf("Read(%+v) accepted", preds)
 			}
 			if idx, scan := tb.RoutingCounts(); idx != idx0 || scan != scan0 {
-				t.Fatalf("Select(%+v) seeded before failing", preds)
+				t.Fatalf("Read(%+v) seeded before failing", preds)
 			}
 		}
 	}
-	if _, err := tb.Select(Latest(), nil, nil); err == nil {
-		t.Fatal("Select without predicates accepted")
+	if all, err := tb.Read(Latest(), Plan{}); err != nil || len(all.Rows) != tb.ValidRows() {
+		t.Fatalf("Read without predicates = %d rows, %v, want every one of %d", len(all.Rows), err, tb.ValidRows())
 	}
-	if _, err := tb.Select(Latest(), []Pred{good}, []int{3}); err == nil {
-		t.Fatal("Select projecting an unknown column accepted")
+	if _, err := tb.Read(Latest(), Plan{Preds: []Pred{good}, Project: []int{3}}); !errors.Is(err, ErrNoColumn) {
+		t.Fatalf("Read projecting an unknown column: %v", err)
+	}
+	for _, r := range []Reduce{Sum, MinMax} {
+		if _, err := tb.Read(Latest(), Plan{Reduce: r, Col: 3}); !errors.Is(err, ErrNoColumn) {
+			t.Fatalf("reduction %d over an unknown column: %v", r, err)
+		}
+		for _, preds := range [][]Pred{nil, {good}} {
+			if _, err := tb.Read(Latest(), Plan{Preds: preds, Reduce: r, Col: 2}); !errors.Is(err, ErrColumnType) {
+				t.Fatalf("reduction %d over the string column: %v", r, err)
+			}
+		}
+	}
+	if _, err := tb.Read(Latest(), Plan{Preds: []Pred{eq(tb, "k", "str")}}); !errors.Is(err, ErrColumnType) {
+		t.Fatalf("Read with a mistyped value: %v", err)
 	}
 }
 
@@ -165,7 +183,7 @@ func TestIndexedQueryDifferential(t *testing.T) {
 	}
 	var before []*Selection
 	for _, q := range queries {
-		r, err := tb.Select(Latest(), q, nil)
+		r, err := tb.Read(Latest(), Plan{Preds: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +195,7 @@ func TestIndexedQueryDifferential(t *testing.T) {
 		}
 	}
 	for qi, q := range queries {
-		r, err := tb.Select(Latest(), q, nil)
+		r, err := tb.Read(Latest(), Plan{Preds: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +205,7 @@ func TestIndexedQueryDifferential(t *testing.T) {
 	}
 }
 
-// checkSelect runs Select at one view with every conjunction of an
+// checkSelect runs Read at one view with every conjunction of an
 // equality or range on id and an equality or range on qty — each alone
 // and each pair — projecting every column in reverse order, and compares
 // the rows and values with the scalar reference: the stored versions in
@@ -245,6 +263,7 @@ func checkSelect(t *testing.T, tb *Table, view View, at string) {
 	for _, q := range qtys {
 		queries = append(queries, []pred{q})
 	}
+	queries = append(queries, nil) // every visible row
 	project := []int{2, 1, 0}
 	for _, q := range queries {
 		preds := make([]Pred, len(q))
@@ -263,24 +282,66 @@ func checkSelect(t *testing.T, tb *Table, view View, at string) {
 		for i, p := range q {
 			preds[i] = p.p
 		}
-		got, err := tb.Select(view, preds, project)
+		got, err := tb.Read(view, Plan{Preds: preds, Project: project})
 		if err != nil {
-			t.Fatalf("%s: Select(%+v): %v", at, preds, err)
+			t.Fatalf("%s: Read(%+v): %v", at, preds, err)
 		}
 		if !slices.Equal(got.Rows, wantRows) {
-			t.Fatalf("%s: Select(%+v) rows = %v, want %v", at, preds, got.Rows, wantRows)
+			t.Fatalf("%s: Read(%+v) rows = %v, want %v", at, preds, got.Rows, wantRows)
 		}
 		if len(got.Values) != len(wantVals) {
-			t.Fatalf("%s: Select(%+v): %d projected rows, want %d", at, preds, len(got.Values), len(wantVals))
+			t.Fatalf("%s: Read(%+v): %d projected rows, want %d", at, preds, len(got.Values), len(wantVals))
 		}
 		for i := range wantVals {
 			if !slices.Equal(got.Values[i], wantVals[i]) {
-				t.Fatalf("%s: Select(%+v) row %d = %v, want %v", at, preds, got.Rows[i], got.Values[i], wantVals[i])
+				t.Fatalf("%s: Read(%+v) row %d = %v, want %v", at, preds, got.Rows[i], got.Values[i], wantVals[i])
 			}
 		}
-		plain, err := tb.Select(view, preds, nil)
+		plain, err := tb.Read(view, Plan{Preds: preds})
 		if err != nil || !slices.Equal(plain.Rows, wantRows) || plain.Values != nil {
-			t.Fatalf("%s: Select(%+v) without projection = %+v, %v", at, preds, plain, err)
+			t.Fatalf("%s: Read(%+v) without projection = %+v, %v", at, preds, plain, err)
+		}
+		limited, err := tb.Read(view, Plan{Preds: preds, Limit: 2})
+		if err != nil || !slices.Equal(limited.Rows, wantRows[:min(2, len(wantRows))]) {
+			t.Fatalf("%s: Read(%+v) limited to 2 = %+v, %v", at, preds, limited, err)
+		}
+		checkReduce(t, tb, view, preds, wantVals, at)
+	}
+}
+
+// checkReduce runs the Count, Sum and MinMax reductions of preds at one
+// view over id and qty and compares them with the matching rows' values
+// (projected as product, qty, id).
+func checkReduce(t *testing.T, tb *Table, view View, preds []Pred, rows [][]any, at string) {
+	t.Helper()
+	for col, pos := range []int{2, 1} {
+		var want Selection
+		for _, r := range rows {
+			x, ok := r[pos].(uint64)
+			if !ok {
+				x = uint64(r[pos].(uint32))
+			}
+			want.Sum += x
+			if !want.Found || x < want.Min {
+				want.Min = x
+			}
+			if !want.Found || x > want.Max {
+				want.Max = x
+			}
+			want.Found = true
+		}
+		count, err := tb.Read(view, Plan{Preds: preds, Reduce: Count})
+		if err != nil || count.Count != len(rows) {
+			t.Fatalf("%s: Count(%+v) = %+v, %v, want %d", at, preds, count, err, len(rows))
+		}
+		sum, err := tb.Read(view, Plan{Preds: preds, Reduce: Sum, Col: col})
+		if err != nil || sum.Sum != want.Sum {
+			t.Fatalf("%s: Sum(%+v) of column %d = %+v, %v, want %d", at, preds, col, sum, err, want.Sum)
+		}
+		mm, err := tb.Read(view, Plan{Preds: preds, Reduce: MinMax, Col: col})
+		if err != nil || mm.Min != want.Min || mm.Max != want.Max || mm.Found != want.Found {
+			t.Fatalf("%s: MinMax(%+v) of column %d = %+v, %v, want %d, %d, %v",
+				at, preds, col, mm, err, want.Min, want.Max, want.Found)
 		}
 	}
 }

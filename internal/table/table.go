@@ -62,7 +62,6 @@ import (
 
 	"hyrise/internal/core"
 	"hyrise/internal/epoch"
-	"hyrise/internal/kernel"
 	"hyrise/internal/oplog"
 )
 
@@ -124,6 +123,16 @@ func (s Schema) Validate() error {
 	return nil
 }
 
+// Index resolves a column name to its position.
+func (s Schema) Index(name string) (int, error) {
+	for i, c := range s {
+		if c.Name == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q", ErrNoColumn, name)
+}
+
 // Errors returned by table operations.
 var (
 	ErrRowRange        = errors.New("table: row id out of range")
@@ -131,6 +140,9 @@ var (
 	ErrMergeInProgress = errors.New("table: merge already in progress")
 	ErrNoColumn        = errors.New("table: no such column")
 	ErrArity           = errors.New("table: value count does not match schema")
+	// ErrColumnType rejects a value the column's type cannot hold, and a
+	// Sum or MinMax over a column that is not an integer column.
+	ErrColumnType = errors.New("table: value does not fit column type")
 	// ErrSealed rejects writes that would create a new row version in a
 	// partition retired by online resharding.  Invalidation (Delete) and
 	// moving rows OUT remain allowed; the sharded router reacts to
@@ -345,16 +357,6 @@ func (t *Table) Schema() Schema { return t.schema }
 // NumColumns returns N_C.
 func (t *Table) NumColumns() int { return len(t.schema) }
 
-// columnIndex resolves a column name.
-func (t *Table) columnIndex(name string) (int, error) {
-	for i, c := range t.schema {
-		if c.Name == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: %q", ErrNoColumn, name)
-}
-
 // Insert appends one row; values must match the schema's arity and types.
 // It returns the new row id.  It is a one-row InsertRows.
 func (t *Table) Insert(values []any) (int, error) {
@@ -387,7 +389,7 @@ func (t *Table) insertLocked(values []any, at uint64) int {
 // version and invalidates the old one.  It returns the new row id.
 func (t *Table) Update(row int, changes map[string]any) (int, error) {
 	for name, v := range changes {
-		i, err := t.columnIndex(name)
+		i, err := t.schema.Index(name)
 		if err != nil {
 			return 0, err
 		}
@@ -412,7 +414,7 @@ func (t *Table) Update(row int, changes map[string]any) (int, error) {
 		values[i] = t.cols[i].get(slot)
 	}
 	for name, v := range changes {
-		i, _ := t.columnIndex(name)
+		i, _ := t.schema.Index(name)
 		values[i] = v
 	}
 	// One stamp for both sides makes the version switch atomic: a snapshot
@@ -505,21 +507,13 @@ func (t *Table) Rows() int {
 }
 
 // ValidRows returns the number of current (non-invalidated) rows.
-func (t *Table) ValidRows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.epochs.CountAlive()
-}
+func (t *Table) ValidRows() int { return t.ValidRowsAt(Latest()) }
 
-// ValidRowsAt returns the number of rows visible at the view's epoch.  The
-// main's rows are counted without a per-row test when all are visible.
+// ValidRowsAt returns the number of rows visible at the view's epoch: a
+// Count plan without predicates, which cannot fail.
 func (t *Table) ValidRowsAt(v View) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e, nm := v.resolve(), t.cols[0].mainLen()
-	mb, me := t.mainEpochs(e)
-	begin, end := t.epochs.Raw()
-	return kernel.CountVisible(mb, me, e, 0, nm) + kernel.CountVisible(begin, end, e, nm, t.rows)
+	s, _ := t.Read(v, Plan{Reduce: Count})
+	return s.Count
 }
 
 // MainRows returns the tuple count of the main partitions.

@@ -40,11 +40,10 @@ func ViewAt(e uint64) View { return View{epoch: e} }
 func (v View) Epoch() uint64 { return v.resolve() }
 
 // IsLatest reports whether this is the zero (latest) view.  A latest read
-// that spans several lock holds — a query fanned out over partitions, a
-// scan whose rows are read after it — uses it to swap in a short-lived
-// pinned snapshot, so every step reads one epoch and no GC merge reclaims
-// a row between them.  A read under one lock hold (Table.Select, every
-// handle read) needs no pin.
+// that spans several lock holds — a read fanned out over partitions — uses
+// it to swap in a short-lived pinned snapshot, so every step reads one
+// epoch and no GC merge reclaims a row between them.  A read under one
+// lock hold (Table.Read, every handle read) needs no pin.
 func (v View) IsLatest() bool { return v.epoch == 0 }
 
 // Release drops the view's GC pin, letting garbage collection reclaim the

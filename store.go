@@ -37,10 +37,10 @@ var ErrDriverColumnType = workload.ErrDriverColumnType
 // Handle is a typed single-column view over a Table, supporting key
 // lookups, range selects and scans over valid rows, by value (Lookup,
 // Range, Scan, CountEqual, Distinct, Get) or at a ReadView's epoch (the At
-// variants).  Every method runs the same-named read on each partition and
-// combines: inline on a one-partition store, in parallel otherwise, always
-// returning ascending row ids.  Scan/ScanAt callbacks run under a
-// partition's read lock and must not call back into the store.
+// variants).  Every read runs at one epoch on every partition — over
+// several, a latest read pins one snapshot for the call — and returns
+// ascending row ids.  Scan/ScanAt callbacks run under a partition's read
+// lock and must not call back into the store.
 type Handle[V Value] = shard.Handle[V]
 
 // NumericHandle adds Sum/Min/Max aggregation (and their At variants) over
@@ -68,7 +68,7 @@ func Query(t *Table, filters []Filter, project []string) (*QueryResult, error) {
 // QueryAt is Query against the rows visible at the view's epoch: the
 // result reflects one frozen state of the whole store — across all
 // partitions, which evaluate in parallel — even while writers and merges
-// proceed.  A latest view is pinned for the duration of the query.
+// proceed.  Over several partitions a latest view is pinned for the query.
 func QueryAt(t *Table, view ReadView, filters []Filter, project []string) (*QueryResult, error) {
 	return shard.QueryAt(t, view, filters, project)
 }
