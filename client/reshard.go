@@ -28,8 +28,8 @@ type ReshardReport struct {
 // reads (latest and snapshot) and writes keep working on every connection
 // throughout, and replication followers replay the same migration from
 // the op log.  It fails with ErrReadOnly on a follower.  Note Shards()
-// keeps reporting the dial-time count; use ServerStats for the live
-// topology.
+// keeps reporting the dial-time count; the live topology is the
+// hyrise_store_shards series of Metrics.
 func (c *Client) Reshard(n int) (ReshardReport, error) {
 	var req wire.Buffer
 	req.U8(wire.OpReshard)

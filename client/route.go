@@ -3,6 +3,7 @@ package client
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,10 +41,10 @@ type follower struct {
 	mu         sync.Mutex
 	c          *Client       // nil until first use
 	pins       map[Snap]Snap // primary snapshot token -> follower pin token
-	statsAt    time.Time     // when stats was measured (zero = never)
-	stats      ServerStats
-	downTo     time.Time // cooling off after an error
-	refreshing bool      // a background stats refresher is running
+	statsAt    time.Time     // when lag was measured (zero = never)
+	lag        uint64        // epochs behind the primary, as of statsAt
+	downTo     time.Time     // cooling off after an error
+	refreshing bool          // a background stats refresher is running
 }
 
 // followerCooldown is how long a follower sits out after an error before
@@ -120,9 +121,9 @@ func (f *follower) refreshStats() {
 		case <-time.After(followerCooldown / 4):
 		}
 		if c, err := f.client(); err == nil {
-			if st, err := c.ServerStats(); err == nil {
+			if lag, err := lagOf(c); err == nil {
 				f.mu.Lock()
-				f.stats = st
+				f.lag = lag
 				f.statsAt = time.Now()
 				f.mu.Unlock()
 			}
@@ -144,12 +145,12 @@ func (f *follower) refreshStats() {
 	}
 }
 
-// lag returns the follower's epoch lag behind its primary, measuring it
-// over the wire when the cached value is older than statsTTL.
-func (f *follower) lag() (uint64, error) {
+// currentLag returns the follower's epoch lag behind its primary,
+// measuring it over the wire when the cached value is older than statsTTL.
+func (f *follower) currentLag() (uint64, error) {
 	f.mu.Lock()
 	if !f.statsAt.IsZero() && time.Since(f.statsAt) < statsTTL {
-		l := f.stats.Lag
+		l := f.lag
 		f.mu.Unlock()
 		return l, nil
 	}
@@ -158,15 +159,37 @@ func (f *follower) lag() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	st, err := c.ServerStats()
+	lag, err := lagOf(c)
 	if err != nil {
 		return 0, err
 	}
 	f.mu.Lock()
-	f.stats = st
+	f.lag = lag
 	f.statsAt = time.Now()
 	f.mu.Unlock()
-	return st.Lag, nil
+	return lag, nil
+}
+
+// lagSeries is the follower gauge routing reads: primary epoch minus
+// applied epoch.
+const lagSeries = "hyrise_replica_lag_epochs"
+
+// lagOf measures a server's epoch lag from its metrics snapshot.  A server
+// whose hello announced the primary role is exact by definition; a
+// follower without the lag series cannot be judged and is not routed to.
+func lagOf(c *Client) (uint64, error) {
+	if c.Role() == RolePrimary {
+		return 0, nil
+	}
+	samples, err := c.Metrics()
+	if err != nil {
+		return 0, err
+	}
+	v, ok := MetricValue(samples, lagSeries)
+	if !ok {
+		return 0, fmt.Errorf("client: follower %s reports no %s", c.addr, lagSeries)
+	}
+	return uint64(v), nil
 }
 
 // pinFor resolves the follower-local pin token for a primary snapshot,
@@ -270,7 +293,7 @@ func (c *Client) tryFollower(f *follower, req []byte, s Snap, epoch uint64) (*wi
 			return nil, err
 		}
 	} else {
-		lag, err := f.lag()
+		lag, err := f.currentLag()
 		if err != nil {
 			return nil, err
 		}
@@ -291,135 +314,3 @@ func (c *Client) tryFollower(f *follower, req []byte, s Snap, epoch uint64) (*wi
 // errStale marks a follower too far behind for a latest read; it only
 // travels from tryFollower to doRead.
 var errStale = errors.New("client: follower too stale")
-
-// ServerStats is the server-level replication and op-log summary returned
-// by Client.ServerStats.
-type ServerStats struct {
-	// Role and Protocol are what the server's hello announces.
-	Role     Role
-	Protocol int
-	// Replicating reports whether an op log is attached (primary side).
-	Replicating bool
-	// OplogFirst/OplogNext bound the retained log [first, next); Entries
-	// is their distance.
-	OplogFirst   uint64
-	OplogNext    uint64
-	OplogEntries uint64
-	// Followers counts live replication subscribers (primary side).
-	Followers int
-	// PrimaryEpoch is the primary's epoch (its own on a primary; as of
-	// the last heartbeat on a follower).  AppliedEpoch is the epoch local
-	// reads are exact at; Lag is their distance.
-	PrimaryEpoch uint64
-	AppliedEpoch uint64
-	Lag          uint64
-	// AppliedLSN is the next op-log position the server will apply (on a
-	// primary: the log's next LSN).
-	AppliedLSN uint64
-	// Uptime is how long the server has been up.
-	Uptime time.Duration
-	// Ops lists cumulative request/error counts per opcode, for every
-	// opcode served at least once.
-	Ops []OpCount
-	// Shards is the live active shard count and Partitions the physical
-	// partition count including sealed pre-reshard partitions;
-	// ShardMapVersion starts at 1 and advances twice per reshard;
-	// Resharding reports a migration in flight.
-	Shards          int
-	Partitions      int
-	ShardMapVersion uint64
-	Resharding      bool
-}
-
-// OpCount is one opcode's cumulative request and error totals since
-// server start.
-type OpCount struct {
-	// Op is the opcode's wire name ("lookup", "insert", ...).
-	Op       string
-	Requests uint64
-	Errors   uint64
-}
-
-// ServerStats fetches the server's replication/op-log summary.
-func (c *Client) ServerStats() (ServerStats, error) {
-	var req wire.Buffer
-	req.U8(wire.OpServerStats)
-	r, err := c.do(req.Bytes())
-	if err != nil {
-		return ServerStats{}, err
-	}
-	var st ServerStats
-	role, err := r.U8()
-	if err != nil {
-		return st, err
-	}
-	st.Role = Role(role)
-	proto, err := r.U32()
-	if err != nil {
-		return st, err
-	}
-	st.Protocol = int(proto)
-	repl, err := r.U8()
-	if err != nil {
-		return st, err
-	}
-	st.Replicating = repl != 0
-	for _, p := range []*uint64{&st.OplogFirst, &st.OplogNext, &st.OplogEntries} {
-		if *p, err = r.U64(); err != nil {
-			return st, err
-		}
-	}
-	nf, err := r.U32()
-	if err != nil {
-		return st, err
-	}
-	st.Followers = int(nf)
-	for _, p := range []*uint64{&st.PrimaryEpoch, &st.AppliedEpoch, &st.Lag, &st.AppliedLSN} {
-		if *p, err = r.U64(); err != nil {
-			return st, err
-		}
-	}
-	up, err := r.U64()
-	if err != nil {
-		return st, err
-	}
-	st.Uptime = time.Duration(up)
-	n, err := r.U16()
-	if err != nil {
-		return st, err
-	}
-	st.Ops = make([]OpCount, 0, n)
-	for i := 0; i < int(n); i++ {
-		op, err := r.U8()
-		if err != nil {
-			return st, err
-		}
-		oc := OpCount{Op: wire.OpName(op)}
-		if oc.Requests, err = r.U64(); err != nil {
-			return st, err
-		}
-		if oc.Errors, err = r.U64(); err != nil {
-			return st, err
-		}
-		st.Ops = append(st.Ops, oc)
-	}
-	ns, err := r.U32()
-	if err != nil {
-		return st, err
-	}
-	st.Shards = int(ns)
-	np, err := r.U32()
-	if err != nil {
-		return st, err
-	}
-	st.Partitions = int(np)
-	if st.ShardMapVersion, err = r.U64(); err != nil {
-		return st, err
-	}
-	resharding, err := r.U8()
-	if err != nil {
-		return st, err
-	}
-	st.Resharding = resharding != 0
-	return st, nil
-}

@@ -10,21 +10,37 @@ import (
 	"hyrise/client"
 )
 
-// waitFollowerApplied polls the follower daemon's replication stats until
-// its applied epoch reaches e.
+// series reads the named series from a server's metrics snapshot; a
+// missing one fails the test.
+func series(t *testing.T, c *client.Client, names ...string) []float64 {
+	t.Helper()
+	samples, err := c.Metrics()
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	vals := make([]float64, len(names))
+	for i, name := range names {
+		v, ok := client.MetricValue(samples, name)
+		if !ok {
+			t.Fatalf("metrics snapshot lacks %s", name)
+		}
+		vals[i] = v
+	}
+	return vals
+}
+
+// waitFollowerApplied polls the follower daemon's applied-epoch gauge
+// until it reaches e.
 func waitFollowerApplied(t *testing.T, fc *client.Client, e uint64) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		st, err := fc.ServerStats()
-		if err != nil {
-			t.Fatalf("follower stats: %v", err)
-		}
-		if st.AppliedEpoch >= e {
+		applied := uint64(series(t, fc, "hyrise_replica_applied_epoch")[0])
+		if applied >= e {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at epoch %d, want %d", st.AppliedEpoch, e)
+			t.Fatalf("follower stuck at epoch %d, want %d", applied, e)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -12,6 +12,11 @@ import (
 	"hyrise/client"
 )
 
+// topology names the live shard-topology series, in the order the
+// reshard tests index them: active shards, physical partitions, shard-map
+// version, migration in flight.
+var topology = []string{"hyrise_store_shards", "hyrise_store_partitions", "hyrise_shard_map_version", "hyrise_store_resharding"}
+
 // TestReshardAdminMode starts a daemon, grows it from 2 to 8 active
 // shards with the -reshard admin mode (a second run invocation acting as
 // a client), and checks the live topology and data through the protocol.
@@ -46,12 +51,8 @@ func TestReshardAdminMode(t *testing.T) {
 		t.Fatalf("hyrised -reshard 8: %v", err)
 	}
 
-	stats, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Shards != 8 || stats.Partitions != 10 || stats.Resharding {
-		t.Fatalf("post-reshard topology = %+v", stats)
+	if top := series(t, c, topology...); top[0] != 8 || top[1] != 10 || top[3] != 0 {
+		t.Fatalf("post-reshard topology %v = %v", topology, top)
 	}
 	for _, k := range []uint64{0, 250, 499} {
 		ids, err := c.Lookup("k", k)
@@ -164,12 +165,9 @@ func TestReshardOneShardDaemon(t *testing.T) {
 		t.Fatalf("%d of %d pinned reads failed across the reshard", failed.Load(), reads.Load())
 	}
 
-	stats, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Shards != 3 || stats.Partitions != 4 || stats.Resharding {
-		t.Fatalf("post-reshard topology = %+v", stats)
+	top := series(t, c, topology...)
+	if top[0] != 3 || top[1] != 4 || top[3] != 0 {
+		t.Fatalf("post-reshard topology %v = %v", topology, top)
 	}
 	for _, k := range []uint64{0, 299, 599} {
 		if ids, err := c.Lookup("k", k); err != nil || len(ids) != 1 {
@@ -190,12 +188,8 @@ func TestReshardOneShardDaemon(t *testing.T) {
 	}
 	defer fc.Close()
 	waitFollowerApplied(t, fc, e)
-	fstats, err := fc.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fstats.Shards != 3 || fstats.Partitions != 4 || fstats.ShardMapVersion != stats.ShardMapVersion {
-		t.Fatalf("follower topology = %+v, primary %+v", fstats, stats)
+	if ftop := series(t, fc, topology...); ftop[0] != 3 || ftop[1] != 4 || ftop[2] != top[2] {
+		t.Fatalf("follower topology %v = %v, primary %v", topology, ftop, top)
 	}
 	fsnap, err := fc.Snapshot()
 	if err != nil {

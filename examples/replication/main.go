@@ -19,6 +19,15 @@ import (
 	"hyrise/client"
 )
 
+// metric returns one series of a metrics snapshot, which must hold it.
+func metric(samples []client.Metric, name string) uint64 {
+	v, ok := client.MetricValue(samples, name)
+	if !ok {
+		log.Fatalf("metrics snapshot lacks %s", name)
+	}
+	return uint64(v)
+}
+
 // waitReady polls a server's /healthz until it reports ready for the
 // epoch (a follower answers 200 only once it has applied min_epoch), so
 // topology convergence needs no fixed sleeps.
@@ -169,24 +178,27 @@ func main() {
 	wg.Wait()
 	fmt.Printf("pinned sum %d stayed frozen at epoch %d through 800 updates\n", pinned, epoch)
 
-	// Lag and role are observable per server.
+	// Lag and role are observable per server: the role from the hello
+	// exchange, every number from the server's metrics snapshot.
 	for i, addr := range faddrs {
 		fc, err := client.Dial(addr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fs, err := fc.ServerStats()
+		samples, err := fc.Metrics()
 		fc.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("follower %d: role=%s applied=%d lag=%d\n", i, fs.Role, fs.AppliedEpoch, fs.Lag)
+		fmt.Printf("follower %d: role=%s applied=%d lag=%d\n", i, fc.Role(),
+			metric(samples, "hyrise_replica_applied_epoch"), metric(samples, "hyrise_replica_lag_epochs"))
 	}
-	ps, err := c.ServerStats()
+	samples, err := c.Metrics()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("primary: %d follower(s), op log holds %d ops\n", ps.Followers, ps.OplogEntries)
+	fmt.Printf("primary: %d follower(s), op log holds %d ops\n",
+		metric(samples, "hyrise_oplog_subscribers"), metric(samples, "hyrise_oplog_entries"))
 
 	// Quiesce, converge, and prove the followers are exact: a fresh
 	// snapshot's epoch is applied by both, and the routed aggregate equals
@@ -216,13 +228,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		applied, ok := client.MetricValue(samples, "hyrise_replica_applied_epoch")
-		if !ok || uint64(applied) < e2 {
-			log.Fatalf("follower %d metrics: applied epoch %v, want >= %d", i, applied, e2)
+		applied := metric(samples, "hyrise_replica_applied_epoch")
+		if applied < e2 {
+			log.Fatalf("follower %d metrics: applied epoch %d, want >= %d", i, applied, e2)
 		}
-		lag, _ := client.MetricValue(samples, "hyrise_replica_lag_epochs")
 		fmt.Printf("follower %d: applied_epoch=%d lag=%d (via client.Metrics)\n",
-			i, uint64(applied), uint64(lag))
+			i, applied, metric(samples, "hyrise_replica_lag_epochs"))
 	}
 	final, err := c.SumAt(snap2, "qty")
 	if err != nil {

@@ -157,11 +157,11 @@
 // snapshots taken before the reshard keep reading bit-identical results
 // (the pre-move versions stay in the sealed partitions for as long as a
 // pin can see them), and both marker ops flow through the op log so
-// replication followers
-// replay the same migration and converge on the same topology.  Sealed
-// pre-reshard partitions stick around as empty husks (Stats and
-// ServerStats report active shards and physical partitions separately);
-// persisted snapshots record the active window and map version, and a
+// replication followers replay the same migration and converge on the
+// same topology.  Sealed pre-reshard partitions stick around as empty
+// husks (Stats and the hyrise_store_shards/hyrise_store_partitions series
+// report active shards and physical partitions separately); persisted
+// snapshots record the active window and map version, and a
 // canceled migration cuts over anyway — rows not yet moved stay readable
 // in their sealed partitions and migrate on the next reshard.
 //
@@ -289,10 +289,11 @@
 // epoch (pinned remotely, so the answer equals the primary's), latest
 // reads go to any follower lagging at most client.Options.MaxStaleness
 // epochs, and everything else — including any follower failure — falls
-// back to the primary.  Client.ServerStats exposes role, replication lag
-// and op-log bounds for monitoring.  The same topology runs as daemons
-// with hyrised -replicate and hyrised -follow; see examples/replication
-// for the whole wiring in one process.
+// back to the primary.  For monitoring, Client.Role reports the role the
+// hello exchange announced, and Client.Metrics the replication lag
+// (hyrise_replica_lag_epochs) and op-log bounds (hyrise_oplog_*).  The
+// same topology runs as daemons with hyrised -replicate and hyrised
+// -follow; see examples/replication for the whole wiring in one process.
 //
 // # Observability
 //
@@ -329,8 +330,9 @@
 // -metrics-addr, logs ops slower than -slow-op-threshold as structured
 // log/slog lines (opcode, duration, rows touched, snapshot epoch), and
 // selects text or JSON logs with -log-format.  Remote processes read the
-// same series over the data protocol via Client.Metrics, and
-// Client.ServerStats carries uptime plus cumulative per-op counts.
+// same series over the data protocol via Client.Metrics, uptime
+// (hyrise_server_uptime_seconds) and the cumulative per-op counts
+// (hyrise_server_requests_total/errors_total{op}) included.
 //
 // Overhead: instruments on the request path are lock-free atomics bound
 // per opcode at server construction — no allocation, no map lookups, no

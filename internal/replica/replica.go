@@ -284,7 +284,8 @@ func (r *Replica) run(nc net.Conn, br *bufio.Reader) {
 
 // fatalError marks failures no reconnect can cure: the primary explicitly
 // refused the subscription (log trimmed past our position, replication
-// disabled), or the stream content itself is inconsistent.
+// disabled, a primary of another protocol version), or the stream content
+// itself is inconsistent.
 type fatalError struct{ err error }
 
 func (e fatalError) Error() string { return e.err.Error() }
@@ -312,6 +313,7 @@ func (r *Replica) subscribe(mode uint8, from uint64) (net.Conn, *bufio.Reader, e
 	}()
 	var req wire.Buffer
 	req.U8(wire.OpSubscribe)
+	req.U32(wire.ProtocolVersion)
 	req.U8(mode)
 	req.U64(from)
 	bw := bufio.NewWriter(nc)
@@ -334,7 +336,8 @@ func (r *Replica) subscribe(mode uint8, from uint64) (net.Conn, *bufio.Reader, e
 	if status != wire.StatusOK {
 		msg, _ := body.String()
 		// A reasoned refusal is permanent: the primary is alive and said
-		// no (log trimmed, replication off, bad request).
+		// no (log trimmed, replication off, another protocol version, bad
+		// request).
 		return nil, nil, fatalError{fmt.Errorf("replica: primary refused subscription (status 0x%02x): %s", status, msg)}
 	}
 	gotMode, err := body.U8()

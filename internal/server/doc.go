@@ -88,7 +88,10 @@
 // mismatched pair would misparse each other's frames at the first layout
 // they disagree on.  The exchange is stateless — the server answers every
 // hello identically — and an unknown opcode fails with
-// wire.StatusErrBadRequest without desynchronizing the stream.
+// wire.StatusErrBadRequest without desynchronizing the stream.  A
+// follower's OpSubscribe carries the same version and is refused the same
+// way, so a follower of another build fails at the handshake, not inside
+// the snapshot image.
 //
 // # Merge
 //
@@ -117,7 +120,8 @@
 // A server whose store has an operation log attached (Options.OpLog) is
 // a replication primary.  OpSubscribe turns the requesting connection
 // into a one-way replication stream; it must be the only request on its
-// connection.  The request body is a mode byte plus a u64 LSN:
+// connection.  The request body is the protocol version (u32), a mode
+// byte and a u64 LSN:
 //
 //   - wire.SubSnapshot bootstraps a follower: the server cuts the log
 //     position, responds StatusOK + mode + the cut LSN, streams a
@@ -153,9 +157,6 @@
 // whose history its merges already garbage-collected
 // (wire.StatusErrStaleEpoch) — which is how the pooled client routes a
 // primary snapshot's reads to a follower with exact-answer semantics.
-// OpServerStats reports role, protocol version, op-log bounds, follower
-// count and applied/primary epochs on either side, giving clients a
-// replication-lag measurement.
 //
 // # Observability
 //
@@ -173,15 +174,16 @@
 // opcode, duration, rows touched, snapshot epoch, status and remote
 // address.
 //
-// OpMetrics exposes the same registry over the data protocol.  The request body is empty; the response is u32 n followed
-// by n samples, each a string (the full series name with labels rendered
-// in, e.g. `hyrise_server_requests_total{op="lookup"}`; histogram
-// families contribute their _count and _sum, with durations in seconds)
-// and the value as float64 bits in a u64.  Followers answer locally —
-// their lag gauges are exactly what a client-side topology check wants.
-// OpServerStats carries, after the applied LSN, the uptime (u64
-// nanoseconds), then a u16 count and per entry opcode u8, requests u64,
-// errors u64, listing every opcode served at least once.
+// OpMetrics exposes the same registry over the data protocol; it is the
+// one channel for server-level numbers (replication lag, op-log bounds,
+// followers, per-op counts, shard topology, uptime), and role and
+// protocol come from OpHello.  The request body is empty; the response
+// is u32 n followed by n samples, each a string (the full series name
+// with labels rendered in, e.g. `hyrise_server_requests_total{op="lookup"}`;
+// histogram families contribute their _count and _sum, with durations in
+// seconds) and the value as float64 bits in a u64.  Followers answer
+// locally — their lag gauges are exactly what a client-side topology
+// check wants.
 //
 // # Online resharding
 //
@@ -193,10 +195,7 @@
 // and writes on every other connection keep flowing throughout — the op
 // is a barrier only on its own connection.  It fails with
 // wire.StatusErrReadOnly on a follower (followers converge by replaying
-// the reshard ops from the primary's op log instead).  OpServerStats ends with the live
-// topology — active shards u32, physical partitions u32, shard-map
-// version u64 and a resharding-in-progress byte — so clients can watch a
-// migration land.
+// the reshard ops from the primary's op log instead).
 //
 // # Shutdown
 //

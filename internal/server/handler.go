@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"hyrise/internal/query"
 	"hyrise/internal/shard"
@@ -83,8 +82,6 @@ func (s *Server) handle(payload []byte, out *wire.Buffer, info *reqInfo) {
 		err = s.opPinEpoch(r, out)
 	case wire.OpHello:
 		err = s.opHello(r, out)
-	case wire.OpServerStats:
-		err = s.opServerStats(r, out)
 	case wire.OpSubscribe:
 		// serveConn intercepts OpSubscribe before handle; seeing it here
 		// means the caller cannot stream (fuzz harness, misuse).
@@ -637,12 +634,21 @@ func (s *Server) opHello(r *wire.Reader, out *wire.Buffer) error {
 	if err := r.Rest(); err != nil {
 		return err
 	}
+	if err := checkVersion(ver); err != nil {
+		return err
+	}
+	out.U32(wire.ProtocolVersion)
+	out.U8(s.role())
+	return nil
+}
+
+// checkVersion refuses a peer built from another protocol generation; it
+// guards both handshakes a peer opens with, OpHello and OpSubscribe.
+func checkVersion(ver uint32) error {
 	if ver != wire.ProtocolVersion {
 		return fmt.Errorf("%w: client speaks protocol version %d, this server %d",
 			wire.ErrMalformed, ver, wire.ProtocolVersion)
 	}
-	out.U32(wire.ProtocolVersion)
-	out.U8(s.role())
 	return nil
 }
 
@@ -659,67 +665,6 @@ func (s *Server) opPinEpoch(r *wire.Reader, out *wire.Buffer) error {
 		return err
 	}
 	out.U64(tok)
-	return nil
-}
-
-func (s *Server) opServerStats(r *wire.Reader, out *wire.Buffer) error {
-	if err := r.Rest(); err != nil {
-		return err
-	}
-	out.U8(s.role())
-	out.U32(wire.ProtocolVersion)
-	var first, next uint64
-	if s.opts.OpLog != nil {
-		first, next = s.opts.OpLog.Bounds()
-	}
-	out.U8(boolByte(s.opts.OpLog != nil))
-	out.U64(first)
-	out.U64(next)
-	out.U64(next - first)
-	out.U32(uint32(s.Subscribers()))
-	primary := s.st.Clock().Now()
-	applied := primary
-	lsn := next
-	if rep := s.opts.Replica; rep != nil {
-		primary = rep.PrimaryEpoch()
-		applied = rep.AppliedEpoch()
-		lsn = rep.AppliedLSN()
-	}
-	out.U64(primary)
-	out.U64(applied)
-	var lag uint64
-	if primary > applied {
-		lag = primary - applied
-	}
-	out.U64(lag)
-	out.U64(lsn)
-	// Uptime and cumulative per-op request/error counts (fed from the
-	// metric registry).
-	out.U64(uint64(time.Since(s.started).Nanoseconds()))
-	type opCount struct {
-		op         uint8
-		reqs, errs uint64
-	}
-	var counts []opCount
-	for _, op := range wire.Opcodes() {
-		om := s.mx.byOp[op]
-		if r, e := om.reqs.Value(), om.errs.Value(); r > 0 || e > 0 {
-			counts = append(counts, opCount{op, r, e})
-		}
-	}
-	out.U16(uint16(len(counts)))
-	for _, c := range counts {
-		out.U8(c.op)
-		out.U64(c.reqs)
-		out.U64(c.errs)
-	}
-	// Shard topology: active shard count, physical partition count
-	// including sealed pre-reshard partitions, shard-map version and
-	// whether a reshard migration is in flight.
-	out.U32(uint32(s.st.NumShards()))
-	out.U32(uint32(s.st.NumParts()))
-	out.U64(s.st.MapVersion())
-	out.U8(boolByte(s.st.Resharding()))
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"time"
+
 	"hyrise/internal/metrics"
 	"hyrise/internal/query"
 	"hyrise/internal/shard"
@@ -82,6 +84,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Live client sessions.", func() float64 { return float64(s.ActiveConns()) })
 	reg.GaugeFunc("hyrise_server_snapshots",
 		"Registered (unreleased) snapshot tokens.", func() float64 { return float64(s.SnapshotCount()) })
+	reg.GaugeFunc("hyrise_server_uptime_seconds",
+		"Seconds since the server was created.", func() float64 { return time.Since(s.started).Seconds() })
 
 	// Epoch clock and pins (the GC retention inputs).
 	clock := s.st.Clock()

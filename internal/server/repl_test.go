@@ -2,7 +2,9 @@ package server_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +69,8 @@ func waitFollowerEpoch(t testing.TB, rep *replica.Replica, e uint64) {
 	}
 }
 
+// TestHello: the hello exchange announces the role, and a Dial that
+// succeeded agreed on wire.ProtocolVersion (a client refuses any other).
 func TestHello(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
@@ -76,16 +80,15 @@ func TestHello(t *testing.T) {
 	if c.Role() != client.RolePrimary {
 		t.Fatalf("role %v, want primary", c.Role())
 	}
-	st, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Protocol != wire.ProtocolVersion || st.Role != client.RolePrimary {
-		t.Fatalf("server stats announce protocol %d role %v, want %d/primary", st.Protocol, st.Role, wire.ProtocolVersion)
-	}
 }
 
-func TestServerStatsPrimaryAndFollower(t *testing.T) {
+// TestServerLevelFieldCoverage stands up a primary with an op log and one
+// follower and finds every server-level number a client can ask for in
+// one of two places: the hello exchange (role; protocol by a Dial that
+// succeeded) or a series of that server's metrics snapshot, with a
+// plausible value.  The rows are the fields the retired server-stats
+// opcode carried, so none was lost with it.
+func TestServerLevelFieldCoverage(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -96,46 +99,123 @@ func TestServerStatsPrimaryAndFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if _, err := pc.Insert([]any{uint64(1), uint32(2), "a"}); err != nil {
-		t.Fatal(err)
-	}
-	e := flat.Clock().Capture()
-	waitFollowerEpoch(t, reps[0], e)
-
-	ps, err := pc.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Role != client.RolePrimary || !ps.Replicating {
-		t.Fatalf("primary stats: %+v", ps)
-	}
-	if ps.Followers != 1 {
-		t.Fatalf("primary sees %d followers, want 1", ps.Followers)
-	}
-	if ps.OplogEntries == 0 {
-		t.Fatalf("primary oplog empty: %+v", ps)
-	}
-
 	fc, err := client.Dial(faddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fc.Close()
-	if fc.Role() != client.RoleFollower {
-		t.Fatalf("follower role %v", fc.Role())
+	if _, err := pc.Insert([]any{uint64(1), uint32(2), "a"}); err != nil {
+		t.Fatal(err)
 	}
-	fs, err := fc.ServerStats()
+	e := flat.Clock().Capture()
+	waitFollowerEpoch(t, reps[0], e)
+	if pc.Role() != client.RolePrimary || fc.Role() != client.RoleFollower {
+		t.Fatalf("hello roles: primary %v, follower %v", pc.Role(), fc.Role())
+	}
+
+	ps, err := pc.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Role != client.RoleFollower {
-		t.Fatalf("follower stats role %v", fs.Role)
+	fs, err := fc.Metrics()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fs.AppliedEpoch < e {
-		t.Fatalf("follower applied %d, want >= %d", fs.AppliedEpoch, e)
+	get := func(samples []client.Metric, name string) float64 {
+		t.Helper()
+		v, ok := client.MetricValue(samples, name)
+		if !ok {
+			t.Fatalf("metrics snapshot lacks %s", name)
+		}
+		return v
 	}
-	if fs.PrimaryEpoch < fs.AppliedEpoch {
-		t.Fatalf("follower primary epoch %d < applied %d", fs.PrimaryEpoch, fs.AppliedEpoch)
+	first, next := get(ps, "hyrise_oplog_first_lsn"), get(ps, "hyrise_oplog_next_lsn")
+	applied, primary := get(fs, "hyrise_replica_applied_epoch"), get(fs, "hyrise_replica_primary_epoch")
+	for _, f := range []struct {
+		field   string // the number a client reads
+		samples []client.Metric
+		series  string
+		ok      func(v float64) bool
+	}{
+		{"replicating (op log attached)", ps, "hyrise_oplog_next_lsn", func(v float64) bool { return v >= 1 }},
+		{"op-log first LSN", ps, "hyrise_oplog_first_lsn", func(v float64) bool { return v <= next }},
+		{"op-log next LSN", ps, "hyrise_oplog_next_lsn", func(v float64) bool { return v > first }},
+		{"op-log entries", ps, "hyrise_oplog_entries", func(v float64) bool { return v > 0 && v == next-first }},
+		{"followers", ps, "hyrise_oplog_subscribers", func(v float64) bool { return v == 1 }},
+		{"primary epoch (primary)", ps, "hyrise_epoch_current", func(v float64) bool { return v >= float64(e) }},
+		{"primary epoch (follower)", fs, "hyrise_replica_primary_epoch", func(v float64) bool { return v >= applied }},
+		{"applied epoch", fs, "hyrise_replica_applied_epoch", func(v float64) bool { return v >= float64(e) }},
+		{"lag", fs, "hyrise_replica_lag_epochs", func(v float64) bool { return v <= primary }},
+		{"applied LSN", fs, "hyrise_replica_applied_lsn", func(v float64) bool { return v >= 1 && v <= next }},
+		{"uptime", ps, "hyrise_server_uptime_seconds", func(v float64) bool { return v > 0 }},
+		{"uptime (follower)", fs, "hyrise_server_uptime_seconds", func(v float64) bool { return v > 0 }},
+		{"per-op requests", ps, `hyrise_server_requests_total{op="insert"}`, func(v float64) bool { return v == 1 }},
+		{"per-op errors", ps, `hyrise_server_errors_total{op="insert"}`, func(v float64) bool { return v == 0 }},
+		{"active shards", fs, "hyrise_store_shards", func(v float64) bool { return v == 1 }},
+		{"partitions", fs, "hyrise_store_partitions", func(v float64) bool { return v == 1 }},
+		{"shard-map version", fs, "hyrise_shard_map_version", func(v float64) bool { return v == 1 }},
+		{"resharding", ps, "hyrise_store_resharding", func(v float64) bool { return v == 0 }},
+	} {
+		if v := get(f.samples, f.series); !f.ok(v) {
+			t.Errorf("%s: %s = %v", f.field, f.series, v)
+		}
+	}
+	// The op-log series belong to a primary, the apply-lag series to a
+	// follower; neither server reports the other's.
+	for _, miss := range []struct {
+		samples []client.Metric
+		series  string
+	}{{ps, "hyrise_replica_lag_epochs"}, {fs, "hyrise_oplog_subscribers"}} {
+		if v, ok := client.MetricValue(miss.samples, miss.series); ok {
+			t.Errorf("%s = %v reported by the wrong role", miss.series, v)
+		}
+	}
+}
+
+// TestSubscribeRefusesOtherProtocol: a subscribe handshake carrying
+// another protocol version is refused before anything is streamed, with
+// both versions named, and registers no subscriber.
+func TestSubscribeRefusesOtherProtocol(t *testing.T) {
+	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paddr, _, _, _ := startReplicated(t, flat, 0)
+	nc, err := net.Dial("tcp", paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var req wire.Buffer
+	req.U8(wire.OpSubscribe)
+	req.U32(6)
+	req.U8(wire.SubSnapshot)
+	req.U64(0)
+	if err := wire.WriteFrame(nc, req.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wire.ReadFrame(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(resp)
+	status, _ := r.U8()
+	msg, _ := r.String()
+	want := fmt.Sprintf("protocol version 6, this server %d", wire.ProtocolVersion)
+	if status != wire.StatusErrBadRequest || !strings.Contains(msg, want) {
+		t.Fatalf("subscribe at version 6: status 0x%02x %q, want StatusErrBadRequest naming %q", status, msg, want)
+	}
+	pc, err := client.Dial(paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	samples, err := pc.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := client.MetricValue(samples, "hyrise_oplog_subscribers"); !ok || n != 0 {
+		t.Fatalf("refused subscribe left subscribers = %v, %v", n, ok)
 	}
 }
 

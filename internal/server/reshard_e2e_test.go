@@ -13,8 +13,8 @@ import (
 // TestReshardOverProtocol drives an online reshard end to end through
 // the wire protocol: concurrent clients read pinned snapshots with zero
 // failures while Client.Reshard migrates the store 1 -> 4 shards, the
-// report and the ServerStats topology tail reflect the cutover, and the
-// reshard counters land in /metrics.
+// report and the topology series of the metrics snapshot reflect the
+// cutover, and the reshard counters land in /metrics.
 func TestReshardOverProtocol(t *testing.T) {
 	st, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
@@ -93,12 +93,19 @@ func TestReshardOverProtocol(t *testing.T) {
 	}
 
 	// Live topology over the wire.
-	stats, err := c.ServerStats()
+	samples, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Shards != 4 || stats.Partitions != 5 || stats.ShardMapVersion != rep.MapVersion || stats.Resharding {
-		t.Fatalf("ServerStats topology = %+v", stats)
+	for series, want := range map[string]float64{
+		"hyrise_store_shards":      4,
+		"hyrise_store_partitions":  5,
+		"hyrise_shard_map_version": float64(rep.MapVersion),
+		"hyrise_store_resharding":  0,
+	} {
+		if v, ok := client.MetricValue(samples, series); !ok || v != want {
+			t.Fatalf("topology: %s = %v (present %v), want %v", series, v, ok, want)
+		}
 	}
 	// Shards() deliberately keeps the dial-time count.
 	if c.Shards() != 1 {
@@ -119,7 +126,7 @@ func TestReshardOverProtocol(t *testing.T) {
 	}
 
 	// The reshard metrics moved.
-	samples, err := c.Metrics()
+	samples, err = c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}

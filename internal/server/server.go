@@ -94,7 +94,7 @@ type Server struct {
 	subs  map[*conn]struct{} // live replication subscribers
 
 	requests atomic.Uint64
-	started  time.Time    // ServerStats uptime base
+	started  time.Time    // hyrise_server_uptime_seconds base
 	log      *slog.Logger // never nil; discards when Options.Logger is nil
 	mx       *serverMetrics
 
@@ -262,7 +262,7 @@ func (s *Server) removeSubscriber(c *conn) {
 	s.subMu.Unlock()
 }
 
-// role reports what OpHello and OpServerStats announce.
+// role reports what OpHello announces.
 func (s *Server) role() uint8 {
 	if s.opts.Replica != nil {
 		return wire.RoleFollower

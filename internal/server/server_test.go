@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -479,9 +480,10 @@ func TestServerScanThenLookupNoDeadlock(t *testing.T) {
 // completes and flushes, Serve returns ErrServerClosed, new connections
 // are refused, and Shutdown returns once sessions are gone.
 // TestServerRefusesOtherProtocol speaks to the server over a raw
-// connection: a hello of another version and the unassigned opcode 0x09
-// (once an epoch-less snapshot capture) are answered with error statuses,
-// never served, and the session stays in sync for the requests after them.
+// connection: a hello of another version and the unassigned opcodes 0x09
+// (once an epoch-less snapshot capture) and 0x18 (once a server-stats
+// summary) are answered with error statuses, never served, and the
+// session stays in sync for the requests after them.
 func TestServerRefusesOtherProtocol(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
@@ -510,8 +512,11 @@ func TestServerRefusesOtherProtocol(t *testing.T) {
 	if resp := roundTrip(hello.Bytes()...); resp[0] != wire.StatusErrBadRequest {
 		t.Fatalf("hello version 4: status 0x%02x, want StatusErrBadRequest", resp[0])
 	}
-	if resp := roundTrip(0x09); resp[0] != wire.StatusErrBadRequest {
-		t.Fatalf("opcode 0x09: status 0x%02x, want StatusErrBadRequest", resp[0])
+	for _, op := range []byte{0x09, 0x18} {
+		resp := roundTrip(op)
+		if msg := fmt.Sprintf("unknown opcode 0x%02x", op); resp[0] != wire.StatusErrBadRequest || !strings.Contains(string(resp), msg) {
+			t.Fatalf("opcode 0x%02x: response %q, want StatusErrBadRequest with %q", op, resp, msg)
+		}
 	}
 	if n := srv.SnapshotCount(); n != 0 {
 		t.Fatalf("opcode 0x09 registered %d snapshots", n)

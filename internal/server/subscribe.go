@@ -31,8 +31,10 @@ const (
 )
 
 // serveSubscribe turns a session into a one-way replication stream.  The
-// request carries the wanted mode (SubSnapshot for a fresh bootstrap,
-// SubTail to resume) and, for SubTail, the next LSN the follower needs.
+// request carries the follower's protocol version (a mismatch is refused
+// as OpHello refuses it, before anything is streamed), the wanted mode
+// (SubSnapshot for a fresh bootstrap, SubTail to resume) and, for
+// SubTail, the next LSN the follower needs.
 // The response is StatusOK, the granted mode u8 and startLSN u64; in
 // snapshot mode it is followed by FrameSnapChunk frames carrying a
 // persist-format snapshot and a FrameSnapEnd, and in both modes by an
@@ -49,7 +51,14 @@ func (s *Server) serveSubscribe(c *conn, payload []byte, bw *bufio.Writer) {
 
 	var out wire.Buffer
 	r := wire.NewReader(payload)
-	mode, err := r.U8()
+	ver, err := r.U32()
+	if err == nil {
+		err = checkVersion(ver)
+	}
+	var mode uint8
+	if err == nil {
+		mode, err = r.U8()
+	}
 	var from uint64
 	if err == nil {
 		from, err = r.U64()

@@ -81,7 +81,8 @@ func (t *Table) Image() Image {
 // main as is — no dictionary is built, no value looked up — its plain
 // values are inserted into a fresh delta, and ids, epochs and GC counters
 // are installed on top, so retired ids stay retired.  An image that is not
-// well formed — ids not strictly ascending below NextID, unequal lengths,
+// well formed — ids not strictly ascending below NextID, begin epochs
+// decreasing in slot order, unequal lengths,
 // MainRows beyond the rows, Retired beyond NextID, a column of another type
 // than the schema's or whose main does not hold MainRows tuples — fails
 // Adopt and leaves the partition empty.  The mains themselves are not
@@ -101,9 +102,12 @@ func (t *Table) Adopt(img Image) error {
 			rows, len(img.Begin), len(img.End), len(img.Columns), img.MainRows, img.Retired, img.NextID)
 	}
 	prev := -1
-	for _, id := range img.IDs {
+	for i, id := range img.IDs {
 		if id <= prev || id >= img.NextID {
 			return fmt.Errorf("table: image id %d after %d (next id %d)", id, prev, img.NextID)
+		}
+		if i > 0 && img.Begin[i] < img.Begin[i-1] {
+			return fmt.Errorf("table: image begin epoch %d at slot %d after %d", img.Begin[i], i, img.Begin[i-1])
 		}
 		prev = id
 	}

@@ -186,6 +186,7 @@ func TestAdoptRejects(t *testing.T) {
 		"id at next id":       func(img *Image) { img.IDs[24] = img.NextID },
 		"short begin epochs":  func(img *Image) { img.Begin = img.Begin[:24] },
 		"long end epochs":     func(img *Image) { img.End = append(img.End, 0) },
+		"begin decreases":     func(img *Image) { img.Begin[7] = img.Begin[24] + 1 },
 		"main rows over rows": func(img *Image) { img.MainRows = 26 },
 		"negative main rows":  func(img *Image) { img.MainRows = -1 },
 		"retired over next":   func(img *Image) { img.Retired = img.NextID + 1 },

@@ -161,9 +161,14 @@ type Table struct {
 	clock  *epoch.Clock // epoch source; shared across shards of one store
 	lockID uint64       // MoveRow lock-ordering id
 
-	mu     sync.RWMutex // guards cols' partition pointers, epochs, rows
-	cols   []column
-	epochs epoch.Rows // per-row begin/end visibility epochs
+	mu   sync.RWMutex // guards cols' partition pointers, epochs, rows
+	cols []column
+	// epochs holds per-row begin/end visibility epochs.  Invariant: begin
+	// is non-decreasing in slot order.  Stamps are read under mu from a
+	// monotone clock (or a monotone op log on a follower), appends go to
+	// the last slot, and merges and GC keep slot order; Adopt rejects an
+	// image that breaks it.
+	epochs epoch.Rows
 	rows   int
 
 	// Stable row-id indirection: row ids handed out by Insert are stable

@@ -54,7 +54,7 @@ const MaxFrame = 16 << 20
 // from a different protocol is refused with a typed error (the server
 // answers StatusErrBadRequest, the client fails Dial) instead of the two
 // sides misparsing each other's frames.
-const ProtocolVersion = 6
+const ProtocolVersion = 7
 
 // Opcodes.  The zero value is intentionally invalid.
 const (
@@ -66,7 +66,7 @@ const (
 	OpDelete          = 0x06 // id u64 -> empty
 	OpRow             = 0x07 // id u64 -> row
 	OpIsValid         = 0x08 // id u64 -> u8
-	opUnassigned      = 0x09 // hole in the numbering: not an opcode, answered like any unknown one
+	opUnassigned09    = 0x09 // hole in the numbering: not an opcode, answered like any unknown one
 	OpSnapshotRelease = 0x0a // token u64 -> empty
 	OpLookup          = 0x0b // token, col string, value -> ids
 	OpRange           = 0x0c // token, col string, lo value, hi value -> ids
@@ -82,10 +82,10 @@ const (
 	OpMerge           = 0x16 // threads u32 (0 = all; clamped to the server's GOMAXPROCS) -> merge report
 
 	OpHello         = 0x17 // version u32 -> version u32, role u8 (error unless the versions match)
-	OpServerStats   = 0x18 // -> server stats (replication lag, followers, oplog, per-op counts, shard topology)
+	opUnassigned18  = 0x18 // hole in the numbering, like 0x09
 	OpSnapshotEpoch = 0x19 // -> token u64, epoch u64
 	OpPinEpoch      = 0x1a // epoch u64 -> token u64
-	OpSubscribe     = 0x1b // mode u8, fromLSN u64 -> mode u8, startLSN u64, then stream
+	OpSubscribe     = 0x1b // version u32, mode u8, fromLSN u64 -> mode u8, startLSN u64, then stream (error unless the versions match)
 
 	OpCreateIndex = 0x1c // col string -> empty
 	OpIndexStats  = 0x1d // -> u32 n + per column: col string, postings u64, bytes u64, builds u64, lastBuildNs u64
@@ -149,8 +149,6 @@ func OpName(op uint8) string {
 		return "merge"
 	case OpHello:
 		return "hello"
-	case OpServerStats:
-		return "server_stats"
 	case OpSnapshotEpoch:
 		return "snapshot_epoch"
 	case OpPinEpoch:
@@ -175,7 +173,7 @@ func OpName(op uint8) string {
 func Opcodes() []uint8 {
 	ops := make([]uint8, 0, opLast)
 	for op := uint8(OpPing); op <= opLast; op++ {
-		if op != opUnassigned {
+		if op != opUnassigned09 && op != opUnassigned18 {
 			ops = append(ops, op)
 		}
 	}
@@ -193,7 +191,7 @@ const (
 	SubTail     = 0x01 // resume: ops from fromLSN on
 )
 
-// Server roles reported by OpHello and OpServerStats.
+// Server roles reported by OpHello.
 const (
 	RolePrimary  = 0x00 // serves writes; streams the op log when enabled
 	RoleFollower = 0x01 // read-only replica fed by a primary's op log

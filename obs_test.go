@@ -372,10 +372,10 @@ func TestHealthzAndPprof(t *testing.T) {
 	}
 }
 
-// TestClientMetricsAndServerStats round-trips the observability ops: the
-// OpMetrics snapshot via client.Metrics, and ServerStats' uptime and
-// cumulative per-op counters.
-func TestClientMetricsAndServerStats(t *testing.T) {
+// TestClientMetrics round-trips the OpMetrics snapshot via client.Metrics:
+// store gauges, the uptime gauge and the cumulative per-op request and
+// error counters.
+func TestClientMetrics(t *testing.T) {
 	addr, _, _ := obsServer(t)
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -403,25 +403,11 @@ func TestClientMetricsAndServerStats(t *testing.T) {
 	if _, ok := client.MetricValue(samples, "hyrise_store_main_rows"); !ok {
 		t.Fatal("store gauges missing from OpMetrics snapshot")
 	}
-
-	st, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
+	if v, ok := client.MetricValue(samples, "hyrise_server_uptime_seconds"); !ok || v <= 0 {
+		t.Fatalf("uptime = %v, %v; want > 0", v, ok)
 	}
-	if st.Uptime <= 0 {
-		t.Fatalf("uptime %v, want > 0", st.Uptime)
-	}
-	var found *client.OpCount
-	for i := range st.Ops {
-		if st.Ops[i].Op == "lookup" {
-			found = &st.Ops[i]
-		}
-	}
-	if found == nil || found.Requests < lookups {
-		t.Fatalf("ServerStats.Ops lookup = %+v, want >= %d requests", found, lookups)
-	}
-	if found.Errors != 0 {
-		t.Fatalf("lookup errors %d, want 0", found.Errors)
+	if v, ok := client.MetricValue(samples, `hyrise_server_errors_total{op="lookup"}`); !ok || v != 0 {
+		t.Fatalf("lookup errors = %v, %v; want 0", v, ok)
 	}
 	// A server-side failure lands in the op's error counter (a bad
 	// column would be rejected client-side and never reach the wire, so
@@ -429,17 +415,11 @@ func TestClientMetricsAndServerStats(t *testing.T) {
 	if _, err := c.LookupAt(client.Snap(1<<40), "k", uint64(7)); err == nil {
 		t.Fatal("lookup at bogus snapshot succeeded")
 	}
-	st, err = c.ServerStats()
-	if err != nil {
+	if samples, err = c.Metrics(); err != nil {
 		t.Fatal(err)
 	}
-	var nerr uint64
-	for _, oc := range st.Ops {
-		if oc.Op == "lookup" {
-			nerr = oc.Errors
-		}
-	}
+	nerr, _ := client.MetricValue(samples, `hyrise_server_errors_total{op="lookup"}`)
 	if nerr != 1 {
-		t.Fatalf("lookup errors after bad request = %d, want 1", nerr)
+		t.Fatalf("lookup errors after bad request = %v, want 1", nerr)
 	}
 }
