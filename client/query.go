@@ -1,6 +1,9 @@
 package client
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"hyrise/internal/wire"
@@ -105,8 +108,8 @@ type PartitionStats struct {
 	SizeBytes int
 }
 
-// Stats is the server's statistics snapshot: the store's unified stats
-// plus server-level counters.
+// Stats is the server's statistics: the store's unified stats plus
+// server-level counters.
 type Stats struct {
 	Name      string
 	Shards    int
@@ -130,75 +133,77 @@ type Stats struct {
 	Snapshots   int
 }
 
-// Stats fetches storage statistics and server counters.
+// Stats reads storage statistics and server counters from one Metrics
+// snapshot.  Name and KeyColumn come from the schema cached at Dial;
+// every other field is a registry series: hyrise_store_*,
+// hyrise_partition_*{partition}, hyrise_gc_* and hyrise_server_*, with
+// Rows, ValidRows and SizeBytes summed over partitions.  Each series is
+// read on its own, so the aggregate is not a cross-series snapshot (the
+// partitions were never read at one instant either).  Requests sums
+// hyrise_server_requests_total over opcodes: it counts requests of known
+// opcodes, not subscribe streams or frames with an unknown opcode.
 func (c *Client) Stats() (Stats, error) {
-	var req wire.Buffer
-	req.U8(wire.OpStats)
-	r, err := c.do(req.Bytes())
+	samples, err := c.Metrics()
 	if err != nil {
 		return Stats{}, err
 	}
-	var st Stats
-	if st.Name, err = r.String(); err != nil {
-		return st, err
+	f := families(samples)
+	get := func(family string) int { return int(f[family][""]) }
+	st := Stats{
+		Name: c.name, KeyColumn: c.keyColumn,
+		Shards:         get("hyrise_store_shards"),
+		MainRows:       get("hyrise_store_main_rows"),
+		DeltaRows:      get("hyrise_store_delta_rows"),
+		RetiredRows:    get("hyrise_gc_rows_retired_total"),
+		ReclaimedBytes: get("hyrise_gc_reclaimed_bytes_total"),
+		Merging:        get("hyrise_store_merging") != 0,
+		ActiveConns:    get("hyrise_server_connections"),
+		Snapshots:      get("hyrise_server_snapshots"),
 	}
-	shards, err := r.U32()
-	if err != nil {
-		return st, err
+	for _, v := range f["hyrise_server_requests_total"] {
+		st.Requests += uint64(v)
 	}
-	st.Shards = int(shards)
-	if st.KeyColumn, err = r.String(); err != nil {
-		return st, err
-	}
-	u64s := []*int{
-		&st.Rows, &st.ValidRows, &st.MainRows, &st.DeltaRows, &st.SizeBytes,
-		&st.RetiredRows, &st.ReclaimedBytes,
-	}
-	for _, p := range u64s {
-		v, err := r.U64()
-		if err != nil {
-			return st, err
+	for i := 0; ; i++ {
+		label := strconv.Itoa(i)
+		rows, ok := f["hyrise_partition_rows"][label]
+		if !ok {
+			break
 		}
-		*p = int(v)
+		part := func(family string) int { return int(f["hyrise_partition_"+family][label]) }
+		p := PartitionStats{Rows: int(rows), ValidRows: part("valid_rows"),
+			MainRows: part("main_rows"), DeltaRows: part("delta_rows"), SizeBytes: part("size_bytes")}
+		st.Partitions = append(st.Partitions, p)
+		st.Rows += p.Rows
+		st.ValidRows += p.ValidRows
+		st.SizeBytes += p.SizeBytes
 	}
-	merging, err := r.U8()
-	if err != nil {
-		return st, err
-	}
-	st.Merging = merging != 0
-	nparts, err := r.U32()
-	if err != nil {
-		return st, err
-	}
-	st.Partitions = make([]PartitionStats, nparts)
-	for i := range st.Partitions {
-		fields := []*int{
-			&st.Partitions[i].Rows, &st.Partitions[i].ValidRows,
-			&st.Partitions[i].MainRows, &st.Partitions[i].DeltaRows,
-			&st.Partitions[i].SizeBytes,
-		}
-		for _, p := range fields {
-			v, err := r.U64()
-			if err != nil {
-				return st, err
-			}
-			*p = int(v)
-		}
-	}
-	conns, err := r.U32()
-	if err != nil {
-		return st, err
-	}
-	st.ActiveConns = int(conns)
-	if st.Requests, err = r.U64(); err != nil {
-		return st, err
-	}
-	snaps, err := r.U32()
-	if err != nil {
-		return st, err
-	}
-	st.Snapshots = int(snaps)
 	return st, nil
+}
+
+// families indexes a Metrics snapshot by family, then by the value of the
+// sample's one label ("" for an unlabelled sample).
+func families(samples []Metric) map[string]map[string]float64 {
+	out := make(map[string]map[string]float64)
+	for _, m := range samples {
+		family, label := series(m.Name)
+		if out[family] == nil {
+			out[family] = make(map[string]float64)
+		}
+		out[family][label] = m.Value
+	}
+	return out
+}
+
+// series splits a sample name of at most one label into its family and
+// that label's value ("" for an unlabelled sample).
+func series(name string) (family, label string) {
+	family, rest, ok := strings.Cut(name, "{")
+	if !ok {
+		return name, ""
+	}
+	_, quoted, _ := strings.Cut(strings.TrimSuffix(rest, "}"), "=")
+	label, _ = strconv.Unquote(quoted)
+	return family, label
 }
 
 // MergeOptions configures a remote merge.
@@ -293,42 +298,28 @@ func (c *Client) CreateIndex(column string) error {
 	return err
 }
 
-// IndexStats fetches per-column statistics for every group-key index on
-// the server.
+// IndexStats reads per-column statistics for every group-key index on
+// the server from one Metrics snapshot: the hyrise_index_{postings,bytes,
+// builds_total,last_build_seconds}{column} series, which list only the
+// columns indexed when the server read them.  As with Stats, each series
+// is read on its own.
 func (c *Client) IndexStats() ([]IndexStat, error) {
-	var req wire.Buffer
-	req.U8(wire.OpIndexStats)
-	r, err := c.do(req.Bytes())
+	samples, err := c.Metrics()
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	stats := make([]IndexStat, n)
-	for i := range stats {
-		if stats[i].Column, err = r.String(); err != nil {
-			return nil, err
+	f := families(samples)
+	var stats []IndexStat
+	for _, m := range samples {
+		if family, col := series(m.Name); family == "hyrise_index_postings" {
+			stats = append(stats, IndexStat{
+				Column:    col,
+				Postings:  int(m.Value),
+				SizeBytes: int(f["hyrise_index_bytes"][col]),
+				Builds:    uint64(f["hyrise_index_builds_total"][col]),
+				LastBuild: time.Duration(math.Round(f["hyrise_index_last_build_seconds"][col] * 1e9)),
+			})
 		}
-		postings, err := r.U64()
-		if err != nil {
-			return nil, err
-		}
-		stats[i].Postings = int(postings)
-		size, err := r.U64()
-		if err != nil {
-			return nil, err
-		}
-		stats[i].SizeBytes = int(size)
-		if stats[i].Builds, err = r.U64(); err != nil {
-			return nil, err
-		}
-		ns, err := r.U64()
-		if err != nil {
-			return nil, err
-		}
-		stats[i].LastBuild = time.Duration(ns)
 	}
 	return stats, nil
 }

@@ -320,7 +320,7 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 	if rep != nil {
 		role = "follower"
 	}
-	logger.Info("serving", "table", st.Name(), "shards", st.StoreStats().Shards,
+	logger.Info("serving", "table", st.Name(), "shards", st.NumShards(),
 		"role", role, "addr", l.Addr().String())
 	if cfg.onReady != nil {
 		cfg.onReady(l.Addr().String())
@@ -403,11 +403,11 @@ func openStore(cfg config, logger *slog.Logger) (*hyrise.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("load snapshot: %w", err)
 			}
-			stats := st.StoreStats()
-			logger.Info("loaded snapshot", "path", cfg.snapshot, "rows", st.Rows(), "shards", stats.Shards)
-			if cfg.shards > 1 && stats.Shards != cfg.shards {
+			shards := st.NumShards()
+			logger.Info("loaded snapshot", "path", cfg.snapshot, "rows", st.Rows(), "shards", shards)
+			if cfg.shards > 1 && shards != cfg.shards {
 				logger.Info("snapshot topology overrides -shards",
-					"snapshot_shards", stats.Shards, "flag_shards", cfg.shards)
+					"snapshot_shards", shards, "flag_shards", cfg.shards)
 			}
 			return st, nil
 		}

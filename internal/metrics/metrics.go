@@ -1,6 +1,7 @@
 // Package metrics is the runtime observability registry: dependency-free
-// atomic counters, gauges and fixed-bucket latency histograms, collected
-// into a Registry that renders the Prometheus text exposition format.
+// atomic counters, fixed-bucket latency histograms and counters or gauges
+// read from callbacks at scrape time, collected into a Registry that
+// renders the Prometheus text exposition format.
 //
 // # Hot-path cost
 //
@@ -27,7 +28,9 @@
 // Metric names follow hyrise_<subsystem>_<name>[_total|_seconds]; labels
 // are fixed at registration (one collector per label combination, resolved
 // once).  Registering the same name+labels again returns the existing
-// collector.
+// collector.  The one exception is a VecFunc family, whose label values
+// are computed at every scrape: it serves label sets that change at run
+// time, such as the partitions a reshard adds.
 package metrics
 
 import (
@@ -67,25 +70,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a value that can go up and down, stored as float64 bits.  The
-// zero value reads 0; all methods are nil-safe no-ops.
-type Gauge struct{ v atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the stored value (0 on a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.v.Load())
 }
 
 // histBuckets is the number of histogram cells: bucket i (i <
@@ -161,9 +145,12 @@ const (
 type sample struct {
 	labels  string // rendered `k="v",...` (no braces), "" for none
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64 // func-backed counter or gauge
+	// vec, set only by the VecFunc registrations, emits every sample of
+	// its family at scrape time, each with its value of the label key.
+	vec func(emit func(value string, v float64))
+	key string
 }
 
 // family groups the samples of one metric name.
@@ -251,18 +238,40 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...s
 	r.register(name, help, kindCounter, labels).fn = fn
 }
 
-// Gauge registers (or returns) the gauge name{labels}.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.register(name, help, kindGauge, labels)
-	if s.gauge == nil && s.fn == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	r.register(name, help, kindGauge, labels).fn = fn
+}
+
+// GaugeVecFunc registers a gauge family whose label values are computed at
+// scrape time: fn calls emit once per sample, with that sample's value of
+// the one label key.  It is for label sets that change while the server
+// runs, which fixed registration cannot follow.
+func (r *Registry) GaugeVecFunc(name, help, key string, fn func(emit func(value string, v float64))) {
+	s := r.register(name, help, kindGauge, nil)
+	s.key, s.vec = key, fn
+}
+
+// CounterVecFunc is GaugeVecFunc for a family of counters; each sample
+// must be monotonic for the rendered type to be honest.
+func (r *Registry) CounterVecFunc(name, help, key string, fn func(emit func(value string, v float64))) {
+	s := r.register(name, help, kindCounter, nil)
+	s.key, s.vec = key, fn
+}
+
+// each calls fn with the name and value of every scalar sample s stands
+// for: one for a collector or callback, a scrape-time set for a VecFunc.
+func (s *sample) each(name string, fn func(name string, v float64)) {
+	switch {
+	case s.vec != nil:
+		s.vec(func(value string, v float64) {
+			fn(sampleName(name, renderLabels([]string{s.key, value})), v)
+		})
+	case s.fn != nil:
+		fn(sampleName(name, s.labels), s.fn())
+	case s.counter != nil:
+		fn(sampleName(name, s.labels), float64(s.counter.Value()))
+	}
 }
 
 // Histogram registers (or returns) the histogram name{labels}.
@@ -297,18 +306,15 @@ func (r *Registry) Snapshot() []Sample {
 	var out []Sample
 	for _, f := range fams {
 		for _, s := range f.samples {
-			switch {
-			case f.kind == kindHistogram:
+			if f.kind == kindHistogram {
 				out = append(out,
 					Sample{sampleName(f.name+"_count", s.labels), float64(s.hist.Count())},
 					Sample{sampleName(f.name+"_sum", s.labels), float64(s.hist.Sum()) / 1e9})
-			case s.fn != nil:
-				out = append(out, Sample{sampleName(f.name, s.labels), s.fn()})
-			case s.counter != nil:
-				out = append(out, Sample{sampleName(f.name, s.labels), float64(s.counter.Value())})
-			case s.gauge != nil:
-				out = append(out, Sample{sampleName(f.name, s.labels), s.gauge.Value()})
+				continue
 			}
+			s.each(f.name, func(name string, v float64) {
+				out = append(out, Sample{name, v})
+			})
 		}
 	}
 	return out
@@ -323,7 +329,8 @@ func sampleName(name, labels string) string {
 
 // WritePrometheus renders every registered collector in the Prometheus
 // text exposition format (version 0.0.4): one HELP/TYPE header per family,
-// samples sorted by label set, histograms as cumulative le-bounded buckets
+// samples sorted by label set (a VecFunc family's in the order it emits
+// them), histograms as cumulative le-bounded buckets
 // (bounds in seconds) plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
@@ -348,16 +355,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		samples := append([]*sample(nil), f.samples...)
 		sort.Slice(samples, func(i, j int) bool { return samples[i].labels < samples[j].labels })
 		for _, s := range samples {
-			switch {
-			case f.kind == kindHistogram:
+			if f.kind == kindHistogram {
 				renderHistogram(&b, f.name, s)
-			case s.fn != nil:
-				fmt.Fprintf(&b, "%s %s\n", sampleName(f.name, s.labels), formatFloat(s.fn()))
-			case s.counter != nil:
-				fmt.Fprintf(&b, "%s %d\n", sampleName(f.name, s.labels), s.counter.Value())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s %s\n", sampleName(f.name, s.labels), formatFloat(s.gauge.Value()))
+				continue
 			}
+			s.each(f.name, func(name string, v float64) {
+				fmt.Fprintf(&b, "%s %s\n", name, formatFloat(v))
+			})
 		}
 	}
 	_, err := io.WriteString(w, b.String())

@@ -22,27 +22,24 @@ func TestCounterGauge(t *testing.T) {
 	if again := r.Counter("hyrise_test_ops_total", "ops"); again != c {
 		t.Fatalf("re-registration returned a different counter")
 	}
-	g := r.Gauge("hyrise_test_depth", "depth")
-	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", got)
-	}
-	g.Set(-1)
-	if got := g.Value(); got != -1 {
-		t.Fatalf("gauge = %v, want -1", got)
+	depth := 2.5
+	r.GaugeFunc("hyrise_test_depth", "depth", func() float64 { return depth })
+	for _, want := range []float64{2.5, -1} {
+		depth = want
+		if got := r.Snapshot()[1].Value; got != want {
+			t.Fatalf("gauge = %v, want %v", got, want)
+		}
 	}
 }
 
 func TestNilSafety(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
 	h.Observe(7)
 	h.ObserveDuration(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil collectors must read zero")
 	}
 }
@@ -99,7 +96,7 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hyrise_server_requests_total", "requests", "op", "lookup").Add(7)
 	r.Counter("hyrise_server_requests_total", "requests", "op", "insert").Add(3)
-	r.Gauge("hyrise_server_connections", "live conns").Set(2)
+	r.GaugeFunc("hyrise_server_connections", "live conns", func() float64 { return 2 })
 	r.GaugeFunc("hyrise_replica_lag_epochs", "lag", func() float64 { return 4 })
 	h := r.Histogram("hyrise_server_op_seconds", "latency", "op", "lookup")
 	h.ObserveDuration(100 * time.Nanosecond)
@@ -190,7 +187,7 @@ func assertParseable(t *testing.T, text string) {
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "", "op", "x").Add(2)
-	r.Gauge("b", "").Set(1.5)
+	r.GaugeFunc("b", "", func() float64 { return 1.5 })
 	r.Histogram("c_seconds", "").ObserveDuration(2 * time.Second)
 	got := map[string]float64{}
 	for _, s := range r.Snapshot() {
@@ -209,6 +206,45 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// TestVecFunc: a VecFunc family's label values are read at every scrape,
+// so a label value added between two scrapes shows in the second, in both
+// renderings, with its kind's TYPE line and the label value quoted.
+func TestVecFunc(t *testing.T) {
+	r := NewRegistry()
+	parts := []float64{3}
+	r.GaugeVecFunc("p_rows", "rows", "partition", func(emit func(string, float64)) {
+		for i, v := range parts {
+			emit(strconv.Itoa(i), v)
+		}
+	})
+	r.CounterVecFunc("i_builds_total", "builds", "column", func(emit func(string, float64)) {
+		emit(`a"b`, 2)
+	})
+	scrape := func() map[string]float64 {
+		got := map[string]float64{}
+		for _, s := range r.Snapshot() {
+			got[s.Name] = s.Value
+		}
+		return got
+	}
+	if got := scrape(); len(got) != 2 || got[`p_rows{partition="0"}`] != 3 || got[`i_builds_total{column="a\"b"}`] != 2 {
+		t.Fatalf("first scrape %v", got)
+	}
+	parts = append(parts, 5)
+	if got := scrape(); len(got) != 3 || got[`p_rows{partition="1"}`] != 5 {
+		t.Fatalf("second scrape %v", got)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP p_rows rows\n# TYPE p_rows gauge\np_rows{partition=\"0\"} 3\np_rows{partition=\"1\"} 5\n" +
+		"# HELP i_builds_total builds\n# TYPE i_builds_total counter\ni_builds_total{column=\"a\\\"b\"} 2\n"
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x", "")
@@ -217,7 +253,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatalf("re-registering a counter as a gauge must panic")
 		}
 	}()
-	r.Gauge("x", "")
+	r.GaugeFunc("x", "", func() float64 { return 0 })
 }
 
 // TestConcurrentScrape races writers against renders; run under -race.

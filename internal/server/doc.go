@@ -104,16 +104,13 @@
 // # Secondary indexes
 //
 // OpCreateIndex builds a merge-maintained group-key index on one column
-// (body: column name; empty response) and OpIndexStats reports
-// per-column index statistics (posting count, size, rebuild count,
-// last rebuild duration — summed across shards).
-// Both are idempotent reads of store structure rather than data
-// mutations, so unlike the four write opcodes they are deliberately
-// allowed on read-only followers: a follower may index its local copy
-// to speed up the selective reads routed to it, independent of whether
-// the primary carries the same index.  Indexes are in-memory only —
-// they are not part of the persist format or the replication stream,
-// and must be re-created after a restart or re-bootstrap.
+// (body: column name; empty response).  It changes store structure, not
+// data, and is idempotent, so unlike the four write opcodes it is allowed
+// on read-only followers: a follower may index its local copy for the
+// selective reads routed to it.  Indexes are in-memory only — not in the
+// persist format or the replication stream — and must be re-created after
+// a restart or re-bootstrap.  Their statistics are the
+// hyrise_index_*{column} series (below).
 //
 // # Replication
 //
@@ -175,9 +172,10 @@
 // address.
 //
 // OpMetrics exposes the same registry over the data protocol; it is the
-// one channel for server-level numbers (replication lag, op-log bounds,
-// followers, per-op counts, shard topology, uptime), and role and
-// protocol come from OpHello.  The request body is empty; the response
+// one channel for every number a client reads: per-op counts,
+// replication, shard topology, uptime, store shape per partition
+// (hyrise_partition_*{partition}) and index statistics per column
+// (hyrise_index_*{column}).  Role and protocol come from OpHello.  The request body is empty; the response
 // is u32 n followed by n samples, each a string (the full series name
 // with labels rendered in, e.g. `hyrise_server_requests_total{op="lookup"}`;
 // histogram families contribute their _count and _sum, with durations in

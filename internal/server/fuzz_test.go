@@ -159,7 +159,7 @@ func FuzzHandle(f *testing.F) {
 	seed.U8(1)
 	f.Add(seed.Bytes())
 	for _, op := range []uint8{
-		wire.OpPing, wire.OpSchema, wire.OpStats, wire.OpSnapshotEpoch, wire.OpValidRows,
+		wire.OpPing, wire.OpSchema, wire.OpSnapshotEpoch, wire.OpValidRows,
 		wire.OpUpdate, wire.OpDelete, wire.OpRow, wire.OpIsValid, wire.OpMerge,
 		wire.OpSum, wire.OpMin, wire.OpMax, wire.OpCountEqual, wire.OpRange,
 		wire.OpSnapshotRelease, wire.OpVisible, wire.OpInsertBatch,

@@ -100,14 +100,10 @@ func (s *Server) handle(payload []byte, out *wire.Buffer, info *reqInfo) {
 		err = s.opValidRows(r, out)
 	case wire.OpVisible:
 		err = s.opVisible(r, out)
-	case wire.OpStats:
-		err = s.opStats(r, out)
 	case wire.OpMerge:
 		err = s.opMerge(r, out)
 	case wire.OpCreateIndex:
 		err = s.opCreateIndex(r, out)
-	case wire.OpIndexStats:
-		err = s.opIndexStats(r, out)
 	case wire.OpMetrics:
 		err = s.opMetrics(r, out)
 	case wire.OpReshard:
@@ -521,46 +517,15 @@ func (s *Server) opSchema(r *wire.Reader, out *wire.Buffer) error {
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	st := s.st.StoreStats()
 	out.String(s.st.Name())
-	out.U32(uint32(st.Shards))
-	out.String(st.KeyColumn)
+	out.U32(uint32(s.st.NumShards()))
+	out.String(s.st.KeyColumn())
 	schema := s.st.Schema()
 	out.U16(uint16(len(schema)))
 	for _, def := range schema {
 		out.String(def.Name)
 		out.U8(uint8(def.Type))
 	}
-	return nil
-}
-
-func (s *Server) opStats(r *wire.Reader, out *wire.Buffer) error {
-	if err := r.Rest(); err != nil {
-		return err
-	}
-	st := s.st.StoreStats()
-	out.String(st.Name)
-	out.U32(uint32(st.Shards))
-	out.String(st.KeyColumn)
-	out.U64(uint64(st.Rows))
-	out.U64(uint64(st.ValidRows))
-	out.U64(uint64(st.MainRows))
-	out.U64(uint64(st.DeltaRows))
-	out.U64(uint64(st.SizeBytes))
-	out.U64(uint64(st.RetiredRows))
-	out.U64(uint64(st.ReclaimedBytes))
-	out.U8(boolByte(s.st.Merging()))
-	out.U32(uint32(len(st.Partitions)))
-	for _, p := range st.Partitions {
-		out.U64(uint64(p.Rows))
-		out.U64(uint64(p.ValidRows))
-		out.U64(uint64(p.MainRows))
-		out.U64(uint64(p.DeltaRows))
-		out.U64(uint64(p.SizeBytes))
-	}
-	out.U32(uint32(s.ActiveConns()))
-	out.U64(s.Requests())
-	out.U32(uint32(s.SnapshotCount()))
 	return nil
 }
 
@@ -576,22 +541,6 @@ func (s *Server) opCreateIndex(r *wire.Reader, out *wire.Buffer) error {
 		return err
 	}
 	return s.st.CreateIndex(col)
-}
-
-func (s *Server) opIndexStats(r *wire.Reader, out *wire.Buffer) error {
-	if err := r.Rest(); err != nil {
-		return err
-	}
-	stats := s.st.IndexStats()
-	out.U32(uint32(len(stats)))
-	for _, is := range stats {
-		out.String(is.Column)
-		out.U64(uint64(is.Postings))
-		out.U64(uint64(is.SizeBytes))
-		out.U64(is.Builds)
-		out.U64(uint64(is.LastBuild.Nanoseconds()))
-	}
-	return nil
 }
 
 // opMerge runs the store's merge with the requested thread budget clamped

@@ -291,10 +291,21 @@ func TestFollowerRouting(t *testing.T) {
 		waitFollowerEpoch(t, rep, e)
 	}
 
-	before := make([]uint64, len(fsrvs))
-	for i, s := range fsrvs {
-		before[i] = s.Requests()
+	// followerReads sums the valid_rows and sum requests the followers
+	// handled, read from their per-op series.
+	followerReads := func() float64 {
+		var n float64
+		for _, s := range fsrvs {
+			for _, m := range s.Registry().Snapshot() {
+				switch m.Name {
+				case `hyrise_server_requests_total{op="valid_rows"}`, `hyrise_server_requests_total{op="sum"}`:
+					n += m.Value
+				}
+			}
+		}
+		return n
 	}
+	before := followerReads()
 	for i := 0; i < 10; i++ {
 		n, err := c.ValidRowsAt(snap)
 		if err != nil {
@@ -311,29 +322,18 @@ func TestFollowerRouting(t *testing.T) {
 			t.Fatalf("sum %d, want %d", sum, want)
 		}
 	}
-	routed := uint64(0)
-	for i, s := range fsrvs {
-		routed += s.Requests() - before[i]
-	}
-	if routed == 0 {
+	if followerReads() == before {
 		t.Fatal("no snapshot reads were routed to followers")
 	}
 
 	// Latest reads route under the staleness bound too.
-	before2 := make([]uint64, len(fsrvs))
-	for i, s := range fsrvs {
-		before2[i] = s.Requests()
-	}
+	before = followerReads()
 	for i := 0; i < 10; i++ {
 		if _, err := c.ValidRows(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	routed2 := uint64(0)
-	for i, s := range fsrvs {
-		routed2 += s.Requests() - before2[i]
-	}
-	if routed2 == 0 {
+	if followerReads() == before {
 		t.Fatal("no latest reads were routed to followers")
 	}
 

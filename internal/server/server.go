@@ -93,10 +93,9 @@ type Server struct {
 	subMu sync.Mutex
 	subs  map[*conn]struct{} // live replication subscribers
 
-	requests atomic.Uint64
-	started  time.Time    // hyrise_server_uptime_seconds base
-	log      *slog.Logger // never nil; discards when Options.Logger is nil
-	mx       *serverMetrics
+	started time.Time    // hyrise_server_uptime_seconds base
+	log     *slog.Logger // never nil; discards when Options.Logger is nil
+	mx      *serverMetrics
 
 	// lifeCtx is cancelled when sessions are force-closed (Close, or
 	// Shutdown's deadline); long-running handler work (merges) runs
@@ -239,9 +238,6 @@ func (s *Server) closeConns(force bool) {
 		c.nc.Close()
 	}
 }
-
-// Requests returns the number of requests handled since start.
-func (s *Server) Requests() uint64 { return s.requests.Load() }
 
 // Subscribers returns the number of connected replication followers.
 func (s *Server) Subscribers() int {
@@ -494,7 +490,6 @@ func (s *Server) serveConn(c *conn) {
 			}
 			return
 		}
-		s.requests.Add(1)
 		var op uint8
 		if len(payload) > 0 {
 			op = payload[0]

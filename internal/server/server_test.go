@@ -476,14 +476,12 @@ func TestServerScanThenLookupNoDeadlock(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServerGracefulShutdown checks the drain path: an in-flight request
-// completes and flushes, Serve returns ErrServerClosed, new connections
-// are refused, and Shutdown returns once sessions are gone.
 // TestServerRefusesOtherProtocol speaks to the server over a raw
 // connection: a hello of another version and the unassigned opcodes 0x09
-// (once an epoch-less snapshot capture) and 0x18 (once a server-stats
-// summary) are answered with error statuses, never served, and the
-// session stays in sync for the requests after them.
+// (once an epoch-less snapshot capture), 0x15 (once store stats), 0x18
+// (once a server-stats summary) and 0x1d (once index stats) are answered
+// with error statuses, never served, and the session stays in sync for the
+// requests after them.
 func TestServerRefusesOtherProtocol(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
@@ -512,7 +510,7 @@ func TestServerRefusesOtherProtocol(t *testing.T) {
 	if resp := roundTrip(hello.Bytes()...); resp[0] != wire.StatusErrBadRequest {
 		t.Fatalf("hello version 4: status 0x%02x, want StatusErrBadRequest", resp[0])
 	}
-	for _, op := range []byte{0x09, 0x18} {
+	for _, op := range []byte{0x09, 0x15, 0x18, 0x1d} {
 		resp := roundTrip(op)
 		if msg := fmt.Sprintf("unknown opcode 0x%02x", op); resp[0] != wire.StatusErrBadRequest || !strings.Contains(string(resp), msg) {
 			t.Fatalf("opcode 0x%02x: response %q, want StatusErrBadRequest with %q", op, resp, msg)
@@ -532,6 +530,9 @@ func TestServerRefusesOtherProtocol(t *testing.T) {
 	}
 }
 
+// TestServerGracefulShutdown checks the drain path: an in-flight request
+// completes and flushes, Serve returns ErrServerClosed, new connections
+// are refused, and Shutdown returns once sessions are gone.
 func TestServerGracefulShutdown(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {

@@ -1,0 +1,178 @@
+package server_test
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"hyrise/client"
+	"hyrise/internal/shard"
+)
+
+// TestStoreFieldCoverage finds every number the retired store-stats and
+// index-stats opcodes carried in one of two places: the schema cached at
+// Dial (name, key column) or a series of the metrics snapshot, with the
+// exact value the store reports in process.  It runs on a 2-shard store
+// with one indexed column, garbage-collected versions, a delta tail and a
+// pinned snapshot, and again after an online reshard to 3 shards, when
+// the partition families must list every physical partition.  With no
+// writer running, client.Stats and client.IndexStats must equal the
+// store's StoreStats and IndexStats field by field.
+func TestStoreFieldCoverage(t *testing.T) {
+	st, err := shard.New("sales", salesSchema(), "order_id", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, srv, _ := startServer(t, st)
+	requests := 2 // the Dial's hello and schema
+	do := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requests++
+	}
+	batch := func(lo, n int) [][]any {
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = []any{uint64(lo + i), uint32(i), fmt.Sprintf("p%d", i%7)}
+		}
+		return rows
+	}
+	do(c.CreateIndex("product"))
+	ids, err := c.InsertBatch(batch(0, 40))
+	do(err)
+	for _, id := range ids[:6] {
+		_, err := c.Update(id, map[string]any{"qty": uint32(99)})
+		do(err)
+	}
+	for _, id := range ids[6:10] {
+		do(c.Delete(id))
+	}
+	_, err = c.Merge(client.MergeOptions{})
+	do(err)
+	_, err = c.InsertBatch(batch(100, 5))
+	do(err)
+	_, err = c.Snapshot()
+	do(err)
+	if s := st.StoreStats(); s.RetiredRows != 10 || s.ReclaimedBytes == 0 || s.DeltaRows != 5 {
+		t.Fatalf("fixture: retired %d, reclaimed %d bytes, delta %d; want 10, >0, 5",
+			s.RetiredRows, s.ReclaimedBytes, s.DeltaRows)
+	}
+
+	check := func(stage string) {
+		t.Helper()
+		samples, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := st.StoreStats()
+		if c.Name() != want.Name || c.KeyColumn() != want.KeyColumn {
+			t.Errorf("%s: schema name %q key %q, want %q %q", stage, c.Name(), c.KeyColumn(), want.Name, want.KeyColumn)
+		}
+		type field struct {
+			name, series string
+			want         float64
+		}
+		fields := []field{
+			{"Shards", "hyrise_store_shards", float64(want.Shards)},
+			{"MainRows", "hyrise_store_main_rows", float64(want.MainRows)},
+			{"DeltaRows", "hyrise_store_delta_rows", float64(want.DeltaRows)},
+			{"RetiredRows", "hyrise_gc_rows_retired_total", float64(want.RetiredRows)},
+			{"ReclaimedBytes", "hyrise_gc_reclaimed_bytes_total", float64(want.ReclaimedBytes)},
+			{"Merging", "hyrise_store_merging", 0},
+			{"ActiveConns", "hyrise_server_connections", float64(srv.ActiveConns())},
+			{"Snapshots", "hyrise_server_snapshots", 1},
+		}
+		for i, p := range want.Partitions {
+			for _, f := range []struct {
+				name string
+				v    int
+			}{{"rows", p.Rows}, {"valid_rows", p.ValidRows}, {"main_rows", p.MainRows},
+				{"delta_rows", p.DeltaRows}, {"size_bytes", p.SizeBytes}} {
+				fields = append(fields, field{fmt.Sprintf("Partitions[%d] %s", i, f.name),
+					fmt.Sprintf(`hyrise_partition_%s{partition="%d"}`, f.name, i), float64(f.v)})
+			}
+		}
+		idx := st.IndexStats()
+		if len(idx) != 1 || idx[0].Column != "product" || idx[0].Builds < 2 {
+			t.Fatalf("%s: store index stats %+v, want product built and rebuilt", stage, idx)
+		}
+		for _, is := range idx {
+			col := fmt.Sprintf("{column=%q}", is.Column)
+			fields = append(fields, []field{
+				{"Postings", "hyrise_index_postings" + col, float64(is.Postings)},
+				{"SizeBytes", "hyrise_index_bytes" + col, float64(is.SizeBytes)},
+				{"Builds", "hyrise_index_builds_total" + col, float64(is.Builds)},
+				{"LastBuild", "hyrise_index_last_build_seconds" + col, is.LastBuild.Seconds()},
+			}...)
+		}
+		for _, f := range fields {
+			if v, ok := client.MetricValue(samples, f.series); !ok || v != f.want {
+				t.Errorf("%s: %s: %s = %v (present %v), want %v", stage, f.name, f.series, v, ok, f.want)
+			}
+		}
+		var reqs float64
+		parts := 0
+		for _, m := range samples {
+			if strings.HasPrefix(m.Name, "hyrise_server_requests_total{") {
+				reqs += m.Value
+			}
+			if strings.HasPrefix(m.Name, "hyrise_partition_rows{") {
+				parts++
+			}
+		}
+		if reqs != float64(requests) {
+			t.Errorf("%s: Requests: per-op series sum to %v, want %d", stage, reqs, requests)
+		}
+		if parts != st.NumParts() || parts != len(want.Partitions) {
+			t.Errorf("%s: %d partition series, want %d", stage, parts, st.NumParts())
+		}
+		requests++ // the Metrics request itself
+
+		got, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStats := client.Stats{
+			Name: want.Name, Shards: want.Shards, KeyColumn: want.KeyColumn,
+			Rows: want.Rows, ValidRows: want.ValidRows, MainRows: want.MainRows,
+			DeltaRows: want.DeltaRows, SizeBytes: want.SizeBytes,
+			RetiredRows: want.RetiredRows, ReclaimedBytes: want.ReclaimedBytes,
+			ActiveConns: srv.ActiveConns(), Requests: uint64(requests), Snapshots: 1,
+		}
+		for _, p := range want.Partitions {
+			wantStats.Partitions = append(wantStats.Partitions, client.PartitionStats{
+				Rows: p.Rows, ValidRows: p.ValidRows, MainRows: p.MainRows,
+				DeltaRows: p.DeltaRows, SizeBytes: p.SizeBytes,
+			})
+		}
+		if !reflect.DeepEqual(got, wantStats) {
+			t.Errorf("%s: client.Stats\n got  %+v\n want %+v", stage, got, wantStats)
+		}
+		requests++
+
+		gotIdx, err := c.IndexStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantIdx []client.IndexStat
+		for _, is := range idx {
+			wantIdx = append(wantIdx, client.IndexStat{Column: is.Column, Postings: is.Postings,
+				SizeBytes: is.SizeBytes, Builds: is.Builds, LastBuild: is.LastBuild})
+		}
+		if !reflect.DeepEqual(gotIdx, wantIdx) {
+			t.Errorf("%s: client.IndexStats\n got  %+v\n want %+v", stage, gotIdx, wantIdx)
+		}
+		requests++
+	}
+
+	check("2 shards")
+	_, err = c.Reshard(3)
+	do(err)
+	if st.NumShards() != 3 || st.NumParts() <= 3 {
+		t.Fatalf("after reshard: %d shards over %d partitions", st.NumShards(), st.NumParts())
+	}
+	check("after reshard to 3")
+}

@@ -639,3 +639,15 @@ func (t *Table) Stats() Stats {
 	s.SizeBytes += t.epochs.SizeBytes() + 8*len(t.ids)
 	return s
 }
+
+// SizeBytes returns Stats().SizeBytes without Stats' pass over the row
+// metadata: every column's main and deltas plus the row metadata arrays.
+func (t *Table) SizeBytes() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := t.epochs.SizeBytes() + 8*len(t.ids)
+	for _, c := range t.cols {
+		n += c.stats().SizeBytes
+	}
+	return n
+}

@@ -9,7 +9,7 @@ import (
 // TestOpcodesCoverEveryOp pins the opcode registry to the protocol: every
 // opcode in Opcodes() must have a real OpName (adding an opcode without
 // naming it breaks the per-op metric series), the range must be dense up
-// to opLast except for the two unassigned numbers, names must be unique,
+// to opLast except for the unassigned numbers, names must be unique,
 // and the current tail (OpReshard) must be included.  A new opcode that
 // forgets to bump opLast or extend OpName fails here.
 func TestOpcodesCoverEveryOp(t *testing.T) {
@@ -23,7 +23,7 @@ func TestOpcodesCoverEveryOp(t *testing.T) {
 	if last := ops[len(ops)-1]; last != OpReshard {
 		t.Fatalf("Opcodes() ends at 0x%02x, want OpReshard (0x%02x)", last, OpReshard)
 	}
-	holes := []uint8{opUnassigned09, opUnassigned18}
+	holes := unassigned[:]
 	seen := make(map[string]uint8, len(ops))
 	for i, op := range ops {
 		if i > 0 && op != ops[i-1]+1 && !(op == ops[i-1]+2 && slices.Contains(holes, op-1)) {

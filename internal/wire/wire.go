@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MaxFrame is the largest accepted frame payload (requests and
@@ -54,9 +55,11 @@ const MaxFrame = 16 << 20
 // from a different protocol is refused with a typed error (the server
 // answers StatusErrBadRequest, the client fails Dial) instead of the two
 // sides misparsing each other's frames.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
-// Opcodes.  The zero value is intentionally invalid.
+// Opcodes.  The zero value is intentionally invalid, and the numbers in
+// unassigned are holes: a frame carrying one is answered like any unknown
+// opcode.
 const (
 	OpPing            = 0x01 // -> empty
 	OpSchema          = 0x02 // -> name, shards u32, key string, schema
@@ -66,7 +69,6 @@ const (
 	OpDelete          = 0x06 // id u64 -> empty
 	OpRow             = 0x07 // id u64 -> row
 	OpIsValid         = 0x08 // id u64 -> u8
-	opUnassigned09    = 0x09 // hole in the numbering: not an opcode, answered like any unknown one
 	OpSnapshotRelease = 0x0a // token u64 -> empty
 	OpLookup          = 0x0b // token, col string, value -> ids
 	OpRange           = 0x0c // token, col string, lo value, hi value -> ids
@@ -78,22 +80,24 @@ const (
 	OpQuery           = 0x12 // token, filters, u16 n + project strings -> query result
 	OpValidRows       = 0x13 // token -> u64
 	OpVisible         = 0x14 // token, id u64 -> u8
-	OpStats           = 0x15 // -> stats (incl. GC retired/reclaimed counters)
 	OpMerge           = 0x16 // threads u32 (0 = all; clamped to the server's GOMAXPROCS) -> merge report
 
 	OpHello         = 0x17 // version u32 -> version u32, role u8 (error unless the versions match)
-	opUnassigned18  = 0x18 // hole in the numbering, like 0x09
 	OpSnapshotEpoch = 0x19 // -> token u64, epoch u64
 	OpPinEpoch      = 0x1a // epoch u64 -> token u64
 	OpSubscribe     = 0x1b // version u32, mode u8, fromLSN u64 -> mode u8, startLSN u64, then stream (error unless the versions match)
 
 	OpCreateIndex = 0x1c // col string -> empty
-	OpIndexStats  = 0x1d // -> u32 n + per column: col string, postings u64, bytes u64, builds u64, lastBuildNs u64
 
-	OpMetrics = 0x1e // -> u32 n + per sample: name string, float64 bits u64
+	OpMetrics = 0x1e // -> u32 n + per sample: name string, float64 bits u64 (every server, store and index number)
 
 	OpReshard = 0x1f // shards u32 -> from u32, to u32, migrated u64, wallNs u64, cutoverNs u64, mapVersion u64, cutoverEpoch u64
 )
+
+// unassigned lists the holes in the opcode numbering, retired opcodes
+// whose numbers are not reused: 0x09 (an epoch-less snapshot capture),
+// 0x15 (store stats), 0x18 (server stats) and 0x1d (index stats).
+var unassigned = [...]uint8{0x09, 0x15, 0x18, 0x1d}
 
 // opLast is the highest opcode this build knows; Opcodes() iterates up to
 // it, and the opcode-coverage test pins OpName against it.
@@ -143,8 +147,6 @@ func OpName(op uint8) string {
 		return "valid_rows"
 	case OpVisible:
 		return "visible"
-	case OpStats:
-		return "stats"
 	case OpMerge:
 		return "merge"
 	case OpHello:
@@ -157,8 +159,6 @@ func OpName(op uint8) string {
 		return "subscribe"
 	case OpCreateIndex:
 		return "create_index"
-	case OpIndexStats:
-		return "index_stats"
 	case OpMetrics:
 		return "metrics"
 	case OpReshard:
@@ -173,7 +173,7 @@ func OpName(op uint8) string {
 func Opcodes() []uint8 {
 	ops := make([]uint8, 0, opLast)
 	for op := uint8(OpPing); op <= opLast; op++ {
-		if op != opUnassigned09 && op != opUnassigned18 {
+		if !slices.Contains(unassigned[:], op) {
 			ops = append(ops, op)
 		}
 	}
