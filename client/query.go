@@ -1,8 +1,8 @@
 package client
 
 import (
+	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 
@@ -141,69 +141,67 @@ type Stats struct {
 // read on its own, so the aggregate is not a cross-series snapshot (the
 // partitions were never read at one instant either).  Requests sums
 // hyrise_server_requests_total over opcodes: it counts requests of known
-// opcodes, not subscribe streams or frames with an unknown opcode.
+// opcodes, not subscribe streams or frames with an unknown opcode.  A
+// series the server does not report is an error.
 func (c *Client) Stats() (Stats, error) {
 	samples, err := c.Metrics()
 	if err != nil {
 		return Stats{}, err
 	}
-	f := families(samples)
-	get := func(family string) int { return int(f[family][""]) }
+	m := seriesSet{samples: samples}
 	st := Stats{
 		Name: c.name, KeyColumn: c.keyColumn,
-		Shards:         get("hyrise_store_shards"),
-		MainRows:       get("hyrise_store_main_rows"),
-		DeltaRows:      get("hyrise_store_delta_rows"),
-		RetiredRows:    get("hyrise_gc_rows_retired_total"),
-		ReclaimedBytes: get("hyrise_gc_reclaimed_bytes_total"),
-		Merging:        get("hyrise_store_merging") != 0,
-		ActiveConns:    get("hyrise_server_connections"),
-		Snapshots:      get("hyrise_server_snapshots"),
+		Shards:         int(m.get("hyrise_store_shards")),
+		MainRows:       int(m.get("hyrise_store_main_rows")),
+		DeltaRows:      int(m.get("hyrise_store_delta_rows")),
+		RetiredRows:    int(m.get("hyrise_gc_rows_retired_total")),
+		ReclaimedBytes: int(m.get("hyrise_gc_reclaimed_bytes_total")),
+		Merging:        m.get("hyrise_store_merging") != 0,
+		ActiveConns:    int(m.get("hyrise_server_connections")),
+		Snapshots:      int(m.get("hyrise_server_snapshots")),
 	}
-	for _, v := range f["hyrise_server_requests_total"] {
-		st.Requests += uint64(v)
-	}
-	for i := 0; ; i++ {
-		label := strconv.Itoa(i)
-		rows, ok := f["hyrise_partition_rows"][label]
-		if !ok {
-			break
+	for _, s := range samples {
+		if strings.HasPrefix(s.Name, "hyrise_server_requests_total{") {
+			st.Requests += uint64(s.Value)
 		}
-		part := func(family string) int { return int(f["hyrise_partition_"+family][label]) }
-		p := PartitionStats{Rows: int(rows), ValidRows: part("valid_rows"),
+	}
+	// Partition i exists iff its rows series does; partition 0 always does.
+	for i := 0; i == 0 || m.has(fmt.Sprintf(`hyrise_partition_rows{partition="%d"}`, i)); i++ {
+		part := func(family string) int {
+			return int(m.get(fmt.Sprintf(`hyrise_partition_%s{partition="%d"}`, family, i)))
+		}
+		p := PartitionStats{Rows: part("rows"), ValidRows: part("valid_rows"),
 			MainRows: part("main_rows"), DeltaRows: part("delta_rows"), SizeBytes: part("size_bytes")}
 		st.Partitions = append(st.Partitions, p)
 		st.Rows += p.Rows
 		st.ValidRows += p.ValidRows
 		st.SizeBytes += p.SizeBytes
 	}
+	if m.missing != "" {
+		return Stats{}, fmt.Errorf("client: server %s reports no %s", c.addr, m.missing)
+	}
 	return st, nil
 }
 
-// families indexes a Metrics snapshot by family, then by the value of the
-// sample's one label ("" for an unlabelled sample).
-func families(samples []Metric) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64)
-	for _, m := range samples {
-		family, label := series(m.Name)
-		if out[family] == nil {
-			out[family] = make(map[string]float64)
-		}
-		out[family][label] = m.Value
-	}
-	return out
+// seriesSet reads series by exact name (MetricValue) from one Metrics
+// snapshot and remembers the first required one that is absent.
+type seriesSet struct {
+	samples []Metric
+	missing string
 }
 
-// series splits a sample name of at most one label into its family and
-// that label's value ("" for an unlabelled sample).
-func series(name string) (family, label string) {
-	family, rest, ok := strings.Cut(name, "{")
-	if !ok {
-		return name, ""
+func (m *seriesSet) has(name string) bool {
+	_, ok := MetricValue(m.samples, name)
+	return ok
+}
+
+// get returns the named series, recording it as missing if it is absent.
+func (m *seriesSet) get(name string) float64 {
+	v, ok := MetricValue(m.samples, name)
+	if !ok && m.missing == "" {
+		m.missing = name
 	}
-	_, quoted, _ := strings.Cut(strings.TrimSuffix(rest, "}"), "=")
-	label, _ = strconv.Unquote(quoted)
-	return family, label
+	return v
 }
 
 // MergeOptions configures a remote merge.
@@ -299,27 +297,33 @@ func (c *Client) CreateIndex(column string) error {
 }
 
 // IndexStats reads per-column statistics for every group-key index on
-// the server from one Metrics snapshot: the hyrise_index_{postings,bytes,
-// builds_total,last_build_seconds}{column} series, which list only the
-// columns indexed when the server read them.  As with Stats, each series
-// is read on its own.
+// the server, in schema column order, from one Metrics snapshot: the
+// hyrise_index_{postings,bytes,builds_total,last_build_seconds}{column}
+// series, which list only the columns indexed when the server read them.
+// As with Stats, each series is read on its own, and a series missing for
+// an indexed column is an error.
 func (c *Client) IndexStats() ([]IndexStat, error) {
 	samples, err := c.Metrics()
 	if err != nil {
 		return nil, err
 	}
-	f := families(samples)
+	m := seriesSet{samples: samples}
 	var stats []IndexStat
-	for _, m := range samples {
-		if family, col := series(m.Name); family == "hyrise_index_postings" {
-			stats = append(stats, IndexStat{
-				Column:    col,
-				Postings:  int(m.Value),
-				SizeBytes: int(f["hyrise_index_bytes"][col]),
-				Builds:    uint64(f["hyrise_index_builds_total"][col]),
-				LastBuild: time.Duration(math.Round(f["hyrise_index_last_build_seconds"][col] * 1e9)),
-			})
+	for _, col := range c.schema {
+		label := fmt.Sprintf("{column=%q}", col.Name)
+		if !m.has("hyrise_index_postings" + label) {
+			continue
 		}
+		stats = append(stats, IndexStat{
+			Column:    col.Name,
+			Postings:  int(m.get("hyrise_index_postings" + label)),
+			SizeBytes: int(m.get("hyrise_index_bytes" + label)),
+			Builds:    uint64(m.get("hyrise_index_builds_total" + label)),
+			LastBuild: time.Duration(math.Round(m.get("hyrise_index_last_build_seconds"+label) * 1e9)),
+		})
+	}
+	if m.missing != "" {
+		return nil, fmt.Errorf("client: server %s reports no %s", c.addr, m.missing)
 	}
 	return stats, nil
 }

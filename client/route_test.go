@@ -10,7 +10,7 @@ import (
 
 // stubReplica serves the few requests a routed latest read sends a
 // follower: the hello (announcing role), the schema the sub-client's dial
-// reads, a metrics snapshot of the given samples, and OpSum answered with
+// reads (one uint64 column k), a metrics snapshot of the given samples, and OpSum answered with
 // sentinel.  It returns the stub's address.
 func stubReplica(t *testing.T, role uint8, samples map[string]float64, sentinel uint64) string {
 	t.Helper()
@@ -36,7 +36,9 @@ func stubReplica(t *testing.T, role uint8, samples map[string]float64, sentinel 
 				out.String("kv")
 				out.U32(1)
 				out.String("k")
-				out.U16(0)
+				out.U16(1)
+				out.String("k")
+				out.U8(uint8(Uint64))
 			case wire.OpMetrics:
 				out.U32(uint32(len(samples)))
 				for name, v := range samples {

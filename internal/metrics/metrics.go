@@ -147,8 +147,8 @@ type sample struct {
 	counter *Counter
 	hist    *Histogram
 	fn      func() float64 // func-backed counter or gauge
-	// vec, set only by the VecFunc registrations, emits every sample of
-	// its family at scrape time, each with its value of the label key.
+	// vec, set only by VecFunc, emits every sample of its family at
+	// scrape time, each with its value of the label key.
 	vec func(emit func(value string, v float64))
 	key string
 }
@@ -243,19 +243,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	r.register(name, help, kindGauge, labels).fn = fn
 }
 
-// GaugeVecFunc registers a gauge family whose label values are computed at
-// scrape time: fn calls emit once per sample, with that sample's value of
-// the one label key.  It is for label sets that change while the server
-// runs, which fixed registration cannot follow.
-func (r *Registry) GaugeVecFunc(name, help, key string, fn func(emit func(value string, v float64))) {
-	s := r.register(name, help, kindGauge, nil)
-	s.key, s.vec = key, fn
-}
-
-// CounterVecFunc is GaugeVecFunc for a family of counters; each sample
-// must be monotonic for the rendered type to be honest.
-func (r *Registry) CounterVecFunc(name, help, key string, fn func(emit func(value string, v float64))) {
-	s := r.register(name, help, kindCounter, nil)
+// VecFunc registers a family whose label values are computed at scrape
+// time: fn calls emit once per sample, with that sample's value of the one
+// label key.  It is for label sets that change while the server runs,
+// which fixed registration cannot follow.  A name ending in _total is a
+// counter family (each sample must be monotonic), any other a gauge family.
+func (r *Registry) VecFunc(name, help, key string, fn func(emit func(value string, v float64))) {
+	kind := kindGauge
+	if strings.HasSuffix(name, "_total") {
+		kind = kindCounter
+	}
+	s := r.register(name, help, kind, nil)
 	s.key, s.vec = key, fn
 }
 

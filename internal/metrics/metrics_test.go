@@ -208,16 +208,17 @@ func TestSnapshot(t *testing.T) {
 
 // TestVecFunc: a VecFunc family's label values are read at every scrape,
 // so a label value added between two scrapes shows in the second, in both
-// renderings, with its kind's TYPE line and the label value quoted.
+// renderings, with the TYPE line its name implies (counter for _total)
+// and the label value quoted.
 func TestVecFunc(t *testing.T) {
 	r := NewRegistry()
 	parts := []float64{3}
-	r.GaugeVecFunc("p_rows", "rows", "partition", func(emit func(string, float64)) {
+	r.VecFunc("p_rows", "rows", "partition", func(emit func(string, float64)) {
 		for i, v := range parts {
 			emit(strconv.Itoa(i), v)
 		}
 	})
-	r.CounterVecFunc("i_builds_total", "builds", "column", func(emit func(string, float64)) {
+	r.VecFunc("i_builds_total", "builds", "column", func(emit func(string, float64)) {
 		emit(`a"b`, 2)
 	})
 	scrape := func() map[string]float64 {

@@ -120,20 +120,27 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// Partition-dependent gauges re-resolve the partition list on every
 	// scrape: an online reshard appends partitions after construction, and
 	// a stale captured slice would silently stop covering them.
-	gcWatermark := func() uint64 {
-		var w uint64
-		for _, p := range s.st.Partitions() {
-			w = max(w, p.GCWatermark())
-		}
-		return w
-	}
 	reg.GaugeFunc("hyrise_gc_watermark",
 		"Reclamation floor: the highest freeze-time epoch a committed GC merge reclaimed below (max over partitions).",
-		func() float64 { return float64(gcWatermark()) })
+		func() float64 {
+			var w uint64
+			for _, p := range s.st.Partitions() {
+				if v := p.GCWatermark(); v > w {
+					w = v
+				}
+			}
+			return float64(w)
+		})
 	reg.GaugeFunc("hyrise_gc_watermark_age_epochs",
 		"Epochs elapsed since the reclamation floor last advanced (staleness of reclamation).",
 		func() float64 {
-			w, now := gcWatermark(), clock.Now()
+			var w uint64
+			for _, p := range s.st.Partitions() {
+				if v := p.GCWatermark(); v > w {
+					w = v
+				}
+			}
+			now := clock.Now()
 			if w == 0 || now <= w {
 				return 0
 			}
@@ -164,7 +171,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return float64(nd) / float64(nm)
 		})
 	reg.GaugeFunc("hyrise_store_merging", "1 while any partition runs a merge.",
-		func() float64 { return boolGauge(s.st.Merging()) })
+		func() float64 {
+			if s.st.Merging() {
+				return 1
+			}
+			return 0
+		})
 
 	// Per-partition shape, labelled by physical partition index and
 	// re-resolved at every scrape like the gauges above.  valid_rows is the
@@ -180,7 +192,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		{"hyrise_partition_delta_rows", "Delta tuple count, by physical partition.", (*table.Table).DeltaRows},
 		{"hyrise_partition_size_bytes", "Storage footprint in bytes, by physical partition.", (*table.Table).SizeBytes},
 	} {
-		reg.GaugeVecFunc(f.name, f.help, "partition", func(emit func(string, float64)) {
+		reg.VecFunc(f.name, f.help, "partition", func(emit func(string, float64)) {
 			for i, p := range s.st.Partitions() {
 				emit(strconv.Itoa(i), float64(f.read(p)))
 			}
@@ -223,33 +235,46 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("hyrise_index_reads_total",
 		"Point/range reads served from a group-key index vs. a column scan.",
 		func() float64 {
-			return float64(s.sumParts(func(p *table.Table) int { i, _ := p.RoutingCounts(); return int(i) }))
+			var n uint64
+			for _, p := range s.st.Partitions() {
+				i, _ := p.RoutingCounts()
+				n += i
+			}
+			return float64(n)
 		}, "route", "indexed")
 	reg.CounterFunc("hyrise_index_reads_total",
 		"Point/range reads served from a group-key index vs. a column scan.",
 		func() float64 {
-			return float64(s.sumParts(func(p *table.Table) int { _, sc := p.RoutingCounts(); return int(sc) }))
+			var n uint64
+			for _, p := range s.st.Partitions() {
+				_, sc := p.RoutingCounts()
+				n += sc
+			}
+			return float64(n)
 		}, "route", "scanned")
 
 	// Group-key indexes, labelled by column: only the columns indexed at
 	// scrape time appear.  Summed over shards, except last-build, the
 	// slowest shard's most recent rebuild (shard.Table.IndexStats).
-	indexFamily := func(register func(string, string, string, func(func(string, float64))),
-		name, help string, read func(table.IndexStats) float64) {
-		register(name, help, "column", func(emit func(string, float64)) {
+	for _, f := range []struct {
+		name, help string
+		read       func(table.IndexStats) float64
+	}{
+		{"hyrise_index_postings", "Indexed main positions, by column.",
+			func(is table.IndexStats) float64 { return float64(is.Postings) }},
+		{"hyrise_index_bytes", "Posting-list memory in bytes, by column.",
+			func(is table.IndexStats) float64 { return float64(is.SizeBytes) }},
+		{"hyrise_index_builds_total", "Index builds (initial plus one per merge), by column.",
+			func(is table.IndexStats) float64 { return float64(is.Builds) }},
+		{"hyrise_index_last_build_seconds", "Duration of the most recent index rebuild, by column.",
+			func(is table.IndexStats) float64 { return is.LastBuild.Seconds() }},
+	} {
+		reg.VecFunc(f.name, f.help, "column", func(emit func(string, float64)) {
 			for _, is := range s.st.IndexStats() {
-				emit(is.Column, read(is))
+				emit(is.Column, f.read(is))
 			}
 		})
 	}
-	indexFamily(reg.GaugeVecFunc, "hyrise_index_postings", "Indexed main positions, by column.",
-		func(is table.IndexStats) float64 { return float64(is.Postings) })
-	indexFamily(reg.GaugeVecFunc, "hyrise_index_bytes", "Posting-list memory in bytes, by column.",
-		func(is table.IndexStats) float64 { return float64(is.SizeBytes) })
-	indexFamily(reg.CounterVecFunc, "hyrise_index_builds_total", "Index builds (initial plus one per merge), by column.",
-		func(is table.IndexStats) float64 { return float64(is.Builds) })
-	indexFamily(reg.GaugeVecFunc, "hyrise_index_last_build_seconds", "Duration of the most recent index rebuild, by column.",
-		func(is table.IndexStats) float64 { return is.LastBuild.Seconds() })
 
 	// Query planner: driving-predicate selectivity estimates vs. actuals.
 	// Process-wide by construction (the planner is stateless); still scraped
@@ -284,7 +309,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("hyrise_shard_map_version", "Version of the published shard map.",
 		func() float64 { return float64(sh.MapVersion()) })
 	reg.GaugeFunc("hyrise_store_resharding", "1 while a reshard migration is in flight.",
-		func() float64 { return boolGauge(sh.Resharding()) })
+		func() float64 {
+			if sh.Resharding() {
+				return 1
+			}
+			return 0
+		})
 
 	sh.OnMerge(m.observeMerge)
 	return m
@@ -297,13 +327,6 @@ func (s *Server) sumParts(read func(*table.Table) int) int {
 		n += read(p)
 	}
 	return n
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // observeMerge is the store's merge observer (shard.Table.OnMerge): it

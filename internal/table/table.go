@@ -625,26 +625,29 @@ func (t *Table) Stats() Stats {
 	defer t.mu.RUnlock()
 	s := Stats{
 		Name: t.name, Rows: t.rows, ValidRows: t.epochs.CountAlive(),
-		RetiredRows: t.retired, ReclaimedBytes: t.reclaimed,
+		SizeBytes: t.sizeBytesLocked(), RetiredRows: t.retired, ReclaimedBytes: t.reclaimed,
 	}
 	for _, c := range t.cols {
-		cs := c.stats()
-		s.Columns = append(s.Columns, cs)
-		s.SizeBytes += cs.SizeBytes
+		s.Columns = append(s.Columns, c.stats())
 	}
 	if len(t.cols) > 0 {
 		s.MainRows = t.cols[0].mainLen()
 		s.DeltaRows = t.cols[0].deltaLen()
 	}
-	s.SizeBytes += t.epochs.SizeBytes() + 8*len(t.ids)
 	return s
 }
 
 // SizeBytes returns Stats().SizeBytes without Stats' pass over the row
-// metadata: every column's main and deltas plus the row metadata arrays.
+// metadata.
 func (t *Table) SizeBytes() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.sizeBytesLocked()
+}
+
+// sizeBytesLocked is the storage footprint: every column's main and
+// deltas plus the row metadata arrays.  The caller holds t.mu.
+func (t *Table) sizeBytesLocked() int {
 	n := t.epochs.SizeBytes() + 8*len(t.ids)
 	for _, c := range t.cols {
 		n += c.stats().SizeBytes
