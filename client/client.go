@@ -169,7 +169,6 @@ type Client struct {
 
 	// Immutable after Dial.
 	name      string
-	shards    int
 	keyColumn string
 	schema    []Column
 	colIdx    map[string]int
@@ -270,11 +269,6 @@ func (c *Client) readSchema(r *wire.Reader) error {
 	if c.name, err = r.String(); err != nil {
 		return err
 	}
-	shards, err := r.U32()
-	if err != nil {
-		return err
-	}
-	c.shards = int(shards)
 	if c.keyColumn, err = r.String(); err != nil {
 		return err
 	}
@@ -300,9 +294,6 @@ func (c *Client) readSchema(r *wire.Reader) error {
 
 // Name returns the served table's name.
 func (c *Client) Name() string { return c.name }
-
-// Shards returns the served table's active shard count at dial time.
-func (c *Client) Shards() int { return c.shards }
 
 // KeyColumn returns the hash-partitioning column.
 func (c *Client) KeyColumn() string { return c.keyColumn }

@@ -111,7 +111,9 @@ type PartitionStats struct {
 // Stats is the server's statistics: the store's unified stats plus
 // server-level counters.
 type Stats struct {
-	Name      string
+	Name string
+	// Shards is the active shard count at the time of the call
+	// (hyrise_store_shards); it changes at an online Reshard.
 	Shards    int
 	KeyColumn string
 	Rows      int

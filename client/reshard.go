@@ -27,9 +27,7 @@ type ReshardReport struct {
 // Reshard changes the served table's active shard count to n, online:
 // reads (latest and snapshot) and writes keep working on every connection
 // throughout, and replication followers replay the same migration from
-// the op log.  It fails with ErrReadOnly on a follower.  Note Shards()
-// keeps reporting the dial-time count; the live topology is the
-// hyrise_store_shards series of Metrics.
+// the op log.  It fails with ErrReadOnly on a follower.
 func (c *Client) Reshard(n int) (ReshardReport, error) {
 	var req wire.Buffer
 	req.U8(wire.OpReshard)

@@ -34,7 +34,6 @@ func stubReplica(t *testing.T, role uint8, samples map[string]float64, sentinel 
 				out.U8(role)
 			case wire.OpSchema:
 				out.String("kv")
-				out.U32(1)
 				out.String("k")
 				out.U16(1)
 				out.String("k")

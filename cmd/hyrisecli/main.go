@@ -105,7 +105,11 @@ func (s *shell) exec(line string) error {
 }
 
 func (s *shell) help([]string) error {
-	fmt.Fprintf(s.out, "table %s (key %s, %d shard(s)):\n", s.c.Name(), s.c.KeyColumn(), s.c.Shards())
+	st, err := s.c.Stats()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(s.out, "table %s (key %s, %d shard(s)):\n", s.c.Name(), s.c.KeyColumn(), st.Shards)
 	for _, c := range s.cols {
 		fmt.Fprintf(s.out, "  %-16s %v\n", c.Name, c.Type)
 	}

@@ -216,8 +216,8 @@ func TestHyrisedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Shards() != 4 {
-		t.Fatalf("restarted topology: %d shards want 4", c.Shards())
+	if st, err := c.Stats(); err != nil || st.Shards != 4 {
+		t.Fatalf("restarted topology: %d shards want 4 (%v)", st.Shards, err)
 	}
 	n, err := c.ValidRows()
 	if err != nil {

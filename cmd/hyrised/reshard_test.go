@@ -91,8 +91,8 @@ func TestReshardOneShardDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Shards() != 1 || c.KeyColumn() != "v" {
-		t.Fatalf("-shards 1 -key v serves shards=%d key=%q", c.Shards(), c.KeyColumn())
+	if st, err := c.Stats(); err != nil || st.Shards != 1 || c.KeyColumn() != "v" {
+		t.Fatalf("-shards 1 -key v serves shards=%d key=%q (%v)", st.Shards, c.KeyColumn(), err)
 	}
 	const rows = 600
 	batch := make([][]any, rows)

@@ -68,7 +68,11 @@ func main() {
 	if _, err := c.InsertBatch(batch); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded %d rows across %d shards\n", len(batch), c.Shards())
+	stats, err := c.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("loaded %d rows across %d shards\n", len(batch), stats.Shards)
 
 	// Pin a snapshot, then let concurrent writers churn.
 	snap, err := c.Snapshot()
@@ -116,8 +120,7 @@ func main() {
 	}
 	fmt.Printf("query matched %d gadget orders in [1,100]\n", res.Count())
 
-	stats, err := c.Stats()
-	if err != nil {
+	if stats, err = c.Stats(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("server: %d rows (%d valid), delta %d, %d request(s) served\n",

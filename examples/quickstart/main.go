@@ -91,12 +91,12 @@ func main() {
 
 	// Any table can be resharded online: rows migrate into four fresh
 	// partitions keyed by order_id while reads and writes keep flowing.
-	// Migrated rows get new ids, so resolve them by key.
+	// Migrated rows get new ids, so resolve them by key; handles read the
+	// current partitions, so the ones resolved above still see every row.
 	rr, err := s.Reshard(context.Background(), 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	orders, _ = hyrise.ColumnOf[uint64](s, "order_id") // handles cover the partitions they were resolved over
 	fmt.Printf("reshard %d -> %d shards: %d rows migrated in %s; order 42 -> rows %v\n",
 		rr.From, rr.To, rr.RowsMigrated, rr.Wall, orders.Lookup(42))
 }

@@ -263,17 +263,6 @@ func (r *Rows) VisibleAt(i int, e uint64) bool {
 // retain them past the locked region.
 func (r *Rows) Raw() (begin, end []uint64) { return r.begin, r.end }
 
-// CountAlive returns the number of current versions.
-func (r *Rows) CountAlive() int {
-	n := 0
-	for _, e := range r.end {
-		if e == 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Compact removes the rows marked true in drop, which covers the first
 // len(drop) rows; rows beyond len(drop) are kept unconditionally.  Survivor
 // order is preserved, so a survivor's new index is its rank among kept

@@ -91,9 +91,6 @@ func TestRowsVisibility(t *testing.T) {
 			t.Errorf("VisibleAt(%d, %d) = %v want %v", c.row, c.e, got, c.want)
 		}
 	}
-	if r.CountAlive() != 1 {
-		t.Fatalf("CountAlive = %d want 1", r.CountAlive())
-	}
 }
 
 func TestRowsSnapshotRestore(t *testing.T) {

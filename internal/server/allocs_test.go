@@ -1,0 +1,80 @@
+package server_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"hyrise/client"
+	"hyrise/internal/shard"
+	"hyrise/internal/table"
+)
+
+// TestServedAllocs counts the heap allocations of one served call —
+// client encode, loopback round trip, server dispatch and store read, all
+// in this process — with testing.AllocsPerRun.  Counts do not move with
+// the host's load the way timings do, so the test fails above today's
+// count plus one allocation of slack; a change that removes allocations
+// lowers its count in the same change.
+func TestServedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const slack = 1
+	counts := map[int]map[string]float64{
+		1: {"ping": 8, "lookup": 22, "range": 28, "sum": 13, "query": 95},
+		2: {"ping": 8, "lookup": 31, "range": 43, "sum": 21, "query": 122},
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			st, err := shard.New("sales", salesSchema(), "order_id", shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([][]any, 1000)
+			for i := range rows {
+				rows[i] = []any{uint64(i), uint32(i % 50), fmt.Sprintf("p%d", i%7)}
+			}
+			if _, err := st.InsertRows(rows); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			c, _, _ := startServer(t, st)
+			filters := []client.Filter{{Column: "qty", Op: client.Eq, Value: uint32(7)}}
+			calls := map[string]func() error{
+				"ping": c.Ping,
+				"lookup": func() error {
+					_, err := c.Lookup("order_id", uint64(500))
+					return err
+				},
+				"range": func() error {
+					_, err := c.Range("order_id", uint64(100), uint64(109))
+					return err
+				},
+				"sum": func() error {
+					_, err := c.Sum("qty")
+					return err
+				},
+				"query": func() error {
+					_, err := c.Query(filters, []string{"order_id"})
+					return err
+				},
+			}
+			for op, call := range calls {
+				if err := call(); err != nil { // warm the pool and the code paths
+					t.Fatal(err)
+				}
+				n := testing.AllocsPerRun(200, func() {
+					if err := call(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if want := counts[shards][op]; n > want+slack {
+					t.Errorf("served %s on %d shard(s): %v allocations, want at most %v+%d", op, shards, n, want, slack)
+				}
+			}
+		})
+	}
+}

@@ -518,7 +518,6 @@ func (s *Server) opSchema(r *wire.Reader, out *wire.Buffer) error {
 		return err
 	}
 	out.String(s.st.Name())
-	out.U32(uint32(s.st.NumShards()))
 	out.String(s.st.KeyColumn())
 	schema := s.st.Schema()
 	out.U16(uint16(len(schema)))

@@ -107,9 +107,9 @@ func TestReshardOverProtocol(t *testing.T) {
 			t.Fatalf("topology: %s = %v (present %v), want %v", series, v, ok, want)
 		}
 	}
-	// Shards() deliberately keeps the dial-time count.
-	if c.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want dial-time 1", c.Shards())
+	// The client's shard count is the live one.
+	if cs, err := c.Stats(); err != nil || cs.Shards != 4 {
+		t.Fatalf("Stats().Shards = %d (%v), want 4", cs.Shards, err)
 	}
 
 	// Data intact through the new routing.

@@ -94,8 +94,8 @@ func TestServerOps(t *testing.T) {
 			if !reflect.DeepEqual(c.Schema(), wantSchema) {
 				t.Fatalf("schema %+v", c.Schema())
 			}
-			if c.Shards() != st.NumShards() || c.KeyColumn() != "order_id" {
-				t.Fatalf("shards=%d key=%q", c.Shards(), c.KeyColumn())
+			if cs, err := c.Stats(); err != nil || cs.Shards != st.NumShards() || c.KeyColumn() != "order_id" {
+				t.Fatalf("shards=%d key=%q (%v)", cs.Shards, c.KeyColumn(), err)
 			}
 
 			// Insert + batch (with int literal coercion).

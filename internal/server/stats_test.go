@@ -16,9 +16,11 @@ import (
 // exact value the store reports in process.  It runs on a 2-shard store
 // with one indexed column, garbage-collected versions, a delta tail and a
 // pinned snapshot, and again after an online reshard to 3 shards, when
-// the partition families must list every physical partition.  With no
-// writer running, client.Stats and client.IndexStats must equal the
-// store's StoreStats and IndexStats field by field.
+// the partition families must list every physical partition, and once
+// more after updates and deletes around one merge, when the summed
+// valid-rows series must equal StoreStats().ValidRows.  With no writer
+// running, client.Stats and client.IndexStats must equal the store's
+// StoreStats and IndexStats field by field.
 func TestStoreFieldCoverage(t *testing.T) {
 	st, err := shard.New("sales", salesSchema(), "order_id", 2)
 	if err != nil {
@@ -175,4 +177,37 @@ func TestStoreFieldCoverage(t *testing.T) {
 		t.Fatalf("after reshard: %d shards over %d partitions", st.NumShards(), st.NumParts())
 	}
 	check("after reshard to 3")
+
+	// Churn around one merge leaves invalidated versions in the mains and
+	// the deltas; a partition's valid rows are then one count (the Count
+	// plan) whether read by StoreStats, ValidRows or the series.
+	for k := 10; k < 30; k++ {
+		ids, err := c.Lookup("order_id", uint64(k))
+		do(err)
+		if k%3 == 0 {
+			do(c.Delete(ids[0]))
+		} else {
+			_, err = c.Update(ids[0], map[string]any{"qty": uint32(k)})
+			do(err)
+		}
+		if k == 20 {
+			_, err = c.Merge(client.MergeOptions{})
+			do(err)
+		}
+	}
+	check("churned")
+	samples, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := 0.0
+	for _, m := range samples {
+		if strings.HasPrefix(m.Name, "hyrise_partition_valid_rows{") {
+			series += m.Value
+		}
+	}
+	if s := st.StoreStats(); float64(s.ValidRows) != series || s.ValidRows != st.ValidRows() || s.ValidRows == s.Rows {
+		t.Fatalf("churned: StoreStats().ValidRows %d, series sum %v, ValidRows() %d, of %d rows",
+			s.ValidRows, series, st.ValidRows(), s.Rows)
+	}
 }

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,4 +118,50 @@ func TestLatestReadsOneEpoch(t *testing.T) {
 			t.Fatalf("Min(v) = %d, %v after %d reads", mn, ok, reads)
 		}
 	}
+}
+
+// TestLatestReadsDuringReshard: latest reads through handles resolved
+// before any reshard see every row exactly once while reshards migrate
+// the rows back and forth.  A read that loads the shard map before its
+// pin (or, on one partition, before its lock) can miss rows a reshard
+// published and moved in between.
+func TestLatestReadsDuringReshard(t *testing.T) {
+	const n = 1000
+	st := newKV(t, 1)
+	for i := range n {
+		if _, err := st.Insert([]any{uint64(i), uint64(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := NumericColumnOf[uint64](st, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if got := v.Sum(); got != n {
+					t.Errorf("Sum(v) = %d, want %d", got, n)
+					stop.Store(true)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 12 && !stop.Load(); i++ {
+		if _, err := st.Reshard(context.Background(), 1+i%3); err != nil {
+			t.Error(err)
+			break
+		}
+		scanned := 0
+		v.Scan(func(int, uint64) bool { scanned++; return true })
+		if c := v.CountEqual(1); scanned != n || c != n {
+			t.Errorf("after reshard %d: %d rows scanned, CountEqual %d, want %d", i, scanned, c, n)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }

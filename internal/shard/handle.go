@@ -1,56 +1,41 @@
 package shard
 
 import (
-	"fmt"
-
 	"hyrise/internal/table"
 	"hyrise/internal/val"
 )
 
-// Handle is a typed single-column view over every partition of a store,
-// returning global row ids; the type parameter enforces the column's
-// declared type.  Lookup, Range, CountEqual, Sum, Min and Max are
-// one-predicate or no-predicate Plans run by the store's one read fan-out
-// (see Read), with the answers combined by the plan's reduction; Scan
-// visits partitions sequentially (partition 0 first), in per-partition
-// insertion order.  Every read is at one epoch on every partition — over
-// several, a latest read pins one snapshot for the call, so a row moving
-// between partitions is seen exactly once.  A store of one partition
-// reads exactly what, and as fast as, its partition does.  The At
-// variants read through a View captured by Table.Snapshot, whose single
-// epoch is valid across every partition.
-//
-// A handle covers the physical partitions that existed when it was
-// resolved.  A Reshard appends partitions, so resolve a fresh handle after
-// one to see rows the migration relocated; reads At an epoch captured
-// before the handle was resolved remain complete on the old handle (row
-// versions visible at that epoch never move to newer partitions).
+// Handle is a typed column of a store, returning global row ids; the type
+// parameter enforces the column's declared type.  It holds only the store
+// and the column's index: every read goes through the store's current
+// shard map, so a handle stays valid across a Reshard.  Lookup, Range,
+// CountEqual, Sum, Min and Max are one-predicate or no-predicate Plans run
+// by the store's one read fan-out (Read), with the answers combined by the
+// plan's reduction; Scan visits partitions sequentially (partition 0
+// first), in per-partition insertion order.  Every read is at one epoch on
+// every partition — over several, a latest read pins one snapshot for the
+// call, so a row moving between partitions is seen exactly once.  A store
+// of one partition reads exactly what, and as fast as, its partition does.
+// The At variants read through a View captured by Table.Snapshot, whose
+// single epoch is valid across every partition.
 type Handle[V val.Value] struct {
-	parts []*table.Table
-	col   int
-	hs    []*table.Handle[V]
+	st  *Table
+	col int
 }
 
-// ColumnOf resolves a typed handle for the named column across all
-// physical partitions.
+// ColumnOf resolves a typed handle for the named column.
 func ColumnOf[V val.Value](st *Table, name string) (*Handle[V], error) {
-	parts := st.load().parts
-	h := &Handle[V]{parts: parts, hs: make([]*table.Handle[V], 0, len(parts))}
-	for _, s := range parts {
-		sh, err := table.ColumnOf[V](s, name)
-		if err != nil {
-			return nil, err
-		}
-		h.hs = append(h.hs, sh)
+	col, err := table.ColumnIndex[V](st.load().parts[0], name) // every partition has the store's schema
+	if err != nil {
+		return nil, err
 	}
-	h.col, _ = st.schema.Index(name) // resolved by table.ColumnOf above
-	return h, nil
+	return &Handle[V]{st: st, col: col}, nil
 }
 
 // read runs a plan that cannot fail to bind: the handle's column exists
 // and holds V.
 func (h *Handle[V]) read(view table.View, p table.Plan) *table.Selection {
-	s, err := readPlan(h.parts, view, p)
+	s, err := Read(h.st, view, p)
 	if err != nil {
 		panic(err)
 	}
@@ -59,12 +44,13 @@ func (h *Handle[V]) read(view table.View, p table.Plan) *table.Selection {
 
 // Get returns the value at a global row id (valid or not).
 func (h *Handle[V]) Get(id int) (V, error) {
-	phys, local := split(id)
-	if id < 0 || phys >= len(h.hs) {
+	m := h.st.load()
+	phys, local, err := locate(m, id)
+	if err != nil {
 		var zero V
-		return zero, fmt.Errorf("%w: %d", table.ErrRowRange, id)
+		return zero, err
 	}
-	return h.hs[phys].Get(local)
+	return table.Get[V](m.parts[phys], h.col, local)
 }
 
 // Lookup returns the global row ids of current rows whose value equals v.
@@ -88,20 +74,18 @@ func (h *Handle[V]) RangeAt(view table.View, lo, hi V) []int {
 // partition's read lock and must not call back into the store.
 func (h *Handle[V]) Scan(fn func(id int, v V) bool) { h.ScanAt(table.Latest(), fn) }
 
-// ScanAt is Scan against the rows visible at the view's epoch; over
-// several partitions a latest view is pinned for the scan, as by fanOut.
+// ScanAt is Scan against the rows visible at the view's epoch.  A latest
+// view is pinned for the scan, whose partitions are those of the shard
+// map after the pin, as in fanOut — even on one partition, because fn may
+// have run before a reshard starting mid-scan is noticed, so the scan
+// cannot re-read as fanOut does.
 func (h *Handle[V]) ScanAt(view table.View, fn func(id int, v V) bool) {
-	if len(h.parts) > 1 && view.IsLatest() {
-		view = h.parts[0].Snapshot()
+	if view.IsLatest() {
+		view = h.st.Snapshot()
 		defer view.Release()
 	}
-	for phys, p := range h.hs {
-		stopped := false
-		p.ScanAt(view, func(local int, v V) bool {
-			stopped = !fn(toGlobal(phys, local), v)
-			return !stopped
-		})
-		if stopped {
+	for phys, p := range h.st.load().parts {
+		if !table.ScanAt(p, view, h.col, func(local int, v V) bool { return fn(toGlobal(phys, local), v) }) {
 			return
 		}
 	}
@@ -121,8 +105,8 @@ func (h *Handle[V]) CountEqualAt(view table.View, v V) int {
 // value sets are unioned rather than their sizes summed).
 func (h *Handle[V]) Distinct() int {
 	seen := make(map[V]struct{})
-	for _, p := range h.hs {
-		p.AddDistinct(seen)
+	for _, p := range h.st.load().parts {
+		table.AddDistinct(p, h.col, seen)
 	}
 	return len(seen)
 }

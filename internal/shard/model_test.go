@@ -32,8 +32,15 @@ func TestModelBasedShardedEquivalence(t *testing.T) {
 			}
 			sh, _ := ColumnOf[uint64](st, "k")
 			sn, _ := NumericColumnOf[uint64](st, "v")
-			fh, _ := table.ColumnOf[uint64](flat, "k")
-			fn, _ := table.NumericColumnOf[uint64](flat, "v")
+			// The reference answers the plans the handles run.
+			flatRead := func(p table.Plan) *table.Selection {
+				t.Helper()
+				s, err := flat.Read(table.Latest(), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
 
 			// live pairs the sharded gid and flat row id of each valid row.
 			type pair struct{ gid, fid int }
@@ -51,7 +58,7 @@ func TestModelBasedShardedEquivalence(t *testing.T) {
 				// Per-key lookups return the same visible (k, v) multisets.
 				for k := uint64(0); k < domain; k++ {
 					gotRows := sh.Lookup(k)
-					wantRows := fh.Lookup(k)
+					wantRows := flatRead(table.Plan{Preds: []table.Pred{{Col: 0, Lo: k}}}).Rows
 					if len(gotRows) != len(wantRows) {
 						t.Fatalf("step %d: lookup(%d) %d rows want %d",
 							step, k, len(gotRows), len(wantRows))
@@ -69,7 +76,7 @@ func TestModelBasedShardedEquivalence(t *testing.T) {
 				lo := rng.Uint64() % domain
 				hi := lo + rng.Uint64()%10
 				gotVals := rowVals(t, st, sh.Range(lo, hi))
-				wantVals := flatVals(t, flat, fh.Range(lo, hi))
+				wantVals := flatVals(t, flat, flatRead(table.Plan{Preds: []table.Pred{{Col: 0, Range: true, Lo: lo, Hi: hi}}}).Rows)
 				if len(gotVals) != len(wantVals) {
 					t.Fatalf("step %d: range(%d,%d) %d rows want %d",
 						step, lo, hi, len(gotVals), len(wantVals))
@@ -80,10 +87,12 @@ func TestModelBasedShardedEquivalence(t *testing.T) {
 					}
 				}
 				// Aggregates agree.
-				if got, want := sn.Sum(), fn.Sum(); got != want {
+				if got, want := sn.Sum(), flatRead(table.Plan{Reduce: table.Sum, Col: 1}).Sum; got != want {
 					t.Fatalf("step %d: sum %d want %d", step, got, want)
 				}
-				if got, want := sh.Distinct(), fh.Distinct(); got != want {
+				seen := map[uint64]struct{}{}
+				table.AddDistinct(flat, 0, seen)
+				if got, want := sh.Distinct(), len(seen); got != want {
 					t.Fatalf("step %d: distinct %d want %d", step, got, want)
 				}
 			}

@@ -26,21 +26,30 @@ func each[R any](parts []*table.Table, fn func(*table.Table) R) []R {
 }
 
 // fanOut is the store's one read fan-out: it runs read on every partition
-// at one epoch and combines the answers.  A lone partition runs inline
-// with the caller's view under its one lock hold.  Over several, read in
-// parallel under separate lock holds, a latest view becomes one snapshot
-// pinned for the call: a row moving between partitions is seen exactly
-// once, and no GC merge reclaims a version the read can see.  Global ids
-// concatenate in physical order, so they ascend, with values aligned and
-// limit (0: none) applied to the whole; counts and sums add up; extremes
-// combine.  The planner fields (Estimate, Indexed, Seeded) are not.
-func fanOut(parts []*table.Table, view table.View, limit int, read func(*table.Table, table.View) (*table.Selection, error)) (*table.Selection, error) {
+// of the current shard map at one epoch and combines the answers.  A lone
+// partition runs inline with the caller's view under its one lock hold.
+// Over several, read in parallel under separate lock holds, a latest view
+// becomes one snapshot pinned for the call, and the partitions are those
+// of the map after the pin, so they hold every version it sees: a row
+// moving between partitions is seen exactly once, and no GC merge
+// reclaims a version the read can see.  Global ids concatenate in
+// physical order, so they ascend, with values aligned and limit (0: none)
+// applied to the whole; counts and sums add up; extremes combine.  The
+// planner fields (Estimate, Indexed, Seeded) are not.
+func fanOut(st *Table, view table.View, limit int, read func(*table.Table, table.View) (*table.Selection, error)) (*table.Selection, error) {
+	parts := st.load().parts
 	if len(parts) == 1 {
-		return read(parts[0], view) // partition 0's ids are global
+		s, err := read(parts[0], view) // partition 0's ids are global
+		// A reshard publishes its partitions before it moves a row, so an
+		// unchanged count means the latest read missed no move.
+		if !view.IsLatest() || st.NumParts() == 1 {
+			return s, err
+		}
 	}
 	if view.IsLatest() {
-		view = parts[0].Snapshot()
+		view = st.Snapshot()
 		defer view.Release()
+		parts = st.load().parts
 	}
 	type answer struct {
 		s   *table.Selection
@@ -80,12 +89,7 @@ func fanOut(parts []*table.Table, view table.View, limit int, read func(*table.T
 // Read runs the plan on every partition at one epoch with Table.Read and
 // combines the answers by its reduction (fanOut).
 func Read(st *Table, view table.View, p table.Plan) (*table.Selection, error) {
-	return readPlan(st.load().parts, view, p)
-}
-
-// readPlan is Read over the given partitions.
-func readPlan(parts []*table.Table, view table.View, p table.Plan) (*table.Selection, error) {
-	return fanOut(parts, view, p.Limit, func(t *table.Table, v table.View) (*table.Selection, error) {
+	return fanOut(st, view, p.Limit, func(t *table.Table, v table.View) (*table.Selection, error) {
 		return t.Read(v, p)
 	})
 }
@@ -101,7 +105,7 @@ func Query(st *Table, filters []query.Filter, project []string) (*query.Result, 
 // statistics, on every partition through the store's one read fan-out
 // (fanOut), so the result reflects one state of the whole store.
 func QueryAt(st *Table, view table.View, filters []query.Filter, project []string) (*query.Result, error) {
-	s, err := fanOut(st.load().parts, view, 0, func(t *table.Table, v table.View) (*table.Selection, error) {
+	s, err := fanOut(st, view, 0, func(t *table.Table, v table.View) (*table.Selection, error) {
 		res, err := query.RunAt(t, v, filters, project)
 		if err != nil {
 			return nil, err

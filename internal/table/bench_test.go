@@ -39,7 +39,7 @@ func BenchmarkPointRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	h, err := ColumnOf[uint64](tb, "order_id")
+	h, err := colOf[uint64](tb, "order_id")
 	if err != nil {
 		b.Fatal(err)
 	}

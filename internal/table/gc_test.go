@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func gcTestTable(t *testing.T) (*Table, *NumericHandle[uint64]) {
+func gcTestTable(t *testing.T) (*Table, *tcol[uint64]) {
 	t.Helper()
 	tb, err := New("gc", Schema{
 		{Name: "k", Type: Uint64},
@@ -17,7 +17,7 @@ func gcTestTable(t *testing.T) (*Table, *NumericHandle[uint64]) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NumericColumnOf[uint64](tb, "v")
+	h, err := colOf[uint64](tb, "v")
 	if err != nil {
 		t.Fatal(err)
 	}

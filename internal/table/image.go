@@ -122,12 +122,14 @@ func (t *Table) Adopt(img Image) error {
 	t.rows = rows
 	t.ids = img.IDs
 	t.epochs = epoch.RowsOf(img.Begin, img.End)
-	t.dead = rows - t.epochs.CountAlive()
 	for i, b := range img.Begin {
 		if i < img.MainRows {
 			t.mainBegin = max(t.mainBegin, b)
 		}
 		t.maxBegin = max(t.maxBegin, b)
+		if img.End[i] != 0 {
+			t.dead++
+		}
 	}
 	t.nextID = img.NextID
 	t.retired = img.Retired

@@ -159,10 +159,14 @@ func TestImageRoundTripAfterGC(t *testing.T) {
 	if err := indexed.Adopt(tb.Image()); err != nil {
 		t.Fatal(err)
 	}
-	h, _ := ColumnOf[uint32](indexed, "qty")
+	qty, _ := indexed.schema.Index("qty")
 	for _, wantIndexed := range []bool{false, true} {
-		if got := h.Lookup(900); len(got) != 1 || h.Indexed() != wantIndexed {
-			t.Fatalf("lookup on the copy: %v (indexed %v, want %v)", got, h.Indexed(), wantIndexed)
+		got, err := indexed.Read(Latest(), Plan{Preds: []Pred{{Col: qty, Lo: uint32(900)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != 1 || got.Indexed != wantIndexed {
+			t.Fatalf("lookup on the copy: %v (indexed %v, want %v)", got.Rows, got.Indexed, wantIndexed)
 		}
 		if _, err := indexed.Merge(context.Background(), MergeOptions{}); err != nil {
 			t.Fatal(err)

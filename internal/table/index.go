@@ -14,8 +14,8 @@ type IndexStats struct {
 // CreateIndex builds a group-key index over the named column's main
 // partition and keeps it maintained: every subsequent merge rebuilds the
 // index over the merged main before publishing it, and the column's delta
-// CSB+ tree serves the unmerged tail.  Indexed reads (Handle LookupAt /
-// RangeAt / CountEqualAt, the query seed) use it automatically.
+// CSB+ tree serves the unmerged tail.  Indexed reads (a Read plan's
+// driving predicate, the query seed) use it automatically.
 //
 // The call is idempotent and safe concurrently with readers and writers.
 // It takes the merge lock — excluding merges for the duration of the O(n)

@@ -84,11 +84,11 @@ func TestCreateIndexBasics(t *testing.T) {
 // range and count reads at the given view.
 func checkIndexedAgainstShadow(t *testing.T, tbl *Table, view View, probes []uint64) {
 	t.Helper()
-	ha, err := ColumnOf[uint64](tbl, "a")
+	ha, err := colOf[uint64](tbl, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := ColumnOf[uint64](tbl, "b")
+	hb, err := colOf[uint64](tbl, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestIndexedReadsDifferential(t *testing.T) {
 	}
 	checkIndexedAgainstShadow(t, tbl, Latest(), probes)
 	// String column: indexed lookups against a linear scan of row values.
-	hs, err := ColumnOf[string](tbl, "s")
+	hs, err := colOf[string](tbl, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +281,8 @@ func TestIndexDifferentialUnderChurn(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			ha, _ := ColumnOf[uint64](tbl, "a")
-			hb, _ := ColumnOf[uint64](tbl, "b")
+			ha, _ := colOf[uint64](tbl, "a")
+			hb, _ := colOf[uint64](tbl, "b")
 			for !stop.Load() {
 				view := tbl.Snapshot()
 				v := uint64(rng.Intn(110))

@@ -8,7 +8,7 @@ import (
 
 // scanPairs collects (row id, value) pairs visible at the view in scan
 // order.
-func scanPairs(h *NumericHandle[uint64], v View) [][2]uint64 {
+func scanPairs(h *tcol[uint64], v View) [][2]uint64 {
 	var out [][2]uint64
 	h.ScanAt(v, func(row int, val uint64) bool {
 		out = append(out, [2]uint64{uint64(row), val})
@@ -28,7 +28,7 @@ func TestParallelMergeIdentity(t *testing.T) {
 
 	type tbl struct {
 		tb  *Table
-		h   *NumericHandle[uint64]
+		h   *tcol[uint64]
 		ids []int
 		pin View
 	}

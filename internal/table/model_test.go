@@ -120,8 +120,8 @@ func TestModelBasedRandomOps(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := &refTable{}
-			hk, _ := ColumnOf[uint64](tb, "k")
-			nv, _ := NumericColumnOf[uint64](tb, "v")
+			hk, _ := colOf[uint64](tb, "k")
+			nv, _ := colOf[uint64](tb, "v")
 
 			const domain = 50 // small domain: dense collisions
 			checkEquiv := func(step int) {
@@ -272,7 +272,7 @@ func TestModelBasedHistory(t *testing.T) {
 		t.Fatalf("RowsReclaimed=%d want 192", rep.RowsReclaimed)
 	}
 
-	h, _ := ColumnOf[uint64](tb, "k")
+	h, _ := colOf[uint64](tb, "k")
 	checkPinnedVisible := func() {
 		t.Helper()
 		if got, err := h.Get(row0); err != nil || got != 0 {

@@ -57,7 +57,7 @@ func TestOnlineMergeWithConcurrentInserts(t *testing.T) {
 		t.Fatalf("main+delta=%d want %d", got, total)
 	}
 	// Spot-check values survived in order.
-	h, _ := ColumnOf[uint64](tb, "v")
+	h, _ := colOf[uint64](tb, "v")
 	for _, r := range []int{0, 1, seed - 1} {
 		v, err := h.Get(r)
 		if err != nil {
@@ -77,7 +77,7 @@ func TestConcurrentQueriesDuringMerge(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tb.Insert([]any{uint64(i % 100)})
 	}
-	h, _ := ColumnOf[uint64](tb, "v")
+	h, _ := colOf[uint64](tb, "v")
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup

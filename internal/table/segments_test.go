@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestReadsSpanEverySegment runs every Handle and NumericHandle read while
+// TestReadsSpanEverySegment runs every typed column read (tcol) while
 // the rows sit in three places — main, frozen delta and second delta — with
 // deletes and updates landing in the second delta, on an indexed (qty) and
 // an unindexed (id) column, at latest and at two pinned views.  Each read is
@@ -53,7 +53,7 @@ func TestReadsSpanEverySegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h, _ := ColumnOf[uint32](tb, "qty"); !h.Indexed() {
+	if !tb.Indexed("qty") {
 		t.Fatal("qty lost its index")
 	}
 
@@ -109,7 +109,7 @@ func TestReadsSpanEverySegment(t *testing.T) {
 // epoch.
 func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col string, view View, at string) {
 	t.Helper()
-	h, err := NumericColumnOf[V](tb, col)
+	h, err := colOf[V](tb, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,9 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 	}
 	slices.Sort(probes)
 	st := tb.Stats().Columns[ci]
-	indexed := h.Indexed()
+	tb.mu.RLock()
+	indexed := tb.cols[ci].(*typedColumn[V]).main.Index() != nil // not yet after Adopt
+	tb.mu.RUnlock()
 	for _, p := range probes {
 		want := where(func(v V) bool { return v == p })
 		if got := h.LookupAt(view, p); !slices.Equal(got, want) {
@@ -175,7 +177,7 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 			est += st.MainRows / st.UniqueMain
 		}
 		tb.mu.RLock()
-		q, err := h.col().bind(Pred{Col: ci, Lo: p})
+		q, err := tb.cols[ci].bind(Pred{Col: ci, Lo: p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ import (
 func TestSplitScansRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	tb, h := gcTestTable(t)
-	key, err := ColumnOf[uint64](tb, "k")
+	key, err := colOf[uint64](tb, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSplitScansRace(t *testing.T) {
 // distinct and garbage-collecting merges commit, so the main never holds a
 // dead row and every read sees it whole.  The table holds n rows with
 // values i % distinct.  It returns how many rows the writer inserted.
-func insertOnlyPhase(t *testing.T, tb *Table, h *NumericHandle[uint64], n, distinct int) int {
+func insertOnlyPhase(t *testing.T, tb *Table, h *tcol[uint64], n, distinct int) int {
 	t.Helper()
 	counts := make([]int, distinct)
 	var sum uint64

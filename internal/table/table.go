@@ -212,8 +212,8 @@ type Table struct {
 	lastMerge Report
 	mergeHook atomic.Value // func(Report); observer for committed/aborted merges
 
-	// Read-routing observability: how many point/range reads the handle
-	// layer served from a group-key index vs. a column scan.  Plain atomics
+	// Read-routing observability: how many point/range reads Read served
+	// from a group-key index vs. a column scan.  Plain atomics
 	// so the read path never takes an extra lock for accounting.
 	routeIndexed atomic.Uint64
 	routeScanned atomic.Uint64
@@ -571,8 +571,8 @@ func (t *Table) OnMerge(fn func(Report)) {
 	t.mergeHook.Store(fn)
 }
 
-// RoutingCounts returns how many reads the handle layer served from a
-// group-key index versus a column scan (cumulative).
+// RoutingCounts returns how many reads Read served from a group-key index
+// versus a column scan (cumulative).
 func (t *Table) RoutingCounts() (indexed, scanned uint64) {
 	return t.routeIndexed.Load(), t.routeScanned.Load()
 }
@@ -624,7 +624,7 @@ func (t *Table) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	s := Stats{
-		Name: t.name, Rows: t.rows, ValidRows: t.epochs.CountAlive(),
+		Name: t.name, Rows: t.rows, ValidRows: t.countVisible(epoch.Latest),
 		SizeBytes: t.sizeBytesLocked(), RetiredRows: t.retired, ReclaimedBytes: t.reclaimed,
 	}
 	for _, c := range t.cols {

@@ -320,7 +320,7 @@ func TestHandleLookup(t *testing.T) {
 	tb.Insert([]any{uint64(10), uint32(1), "a"})
 	tb.Insert([]any{uint64(20), uint32(2), "b"})
 	tb.Insert([]any{uint64(10), uint32(3), "c"})
-	h, err := ColumnOf[uint64](tb, "id")
+	h, err := colOf[uint64](tb, "id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,10 +353,10 @@ func TestHandleLookup(t *testing.T) {
 
 func TestHandleTypeMismatch(t *testing.T) {
 	tb := newTestTable(t)
-	if _, err := ColumnOf[uint64](tb, "product"); err == nil {
+	if _, err := colOf[uint64](tb, "product"); err == nil {
 		t.Fatal("type mismatch accepted")
 	}
-	if _, err := ColumnOf[uint64](tb, "missing"); !errors.Is(err, ErrNoColumn) {
+	if _, err := colOf[uint64](tb, "missing"); !errors.Is(err, ErrNoColumn) {
 		t.Fatalf("missing column: %v", err)
 	}
 }
@@ -371,7 +371,7 @@ func TestHandleRangeAndScan(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		tb.Insert([]any{uint64(i), uint32(i % 10), "p"})
 	}
-	h, _ := ColumnOf[uint64](tb, "id")
+	h, _ := colOf[uint64](tb, "id")
 	rows := h.Range(95, 104)
 	if len(rows) != 10 {
 		t.Fatalf("Range: %v", rows)
@@ -405,7 +405,7 @@ func TestNumericHandleAggregates(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		tb.Insert([]any{uint64(i), uint32(i), "p"})
 	}
-	h, err := NumericColumnOf[uint32](tb, "qty")
+	h, err := colOf[uint32](tb, "qty")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func (v View) Epoch() uint64 { return v.resolve() }
 // that spans several lock holds — a read fanned out over partitions — uses
 // it to swap in a short-lived pinned snapshot, so every step reads one
 // epoch and no GC merge reclaims a row between them.  A read under one
-// lock hold (Table.Read, every handle read) needs no pin.
+// lock hold (every Table.Read) needs no pin.
 func (v View) IsLatest() bool { return v.epoch == 0 }
 
 // Release drops the view's GC pin, letting garbage collection reclaim the

@@ -26,7 +26,7 @@ func kvTable(t *testing.T) *Table {
 // captures are visible to neither.
 func TestViewFreezesUpdatesAndDeletes(t *testing.T) {
 	tb := kvTable(t)
-	h, err := ColumnOf[uint64](tb, "k")
+	h, err := colOf[uint64](tb, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestViewFreezesUpdatesAndDeletes(t *testing.T) {
 // partitions but never renumber them or change visibility).
 func TestViewSurvivesMerge(t *testing.T) {
 	tb := kvTable(t)
-	h, err := ColumnOf[uint64](tb, "k")
+	h, err := colOf[uint64](tb, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nh, err := NumericColumnOf[uint64](tb, "v")
+	nh, err := colOf[uint64](tb, "v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestMoveRowAtomicVisibility(t *testing.T) {
 // delta.
 func TestViewSurvivesMergeAbort(t *testing.T) {
 	tb := kvTable(t)
-	nh, err := NumericColumnOf[uint64](tb, "v")
+	nh, err := colOf[uint64](tb, "v")
 	if err != nil {
 		t.Fatal(err)
 	}

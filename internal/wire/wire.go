@@ -55,14 +55,14 @@ const MaxFrame = 16 << 20
 // from a different protocol is refused with a typed error (the server
 // answers StatusErrBadRequest, the client fails Dial) instead of the two
 // sides misparsing each other's frames.
-const ProtocolVersion = 8
+const ProtocolVersion = 9
 
 // Opcodes.  The zero value is intentionally invalid, and the numbers in
 // unassigned are holes: a frame carrying one is answered like any unknown
 // opcode.
 const (
 	OpPing            = 0x01 // -> empty
-	OpSchema          = 0x02 // -> name, shards u32, key string, schema
+	OpSchema          = 0x02 // -> name, key string, schema
 	OpInsert          = 0x03 // row -> id u64
 	OpInsertBatch     = 0x04 // u32 n + rows -> u32 n + ids
 	OpUpdate          = 0x05 // id u64, u16 n + (col string, value) -> id u64

@@ -35,8 +35,16 @@ func TestOneShardStoreIsItsPartition(t *testing.T) {
 			}
 			sk, _ := hyrise.ColumnOf[uint64](st, "k")
 			sv, _ := hyrise.NumericColumnOf[uint64](st, "v")
-			bk, _ := table.ColumnOf[uint64](bare, "k")
-			bv, _ := table.NumericColumnOf[uint64](bare, "v")
+			// The partition answers the plans the store's handles run.
+			read := func(view hyrise.ReadView, p table.Plan) *table.Selection {
+				t.Helper()
+				s, err := bare.Read(view, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			keyIs := func(k uint64) []table.Pred { return []table.Pred{{Col: 0, Lo: k}} }
 
 			same := func(what string, a, b any) {
 				t.Helper()
@@ -56,13 +64,14 @@ func TestOneShardStoreIsItsPartition(t *testing.T) {
 				same("epoch", sview.Epoch(), bview.Epoch())
 				same("valid rows", st.ValidRowsAt(sview), bare.ValidRowsAt(bview))
 				for k := uint64(0); k < domain; k++ {
-					same("lookup", sk.LookupAt(sview, k), bk.LookupAt(bview, k))
-					same("count", sk.CountEqualAt(sview, k), bk.CountEqualAt(bview, k))
+					same("lookup", sk.LookupAt(sview, k), read(bview, table.Plan{Preds: keyIs(k)}).Rows)
+					same("count", sk.CountEqualAt(sview, k), read(bview, table.Plan{Preds: keyIs(k), Reduce: table.Count}).Count)
 				}
-				same("range", sk.RangeAt(sview, 5, 17), bk.RangeAt(bview, 5, 17))
-				same("sum", sv.SumAt(sview), bv.SumAt(bview))
+				same("range", sk.RangeAt(sview, 5, 17), read(bview, table.Plan{Preds: []table.Pred{{Col: 0, Range: true, Lo: uint64(5), Hi: uint64(17)}}}).Rows)
+				same("sum", sv.SumAt(sview), read(bview, table.Plan{Reduce: table.Sum, Col: 1}).Sum)
 				smin, sok := sv.MinAt(sview)
-				bmin, bok := bv.MinAt(bview)
+				bs := read(bview, table.Plan{Reduce: table.MinMax, Col: 1})
+				bmin, bok := bs.Min, bs.Found
 				same("min", []any{smin, sok}, []any{bmin, bok})
 				filters := []hyrise.Filter{{Column: "k", Op: hyrise.FilterBetween, Value: uint64(3), Hi: uint64(12)}}
 				sres, serr := hyrise.QueryAt(st, sview, filters, []string{"v"})
@@ -141,7 +150,7 @@ func TestOneShardStoreIsItsPartition(t *testing.T) {
 						live = append(live[:i], live[i+1:]...)
 					default:
 						k := rng.Uint64() % domain
-						same("lookup", sk.Lookup(k), bk.Lookup(k))
+						same("lookup", sk.Lookup(k), read(table.Latest(), table.Plan{Preds: keyIs(k)}).Rows)
 					}
 				}
 				if step == 9 {

@@ -39,8 +39,10 @@ var ErrDriverColumnType = workload.ErrDriverColumnType
 // Range, Scan, CountEqual, Distinct, Get) or at a ReadView's epoch (the At
 // variants).  Every read runs at one epoch on every partition — over
 // several, a latest read pins one snapshot for the call — and returns
-// ascending row ids.  Scan/ScanAt callbacks run under a partition's read
-// lock and must not call back into the store.
+// ascending row ids.  A handle holds only the table and the column, so
+// each read covers the table's current partitions: it stays valid across
+// a Reshard.  Scan/ScanAt callbacks run under a partition's read lock and
+// must not call back into the store.
 type Handle[V Value] = shard.Handle[V]
 
 // NumericHandle adds Sum/Min/Max aggregation (and their At variants) over
