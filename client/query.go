@@ -84,16 +84,18 @@ func (c *Client) QueryAt(s Snap, filters []Filter, project []string) (*Result, e
 	if res.Columns, err = r.Strings(); err != nil {
 		return nil, err
 	}
-	if len(res.Columns) > 0 {
+	if nc := len(res.Columns); nc > 0 {
+		// One backing array for every row's values; each row is capped at
+		// its own end, so appending to one cannot overwrite the next.
+		flat := make([]any, len(res.Rows)*nc)
+		for i := range flat {
+			if flat[i], err = r.Value(); err != nil {
+				return nil, err
+			}
+		}
 		res.Values = make([][]any, len(res.Rows))
 		for i := range res.Values {
-			vals := make([]any, len(res.Columns))
-			for j := range vals {
-				if vals[j], err = r.Value(); err != nil {
-					return nil, err
-				}
-			}
-			res.Values[i] = vals
+			res.Values[i] = flat[i*nc : (i+1)*nc : (i+1)*nc]
 		}
 	}
 	return res, nil
@@ -208,9 +210,9 @@ func (m *seriesSet) get(name string) float64 {
 
 // MergeOptions configures a remote merge.
 type MergeOptions struct {
-	// Threads caps the merge's worker budget (0 = all resources).  The
-	// server clamps it to its own GOMAXPROCS, and MergeReport.Threads
-	// reports the budget it used.
+	// Threads is each partition merge's budget of pieces (0 = all the
+	// server's cores).  The server clamps it to its own GOMAXPROCS, and
+	// MergeReport.Threads reports the per-merge budget it used.
 	Threads int
 }
 

@@ -40,9 +40,10 @@
 //	-merge-fraction  delta/main fraction that triggers a merge; <= 0
 //	                 disables the background scheduler (default 0.05)
 //	-merge-interval  scheduler poll period (default 100ms)
-//	-merge-threads   per-merge thread budget (0 = split the machine
-//	                 evenly across partitions; 1 = the paper's constant
-//	                 single-thread background merge)
+//	-merge-threads   per-merge thread budget (0 = the whole machine,
+//	                 shared by concurrent merges through one worker pool;
+//	                 1 = the paper's constant single-thread background
+//	                 merge)
 //	-index           comma-separated columns to build group-key indexes
 //	                 on at startup (indexes are in-memory, so a store
 //	                 loaded from a snapshot re-indexes here)
@@ -167,7 +168,7 @@ func main() {
 		"delta fraction triggering a merge (<= 0 disables the scheduler)")
 	flag.DurationVar(&cfg.mergeInterval, "merge-interval", 100*time.Millisecond, "scheduler poll period")
 	flag.IntVar(&cfg.mergeThreads, "merge-threads", 0,
-		"per-merge thread budget (0 = split evenly across partitions, 1 = single background thread)")
+		"per-merge thread budget (0 = whole machine, shared by concurrent merges; 1 = single background thread)")
 	flag.StringVar(&cfg.index, "index", "",
 		"comma-separated columns to build group-key indexes on at startup")
 	flag.IntVar(&cfg.maxSnapshots, "max-snapshots", server.DefaultMaxSnapshots,

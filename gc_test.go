@@ -23,7 +23,7 @@ func TestStoreGCAcceptance(t *testing.T) {
 	// The parallel-merge variants route every merge cycle through the
 	// intra-column range-partitioned GC kernels across 1/8 shards: four
 	// threads per partition over two columns merge within each column.
-	parallel := func(shards int) hyrise.MergeOptions { return hyrise.MergeOptions{Threads: 4 * shards} }
+	parallel := hyrise.MergeOptions{Threads: 4}
 	cases := []struct {
 		name  string
 		mk    func() (*hyrise.Table, error)
@@ -33,13 +33,13 @@ func TestStoreGCAcceptance(t *testing.T) {
 		{"sharded", func() (*hyrise.Table, error) {
 			return hyrise.NewShardedTable("gc", schema, "k", 4)
 		}, hyrise.MergeOptions{}},
-		{"flat-parallel-merge", func() (*hyrise.Table, error) { return hyrise.NewTable("gc", schema) }, parallel(1)},
+		{"flat-parallel-merge", func() (*hyrise.Table, error) { return hyrise.NewTable("gc", schema) }, parallel},
 		{"sharded-1-parallel-merge", func() (*hyrise.Table, error) {
 			return hyrise.NewShardedTable("gc", schema, "k", 1)
-		}, parallel(1)},
+		}, parallel},
 		{"sharded-8-parallel-merge", func() (*hyrise.Table, error) {
 			return hyrise.NewShardedTable("gc", schema, "k", 8)
-		}, parallel(8)},
+		}, parallel},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

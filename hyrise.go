@@ -130,8 +130,11 @@
 //
 // More shards multiply both halves of the paper's central trade: inserts
 // route by key hash and contend only on their shard, and RequestMerge fans
-// the multi-core merge out across shards in parallel, each with a slice of
-// the thread budget.  Every shard's merge is individually online and
+// the multi-core merge out across shards in parallel, each with the whole
+// per-merge thread budget: one process-wide pool of GOMAXPROCS−1 workers
+// runs the pieces of every merge, scan and shard fan-out, so the shards'
+// merges share the cores without dividing the budget.  Every shard's
+// merge is individually online and
 // atomic; cross-shard consistency comes from snapshots (see above).  Row
 // ids are stable and carry the owning partition in their high bits, above
 // the partition's own insertion-ordered id.  Updates that change the key

@@ -1,6 +1,6 @@
 package core
 
-import "sync"
+import "hyrise/internal/par"
 
 // dropMaskChunk is the minimum per-worker range of the parallel drop-mask
 // pass; below threads*dropMaskChunk rows the serial loop wins.
@@ -15,8 +15,8 @@ const dropMaskChunk = 8192
 // When nothing is reclaimable the zero Drop is returned.
 //
 // The predicate must be pure and safe for concurrent use: with threads > 1
-// and enough rows the pass is range-partitioned, each worker writing a
-// disjoint slice of the mask and collecting its own positions.
+// and enough rows the pass is range-partitioned through par.Do, each piece
+// writing a disjoint slice of the mask and collecting its own positions.
 func DropMask(begin, end []uint64, reclaim func(begin, end uint64) bool, threads int) Drop {
 	n := len(begin)
 	nw := 1
@@ -36,19 +36,7 @@ func DropMask(begin, end []uint64, reclaim func(begin, end uint64) bool, threads
 		}
 		found[k] = pos
 	}
-	if nw == 1 {
-		scan(0)
-	} else {
-		var wg sync.WaitGroup
-		for k := 0; k < nw; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				scan(k)
-			}(k)
-		}
-		wg.Wait()
-	}
+	par.Do(nw, scan)
 	pos := found[0]
 	for _, f := range found[1:] {
 		pos = append(pos, f...)

@@ -15,8 +15,8 @@
 //     (Equation 11) — O(N_M + N_D + |U_M| + |U_D|) (Equation 6).
 //   - Either variant runs single-threaded or parallelized (§6.2): the
 //     optimized Step 1(b) uses the three-phase co-ranked merge, and Step 2
-//     splits the output into word-aligned chunks processed by independent
-//     goroutines.
+//     splits the output into word-aligned chunks, all run through the
+//     process's one pool (internal/par).
 //
 // Each variant's Step 2 exists once, as a chunk body: it block-decodes the
 // main's codes, translates each — the optimized step2 through one table,
@@ -47,6 +47,7 @@ import (
 	"hyrise/internal/colstore"
 	"hyrise/internal/delta"
 	"hyrise/internal/dict"
+	"hyrise/internal/par"
 	"hyrise/internal/val"
 )
 
@@ -78,8 +79,10 @@ func (a Algorithm) String() string {
 type Options struct {
 	// Algorithm selects Naive or Optimized; the zero value is Optimized.
 	Algorithm Algorithm
-	// Threads is the number of worker goroutines N_T; values <= 1 run the
-	// merge on the caller's goroutine, 0 means runtime.GOMAXPROCS(0).
+	// Threads is the merge's budget N_T of pieces; values <= 1 run the
+	// merge on the caller's goroutine, 0 means runtime.GOMAXPROCS(0).  The
+	// pieces run through par.Do, so at most GOMAXPROCS−1 of them run beside
+	// the caller at once, whatever the budget.
 	Threads int
 }
 
@@ -186,21 +189,9 @@ func valueBytes[V val.Value]() int {
 // mergeOptimized is the paper's linear-time merge (§5.3, parallelized per
 // §6.2), omitting the positions in drop.
 func mergeOptimized[V val.Value](m *colstore.Main[V], d *delta.Partition[V], drop Drop, nt int, st *Stats) *colstore.Main[V] {
-	// The dictionary subroutines (extract, sorted merge) compute identical
-	// results at any thread count, so cap their workers at the processor
-	// count — goroutines beyond it are pure scheduling overhead.  Step 2
-	// stays Threads-driven: its chunking is what the equivalence tests pin.
-	dictNT := min(nt, runtime.GOMAXPROCS(0))
-
 	// Step 1(a): delta dictionary + delta code rewrite via CSB+ traversal.
 	t0 := time.Now()
-	var dictD *dict.Dict[V]
-	var deltaCodes []uint32
-	if dictNT > 1 {
-		dictD, deltaCodes = d.ExtractDictParallel(dictNT)
-	} else {
-		dictD, deltaCodes = d.ExtractDict()
-	}
+	dictD, deltaCodes := d.ExtractDictParallel(nt)
 	st.Step1a = time.Since(t0)
 	st.UniqueDelta = dictD.Len()
 
@@ -212,6 +203,7 @@ func mergeOptimized[V val.Value](m *colstore.Main[V], d *delta.Partition[V], dro
 	if st.Dropped > 0 {
 		deadM, deadD = unreferenced(m.Codes(), deltaCodes, m.Dict().Len(), dictD.Len(), drop)
 	}
+	dictNT := nt
 	if m.Dict().Len()+dictD.Len() < parallelDictThreshold {
 		dictNT = 1
 	}
@@ -237,7 +229,8 @@ func mergeOptimized[V val.Value](m *colstore.Main[V], d *delta.Partition[V], dro
 	if nt > 1 && total >= parallelStep2Threshold {
 		bounds = alignedChunks(bits, outTotal, nt)
 	}
-	parallelFor(bounds, func(lo, hi int) {
+	par.Do(len(bounds)-1, func(k int) {
+		lo, hi := bounds[k], bounds[k+1]
 		step2(m.Codes(), deltaCodes, res.XM, res.XD, drop.Mask, drop.survivor(lo), drop.survivor(hi), out.PackerAt(lo))
 	})
 	st.Step2 = time.Since(t0)
@@ -322,7 +315,8 @@ func mergeNaive[V val.Value](m *colstore.Main[V], d *delta.Partition[V], nt int,
 		}
 		return uint64(c)
 	}
-	parallelFor(bounds, func(lo, hi int) {
+	par.Do(len(bounds)-1, func(k int) {
+		lo, hi := bounds[k], bounds[k+1]
 		p := out.PackerAt(lo)
 		var buf [step2Block]uint64
 		for i := lo; i < hi; {
@@ -349,7 +343,7 @@ func mergeNaive[V val.Value](m *colstore.Main[V], d *delta.Partition[V], nt int,
 
 const (
 	// parallelDictThreshold is the combined dictionary size below which the
-	// dictionary merge's count pass and goroutines are not worth their
+	// dictionary merge's count pass and pieces are not worth their
 	// coordination overhead.
 	parallelDictThreshold = 1 << 13
 	// parallelStep2Threshold is the tuple count below which Step 2 runs
@@ -376,25 +370,6 @@ func alignedChunks(bits uint, total, nt int) []int {
 	}
 	bounds = append(bounds, total)
 	return bounds
-}
-
-// parallelFor runs body over the half-open ranges defined by bounds, on
-// the caller's goroutine when there is only one.
-func parallelFor(bounds []int, body func(lo, hi int)) {
-	if len(bounds) == 2 {
-		body(bounds[0], bounds[1])
-		return
-	}
-	done := make(chan struct{}, len(bounds)-1)
-	for i := 0; i+1 < len(bounds); i++ {
-		go func(lo, hi int) {
-			body(lo, hi)
-			done <- struct{}{}
-		}(bounds[i], bounds[i+1])
-	}
-	for i := 0; i+1 < len(bounds); i++ {
-		<-done
-	}
 }
 
 func gcd(a, b int) int {

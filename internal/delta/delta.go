@@ -15,6 +15,7 @@ import (
 
 	"hyrise/internal/csbtree"
 	"hyrise/internal/dict"
+	"hyrise/internal/par"
 	"hyrise/internal/val"
 )
 
@@ -114,11 +115,11 @@ func (p *Partition[V]) ExtractDict() (*dict.Dict[V], []uint32) {
 	return dict.FromSorted(values), codes
 }
 
-// ExtractDictParallel is ExtractDict with the scatter phase parallelized
-// over nt goroutines (paper §6.2.1 scheme (ii)): the dictionary build is a
-// single-threaded traversal that also records, per distinct value, the span
-// of tuple ids to rewrite; the spans are then partitioned evenly and each
-// worker scatters codes independently.
+// ExtractDictParallel is ExtractDict with the scatter phase cut into nt
+// pieces run through par.Do (paper §6.2.1 scheme (ii)): the dictionary
+// build is a single-threaded traversal that also records, per distinct
+// value, the span of tuple ids to rewrite; the spans are then partitioned
+// evenly and each piece scatters codes independently.
 func (p *Partition[V]) ExtractDictParallel(nt int) (*dict.Dict[V], []uint32) {
 	if nt <= 1 || len(p.values) < 1<<14 {
 		return p.ExtractDict()
@@ -136,22 +137,14 @@ func (p *Partition[V]) ExtractDictParallel(nt int) (*dict.Dict[V], []uint32) {
 
 	codes := make([]uint32, len(p.values))
 	nv := len(values)
-	done := make(chan struct{}, nt)
-	for w := 0; w < nt; w++ {
-		go func(w int) {
-			loV, hiV := nv*w/nt, nv*(w+1)/nt
-			for v := loV; v < hiV; v++ {
-				c := uint32(v)
-				for _, tid := range flat[starts[v]:starts[v+1]] {
-					codes[tid] = c
-				}
+	par.Do(nt, func(w int) {
+		for v := nv * w / nt; v < nv*(w+1)/nt; v++ {
+			c := uint32(v)
+			for _, tid := range flat[starts[v]:starts[v+1]] {
+				codes[tid] = c
 			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < nt; w++ {
-		<-done
-	}
+		}
+	})
 	return dict.FromSorted(values), codes
 }
 

@@ -1,8 +1,7 @@
 package dict
 
 import (
-	"sync"
-
+	"hyrise/internal/par"
 	"hyrise/internal/val"
 )
 
@@ -16,10 +15,10 @@ import (
 //
 // With nt > 1 it follows the paper's three-phase scheme (§6.2.1): coRank
 // cuts the input into nt ranges of equal length, a count pass and an
-// exclusive prefix sum give each range its write offset, and each range
-// runs the one write loop there on its own goroutine.  No cut separates a
-// value both inputs hold, so no range repairs a boundary duplicate, and the
-// result is the same at every nt.
+// exclusive prefix sum give each range its write offset, and par.Do runs
+// each range's write loop there.  No cut separates a value both inputs
+// hold, so no range repairs a boundary duplicate, and the result is the
+// same at every nt.
 func Merge[V val.Value](m, d *Dict[V], deadM, deadD []bool, nt int) MergeResult[V] {
 	a, b := m.values, d.values
 	nt = max(1, min(nt, len(a)+len(b)))
@@ -37,13 +36,13 @@ func Merge[V val.Value](m, d *Dict[V], deadM, deadD []bool, nt int) MergeResult[
 	offset := make([]int, nt+1)
 	offset[nt] = len(a) + len(b)
 	if nt > 1 {
-		each(nt, func(i int) { offset[i+1] = parts[i].count() })
+		par.Do(nt, func(i int) { offset[i+1] = parts[i].count() })
 		for i := 1; i <= nt; i++ {
 			offset[i] += offset[i-1]
 		}
 	}
 	merged := make([]V, offset[nt])
-	each(nt, func(i int) {
+	par.Do(nt, func(i int) {
 		if end := parts[i].write(merged, offset[i]); i == nt-1 {
 			offset[nt] = end
 		}
@@ -146,21 +145,6 @@ func put[V val.Value](merged []V, out int, v V, dead uint32) (uint32, int) {
 		return uint32(out), out + 1
 	}
 	return uint32(max(out, 1) - 1), out
-}
-
-// each runs f(0), ..., f(n-1), f(0) on the caller's goroutine and the rest
-// on their own, and returns once all have.
-func each(n int, f func(i int)) {
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for i := 1; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			f(i)
-		}()
-	}
-	f(0)
-	wg.Wait()
 }
 
 // coRank returns the split point (i, j) with i+j = k such that merging

@@ -49,15 +49,17 @@
 // The five full-vector kernels (MatchEqual, MatchRange, CountEqual,
 // SumVisible, MinMaxVisible) cut their input into min(GOMAXPROCS,
 // n/minPart) contiguous parts of about equal size, minPart = 1<<17 codes,
-// and scan each on a goroutine of its own; part 0 runs on the calling
-// goroutine.  A vector of fewer than 2*minPart codes, or GOMAXPROCS(1),
-// leaves one part: the kernel then runs its loop once on the caller and
-// starts no goroutine.  The match and count kernels cut on window
-// boundaries, so no window is shared by two parts and only the vector's
-// last window is masked to its tail; the aggregates cut on BlockSize
-// boundaries.  Selection vectors are concatenated in part order and so
-// stay ascending; counts and sums are added and min/max folded across
-// parts.  A kernel returns only after every part has finished.
+// and run them through par.Do: part 0 on the calling goroutine, every
+// other part on a worker of the store's one pool when one is free and on
+// the caller otherwise.  Every kernel call, read fan-out and merge in the
+// process shares that pool, so several large scans at once share its
+// workers.  A vector of fewer than 2*minPart codes, or GOMAXPROCS(1),
+// leaves one part: the kernel then runs its loop once on the caller.  The
+// match and count kernels cut on window boundaries, so no window is shared
+// by two parts and only the vector's last window is masked to its tail;
+// the aggregates cut on BlockSize boundaries.  Selection vectors are concatenated in part
+// order and so stay ascending; counts and sums are added and min/max folded
+// across parts.  A kernel returns only after every part has finished.
 //
 // Kernels are pure functions over immutable inputs: the caller holds
 // whatever lock protects the code vector and epoch slices (the table's
@@ -73,6 +75,7 @@ import (
 	"sync"
 
 	"hyrise/internal/bitpack"
+	"hyrise/internal/par"
 )
 
 // BlockSize is the number of codes the aggregate kernels and Gather decode
@@ -85,9 +88,9 @@ var blockPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// minPart is the fewest codes a kernel hands to one goroutine: at 0.3 to 2
-// ns per code, 128Ki codes take 40 to 250 µs to scan, far above the few
-// microseconds a goroutine costs to start and join.
+// minPart is the fewest codes a kernel hands to one part: at 0.3 to 2 ns
+// per code, 128Ki codes take 40 to 250 µs to scan, far above the few
+// microseconds a hand-off to a worker and the join cost.
 const minPart = 1 << 17
 
 // parts returns the number of parts a full-vector kernel splits n codes
@@ -97,27 +100,19 @@ func parts(n int) int {
 }
 
 // split cuts [0, n) into np contiguous parts whose bounds are multiples of
-// unit (except n itself), runs part on each and folds the results in part
-// order.  Part 0 runs on the calling goroutine and every other part on a
-// goroutine of its own; split returns once all have finished.  With one
-// part it calls part(0, 0, n) and starts no goroutine.  Parts may be empty
-// when n/unit < np.
+// unit (except n itself), runs part on each through par.Do and folds the
+// results in part order.  Part 0 runs on the calling goroutine; split
+// returns once all have finished.  With one part it calls part(0, 0, n)
+// directly.  Parts may be empty when n/unit < np.
 func split[R any](n, unit, np int, part func(p, from, to int) R, fold func(acc, r R) R) R {
 	if np == 1 {
 		return part(0, 0, n)
 	}
 	units := (n + unit - 1) / unit
 	rs := make([]R, np)
-	var wg sync.WaitGroup
-	wg.Add(np - 1)
-	for p := 1; p < np; p++ {
-		go func() {
-			defer wg.Done()
-			rs[p] = part(p, min(n, units*p/np*unit), min(n, units*(p+1)/np*unit))
-		}()
-	}
-	rs[0] = part(0, 0, min(n, units/np*unit))
-	wg.Wait()
+	par.Do(np, func(p int) {
+		rs[p] = part(p, min(n, units*p/np*unit), min(n, units*(p+1)/np*unit))
+	})
 	acc := rs[0]
 	for _, r := range rs[1:] {
 		acc = fold(acc, r)

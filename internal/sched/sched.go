@@ -2,9 +2,10 @@
 // supervisor per store that triggers a partition's merge when its delta
 // exceeds a configured fraction of its main, plus pause/resume control.
 // The paper's two resource strategies are the thread budget: by default
-// the machine is split across the store's partitions (strategy (a), what
-// the evaluation assumes), and Threads: 1 is the constant single-thread
-// background merge (strategy (b)).
+// every merge may use the whole machine and the process's one pool
+// (internal/par) shares it between concurrent merges and reads (strategy
+// (a), what the evaluation assumes), and Threads: 1 is the constant
+// single-thread background merge (strategy (b)).
 package sched
 
 import (
@@ -26,10 +27,9 @@ type Config struct {
 	MinDeltaRows int
 	// Interval is the polling period.  Default 100ms.
 	Interval time.Duration
-	// Threads, when > 0, is the thread budget of every merge.  Otherwise
-	// the machine's threads are divided evenly across the partitions that
-	// take writes (minimum one each), so concurrent partition merges do
-	// not oversubscribe the cores.
+	// Threads is the thread budget of every merge, as in
+	// table.MergeOptions (0 = GOMAXPROCS).  Concurrent partition merges do
+	// not divide it: they share the cores through the process's one pool.
 	Threads int
 	// OnMerge, if non-nil, observes every completed scheduled merge; it
 	// must be safe for concurrent use (partitions merge concurrently).
@@ -147,24 +147,6 @@ func (s *Scheduler) LastErr() error {
 	return s.lastErr
 }
 
-// options is the merge configuration for one pass over targets.  The
-// default budget splits the machine across the partitions that still take
-// writes: a reshard-retired (sealed) partition's delta never grows again,
-// so counting it would shrink every hot partition's share for good.
-func (s *Scheduler) options(targets []*table.Table) table.MergeOptions {
-	threads := s.cfg.Threads
-	if threads <= 0 {
-		active := 0
-		for _, t := range targets {
-			if !t.Sealed() {
-				active++
-			}
-		}
-		threads = table.ThreadsPerMerge(0, active)
-	}
-	return table.MergeOptions{Threads: threads}
-}
-
 // MergeNow synchronously merges every live partition that holds delta rows
 // or invalidated versions a garbage-collecting merge could reclaim,
 // regardless of the trigger condition, concurrently and with the
@@ -174,9 +156,8 @@ func (s *Scheduler) options(targets []*table.Table) table.MergeOptions {
 // store deliberately — cmd/hyrised compacts with it on shutdown so the
 // saved snapshot reloads with everything merged and reclaimed.
 func (s *Scheduler) MergeNow(ctx context.Context) error {
-	targets := s.src()
 	var dirty []*table.Table
-	for _, t := range targets {
+	for _, t := range s.src() {
 		// With an empty delta a merge only rewrites the main, which is
 		// worth doing solely when dead versions linger there to reclaim;
 		// otherwise it would be a full-table no-op.
@@ -184,7 +165,7 @@ func (s *Scheduler) MergeNow(ctx context.Context) error {
 			dirty = append(dirty, t)
 		}
 	}
-	_, errs := table.MergeEach(ctx, dirty, s.options(targets))
+	_, errs := table.MergeEach(ctx, dirty, table.MergeOptions{Threads: s.cfg.Threads})
 	return errors.Join(errs...)
 }
 
@@ -238,24 +219,22 @@ func (s *Scheduler) loop(ctx context.Context, done chan struct{}) {
 		if s.Paused() {
 			continue
 		}
-		targets := s.src()
-		opts := s.options(targets)
-		for _, t := range targets {
+		for _, t := range s.src() {
 			if !s.triggered(t) || !s.claim(t) {
 				continue
 			}
 			inflight.Add(1)
 			go func() {
 				defer inflight.Done()
-				s.merge(ctx, t, opts)
+				s.merge(ctx, t)
 			}()
 		}
 	}
 }
 
 // merge runs one scheduled merge of a claimed partition and accounts it.
-func (s *Scheduler) merge(ctx context.Context, t *table.Table, opts table.MergeOptions) {
-	rep, err := t.Merge(ctx, opts)
+func (s *Scheduler) merge(ctx context.Context, t *table.Table) {
+	rep, err := t.Merge(ctx, table.MergeOptions{Threads: s.cfg.Threads})
 	s.mu.Lock()
 	delete(s.busy, t)
 	if errors.Is(err, context.Canceled) {

@@ -299,32 +299,11 @@ func TestIndependentTriggers(t *testing.T) {
 	}
 }
 
-// TestThreadBudget checks the even division of the machine across the
-// partitions that still take writes, and that an explicit budget wins.
+// TestThreadBudget checks that the default budget is the whole machine for
+// every merge: concurrent partition merges share the cores through the
+// one pool instead of dividing the budget.
 func TestThreadBudget(t *testing.T) {
-	want := max(1, runtime.GOMAXPROCS(0)/2)
-	two := []*table.Table{newTable(t), newTable(t)}
-	if got := New(nil, Config{}).options(two).Threads; got != want {
-		t.Fatalf("derived per-partition budget %d, want %d", got, want)
-	}
-	// A reshard-retired partition does not dilute the live ones' share.
-	retired := newTable(t)
-	retired.Seal()
-	if got := New(nil, Config{}).options(append(two, retired)).Threads; got != want {
-		t.Fatalf("budget with a sealed partition listed %d, want %d", got, want)
-	}
-	many := make([]*table.Table, 4*runtime.GOMAXPROCS(0))
-	for i := range many {
-		many[i] = newTable(t)
-	}
-	if got := New(nil, Config{}).options(many).Threads; got != 1 {
-		t.Fatalf("budget across many partitions %d, want 1", got)
-	}
-	if got := New(nil, Config{Threads: 3}).options(two).Threads; got != 3 {
-		t.Fatalf("explicit budget not honored: %d", got)
-	}
-
-	// The budget reaches the merges, and follows the partition count.
+	want := runtime.GOMAXPROCS(0)
 	t1, t2 := newTable(t), newTable(t)
 	fill(t, t1, 100)
 	fill(t, t2, 100)

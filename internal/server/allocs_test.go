@@ -22,8 +22,8 @@ func TestServedAllocs(t *testing.T) {
 	}
 	const slack = 1
 	counts := map[int]map[string]float64{
-		1: {"ping": 8, "lookup": 22, "range": 28, "sum": 13, "query": 95},
-		2: {"ping": 8, "lookup": 31, "range": 43, "sum": 21, "query": 122},
+		1: {"ping": 8, "lookup": 22, "range": 28, "sum": 13, "query": 76},
+		2: {"ping": 8, "lookup": 31, "range": 43, "sum": 21, "query": 103},
 	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -188,6 +188,13 @@ func TestServerOps(t *testing.T) {
 			if res.Count() != 12 || len(res.Values) != 12 || len(res.Values[0]) != 2 {
 				t.Fatalf("query count=%d", res.Count())
 			}
+			// Rows share one backing array; appending to one must not
+			// overwrite the next.
+			next := res.Values[1][0]
+			_ = append(res.Values[0], "appended")
+			if res.Values[1][0] != next {
+				t.Fatalf("append to row 0 overwrote row 1: %v", res.Values[1])
+			}
 
 			// Update / Delete and valid-row counting.
 			nid, err := c.Update(id0, map[string]any{"qty": 9})
@@ -215,13 +222,13 @@ func TestServerOps(t *testing.T) {
 			if got, _ := c.Lookup("order_id", 42); len(got) != 1 {
 				t.Fatal("post-merge lookup missed")
 			}
-			// The wire's thread budget is clamped to the server's cores;
-			// each partition still merges with at least one thread.
+			// The wire's thread budget is clamped to the server's cores, and
+			// a multi-partition report echoes the per-merge budget.
 			rep, err = c.Merge(client.MergeOptions{Threads: 1 << 31})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if limit := max(runtime.GOMAXPROCS(0), st.NumShards()); rep.Threads > limit {
+			if limit := runtime.GOMAXPROCS(0); rep.Threads > limit {
 				t.Fatalf("merge ran %d threads, want at most %d", rep.Threads, limit)
 			}
 

@@ -19,9 +19,9 @@ import (
 func TestShardedGC(t *testing.T) {
 	t.Run("serial", func(t *testing.T) { shardedGCLoop(t, table.MergeOptions{}) })
 	t.Run("parallel-intra-column", func(t *testing.T) {
-		// 16 threads over 4 partitions: 4 each, more than the 2 columns,
-		// so every partition merges intra-column.
-		shardedGCLoop(t, table.MergeOptions{Threads: 16})
+		// 4 threads per partition, more than the 2 columns, so every
+		// partition merges intra-column.
+		shardedGCLoop(t, table.MergeOptions{Threads: 4})
 	})
 }
 
@@ -65,9 +65,9 @@ func shardedGCLoop(t *testing.T, mopts table.MergeOptions) {
 		}
 		if mopts.Threads > 0 {
 			for i, p := range st.Partitions() {
-				if got := p.LastMergeReport().Columns[0].Threads; got != mopts.Threads/4 {
+				if got := p.LastMergeReport().Columns[0].Threads; got != mopts.Threads {
 					t.Fatalf("cycle %d: partition %d merged with %d threads per column, want %d (intra-column)",
-						cycle, i, got, mopts.Threads/4)
+						cycle, i, got, mopts.Threads)
 				}
 			}
 		}

@@ -1,27 +1,17 @@
 package shard
 
 import (
-	"sync"
-
+	"hyrise/internal/par"
 	"hyrise/internal/query"
 	"hyrise/internal/table"
 )
 
-// each runs fn on every partition concurrently and returns the results in
-// physical order: partition 0 on the caller's goroutine, every other one on
-// a goroutine of its own.
+// each runs fn on every partition through par.Do and returns the results
+// in physical order: partition 0 on the caller's goroutine, every other one
+// on a pool worker when one is free and on the caller otherwise.
 func each[R any](parts []*table.Table, fn func(*table.Table) R) []R {
 	out := make([]R, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i+1] = fn(p)
-		}()
-	}
-	out[0] = fn(parts[0])
-	wg.Wait()
+	par.Do(len(parts), func(i int) { out[i] = fn(parts[i]) })
 	return out
 }
 

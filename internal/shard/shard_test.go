@@ -239,8 +239,8 @@ func TestUpdateCrossShardMove(t *testing.T) {
 }
 
 // TestRequestMergeFanOut: on several partitions RequestMerge merges them
-// all concurrently, splits the thread budget evenly and condenses the
-// reports; per-partition detail stays on the partitions.
+// all concurrently, each with the whole per-merge thread budget, and
+// condenses the reports; per-partition detail stays on the partitions.
 func TestRequestMergeFanOut(t *testing.T) {
 	st := newKV(t, 4)
 	for i := 0; i < 1000; i++ {
@@ -262,13 +262,13 @@ func TestRequestMergeFanOut(t *testing.T) {
 		t.Fatalf("condensed report carries %d column stats", len(rep.Columns))
 	}
 	if rep.Threads != 4 {
-		t.Fatalf("Threads = %d want 4 (the summed budget)", rep.Threads)
+		t.Fatalf("Threads = %d want 4 (the per-merge budget)", rep.Threads)
 	}
 	sum := 0
 	for i, p := range st.Partitions() {
 		pr := p.LastMergeReport()
-		if pr.Threads != 1 {
-			t.Fatalf("partition %d merged with %d threads want 1 (4 threads / 4 shards)", i, pr.Threads)
+		if pr.Threads != 4 {
+			t.Fatalf("partition %d merged with %d threads want 4 (the per-merge budget)", i, pr.Threads)
 		}
 		if len(pr.Columns) != 2 {
 			t.Fatalf("partition %d report has %d column stats", i, len(pr.Columns))

@@ -81,14 +81,15 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 // history is garbage-collected — and is the store's one on-demand merge
 // entry.  A store of one partition returns that partition's report
 // verbatim — per-column detail, phase timings and GC fields included.
-// Otherwise the partitions merge concurrently, each with an even share of
-// opts.Threads — the TOTAL budget, unlike a scheduler's per-merge Threads
-// (table.ThreadsPerMerge) — and the reports condense into one: the counts
-// (DeadAtFreeze included) sum over the partitions that committed,
-// LivePins and GCWatermark are their maxima — one clock serves every
-// partition, so pins are store-wide — Columns is nil —
-// per-partition, per-column detail is each partition's LastMergeReport —
-// and Threads echoes the summed budget actually used.
+// Otherwise the partitions merge concurrently through table.MergeEach,
+// each with opts.Threads as its own budget — the same per-merge budget a
+// scheduler's Config.Threads is; the process's one pool, not a division of
+// the budget, keeps the merges within the cores — and the reports condense
+// into one: the counts (DeadAtFreeze included) sum over the partitions
+// that committed, LivePins, GCWatermark and Threads are their maxima — one
+// clock serves every partition, so pins are store-wide — and Columns is
+// nil: per-partition, per-column detail is each partition's
+// LastMergeReport.
 //
 // Merges are online and atomic per partition only (queries may observe
 // some partitions merged and others not, which changes no visible row
@@ -105,12 +106,8 @@ func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (tab
 		return parts[0].Merge(ctx, opts)
 	}
 	start := time.Now()
-	opts.Threads = table.ThreadsPerMerge(opts.Threads, len(parts))
 	reps, errs := table.MergeEach(ctx, parts, opts)
-	out := table.Report{
-		Threads: opts.Threads * len(parts),
-		Aborted: true,
-	}
+	out := table.Report{Aborted: true}
 	for i, rep := range reps {
 		if errs[i] != nil {
 			continue
@@ -121,6 +118,7 @@ func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (tab
 		out.DeadAtFreeze += rep.DeadAtFreeze
 		out.LivePins = max(out.LivePins, rep.LivePins)
 		out.GCWatermark = max(out.GCWatermark, rep.GCWatermark)
+		out.Threads = max(out.Threads, rep.Threads)
 	}
 	out.MainRowsAfter = st.MainRows()
 	out.Wall = time.Since(start)

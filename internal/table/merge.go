@@ -3,54 +3,35 @@ package table
 import (
 	"context"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"hyrise/internal/core"
+	"hyrise/internal/par"
 )
 
 // MergeOptions configures Table.Merge.
 type MergeOptions struct {
-	// Threads is the total worker budget N_T (0 = GOMAXPROCS), distributed
-	// per §6.2.1: with at least as many columns as threads, scheme (i), a
-	// task queue over the columns, each merged serially by one worker (the
-	// paper's reported scheme); with fewer columns, scheme (ii), the columns
-	// one after another, each parallelized internally — the per-column
-	// Stats.Threads of the Report exceed 1 exactly then.
+	// Threads is one merge's budget N_T of pieces (0 = GOMAXPROCS),
+	// distributed per §6.2.1: with at least as many columns as threads,
+	// scheme (i), a task queue over the columns, each merged serially by one
+	// of Threads workers (the paper's reported scheme); with fewer columns,
+	// scheme (ii), the columns one after another, each cut into Threads
+	// pieces — the per-column Stats.Threads of the Report exceed 1 exactly
+	// then.  Every layer passes it through unchanged: the pieces run through
+	// the process's one pool (internal/par), which bounds all merges and
+	// reads together, so concurrent merges of several partitions share the
+	// cores without dividing the budget.
 	Threads int
 }
 
-// ThreadsPerMerge is the budget of each merge when n partitions of one
-// store merge concurrently: an even share of total (0 = GOMAXPROCS), at
-// least one thread, so that n concurrent merges do not oversubscribe the
-// cores.  The scheduler and the store's RequestMerge both split here, and
-// they differ only in what they pass: RequestMerge's MergeOptions.Threads
-// is the TOTAL it splits over every partition it merges, while a
-// scheduler's Config.Threads is already PER MERGE and bypasses the split —
-// only its default (0) divides the machine, over the partitions that still
-// take writes.
-func ThreadsPerMerge(total, n int) int {
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	return max(1, total/max(1, n))
-}
-
-// MergeEach merges the given partitions of one store concurrently, each
+// MergeEach merges the given partitions of one store through par.Do, each
 // with opts as given, and returns their reports and errors in input order.
 // It is the one store-level fan-out: the store's RequestMerge and the
 // scheduler's MergeNow both run through it.
 func MergeEach(ctx context.Context, parts []*Table, opts MergeOptions) ([]Report, []error) {
 	reps, errs := make([]Report, len(parts)), make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reps[i], errs[i] = p.Merge(ctx, opts)
-		}()
-	}
-	wg.Wait()
+	par.Do(len(parts), func(i int) { reps[i], errs[i] = parts[i].Merge(ctx, opts) })
 	return reps, errs
 }
 
@@ -261,31 +242,23 @@ func (t *Table) runColumnMerges(ctx context.Context, threads int, drop core.Drop
 		return nil
 	}
 	opts := core.Options{Threads: 1}
-	tasks := make(chan column)
-	done := make(chan struct{}, threads)
-	for w := 0; w < threads; w++ {
-		go func() {
-			for c := range tasks {
-				c.runMerge(opts, drop)
+	// The queue is a shared cursor: each worker takes the next column until
+	// none is left or ctx is cancelled.
+	var next, merged atomic.Int64
+	par.Do(threads, func(int) {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(t.cols) {
+				return
 			}
-			done <- struct{}{}
-		}()
-	}
-	var err error
-feed:
-	for _, c := range t.cols {
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			break feed
-		case tasks <- c:
+			t.cols[i].runMerge(opts, drop)
+			merged.Add(1)
 		}
+	})
+	if merged.Load() < int64(len(t.cols)) {
+		return ctx.Err()
 	}
-	close(tasks)
-	for w := 0; w < threads; w++ {
-		<-done
-	}
-	return err
+	return nil
 }
 
 // compactRowsLocked applies the frozen GC decision to the row metadata at

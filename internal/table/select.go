@@ -90,9 +90,7 @@ func (t *Table) Read(view View, p Plan) (*Selection, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	// Bound before any scan, and here rather than in a helper: a fan-out
-	// runs Read on a fresh goroutine, whose small first stack a deeper call
-	// chain makes the runtime grow, at a cost above an indexed lookup's.
+	// Bound before any scan.
 	var buf [4]cond // a plan's few predicates bind without an allocation
 	conds := buf[:0]
 	for _, pr := range p.Preds {

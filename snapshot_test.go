@@ -214,10 +214,10 @@ func snapshotStress(t *testing.T, shards, rounds int, merge hyrise.MergeOptions)
 				t.Errorf("RequestMerge: %v", err)
 				return
 			}
-			// More threads per partition than its three columns must merge
-			// within each column (the parallel-merge variants), fewer by
-			// column tasks.
-			per := max(1, merge.Threads/shards)
+			// A budget above a partition's three columns must merge within
+			// each column (the parallel-merge variants), a smaller one by
+			// column tasks.  Every partition merges with the whole budget.
+			per := merge.Threads
 			for i, p := range st.Partitions() {
 				if got := p.LastMergeReport().Columns[0].Threads; (got > 1) != (per > 3) {
 					t.Errorf("partition %d: %d threads per column with a budget of %d", i, got, per)

@@ -81,10 +81,10 @@ func QueryAt(t *Table, view ReadView, filters []Filter, project []string) (*Quer
 // partition's own delta fraction exceeds cfg.Fraction (N_D > Fraction *
 // N_M, §4): a write-hot shard merges often while cold shards stay
 // untouched, different partitions merge concurrently, one merge per
-// partition at a time.  Unless cfg.Threads is set, the machine's threads
-// are divided evenly across the partitions that take writes (the active
-// shards); Threads: 1 is the paper's constant single-thread background
-// merge (§3, strategy (b)).
+// partition at a time.  cfg.Threads is every merge's budget (0 = the
+// whole machine, strategy (a)); concurrent merges share the cores through
+// the process's one worker pool rather than dividing it.  Threads: 1 is the
+// paper's constant single-thread background merge (§3, strategy (b)).
 func NewScheduler(t *Table, cfg SchedulerConfig) *Scheduler {
 	return sched.New(t.Partitions, cfg)
 }
