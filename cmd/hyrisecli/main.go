@@ -15,8 +15,7 @@
 //
 // The shell creates, saves and loads nothing and runs no workload itself:
 // hyrised -schema, -key and -shards create the served table, hyrised
-// -snapshot loads it at start and saves it at stop, and hyrise.NewDriver
-// runs the paper's workload mixes against an in-process table.
+// -snapshot loads it at start and saves it at stop.
 package main
 
 import (

@@ -296,7 +296,7 @@
 // hello exchange announced, and Client.Metrics the replication lag
 // (hyrise_replica_lag_epochs) and op-log bounds (hyrise_oplog_*).  The
 // same topology runs as daemons with hyrised -replicate and hyrised
-// -follow; see examples/replication for the whole wiring in one process.
+// -follow; ExampleFollow shows the whole wiring in one process.
 //
 // # Observability
 //
@@ -359,7 +359,6 @@ import (
 	"hyrise/internal/sched"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
-	"hyrise/internal/workload"
 )
 
 // Value is the constraint on column value types: any ordered type; the
@@ -389,7 +388,7 @@ type Schema = table.Schema
 // more shards, each a Partition with its own merge lifecycle.  NewTable,
 // NewShardedTable, Load and FollowStore all return one, and every
 // entry point of this package — ColumnOf, NumericColumnOf, Query,
-// NewScheduler, NewDriver, Save, Serve, EnableReplication — takes one.
+// NewScheduler, Save, Serve, EnableReplication — takes one.
 //
 // Row ids are table-scoped and stable: they carry the owning physical
 // partition above the partition's own insertion-ordered id.  Partition 0's
@@ -460,42 +459,6 @@ type Scheduler = sched.Scheduler
 // SchedulerConfig tunes merge triggering; it applies to every partition.
 type SchedulerConfig = sched.Config
 
-// Workload generation (paper §2).
-type (
-	// Mix is a query-kind distribution (Figure 1).
-	Mix = workload.Mix
-	// Generator produces column values with a controlled distribution.
-	Generator = workload.Generator
-	// Driver executes a Mix against a Table.
-	Driver = workload.Driver
-)
-
-// Built-in mixes (Figure 1).
-var (
-	OLTPMix = workload.OLTPMix
-	OLAPMix = workload.OLAPMix
-	TPCCMix = workload.TPCCMix
-)
-
-// NewUniformGenerator draws uniformly from a domain of the given size.
-func NewUniformGenerator(domain uint64, seed int64) Generator {
-	return workload.NewUniform(domain, seed)
-}
-
-// NewUniqueGenerator produces a never-repeating value stream (100% unique).
-func NewUniqueGenerator(seed int64) Generator { return workload.NewUnique(seed) }
-
-// NewGeneratorForUniqueFraction sizes a uniform domain so n draws contain
-// about frac*n distinct values (the paper's λ parameter).
-func NewGeneratorForUniqueFraction(n int, frac float64, seed int64) Generator {
-	return workload.NewUniformForUniqueFraction(n, frac, seed)
-}
-
-// NewZipfGenerator draws from a skewed (Zipf) distribution.
-func NewZipfGenerator(domain uint64, skew float64, seed int64) Generator {
-	return workload.NewZipf(domain, skew, seed)
-}
-
 // Multi-column queries (conjunctive predicates, positional refinement).
 type (
 	// Filter is one predicate of a conjunctive query.
@@ -523,9 +486,6 @@ type (
 	// ModelPrediction is the model's per-step cost estimate.
 	ModelPrediction = model.Prediction
 )
-
-// PaperArch returns the paper's evaluation-machine constants.
-func PaperArch() ModelArch { return model.PaperArch() }
 
 // Predict evaluates the analytical model for one column merge.
 func Predict(w ModelWorkload, a ModelArch, parallel bool) ModelPrediction {

@@ -62,24 +62,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("Max=%d,%v", mx, ok)
 	}
 
-	// Workload driver on the public surface, one subtest per Figure 1 mix.
-	for _, mix := range []hyrise.Mix{hyrise.OLTPMix, hyrise.OLAPMix, hyrise.TPCCMix} {
-		t.Run(mix.Name, func(t *testing.T) {
-			drv, err := hyrise.NewDriver(tb, "order_id", mix,
-				hyrise.NewUniformGenerator(1000, 7), 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts, err := drv.Run(500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if counts.Total() != 500 {
-				t.Fatalf("driver total %d", counts.Total())
-			}
-		})
-	}
-
 	// Persistence round trip.
 	var buf bytes.Buffer
 	if err := hyrise.Save(tb, &buf); err != nil {
@@ -97,34 +79,5 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	s := hyrise.NewScheduler(tb, hyrise.SchedulerConfig{Fraction: 0.5})
 	if s.ShouldMerge() && tb.DeltaRows() == 0 {
 		t.Fatal("scheduler trigger on empty delta")
-	}
-
-	// Model prediction.
-	pred := hyrise.Predict(hyrise.ModelWorkload{
-		NM: 100_000_000, ND: 1_000_000, Ej: 8,
-		UM: 1_000_000, UD: 10_000, UPrime: 1_005_000, NC: 300,
-	}, hyrise.PaperArch(), true)
-	if pred.TotalCycles() <= 0 {
-		t.Fatal("model prediction")
-	}
-}
-
-func TestGeneratorsPublic(t *testing.T) {
-	g := hyrise.NewGeneratorForUniqueFraction(10_000, 0.1, 1)
-	seen := map[uint64]bool{}
-	for i := 0; i < 10_000; i++ {
-		seen[g.Next()] = true
-	}
-	if len(seen) < 500 || len(seen) > 2000 {
-		t.Fatalf("distinct=%d want ~1000", len(seen))
-	}
-	u := hyrise.NewUniqueGenerator(2)
-	a, b := u.Next(), u.Next()
-	if a == b {
-		t.Fatal("unique generator repeated")
-	}
-	z := hyrise.NewZipfGenerator(100, 1.5, 3)
-	if z.Next() >= 100 {
-		t.Fatal("zipf domain")
 	}
 }

@@ -105,16 +105,6 @@ func Fill(g Generator, n int) []uint64 {
 	return out
 }
 
-// Strings converts values to fixed-length 16-byte strings (the paper's
-// E_j = 16 case) with order preserved.
-func Strings(vals []uint64) []string {
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = FixedString(v)
-	}
-	return out
-}
-
 // FixedString renders v as a 16-byte zero-padded hexadecimal string whose
 // lexicographic order matches numeric order.
 func FixedString(v uint64) string {

@@ -3,8 +3,7 @@
 // TPC-C-like systems (Figure 1), table-population profiles of a synthetic
 // SAP Business Suite customer system (Figures 2 and 3), distinct-value
 // distributions of inventory-management and financial-accounting columns
-// (Figure 4), plus value generators with controlled unique fractions and a
-// driver that executes a mix against a table.
+// (Figure 4), plus value generators with controlled unique fractions.
 package workload
 
 import (
@@ -45,30 +44,10 @@ func (k QueryKind) String() string {
 	}
 }
 
-// IsWrite reports whether the kind modifies the table.
-func (k QueryKind) IsWrite() bool {
-	return k == Insert || k == Modification || k == Delete
-}
-
 // Mix is a probability distribution over query kinds.
 type Mix struct {
 	Name    string
 	Weights [numQueryKinds]float64
-}
-
-// Validate checks the weights form a distribution.
-func (m Mix) Validate() error {
-	sum := 0.0
-	for _, w := range m.Weights {
-		if w < 0 {
-			return fmt.Errorf("workload: negative weight in mix %q", m.Name)
-		}
-		sum += w
-	}
-	if sum < 0.999 || sum > 1.001 {
-		return fmt.Errorf("workload: mix %q weights sum to %f", m.Name, sum)
-	}
-	return nil
 }
 
 // WriteRatio returns the total probability of write operations.

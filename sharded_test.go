@@ -10,8 +10,7 @@ import (
 
 // TestShardedPublicSurface exercises the sharded table end to end through
 // the re-exported API: creation, routed inserts, fan-out reads, the
-// cross-shard query runner, the parallel merge, the scheduler and the
-// workload driver.
+// cross-shard query runner, the parallel merge and the scheduler.
 func TestShardedPublicSurface(t *testing.T) {
 	st, err := hyrise.NewShardedTable("sales", hyrise.Schema{
 		{Name: "order_id", Type: hyrise.Uint64},
@@ -71,20 +70,6 @@ func TestShardedPublicSurface(t *testing.T) {
 	}
 	if rows := h.Lookup(42); len(rows) != 1 {
 		t.Fatal("post-merge lookup missed")
-	}
-
-	// The driver runs a mixed workload against the sharded table.
-	drv, err := hyrise.NewDriver(st, "order_id", hyrise.OLTPMix,
-		hyrise.NewUniformGenerator(1000, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := drv.Run(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts.Total() != 500 {
-		t.Fatalf("driver ran %d ops", counts.Total())
 	}
 
 	// The scheduler merges hot shards on its own.

@@ -7,7 +7,6 @@ import (
 	"hyrise/internal/sched"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
-	"hyrise/internal/workload"
 )
 
 // Store is *Table under its former name.  It remains only because the
@@ -29,10 +28,6 @@ type StoreStats = shard.StoreStats
 // builds are summed across partitions and LastBuild is the slowest
 // partition's most recent rebuild.
 type IndexStats = table.IndexStats
-
-// ErrDriverColumnType is returned by NewDriver when the driver column is
-// not uint64.
-var ErrDriverColumnType = workload.ErrDriverColumnType
 
 // Handle is a typed single-column view over a Table, supporting key
 // lookups, range selects and scans over valid rows, by value (Lookup,
@@ -87,13 +82,6 @@ func QueryAt(t *Table, view ReadView, filters []Filter, project []string) (*Quer
 // paper's constant single-thread background merge (§3, strategy (b)).
 func NewScheduler(t *Table, cfg SchedulerConfig) *Scheduler {
 	return sched.New(t.Partitions, cfg)
-}
-
-// NewDriver builds a workload driver executing a query mix against the
-// named uint64 column.  A column of any other type returns
-// ErrDriverColumnType.
-func NewDriver(t *Table, column string, mix Mix, gen Generator, seed int64) (*Driver, error) {
-	return workload.NewDriver(t, column, mix, gen, seed)
 }
 
 // Save writes a binary snapshot.  The versioned header records the key

@@ -3,7 +3,6 @@ package hyrise_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -288,37 +287,6 @@ func TestStoreConformance(t *testing.T) {
 				t.Fatalf("stats: %+v", st)
 			}
 		})
-	}
-}
-
-// TestNewDriverColumnType checks the typed error on non-uint64 driver
-// columns.
-func TestNewDriverColumnType(t *testing.T) {
-	schema := hyrise.Schema{
-		{Name: "k", Type: hyrise.Uint64},
-		{Name: "qty", Type: hyrise.Uint32},
-		{Name: "sku", Type: hyrise.String},
-	}
-	flat, err := hyrise.NewTable("t", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := hyrise.NewShardedTable("t", schema, "k", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range map[string]*hyrise.Table{"shards=1": flat, "shards=4": sharded} {
-		for _, col := range []string{"qty", "sku"} {
-			if _, err := hyrise.NewDriver(s, col, hyrise.OLTPMix, hyrise.NewUniformGenerator(10, 1), 1); !errors.Is(err, hyrise.ErrDriverColumnType) {
-				t.Errorf("%s/%s: err=%v want ErrDriverColumnType", name, col, err)
-			}
-		}
-		if _, err := hyrise.NewDriver(s, "missing", hyrise.OLTPMix, hyrise.NewUniformGenerator(10, 1), 1); !errors.Is(err, hyrise.ErrNoColumn) {
-			t.Errorf("%s/missing: err=%v want ErrNoColumn", name, err)
-		}
-		if _, err := hyrise.NewDriver(s, "k", hyrise.OLTPMix, hyrise.NewUniformGenerator(10, 1), 1); err != nil {
-			t.Errorf("%s/k: %v", name, err)
-		}
 	}
 }
 
