@@ -1,6 +1,7 @@
 package hyrise_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -413,6 +414,144 @@ func ExampleTable_RequestMerge() {
 		rep.MainRowsAfter, col.UniqueMain, col.UniqueMerged, before, col.BitsAfter)
 	// Output:
 	// 1100 rows: dictionary 6 -> 9 entries, 3 -> 4 bits per tuple
+}
+
+// Supervise a 4-shard table with the background merge scheduler while
+// order entry and a reporting scan run on it: each partition merges on
+// its own once its delta passes 2% of its main (paper §4), and reads stay
+// consistent throughout.  MergeNow drains what is left, as hyrised does on
+// shutdown.
+func ExampleNewScheduler() {
+	s, err := hyrise.NewShardedTable("orders", hyrise.Schema{
+		{Name: "customer", Type: hyrise.Uint64},
+		{Name: "amount", Type: hyrise.Uint32},
+	}, "customer", 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	insert := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			if _, err := s.Insert([]any{uint64(i % 500), uint32(1)}); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
+	insert(0, 10000)
+	if _, err := s.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {
+		log.Fatal(err)
+	}
+
+	ms := hyrise.NewScheduler(s, hyrise.SchedulerConfig{Fraction: 0.02, Interval: time.Millisecond})
+	if err := ms.Start(); err != nil {
+		log.Fatal(err)
+	}
+	amount, err := hyrise.NumericColumnOf[uint32](s, "amount")
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The scan runs while rows arrive and partitions merge: with every
+	// amount 1 its sum is the row count, which only grows.
+	stop, scanErr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		last := uint64(0)
+		for {
+			select {
+			case <-stop:
+				scanErr <- nil
+				return
+			default:
+			}
+			sum := amount.Sum()
+			if sum < last || sum > 12000 {
+				scanErr <- fmt.Errorf("scan saw sum %d after %d", sum, last)
+				return
+			}
+			last = sum
+		}
+	}()
+	insert(10000, 2000)
+	deadline := time.Now().Add(10 * time.Second)
+	for ms.Merges() == 0 {
+		if time.Now().After(deadline) {
+			log.Fatal("no scheduled merge within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	if err := <-scanErr; err != nil {
+		log.Fatal(err)
+	}
+	ms.Stop()
+	if err := ms.LastErr(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("scheduled merges ran during order entry:", ms.Merges() > 0)
+
+	if err := ms.MergeNow(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("after MergeNow: main=%d rows, delta=%d rows, sum(amount) = %d\n",
+		s.MainRows(), s.DeltaRows(), amount.Sum())
+	// Output:
+	// scheduled merges ran during order entry: true
+	// after MergeNow: main=12000 rows, delta=0 rows, sum(amount) = 12000
+}
+
+// Save a 2-shard table with unmerged writes to a snapshot and load it
+// back: the shard layout, the row ids, the invalidated versions and the
+// main/delta split round-trip as they were.
+func ExampleSave() {
+	t, err := hyrise.NewShardedTable("sales", hyrise.Schema{
+		{Name: "order_id", Type: hyrise.Uint64},
+		{Name: "qty", Type: hyrise.Uint32},
+	}, "order_id", 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := t.Insert([]any{uint64(i), uint32(i % 10)}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if _, err := t.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {
+		log.Fatal(err)
+	}
+	orders, err := hyrise.ColumnOf[uint64](t, "order_id")
+	if err != nil {
+		log.Fatal(err)
+	}
+	row := orders.Lookup(7)[0]
+	if _, err := t.Update(row, map[string]any{"qty": uint32(70)}); err != nil {
+		log.Fatal(err)
+	}
+	if err := t.Delete(orders.Lookup(8)[0]); err != nil {
+		log.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := hyrise.Save(t, &buf); err != nil {
+		log.Fatal(err)
+	}
+	loaded, err := hyrise.Load(&buf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, tb := range []*hyrise.Table{t, loaded} {
+		lorders, err := hyrise.ColumnOf[uint64](tb, "order_id")
+		if err != nil {
+			log.Fatal(err)
+		}
+		qty, err := hyrise.NumericColumnOf[uint32](tb, "qty")
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%d shards: %d rows (%d valid), main=%d delta=%d, order 7 at %v, sum(qty) = %d\n",
+			len(tb.Partitions()), tb.Rows(), tb.ValidRows(), tb.MainRows(), tb.DeltaRows(),
+			lorders.Lookup(7), qty.Sum())
+	}
+	// Output:
+	// 2 shards: 101 rows (99 valid), main=100 delta=1, order 7 at [45], sum(qty) = 505
+	// 2 shards: 101 rows (99 valid), main=100 delta=1, order 7 at [45], sum(qty) = 505
 }
 
 // updateOrders has writers goroutines share c, each looking up its own

@@ -6,11 +6,9 @@ import (
 	"testing"
 )
 
-// TestFigure1Aggregates checks the mixes reproduce the paper's headline
-// read/write shares: OLTP >80% reads with ~17% writes, OLAP >90% reads
-// with ~7% writes, TPC-C 46% writes.  Each mix is a distribution, which
-// Mix.Sample relies on.
-func TestFigure1Aggregates(t *testing.T) {
+// TestMixesValidate checks each built-in mix is a distribution: no
+// negative weight and weights summing to 1, which Mix.Sample relies on.
+func TestMixesValidate(t *testing.T) {
 	for _, m := range Mixes() {
 		sum := 0.0
 		for _, w := range m.Weights {
@@ -23,6 +21,12 @@ func TestFigure1Aggregates(t *testing.T) {
 			t.Errorf("%s: weights sum to %f", m.Name, sum)
 		}
 	}
+}
+
+// TestFigure1Aggregates checks the mixes reproduce the paper's headline
+// read/write shares: OLTP >80% reads with ~17% writes, OLAP >90% reads
+// with ~7% writes, TPC-C 46% writes.
+func TestFigure1Aggregates(t *testing.T) {
 	if w := OLTPMix.WriteRatio(); math.Abs(w-0.17) > 0.005 {
 		t.Errorf("OLTP write ratio %.3f want ~0.17", w)
 	}
