@@ -15,15 +15,17 @@ import (
 // in this process — with testing.AllocsPerRun.  Counts do not move with
 // the host's load the way timings do, so the test fails above today's
 // count plus one allocation of slack; a change that removes allocations
-// lowers its count in the same change.
+// lowers its count in the same change.  A read with an equality on the
+// key column (lookup, count_equal, key_query) reads only the key's
+// partition, so it costs the same at 2 shards as at 1.
 func TestServedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	const slack = 1
 	counts := map[int]map[string]float64{
-		1: {"ping": 8, "lookup": 22, "range": 28, "sum": 13, "query": 76},
-		2: {"ping": 8, "lookup": 31, "range": 43, "sum": 21, "query": 103},
+		1: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 39, "range": 28, "sum": 13, "query": 76},
+		2: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 39, "range": 42, "sum": 20, "query": 102},
 	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -43,6 +45,7 @@ func TestServedAllocs(t *testing.T) {
 			}
 			c, _, _ := startServer(t, st)
 			filters := []client.Filter{{Column: "qty", Op: client.Eq, Value: uint32(7)}}
+			keyFilters := []client.Filter{{Column: "order_id", Op: client.Eq, Value: uint64(500)}}
 			calls := map[string]func() error{
 				"ping": c.Ping,
 				"lookup": func() error {
@@ -51,6 +54,14 @@ func TestServedAllocs(t *testing.T) {
 				},
 				"range": func() error {
 					_, err := c.Range("order_id", uint64(100), uint64(109))
+					return err
+				},
+				"count_equal": func() error {
+					_, err := c.CountEqual("order_id", uint64(500))
+					return err
+				},
+				"key_query": func() error {
+					_, err := c.Query(keyFilters, []string{"qty"})
 					return err
 				},
 				"sum": func() error {

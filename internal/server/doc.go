@@ -70,11 +70,17 @@
 //
 // OpLookup, OpRange, OpCountEqual, OpScan, OpSum, OpMin, OpMax and
 // OpValidRows each decode into one table.Plan run by shard.Read, the
-// store's one read fan-out: every partition reads under one hold of its
-// read lock at one epoch — with token 0 over several partitions, one
-// snapshot pinned for the request.  OpScan with rows is the same plan
-// projecting every column beside the scanned one, so the full rows are
-// the versions the scan matched and nothing is read after the lock hold.
+// store's one read fan-out, and OpQuery into shard.QueryAt, which runs
+// through the same fan-out.  A plan or query with an equality on the key
+// column reads one partition per listed shard window — the one the key
+// hashes to there, a single partition unless a reshard is in flight or
+// its sealed window still holds rows; every other request reads every
+// listed partition.  Each partition reads under one hold of its read lock
+// at one epoch — with token 0 over several partitions, one snapshot
+// pinned for the request.  hyrise_read_partitions_total counts the
+// partitions read.  OpScan with rows is the same plan projecting every
+// column beside the scanned one, so the full rows are the versions the
+// scan matched and nothing is read after the lock hold.
 //
 // # Protocol version
 //

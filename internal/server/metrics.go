@@ -308,6 +308,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(sh.NumParts()) })
 	reg.GaugeFunc("hyrise_shard_map_version", "Version of the published shard map.",
 		func() float64 { return float64(sh.MapVersion()) })
+	reg.CounterFunc("hyrise_read_partitions_total",
+		"Partitions read by the store's read fan-out (a key equality reads one per listed shard window).",
+		func() float64 { return float64(sh.PartitionsRead()) })
 	reg.GaugeFunc("hyrise_store_resharding", "1 while a reshard migration is in flight.",
 		func() float64 {
 			if sh.Resharding() {

@@ -211,3 +211,51 @@ func TestStoreFieldCoverage(t *testing.T) {
 			s.ValidRows, series, st.ValidRows(), s.Rows)
 	}
 }
+
+// TestReadPartitionsCounted: hyrise_read_partitions_total counts the
+// partitions the store's read fan-out reads, so on a 2-shard store a key
+// Lookup adds exactly 1 (the key's partition) and a Sum exactly 2 — a
+// count of the routed reads that does not move with the host's load.
+func TestReadPartitionsCounted(t *testing.T) {
+	st, err := shard.New("sales", salesSchema(), "order_id", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]any, 200)
+	for i := range rows {
+		rows[i] = []any{uint64(i), uint32(1), "p"}
+	}
+	if _, err := st.InsertRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	c, _, _ := startServer(t, st)
+	read := func() float64 {
+		t.Helper()
+		samples, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := client.MetricValue(samples, "hyrise_read_partitions_total")
+		if !ok {
+			t.Fatal("no hyrise_read_partitions_total series")
+		}
+		return v
+	}
+	before := read()
+	for i := range 100 {
+		ids, err := c.Lookup("order_id", uint64(i))
+		if err != nil || len(ids) != 1 {
+			t.Fatalf("Lookup(%d) = %v, %v", i, ids, err)
+		}
+	}
+	if got := read() - before; got != 100 {
+		t.Errorf("100 key Lookups read %v partitions, want 100", got)
+	}
+	before = read()
+	if sum, err := c.Sum("qty"); err != nil || sum != 200 {
+		t.Fatalf("Sum = %d, %v", sum, err)
+	}
+	if got := read() - before; got != 2 {
+		t.Errorf("a Sum read %v partitions, want 2", got)
+	}
+}

@@ -11,11 +11,15 @@ import (
 // shard map, so a handle stays valid across a Reshard.  Lookup, Range,
 // CountEqual, Sum, Min and Max are one-predicate or no-predicate Plans run
 // by the store's one read fan-out (Read), with the answers combined by the
-// plan's reduction; Scan visits partitions sequentially (partition 0
-// first), in per-partition insertion order.  Every read is at one epoch on
-// every partition — over several, a latest read pins one snapshot for the
-// call, so a row moving between partitions is seen exactly once.  A store
-// of one partition reads exactly what, and as fast as, its partition does.
+// plan's reduction: Lookup and CountEqual on the key column read the one
+// partition the value hashes to in each listed shard window, every other
+// read every listed partition.  Scan visits partitions sequentially
+// (partition 0 first), in per-partition insertion order.  Every read is at
+// one epoch on every partition it reads — over several, a latest read pins
+// one snapshot for the call, so a row moving between partitions is seen
+// exactly once.  A read of one partition — any read of a store of one
+// partition, a key read of a store with one window — reads exactly what,
+// and as fast as, that partition does.
 // The At variants read through a View captured by Table.Snapshot, whose
 // single epoch is valid across every partition.
 type Handle[V val.Value] struct {

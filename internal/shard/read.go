@@ -6,56 +6,68 @@ import (
 	"hyrise/internal/table"
 )
 
-// each runs fn on every partition through par.Do and returns the results
-// in physical order: partition 0 on the caller's goroutine, every other one
-// on a pool worker when one is free and on the caller otherwise.
-func each[R any](parts []*table.Table, fn func(*table.Table) R) []R {
-	out := make([]R, len(parts))
-	par.Do(len(parts), func(i int) { out[i] = fn(parts[i]) })
-	return out
-}
-
-// fanOut is the store's one read fan-out: it runs read on every partition
-// of the current shard map at one epoch and combines the answers.  A lone
+// fanOut is the store's one read fan-out: it runs read at one epoch on
+// the partitions of the current shard map that can hold a match —
+// readSet's: one per listed window for a key equality (key non-nil),
+// every listed partition otherwise — and combines the answers.  A lone
 // partition runs inline with the caller's view under its one lock hold.
-// Over several, read in parallel under separate lock holds, a latest view
-// becomes one snapshot pinned for the call, and the partitions are those
-// of the map after the pin, so they hold every version it sees: a row
-// moving between partitions is seen exactly once, and no GC merge
-// reclaims a version the read can see.  Global ids concatenate in
-// physical order, so they ascend, with values aligned and limit (0: none)
-// applied to the whole; counts and sums add up; extremes combine.  The
-// planner fields (Estimate, Indexed, Seeded) are not.
-func fanOut(st *Table, view table.View, limit int, read func(*table.Table, table.View) (*table.Selection, error)) (*table.Selection, error) {
-	parts := st.load().parts
-	if len(parts) == 1 {
-		s, err := read(parts[0], view) // partition 0's ids are global
+// Over several, read in parallel through par.Do under separate lock
+// holds, a latest view becomes one snapshot pinned for the call, and the
+// partitions are those of the map after the pin, so they hold every
+// version it sees: a row moving between partitions is seen exactly once,
+// and no GC merge reclaims a version the read can see.  Global ids
+// concatenate in physical order, so they ascend, with values aligned and
+// limit (0: none) applied to the whole; counts and sums add up; extremes
+// combine.  The planner fields (Estimate, Indexed, Seeded) are not.
+func fanOut(st *Table, view table.View, key any, limit int, read func(*table.Table, table.View) (*table.Selection, error)) (*table.Selection, error) {
+	var buf [8]int
+	m := st.load()
+	set := st.readSet(m, key, buf[:0])
+	if len(set) == 1 {
+		st.partsRead.Add(1)
+		s, err := read(m.parts[set[0]], view)
 		// A reshard publishes its partitions before it moves a row, so an
 		// unchanged count means the latest read missed no move.
-		if !view.IsLatest() || st.NumParts() == 1 {
-			return s, err
+		if !view.IsLatest() || st.NumParts() == len(m.parts) {
+			if err != nil {
+				return nil, err
+			}
+			globalize(set[0], s.Rows)
+			return s, nil
 		}
 	}
 	if view.IsLatest() {
 		view = st.Snapshot()
 		defer view.Release()
-		parts = st.load().parts
+		m = st.load()
+		set = st.readSet(m, key, buf[:0])
 	}
+	st.partsRead.Add(uint64(len(set)))
+	return readEach(m, set, view, limit, read)
+}
+
+// readEach runs read on the map's partitions set through par.Do — the
+// first on the caller's goroutine, every other one on a pool worker when
+// one is free and on the caller otherwise — and combines the answers (see
+// fanOut).
+func readEach(m *shardMap, set []int, view table.View, limit int, read func(*table.Table, table.View) (*table.Selection, error)) (*table.Selection, error) {
 	type answer struct {
-		s   *table.Selection
-		err error
+		phys int
+		s    *table.Selection
+		err  error
 	}
-	as := each(parts, func(t *table.Table) answer {
-		s, err := read(t, view)
-		return answer{s, err}
-	})
+	as := make([]answer, len(set))
+	for i, phys := range set {
+		as[i].phys = phys
+	}
+	par.Do(len(as), func(i int) { as[i].s, as[i].err = read(m.parts[as[i].phys], view) })
 	out := &table.Selection{}
-	for phys, a := range as {
+	for _, a := range as {
 		if a.err != nil {
 			return nil, a.err
 		}
 		s := a.s
-		out.Rows = append(out.Rows, globalize(phys, s.Rows)...)
+		out.Rows = append(out.Rows, globalize(a.phys, s.Rows)...)
 		out.Values = append(out.Values, s.Values...)
 		out.Count += s.Count
 		out.Sum += s.Sum
@@ -76,10 +88,19 @@ func fanOut(st *Table, view table.View, limit int, read func(*table.Table, table
 	return out, nil
 }
 
-// Read runs the plan on every partition at one epoch with Table.Read and
-// combines the answers by its reduction (fanOut).
+// Read runs the plan at one epoch with Table.Read on the partitions that
+// can hold a match and combines the answers by its reduction (fanOut): a
+// plan with an equality on the key column reads one partition per listed
+// window, any other plan every listed partition.
 func Read(st *Table, view table.View, p table.Plan) (*table.Selection, error) {
-	return fanOut(st, view, p.Limit, func(t *table.Table, v table.View) (*table.Selection, error) {
+	var key any
+	for _, pr := range p.Preds {
+		if pr.Col == st.keyIdx && !pr.Range {
+			key = pr.Lo
+			break
+		}
+	}
+	return fanOut(st, view, key, p.Limit, func(t *table.Table, v table.View) (*table.Selection, error) {
 		return t.Read(v, p)
 	})
 }
@@ -92,10 +113,19 @@ func Query(st *Table, filters []query.Filter, project []string) (*query.Result, 
 
 // QueryAt evaluates a conjunctive multi-column query against the rows
 // visible at the view's epoch: query.RunAt, which keeps the planner
-// statistics, on every partition through the store's one read fan-out
-// (fanOut), so the result reflects one state of the whole store.
+// statistics, on the partitions that can hold a match through the store's
+// one read fan-out (fanOut), so the result reflects one state of the
+// whole store.  A query with an Eq filter on the key column reads one
+// partition per listed window, as Read does.
 func QueryAt(st *Table, view table.View, filters []query.Filter, project []string) (*query.Result, error) {
-	s, err := fanOut(st, view, 0, func(t *table.Table, v table.View) (*table.Selection, error) {
+	var key any
+	for _, f := range filters {
+		if f.Op == query.Eq && f.Column == st.KeyColumn() {
+			key = f.Value
+			break
+		}
+	}
+	s, err := fanOut(st, view, key, 0, func(t *table.Table, v table.View) (*table.Selection, error) {
 		res, err := query.RunAt(t, v, filters, project)
 		if err != nil {
 			return nil, err

@@ -47,15 +47,20 @@ import (
 // read at any epoch returns identical results before, during and after the
 // reshard: versions visible at pre-move epochs remain in the sealed
 // partitions (subject to the normal GC retention rules — a pinned snapshot
-// keeps them), and fan-out reads cover sealed partitions for as long as
-// they exist.  Writers racing the reshard retry transparently through the
-// republished map.  A writer whose row the migration claims first observes
-// table.ErrRowInvalid, exactly as when it loses to a concurrent updater:
-// re-locate the row by key and retry with the new global row id.
+// keeps them), and the sealed window stays listed, so reads keep visiting
+// it (a key read the one partition the key hashes to there), for as long
+// as any of its partitions holds a version.  Writers racing the reshard
+// retry transparently through the republished map.  A writer whose row
+// the migration claims first observes table.ErrRowInvalid, exactly as
+// when it loses to a concurrent updater: re-locate the row by key and
+// retry with the new global row id.
 //
 // Sealed partitions drain toward empty as GC merges reclaim their
 // invalidated versions; their storage footprint then is a few empty
-// columns.
+// columns, and the next RequestMerge or reshard cutover drops a window
+// whose partitions are all empty from the listed windows, so no read or
+// RequestMerge visits it again.  The physical partition list keeps it:
+// global row ids, Partitions and the snapshot format index physically.
 
 // ReshardReport describes one completed reshard.
 type ReshardReport struct {
@@ -91,8 +96,9 @@ func (st *Table) Reshard(ctx context.Context, n int) (ReshardReport, error) {
 	defer st.reshardMu.Unlock()
 
 	m := st.load()
-	if n == m.n && !m.migrating {
-		return ReshardReport{From: m.n, To: n, Version: m.version}, nil
+	from := m.active().n
+	if n == from && !m.migrating {
+		return ReshardReport{From: from, To: n, Version: m.version}, nil
 	}
 	if n < 1 || n > MaxShards || len(m.parts)+n > MaxShards {
 		return ReshardReport{}, fmt.Errorf("%w: reshard to %d (have %d partitions)",
@@ -100,7 +106,7 @@ func (st *Table) Reshard(ctx context.Context, n int) (ReshardReport, error) {
 	}
 
 	start := time.Now()
-	rep := ReshardReport{From: m.n, To: n}
+	rep := ReshardReport{From: from, To: n}
 
 	// Phase 1a: create and fully wire the new partitions before anything
 	// is published or logged, so failure here leaves the table untouched.
@@ -117,12 +123,7 @@ func (st *Table) Reshard(ctx context.Context, n int) (ReshardReport, error) {
 			ID: uint64(n), ID2: m.version + 1,
 		}})
 	}
-	mig := &shardMap{
-		version: m.version + 1,
-		parts:   append(append([]*table.Table(nil), m.parts...), fresh...),
-		base:    m.base, n: m.n,
-		migrating: true, nextBase: newBase, nextLen: n,
-	}
+	mig := m.begin(fresh, m.version+1)
 	st.smap.Store(mig)
 	sealStart := time.Now()
 	for _, s := range m.parts {
@@ -130,12 +131,12 @@ func (st *Table) Reshard(ctx context.Context, n int) (ReshardReport, error) {
 	}
 	rep.SealWall = time.Since(sealStart)
 
-	// Phase 2: drain every sealed partition (including partitions a loaded
-	// mid-reshard snapshot left partially drained) into the new window.
+	// Phase 2: drain every listed sealed partition (including partitions
+	// an earlier cancelled reshard left partially drained) into the new
+	// window.
 	var migErr error
 drain:
-	for src := range mig.parts[:newBase] {
-		p := mig.parts[src]
+	for _, p := range m.listed() {
 		for _, local := range p.RowIDs() {
 			if ctx.Err() != nil {
 				migErr = ctx.Err()
@@ -177,11 +178,7 @@ drain:
 	} else {
 		cutoverEpoch = st.clock.Now()
 	}
-	st.smap.Store(&shardMap{
-		version: m.version + 2,
-		parts:   mig.parts,
-		base:    newBase, n: n,
-	})
+	st.smap.Store(mig.cutover(m.version + 2))
 	rep.CutoverWall = time.Since(cutStart)
 	rep.Wall = time.Since(start)
 	rep.Version = m.version + 2
@@ -247,12 +244,7 @@ func (st *Table) ApplyReshardBegin(base, n int, version uint64) error {
 	if err != nil {
 		return err
 	}
-	st.smap.Store(&shardMap{
-		version: version,
-		parts:   append(append([]*table.Table(nil), m.parts...), fresh...),
-		base:    m.base, n: m.n,
-		migrating: true, nextBase: base, nextLen: n,
-	})
+	st.smap.Store(m.begin(fresh, version))
 	for _, s := range m.parts {
 		s.Seal()
 	}
@@ -269,16 +261,30 @@ func (st *Table) ApplyReshardCutover(base, n int, version uint64) error {
 	if version <= m.version {
 		return nil
 	}
-	if !m.migrating || m.nextBase != base || m.nextLen != n || version != m.version+1 {
+	if !m.migrating || m.writeWindow() != (window{base, n}) || version != m.version+1 {
 		return fmt.Errorf("%w: reshard-cutover base %d count %d version %d (map version %d, migrating %v)",
 			table.ErrReplayGap, base, n, version, m.version, m.migrating)
 	}
-	st.smap.Store(&shardMap{
-		version: version,
-		parts:   m.parts,
-		base:    base, n: n,
-	})
+	st.smap.Store(m.cutover(version))
 	return nil
+}
+
+// begin returns the migrating map of a reshard into the fresh partitions:
+// m's partitions and windows, then fresh as the window writes route to.
+func (m *shardMap) begin(fresh []*table.Table, version uint64) *shardMap {
+	return &shardMap{
+		version:   version,
+		parts:     append(append([]*table.Table(nil), m.parts...), fresh...),
+		windows:   append(append([]window(nil), m.windows...), window{len(m.parts), len(fresh)}),
+		migrating: true,
+	}
+}
+
+// cutover returns the map after a reshard's cutover: the migration target
+// becomes the active window, and the sealed windows garbage collection has
+// drained leave the list (pruned).
+func (m *shardMap) cutover(version uint64) *shardMap {
+	return (&shardMap{version: version, parts: m.parts, windows: m.windows}).pruned()
 }
 
 // PersistTopology returns the physical partition list and routing the
@@ -292,7 +298,9 @@ func (st *Table) PersistTopology() (parts []*table.Table, activeBase, activeLen 
 	parts = make([]*table.Table, len(m.parts))
 	copy(parts, m.parts)
 	if m.migrating {
-		return parts, m.nextBase, m.nextLen, m.version + 1
+		w := m.writeWindow()
+		return parts, w.base, w.n, m.version + 1
 	}
-	return parts, m.base, m.n, m.version
+	w := m.active()
+	return parts, w.base, w.n, m.version
 }

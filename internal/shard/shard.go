@@ -17,12 +17,16 @@
 //
 // The routing state lives in an immutable shard map published through one
 // atomic pointer: the append-only list of every physical partition ever
-// created, plus the active window — the suffix of partitions that key
-// hashing currently routes writes to.  Reshard (see reshard.go) appends a
-// new window, migrates rows into it and republishes the map; partitions
-// outside the active window are sealed (no new row versions) but keep
-// serving reads until garbage collection drains them.  Readers therefore
-// fan out over ALL physical partitions, writers route over the active
+// created, plus the listed routing windows — runs of partitions a key
+// hashes over, the last of which takes writes.  Reshard (see reshard.go)
+// appends a new window, migrates rows into it and republishes the map;
+// partitions outside the active window are sealed (no new row versions)
+// but keep serving reads until garbage collection drains them, and a
+// drained window leaves the list.  Whole-store reads read every partition
+// of the listed windows; a read with an equality on the key column reads
+// one partition per listed window, the one the key hashes to there,
+// because every version of the key was written into exactly that
+// partition of a window listed at the time.  Writers route over the last
 // window only.
 //
 // Guarantees:
@@ -83,31 +87,82 @@ var (
 	ErrKeyColumn = errors.New("shard: no such key column")
 )
 
+// window is one routing window: the partitions parts[base : base+n],
+// over which a key value routes to base + hash(key) % n.
+type window struct{ base, n int }
+
 // shardMap is one immutable routing state.  parts is append-only across
-// map versions; the active window parts[base : base+n] is always the tail
-// (base+n == len(parts)), so "sealed" and "outside the active window" are
-// the same set.  During a reshard the map additionally carries the
-// migration target window: writes route there, while base/n still name
-// the pre-cutover active window (what NumShards reports until cutover).
+// map versions and indexed physically.  windows lists, in physical order,
+// the routing windows whose partitions can hold a version: every window a
+// reshard appended, minus sealed ones garbage collection has drained
+// (pruned).  The last one takes writes.  It is also the active window
+// (what NumShards reports), except while a reshard migrates into it: then
+// the window before it stays active until cutover.  Every version with key
+// k was written into the partition k routes to in a window listed at the
+// time, so k's versions lie in readSet's partitions.
 type shardMap struct {
-	version uint64
-	parts   []*table.Table
-	base, n int // active window: parts[base : base+n]
-
-	migrating         bool
-	nextBase, nextLen int // target window while migrating
+	version   uint64
+	parts     []*table.Table
+	windows   []window
+	migrating bool
 }
-
-// active returns the active window's partitions.
-func (m *shardMap) active() []*table.Table { return m.parts[m.base : m.base+m.n] }
 
 // writeWindow returns the window writes route to: the migration target
 // while a reshard is in flight, the active window otherwise.
-func (m *shardMap) writeWindow() (base, n int) {
+func (m *shardMap) writeWindow() window { return m.windows[len(m.windows)-1] }
+
+// active returns the active window.
+func (m *shardMap) active() window {
 	if m.migrating {
-		return m.nextBase, m.nextLen
+		return m.windows[len(m.windows)-2]
 	}
-	return m.base, m.n
+	return m.writeWindow()
+}
+
+// listed returns the partitions of the listed windows in physical order.
+func (m *shardMap) listed() []*table.Table {
+	if len(m.windows) == 1 {
+		w := m.windows[0]
+		return m.parts[w.base : w.base+w.n]
+	}
+	var out []*table.Table
+	for _, w := range m.windows {
+		out = append(out, m.parts[w.base:w.base+w.n]...)
+	}
+	return out
+}
+
+// pruned returns m without the windows before the active one whose
+// partitions hold no row version, or m itself when there is none.  Such a
+// window is sealed and past its reshard's cutover, so no write — a
+// follower's replay included — adds a version to it again, and an empty
+// one holds nothing any epoch can see.  The version is unchanged: pruning
+// changes no routing.
+func (m *shardMap) pruned() *shardMap {
+	act := m.active()
+	keep := make([]window, 0, len(m.windows))
+	for _, w := range m.windows {
+		if w.base < act.base && empty(m.parts[w.base:w.base+w.n]) {
+			continue
+		}
+		keep = append(keep, w)
+	}
+	if len(keep) == len(m.windows) {
+		return m
+	}
+	out := *m
+	out.windows = keep
+	return &out
+}
+
+// empty reports whether no partition holds a row version.
+func empty(parts []*table.Table) bool {
+	for _, p := range parts {
+		if p.Rows() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Table is a hash-partitioned collection of table.Table shards sharing one
@@ -120,9 +175,12 @@ type Table struct {
 
 	smap atomic.Pointer[shardMap]
 
-	// reshardMu serializes reshards (and snapshot saves against them, via
-	// PersistTopology callers holding the map they read).
+	// reshardMu serializes the writers of smap: reshards, their replay on
+	// a follower, and pruning.
 	reshardMu sync.Mutex
+
+	// partsRead counts the partitions fanOut has read.
+	partsRead atomic.Uint64
 
 	// mu guards the slow-changing wiring below; never held on data paths.
 	mu        sync.Mutex
@@ -141,7 +199,10 @@ func New(name string, schema table.Schema, key string, shards int) (*Table, erro
 // [activeBase, activeBase+activeLen) is active, at shard-map version
 // version.  The snapshot loader uses it to restore a post-reshard (or
 // mid-reshard, normalized to its cutover state) topology; New is the
-// degenerate all-active case.  Partitions before activeBase are NOT
+// degenerate all-active case.  The snapshot does not record which window
+// a partition before activeBase belonged to, so each is listed as a
+// window of its own: one partition holds every key it routes, and a key
+// read visits each of them.  Partitions before activeBase are NOT
 // sealed here — the loader must populate them first and seal them itself
 // (writes never route to them either way; sealing additionally keeps
 // updates from parking new versions there).
@@ -162,7 +223,11 @@ func NewRestored(name string, schema table.Schema, key string, parts, activeBase
 		return nil, fmt.Errorf("%w: %q", ErrKeyColumn, key)
 	}
 	st := &Table{name: name, schema: schema, keyIdx: keyIdx, clock: epoch.NewClock()}
-	m := &shardMap{version: version, base: activeBase, n: activeLen}
+	m := &shardMap{version: version}
+	for i := 0; i < activeBase; i++ {
+		m.windows = append(m.windows, window{i, 1})
+	}
+	m.windows = append(m.windows, window{activeBase, activeLen})
 	for i := 0; i < parts; i++ {
 		s, err := table.NewWithClock(fmt.Sprintf("%s/%d", name, i), schema, st.clock)
 		if err != nil {
@@ -248,11 +313,17 @@ func (st *Table) Schema() table.Schema { return st.schema }
 // NumShards returns the ACTIVE shard count — the number of partitions key
 // hashing spreads writes over.  It changes at reshard cutover; see
 // NumParts for the physical partition count.
-func (st *Table) NumShards() int { return st.load().n }
+func (st *Table) NumShards() int { return st.load().active().n }
 
-// NumParts returns the physical partition count, including partitions
-// retired by resharding that still hold readable history.
+// NumParts returns the physical partition count, including every
+// partition retired by resharding, drained or not.
 func (st *Table) NumParts() int { return len(st.load().parts) }
+
+// PartitionsRead returns how many partitions the store's read fan-out
+// has read since the store was created (see fanOut): a key read of a
+// store with one listed window adds 1, a whole-store read every listed
+// partition.
+func (st *Table) PartitionsRead() uint64 { return st.partsRead.Load() }
 
 // MapVersion returns the current shard-map version.  It increments twice
 // per reshard: once when migration begins, once at cutover.
@@ -265,8 +336,8 @@ func (st *Table) Resharding() bool { return st.load().migrating }
 // and the active partition count; the active window is always the tail of
 // the physical partition list.
 func (st *Table) ActiveWindow() (base, n int) {
-	m := st.load()
-	return m.base, m.n
+	w := st.load().active()
+	return w.base, w.n
 }
 
 // KeyColumn returns the name of the hash-partitioning column.
@@ -314,29 +385,77 @@ func locate(m *shardMap, gid int) (phys, local int, err error) {
 
 // routeFor returns the physical index of the partition owning a key value
 // in the map's write window.  A window of one partition owns every key, so
-// nothing is converted or hashed (the partition validates the value);
-// otherwise the value is normalized through table.Convert — so that e.g.
-// int literals, uint32 and uint64 spellings of the same key agree — and
-// hashed.
+// nothing is converted or hashed (the partition validates the value).
 func (st *Table) routeFor(m *shardMap, key any) (int, error) {
-	base, n := m.writeWindow()
-	if n == 1 {
-		return base, nil
+	w := m.writeWindow()
+	if w.n == 1 {
+		return w.base, nil
+	}
+	h, err := st.keyHash(key)
+	if err != nil {
+		return 0, err
+	}
+	return w.base + int(h%uint64(w.n)), nil
+}
+
+// keyHash hashes a key value.  A value of any other spelling than the key
+// column's own type is normalized through table.Convert first, so that
+// e.g. int literals, uint32 and uint64 spellings of the same key agree.
+func (st *Table) keyHash(key any) (uint64, error) {
+	if h, ok := st.hashExact(key); ok {
+		return h, nil
 	}
 	cv, err := table.Convert(st.schema[st.keyIdx].Type, key)
 	if err != nil {
 		return 0, err
 	}
-	var h uint64
-	switch x := cv.(type) {
+	h, _ := st.hashExact(cv)
+	return h, nil
+}
+
+// hashExact hashes a key value spelled as the key column's own type; ok
+// is false for any other spelling.
+func (st *Table) hashExact(key any) (h uint64, ok bool) {
+	typ := st.schema[st.keyIdx].Type
+	switch x := key.(type) {
 	case uint32:
-		h = mix64(uint64(x))
+		return mix64(uint64(x)), typ == table.Uint32
 	case uint64:
-		h = mix64(x)
+		return mix64(x), typ == table.Uint64
 	case string:
-		h = fnv1a(x)
+		return fnv1a(x), typ == table.String
 	}
-	return base + int(h%uint64(n)), nil
+	return 0, false
+}
+
+// readSet appends to dst the physical partitions a read visits, in
+// ascending order: for a key equality (key non-nil), the partition the key
+// routes to in each listed window; otherwise every listed partition.  A
+// key that does not convert reads every listed partition, whose own bind
+// reports the error.
+func (st *Table) readSet(m *shardMap, key any, dst []int) []int {
+	var h uint64
+	hashed := false
+	for _, w := range m.windows {
+		switch {
+		case key == nil:
+			for p := w.base; p < w.base+w.n; p++ {
+				dst = append(dst, p)
+			}
+		case w.n == 1:
+			dst = append(dst, w.base)
+		default:
+			if !hashed {
+				var err error
+				if h, err = st.keyHash(key); err != nil {
+					return st.readSet(m, nil, dst[:0])
+				}
+				hashed = true
+			}
+			dst = append(dst, w.base+int(h%uint64(w.n)))
+		}
+	}
+	return dst
 }
 
 // shardFor routes a key value against the current map's write window

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"hyrise/internal/par"
 	"hyrise/internal/table"
 )
 
@@ -21,13 +22,13 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 		return nil, nil
 	}
 	m := st.load()
-	if base, n := m.writeWindow(); n == 1 {
+	if w := m.writeWindow(); w.n == 1 {
 		// One target: the partition validates the whole batch itself.
-		locals, err := m.parts[base].InsertRows(rows)
+		locals, err := m.parts[w.base].InsertRows(rows)
 		if errors.Is(err, table.ErrSealed) {
 			return st.InsertRows(rows) // a reshard republished routing
 		}
-		return globalize(base, locals), err
+		return globalize(w.base, locals), err
 	}
 	// Validate the whole batch and compute routing up front: partitions
 	// re-validate on insert, but by then earlier partitions would already
@@ -76,10 +77,12 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 	return ids, nil
 }
 
-// RequestMerge runs the online merge on every physical partition —
-// reshard-retired partitions included, since merging is how their dead
-// history is garbage-collected — and is the store's one on-demand merge
-// entry.  A store of one partition returns that partition's report
+// RequestMerge runs the online merge on every partition of the listed
+// windows — reshard-retired partitions included, since merging is how
+// their dead history is garbage-collected — and is the store's one
+// on-demand merge entry.  Afterwards a retired window whose partitions
+// the merges left without a row version leaves the listed windows (see
+// prune).  A store of one listed partition returns that partition's report
 // verbatim — per-column detail, phase timings and GC fields included.
 // Otherwise the partitions merge concurrently through table.MergeEach,
 // each with opts.Threads as its own budget — the same per-merge budget a
@@ -101,10 +104,11 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 // partitions stay committed with their rows counted; an aborted
 // partition's rows stay in its delta and are not counted.
 func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (table.Report, error) {
-	parts := st.load().parts
+	parts := st.load().listed()
 	if len(parts) == 1 {
 		return parts[0].Merge(ctx, opts)
 	}
+	defer st.prune()
 	start := time.Now()
 	reps, errs := table.MergeEach(ctx, parts, opts)
 	out := table.Report{Aborted: true}
@@ -126,10 +130,26 @@ func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (tab
 }
 
 // Partitions returns ALL physical partitions in physical order — the
-// active window plus any partitions retired by earlier reshards (reads fan
-// out over all of them).
+// active window plus every partition retired by earlier reshards, drained
+// or not — so a partition's index here is its physical index.  Reads
+// visit only the listed windows' partitions (see fanOut).
 func (st *Table) Partitions() []*table.Table {
 	return append([]*table.Table(nil), st.load().parts...)
+}
+
+// prune republishes the shard map without the retired windows garbage
+// collection has drained (shardMap.pruned).  It never waits: while a
+// reshard (or OnMerge) holds reshardMu it does nothing, and the next
+// RequestMerge or reshard cutover prunes instead.
+func (st *Table) prune() {
+	if len(st.load().windows) == 1 || !st.reshardMu.TryLock() {
+		return
+	}
+	defer st.reshardMu.Unlock()
+	m := st.load()
+	if p := m.pruned(); p != m {
+		st.smap.Store(p)
+	}
 }
 
 // CreateIndex builds a group-key index over the named column on every
@@ -156,7 +176,9 @@ func (st *Table) CreateIndex(column string) error {
 	parts := st.load().parts
 	st.mu.Unlock()
 
-	err := errors.Join(each(parts, func(p *table.Table) error { return p.CreateIndex(column) })...)
+	errs := make([]error, len(parts))
+	par.Do(len(parts), func(i int) { errs[i] = parts[i].CreateIndex(column) })
+	err := errors.Join(errs...)
 	if err != nil {
 		// Don't re-apply a bad column to future reshard partitions.
 		st.mu.Lock()
@@ -232,7 +254,7 @@ type StoreStats struct {
 // cross-partition snapshot.
 func (st *Table) StoreStats() StoreStats {
 	m := st.load()
-	out := StoreStats{Name: st.name, Shards: m.n, KeyColumn: st.KeyColumn()}
+	out := StoreStats{Name: st.name, Shards: m.active().n, KeyColumn: st.KeyColumn()}
 	for _, s := range m.parts {
 		ts := s.Stats()
 		out.Partitions = append(out.Partitions, ts)
