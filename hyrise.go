@@ -321,8 +321,9 @@
 //	hyrise_oplog_*    retained LSN bounds, entries, subscribers
 //	hyrise_replica_*  applied/primary epochs, lag, applied LSN
 //	hyrise_index_*    indexed vs. scanned read routing
-//	hyrise_query_*    planner seeds, estimated vs. actual driving-
-//	                  predicate rows, indexed seeds
+//	hyrise_query_*    served queries' planner seeds (one per partition
+//	                  read), estimated vs. actual driving-predicate
+//	                  rows, indexed seeds
 //	hyrise_reshard_*  reshards run, rows migrated, wall and cutover
 //	                  durations
 //
@@ -355,7 +356,6 @@ import (
 
 	"hyrise/internal/core"
 	"hyrise/internal/model"
-	"hyrise/internal/query"
 	"hyrise/internal/sched"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
@@ -462,19 +462,17 @@ type SchedulerConfig = sched.Config
 // Multi-column queries (conjunctive predicates, positional refinement).
 type (
 	// Filter is one predicate of a conjunctive query.
-	Filter = query.Filter
+	Filter = table.Filter
 	// FilterOp is the predicate operator.
-	FilterOp = query.Op
-	// QueryResult holds matching rows and projected values.
-	QueryResult = query.Result
+	FilterOp = table.Op
 )
 
 // Filter operators.
 const (
 	// FilterEq matches rows equal to Filter.Value.
-	FilterEq = query.Eq
+	FilterEq = table.Eq
 	// FilterBetween matches rows in [Filter.Value, Filter.Hi].
-	FilterBetween = query.Between
+	FilterBetween = table.Between
 )
 
 // Analytical model (paper §6.1, §7.4).

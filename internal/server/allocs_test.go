@@ -24,8 +24,8 @@ func TestServedAllocs(t *testing.T) {
 	}
 	const slack = 1
 	counts := map[int]map[string]float64{
-		1: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 39, "range": 28, "sum": 13, "query": 76},
-		2: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 39, "range": 42, "sum": 20, "query": 102},
+		1: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 36, "range": 28, "sum": 13, "query": 73},
+		2: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 36, "range": 42, "sum": 20, "query": 95},
 	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

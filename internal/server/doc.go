@@ -68,11 +68,13 @@
 //
 // # Reads at the server boundary
 //
-// OpLookup, OpRange, OpCountEqual, OpScan, OpSum, OpMin, OpMax and
-// OpValidRows each decode into one table.Plan run by shard.Read, the
-// store's one read fan-out, and OpQuery into shard.QueryAt, which runs
-// through the same fan-out.  A plan or query with an equality on the key
-// column reads one partition per listed shard window — the one the key
+// OpLookup, OpRange, OpCountEqual, OpScan, OpSum, OpMin, OpMax,
+// OpValidRows and OpQuery each decode into one table.Plan run by
+// shard.Read, the store's one read fan-out; a query's filters and
+// projection map onto column positions once (table.Schema.Plan), and the
+// planner account the partitions return, summed, feeds the
+// hyrise_query_* counters.  A plan with an equality on the key column
+// reads one partition per listed shard window — the one the key
 // hashes to there, a single partition unless a reshard is in flight or
 // its sealed window still holds rows; every other request reads every
 // listed partition.  Each partition reads under one hold of its read lock
@@ -166,8 +168,8 @@
 // Every server carries a metric registry (hyrise/internal/metrics):
 // per-opcode request/error counters and latency histograms bound at
 // construction (no allocation or map lookup on the request path), plus
-// gauges over the store, epoch clock, GC state, op log, replica state,
-// index routing and query planner.
+// gauges over the store, epoch clock, GC state, op log, replica state and
+// index routing, and the planner counters of the queries it served.
 // Server.Registry exposes it; Server.ObsHandler serves it over HTTP as
 // /metrics (Prometheus text exposition) together with /healthz
 // (readiness: a primary is ready unless draining, a follower once it has

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 
-	"hyrise/internal/query"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
 	"hyrise/internal/wire"
@@ -485,23 +484,28 @@ func (s *Server) opQuery(r *wire.Reader, out *wire.Buffer, info *reqInfo) error 
 		return err
 	}
 	info.noteView(view)
-	filters := make([]query.Filter, len(wfs))
+	filters := make([]table.Filter, len(wfs))
 	for i, f := range wfs {
-		filters[i] = query.Filter{Column: f.Column, Value: f.Value, Hi: f.Hi}
+		filters[i] = table.Filter{Column: f.Column, Value: f.Value, Hi: f.Hi}
 		if f.Op == wire.OpFilterBetween {
-			filters[i].Op = query.Between
+			filters[i].Op = table.Between
 		}
 	}
-	res, err := shard.QueryAt(s.st, view, filters, project)
+	p, err := s.st.Schema().Plan(filters, project)
 	if err != nil {
 		return err
 	}
-	info.noteRows(len(res.Rows))
-	out.RowIDs(res.Rows)
-	if err := out.Strings(res.Columns); err != nil {
+	sel, err := shard.Read(s.st, view, p)
+	if err != nil {
 		return err
 	}
-	for _, vals := range res.Values {
+	s.mx.observeQuery(sel)
+	info.noteRows(len(sel.Rows))
+	out.RowIDs(sel.Rows)
+	if err := out.Strings(project); err != nil {
+		return err
+	}
+	for _, vals := range sel.Values {
 		for _, v := range vals {
 			if err := out.Value(v); err != nil {
 				return err

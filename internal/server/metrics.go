@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hyrise/internal/metrics"
-	"hyrise/internal/query"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
 	"hyrise/internal/wire"
@@ -45,6 +44,12 @@ type serverMetrics struct {
 	gcDeadAtFreeze *metrics.Counter
 	gcRetained     *metrics.Counter
 
+	// Planner account of served queries, fed by observeQuery.
+	querySeeds     *metrics.Counter
+	queryEstimated *metrics.Counter
+	queryActual    *metrics.Counter
+	queryIndexed   *metrics.Counter
+
 	// Online-reshard instruments, fed by observeReshard after each
 	// completed OpReshard / Table.Reshard.
 	reshardTotal   *metrics.Counter
@@ -61,7 +66,8 @@ func (s *Server) Registry() *metrics.Registry { return s.mx.reg }
 // newServerMetrics builds the registry for one server: per-op series for
 // every protocol opcode, merge/GC instruments fed by the store's merge
 // observer, and scrape-time gauges over the store, the epoch clock, the op
-// log, the replica applier, index routing and the query planner.
+// log, the replica applier and index routing, and the planner counters of
+// served queries.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := metrics.NewRegistry()
 	m := &serverMetrics{reg: reg}
@@ -276,20 +282,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 		})
 	}
 
-	// Query planner: driving-predicate selectivity estimates vs. actuals.
-	// Process-wide by construction (the planner is stateless); still scraped
-	// here so one endpoint covers every subsystem.
-	reg.CounterFunc("hyrise_query_seeds_total", "Query seed phases executed.",
-		func() float64 { return float64(query.Planner().Runs) })
-	reg.CounterFunc("hyrise_query_estimated_rows_total",
-		"Sum of driving-predicate candidate-set estimates.",
-		func() float64 { return float64(query.Planner().EstimatedRows) })
-	reg.CounterFunc("hyrise_query_actual_rows_total",
-		"Sum of seed candidate sets actually produced.",
-		func() float64 { return float64(query.Planner().ActualRows) })
-	reg.CounterFunc("hyrise_query_indexed_seeds_total",
-		"Seed phases served by a group-key index.",
-		func() float64 { return float64(query.Planner().IndexedSeeds) })
+	// Query planner: driving-predicate selectivity estimates vs. actuals,
+	// summed over the partitions each served query read (opQuery).
+	m.querySeeds = reg.Counter("hyrise_query_seeds_total", "Query seed phases executed.")
+	m.queryEstimated = reg.Counter("hyrise_query_estimated_rows_total",
+		"Sum of driving-predicate candidate-set estimates.")
+	m.queryActual = reg.Counter("hyrise_query_actual_rows_total",
+		"Sum of seed candidate sets actually produced.")
+	m.queryIndexed = reg.Counter("hyrise_query_indexed_seeds_total",
+		"Seed phases served by a group-key index.")
 
 	// Online resharding: migration and cutover instruments, plus live
 	// shard-topology gauges.
@@ -351,6 +352,14 @@ func (m *serverMetrics) observeMerge(rep table.Report) {
 	m.mergeRunDur.ObserveDuration(rep.MergeRun)
 	m.mergeCommitDur.ObserveDuration(rep.Commit)
 	m.mergeWallDur.ObserveDuration(rep.Wall)
+}
+
+// observeQuery adds one served query's planner account.
+func (m *serverMetrics) observeQuery(sel *table.Selection) {
+	m.querySeeds.Add(uint64(sel.Seeds))
+	m.queryEstimated.Add(uint64(sel.Estimate))
+	m.queryActual.Add(uint64(sel.Seeded))
+	m.queryIndexed.Add(uint64(sel.Indexed))
 }
 
 // observeReshard feeds the reshard instruments after each completed

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"hyrise/client"
 	"hyrise/internal/shard"
+	"hyrise/internal/table"
 )
 
 // TestStoreFieldCoverage finds every number the retired store-stats and
@@ -257,5 +259,108 @@ func TestReadPartitionsCounted(t *testing.T) {
 	}
 	if got := read() - before; got != 2 {
 		t.Errorf("a Sum read %v partitions, want 2", got)
+	}
+}
+
+// TestQueryPlannerCounted: the hyrise_query_* series count the seed phases
+// of served queries, one per partition read, and add up the partitions'
+// estimated and actual seed rows.  On a merged store with an index on qty,
+// a query on unindexed product seeds once per shard, one on indexed qty
+// once per shard from the index, a key equality once (its partition
+// only), and a Lookup not at all.
+func TestQueryPlannerCounted(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			st, err := shard.New("sales", salesSchema(), "order_id", shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([][]any, 1000)
+			for i := range rows {
+				rows[i] = []any{uint64(i), uint32(i % 50), fmt.Sprintf("p%d", i%7)}
+			}
+			if _, err := st.InsertRows(rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.CreateIndex("qty"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			c, _, _ := startServer(t, st)
+			names := []string{"hyrise_query_seeds_total", "hyrise_query_estimated_rows_total",
+				"hyrise_query_actual_rows_total", "hyrise_query_indexed_seeds_total"}
+			read := func() (v [4]float64) {
+				t.Helper()
+				samples, err := c.Metrics()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, name := range names {
+					var ok bool
+					if v[i], ok = client.MetricValue(samples, name); !ok {
+						t.Fatalf("no %s series", name)
+					}
+				}
+				return v
+			}
+			// partitions sums each partition's planner account of the
+			// predicate over the partitions holding a match, or all.
+			partitions := func(pred table.Pred, matchOnly bool) (est, seeded float64) {
+				t.Helper()
+				for _, p := range st.Partitions() {
+					sel, err := p.Read(table.Latest(), table.Plan{Preds: []table.Pred{pred}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !matchOnly || len(sel.Rows) > 0 {
+						est += float64(sel.Estimate)
+						seeded += float64(sel.Seeded)
+					}
+				}
+				return est, seeded
+			}
+			n := float64(shards)
+			for _, tc := range []struct {
+				name string
+				call func() error
+				pred table.Pred
+				key  bool
+				want [4]float64 // seeds, _, _, indexed seeds
+			}{
+				{"product query", func() error {
+					_, err := c.Query([]client.Filter{{Column: "product", Op: client.Eq, Value: "p3"}}, []string{"order_id"})
+					return err
+				}, table.Pred{Col: 2, Lo: "p3"}, false, [4]float64{n, 0, 0, 0}},
+				{"qty query", func() error {
+					_, err := c.Query([]client.Filter{{Column: "qty", Op: client.Eq, Value: uint32(7)}}, nil)
+					return err
+				}, table.Pred{Col: 1, Lo: uint32(7)}, false, [4]float64{n, 0, 0, n}},
+				{"key query", func() error {
+					_, err := c.Query([]client.Filter{{Column: "order_id", Op: client.Eq, Value: uint64(500)}}, []string{"qty"})
+					return err
+				}, table.Pred{Col: 0, Lo: uint64(500)}, true, [4]float64{1, 0, 0, 0}},
+				{"lookup", func() error {
+					_, err := c.Lookup("order_id", uint64(500))
+					return err
+				}, table.Pred{}, false, [4]float64{}},
+			} {
+				want := tc.want
+				if tc.want[0] > 0 {
+					want[1], want[2] = partitions(tc.pred, tc.key)
+				}
+				before := read()
+				if err := tc.call(); err != nil {
+					t.Fatal(err)
+				}
+				after := read()
+				for i := range after {
+					if got := after[i] - before[i]; got != want[i] {
+						t.Errorf("%s on %d shard(s): %s advanced by %v, want %v", tc.name, shards, names[i], got, want[i])
+					}
+				}
+			}
+		})
 	}
 }

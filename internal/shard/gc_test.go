@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"hyrise/internal/query"
 	"hyrise/internal/table"
 )
 
@@ -171,9 +170,9 @@ func TestReshardedPartitionsCollect(t *testing.T) {
 	}
 }
 
-// TestLatestQueryUnderGC runs latest queries with a projection — query.Run
-// on the one partition and Query on the one-partition store, neither of
-// which pins a snapshot — while two writers update and delete and
+// TestLatestQueryUnderGC runs latest queries with a projection — one plan
+// read by Table.Read on the one partition and by Read on the one-partition
+// store, neither of which pins a snapshot — while two writers update and delete and
 // garbage-collecting merges commit back to back.  Every call must succeed
 // (no candidate reclaimed mid-query, no ErrRowInvalid) and return one
 // state: keys in range, each at most once, each with a value written for
@@ -255,15 +254,19 @@ func TestLatestQueryUnderGC(t *testing.T) {
 	check := 0
 	for ; (check < 300 || merges.Load() < 10) && !t.Failed(); check++ {
 		lo := uint64(check*97) % (n - 500)
-		filters := []query.Filter{
-			{Column: "k", Op: query.Between, Value: lo, Hi: lo + 499},
-			{Column: "v", Op: query.Between, Value: uint64(0), Hi: uint64(1) << 62},
+		p, err := st.Schema().Plan([]table.Filter{
+			{Column: "k", Op: table.Between, Value: lo, Hi: lo + 499},
+			{Column: "v", Op: table.Between, Value: uint64(0), Hi: uint64(1) << 62},
+		}, []string{"v", "k"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		run := query.Run
-		if check%2 == 1 {
-			run = func(_ *table.Table, f []query.Filter, p []string) (*query.Result, error) { return Query(st, f, p) }
+		var res *table.Selection
+		if check%2 == 0 {
+			res, err = part.Read(table.Latest(), p)
+		} else {
+			res, err = Read(st, table.Latest(), p)
 		}
-		res, err := run(part, filters, []string{"v", "k"})
 		if err != nil {
 			t.Errorf("check %d: query: %v", check, err)
 			break

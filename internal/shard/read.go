@@ -2,7 +2,6 @@ package shard
 
 import (
 	"hyrise/internal/par"
-	"hyrise/internal/query"
 	"hyrise/internal/table"
 )
 
@@ -17,8 +16,10 @@ import (
 // version it sees: a row moving between partitions is seen exactly once,
 // and no GC merge reclaims a version the read can see.  Global ids
 // concatenate in physical order, so they ascend, with values aligned and
-// limit (0: none) applied to the whole; counts and sums add up; extremes
-// combine.  The planner fields (Estimate, Indexed, Seeded) are not.
+// limit (0: none) applied to the whole; counts, sums and the planner's
+// account (Seeds, Estimate, Indexed, Seeded) add up; extremes combine.
+// Read is the one caller; read stays a parameter so a test can reshard
+// between the map load and the first partition read.
 func fanOut(st *Table, view table.View, key any, limit int, read func(*table.Table, table.View) (*table.Selection, error)) (*table.Selection, error) {
 	var buf [8]int
 	m := st.load()
@@ -71,6 +72,10 @@ func readEach(m *shardMap, set []int, view table.View, limit int, read func(*tab
 		out.Values = append(out.Values, s.Values...)
 		out.Count += s.Count
 		out.Sum += s.Sum
+		out.Seeds += s.Seeds
+		out.Estimate += s.Estimate
+		out.Indexed += s.Indexed
+		out.Seeded += s.Seeded
 		switch {
 		case !s.Found:
 		case !out.Found:
@@ -103,37 +108,4 @@ func Read(st *Table, view table.View, p table.Plan) (*table.Selection, error) {
 	return fanOut(st, view, key, p.Limit, func(t *table.Table, v table.View) (*table.Selection, error) {
 		return t.Read(v, p)
 	})
-}
-
-// Query evaluates a conjunctive multi-column query over current rows; see
-// QueryAt.
-func Query(st *Table, filters []query.Filter, project []string) (*query.Result, error) {
-	return QueryAt(st, table.Latest(), filters, project)
-}
-
-// QueryAt evaluates a conjunctive multi-column query against the rows
-// visible at the view's epoch: query.RunAt, which keeps the planner
-// statistics, on the partitions that can hold a match through the store's
-// one read fan-out (fanOut), so the result reflects one state of the
-// whole store.  A query with an Eq filter on the key column reads one
-// partition per listed window, as Read does.
-func QueryAt(st *Table, view table.View, filters []query.Filter, project []string) (*query.Result, error) {
-	var key any
-	for _, f := range filters {
-		if f.Op == query.Eq && f.Column == st.KeyColumn() {
-			key = f.Value
-			break
-		}
-	}
-	s, err := fanOut(st, view, key, 0, func(t *table.Table, v table.View) (*table.Selection, error) {
-		res, err := query.RunAt(t, v, filters, project)
-		if err != nil {
-			return nil, err
-		}
-		return &table.Selection{Rows: res.Rows, Values: res.Values}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &query.Result{Rows: s.Rows, Columns: project, Values: s.Values}, nil
 }

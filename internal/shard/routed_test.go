@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hyrise/internal/persist"
-	"hyrise/internal/query"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
 )
@@ -49,7 +48,8 @@ type record struct {
 }
 
 // keyReader reads one key three ways at a view: Lookup and CountEqual
-// through a typed handle (shard.Read plans) and a key-filtered QueryAt.
+// through a typed handle and a key-filtered query (Schema.Plan), each a
+// shard.Read plan.
 type keyReader struct {
 	st *shard.Table
 	k  *shard.Handle[uint64]
@@ -68,13 +68,17 @@ func (r keyReader) read(view table.View, key, want uint64) ([3]int, error) {
 			return [3]int{}, fmt.Errorf("Lookup(%d) row %d holds %v, want v = %d", key, id, row, want)
 		}
 	}
-	res, err := shard.QueryAt(r.st, view, []query.Filter{{Column: "k", Op: query.Eq, Value: key}}, []string{"v"})
+	p, err := r.st.Schema().Plan([]table.Filter{{Column: "k", Op: table.Eq, Value: key}}, []string{"v"})
+	if err != nil {
+		return [3]int{}, err
+	}
+	res, err := shard.Read(r.st, view, p)
 	if err != nil {
 		return [3]int{}, err
 	}
 	for _, vs := range res.Values {
 		if vs[0] != want {
-			return [3]int{}, fmt.Errorf("QueryAt(k = %d) v = %v, want %d", key, vs[0], want)
+			return [3]int{}, fmt.Errorf("query k = %d: v = %v, want %d", key, vs[0], want)
 		}
 	}
 	return [3]int{len(ids), r.k.CountEqualAt(view, key), len(res.Rows)}, nil
@@ -88,7 +92,7 @@ func (r keyReader) checkStatic(view table.View) error {
 			return err
 		}
 		if n != [3]int{1, 1, 1} {
-			return fmt.Errorf("static key %d: Lookup, CountEqual, QueryAt found %v rows, want 1 each", k, n)
+			return fmt.Errorf("static key %d: Lookup, CountEqual, query found %v rows, want 1 each", k, n)
 		}
 	}
 	return nil
@@ -156,7 +160,7 @@ func pinned(st *shard.Table, rec *record) (view table.View, d, s [moving]int64) 
 // left it.  While Reshard(1→2) migrates, then a Reshard(2→3) is cancelled
 // halfway (leaving rows in the sealed 2-partition window), and a writer
 // moves rows between keys with key-changing updates, latest and pinned
-// Lookup, CountEqual and key-filtered QueryAt of every key agree with
+// Lookup, CountEqual and key-filtered query of every key agree with
 // the writer's record at the read's epoch.  So does a view pinned before
 // the first reshard, read after it; once that view is released, merges
 // drain sealed partition 0 and prune its window under the readers.  After

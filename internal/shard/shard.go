@@ -29,6 +29,12 @@
 // partition of a window listed at the time.  Writers route over the last
 // window only.
 //
+// Every read over partitions is one table.Plan run by Read.  A conjunctive
+// query is no exception: table.Schema.Plan maps its filters and projection
+// onto column positions once, and Read runs that plan on the partitions
+// that can hold a match, summing the planner's account (table.Selection.Seeds and the rest) over
+// the partitions read.
+//
 // Guarantees:
 //
 //   - A row lives in exactly one partition; current versions live in the
@@ -41,13 +47,12 @@
 //     (table.Merge).
 //   - All partitions share one epoch clock, so Snapshot() captures a
 //     single epoch that is consistent across every partition: reads
-//     through the view (LookupAt/RangeAt/ScanAt/QueryAt/ValidRowsAt)
-//     reflect one frozen state of the whole table, even while inserts,
-//     updates, deletes, cross-shard moves, per-shard merges and online
-//     reshards proceed underneath.  A latest read over several
-//     partitions (Read, QueryAt, ValidRows, every Handle read) takes
-//     such a snapshot for the call, so it too sees a row moving between
-//     partitions exactly once.
+//     through the view (Read, the Handle *At reads, ValidRowsAt) reflect
+//     one frozen state of the whole table, even while inserts, updates,
+//     deletes, cross-shard moves, per-shard merges and online reshards
+//     proceed underneath.  A latest read over several partitions (Read,
+//     ValidRows, every Handle read) takes such a snapshot for the call,
+//     so it too sees a row moving between partitions exactly once.
 //   - Global row ids are stable for the lifetime of the row version and
 //     carry the owning physical partition in their high bits (independent
 //     of the shard count), so they survive resharding.  Partition 0's ids
@@ -286,7 +291,7 @@ func (st *Table) AttachOplog(l *oplog.Log) error {
 // Snapshot captures one epoch across ALL shards atomically (a single
 // fetch-add on the shared clock, no coordination with writers) and returns
 // it as a read view pinned against garbage collection: reads through the
-// view (the *At methods, QueryAt) see one frozen, cross-shard-consistent
+// view (Read, the *At methods) see one frozen, cross-shard-consistent
 // state — exactly the rows current at the captured epoch, no matter how
 // many updates, deletes, key moves or merges commit afterwards — and no
 // shard's merge reclaims a version the view can see.  Release the view
@@ -526,67 +531,30 @@ func (st *Table) Update(gid int, changes map[string]any) (int, error) {
 			return 0, err
 		}
 		src := m.parts[s]
-		if !src.Sealed() {
-			// Fast path: in-place update unless the key moves the row.
-			newKey, keyChanged := changes[st.schema[st.keyIdx].Name]
-			if !keyChanged {
-				nl, err := src.Update(local, changes)
-				if errors.Is(err, table.ErrSealed) {
-					continue // sealed between the check and the update
-				}
-				if err != nil {
-					return 0, err
-				}
-				return toGlobal(s, nl), nil
-			}
-			s2, err := st.routeFor(m, newKey)
-			if err != nil {
+		// Route the new version once: it stays in place unless the key
+		// changes to one that hashes elsewhere or a reshard sealed the row's
+		// partition.  A moving row takes its values along, every changed
+		// value checked against the schema before either partition is
+		// touched, so a bad value cannot strand the row.
+		dst := s
+		if newKey, ok := changes[st.schema[st.keyIdx].Name]; ok {
+			if dst, err = st.routeFor(m, newKey); err != nil {
 				return 0, err
 			}
-			if s2 == s {
-				nl, err := src.Update(local, changes)
-				if errors.Is(err, table.ErrSealed) {
-					continue
-				}
-				if err != nil {
-					return 0, err
-				}
-				return toGlobal(s, nl), nil
-			}
 		}
-		// Relocation: key moved, or the row sits in a sealed partition and
-		// its new version must land in the active window.  Validate every
-		// changed value against the schema before touching either
-		// partition, so a bad value cannot strand the row.
-		values, err := src.Row(local)
-		if err != nil {
-			return 0, err
-		}
-		for name, v := range changes {
-			ci := -1
-			for i, def := range st.schema {
-				if def.Name == name {
-					ci = i
-				}
-			}
-			if ci < 0 {
-				return 0, fmt.Errorf("%w: %q", table.ErrNoColumn, name)
-			}
-			cv, err := table.Convert(st.schema[ci].Type, v)
-			if err != nil {
+		var values []any
+		if dst != s || src.Sealed() {
+			if values, err = st.moved(src, local, changes); err != nil {
 				return 0, err
 			}
-			values[ci] = cv
+			if dst, err = st.routeFor(m, values[st.keyIdx]); err != nil {
+				return 0, err
+			}
 		}
-		s2, err := st.routeFor(m, values[st.keyIdx])
-		if err != nil {
-			return 0, err
-		}
-		if s2 == s {
-			// Routing resolved to the same (unsealed) partition after all.
+		if dst == s {
 			nl, err := src.Update(local, changes)
 			if errors.Is(err, table.ErrSealed) {
-				continue
+				continue // sealed by a reshard since the map was loaded
 			}
 			if err != nil {
 				return 0, err
@@ -598,15 +566,34 @@ func (st *Table) Update(gid int, changes map[string]any) (int, error) {
 		// update got there first this fails with ErrRowInvalid and nothing
 		// happened.  Row versions are immutable, so the values read above
 		// are the claimed version's values.
-		nl, err := table.MoveRow(src, local, m.parts[s2], values)
+		nl, err := table.MoveRow(src, local, m.parts[dst], values)
 		if errors.Is(err, table.ErrSealed) {
 			continue // destination sealed by a reshard racing this update
 		}
 		if err != nil {
 			return 0, err
 		}
-		return toGlobal(s2, nl), nil
+		return toGlobal(dst, nl), nil
 	}
+}
+
+// moved returns the row's values with the changes applied, each converted
+// to its column's type.
+func (st *Table) moved(src *table.Table, local int, changes map[string]any) ([]any, error) {
+	values, err := src.Row(local)
+	if err != nil {
+		return nil, err
+	}
+	for name, v := range changes {
+		ci, err := st.schema.Index(name)
+		if err != nil {
+			return nil, err
+		}
+		if values[ci], err = table.Convert(st.schema[ci].Type, v); err != nil {
+			return nil, err
+		}
+	}
+	return values, nil
 }
 
 // Delete invalidates the row with the given global row id; its version

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"hyrise/internal/query"
 	"hyrise/internal/table"
 )
 
@@ -437,16 +436,27 @@ func TestQueryAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := Query(st, []query.Filter{
-		{Column: "product", Op: query.Eq, Value: "widget"},
-		{Column: "qty", Op: query.Between, Value: 2, Hi: 4},
+	query := func(filters []table.Filter, project []string) (*table.Selection, error) {
+		p, err := st.Schema().Plan(filters, project)
+		if err != nil {
+			return nil, err
+		}
+		return Read(st, table.Latest(), p)
+	}
+	res, err := query([]table.Filter{
+		{Column: "product", Op: table.Eq, Value: "widget"},
+		{Column: "qty", Op: table.Between, Value: 2, Hi: 4},
 	}, []string{"k", "qty"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// widgets have even i; qty = i%10 in {2,4} -> i%10 in {2,4}: 40 rows.
-	if res.Count() != 40 {
-		t.Fatalf("Count = %d want 40", res.Count())
+	if len(res.Rows) != 40 {
+		t.Fatalf("Count = %d want 40", len(res.Rows))
+	}
+	// Each of the four partitions ran one seed phase.
+	if res.Seeds != 4 {
+		t.Fatalf("Seeds = %d want 4", res.Seeds)
 	}
 	for i := 1; i < len(res.Rows); i++ {
 		if res.Rows[i-1] >= res.Rows[i] {
@@ -467,10 +477,10 @@ func TestQueryAcrossShards(t *testing.T) {
 		}
 	}
 	// Errors propagate.
-	if _, err := Query(st, []query.Filter{{Column: "nope", Op: query.Eq, Value: 1}}, nil); err == nil {
+	if _, err := query([]table.Filter{{Column: "nope", Op: table.Eq, Value: 1}}, nil); err == nil {
 		t.Fatal("bad column accepted")
 	}
-	if _, err := Query(st, nil, nil); err == nil {
+	if _, err := query(nil, nil); err == nil {
 		t.Fatal("empty filter list accepted")
 	}
 }

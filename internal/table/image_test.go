@@ -160,7 +160,7 @@ func TestImageRoundTripAfterGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	qty, _ := indexed.schema.Index("qty")
-	for _, wantIndexed := range []bool{false, true} {
+	for _, wantIndexed := range []int{0, 1} {
 		got, err := indexed.Read(Latest(), Plan{Preds: []Pred{{Col: qty, Lo: uint32(900)}}})
 		if err != nil {
 			t.Fatal(err)

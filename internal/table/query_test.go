@@ -1,19 +1,28 @@
-package query
+package table
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
-
-	"hyrise/internal/table"
 )
 
-func buildOrders(t *testing.T, n int, merge bool) *table.Table {
+// runQuery plans filters and project on the partition's schema and reads
+// the plan at the latest view.
+func runQuery(tb *Table, filters []Filter, project []string) (*Selection, error) {
+	p, err := tb.Schema().Plan(filters, project)
+	if err != nil {
+		return nil, err
+	}
+	return tb.Read(Latest(), p)
+}
+
+func buildOrders(t *testing.T, n int, merge bool) *Table {
 	t.Helper()
-	tb, err := table.New("orders", table.Schema{
-		{Name: "customer", Type: table.Uint64},
-		{Name: "qty", Type: table.Uint32},
-		{Name: "product", Type: table.String},
+	tb, err := New("orders", Schema{
+		{Name: "customer", Type: Uint64},
+		{Name: "qty", Type: Uint32},
+		{Name: "product", Type: String},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +40,7 @@ func buildOrders(t *testing.T, n int, merge bool) *table.Table {
 		}
 	}
 	if merge {
-		if _, err := tb.Merge(context.Background(), table.MergeOptions{}); err != nil {
+		if _, err := tb.Merge(context.Background(), MergeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,7 +48,7 @@ func buildOrders(t *testing.T, n int, merge bool) *table.Table {
 }
 
 // refFilter evaluates filters the slow, obviously-correct way.
-func refFilter(t *testing.T, tb *table.Table, match func(row []any) bool) []int {
+func refFilter(t *testing.T, tb *Table, match func(row []any) bool) []int {
 	t.Helper()
 	var out []int
 	for r := 0; r < tb.Rows(); r++ {
@@ -72,7 +81,7 @@ func sameRows(t *testing.T, got, want []int) {
 func TestSingleEq(t *testing.T) {
 	for _, merged := range []bool{false, true} {
 		tb := buildOrders(t, 2000, merged)
-		res, err := Run(tb, []Filter{{Column: "customer", Op: Eq, Value: uint64(7)}}, nil)
+		res, err := runQuery(tb, []Filter{{Column: "customer", Op: Eq, Value: uint64(7)}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +93,7 @@ func TestSingleEq(t *testing.T) {
 func TestConjunction(t *testing.T) {
 	for _, merged := range []bool{false, true} {
 		tb := buildOrders(t, 3000, merged)
-		res, err := Run(tb, []Filter{
+		res, err := runQuery(tb, []Filter{
 			{Column: "product", Op: Eq, Value: "widget"},
 			{Column: "qty", Op: Between, Value: uint32(5), Hi: uint32(10)},
 			{Column: "customer", Op: Between, Value: uint64(0), Hi: uint64(25)},
@@ -98,8 +107,8 @@ func TestConjunction(t *testing.T) {
 				row[0].(uint64) <= 25
 		})
 		sameRows(t, res.Rows, want)
-		if res.Count() != len(want) {
-			t.Fatalf("Count=%d", res.Count())
+		if len(res.Rows) != len(want) {
+			t.Fatalf("Count=%d", len(res.Rows))
 		}
 	}
 }
@@ -107,7 +116,7 @@ func TestConjunction(t *testing.T) {
 func TestRangeDriven(t *testing.T) {
 	// No equality filter: a range predicate drives.
 	tb := buildOrders(t, 1500, true)
-	res, err := Run(tb, []Filter{
+	res, err := runQuery(tb, []Filter{
 		{Column: "customer", Op: Between, Value: uint64(10), Hi: uint64(20)},
 		{Column: "qty", Op: Between, Value: uint32(0), Hi: uint32(5)},
 	}, nil)
@@ -123,13 +132,13 @@ func TestRangeDriven(t *testing.T) {
 
 func TestProjection(t *testing.T) {
 	tb := buildOrders(t, 500, true)
-	res, err := Run(tb, []Filter{
+	res, err := runQuery(tb, []Filter{
 		{Column: "customer", Op: Eq, Value: uint64(3)},
 	}, []string{"product", "qty"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Columns[0] != "product" || len(res.Values) != len(res.Rows) {
+	if len(res.Values) != len(res.Rows) || len(res.Values[0]) != 2 {
 		t.Fatalf("projection shape: %+v", res)
 	}
 	for i, r := range res.Rows {
@@ -142,17 +151,17 @@ func TestProjection(t *testing.T) {
 
 func TestRespectsinvalidations(t *testing.T) {
 	tb := buildOrders(t, 300, false)
-	res, _ := Run(tb, []Filter{{Column: "product", Op: Eq, Value: "gadget"}}, nil)
-	if res.Count() == 0 {
+	res, _ := runQuery(tb, []Filter{{Column: "product", Op: Eq, Value: "gadget"}}, nil)
+	if len(res.Rows) == 0 {
 		t.Skip("no gadgets in sample")
 	}
 	victim := res.Rows[0]
 	if err := tb.Delete(victim); err != nil {
 		t.Fatal(err)
 	}
-	res2, _ := Run(tb, []Filter{{Column: "product", Op: Eq, Value: "gadget"}}, nil)
-	if res2.Count() != res.Count()-1 {
-		t.Fatalf("count %d want %d", res2.Count(), res.Count()-1)
+	res2, _ := runQuery(tb, []Filter{{Column: "product", Op: Eq, Value: "gadget"}}, nil)
+	if len(res2.Rows) != len(res.Rows)-1 {
+		t.Fatalf("count %d want %d", len(res2.Rows), len(res.Rows)-1)
 	}
 	for _, r := range res2.Rows {
 		if r == victim {
@@ -166,7 +175,7 @@ func TestSpansMainAndDelta(t *testing.T) {
 	// Add delta rows with a known key.
 	tb.Insert([]any{uint64(7), uint32(3), "widget"})
 	tb.Insert([]any{uint64(7), uint32(18), "gadget"})
-	res, err := Run(tb, []Filter{
+	res, err := runQuery(tb, []Filter{
 		{Column: "customer", Op: Eq, Value: uint64(7)},
 		{Column: "product", Op: Eq, Value: "widget"},
 	}, nil)
@@ -192,31 +201,36 @@ func TestErrors(t *testing.T) {
 		{"nil value", []Filter{{Column: "customer", Op: Eq}}, nil},
 		{"bad projection", []Filter{{Column: "customer", Op: Eq, Value: uint64(1)}}, []string{"nope"}},
 		{"bad hi", []Filter{{Column: "customer", Op: Between, Value: uint64(1), Hi: "x"}}, nil},
+		{"bad op", []Filter{{Column: "customer", Op: Op(7), Value: uint64(1)}}, nil},
 	}
 	for _, c := range cases {
-		if _, err := Run(tb, c.filters, c.project); err == nil {
+		_, err := runQuery(tb, c.filters, c.project)
+		if err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+		if bad := c.name == "bad column" || c.name == "bad projection"; bad != errors.Is(err, ErrNoColumn) {
+			t.Errorf("%s: %v, ErrNoColumn %v", c.name, err, bad)
 		}
 	}
 }
 
 func TestIntLiteralCoercion(t *testing.T) {
 	tb := buildOrders(t, 200, true)
-	a, err := Run(tb, []Filter{{Column: "customer", Op: Eq, Value: 7}}, nil)
+	a, err := runQuery(tb, []Filter{{Column: "customer", Op: Eq, Value: 7}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Run(tb, []Filter{{Column: "customer", Op: Eq, Value: uint64(7)}}, nil)
+	b, _ := runQuery(tb, []Filter{{Column: "customer", Op: Eq, Value: uint64(7)}}, nil)
 	sameRows(t, a.Rows, b.Rows)
 	// qty is uint32; int literal works there too.
-	if _, err := Run(tb, []Filter{{Column: "qty", Op: Eq, Value: 3}}, nil); err != nil {
+	if _, err := runQuery(tb, []Filter{{Column: "qty", Op: Eq, Value: 3}}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestReversedBetween: a Between whose bounds are reversed matches nothing
-// and estimates nothing, on an indexed and an unindexed column alike — the
-// planner's estimated-rows counter must not move.
+// and estimates nothing, on an indexed and an unindexed column alike: the
+// read runs its one seed phase with an estimate of 0.
 func TestReversedBetween(t *testing.T) {
 	tb := buildOrders(t, 2000, true)
 	if err := tb.CreateIndex("qty"); err != nil {
@@ -227,17 +241,15 @@ func TestReversedBetween(t *testing.T) {
 		{Column: "customer", Op: Between, Value: uint64(40), Hi: uint64(10)},
 		{Column: "qty", Op: Between, Value: uint32(15), Hi: uint32(2)},
 	} {
-		before := Planner()
-		res, err := Run(tb, []Filter{f}, nil)
+		res, err := runQuery(tb, []Filter{f}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := Planner()
-		if res.Count() != 0 {
-			t.Errorf("%s: %d rows, want 0", f.Column, res.Count())
+		if len(res.Rows) != 0 {
+			t.Errorf("%s: %d rows, want 0", f.Column, len(res.Rows))
 		}
-		if d := after.EstimatedRows - before.EstimatedRows; d != 0 {
-			t.Errorf("%s: estimated rows advanced by %d, want 0", f.Column, d)
+		if res.Seeds != 1 || res.Estimate != 0 {
+			t.Errorf("%s: %d seed phases estimating %d rows, want 1 estimating 0", f.Column, res.Seeds, res.Estimate)
 		}
 	}
 }
@@ -247,15 +259,15 @@ var benchRows int
 // BenchmarkConjunctiveQuery drives an equality and a range over a merged
 // 200 000-row main, returning row ids only and with one column projected.
 func BenchmarkConjunctiveQuery(b *testing.B) {
-	tb, _ := table.New("t", table.Schema{
-		{Name: "a", Type: table.Uint64},
-		{Name: "b", Type: table.Uint64},
+	tb, _ := New("t", Schema{
+		{Name: "a", Type: Uint64},
+		{Name: "b", Type: Uint64},
 	})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200000; i++ {
 		tb.Insert([]any{rng.Uint64() % 1000, rng.Uint64() % 1000})
 	}
-	if _, err := tb.Merge(context.Background(), table.MergeOptions{}); err != nil {
+	if _, err := tb.Merge(context.Background(), MergeOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
@@ -264,14 +276,14 @@ func BenchmarkConjunctiveQuery(b *testing.B) {
 	}{{"rows", nil}, {"project", []string{"b"}}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Run(tb, []Filter{
+				res, err := runQuery(tb, []Filter{
 					{Column: "a", Op: Eq, Value: uint64(i % 1000)},
 					{Column: "b", Op: Between, Value: uint64(0), Hi: uint64(500)},
 				}, bc.project)
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchRows += res.Count()
+				benchRows += len(res.Rows)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -44,6 +45,77 @@ type Plan struct {
 	Limit   int
 }
 
+// Op is a Filter's operator.
+type Op int
+
+const (
+	// Eq matches rows whose column value equals Value.
+	Eq Op = iota
+	// Between matches rows whose column value lies in [Value, Hi].
+	Between
+)
+
+// String returns the operator name.
+func (o Op) String() string {
+	switch o {
+	case Eq:
+		return "="
+	case Between:
+		return "between"
+	default:
+		return fmt.Sprintf("Op(%d)", int(o))
+	}
+}
+
+// Filter is one predicate of a conjunctive query, on a column named.
+// Value (and Hi for Between) may be spelled any way Insert accepts for the
+// column (Convert): for an integer column uint32, uint64, uint, or a
+// non-negative int or int64, within the column's range; for a string
+// column a string.
+type Filter struct {
+	Column string
+	Op     Op
+	Value  any
+	Hi     any
+}
+
+// Plan maps a conjunctive query onto column positions: one Pred per
+// filter and the projected columns (nil projects nothing), reduced to
+// Rows.  At least one filter is required; an unknown column is
+// ErrNoColumn.
+func (s Schema) Plan(filters []Filter, project []string) (Plan, error) {
+	if len(filters) == 0 {
+		return Plan{}, errors.New("table: query without filters (use a full-column scan instead)")
+	}
+	preds := make([]Pred, len(filters))
+	for i, f := range filters {
+		ci, err := s.Index(f.Column)
+		if err != nil {
+			return Plan{}, err
+		}
+		preds[i] = Pred{Col: ci, Lo: f.Value, Hi: f.Hi}
+		switch f.Op {
+		case Eq:
+		case Between:
+			preds[i].Range = true
+		default:
+			return Plan{}, fmt.Errorf("table: unknown filter op %v", f.Op)
+		}
+	}
+	var cols []int
+	if project != nil {
+		cols = make([]int, len(project))
+		for i, name := range project {
+			ci, err := s.Index(name)
+			if err != nil {
+				return Plan{}, err
+			}
+			cols[i] = ci
+		}
+	}
+	return Plan{Preds: preds, Project: cols}, nil
+}
+
 // Selection is the answer to a Plan: the field its reduction names.
 type Selection struct {
 	// Rows are the matching row ids in ascending order; Values[i] holds the
@@ -55,11 +127,14 @@ type Selection struct {
 	// Min and Max are the column's extremes; Found reports a match.
 	Min, Max uint64
 	Found    bool
-	// Estimate is the driving predicate's estimated candidate rows and
-	// Indexed whether a group-key index served it; Seeded is the number of
-	// visible candidates it produced.
+	// The planner's account, summed over the partitions read: Seeds counts
+	// the seed phases run (one per partition whose read chose a driving
+	// predicate), Estimate their estimated candidate rows, Indexed those a
+	// group-key index served, and Seeded the visible candidates they
+	// produced.
+	Seeds    int
 	Estimate int
-	Indexed  bool
+	Indexed  int
 	Seeded   int
 }
 
@@ -121,7 +196,10 @@ func (t *Table) Read(view View, p Plan) (*Selection, error) {
 	default:
 		drive, est, indexed := t.chooseSeed(conds)
 		slots = conds[drive].seed(t, e)
-		s.Estimate, s.Indexed, s.Seeded = est, indexed, len(slots)
+		s.Seeds, s.Estimate, s.Seeded = 1, est, len(slots)
+		if indexed {
+			s.Indexed = 1
+		}
 		for i, c := range conds {
 			if i != drive {
 				slots = c.refine(slots)

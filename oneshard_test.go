@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"hyrise"
-	"hyrise/internal/query"
 	"hyrise/internal/table"
 )
 
@@ -74,10 +73,17 @@ func TestOneShardStoreIsItsPartition(t *testing.T) {
 				bmin, bok := bs.Min, bs.Found
 				same("min", []any{smin, sok}, []any{bmin, bok})
 				filters := []hyrise.Filter{{Column: "k", Op: hyrise.FilterBetween, Value: uint64(3), Hi: uint64(12)}}
-				sres, serr := hyrise.QueryAt(st, sview, filters, []string{"v"})
-				bres, berr := query.RunAt(bare, bview, filters, []string{"v"})
-				sameErr("query", serr, berr)
-				same("query", sres, bres)
+				sres, err := hyrise.QueryAt(st, sview, filters, []string{"v"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := bare.Schema().Plan(filters, []string{"v"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bres := read(bview, plan)
+				same("query", []any{sres.Rows, sres.Values}, []any{bres.Rows, bres.Values})
+				same("query columns", sres.Columns, []string{"v"})
 			}
 			state := func() {
 				t.Helper()

@@ -56,6 +56,19 @@ func NumericColumnOf[V interface{ ~uint32 | ~uint64 }](t *Table, name string) (*
 	return shard.NumericColumnOf[V](t, name)
 }
 
+// QueryResult holds a query's matching rows and projected values.
+type QueryResult struct {
+	// Rows are matching row ids in ascending order.
+	Rows []int
+	// Columns are the projected column names (nil if no projection).
+	Columns []string
+	// Values[i] holds the projected values of Rows[i].
+	Values [][]any
+}
+
+// Count returns the number of matching rows.
+func (r *QueryResult) Count() int { return len(r.Rows) }
+
 // Query evaluates the conjunction of filters column-at-a-time over current
 // rows and projects the named columns (nil projects nothing).  See QueryAt.
 func Query(t *Table, filters []Filter, project []string) (*QueryResult, error) {
@@ -66,8 +79,18 @@ func Query(t *Table, filters []Filter, project []string) (*QueryResult, error) {
 // result reflects one frozen state of the whole store — across all
 // partitions, which evaluate in parallel — even while writers and merges
 // proceed.  Over several partitions a latest view is pinned for the query.
+// The query is one plan (Schema.Plan) read like any other; an embedded
+// query feeds no hyrise_query_* series, which count served queries only.
 func QueryAt(t *Table, view ReadView, filters []Filter, project []string) (*QueryResult, error) {
-	return shard.QueryAt(t, view, filters, project)
+	p, err := t.Schema().Plan(filters, project)
+	if err != nil {
+		return nil, err
+	}
+	sel, err := shard.Read(t, view, p)
+	if err != nil {
+		return nil, err
+	}
+	return &QueryResult{Rows: sel.Rows, Columns: project, Values: sel.Values}, nil
 }
 
 // NewScheduler supervises t with one background merge driver.  It follows

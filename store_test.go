@@ -387,3 +387,41 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestQueryEchoesProjection pins QueryResult.Columns: the projected names
+// in the order asked (nil without a projection), with Values[i] holding
+// those columns of Rows[i].
+func TestQueryEchoesProjection(t *testing.T) {
+	for name, st := range newStores(t) {
+		t.Run(name, func(t *testing.T) {
+			for k := uint64(0); k < 20; k++ {
+				if _, err := st.Insert([]any{k, k * 10}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			filters := []hyrise.Filter{{Column: "k", Op: hyrise.FilterBetween, Value: uint64(3), Hi: uint64(5)}}
+			res, err := hyrise.Query(st, filters, []string{"v", "k"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Columns) != 2 || res.Columns[0] != "v" || res.Columns[1] != "k" {
+				t.Fatalf("columns = %v, want [v k]", res.Columns)
+			}
+			if res.Count() != 3 || len(res.Values) != 3 {
+				t.Fatalf("rows %v values %v, want 3 of each", res.Rows, res.Values)
+			}
+			for i, v := range res.Values {
+				if v[0] != v[1].(uint64)*10 {
+					t.Fatalf("values[%d] = %v, want [10k k]", i, v)
+				}
+			}
+			res, err = hyrise.Query(st, filters, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Columns != nil || res.Values != nil || res.Count() != 3 {
+				t.Fatalf("no projection: columns %v values %v rows %v", res.Columns, res.Values, res.Rows)
+			}
+		})
+	}
+}
