@@ -3,6 +3,8 @@ package client
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -101,7 +103,7 @@ func (c *Client) QueryAt(s Snap, filters []Filter, project []string) (*Result, e
 	return res, nil
 }
 
-// PartitionStats summarizes one physical partition (shard) server-side.
+// PartitionStats summarizes one partition server-side.
 type PartitionStats struct {
 	Rows      int
 	ValidRows int
@@ -129,7 +131,8 @@ type Stats struct {
 	RetiredRows    int
 	ReclaimedBytes int
 	Merging        bool
-	// Partitions holds per-shard counts in partition order.
+	// Partitions holds per-partition counts in physical order: the active
+	// shards and the sealed partitions a reshard left still draining.
 	Partitions []PartitionStats
 	// Server-level counters.
 	ActiveConns int
@@ -169,8 +172,21 @@ func (c *Client) Stats() (Stats, error) {
 			st.Requests += uint64(s.Value)
 		}
 	}
-	// Partition i exists iff its rows series does; partition 0 always does.
-	for i := 0; i == 0 || m.has(fmt.Sprintf(`hyrise_partition_rows{partition="%d"}`, i)); i++ {
+	// A partition exists iff a hyrise_partition_* series names its physical
+	// index; a drained shard window's indices are gone, not renumbered.
+	var phys []int
+	for _, s := range samples {
+		if _, l, ok := strings.Cut(s.Name, `{partition="`); ok && strings.HasPrefix(s.Name, "hyrise_partition_") {
+			if i, err := strconv.Atoi(strings.TrimSuffix(l, `"}`)); err == nil {
+				phys = append(phys, i)
+			}
+		}
+	}
+	if len(phys) == 0 {
+		m.missing = "hyrise_partition_rows"
+	}
+	slices.Sort(phys)
+	for _, i := range slices.Compact(phys) {
 		part := func(family string) int {
 			return int(m.get(fmt.Sprintf(`hyrise_partition_%s{partition="%d"}`, family, i)))
 		}

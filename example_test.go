@@ -95,6 +95,16 @@ func Example() {
 	fmt.Printf("reshard %d -> %d shards: %d rows migrated\n", rr.From, rr.To, rr.RowsMigrated)
 	fmt.Printf("after reshard: %d valid rows, order 42 -> %d row, sum(qty) = %d\n",
 		s.ValidRows(), len(orders.Lookup(42)), qty.Sum())
+
+	// The sealed partition still holds the migrated-away versions until a
+	// merge reclaims them; then it leaves the store.
+	fmt.Printf("partitions: %d while draining", len(s.Partitions()))
+	for range 2 {
+		if _, err := s.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	fmt.Printf(", %d once merged\n", len(s.Partitions()))
 	// Output:
 	// after inserts: main=0 rows, delta=10000 rows
 	// update: row 42 -> new version at row 10000
@@ -106,6 +116,7 @@ func Example() {
 	// after merge: lookup order 42 -> rows [10000], sum(qty) = 30093
 	// reshard 1 -> 4 shards: 9999 rows migrated
 	// after reshard: 9999 valid rows, order 42 -> 1 row, sum(qty) = 30093
+	// partitions: 5 while draining, 4 once merged
 }
 
 // Serve a 4-shard table over TCP while the merge scheduler compacts it

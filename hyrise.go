@@ -161,12 +161,15 @@
 // (the pre-move versions stay in the sealed partitions for as long as a
 // pin can see them), and both marker ops flow through the op log so
 // replication followers replay the same migration and converge on the
-// same topology.  Sealed pre-reshard partitions stick around as empty
-// husks (Stats and the hyrise_store_shards/hyrise_store_partitions series
-// report active shards and physical partitions separately); persisted
-// snapshots record the active window and map version, and a
-// canceled migration cuts over anyway — rows not yet moved stay readable
-// in their sealed partitions and migrate on the next reshard.
+// same topology.  A sealed partition stays in the store only while it
+// holds versions: once merges — RequestMerge's or a Scheduler's — have
+// reclaimed them all, its window leaves, and Partitions, Stats, the
+// scheduler, the hyrise_partition_* series and snapshots no longer see it
+// (hyrise_store_shards and hyrise_store_partitions differ only while a
+// sealed window drains).  Persisted snapshots record the shard windows and
+// map version, and a canceled migration cuts over anyway — rows not yet
+// moved stay readable in their sealed partitions and migrate on the next
+// reshard.
 //
 // Over the network the same operation is client.Reshard, and a running
 // hyrised daemon is resharded online with
@@ -314,7 +317,7 @@
 //	hyrise_merge_*    merge counts, rows merged/reclaimed, per-phase
 //	                  (freeze/merge/commit) and wall durations
 //	hyrise_store_*    main/delta rows, delta fill fraction, active
-//	                  shards, physical partitions, shard-map version
+//	                  shards, partitions, shard-map version
 //	hyrise_epoch_*    current epoch, pins, oldest pinned epoch
 //	hyrise_gc_*       GC bound and its age in epochs, rows retired,
 //	                  dead versions seen vs. retained for live pins
@@ -435,7 +438,8 @@ type (
 	MergeOptions = table.MergeOptions
 	// MergeReport summarizes a completed merge.  For a merge over several
 	// partitions, Columns is nil and the counts aggregate all of them;
-	// per-partition reports are Partitions()[i].LastMergeReport().
+	// per-partition reports are each partition's LastMergeReport (see
+	// Table.Partitions).
 	MergeReport = table.Report
 	// MergeStats holds one column's per-step merge timings.
 	MergeStats = core.Stats

@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,7 +85,10 @@ func TestIntegrationCSVToQueries(t *testing.T) {
 
 // TestIntegrationSchedulerUnderLoad runs the scheduler against concurrent
 // writers and checks the §4 invariant it exists to maintain: the delta
-// fraction stays bounded while no writes are lost.
+// fraction stays bounded while no writes are lost.  The writers insert
+// until the scheduler has merged at least once, so a fast host cannot
+// finish them between two polls; then, with the scheduler still running,
+// every partition's delta fraction must fall to the trigger fraction.
 func TestIntegrationSchedulerUnderLoad(t *testing.T) {
 	tb, err := hyrise.NewTable("t", hyrise.Schema{{Name: "k", Type: hyrise.Uint64}})
 	if err != nil {
@@ -97,42 +101,61 @@ func TestIntegrationSchedulerUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const fraction = 0.05
 	s := hyrise.NewScheduler(tb, hyrise.SchedulerConfig{
-		Fraction:     0.05,
+		Fraction:     fraction,
 		MinDeltaRows: 100,
 		Interval:     2 * time.Millisecond,
 	})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	const writers, perWriter = 4, 20_000
-	for w := 0; w < writers; w++ {
+	defer s.Stop()
+	deadline := time.Now().Add(time.Minute)
+	var (
+		wg       sync.WaitGroup
+		inserted atomic.Int64
+		stop     atomic.Bool
+	)
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
+			for i := 0; !stop.Load(); i++ {
 				if _, err := tb.Insert([]any{uint64(i % 997)}); err != nil {
 					t.Error(err)
 					return
 				}
+				inserted.Add(1)
 			}
-		}(w)
+		}()
 	}
+	for s.Merges() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
 	wg.Wait()
+	if s.Merges() == 0 {
+		t.Fatalf("scheduler never merged under sustained load (%d inserts)", inserted.Load())
+	}
+	for _, p := range tb.Partitions() {
+		for p.DeltaFraction() > fraction {
+			if time.Now().After(deadline) {
+				t.Fatalf("delta fraction %.3f stays above %.2f with the scheduler running", p.DeltaFraction(), fraction)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	s.Stop()
 	if s.LastErr() != nil {
 		t.Fatal(s.LastErr())
 	}
-	want := 100_000 + writers*perWriter
+	want := 100_000 + int(inserted.Load())
 	if tb.Rows() != want {
 		t.Fatalf("rows %d want %d", tb.Rows(), want)
 	}
 	if got := tb.MainRows() + tb.DeltaRows(); got != want {
 		t.Fatalf("main+delta %d want %d", got, want)
-	}
-	if s.Merges() == 0 {
-		t.Fatal("scheduler never merged under sustained load")
 	}
 	// One final manual merge leaves a clean state.
 	if _, err := tb.RequestMerge(context.Background(), hyrise.MergeOptions{}); err != nil {

@@ -13,12 +13,13 @@ import (
 
 // seedStores returns one store per shape the format can take: a one-shard
 // store spanning main and delta, a store whose merge retired ids, a 3-shard
-// store, a resharded store with sealed partitions, and the two dictionary
-// extremes — columns with a single distinct value (0-bit codes, no words)
+// store, a resharded store with sealed partitions, a store whose drained
+// first window left a hole, a store whose sealed window is half drained,
+// and the two dictionary extremes — columns with a single distinct value (0-bit codes, no words)
 // and a string column whose every value is distinct.  The stores are a few
 // rows each: short seeds keep the fuzzer's input minimization from eating a
 // smoke run's whole time budget.  They are built deterministically —
-// testdata/v7.hyr is their snapshots (TestGoldenV7).
+// testdata/v8.hyr is their snapshots (TestGoldenV8).
 func seedStores(t testing.TB) []*shard.Table {
 	t.Helper()
 	ctx := context.Background()
@@ -84,9 +85,11 @@ func seedStores(t testing.TB) []*shard.Table {
 	must(err)
 	_, err = resharded.Reshard(ctx, 3)
 	must(err)
-	if base, _ := resharded.ActiveWindow(); base == 0 || !resharded.Shard(0).Sealed() {
+	if _, top := resharded.PersistTopology(); len(top.Windows) != 2 || !resharded.Shard(0).Sealed() {
 		t.Fatal("reshard seed has no sealed partition")
 	}
+	holed := holedStore(t, schema, row)
+	halfDrained := halfDrainedStore(t, schema, row)
 
 	single, err := shard.New("orders", schema, "id", 1)
 	must(err)
@@ -113,7 +116,66 @@ func seedStores(t testing.TB) []*shard.Table {
 		t.Fatalf("all-unique seed: %d values in %d rows", cs.UniqueMain, cs.MainRows)
 	}
 
-	return []*shard.Table{flat, gc, sharded, resharded, single, unique}
+	return []*shard.Table{flat, gc, sharded, resharded, holed, halfDrained, single, unique}
+}
+
+// holedStore returns a store resharded 1 -> 2, merged twice, so its drained
+// first window left the store, then resharded 2 -> 3: windows [1, 3) and
+// [3, 6), with a hole at partition 0.
+func holedStore(t testing.TB, schema table.Schema, row func(int) []any) *shard.Table {
+	t.Helper()
+	ctx := context.Background()
+	st, err := shard.New("orders", schema, "id", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := st.Insert(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []func() error{
+		func() error { _, err := st.Reshard(ctx, 2); return err },
+		func() error { _, err := st.RequestMerge(ctx, table.MergeOptions{}); return err },
+		func() error { _, err := st.RequestMerge(ctx, table.MergeOptions{}); return err },
+		func() error { _, err := st.Reshard(ctx, 3); return err },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, top := st.PersistTopology(); st.Shard(0) != nil || len(top.Windows) != 2 || top.Windows[0] != (shard.Span{Base: 1, N: 2}) {
+		t.Fatalf("hole seed: partition 0 present or windows %v", top.Windows)
+	}
+	return st
+}
+
+// halfDrainedStore returns a store resharded 2 -> 3 whose sealed window
+// [0, 2) holds versions in partition 1 only: partition 0 alone merged its
+// migrated versions away.
+func halfDrainedStore(t testing.TB, schema table.Schema, row func(int) []any) *shard.Table {
+	t.Helper()
+	ctx := context.Background()
+	st, err := shard.New("orders", schema, "id", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := st.Insert(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Reshard(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Shard(0).Merge(ctx, table.MergeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if st.Shard(0).Rows() != 0 || st.Shard(1).Rows() == 0 || len(st.Partitions()) != 5 {
+		t.Fatalf("half-drained seed: sealed partitions hold %d and %d versions, %d partitions",
+			st.Shard(0).Rows(), st.Shard(1).Rows(), len(st.Partitions()))
+	}
+	return st
 }
 
 // fuzzSeeds returns the snapshots of seedStores.
@@ -178,17 +240,10 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reload of a saved store: %v", err)
 		}
-		baseA, lenA := st.ActiveWindow()
-		baseB, lenB := st2.ActiveWindow()
-		if st.Name() != st2.Name() || st.KeyColumn() != st2.KeyColumn() || st.NumParts() != st2.NumParts() ||
-			baseA != baseB || lenA != lenB || st.MapVersion() != st2.MapVersion() ||
-			st.Clock().Now() != st2.Clock().Now() {
-			t.Fatalf("topology %q/%q parts=%d active=[%d,+%d) map=%d clock=%d vs %q/%q parts=%d active=[%d,+%d) map=%d clock=%d",
-				st.Name(), st.KeyColumn(), st.NumParts(), baseA, lenA, st.MapVersion(), st.Clock().Now(),
-				st2.Name(), st2.KeyColumn(), st2.NumParts(), baseB, lenB, st2.MapVersion(), st2.Clock().Now())
+		if st.Name() != st2.Name() || st.KeyColumn() != st2.KeyColumn() || st.Clock().Now() != st2.Clock().Now() {
+			t.Fatalf("%q/%q clock=%d vs %q/%q clock=%d", st.Name(), st.KeyColumn(), st.Clock().Now(),
+				st2.Name(), st2.KeyColumn(), st2.Clock().Now())
 		}
-		for i := 0; i < st.NumParts(); i++ {
-			equalPartitions(t, st.Shard(i), st2.Shard(i))
-		}
+		equalStores(t, st, st2, equalPartitions)
 	})
 }

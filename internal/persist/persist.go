@@ -20,10 +20,11 @@
 //
 //	magic "HYRS" | version u32 = Version | name
 //	ncols u32 | per column: name | type u8
-//	key column | partition count u32 |
-//	active base u32 | active len u32 | shard-map version u64
+//	key column | window count u32 |
+//	per window: base u32 | partition count u32 |
+//	mid-reshard u8 | shard-map version u64
 //	clock u64 (the store's epoch clock)
-//	per partition:
+//	per partition of every window, in physical order:
 //	    rows u64 | main rows u64 |
 //	    next id u64 | retired u64 | reclaimed bytes u64 | gc watermark u64 |
 //	    stable row ids (rows of u64) |
@@ -33,18 +34,20 @@
 //	        code width u8 | word count u64 | packed codes (count of u64) |
 //	        delta values (rows - main rows of u32 / u64 / string)
 //
-// The header records the key column and the shard map — the physical
-// partition count, the active window (which tail of the partition list key
-// hashing routes writes to) and the shard-map version — so stores
-// round-trip with consistent routing: each physical partition is encoded in
-// physical order and global row ids (partition index over the local id)
-// are preserved exactly.  The per-partition main-row count restores the
-// saved main/delta split; the id map, epochs and GC counters restore
-// version history and keep retired ids retired.  A mid-reshard save is
-// normalized to its post-cutover topology (see
-// shard.Table.PersistTopology); rows the migration had not yet moved load
-// back into their sealed partitions, readable and consistent, and drain
-// lazily.
+// The header records the key column and the shard map — its routing
+// windows, ascending by physical base with holes where drained windows
+// left, the last one active, and the shard-map version — so stores
+// round-trip with consistent routing and the same read set: a key read
+// visits one partition per window before and after.  The partitions of the
+// windows are encoded in physical order, and global row ids (physical
+// index over the local id) are preserved exactly.  The per-partition
+// main-row count restores the saved main/delta split; the id map, epochs
+// and GC counters restore version history and keep retired ids retired.  A
+// mid-reshard save is normalized to its post-cutover topology and flagged
+// (see shard.Table.PersistTopology); rows the migration had not yet moved
+// load back into their sealed partitions, readable and consistent, and
+// drain lazily, and the loaded store prunes no window until it applies a
+// cutover.
 //
 // A save of a live store holds each partition as of one instant, and no
 // epoch the store stamped exceeds the saved clock (it is read after the
@@ -74,7 +77,7 @@ import (
 const Magic = "HYRS"
 
 // Version is the one format version written and read.
-const Version uint32 = 7
+const Version uint32 = 8
 
 // ErrFormat reports a malformed snapshot.
 var ErrFormat = errors.New("persist: malformed snapshot")
@@ -361,15 +364,15 @@ func (r *reader) readPartition(t *table.Table, schema table.Schema) error {
 }
 
 // Save writes a snapshot of a store: the header records the key column,
-// the shard-map topology (physical partition count, active window, map
-// version) and the shared epoch clock, then every physical partition is
-// encoded in physical order, so global row ids survive the round trip.  A
-// mid-reshard topology is saved in its normalized post-cutover form
+// the shard-map topology (windows, mid-reshard flag, map version) and the
+// shared epoch clock, then every partition of the windows is encoded in
+// physical order, so global row ids survive the round trip.  A mid-reshard
+// topology is saved in its normalized post-cutover form
 // (shard.Table.PersistTopology).  The store may be live: writers, merges
 // and GC proceed and cannot fail the save (see the package doc for what
 // that leaves open across partitions).
 func Save(st *shard.Table, out io.Writer) error {
-	parts, activeBase, activeLen, mapVersion := st.PersistTopology()
+	parts, top := st.PersistTopology()
 	imgs := make([]table.Image, len(parts))
 	for i, p := range parts {
 		imgs[i] = p.Image()
@@ -381,10 +384,17 @@ func Save(st *shard.Table, out io.Writer) error {
 	w.str(st.Name())
 	w.writeSchema(st.Schema())
 	w.str(st.KeyColumn())
-	w.u32(uint32(len(parts)))
-	w.u32(uint32(activeBase))
-	w.u32(uint32(activeLen))
-	w.u64(mapVersion)
+	w.u32(uint32(len(top.Windows)))
+	for _, win := range top.Windows {
+		w.u32(uint32(win.Base))
+		w.u32(uint32(win.N))
+	}
+	if top.MidReshard {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+	w.u64(top.Version)
 	w.u64(clock)
 	for _, img := range imgs {
 		w.writePartition(img)
@@ -414,20 +424,25 @@ func Load(in io.Reader) (*shard.Table, error) {
 		return nil, err
 	}
 	key := r.str()
-	parts := int(r.u32())
-	activeBase := int(r.u32())
-	activeLen := int(r.u32())
-	mapVersion := r.u64()
+	var top shard.Topology
+	nwin := int(r.u32())
+	if r.err == nil && (nwin <= 0 || nwin > shard.MaxShards) {
+		return nil, fmt.Errorf("%w: %d shard windows", ErrFormat, nwin)
+	}
+	for i := 0; i < nwin && r.err == nil; i++ {
+		top.Windows = append(top.Windows, shard.Span{Base: int(r.u32()), N: int(r.u32())})
+	}
+	midReshard := r.u8()
+	top.Version = r.u64()
 	clock := r.u64()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if parts <= 0 || parts > shard.MaxShards ||
-		activeLen <= 0 || activeBase < 0 || activeBase+activeLen != parts || mapVersion == 0 {
-		return nil, fmt.Errorf("%w: shard topology %d parts, active [%d,%d), map v%d",
-			ErrFormat, parts, activeBase, activeBase+activeLen, mapVersion)
+	if midReshard > 1 {
+		return nil, fmt.Errorf("%w: mid-reshard flag %d", ErrFormat, midReshard)
 	}
-	st, err := shard.NewRestored(name, schema, key, parts, activeBase, activeLen, mapVersion)
+	top.MidReshard = midReshard == 1
+	st, err := shard.NewRestored(name, schema, key, top)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
@@ -435,15 +450,15 @@ func Load(in io.Reader) (*shard.Table, error) {
 	// Fill each partition directly, bypassing hash routing: the partition
 	// sections already are the routed per-partition contents, and adoption
 	// preserves every partition-local row id (hence every global id).
-	for i := 0; i < parts; i++ {
-		if err := r.readPartition(st.Shard(i), schema); err != nil {
+	parts := st.Partitions()
+	for _, p := range parts {
+		if err := r.readPartition(p, schema); err != nil {
 			return nil, err
 		}
 	}
-	// Partitions outside the active window were sealed by resharding on the
-	// saved store.
-	for i := 0; i < activeBase; i++ {
-		st.Shard(i).Seal()
+	// Every window but the last was sealed by resharding on the saved store.
+	for _, p := range parts[:len(parts)-top.Windows[nwin-1].N] {
+		p.Seal()
 	}
 	return st, nil
 }

@@ -46,7 +46,7 @@ func TestGCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalStores(t, tb, got)
+	equalStores(t, tb, got, equalTables)
 	if a, b := got.Shard(0), tb.Shard(0); a.ReclaimedBytes() != b.ReclaimedBytes() || a.GCWatermark() != b.GCWatermark() {
 		t.Fatalf("GC counters: %d/%d vs %d/%d",
 			a.ReclaimedBytes(), a.GCWatermark(), b.ReclaimedBytes(), b.GCWatermark())

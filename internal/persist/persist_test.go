@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -31,14 +33,17 @@ func buildTable(t *testing.T, rows int) *shard.Table {
 	return tb
 }
 
-// equalStores requires the same partitions with the same contents.
-func equalStores(t *testing.T, a, b *shard.Table) {
+// equalStores requires the same topology and partitions with the same
+// contents, compared by equal (equalTables or equalPartitions).
+func equalStores(t *testing.T, a, b *shard.Table, equal func(*testing.T, *table.Table, *table.Table)) {
 	t.Helper()
-	if a.NumParts() != b.NumParts() {
-		t.Fatalf("partitions %d vs %d", a.NumParts(), b.NumParts())
+	pa, ta := a.PersistTopology()
+	pb, tb := b.PersistTopology()
+	if !reflect.DeepEqual(ta, tb) || len(pa) != len(pb) {
+		t.Fatalf("topology %+v (%d partitions) vs %+v (%d)", ta, len(pa), tb, len(pb))
 	}
-	for i := 0; i < a.NumParts(); i++ {
-		equalTables(t, a.Shard(i), b.Shard(i))
+	for i := range pa {
+		equal(t, pa[i], pb[i])
 	}
 }
 
@@ -94,7 +99,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalStores(t, tb, got)
+	equalStores(t, tb, got, equalTables)
 }
 
 func TestRoundTripAfterMerge(t *testing.T) {
@@ -114,12 +119,12 @@ func TestRoundTripAfterMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalStores(t, tb, got)
+	equalStores(t, tb, got, equalTables)
 	// The loaded table merges cleanly.
 	if _, err := got.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	equalStores(t, tb, got)
+	equalStores(t, tb, got, equalTables)
 }
 
 func TestFileRoundTrip(t *testing.T) {
@@ -132,7 +137,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalStores(t, tb, got)
+	equalStores(t, tb, got, equalTables)
 }
 
 // TestMainDeltaSplitRestored checks that the loader restores the saved
@@ -155,7 +160,7 @@ func TestMainDeltaSplitRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalStores(t, tb, got)
+	equalStores(t, tb, got, equalTables)
 	if got.MainRows() != tb.MainRows() || got.DeltaRows() != tb.DeltaRows() {
 		t.Fatalf("split main=%d delta=%d want main=%d delta=%d",
 			got.MainRows(), got.DeltaRows(), tb.MainRows(), tb.DeltaRows())
@@ -285,9 +290,10 @@ func partitionSnapshot(typ uint8, hdr [6]uint64, tail func(w *writer)) []byte {
 	w.str("c")
 	w.u8(typ)
 	w.str("c") // key column
-	w.u32(1)   // partitions
-	w.u32(0)   // active base
-	w.u32(1)   // active len
+	w.u32(1)   // windows
+	w.u32(0)   // window base
+	w.u32(1)   // window partitions
+	w.u8(0)    // not mid-reshard
 	w.u64(1)   // shard-map version
 	w.u64(1)   // clock
 	for _, v := range hdr {
@@ -453,19 +459,23 @@ func TestEpochRoundTrip(t *testing.T) {
 // relabelled with any other version — the retired ones included — fails
 // with ErrFormat instead of being parsed under another layout, and so does
 // every snapshot in testdata/v6.hyr, which the last version-6 writer wrote
-// (materialized values, no dictionaries); keep that file byte for byte.
+// (materialized values, no dictionaries), and in testdata/v7.hyr, which the
+// last version-7 writer wrote (a partition count and an active window, no
+// window list); keep both files byte for byte.
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	v6, err := os.ReadFile("testdata/v6.hyr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for len(v6) > 0 {
-		n := int(binary.LittleEndian.Uint32(v6))
-		_, err := Load(bytes.NewReader(v6[4 : 4+n]))
-		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "unsupported version 6") {
-			t.Errorf("version-6 fixture: err = %v, want ErrFormat: unsupported version 6", err)
+	for _, v := range []int{6, 7} {
+		fixture, err := os.ReadFile(fmt.Sprintf("testdata/v%d.hyr", v))
+		if err != nil {
+			t.Fatal(err)
 		}
-		v6 = v6[4+n:]
+		for len(fixture) > 0 {
+			n := int(binary.LittleEndian.Uint32(fixture))
+			_, err := Load(bytes.NewReader(fixture[4 : 4+n]))
+			if want := fmt.Sprintf("unsupported version %d", v); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), want) {
+				t.Errorf("version-%d fixture: err = %v, want ErrFormat: %s", v, err, want)
+			}
+			fixture = fixture[4+n:]
+		}
 	}
 
 	var buf bytes.Buffer
@@ -473,7 +483,7 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, v := range []uint32{0, 1, 2, 3, 4, 5, 6, 8, 99} {
+	for _, v := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 9, 99} {
 		binary.LittleEndian.PutUint32(data[len(Magic):], v)
 		if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
 			t.Errorf("version %d: err = %v, want ErrFormat", v, err)
@@ -497,5 +507,78 @@ func TestEmptyTable(t *testing.T) {
 	}
 	if got.Rows() != 0 || got.Name() != "empty" {
 		t.Fatalf("rows=%d name=%q", got.Rows(), got.Name())
+	}
+}
+
+// TestLoadKeepsReadSet: a snapshot records the shard windows, so a loaded
+// store reads what the saved one read.  The saved store has a sealed
+// window of two partitions, one of them drained, and an active window of
+// three; a key read visits one partition per window, before the save and
+// after the load.
+func TestLoadKeepsReadSet(t *testing.T) {
+	schema := table.Schema{{Name: "id", Type: table.Uint64}, {Name: "qty", Type: table.Uint32}, {Name: "sku", Type: table.String}}
+	st := halfDrainedStore(t, schema, func(i int) []any { return []any{uint64(i), uint32(i), "sku"} })
+	cost := func(st *shard.Table) uint64 {
+		t.Helper()
+		h, err := shard.ColumnOf[uint64](st, "id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := st.PartitionsRead()
+		if ids := h.Lookup(4); len(ids) != 1 {
+			t.Fatalf("Lookup(4) = %v", ids)
+		}
+		return st.PartitionsRead() - before
+	}
+	saved := cost(st)
+	var buf bytes.Buffer
+	if err := Save(st, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded := cost(got); saved != 2 || loaded != saved {
+		t.Fatalf("a key read visits %d partitions before the save and %d after the load, want 2 and 2", saved, loaded)
+	}
+}
+
+// TestMidReshardLoadAwaitsCutover: a store saved mid-reshard loads with
+// its post-cutover map, flagged, and prunes nothing until it applies the
+// cutover: a write that routed by the old map may still be replayed into
+// the empty sealed partition.  The cutover at the loaded map's own version
+// ends the wait.
+func TestMidReshardLoadAwaitsCutover(t *testing.T) {
+	st, err := shard.New("t", table.Schema{{Name: "k", Type: table.Uint64}}, "k", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ApplyReshardBegin(1, 2, 2); err != nil { // the migrating map of a 1 -> 2 reshard
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(st, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Resharding() || got.MapVersion() != 3 || len(got.Partitions()) != 3 {
+		t.Fatalf("loaded: resharding %v, map v%d, %d partitions; want the cutover map v3 of 3",
+			got.Resharding(), got.MapVersion(), len(got.Partitions()))
+	}
+	if _, err := got.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got.Shard(0) == nil {
+		t.Fatal("a merge pruned the empty sealed partition before the cutover was applied")
+	}
+	if err := got.ApplyReshardCutover(1, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got.Shard(0) != nil || len(got.Partitions()) != 2 {
+		t.Fatalf("after the cutover %d partitions, want 2: the empty sealed window left", len(got.Partitions()))
 	}
 }

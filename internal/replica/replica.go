@@ -465,11 +465,12 @@ func (r *Replica) apply(op oplog.Op) error {
 	case oplog.KindReshardCutover:
 		return r.store.ApplyReshardCutover(int(op.Shard), int(op.ID), op.ID2)
 	}
-	nparts := r.store.NumParts()
-	if int(op.Shard) >= nparts {
-		return fmt.Errorf("shard %d out of range (%d partitions)", op.Shard, nparts)
+	// An op naming a partition whose drained window left the store is
+	// skipped (shard.Table.ReplayPartition); so is either half of a move.
+	p, err := r.store.ReplayPartition(int(op.Shard))
+	if err != nil || (p == nil && op.Kind != oplog.KindMove) {
+		return err
 	}
-	p := r.store.Shard(int(op.Shard))
 	switch op.Kind {
 	case oplog.KindInsert:
 		return p.ApplyInsert(op.ID, op.Rows, op.Epoch)
@@ -478,17 +479,23 @@ func (r *Replica) apply(op oplog.Op) error {
 	case oplog.KindDelete:
 		return p.ApplyInvalidate(op.ID, op.Epoch)
 	case oplog.KindMove:
-		if int(op.Dst) >= nparts {
-			return fmt.Errorf("dst shard %d out of range (%d partitions)", op.Dst, nparts)
+		dst, err := r.store.ReplayPartition(int(op.Dst))
+		if err != nil {
+			return err
 		}
 		// The two halves are applied separately, but both carry the op's
 		// single stamp, which is above every servable read epoch until the
 		// next heartbeat — so no reader can observe the intermediate state,
 		// matching the primary's both-locks-one-stamp atomicity.
-		if err := p.ApplyInvalidate(op.ID, op.Epoch); err != nil {
-			return err
+		if p != nil {
+			if err := p.ApplyInvalidate(op.ID, op.Epoch); err != nil {
+				return err
+			}
 		}
-		return r.store.Shard(int(op.Dst)).ApplyInsert(op.ID2, [][]any{op.Rows[0]}, op.Epoch)
+		if dst == nil {
+			return nil
+		}
+		return dst.ApplyInsert(op.ID2, [][]any{op.Rows[0]}, op.Epoch)
 	default:
 		return fmt.Errorf("unknown op kind 0x%02x", uint8(op.Kind))
 	}

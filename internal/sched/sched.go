@@ -180,8 +180,14 @@ func (s *Scheduler) ShouldMerge() bool {
 	return false
 }
 
-// triggered evaluates N_D > Fraction * N_M on one partition.
+// triggered evaluates N_D > Fraction * N_M on one partition.  A sealed
+// partition (see table.Table.Seal) also triggers while it holds a version
+// no latest read sees: it takes no new version, so only such merges empty
+// it, and a store drops a sealed window once they have.
 func (s *Scheduler) triggered(t *table.Table) bool {
+	if t.Sealed() && t.Rows() != t.ValidRows() {
+		return true
+	}
 	nd := t.DeltaRows()
 	if nd <= s.cfg.MinDeltaRows {
 		return false

@@ -74,10 +74,9 @@
 // projection map onto column positions once (table.Schema.Plan), and the
 // planner account the partitions return, summed, feeds the
 // hyrise_query_* counters.  A plan with an equality on the key column
-// reads one partition per listed shard window — the one the key
-// hashes to there, a single partition unless a reshard is in flight or
-// its sealed window still holds rows; every other request reads every
-// listed partition.  Each partition reads under one hold of its read lock
+// reads one partition per shard window — the one the key hashes to
+// there, a single partition unless a reshard is in flight or its sealed
+// window still holds rows; every other request reads every partition.  Each partition reads under one hold of its read lock
 // at one epoch — with token 0 over several partitions, one snapshot
 // pinned for the request.  hyrise_read_partitions_total counts the
 // partitions read.  OpScan with rows is the same plan projecting every

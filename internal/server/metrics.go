@@ -126,27 +126,20 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// Partition-dependent gauges re-resolve the partition list on every
 	// scrape: an online reshard appends partitions after construction, and
 	// a stale captured slice would silently stop covering them.
+	watermark := func() uint64 {
+		var w uint64
+		for _, p := range s.st.Partitions() {
+			w = max(w, p.GCWatermark())
+		}
+		return w
+	}
 	reg.GaugeFunc("hyrise_gc_watermark",
 		"Reclamation floor: the highest freeze-time epoch a committed GC merge reclaimed below (max over partitions).",
-		func() float64 {
-			var w uint64
-			for _, p := range s.st.Partitions() {
-				if v := p.GCWatermark(); v > w {
-					w = v
-				}
-			}
-			return float64(w)
-		})
+		func() float64 { return float64(watermark()) })
 	reg.GaugeFunc("hyrise_gc_watermark_age_epochs",
 		"Epochs elapsed since the reclamation floor last advanced (staleness of reclamation).",
 		func() float64 {
-			var w uint64
-			for _, p := range s.st.Partitions() {
-				if v := p.GCWatermark(); v > w {
-					w = v
-				}
-			}
-			now := clock.Now()
+			w, now := watermark(), clock.Now()
 			if w == 0 || now <= w {
 				return 0
 			}
@@ -154,10 +147,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		})
 	reg.CounterFunc("hyrise_gc_rows_retired_total",
 		"Row ids retired by garbage collection.",
-		func() float64 { return float64(s.sumParts((*table.Table).RetiredRows)) })
+		func() float64 { return float64(s.st.SumPartitions((*table.Table).RetiredRows)) })
 	reg.CounterFunc("hyrise_gc_reclaimed_bytes_total",
 		"Estimated bytes of the row versions garbage collection reclaimed.",
-		func() float64 { return float64(s.sumParts((*table.Table).ReclaimedBytes)) })
+		func() float64 { return float64(s.st.SumPartitions((*table.Table).ReclaimedBytes)) })
 
 	// Storage shape: delta fill drives the merge trigger of §4.
 	reg.GaugeFunc("hyrise_store_main_rows", "Main-partition tuple count (summed over shards).",
@@ -184,8 +177,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return 0
 		})
 
-	// Per-partition shape, labelled by physical partition index and
-	// re-resolved at every scrape like the gauges above.  valid_rows is the
+	// Per-partition shape, labelled by physical partition index (a drained
+	// window's indices are not reused) and re-resolved at every scrape like
+	// the gauges above.  valid_rows is the
 	// one family that passes over a partition's row metadata (O(N) per
 	// scrape); size_bytes walks string values, the rest read counters.
 	for _, f := range []struct {
@@ -199,7 +193,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		{"hyrise_partition_size_bytes", "Storage footprint in bytes, by physical partition.", (*table.Table).SizeBytes},
 	} {
 		reg.VecFunc(f.name, f.help, "partition", func(emit func(string, float64)) {
-			for i, p := range s.st.Partitions() {
+			for i, p := range s.st.EachPartition() {
 				emit(strconv.Itoa(i), float64(f.read(p)))
 			}
 		})
@@ -241,22 +235,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("hyrise_index_reads_total",
 		"Point/range reads served from a group-key index vs. a column scan.",
 		func() float64 {
-			var n uint64
-			for _, p := range s.st.Partitions() {
-				i, _ := p.RoutingCounts()
-				n += i
-			}
-			return float64(n)
+			return float64(s.st.SumPartitions(func(p *table.Table) int { i, _ := p.RoutingCounts(); return int(i) }))
 		}, "route", "indexed")
 	reg.CounterFunc("hyrise_index_reads_total",
 		"Point/range reads served from a group-key index vs. a column scan.",
 		func() float64 {
-			var n uint64
-			for _, p := range s.st.Partitions() {
-				_, sc := p.RoutingCounts()
-				n += sc
-			}
-			return float64(n)
+			return float64(s.st.SumPartitions(func(p *table.Table) int { _, sc := p.RoutingCounts(); return int(sc) }))
 		}, "route", "scanned")
 
 	// Group-key indexes, labelled by column: only the columns indexed at
@@ -305,12 +289,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("hyrise_store_shards", "Active shard count (current routing window).",
 		func() float64 { return float64(sh.NumShards()) })
 	reg.GaugeFunc("hyrise_store_partitions",
-		"Physical partition count, including sealed pre-reshard partitions.",
-		func() float64 { return float64(sh.NumParts()) })
+		"Partition count: the active shards plus the sealed partitions a reshard left still draining.",
+		func() float64 { return float64(len(sh.Partitions())) })
 	reg.GaugeFunc("hyrise_shard_map_version", "Version of the published shard map.",
 		func() float64 { return float64(sh.MapVersion()) })
 	reg.CounterFunc("hyrise_read_partitions_total",
-		"Partitions read by the store's read fan-out (a key equality reads one per listed shard window).",
+		"Partitions read by the store's read fan-out (a key equality reads one per shard window).",
 		func() float64 { return float64(sh.PartitionsRead()) })
 	reg.GaugeFunc("hyrise_store_resharding", "1 while a reshard migration is in flight.",
 		func() float64 {
@@ -322,15 +306,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	sh.OnMerge(m.observeMerge)
 	return m
-}
-
-// sumParts sums read over the store's current partitions.
-func (s *Server) sumParts(read func(*table.Table) int) int {
-	n := 0
-	for _, p := range s.st.Partitions() {
-		n += read(p)
-	}
-	return n
 }
 
 // observeMerge is the store's merge observer (shard.Table.OnMerge): it

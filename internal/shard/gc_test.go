@@ -160,7 +160,7 @@ func TestReshardedPartitionsCollect(t *testing.T) {
 		t.Fatalf("reclaimed %d versions, want %d", rep.RowsReclaimed, 2*rows)
 	}
 	base, n := st.ActiveWindow()
-	for i, p := range st.Partitions() {
+	for i, p := range st.EachPartition() {
 		if p.Rows() != p.ValidRows() {
 			t.Fatalf("partition %d keeps %d dead versions", i, p.Rows()-p.ValidRows())
 		}

@@ -12,8 +12,8 @@ import (
 // CountEqual, Sum, Min and Max are one-predicate or no-predicate Plans run
 // by the store's one read fan-out (Read), with the answers combined by the
 // plan's reduction: Lookup and CountEqual on the key column read the one
-// partition the value hashes to in each listed shard window, every other
-// read every listed partition.  Scan visits partitions sequentially
+// partition the value hashes to in each shard window, every other
+// read every partition.  Scan visits partitions sequentially
 // (partition 0 first), in per-partition insertion order.  Every read is at
 // one epoch on every partition it reads — over several, a latest read pins
 // one snapshot for the call, so a row moving between partitions is seen
@@ -29,7 +29,7 @@ type Handle[V val.Value] struct {
 
 // ColumnOf resolves a typed handle for the named column.
 func ColumnOf[V val.Value](st *Table, name string) (*Handle[V], error) {
-	col, err := table.ColumnIndex[V](st.load().parts[0], name) // every partition has the store's schema
+	col, err := table.ColumnIndex[V](st.load().writeWindow().parts[0], name) // every partition has the store's schema
 	if err != nil {
 		return nil, err
 	}
@@ -48,13 +48,12 @@ func (h *Handle[V]) read(view table.View, p table.Plan) *table.Selection {
 
 // Get returns the value at a global row id (valid or not).
 func (h *Handle[V]) Get(id int) (V, error) {
-	m := h.st.load()
-	phys, local, err := locate(m, id)
+	p, local, err := locate(h.st.load(), id)
 	if err != nil {
 		var zero V
 		return zero, err
 	}
-	return table.Get[V](m.parts[phys], h.col, local)
+	return table.Get[V](p, h.col, local)
 }
 
 // Lookup returns the global row ids of current rows whose value equals v.
@@ -88,7 +87,7 @@ func (h *Handle[V]) ScanAt(view table.View, fn func(id int, v V) bool) {
 		view = h.st.Snapshot()
 		defer view.Release()
 	}
-	for phys, p := range h.st.load().parts {
+	for phys, p := range h.st.EachPartition() {
 		if !table.ScanAt(p, view, h.col, func(local int, v V) bool { return fn(toGlobal(phys, local), v) }) {
 			return
 		}
@@ -109,7 +108,7 @@ func (h *Handle[V]) CountEqualAt(view table.View, v V) int {
 // value sets are unioned rather than their sizes summed).
 func (h *Handle[V]) Distinct() int {
 	seen := make(map[V]struct{})
-	for _, p := range h.st.load().parts {
+	for _, p := range h.st.EachPartition() {
 		table.AddDistinct(p, h.col, seen)
 	}
 	return len(seen)

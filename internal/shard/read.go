@@ -7,8 +7,8 @@ import (
 
 // fanOut is the store's one read fan-out: it runs read at one epoch on
 // the partitions of the current shard map that can hold a match —
-// readSet's: one per listed window for a key equality (key non-nil),
-// every listed partition otherwise — and combines the answers.  A lone
+// readSet's: one per window for a key equality (key non-nil), every
+// partition otherwise — and combines the answers.  A lone
 // partition runs inline with the caller's view under its one lock hold.
 // Over several, read in parallel through par.Do under separate lock
 // holds, a latest view becomes one snapshot pinned for the call, and the
@@ -26,10 +26,11 @@ func fanOut(st *Table, view table.View, key any, limit int, read func(*table.Tab
 	set := st.readSet(m, key, buf[:0])
 	if len(set) == 1 {
 		st.partsRead.Add(1)
-		s, err := read(m.parts[set[0]], view)
-		// A reshard publishes its partitions before it moves a row, so an
-		// unchanged count means the latest read missed no move.
-		if !view.IsLatest() || st.NumParts() == len(m.parts) {
+		s, err := read(m.part(set[0]), view)
+		// A reshard's begin publishes a new map version before it moves a
+		// row, so an unchanged version means the latest read missed no
+		// move (a prune keeps the version: it changes no routing).
+		if !view.IsLatest() || st.load().version == m.version {
 			if err != nil {
 				return nil, err
 			}
@@ -61,7 +62,7 @@ func readEach(m *shardMap, set []int, view table.View, limit int, read func(*tab
 	for i, phys := range set {
 		as[i].phys = phys
 	}
-	par.Do(len(as), func(i int) { as[i].s, as[i].err = read(m.parts[as[i].phys], view) })
+	par.Do(len(as), func(i int) { as[i].s, as[i].err = read(m.part(as[i].phys), view) })
 	out := &table.Selection{}
 	for _, a := range as {
 		if a.err != nil {
@@ -95,8 +96,8 @@ func readEach(m *shardMap, set []int, view table.View, limit int, read func(*tab
 
 // Read runs the plan at one epoch with Table.Read on the partitions that
 // can hold a match and combines the answers by its reduction (fanOut): a
-// plan with an equality on the key column reads one partition per listed
-// window, any other plan every listed partition.
+// plan with an equality on the key column reads one partition per
+// window, any other plan every partition.
 func Read(st *Table, view table.View, p table.Plan) (*table.Selection, error) {
 	var key any
 	for _, pr := range p.Preds {

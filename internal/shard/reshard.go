@@ -17,8 +17,8 @@ import (
 //
 // # Protocol
 //
-// Reshard(n) appends n fresh partitions to the physical partition list and
-// makes them the new active window in three phases:
+// Reshard(n) appends a window of n fresh partitions to the shard map and
+// makes it the new active window in three phases:
 //
 //  1. Prepare: the new partitions are created, attached to the oplog,
 //     indexed like the existing ones, and announced with a
@@ -47,20 +47,20 @@ import (
 // read at any epoch returns identical results before, during and after the
 // reshard: versions visible at pre-move epochs remain in the sealed
 // partitions (subject to the normal GC retention rules — a pinned snapshot
-// keeps them), and the sealed window stays listed, so reads keep visiting
-// it (a key read the one partition the key hashes to there), for as long
-// as any of its partitions holds a version.  Writers racing the reshard
+// keeps them), and the sealed window stays in the map, so reads keep
+// visiting it (a key read the one partition the key hashes to there), for
+// as long as any of its partitions holds a version.  Writers racing the reshard
 // retry transparently through the republished map.  A writer whose row
 // the migration claims first observes table.ErrRowInvalid, exactly as
 // when it loses to a concurrent updater: re-locate the row by key and
 // retry with the new global row id.
 //
 // Sealed partitions drain toward empty as GC merges reclaim their
-// invalidated versions; their storage footprint then is a few empty
-// columns, and the next RequestMerge or reshard cutover drops a window
-// whose partitions are all empty from the listed windows, so no read or
-// RequestMerge visits it again.  The physical partition list keeps it:
-// global row ids, Partitions and the snapshot format index physically.
+// invalidated versions.  The merge that empties a sealed window (any
+// merge: see Table.merged), or else the next cutover, removes it from the
+// map, so nothing visits it again.  It leaves a hole in the physical
+// numbering: no index is reused, surviving global row ids stay valid, and
+// an id in the hole answers table.ErrRowInvalid, as a reclaimed id does.
 
 // ReshardReport describes one completed reshard.
 type ReshardReport struct {
@@ -96,21 +96,22 @@ func (st *Table) Reshard(ctx context.Context, n int) (ReshardReport, error) {
 	defer st.reshardMu.Unlock()
 
 	m := st.load()
-	from := m.active().n
+	from := len(m.active().parts)
 	if n == from && !m.migrating {
 		return ReshardReport{From: from, To: n, Version: m.version}, nil
 	}
-	if n < 1 || n > MaxShards || len(m.parts)+n > MaxShards {
-		return ReshardReport{}, fmt.Errorf("%w: reshard to %d (have %d partitions)",
-			ErrNoShards, n, len(m.parts))
+	if n < 1 || n > MaxShards || m.next()+n > MaxShards {
+		return ReshardReport{}, fmt.Errorf("%w: reshard to %d (next partition %d)",
+			ErrNoShards, n, m.next())
 	}
 
 	start := time.Now()
 	rep := ReshardReport{From: from, To: n}
+	old := st.Partitions() // m's: only reshardMu's holders publish maps
 
 	// Phase 1a: create and fully wire the new partitions before anything
 	// is published or logged, so failure here leaves the table untouched.
-	newBase := len(m.parts)
+	newBase := m.next()
 	fresh, olog, err := st.newPartitions(newBase, n)
 	if err != nil {
 		return ReshardReport{}, err
@@ -126,17 +127,17 @@ func (st *Table) Reshard(ctx context.Context, n int) (ReshardReport, error) {
 	mig := m.begin(fresh, m.version+1)
 	st.smap.Store(mig)
 	sealStart := time.Now()
-	for _, s := range m.parts {
+	for _, s := range old {
 		s.Seal()
 	}
 	rep.SealWall = time.Since(sealStart)
 
-	// Phase 2: drain every listed sealed partition (including partitions
-	// an earlier cancelled reshard left partially drained) into the new
+	// Phase 2: drain every sealed partition (including partitions an
+	// earlier cancelled reshard left partially drained) into the new
 	// window.
 	var migErr error
 drain:
-	for _, p := range m.listed() {
+	for _, p := range old {
 		for _, local := range p.RowIDs() {
 			if ctx.Err() != nil {
 				migErr = ctx.Err()
@@ -154,7 +155,7 @@ drain:
 				migErr = err
 				break drain
 			}
-			if _, err := table.MoveRow(p, local, mig.parts[dst], values); err != nil {
+			if _, err := table.MoveRow(p, local, mig.part(dst), values); err != nil {
 				if errors.Is(err, table.ErrRowInvalid) {
 					continue // claimed by a concurrent update or delete
 				}
@@ -188,13 +189,12 @@ drain:
 
 // newPartitions creates n partitions with physical indices base, base+1,
 // ... wired like the existing ones — attached to the op log (returned, nil
-// when unattached), with the store's indexes and merge observer — and
-// publishes nothing.  The caller holds reshardMu.
+// when unattached), with the store's indexes and merge observer (merged) —
+// and publishes nothing.  The caller holds reshardMu or owns the store.
 func (st *Table) newPartitions(base, n int) ([]*table.Table, *oplog.Log, error) {
 	st.mu.Lock()
 	olog := st.olog
 	indexCols := append([]string(nil), st.indexCols...)
-	onMerge := st.onMerge
 	st.mu.Unlock()
 
 	fresh := make([]*table.Table, n)
@@ -214,9 +214,7 @@ func (st *Table) newPartitions(base, n int) ([]*table.Table, *oplog.Log, error) 
 				return nil, nil, err
 			}
 		}
-		if onMerge != nil {
-			s.OnMerge(onMerge)
-		}
+		s.OnMerge(st.merged)
 		fresh[i] = s
 	}
 	return fresh, olog, nil
@@ -236,32 +234,39 @@ func (st *Table) ApplyReshardBegin(base, n int, version uint64) error {
 	if version <= m.version {
 		return nil
 	}
-	if base != len(m.parts) || n < 1 || base+n > MaxShards {
-		return fmt.Errorf("%w: reshard-begin base %d count %d, have %d partitions",
-			table.ErrReplayGap, base, n, len(m.parts))
+	if base != m.next() || n < 1 || base+n > MaxShards {
+		return fmt.Errorf("%w: reshard-begin base %d count %d, next partition %d",
+			table.ErrReplayGap, base, n, m.next())
 	}
 	fresh, _, err := st.newPartitions(base, n)
 	if err != nil {
 		return err
 	}
+	old := st.Partitions()
 	st.smap.Store(m.begin(fresh, version))
-	for _, s := range m.parts {
+	for _, s := range old {
 		s.Seal()
 	}
 	return nil
 }
 
 // ApplyReshardCutover replays a KindReshardCutover op on a follower,
-// publishing the post-reshard routing.  Idempotent by map version.
+// publishing the post-reshard routing.  Idempotent by map version; a
+// store loaded from a mid-reshard save already holds the cutover's map
+// (PersistTopology), and the cutover at its version ends its wait.
 func (st *Table) ApplyReshardCutover(base, n int, version uint64) error {
 	st.reshardMu.Lock()
 	defer st.reshardMu.Unlock()
 
 	m := st.load()
+	if m.awaiting && version == m.version {
+		st.smap.Store(m.cutover(version))
+		return nil
+	}
 	if version <= m.version {
 		return nil
 	}
-	if !m.migrating || m.writeWindow() != (window{base, n}) || version != m.version+1 {
+	if w := m.writeWindow(); !m.migrating || w.base != base || len(w.parts) != n || version != m.version+1 {
 		return fmt.Errorf("%w: reshard-cutover base %d count %d version %d (map version %d, migrating %v)",
 			table.ErrReplayGap, base, n, version, m.version, m.migrating)
 	}
@@ -269,38 +274,52 @@ func (st *Table) ApplyReshardCutover(base, n int, version uint64) error {
 	return nil
 }
 
+// ReplayPartition returns the partition a replayed op names, nil for a
+// hole (skip the op: a window leaves only sealed, past its cutover and
+// empty, so what the op wrote was later moved, and the move replays in the
+// same tail, or reclaimed), or ErrReplayGap beyond the last window.
+func (st *Table) ReplayPartition(phys int) (*table.Table, error) {
+	m := st.load()
+	if phys >= m.next() {
+		return nil, fmt.Errorf("%w: partition %d, next partition %d", table.ErrReplayGap, phys, m.next())
+	}
+	return m.part(phys), nil
+}
+
 // begin returns the migrating map of a reshard into the fresh partitions:
-// m's partitions and windows, then fresh as the window writes route to.
+// m's windows, then fresh as the window writes route to.
 func (m *shardMap) begin(fresh []*table.Table, version uint64) *shardMap {
 	return &shardMap{
 		version:   version,
-		parts:     append(append([]*table.Table(nil), m.parts...), fresh...),
-		windows:   append(append([]window(nil), m.windows...), window{len(m.parts), len(fresh)}),
+		windows:   append(append([]window(nil), m.windows...), window{m.next(), fresh}),
 		migrating: true,
+		awaiting:  m.awaiting,
 	}
 }
 
 // cutover returns the map after a reshard's cutover: the migration target
 // becomes the active window, and the sealed windows garbage collection has
-// drained leave the list (pruned).
+// drained leave the store (pruned).
 func (m *shardMap) cutover(version uint64) *shardMap {
-	return (&shardMap{version: version, parts: m.parts, windows: m.windows}).pruned()
+	return (&shardMap{version: version, windows: m.windows}).pruned()
 }
 
-// PersistTopology returns the physical partition list and routing the
-// snapshot writer records.  A mid-reshard topology is normalized to its
-// post-cutover form (the migration target becomes the active window):
-// rows not yet migrated simply remain in sealed partitions of the restored
-// store — the same lazily-drained, fully consistent state a cancelled
-// Reshard leaves behind.
-func (st *Table) PersistTopology() (parts []*table.Table, activeBase, activeLen int, version uint64) {
+// PersistTopology returns the store's partitions in physical order and the
+// topology a snapshot records.  A mid-reshard map is normalized to its
+// post-cutover form, at the cutover's version: unmigrated rows stay in
+// sealed partitions, as after a cancelled Reshard.  MidReshard marks it:
+// an old-map write can land in a sealed partition after its capture, so
+// the loaded store prunes nothing until it applies the cutover.
+func (st *Table) PersistTopology() ([]*table.Table, Topology) {
 	m := st.load()
-	parts = make([]*table.Table, len(m.parts))
-	copy(parts, m.parts)
+	top := Topology{Version: m.version, MidReshard: m.migrating || m.awaiting}
 	if m.migrating {
-		w := m.writeWindow()
-		return parts, w.base, w.n, m.version + 1
+		top.Version++
 	}
-	w := m.active()
-	return parts, w.base, w.n, m.version
+	var parts []*table.Table
+	for _, w := range m.windows {
+		top.Windows = append(top.Windows, Span{w.base, len(w.parts)})
+		parts = append(parts, w.parts...)
+	}
+	return parts, top
 }

@@ -33,9 +33,9 @@ func TestReshardBasic(t *testing.T) {
 	if rep.From != 2 || rep.To != 4 || rep.RowsMigrated != rows || rep.Version != 3 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if st.NumShards() != 4 || st.NumParts() != 6 || st.MapVersion() != 3 || st.Resharding() {
+	if st.NumShards() != 4 || len(st.Partitions()) != 6 || st.MapVersion() != 3 || st.Resharding() {
 		t.Fatalf("topology: shards=%d parts=%d version=%d resharding=%v",
-			st.NumShards(), st.NumParts(), st.MapVersion(), st.Resharding())
+			st.NumShards(), len(st.Partitions()), st.MapVersion(), st.Resharding())
 	}
 	if base, n := st.ActiveWindow(); base != 2 || n != 4 {
 		t.Fatalf("active window = [%d,%d)", base, base+n)
@@ -88,8 +88,8 @@ func TestReshardNoOpAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.From != 2 || rep.To != 2 || rep.Version != 1 || st.NumParts() != 2 {
-		t.Fatalf("no-op reshard: %+v, parts=%d", rep, st.NumParts())
+	if rep.From != 2 || rep.To != 2 || rep.Version != 1 || len(st.Partitions()) != 2 {
+		t.Fatalf("no-op reshard: %+v, parts=%d", rep, len(st.Partitions()))
 	}
 	if _, err := st.Reshard(context.Background(), 0); !errors.Is(err, ErrNoShards) {
 		t.Fatalf("Reshard(0): %v", err)
@@ -222,8 +222,8 @@ func TestReshardCancelledStillCutsOver(t *testing.T) {
 	if rep.RowsMigrated != rows {
 		t.Fatalf("second reshard migrated %d want %d", rep.RowsMigrated, rows)
 	}
-	if st.NumParts() != 2+4+8 || st.NumShards() != 8 {
-		t.Fatalf("parts=%d shards=%d", st.NumParts(), st.NumShards())
+	if len(st.Partitions()) != 2+4+8 || st.NumShards() != 8 {
+		t.Fatalf("parts=%d shards=%d", len(st.Partitions()), st.NumShards())
 	}
 	k3, err := ColumnOf[uint64](st, "k")
 	if err != nil {
@@ -244,13 +244,13 @@ func TestApplyReshardReplay(t *testing.T) {
 	if err := st.ApplyReshardBegin(2, 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	if st.NumParts() != 6 || !st.Resharding() || st.NumShards() != 2 {
+	if len(st.Partitions()) != 6 || !st.Resharding() || st.NumShards() != 2 {
 		t.Fatalf("after begin: parts=%d resharding=%v shards=%d",
-			st.NumParts(), st.Resharding(), st.NumShards())
+			len(st.Partitions()), st.Resharding(), st.NumShards())
 	}
 	// Re-delivery after a reconnect: same op, same version, no effect.
-	if err := st.ApplyReshardBegin(2, 4, 2); err != nil || st.NumParts() != 6 {
-		t.Fatalf("re-applied begin: %v, parts=%d", err, st.NumParts())
+	if err := st.ApplyReshardBegin(2, 4, 2); err != nil || len(st.Partitions()) != 6 {
+		t.Fatalf("re-applied begin: %v, parts=%d", err, len(st.Partitions()))
 	}
 	// A begin whose base does not match the partition list is a gap.
 	if err := st.ApplyReshardBegin(9, 4, 3); !errors.Is(err, table.ErrReplayGap) {
@@ -414,8 +414,8 @@ func TestReshardUnderChurn(t *testing.T) {
 	if n := anomalies.Load(); n != 0 {
 		t.Fatalf("%d read anomalies during resharding", n)
 	}
-	if st.NumShards() != 8 || st.NumParts() != 1+4+8 {
-		t.Fatalf("final topology: shards=%d parts=%d", st.NumShards(), st.NumParts())
+	if base, n := st.ActiveWindow(); base != 1+4 || n != 8 {
+		t.Fatalf("final active window [%d, %d), want [5, 13)", base, base+n)
 	}
 	// The churn conserves rows: every key is live under exactly one
 	// spelling.

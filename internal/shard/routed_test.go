@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hyrise/internal/persist"
+	"hyrise/internal/sched"
 	"hyrise/internal/shard"
 	"hyrise/internal/table"
 )
@@ -263,7 +264,7 @@ func TestRoutedKeyReads(t *testing.T) {
 	// Unpinned, the migrated versions in sealed partition 0 are garbage:
 	// merge until it is empty, so its window is pruned under the readers.
 	initial.Release()
-	for try := 0; st.Shard(0).Rows() != 0 && !stop.Load(); try++ {
+	for try := 0; st.Shard(0) != nil && !stop.Load(); try++ {
 		if try == 200 {
 			t.Errorf("sealed partition 0 still holds %d versions after %d merges", st.Shard(0).Rows(), try)
 			break
@@ -275,10 +276,10 @@ func TestRoutedKeyReads(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond)
-	// The pass visits sealed partitions 0, 1 and 2 in that order: stop it
+	// The pass visits sealed partitions 1 and 2 in that order: stop it
 	// once partition 1 is drained, leaving partition 2's rows behind.
 	half := &cancelAfter{Context: context.Background()}
-	half.n.Store(int64(st.Shard(0).Rows() + st.Shard(1).Rows()))
+	half.n.Store(int64(st.Shard(1).Rows()))
 	if _, err := st.Reshard(half, 3); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Reshard(3): %v, want context.Canceled", err)
 	}
@@ -335,10 +336,11 @@ func readCost(st *shard.Table, fn func()) uint64 {
 	return st.PartitionsRead() - before
 }
 
-// TestDrainedWindowLeavesReadSet: a sealed window leaves the listed
-// windows once garbage collection has drained its partitions, so a key
-// read is back to one partition and a whole-store read to the active
-// window, while the physical partition list (and every global id) stays.
+// TestDrainedWindowLeavesReadSet: a sealed window leaves the store once
+// garbage collection has drained its partitions, so a key read is back to
+// one partition and a whole-store read to the active window, every
+// surviving global id keeps its partition, and the drained window's
+// physical indices are not reused.
 func TestDrainedWindowLeavesReadSet(t *testing.T) {
 	st := oneShard(t)
 	const n = 1000
@@ -363,8 +365,8 @@ func TestDrainedWindowLeavesReadSet(t *testing.T) {
 	}
 	check := func(at string, parts int, keyCost, sumCost uint64) {
 		t.Helper()
-		if got := st.NumParts(); got != parts {
-			t.Errorf("%s: %d physical partitions, want %d", at, got, parts)
+		if got := len(st.Partitions()); got != parts {
+			t.Errorf("%s: %d partitions, want %d", at, got, parts)
 		}
 		var ids []int
 		if c := readCost(st, func() { ids = k.Lookup(500) }); c != keyCost || len(ids) != 1 {
@@ -387,17 +389,82 @@ func TestDrainedWindowLeavesReadSet(t *testing.T) {
 	check("after Reshard(4)", 5, 2, 5) // partition 0 holds the migrated versions
 	merge()
 	merge()
-	if rows := st.Shard(0).Rows(); rows != 0 {
-		t.Fatalf("after two merges sealed partition 0 holds %d row versions", rows)
+	if p := st.Shard(0); p != nil {
+		t.Fatalf("after two merges sealed partition 0 holds %d row versions", p.Rows())
 	}
-	check("drained", 5, 1, 4)
+	check("drained", 4, 1, 4)
 	if _, err := st.Reshard(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	check("after Reshard(2)", 7, 2, 6)
+	check("after Reshard(2)", 6, 2, 6)
 	merge()
-	check("drained again", 7, 1, 2)
-	if got := len(st.Partitions()); got != 7 {
-		t.Fatalf("Partitions() lists %d, want every physical partition (7)", got)
+	check("drained again", 2, 1, 2)
+	if base, n := st.ActiveWindow(); base != 5 || n != 2 {
+		t.Fatalf("active window [%d, %d), want [5, 7): no index reused", base, base+n)
+	}
+}
+
+// TestReshardsLeaveNoDrainedPartitions: a 1 000-row, 1-shard store is
+// resharded to 4, 2, 3, 1 and 2 shards.  After each reshard's drained
+// window has been merged empty, the store holds exactly its active
+// partitions, and every surviving row's global id still reads its values.
+// The merges come from RequestMerge, or from a running scheduler alone.
+func TestReshardsLeaveNoDrainedPartitions(t *testing.T) {
+	for _, mode := range []string{"RequestMerge", "scheduler"} {
+		t.Run(mode, func(t *testing.T) {
+			st := oneShard(t)
+			const n = 1000
+			for i := range uint64(n) {
+				if _, err := st.Insert([]any{i, i * 3}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			k, err := shard.ColumnOf[uint64](st, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "scheduler" {
+				s := sched.New(st.Partitions, sched.Config{Interval: time.Millisecond})
+				if err := s.Start(); err != nil {
+					t.Fatal(err)
+				}
+				defer s.Stop()
+			}
+			for _, shards := range []int{4, 2, 3, 1, 2} {
+				if _, err := st.Reshard(context.Background(), shards); err != nil {
+					t.Fatal(err)
+				}
+				gids := make([]int, n)
+				for i := range gids {
+					ids := k.Lookup(uint64(i))
+					if len(ids) != 1 {
+						t.Fatalf("after Reshard(%d): Lookup(%d) = %v", shards, i, ids)
+					}
+					gids[i] = ids[0]
+				}
+				if mode == "RequestMerge" {
+					for range 2 {
+						if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				} else {
+					for deadline := time.Now().Add(time.Minute); len(st.Partitions()) != st.NumShards(); {
+						if time.Now().After(deadline) {
+							break
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
+				if got := len(st.Partitions()); got != st.NumShards() || got != shards {
+					t.Fatalf("after Reshard(%d) and merges: %d partitions, %d shards", shards, got, st.NumShards())
+				}
+				for i, gid := range gids {
+					if row, err := st.Row(gid); err != nil || row[0] != uint64(i) || row[1] != uint64(i)*3 {
+						t.Fatalf("after Reshard(%d): Row(%d) = %v, %v; want key %d", shards, gid, row, err, i)
+					}
+				}
+			}
+		})
 	}
 }

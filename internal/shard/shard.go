@@ -16,19 +16,19 @@
 // # Topology
 //
 // The routing state lives in an immutable shard map published through one
-// atomic pointer: the append-only list of every physical partition ever
-// created, plus the listed routing windows — runs of partitions a key
-// hashes over, the last of which takes writes.  Reshard (see reshard.go)
-// appends a new window, migrates rows into it and republishes the map;
-// partitions outside the active window are sealed (no new row versions)
-// but keep serving reads until garbage collection drains them, and a
-// drained window leaves the list.  Whole-store reads read every partition
-// of the listed windows; a read with an equality on the key column reads
-// one partition per listed window, the one the key hashes to there,
-// because every version of the key was written into exactly that
-// partition of a window listed at the time.  Writers route over the last
-// window only.
-//
+// atomic pointer: one list of routing windows, each a run of partitions a
+// key hashes over, in physical order, the last of which takes writes.
+// Reshard (see reshard.go) appends a new window, migrates rows into it and
+// republishes the map; partitions outside the active window are sealed (no
+// new row versions) but keep serving reads until garbage collection drains
+// them, and a drained window leaves the store.  What the list holds is the
+// store: whole-store reads, merges, statistics, the scheduler and a
+// snapshot visit every partition of its windows, a read with an equality
+// on the key column reads one partition per window, the one the key
+// hashes to there, because every version of the key was written into
+// exactly that partition of a window listed at the time.  Writers route
+// over the last window only.
+
 // Every read over partitions is one table.Plan run by Read.  A conjunctive
 // query is no exception: table.Schema.Plan maps its filters and projection
 // onto column positions once, and Read runs that plan on the partitions
@@ -63,6 +63,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -76,40 +77,46 @@ import (
 // therefore every handed-out row id — survives reshards.
 const localBits = 48
 
-// MaxShards bounds the physical partition count a table may reach across
-// its lifetime of reshards (the partition index must fit above localBits
-// in a non-negative int); the snapshot loader (internal/persist) trusts
-// the same bound, so any table New accepts round-trips through Save/Load.
+// MaxShards bounds the physical partition index a table may reach across
+// its lifetime of reshards, holes included (the index must fit above
+// localBits in a non-negative int); the snapshot loader (internal/persist)
+// trusts the same bound, so any table New accepts round-trips through
+// Save/Load.
 const MaxShards = 1 << 15
 
 // Errors returned by sharded-table operations.
 var (
 	// ErrNoShards is returned by New (and Reshard) for a shard count
-	// outside [1, MaxShards], or when the cumulative physical partition
-	// count would exceed MaxShards.
+	// outside [1, MaxShards], or when the next physical partition index
+	// would exceed MaxShards.
 	ErrNoShards = errors.New("shard: shard count must be in [1, 32768]")
 	// ErrKeyColumn is returned by New when the key column does not exist.
 	ErrKeyColumn = errors.New("shard: no such key column")
 )
 
-// window is one routing window: the partitions parts[base : base+n],
-// over which a key value routes to base + hash(key) % n.
-type window struct{ base, n int }
+// window is one routing window: the partitions with physical indices
+// base, base+1, ..., over which a key value routes to
+// base + hash(key) % len(parts).
+type window struct {
+	base  int
+	parts []*table.Table
+}
 
-// shardMap is one immutable routing state.  parts is append-only across
-// map versions and indexed physically.  windows lists, in physical order,
-// the routing windows whose partitions can hold a version: every window a
-// reshard appended, minus sealed ones garbage collection has drained
-// (pruned).  The last one takes writes.  It is also the active window
-// (what NumShards reports), except while a reshard migrates into it: then
-// the window before it stays active until cutover.  Every version with key
-// k was written into the partition k routes to in a window listed at the
-// time, so k's versions lie in readSet's partitions.
+// shardMap is one immutable routing state, the store's one partition
+// list: in physical order, every window a reshard appended minus sealed
+// ones garbage collection drained (pruned, leaving holes).  The last one
+// takes writes.  It is also the
+// active window (what NumShards reports), except while a reshard migrates
+// into it: then the window before it stays active until cutover.  Every
+// version with key k was written into the partition k routes to in a
+// window listed at the time, so k's versions lie in readSet's partitions.
+// A map loaded from a mid-reshard save awaits its cutover and prunes
+// nothing until then (see PersistTopology).
 type shardMap struct {
 	version   uint64
-	parts     []*table.Table
 	windows   []window
 	migrating bool
+	awaiting  bool
 }
 
 // writeWindow returns the window writes route to: the migration target
@@ -124,30 +131,41 @@ func (m *shardMap) active() window {
 	return m.writeWindow()
 }
 
-// listed returns the partitions of the listed windows in physical order.
-func (m *shardMap) listed() []*table.Table {
-	if len(m.windows) == 1 {
-		w := m.windows[0]
-		return m.parts[w.base : w.base+w.n]
+// next returns the physical index the next reshard's first partition
+// gets: one past the last window, so no index is ever reused.
+func (m *shardMap) next() int {
+	w := m.writeWindow()
+	return w.base + len(w.parts)
+}
+
+// part returns the partition with physical index phys, or nil for an
+// index in a hole or beyond the last window.
+func (m *shardMap) part(phys int) *table.Table {
+	for i := len(m.windows) - 1; i >= 0; i-- {
+		if w := m.windows[i]; phys >= w.base {
+			if phys-w.base < len(w.parts) {
+				return w.parts[phys-w.base]
+			}
+			return nil
+		}
 	}
-	var out []*table.Table
-	for _, w := range m.windows {
-		out = append(out, m.parts[w.base:w.base+w.n]...)
-	}
-	return out
+	return nil
 }
 
 // pruned returns m without the windows before the active one whose
-// partitions hold no row version, or m itself when there is none.  Such a
-// window is sealed and past its reshard's cutover, so no write — a
-// follower's replay included — adds a version to it again, and an empty
-// one holds nothing any epoch can see.  The version is unchanged: pruning
-// changes no routing.
+// partitions hold no row version, or m itself when there is none or m
+// awaits its cutover.  Such a window is sealed and past its reshard's
+// cutover, so no write — a follower's replay included — adds a version to
+// it again, and an empty one holds nothing any epoch can see.  The version
+// is unchanged: pruning changes no routing.
 func (m *shardMap) pruned() *shardMap {
+	if m.awaiting {
+		return m
+	}
 	act := m.active()
 	keep := make([]window, 0, len(m.windows))
 	for _, w := range m.windows {
-		if w.base < act.base && empty(m.parts[w.base:w.base+w.n]) {
+		if w.base < act.base && empty(w.parts) {
 			continue
 		}
 		keep = append(keep, w)
@@ -191,29 +209,42 @@ type Table struct {
 	mu        sync.Mutex
 	olog      *oplog.Log         // attached replication log, nil when unattached
 	indexCols []string           // group-key indexes re-created on new partitions
-	onMerge   func(table.Report) // merge observer, see OnMerge
+	onMerge   func(table.Report) // the user's merge observer, see OnMerge
+}
+
+// Span is one routing window of a Topology: N partitions with physical
+// indices Base, Base+1, ...
+type Span struct{ Base, N int }
+
+// Topology is a store's shard map as a snapshot records it: the routing
+// windows in physical order (the last one active), the shard-map version,
+// and whether the map was saved mid-reshard (see PersistTopology).
+type Topology struct {
+	Windows    []Span
+	Version    uint64
+	MidReshard bool
 }
 
 // New creates an empty store hash-partitioned by the named key column.
 func New(name string, schema table.Schema, key string, shards int) (*Table, error) {
-	return NewRestored(name, schema, key, shards, 0, shards, 1)
+	return NewRestored(name, schema, key, Topology{Windows: []Span{{0, shards}}, Version: 1})
 }
 
-// NewRestored creates a store with an explicit physical topology:
-// parts physical partitions of which the tail window
-// [activeBase, activeBase+activeLen) is active, at shard-map version
-// version.  The snapshot loader uses it to restore a post-reshard (or
-// mid-reshard, normalized to its cutover state) topology; New is the
-// degenerate all-active case.  The snapshot does not record which window
-// a partition before activeBase belonged to, so each is listed as a
-// window of its own: one partition holds every key it routes, and a key
-// read visits each of them.  Partitions before activeBase are NOT
-// sealed here — the loader must populate them first and seal them itself
-// (writes never route to them either way; sealing additionally keeps
-// updates from parking new versions there).
-func NewRestored(name string, schema table.Schema, key string, parts, activeBase, activeLen int, version uint64) (*Table, error) {
-	if activeLen < 1 || parts < 1 || parts > MaxShards || activeBase+activeLen != parts {
-		return nil, fmt.Errorf("%w: %d parts, active [%d,%d)", ErrNoShards, parts, activeBase, activeBase+activeLen)
+// NewRestored creates an empty store with an explicit topology, its
+// windows ascending and disjoint (holes allowed); New is the one-window
+// case.  A MidReshard store prunes nothing until it applies a cutover or
+// reshards itself.  Partitions before the last window are NOT sealed here:
+// the snapshot loader populates them first, then seals them.
+func NewRestored(name string, schema table.Schema, key string, top Topology) (*Table, error) {
+	end := 0
+	for _, w := range top.Windows {
+		if w.N < 1 || w.Base < end || w.Base+w.N > MaxShards {
+			return nil, fmt.Errorf("%w: windows %v", ErrNoShards, top.Windows)
+		}
+		end = w.Base + w.N
+	}
+	if len(top.Windows) == 0 || top.Version == 0 {
+		return nil, fmt.Errorf("%w: windows %v, map version %d", ErrNoShards, top.Windows, top.Version)
 	}
 	if err := schema.Validate(); err != nil {
 		return nil, err
@@ -228,17 +259,13 @@ func NewRestored(name string, schema table.Schema, key string, parts, activeBase
 		return nil, fmt.Errorf("%w: %q", ErrKeyColumn, key)
 	}
 	st := &Table{name: name, schema: schema, keyIdx: keyIdx, clock: epoch.NewClock()}
-	m := &shardMap{version: version}
-	for i := 0; i < activeBase; i++ {
-		m.windows = append(m.windows, window{i, 1})
-	}
-	m.windows = append(m.windows, window{activeBase, activeLen})
-	for i := 0; i < parts; i++ {
-		s, err := table.NewWithClock(fmt.Sprintf("%s/%d", name, i), schema, st.clock)
+	m := &shardMap{version: top.Version, awaiting: top.MidReshard}
+	for _, w := range top.Windows {
+		parts, _, err := st.newPartitions(w.Base, w.N)
 		if err != nil {
 			return nil, err
 		}
-		m.parts = append(m.parts, s)
+		m.windows = append(m.windows, window{w.Base, parts})
 	}
 	st.smap.Store(m)
 	return st, nil
@@ -249,16 +276,22 @@ func NewRestored(name string, schema table.Schema, key string, parts, activeBase
 // merge — committed or aborted — delivers its report to fn, concurrently
 // across partitions.  One observer per store; passing nil uninstalls.
 func (st *Table) OnMerge(fn func(table.Report)) {
-	// Serialized with reshards, so a partition being created right now is
-	// either wired by its reshard or already listed below.
-	st.reshardMu.Lock()
-	defer st.reshardMu.Unlock()
 	st.mu.Lock()
 	st.onMerge = fn
 	st.mu.Unlock()
-	for _, p := range st.load().parts {
-		p.OnMerge(fn)
+}
+
+// merged is every partition's own merge observer: it passes the report to
+// the store's observer (OnMerge), then prunes, so a window a merge drained
+// leaves the store whoever ran the merge.
+func (st *Table) merged(rep table.Report) {
+	st.mu.Lock()
+	fn := st.onMerge
+	st.mu.Unlock()
+	if fn != nil {
+		fn(rep)
 	}
+	st.prune()
 }
 
 // load returns the current shard map.  Maps are immutable; a loaded map
@@ -278,9 +311,8 @@ func (st *Table) Clock() *epoch.Clock { return st.clock }
 func (st *Table) AttachOplog(l *oplog.Log) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	m := st.load()
-	for i, s := range m.parts {
-		if err := s.AttachOplog(l, i); err != nil {
+	for phys, p := range st.EachPartition() {
+		if err := p.AttachOplog(l, phys); err != nil {
 			return err
 		}
 	}
@@ -301,12 +333,11 @@ func (st *Table) Snapshot() table.View { return table.PinnedView(st.clock) }
 // VisibleAt reports whether the row exists and is visible at the view's
 // epoch.
 func (st *Table) VisibleAt(v table.View, gid int) bool {
-	m := st.load()
-	s, local, err := locate(m, gid)
+	p, local, err := locate(st.load(), gid)
 	if err != nil {
 		return false
 	}
-	return m.parts[s].VisibleAt(v, local)
+	return p.VisibleAt(v, local)
 }
 
 // Name returns the table name.
@@ -316,18 +347,13 @@ func (st *Table) Name() string { return st.name }
 func (st *Table) Schema() table.Schema { return st.schema }
 
 // NumShards returns the ACTIVE shard count — the number of partitions key
-// hashing spreads writes over.  It changes at reshard cutover; see
-// NumParts for the physical partition count.
-func (st *Table) NumShards() int { return st.load().active().n }
-
-// NumParts returns the physical partition count, including every
-// partition retired by resharding, drained or not.
-func (st *Table) NumParts() int { return len(st.load().parts) }
+// hashing spreads writes over.  It changes at reshard cutover; a sealed
+// window still draining lists its partitions too (Partitions).
+func (st *Table) NumShards() int { return len(st.load().active().parts) }
 
 // PartitionsRead returns how many partitions the store's read fan-out
 // has read since the store was created (see fanOut): a key read of a
-// store with one listed window adds 1, a whole-store read every listed
-// partition.
+// store with one window adds 1, a whole-store read every partition.
 func (st *Table) PartitionsRead() uint64 { return st.partsRead.Load() }
 
 // MapVersion returns the current shard-map version.  It increments twice
@@ -337,20 +363,28 @@ func (st *Table) MapVersion() uint64 { return st.load().version }
 // Resharding reports whether a reshard is migrating rows right now.
 func (st *Table) Resharding() bool { return st.load().migrating }
 
-// ActiveWindow returns the physical index of the first active partition
-// and the active partition count; the active window is always the tail of
-// the physical partition list.
-func (st *Table) ActiveWindow() (base, n int) {
-	w := st.load().active()
-	return w.base, w.n
-}
-
 // KeyColumn returns the name of the hash-partitioning column.
 func (st *Table) KeyColumn() string { return st.schema[st.keyIdx].Name }
 
-// Shard returns the physical partition with index i (for inspection and
-// tests).  Indices at or beyond NumParts are the caller's error.
-func (st *Table) Shard(i int) *table.Table { return st.load().parts[i] }
+// Shard returns the partition with physical index i (for inspection and
+// tests), or nil when no window holds i: a drained window left, or i is
+// beyond the last window.
+func (st *Table) Shard(i int) *table.Table { return st.load().part(i) }
+
+// EachPartition iterates over the store's partitions with their physical
+// indices, in physical order: the partitions Partitions returns.
+func (st *Table) EachPartition() iter.Seq2[int, *table.Table] {
+	m := st.load()
+	return func(yield func(int, *table.Table) bool) {
+		for _, w := range m.windows {
+			for i, p := range w.parts {
+				if !yield(w.base+i, p) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // Global row ids pack a partition-local row id under its PHYSICAL partition
 // index: gid = phys<<localBits | local.  The encoding is stable across
@@ -375,17 +409,21 @@ func globalize(phys int, ids []int) []int {
 	return ids
 }
 
-// locate decodes a global row id against a shard map.  It does not check
-// that the local row exists.
-func locate(m *shardMap, gid int) (phys, local int, err error) {
+// locate decodes a global row id against a shard map into its partition
+// and local id.  It does not check that the local row exists; a gid whose
+// partition left with its drained window is as retired as a reclaimed id.
+func locate(m *shardMap, gid int) (p *table.Table, local int, err error) {
 	if gid < 0 {
-		return 0, 0, fmt.Errorf("%w: %d", table.ErrRowRange, gid)
+		return nil, 0, fmt.Errorf("%w: %d", table.ErrRowRange, gid)
 	}
-	phys, local = split(gid)
-	if phys >= len(m.parts) {
-		return 0, 0, fmt.Errorf("%w: %d (no partition %d)", table.ErrRowRange, gid, phys)
+	phys, local := split(gid)
+	if phys >= m.next() {
+		return nil, 0, fmt.Errorf("%w: %d (no partition %d)", table.ErrRowRange, gid, phys)
 	}
-	return phys, local, nil
+	if p = m.part(phys); p == nil {
+		return nil, 0, fmt.Errorf("%w: %d (partition %d drained)", table.ErrRowInvalid, gid, phys)
+	}
+	return p, local, nil
 }
 
 // routeFor returns the physical index of the partition owning a key value
@@ -393,14 +431,14 @@ func locate(m *shardMap, gid int) (phys, local int, err error) {
 // nothing is converted or hashed (the partition validates the value).
 func (st *Table) routeFor(m *shardMap, key any) (int, error) {
 	w := m.writeWindow()
-	if w.n == 1 {
+	if len(w.parts) == 1 {
 		return w.base, nil
 	}
 	h, err := st.keyHash(key)
 	if err != nil {
 		return 0, err
 	}
-	return w.base + int(h%uint64(w.n)), nil
+	return w.base + int(h%uint64(len(w.parts))), nil
 }
 
 // keyHash hashes a key value.  A value of any other spelling than the key
@@ -435,19 +473,18 @@ func (st *Table) hashExact(key any) (h uint64, ok bool) {
 
 // readSet appends to dst the physical partitions a read visits, in
 // ascending order: for a key equality (key non-nil), the partition the key
-// routes to in each listed window; otherwise every listed partition.  A
-// key that does not convert reads every listed partition, whose own bind
-// reports the error.
+// routes to in each window; otherwise every partition.  A key that does
+// not convert reads every partition, whose own bind reports the error.
 func (st *Table) readSet(m *shardMap, key any, dst []int) []int {
 	var h uint64
 	hashed := false
 	for _, w := range m.windows {
 		switch {
 		case key == nil:
-			for p := w.base; p < w.base+w.n; p++ {
-				dst = append(dst, p)
+			for i := range w.parts {
+				dst = append(dst, w.base+i)
 			}
-		case w.n == 1:
+		case len(w.parts) == 1:
 			dst = append(dst, w.base)
 		default:
 			if !hashed {
@@ -457,16 +494,11 @@ func (st *Table) readSet(m *shardMap, key any, dst []int) []int {
 				}
 				hashed = true
 			}
-			dst = append(dst, w.base+int(h%uint64(w.n)))
+			dst = append(dst, w.base+int(h%uint64(len(w.parts))))
 		}
 	}
 	return dst
 }
-
-// shardFor routes a key value against the current map's write window
-// (tests and diagnostics; data paths route against a map they loaded once
-// so routing and insertion agree).
-func (st *Table) shardFor(key any) (int, error) { return st.routeFor(st.load(), key) }
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed integer
 // hash so that sequential keys spread evenly across shards.
@@ -504,7 +536,7 @@ func (st *Table) Insert(values []any) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		local, err := m.parts[s].Insert(values)
+		local, err := m.part(s).Insert(values)
 		if errors.Is(err, table.ErrSealed) {
 			continue // a reshard republished routing between load and insert
 		}
@@ -526,11 +558,11 @@ func (st *Table) Insert(values []any) (int, error) {
 func (st *Table) Update(gid int, changes map[string]any) (int, error) {
 	for {
 		m := st.load()
-		s, local, err := locate(m, gid)
+		src, local, err := locate(m, gid)
 		if err != nil {
 			return 0, err
 		}
-		src := m.parts[s]
+		s, _ := split(gid)
 		// Route the new version once: it stays in place unless the key
 		// changes to one that hashes elsewhere or a reshard sealed the row's
 		// partition.  A moving row takes its values along, every changed
@@ -566,7 +598,7 @@ func (st *Table) Update(gid int, changes map[string]any) (int, error) {
 		// update got there first this fails with ErrRowInvalid and nothing
 		// happened.  Row versions are immutable, so the values read above
 		// are the claimed version's values.
-		nl, err := table.MoveRow(src, local, m.parts[dst], values)
+		nl, err := table.MoveRow(src, local, m.part(dst), values)
 		if errors.Is(err, table.ErrSealed) {
 			continue // destination sealed by a reshard racing this update
 		}
@@ -600,39 +632,39 @@ func (st *Table) moved(src *table.Table, local int, changes map[string]any) ([]a
 // history stays stored until garbage collection reclaims it.  Invalidation
 // is allowed in sealed partitions (it creates no new version).
 func (st *Table) Delete(gid int) error {
-	m := st.load()
-	s, local, err := locate(m, gid)
+	p, local, err := locate(st.load(), gid)
 	if err != nil {
 		return err
 	}
-	return m.parts[s].Delete(local)
+	return p.Delete(local)
 }
 
 // Row materializes all column values of a global row id (valid or not).
 func (st *Table) Row(gid int) ([]any, error) {
-	m := st.load()
-	s, local, err := locate(m, gid)
+	p, local, err := locate(st.load(), gid)
 	if err != nil {
 		return nil, err
 	}
-	return m.parts[s].Row(local)
+	return p.Row(local)
 }
 
 // IsValid reports whether the row is the current version.
 func (st *Table) IsValid(gid int) bool {
-	m := st.load()
-	s, local, err := locate(m, gid)
+	p, local, err := locate(st.load(), gid)
 	if err != nil {
 		return false
 	}
-	return m.parts[s].IsValid(local)
+	return p.IsValid(local)
 }
 
 // Rows returns the total number of stored row versions across partitions.
-func (st *Table) Rows() int {
+func (st *Table) Rows() int { return st.SumPartitions((*table.Table).Rows) }
+
+// SumPartitions adds read up over the partitions.
+func (st *Table) SumPartitions(read func(*table.Table) int) int {
 	n := 0
-	for _, s := range st.load().parts {
-		n += s.Rows()
+	for _, p := range st.EachPartition() {
+		n += read(p)
 	}
 	return n
 }
@@ -651,26 +683,14 @@ func (st *Table) ValidRowsAt(v table.View) int {
 }
 
 // MainRows returns the summed main-partition tuple count.
-func (st *Table) MainRows() int {
-	n := 0
-	for _, s := range st.load().parts {
-		n += s.MainRows()
-	}
-	return n
-}
+func (st *Table) MainRows() int { return st.SumPartitions((*table.Table).MainRows) }
 
 // DeltaRows returns the summed delta tuple count.
-func (st *Table) DeltaRows() int {
-	n := 0
-	for _, s := range st.load().parts {
-		n += s.DeltaRows()
-	}
-	return n
-}
+func (st *Table) DeltaRows() int { return st.SumPartitions((*table.Table).DeltaRows) }
 
 // Merging reports whether any partition currently runs a merge.
 func (st *Table) Merging() bool {
-	for _, s := range st.load().parts {
+	for _, s := range st.EachPartition() {
 		if s.Merging() {
 			return true
 		}

@@ -46,9 +46,9 @@ func TestGIDRoundTrip(t *testing.T) {
 	for shard := 0; shard < 4; shard++ {
 		for local := 0; local < 100; local++ {
 			gid := toGlobal(shard, local)
-			s, l, err := locate(st.load(), gid)
-			if err != nil || s != shard || l != local {
-				t.Fatalf("Locate(gid(%d,%d)) = (%d,%d,%v)", shard, local, s, l, err)
+			p, l, err := locate(st.load(), gid)
+			if err != nil || p != st.Shard(shard) || l != local {
+				t.Fatalf("Locate(gid(%d,%d)) = (%s,%d,%v)", shard, local, p.Name(), l, err)
 			}
 		}
 	}
@@ -155,11 +155,8 @@ func TestUpdateDeleteSameShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s0, _, _ := locate(st.load(), gid); true {
-		s1, _, _ := locate(st.load(), ngid)
-		if s0 != s1 {
-			t.Fatalf("non-key update moved shard %d -> %d", s0, s1)
-		}
+	if s0, s1 := gid>>localBits, ngid>>localBits; s0 != s1 {
+		t.Fatalf("non-key update moved shard %d -> %d", s0, s1)
 	}
 	if st.IsValid(gid) || !st.IsValid(ngid) {
 		t.Fatal("old version still valid or new invalid")
@@ -203,9 +200,7 @@ func TestUpdateCrossShardMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldShard, _, _ := locate(st.load(), gid)
-	newShard, _, _ := locate(st.load(), ngid)
-	if oldShard == newShard {
+	if oldShard, newShard := gid>>localBits, ngid>>localBits; oldShard == newShard {
 		t.Fatalf("expected a cross-shard move, both in shard %d", oldShard)
 	}
 	if st.IsValid(gid) || !st.IsValid(ngid) {
@@ -573,4 +568,14 @@ func TestShardCreateIndexAndStats(t *testing.T) {
 	if len(got) != want {
 		t.Fatalf("indexed sharded Lookup: %d rows, scan %d", len(got), want)
 	}
+}
+
+// shardFor routes a key value against the current map's write window.
+func (st *Table) shardFor(key any) (int, error) { return st.routeFor(st.load(), key) }
+
+// ActiveWindow returns the physical index of the first active partition
+// and the active partition count.
+func (st *Table) ActiveWindow() (base, n int) {
+	w := st.load().active()
+	return w.base, len(w.parts)
 }

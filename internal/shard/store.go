@@ -22,9 +22,10 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 		return nil, nil
 	}
 	m := st.load()
-	if w := m.writeWindow(); w.n == 1 {
+	w := m.writeWindow()
+	if len(w.parts) == 1 {
 		// One target: the partition validates the whole batch itself.
-		locals, err := m.parts[w.base].InsertRows(rows)
+		locals, err := w.parts[0].InsertRows(rows)
 		if errors.Is(err, table.ErrSealed) {
 			return st.InsertRows(rows) // a reshard republished routing
 		}
@@ -33,7 +34,7 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 	// Validate the whole batch and compute routing up front: partitions
 	// re-validate on insert, but by then earlier partitions would already
 	// have accepted their slice of the batch.
-	check := m.parts[0]
+	check := w.parts[0]
 	perShard := make(map[int][]int) // input indices per physical partition
 	for i, values := range rows {
 		if err := check.CheckRow(values); err != nil {
@@ -51,7 +52,7 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 		for j, i := range idxs {
 			batch[j] = rows[i]
 		}
-		locals, err := m.parts[s].InsertRows(batch)
+		locals, err := m.part(s).InsertRows(batch)
 		if errors.Is(err, table.ErrSealed) {
 			// A reshard retired this partition between routing and insert;
 			// fall back to per-row inserts, which re-route per row.
@@ -77,12 +78,11 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 	return ids, nil
 }
 
-// RequestMerge runs the online merge on every partition of the listed
-// windows — reshard-retired partitions included, since merging is how
-// their dead history is garbage-collected — and is the store's one
-// on-demand merge entry.  Afterwards a retired window whose partitions
-// the merges left without a row version leaves the listed windows (see
-// prune).  A store of one listed partition returns that partition's report
+// RequestMerge runs the online merge on every partition — sealed ones
+// included, since merging is how their dead history is garbage-collected —
+// and is the store's one on-demand merge entry.  Afterwards a sealed window
+// whose partitions the merges left without a row version leaves the store
+// (see prune).  A store of one partition returns that partition's report
 // verbatim — per-column detail, phase timings and GC fields included.
 // Otherwise the partitions merge concurrently through table.MergeEach,
 // each with opts.Threads as its own budget — the same per-merge budget a
@@ -104,7 +104,7 @@ func (st *Table) InsertRows(rows [][]any) ([]int, error) {
 // partitions stay committed with their rows counted; an aborted
 // partition's rows stay in its delta and are not counted.
 func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (table.Report, error) {
-	parts := st.load().listed()
+	parts := st.Partitions()
 	if len(parts) == 1 {
 		return parts[0].Merge(ctx, opts)
 	}
@@ -129,18 +129,24 @@ func (st *Table) RequestMerge(ctx context.Context, opts table.MergeOptions) (tab
 	return out, errors.Join(errs...)
 }
 
-// Partitions returns ALL physical partitions in physical order — the
-// active window plus every partition retired by earlier reshards, drained
-// or not — so a partition's index here is its physical index.  Reads
-// visit only the listed windows' partitions (see fanOut).
+// Partitions returns the store's partitions in physical order: every
+// partition of its windows, the active one and sealed ones still draining.
+// A drained window's partitions left the store, so a partition's position
+// here is its physical index only until the first window leaves
+// (EachPartition pairs each with its index).
 func (st *Table) Partitions() []*table.Table {
-	return append([]*table.Table(nil), st.load().parts...)
+	var out []*table.Table
+	for _, w := range st.load().windows {
+		out = append(out, w.parts...)
+	}
+	return out
 }
 
-// prune republishes the shard map without the retired windows garbage
-// collection has drained (shardMap.pruned).  It never waits: while a
-// reshard (or OnMerge) holds reshardMu it does nothing, and the next
-// RequestMerge or reshard cutover prunes instead.
+// prune republishes the shard map without the sealed windows garbage
+// collection has drained (shardMap.pruned).  Every partition merge ends
+// with it (see merged).  It never waits: while a reshard or another prune
+// holds reshardMu it does nothing, and a later merge or the reshard's
+// cutover prunes instead.
 func (st *Table) prune() {
 	if len(st.load().windows) == 1 || !st.reshardMu.TryLock() {
 		return
@@ -153,7 +159,7 @@ func (st *Table) prune() {
 }
 
 // CreateIndex builds a group-key index over the named column on every
-// physical partition, in parallel (each partition's build excludes that
+// partition, in parallel (each partition's build excludes that
 // partition's merges but never blocks reads), and every later merge keeps
 // it rebuilt.  The column is recorded so partitions created by a later
 // Reshard are indexed the same way.  The first error wins; already-indexed
@@ -173,7 +179,7 @@ func (st *Table) CreateIndex(column string) error {
 	if !known {
 		st.indexCols = append(st.indexCols, column)
 	}
-	parts := st.load().parts
+	parts := st.Partitions()
 	st.mu.Unlock()
 
 	errs := make([]error, len(parts))
@@ -200,7 +206,7 @@ func (st *Table) CreateIndex(column string) error {
 func (st *Table) IndexStats() []table.IndexStats {
 	byCol := make(map[string]*table.IndexStats)
 	var order []string
-	for _, s := range st.load().parts {
+	for _, s := range st.EachPartition() {
 		for _, is := range s.IndexStats() {
 			agg := byCol[is.Column]
 			if agg == nil {
@@ -229,8 +235,8 @@ func (st *Table) IndexStats() []table.IndexStats {
 type StoreStats struct {
 	Name string
 	// Shards is the ACTIVE shard count — the partitions key hashing spreads
-	// writes over; len(Partitions) is the physical partition count, which
-	// additionally includes partitions retired by resharding.
+	// writes over; len(Partitions) additionally counts the partitions of
+	// sealed windows still draining after a reshard.
 	Shards int
 	// KeyColumn is the hash-partitioning column.
 	KeyColumn string
@@ -244,8 +250,8 @@ type StoreStats struct {
 	// memory those reclaimed versions occupied.
 	RetiredRows    int
 	ReclaimedBytes int
-	// Partitions holds each physical partition's full statistics in
-	// physical order.
+	// Partitions holds each partition's full statistics in physical order
+	// (Table.Partitions).
 	Partitions []table.Stats
 }
 
@@ -253,9 +259,8 @@ type StoreStats struct {
 // partition's snapshot is individually consistent; the aggregate is not a
 // cross-partition snapshot.
 func (st *Table) StoreStats() StoreStats {
-	m := st.load()
-	out := StoreStats{Name: st.name, Shards: m.active().n, KeyColumn: st.KeyColumn()}
-	for _, s := range m.parts {
+	out := StoreStats{Name: st.name, Shards: st.NumShards(), KeyColumn: st.KeyColumn()}
+	for _, s := range st.Partitions() {
 		ts := s.Stats()
 		out.Partitions = append(out.Partitions, ts)
 		out.Rows += ts.Rows

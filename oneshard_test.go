@@ -253,8 +253,8 @@ func TestNewTableReshardsUnderPinnedReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.From != 1 || rep.To != 3 || rep.RowsMigrated != rows || st.NumShards() != 3 || st.NumParts() != 4 {
-		t.Fatalf("reshard report %+v, shards=%d parts=%d", rep, st.NumShards(), st.NumParts())
+	if rep.From != 1 || rep.To != 3 || rep.RowsMigrated != rows || st.NumShards() != 3 || len(st.Partitions()) != 4 {
+		t.Fatalf("reshard report %+v, shards=%d parts=%d", rep, st.NumShards(), len(st.Partitions()))
 	}
 	if reads.Load() == 0 || failed.Load() != 0 {
 		t.Fatalf("%d of %d pinned reads failed during the reshard", failed.Load(), reads.Load())
