@@ -49,6 +49,9 @@
 // advances only when Table.Snapshot captures it — one atomic fetch-add, no
 // locks, no coordination with writers — so all mutations between two
 // captures share an epoch and the write path pays a single atomic load.
+// A delta row stores both epochs; the read-only main stores each row's
+// begin and, as the paper's validity bit vector, one dead bit per row plus
+// the end epochs of its dead rows only.
 //
 // The epoch lifecycle per mutation: an insert stamps begin with the
 // current epoch; a delete stamps end; an update stamps the old version's
@@ -188,11 +191,13 @@
 // never through a per-row Get.
 //
 // Operators compose through selection vectors: a predicate kernel emits
-// the ascending positions of matching rows, and the epoch-visibility
-// kernel filters such a vector in place by fusing the begin/end epoch
-// compares (branchless, one pass).  Sum, Min and Max decode the codes
-// block-at-a-time (512 values) into a reused scratch buffer and test
-// visibility in the same loop, building no selection vector.  The
+// the ascending positions of matching rows, and the visibility kernel
+// filters such a vector in place: on the main, the rows that began by the
+// read epoch (a prefix, found by binary search) less those set in its dead
+// bitmap; on the deltas, their begin/end epochs.  Sum, Min and Max decode
+// the codes block-at-a-time (512 values) into a reused scratch buffer and
+// test one dead bit per row in the same loop, 64 rows untested where a
+// bitmap word is 0, building no selection vector.  The
 // delta partitions stay row-wise (they are uncompressed and small by
 // construction; the merge scheduler bounds their fraction), so a scan is
 // a kernel pass over main plus a short scalar tail over the deltas.

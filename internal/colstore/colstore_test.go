@@ -80,7 +80,7 @@ func TestSelEqual(t *testing.T) {
 		t.Fatalf("SelEqual(7)=%v want empty", got)
 	}
 	code, _ := m.Dict().Lookup(1)
-	if n := kernel.CountEqual(m.Codes(), uint64(code), nil, nil, 0); n != 2 {
+	if n := kernel.CountEqual(m.Codes(), uint64(code), m.Len(), nil); n != 2 {
 		t.Fatalf("CountEqual(1)=%d want 2", n)
 	}
 }

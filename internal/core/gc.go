@@ -8,7 +8,7 @@ import (
 
 // Drop is the reclamation decision of one garbage-collecting merge: which
 // positions of main ++ delta (main tuples first, then delta tuples) the new
-// main omits.  It is made once per table merge (DropMask) and shared,
+// main omits.  It is made once per table merge (DropAt) and shared,
 // read-only, by every column's MergeColumnDrop.  The zero Drop drops
 // nothing.
 type Drop struct {
@@ -35,6 +35,20 @@ func NewDrop(mask []bool, n int) Drop {
 	}
 	if len(mask) < n {
 		mask = append(make([]bool, 0, n), mask...)[:n]
+	}
+	return Drop{Mask: mask, Pos: pos}
+}
+
+// DropAt builds the Drop of the ascending positions pos among n tuples; no
+// position yields the zero Drop.  The table's merge freeze collects pos
+// from the dead versions alone, so only the mask is O(n).
+func DropAt(pos []int, n int) Drop {
+	if len(pos) == 0 {
+		return Drop{}
+	}
+	mask := make([]bool, n)
+	for _, p := range pos {
+		mask[p] = true
 	}
 	return Drop{Mask: mask, Pos: pos}
 }

@@ -150,7 +150,7 @@ func MergeColumn[V val.Value](m *colstore.Main[V], d *delta.Partition[V], opts O
 // main ++ delta listed in drop are omitted from the new main partition, and
 // dictionary values referenced only by them are omitted from the merged
 // dictionary.  drop must cover exactly m.Len()+d.Len() positions (or be the
-// zero Drop); the table layer builds one per merge with DropMask and shares
+// zero Drop); the table layer builds one per merge with DropAt and shares
 // it between all columns.  The inputs are left untouched, exactly as in
 // MergeColumn, so the table layer can still run the merge online.
 //

@@ -1,22 +1,29 @@
 // Package epoch implements the multi-version visibility substrate for
-// snapshot reads: a shared monotonic epoch clock plus per-row begin/end
-// epoch columns.
+// snapshot reads: a shared monotonic epoch clock plus the visibility of
+// every stored row version.
 //
 // The insert-only protocol of the paper (§3) — an UPDATE appends a new row
 // version and invalidates the old one, a DELETE only invalidates — already
 // stores every version; epochs make the version history navigable.  Each
-// row records the epoch it became visible (begin) and the epoch it was
-// invalidated (end, 0 while it is the current version).  A row is visible
-// to a snapshot at epoch E iff
+// version became visible at an epoch (begin) and was invalidated at one
+// (end, 0 while it is the current version).  A version is visible to a
+// snapshot at epoch E iff
 //
 //	begin <= E && (end == 0 || end > E)
 //
+// the rule Larson et al. (VLDB 2011) and Faleiro & Abadi (VLDB 2014) use to
+// keep readers out of writers' way in main-memory stores.  Rows stores it
+// in two shapes.  A delta slot keeps flat begin/end epochs.  The main keeps
+// the paper's validity bit vector: a dead bitmap, one bit per main slot,
+// plus a sparse exception list of (slot, end) for its dead slots, sorted by
+// end.  Begin is non-decreasing in slot order, so the main slots with
+// begin <= E are a prefix found by binary search; a latest read tests one
+// bit per main row, and only a reader older than some death looks at the
+// exceptions.
+//
 // The clock only advances when a snapshot is captured (Capture is one
 // atomic fetch-add), so all mutations between two captures share an epoch
-// and the common write path pays a single atomic load.  Larson et al.
-// (VLDB 2011) and Faleiro & Abadi (VLDB 2014) use the same begin/end
-// timestamp shape to keep readers out of writers' way in main-memory
-// stores.
+// and the common write path pays a single atomic load.
 //
 // Concurrency contract: Clock methods are safe for unsynchronized use.
 // Rows methods are NOT internally synchronized — the owning table guards
@@ -51,8 +58,9 @@ const Latest uint64 = math.MaxUint64
 type Clock struct {
 	cur atomic.Uint64
 
-	pinMu sync.Mutex
-	pins  map[*Pin]struct{}
+	pinMu    sync.Mutex
+	pins     map[*Pin]struct{}
+	releases uint64 // pins released so far
 }
 
 // NewClock returns a clock at epoch 1.
@@ -99,7 +107,10 @@ func (p *Pin) Release() {
 		return
 	}
 	p.c.pinMu.Lock()
-	delete(p.c.pins, p)
+	if _, ok := p.c.pins[p]; ok {
+		delete(p.c.pins, p)
+		p.c.releases++
+	}
 	p.c.pinMu.Unlock()
 }
 
@@ -138,6 +149,17 @@ func (c *Clock) PinAt(e uint64) *Pin {
 	}
 	c.pins[p] = struct{}{}
 	return p
+}
+
+// Releases returns the number of pins released so far.  Only a release
+// can make a dead version that a reclaim decision kept (PinSet.Reclaimable)
+// reclaimable, so a decision that recorded PinSet.Releases need not be
+// repeated until this moves — or until dead versions it did not see
+// appear.
+func (c *Clock) Releases() uint64 {
+	c.pinMu.Lock()
+	defer c.pinMu.Unlock()
+	return c.releases
 }
 
 // Pins returns the number of currently registered pins.
@@ -179,8 +201,9 @@ func (c *Clock) Watermark() uint64 {
 // epoch is >= now, protected by the now bound) or PinAt calls, which must
 // check the table's GCBound after pinning.
 type PinSet struct {
-	epochs []uint64 // sorted ascending, one per live pin
-	now    uint64   // clock reading at snapshot time
+	epochs   []uint64 // sorted ascending, one per live pin
+	now      uint64   // clock reading at snapshot time
+	releases uint64   // Clock.Releases at snapshot time
 }
 
 // LivePins snapshots the live pin registry and the current epoch into a
@@ -188,7 +211,7 @@ type PinSet struct {
 func (c *Clock) LivePins() PinSet {
 	c.pinMu.Lock()
 	defer c.pinMu.Unlock()
-	ps := PinSet{now: c.Now()}
+	ps := PinSet{now: c.Now(), releases: c.releases}
 	if len(c.pins) > 0 {
 		ps.epochs = make([]uint64, 0, len(c.pins))
 		for p := range c.pins {
@@ -201,6 +224,10 @@ func (c *Clock) LivePins() PinSet {
 
 // Now returns the epoch the clock stood at when the set was snapshotted.
 func (ps PinSet) Now() uint64 { return ps.now }
+
+// Releases returns the clock's Releases count when the set was
+// snapshotted.
+func (ps PinSet) Releases() uint64 { return ps.releases }
 
 // Len returns the number of live pins in the set.
 func (ps PinSet) Len() int { return len(ps.epochs) }
@@ -221,88 +248,3 @@ func (ps PinSet) Reclaimable(begin, end uint64) bool {
 	i := sort.Search(len(ps.epochs), func(i int) bool { return ps.epochs[i] >= begin })
 	return i == len(ps.epochs) || ps.epochs[i] >= end
 }
-
-// Rows holds the begin/end epoch columns of one table, indexed by row id.
-// The zero value is an empty column pair.  Methods require external
-// synchronization (the owning table's mutex).
-type Rows struct {
-	begin []uint64
-	end   []uint64 // 0 = current version
-}
-
-// Len returns the number of stamped rows.
-func (r *Rows) Len() int { return len(r.begin) }
-
-// Append stamps a new row as inserted at epoch begin.
-func (r *Rows) Append(begin uint64) {
-	r.begin = append(r.begin, begin)
-	r.end = append(r.end, 0)
-}
-
-// Begin returns row i's insertion epoch.
-func (r *Rows) Begin(i int) uint64 { return r.begin[i] }
-
-// End returns row i's invalidation epoch (0 while current).
-func (r *Rows) End(i int) uint64 { return r.end[i] }
-
-// Alive reports whether row i is the current version.
-func (r *Rows) Alive(i int) bool { return r.end[i] == 0 }
-
-// Invalidate stamps row i as invalidated at epoch end.
-func (r *Rows) Invalidate(i int, end uint64) { r.end[i] = end }
-
-// VisibleAt reports whether row i is visible to a snapshot at epoch e.
-// With e == Latest this degenerates to Alive.
-func (r *Rows) VisibleAt(i int, e uint64) bool {
-	return r.begin[i] <= e && (r.end[i] == 0 || r.end[i] > e)
-}
-
-// Raw exposes the backing begin and end columns for batch kernels
-// (internal/kernel).  The slices alias internal state: callers must hold
-// the owning table's lock for the duration of use and must not mutate or
-// retain them past the locked region.
-func (r *Rows) Raw() (begin, end []uint64) { return r.begin, r.end }
-
-// Compact removes the rows marked true in drop, which covers the first
-// len(drop) rows; rows beyond len(drop) are kept unconditionally.  Survivor
-// order is preserved, so a survivor's new index is its rank among kept
-// rows.  It returns the number of rows removed.  The owning table uses it
-// at merge commit to reclaim versions below the GC watermark.
-func (r *Rows) Compact(drop []bool) int {
-	drop = drop[:min(len(drop), len(r.begin))]
-	w := 0
-	for i, dropped := range drop {
-		if !dropped {
-			r.begin[w] = r.begin[i]
-			r.end[w] = r.end[i]
-			w++
-		}
-	}
-	n := copy(r.begin[w:], r.begin[len(drop):])
-	copy(r.end[w:], r.end[len(drop):])
-	w += n
-	removed := len(r.begin) - w
-	r.begin = r.begin[:w]
-	r.end = r.end[:w]
-	return removed
-}
-
-// Snapshot returns copies of the begin and end columns (for persistence).
-func (r *Rows) Snapshot() (begin, end []uint64) {
-	begin = append([]uint64(nil), r.begin...)
-	end = append([]uint64(nil), r.end...)
-	return begin, end
-}
-
-// RowsOf wraps persisted begin and end columns, which must be equally long;
-// the slices are retained, not copied.  Adopting a partition image installs
-// its epochs with this.
-func RowsOf(begin, end []uint64) Rows {
-	if len(begin) != len(end) {
-		panic("epoch: begin and end columns differ in length")
-	}
-	return Rows{begin: begin, end: end}
-}
-
-// SizeBytes returns the memory consumed by the epoch columns.
-func (r *Rows) SizeBytes() int { return (len(r.begin) + len(r.end)) * 8 }

@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -97,16 +98,137 @@ func TestRowsSnapshotRestore(t *testing.T) {
 	var r Rows
 	r.Append(1)
 	r.Append(2)
+	r.Append(2)
 	r.Invalidate(0, 3)
+	r.Invalidate(2, 3)
 	b, e := r.Snapshot()
 
-	q := RowsOf(b, e)
-	if q.Len() != 2 || q.Begin(0) != 1 || q.End(0) != 3 || q.Begin(1) != 2 || !q.Alive(1) {
+	// Restored with its first two slots as main: slot 0's end becomes an
+	// exception, slot 2's stays a delta end.
+	q := RowsOf(b, e, 2)
+	if q.MainLen() != 2 || q.Dead() != 2 || q.Alive(0) || !q.Alive(1) || q.Alive(2) {
 		t.Fatalf("restored state wrong: %v %v", b, e)
 	}
+	if qb, qe := q.Snapshot(); !slices.Equal(qb, b) || !slices.Equal(qe, e) {
+		t.Fatalf("Snapshot(RowsOf) = %v %v, want %v %v", qb, qe, b, e)
+	}
 	q.Append(4) // the restored columns keep growing like any other
-	if r.Len() != 2 || q.Len() != 3 || !q.Alive(2) {
-		t.Fatalf("append after restore: %d/%d rows", r.Len(), q.Len())
+	rb, _ := r.Snapshot()
+	qb, _ := q.Snapshot()
+	if len(rb) != 3 || len(qb) != 4 || !q.Alive(3) {
+		t.Fatalf("append after restore: %d/%d rows", len(rb), len(qb))
+	}
+}
+
+// flat is the reference visibility over flat begin/end columns.
+func flat(begin, end []uint64, i int, e uint64) bool {
+	return begin[i] <= e && (end[i] == 0 || end[i] > e)
+}
+
+// TestRowsMainAt pins the main's (k, hide) form against the flat rule at
+// every epoch: k counts the main slots that began by e, and a bit of hide
+// is set exactly for those below k that are invisible at e.  A latest read
+// and a read no exception is newer than return the dead bitmap itself, and
+// a main with no dead slot a nil one.
+func TestRowsMainAt(t *testing.T) {
+	var r Rows
+	for i := range 150 {
+		r.Append(uint64(1 + i/10)) // begins 1..15, ten slots each
+	}
+	for _, s := range []int{3, 64, 70, 128, 149} {
+		r.Invalidate(s, uint64(15+s%3))
+	}
+	if k, hide := r.MainAt(Latest); k != 0 || hide != nil {
+		t.Fatalf("empty main: MainAt = %d, %v", k, hide)
+	}
+	r.Fold(140, nil)
+	r.Invalidate(12, 18)
+	r.Invalidate(145, 18) // a delta slot
+	if r.MainLen() != 140 || r.Dead() != 7 {
+		t.Fatalf("MainLen %d Dead %d, want 140 and 7", r.MainLen(), r.Dead())
+	}
+	b, e := r.Snapshot()
+	for ep := uint64(0); ep <= 19; ep++ {
+		for _, at := range []uint64{ep, Latest} {
+			k, hide := r.MainAt(at)
+			for i := range 140 {
+				want := flat(b, e, i, at)
+				got := i < k && (hide == nil || hide[i>>6]>>(i&63)&1 == 0)
+				if got != want || r.VisibleAt(i, at) != want {
+					t.Fatalf("epoch %d slot %d: MainAt says %v, VisibleAt %v, want %v", at, i, got, r.VisibleAt(i, at), want)
+				}
+			}
+		}
+	}
+	if _, hide := r.MainAt(Latest); &hide[0] != &r.dead[0] {
+		t.Fatal("a latest read copied the bitmap")
+	}
+	if _, hide := r.MainAt(18); &hide[0] != &r.dead[0] {
+		t.Fatal("a read no exception is newer than copied the bitmap")
+	}
+	if n := testing.AllocsPerRun(100, func() { r.MainAt(Latest) }); n != 0 {
+		t.Fatalf("a latest MainAt allocates %v times", n)
+	}
+	if _, hide := r.MainAt(17); &hide[0] == &r.dead[0] {
+		t.Fatal("a read older than a death shares the bitmap")
+	}
+}
+
+// TestRowsFold folds a delta into the main with and without drops: the
+// survivors keep their order and epochs, the folded dead slots become
+// exceptions, slots beyond the fold stay delta, and the flat image is that
+// of the surviving slots.
+func TestRowsFold(t *testing.T) {
+	var r Rows
+	for i := range 8 {
+		r.Append(uint64(i + 1))
+	}
+	r.Invalidate(1, 9)
+	r.Fold(4, nil) // main: slots 0..3, slot 1 dead
+	r.Invalidate(3, 10)
+	r.Invalidate(5, 11)
+	r.Invalidate(6, 12)
+	b, e := r.Snapshot()
+	// Fold slots 4 and 5 into the main and drop slots 1 and 5; slots 6
+	// and 7 stay delta.
+	r.Fold(2, []int{1, 5})
+	var wantB, wantE []uint64
+	for i := range b {
+		if i != 1 && i != 5 {
+			wantB, wantE = append(wantB, b[i]), append(wantE, e[i])
+		}
+	}
+	if gb, ge := r.Snapshot(); !slices.Equal(gb, wantB) || !slices.Equal(ge, wantE) {
+		t.Fatalf("after Fold: %v %v, want %v %v", gb, ge, wantB, wantE)
+	}
+	if r.MainLen() != 4 || r.Dead() != 2 || r.Alive(2) || !r.Alive(3) || r.Alive(4) {
+		t.Fatalf("after Fold: MainLen %d Dead %d, alive %v %v %v", r.MainLen(), r.Dead(), r.Alive(2), r.Alive(3), r.Alive(4))
+	}
+	var dead []int
+	r.EachDead(len(wantB), func(slot int, begin, end uint64) { dead = append(dead, slot) })
+	if !slices.Equal(dead, []int{2, 4}) {
+		t.Fatalf("EachDead visits %v, want [2 4]", dead)
+	}
+	if got, want := r.SizeBytes(), 8*6+8*1+16*1+8*2; got != want {
+		t.Fatalf("SizeBytes = %d, want %d", got, want)
+	}
+}
+
+// TestInvalidateOutOfOrder keeps the exceptions sorted by end when a stamp
+// arrives below the last one.
+func TestInvalidateOutOfOrder(t *testing.T) {
+	var r Rows
+	for range 3 {
+		r.Append(1)
+	}
+	r.Fold(3, nil)
+	r.Invalidate(0, 9)
+	r.Invalidate(2, 5)
+	if !r.VisibleAt(0, 8) || r.VisibleAt(2, 8) || !r.VisibleAt(2, 4) {
+		t.Fatal("out-of-order exception misread")
+	}
+	if _, hide := r.MainAt(6); hide[0] != 1<<2 {
+		t.Fatalf("MainAt(6) hides %b, want slot 2 only", hide[0])
 	}
 }
 
@@ -147,28 +269,15 @@ func TestPinWatermark(t *testing.T) {
 	// A nil pin (unpinned view) releases as a no-op.
 	var p *Pin
 	p.Release()
-}
-
-func TestRowsCompact(t *testing.T) {
-	var r Rows
-	for i := 0; i < 6; i++ {
-		r.Append(uint64(i + 1))
+	// Releases counts each pin once, and a pin set records it.
+	if got := c.Releases(); got != 2 {
+		t.Fatalf("Releases = %d, want 2", got)
 	}
-	r.Invalidate(1, 9)
-	r.Invalidate(3, 9)
-	// Drop slots 1 and 3; slots 4+ beyond the mask are kept as-is.
-	removed := r.Compact([]bool{false, true, false, true})
-	if removed != 2 || r.Len() != 4 {
-		t.Fatalf("removed %d len %d", removed, r.Len())
-	}
-	wantBegin := []uint64{1, 3, 5, 6}
-	for i, want := range wantBegin {
-		if r.Begin(i) != want {
-			t.Fatalf("begin[%d] = %d want %d", i, r.Begin(i), want)
-		}
-	}
-	if !r.Alive(0) || !r.Alive(1) || !r.Alive(2) || !r.Alive(3) {
-		t.Fatal("survivors should all be alive")
+	_, p3 := c.CapturePinned()
+	ps := c.LivePins()
+	p3.Release()
+	if ps.Releases() != 2 || c.Releases() != 3 {
+		t.Fatalf("Releases: set %d, clock %d, want 2 and 3", ps.Releases(), c.Releases())
 	}
 }
 

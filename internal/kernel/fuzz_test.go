@@ -3,15 +3,18 @@ package kernel
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hyrise/internal/bitpack"
 )
 
 // FuzzScanKernels feeds random widths, code payloads, predicates and part
-// counts through every scan kernel, every kernel that takes epochs both
-// with payload-derived and with nil epochs, and cross-checks against the
-// scalar reference implementations from the differential suite.
+// counts through every scan kernel — the delta's flat visibility kernels
+// over payload-derived epochs, every main-partition kernel at the (k, hide)
+// those epochs give at a read epoch and at latest, and with nil hides at
+// k = n and at a payload-chosen k — and cross-checks against the scalar
+// reference implementations from the differential suite.
 func FuzzScanKernels(f *testing.F) {
 	f.Add(uint8(8), uint64(3), uint64(1), uint64(5), []byte{1, 2, 3, 4, 5, 6, 7, 8, 3, 3}, uint8(0))
 	f.Add(uint8(1), uint64(1), uint64(0), uint64(2), []byte{0xff, 0x00, 0xaa}, uint8(1))
@@ -57,8 +60,9 @@ func FuzzScanKernels(f *testing.F) {
 			t.Fatalf("matchRange(w=%d, [%d,%d), parts=%d): got %v want %v", width, lo, hi, np, got, want)
 		}
 
-		// Derive epoch columns from the payload too, so visibility
-		// fusion sees fuzz-driven patterns.
+		// Derive epoch columns from the payload too, so visibility sees
+		// fuzz-driven patterns: the delta's flat forms over them as they
+		// are, the main's (k, hide) over them with begin sorted.
 		begin := make([]uint64, n)
 		end := make([]uint64, n)
 		for i := 0; i < n; i++ {
@@ -71,9 +75,6 @@ func FuzzScanKernels(f *testing.F) {
 			}
 		}
 		e := (needle % 16) + 1
-		if got, want := countEqual(v, needle, begin, end, e, np), refCountEqual(v, needle, begin, end, e); got != want {
-			t.Fatalf("countEqual(w=%d, parts=%d): got %d want %d", width, np, got, want)
-		}
 		sel := matchEqual(v, needle, nil, np)
 		if got, want := FilterVisible(sel, begin, end, e), refFilterVisible(refMatchEqual(v, needle), begin, end, e); !eqSel(got, want) {
 			t.Fatalf("FilterVisible(w=%d): got %v want %v", width, got, want)
@@ -81,40 +82,41 @@ func FuzzScanKernels(f *testing.F) {
 		if got, want := SelectVisible(begin, end, e, 0, n, nil), refSelectVisible(begin, end, e, 0, n); !eqSel(got, want) {
 			t.Fatalf("SelectVisible(w=%d): got %v want %v", width, got, want)
 		}
-
+		sortedBegin := slices.Clone(begin)
+		slices.Sort(sortedBegin)
+		rng := rand.New(rand.NewSource(int64(needle)))
 		// The aggregates read a dictionary drawn from the payload too.
-		dv, dict := indexable(rand.New(rand.NewSource(int64(needle))), v)
-		if got, want := sumVisible(dv, dict, begin, end, e, np), refSumVisible(dv, dict, begin, end, e); got != want {
-			t.Fatalf("sumVisible(w=%d, parts=%d): got %d want %d", width, np, got, want)
-		}
-		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
-		if gmn, gmx, gok := minMaxVisible(v, begin, end, e, np); gmn != wmn || gmx != wmx || gok != wok {
-			t.Fatalf("minMaxVisible(w=%d, parts=%d): got (%d,%d,%v) want (%d,%d,%v)", width, np, gmn, gmx, gok, wmn, wmx, wok)
-		}
-
-		// Nil epochs: every position visible, as over all-visible columns.
-		zb, ze := allVisible(n)
-		if got, want := countEqual(v, needle, nil, nil, e, np), refCountEqual(v, needle, zb, ze, e); got != want {
-			t.Fatalf("countEqual(w=%d, nil epochs, parts=%d): got %d want %d", width, np, got, want)
-		}
-		if got, want := FilterVisible(matchEqual(v, needle, nil, np), nil, nil, e), refMatchEqual(v, needle); !eqSel(got, want) {
-			t.Fatalf("FilterVisible(w=%d, nil epochs): got %v want %v", width, got, want)
-		}
-		if got, want := CountSelVisible(refMatchEqual(v, needle), nil, nil, e), len(refMatchEqual(v, needle)); got != want {
-			t.Fatalf("CountSelVisible(w=%d, nil epochs) = %d want %d", width, got, want)
-		}
-		if got, want := SelectVisible(nil, nil, e, 0, n, nil), refSelectVisible(zb, ze, e, 0, n); !eqSel(got, want) {
-			t.Fatalf("SelectVisible(w=%d, nil epochs): got %v want %v", width, got, want)
-		}
-		if got, want := CountVisible(nil, nil, e, 0, n), n; got != want {
-			t.Fatalf("CountVisible(w=%d, nil epochs) = %d want %d", width, got, want)
-		}
-		if got, want := sumVisible(dv, dict, nil, nil, e, np), refSumVisible(dv, dict, zb, ze, e); got != want {
-			t.Fatalf("sumVisible(w=%d, nil epochs, parts=%d): got %d want %d", width, np, got, want)
-		}
-		amn, amx, aok := refMinMaxVisible(v, zb, ze, e)
-		if gmn, gmx, gok := minMaxVisible(v, nil, nil, e, np); gmn != amn || gmx != amx || gok != aok {
-			t.Fatalf("minMaxVisible(w=%d, nil epochs, parts=%d): got (%d,%d,%v) want (%d,%d,%v)", width, np, gmn, gmx, gok, amn, amx, aok)
+		dv, dict := indexable(rng, v)
+		for _, m := range []mainVis{
+			mainAt(rng, sortedBegin, end, e),
+			mainAt(rng, sortedBegin, end, ^uint64(0)),
+			wholeMain(n, n),
+			wholeMain(n, int(lo%uint64(n+1))),
+		} {
+			if got, want := countEqual(v, needle, m.k, m.hide, np), refCountEqual(v, needle, m.vis); got != want {
+				t.Fatalf("countEqual(w=%d, k=%d, nil hide %v, parts=%d): got %d want %d", width, m.k, m.hide == nil, np, got, want)
+			}
+			matches := refMatchEqual(v, needle)
+			wantF := refFilter(matches, m.vis)
+			if got := CountSelMain(matches, m.k, m.hide); got != len(wantF) {
+				t.Fatalf("CountSelMain(w=%d, k=%d, nil hide %v) = %d want %d", width, m.k, m.hide == nil, got, len(wantF))
+			}
+			if got := FilterMain(matches, m.k, m.hide); !eqSel(got, wantF) {
+				t.Fatalf("FilterMain(w=%d, k=%d, nil hide %v): got %v want %v", width, m.k, m.hide == nil, got, wantF)
+			}
+			if got, want := SelectMain(m.k, m.hide, nil), refSel(m.vis); !eqSel(got, want) {
+				t.Fatalf("SelectMain(w=%d, k=%d, nil hide %v): got %v want %v", width, m.k, m.hide == nil, got, want)
+			}
+			if got, want := CountMain(m.k, m.hide), len(refSel(m.vis)); got != want {
+				t.Fatalf("CountMain(w=%d, k=%d, nil hide %v) = %d want %d", width, m.k, m.hide == nil, got, want)
+			}
+			if got, want := sumVisible(dv, dict, m.k, m.hide, np), refSumVisible(dv, dict, m.vis); got != want {
+				t.Fatalf("sumVisible(w=%d, k=%d, nil hide %v, parts=%d): got %d want %d", width, m.k, m.hide == nil, np, got, want)
+			}
+			wmn, wmx, wok := refMinMaxVisible(v, m.vis)
+			if gmn, gmx, gok := minMaxVisible(v, m.k, m.hide, np); gmn != wmn || gmx != wmx || gok != wok {
+				t.Fatalf("minMaxVisible(w=%d, k=%d, nil hide %v, parts=%d): got (%d,%d,%v) want (%d,%d,%v)", width, m.k, m.hide == nil, np, gmn, gmx, gok, wmn, wmx, wok)
+			}
 		}
 	})
 }

@@ -8,13 +8,14 @@
 // # Selection-vector contract
 //
 // A selection vector is an ascending []int32 of element positions
-// (positions are relative to the code vector / epoch columns the kernel
-// ran over, NOT row ids — the table layer maps positions to stable ids).
+// (positions are relative to the code vector, bitmap or epoch columns the
+// kernel ran over, NOT row ids — the table layer maps positions to stable
+// ids).
 // Kernels that produce selections append to a caller-owned dst and return
 // the extended slice, so a steady-state serial scan allocates no selection
 // storage (a split scan, see below, gives each part after the first a
 // vector of its own); kernels that consume selections (FilterVisible,
-// CountSelVisible, Gather) never reorder them.
+// FilterMain, CountSelMain, Gather) never reorder them.
 //
 // # Execution strategy
 //
@@ -36,19 +37,25 @@
 // loop — never per-row Get.  The aggregates test visibility in that same
 // loop, so a full-column aggregate builds no selection vector.
 //
-// Visibility filtering is fused over the raw begin/end epoch slices
-// (epoch.Rows.Raw): a row is visible at epoch e iff begin <= e and
+// Visibility comes in two forms.  A main partition's visibility at a read
+// epoch is (k, hide): positions [0, k) began at or before the epoch, and a
+// set bit i of the bitmap hide marks position i invisible (internal/epoch's
+// Rows.MainAt).  The main-partition kernels (CountMain, SelectMain,
+// FilterMain, CountSelMain, CountEqual, SumVisible, MinMaxVisible) read
+// nothing past k and one bit per position below it; a zero word of hide
+// passes its 64 positions with one test, and a nil hide every position
+// below k, so a main with no dead row costs no test at all.  A
+// delta keeps flat begin/end epochs (FilterVisible, SelectVisible,
+// CountVisible): a position is visible at epoch e iff begin <= e and
 // end-1 >= e in unsigned arithmetic (end == 0 wraps to MaxUint64), which
-// makes the check branch-free inside the kernels.  Every kernel that takes
-// epochs treats a nil begin as "every position visible" and then reads
-// neither slice: the table passes nil for a main partition in which no row
-// is dead and every row began at or before the read epoch.
+// makes the check branch-free.
 //
 // # Parallel split
 //
 // The five full-vector kernels (MatchEqual, MatchRange, CountEqual,
-// SumVisible, MinMaxVisible) cut their input into min(GOMAXPROCS,
-// n/minPart) contiguous parts of about equal size, minPart = 1<<17 codes,
+// SumVisible, MinMaxVisible) cut their input — n codes, or the k a main's
+// visibility admits — into min(GOMAXPROCS, n/minPart) contiguous parts of
+// about equal size, minPart = 1<<17 codes,
 // and run them through par.Do: part 0 on the calling goroutine, every
 // other part on a worker of the store's one pool when one is free and on
 // the caller otherwise.  Every kernel call, read fan-out and merge in the
@@ -62,8 +69,8 @@
 // across parts.  A kernel returns only after every part has finished.
 //
 // Kernels are pure functions over immutable inputs: the caller holds
-// whatever lock protects the code vector and epoch slices (the table's
-// read lock), and that lock covers every part because each kernel waits
+// whatever lock protects the code vector, bitmap and epoch slices (the
+// table's read lock), and that lock covers every part because each kernel waits
 // for its parts before it returns.  The parts share only the inputs they
 // read; each writes its own selection vector or partial result, and the
 // kernels keep no state between calls.
@@ -72,6 +79,7 @@ package kernel
 import (
 	"math/bits"
 	"runtime"
+	"sort"
 	"sync"
 
 	"hyrise/internal/bitpack"
@@ -136,12 +144,15 @@ func splitSel(count, np int, dst []int32, scan func(from, to int, dst []int32) [
 // add is the fold of the counting and summing kernels.
 func add[N int | uint64](a, b N) N { return a + b }
 
-// visible reports row i's visibility at epoch e over raw begin/end columns.
-// end == 0 (current version) wraps to MaxUint64, so the check is two
-// unsigned compares with no branch on end.
+// visible reports position i's visibility at epoch e over flat begin/end
+// columns.  end == 0 (current version) wraps to MaxUint64, so the check is
+// two unsigned compares with no branch on end.
 func visible(begin, end []uint64, i int, e uint64) bool {
 	return begin[i] <= e && end[i]-1 >= e
 }
+
+// hidden returns 1 when bit p of hide is set, 0 otherwise.
+func hidden(hide []uint64, p int) uint64 { return hide[p>>6] >> (p & 63) & 1 }
 
 // MatchEqual appends to dst the positions of v whose code equals code and
 // returns the extended selection vector.
@@ -160,7 +171,7 @@ func matchEqual(v *bitpack.Vector, code uint64, dst []int32, np int) []int32 {
 		// Degenerate single-value dictionary: every position matches.
 		return matchAll(n, dst)
 	}
-	w, count, tail := windowsOf(v)
+	w, count, tail := windowsOf(v, n)
 	words := v.Words()
 	return splitSel(count, np, dst, func(from, to int, dst []int32) []int32 {
 		for i := from; i < to; i++ {
@@ -209,7 +220,7 @@ func matchRange(v *bitpack.Vector, lo, hi uint64, dst []int32, np int) []int32 {
 			return dst
 		})
 	}
-	w, count, tail := windowsOf(v)
+	w, count, tail := windowsOf(v, n)
 	var even uint64 // lsb of lanes 0, 2, 4, ... of the window
 	for j := 0; j < w.k; j += 2 {
 		even |= 1 << (uint(j) * b)
@@ -254,17 +265,18 @@ type windows struct {
 	recip uint64 // floor(65536/b) + 1, see lane
 }
 
-// windowsOf returns v's layout, the number of windows covering its codes,
-// and the match mask of the last window's lanes that hold codes.
-func windowsOf(v *bitpack.Vector) (w windows, count int, tail uint64) {
+// windowsOf returns v's layout, the number of windows covering its first n
+// codes, and the match mask of the last window's lanes that hold one of
+// them.
+func windowsOf(v *bitpack.Vector, n int) (w windows, count int, tail uint64) {
 	b := v.Bits()
 	w.k = int(bitpack.WordBits / b)
 	w.step, w.recip = uint(w.k)*b, 65536/uint64(b)+1
 	for j := 0; j < w.k; j++ {
 		w.lsb |= 1 << (uint(j) * b)
 	}
-	count, tail = (v.Len()+w.k-1)/w.k, w.lsb
-	if r := v.Len() % w.k; r != 0 {
+	count, tail = (n+w.k-1)/w.k, w.lsb
+	if r := n % w.k; r != 0 {
 		tail &= 1<<(uint(r)*b) - 1
 	}
 	return w, count, tail
@@ -351,12 +363,9 @@ func (w windows) emit(dst []int32, i int, m uint64) []int32 {
 }
 
 // FilterVisible compacts sel in place to the positions visible at epoch e,
-// reading the raw begin/end epoch columns, and returns the shortened
+// reading flat begin/end epoch columns, and returns the shortened
 // selection vector.  Positions index begin/end directly.
 func FilterVisible(sel []int32, begin, end []uint64, e uint64) []int32 {
-	if begin == nil {
-		return sel
-	}
 	w := 0
 	for _, p := range sel {
 		if visible(begin, end, int(p), e) {
@@ -367,35 +376,12 @@ func FilterVisible(sel []int32, begin, end []uint64, e uint64) []int32 {
 	return sel[:w]
 }
 
-// CountSelVisible returns the number of positions in sel visible at epoch
-// e without modifying sel — the counting companion of FilterVisible for
-// read-only selections such as index posting lists (Bucket slices must not
-// be compacted in place).
-func CountSelVisible(sel []int32, begin, end []uint64, e uint64) int {
-	if begin == nil {
-		return len(sel)
-	}
-	n := 0
-	for _, p := range sel {
-		if visible(begin, end, int(p), e) {
-			n++
-		}
-	}
-	return n
-}
-
 // SelectVisible appends to dst the positions in [from, to) visible at
-// epoch e and returns the extended selection vector — the seed kernel for
-// full scans.
+// epoch e over flat begin/end columns and returns the extended selection
+// vector.
 func SelectVisible(begin, end []uint64, e uint64, from, to int, dst []int32) []int32 {
-	if begin == nil {
-		for i := from; i < to; i++ {
-			dst = append(dst, int32(i))
-		}
-		return dst
-	}
 	for i := from; i < to; i++ {
-		if begin[i] <= e && end[i]-1 >= e {
+		if visible(begin, end, i, e) {
 			dst = append(dst, int32(i))
 		}
 	}
@@ -403,39 +389,113 @@ func SelectVisible(begin, end []uint64, e uint64, from, to int, dst []int32) []i
 }
 
 // CountVisible returns the number of positions in [from, to) visible at
-// epoch e.
+// epoch e over flat begin/end columns.
 func CountVisible(begin, end []uint64, e uint64, from, to int) int {
-	if begin == nil {
-		return to - from
-	}
 	n := 0
 	for i := from; i < to; i++ {
-		if begin[i] <= e && end[i]-1 >= e {
+		n += b2i(visible(begin, end, i, e))
+	}
+	return n
+}
+
+// CountMain returns the number of visible main positions: those below k
+// whose hide bit is clear.
+func CountMain(k int, hide []uint64) int {
+	if hide == nil {
+		return k
+	}
+	n := k
+	for _, w := range hide[:k>>6] {
+		n -= bits.OnesCount64(w)
+	}
+	if r := k & 63; r != 0 {
+		n -= bits.OnesCount64(hide[k>>6] & (1<<r - 1))
+	}
+	return n
+}
+
+// SelectMain appends to dst the visible main positions, ascending, and
+// returns the extended selection vector — the seed kernel for full scans.
+// A zero hide word appends its 64 positions without a test.
+func SelectMain(k int, hide []uint64, dst []int32) []int32 {
+	for base := 0; base < k; base += 64 {
+		r := min(64, k-base)
+		if hide == nil || hide[base>>6] == 0 {
+			for i := base; i < base+r; i++ {
+				dst = append(dst, int32(i))
+			}
+			continue
+		}
+		m := ^hide[base>>6]
+		if r < 64 {
+			m &= 1<<r - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			dst = append(dst, int32(base+bits.TrailingZeros64(m)))
+		}
+	}
+	return dst
+}
+
+// FilterMain compacts sel in place to its visible main positions and
+// returns the shortened selection vector.  With a nil hide it only cuts
+// the ascending sel at k.
+func FilterMain(sel []int32, k int, hide []uint64) []int32 {
+	if hide == nil {
+		return sel[:below(sel, k)]
+	}
+	w := 0
+	for _, p := range sel {
+		if int(p) < k && hidden(hide, int(p)) == 0 {
+			sel[w] = p
+			w++
+		}
+	}
+	return sel[:w]
+}
+
+// below returns the number of positions of the ascending sel below k.
+func below(sel []int32, k int) int {
+	if len(sel) == 0 || int(sel[len(sel)-1]) < k {
+		return len(sel)
+	}
+	return sort.Search(len(sel), func(i int) bool { return int(sel[i]) >= k })
+}
+
+// CountSelMain returns the number of visible main positions in sel without
+// modifying it — the counting companion of FilterMain for read-only
+// selections such as index posting lists (Bucket slices must not be
+// compacted in place).
+func CountSelMain(sel []int32, k int, hide []uint64) int {
+	if hide == nil {
+		return below(sel, k)
+	}
+	n := 0
+	for _, p := range sel {
+		if int(p) < k && hidden(hide, int(p)) == 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// CountEqual returns the number of positions of v whose code equals code,
-// fused with visibility filtering at epoch e over the raw begin/end
-// columns.  With nil epochs it counts matches with one population count
-// per window.
-func CountEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64) int {
-	return countEqual(v, code, begin, end, e, parts(v.Len()))
+// CountEqual returns the number of visible main positions of v whose code
+// equals code, fused with the (k, hide) visibility test.  With a nil hide
+// it counts matches with one population count per window.
+func CountEqual(v *bitpack.Vector, code uint64, k int, hide []uint64) int {
+	return countEqual(v, code, k, hide, parts(k))
 }
 
 // countEqual is CountEqual split into np parts.
-func countEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64, np int) int {
-	n := v.Len()
-	if n == 0 || code > v.MaxCode() {
+func countEqual(v *bitpack.Vector, code uint64, k int, hide []uint64, np int) int {
+	if k == 0 || code > v.MaxCode() {
 		return 0
 	}
 	b := v.Bits()
 	if b == 0 {
-		return CountVisible(begin, end, e, 0, n)
+		return CountMain(k, hide)
 	}
-	w, count, tail := windowsOf(v)
+	w, count, tail := windowsOf(v, k)
 	words := v.Words()
 	return split(count, 1, np, func(_, from, to int) int {
 		cnt := 0
@@ -447,15 +507,14 @@ func countEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64, n
 			if i == count-1 {
 				m &= tail
 			}
-			if begin == nil {
-				cnt += bits.OnesCount64(m)
+			cnt += bits.OnesCount64(m)
+			if hide == nil {
 				continue
 			}
-			// Branch-free: whether a matching row is visible is data.
+			// Branch-free: whether a matching position is hidden is data.
 			base := i * w.k
 			for ; m != 0; m &= m - 1 {
-				p := base + w.lane(m)
-				cnt += b2i(begin[p] <= e) & b2i(end[p]-1 >= e)
+				cnt -= int(hidden(hide, base+w.lane(m)))
 			}
 		}
 		return cnt
@@ -469,28 +528,28 @@ func b2i(b bool) int {
 	return 0
 }
 
-// SumVisible returns the sum of dict[code] over the positions of codes
-// visible at epoch e — a main partition's column sum, codes indexing its
-// sorted dictionary.  Each block of codes is decoded, tested for
-// visibility and looked up in the same loop, so no selection vector is
+// SumVisible returns the sum of dict[code] over the visible main positions
+// of codes — a main partition's column sum, codes indexing its sorted
+// dictionary.  Each block of codes below k is decoded and looked up in the
+// same loop that masks out its hidden positions, so no selection vector is
 // built.  The sum wraps modulo 2^64.
-func SumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, begin, end []uint64, e uint64) uint64 {
-	return sumVisible(codes, dict, begin, end, e, parts(codes.Len()))
+func SumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, k int, hide []uint64) uint64 {
+	return sumVisible(codes, dict, k, hide, parts(k))
 }
 
 // sumVisible is SumVisible split into np parts.
-func sumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, begin, end []uint64, e uint64, np int) uint64 {
-	return split(codes.Len(), BlockSize, np, func(_, from, to int) uint64 {
+func sumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, k int, hide []uint64, np int) uint64 {
+	return split(k, BlockSize, np, func(_, from, to int) uint64 {
 		var sum uint64
-		decodeBlocks(codes, from, to, begin, end, func(cs, begin, end []uint64) {
+		decodeBlocks(codes, from, to, hide, func(cs []uint64, w uint64) {
 			var s uint64
-			if begin == nil {
+			if w == 0 {
 				for _, c := range cs {
 					s += uint64(dict[c])
 				}
 			} else {
 				for i, c := range cs {
-					if begin[i] <= e && end[i]-1 >= e {
+					if w>>(i&63)&1 == 0 {
 						s += uint64(dict[c])
 					}
 				}
@@ -501,45 +560,41 @@ func sumVisible[V ~uint32 | ~uint64](codes *bitpack.Vector, dict []V, begin, end
 	}, add[uint64])
 }
 
-// extremes is one part's MinMaxVisible result; mn is MaxUint64 and mx 0
-// when no position was visible, so folding takes min and max as is.
-type extremes struct {
-	mn, mx uint64
-	ok     bool
-}
+// extremes is one part's MinMaxVisible result: MaxUint64 and 0 when no
+// position was visible, so folding takes min and max as is, and a part saw
+// a visible position iff mn <= mx.
+type extremes struct{ mn, mx uint64 }
 
-// MinMaxVisible returns the smallest and largest code among the positions
-// of codes visible at epoch e; ok is false when none is.  Because
+// MinMaxVisible returns the smallest and largest code among the visible
+// main positions of codes; ok is false when none is.  Because
 // dictionaries are order-preserving, the min/max code IS the min/max value
 // after one dictionary access.
-func MinMaxVisible(codes *bitpack.Vector, begin, end []uint64, e uint64) (minC, maxC uint64, ok bool) {
-	return minMaxVisible(codes, begin, end, e, parts(codes.Len()))
+func MinMaxVisible(codes *bitpack.Vector, k int, hide []uint64) (minC, maxC uint64, ok bool) {
+	return minMaxVisible(codes, k, hide, parts(k))
 }
 
 // minMaxVisible is MinMaxVisible split into np parts.
-func minMaxVisible(codes *bitpack.Vector, begin, end []uint64, e uint64, np int) (minC, maxC uint64, ok bool) {
-	x := split(codes.Len(), BlockSize, np, func(_, from, to int) extremes {
-		x := extremes{mn: ^uint64(0)}
-		decodeBlocks(codes, from, to, begin, end, func(cs, begin, end []uint64) {
-			if begin == nil {
-				mn, mx := x.mn, x.mx
+func minMaxVisible(codes *bitpack.Vector, k int, hide []uint64, np int) (minC, maxC uint64, ok bool) {
+	x := split(k, BlockSize, np, func(_, from, to int) extremes {
+		mn, mx := ^uint64(0), uint64(0)
+		decodeBlocks(codes, from, to, hide, func(cs []uint64, w uint64) {
+			if w == 0 {
 				for _, c := range cs {
 					mn, mx = min(mn, c), max(mx, c)
 				}
-				x = extremes{mn, mx, x.ok || len(cs) > 0}
 				return
 			}
 			for i, c := range cs {
-				if begin[i] <= e && end[i]-1 >= e {
-					x = extremes{min(x.mn, c), max(x.mx, c), true}
+				if w>>(i&63)&1 == 0 {
+					mn, mx = min(mn, c), max(mx, c)
 				}
 			}
 		})
-		return x
+		return extremes{mn, mx}
 	}, func(a, b extremes) extremes {
-		return extremes{min(a.mn, b.mn), max(a.mx, b.mx), a.ok || b.ok}
+		return extremes{min(a.mn, b.mn), max(a.mx, b.mx)}
 	})
-	if !x.ok {
+	if x.mn > x.mx {
 		return 0, 0, false
 	}
 	return x.mn, x.mx, true
@@ -547,18 +602,22 @@ func minMaxVisible(codes *bitpack.Vector, begin, end []uint64, e uint64, np int)
 
 // decodeBlocks decodes the codes [from, to) of v, from a multiple of
 // BlockSize, BlockSize codes at a time into a pooled scratch buffer and
-// hands fn each block with the begin/end epochs of its positions, or nil
-// epochs when begin is nil.
-func decodeBlocks(v *bitpack.Vector, from, to int, begin, end []uint64, fn func(codes, begin, end []uint64)) {
+// hands fn the decoded codes with their hide word: each run of 64 codes
+// with its word of hide (bit i for the run's code i), or the whole block
+// with 0 when hide is nil, so a run with no hidden code takes an untested
+// loop.
+func decodeBlocks(v *bitpack.Vector, from, to int, hide []uint64, fn func(codes []uint64, w uint64)) {
 	bufp := blockPool.Get().(*[]uint64)
 	buf := *bufp
 	for base := from; base < to; base += BlockSize {
 		buf = v.DecodeRange(base, min(base+BlockSize, to), buf)
-		if begin == nil {
-			fn(buf, nil, nil)
+		if hide == nil {
+			fn(buf, 0)
 			continue
 		}
-		fn(buf, begin[base:base+len(buf)], end[base:base+len(buf)])
+		for j := 0; j < len(buf); j += 64 {
+			fn(buf[j:min(len(buf), j+64)], hide[(base+j)>>6])
+		}
 	}
 	*bufp = buf[:cap(buf)]
 	blockPool.Put(bufp)

@@ -15,12 +15,17 @@ import (
 // reference implementation across a sweep of code widths (1–64 bits),
 // lengths crossing word and block boundaries, and match selectivities.
 // Selection vectors must be byte-identical, aggregates exactly equal.
-// Every kernel that takes epochs also runs with nil epochs, which must
-// equal the reference over epochs under which every position is visible.
-// The split kernels run through their unexported entry points at every
-// part count 1..maxParts, so part edges fall inside and at the end of the
-// vector and parts come out empty; TestDifferentialPartCount pins the
-// exported kernels, which pick the part count themselves.
+// The main-partition kernels take (k, hide): the suite derives it from
+// flat begin/end epochs, begin ascending as in a main, the way
+// epoch.Rows.MainAt does — k counts the positions that began by the read
+// epoch, a hide bit marks one below k that died by it, and the bits at and
+// past k are junk the kernels must not read — and checks every kernel
+// against the per-row reference over the flat epochs, at a random epoch,
+// at the Latest sentinel and with a nil hide, at k below and equal to the
+// length.  The split kernels run through their unexported entry points at
+// every part count 1..maxParts, so part edges fall inside and at the end
+// of the vector and parts come out empty; TestDifferentialPartCount pins
+// the exported kernels, which pick the part count themselves.
 
 // maxParts is the largest part count the differential suite forces.
 const maxParts = 5
@@ -71,26 +76,26 @@ func refSelectVisible(begin, end []uint64, e uint64, from, to int) []int32 {
 	return out
 }
 
-func refCountEqual(v *bitpack.Vector, code uint64, begin, end []uint64, e uint64) int {
+func refCountEqual(v *bitpack.Vector, code uint64, vis []bool) int {
 	n := 0
 	for i := 0; i < v.Len(); i++ {
-		if v.Get(i) == code && (begin == nil || refVisible(begin, end, i, e)) {
+		if v.Get(i) == code && vis[i] {
 			n++
 		}
 	}
 	return n
 }
 
-func refSumVisible[V uint32 | uint64](v *bitpack.Vector, dict []V, begin, end []uint64, e uint64) uint64 {
+func refSumVisible[V uint32 | uint64](v *bitpack.Vector, dict []V, vis []bool) uint64 {
 	var sum uint64
-	for _, p := range refSelectVisible(begin, end, e, 0, v.Len()) {
+	for _, p := range refSel(vis) {
 		sum += uint64(dict[v.Get(int(p))])
 	}
 	return sum
 }
 
-func refMinMaxVisible(v *bitpack.Vector, begin, end []uint64, e uint64) (uint64, uint64, bool) {
-	sel := refSelectVisible(begin, end, e, 0, v.Len())
+func refMinMaxVisible(v *bitpack.Vector, vis []bool) (uint64, uint64, bool) {
+	sel := refSel(vis)
 	if len(sel) == 0 {
 		return 0, 0, false
 	}
@@ -107,10 +112,64 @@ func refMinMaxVisible(v *bitpack.Vector, begin, end []uint64, e uint64) (uint64,
 	return mn, mx, true
 }
 
-// allVisible returns epoch columns of n versions current since epoch 0:
-// the reference input every nil-epoch kernel call must agree with.
-func allVisible(n int) (begin, end []uint64) {
-	return make([]uint64, n), make([]uint64, n)
+// refSel returns the positions vis marks visible, ascending.
+func refSel(vis []bool) []int32 {
+	var out []int32
+	for i, ok := range vis {
+		if ok {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// refFilter keeps the positions of sel that vis marks visible.
+func refFilter(sel []int32, vis []bool) []int32 {
+	var out []int32
+	for _, p := range sel {
+		if vis[p] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// mainVis is a main's visibility at one epoch: the (k, hide) the kernels
+// take and the per-row reference vis over the flat epochs it came from.
+type mainVis struct {
+	k    int
+	hide []uint64
+	vis  []bool
+}
+
+// mainAt derives a main's (k, hide) at epoch e from flat epochs whose
+// begin ascends, as epoch.Rows.MainAt does, with rng's junk in every hide
+// bit at and past k.
+func mainAt(rng *rand.Rand, begin, end []uint64, e uint64) mainVis {
+	n := len(begin)
+	m := mainVis{k: n, hide: make([]uint64, (n+63)/64), vis: make([]bool, n)}
+	for i := range n {
+		m.vis[i] = refVisible(begin, end, i, e)
+		if begin[i] > e && m.k == n {
+			m.k = i
+		}
+	}
+	for i := range n {
+		if i < m.k && !m.vis[i] || i >= m.k && rng.Intn(2) == 0 {
+			m.hide[i>>6] |= 1 << (i & 63)
+		}
+	}
+	return m
+}
+
+// wholeMain is the visibility of a main with no dead row whose first k of n
+// positions began by the read epoch: nil hide.
+func wholeMain(n, k int) mainVis {
+	m := mainVis{k: k, vis: make([]bool, n)}
+	for i := range k {
+		m.vis[i] = true
+	}
+	return m
 }
 
 func refDecodeRange(v *bitpack.Vector, from, to int) []uint64 {
@@ -267,12 +326,15 @@ func TestDifferentialMatchRange(t *testing.T) {
 
 // randomEpochs builds begin/end columns with a mix of current (end=0),
 // invalidated-early and invalidated-late versions, plus an epoch that
-// splits them.
+// splits them.  begin ascends, as in a main.
 func randomEpochs(rng *rand.Rand, n int) (begin, end []uint64, e uint64) {
 	begin = make([]uint64, n)
 	end = make([]uint64, n)
 	for i := 0; i < n; i++ {
 		begin[i] = uint64(rng.Intn(10) + 1)
+	}
+	slices.Sort(begin)
+	for i := 0; i < n; i++ {
 		switch rng.Intn(4) {
 		case 0:
 			end[i] = 0 // current
@@ -283,14 +345,28 @@ func randomEpochs(rng *rand.Rand, n int) (begin, end []uint64, e uint64) {
 	return begin, end, uint64(rng.Intn(14) + 1)
 }
 
+// mains returns the main visibilities every main-partition kernel is
+// checked at: flat epochs at a random epoch and at the Latest sentinel,
+// and nil hides at k = n and at a k inside the vector.
+func mains(rng *rand.Rand, n int) []mainVis {
+	begin, end, e := randomEpochs(rng, n)
+	return []mainVis{
+		mainAt(rng, begin, end, e),
+		mainAt(rng, begin, end, ^uint64(0)),
+		wholeMain(n, n),
+		wholeMain(n, n*2/3+n%2),
+	}
+}
+
 func TestDifferentialVisibilityKernels(t *testing.T) {
 	sweep(t, func(t *testing.T, rng *rand.Rand, v *bitpack.Vector, needle uint64) {
 		n := v.Len()
+		// The delta's flat forms.
 		begin, end, e := randomEpochs(rng, n)
-
+		rng.Shuffle(n, func(i, j int) { begin[i], begin[j] = begin[j], begin[i] })
 		wantSel := refSelectVisible(begin, end, e, 0, n)
-		gotSel := SelectVisible(begin, end, e, 0, n, nil)
-		if !eqSel(gotSel, wantSel) {
+		gotSel := SelectVisible(begin, end, e, 0, n, []int32{-7})
+		if len(gotSel) == 0 || gotSel[0] != -7 || !eqSel(gotSel[1:], wantSel) {
 			t.Fatalf("SelectVisible: got %v want %v", head(gotSel), head(wantSel))
 		}
 		if got, want := CountVisible(begin, end, e, 0, n), len(wantSel); got != want {
@@ -302,8 +378,10 @@ func TestDifferentialVisibilityKernels(t *testing.T) {
 			if !eqSel(SelectVisible(begin, end, e, from, to, nil), refSelectVisible(begin, end, e, from, to)) {
 				t.Fatalf("SelectVisible partial range diverged")
 			}
+			if got, want := CountVisible(begin, end, e, from, to), len(refSelectVisible(begin, end, e, from, to)); got != want {
+				t.Fatalf("CountVisible partial range: got %d want %d", got, want)
+			}
 		}
-
 		matches := MatchEqual(v, needle, nil)
 		wantF := refFilterVisible(matches, begin, end, e)
 		gotF := FilterVisible(append([]int32(nil), matches...), begin, end, e)
@@ -311,65 +389,49 @@ func TestDifferentialVisibilityKernels(t *testing.T) {
 			t.Fatalf("FilterVisible: got %v want %v", head(gotF), head(wantF))
 		}
 
-		// CountSelVisible must agree with FilterVisible's survivor count and
-		// leave the selection untouched (posting lists are read-only).
-		before := append([]int32(nil), matches...)
-		if got, want := CountSelVisible(matches, begin, end, e), len(wantF); got != want {
-			t.Fatalf("CountSelVisible: got %d want %d", got, want)
+		for _, m := range mains(rng, n) {
+			checkMainVisibility(t, v, needle, m)
+			checkCountEqual(t, v, needle, m)
 		}
-		if !eqSel(matches, before) {
-			t.Fatalf("CountSelVisible mutated its selection")
-		}
-
-		checkCountEqual(t, v, needle, begin, end, e)
-		// The Latest sentinel epoch must see exactly the current versions.
-		checkCountEqual(t, v, needle, begin, end, ^uint64(0))
-		checkNilVisibility(t, v, needle, e)
 	})
 }
 
-// checkNilVisibility pins the selection and counting visibility kernels
-// with nil epochs to the references over all-visible epochs.
-func checkNilVisibility(t *testing.T, v *bitpack.Vector, needle, e uint64) {
+// checkMainVisibility pins the main's selection and counting kernels at
+// one (k, hide) to the per-row reference.
+func checkMainVisibility(t *testing.T, v *bitpack.Vector, needle uint64, m mainVis) {
 	t.Helper()
-	n := v.Len()
-	zb, ze := allVisible(n)
-	if got, want := SelectVisible(nil, nil, e, 0, n, []int32{-7}), refSelectVisible(zb, ze, e, 0, n); len(got) == 0 || got[0] != -7 || !eqSel(got[1:], want) {
-		t.Fatalf("SelectVisible(nil epochs, n=%d): got %v want %v", n, head(got), head(want))
+	want := refSel(m.vis)
+	if got := SelectMain(m.k, m.hide, []int32{-7}); len(got) == 0 || got[0] != -7 || !eqSel(got[1:], want) {
+		t.Fatalf("SelectMain(n=%d, k=%d, nil hide %v): got %v want %v", v.Len(), m.k, m.hide == nil, head(got), head(want))
 	}
-	if n > 2 {
-		if got, want := SelectVisible(nil, nil, e, 1, n-1, nil), refSelectVisible(zb, ze, e, 1, n-1); !eqSel(got, want) {
-			t.Fatalf("SelectVisible(nil epochs, [1, %d)): got %v want %v", n-1, head(got), head(want))
-		}
-		if got := CountVisible(nil, nil, e, 1, n-1); got != n-2 {
-			t.Fatalf("CountVisible(nil epochs, [1, %d)) = %d want %d", n-1, got, n-2)
-		}
+	if got := CountMain(m.k, m.hide); got != len(want) {
+		t.Fatalf("CountMain(n=%d, k=%d, nil hide %v) = %d want %d", v.Len(), m.k, m.hide == nil, got, len(want))
 	}
-	if got, want := CountVisible(nil, nil, e, 0, n), len(refSelectVisible(zb, ze, e, 0, n)); got != want {
-		t.Fatalf("CountVisible(nil epochs, n=%d) = %d want %d", n, got, want)
-	}
+	// FilterMain compacts in place; CountSelMain must agree with it and
+	// leave the selection untouched (posting lists are read-only).
 	matches := refMatchEqual(v, needle)
-	want := refFilterVisible(matches, zb, ze, e)
-	if got := FilterVisible(append([]int32(nil), matches...), nil, nil, e); !eqSel(got, want) {
-		t.Fatalf("FilterVisible(nil epochs): got %v want %v", head(got), head(want))
+	wantF := refFilter(matches, m.vis)
+	if got := FilterMain(append([]int32(nil), matches...), m.k, m.hide); !eqSel(got, wantF) {
+		t.Fatalf("FilterMain(k=%d, nil hide %v): got %v want %v", m.k, m.hide == nil, head(got), head(wantF))
 	}
-	if got := CountSelVisible(matches, nil, nil, e); got != len(want) {
-		t.Fatalf("CountSelVisible(nil epochs) = %d want %d", got, len(want))
+	before := append([]int32(nil), matches...)
+	if got := CountSelMain(matches, m.k, m.hide); got != len(wantF) {
+		t.Fatalf("CountSelMain(k=%d, nil hide %v) = %d want %d", m.k, m.hide == nil, got, len(wantF))
+	}
+	if !eqSel(matches, before) {
+		t.Fatalf("CountSelMain mutated its selection")
 	}
 }
 
-// checkCountEqual pins countEqual at every part count, fused with
-// visibility at epoch e and with nil epochs, to the reference.
-func checkCountEqual(t *testing.T, v *bitpack.Vector, needle uint64, begin, end []uint64, e uint64) {
+// checkCountEqual pins countEqual at one (k, hide) and every part count to
+// the reference.
+func checkCountEqual(t *testing.T, v *bitpack.Vector, needle uint64, m mainVis) {
 	t.Helper()
-	zb, ze := allVisible(v.Len())
-	want, wantAll := refCountEqual(v, needle, begin, end, e), refCountEqual(v, needle, zb, ze, e)
+	want := refCountEqual(v, needle, m.vis)
 	for np := 1; np <= maxParts; np++ {
-		if got := countEqual(v, needle, begin, end, e, np); got != want {
-			t.Fatalf("countEqual(w=%d, n=%d, e=%d, parts=%d): got %d want %d", v.Bits(), v.Len(), e, np, got, want)
-		}
-		if got := countEqual(v, needle, nil, nil, e, np); got != wantAll {
-			t.Fatalf("countEqual(w=%d, n=%d, nil epochs, parts=%d): got %d want %d", v.Bits(), v.Len(), np, got, wantAll)
+		if got := countEqual(v, needle, m.k, m.hide, np); got != want {
+			t.Fatalf("countEqual(w=%d, n=%d, k=%d, nil hide %v, parts=%d): got %d want %d",
+				v.Bits(), v.Len(), m.k, m.hide == nil, np, got, want)
 		}
 	}
 }
@@ -381,41 +443,29 @@ func TestDifferentialAggregateKernels(t *testing.T) {
 }
 
 // checkAggregates pins sumVisible (both value types) and minMaxVisible to
-// the references at a random epoch, at the Latest sentinel and with nil
-// epochs, at every part count.
+// the references at every main visibility of mains and every part count.
 func checkAggregates(t *testing.T, rng *rand.Rand, v *bitpack.Vector) {
 	t.Helper()
 	n := v.Len()
-	begin, end, e := randomEpochs(rng, n)
-	zb, ze := allVisible(n)
 	dv, dict := indexable(rng, v)
 	dict32 := make([]uint32, len(dict))
 	for i, x := range dict {
 		dict32[i] = uint32(x)
 	}
-	for _, e := range []uint64{e, ^uint64(0)} {
-		want := refSumVisible(dv, dict, begin, end, e)
-		want32 := refSumVisible(dv, dict32, begin, end, e)
-		wmn, wmx, wok := refMinMaxVisible(v, begin, end, e)
-		wantAll := refSumVisible(dv, dict, zb, ze, e)
-		amn, amx, aok := refMinMaxVisible(v, zb, ze, e)
+	for _, m := range mains(rng, n) {
+		want := refSumVisible(dv, dict, m.vis)
+		want32 := refSumVisible(dv, dict32, m.vis)
+		wmn, wmx, wok := refMinMaxVisible(v, m.vis)
 		for np := 1; np <= maxParts; np++ {
-			if got := sumVisible(dv, dict, nil, nil, e, np); got != wantAll {
-				t.Fatalf("sumVisible(w=%d, n=%d, nil epochs, parts=%d): got %d want %d", v.Bits(), n, np, got, wantAll)
+			if got := sumVisible(dv, dict, m.k, m.hide, np); got != want {
+				t.Fatalf("sumVisible(w=%d, n=%d, k=%d, nil hide %v, parts=%d): got %d want %d", v.Bits(), n, m.k, m.hide == nil, np, got, want)
 			}
-			if gmn, gmx, gok := minMaxVisible(v, nil, nil, e, np); gmn != amn || gmx != amx || gok != aok {
-				t.Fatalf("minMaxVisible(w=%d, n=%d, nil epochs, parts=%d): got (%d,%d,%v) want (%d,%d,%v)",
-					v.Bits(), n, np, gmn, gmx, gok, amn, amx, aok)
+			if got := sumVisible(dv, dict32, m.k, m.hide, np); got != want32 {
+				t.Fatalf("sumVisible[uint32](w=%d, n=%d, k=%d, nil hide %v, parts=%d): got %d want %d", v.Bits(), n, m.k, m.hide == nil, np, got, want32)
 			}
-			if got := sumVisible(dv, dict, begin, end, e, np); got != want {
-				t.Fatalf("sumVisible(w=%d, n=%d, e=%d, parts=%d): got %d want %d", v.Bits(), n, e, np, got, want)
-			}
-			if got := sumVisible(dv, dict32, begin, end, e, np); got != want32 {
-				t.Fatalf("sumVisible[uint32](w=%d, n=%d, e=%d, parts=%d): got %d want %d", v.Bits(), n, e, np, got, want32)
-			}
-			if gmn, gmx, gok := minMaxVisible(v, begin, end, e, np); gmn != wmn || gmx != wmx || gok != wok {
-				t.Fatalf("minMaxVisible(w=%d, n=%d, e=%d, parts=%d): got (%d,%d,%v) want (%d,%d,%v)",
-					v.Bits(), n, e, np, gmn, gmx, gok, wmn, wmx, wok)
+			if gmn, gmx, gok := minMaxVisible(v, m.k, m.hide, np); gmn != wmn || gmx != wmx || gok != wok {
+				t.Fatalf("minMaxVisible(w=%d, n=%d, k=%d, nil hide %v, parts=%d): got (%d,%d,%v) want (%d,%d,%v)",
+					v.Bits(), n, m.k, m.hide == nil, np, gmn, gmx, gok, wmn, wmx, wok)
 			}
 		}
 	}
@@ -484,9 +534,10 @@ func TestDifferentialWindowEdges(t *testing.T) {
 					}
 				}
 			}
-			begin, end, e := randomEpochs(rng, n)
-			checkCountEqual(t, v, needle, begin, end, e)
-			checkNilVisibility(t, v, needle, e)
+			for _, m := range mains(rng, n) {
+				checkCountEqual(t, v, needle, m)
+				checkMainVisibility(t, v, needle, m)
+			}
 			checkAggregates(t, rng, v)
 		}
 	}
@@ -495,9 +546,9 @@ func TestDifferentialWindowEdges(t *testing.T) {
 func TestDifferentialGather(t *testing.T) {
 	sweep(t, func(t *testing.T, rng *rand.Rand, v *bitpack.Vector, needle uint64) {
 		n := v.Len()
-		begin, end, e := randomEpochs(rng, n)
+		m := mains(rng, n)[0]
 		for _, sel := range [][]int32{
-			SelectVisible(begin, end, e, 0, n, nil), // dense-ish
+			SelectMain(m.k, m.hide, nil), // dense-ish
 			MatchEqual(v, needle, nil),
 			sparseSel(n),
 		} {
@@ -591,6 +642,8 @@ func TestDifferentialPartCount(t *testing.T) {
 	}
 	v := bitpack.FromSlice(10, codes)
 	begin, end, e := randomEpochs(rng, n)
+	// k stops short of the vector, off every word and block boundary.
+	ms := []mainVis{mainAt(rng, begin, end, e), mainAt(rng, begin, end, ^uint64(0)), wholeMain(n, n), wholeMain(n, n-3)}
 	dict := make([]uint64, 1024)
 	for i := range dict {
 		dict[i] = rng.Uint64()
@@ -604,21 +657,16 @@ func TestDifferentialPartCount(t *testing.T) {
 		if got, want := MatchRange(v, 100, 200, nil), refMatchRange(v, 100, 200); !eqSel(got, want) {
 			t.Fatalf("MatchRange(parts=%d): got %d positions want %d", parts(n), len(got), len(want))
 		}
-		for _, ep := range [][2][]uint64{{begin, end}, {nil, nil}} {
-			b, en := ep[0], ep[1]
-			rb, re := b, en
-			if b == nil {
-				rb, re = allVisible(n)
+		for _, m := range ms {
+			if got, want := CountEqual(v, needle, m.k, m.hide), refCountEqual(v, needle, m.vis); got != want {
+				t.Fatalf("CountEqual(parts=%d, k=%d, nil hide %v): got %d want %d", parts(m.k), m.k, m.hide == nil, got, want)
 			}
-			if got, want := CountEqual(v, needle, b, en, e), refCountEqual(v, needle, rb, re, e); got != want {
-				t.Fatalf("CountEqual(parts=%d, nil epochs %v): got %d want %d", parts(n), b == nil, got, want)
+			if got, want := SumVisible(v, dict, m.k, m.hide), refSumVisible(v, dict, m.vis); got != want {
+				t.Fatalf("SumVisible(parts=%d, k=%d, nil hide %v): got %d want %d", parts(m.k), m.k, m.hide == nil, got, want)
 			}
-			if got, want := SumVisible(v, dict, b, en, e), refSumVisible(v, dict, rb, re, e); got != want {
-				t.Fatalf("SumVisible(parts=%d, nil epochs %v): got %d want %d", parts(n), b == nil, got, want)
-			}
-			wmn, wmx, wok := refMinMaxVisible(v, rb, re, e)
-			if gmn, gmx, gok := MinMaxVisible(v, b, en, e); gmn != wmn || gmx != wmx || gok != wok {
-				t.Fatalf("MinMaxVisible(parts=%d, nil epochs %v): got (%d,%d,%v) want (%d,%d,%v)", parts(n), b == nil, gmn, gmx, gok, wmn, wmx, wok)
+			wmn, wmx, wok := refMinMaxVisible(v, m.vis)
+			if gmn, gmx, gok := MinMaxVisible(v, m.k, m.hide); gmn != wmn || gmx != wmx || gok != wok {
+				t.Fatalf("MinMaxVisible(parts=%d, k=%d, nil hide %v): got (%d,%d,%v) want (%d,%d,%v)", parts(m.k), m.k, m.hide == nil, gmn, gmx, gok, wmn, wmx, wok)
 			}
 		}
 	}
@@ -652,19 +700,16 @@ var benchSink int
 // (op=range), each against the scalar per-row bitpack.Vector.Get loop the
 // kernels exist to avoid; a count of the needle fused with visibility
 // (op=count); and the fused sum and min/max over the visible rows (op=sum,
-// op=minmax), with one row in 16 invalidated (impl=kernel) and with nil
-// epochs, as a main every reader sees whole is read (impl=whole).  Each
-// sub-benchmark reports ns/row, and MB/s of the packed code vector.  Run it with -cpu 1,2: one
-// CPU takes the serial loop, two split the 1M codes into two parts.
+// op=minmax), with one row in 16 dead in the main's bitmap (impl=kernel)
+// and with a nil bitmap, as a main with no dead row is read (impl=whole).
+// Each sub-benchmark reports ns/row, and MB/s of the packed code vector.
+// Run it with -cpu 1,2: one CPU takes the serial loop, two split the 1M
+// codes into two parts.
 func BenchmarkScanKernel(b *testing.B) {
 	const n = 1 << 20
-	const e = 5 // every row visible but each 16th, invalidated at epoch 2
-	begin, end := make([]uint64, n), make([]uint64, n)
-	for i := range begin {
-		begin[i] = 1
-		if i%16 == 0 {
-			end[i] = 2
-		}
+	hide := make([]uint64, n/64) // every 16th row dead
+	for i := range hide {
+		hide[i] = 0x0001000100010001
 	}
 	for _, bits := range []uint{3, 7, 8, 10, 16, 17, 19, 32} {
 		rng := rand.New(rand.NewSource(int64(bits)))
@@ -719,25 +764,20 @@ func BenchmarkScanKernel(b *testing.B) {
 			sel = MatchRange(v, lo, hi, sel[:0])
 			benchSink = len(sel)
 		})
-		run("count", "kernel", func() {
-			benchSink = CountEqual(v, needle, begin, end, e)
-		})
-		run("sum", "kernel", func() {
-			benchSink = int(SumVisible(v, dict, begin, end, e))
-		})
-		run("minmax", "kernel", func() {
-			mn, mx, _ := MinMaxVisible(v, begin, end, e)
-			benchSink = int(mn + mx)
-		})
-		run("count", "whole", func() {
-			benchSink = CountEqual(v, needle, nil, nil, e)
-		})
-		run("sum", "whole", func() {
-			benchSink = int(SumVisible(v, dict, nil, nil, e))
-		})
-		run("minmax", "whole", func() {
-			mn, mx, _ := MinMaxVisible(v, nil, nil, e)
-			benchSink = int(mn + mx)
-		})
+		for _, impl := range []struct {
+			name string
+			hide []uint64
+		}{{"kernel", hide}, {"whole", nil}} {
+			run("count", impl.name, func() {
+				benchSink = CountEqual(v, needle, n, impl.hide)
+			})
+			run("sum", impl.name, func() {
+				benchSink = int(SumVisible(v, dict, n, impl.hide))
+			})
+			run("minmax", impl.name, func() {
+				mn, mx, _ := MinMaxVisible(v, n, impl.hide)
+				benchSink = int(mn + mx)
+			})
+		}
 	}
 }

@@ -159,9 +159,9 @@ func (s *Scheduler) MergeNow(ctx context.Context) error {
 	var dirty []*table.Table
 	for _, t := range s.src() {
 		// With an empty delta a merge only rewrites the main, which is
-		// worth doing solely when dead versions linger there to reclaim;
-		// otherwise it would be a full-table no-op.
-		if t.DeltaRows() > 0 || t.Rows() != t.ValidRows() {
+		// worth doing solely when it could reclaim dead versions the last
+		// merge kept; otherwise it would be a full-table no-op.
+		if t.DeltaRows() > 0 || t.MayReclaim() {
 			dirty = append(dirty, t)
 		}
 	}
@@ -181,11 +181,14 @@ func (s *Scheduler) ShouldMerge() bool {
 }
 
 // triggered evaluates N_D > Fraction * N_M on one partition.  A sealed
-// partition (see table.Table.Seal) also triggers while it holds a version
-// no latest read sees: it takes no new version, so only such merges empty
-// it, and a store drops a sealed window once they have.
+// partition (see table.Table.Seal) also triggers while a merge could
+// reclaim one of its dead versions (table.Table.MayReclaim, O(1)): it
+// takes no new version, so only such merges empty it, and a store drops a
+// sealed window once they have.  While a live pin alone retains the dead
+// versions its last merge kept, it does not trigger again until the pin
+// is released.
 func (s *Scheduler) triggered(t *table.Table) bool {
-	if t.Sealed() && t.Rows() != t.ValidRows() {
+	if t.Sealed() && t.MayReclaim() {
 		return true
 	}
 	nd := t.DeltaRows()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hyrise/internal/shard"
 	"hyrise/internal/table"
 )
 
@@ -405,5 +406,56 @@ func TestStopCancelsInflight(t *testing.T) {
 	}
 	if err := s.LastErr(); err != nil {
 		t.Fatalf("cancelled merge recorded as failure: %v", err)
+	}
+}
+
+// TestPinnedSealedPartition reshards a one-shard store under a pin that
+// sees every moved row, so the sealed partition keeps their dead versions
+// through its merge.  A scheduler polling every millisecond must merge
+// that partition at most once while the pin is held — each further merge
+// would rewrite its main and reclaim nothing — and after the release it
+// must drain the partition, so the store prunes its window.
+func TestPinnedSealedPartition(t *testing.T) {
+	st, err := shard.New("t", table.Schema{{Name: "k", Type: table.Uint64}}, "k", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]any, 200)
+	for i := range rows {
+		rows[i] = []any{uint64(i)}
+	}
+	if _, err := st.InsertRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	pin := st.Snapshot()
+	defer pin.Release()
+	if _, err := st.Reshard(t.Context(), 2); err != nil {
+		t.Fatal(err)
+	}
+	sealed := st.Shard(0)
+	if !sealed.Sealed() || sealed.Rows()-sealed.ValidRows() != 200 {
+		t.Fatalf("partition 0: sealed %v, %d dead rows, want sealed with 200", sealed.Sealed(), sealed.Rows()-sealed.ValidRows())
+	}
+	gen := sealed.MergeGeneration()
+	s := New(st.Partitions, Config{Interval: time.Millisecond})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	for start := time.Now(); time.Since(start) < 100*time.Millisecond; {
+		time.Sleep(5 * time.Millisecond)
+		if d := sealed.MergeGeneration() - gen; d > 1 {
+			t.Fatalf("the pinned sealed partition merged %d times in %v", d, time.Since(start))
+		}
+	}
+	if sealed.Rows()-sealed.ValidRows() != 200 || st.Shard(0) == nil {
+		t.Fatalf("a merge under the pin reclaimed: %d dead rows left", sealed.Rows()-sealed.ValidRows())
+	}
+	pin.Release()
+	eventually(t, "the sealed window was not drained and pruned after the release", func() bool {
+		return st.Shard(0) == nil
+	})
+	if sealed.Rows() != 0 {
+		t.Fatalf("pruned partition holds %d rows", sealed.Rows())
 	}
 }

@@ -318,3 +318,76 @@ func TestGCRaceStress(t *testing.T) {
 		t.Fatal("stress reclaimed nothing")
 	}
 }
+
+// TestMayReclaim pins the O(1) test a scheduler polls: true while dead
+// versions the last merge did not see wait, false once a merge kept them
+// all for a pin, true again after a release; on a follower whose clock
+// lags the replayed stamps, false until the clock reaches the kept end.
+func TestMayReclaim(t *testing.T) {
+	tb, _ := gcTestTable(t)
+	fill := func(tb *Table) {
+		for i := range 10 {
+			if _, err := tb.Insert([]any{uint64(i), uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	merge := func(tb *Table) Report {
+		t.Helper()
+		rep, err := tb.Merge(context.Background(), MergeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	fill(tb)
+	merge(tb)
+	if tb.MayReclaim() {
+		t.Fatal("MayReclaim with no dead version")
+	}
+	pin := tb.Snapshot()
+	if err := tb.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	if !tb.MayReclaim() {
+		t.Fatal("a dead version no merge saw is not reclaimable")
+	}
+	if rep := merge(tb); rep.RowsReclaimed != 0 || tb.MayReclaim() {
+		t.Fatalf("after a merge kept the pinned version (reclaimed %d): MayReclaim %v", rep.RowsReclaimed, tb.MayReclaim())
+	}
+	if err := tb.Delete(4); err != nil {
+		t.Fatal(err)
+	}
+	if !tb.MayReclaim() {
+		t.Fatal("a new dead version is not reclaimable")
+	}
+	merge(tb)
+	pin.Release()
+	if !tb.MayReclaim() {
+		t.Fatal("not reclaimable after the pin's release")
+	}
+	if rep := merge(tb); rep.RowsReclaimed != 2 || tb.MayReclaim() {
+		t.Fatalf("the merge after the release reclaimed %d of 2", rep.RowsReclaimed)
+	}
+
+	f, err := New("follower", tb.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ApplyInsert(0, [][]any{{uint64(1), uint64(1)}}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ApplyInvalidate(0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if rep := merge(f); rep.RowsReclaimed != 0 || f.MayReclaim() {
+		t.Fatalf("follower: a version ahead of the clock reclaimed %d, MayReclaim %v", rep.RowsReclaimed, f.MayReclaim())
+	}
+	f.Clock().AdvanceTo(7)
+	if !f.MayReclaim() {
+		t.Fatal("follower: not reclaimable once the clock reached the kept end")
+	}
+	if rep := merge(f); rep.RowsReclaimed != 1 {
+		t.Fatalf("follower: reclaimed %d of 1", rep.RowsReclaimed)
+	}
+}

@@ -17,7 +17,10 @@ import (
 // so column storage is captured as references — nothing is copied or
 // decoded, and the image stays valid whatever the partition does next.  Ids
 // and epochs are mutated in place (invalidation, GC compaction), so those
-// are copies: 24 bytes per row.
+// are copies, and flat ones: Begin and End hold every slot, the main's ends
+// expanded from its dead bitmap and exceptions (0 for a live row), and
+// Adopt folds them back (epoch.RowsOf).  An image thus holds 24 bytes of
+// ids and epochs per row where the partition holds about 16.
 type Image struct {
 	IDs        []int    // stable id of every stored version in slot order, strictly ascending
 	Begin, End []uint64 // per-slot visibility epochs
@@ -121,16 +124,7 @@ func (t *Table) Adopt(img Image) error {
 	}
 	t.rows = rows
 	t.ids = img.IDs
-	t.epochs = epoch.RowsOf(img.Begin, img.End)
-	for i, b := range img.Begin {
-		if i < img.MainRows {
-			t.mainBegin = max(t.mainBegin, b)
-		}
-		t.maxBegin = max(t.maxBegin, b)
-		if img.End[i] != 0 {
-			t.dead++
-		}
-	}
+	t.epochs = epoch.RowsOf(img.Begin, img.End, img.MainRows)
 	t.nextID = img.NextID
 	t.retired = img.Retired
 	t.reclaimed = img.Reclaimed

@@ -3,6 +3,7 @@ package table
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -133,20 +134,29 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	// is invisible to every live pin and to every future capture
 	// (epoch.PinSet.Reclaimable), so one old analytical pin retains only
 	// the versions it can see, not every version invalidated after it.  The
-	// mask covers exactly the frozen main+delta slots; rows landing in the
-	// second delta afterwards are beyond it and always kept.
+	// decision visits the dead versions alone — the main's exceptions and
+	// the delta's dead slots — never every main row.  The drop covers
+	// exactly the frozen main+delta slots; rows landing in the second delta
+	// afterwards are beyond it and always kept.
 	t.gcDrop, t.gcMark = core.Drop{}, 0
-	var deadAtFreeze, livePins int
-	// t.dead counts stored versions with end != 0: when it is zero there
-	// is nothing to reclaim and the freeze stays O(columns) — the end-
-	// epoch scan below only runs when garbage can actually exist.
-	if t.dead > 0 {
-		deadAtFreeze = t.dead
+	deadAtFreeze := t.epochs.Dead()
+	var livePins int
+	var releases, ahead uint64
+	if deadAtFreeze > 0 {
 		ps := t.clock.LivePins()
-		livePins = ps.Len()
-		begin, end := t.epochs.Raw()
-		t.gcDrop = core.DropMask(begin[:t.rows], end[:t.rows], ps.Reclaimable, threads)
-		if len(t.gcDrop.Pos) > 0 {
+		livePins, releases = ps.Len(), ps.Releases()
+		var pos []int
+		t.epochs.EachDead(t.rows, func(slot int, begin, end uint64) {
+			switch {
+			case ps.Reclaimable(begin, end):
+				pos = append(pos, slot)
+			case end > ps.Now() && (ahead == 0 || end < ahead):
+				ahead = end
+			}
+		})
+		slices.Sort(pos)
+		t.gcDrop = core.DropAt(pos, t.rows)
+		if len(pos) > 0 {
 			// The reclamation floor is the freeze-time clock reading, not
 			// the min pin: precise retention may punch holes anywhere below
 			// it that no live pin covered, so no later pin below the floor
@@ -155,8 +165,6 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 		}
 	}
 	drop := t.gcDrop
-	// Every row the merge folds into the new main was appended by now.
-	frozenBegin := t.maxBegin
 	for _, c := range t.cols {
 		c.beginMerge()
 	}
@@ -193,6 +201,10 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	for _, c := range t.cols {
 		c.commitMerge()
 	}
+	// The frozen delta's versions join the main: its dead ones become
+	// exceptions and bits of the new main's bitmap, in the same pass that
+	// closes the rows up behind the reclaimed slots.
+	t.epochs.Fold(rowsMerged, t.gcDrop.Pos)
 	if len(t.gcDrop.Pos) > 0 {
 		rep.RowsReclaimed = t.compactRowsLocked()
 		rep.GCWatermark = t.gcMark
@@ -201,7 +213,7 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 		}
 	}
 	t.gcDrop, t.gcMark = core.Drop{}, 0
-	t.mainBegin = frozenBegin
+	t.gcReleases, t.gcAhead = releases, ahead
 	t.mergeGen++
 	for _, c := range t.cols {
 		rep.Columns = append(rep.Columns, c.mergeStats())
@@ -261,15 +273,15 @@ func (t *Table) runColumnMerges(ctx context.Context, threads int, drop core.Drop
 	return nil
 }
 
-// compactRowsLocked applies the frozen GC decision to the row metadata at
-// merge commit (t.mu write-held): reclaimed slots leave ids and epochs,
-// which retires their stable ids, and the survivors — including rows that
-// accumulated in the second delta during the merge, which lie beyond the
-// mask — close up behind them in order.  Removal preserves order, so ids
-// stays strictly ascending and no survivor needs re-indexing: the pass moves
-// the runs between reclaimed slots, starting at the first one.  The columns
-// were already rebuilt without the dropped rows by MergeColumnDrop, so
-// physical slots line up again when this returns.
+// compactRowsLocked applies the frozen GC decision to the stable ids at
+// merge commit (t.mu write-held): reclaimed slots leave ids, which retires
+// their stable ids, and the survivors — including rows that accumulated in
+// the second delta during the merge, which lie beyond the drop — close up
+// behind them in order.  Removal preserves order, so ids stays strictly
+// ascending and no survivor needs re-indexing: the pass moves the runs
+// between reclaimed slots, starting at the first one.  The columns were
+// already rebuilt without the dropped rows by MergeColumnDrop and the
+// epochs by Fold, so physical slots line up again when this returns.
 func (t *Table) compactRowsLocked() int {
 	pos := t.gcDrop.Pos
 	w := pos[0]
@@ -281,10 +293,8 @@ func (t *Table) compactRowsLocked() int {
 		w += copy(t.ids[w:], t.ids[p+1:next])
 	}
 	t.ids = t.ids[:w]
-	t.epochs.Compact(t.gcDrop.Mask)
 	t.rows = w
 	t.retired += len(pos)
 	t.reclaimed += len(pos) * t.rowBytes
-	t.dead -= len(pos)
 	return len(pos)
 }

@@ -90,11 +90,21 @@ func (t *Table) GCBound() uint64 {
 	return t.gcWatermark
 }
 
-// ApplyInsert replays an insert op: rows become stable ids firstID,
-// firstID+1, ... stamped as inserted at epoch at.  Rows the table already
-// has (ids below NextRowID, from a snapshot that overlapped the log tail)
-// are skipped, so replay is idempotent; a firstID beyond NextRowID is an
-// ErrReplayGap.
+// checkStamp refuses a replayed row stamped below the partition's last
+// begin epoch, which would break begin's order in slots (t.mu held).
+func (t *Table) checkStamp(at uint64) error {
+	if last := t.epochs.LastBegin(); at < last {
+		return fmt.Errorf("%w: row stamped %d after one stamped %d", ErrReplayGap, at, last)
+	}
+	return nil
+}
+
+// ApplyInsert replays an insert op — or the insert side of a move op: rows
+// become stable ids firstID, firstID+1, ... stamped as inserted at epoch
+// at.  Rows the table already has (ids below NextRowID, from a snapshot
+// that overlapped the log tail) are skipped, so replay is idempotent; a
+// firstID beyond NextRowID, or a stamp below the last row's begin epoch, is
+// an ErrReplayGap and leaves the table unchanged.
 func (t *Table) ApplyInsert(firstID uint64, rows [][]any, at uint64) error {
 	for _, values := range rows {
 		if err := t.CheckRow(values); err != nil {
@@ -111,6 +121,9 @@ func (t *Table) ApplyInsert(firstID uint64, rows [][]any, at uint64) error {
 	if skip >= uint64(len(rows)) {
 		return nil
 	}
+	if err := t.checkStamp(at); err != nil {
+		return err
+	}
 	for _, values := range rows[skip:] {
 		t.insertLocked(values, at)
 	}
@@ -121,7 +134,8 @@ func (t *Table) ApplyInsert(firstID uint64, rows [][]any, at uint64) error {
 // values appended as version newID, both stamped at — the version switch
 // is atomic exactly as on the primary.  An update whose new version the
 // table already has is skipped whole (idempotence); anything else
-// inconsistent is an ErrReplayGap.
+// inconsistent, a stamp below the last row's begin epoch included, is an
+// ErrReplayGap and leaves the table unchanged.
 func (t *Table) ApplyUpdate(oldID, newID uint64, values []any, at uint64) error {
 	if err := t.CheckRow(values); err != nil {
 		return err
@@ -142,7 +156,10 @@ func (t *Table) ApplyUpdate(oldID, newID uint64, values []any, at uint64) error 
 	if !t.epochs.Alive(slot) {
 		return fmt.Errorf("%w: update of already-dead id %d", ErrReplayGap, oldID)
 	}
-	t.invalidateLocked(slot, at)
+	if err := t.checkStamp(at); err != nil {
+		return err
+	}
+	t.epochs.Invalidate(slot, at)
 	t.insertLocked(values, at)
 	return nil
 }
@@ -161,6 +178,6 @@ func (t *Table) ApplyInvalidate(id uint64, at uint64) error {
 	if err != nil || !t.epochs.Alive(slot) {
 		return nil // retired by this follower's own GC, or already dead
 	}
-	t.invalidateLocked(slot, at)
+	t.epochs.Invalidate(slot, at)
 	return nil
 }

@@ -155,3 +155,45 @@ func TestGCBoundTracksCommittedWatermark(t *testing.T) {
 		t.Fatalf("GCBound = %d, watermark %d", got, want)
 	}
 }
+
+// TestReplayRefusesOlderStamp pins monotone begin as a checked invariant:
+// a replayed row stamped below the partition's last begin — an insert, an
+// update's new version, the insert side of a move — is an ErrReplayGap and
+// leaves the partition as it was, while a stamp equal to the last begin is
+// accepted.
+func TestReplayRefusesOlderStamp(t *testing.T) {
+	tb, err := New("r", replogSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []any{uint64(1), uint32(2), "x"}
+	if err := tb.ApplyInsert(0, [][]any{row, row}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Merge(t.Context(), MergeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.ApplyInsert(2, [][]any{row}, 7); err != nil {
+		t.Fatal(err)
+	}
+	begin, end := tb.RowEpochs()
+	for name, apply := range map[string]func() error{
+		"insert":        func() error { return tb.ApplyInsert(3, [][]any{row}, 6) },
+		"update":        func() error { return tb.ApplyUpdate(0, 3, row, 6) },
+		"update, delta": func() error { return tb.ApplyUpdate(2, 3, row, 6) },
+	} {
+		if err := apply(); !errors.Is(err, ErrReplayGap) {
+			t.Fatalf("%s stamped 6 after 7: err = %v, want ErrReplayGap", name, err)
+		}
+		gb, ge := tb.RowEpochs()
+		if tb.NextRowID() != 3 || !reflect.DeepEqual(gb, begin) || !reflect.DeepEqual(ge, end) {
+			t.Fatalf("%s refused, yet the partition changed: next id %d, epochs %v / %v", name, tb.NextRowID(), gb, ge)
+		}
+	}
+	if err := tb.ApplyUpdate(0, 3, row, 7); err != nil {
+		t.Fatalf("update stamped at the last begin: %v", err)
+	}
+	if err := tb.ApplyInsert(4, [][]any{row}, 7); err != nil {
+		t.Fatalf("insert stamped at the last begin: %v", err)
+	}
+}

@@ -137,6 +137,18 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 	if got := tb.ValidRowsAt(view); got != len(visible) {
 		t.Fatalf("%s: ValidRowsAt = %d, want %d", at, got, len(visible))
 	}
+	var visibleIDs []int
+	for _, e := range visible {
+		visibleIDs = append(visibleIDs, e.id)
+	}
+	if s, err := tb.Read(view, Plan{Reduce: Rows}); err != nil || !slices.Equal(s.Rows, visibleIDs) {
+		t.Fatalf("%s: Read(Rows) = %v, %v, want %v", at, s.Rows, err, visibleIDs)
+	}
+	for slot, e := range stored {
+		if got, want := tb.VisibleAt(view, e.id), begin[slot] <= view.Epoch() && (end[slot] == 0 || end[slot] > view.Epoch()); got != want {
+			t.Fatalf("%s: VisibleAt(%d) = %v, want %v", at, e.id, got, want)
+		}
+	}
 	where := func(keep func(V) bool) []int {
 		var ids []int
 		for _, e := range visible {
@@ -164,6 +176,11 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 		}
 		if got := h.CountEqualAt(view, p); got != len(want) {
 			t.Fatalf("%s: %s CountEqualAt(%v) = %d, want %d", at, col, p, got, len(want))
+		}
+		// A conjunctive query: a range seeds, the equality refines.
+		plan := Plan{Preds: []Pred{{Col: ci, Range: true, Lo: p, Hi: p}, {Col: ci, Lo: p}}}
+		if s, err := tb.Read(view, plan); err != nil || !slices.Equal(s.Rows, want) {
+			t.Fatalf("%s: %s query(= %v) = %v, %v, want %v", at, col, p, s.Rows, err, want)
 		}
 		// Exact over the deltas; the main part is exact when indexed and
 		// the uniform guess otherwise.

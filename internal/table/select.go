@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"hyrise/internal/epoch"
 	"hyrise/internal/kernel"
 	"hyrise/internal/val"
 )
@@ -257,24 +258,30 @@ func (t *Table) chooseSeed(conds []cond) (drive, est int, indexed bool) {
 	return drive, est, indexed
 }
 
-// countVisible returns the number of rows visible at epoch e (t.mu held).
-// The main's rows are counted without a per-row test when all are visible.
+// countVisible returns the number of rows visible at epoch e (t.mu held):
+// the main's from its bitmap, with no per-row test, the delta's from its
+// epochs.
 func (t *Table) countVisible(e uint64) int {
-	nm := t.cols[0].mainLen()
-	mb, me := t.mainEpochs(e)
-	begin, end := t.epochs.Raw()
-	return kernel.CountVisible(mb, me, e, 0, nm) + kernel.CountVisible(begin, end, e, nm, t.rows)
+	if e == epoch.Latest {
+		return t.rows - t.epochs.Dead()
+	}
+	begin, end := t.epochs.Delta()
+	return kernel.CountMain(t.epochs.MainAt(e)) + kernel.CountVisible(begin, end, e, 0, len(end))
 }
 
 // visibleSlots returns the slots visible at epoch e, ascending (t.mu held).
 func (t *Table) visibleSlots(e uint64) []int {
-	nm := t.cols[0].mainLen()
-	mb, me := t.mainEpochs(e)
-	begin, end := t.epochs.Raw()
-	sel := kernel.SelectVisible(begin, end, e, nm, t.rows, kernel.SelectVisible(mb, me, e, 0, nm, nil))
+	k, hide := t.epochs.MainAt(e)
+	sel := kernel.SelectMain(k, hide, nil)
+	nm, inMain := t.epochs.MainLen(), len(sel)
+	begin, end := t.epochs.Delta()
+	sel = kernel.SelectVisible(begin, end, e, 0, len(end), sel)
 	slots := make([]int, len(sel))
 	for i, p := range sel {
 		slots[i] = int(p)
+		if i >= inMain {
+			slots[i] += nm // a delta position counts from the first delta slot
+		}
 	}
 	return slots
 }
@@ -404,7 +411,8 @@ func (q *typedCond[V]) estimate() (rows int, indexed bool) {
 // value matches, in ascending order (t.mu held).  The main is matched on
 // the bound code interval, through its group-key index when it has one and
 // by the scan kernels otherwise (split across cores on a large main), then
-// filtered for visibility unless every main row is visible at e.  The
+// filtered by the main's visibility at e: the rows that began by e, less
+// the hidden bits, and nothing to test on a main with no dead row.  The
 // deltas contribute an equality's positions found at bind, a range's
 // through their CSB+ trees on an indexed column and by a value scan
 // otherwise.
@@ -428,9 +436,9 @@ func (q *typedCond[V]) seed(t *Table, e uint64) []int {
 	} else {
 		t.routeScanned.Add(1)
 	}
-	begin, end := t.mainEpochs(e)
+	k, hide := t.epochs.MainAt(e)
 	var slots []int
-	for _, pos := range kernel.FilterVisible(sel, begin, end, e) {
+	for _, pos := range kernel.FilterMain(sel, k, hide) {
 		slots = append(slots, int(pos))
 	}
 	return q.deltaSlots(t, e, slots)
@@ -489,21 +497,21 @@ func (q *typedCond[V]) refine(slots []int) []int {
 
 // count counts an equality's matches visible at epoch e (t.mu held): the
 // main's by the fused match+visibility kernel, split across cores on a
-// large main, or over its posting list — by matches alone when every main
-// row is visible — and the deltas' among the positions found at bind.
+// large main, or over its posting list — by matches alone when no main row
+// is dead — and the deltas' among the positions found at bind.
 func (q *typedCond[V]) count(t *Table, e uint64) int {
 	c := q.c
-	begin, end := t.mainEpochs(e)
+	k, hide := t.epochs.MainAt(e)
 	n := 0
 	if q.cLo < q.cHi {
 		if p := c.main.Index(); p != nil {
 			// Bucket aliases the index, so the read-only counting kernel is
 			// used rather than the in-place filter.
 			t.routeIndexed.Add(1)
-			n = kernel.CountSelVisible(p.Bucket(q.cLo), begin, end, e)
+			n = kernel.CountSelMain(p.Bucket(q.cLo), k, hide)
 		} else {
 			t.routeScanned.Add(1)
-			n = kernel.CountEqual(c.main.Codes(), q.cLo, begin, end, e)
+			n = kernel.CountEqual(c.main.Codes(), q.cLo, k, hide)
 		}
 	}
 	return n + len(q.deltaSlots(t, e, nil))
@@ -527,10 +535,10 @@ func (c *typedColumn[V]) aggregate(t *Table, e uint64, slots []int, all, minMax 
 
 // aggregateInts is aggregate on an integer column.  Over every visible row
 // the main is reduced by one fused decode-visibility-reduce kernel, split
-// across cores on a large main and testing nothing when every main row is
-// visible; MinMaxVisible reduces over codes, as the main's min/max code IS
-// its min/max value, and pays two dictionary accesses.  The delta values
-// are read directly.
+// across cores on a large main, reading one hide bit per main row and none
+// when no main row is dead; MinMaxVisible reduces over codes, as the
+// main's min/max code IS its min/max value, and pays two dictionary
+// accesses.  The delta values are read directly.
 func aggregateInts[V ~uint32 | ~uint64](c *typedColumn[V], t *Table, e uint64, slots []int, all, minMax bool, s *Selection) {
 	fold := func(v V) {
 		x := uint64(v)
@@ -550,16 +558,16 @@ func aggregateInts[V ~uint32 | ~uint64](c *typedColumn[V], t *Table, e uint64, s
 		}
 		return
 	}
-	mb, me := t.mainEpochs(e)
+	k, hide := t.epochs.MainAt(e)
 	if !minMax {
-		s.Sum = kernel.SumVisible(c.main.Codes(), c.main.Dict().Values(), mb, me, e)
-	} else if cMin, cMax, ok := kernel.MinMaxVisible(c.main.Codes(), mb, me, e); ok {
+		s.Sum = kernel.SumVisible(c.main.Codes(), c.main.Dict().Values(), k, hide)
+	} else if cMin, cMax, ok := kernel.MinMaxVisible(c.main.Codes(), k, hide); ok {
 		d := c.main.Dict()
 		fold(d.At(int(cMin)))
 		fold(d.At(int(cMax)))
 	}
-	begin, end := t.epochs.Raw()
-	base := c.main.Len()
+	begin, end := t.epochs.Delta()
+	base := 0
 	for _, d := range c.deltas {
 		for i, v := range d.Values() {
 			if begin[base+i] <= e && end[base+i]-1 >= e {

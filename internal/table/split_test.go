@@ -16,7 +16,7 @@ import (
 // RangeAt, CountEqualAt, SumAt, MinAt, MaxAt — while writers change the
 // table and garbage-collecting merges commit, and checks every answer.  In
 // the first phase the writer only inserts, so no main row is ever dead and
-// latest reads run the kernels with nil epochs; in the second, writers
+// latest reads run the kernels with a nil bitmap; in the second, writers
 // update and delete, and a pinned view's answers are checked against the
 // rows it saw when it was pinned.  The main holds more than three times
 // the scan kernels' minimum part (1<<17 codes) and GOMAXPROCS is at least

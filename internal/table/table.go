@@ -15,11 +15,15 @@
 // column merge is the paper's optimized merge (§5.3, internal/core); the
 // naive baseline (§5.2) runs only in the experiments of internal/bench.
 //
-// Row visibility is multi-versioned: every row carries the epoch it was
+// Row visibility is multi-versioned: every row version has the epoch it was
 // inserted and the epoch it was invalidated (internal/epoch), stamped from
 // the table's epoch clock.  Snapshot captures one epoch (View); reads
 // filtered through a View see exactly the rows current at that epoch, no
-// matter how many updates, deletes or merges commit afterwards.
+// matter how many updates, deletes or merges commit afterwards.  A delta
+// row stores both epochs.  The main stores each row's begin and, as the
+// paper's validity bit vector, a dead bitmap plus the end epochs of its
+// dead rows only: a latest read of the main tests one bit per row, and a
+// main with no dead row none at all.
 //
 // # Garbage collection
 //
@@ -163,11 +167,14 @@ type Table struct {
 
 	mu   sync.RWMutex // guards cols' partition pointers, epochs, rows
 	cols []column
-	// epochs holds per-row begin/end visibility epochs.  Invariant: begin
-	// is non-decreasing in slot order.  Stamps are read under mu from a
-	// monotone clock (or a monotone op log on a follower), appends go to
-	// the last slot, and merges and GC keep slot order; Adopt rejects an
-	// image that breaks it.
+	// epochs holds every stored version's visibility: begin epochs, the
+	// main's dead bitmap and exceptions, the delta's end epochs.
+	// Invariant: begin is non-decreasing in slot order.  Stamps are read
+	// under mu from a monotone clock (or a monotone op log on a follower),
+	// appends go to the last slot (insertLocked; a replayed stamp below the
+	// last begin is refused), and merges and GC keep slot order; Adopt
+	// rejects an image that breaks it.  The main's reads find the rows that
+	// began by an epoch by binary search on it (epoch.Rows.MainAt).
 	epochs epoch.Rows
 	rows   int
 
@@ -185,17 +192,13 @@ type Table struct {
 	retired   int   // stable ids retired by GC (cumulative)
 	reclaimed int   // estimated bytes reclaimed by GC (cumulative)
 	rowBytes  int   // estimated bytes per row (values + epochs + id)
-	dead      int   // stored versions with end != 0 (GC candidates)
 
-	// Whole-visible main: when no stored version is dead and a read epoch
-	// is at or above mainBegin, every main row is visible at it (wholeAt)
-	// and the main-partition kernels skip the per-row begin/end test.
-	// mainBegin bounds every main row's begin from above.  It is taken from
-	// the stamps, not the clock, because a follower replays its primary's
-	// stamps ahead of its own clock: maxBegin is the highest stamp any
-	// append wrote, and a committed merge installs its value at freeze.
-	mainBegin uint64
-	maxBegin  uint64
+	// What the last committed merge's reclaim decision saw besides its
+	// Report (MayReclaim): the clock's pin releases, and the lowest end
+	// epoch it kept only because the clock had not reached it (a
+	// follower's replayed stamps run ahead of its clock; 0 with none).
+	gcReleases uint64
+	gcAhead    uint64
 
 	gcWatermark uint64 // highest watermark a committed GC merge applied
 	sealed      bool   // retired by resharding: no new row versions
@@ -375,14 +378,16 @@ func (t *Table) Insert(values []any) (int, error) {
 // insertLocked appends a row stamped as inserted at epoch at and returns
 // its stable id.  The stamp must have been read from the clock while t.mu
 // was already held — that is what makes each mutation atomic with respect
-// to snapshot captures.
+// to snapshot captures — and must be at or above the last slot's begin
+// (epoch.Rows.LastBegin), which keeps begin non-decreasing in slot order:
+// a stamp read under t.mu from the clock or the op log is, and the Apply*
+// replay paths refuse one that is not with ErrReplayGap.
 func (t *Table) insertLocked(values []any, at uint64) int {
 	for i, v := range values {
 		t.cols[i].appendValue(v)
 	}
 	t.rows++
 	t.epochs.Append(at)
-	t.maxBegin = max(t.maxBegin, at)
 	id := t.nextID
 	t.nextID++
 	t.ids = append(t.ids, id)
@@ -432,31 +437,8 @@ func (t *Table) Update(row int, changes map[string]any) (int, error) {
 			Rows: [][]any{t.logRow(values)},
 		}})
 	}
-	t.invalidateLocked(slot, at)
-	return t.insertLocked(values, at), nil
-}
-
-// invalidateLocked stamps the version at slot dead at epoch at and counts
-// it in dead (t.mu write-held).
-func (t *Table) invalidateLocked(slot int, at uint64) {
 	t.epochs.Invalidate(slot, at)
-	t.dead++
-}
-
-// wholeAt reports whether every main row is visible at epoch e: no version
-// is dead and no main row began after e (t.mu held).
-func (t *Table) wholeAt(e uint64) bool {
-	return t.dead == 0 && e >= t.mainBegin
-}
-
-// mainEpochs returns the epoch columns the main-partition kernels test
-// visibility at e against: nil when every main row is visible at e, the
-// raw columns otherwise (t.mu held).
-func (t *Table) mainEpochs(e uint64) (begin, end []uint64) {
-	if t.wholeAt(e) {
-		return nil, nil
-	}
-	return t.epochs.Raw()
+	return t.insertLocked(values, at), nil
 }
 
 // Delete invalidates a row; the version remains stored until a
@@ -475,7 +457,7 @@ func (t *Table) Delete(row int) error {
 	if t.olog != nil {
 		at = t.olog.Append([]oplog.Rec{{Kind: oplog.KindDelete, Shard: t.oshard, ID: uint64(row)}})
 	}
-	t.invalidateLocked(slot, at)
+	t.epochs.Invalidate(slot, at)
 	return nil
 }
 
@@ -511,8 +493,29 @@ func (t *Table) Rows() int {
 	return t.rows
 }
 
-// ValidRows returns the number of current (non-invalidated) rows.
-func (t *Table) ValidRows() int { return t.ValidRowsAt(Latest()) }
+// ValidRows returns the number of current (non-invalidated) rows: the
+// stored versions less the dead ones, in O(1).
+func (t *Table) ValidRows() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.rows - t.epochs.Dead()
+}
+
+// MayReclaim reports, in O(1), whether a merge now could reclaim a dead
+// version the last committed merge could not: some are stored, and either
+// the dead versions are not the ones that merge kept, a pin was released
+// since its freeze (epoch.Clock.Releases), or the clock has reached a
+// stamp it kept because the clock lagged it.  While a pin alone retains
+// the dead versions a merge kept, it is false, so no scheduler rewrites
+// the main for nothing.
+func (t *Table) MayReclaim() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	d := t.epochs.Dead()
+	kept := t.lastMerge.DeadAtFreeze - t.lastMerge.RowsReclaimed
+	return d > 0 && (d != kept || t.clock.Releases() != t.gcReleases ||
+		t.gcAhead != 0 && t.clock.Now() >= t.gcAhead)
+}
 
 // ValidRowsAt returns the number of rows visible at the view's epoch: a
 // Count plan without predicates, which cannot fail.
@@ -624,7 +627,7 @@ func (t *Table) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	s := Stats{
-		Name: t.name, Rows: t.rows, ValidRows: t.countVisible(epoch.Latest),
+		Name: t.name, Rows: t.rows, ValidRows: t.rows - t.epochs.Dead(),
 		SizeBytes: t.sizeBytesLocked(), RetiredRows: t.retired, ReclaimedBytes: t.reclaimed,
 	}
 	for _, c := range t.cols {
@@ -637,8 +640,7 @@ func (t *Table) Stats() Stats {
 	return s
 }
 
-// SizeBytes returns Stats().SizeBytes without Stats' pass over the row
-// metadata.
+// SizeBytes returns Stats().SizeBytes.
 func (t *Table) SizeBytes() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -646,7 +648,9 @@ func (t *Table) SizeBytes() int {
 }
 
 // sizeBytesLocked is the storage footprint: every column's main and
-// deltas plus the row metadata arrays.  The caller holds t.mu.
+// deltas plus the row metadata — the stable ids and the epochs
+// (epoch.Rows.SizeBytes: begin per row, the main's bitmap and exceptions,
+// the delta's ends).  The caller holds t.mu.
 func (t *Table) sizeBytesLocked() int {
 	n := t.epochs.SizeBytes() + 8*len(t.ids)
 	for _, c := range t.cols {

@@ -468,3 +468,35 @@ func TestLastMergeReport(t *testing.T) {
 		t.Fatal("negative step time")
 	}
 }
+
+// TestSizeBytesBitmap pins the row metadata SizeBytes counts: 8 bytes of
+// stable id and 8 of begin epoch per row, the main's dead bitmap at one
+// bit per main row in whole words, 16 bytes per dead main row for its
+// exception, and 8 bytes of end epoch per delta row — no end epoch for a
+// main row.
+func TestSizeBytesBitmap(t *testing.T) {
+	const n, dead, delta = 1000, 37, 25
+	tb := newTestTable(t)
+	fillRandom(t, tb, n, 1)
+	if _, err := tb.Merge(context.Background(), MergeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < dead; id++ {
+		if err := tb.Delete(id * 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fillRandom(t, tb, delta, 2)
+	cols := 0
+	for _, c := range tb.Stats().Columns {
+		cols += c.SizeBytes
+	}
+	rows := n + delta
+	want := cols + 8*rows + 8*rows + 8*((n+63)/64) + 16*dead + 8*delta
+	if got := tb.SizeBytes(); got != want {
+		t.Fatalf("SizeBytes = %d, want %d (columns %d)", got, want, cols)
+	}
+	if got := tb.Stats().SizeBytes; got != want {
+		t.Fatalf("Stats().SizeBytes = %d, want %d", got, want)
+	}
+}

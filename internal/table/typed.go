@@ -45,9 +45,10 @@ func Get[V val.Value](t *Table, col, row int) (V, error) {
 // ScanAt streams column col's value of every row visible at the view's
 // epoch through fn — the table scan of Figure 1 — and reports whether it
 // ran to the end: it stops early when fn returns false.  The main runs
-// block-at-a-time: a visibility selection vector over the raw epoch
-// columns, then a gather of the selected codes (internal/kernel), decoded
-// through the dictionary; delta values are read directly.
+// block-at-a-time: a visibility selection vector from its bitmap
+// (epoch.Rows.MainAt), then a gather of the selected codes
+// (internal/kernel), decoded through the dictionary; delta values are read
+// directly.
 //
 // fn runs with the table's read lock held and must not call back into the
 // table: a concurrent writer queued between the two acquisitions would
@@ -59,9 +60,9 @@ func ScanAt[V val.Value](t *Table, view View, col int, fn func(row int, v V) boo
 	e := view.resolve()
 	c := t.cols[col].(*typedColumn[V])
 	nm := c.main.Len()
-	begin, end := t.mainEpochs(e)
 	dict := c.main.Dict()
-	sel := kernel.SelectVisible(begin, end, e, 0, nm, nil)
+	k, hide := t.epochs.MainAt(e)
+	sel := kernel.SelectMain(k, hide, nil)
 	done := true
 	kernel.Gather(c.main.Codes(), sel, func(pos int32, code uint64) bool {
 		done = fn(t.ids[pos], dict.At(int(code)))

@@ -154,11 +154,13 @@ func MoveRow(src *Table, row int, dst *Table, values []any) (int, error) {
 			Rows: [][]any{dst.logRow(values)},
 		}})
 	}
-	src.invalidateLocked(slot, at)
+	src.epochs.Invalidate(slot, at)
 	return dst.insertLocked(values, at), nil
 }
 
-// RowEpochs returns copies of the per-row begin/end epoch columns.
+// RowEpochs returns flat copies of every stored version's begin and end
+// epochs in slot order, a main row's end expanded from the dead bitmap and
+// its exception (0 while current).
 func (t *Table) RowEpochs() (begin, end []uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
