@@ -58,9 +58,8 @@ const Latest uint64 = math.MaxUint64
 type Clock struct {
 	cur atomic.Uint64
 
-	pinMu    sync.Mutex
-	pins     map[*Pin]struct{}
-	releases uint64 // pins released so far
+	pinMu sync.Mutex
+	pins  map[*Pin]struct{}
 }
 
 // NewClock returns a clock at epoch 1.
@@ -94,8 +93,9 @@ func (c *Clock) AdvanceTo(e uint64) {
 // that epoch keep seeing their full row set.  Release it when the reader is
 // done; Release is idempotent and safe for concurrent use.
 type Pin struct {
-	c     *Clock
-	epoch uint64
+	c        *Clock
+	epoch    uint64
+	released atomic.Bool
 }
 
 // Epoch returns the pinned read epoch.
@@ -103,16 +103,17 @@ func (p *Pin) Epoch() uint64 { return p.epoch }
 
 // Release unregisters the pin, letting the watermark advance past it.
 func (p *Pin) Release() {
-	if p == nil {
+	if p == nil || p.released.Swap(true) {
 		return
 	}
 	p.c.pinMu.Lock()
-	if _, ok := p.c.pins[p]; ok {
-		delete(p.c.pins, p)
-		p.c.releases++
-	}
+	delete(p.c.pins, p)
 	p.c.pinMu.Unlock()
 }
+
+// Released reports whether Release has been called, in O(1) and without
+// the pin registry's lock.
+func (p *Pin) Released() bool { return p.released.Load() }
 
 // CapturePinned captures a read epoch (exactly like Capture) and registers
 // it as pinned.  Registering under the pin mutex makes the capture and the
@@ -149,17 +150,6 @@ func (c *Clock) PinAt(e uint64) *Pin {
 	}
 	c.pins[p] = struct{}{}
 	return p
-}
-
-// Releases returns the number of pins released so far.  Only a release
-// can make a dead version that a reclaim decision kept (PinSet.Reclaimable)
-// reclaimable, so a decision that recorded PinSet.Releases need not be
-// repeated until this moves — or until dead versions it did not see
-// appear.
-func (c *Clock) Releases() uint64 {
-	c.pinMu.Lock()
-	defer c.pinMu.Unlock()
-	return c.releases
 }
 
 // Pins returns the number of currently registered pins.
@@ -201,9 +191,8 @@ func (c *Clock) Watermark() uint64 {
 // epoch is >= now, protected by the now bound) or PinAt calls, which must
 // check the table's GCBound after pinning.
 type PinSet struct {
-	epochs   []uint64 // sorted ascending, one per live pin
-	now      uint64   // clock reading at snapshot time
-	releases uint64   // Clock.Releases at snapshot time
+	pins []*Pin // the live pins, ascending by epoch
+	now  uint64 // clock reading at snapshot time
 }
 
 // LivePins snapshots the live pin registry and the current epoch into a
@@ -211,13 +200,13 @@ type PinSet struct {
 func (c *Clock) LivePins() PinSet {
 	c.pinMu.Lock()
 	defer c.pinMu.Unlock()
-	ps := PinSet{now: c.Now(), releases: c.releases}
+	ps := PinSet{now: c.Now()}
 	if len(c.pins) > 0 {
-		ps.epochs = make([]uint64, 0, len(c.pins))
+		ps.pins = make([]*Pin, 0, len(c.pins))
 		for p := range c.pins {
-			ps.epochs = append(ps.epochs, p.epoch)
+			ps.pins = append(ps.pins, p)
 		}
-		sort.Slice(ps.epochs, func(i, j int) bool { return ps.epochs[i] < ps.epochs[j] })
+		sort.Slice(ps.pins, func(i, j int) bool { return ps.pins[i].epoch < ps.pins[j].epoch })
 	}
 	return ps
 }
@@ -225,12 +214,8 @@ func (c *Clock) LivePins() PinSet {
 // Now returns the epoch the clock stood at when the set was snapshotted.
 func (ps PinSet) Now() uint64 { return ps.now }
 
-// Releases returns the clock's Releases count when the set was
-// snapshotted.
-func (ps PinSet) Releases() uint64 { return ps.releases }
-
 // Len returns the number of live pins in the set.
-func (ps PinSet) Len() int { return len(ps.epochs) }
+func (ps PinSet) Len() int { return len(ps.pins) }
 
 // Reclaimable reports whether a version with the given begin/end stamps is
 // invisible to every live pin and to every future capture, and may
@@ -239,12 +224,16 @@ func (ps PinSet) Len() int { return len(ps.epochs) }
 // version is reclaimable iff it is dead, already invisible to the next
 // capture (end <= now), and no pinned epoch falls inside [begin, end).
 func (ps PinSet) Reclaimable(begin, end uint64) bool {
-	if end == 0 || end > ps.now {
-		return false
+	return end != 0 && end <= ps.now && ps.Retainer(begin, end) == nil
+}
+
+// Retainer returns the oldest live pin of the set that sees a version
+// stamped [begin, end), nil when none does.  Pins below begin predate the
+// version and never saw it; pins at or above end only saw its successors.
+func (ps PinSet) Retainer(begin, end uint64) *Pin {
+	i := sort.Search(len(ps.pins), func(i int) bool { return ps.pins[i].epoch >= begin })
+	if i == len(ps.pins) || ps.pins[i].epoch >= end {
+		return nil
 	}
-	// Smallest pinned epoch >= begin; the version is visible to it iff it
-	// is also < end.  Pins below begin predate the version and never saw
-	// it; pins at or above end only saw its successors.
-	i := sort.Search(len(ps.epochs), func(i int) bool { return ps.epochs[i] >= begin })
-	return i == len(ps.epochs) || ps.epochs[i] >= end
+	return ps.pins[i]
 }

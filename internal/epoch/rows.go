@@ -1,7 +1,6 @@
 package epoch
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 )
@@ -25,23 +24,20 @@ type Rows struct {
 	begin []uint64 // every slot
 	nm    int      // main slots: [0, nm)
 	dead  []uint64 // bit i set: main slot i is dead; (nm+63)/64 words
-	exc   []exception
-	end   []uint64 // end of delta slot nm+i at i; 0 = current version
+	// The main's exceptions, sorted by end: dead main slot excSlot[j] was
+	// invalidated at excEnd[j].
+	excSlot []int32
+	excEnd  []uint64
+	end     []uint64 // end of delta slot nm+i at i; 0 = current version
 	// deltaDead counts the delta slots with end != 0.
 	deltaDead int
-}
-
-// exception is the end epoch of one dead main slot.
-type exception struct {
-	Slot int
-	End  uint64
 }
 
 // MainLen returns the number of main slots.
 func (r *Rows) MainLen() int { return r.nm }
 
 // Dead returns the number of dead versions, main and delta.
-func (r *Rows) Dead() int { return len(r.exc) + r.deltaDead }
+func (r *Rows) Dead() int { return len(r.excEnd) + r.deltaDead }
 
 // LastBegin returns the begin epoch of the last slot, 0 with none: the
 // lowest stamp an append may carry.
@@ -50,6 +46,15 @@ func (r *Rows) LastBegin() uint64 {
 		return 0
 	}
 	return r.begin[len(r.begin)-1]
+}
+
+// LastDeath returns the end epoch of the main's last exception, 0 with
+// none: the lowest stamp an invalidation may carry.
+func (r *Rows) LastDeath() uint64 {
+	if len(r.excEnd) == 0 {
+		return 0
+	}
+	return r.excEnd[len(r.excEnd)-1]
 }
 
 // Append stamps a new delta slot as inserted at epoch begin.  begin must be
@@ -71,8 +76,10 @@ func (r *Rows) Alive(i int) bool {
 }
 
 // Invalidate stamps the current version at slot i dead at epoch end: a
-// delta slot's end, or a main slot's bit plus an exception, in O(1) — ends
-// arrive in stamp order, so the exception goes last.
+// delta slot's end, or a main slot's bit plus an exception, in O(1).  end
+// must be at or above LastDeath, which keeps the exceptions sorted by end
+// with the new one last: the owning table reads every stamp under its lock
+// from a monotone clock or op log, and refuses a replayed one below it.
 func (r *Rows) Invalidate(i int, end uint64) {
 	if i >= r.nm {
 		r.end[i-r.nm] = end
@@ -80,23 +87,21 @@ func (r *Rows) Invalidate(i int, end uint64) {
 		return
 	}
 	r.dead[i>>6] |= 1 << (i & 63)
-	r.exc = append(r.exc, exception{i, end})
-	// A stamp below the last one (not produced by a monotone clock) still
-	// keeps the list sorted.
-	for j := len(r.exc) - 1; j > 0 && r.exc[j].End < r.exc[j-1].End; j-- {
-		r.exc[j], r.exc[j-1] = r.exc[j-1], r.exc[j]
-	}
+	r.excSlot = append(r.excSlot, int32(i))
+	r.excEnd = append(r.excEnd, end)
 }
 
 // newer returns the index of the first exception with end > e: the
 // exceptions of the versions a read at e still sees.
 func (r *Rows) newer(e uint64) int {
-	return sort.Search(len(r.exc), func(j int) bool { return r.exc[j].End > e })
+	return sort.Search(len(r.excEnd), func(j int) bool { return r.excEnd[j] > e })
 }
 
 // VisibleAt reports whether slot i is visible to a snapshot at epoch e:
 // begin <= e && (end == 0 || end > e).  With e == Latest this degenerates
-// to Alive.
+// to Alive.  A live slot or a delta slot costs O(1); a dead main slot
+// costs a scan of the exceptions newer than e — none at a latest read, the
+// deaths since the pin at a pinned one.
 func (r *Rows) VisibleAt(i int, e uint64) bool {
 	if r.begin[i] > e {
 		return false
@@ -104,44 +109,44 @@ func (r *Rows) VisibleAt(i int, e uint64) bool {
 	if i >= r.nm {
 		return r.end[i-r.nm]-1 >= e
 	}
-	if !r.hidden(i) {
-		return true
-	}
-	for _, x := range r.exc[r.newer(e):] {
-		if x.Slot == i {
-			return true
-		}
-	}
-	return false
+	return !r.hidden(i) || slices.Contains(r.excSlot[r.newer(e):], int32(i))
 }
 
-// MainAt returns the main's visibility at epoch e in the form the
-// main-partition kernels take (internal/kernel): the main slots [0, k)
-// began at or before e, and a set bit of hide marks one of them invisible.
-// At a latest read hide is the dead bitmap itself, and nil when no main
-// slot is dead, so every slot below k passes.  Only when an exception has
-// end > e is hide a copy, with the bits of the versions e still sees
-// cleared.  The result aliases internal state under the same rule as the
-// table's lock.
-func (r *Rows) MainAt(e uint64) (k int, hide []uint64) {
+// MainSeen returns the main's visibility at epoch e in the form the
+// selection kernels take (kernel.FilterMain, kernel.CountSelMain), which
+// never copies: the main slots [0, k) began at or before e; hide is the
+// dead bitmap, nil when no main slot is dead; and seen lists the dead
+// slots e still sees, those of the exceptions with end > e, in end order
+// and possibly at or past k — empty at a latest read.  The results alias
+// internal state under the same rule as the table's lock.
+func (r *Rows) MainSeen(e uint64) (k int, hide []uint64, seen []int32) {
 	k = r.nm
 	if e != Latest {
 		k = sort.Search(r.nm, func(i int) bool { return r.begin[i] > e })
 	}
-	if len(r.exc) == 0 || k == 0 {
-		return k, nil
+	if len(r.excEnd) == 0 || k == 0 {
+		return k, nil, nil
 	}
-	if e == Latest {
-		return k, r.dead
+	return k, r.dead, r.excSlot[r.newer(e):]
+}
+
+// MainAt returns the main's visibility at epoch e in the form the full-scan
+// and aggregate kernels take (internal/kernel): the main slots [0, k)
+// began at or before e, and a set bit of hide marks one of them invisible.
+// At a latest read hide is the dead bitmap itself, and nil when no main
+// slot is dead, so every slot below k passes.  Only when an exception has
+// end > e is hide a copy of the bitmap's first k bits, with the bits of
+// the versions e still sees cleared.  The result aliases internal state
+// under the same rule as the table's lock.
+func (r *Rows) MainAt(e uint64) (k int, hide []uint64) {
+	k, hide, seen := r.MainSeen(e)
+	if len(seen) == 0 {
+		return k, hide
 	}
-	j := r.newer(e)
-	if j == len(r.exc) {
-		return k, r.dead
-	}
-	hide = slices.Clone(r.dead[:(k+63)/64])
-	for _, x := range r.exc[j:] {
-		if x.Slot < k {
-			hide[x.Slot>>6] &^= 1 << (x.Slot & 63)
+	hide = slices.Clone(hide[:(k+63)/64])
+	for _, s := range seen {
+		if int(s) < k {
+			hide[s>>6] &^= 1 << (s & 63)
 		}
 	}
 	return k, hide
@@ -157,9 +162,9 @@ func (r *Rows) Delta() (begin, end []uint64) { return r.begin[r.nm:], r.end }
 // among the first n slots: the main's exceptions, then the delta's dead
 // slots in slot order.  It visits the dead versions only, not every slot.
 func (r *Rows) EachDead(n int, fn func(slot int, begin, end uint64)) {
-	for _, x := range r.exc {
-		if x.Slot < n {
-			fn(x.Slot, r.begin[x.Slot], x.End)
+	for j, s := range r.excSlot {
+		if int(s) < n {
+			fn(int(s), r.begin[s], r.excEnd[j])
 		}
 	}
 	for i, e := range r.end[:max(0, min(n-r.nm, len(r.end)))] {
@@ -167,6 +172,21 @@ func (r *Rows) EachDead(n int, fn func(slot int, begin, end uint64)) {
 			fn(r.nm+i, r.begin[r.nm+i], e)
 		}
 	}
+}
+
+// byEnd sorts exceptions by end, then slot.
+type byEnd struct {
+	slot []int32
+	end  []uint64
+}
+
+func (x byEnd) Len() int { return len(x.end) }
+func (x byEnd) Less(i, j int) bool {
+	return x.end[i] < x.end[j] || x.end[i] == x.end[j] && x.slot[i] < x.slot[j]
+}
+func (x byEnd) Swap(i, j int) {
+	x.slot[i], x.slot[j] = x.slot[j], x.slot[i]
+	x.end[i], x.end[j] = x.end[j], x.end[i]
 }
 
 // Fold moves the first nf delta slots into the main, as a merge commit
@@ -190,28 +210,26 @@ func (r *Rows) Fold(nf int, drop []int) {
 		}
 		return p - j
 	}
-	exc := r.exc[:0]
-	for _, x := range r.exc {
-		if s := rank(x.Slot); s >= 0 {
-			exc = append(exc, exception{s, x.End})
+	exc := byEnd{r.excSlot[:0], r.excEnd[:0]}
+	for j, s := range r.excSlot {
+		if s := rank(int(s)); s >= 0 {
+			exc.slot, exc.end = append(exc.slot, int32(s)), append(exc.end, r.excEnd[j])
 		}
 	}
-	kept := len(exc)
+	kept := exc.Len()
 	if r.deltaDead > 0 {
 		for i, e := range r.end[:nf] {
 			if e != 0 {
 				if s := rank(r.nm + i); s >= 0 {
-					exc = append(exc, exception{s, e})
+					exc.slot, exc.end = append(exc.slot, int32(s)), append(exc.end, e)
 				}
 			}
 		}
 	}
-	if len(exc) > kept {
-		slices.SortFunc(exc, func(a, b exception) int {
-			return cmp.Or(cmp.Compare(a.End, b.End), a.Slot-b.Slot)
-		})
+	if exc.Len() > kept {
+		sort.Sort(exc)
 	}
-	r.exc = exc
+	r.excSlot, r.excEnd = exc.slot, exc.end
 
 	nm := n - len(drop)
 	if len(drop) == 0 {
@@ -230,8 +248,8 @@ func (r *Rows) Fold(nf int, drop []int) {
 		}
 		r.begin = r.begin[:w]
 	}
-	for _, x := range r.exc {
-		r.dead[x.Slot>>6] |= 1 << (x.Slot & 63)
+	for _, s := range r.excSlot {
+		r.dead[s>>6] |= 1 << (s & 63)
 	}
 	r.nm = nm
 	r.end = append([]uint64(nil), r.end[nf:]...)
@@ -250,8 +268,8 @@ func (r *Rows) Fold(nf int, drop []int) {
 func (r *Rows) Snapshot() (begin, end []uint64) {
 	begin = slices.Clone(r.begin)
 	end = make([]uint64, len(r.begin))
-	for _, x := range r.exc {
-		end[x.Slot] = x.End
+	for j, s := range r.excSlot {
+		end[s] = r.excEnd[j]
 	}
 	copy(end[r.nm:], r.end)
 	return begin, end
@@ -276,7 +294,8 @@ func RowsOf(begin, end []uint64, mainRows int) Rows {
 }
 
 // SizeBytes returns the memory held: one begin epoch per slot, the main's
-// bitmap words and exceptions, and one end epoch per delta slot.
+// bitmap words, 12 bytes per exception (its slot and end), and one end
+// epoch per delta slot.
 func (r *Rows) SizeBytes() int {
-	return 8*len(r.begin) + 8*len(r.dead) + 16*len(r.exc) + 8*len(r.end)
+	return 8*len(r.begin) + 8*len(r.dead) + 12*len(r.excEnd) + 8*len(r.end)
 }

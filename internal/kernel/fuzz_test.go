@@ -98,10 +98,10 @@ func FuzzScanKernels(f *testing.F) {
 			}
 			matches := refMatchEqual(v, needle)
 			wantF := refFilter(matches, m.vis)
-			if got := CountSelMain(matches, m.k, m.hide); got != len(wantF) {
+			if got := CountSelMain(matches, m.k, m.dead, m.seen); got != len(wantF) {
 				t.Fatalf("CountSelMain(w=%d, k=%d, nil hide %v) = %d want %d", width, m.k, m.hide == nil, got, len(wantF))
 			}
-			if got := FilterMain(matches, m.k, m.hide); !eqSel(got, wantF) {
+			if got := FilterMain(matches, m.k, m.dead, m.seen); !eqSel(got, wantF) {
 				t.Fatalf("FilterMain(w=%d, k=%d, nil hide %v): got %v want %v", width, m.k, m.hide == nil, got, wantF)
 			}
 			if got, want := SelectMain(m.k, m.hide, nil), refSel(m.vis); !eqSel(got, want) {

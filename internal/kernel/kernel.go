@@ -41,10 +41,13 @@
 // epoch is (k, hide): positions [0, k) began at or before the epoch, and a
 // set bit i of the bitmap hide marks position i invisible (internal/epoch's
 // Rows.MainAt).  The main-partition kernels (CountMain, SelectMain,
-// FilterMain, CountSelMain, CountEqual, SumVisible, MinMaxVisible) read
-// nothing past k and one bit per position below it; a zero word of hide
-// passes its 64 positions with one test, and a nil hide every position
-// below k, so a main with no dead row costs no test at all.  A
+// CountEqual, SumVisible, MinMaxVisible) read nothing past k and one bit
+// per position below it; a zero word of hide passes its 64 positions with
+// one test, and a nil hide every position below k, so a main with no dead
+// row costs no test at all.  The selection kernels (FilterMain,
+// CountSelMain), which test only the positions they are given, take the
+// dead bitmap as hide plus the list seen of the dead positions the read
+// still sees (Rows.MainSeen), so an old read needs no copy of the bitmap.  A
 // delta keeps flat begin/end epochs (FilterVisible, SelectVisible,
 // CountVisible): a position is visible at epoch e iff begin <= e and
 // end-1 >= e in unsigned arithmetic (end == 0 wraps to MaxUint64), which
@@ -77,8 +80,10 @@
 package kernel
 
 import (
+	"cmp"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -438,16 +443,30 @@ func SelectMain(k int, hide []uint64, dst []int32) []int32 {
 }
 
 // FilterMain compacts sel in place to its visible main positions and
-// returns the shortened selection vector.  With a nil hide it only cuts
-// the ascending sel at k.
-func FilterMain(sel []int32, k int, hide []uint64) []int32 {
+// returns the shortened selection vector: those below k whose hide bit is
+// clear or that seen lists.  seen holds positions whose hide bit is set
+// that the read still sees, in any order, and may hold some at or past k,
+// which are ignored (epoch.Rows.MainSeen).  With a nil hide it only cuts
+// the ascending sel at k.  It costs O(len(sel) + len(seen)·log len(sel))
+// and allocates nothing.
+func FilterMain(sel []int32, k int, hide []uint64, seen []int32) []int32 {
+	sel = sel[:below(sel, k)]
 	if hide == nil {
-		return sel[:below(sel, k)]
+		return sel
+	}
+	// Mark each selected position seen lists by complementing it (a
+	// negative value), which the search reads back as the position, so the
+	// compaction below keeps it whatever its bit says.
+	for _, s := range seen {
+		j, ok := slices.BinarySearchFunc(sel, s, func(p, s int32) int { return cmp.Compare(p^p>>31, s) })
+		if ok {
+			sel[j] = ^s
+		}
 	}
 	w := 0
 	for _, p := range sel {
-		if int(p) < k && hidden(hide, int(p)) == 0 {
-			sel[w] = p
+		if p < 0 || hidden(hide, int(p)) == 0 {
+			sel[w] = p ^ p>>31
 			w++
 		}
 	}
@@ -463,16 +482,20 @@ func below(sel []int32, k int) int {
 }
 
 // CountSelMain returns the number of visible main positions in sel without
-// modifying it — the counting companion of FilterMain for read-only
-// selections such as index posting lists (Bucket slices must not be
-// compacted in place).
-func CountSelMain(sel []int32, k int, hide []uint64) int {
+// modifying it — the counting companion of FilterMain, with the same
+// (k, hide, seen) and cost, for read-only selections such as index posting
+// lists (Bucket slices must not be compacted in place).
+func CountSelMain(sel []int32, k int, hide []uint64, seen []int32) int {
+	sel = sel[:below(sel, k)]
 	if hide == nil {
-		return below(sel, k)
+		return len(sel)
 	}
 	n := 0
 	for _, p := range sel {
-		if int(p) < k && hidden(hide, int(p)) == 0 {
+		n += int(1 - hidden(hide, int(p)))
+	}
+	for _, s := range seen {
+		if _, ok := slices.BinarySearch(sel, s); ok {
 			n++
 		}
 	}

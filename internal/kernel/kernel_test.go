@@ -19,7 +19,9 @@ import (
 // flat begin/end epochs, begin ascending as in a main, the way
 // epoch.Rows.MainAt does — k counts the positions that began by the read
 // epoch, a hide bit marks one below k that died by it, and the bits at and
-// past k are junk the kernels must not read — and checks every kernel
+// past k are junk the kernels must not read; the selection kernels get the
+// dead bitmap plus the dead positions the epoch still sees, as
+// epoch.Rows.MainSeen gives them — and checks every kernel
 // against the per-row reference over the flat epochs, at a random epoch,
 // at the Latest sentinel and with a nil hide, at k below and equal to the
 // length.  The split kernels run through their unexported entry points at
@@ -134,20 +136,27 @@ func refFilter(sel []int32, vis []bool) []int32 {
 	return out
 }
 
-// mainVis is a main's visibility at one epoch: the (k, hide) the kernels
-// take and the per-row reference vis over the flat epochs it came from.
+// mainVis is a main's visibility at one epoch: the (k, hide) the full
+// kernels take, the (k, dead, seen) the selection kernels take, and the
+// per-row reference vis over the flat epochs they came from.
 type mainVis struct {
 	k    int
 	hide []uint64
+	dead []uint64
+	seen []int32
 	vis  []bool
 }
 
-// mainAt derives a main's (k, hide) at epoch e from flat epochs whose
-// begin ascends, as epoch.Rows.MainAt does, with rng's junk in every hide
-// bit at and past k.
+// mainAt derives a main's visibility at epoch e from flat epochs whose
+// begin ascends, as epoch.Rows.MainAt and MainSeen do: k counts the
+// positions that began by e; hide marks those below k invisible at e; dead
+// marks those below k with an end, and seen lists, shuffled, those of them
+// with end > e.  Every bit of hide and dead at and past k is rng's junk,
+// and seen also lists junk positions at and past k.
 func mainAt(rng *rand.Rand, begin, end []uint64, e uint64) mainVis {
 	n := len(begin)
-	m := mainVis{k: n, hide: make([]uint64, (n+63)/64), vis: make([]bool, n)}
+	words := (n + 63) / 64
+	m := mainVis{k: n, hide: make([]uint64, words), dead: make([]uint64, words), vis: make([]bool, n)}
 	for i := range n {
 		m.vis[i] = refVisible(begin, end, i, e)
 		if begin[i] > e && m.k == n {
@@ -155,10 +164,18 @@ func mainAt(rng *rand.Rand, begin, end []uint64, e uint64) mainVis {
 		}
 	}
 	for i := range n {
-		if i < m.k && !m.vis[i] || i >= m.k && rng.Intn(2) == 0 {
+		junk := i >= m.k && rng.Intn(2) == 0
+		if i < m.k && !m.vis[i] || junk {
 			m.hide[i>>6] |= 1 << (i & 63)
 		}
+		if i < m.k && end[i] != 0 || junk {
+			m.dead[i>>6] |= 1 << (i & 63)
+		}
+		if i < m.k && end[i] != 0 && end[i] > e || junk && rng.Intn(2) == 0 {
+			m.seen = append(m.seen, int32(i))
+		}
 	}
+	rng.Shuffle(len(m.seen), func(i, j int) { m.seen[i], m.seen[j] = m.seen[j], m.seen[i] })
 	return m
 }
 
@@ -408,18 +425,21 @@ func checkMainVisibility(t *testing.T, v *bitpack.Vector, needle uint64, m mainV
 		t.Fatalf("CountMain(n=%d, k=%d, nil hide %v) = %d want %d", v.Len(), m.k, m.hide == nil, got, len(want))
 	}
 	// FilterMain compacts in place; CountSelMain must agree with it and
-	// leave the selection untouched (posting lists are read-only).
-	matches := refMatchEqual(v, needle)
-	wantF := refFilter(matches, m.vis)
-	if got := FilterMain(append([]int32(nil), matches...), m.k, m.hide); !eqSel(got, wantF) {
-		t.Fatalf("FilterMain(k=%d, nil hide %v): got %v want %v", m.k, m.hide == nil, head(got), head(wantF))
-	}
-	before := append([]int32(nil), matches...)
-	if got := CountSelMain(matches, m.k, m.hide); got != len(wantF) {
-		t.Fatalf("CountSelMain(k=%d, nil hide %v) = %d want %d", m.k, m.hide == nil, got, len(wantF))
-	}
-	if !eqSel(matches, before) {
-		t.Fatalf("CountSelMain mutated its selection")
+	// leave the selection untouched (posting lists are read-only).  Both
+	// run on the dead bitmap plus seen, over the matches of needle and over
+	// every position.
+	for _, matches := range [][]int32{refMatchEqual(v, needle), matchAll(v.Len(), nil)} {
+		wantF := refFilter(matches, m.vis)
+		if got := FilterMain(append([]int32(nil), matches...), m.k, m.dead, m.seen); !eqSel(got, wantF) {
+			t.Fatalf("FilterMain(k=%d, nil hide %v, %d seen): got %v want %v", m.k, m.dead == nil, len(m.seen), head(got), head(wantF))
+		}
+		before := append([]int32(nil), matches...)
+		if got := CountSelMain(matches, m.k, m.dead, m.seen); got != len(wantF) {
+			t.Fatalf("CountSelMain(k=%d, nil hide %v, %d seen) = %d want %d", m.k, m.dead == nil, len(m.seen), got, len(wantF))
+		}
+		if !eqSel(matches, before) {
+			t.Fatalf("CountSelMain mutated its selection")
+		}
 	}
 }
 

@@ -413,8 +413,9 @@ func TestStopCancelsInflight(t *testing.T) {
 // sees every moved row, so the sealed partition keeps their dead versions
 // through its merge.  A scheduler polling every millisecond must merge
 // that partition at most once while the pin is held — each further merge
-// would rewrite its main and reclaim nothing — and after the release it
-// must drain the partition, so the store prunes its window.
+// would rewrite its main and reclaim nothing — even while a reader's
+// fan-out reads pin and release newer epochs all along, and after the
+// release it must drain the partition, so the store prunes its window.
 func TestPinnedSealedPartition(t *testing.T) {
 	st, err := shard.New("t", table.Schema{{Name: "k", Type: table.Uint64}}, "k", 1)
 	if err != nil {
@@ -437,6 +438,27 @@ func TestPinnedSealedPartition(t *testing.T) {
 		t.Fatalf("partition 0: sealed %v, %d dead rows, want sealed with 200", sealed.Sealed(), sealed.Rows()-sealed.ValidRows())
 	}
 	gen := sealed.MergeGeneration()
+	stop := make(chan struct{})
+	var reads sync.WaitGroup
+	reads.Add(1)
+	go func() {
+		defer reads.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := st.ValidRows(); n != 200 { // a latest read of all partitions pins
+				t.Errorf("fan-out read counts %d rows, want 200", n)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		reads.Wait()
+	}()
 	s := New(st.Partitions, Config{Interval: time.Millisecond})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)

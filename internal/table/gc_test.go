@@ -355,6 +355,16 @@ func TestMayReclaim(t *testing.T) {
 	if rep := merge(tb); rep.RowsReclaimed != 0 || tb.MayReclaim() {
 		t.Fatalf("after a merge kept the pinned version (reclaimed %d): MayReclaim %v", rep.RowsReclaimed, tb.MayReclaim())
 	}
+	// A pin newer than every kept version, taken and released, keeps none
+	// of them, and so does not re-arm the partition; nor does an older one
+	// that sees none of them.
+	old := PinnedViewAt(tb.Clock(), 0)
+	newer := tb.Snapshot()
+	newer.Release()
+	old.Release()
+	if tb.MayReclaim() {
+		t.Fatal("the release of a pin that kept nothing re-arms the partition")
+	}
 	if err := tb.Delete(4); err != nil {
 		t.Fatal(err)
 	}

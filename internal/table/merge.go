@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hyrise/internal/core"
+	"hyrise/internal/epoch"
 	"hyrise/internal/par"
 )
 
@@ -135,23 +136,31 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 	// (epoch.PinSet.Reclaimable), so one old analytical pin retains only
 	// the versions it can see, not every version invalidated after it.  The
 	// decision visits the dead versions alone — the main's exceptions and
-	// the delta's dead slots — never every main row.  The drop covers
+	// the delta's dead slots — never every main row — and records the pins
+	// that keep one (MayReclaim waits for their release).  The drop covers
 	// exactly the frozen main+delta slots; rows landing in the second delta
 	// afterwards are beyond it and always kept.
 	t.gcDrop, t.gcMark = core.Drop{}, 0
 	deadAtFreeze := t.epochs.Dead()
 	var livePins int
-	var releases, ahead uint64
+	var ahead uint64
+	var held []*epoch.Pin
 	if deadAtFreeze > 0 {
 		ps := t.clock.LivePins()
-		livePins, releases = ps.Len(), ps.Releases()
+		livePins = ps.Len()
 		var pos []int
 		t.epochs.EachDead(t.rows, func(slot int, begin, end uint64) {
 			switch {
 			case ps.Reclaimable(begin, end):
 				pos = append(pos, slot)
-			case end > ps.Now() && (ahead == 0 || end < ahead):
-				ahead = end
+			case end > ps.Now():
+				if ahead == 0 || end < ahead {
+					ahead = end
+				}
+			default:
+				if p := ps.Retainer(begin, end); !slices.Contains(held, p) {
+					held = append(held, p)
+				}
 			}
 		})
 		slices.Sort(pos)
@@ -213,7 +222,7 @@ func (t *Table) Merge(ctx context.Context, opts MergeOptions) (Report, error) {
 		}
 	}
 	t.gcDrop, t.gcMark = core.Drop{}, 0
-	t.gcReleases, t.gcAhead = releases, ahead
+	t.gcHeld, t.gcAhead = held, ahead
 	t.mergeGen++
 	for _, c := range t.cols {
 		rep.Columns = append(rep.Columns, c.mergeStats())

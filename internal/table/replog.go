@@ -99,6 +99,16 @@ func (t *Table) checkStamp(at uint64) error {
 	return nil
 }
 
+// checkDeath refuses a replayed invalidation stamped below the partition's
+// last main death, which would break the exceptions' order by end (t.mu
+// held; epoch.Rows.Invalidate).
+func (t *Table) checkDeath(at uint64) error {
+	if last := t.epochs.LastDeath(); at < last {
+		return fmt.Errorf("%w: invalidation stamped %d after one stamped %d", ErrReplayGap, at, last)
+	}
+	return nil
+}
+
 // ApplyInsert replays an insert op — or the insert side of a move op: rows
 // become stable ids firstID, firstID+1, ... stamped as inserted at epoch
 // at.  Rows the table already has (ids below NextRowID, from a snapshot
@@ -134,8 +144,9 @@ func (t *Table) ApplyInsert(firstID uint64, rows [][]any, at uint64) error {
 // values appended as version newID, both stamped at — the version switch
 // is atomic exactly as on the primary.  An update whose new version the
 // table already has is skipped whole (idempotence); anything else
-// inconsistent, a stamp below the last row's begin epoch included, is an
-// ErrReplayGap and leaves the table unchanged.
+// inconsistent, a stamp below the last row's begin epoch or below the last
+// main death's included, is an ErrReplayGap and leaves the table
+// unchanged.
 func (t *Table) ApplyUpdate(oldID, newID uint64, values []any, at uint64) error {
 	if err := t.CheckRow(values); err != nil {
 		return err
@@ -159,6 +170,9 @@ func (t *Table) ApplyUpdate(oldID, newID uint64, values []any, at uint64) error 
 	if err := t.checkStamp(at); err != nil {
 		return err
 	}
+	if err := t.checkDeath(at); err != nil {
+		return err
+	}
 	t.epochs.Invalidate(slot, at)
 	t.insertLocked(values, at)
 	return nil
@@ -167,7 +181,8 @@ func (t *Table) ApplyUpdate(oldID, newID uint64, values []any, at uint64) error 
 // ApplyInvalidate replays the invalidation side of a delete or move op:
 // version id is stamped dead at epoch at.  A version already dead — or
 // already reclaimed by the follower's own GC — is skipped (idempotence); a
-// version the table never had is an ErrReplayGap.
+// version the table never had, or a stamp below the last main death's, is
+// an ErrReplayGap and leaves the table unchanged.
 func (t *Table) ApplyInvalidate(id uint64, at uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -177,6 +192,9 @@ func (t *Table) ApplyInvalidate(id uint64, at uint64) error {
 	slot, err := t.slotFor(int(id))
 	if err != nil || !t.epochs.Alive(slot) {
 		return nil // retired by this follower's own GC, or already dead
+	}
+	if err := t.checkDeath(at); err != nil {
+		return err
 	}
 	t.epochs.Invalidate(slot, at)
 	return nil

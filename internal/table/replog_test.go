@@ -197,3 +197,58 @@ func TestReplayRefusesOlderStamp(t *testing.T) {
 		t.Fatalf("insert stamped at the last begin: %v", err)
 	}
 }
+
+// TestReplayRefusesOlderDeath pins the order the main's exception list
+// relies on: a replayed invalidation — a delete's, or an update's old
+// version — stamped below the partition's last main death is an
+// ErrReplayGap and leaves the partition as it was, while one stamped at it
+// is accepted and read back at every epoch.
+func TestReplayRefusesOlderDeath(t *testing.T) {
+	tb, err := New("r", replogSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []any{uint64(1), uint32(2), "x"}
+	if err := tb.ApplyInsert(0, [][]any{row, row, row}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Merge(t.Context(), MergeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.ApplyInvalidate(0, 9); err != nil {
+		t.Fatal(err)
+	}
+	begin, end := tb.RowEpochs()
+	for name, apply := range map[string]func() error{
+		"delete": func() error { return tb.ApplyInvalidate(1, 8) },
+		"update": func() error { return tb.ApplyUpdate(1, 3, row, 8) },
+	} {
+		if err := apply(); !errors.Is(err, ErrReplayGap) {
+			t.Fatalf("%s stamped 8 after a death at 9: err = %v, want ErrReplayGap", name, err)
+		}
+		gb, ge := tb.RowEpochs()
+		if tb.NextRowID() != 3 || !reflect.DeepEqual(gb, begin) || !reflect.DeepEqual(ge, end) {
+			t.Fatalf("%s refused, yet the partition changed: next id %d, epochs %v / %v", name, tb.NextRowID(), gb, ge)
+		}
+	}
+	if err := tb.ApplyInvalidate(2, 9); err != nil {
+		t.Fatalf("delete stamped at the last death: %v", err)
+	}
+	if err := tb.ApplyUpdate(1, 3, row, 10); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		e    uint64
+		want []bool // ids 0..3
+	}{
+		{8, []bool{true, true, true, false}},
+		{9, []bool{false, true, false, false}},
+		{10, []bool{false, false, false, true}},
+	} {
+		for id, want := range c.want {
+			if got := tb.VisibleAt(ViewAt(c.e), id); got != want {
+				t.Fatalf("id %d at epoch %d: visible %v, want %v", id, c.e, got, want)
+			}
+		}
+	}
+}

@@ -245,7 +245,11 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 	}
 	mn, okMin := h.MinAt(view)
 	mx, okMax := h.MaxAt(view)
-	if !okMin || !okMax || mn != slices.Min(vals) || mx != slices.Max(vals) {
+	if len(vals) == 0 {
+		if okMin || okMax {
+			t.Fatalf("%s: %s MinAt/MaxAt found %v, %v with no row visible", at, col, mn, mx)
+		}
+	} else if !okMin || !okMax || mn != slices.Min(vals) || mx != slices.Max(vals) {
 		t.Fatalf("%s: %s MinAt/MaxAt = %v (%v), %v (%v), want %v, %v",
 			at, col, mn, okMin, mx, okMax, slices.Min(vals), slices.Max(vals))
 	}

@@ -412,7 +412,8 @@ func (q *typedCond[V]) estimate() (rows int, indexed bool) {
 // the bound code interval, through its group-key index when it has one and
 // by the scan kernels otherwise (split across cores on a large main), then
 // filtered by the main's visibility at e: the rows that began by e, less
-// the hidden bits, and nothing to test on a main with no dead row.  The
+// the dead bits, plus the dead rows e still sees — no copy of the bitmap,
+// and nothing to test on a main with no dead row.  The
 // deltas contribute an equality's positions found at bind, a range's
 // through their CSB+ trees on an indexed column and by a value scan
 // otherwise.
@@ -436,9 +437,9 @@ func (q *typedCond[V]) seed(t *Table, e uint64) []int {
 	} else {
 		t.routeScanned.Add(1)
 	}
-	k, hide := t.epochs.MainAt(e)
+	k, hide, seen := t.epochs.MainSeen(e)
 	var slots []int
-	for _, pos := range kernel.FilterMain(sel, k, hide) {
+	for _, pos := range kernel.FilterMain(sel, k, hide, seen) {
 		slots = append(slots, int(pos))
 	}
 	return q.deltaSlots(t, e, slots)
@@ -501,16 +502,17 @@ func (q *typedCond[V]) refine(slots []int) []int {
 // is dead — and the deltas' among the positions found at bind.
 func (q *typedCond[V]) count(t *Table, e uint64) int {
 	c := q.c
-	k, hide := t.epochs.MainAt(e)
 	n := 0
 	if q.cLo < q.cHi {
 		if p := c.main.Index(); p != nil {
 			// Bucket aliases the index, so the read-only counting kernel is
 			// used rather than the in-place filter.
 			t.routeIndexed.Add(1)
-			n = kernel.CountSelMain(p.Bucket(q.cLo), k, hide)
+			k, hide, seen := t.epochs.MainSeen(e)
+			n = kernel.CountSelMain(p.Bucket(q.cLo), k, hide, seen)
 		} else {
 			t.routeScanned.Add(1)
+			k, hide := t.epochs.MainAt(e)
 			n = kernel.CountEqual(c.main.Codes(), q.cLo, k, hide)
 		}
 	}

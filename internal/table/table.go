@@ -61,6 +61,7 @@ package table
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -194,11 +195,12 @@ type Table struct {
 	rowBytes  int   // estimated bytes per row (values + epochs + id)
 
 	// What the last committed merge's reclaim decision saw besides its
-	// Report (MayReclaim): the clock's pin releases, and the lowest end
-	// epoch it kept only because the clock had not reached it (a
-	// follower's replayed stamps run ahead of its clock; 0 with none).
-	gcReleases uint64
-	gcAhead    uint64
+	// Report (MayReclaim): the pins that kept a dead version from it, and
+	// the lowest end epoch it kept only because the clock had not reached
+	// it (a follower's replayed stamps run ahead of its clock; 0 with
+	// none).
+	gcHeld  []*epoch.Pin
+	gcAhead uint64
 
 	gcWatermark uint64 // highest watermark a committed GC merge applied
 	sealed      bool   // retired by resharding: no new row versions
@@ -501,19 +503,20 @@ func (t *Table) ValidRows() int {
 	return t.rows - t.epochs.Dead()
 }
 
-// MayReclaim reports, in O(1), whether a merge now could reclaim a dead
-// version the last committed merge could not: some are stored, and either
-// the dead versions are not the ones that merge kept, a pin was released
-// since its freeze (epoch.Clock.Releases), or the clock has reached a
-// stamp it kept because the clock lagged it.  While a pin alone retains
-// the dead versions a merge kept, it is false, so no scheduler rewrites
-// the main for nothing.
+// MayReclaim reports whether a merge now could reclaim a dead version the
+// last committed merge could not: some are stored, and either the dead
+// versions are not the ones that merge kept, a pin that kept one of them
+// has been released, or the clock has reached a stamp it kept because the
+// clock lagged it.  It costs O(1) per pin that kept a version.  While
+// pins alone retain the dead versions a merge kept, it is false — other
+// pins coming and going, such as those of fan-out reads, change nothing —
+// so no scheduler rewrites the main for nothing.
 func (t *Table) MayReclaim() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	d := t.epochs.Dead()
 	kept := t.lastMerge.DeadAtFreeze - t.lastMerge.RowsReclaimed
-	return d > 0 && (d != kept || t.clock.Releases() != t.gcReleases ||
+	return d > 0 && (d != kept || slices.ContainsFunc(t.gcHeld, (*epoch.Pin).Released) ||
 		t.gcAhead != 0 && t.clock.Now() >= t.gcAhead)
 }
 

@@ -471,9 +471,9 @@ func TestLastMergeReport(t *testing.T) {
 
 // TestSizeBytesBitmap pins the row metadata SizeBytes counts: 8 bytes of
 // stable id and 8 of begin epoch per row, the main's dead bitmap at one
-// bit per main row in whole words, 16 bytes per dead main row for its
-// exception, and 8 bytes of end epoch per delta row — no end epoch for a
-// main row.
+// bit per main row in whole words, 12 bytes per dead main row for its
+// exception (slot and end), and 8 bytes of end epoch per delta row — no
+// end epoch for a main row.
 func TestSizeBytesBitmap(t *testing.T) {
 	const n, dead, delta = 1000, 37, 25
 	tb := newTestTable(t)
@@ -492,7 +492,7 @@ func TestSizeBytesBitmap(t *testing.T) {
 		cols += c.SizeBytes
 	}
 	rows := n + delta
-	want := cols + 8*rows + 8*rows + 8*((n+63)/64) + 16*dead + 8*delta
+	want := cols + 8*rows + 8*rows + 8*((n+63)/64) + 12*dead + 8*delta
 	if got := tb.SizeBytes(); got != want {
 		t.Fatalf("SizeBytes = %d, want %d (columns %d)", got, want, cols)
 	}

@@ -89,12 +89,14 @@ func checkMainBitmap(t *testing.T, tb *Table, views []View, at string) {
 
 // visHistory is the state TestMainVisibility's steps share: two partitions
 // on one clock, a follower on its own, the pins every read is checked at,
-// and the partitions checked after each step.
+// the epochs of released pins, read at on as unpinned views, and the
+// partitions checked after each step.
 type visHistory struct {
 	t       *testing.T
 	a, b, f *Table
 	rng     *rand.Rand
 	pins    []View
+	past    []View
 	check   []*Table
 	p0, mid View
 }
@@ -134,11 +136,13 @@ func (h *visHistory) pin(tb *Table) View {
 // its commit, an aborted merge, an Adopt of a captured Image and a
 // follower's replayed stamps.  After each step every read path (Count,
 // Rows, Sum, MinMax, the equality count, seeded and conjunctive queries,
-// ScanAt and VisibleAt; checkReads) runs at latest and at every pinned
-// epoch against the flat begin/end oracle, the bitmap against the same
-// oracle (checkMainBitmap), Adopt(Image()) must reproduce RowEpochs
-// exactly, and whole — the kernels' untested path — must hold exactly
-// where the step says.
+// ScanAt and VisibleAt; checkReads) runs at latest, at every pinned epoch
+// and at every released pin's epoch against the flat begin/end oracle, and
+// the bitmap is checked against the same oracle (checkMainBitmap).  The
+// partition's Adopt(Image()) must reproduce RowEpochs exactly, and its
+// bitmap and every read path are checked the same way.  whole — the
+// kernels' untested path — must hold exactly where the step says, on the
+// partition and on its adopted copy.
 func TestMainVisibility(t *testing.T) {
 	clock := epoch.NewClock()
 	h := &visHistory{t: t, rng: rand.New(rand.NewSource(44))}
@@ -249,6 +253,7 @@ func TestMainVisibility(t *testing.T) {
 		{"release and reclaim", func() {
 			for _, p := range h.pins {
 				p.Release()
+				h.past = append(h.past, ViewAt(p.Epoch()))
 			}
 			h.pins = nil
 			for _, tb := range []*Table{h.a, h.b} {
@@ -257,7 +262,7 @@ func TestMainVisibility(t *testing.T) {
 				}
 			}
 			h.p0 = h.pin(h.a)
-		}, []expect{{A, latest, true}, {B, latest, true}, {A, at(&h.p0), true}}},
+		}, []expect{{A, latest, true}, {B, latest, true}, {A, at(&h.p0), true}, {A, func() uint64 { return h.past[0].Epoch() }, false}}},
 
 		// Writes between freeze and commit: inserts land in the second
 		// delta, a delete of a main row sets a bit of the old main and one
@@ -325,19 +330,27 @@ func TestMainVisibility(t *testing.T) {
 	}
 	for _, st := range steps {
 		st.do()
-		views := append([]View{Latest()}, h.pins...)
+		views := append(append([]View{Latest()}, h.pins...), h.past...)
 		for _, tb := range h.check {
-			where := st.name + ", " + tb.Name()
-			for _, view := range views {
-				checkReads[uint64](t, tb, "id", view, where)
-				checkReads[uint32](t, tb, "qty", view, where)
+			ad := adopted(t, tb)
+			sameTable(t, tb, ad)
+			for _, c := range []struct {
+				tb    *Table
+				where string
+			}{{tb, st.name + ", " + tb.Name()}, {ad, st.name + ", adopted " + tb.Name()}} {
+				for _, view := range views {
+					checkReads[uint64](t, c.tb, "id", view, c.where)
+					checkReads[uint32](t, c.tb, "qty", view, c.where)
+				}
+				checkMainBitmap(t, c.tb, views, c.where)
 			}
-			checkMainBitmap(t, tb, views, where)
-			sameTable(t, tb, adopted(t, tb))
 		}
 		for _, w := range st.whole {
-			if got := whole(w.tb(), w.epoch()); got != w.want {
-				t.Fatalf("%s: %s whole at %d = %v, want %v", st.name, w.tb().Name(), w.epoch(), got, w.want)
+			tb := w.tb()
+			for _, c := range []*Table{tb, adopted(t, tb)} {
+				if got := whole(c, w.epoch()); got != w.want {
+					t.Fatalf("%s: %s whole at %d = %v, want %v", st.name, tb.Name(), w.epoch(), got, w.want)
+				}
 			}
 		}
 	}
