@@ -8,16 +8,16 @@
 //	c, err := client.Dial("localhost:4860")
 //	defer c.Close()
 //	id, _ := c.Insert([]any{uint64(1), uint32(3), "widget"})
-//	snap, _ := c.Snapshot()           // server-side token, frozen epoch
+//	snap, _ := c.Snapshot()           // an epoch, pinned server-side
 //	rows, _ := c.LookupAt(snap, "order_id", uint64(1))
 //	sum, _ := c.SumAt(snap, "qty")    // consistent with the lookup above
 //	c.Release(snap)
 //
 // A Client is safe for concurrent use: every request checks a connection
 // out of the pool (dialing lazily up to Options.Conns) and returns it
-// after the response.  Snapshot tokens are registered server-side, so a
-// token captured through one pooled connection is valid on all of them —
-// and on other Clients of the same server.  InsertBatch pipelines large
+// after the response.  A snapshot is its epoch, pinned server-side, so a
+// snapshot captured through one pooled connection is valid on all of them
+// — and on other Clients of the same server.  InsertBatch pipelines large
 // batches as multiple in-flight frames on one connection.
 //
 // Server-reported failures unwrap to this package's typed errors
@@ -45,7 +45,7 @@ var (
 	ErrNoColumn    = errors.New("hyrise: no such column")
 	ErrArity       = errors.New("hyrise: value count does not match schema")
 	ErrMergeBusy   = errors.New("hyrise: merge already in progress")
-	ErrBadSnapshot = errors.New("hyrise: unknown snapshot token")
+	ErrBadSnapshot = errors.New("hyrise: snapshot epoch not servable") // see Snap and Release
 	ErrBadRequest  = errors.New("hyrise: malformed request")
 	ErrColumnType  = errors.New("hyrise: value does not fit column type")
 	// ErrTooManySnapshots: the server's snapshot registry is at capacity
@@ -118,12 +118,13 @@ type Column struct {
 	Type Type
 }
 
-// Snap is a server-registered snapshot token.  Latest (zero) reads
-// current versions; tokens from Client.Snapshot read frozen at the
-// captured epoch until released.
+// Snap is a snapshot: its epoch.  Latest (zero) reads current versions;
+// any other epoch reads exactly the versions visible at it, or fails with
+// ErrBadSnapshot when the server cannot serve it exactly.  A Snap from
+// Client.Snapshot is pinned on the server until Released.
 type Snap uint64
 
-// Latest is the always-valid token for reading current versions.
+// Latest is the always-valid snapshot for reading current versions.
 const Latest Snap = 0
 
 // Options tunes Dial.
@@ -134,12 +135,12 @@ type Options struct {
 	// DialTimeout bounds each TCP dial (default 5s).
 	DialTimeout time.Duration
 	// Followers lists read-replica addresses.  When set, eligible reads
-	// are routed to followers:
-	// snapshot reads go to any follower that has applied the snapshot's
-	// epoch (exact, verified server-side), latest reads to any follower
-	// lagging at most MaxStaleness epochs.  Every follower error falls
-	// back to the primary, so routing never changes results — only which
-	// machine serves them.
+	// are routed to followers: a snapshot read goes to a follower as is,
+	// which answers it exactly or refuses it (an epoch it has not applied
+	// or has garbage-collected past); latest reads go to any follower
+	// lagging at most MaxStaleness epochs whose applier has not stopped.
+	// Every follower error falls back to the primary, so routing never
+	// changes results — only which machine serves them.
 	Followers []string
 	// MaxStaleness bounds, in epochs, how far behind the primary a
 	// follower may be and still serve LATEST reads (snapshot reads are
@@ -182,11 +183,6 @@ type Client struct {
 	// Follower routing state (empty without Options.Followers).
 	followers []*follower
 	rr        uint64 // round-robin cursor, accessed atomically
-
-	// snapEpochs maps primary snapshot tokens to their epochs, learned
-	// from OpSnapshotEpoch; follower routing pins these epochs remotely.
-	snapMu     sync.Mutex
-	snapEpochs map[Snap]uint64
 }
 
 type poolConn struct {
@@ -203,12 +199,11 @@ func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 func DialOptions(addr string, opts Options) (*Client, error) {
 	opts.setDefaults()
 	c := &Client{
-		addr:       addr,
-		opts:       opts,
-		sem:        make(chan struct{}, opts.Conns),
-		free:       make(chan *poolConn, opts.Conns),
-		closed:     make(chan struct{}),
-		snapEpochs: make(map[Snap]uint64),
+		addr:   addr,
+		opts:   opts,
+		sem:    make(chan struct{}, opts.Conns),
+		free:   make(chan *poolConn, opts.Conns),
+		closed: make(chan struct{}),
 	}
 	// Dial eagerly once: verifies the server speaks this client's protocol
 	// and caches the schema every later request needs for value coercion.
@@ -685,12 +680,13 @@ func (c *Client) IsValid(row int) (bool, error) {
 }
 
 // Snapshot captures a consistent read view server-side (one atomic epoch
-// capture, consistent across all shards) and returns its token.  Reads
-// through the token are frozen at the captured epoch no matter how many
-// writes and merges commit afterwards — on any pooled connection, and on
-// other Clients of the same server.  The server's registry is bounded:
-// past its capacity Snapshot fails with ErrTooManySnapshots until a token
-// is Released.
+// capture, consistent across all shards), pins it there, and returns it:
+// the Snap is the captured epoch.  Reads at it are frozen at that epoch no
+// matter how many writes and merges commit afterwards — on any pooled
+// connection, on other Clients of the same server, and on its followers
+// once they have applied it.  The server's registry is bounded: past its
+// capacity Snapshot fails with ErrTooManySnapshots until a snapshot is
+// Released.
 func (c *Client) Snapshot() (Snap, error) {
 	var req wire.Buffer
 	req.U8(wire.OpSnapshotEpoch)
@@ -698,45 +694,18 @@ func (c *Client) Snapshot() (Snap, error) {
 	if err != nil {
 		return 0, err
 	}
-	tok, err := r.U64()
-	if err != nil {
-		return 0, err
-	}
-	// The capture reports the frozen epoch; follower routing needs it to
-	// pin the same epoch on replicas.
 	e, err := r.U64()
-	if err != nil {
-		return 0, err
-	}
-	c.snapMu.Lock()
-	c.snapEpochs[Snap(tok)] = e
-	c.snapMu.Unlock()
-	return Snap(tok), nil
+	return Snap(e), err
 }
 
-// SnapshotEpoch returns the epoch a snapshot token was frozen at, when
-// known (tokens captured by this Client's Snapshot).
-func (c *Client) SnapshotEpoch(s Snap) (uint64, bool) {
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	e, ok := c.snapEpochs[s]
-	return e, ok
-}
-
-// Release drops a snapshot token from the server's registry.  Do call it:
-// a registered token pins its epoch on the server (merges keep every
-// version the snapshot can see), and the registry itself is bounded, so
-// unreleased tokens eventually make Snapshot fail with
-// ErrTooManySnapshots.
+// Release drops a snapshot's pin from the server's registry.  Do call it:
+// a pinned snapshot keeps every version it can see from garbage
+// collection, and the registry itself is bounded, so unreleased snapshots
+// eventually make Snapshot fail with ErrTooManySnapshots.  Reads at a
+// released snapshot keep answering exactly until a reclaiming merge passes
+// its epoch; from then on they fail with ErrBadSnapshot.  Releasing a
+// snapshot that is not pinned fails with ErrBadSnapshot.
 func (c *Client) Release(s Snap) error {
-	c.snapMu.Lock()
-	delete(c.snapEpochs, s)
-	c.snapMu.Unlock()
-	// Drop any epoch pins this token's reads created on followers; their
-	// failure is not the caller's problem (the follower may be gone).
-	for _, f := range c.followers {
-		f.releasePin(s)
-	}
 	var req wire.Buffer
 	req.U8(wire.OpSnapshotRelease)
 	req.U64(uint64(s))
@@ -744,7 +713,7 @@ func (c *Client) Release(s Snap) error {
 	return err
 }
 
-// readReq assembles the common (op, token, column) request prefix.
+// readReq assembles the common (op, epoch, column) request prefix.
 func readReq(op uint8, s Snap, col string) wire.Buffer {
 	var req wire.Buffer
 	req.U8(op)

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,18 +32,17 @@ func (r Role) String() string {
 }
 
 // follower is one read replica the client may route to: a lazily-dialed
-// sub-client plus per-snapshot pin tokens and a cached lag measurement.
+// sub-client plus a cached lag measurement.
 type follower struct {
 	parent *Client
 	addr   string
 
 	mu         sync.Mutex
-	c          *Client       // nil until first use
-	pins       map[Snap]Snap // primary snapshot token -> follower pin token
-	statsAt    time.Time     // when lag was measured (zero = never)
-	lag        uint64        // epochs behind the primary, as of statsAt
-	downTo     time.Time     // cooling off after an error
-	refreshing bool          // a background stats refresher is running
+	c          *Client   // nil until first use
+	statsAt    time.Time // when lag was measured (zero = never)
+	lag        uint64    // epochs behind the primary, as of statsAt
+	downTo     time.Time // cooling off after an error
+	refreshing bool      // a background stats refresher is running
 }
 
 // followerCooldown is how long a follower sits out after an error before
@@ -170,13 +168,17 @@ func (f *follower) currentLag() (uint64, error) {
 	return lag, nil
 }
 
-// lagSeries is the follower gauge routing reads: primary epoch minus
-// applied epoch.
-const lagSeries = "hyrise_replica_lag_epochs"
+// The follower gauges routing reads: primary epoch minus applied epoch,
+// and 1 once the follower's applier has stopped for good.
+const (
+	lagSeries     = "hyrise_replica_lag_epochs"
+	stoppedSeries = "hyrise_replica_stopped"
+)
 
 // lagOf measures a server's epoch lag from its metrics snapshot.  A server
 // whose hello announced the primary role is exact by definition; a
-// follower without the lag series cannot be judged and is not routed to.
+// follower without the lag series cannot be judged, and one that reports
+// its applier stopped no longer advances, so neither is routed to.
 func lagOf(c *Client) (uint64, error) {
 	if c.Role() == RolePrimary {
 		return 0, nil
@@ -185,6 +187,9 @@ func lagOf(c *Client) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if v, _ := MetricValue(samples, stoppedSeries); v != 0 {
+		return 0, fmt.Errorf("client: follower %s reports its replica stopped", c.addr)
+	}
 	v, ok := MetricValue(samples, lagSeries)
 	if !ok {
 		return 0, fmt.Errorf("client: follower %s reports no %s", c.addr, lagSeries)
@@ -192,78 +197,15 @@ func lagOf(c *Client) (uint64, error) {
 	return uint64(v), nil
 }
 
-// pinFor resolves the follower-local pin token for a primary snapshot,
-// pinning the snapshot's epoch on the follower on first use.  The server
-// verifies the epoch is applied and its history intact, so reads through
-// the returned token are exactly the primary snapshot's reads.
-func (f *follower) pinFor(s Snap, epoch uint64) (Snap, error) {
-	f.mu.Lock()
-	if tok, ok := f.pins[s]; ok {
-		f.mu.Unlock()
-		return tok, nil
-	}
-	f.mu.Unlock()
-	c, err := f.client()
-	if err != nil {
-		return 0, err
-	}
-	var req wire.Buffer
-	req.U8(wire.OpPinEpoch)
-	req.U64(epoch)
-	r, err := c.do(req.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	tok64, err := r.U64()
-	if err != nil {
-		return 0, err
-	}
-	tok := Snap(tok64)
-	f.mu.Lock()
-	if f.pins == nil {
-		f.pins = make(map[Snap]Snap)
-	}
-	if prev, ok := f.pins[s]; ok {
-		// Lost a race with another goroutine; keep theirs, drop ours.
-		f.mu.Unlock()
-		go c.Release(tok)
-		return prev, nil
-	}
-	f.pins[s] = tok
-	f.mu.Unlock()
-	return tok, nil
-}
-
-// releasePin drops the cached pin for a primary snapshot token, releasing
-// it on the follower best-effort.
-func (f *follower) releasePin(s Snap) {
-	f.mu.Lock()
-	tok, ok := f.pins[s]
-	if ok {
-		delete(f.pins, s)
-	}
-	c := f.c
-	f.mu.Unlock()
-	if ok && c != nil {
-		c.Release(tok)
-	}
-}
-
-// doRead sends a token-carrying read request (token at bytes [1:9], right
-// after the opcode), routing it to a follower when one can serve it
-// exactly, and to the primary otherwise.  Any follower failure falls back
-// to the primary, so routing is invisible to callers.
+// doRead sends a read request at snapshot s, routing it to a follower when
+// one can serve it, and to the primary otherwise.  A follower answers a snapshot read exactly or
+// refuses it (ErrBadSnapshot: an epoch it has not applied, or one its GC
+// has passed); that and any other follower failure fall back to the
+// primary, which holds the snapshot's pin, so routing is invisible to
+// callers.
 func (c *Client) doRead(req []byte, s Snap) (*wire.Reader, error) {
 	if len(c.followers) == 0 {
 		return c.do(req)
-	}
-	var epoch uint64
-	if s != Latest {
-		var ok bool
-		if epoch, ok = c.SnapshotEpoch(s); !ok {
-			// Unknown epoch (token from another client): unroutable.
-			return c.do(req)
-		}
 	}
 	start := int(atomic.AddUint64(&c.rr, 1))
 	for i := 0; i < len(c.followers); i++ {
@@ -271,11 +213,11 @@ func (c *Client) doRead(req []byte, s Snap) (*wire.Reader, error) {
 		if !f.available() {
 			continue
 		}
-		r, err := c.tryFollower(f, req, s, epoch)
+		r, err := c.tryFollower(f, req, s)
 		if err == nil {
 			return r, nil
 		}
-		if !errors.Is(err, errStale) {
+		if !errors.Is(err, errStale) && !errors.Is(err, ErrBadSnapshot) {
 			// Staleness clears by itself within a heartbeat; real
 			// failures bench the follower for a cooldown.
 			f.markDown()
@@ -284,15 +226,10 @@ func (c *Client) doRead(req []byte, s Snap) (*wire.Reader, error) {
 	return c.do(req)
 }
 
-// tryFollower attempts one read on one follower.
-func (c *Client) tryFollower(f *follower, req []byte, s Snap, epoch uint64) (*wire.Reader, error) {
-	tok := Snap(0)
-	if s != Latest {
-		var err error
-		if tok, err = f.pinFor(s, epoch); err != nil {
-			return nil, err
-		}
-	} else {
+// tryFollower attempts one read on one follower: a snapshot read as is, a
+// latest read only while the follower's lag is within MaxStaleness.
+func (c *Client) tryFollower(f *follower, req []byte, s Snap) (*wire.Reader, error) {
+	if s == Latest {
 		lag, err := f.currentLag()
 		if err != nil {
 			return nil, err
@@ -305,10 +242,7 @@ func (c *Client) tryFollower(f *follower, req []byte, s Snap, epoch uint64) (*wi
 	if err != nil {
 		return nil, err
 	}
-	routed := make([]byte, len(req))
-	copy(routed, req)
-	binary.BigEndian.PutUint64(routed[1:9], uint64(tok))
-	return fc.do(routed)
+	return fc.do(req)
 }
 
 // errStale marks a follower too far behind for a latest read; it only

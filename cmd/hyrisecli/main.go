@@ -323,12 +323,11 @@ func (s *shell) snapshot(args []string) error {
 		return err
 	}
 	s.snap = snap
-	epoch, _ := s.c.SnapshotEpoch(snap)
 	n, err := s.c.ValidRowsAt(snap)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "snapshot at epoch %d (%d rows visible)\n", epoch, n)
+	fmt.Fprintf(s.out, "snapshot at epoch %d (%d rows visible)\n", uint64(snap), n) // a Snap is its epoch
 	return nil
 }
 

@@ -351,7 +351,7 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 	sched.Stop()
 
 	// Shutdown released every snapshot still registered (clients are gone,
-	// so stale tokens must not pin dead versions into the shutdown save);
+	// so stale snapshots must not pin dead versions into the shutdown save);
 	// surface how many a misbehaving client left behind.
 	if stalePins > 0 {
 		logger.Info("released stale snapshot pins", "count", stalePins)

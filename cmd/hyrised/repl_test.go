@@ -168,9 +168,7 @@ func TestHyrisedReplication(t *testing.T) {
 		if wait {
 			// Let the follower apply the snapshot's epoch so the routed
 			// reads below exercise it (fallback would also be correct).
-			if e, ok := rc.SnapshotEpoch(snap); ok {
-				waitFollowerApplied(t, fc, e)
-			}
+			waitFollowerApplied(t, fc, uint64(snap))
 		}
 		n, err := rc.ValidRowsAt(snap)
 		if err != nil {
@@ -237,7 +235,7 @@ func TestHyrisedReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Release(psnap)
-	e, _ := pc.SnapshotEpoch(psnap)
+	e := uint64(psnap)
 	psum, err := pc.SumAt(psnap, "v")
 	if err != nil {
 		t.Fatal(err)

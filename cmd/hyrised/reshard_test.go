@@ -181,7 +181,7 @@ func TestReshardOneShardDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Release(after)
-	e, _ := c.SnapshotEpoch(after)
+	e := uint64(after)
 	fc, err := client.Dial(faddr)
 	if err != nil {
 		t.Fatal(err)

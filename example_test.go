@@ -314,9 +314,8 @@ func ExampleFollow() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	epoch, _ := c.SnapshotEpoch(snap)
 	for _, obs := range fobs {
-		if err := waitReady(obs, epoch); err != nil {
+		if err := waitReady(obs, uint64(snap)); err != nil { // a Snap is its epoch
 			log.Fatal(err)
 		}
 	}
@@ -353,7 +352,7 @@ func ExampleFollow() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	e2, _ := c.SnapshotEpoch(snap2)
+	e2 := uint64(snap2)
 	for i, obs := range fobs {
 		if err := waitReady(obs, e2); err != nil {
 			log.Fatal(err)

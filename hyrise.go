@@ -81,8 +81,7 @@
 // what it does not promise is one instant for all partitions (see Save).
 // There is one snapshot format; Load fails anything else as malformed.
 //
-// Views are plain values: cheap to copy, valid for the life of the store.
-// One caution: Scan/ScanAt callbacks run under the table's read lock and
+// Views are plain values, cheap to copy.  One caution: Scan/ScanAt callbacks run under the table's read lock and
 // must not call back into the table — collect row ids and read other
 // columns after the scan (row versions are immutable).
 //
@@ -110,6 +109,14 @@
 // view's epoch stay retained forever.  Copies of a view share one pin.
 // The zero ReadView and reads without a view never pin.
 //
+// The guarantee: a read at epoch E sees exactly the versions with
+// begin <= E < end, or it fails.  A pinned view never fails.  A view
+// without a live pin — released, or a view at an explicit epoch — reads
+// exactly while E is at or above the last reclaiming merge's watermark
+// and fails with ErrReclaimed below it, never answering with rows missing.
+// Query and the *At reads that return an error return it; ValidRowsAt and
+// the column handles' At reads, which return none, panic with it.
+//
 // Row ids are stable across reclamation: they are resolved through an
 // id-to-slot indirection, merges compact the physical slots underneath,
 // and a reclaimed id is retired — never reused — with every operation on
@@ -117,12 +124,14 @@
 // StoreStats reports the cumulative RetiredRows and ReclaimedBytes, and
 // MergeReport.RowsReclaimed counts what each merge dropped.
 //
-// Over the network the same rules apply to snapshot tokens: a registered
-// token pins its epoch server-side until released, and the
-// registry is bounded (ServerOptions.MaxSnapshots, hyrised
-// -max-snapshots) so leaked tokens cannot pin history forever — past the
-// cap, Snapshot fails with client.ErrTooManySnapshots.  hyrised releases
-// all registered tokens on shutdown before its final compacting merge.
+// Over the network a snapshot is its epoch, and the same rule holds: a
+// client.Snap is the epoch Client.Snapshot pinned server-side until
+// Release, and a read at an epoch the server cannot serve exactly fails
+// with client.ErrBadSnapshot.  The registry of pinned epochs is bounded
+// (ServerOptions.MaxSnapshots, hyrised -max-snapshots) so leaked
+// snapshots cannot pin history forever — past the cap, Snapshot fails with
+// client.ErrTooManySnapshots.  hyrised releases every pinned epoch on
+// shutdown before its final compacting merge.
 //
 // # Shards
 //
@@ -255,7 +264,7 @@
 //
 // The Go client (package hyrise/client, re-exported here as Dial) pools
 // connections, pipelines batches and rehydrates the library's typed
-// errors.  Snapshot tokens are registered server-side, so pinned reads
+// errors.  A snapshot is its epoch, pinned server-side, so pinned reads
 // stay consistent across pooled connections — and across clients:
 //
 //	c, _ := hyrise.Dial("localhost:4860")
@@ -295,12 +304,14 @@
 // A follower server is read-only (writes fail with client.ErrReadOnly)
 // and advances Replica.AppliedEpoch only on the primary's heartbeats, so
 // the epoch it reports is always exact.  The pooled client routes reads
-// transparently: client.Options.Followers lists follower addresses,
-// snapshot reads go to any follower that has applied the snapshot's
-// epoch (pinned remotely, so the answer equals the primary's), latest
-// reads go to any follower lagging at most client.Options.MaxStaleness
-// epochs, and everything else — including any follower failure — falls
-// back to the primary.  For monitoring, Client.Role reports the role the
+// transparently: client.Options.Followers lists follower addresses, a
+// snapshot read goes to a follower as is — it answers at the epoch
+// exactly, with no pin of its own, or refuses it when it has not applied
+// the epoch or has garbage-collected past it — latest reads go to any
+// follower lagging at most client.Options.MaxStaleness epochs whose
+// applier has not stopped (hyrise_replica_stopped), and everything else —
+// including any follower refusal or failure — falls back to the primary,
+// which holds the snapshot's pin.  For monitoring, Client.Role reports the role the
 // hello exchange announced, and Client.Metrics the replication lag
 // (hyrise_replica_lag_epochs) and op-log bounds (hyrise_oplog_*).  The
 // same topology runs as daemons with hyrised -replicate and hyrised
@@ -327,7 +338,7 @@
 //	hyrise_gc_*       GC bound and its age in epochs, rows retired,
 //	                  dead versions seen vs. retained for live pins
 //	hyrise_oplog_*    retained LSN bounds, entries, subscribers
-//	hyrise_replica_*  applied/primary epochs, lag, applied LSN
+//	hyrise_replica_*  applied/primary epochs, lag, applied LSN, stopped
 //	hyrise_index_*    indexed vs. scanned read routing
 //	hyrise_query_*    served queries' planner seeds (one per partition
 //	                  read), estimated vs. actual driving-predicate
@@ -337,7 +348,8 @@
 //
 // DBServer.Registry exposes the registry; DBServer.ObsHandler serves it
 // as /metrics (Prometheus text exposition) alongside /healthz (role- and
-// lag-aware readiness, with an optional min_epoch convergence bound) and
+// lag-aware readiness, 503 on a follower whose applier stopped, with an
+// optional min_epoch convergence bound) and
 // /debug/pprof/*.  The hyrised daemon mounts that handler with
 // -metrics-addr, logs ops slower than -slow-op-threshold as structured
 // log/slog lines (opcode, duration, rows touched, snapshot epoch), and
@@ -457,6 +469,7 @@ var (
 	ErrMergeInProgress = table.ErrMergeInProgress
 	ErrNoColumn        = table.ErrNoColumn
 	ErrArity           = table.ErrArity
+	ErrReclaimed       = table.ErrReclaimed
 )
 
 // Scheduler is the background merge driver of one Table: it follows the

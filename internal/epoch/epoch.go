@@ -134,9 +134,9 @@ func (c *Clock) CapturePinned() (uint64, *Pin) {
 }
 
 // PinAt registers a pin at an arbitrary epoch without capturing: the clock
-// does not advance and e may lie in the past.  Replication followers use it
-// to serve reads at their applied epoch, and the server uses it to pin a
-// client-chosen epoch on a follower.  Unlike CapturePinned it cannot
+// does not advance and e may lie in the past.  A replication follower's
+// server uses it to pin a snapshot at its applied epoch.  Unlike
+// CapturePinned it cannot
 // promise the epoch's history is still intact — versions invalidated at or
 // below a past GC watermark may already be gone — so callers must check
 // the store's GC bound (table.Table.GCBound) after pinning and release the

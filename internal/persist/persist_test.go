@@ -450,7 +450,12 @@ func TestEpochRoundTrip(t *testing.T) {
 	// A historical view reads identically on both: row 3 was alive at the
 	// first captured epoch and dead afterwards.
 	old := table.ViewAt(1)
-	if !got.VisibleAt(old, 3) || got.VisibleAt(table.Latest(), 3) {
+	wasAlive, err := got.VisibleAt(old, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isAlive, err := got.VisibleAt(table.Latest(), 3)
+	if err != nil || !wasAlive || isAlive {
 		t.Fatal("loaded table lost the pre-delete history")
 	}
 }

@@ -17,15 +17,17 @@ import (
 // count plus one allocation of slack; a change that removes allocations
 // lowers its count in the same change.  A read with an equality on the
 // key column (lookup, count_equal, key_query) reads only the key's
-// partition, so it costs the same at 2 shards as at 1.
+// partition, so it costs the same at 2 shards as at 1.  snapshot_sum is
+// sum at a registered snapshot's epoch, which reads through its pinned
+// view instead of pinning one for the call.
 func TestServedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	const slack = 1
 	counts := map[int]map[string]float64{
-		1: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 36, "range": 28, "sum": 13, "query": 73},
-		2: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 36, "range": 42, "sum": 20, "query": 95},
+		1: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 36, "range": 28, "sum": 13, "snapshot_sum": 13, "query": 73},
+		2: {"ping": 8, "lookup": 22, "count_equal": 18, "key_query": 36, "range": 42, "sum": 20, "snapshot_sum": 19, "query": 95},
 	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -44,6 +46,10 @@ func TestServedAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			c, _, _ := startServer(t, st)
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
 			filters := []client.Filter{{Column: "qty", Op: client.Eq, Value: uint32(7)}}
 			keyFilters := []client.Filter{{Column: "order_id", Op: client.Eq, Value: uint64(500)}}
 			calls := map[string]func() error{
@@ -66,6 +72,10 @@ func TestServedAllocs(t *testing.T) {
 				},
 				"sum": func() error {
 					_, err := c.Sum("qty")
+					return err
+				},
+				"snapshot_sum": func() error {
+					_, err := c.SumAt(snap, "qty")
 					return err
 				},
 				"query": func() error {

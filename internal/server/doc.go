@@ -35,36 +35,42 @@
 // that would justify executing a session's pipelined reads in parallel,
 // and the committed benchmark baseline records zero on every workload.
 //
-// There is no per-session state beyond the connection itself — snapshot
-// tokens (below) are server-wide, so a token captured on one connection
-// is valid on every other connection of the same server, which lets a
-// pooled client spread pinned reads across its connections.  Concurrency
-// across sessions is the store's own concurrency: handlers call straight
-// into shard.Table methods, whose shard locks and epoch clock do the
-// coordination.
+// There is no per-session state beyond the connection itself — a read
+// names its snapshot by its epoch (below), valid on every connection of
+// the same server, which lets a pooled client spread pinned reads across
+// its connections.  Concurrency across sessions is the store's own
+// concurrency: handlers call straight into shard.Table methods, whose
+// shard locks and epoch clock do the coordination.
 //
 // # Snapshots
 //
-// OpSnapshotEpoch captures a Table.Snapshot (one atomic epoch fetch-add,
-// consistent across every shard) and registers it in the server's
-// snapshot registry under a fresh nonzero token, which is returned to
-// the client together with the frozen epoch.  Read requests carry a token field: zero reads latest,
-// a registered token reads frozen at that snapshot's epoch no matter
-// how many inserts, updates, deletes or merges commit in between, and
-// an unknown token fails with wire.StatusErrBadSnapshot.
+// A snapshot is its epoch.  Read requests carry an epoch field: zero reads
+// latest, and any other epoch E reads exactly the versions with
+// begin <= E < end no matter how many inserts, updates, deletes or merges
+// commit in between — or fails with wire.StatusErrBadSnapshot.  It fails
+// when E is past the server's own epoch (Now() on a primary, the applied
+// epoch on a follower; this also refuses epoch.Latest), and when garbage
+// collection has passed E on a partition that holds no pin for it
+// (table.ErrReclaimed).
 //
-// Registered snapshots are not free: each one pins its epoch, so
-// garbage-collecting merges keep every version the snapshot can see for
-// as long as the token is registered.  The registry is therefore bounded
-// — Options.MaxSnapshots, default DefaultMaxSnapshots (1024) — and
-// OpSnapshotEpoch past the cap fails with
-// wire.StatusErrTooManySnapshots until a token is released.  The bound
-// exists precisely because a client capturing tokens in a loop, or
+// OpSnapshotEpoch captures a Table.Snapshot (one atomic epoch fetch-add,
+// consistent across every shard), pins it in the server's snapshot
+// registry, and answers the epoch.  Reads at a registered epoch read
+// through its pinned view, so garbage-collecting merges keep every version
+// it can see until OpSnapshotRelease drops the registration; a release of
+// an epoch with no registration fails with wire.StatusErrBadSnapshot.
+// After the release, reads at the epoch keep answering exactly until a
+// reclaiming merge passes it.
+//
+// Registered snapshots are not free: each pinned epoch holds back garbage
+// collection.  The registry is therefore bounded — Options.MaxSnapshots,
+// default DefaultMaxSnapshots (1024) — and OpSnapshotEpoch past the cap
+// fails with wire.StatusErrTooManySnapshots until a snapshot is released.
+// The bound exists precisely because a client capturing in a loop, or
 // crashing without releasing, would otherwise grow the registry and pin
-// dead versions forever.  OpSnapshotRelease drops a token and its pin;
-// Server.ReleaseAllSnapshots drops them all (cmd/hyrised uses it after
-// the shutdown drain so the final compacting merge is not pinned by
-// stale tokens).
+// dead versions forever.  Server.ReleaseAllSnapshots drops every pin
+// (cmd/hyrised uses it after the shutdown drain so the final compacting
+// merge is not pinned by stale snapshots).
 //
 // # Reads at the server boundary
 //
@@ -77,7 +83,7 @@
 // reads one partition per shard window — the one the key hashes to
 // there, a single partition unless a reshard is in flight or its sealed
 // window still holds rows; every other request reads every partition.  Each partition reads under one hold of its read lock
-// at one epoch — with token 0 over several partitions, one snapshot
+// at one epoch — with epoch 0 over several partitions, one snapshot
 // pinned for the request.  hyrise_read_partitions_total counts the
 // partitions read.  OpScan with rows is the same plan projecting every
 // column beside the scanned one, so the full rows are the versions the
@@ -138,7 +144,7 @@
 //     the server's reason (replica.ErrPrimaryAborted).
 //   - wire.SubTail resumes from the given LSN.  If the log no longer
 //     covers it (trimmed past the follower's position) the server
-//     refuses with wire.StatusErrStaleEpoch before any stream bytes, and
+//     refuses with wire.StatusErrBadSnapshot before any stream bytes, and
 //     the follower must re-bootstrap; a tail is never silently degraded
 //     to a snapshot, because the follower cannot absorb a second image.
 //
@@ -155,12 +161,15 @@
 // ApplyInvalidate reproduce row ids, epochs and values exactly.
 //
 // A server created with Options.Replica set is a read-only follower:
-// mutating opcodes fail with wire.StatusErrReadOnly, OpSnapshotEpoch pins
-// the applied epoch (the latest its store is exact at), and OpPinEpoch pins
-// an explicit epoch — refusing epochs the follower has not applied or
-// whose history its merges already garbage-collected
-// (wire.StatusErrStaleEpoch) — which is how the pooled client routes a
-// primary snapshot's reads to a follower with exact-answer semantics.
+// mutating opcodes fail with wire.StatusErrReadOnly and OpSnapshotEpoch
+// pins the applied epoch (the latest its store is exact at).  A follower
+// answers a read at a primary snapshot's epoch E with no pin of its own:
+// exactly, or with wire.StatusErrBadSnapshot when it has not applied E or
+// its own merges have garbage-collected past it — and the pooled client
+// then falls back to the primary, which holds the pin.  A follower whose
+// applier stopped for good (its Replica's Err is set) reports it: /healthz
+// answers 503 with the error and hyrise_replica_stopped is 1, so routing
+// sends latest reads to the primary.
 //
 // # Observability
 //
@@ -172,7 +181,8 @@
 // Server.Registry exposes it; Server.ObsHandler serves it over HTTP as
 // /metrics (Prometheus text exposition) together with /healthz
 // (readiness: a primary is ready unless draining, a follower once it has
-// a primary heartbeat; min_epoch=N tightens either to "epoch >= N") and
+// a primary heartbeat and until its applier stops; min_epoch=N tightens
+// either to "epoch >= N") and
 // the /debug/pprof/ profiles.  Options.SlowOpThreshold makes any op
 // slower than the threshold emit one structured slog line with the
 // opcode, duration, rows touched, snapshot epoch, status and remote

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bufio"
+	"context"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -130,7 +132,9 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 
 // FuzzHandle fuzzes the request decoder/dispatcher directly: any byte
 // payload must produce a well-formed response (status byte first) and
-// never panic.  Every opcode is seeded with a minimal valid body.
+// never panic.  Every opcode is seeded with a minimal valid body, and
+// every one that carries a read epoch with epochs the server must refuse
+// or serve exactly.
 func FuzzHandle(f *testing.F) {
 	flat := fuzzStore(f)
 	srv := New(flat, Options{})
@@ -169,6 +173,55 @@ func FuzzHandle(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
+
+	// A read's epoch is outside input: seed every opcode that carries one
+	// with epoch 1 once an update and a reclaiming merge have passed it,
+	// one past the clock, the Latest sentinel, and a released snapshot's.
+	flat.Clock().Capture()
+	if _, err := flat.Update(0, map[string]any{"qty": uint32(99)}); err != nil {
+		f.Fatal(err)
+	}
+	if rep, err := flat.RequestMerge(context.Background(), table.MergeOptions{}); err != nil || rep.RowsReclaimed == 0 {
+		f.Fatalf("fuzz store merge reclaimed %d, %v", rep.RowsReclaimed, err)
+	}
+	released, err := srv.registerSnapshot()
+	if err == nil {
+		err = srv.releaseSnapshot(released)
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range []uint64{1, flat.Clock().Now() + 1, math.MaxUint64, released} {
+		for _, op := range []uint8{
+			wire.OpSnapshotRelease, wire.OpLookup, wire.OpRange, wire.OpScan, wire.OpSum, wire.OpMin,
+			wire.OpMax, wire.OpCountEqual, wire.OpQuery, wire.OpValidRows, wire.OpVisible,
+		} {
+			seed.Reset()
+			seed.U8(op)
+			seed.U64(e)
+			switch op {
+			case wire.OpLookup, wire.OpCountEqual:
+				seed.String("order_id")
+				seed.Value(uint64(1))
+			case wire.OpRange:
+				seed.String("order_id")
+				seed.Value(uint64(1))
+				seed.Value(uint64(5))
+			case wire.OpScan:
+				seed.String("product")
+				seed.U32(3)
+				seed.U8(1)
+			case wire.OpSum, wire.OpMin, wire.OpMax:
+				seed.String("qty")
+			case wire.OpQuery:
+				seed.Filters([]wire.Filter{{Column: "order_id", Op: wire.OpFilterEq, Value: uint64(1)}})
+				seed.Strings([]string{"qty"})
+			case wire.OpVisible:
+				seed.U64(0)
+			}
+			f.Add(seed.Bytes())
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var out wire.Buffer

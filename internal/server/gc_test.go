@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"testing"
 
@@ -33,7 +34,8 @@ func startServerOpts(t *testing.T, st *shard.Table, opts server.Options) (*clien
 // TestSnapshotRegistryBounded: the registry refuses captures past
 // MaxSnapshots with the typed error, and frees a slot on release — a
 // client capturing in a loop can no longer grow server state (or pin GC)
-// without bound.
+// without bound.  A read at a released epoch answers until GC passes it,
+// and one at an epoch the server has not reached is refused.
 func TestSnapshotRegistryBounded(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
@@ -64,9 +66,32 @@ func TestSnapshotRegistryBounded(t *testing.T) {
 	if err := c.Release(s3); err != nil {
 		t.Fatal(err)
 	}
-	// Released tokens are gone for good.
+	if err := c.Release(s3); !errors.Is(err, client.ErrBadSnapshot) {
+		t.Fatalf("release of an unpinned epoch: %v want ErrBadSnapshot", err)
+	}
+	// A released epoch reads exactly until a reclaiming merge passes it.
+	if n, err := c.ValidRowsAt(s3); err != nil || n != 0 {
+		t.Fatalf("read at a released epoch: %d, %v", n, err)
+	}
+	id, err := c.Insert([]any{uint64(1), uint32(1), "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Update(id, map[string]any{"qty": uint32(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := flat.RequestMerge(context.Background(), table.MergeOptions{}); err != nil || rep.RowsReclaimed != 1 {
+		t.Fatalf("merge reclaimed %d, %v", rep.RowsReclaimed, err)
+	}
 	if _, err := c.ValidRowsAt(s3); !errors.Is(err, client.ErrBadSnapshot) {
-		t.Fatalf("read on released token: %v want ErrBadSnapshot", err)
+		t.Fatalf("read at a released epoch GC passed: %v want ErrBadSnapshot", err)
+	}
+	// Epochs the server has not reached, the Latest sentinel among them,
+	// are refused.
+	for _, e := range []client.Snap{client.Snap(flat.Clock().Now() + 1), client.Snap(math.MaxUint64)} {
+		if _, err := c.ValidRowsAt(e); !errors.Is(err, client.ErrBadSnapshot) {
+			t.Fatalf("read at future epoch %d: %v want ErrBadSnapshot", e, err)
+		}
 	}
 }
 
@@ -119,8 +144,8 @@ func TestSnapshotTokenPinsGC(t *testing.T) {
 	if flat.Rows() != n || flat.StoreStats().RetiredRows != n {
 		t.Fatalf("rows=%d retired=%d want %d/%d", flat.Rows(), flat.StoreStats().RetiredRows, n, n)
 	}
-	// The stale token is gone from the registry.
+	// The merge passed the released epoch, so reads at it fail.
 	if _, err := c.ValidRowsAt(snap); !errors.Is(err, client.ErrBadSnapshot) {
-		t.Fatalf("read on dropped token: %v want ErrBadSnapshot", err)
+		t.Fatalf("read at a released epoch GC passed: %v want ErrBadSnapshot", err)
 	}
 }

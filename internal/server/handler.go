@@ -71,14 +71,11 @@ func (s *Server) handle(payload []byte, out *wire.Buffer, info *reqInfo) {
 		err = s.opIsValid(r, out)
 	case wire.OpSnapshotEpoch:
 		if err = r.Rest(); err == nil {
-			var tok, e uint64
-			if tok, e, err = s.registerSnapshot(); err == nil {
-				out.U64(tok)
+			var e uint64
+			if e, err = s.registerSnapshot(); err == nil {
 				out.U64(e)
 			}
 		}
-	case wire.OpPinEpoch:
-		err = s.opPinEpoch(r, out)
 	case wire.OpHello:
 		err = s.opHello(r, out)
 	case wire.OpSubscribe:
@@ -136,7 +133,7 @@ func statusOf(err error) uint8 {
 		return wire.StatusErrArity
 	case errors.Is(err, table.ErrMergeInProgress):
 		return wire.StatusErrMergeBusy
-	case errors.Is(err, errBadSnapshot), errors.Is(err, errStaleEpoch):
+	case errors.Is(err, errBadSnapshot), errors.Is(err, table.ErrReclaimed):
 		return wire.StatusErrBadSnapshot
 	case errors.Is(err, errReadOnly):
 		return wire.StatusErrReadOnly
@@ -269,14 +266,14 @@ func (s *Server) opIsValid(r *wire.Reader, out *wire.Buffer) error {
 // --- snapshot ops ---
 
 func (s *Server) opSnapshotRelease(r *wire.Reader, out *wire.Buffer) error {
-	tok, err := r.U64()
+	e, err := r.U64()
 	if err != nil {
 		return err
 	}
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	return s.releaseSnapshot(tok)
+	return s.releaseSnapshot(e)
 }
 
 func (s *Server) opValidRows(r *wire.Reader, out *wire.Buffer) error {
@@ -284,12 +281,16 @@ func (s *Server) opValidRows(r *wire.Reader, out *wire.Buffer) error {
 	if err != nil {
 		return err
 	}
-	out.U64(uint64(s.st.ValidRowsAt(view)))
+	sel, err := shard.Read(s.st, view, table.Plan{Reduce: table.Count})
+	if err != nil {
+		return err
+	}
+	out.U64(uint64(sel.Count))
 	return nil
 }
 
 func (s *Server) opVisible(r *wire.Reader, out *wire.Buffer) error {
-	tok, err := r.U64()
+	e, err := r.U64()
 	if err != nil {
 		return err
 	}
@@ -300,32 +301,33 @@ func (s *Server) opVisible(r *wire.Reader, out *wire.Buffer) error {
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	view, err := s.viewFor(tok)
+	view, err := s.viewFor(e)
 	if err != nil {
 		return err
 	}
-	out.U8(boolByte(s.st.VisibleAt(view, int(row))))
-	return nil
+	ok, err := s.st.VisibleAt(view, int(row))
+	out.U8(boolByte(ok))
+	return err
 }
 
-// viewArgRest decodes a trailing snapshot-token argument.
+// viewArgRest decodes a trailing read-epoch argument.
 func (s *Server) viewArgRest(r *wire.Reader) (table.View, error) {
-	tok, err := r.U64()
+	e, err := r.U64()
 	if err != nil {
 		return table.View{}, err
 	}
 	if err := r.Rest(); err != nil {
 		return table.View{}, err
 	}
-	return s.viewFor(tok)
+	return s.viewFor(e)
 }
 
 // --- single-column read ops ---
 
-// readArgs decodes the (token, column) prefix of a single-column read
+// readArgs decodes the (epoch, column) prefix of a single-column read
 // request into its view and the column's position.
 func (s *Server) readArgs(r *wire.Reader, info *reqInfo) (table.View, int, error) {
-	tok, err := r.U64()
+	e, err := r.U64()
 	if err != nil {
 		return table.View{}, 0, err
 	}
@@ -333,7 +335,7 @@ func (s *Server) readArgs(r *wire.Reader, info *reqInfo) (table.View, int, error
 	if err != nil {
 		return table.View{}, 0, err
 	}
-	view, err := s.viewFor(tok)
+	view, err := s.viewFor(e)
 	if err != nil {
 		return table.View{}, 0, err
 	}
@@ -464,7 +466,7 @@ func (s *Server) opAggregate(op uint8, r *wire.Reader, out *wire.Buffer, info *r
 // --- query op ---
 
 func (s *Server) opQuery(r *wire.Reader, out *wire.Buffer, info *reqInfo) error {
-	tok, err := r.U64()
+	e, err := r.U64()
 	if err != nil {
 		return err
 	}
@@ -479,7 +481,7 @@ func (s *Server) opQuery(r *wire.Reader, out *wire.Buffer, info *reqInfo) error 
 	if err := r.Rest(); err != nil {
 		return err
 	}
-	view, err := s.viewFor(tok)
+	view, err := s.viewFor(e)
 	if err != nil {
 		return err
 	}
@@ -601,22 +603,6 @@ func checkVersion(ver uint32) error {
 		return fmt.Errorf("%w: client speaks protocol version %d, this server %d",
 			wire.ErrMalformed, ver, wire.ProtocolVersion)
 	}
-	return nil
-}
-
-func (s *Server) opPinEpoch(r *wire.Reader, out *wire.Buffer) error {
-	e, err := r.U64()
-	if err != nil {
-		return err
-	}
-	if err := r.Rest(); err != nil {
-		return err
-	}
-	tok, err := s.registerPinned(e)
-	if err != nil {
-		return err
-	}
-	out.U64(tok)
 	return nil
 }
 

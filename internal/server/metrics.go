@@ -90,7 +90,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("hyrise_server_connections",
 		"Live client sessions.", func() float64 { return float64(s.ActiveConns()) })
 	reg.GaugeFunc("hyrise_server_snapshots",
-		"Registered (unreleased) snapshot tokens.", func() float64 { return float64(s.SnapshotCount()) })
+		"Registered (pinned) snapshot epochs.", func() float64 { return float64(s.SnapshotCount()) })
 	reg.GaugeFunc("hyrise_server_uptime_seconds",
 		"Seconds since the server was created.", func() float64 { return time.Since(s.started).Seconds() })
 
@@ -229,6 +229,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 		reg.GaugeFunc("hyrise_replica_applied_lsn",
 			"Next op-log position this follower will apply.",
 			func() float64 { return float64(rep.AppliedLSN()) })
+		reg.GaugeFunc("hyrise_replica_stopped",
+			"1 once the follower's applier has stopped for good (its epochs no longer advance), else 0.",
+			func() float64 {
+				if rep.Err() != nil {
+					return 1
+				}
+				return 0
+			})
 	}
 
 	// Index routing: how reads were actually served.

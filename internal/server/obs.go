@@ -22,8 +22,9 @@ import (
 // /healthz semantics: a primary is ready unless it is draining.  A
 // follower is ready once it has received a primary heartbeat — its store
 // is bootstrapped and its lag is known (on an empty primary the applied
-// epoch can legitimately still be zero).  The optional query parameter
-// min_epoch=N
+// epoch can legitimately still be zero) — and until its applier stops
+// for good, which answers 503 with the replica's error.  The optional
+// query parameter min_epoch=N
 // tightens readiness to "applied epoch >= N", which lets a topology
 // check wait until a follower has provably converged past a known write
 // instead of sleeping.  Ready answers 200 with a short text body
@@ -64,7 +65,9 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 		if primary > applied {
 			lag = primary - applied
 		}
-		switch {
+		switch err := rep.Err(); {
+		case err != nil:
+			http.Error(w, "follower stopped: "+err.Error(), http.StatusServiceUnavailable)
 		case primary == 0:
 			http.Error(w, "follower has not seen a primary heartbeat yet", http.StatusServiceUnavailable)
 		case applied < minEpoch:

@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"hyrise/internal/replica"
 	"hyrise/internal/server"
 	"hyrise/internal/shard"
+	"hyrise/internal/table"
 	"hyrise/internal/wire"
 )
 
@@ -254,8 +257,9 @@ func TestFollowerRejectsWrites(t *testing.T) {
 }
 
 // TestFollowerRouting verifies the pooled client sends eligible reads to
-// followers — exactly-pinned snapshot reads and staleness-bounded latest
-// reads — and falls back to the primary when followers are unavailable.
+// followers — snapshot reads at an epoch they have applied, answered with
+// no follower-side pin, and staleness-bounded latest reads — and falls
+// back to the primary when followers are unavailable.
 func TestFollowerRouting(t *testing.T) {
 	st, err := shard.New("sales", salesSchema(), "order_id", 4)
 	if err != nil {
@@ -283,10 +287,7 @@ func TestFollowerRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Release(snap)
-	e, ok := c.SnapshotEpoch(snap)
-	if !ok {
-		t.Fatal("snapshot epoch unknown despite followers configured")
-	}
+	e := uint64(snap) // a Snap is its epoch
 	for _, rep := range reps {
 		waitFollowerEpoch(t, rep, e)
 	}
@@ -353,46 +354,176 @@ func TestFollowerRouting(t *testing.T) {
 	}
 }
 
-// TestPinEpochGuards exercises OpPinEpoch's refusal paths end to end.
+// TestPinEpochGuards exercises the guards on a follower read at a primary
+// snapshot's epoch E, which the follower answers with no pin of its own:
+// exactly, or with ErrBadSnapshot — when E is above its applied epoch, or
+// when its own merge has reclaimed past E — and then the routed client
+// falls back to the primary, which holds the pin, and returns its answer.
 func TestPinEpochGuards(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paddr, faddrs, _, reps := startReplicated(t, flat, 1)
-	pc, err := client.Dial(paddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	if _, err := pc.Insert([]any{uint64(1), uint32(1), "a"}); err != nil {
-		t.Fatal(err)
-	}
-	e := flat.Clock().Capture()
-	waitFollowerEpoch(t, reps[0], e)
-
-	// A snapshot read through a routed client at an epoch the follower
-	// has NOT applied must fall back to the primary and still succeed.
+	paddr, faddrs, fsrvs, reps := startReplicated(t, flat, 1)
 	c, err := client.DialOptions(paddr, client.Options{Followers: faddrs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reps[0].Close() // freeze the follower's applied epoch
-	if _, err := pc.Insert([]any{uint64(2), uint32(2), "b"}); err != nil {
+	fc, err := client.Dial(faddrs[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	flat.Clock().Capture()
-	snap, err := c.Snapshot() // epoch beyond the frozen follower
+	defer fc.Close()
+	id, err := c.Insert([]any{uint64(1), uint32(1), "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Release(snap)
-	n, err := c.ValidRowsAt(snap)
+	followerErrs := func() float64 {
+		for _, m := range fsrvs[0].Registry().Snapshot() {
+			if m.Name == `hyrise_server_errors_total{op="valid_rows"}` {
+				return m.Value
+			}
+		}
+		return 0
+	}
+	// routedRead reads at snap through the routed client; want is the
+	// primary's answer, and refused whether the follower must refuse it.
+	routedRead := func(stage string, snap client.Snap, want int, refused bool) {
+		t.Helper()
+		if _, err := fc.ValidRowsAt(snap); refused != errors.Is(err, client.ErrBadSnapshot) {
+			t.Fatalf("%s: follower read at epoch %d: %v, want refused %v", stage, snap, err, refused)
+		}
+		before := followerErrs()
+		if n, err := c.ValidRowsAt(snap); err != nil || n != want {
+			t.Fatalf("%s: routed read at epoch %d: %d, %v; want %d", stage, snap, n, err, want)
+		}
+		if got := followerErrs() - before; refused != (got > 0) {
+			t.Fatalf("%s: the follower refused %v routed reads, want refused %v", stage, got, refused)
+		}
+	}
+	waitFollowerEpoch(t, reps[0], uint64(snap))
+	routedRead("applied", snap, 1, false)
+
+	// An update after E, merged on the follower with no pin there, moves
+	// the follower's GC watermark past E; the primary still pins E.
+	if _, err := c.Update(id, map[string]any{"qty": uint32(2)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFollowerEpoch(t, reps[0], flat.Clock().Capture())
+	rep, err := reps[0].Store().RequestMerge(context.Background(), table.MergeOptions{})
+	if err != nil || rep.RowsReclaimed == 0 {
+		t.Fatalf("follower merge reclaimed %d, %v", rep.RowsReclaimed, err)
+	}
+	routedRead("reclaimed on the follower", snap, 1, true)
+
+	// Above the applied epoch of a follower frozen below it: refused, and
+	// answered by the primary.
+	reps[0].Close()
+	if _, err := c.Insert([]any{uint64(2), uint32(2), "b"}); err != nil {
+		t.Fatal(err)
+	}
+	later, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("valid rows %d, want 2", n)
+	defer c.Release(later)
+	routedRead("not applied", later, 2, true)
+}
+
+// TestStoppedFollowerSaysSo: a follower that falls off its primary's op
+// log stops for good, and says so.  The primary keeps a log of 4 ops; its
+// server restarts after 100 inserts, so the follower's resume position
+// (after the one row it applied) is gone and the primary refuses the resume.
+// The replica reports the failure in Err, the follower's /healthz answers
+// 503 with it, hyrise_replica_stopped reads 1, and a routed client's latest
+// reads go to the primary instead of the follower's frozen store.
+func TestStoppedFollowerSaysSo(t *testing.T) {
+	st, err := shard.New("sales", salesSchema(), "order_id", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := oplog.New(st.Clock(), 4)
+	if err := st.AttachOplog(log); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Insert([]any{uint64(1000), uint32(0), "first"}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paddr := l.Addr().String()
+	srv := server.New(st, server.Options{Logger: testLogger(t), OpLog: log})
+	go srv.Serve(l)
+	rep, err := replica.Open(paddr, replica.Options{Logger: testLogger(t), RetryMin: time.Millisecond, RetryMax: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	fl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsrv := server.New(rep.Store(), server.Options{Logger: testLogger(t), Replica: rep})
+	go fsrv.Serve(fl)
+	defer fsrv.Close()
+
+	srv.Close()
+	const rows = 100
+	for i := range rows {
+		if _, err := st.Insert([]any{uint64(i), uint32(i), "x"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l, err = net.Listen("tcp", paddr); err != nil {
+		t.Fatal(err)
+	}
+	srv = server.New(st, server.Options{Logger: testLogger(t), OpLog: log})
+	go srv.Serve(l)
+	defer srv.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for rep.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower did not stop")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !strings.Contains(rep.Err().Error(), "cannot resume") {
+		t.Fatalf("replica stopped with %v, want the primary's refusal to resume", rep.Err())
+	}
+	rec := httptest.NewRecorder()
+	fsrv.ObsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != 503 || !strings.Contains(rec.Body.String(), rep.Err().Error()) {
+		t.Fatalf("stopped follower /healthz: %d %q, want 503 with %v", rec.Code, rec.Body.String(), rep.Err())
+	}
+	fc, err := client.Dial(fl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	samples, err := fc.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := client.MetricValue(samples, "hyrise_replica_stopped"); !ok || v != 1 {
+		t.Fatalf("hyrise_replica_stopped = %v (reported %v), want 1", v, ok)
+	}
+	c, err := client.DialOptions(paddr, client.Options{Followers: []string{fl.Addr().String()}, MaxStaleness: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for range 4 {
+		if n, err := c.ValidRows(); err != nil || n != rows+1 {
+			t.Fatalf("routed latest read: %d, %v; want the primary's %d (the follower holds %d)", n, err, rows+1, rep.Store().ValidRows())
+		}
 	}
 }

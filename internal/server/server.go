@@ -27,11 +27,13 @@ const DefaultMaxSnapshots = 1024
 // ReplicaInfo is the follower-state surface a replica applier
 // (internal/replica) exposes to the server that fronts it: the epoch the
 // local store exactly matches the primary at, the primary's epoch as of
-// the last heartbeat, and the next op-log position to apply.
+// the last heartbeat, the next op-log position to apply, and the permanent
+// failure that stopped the applier (nil while it runs).
 type ReplicaInfo interface {
 	AppliedEpoch() uint64
 	PrimaryEpoch() uint64
 	AppliedLSN() uint64
+	Err() error
 }
 
 // Options configures a Server.
@@ -41,9 +43,10 @@ type Options struct {
 	// records.  Per-request errors are reported to the client, not
 	// logged.  Nil discards.
 	Logger *slog.Logger
-	// MaxSnapshots caps the snapshot registry (0 = DefaultMaxSnapshots;
-	// negative = unlimited).  OpSnapshotEpoch beyond the cap fails with
-	// wire.StatusErrTooManySnapshots until a token is released.
+	// MaxSnapshots caps the snapshot registry's pinned epochs (0 =
+	// DefaultMaxSnapshots; negative = unlimited).  OpSnapshotEpoch beyond
+	// the cap fails with wire.StatusErrTooManySnapshots until a snapshot
+	// is released.
 	MaxSnapshots int
 	// OpLog, when set, makes this server a replication primary: OpSubscribe
 	// bootstraps followers (snapshot + log tail) and streams live ops.  The
@@ -81,9 +84,8 @@ type Server struct {
 
 	wg sync.WaitGroup // one per live session
 
-	snapMu   sync.Mutex
-	snaps    map[uint64]table.View
-	nextSnap uint64
+	snapMu sync.Mutex
+	snaps  map[uint64]snapPin // registered snapshot epochs
 
 	// drainCh is closed when a drain begins; subscribe streamers select on
 	// it so a graceful shutdown wakes them out of their idle waits.
@@ -110,7 +112,7 @@ func New(st *shard.Table, opts Options) *Server {
 		st:      st,
 		opts:    opts,
 		conns:   make(map[*conn]struct{}),
-		snaps:   make(map[uint64]table.View),
+		snaps:   make(map[uint64]snapPin),
 		drainCh: make(chan struct{}),
 		subs:    make(map[*conn]struct{}),
 		started: time.Now(),
@@ -164,9 +166,9 @@ func (s *Server) Serve(l net.Listener) error {
 // idle sessions close, and in-flight requests run to completion with
 // their responses flushed.  When ctx expires first, the remaining
 // sessions are closed forcibly and ctx.Err is returned.  Either way,
-// every snapshot still registered is released on the way out: tokens are
-// this server instance's state, no client can use them after the stop,
-// and leaving their pins behind would freeze the store's GC watermark
+// every snapshot still registered is released on the way out: the pins
+// are this server instance's state, no client can release them after the
+// stop, and leaving them behind would freeze the store's GC watermark
 // forever (the store itself may well outlive the server — hyrise.Serve
 // embedders keep using it locally).
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -273,7 +275,14 @@ func (s *Server) ActiveConns() int {
 	return len(s.conns)
 }
 
-// SnapshotCount returns the number of registered (unreleased) snapshots.
+// snapPin is one registered snapshot epoch: its pinned view and how many
+// registrations (OpSnapshotEpoch answers) have not been released.
+type snapPin struct {
+	v table.View
+	n int
+}
+
+// SnapshotCount returns the number of registered (pinned) snapshot epochs.
 func (s *Server) SnapshotCount() int {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -292,112 +301,85 @@ func (s *Server) maxSnapshots() int {
 	}
 }
 
-// registerSnapshot captures a store snapshot under a fresh token and
-// returns the token and the snapshot's epoch.  On a primary this is a
-// fresh pinned capture; on a follower it is a pinned view at the applied
-// epoch, the highest epoch at which local state exactly equals the
-// primary's.  The registry is bounded: each registered view pins the GC
-// watermark, so past the cap the capture is refused (and the just-taken
-// pin released) instead of letting a leaky client pin history forever.
-func (s *Server) registerSnapshot() (uint64, uint64, error) {
+// registerSnapshot pins a snapshot epoch in the registry and returns it.
+// On a primary this is a fresh pinned capture; on a follower it is a
+// pinned view at the applied epoch, the highest epoch at which local state
+// exactly equals the primary's, and a second registration of an epoch
+// counts on the first one's pin.  The registry is bounded: each pinned
+// epoch holds the GC watermark down, so past the cap the capture is
+// refused (and the just-taken pin released) instead of letting a leaky
+// client pin history forever.
+func (s *Server) registerSnapshot() (uint64, error) {
 	var v table.View
 	if rep := s.opts.Replica; rep != nil {
-		e := rep.AppliedEpoch()
-		if e == 0 {
-			return 0, 0, fmt.Errorf("%w: follower has not applied any epoch yet", errBadSnapshot)
-		}
 		var err error
-		if v, err = s.pinAt(e); err != nil {
-			return 0, 0, err
+		if v, err = s.pinAt(rep.AppliedEpoch()); err != nil {
+			return 0, err
 		}
 	} else {
 		v = s.st.Snapshot()
 		if l := s.opts.OpLog; l != nil {
 			// The capture advanced the clock: wake caught-up subscribers
 			// so the new safe epoch heartbeats immediately and followers
-			// can pin this snapshot's epoch without waiting an idle tick.
+			// can serve this snapshot's reads without waiting an idle tick.
 			l.Wake()
 		}
 	}
-	tok, err := s.registerView(v)
-	return tok, v.Epoch(), err
+	e := v.Epoch()
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	if p, ok := s.snaps[e]; ok {
+		v.Release()
+		s.snaps[e] = snapPin{p.v, p.n + 1}
+		return e, nil
+	}
+	if len(s.snaps) >= s.maxSnapshots() {
+		v.Release()
+		return 0, fmt.Errorf("%w: %d registered", errTooManySnapshots, len(s.snaps))
+	}
+	s.snaps[e] = snapPin{v, 1}
+	return e, nil
 }
 
-// registerPinned pins an explicit epoch under a fresh token (OpPinEpoch):
-// the follower-routing path of the pooled client uses it to read at the
-// exact epoch of a primary snapshot.  The epoch must not be in the future
-// — beyond Now() on a primary, beyond the applied epoch on a follower —
-// and its history must still be intact (see pinAt).
-func (s *Server) registerPinned(e uint64) (uint64, error) {
-	if e == 0 {
-		return 0, fmt.Errorf("%w: cannot pin epoch 0", wire.ErrMalformed)
-	}
-	if rep := s.opts.Replica; rep != nil {
-		if a := rep.AppliedEpoch(); e > a {
-			return 0, fmt.Errorf("%w: epoch %d not applied yet (applied %d)", errStaleEpoch, e, a)
-		}
-	} else if now := s.st.Clock().Now(); e > now {
-		return 0, fmt.Errorf("%w: epoch %d is in the future (now %d)", errBadSnapshot, e, now)
-	}
-	v, err := s.pinAt(e)
-	if err != nil {
-		return 0, err
-	}
-	return s.registerView(v)
-}
-
-// pinAt pins epoch e on the store's clock and verifies e's history is
-// still complete on every partition.  The pin is registered before the
-// check, so any garbage-collecting merge either sees the pin when it
-// computes its watermark (and keeps e's history) or froze earlier — in
-// which case its intent is visible through GCBound and caught here.
+// pinAt pins a follower's applied epoch e on the store's clock and verifies
+// e's history is still complete on every partition.  The pin is registered
+// before the check, so any garbage-collecting merge either sees the pin
+// when it computes its watermark (and keeps e's history) or froze earlier
+// — in which case its intent is visible through GCBound and caught here.
 func (s *Server) pinAt(e uint64) (table.View, error) {
+	if e == 0 {
+		return table.View{}, fmt.Errorf("%w: follower has not applied any epoch yet", errBadSnapshot)
+	}
 	v := table.PinnedViewAt(s.st.Clock(), e)
 	for _, p := range s.st.Partitions() {
 		if b := p.GCBound(); b > e {
 			v.Release()
-			return table.View{}, fmt.Errorf("%w: epoch %d already below GC bound %d", errStaleEpoch, e, b)
+			return table.View{}, fmt.Errorf("%w: epoch %d already below GC bound %d", errBadSnapshot, e, b)
 		}
 	}
 	return v, nil
 }
 
-// registerView files a captured view in the bounded token registry.
-func (s *Server) registerView(v table.View) (uint64, error) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if len(s.snaps) >= s.maxSnapshots() {
-		v.Release()
-		return 0, fmt.Errorf("%w: %d registered", errTooManySnapshots, len(s.snaps))
-	}
-	s.nextSnap++
-	tok := s.nextSnap
-	s.snaps[tok] = v
-	return tok, nil
-}
-
 // ReleaseAllSnapshots releases every registered snapshot (dropping their
-// GC pins) and empties the registry, returning how many were released.
-// Shutdown and Close call it automatically so stale tokens cannot pin
-// history on a store that outlives the server.
+// GC pins) and empties the registry, returning how many epochs were
+// pinned.  Shutdown and Close call it automatically so stale snapshots
+// cannot pin history on a store that outlives the server.
 func (s *Server) ReleaseAllSnapshots() int {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	n := len(s.snaps)
-	for tok, v := range s.snaps {
-		v.Release()
-		delete(s.snaps, tok)
+	for e, p := range s.snaps {
+		p.v.Release()
+		delete(s.snaps, e)
 	}
 	return n
 }
 
-// errBadSnapshot maps to wire.StatusErrBadSnapshot.
-var errBadSnapshot = errors.New("server: unknown snapshot token")
-
-// errStaleEpoch maps to wire.StatusErrBadSnapshot: the requested epoch is
-// not servable here (history reclaimed, or not yet applied by this
-// follower); the client falls back to the primary.
-var errStaleEpoch = errors.New("server: epoch not servable")
+// errBadSnapshot maps to wire.StatusErrBadSnapshot: the requested epoch is
+// not servable here (past this server's epoch, not registered for release,
+// or below a follower's GC bound); a routing client falls back to the
+// primary.  table.ErrReclaimed maps to the same status.
+var errBadSnapshot = errors.New("server: epoch not servable")
 
 // errReadOnly maps to wire.StatusErrReadOnly.
 var errReadOnly = errors.New("server: read-only follower")
@@ -405,31 +387,47 @@ var errReadOnly = errors.New("server: read-only follower")
 // errTooManySnapshots maps to wire.StatusErrTooManySnapshots.
 var errTooManySnapshots = errors.New("server: snapshot registry full")
 
-// viewFor resolves a wire snapshot token: 0 is latest, anything else
-// must be registered.
-func (s *Server) viewFor(tok uint64) (table.View, error) {
-	if tok == 0 {
+// viewFor resolves a wire read epoch: 0 is latest, a registered epoch
+// reads through its pinned view, and any other epoch up to this server's
+// own — Now() on a primary, the applied epoch on a follower — through an
+// unpinned view, which reads exactly or fails with table.ErrReclaimed once
+// a reclaiming merge has passed it.  Refusing later epochs also refuses
+// epoch.Latest, which no client may name.
+func (s *Server) viewFor(e uint64) (table.View, error) {
+	if e == 0 {
 		return table.Latest(), nil
 	}
 	s.snapMu.Lock()
-	v, ok := s.snaps[tok]
+	p, ok := s.snaps[e]
 	s.snapMu.Unlock()
-	if !ok {
-		return table.View{}, fmt.Errorf("%w: %d", errBadSnapshot, tok)
+	if ok {
+		return p.v, nil
 	}
-	return v, nil
+	top := s.st.Clock().Now()
+	if rep := s.opts.Replica; rep != nil {
+		top = rep.AppliedEpoch()
+	}
+	if e > top {
+		return table.View{}, fmt.Errorf("%w: epoch %d is past %d", errBadSnapshot, e, top)
+	}
+	return table.ViewAt(e), nil
 }
 
-// releaseSnapshot drops a token from the registry and its GC pin with it.
-func (s *Server) releaseSnapshot(tok uint64) error {
+// releaseSnapshot drops one registration of an epoch, and the epoch's GC
+// pin with its last.
+func (s *Server) releaseSnapshot(e uint64) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	v, ok := s.snaps[tok]
-	if !ok {
-		return fmt.Errorf("%w: %d", errBadSnapshot, tok)
+	p, ok := s.snaps[e]
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: epoch %d is not pinned", errBadSnapshot, e)
+	case p.n > 1:
+		s.snaps[e] = snapPin{p.v, p.n - 1}
+	default:
+		p.v.Release()
+		delete(s.snaps, e)
 	}
-	v.Release()
-	delete(s.snaps, tok)
 	return nil
 }
 

@@ -284,9 +284,10 @@ func TestServerMergeThreadBudget(t *testing.T) {
 	}
 }
 
-// TestServerSnapshots pins the server-side snapshot registry: tokens are
-// frozen, shared across connections (and clients), and release
-// invalidates them.
+// TestServerSnapshots pins the server-side snapshot registry: a snapshot
+// is frozen, shared across connections (and clients), and after its
+// release reads at it stay exact until a reclaiming merge passes it, then
+// fail.
 func TestServerSnapshots(t *testing.T) {
 	for name, st := range newStores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -362,15 +363,22 @@ func TestServerSnapshots(t *testing.T) {
 				t.Fatalf("pinned query count %d", res1.Count())
 			}
 
-			// Release, then the token is dead everywhere.
+			// Released, the epoch stays exact everywhere until a reclaiming
+			// merge passes it; then its reads fail.
 			if err := c.Release(snap); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c2.SumAt(snap, "qty"); !errors.Is(err, client.ErrBadSnapshot) {
-				t.Fatalf("released token err=%v want ErrBadSnapshot", err)
-			}
 			if err := c.Release(snap); !errors.Is(err, client.ErrBadSnapshot) {
 				t.Fatalf("double release err=%v", err)
+			}
+			if got, err := c2.SumAt(snap, "qty"); err != nil || got != sumBefore {
+				t.Fatalf("released snapshot before GC: %d, %v; want %d", got, err, sumBefore)
+			}
+			if rep, err := c.Merge(client.MergeOptions{}); err != nil || rep.RowsReclaimed == 0 {
+				t.Fatalf("merge after release reclaimed %d, %v", rep.RowsReclaimed, err)
+			}
+			if _, err := c2.SumAt(snap, "qty"); !errors.Is(err, client.ErrBadSnapshot) {
+				t.Fatalf("released snapshot after GC err=%v want ErrBadSnapshot", err)
 			}
 		})
 	}

@@ -80,7 +80,7 @@ func (s *Server) serveSubscribe(c *conn, payload []byte, bw *bufio.Writer) {
 		// snapshot mode would corrupt the store it already has.
 		if first, next := log.Bounds(); from < first || from > next {
 			err = fmt.Errorf("%w: cannot resume from LSN %d (log covers [%d, %d))",
-				errStaleEpoch, from, first, next)
+				errBadSnapshot, from, first, next)
 		}
 	}
 	if err != nil {

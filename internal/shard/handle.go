@@ -21,7 +21,10 @@ import (
 // partition, a key read of a store with one window — reads exactly what,
 // and as fast as, that partition does.
 // The At variants read through a View captured by Table.Snapshot, whose
-// single epoch is valid across every partition.
+// single epoch is valid across every partition.  They return no error, so
+// a read through a view the GC has passed — in process, only a view read
+// after its Release, or a table.ViewAt view — panics with
+// table.ErrReclaimed; Read returns it instead.
 type Handle[V val.Value] struct {
 	st  *Table
 	col int
@@ -37,7 +40,8 @@ func ColumnOf[V val.Value](st *Table, name string) (*Handle[V], error) {
 }
 
 // read runs a plan that cannot fail to bind: the handle's column exists
-// and holds V.
+// and holds V.  It panics with table.ErrReclaimed on a view the GC has
+// passed.
 func (h *Handle[V]) read(view table.View, p table.Plan) *table.Selection {
 	s, err := Read(h.st, view, p)
 	if err != nil {
@@ -81,14 +85,19 @@ func (h *Handle[V]) Scan(fn func(id int, v V) bool) { h.ScanAt(table.Latest(), f
 // view is pinned for the scan, whose partitions are those of the shard
 // map after the pin, as in fanOut — even on one partition, because fn may
 // have run before a reshard starting mid-scan is noticed, so the scan
-// cannot re-read as fanOut does.
+// cannot re-read as fanOut does.  Like read it panics with
+// table.ErrReclaimed on a view the GC has passed.
 func (h *Handle[V]) ScanAt(view table.View, fn func(id int, v V) bool) {
 	if view.IsLatest() {
 		view = h.st.Snapshot()
 		defer view.Release()
 	}
 	for phys, p := range h.st.EachPartition() {
-		if !table.ScanAt(p, view, h.col, func(local int, v V) bool { return fn(toGlobal(phys, local), v) }) {
+		more, err := table.ScanAt(p, view, h.col, func(local int, v V) bool { return fn(toGlobal(phys, local), v) })
+		if err != nil {
+			panic(err)
+		}
+		if !more {
 			return
 		}
 	}

@@ -50,9 +50,11 @@
 //     through the view (Read, the Handle *At reads, ValidRowsAt) reflect
 //     one frozen state of the whole table, even while inserts, updates,
 //     deletes, cross-shard moves, per-shard merges and online reshards
-//     proceed underneath.  A latest read over several partitions (Read,
-//     ValidRows, every Handle read) takes such a snapshot for the call,
-//     so it too sees a row moving between partitions exactly once.
+//     proceed underneath.  A view without a live pin reads exactly or
+//     fails with table.ErrReclaimed, partition by partition (table.View).
+//     A latest read over several partitions (Read, ValidRows, every
+//     Handle read) takes such a snapshot for the call, so it too sees a
+//     row moving between partitions exactly once.
 //   - Global row ids are stable for the lifetime of the row version and
 //     carry the owning physical partition in their high bits (independent
 //     of the shard count), so they survive resharding.  Partition 0's ids
@@ -331,11 +333,11 @@ func (st *Table) AttachOplog(l *oplog.Log) error {
 func (st *Table) Snapshot() table.View { return table.PinnedView(st.clock) }
 
 // VisibleAt reports whether the row exists and is visible at the view's
-// epoch.
-func (st *Table) VisibleAt(v table.View, gid int) bool {
+// epoch; a view the GC has passed fails with table.ErrReclaimed.
+func (st *Table) VisibleAt(v table.View, gid int) (bool, error) {
 	p, local, err := locate(st.load(), gid)
 	if err != nil {
-		return false
+		return false, nil
 	}
 	return p.VisibleAt(v, local)
 }
@@ -674,11 +676,15 @@ func (st *Table) SumPartitions(read func(*table.Table) int) int {
 func (st *Table) ValidRows() int { return st.ValidRowsAt(table.Latest()) }
 
 // ValidRowsAt returns the number of rows visible at the view's epoch across
-// all partitions: a Count plan without predicates, which cannot fail, read
-// at one epoch (Read), so a row mid-move between partitions is counted
-// exactly once, not in both partitions or neither.
+// all partitions: a Count plan without predicates read at one epoch (Read),
+// so a row mid-move between partitions is counted exactly once, not in both
+// partitions or neither.  Like the Handle *At reads it panics with
+// table.ErrReclaimed on a view the GC has passed (see table.View).
 func (st *Table) ValidRowsAt(v table.View) int {
-	s, _ := Read(st, v, table.Plan{Reduce: table.Count})
+	s, err := Read(st, v, table.Plan{Reduce: table.Count})
+	if err != nil {
+		panic(err)
+	}
 	return s.Count
 }
 

@@ -116,7 +116,7 @@ func TestGCRetiredIDSemantics(t *testing.T) {
 	if tb.IsValid(id) {
 		t.Fatal("retired id reports valid")
 	}
-	if tb.VisibleAt(Latest(), id) {
+	if visibleAt(tb, Latest(), id) {
 		t.Fatal("retired id visible")
 	}
 	// Out-of-range ids still fail with ErrRowRange, not ErrRowInvalid.
@@ -198,9 +198,9 @@ func TestGCPinnedViewProtects(t *testing.T) {
 	if tb.Rows() != tb.ValidRows() {
 		t.Fatalf("dead versions survive after release: %d/%d", tb.Rows(), tb.ValidRows())
 	}
-	// The released view silently lost its reclaimed rows (documented).
-	if got := tb.ValidRowsAt(view); got >= n {
-		t.Fatalf("released view still sees %d rows", got)
+	// The released view's versions are gone, so its reads fail.
+	if _, err := tb.Read(view, Plan{Reduce: Count}); !errors.Is(err, ErrReclaimed) {
+		t.Fatalf("released view read after GC: %v, want ErrReclaimed", err)
 	}
 }
 
@@ -399,5 +399,83 @@ func TestMayReclaim(t *testing.T) {
 	}
 	if rep := merge(f); rep.RowsReclaimed != 1 {
 		t.Fatalf("follower: reclaimed %d of 1", rep.RowsReclaimed)
+	}
+}
+
+// TestReadBelowGCFails pins the one read rule: a read at epoch E sees
+// exactly the versions with begin <= E < end, or fails with ErrReclaimed.
+// A row visible at unpinned epoch 1 is updated and merged away, so a read
+// at ViewAt(1) fails instead of answering without it; a live pin older
+// than that merge's watermark still reads its complete rows; released and
+// passed by a further reclaiming merge, the same view fails.
+func TestReadBelowGCFails(t *testing.T) {
+	tb := newTestTable(t)
+	a, err := tb.Insert([]any{uint64(1), uint32(10), "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tb.Insert([]any{uint64(2), uint32(20), "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(v View, k uint64) ([]int, error) {
+		s, err := tb.Read(v, Plan{Preds: []Pred{{Col: 0, Lo: k}}})
+		if err != nil {
+			return nil, err
+		}
+		return s.Rows, nil
+	}
+	if rows, err := key(ViewAt(1), 2); err != nil || len(rows) != 1 {
+		t.Fatalf("before any merge, key 2 at epoch 1: %v, %v", rows, err)
+	}
+	tb.Clock().Capture()
+	if _, err := tb.Update(b, map[string]any{"qty": uint32(21)}); err != nil {
+		t.Fatal(err)
+	}
+	tb.Clock().Capture()
+	pin := tb.Snapshot() // sees a and b's second version
+	defer pin.Release()
+	if _, err := tb.Update(a, map[string]any{"qty": uint32(11)}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tb.Merge(context.Background(), MergeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RowsReclaimed != 1 || rep.GCWatermark <= pin.Epoch() {
+		t.Fatalf("merge reclaimed %d (want b's first version) at watermark %d (want above the pin's %d)",
+			rep.RowsReclaimed, rep.GCWatermark, pin.Epoch())
+	}
+
+	if rows, err := key(ViewAt(1), 2); !errors.Is(err, ErrReclaimed) {
+		t.Fatalf("key 2 at reclaimed epoch 1: %v, %v; want ErrReclaimed", rows, err)
+	}
+	if _, err := tb.VisibleAt(ViewAt(1), b); !errors.Is(err, ErrReclaimed) {
+		t.Fatalf("VisibleAt at reclaimed epoch 1: %v, want ErrReclaimed", err)
+	}
+
+	// The pin is below the watermark, yet complete: retention kept a's
+	// first version for it.
+	s, err := tb.Read(pin, Plan{Project: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Rows) != 2 || s.Values[0][0] != uint32(10) || s.Values[1][0] != uint32(21) {
+		t.Fatalf("pinned read below the watermark: rows %v values %v, want qty 10 and 21", s.Rows, s.Values)
+	}
+
+	pin.Release()
+	if _, err := tb.Update(tb.RowIDs()[len(tb.RowIDs())-1], map[string]any{"qty": uint32(12)}); err != nil {
+		t.Fatal(err)
+	}
+	tb.Clock().Capture()
+	if rep, err := tb.Merge(context.Background(), MergeOptions{}); err != nil || rep.RowsReclaimed == 0 {
+		t.Fatalf("merge after the release reclaimed %d, %v", rep.RowsReclaimed, err)
+	}
+	if _, err := tb.Read(pin, Plan{Reduce: Count}); !errors.Is(err, ErrReclaimed) {
+		t.Fatalf("released view after a reclaiming merge: %v, want ErrReclaimed", err)
+	}
+	if _, err := tb.Read(ViewAt(tb.GCWatermark()), Plan{Reduce: Count}); err != nil {
+		t.Fatalf("read at the watermark: %v", err)
 	}
 }

@@ -246,7 +246,7 @@ func TestReplayRefusesOlderDeath(t *testing.T) {
 		{10, []bool{false, false, false, true}},
 	} {
 		for id, want := range c.want {
-			if got := tb.VisibleAt(ViewAt(c.e), id); got != want {
+			if got := visibleAt(tb, ViewAt(c.e), id); got != want {
 				t.Fatalf("id %d at epoch %d: visible %v, want %v", id, c.e, got, want)
 			}
 		}

@@ -2,6 +2,7 @@ package table
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"testing"
 )
@@ -106,7 +107,8 @@ func TestReadsSpanEverySegment(t *testing.T) {
 // checkReads compares every read of one numeric column at one view against
 // the scalar reference: the stored versions in slot order (tb.RowIDs, Row)
 // and the subset whose begin/end epochs (tb.RowEpochs) admit the view's
-// epoch.
+// epoch.  A view with no live pin below the GC watermark must instead fail
+// every read with ErrReclaimed (checkReclaimed).
 func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col string, view View, at string) {
 	t.Helper()
 	h, err := colOf[V](tb, col)
@@ -114,6 +116,10 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 		t.Fatal(err)
 	}
 	ci, _ := tb.schema.Index(col)
+	if view.Epoch() < tb.GCWatermark() && (view.pin == nil || view.pin.Released()) {
+		checkReclaimed(t, h, view, at)
+		return
+	}
 	type entry struct {
 		id int
 		v  V
@@ -145,7 +151,7 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 		t.Fatalf("%s: Read(Rows) = %v, %v, want %v", at, s.Rows, err, visibleIDs)
 	}
 	for slot, e := range stored {
-		if got, want := tb.VisibleAt(view, e.id), begin[slot] <= view.Epoch() && (end[slot] == 0 || end[slot] > view.Epoch()); got != want {
+		if got, want := visibleAt(tb, view, e.id), begin[slot] <= view.Epoch() && (end[slot] == 0 || end[slot] > view.Epoch()); got != want {
 			t.Fatalf("%s: VisibleAt(%d) = %v, want %v", at, e.id, got, want)
 		}
 	}
@@ -262,5 +268,37 @@ func checkReads[V interface{ ~uint32 | ~uint64 }](t *testing.T, tb *Table, col s
 	}
 	if got := h.Distinct(); got != len(seen) {
 		t.Fatalf("%s: %s Distinct = %d, want %d", at, col, got, len(seen))
+	}
+}
+
+// checkReclaimed checks that every read path refuses a view the GC has
+// passed: Read and VisibleAt return ErrReclaimed, ScanAt returns it before
+// its callback runs, and the reads that cannot return an error
+// (ValidRowsAt, the typed *At reads) panic with it.
+func checkReclaimed[V interface{ ~uint32 | ~uint64 }](t *testing.T, h *tcol[V], view View, at string) {
+	t.Helper()
+	for _, p := range []Plan{{Reduce: Count}, {Reduce: Rows}, {Reduce: Sum, Col: h.col}, {Preds: []Pred{{Col: h.col, Lo: V(1)}}}} {
+		if _, err := h.t.Read(view, p); !errors.Is(err, ErrReclaimed) {
+			t.Fatalf("%s: Read(%+v) at reclaimed epoch %d: %v, want ErrReclaimed", at, p, view.Epoch(), err)
+		}
+	}
+	if _, err := h.t.VisibleAt(view, 0); !errors.Is(err, ErrReclaimed) {
+		t.Fatalf("%s: VisibleAt at reclaimed epoch %d: %v, want ErrReclaimed", at, view.Epoch(), err)
+	}
+	if _, err := ScanAt(h.t, view, h.col, func(int, V) bool { t.Fatalf("%s: ScanAt ran its callback", at); return false }); !errors.Is(err, ErrReclaimed) {
+		t.Fatalf("%s: ScanAt at reclaimed epoch %d: %v, want ErrReclaimed", at, view.Epoch(), err)
+	}
+	for name, read := range map[string]func(){
+		"ValidRowsAt": func() { h.t.ValidRowsAt(view) },
+		"LookupAt":    func() { h.LookupAt(view, 1) },
+	} {
+		func() {
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, ErrReclaimed) {
+					t.Fatalf("%s: %s at reclaimed epoch %d panicked with %v, want ErrReclaimed", at, name, view.Epoch(), err)
+				}
+			}()
+			read()
+		}()
 	}
 }

@@ -153,7 +153,8 @@ type Selection struct {
 //
 // Every step runs under one hold of the table's read lock, so a latest
 // view reads one state without a pin: no write, merge commit or
-// reclamation can land between the steps.
+// reclamation can land between the steps.  A view the GC has passed fails
+// with ErrReclaimed (View).
 func (t *Table) Read(view View, p Plan) (*Selection, error) {
 	cols := p.Project
 	if p.Reduce == Sum || p.Reduce == MinMax {
@@ -166,6 +167,9 @@ func (t *Table) Read(view View, p Plan) (*Selection, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if err := t.checkView(view); err != nil {
+		return nil, err
+	}
 	// Bound before any scan.
 	var buf [4]cond // a plan's few predicates bind without an allocation
 	conds := buf[:0]

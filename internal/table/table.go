@@ -51,11 +51,10 @@
 // write-locked commit costs one linear pass from the first reclaimed slot.  Reclaimed ids are retired — never reused — and
 // every operation on a retired id keeps failing with ErrRowInvalid, exactly
 // as it would on a merely invalidated row.  Views captured with Snapshot pin their epoch
-// and must be Released for the versions they see to become reclaimable; an
-// explicit ViewAt does not pin and may silently lose rows to GC.  A
-// reclaiming merge also ratchets the table's GC bound (GCBound) to its
-// freeze-time epoch: pinning an epoch below it afterwards is refused,
-// because history there may already have holes.
+// and must be Released for the versions they see to become reclaimable.  A
+// reclaiming merge ratchets the table's GC watermark to its freeze-time
+// epoch, and a read through a view that holds no live pin and lies below
+// it fails with ErrReclaimed rather than answer with holes (View).
 package table
 
 import (
@@ -153,6 +152,12 @@ var (
 	// moving rows OUT remain allowed; the sharded router reacts to
 	// ErrSealed by re-routing the write through the current shard map.
 	ErrSealed = errors.New("table: partition sealed for resharding")
+	// ErrReclaimed fails a read whose view a garbage-collecting merge has
+	// passed: the view holds no live pin and its epoch is below the
+	// partition's committed GC watermark, so versions it could see may be
+	// gone.  A read at epoch E answers exactly the versions with
+	// begin <= E < end, or fails with it.
+	ErrReclaimed = errors.New("table: read epoch reclaimed by garbage collection")
 )
 
 // lockSeq hands every table a unique id; MoveRow orders its two lock
@@ -521,9 +526,13 @@ func (t *Table) MayReclaim() bool {
 }
 
 // ValidRowsAt returns the number of rows visible at the view's epoch: a
-// Count plan without predicates, which cannot fail.
+// Count plan without predicates.  It panics with ErrReclaimed on a view the
+// GC has passed (see View), the one way that plan can fail.
 func (t *Table) ValidRowsAt(v View) int {
-	s, _ := t.Read(v, Plan{Reduce: Count})
+	s, err := t.Read(v, Plan{Reduce: Count})
+	if err != nil {
+		panic(err)
+	}
 	return s.Count
 }
 

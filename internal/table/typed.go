@@ -44,7 +44,8 @@ func Get[V val.Value](t *Table, col, row int) (V, error) {
 
 // ScanAt streams column col's value of every row visible at the view's
 // epoch through fn — the table scan of Figure 1 — and reports whether it
-// ran to the end: it stops early when fn returns false.  The main runs
+// ran to the end: it stops early when fn returns false.  A view the GC has
+// passed fails with ErrReclaimed before fn runs.  The main runs
 // block-at-a-time: a visibility selection vector from its bitmap
 // (epoch.Rows.MainAt), then a gather of the selected codes
 // (internal/kernel), decoded through the dictionary; delta values are read
@@ -54,9 +55,12 @@ func Get[V val.Value](t *Table, col, row int) (V, error) {
 // table: a concurrent writer queued between the two acquisitions would
 // deadlock the re-entrant read.  Collect row ids in fn and read other
 // columns after the scan returns — row versions are immutable.
-func ScanAt[V val.Value](t *Table, view View, col int, fn func(row int, v V) bool) bool {
+func ScanAt[V val.Value](t *Table, view View, col int, fn func(row int, v V) bool) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if err := t.checkView(view); err != nil {
+		return false, err
+	}
 	e := view.resolve()
 	c := t.cols[col].(*typedColumn[V])
 	nm := c.main.Len()
@@ -69,18 +73,18 @@ func ScanAt[V val.Value](t *Table, view View, col int, fn func(row int, v V) boo
 		return done
 	})
 	if !done {
-		return false
+		return false, nil
 	}
 	base := nm
 	for _, d := range c.deltas {
 		for i, v := range d.Values() {
 			if row := base + i; t.epochs.VisibleAt(row, e) && !fn(t.ids[row], v) {
-				return false
+				return false, nil
 			}
 		}
 		base += d.Len()
 	}
-	return true
+	return true, nil
 }
 
 // AddDistinct adds every distinct value column col stores, in any version

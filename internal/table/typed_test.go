@@ -41,7 +41,18 @@ func (c *tcol[V]) CountEqualAt(view View, v V) int {
 }
 func (c *tcol[V]) Scan(fn func(row int, v V) bool) { c.ScanAt(Latest(), fn) }
 func (c *tcol[V]) ScanAt(view View, fn func(row int, v V) bool) {
-	ScanAt(c.t, view, c.col, fn)
+	if _, err := ScanAt(c.t, view, c.col, fn); err != nil {
+		panic(err)
+	}
+}
+
+// visibleAt is Table.VisibleAt for a view the GC has not passed.
+func visibleAt(t *Table, v View, row int) bool {
+	ok, err := t.VisibleAt(v, row)
+	if err != nil {
+		panic(err)
+	}
+	return ok
 }
 func (c *tcol[V]) Distinct() int {
 	seen := map[V]struct{}{}

@@ -7,22 +7,29 @@ import (
 	"hyrise/internal/oplog"
 )
 
-// View is a frozen read epoch: reads filtered through it see exactly the
-// rows current at the captured epoch, regardless of later updates, deletes
-// or merges (merges never renumber rows or change row content, so an
-// in-flight view stays readable across merge commits).  Views are plain
-// values — cheap to copy, valid for the life of the store.
+// View is a read epoch: a read through it at epoch E sees exactly the row
+// versions with begin <= E < end, regardless of later updates, deletes or
+// merges (merges never renumber rows or change row content), or it fails
+// with ErrReclaimed.  Views are plain values, cheap to copy.
 //
-// A view captured with Snapshot additionally pins its epoch on the store's
-// clock: garbage-collecting merges never reclaim a version the view can
-// see.  Release the view when done reading — an unreleased view holds the
-// GC watermark down and keeps dead versions alive indefinitely.  Copies of
-// a view share one pin; releasing any copy releases them all.  The zero
-// View (latest) and explicit ViewAt views carry no pin: Release on them is
-// a no-op, and a ViewAt view at an old epoch may lose rows to GC.
+// A view captured with Snapshot pins its epoch on the store's clock:
+// garbage-collecting merges never reclaim a version the view can see, so
+// its reads never fail while the pin is held.  Release the view when done
+// reading — an unreleased view holds the GC watermark down and keeps dead
+// versions alive indefinitely.  Copies of a view share one pin; releasing
+// any copy releases them all.  The zero View (latest) and explicit ViewAt
+// views carry no pin, and Release on them is a no-op.
+//
+// A view with no live pin — a ViewAt view, or a snapshot after Release —
+// reads exactly as long as its epoch is at or above the partition's GC
+// watermark (the clock reading at the freeze of the last merge that
+// reclaimed a version); below it, versions it could see may be gone, and
+// every read fails with ErrReclaimed: Read and ScanAt return it,
+// VisibleAt too, and ValidRowsAt panics with it.  The check runs under
+// the read lock that reclamation's commit excludes, so it is exact.
 //
 // The zero View reads latest (current versions only), as do the read
-// methods without an At suffix.
+// methods without an At suffix; it never fails this way.
 type View struct {
 	epoch uint64 // 0 = latest
 	pin   *epoch.Pin
@@ -31,9 +38,9 @@ type View struct {
 // Latest returns the view that always reads current versions.
 func Latest() View { return View{} }
 
-// ViewAt returns an unpinned view at an explicit epoch (tests, tooling).
-// Unpinned views do not hold the GC watermark: rows invalidated at or
-// below the watermark may be reclaimed out from under them.
+// ViewAt returns an unpinned view at an explicit epoch.  It holds no
+// version against GC: its reads fail with ErrReclaimed once a reclaiming
+// merge's watermark passes e (see View).
 func ViewAt(e uint64) View { return View{epoch: e} }
 
 // Epoch returns the captured epoch, or epoch.Latest for a latest view.
@@ -47,9 +54,9 @@ func (v View) Epoch() uint64 { return v.resolve() }
 func (v View) IsLatest() bool { return v.epoch == 0 }
 
 // Release drops the view's GC pin, letting garbage collection reclaim the
-// history the view could see.  The view remains readable — it just no
-// longer guarantees its rows survive the next merge.  Release is
-// idempotent and a no-op on unpinned views.
+// history the view could see.  The view stays readable until a reclaiming
+// merge's watermark passes its epoch; from then on its reads fail with
+// ErrReclaimed.  Release is idempotent and a no-op on unpinned views.
 func (v View) Release() { v.pin.Release() }
 
 // PinnedView captures and pins a read view directly on a clock.  The store
@@ -61,10 +68,10 @@ func PinnedView(c *epoch.Clock) View {
 }
 
 // PinnedViewAt pins an explicit epoch on a clock and returns a view at it.
-// The server uses it to serve reads at a client-chosen epoch on a
-// replication follower.  The pin only prevents future reclamation; the
-// caller must verify the epoch's history is still intact — every
-// partition's GCBound must be <= e — and Release the view if not.
+// A replication follower's server uses it to pin its applied epoch.  The
+// pin only prevents future reclamation; the caller must verify the epoch's
+// history is still intact — every partition's GCBound must be <= e — and
+// Release the view if not.
 func PinnedViewAt(c *epoch.Clock, e uint64) View {
 	return View{epoch: e, pin: c.PinAt(e)}
 }
@@ -92,12 +99,26 @@ func (t *Table) Snapshot() View {
 
 // VisibleAt reports whether the row exists and is visible at the view's
 // epoch.  It is IsValid generalized to snapshots; reclaimed rows are
-// visible to no view.
-func (t *Table) VisibleAt(v View, row int) bool {
+// visible to no view, and a view the GC has passed fails with ErrReclaimed.
+func (t *Table) VisibleAt(v View, row int) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if err := t.checkView(v); err != nil {
+		return false, err
+	}
 	slot, err := t.slotFor(row)
-	return err == nil && t.epochs.VisibleAt(slot, v.resolve())
+	return err == nil && t.epochs.VisibleAt(slot, v.resolve()), nil
+}
+
+// checkView fails a view whose versions a reclaiming merge may have
+// dropped: one without a live pin below the committed GC watermark (t.mu
+// held).  Release flags a pin before it leaves the registry, so a pin not
+// flagged here was in every freeze's pin set since its capture.
+func (t *Table) checkView(v View) error {
+	if v.epoch == 0 || v.epoch >= t.gcWatermark || v.pin != nil && !v.pin.Released() {
+		return nil
+	}
+	return fmt.Errorf("%w: epoch %d is below the GC watermark %d", ErrReclaimed, v.epoch, t.gcWatermark)
 }
 
 // MoveRow atomically relocates a row version between two tables sharing

@@ -70,10 +70,10 @@ func TestViewFreezesUpdatesAndDeletes(t *testing.T) {
 			t.Errorf("%s: ghost row visible", c.name)
 		}
 	}
-	if !tb.VisibleAt(v1, r0) || tb.VisibleAt(v2, r0) {
+	if !visibleAt(tb, v1, r0) || visibleAt(tb, v2, r0) {
 		t.Error("old version visibility wrong across update")
 	}
-	if tb.VisibleAt(v1, r1) || !tb.VisibleAt(v2, r1) {
+	if visibleAt(tb, v1, r1) || !visibleAt(tb, v2, r1) {
 		t.Error("new version visibility wrong across update")
 	}
 	if got := tb.ValidRowsAt(v1); got != 1 {
@@ -156,20 +156,20 @@ func TestMoveRowAtomicVisibility(t *testing.T) {
 	}
 	after := a.Snapshot()
 
-	if !a.VisibleAt(before, r0) || b.VisibleAt(before, r1) {
+	if !visibleAt(a, before, r0) || visibleAt(b, before, r1) {
 		t.Error("pre-move view must see only the source version")
 	}
-	if a.VisibleAt(after, r0) || !b.VisibleAt(after, r1) {
+	if visibleAt(a, after, r0) || !visibleAt(b, after, r1) {
 		t.Error("post-move view must see only the destination version")
 	}
 	// Every epoch between the two captures sees exactly one version.
 	for e := before.Epoch(); e <= after.Epoch(); e++ {
 		v := ViewAt(e)
 		na, nb := 0, 0
-		if a.VisibleAt(v, r0) {
+		if visibleAt(a, v, r0) {
 			na++
 		}
-		if b.VisibleAt(v, r1) {
+		if visibleAt(b, v, r1) {
 			nb++
 		}
 		if na+nb != 1 {

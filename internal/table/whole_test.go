@@ -136,8 +136,10 @@ func (h *visHistory) pin(tb *Table) View {
 // its commit, an aborted merge, an Adopt of a captured Image and a
 // follower's replayed stamps.  After each step every read path (Count,
 // Rows, Sum, MinMax, the equality count, seeded and conjunctive queries,
-// ScanAt and VisibleAt; checkReads) runs at latest, at every pinned epoch
-// and at every released pin's epoch against the flat begin/end oracle, and
+// ScanAt and VisibleAt; checkReads) runs at latest and at every pinned
+// epoch against the flat begin/end oracle, and at every released pin's
+// epoch against the same oracle until a reclaiming merge passes it, after
+// which every path must fail with ErrReclaimed; and
 // the bitmap is checked against the same oracle (checkMainBitmap).  The
 // partition's Adopt(Image()) must reproduce RowEpochs exactly, and its
 // bitmap and every read path are checked the same way.  whole — the
@@ -281,7 +283,7 @@ func TestMainVisibility(t *testing.T) {
 					t.Fatal(err)
 				}
 			}})
-			if h.a.VisibleAt(Latest(), frozen[2]) || !h.a.VisibleAt(h.mid, frozen[2]) {
+			if visibleAt(h.a, Latest(), frozen[2]) || !visibleAt(h.a, h.mid, frozen[2]) {
 				t.Fatal("a frozen delta row deleted mid-merge lost its end at commit")
 			}
 		}, []expect{{A, at(&h.mid), false}, {A, latest, false}}},

@@ -9,8 +9,9 @@ import (
 // TestOpcodesCoverEveryOp pins the opcode registry to the protocol: every
 // opcode in Opcodes() must have a real OpName (adding an opcode without
 // naming it breaks the per-op metric series), the range must be dense up
-// to opLast except for the unassigned numbers, names must be unique,
-// and the current tail (OpReshard) must be included.  A new opcode that
+// to opLast except for the unassigned numbers — exactly the retired ones,
+// 0x1a (pin_epoch) the latest — names must be unique, and the current tail
+// (OpReshard) must be included.  A new opcode that
 // forgets to bump opLast or extend OpName fails here.
 func TestOpcodesCoverEveryOp(t *testing.T) {
 	ops := Opcodes()
@@ -24,6 +25,9 @@ func TestOpcodesCoverEveryOp(t *testing.T) {
 		t.Fatalf("Opcodes() ends at 0x%02x, want OpReshard (0x%02x)", last, OpReshard)
 	}
 	holes := unassigned[:]
+	if want := []uint8{0x09, 0x15, 0x18, 0x1a, 0x1d}; !slices.Equal(holes, want) {
+		t.Fatalf("unassigned = % x, want % x", holes, want)
+	}
 	seen := make(map[string]uint8, len(ops))
 	for i, op := range ops {
 		if i > 0 && op != ops[i-1]+1 && !(op == ops[i-1]+2 && slices.Contains(holes, op-1)) {

@@ -31,10 +31,13 @@
 //	filter          string column, u8 op (OpFilterEq|OpFilterBetween),
 //	                value, and for Between a second (hi) value
 //
-// Snapshot tokens are u64; token 0 ("latest") is always valid and reads
-// current versions.  Nonzero tokens come from OpSnapshotEpoch (or
-// OpPinEpoch) and are resolved by the server's snapshot registry until
-// released.
+// A read names its snapshot by its epoch, a u64: 0 ("latest") is always
+// valid and reads current versions; any other epoch reads exactly the
+// versions visible at it, or fails with StatusErrBadSnapshot when the
+// server cannot serve it exactly (an epoch past the server's own, or one
+// garbage collection has passed).  OpSnapshotEpoch captures an epoch and
+// pins it against garbage collection until OpSnapshotRelease; the token a
+// client holds is that epoch, valid on every server of the store.
 package wire
 
 import (
@@ -55,7 +58,7 @@ const MaxFrame = 16 << 20
 // from a different protocol is refused with a typed error (the server
 // answers StatusErrBadRequest, the client fails Dial) instead of the two
 // sides misparsing each other's frames.
-const ProtocolVersion = 9
+const ProtocolVersion = 10
 
 // Opcodes.  The zero value is intentionally invalid, and the numbers in
 // unassigned are holes: a frame carrying one is answered like any unknown
@@ -69,22 +72,21 @@ const (
 	OpDelete          = 0x06 // id u64 -> empty
 	OpRow             = 0x07 // id u64 -> row
 	OpIsValid         = 0x08 // id u64 -> u8
-	OpSnapshotRelease = 0x0a // token u64 -> empty
-	OpLookup          = 0x0b // token, col string, value -> ids
-	OpRange           = 0x0c // token, col string, lo value, hi value -> ids
-	OpScan            = 0x0d // token, col string, limit u32, withRows u8 -> scan result
-	OpSum             = 0x0e // token, col string -> u64
-	OpMin             = 0x0f // token, col string -> u8 ok + value
-	OpMax             = 0x10 // token, col string -> u8 ok + value
-	OpCountEqual      = 0x11 // token, col string, value -> u64
-	OpQuery           = 0x12 // token, filters, u16 n + project strings -> query result
-	OpValidRows       = 0x13 // token -> u64
-	OpVisible         = 0x14 // token, id u64 -> u8
+	OpSnapshotRelease = 0x0a // epoch u64 -> empty
+	OpLookup          = 0x0b // epoch u64, col string, value -> ids
+	OpRange           = 0x0c // epoch u64, col string, lo value, hi value -> ids
+	OpScan            = 0x0d // epoch u64, col string, limit u32, withRows u8 -> scan result
+	OpSum             = 0x0e // epoch u64, col string -> u64
+	OpMin             = 0x0f // epoch u64, col string -> u8 ok + value
+	OpMax             = 0x10 // epoch u64, col string -> u8 ok + value
+	OpCountEqual      = 0x11 // epoch u64, col string, value -> u64
+	OpQuery           = 0x12 // epoch u64, filters, u16 n + project strings -> query result
+	OpValidRows       = 0x13 // epoch u64 -> u64
+	OpVisible         = 0x14 // epoch u64, id u64 -> u8
 	OpMerge           = 0x16 // threads u32 (0 = all; clamped to the server's GOMAXPROCS) -> merge report
 
 	OpHello         = 0x17 // version u32 -> version u32, role u8 (error unless the versions match)
-	OpSnapshotEpoch = 0x19 // -> token u64, epoch u64
-	OpPinEpoch      = 0x1a // epoch u64 -> token u64
+	OpSnapshotEpoch = 0x19 // -> epoch u64 (pinned until OpSnapshotRelease)
 	OpSubscribe     = 0x1b // version u32, mode u8, fromLSN u64 -> mode u8, startLSN u64, then stream (error unless the versions match)
 
 	OpCreateIndex = 0x1c // col string -> empty
@@ -96,8 +98,9 @@ const (
 
 // unassigned lists the holes in the opcode numbering, retired opcodes
 // whose numbers are not reused: 0x09 (an epoch-less snapshot capture),
-// 0x15 (store stats), 0x18 (server stats) and 0x1d (index stats).
-var unassigned = [...]uint8{0x09, 0x15, 0x18, 0x1d}
+// 0x15 (store stats), 0x18 (server stats), 0x1a (pinning an epoch under a
+// second, follower-side token) and 0x1d (index stats).
+var unassigned = [...]uint8{0x09, 0x15, 0x18, 0x1a, 0x1d}
 
 // opLast is the highest opcode this build knows; Opcodes() iterates up to
 // it, and the opcode-coverage test pins OpName against it.
@@ -153,8 +156,6 @@ func OpName(op uint8) string {
 		return "hello"
 	case OpSnapshotEpoch:
 		return "snapshot_epoch"
-	case OpPinEpoch:
-		return "pin_epoch"
 	case OpSubscribe:
 		return "subscribe"
 	case OpCreateIndex:
@@ -222,11 +223,11 @@ const (
 	StatusErrNoColumn    = 0x04 // table.ErrNoColumn
 	StatusErrArity       = 0x05 // table.ErrArity
 	StatusErrMergeBusy   = 0x06 // table.ErrMergeInProgress
-	StatusErrBadSnapshot = 0x07 // unknown or released snapshot token
+	StatusErrBadSnapshot = 0x07 // epoch not servable exactly (table.ErrReclaimed), or not pinned for release
 	StatusErrBadRequest  = 0x08 // malformed frame, unknown op, bad tag
 	StatusErrColumnType  = 0x09 // value/op does not fit the column type
 	// StatusErrTooManySnapshots: the server's snapshot registry is at its
-	// configured capacity; release a token before capturing another.
+	// configured capacity; release a snapshot before capturing another.
 	StatusErrTooManySnapshots = 0x0a
 	// StatusErrReadOnly: the server is a replication follower; mutations
 	// must go to the primary.

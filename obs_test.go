@@ -411,7 +411,7 @@ func TestClientMetrics(t *testing.T) {
 	}
 	// A server-side failure lands in the op's error counter (a bad
 	// column would be rejected client-side and never reach the wire, so
-	// use an unknown snapshot token).
+	// read at an epoch the server has not reached).
 	if _, err := c.LookupAt(client.Snap(1<<40), "k", uint64(7)); err == nil {
 		t.Fatal("lookup at bogus snapshot succeeded")
 	}

@@ -227,10 +227,11 @@ func TestNewTableReshardsUnderPinnedReaders(t *testing.T) {
 				kh, _ := hyrise.ColumnOf[uint64](st, "k")
 				vh, _ := hyrise.NumericColumnOf[uint64](st, "v")
 				ids := kh.LookupAt(pinned, k)
-				ok := len(ids) == 1 && st.VisibleAt(pinned, ids[0])
+				ok := len(ids) == 1
 				if ok {
+					visible, verr := st.VisibleAt(pinned, ids[0])
 					row, err := st.Row(ids[0])
-					ok = err == nil && row[0].(uint64) == k
+					ok = verr == nil && visible && err == nil && row[0].(uint64) == k
 				}
 				if !ok {
 					failed.Add(1)

@@ -346,11 +346,18 @@ func TestStoreSnapshotInterface(t *testing.T) {
 				t.Fatal(err)
 			}
 			v2 := s.Snapshot()
+			visibleAt := func(v hyrise.ReadView, id int) bool {
+				ok, err := s.VisibleAt(v, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ok
+			}
 
-			if !s.VisibleAt(v1, id0) || s.VisibleAt(v2, id0) {
+			if !visibleAt(v1, id0) || visibleAt(v2, id0) {
 				t.Error("old version visibility wrong")
 			}
-			if s.VisibleAt(v1, id1) || !s.VisibleAt(v2, id1) {
+			if visibleAt(v1, id1) || !visibleAt(v2, id1) {
 				t.Error("new version visibility wrong")
 			}
 			if s.ValidRowsAt(v1) != 1 || s.ValidRowsAt(v2) != 1 {
@@ -358,7 +365,7 @@ func TestStoreSnapshotInterface(t *testing.T) {
 			}
 			// Zero ReadView reads latest, mirroring IsValid.
 			var latest hyrise.ReadView
-			if s.VisibleAt(latest, id0) != s.IsValid(id0) || s.VisibleAt(latest, id1) != s.IsValid(id1) {
+			if visibleAt(latest, id0) != s.IsValid(id0) || visibleAt(latest, id1) != s.IsValid(id1) {
 				t.Error("zero ReadView disagrees with IsValid")
 			}
 			if got := s.ValidRowsAt(latest); got != s.ValidRows() {

@@ -14,9 +14,11 @@ import (
 type Store = *Table
 
 // ReadView is a frozen read epoch captured by Table.Snapshot.  Views are
-// plain values: cheap to copy, valid for the life of the store.  A view
-// from Snapshot pins its epoch against garbage collection until Release is
-// called (copies share the pin; releasing any copy releases all).  The
+// plain values, cheap to copy.  A view from Snapshot pins its epoch
+// against garbage collection until Release is called (copies share the
+// pin; releasing any copy releases all).  A released view reads exactly
+// until a reclaiming merge passes its epoch; then its reads fail with
+// ErrReclaimed (the At reads that return no error panic with it).  The
 // zero ReadView reads latest (current versions only) and needs no Release.
 type ReadView = table.View
 
