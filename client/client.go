@@ -139,8 +139,8 @@ type Options struct {
 	// which answers it exactly or refuses it (an epoch it has not applied
 	// or has garbage-collected past); latest reads go to any follower
 	// lagging at most MaxStaleness epochs whose applier has not stopped.
-	// Every follower error falls back to the primary, so routing never
-	// changes results — only which machine serves them.
+	// Every follower error falls back to the primary and benches the
+	// follower for a second: routing changes only who serves a result.
 	Followers []string
 	// MaxStaleness bounds, in epochs, how far behind the primary a
 	// follower may be and still serve LATEST reads (snapshot reads are

@@ -197,12 +197,12 @@ func lagOf(c *Client) (uint64, error) {
 	return uint64(v), nil
 }
 
-// doRead sends a read request at snapshot s, routing it to a follower when
-// one can serve it, and to the primary otherwise.  A follower answers a snapshot read exactly or
-// refuses it (ErrBadSnapshot: an epoch it has not applied, or one its GC
-// has passed); that and any other follower failure fall back to the
-// primary, which holds the snapshot's pin, so routing is invisible to
-// callers.
+// doRead sends a read request at snapshot s to a follower that can serve
+// it, else to the primary.  A follower answers a snapshot read exactly or
+// refuses it (ErrBadSnapshot: an epoch it has not applied or its GC has
+// passed); any follower failure falls back to the primary, which holds
+// the snapshot's pin, and benches the follower, so a refused snapshot
+// costs at most one wasted round trip per cooldown.
 func (c *Client) doRead(req []byte, s Snap) (*wire.Reader, error) {
 	if len(c.followers) == 0 {
 		return c.do(req)
@@ -217,7 +217,7 @@ func (c *Client) doRead(req []byte, s Snap) (*wire.Reader, error) {
 		if err == nil {
 			return r, nil
 		}
-		if !errors.Is(err, errStale) && !errors.Is(err, ErrBadSnapshot) {
+		if !errors.Is(err, errStale) {
 			// Staleness clears by itself within a heartbeat; real
 			// failures bench the follower for a cooldown.
 			f.markDown()

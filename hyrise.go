@@ -310,9 +310,9 @@
 // the epoch or has garbage-collected past it — latest reads go to any
 // follower lagging at most client.Options.MaxStaleness epochs whose
 // applier has not stopped (hyrise_replica_stopped), and everything else —
-// including any follower refusal or failure — falls back to the primary,
-// which holds the snapshot's pin.  For monitoring, Client.Role reports the role the
-// hello exchange announced, and Client.Metrics the replication lag
+// including any follower refusal or failure, which benches the follower
+// for a second — falls back to the primary, which holds the snapshot's
+// pin.  For monitoring, Client.Role reports the role the hello exchange announced, and Client.Metrics the replication lag
 // (hyrise_replica_lag_epochs) and op-log bounds (hyrise_oplog_*).  The
 // same topology runs as daemons with hyrised -replicate and hyrised
 // -follow; ExampleFollow shows the whole wiring in one process.

@@ -48,8 +48,9 @@
 // latest, and any other epoch E reads exactly the versions with
 // begin <= E < end no matter how many inserts, updates, deletes or merges
 // commit in between — or fails with wire.StatusErrBadSnapshot.  It fails
-// when E is past the server's own epoch (Now() on a primary, the applied
-// epoch on a follower; this also refuses epoch.Latest), and when garbage
+// when E is still open (Now(), which mutations stamp) or later on a
+// primary, past the applied epoch on a follower (this also refuses
+// epoch.Latest), and when garbage
 // collection has passed E on a partition that holds no pin for it
 // (table.ErrReclaimed).
 //

@@ -176,7 +176,8 @@ func FuzzHandle(f *testing.F) {
 
 	// A read's epoch is outside input: seed every opcode that carries one
 	// with epoch 1 once an update and a reclaiming merge have passed it,
-	// one past the clock, the Latest sentinel, and a released snapshot's.
+	// the open epoch and the one past it, the Latest sentinel, and a
+	// released snapshot's.
 	flat.Clock().Capture()
 	if _, err := flat.Update(0, map[string]any{"qty": uint32(99)}); err != nil {
 		f.Fatal(err)
@@ -191,7 +192,8 @@ func FuzzHandle(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, e := range []uint64{1, flat.Clock().Now() + 1, math.MaxUint64, released} {
+	now := flat.Clock().Now()
+	for _, e := range []uint64{1, now, now + 1, math.MaxUint64, released} {
 		for _, op := range []uint8{
 			wire.OpSnapshotRelease, wire.OpLookup, wire.OpRange, wire.OpScan, wire.OpSum, wire.OpMin,
 			wire.OpMax, wire.OpCountEqual, wire.OpQuery, wire.OpValidRows, wire.OpVisible,

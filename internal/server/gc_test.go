@@ -86,12 +86,55 @@ func TestSnapshotRegistryBounded(t *testing.T) {
 	if _, err := c.ValidRowsAt(s3); !errors.Is(err, client.ErrBadSnapshot) {
 		t.Fatalf("read at a released epoch GC passed: %v want ErrBadSnapshot", err)
 	}
-	// Epochs the server has not reached, the Latest sentinel among them,
-	// are refused.
-	for _, e := range []client.Snap{client.Snap(flat.Clock().Now() + 1), client.Snap(math.MaxUint64)} {
+	// The open epoch and those the server has not reached, the Latest
+	// sentinel among them, are refused.
+	now := flat.Clock().Now()
+	for _, e := range []client.Snap{client.Snap(now), client.Snap(now + 1), client.Snap(math.MaxUint64)} {
 		if _, err := c.ValidRowsAt(e); !errors.Is(err, client.ErrBadSnapshot) {
-			t.Fatalf("read at future epoch %d: %v want ErrBadSnapshot", e, err)
+			t.Fatalf("read at unclosed epoch %d: %v want ErrBadSnapshot", e, err)
 		}
+	}
+}
+
+// TestReleasedEpochAfterReshardFails: a reshard moves every row at one
+// stamp.  Once a released snapshot's old window has been drained and has
+// left the store, a read at that epoch is refused rather than answered
+// from the new window, where every moved row begins after it.
+func TestReleasedEpochAfterReshardFails(t *testing.T) {
+	st, err := shard.New("sales", salesSchema(), "order_id", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := startServerOpts(t, st, server.Options{})
+	const n = 20
+	for i := range uint64(n) {
+		if _, err := c.Insert([]any{i, uint32(1), "p"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Reshard(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.ValidRowsAt(s); err != nil || got != n {
+		t.Fatalf("pinned read across the reshard: %d, %v, want %d", got, err, n)
+	}
+	if err := c.Release(s); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; len(st.Partitions()) != st.NumShards(); i++ {
+		if i == 4 {
+			t.Fatalf("%d merges left %d partitions for %d shards", i, len(st.Partitions()), st.NumShards())
+		}
+		if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := c.ValidRowsAt(s); !errors.Is(err, client.ErrBadSnapshot) {
+		t.Fatalf("read at a released epoch after its window drained: %d, %v, want ErrBadSnapshot", got, err)
 	}
 }
 

@@ -358,7 +358,8 @@ func TestFollowerRouting(t *testing.T) {
 // snapshot's epoch E, which the follower answers with no pin of its own:
 // exactly, or with ErrBadSnapshot — when E is above its applied epoch, or
 // when its own merge has reclaimed past E — and then the routed client
-// falls back to the primary, which holds the pin, and returns its answer.
+// falls back to the primary, which holds the pin, returns its answer, and
+// benches the refusing follower for a cooldown.
 func TestPinEpochGuards(t *testing.T) {
 	flat, err := shard.New("sales", salesSchema(), "order_id", 1)
 	if err != nil {
@@ -392,15 +393,15 @@ func TestPinEpochGuards(t *testing.T) {
 		}
 		return 0
 	}
-	// routedRead reads at snap through the routed client; want is the
+	// routedRead reads at snap through the routed client rc; want is the
 	// primary's answer, and refused whether the follower must refuse it.
-	routedRead := func(stage string, snap client.Snap, want int, refused bool) {
+	routedRead := func(stage string, rc *client.Client, snap client.Snap, want int, refused bool) {
 		t.Helper()
 		if _, err := fc.ValidRowsAt(snap); refused != errors.Is(err, client.ErrBadSnapshot) {
 			t.Fatalf("%s: follower read at epoch %d: %v, want refused %v", stage, snap, err, refused)
 		}
 		before := followerErrs()
-		if n, err := c.ValidRowsAt(snap); err != nil || n != want {
+		if n, err := rc.ValidRowsAt(snap); err != nil || n != want {
 			t.Fatalf("%s: routed read at epoch %d: %d, %v; want %d", stage, snap, n, err, want)
 		}
 		if got := followerErrs() - before; refused != (got > 0) {
@@ -408,7 +409,7 @@ func TestPinEpochGuards(t *testing.T) {
 		}
 	}
 	waitFollowerEpoch(t, reps[0], uint64(snap))
-	routedRead("applied", snap, 1, false)
+	routedRead("applied", c, snap, 1, false)
 
 	// An update after E, merged on the follower with no pin there, moves
 	// the follower's GC watermark past E; the primary still pins E.
@@ -420,10 +421,27 @@ func TestPinEpochGuards(t *testing.T) {
 	if err != nil || rep.RowsReclaimed == 0 {
 		t.Fatalf("follower merge reclaimed %d, %v", rep.RowsReclaimed, err)
 	}
-	routedRead("reclaimed on the follower", snap, 1, true)
+	routedRead("reclaimed on the follower", c, snap, 1, true)
+
+	// The refusal benched the follower: the next read at snap goes straight
+	// to the primary, so a long-lived snapshot costs one wasted round trip
+	// per cooldown, not one per read.
+	before := followerErrs()
+	if n, err := c.ValidRowsAt(snap); err != nil || n != 1 {
+		t.Fatalf("benched: routed read at epoch %d: %d, %v; want 1", snap, n, err)
+	}
+	if got := followerErrs() - before; got != 0 {
+		t.Fatalf("benched: the follower refused %v more routed reads, want 0", got)
+	}
 
 	// Above the applied epoch of a follower frozen below it: refused, and
-	// answered by the primary.
+	// answered by the primary (through a new routed client, as c's
+	// follower is benched).
+	c2, err := client.DialOptions(paddr, client.Options{Followers: faddrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
 	reps[0].Close()
 	if _, err := c.Insert([]any{uint64(2), uint32(2), "b"}); err != nil {
 		t.Fatal(err)
@@ -433,7 +451,7 @@ func TestPinEpochGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Release(later)
-	routedRead("not applied", later, 2, true)
+	routedRead("not applied", c2, later, 2, true)
 }
 
 // TestStoppedFollowerSaysSo: a follower that falls off its primary's op

@@ -388,11 +388,11 @@ var errReadOnly = errors.New("server: read-only follower")
 var errTooManySnapshots = errors.New("server: snapshot registry full")
 
 // viewFor resolves a wire read epoch: 0 is latest, a registered epoch
-// reads through its pinned view, and any other epoch up to this server's
-// own — Now() on a primary, the applied epoch on a follower — through an
-// unpinned view, which reads exactly or fails with table.ErrReclaimed once
-// a reclaiming merge has passed it.  Refusing later epochs also refuses
-// epoch.Latest, which no client may name.
+// reads through its pinned view, and any other closed epoch — below Now(),
+// which mutations still stamp, on a primary; up to the applied epoch on a
+// follower — through an unpinned view, which reads exactly or fails with
+// table.ErrReclaimed once a reclaiming merge has passed it.  Refusing later
+// epochs also refuses epoch.Latest, which no client may name.
 func (s *Server) viewFor(e uint64) (table.View, error) {
 	if e == 0 {
 		return table.Latest(), nil
@@ -403,7 +403,7 @@ func (s *Server) viewFor(e uint64) (table.View, error) {
 	if ok {
 		return p.v, nil
 	}
-	top := s.st.Clock().Now()
+	top := s.st.Clock().Now() - 1
 	if rep := s.opts.Replica; rep != nil {
 		top = rep.AppliedEpoch()
 	}

@@ -404,6 +404,46 @@ func TestDrainedWindowLeavesReadSet(t *testing.T) {
 	}
 }
 
+// TestDrainedWindowKeepsItsFloor: a reshard moves every row at one stamp.
+// Once the snapshot taken before it is released and merges have drained
+// the old window out of the store, the window's GC watermark stays with
+// the partitions that remain: a read at the released epoch fails with
+// ErrReclaimed instead of answering none of the moved rows.
+func TestDrainedWindowKeepsItsFloor(t *testing.T) {
+	st := oneShard(t)
+	const n = 100
+	for i := range uint64(n) {
+		if _, err := st.Insert([]any{i, uint64(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := table.Plan{Reduce: table.Sum, Col: 1}
+	view := st.Snapshot()
+	if _, err := st.Reshard(context.Background(), 4); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := shard.Read(st, view, sum); err != nil || s.Sum != n {
+		t.Fatalf("pinned read across the reshard: %v, want sum %d", err, n)
+	}
+	view.Release()
+	for i := 0; len(st.Partitions()) != st.NumShards(); i++ {
+		if i == 4 {
+			t.Fatalf("%d merges left %d partitions for %d shards", i, len(st.Partitions()), st.NumShards())
+		}
+		if _, err := st.RequestMerge(context.Background(), table.MergeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []table.View{view, table.ViewAt(view.Epoch())} {
+		if s, err := shard.Read(st, v, sum); !errors.Is(err, table.ErrReclaimed) {
+			t.Fatalf("read at epoch %d after its window drained: %+v, %v, want ErrReclaimed", v.Epoch(), s, err)
+		}
+	}
+	if s, err := shard.Read(st, table.Latest(), sum); err != nil || s.Sum != n {
+		t.Fatalf("latest read: %v, want sum %d", err, n)
+	}
+}
+
 // TestReshardsLeaveNoDrainedPartitions: a 1 000-row, 1-shard store is
 // resharded to 4, 2, 3, 1 and 2 shards.  After each reshard's drained
 // window has been merged empty, the store holds exactly its active

@@ -159,15 +159,20 @@ func (m *shardMap) part(phys int) *table.Table {
 // awaits its cutover.  Such a window is sealed and past its reshard's
 // cutover, so no write — a follower's replay included — adds a version to
 // it again, and an empty one holds nothing any epoch can see.  The version
-// is unchanged: pruning changes no routing.
+// is unchanged: pruning changes no routing.  A drained window's GC
+// watermark stays: the remaining partitions are raised to it before the
+// result is published, or a read below it would miss the rows a reshard
+// moved out of the window.
 func (m *shardMap) pruned() *shardMap {
 	if m.awaiting {
 		return m
 	}
 	act := m.active()
 	keep := make([]window, 0, len(m.windows))
+	var floor uint64
 	for _, w := range m.windows {
-		if w.base < act.base && empty(w.parts) {
+		if f, ok := drained(w.parts); ok && w.base < act.base {
+			floor = max(floor, f)
 			continue
 		}
 		keep = append(keep, w)
@@ -175,19 +180,26 @@ func (m *shardMap) pruned() *shardMap {
 	if len(keep) == len(m.windows) {
 		return m
 	}
+	for _, w := range keep {
+		for _, p := range w.parts {
+			p.RaiseGCWatermark(floor)
+		}
+	}
 	out := *m
 	out.windows = keep
 	return &out
 }
 
-// empty reports whether no partition holds a row version.
-func empty(parts []*table.Table) bool {
+// drained reports whether no partition holds a row version, and their
+// highest GC watermark.
+func drained(parts []*table.Table) (floor uint64, ok bool) {
 	for _, p := range parts {
 		if p.Rows() != 0 {
-			return false
+			return 0, false
 		}
+		floor = max(floor, p.GCWatermark())
 	}
-	return true
+	return floor, true
 }
 
 // Table is a hash-partitioned collection of table.Table shards sharing one

@@ -289,6 +289,14 @@ func (t *Table) GCWatermark() uint64 {
 	return t.gcWatermark
 }
 
+// RaiseGCWatermark lifts the GC watermark to w if higher, so reads below w
+// fail with ErrReclaimed as if a merge here had reclaimed at w.
+func (t *Table) RaiseGCWatermark(w uint64) {
+	t.mu.Lock()
+	t.gcWatermark = max(t.gcWatermark, w)
+	t.mu.Unlock()
+}
+
 // Seal marks the partition as retired by online resharding: every write
 // that would create a new row version here (Insert, InsertRows, in-place
 // Update, MoveRow in) fails with ErrSealed from now on.  Reads, Delete,

@@ -34,8 +34,8 @@
 // A read names its snapshot by its epoch, a u64: 0 ("latest") is always
 // valid and reads current versions; any other epoch reads exactly the
 // versions visible at it, or fails with StatusErrBadSnapshot when the
-// server cannot serve it exactly (an epoch past the server's own, or one
-// garbage collection has passed).  OpSnapshotEpoch captures an epoch and
+// server cannot serve it exactly (an epoch the server has not closed, or
+// one garbage collection has passed).  OpSnapshotEpoch captures an epoch and
 // pins it against garbage collection until OpSnapshotRelease; the token a
 // client holds is that epoch, valid on every server of the store.
 package wire
